@@ -13,9 +13,16 @@ Two claims, both about making sync cost O(what changed):
   fetch only the blocks that differ; a one-block change to a large file
   re-propagates about one block of bytes instead of the whole file.
 
+* **Directory batching.**  The propagation daemon services a (source,
+  directory) group of notes with one resolve of the remote directory and
+  one attribute batch, and decides per child from that batch; only the
+  files that really changed pay for a transfer.  A tick over a diverged
+  directory costs a constant plus two RPCs per changed file, whatever the
+  directory holds.
+
 ``delta_sync_snapshot()`` produces the BENCH_delta_sync.json payload that
 report_all.py writes.  Run directly (``python benchmarks/bench_delta_sync.py
---fast``) it sizes the workload down and exits non-zero if either bound is
+--fast``) it sizes the workload down and exits non-zero if any bound is
 violated — the CI gate.
 """
 
@@ -33,6 +40,10 @@ QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_per
 # RPCs per peer; a one-block change copies at most DELTA_BLOCK_BOUND blocks
 NO_CHANGE_RPC_BOUND = 3
 DELTA_BLOCK_BOUND = 2
+# a propagation tick over one diverged directory: resolve + batch, then a
+# signature fetch and a block/contents fetch per changed file — per source
+DIR_TICK_CHANGED_FILES = 4
+DIR_TICK_RPC_BOUND = 3 + 2 * DIR_TICK_CHANGED_FILES
 
 
 def build_volume(dirs: int, files_per_dir: int = 2) -> FicusSystem:
@@ -129,6 +140,26 @@ def measure_delta_propagation(blocks: int) -> dict:
     }
 
 
+def measure_directory_tick(files: int, changed: int = DIR_TICK_CHANGED_FILES) -> int:
+    """RPCs one receiver's propagation tick sends for one diverged
+    directory of ``files`` files, ``changed`` of them overwritten at the
+    single source."""
+    system = FicusSystem(["a", "b"], daemon_config=QUIET)
+    fs = system.host("a").fs()
+    fs.mkdir("/d")
+    for f in range(files):
+        fs.write_file(f"/d/f{f}", bytes([f]) * 64)
+    system.reconcile_everything()
+    receiver = system.host("b")
+    receiver.propagation_daemon.tick()  # drain the population's notes
+    for f in range(changed):
+        fs.write_file(f"/d/f{f}", bytes([f + 1]) * 64)
+    before = system.network.stats.rpcs_sent
+    assert receiver.propagation_daemon.tick() == changed
+    assert receiver.physical.new_version_cache_size == 0
+    return system.network.stats.rpcs_sent - before
+
+
 def delta_sync_snapshot(fast: bool = False) -> dict:
     """The BENCH_delta_sync.json payload."""
     dirs = 12 if fast else 50
@@ -137,6 +168,13 @@ def delta_sync_snapshot(fast: bool = False) -> dict:
         "block_size": DELTA_BLOCK_SIZE,
         "no_change_round": measure_no_change_round(dirs),
         "delta_propagation": measure_delta_propagation(blocks),
+        "directory_tick": {
+            "files": 64,
+            "changed_files": DIR_TICK_CHANGED_FILES,
+            "rpcs_per_source": measure_directory_tick(64),
+            "rpcs_per_source_16_files": measure_directory_tick(16),
+            "bound": f"<= {DIR_TICK_RPC_BOUND} RPCs per source, equal for both sizes",
+        },
     }
 
 
@@ -158,6 +196,18 @@ def check_bounds(snapshot: dict) -> list[str]:
         violations.append(
             f"one-block change copied {delta['bytes_copied']} bytes "
             f"(bound: {DELTA_BLOCK_BOUND} blocks = {DELTA_BLOCK_BOUND * DELTA_BLOCK_SIZE})"
+        )
+    tick = snapshot["directory_tick"]
+    if tick["rpcs_per_source"] > DIR_TICK_RPC_BOUND:
+        violations.append(
+            f"propagation tick over a {tick['files']}-file directory with "
+            f"{tick['changed_files']} changed files cost {tick['rpcs_per_source']} RPCs "
+            f"(bound: {DIR_TICK_RPC_BOUND})"
+        )
+    if tick["rpcs_per_source"] != tick["rpcs_per_source_16_files"]:
+        violations.append(
+            f"propagation tick cost depends on directory size: {tick['rpcs_per_source']} RPCs "
+            f"at {tick['files']} files, {tick['rpcs_per_source_16_files']} at 16"
         )
     return violations
 

@@ -1,6 +1,6 @@
 """Runtime switch for the fused/zero-copy hot path.
 
-The PR-8 performance plane (decoded-metadata caches in the UFS and the
+The PR-7 performance plane (decoded-metadata caches in the UFS and the
 replica store, memoized wire decodes, fused vnode chains) is controlled
 by one module-level flag so a single process can measure *legacy* and
 *optimized* behaviour back to back — exactly what the ``bench_open_io``

@@ -126,7 +126,7 @@ class ReplicaStore:
         #: than once per recon tick (in-memory: a crash only costs one
         #: extra walk after reboot)
         self._ancestor_sync_memo: dict[FicusFileHandle, str] = {}
-        # -- decoded-metadata caches (the PR-8 hot path) ------------------
+        # -- decoded-metadata caches (the PR-7 hot path) ------------------
         # Every entry is stamped with the storage bottom's buffer-cache
         # epoch: when the block cache goes cold (invalidate_all, fault
         # injection) the decoded caches go cold with it, preserving the

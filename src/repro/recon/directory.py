@@ -40,7 +40,7 @@ from repro.physical import (
     count_name_collisions,
     decode_directory,
 )
-from repro.physical.wire import EntryType
+from repro.physical.wire import AttrBatch, EntryType
 from repro.util import FicusFileHandle
 from repro.vnode.interface import Vnode, read_whole
 from repro.vv import Ordering
@@ -66,6 +66,9 @@ class DirReconResult:
     #: live file/symlink entries after the merge (full records, so
     #: callers can apply name-based storage policies)
     child_files: list = field(default_factory=list)
+    #: the remote directory's attribute batch: its own aux record plus one
+    #: per child it stores, which is what ``pull_children`` decides from
+    remote_attrs: AttrBatch | None = None
 
     @property
     def changed(self) -> bool:
@@ -97,8 +100,10 @@ def reconcile_directory(
 
     try:
         remote_entries = decode_directory(read_whole(remote_dir))
-        # an empty-list batch carries just the directory's own aux record
-        remote_aux = remote_dir.getattrs_batch([]).dir_aux
+        # the whole-directory batch: the directory's own aux record for
+        # the merge below, the children's for the per-file pulls after it
+        result.remote_attrs = remote_dir.getattrs_batch(None)
+        remote_aux = result.remote_attrs.dir_aux
     except (HostUnreachable, FileNotFound, StaleFileHandle):
         # StaleFileHandle: the remote rebooted and client caches were
         # scrubbed by the failure itself; the next periodic run succeeds

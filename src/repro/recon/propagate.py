@@ -17,7 +17,13 @@ hashes differ, splice them over the local copy in the shadow file, and
 commit atomically exactly as the whole-file path does.  The whole-file
 copy remains as the fallback — remote predates the delta operations, the
 remote changed out-of-band between the attribute fetch and the digest
-fetch, or the delta would be no smaller than the file itself.
+fetch (the pull then restarts from a fresh record), or the delta would be
+no smaller than the file itself.
+
+The directory is the unit of work: :func:`pull_children` decides every
+file of a directory from the one ``getattrs_batch`` its directory pass
+already fetched, so a diverged directory of N files with k changed costs
+the directory read, that batch and k transfers — not N attribute fetches.
 """
 
 from __future__ import annotations
@@ -27,7 +33,9 @@ from dataclasses import dataclass
 
 from repro.errors import FileNotFound, HostUnreachable, NotSupported, StaleFileHandle
 from repro.physical import FicusPhysicalLayer, ReplicaStore
-from repro.physical.wire import content_digest, op_byfh, split_blocks
+from repro.physical.policy import StoragePolicy
+from repro.physical.wire import AttrBatch, content_digest, op_byfh, split_blocks
+from repro.recon.directory import reconcile_directory
 from repro.util import FicusFileHandle
 from repro.vnode.interface import Vnode, read_whole
 from repro.vv import Ordering, VersionVector
@@ -63,6 +71,9 @@ def pull_file(
     remote_dir: Vnode,
     health=None,
     origin: str = "",
+    batch: AttrBatch | None = None,
+    live: bool = False,
+    delta: bool = True,
 ) -> PullResult:
     """Bring the local replica of one file up to the remote version.
 
@@ -74,6 +85,11 @@ def pull_file(
     before the pull falls back to the whole-file copy, and an installed
     version is appended to its provenance ledger with ``origin`` (the
     host pulled from) as the sync-origin annotation.
+
+    ``batch`` is the remote directory's attribute batch when the caller
+    already holds one (:func:`pull_children`); without it the file's own
+    record is fetched here.  ``live`` says the caller took ``fh`` from a
+    live local entry; ``delta=False`` goes straight to the whole-file copy.
     """
     parent_fh = parent_fh.logical
     fh = fh.logical
@@ -84,7 +100,7 @@ def pull_file(
     local_vv = (
         store.read_file_aux(parent_fh, fh).vv if local_stored else VersionVector()
     )
-    if not local_stored:
+    if not local_stored and not live:
         # A delete can land between a new-version note being queued and
         # serviced.  Materializing storage for a tombstoned (or unknown)
         # entry would leak it forever — the GC only runs on the live→dead
@@ -95,12 +111,14 @@ def pull_file(
         if not live_here:
             return PullResult(PullOutcome.LOCAL_DEAD, local_vv, VersionVector())
 
-    try:
-        remote_aux = remote_dir.getattrs_batch([fh]).child(fh)
-    except FileNotFound:
-        return PullResult(PullOutcome.REMOTE_MISSING, local_vv, VersionVector())
-    except (HostUnreachable, StaleFileHandle):
-        return PullResult(PullOutcome.UNREACHABLE, local_vv, VersionVector())
+    if batch is None:
+        try:
+            batch = remote_dir.getattrs_batch([fh])
+        except FileNotFound:
+            return PullResult(PullOutcome.REMOTE_MISSING, local_vv, VersionVector())
+        except (HostUnreachable, StaleFileHandle):
+            return PullResult(PullOutcome.UNREACHABLE, local_vv, VersionVector())
+    remote_aux = batch.child(fh)
     if remote_aux is None:
         # the batch answers for the whole directory in one call; a missing
         # child record means the remote replica does not store the file
@@ -115,12 +133,18 @@ def pull_file(
 
     # remote strictly dominates: propagate through shadow + atomic commit.
     # With a local copy to diff against, try the block-delta path first.
-    if local_stored:
-        delta = _delta_pull(store, parent_fh, fh, remote_dir, local_vv, remote_vv, health, origin)
-        if delta is not None:
-            if delta.outcome is PullOutcome.PULLED:
+    if local_stored and delta:
+        result = _delta_pull(store, parent_fh, fh, remote_dir, local_vv, remote_vv, health, origin)
+        if result is _REMOTE_MOVED:
+            # the record that chose ``remote_vv`` is stale (a directory-wide
+            # batch can be many transfers old): start over from a fresh one
+            # and copy the whole file, so the (contents, vv) pair installed
+            # is one the remote actually held
+            return pull_file(store, parent_fh, fh, remote_dir, health, origin, live=True, delta=False)
+        if result is not None:
+            if result.outcome is PullOutcome.PULLED:
                 _adopt_policy(store, parent_fh, fh, remote_aux.merge_policy)
-            return delta
+            return result
 
     try:
         contents = read_whole(remote_dir.lookup(op_byfh(fh)))
@@ -171,6 +195,11 @@ def _adopt_policy(
         store.write_file_aux(parent_fh, fh, aux)
 
 
+#: :func:`_delta_pull`'s "the remote is no longer at the version the
+#: attribute record promised" reply
+_REMOTE_MOVED = object()
+
+
 def _delta_pull(
     store: ReplicaStore,
     parent_fh: FicusFileHandle,
@@ -180,14 +209,15 @@ def _delta_pull(
     remote_vv: VersionVector,
     health=None,
     origin: str = "",
-) -> PullResult | None:
+) -> PullResult | object | None:
     """Try to install the remote version by copying only changed blocks.
 
     Returns ``None`` to fall back to the whole-file copy (remote predates
-    the delta operations, the remote replica changed out-of-band so the
-    signatures no longer describe ``remote_vv``, the delta would not be
-    smaller than the file, or a fetched block failed verification), or a
-    final :class:`PullResult` when the delta path settled the pull itself.
+    the delta operations, or the delta would not be smaller than the
+    file), ``_REMOTE_MOVED`` when the remote replica is no longer at
+    ``remote_vv`` (the signatures describe another version, or a fetched
+    block failed verification), or a final :class:`PullResult` when the
+    delta path settled the pull itself.
     """
     try:
         sig = remote_dir.block_digests(fh)
@@ -201,7 +231,7 @@ def _delta_pull(
         # out-of-band change (e.g. another reconciler updated the remote
         # between our attribute fetch and this call): the signatures no
         # longer describe the version we decided to install
-        return None
+        return _REMOTE_MOVED
 
     local_blocks = split_blocks(store.file_vnode(parent_fh, fh).read_all(), sig.block_size)
     local_digests = [content_digest(block) for block in local_blocks]
@@ -236,7 +266,7 @@ def _delta_pull(
                         block=index,
                         expected=digest,
                     )
-                return None
+                return _REMOTE_MOVED
             pieces.append(block)
         else:
             pieces.append(local_blocks[index])
@@ -260,21 +290,62 @@ def _delta_pull(
     )
 
 
+def pull_children(
+    store: ReplicaStore,
+    dir_fh: FicusFileHandle,
+    remote_dir: Vnode,
+    batch: AttrBatch,
+    entries,
+    policy: StoragePolicy | None = None,
+    health=None,
+    origin: str = "",
+):
+    """Bring the files of one directory up to the remote's versions.
+
+    The per-directory unit both consumers of the sync plane share:
+    ``entries`` are live local file entries, ``batch`` the remote
+    directory's attribute batch, so deciding costs no RPC per child and
+    only a child the remote strictly dominates pays for a transfer.
+    Yields ``(entry, PullResult)`` as each child is settled, ``(entry,
+    None)`` for one the storage ``policy`` declines (it stays entry-only).
+    """
+    for entry in entries:
+        if policy is not None and not policy.wants(entry) and not store.has_file(dir_fh, entry.fh):
+            yield entry, None
+        else:
+            yield entry, pull_file(store, dir_fh, entry.fh, remote_dir, health, origin, batch, live=True)
+
+
 def push_notify_pull(
     physical: FicusPhysicalLayer,
-    note,
+    notes,
     remote_dir: Vnode,
-) -> PullResult:
-    """Service one new-version cache entry (what the daemon does)."""
-    store = physical.store_for(note.key.volrep)
-    result = pull_file(
-        store,
-        note.key.parent_fh,
-        note.key.fh,
-        remote_dir,
-        health=physical.health,
-        origin=note.src_addr,
-    )
-    if result.outcome in (PullOutcome.UP_TO_DATE, PullOutcome.PULLED):
-        physical.clear_new_version(note.key)
-    return result
+) -> tuple[dict[FicusFileHandle, PullResult], bool]:
+    """Service the notes one source left for one directory (what the
+    propagation daemon does per group).
+
+    Directory updates are "replayed", not copied: a ``dir`` note runs the
+    directory reconciliation algorithm against the notifying replica —
+    once — and pulls the files the merge reveals; ``file`` notes alone
+    need one batch naming just the noted files.  Returns the results by
+    logical handle (a noted file absent from them has no live, wanted
+    entry here) and whether the merge changed the directory; raises
+    :class:`~repro.errors.FicusError` when the remote cannot be read.
+    """
+    first = notes[0]
+    volrep = first.key.volrep
+    store = physical.store_for(volrep)
+    dir_fh = first.key.parent_fh.logical
+    changed = False
+    if any(note.objkind == "dir" for note in notes):
+        merged = reconcile_directory(physical, store, dir_fh, remote_dir)
+        if merged.unreachable:
+            raise HostUnreachable(first.src_addr)
+        batch, entries, changed = merged.remote_attrs, merged.child_files, merged.changed
+    else:
+        wanted = dict.fromkeys(note.key.fh.logical for note in notes)
+        batch = remote_dir.getattrs_batch(list(wanted))
+        entries = [e for e in store.read_entries(dir_fh) if e.live and e.fh.logical in wanted]
+    policy, health = physical.policy_for(volrep), physical.health
+    children = pull_children(store, dir_fh, remote_dir, batch, entries, policy, health, first.src_addr)
+    return {entry.fh.logical: pull for entry, pull in children if pull is not None}, changed

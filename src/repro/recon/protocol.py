@@ -7,10 +7,11 @@ executed periodically to traverse an entire subgraph (not just a single
 node), and reconcile the local replica against a remote replica."
 
 :func:`reconcile_subtree` walks the directory DAG from a root handle,
-reconciling each directory and pulling each regular file, accumulating
-conflict reports along the way.  It tolerates mid-run partitions: an
-unreachable remote simply truncates the traversal (the next periodic run
-finishes the job).
+reconciling each directory and pulling its regular files (decided from
+the directory pass's one attribute batch: two RPCs per diverged directory
+plus its real transfers), accumulating conflict reports along the way.  It
+tolerates mid-run partitions: an unreachable remote simply truncates the
+traversal (the next periodic run finishes the job).
 
 The walk is *incremental* (Merkle-style anti-entropy): before descending
 into a directory it compares the remote's subtree recon digest (one
@@ -33,7 +34,7 @@ from repro.physical.policy import StoragePolicy
 from repro.physical.wire import op_dir
 from repro.recon.conflicts import ConflictKind, ConflictLog, ConflictReport
 from repro.recon.directory import DirReconResult, reconcile_directory
-from repro.recon.propagate import PullOutcome, pull_file
+from repro.recon.propagate import PullOutcome, pull_children
 from repro.resolvers import ResolveOutcome, ResolverRegistry, auto_resolve_conflict
 from repro.util import FicusFileHandle, VolumeReplicaId
 from repro.vnode.interface import Vnode
@@ -165,21 +166,17 @@ def reconcile_subtree(
         result.fold_dir(dir_result)
         directory_changed = dir_result.changed
 
-        for file_entry in dir_result.child_files:
+        batch, files = dir_result.remote_attrs, dir_result.child_files
+        for file_entry, pull in pull_children(
+            store, dir_fh, remote_dir, batch, files, policy, physical.health, remote_host
+        ):
             file_fh = file_entry.fh
-            if (
-                policy is not None
-                and not store.has_file(dir_fh, file_fh)
-                and not policy.wants(file_entry)
-            ):
+            if pull is None:
                 # selective replication: this replica declines the
                 # contents; the entry stays entry-only here
                 result.files_declined_by_policy += 1
                 continue
             result.files_checked += 1
-            pull = pull_file(
-                store, dir_fh, file_fh, remote_dir, health=physical.health, origin=remote_host
-            )
             if pull.outcome is PullOutcome.PULLED:
                 result.files_pulled += 1
                 result.bytes_copied += pull.bytes_copied

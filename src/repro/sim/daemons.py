@@ -7,6 +7,11 @@
   2.5); the ``min_age`` knob is that policy, and is what experiment E6
   sweeps ("rapid propagation enhances availability...; delayed propagation
   may reduce the overall propagation cost when updates are bursty").
+  Updates cluster by directory (Section 6), so the directory is the unit
+  of work: a tick gates the pending notes one by one, groups the rest by
+  (source replica, directory), and services a group with ``root`` +
+  ``lookup`` + directory ``read`` + one ``getattrs_batch``, plus two RPCs
+  per file that really changed — however many notes the group holds.
 
 * :class:`ReconciliationDaemon` — periodically reconciles each hosted
   volume replica against one remote peer, rotating around the replica
@@ -18,22 +23,25 @@
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from repro.errors import FicusError, HostUnreachable
+from repro.errors import FicusError
 from repro.logical import Fabric, FicusLogicalLayer
 from repro.physical import FicusPhysicalLayer, NewVersionNote
 from repro.physical.wire import op_dir
 from repro.recon import (
     ConflictLog,
     PullOutcome,
+    PullResult,
     SubtreeReconResult,
     push_notify_pull,
     reconcile_subtree,
 )
 from repro.sim.topology import FullMeshTopology, Topology
 from repro.util import VolumeReplicaId
+from repro.vnode.interface import Vnode
 from repro.volume import ReplicaLocation
 
 
@@ -87,10 +95,19 @@ class PeerHealth:
 
 @dataclass
 class PropagationStats:
+    """Per-note counters: the daemon works a (source, directory) group at
+    a time, but each serviced note still lands in exactly one outcome."""
+
+    #: notes serviced (they passed the age, topology and peer-health gates)
     pulls_attempted: int = 0
+    #: serviced notes whose group pass installed something for them: the
+    #: file the note names or, for a ``dir`` note, any entry of the merge
     pulls_succeeded: int = 0
+    #: serviced notes that found the local replica as new as the source
     already_current: int = 0
+    #: notes naming a file in update conflict: cleared, recon reports it
     conflicts_deferred: int = 0
+    #: serviced notes left pending because the source could not answer
     unreachable: int = 0
     bytes_copied: int = 0
     #: bytes block-delta pulls avoided copying (file size minus delta)
@@ -100,8 +117,40 @@ class PropagationStats:
     #: notes left pending because their source was outside the topology's
     #: fanout this tick (ring/gossip only; full mesh never gates)
     notes_gated: int = 0
-    #: notes dropped because the named entry died before servicing
+    #: ``file`` notes dropped because no live, wanted entry names the file
+    #: any more (it was unlinked here while the note sat queued)
     stale_notes: int = 0
+
+
+#: the PropagationStats counter behind each note outcome ("deferred", the
+#: directory not stored here yet, has none); all but "unreachable" settle the note
+_COUNTER = {
+    "pulled": "pulls_succeeded",
+    "up_to_date": "already_current",
+    "conflict_deferred": "conflicts_deferred",
+    "stale_note": "stale_notes",
+    "unreachable": "unreachable",
+}
+
+
+def _note_outcome(note: NewVersionNote, pull: PullResult | None, dir_changed: bool) -> str:
+    """What a group pass did for one note; ``pull`` is the result for the
+    file it names (``None``: no live, wanted file by that handle here)."""
+    outcome = pull.outcome if pull is not None else None
+    if outcome is PullOutcome.PULLED:
+        return "pulled"
+    if outcome is PullOutcome.UNREACHABLE:
+        return "unreachable"
+    if outcome is PullOutcome.CONFLICT:
+        return "conflict_deferred"
+    if note.objkind == "dir":
+        # the completed directory pass is what the note asked for
+        return "pulled" if dir_changed else "up_to_date"
+    if outcome is PullOutcome.UP_TO_DATE:
+        return "up_to_date"
+    if outcome is PullOutcome.REMOTE_MISSING:
+        return "unreachable"
+    return "stale_note"  # moot: neither a peer failure nor a success
 
 
 class PropagationDaemon:
@@ -152,7 +201,9 @@ class PropagationDaemon:
         )
 
     def tick(self) -> int:
-        """Service every sufficiently old new-version note; returns pulls.
+        """Service every sufficiently old new-version note; returns the
+        number of file versions installed.  Notes that pass the gates
+        below are serviced a (source, directory) group at a time.
 
         Notes from a degraded source (one that kept failing while
         reachable) stay pending for a few ticks instead of burning a full
@@ -172,7 +223,6 @@ class PropagationDaemon:
                 health.set_notes_pending(0)
             return 0
         now = physical.clock.now()
-        pulled = 0
         notes = physical.pending_new_versions()
         allowed: set[str] | None = None
         if not self.topology.is_full_mesh:
@@ -182,6 +232,7 @@ class PropagationDaemon:
             )
             allowed = {sources[i] for i in selected}
         self._tick_index += 1
+        groups: dict[tuple, list[NewVersionNote]] = {}
         for note in notes:
             if now - note.noted_at < self.min_age:
                 continue
@@ -193,132 +244,97 @@ class PropagationDaemon:
                 self.stats.notes_deferred += 1
                 self.physical.telemetry.metrics.counter("propagation.notes_deferred").inc()
                 continue
-            pulled += self._service(note)
+            key = (note.src_addr, note.src_volrep, note.key.volrep, note.key.parent_fh.logical)
+            groups.setdefault(key, []).append(note)
+        roots: dict[tuple, Vnode] = {}  # remote volume roots resolved this tick
+        pulled = sum(self._service_group(group, roots) for group in groups.values())
         health = self.physical.health
         if health is not None:
             health.set_notes_pending(self.physical.new_version_cache_size)
         return pulled
 
-    def _service(self, note: NewVersionNote) -> int:
-        self.stats.pulls_attempted += 1
-        telemetry = self.physical.telemetry
-        bytes_before = self.stats.bytes_copied
-        saved_before = self.stats.bytes_saved
-        # the span is parented on the trace context the update notification
-        # carried, so this asynchronous pull joins the originating trace tree
-        with telemetry.tracer.span(
-            "propagation.pull",
-            layer="daemon",
-            host=self.physical.host_addr,
-            parent=note.trace_ctx,
-        ) as span:
-            span.set_tag("objkind", note.objkind)
-            span.set_tag("src", note.src_addr)
-            outcome, pulled = self._attempt(note)
-            span.set_tag("outcome", outcome)
-        if outcome == "unreachable":
+    def _service_group(self, group: list[NewVersionNote], roots: dict) -> int:
+        """Service one (source, directory) group.  Each note keeps its own
+        ``propagation.pull`` span, event and counters; the peer-health
+        verdict is the group's, so one unreachable directory costs its
+        source one strike per tick however many notes named it."""
+        physical = self.physical
+        telemetry = physical.telemetry
+        stats = self.stats
+        src = group[0].src_addr
+        bytes_before = stats.bytes_copied
+        saved_before = stats.bytes_saved
+        with ExitStack() as stack:
+            # each span is parented on the trace context its note's update
+            # notification carried, so the pull joins every originating
+            # trace tree; the shared RPCs nest under the group's last note
+            spans = [
+                stack.enter_context(
+                    telemetry.tracer.span(
+                        "propagation.pull", layer="daemon", host=physical.host_addr, parent=note.trace_ctx
+                    )
+                )
+                for note in group
+            ]
+            outcomes, pulled = self._attempt(group, roots)
+            for span, note, outcome in zip(spans, group, outcomes):
+                span.set_tag("objkind", note.objkind)
+                span.set_tag("src", src)
+                span.set_tag("outcome", outcome)
+        if "unreachable" in outcomes:
             # failing while the network says the peer is fine = flapping;
             # a genuine partition/crash is normal and carries no penalty
-            if self.fabric.network.reachable(self.physical.host_addr, note.src_addr):
-                self.peer_health.record_failure(note.src_addr)
-        elif outcome in ("pulled", "up_to_date"):
-            self.peer_health.record_success(note.src_addr)
-        telemetry.metrics.counter("propagation.pulls_attempted").inc()
-        telemetry.metrics.counter(f"propagation.{outcome}").inc()
-        copied = self.stats.bytes_copied - bytes_before
+            if self.fabric.network.reachable(physical.host_addr, src):
+                self.peer_health.record_failure(src)
+        elif "pulled" in outcomes or "up_to_date" in outcomes:
+            self.peer_health.record_success(src)
+        for note, outcome in zip(group, outcomes):
+            stats.pulls_attempted += 1
+            counter = _COUNTER.get(outcome)
+            if counter is not None:
+                setattr(stats, counter, getattr(stats, counter) + 1)
+                if outcome != "unreachable":
+                    physical.clear_new_version(note.key)
+            telemetry.metrics.counter("propagation.pulls_attempted").inc()
+            telemetry.metrics.counter(f"propagation.{outcome}").inc()
+            telemetry.events.emit(
+                "propagation.pull", host=physical.host_addr, outcome=outcome, objkind=note.objkind, src=src
+            )
+        copied = stats.bytes_copied - bytes_before
         if copied:
             telemetry.metrics.counter("propagation.bytes_copied").inc(copied)
-        saved = self.stats.bytes_saved - saved_before
+        saved = stats.bytes_saved - saved_before
         if saved:
             telemetry.metrics.counter("propagation.bytes_saved").inc(saved)
-        telemetry.events.emit(
-            "propagation.pull",
-            host=self.physical.host_addr,
-            outcome=outcome,
-            objkind=note.objkind,
-            src=note.src_addr,
-        )
         return pulled
 
-    def _attempt(self, note: NewVersionNote) -> tuple[str, int]:
+    def _attempt(self, group: list[NewVersionNote], roots: dict) -> tuple[list[str], int]:
+        """One pass over the group's directory: each note's outcome, in
+        group order, and the number of file versions installed."""
+        first = group[0]
+        volrep = first.key.volrep
+        dir_fh = first.key.parent_fh.logical
+        if not self.physical.store_for(volrep).has_directory(dir_fh):
+            # directory itself unknown yet: wait for subtree reconciliation
+            return ["deferred"] * len(group), 0
+        source = (first.src_addr, first.src_volrep)
         try:
-            remote_root = self.fabric.volume_root(note.src_addr, note.src_volrep)
-            remote_dir = remote_root.lookup(op_dir(note.key.parent_fh))
-            if note.objkind == "dir":
-                return self._service_directory(note, remote_dir)
-            result = push_notify_pull(self.physical, note, remote_dir)
-        except HostUnreachable:
-            self.stats.unreachable += 1
-            return ("unreachable", 0)
+            remote_root = roots.get(source)
+            if remote_root is None:
+                remote_root = roots[source] = self.fabric.volume_root(*source)
+            remote_dir = remote_root.lookup(op_dir(dir_fh))
+            pulls, dir_changed = push_notify_pull(self.physical, group, remote_dir)
         except FicusError:
-            self.stats.unreachable += 1
-            return ("unreachable", 0)
-        if result.outcome is PullOutcome.PULLED:
-            self.stats.pulls_succeeded += 1
-            self.stats.bytes_copied += result.bytes_copied
-            self.stats.bytes_saved += result.bytes_saved
-            self._notify_installed(
-                note.key.volrep, note.key.parent_fh, note.key.fh, objkind="file"
-            )
-            return ("pulled", 1)
-        if result.outcome is PullOutcome.UP_TO_DATE:
-            self.stats.already_current += 1
-            return ("up_to_date", 0)
-        if result.outcome is PullOutcome.CONFLICT:
-            # leave it to the reconciliation protocol to report
-            self.stats.conflicts_deferred += 1
-            self.physical.clear_new_version(note.key)
-            return ("conflict_deferred", 0)
-        if result.outcome is PullOutcome.LOCAL_DEAD:
-            # the file was unlinked here while the note sat queued; the
-            # note is moot (neither a peer failure nor a success)
-            self.stats.stale_notes += 1
-            self.physical.clear_new_version(note.key)
-            return ("stale_note", 0)
-        self.stats.unreachable += 1
-        return ("unreachable", 0)
-
-    def _service_directory(self, note: NewVersionNote, remote_dir) -> tuple[str, int]:
-        """Directory updates are 'replayed', not copied: run the directory
-        reconciliation algorithm against the notifying replica, then pull
-        any files whose new versions the merge revealed."""
-        from repro.recon import reconcile_directory
-        from repro.recon.propagate import pull_file
-
-        store = self.physical.store_for(note.key.volrep)
-        dir_fh = note.key.parent_fh
-        if not store.has_directory(dir_fh):
-            # parent itself unknown yet: wait for subtree reconciliation
-            return ("deferred", 0)
-        result = reconcile_directory(self.physical, store, dir_fh, remote_dir)
-        if result.unreachable:
-            self.stats.unreachable += 1
-            return ("unreachable", 0)
+            return ["unreachable"] * len(group), 0  # nothing in the group is settled
         pulled = 0
-        policy = self.physical.policy_for(note.key.volrep)
-        for file_entry in result.child_files:
-            file_fh = file_entry.fh
-            if not store.has_file(dir_fh, file_fh) and not policy.wants(file_entry):
-                continue  # selective replication: entry-only here
-            pull = pull_file(
-                store,
-                dir_fh,
-                file_fh,
-                remote_dir,
-                health=self.physical.health,
-                origin=note.src_addr,
-            )
+        for pull in pulls.values():
             if pull.outcome is PullOutcome.PULLED:
                 pulled += 1
                 self.stats.bytes_copied += pull.bytes_copied
                 self.stats.bytes_saved += pull.bytes_saved
-        self.physical.clear_new_version(note.key)
-        self.stats.pulls_succeeded += 1 if (pulled or result.changed) else 0
-        if not pulled and not result.changed:
-            self.stats.already_current += 1
-            return ("up_to_date", 0)
-        self._notify_installed(note.key.volrep, dir_fh, dir_fh, objkind="dir")
-        return ("pulled", pulled)
+        if pulled or dir_changed:
+            self._notify_installed(volrep, dir_fh, dir_fh, objkind="dir")
+        return [_note_outcome(note, pulls.get(note.key.fh.logical), dir_changed) for note in group], pulled
 
 
 @dataclass

@@ -30,6 +30,7 @@ Run as a module for CI::
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass, field, replace
 
@@ -184,8 +185,9 @@ class _RecordingFs:
         return self._fs.unlink(path)
 
 
-def run_chaos(seed: int, config: ChaosConfig | None = None) -> ChaosReport:
-    """One seeded chaos run: inject faults, quiesce, check convergence."""
+def run_chaos(seed: int, config: ChaosConfig | None = None, dump_dir: str = "out") -> ChaosReport:
+    """One seeded chaos run: inject faults, quiesce, check convergence
+    (a failed oracle dumps every flight recorder under ``dump_dir``)."""
     config = config or ChaosConfig()
     rng = random.Random(seed)
     report = ChaosReport(seed=seed)
@@ -315,7 +317,7 @@ def run_chaos(seed: int, config: ChaosConfig | None = None) -> ChaosReport:
             report.problems.append(f"replicate-and-verify: {problem}")
 
     if report.problems:
-        _dump_flight_recorders(system, host_names, seed, report)
+        _dump_flight_recorders(system, host_names, seed, report, dump_dir)
     return report
 
 
@@ -351,9 +353,10 @@ def _restart_host(system: FicusSystem, host_name: str, report: ChaosReport) -> N
 
 
 def _dump_flight_recorders(
-    system: FicusSystem, host_names: list[str], seed: int, report: ChaosReport
+    system: FicusSystem, host_names: list[str], seed: int, report: ChaosReport, dump_dir: str
 ) -> None:
     """The oracle failed: freeze every host's flight recorder to disk."""
+    os.makedirs(dump_dir, exist_ok=True)
     for host_name in host_names:
         plane = system.host(host_name).health_plane
         if plane is None:
@@ -361,7 +364,7 @@ def _dump_flight_recorders(
         snapshot = plane.anomaly(
             "chaos_oracle_failure", seed=seed, problems=report.problems[:5]
         )
-        path = f"ficus_flight_chaos_{seed}_{host_name}.jsonl"
+        path = os.path.join(dump_dir, f"ficus_flight_chaos_{seed}_{host_name}.jsonl")
         report.flight_dumps.append(plane.recorder.write_dump(snapshot, path))
 
 
@@ -554,6 +557,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--hosts", type=int, default=3)
     parser.add_argument("--rounds", type=int, default=8)
+    parser.add_argument("--dump-dir", default="out", help="where a diverged run dumps its flight recorders")
     parser.add_argument(
         "--topology",
         choices=sorted(TOPOLOGIES),
@@ -586,7 +590,7 @@ def main(argv: list[str] | None = None) -> int:
 
     failures = 0
     for seed, config in runs:
-        report = run_chaos(seed, config)
+        report = run_chaos(seed, config, dump_dir=args.dump_dir)
         status = "converged" if report.converged else "DIVERGED"
         storm = "" if config.topology == "full_mesh" else f" [{config.topology}]"
         storm += " +rename-storm" if config.rename_storm else ""

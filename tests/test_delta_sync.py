@@ -315,3 +315,216 @@ class TestSyncNotifications:
         sent_settled = system.network.stats.datagrams_sent
         system.run_for(300)
         assert system.network.stats.datagrams_sent == sent_settled
+
+
+# -- the directory-at-a-time sync plane ------------------------------------------
+
+
+def diverged_directory(hosts, files, overwritten, create=True):
+    """A converged cluster with one ``files``-file directory, then
+    ``overwritten`` files rewritten (and one created) on the first host."""
+    system = FicusSystem(list(hosts), daemon_config=QUIET)
+    fs = system.host(hosts[0]).fs()
+    fs.mkdir("/d")
+    for i in range(files):
+        fs.write_file(f"/d/f{i}", bytes([i]) * 100)
+    system.reconcile_everything()
+    for name in hosts:
+        system.host(name).propagation_daemon.tick()
+        assert system.host(name).physical.new_version_cache_size == 0
+    for i in range(overwritten):
+        fs.write_file(f"/d/f{i}", bytes([100 + i]) * 100)
+    if create:
+        fs.write_file("/d/new", b"created")
+    return system
+
+
+def record_rpcs(system, calls):
+    """Append ``(src, op, args)`` to ``calls`` for every RPC sent from now on."""
+    real = system.network.rpc
+
+    def rpc(src, dst, service, *args, **kwargs):
+        calls.append((src, service.rsplit(".", 1)[-1], args))
+        return real(src, dst, service, *args, **kwargs)
+
+    system.network.rpc = rpc
+
+
+class TestDirectoryAtATime:
+    @pytest.mark.parametrize("overwritten", [0, 1, 5])
+    def test_tick_rpc_budget_is_independent_of_directory_size(self, overwritten):
+        """One (source, directory) costs one resolve, one directory read
+        and one attribute batch however many notes and files it holds."""
+        totals = {}
+        for files in (8, 32):
+            system = diverged_directory(["alpha", "beta", "gamma"], files, overwritten)
+            beta = system.host("beta")
+            assert beta.physical.new_version_cache_size == overwritten + 1
+            calls = []
+            record_rpcs(system, calls)
+            assert beta.propagation_daemon.tick() == overwritten + 1
+            assert beta.physical.new_version_cache_size == 0
+            totals[files] = len(calls)
+
+            assert {src for src, _, _ in calls} == {"beta"}
+            ops = [op for _, op, _ in calls]
+            assert ops.count("root") <= 1
+            assert ops.count("getattrs_batch") == 1
+            dir_lookups = [
+                args for _, op, args in calls if op == "lookup" and args[1].startswith("@@dir")
+            ]
+            assert len(dir_lookups) <= 1
+            d_fh = system.host("alpha").root().lookup("d").fh
+            dir_handle = beta.fabric.dir_by_handle("alpha", volrep_of(system, "alpha"), d_fh).handle
+            dir_reads = [args for _, op, args in calls if op == "read" and args[0] == dir_handle]
+            assert len(dir_reads) <= 1
+            for i in range(overwritten):
+                assert beta.fs().read_file(f"/d/f{i}") == bytes([100 + i]) * 100
+            assert beta.fs().read_file("/d/new") == b"created"
+        assert totals[8] == totals[32]
+
+    def test_create_and_write_settle_in_one_tick(self):
+        system = diverged_directory(["alpha", "beta"], files=2, overwritten=0)
+        beta = system.host("beta")
+        stats = beta.propagation_daemon.stats
+        before = stats.pulls_succeeded
+        assert beta.propagation_daemon.tick() == 1
+        assert beta.physical.new_version_cache_size == 0
+        assert stats.pulls_succeeded - before == 1
+        assert beta.fs().read_file("/d/new") == b"created"
+
+    def test_stale_batch_falls_back_to_a_version_the_remote_held(self, system):
+        """The remote file really changes between the directory's batch
+        and the block-digest fetch: the pull restarts from a fresh record
+        and copies the whole file, so what it installs is a (contents, vv)
+        pair the remote actually held — never new bytes under the batch's
+        older version vector."""
+        from repro.recon import pull_children
+
+        fh, contents = seeded_file(system)
+        alpha_big = system.host("alpha").root().lookup("big")
+        second = bytes(b ^ 0x55 for b in contents)
+        alpha_big.write(0, second)
+
+        beta = system.host("beta")
+        beta_store = store_of(system, "beta")
+        root_fh = beta_store.root_handle()
+        remote = remote_root_vnode(system, "beta", "alpha")
+        merged = reconcile_directory(beta.physical, beta_store, root_fh, remote)
+        batch_vv = merged.remote_attrs.child(fh).vv
+
+        third = bytes(b ^ 0xAA for b in contents) + b"tail"
+        alpha_big.write(0, third)  # out of band: after the batch
+        alpha_store = store_of(system, "alpha")
+        third_vv = alpha_store.read_file_aux(alpha_store.root_handle(), fh).vv
+        assert third_vv.strictly_dominates(batch_vv)
+
+        ((entry, pull),) = [
+            (e, p)
+            for e, p in pull_children(
+                beta_store, root_fh, remote, merged.remote_attrs, merged.child_files
+            )
+            if e.fh.logical == fh.logical
+        ]
+        assert pull.outcome is PullOutcome.PULLED
+        assert pull.bytes_copied == len(third)  # the whole file, no delta
+        assert beta_store.file_vnode(root_fh, fh).read_all() == third
+        assert beta_store.read_file_aux(root_fh, fh).vv == third_vv
+
+    def test_entry_only_remote_child_is_missing_not_materialised(self):
+        """Selective replication: the remote names a file it does not
+        store, so its batch carries no record for it."""
+        from repro.physical.policy import GlobPolicy
+
+        system = FicusSystem(["full", "cache", "late"], daemon_config=QUIET)
+        system.host("cache").physical.set_storage_policy(
+            volrep_of(system, "cache"), GlobPolicy(include=("*.txt",))
+        )
+        fs = system.host("full").fs()
+        fs.write_file("/kept.txt", b"text")
+        fs.write_file("/declined.bin", b"blob")
+        cache_store = store_of(system, "cache")
+        reconcile_subtree(
+            system.host("cache").physical,
+            volrep_of(system, "cache"),
+            remote_root_vnode(system, "cache", "full"),
+            "full",
+            policy=system.host("cache").physical.policy_for(volrep_of(system, "cache")),
+        )
+        names = {e.name: e for e in cache_store.read_entries(cache_store.root_handle()) if e.live}
+        assert not cache_store.has_file(cache_store.root_handle(), names["declined.bin"].fh)
+
+        # "late" learns both names from the cache replica alone
+        late_store = store_of(system, "late")
+        root_fh = late_store.root_handle()
+        remote = remote_root_vnode(system, "late", "cache")
+        merged = reconcile_directory(system.host("late").physical, late_store, root_fh, remote)
+        from repro.recon import pull_children
+
+        outcomes = {
+            entry.name: pull.outcome
+            for entry, pull in pull_children(
+                late_store, root_fh, remote, merged.remote_attrs, merged.child_files
+            )
+        }
+        assert outcomes == {
+            "kept.txt": PullOutcome.PULLED,
+            "declined.bin": PullOutcome.REMOTE_MISSING,
+        }
+        assert not late_store.has_file(root_fh, names["declined.bin"].fh)
+
+    def test_mid_group_partition_leaves_unsettled_notes_pending(self):
+        system = diverged_directory(["alpha", "beta"], files=4, overwritten=3, create=False)
+        beta = system.host("beta")
+        real = system.network.rpc
+        digest_calls = []
+
+        def rpc(src, dst, service, *args, **kwargs):
+            if service.endswith(".block_digests"):
+                digest_calls.append(args)
+                if len(digest_calls) == 2:  # the group's second file
+                    system.partition([{"alpha"}, {"beta"}])
+            return real(src, dst, service, *args, **kwargs)
+
+        system.network.rpc = rpc
+        stats = beta.propagation_daemon.stats
+        failures_before = dict(beta.propagation_daemon.peer_health._failures)
+        assert beta.propagation_daemon.tick() == 1
+        assert beta.physical.new_version_cache_size == 2  # the unsettled notes
+        assert stats.unreachable == 2
+        # a partition is not flapping: no strike against the peer
+        assert beta.propagation_daemon.peer_health._failures == failures_before
+        beta_store = store_of(system, "beta")
+        d_fh = system.host("alpha").root().lookup("d").fh
+        old_and_new = sorted(
+            beta_store.file_vnode(d_fh, e.fh).read_all()[:1]
+            for e in beta_store.read_entries(d_fh)
+            if e.live
+        )
+        # one file installed, the others byte-for-byte what they were
+        assert old_and_new == sorted([bytes([100]), bytes([1]), bytes([2]), bytes([3])])
+
+        system.network.rpc = real
+        system.heal()
+        assert beta.propagation_daemon.tick() == 2
+        assert beta.physical.new_version_cache_size == 0
+        for i in range(3):
+            assert beta.fs().read_file(f"/d/f{i}") == bytes([100 + i]) * 100
+
+    def test_one_unreachable_directory_is_one_strike(self):
+        """Peer health is charged per group: N notes for one directory
+        that keeps failing while reachable cost the source one strike."""
+        system = diverged_directory(["alpha", "beta"], files=4, overwritten=3, create=False)
+        beta = system.host("beta")
+        real = system.network.rpc
+
+        def rpc(src, dst, service, *args, **kwargs):
+            if service.endswith(".getattrs_batch"):
+                raise HostUnreachable("flapping")
+            return real(src, dst, service, *args, **kwargs)
+
+        system.network.rpc = rpc
+        beta.propagation_daemon.tick()
+        assert beta.propagation_daemon.stats.unreachable == 3
+        assert beta.propagation_daemon.peer_health._failures == {"alpha": 1}
+        assert beta.physical.new_version_cache_size == 3

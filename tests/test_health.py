@@ -1,5 +1,7 @@
 """The consistency observability plane: gauges, flight recorder, routing."""
 
+import os
+
 import pytest
 
 from repro.errors import RpcTimeout
@@ -285,11 +287,12 @@ class TestCrashChaos:
             report.problems.append("synthetic oracle failure (test)")
 
         monkeypatch.setattr(chaos_module, "_check_convergence", failing_check)
-        monkeypatch.chdir(tmp_path)
-        report = run_chaos(11, ChaosConfig(rounds=2, ops_per_round=2))
+        dump_dir = tmp_path / "dumps"  # created on demand
+        report = run_chaos(11, ChaosConfig(rounds=2, ops_per_round=2), dump_dir=str(dump_dir))
         assert not report.converged
         assert len(report.flight_dumps) == 3  # one per host
         for path in report.flight_dumps:
+            assert os.path.dirname(path) == str(dump_dir)
             rendered = render_dump(path)
             assert "chaos_oracle_failure" in rendered
 

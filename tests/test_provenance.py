@@ -436,10 +436,12 @@ class TestStalenessSlo:
         assert report.converged, report.problems
         assert report.max_staleness_seconds <= 60.0
 
-    def test_chaos_slo_gate_fires_when_impossible(self):
+    def test_chaos_slo_gate_fires_when_impossible(self, tmp_path):
         """An SLO of 0 must be reported as violated, not silently passed."""
         report = run_chaos(
-            7, ChaosConfig(clock_step=1.0, staleness_slo_seconds=-1.0)
+            7,
+            ChaosConfig(clock_step=1.0, staleness_slo_seconds=-1.0),
+            dump_dir=str(tmp_path),
         )
         assert any("staleness SLO violated" in p for p in report.problems)
 

@@ -29,9 +29,8 @@ violated — the CI gate.
 import json
 import sys
 
-from repro.errors import NotSupported
 from repro.physical.wire import DELTA_BLOCK_SIZE
-from repro.recon import PullOutcome, pull_file, reconcile_subtree
+from repro.recon import PullOutcome, pull_file
 from repro.sim import DaemonConfig, FicusSystem
 
 QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
@@ -63,36 +62,16 @@ def _volrep(system: FicusSystem, host: str):
     return next(loc.volrep for loc in system.root_locations if loc.host == host)
 
 
-class _NoProbe:
-    """A remote root that predates ``sync_probe`` — forces the full walk."""
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def sync_probe(self, fh=None, ctx=None):
-        raise NotSupported("sync_probe")
-
-
 def measure_no_change_round(dirs: int) -> dict:
-    """RPC cost of reconciling an already-converged volume, with and
-    without pruning, on the same tree."""
+    """RPC cost of reconciling an already-converged volume.  (Un-pruned,
+    the walk is one ``op_dir`` lookup + one ``getattrs_batch`` per
+    directory by construction: 2 RPCs x ``directories``.)"""
     system = build_volume(dirs)
-    host_b = system.host("b")
 
     before = system.network.stats.rpcs_sent
-    results = host_b.recon_daemon.tick()
+    results = system.host("b").recon_daemon.tick()
     pruned_rpcs = system.network.stats.rpcs_sent - before
     peers = max(1, len(results))
-
-    # the pre-pruning protocol, measured: a full subtree walk that cannot
-    # probe (one op_dir read + one getattrs_batch per directory, per peer)
-    remote_root = host_b.fabric.volume_root("a", _volrep(system, "a"))
-    before = system.network.stats.rpcs_sent
-    legacy = reconcile_subtree(host_b.physical, _volrep(system, "b"), _NoProbe(remote_root), "a")
-    legacy_rpcs = system.network.stats.rpcs_sent - before
 
     result = results[0]
     return {
@@ -102,9 +81,6 @@ def measure_no_change_round(dirs: int) -> dict:
         "subtrees_pruned": result.subtrees_pruned,
         "probe_rpcs": result.probe_rpcs,
         "directories_reconciled": result.directories_reconciled,
-        "legacy_full_walk_rpcs": legacy_rpcs,
-        "legacy_directories_reconciled": legacy.directories_reconciled,
-        "speedup": legacy_rpcs / max(1, pruned_rpcs),
     }
 
 
@@ -218,11 +194,6 @@ class TestShape:
         assert stats["rpcs_per_peer"] <= NO_CHANGE_RPC_BOUND
         assert stats["directories_reconciled"] == 0
         assert stats["subtrees_pruned"] >= 1
-
-    def test_pruned_round_beats_full_walk(self):
-        stats = measure_no_change_round(dirs=12)
-        assert stats["legacy_full_walk_rpcs"] > stats["rpcs_per_peer"]
-        assert stats["legacy_directories_reconciled"] == 13  # root + 12
 
     def test_one_block_change_copies_at_most_two_blocks(self):
         stats = measure_delta_propagation(blocks=16)

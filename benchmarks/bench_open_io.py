@@ -1,4 +1,4 @@
-"""E3 + E4 + E19 (Section 6): I/O accounting and hot-path throughput.
+"""E3 + E4 (Section 6): disk-I/O accounting of a file open.
 
 "The Ficus physical layer design and implementation accrues additional
 I/O overhead when opening a file in a non-recently accessed directory.
@@ -17,28 +17,11 @@ back immediately — once it is cached, every further open in the directory
 skips ALL four aux I/Os, and a warm open costs zero extra, matching E4
 exactly.  Inodes are isolated one-per-block so that one inode fetch is
 one disk I/O — the unit the paper counts in.
-
-E19 (the throughput mode) measures the fused-chain hot path: the same
-open/write/read workload driven through the full stack twice — once on
-the legacy path (decoded-object caches off, transparent crossings all
-paid) and once on the optimized path (fastpath caches on, the stack's
-transparent prefix fused away).  ``open_io_throughput()`` produces the
-BENCH_open_io.json payload; run directly (``python
-benchmarks/bench_open_io.py --fast``) it sizes the workload down and
-exits non-zero if the speedup gate or the E3/E4 accounting is violated —
-the CI gate.
 """
 
-import json
-import sys
-import time
-
-from repro import fastpath
-from repro.layers import MonitorLayer
 from repro.sim import DaemonConfig, FicusSystem, HostConfig
 from repro.storage import BlockDevice
 from repro.ufs import Ufs
-from repro.vnode import UfsLayer, build_null_stack, fuse_stack
 
 QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
 ISOLATED = HostConfig(disk_blocks=65536, num_inodes=512, isolate_inodes=True)
@@ -50,19 +33,6 @@ PAPER_EXTRA_IOS = 4
 #: directory's own aux record (inode + data page), fetched eagerly with
 #: the children's so replica selection never needs a second RPC.
 BATCH_EXTRA_IOS = 2
-
-#: E19 gate: optimized (fused + fastpath) throughput over legacy.
-THROUGHPUT_BOUND = 5.0
-
-#: Files in the benchmark directory.  The legacy path re-decodes the
-#: Ficus directory (O(entries)) and re-selects replicas on every
-#: operation, so the speedup grows with directory size; 64 entries is a
-#: modest working directory, far from the cache-friendly best case.
-DIR_FILES = 64
-
-#: vnode operations per workload iteration: 2 lookups + open + write +
-#: read + close.
-OPS_PER_ITERATION = 6
 
 
 def ufs_open_reads() -> tuple[int, int]:
@@ -183,156 +153,6 @@ class TestShape:
         assert dir_cold == 4  # 2 "normal Unix" + 2 underlying-dir extras
 
 
-# -- E19: fused-chain hot-path throughput ---------------------------------
-
-
-def _throughput_stack(nfiles: int) -> MonitorLayer:
-    """The full Figure-2 stack plus a transparent prefix: four null
-    layers and a disabled monitor over the logical layer — the stack
-    shape fusion exists for."""
-    system = FicusSystem(["solo"], daemon_config=QUIET)
-    host = system.host("solo")
-    fs = host.fs()
-    fs.mkdir("/d")
-    for i in range(nfiles):
-        fs.write_file(f"/d/f{i}", b"x" * 256)
-    top = MonitorLayer(build_null_stack(host.logical, 4))
-    top.set_enabled(False)
-    return top
-
-
-def _drive(root, iterations: int, nfiles: int) -> None:
-    payload = b"y" * 256
-    for i in range(iterations):
-        f = root.lookup("d").lookup(f"f{i % nfiles}")
-        f.open()
-        f.write(0, payload)
-        f.read(0, 256)
-        f.close()
-
-
-def _ops_per_second(root, iterations: int, nfiles: int, repeats: int = 3) -> float:
-    _drive(root, max(10, iterations // 5), nfiles)  # warm the stack
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        _drive(root, iterations, nfiles)
-        best = min(best, time.perf_counter() - start)
-    return iterations * OPS_PER_ITERATION / best
-
-
-def crossing_cost(fast: bool = False) -> dict:
-    """Per-crossing cost of a transparent layer, unfused vs fused (E2's
-    measured quantity, now with the fused counterpoint)."""
-    depth = 8
-    iterations = 600 if fast else 2000
-    device = BlockDevice(1024)
-    fs = Ufs.mkfs(device)
-    base = UfsLayer(fs)
-    deep = build_null_stack(base, depth)
-    base.root().create("f")
-
-    def seconds_per_op(root) -> float:
-        for _ in range(100):
-            root.getattr()
-        best = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            for _ in range(iterations):
-                root.getattr()
-            best = min(best, (time.perf_counter() - start) / iterations)
-        return best
-
-    flat = seconds_per_op(base.root())
-    unfused = seconds_per_op(deep.root())
-    fused = seconds_per_op(fuse_stack(deep).root())
-    return {
-        "stack_depth": depth,
-        "unfused_us": max(0.0, (unfused - flat) / depth * 1e6),
-        "fused_us": max(0.0, (fused - flat) / depth * 1e6),
-    }
-
-
-def open_io_throughput(fast: bool = False) -> dict:
-    """The BENCH_open_io.json payload."""
-    nfiles = DIR_FILES
-    iterations = 60 if fast else 200
-    top = _throughput_stack(nfiles)
-    # legacy: every decoded-object cache off, every crossing paid
-    previous = fastpath.set_enabled(False)
-    try:
-        legacy = _ops_per_second(top.root(), iterations, nfiles)
-    finally:
-        fastpath.set_enabled(previous)
-    fused = fuse_stack(top)
-    optimized = _ops_per_second(fused.root(), iterations, nfiles)
-    ufs_cold, ufs_warm = ufs_open_reads()
-    ficus_cold, ficus_warm = ficus_open_reads()
-    return {
-        "workload": {
-            "directory_files": nfiles,
-            "iterations": iterations,
-            "ops_per_iteration": OPS_PER_ITERATION,
-        },
-        "ops_per_second": {
-            "legacy": legacy,
-            "optimized": optimized,
-            "speedup": optimized / legacy if legacy else 0.0,
-            "bound": f">= {THROUGHPUT_BOUND}x",
-        },
-        "fusion": fused.stats(),
-        "per_crossing_us": crossing_cost(fast),
-        # the invariant the optimization must not disturb: the paper's
-        # disk-I/O accounting, byte for byte
-        "io_accounting": {
-            "cold_extra_ios": ficus_cold - ufs_cold,
-            "expected_cold_extra": PAPER_EXTRA_IOS + BATCH_EXTRA_IOS,
-            "warm_extra_ios": ficus_warm - ufs_warm,
-            "expected_warm_extra": 0,
-        },
-    }
-
-
-def check_bounds(snapshot: dict) -> list[str]:
-    """The CI gate: returns a list of violated bounds (empty = pass)."""
-    violations = []
-    speedup = snapshot["ops_per_second"]["speedup"]
-    if speedup < THROUGHPUT_BOUND:
-        violations.append(
-            f"hot-path speedup {speedup:.2f}x (bound: >= {THROUGHPUT_BOUND}x)"
-        )
-    if snapshot["fusion"]["hit_rate"] < 0.99:
-        violations.append(
-            f"fusion hit rate {snapshot['fusion']['hit_rate']:.3f} "
-            "(a fully transparent prefix should fuse every dispatch)"
-        )
-    accounting = snapshot["io_accounting"]
-    if accounting["cold_extra_ios"] != accounting["expected_cold_extra"]:
-        violations.append(
-            f"E3 cold open costs {accounting['cold_extra_ios']} extra I/Os "
-            f"(paper + batch: {accounting['expected_cold_extra']})"
-        )
-    if accounting["warm_extra_ios"] != accounting["expected_warm_extra"]:
-        violations.append(
-            f"E4 warm open costs {accounting['warm_extra_ios']} extra I/Os (paper: 0)"
-        )
-    return violations
-
-
-class TestThroughput:
-    def test_fused_fastpath_beats_legacy(self):
-        # the hard 5x gate runs in main(); under pytest parallel load
-        # timing is too noisy for that, so only guard against regressions
-        # that would lose most of the optimization
-        snapshot = open_io_throughput(fast=True)
-        assert snapshot["ops_per_second"]["speedup"] > 2.0
-        assert snapshot["fusion"]["hit_rate"] == 1.0
-        assert not snapshot["fusion"]["chained_dispatches"]
-
-    def test_fastpath_switch_restored_after_measurement(self):
-        assert fastpath.ENABLED
-
-
 def test_bench_cold_open_ufs(benchmark):
     device = BlockDevice(65536)
     fs = Ufs.mkfs(device, num_inodes=512)
@@ -370,17 +190,3 @@ def test_bench_warm_open_ficus(benchmark):
     fs.write_file("/d/f", b"x")
     fs.stat("/d/f")
     benchmark(fs.stat, "/d/f")
-
-
-def main(argv: list[str]) -> int:
-    fast = "--fast" in argv
-    snapshot = open_io_throughput(fast=fast)
-    print(json.dumps(snapshot, indent=2, default=str))
-    violations = check_bounds(snapshot)
-    for violation in violations:
-        print(f"BOUND VIOLATED: {violation}", file=sys.stderr)
-    return 1 if violations else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))

@@ -14,16 +14,15 @@ Two claims:
   manual baseline (same workload, no registry) never gets there on its
   own: the conflicts sit in the log until an owner acts.
 
-``resolvers_snapshot()`` produces the BENCH_resolvers.json payload.  Run
-directly (``python benchmarks/bench_resolvers.py --fast``) it sizes the
-workload down, writes the JSON, and exits non-zero if a bound is
+``resolvers_snapshot()`` produces the BENCH_resolvers.json payload that
+report_all.py writes.  Run directly (``python benchmarks/bench_resolvers.py
+--fast``) it sizes the workload down and exits non-zero if a bound is
 violated — the CI gate.
 """
 
 import json
 import sys
 import time
-from pathlib import Path
 
 from repro.sim import DaemonConfig, FicusSystem
 
@@ -34,8 +33,6 @@ QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_per
 #: conflicted-log backlog must clear faster than an owner plausibly could
 CONVERGENCE_ROUND_BOUND = 3
 MIN_RESOLUTIONS_PER_SEC = 5.0
-
-RESOLVERS_JSON = Path(__file__).resolve().parent.parent / "BENCH_resolvers.json"
 
 
 def build_conflicted(files: int, resolvers: bool) -> FicusSystem:
@@ -195,7 +192,6 @@ def main(argv: list[str]) -> int:
     fast = "--fast" in argv
     snapshot = resolvers_snapshot(fast=fast)
     print(json.dumps(snapshot, indent=2, default=str))
-    RESOLVERS_JSON.write_text(json.dumps(snapshot, indent=2, default=str) + "\n")
     violations = check_bounds(snapshot)
     for violation in violations:
         print(f"BOUND VIOLATED: {violation}", file=sys.stderr)

@@ -2,8 +2,10 @@
 """Regenerate the full evaluation in one command.
 
 Prints every experiment table from EXPERIMENTS.md (E1–E21 and the A1–A4
-ablations) by invoking the same measurement code the pytest benchmarks
-use.  Pure stdout, no pytest required:
+ablations; E19 is a dated record, not a measurement) by invoking the same
+measurement code the pytest benchmarks use, rewrites the tracked
+BENCH_*.json snapshots at the repository root, and exits 1 if any
+snapshot violates its bounds.  No pytest required:
 
     python benchmarks/report_all.py
 """
@@ -14,32 +16,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import bench_attr_cache  # noqa: E402
+import bench_delta_sync  # noqa: E402
+import bench_health  # noqa: E402
+import bench_provenance  # noqa: E402
+import bench_resolvers  # noqa: E402
+import bench_scale_out  # noqa: E402
+import bench_telemetry  # noqa: E402
 from bench_layers import STACKS, op_script  # noqa: E402
 from bench_open_io import PAPER_EXTRA_IOS, ficus_open_reads, ufs_open_reads  # noqa: E402
-
-#: Where the telemetry export lands: the repository root.
-TELEMETRY_JSON = Path(__file__).resolve().parent.parent / "BENCH_telemetry.json"
-
-#: Where the attribute-plane / version-vector-cache export lands.
-ATTR_CACHE_JSON = Path(__file__).resolve().parent.parent / "BENCH_attr_cache.json"
-
-#: Where the incremental sync plane export lands.
-DELTA_SYNC_JSON = Path(__file__).resolve().parent.parent / "BENCH_delta_sync.json"
-
-#: Where the consistency observability plane export lands.
-HEALTH_JSON = Path(__file__).resolve().parent.parent / "BENCH_health.json"
-
-#: Where the conflict-resolver subsystem export lands.
-RESOLVERS_JSON = Path(__file__).resolve().parent.parent / "BENCH_resolvers.json"
-
-#: Where the fused hot-path throughput export lands.
-OPEN_IO_JSON = Path(__file__).resolve().parent.parent / "BENCH_open_io.json"
-
-#: Where the scale-out anti-entropy export lands.
-SCALE_OUT_JSON = Path(__file__).resolve().parent.parent / "BENCH_scale_out.json"
-
-#: Where the provenance-plane export lands.
-PROVENANCE_JSON = Path(__file__).resolve().parent.parent / "BENCH_provenance.json"
 
 
 def e1_layers() -> None:
@@ -208,162 +193,139 @@ def a1_to_a4_ablations() -> None:
     print(f"[A4] 20 appends: {with_session} writes in a session vs {without} bare")
 
 
-def e14_telemetry() -> None:
-    from bench_telemetry import measure_overhead, telemetry_snapshot
-
-    snap = telemetry_snapshot()
-    off, on = measure_overhead(ops=100)
+def telemetry_with_overhead() -> dict:
+    snap = bench_telemetry.telemetry_snapshot()
+    off, on = bench_telemetry.measure_overhead(ops=100)
     snap["overhead"] = {
         "disabled_us_per_op": off * 1e6,
         "enabled_us_per_op": on * 1e6,
         "relative": (on - off) / off if off else 0.0,
     }
-    TELEMETRY_JSON.write_text(json.dumps(snap, indent=2, sort_keys=True) + "\n")
+    return snap
+
+
+def e14_summary(snap: dict) -> str:
     spans = snap["spans"]
-    print(
-        f"[E14] telemetry: {spans['finished']} spans / {spans['traces']} traces, "
+    return (
+        f"telemetry: {spans['finished']} spans / {spans['traces']} traces, "
         f"{len(snap['metrics'])} metrics, {sum(snap['events'].values())} events; "
-        f"overhead {snap['overhead']['relative']:+.1%} "
-        f"-> {TELEMETRY_JSON.name}"
+        f"overhead {snap['overhead']['relative']:+.1%}"
     )
 
 
-def e15_attr_cache() -> None:
-    from bench_attr_cache import attr_cache_snapshot
-
-    snap = attr_cache_snapshot()
-    ATTR_CACHE_JSON.write_text(json.dumps(snap, indent=2, sort_keys=True) + "\n")
-    print(
-        f"[E15] attribute plane: cold selection {snap['cold']['rpcs']} RPCs "
+def e15_summary(snap: dict) -> str:
+    return (
+        f"attribute plane: cold selection {snap['cold']['rpcs']} RPCs "
         f"({snap['cold']['rpcs_per_remote_replica']:.1f}/remote replica, "
         f"un-batched would be {snap['unbatched_equivalent_rpcs']}), "
-        f"warm {snap['warm']['rpcs']} RPCs "
-        f"-> {ATTR_CACHE_JSON.name}"
+        f"warm {snap['warm']['rpcs']} RPCs"
     )
 
 
-def e16_delta_sync() -> None:
-    from bench_delta_sync import check_bounds, delta_sync_snapshot
-
-    snap = delta_sync_snapshot()
-    DELTA_SYNC_JSON.write_text(json.dumps(snap, indent=2, sort_keys=True) + "\n")
-    violations = check_bounds(snap)
+def e16_summary(snap: dict) -> str:
     round_ = snap["no_change_round"]
     delta = snap["delta_propagation"]
-    print(
-        f"[E16] incremental sync: no-change round over {round_['directories']} dirs "
-        f"= {round_['rpcs_per_peer']:.0f} RPCs/peer (full walk: "
-        f"{round_['legacy_full_walk_rpcs']}, {round_['speedup']:.0f}x); "
+    return (
+        f"incremental sync: no-change round over {round_['directories']} dirs "
+        f"= {round_['rpcs_per_peer']:.0f} RPCs/peer (un-pruned: 2 per directory "
+        f"= {2 * round_['directories']}); "
         f"1-block edit of {delta['file_bytes'] >> 10} KiB file copied "
-        f"{delta['bytes_copied']} bytes ({delta['reduction_factor']:.0f}x less) "
-        f"-> {DELTA_SYNC_JSON.name}"
-        + ("".join(f"\n  BOUND VIOLATED: {v}" for v in violations))
+        f"{delta['bytes_copied']} bytes ({delta['reduction_factor']:.0f}x less)"
     )
 
 
-def e17_health() -> None:
-    from bench_health import check_bounds, health_snapshot
-
-    snap = health_snapshot()
-    HEALTH_JSON.write_text(json.dumps(snap, indent=2, sort_keys=True) + "\n")
-    violations = check_bounds(snap)
+def e17_summary(snap: dict) -> str:
     overhead = snap["overhead"]
     scenario = snap["partition_scenario"]
     recorder = snap["flight_recorder"]
-    print(
-        f"[E17] observability plane: overhead {overhead['ratio']:.3f}x "
+    return (
+        f"observability plane: overhead {overhead['ratio']:.3f}x "
         f"(bound {overhead['bound']}); partitioned write suspects "
         f"{','.join(scenario['suspected_peers'])}, cleared after recon: "
         f"{scenario['suspicion_cleared_after_recon']}; flight ring "
-        f"{recorder['ring_size']}/{recorder['ring_capacity']} entries "
-        f"-> {HEALTH_JSON.name}"
-        + ("".join(f"\n  BOUND VIOLATED: {v}" for v in violations))
+        f"{recorder['ring_size']}/{recorder['ring_capacity']} entries"
     )
 
 
-def e18_resolvers() -> None:
-    from bench_resolvers import check_bounds, resolvers_snapshot
-
-    snap = resolvers_snapshot(fast=True)
-    RESOLVERS_JSON.write_text(json.dumps(snap, indent=2, default=str) + "\n")
-    violations = check_bounds(snap)
+def e18_summary(snap: dict) -> str:
     throughput = snap["throughput"]
     auto = snap["convergence_with_resolvers"]
     manual = snap["convergence_manual_baseline"]
-    print(
-        f"[E18] conflict resolvers: {throughput['auto_resolved']}/"
+    return (
+        f"conflict resolvers: {throughput['auto_resolved']}/"
         f"{throughput['conflicted_files']} covered conflicts cleared in one visit "
         f"({throughput['resolutions_per_sec']:.0f}/s); convergence in "
         f"{auto['rounds_to_convergence']} rounds with 0 open conflicts vs manual "
-        f"baseline stuck at {manual['unresolved_conflicts']} "
-        f"-> {RESOLVERS_JSON.name}"
-        + ("".join(f"\n  BOUND VIOLATED: {v}" for v in violations))
+        f"baseline stuck at {manual['unresolved_conflicts']}"
     )
 
 
-def e19_open_io_throughput() -> None:
-    from bench_open_io import check_bounds, open_io_throughput
-
-    snap = open_io_throughput(fast=True)
-    OPEN_IO_JSON.write_text(json.dumps(snap, indent=2, sort_keys=True) + "\n")
-    violations = check_bounds(snap)
-    ops = snap["ops_per_second"]
-    fusion = snap["fusion"]
-    print(
-        f"[E19] fused hot path: {ops['legacy']:.0f} -> {ops['optimized']:.0f} ops/s "
-        f"({ops['speedup']:.1f}x, bound {ops['bound']}); fusion hit rate "
-        f"{fusion['hit_rate']:.2f} over {fusion['members']} transparent members, "
-        f"per-crossing {snap['per_crossing_us']['unfused_us']:.2f} -> "
-        f"{snap['per_crossing_us']['fused_us']:.2f} us "
-        f"-> {OPEN_IO_JSON.name}"
-        + ("".join(f"\n  BOUND VIOLATED: {v}" for v in violations))
-    )
-
-
-def e20_scale_out() -> None:
-    from bench_scale_out import check_bounds, scale_out_snapshot
-
-    snap = scale_out_snapshot(fast=True)
-    SCALE_OUT_JSON.write_text(json.dumps(snap, indent=2, default=str) + "\n")
-    violations = check_bounds(snap)
+def e20_summary(snap: dict) -> str:
     gossip = snap["gossip"]
     mesh = snap["full_mesh_baseline"]
-    print(
-        f"[E20] scale-out anti-entropy: {snap['hosts']} hosts, "
+    return (
+        f"scale-out anti-entropy: {snap['hosts']} hosts, "
         f"{gossip['volumes']} volumes; gossip converged in "
         f"{gossip['rounds_to_converge']} rounds (bound "
         f"{snap['bounds']['rounds_bound']}) at <= "
         f"{gossip['max_host_rpcs_per_round']} RPCs/host/round (bound "
         f"{snap['bounds']['rpc_bound']}); full-mesh baseline peaked at "
         f"{mesh['max_host_rpcs_per_round']} RPCs/host/round "
-        f"({snap['load_ratio_full_mesh_over_gossip']:.1f}x gossip) "
-        f"-> {SCALE_OUT_JSON.name}"
-        + ("".join(f"\n  BOUND VIOLATED: {v}" for v in violations))
+        f"({snap['load_ratio_full_mesh_over_gossip']:.1f}x gossip)"
     )
 
 
-def e21_provenance() -> None:
-    from bench_provenance import check_bounds, provenance_snapshot
-
-    snap = provenance_snapshot(fast=True)
-    PROVENANCE_JSON.write_text(json.dumps(snap, indent=2, default=str) + "\n")
-    violations = check_bounds(snap)
+def e21_summary(snap: dict) -> str:
     overhead = snap["overhead"]
     lineage = snap["lineage_scenario"]
     verify = snap["replicate_and_verify"]
-    print(
-        f"[E21] provenance plane: overhead {overhead['ratio']:.3f}x "
+    return (
+        f"provenance plane: overhead {overhead['ratio']:.3f}x "
         f"(bound {overhead['bound']}); {lineage['versions_ledgered']}/"
         f"{lineage['live_versions']} live versions ledgered, feeds-of-conflict "
         f"exact: {lineage['feeds_of_conflict_exact']}; replicate-and-verify "
         f"seed {verify['seed']}: {verify['ops_replayed']}/{verify['ops_recorded']} "
-        f"ops replayed, identical: {verify['replay_identical']} "
-        f"-> {PROVENANCE_JSON.name}"
-        + ("".join(f"\n  BOUND VIOLATED: {v}" for v in violations))
+        f"ops replayed, identical: {verify['replay_identical']}"
     )
 
 
-def main() -> None:
+#: Every tracked BENCH_*.json at the repository root, one row each: label,
+#: file name, summary line / snapshot callable, its kwargs, bounds check.
+FAST = {"fast": True}
+EXPORTS = (
+    ("E14", "BENCH_telemetry.json", e14_summary,
+     telemetry_with_overhead, {}, None),
+    ("E15", "BENCH_attr_cache.json", e15_summary,
+     bench_attr_cache.attr_cache_snapshot, {}, None),
+    ("E16", "BENCH_delta_sync.json", e16_summary,
+     bench_delta_sync.delta_sync_snapshot, {}, bench_delta_sync.check_bounds),
+    ("E17", "BENCH_health.json", e17_summary,
+     bench_health.health_snapshot, {}, bench_health.check_bounds),
+    ("E18", "BENCH_resolvers.json", e18_summary,
+     bench_resolvers.resolvers_snapshot, FAST, bench_resolvers.check_bounds),
+    ("E20", "BENCH_scale_out.json", e20_summary,
+     bench_scale_out.scale_out_snapshot, FAST, bench_scale_out.check_bounds),
+    ("E21", "BENCH_provenance.json", e21_summary,
+     bench_provenance.provenance_snapshot, FAST, bench_provenance.check_bounds),
+)
+
+
+def export_snapshots() -> int:
+    """Write every tracked snapshot; returns how many bounds were violated."""
+    root = Path(__file__).resolve().parent.parent
+    violated = 0
+    for label, file_name, summary, snapshot, kwargs, check_bounds in EXPORTS:
+        snap = snapshot(**kwargs)
+        (root / file_name).write_text(json.dumps(snap, indent=2, sort_keys=True, default=str) + "\n")
+        print(f"[{label}] {summary(snap)} -> {file_name}")
+        for violation in check_bounds(snap) if check_bounds else ():
+            violated += 1
+            print(f"  BOUND VIOLATED: {violation}")
+        print()
+    return violated
+
+
+def main() -> int:
     print("=" * 72)
     print("Ficus reproduction — full evaluation regeneration")
     print("=" * 72)
@@ -380,18 +342,11 @@ def main() -> None:
         e11_locality,
         e13_scale,
         a1_to_a4_ablations,
-        e14_telemetry,
-        e15_attr_cache,
-        e16_delta_sync,
-        e17_health,
-        e18_resolvers,
-        e19_open_io_throughput,
-        e20_scale_out,
-        e21_provenance,
     ):
         section()
         print()
+    return 1 if export_snapshots() else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

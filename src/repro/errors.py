@@ -91,12 +91,6 @@ class IOError_(FicusError):
     errno_name = "EIO"
 
 
-class ReadOnly(FicusError):
-    """EROFS: write attempted on a read-only file system."""
-
-    errno_name = "EROFS"
-
-
 class NotSupported(FicusError):
     """ENOTSUP: the layer does not implement this vnode operation."""
 
@@ -134,16 +128,6 @@ class AllReplicasUnavailable(FicusError):
     """
 
     errno_name = "ENOREPLICA"
-
-
-class UpdateConflict(FicusError):
-    """Concurrent unsynchronized updates were detected via version vectors.
-
-    For regular files this is reported to the owner; it is never raised
-    during normal operation, only surfaced by reconciliation.
-    """
-
-    errno_name = "ECONFLICT"
 
 
 class QuorumNotAvailable(FicusError):

@@ -47,30 +47,6 @@ class AuthLayer(NullLayer):
 
     layer_name = "auth"
 
-    #: Exactly the operations :class:`AuthVnode` guards with a policy check.
-    INTERCEPTS: frozenset[str] = frozenset(
-        {
-            # credential-gated reads
-            "read",
-            "getattr",
-            "readdir",
-            "lookup",
-            "readlink",
-            "access",
-            # credential-gated mutations
-            "write",
-            "truncate",
-            "setattr",
-            "create",
-            "mkdir",
-            "remove",
-            "rmdir",
-            "rename",
-            "link",
-            "symlink",
-        }
-    )
-
     def __init__(self, lower: FileSystemLayer, policy: AccessPolicy, name: str = "auth"):
         super().__init__(lower, name=name)
         self.policy = policy

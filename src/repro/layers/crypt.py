@@ -47,9 +47,6 @@ class CryptLayer(NullLayer):
 
     layer_name = "crypt"
 
-    #: Only data crossings are transformed; every other op passes through.
-    INTERCEPTS: frozenset[str] = frozenset({"read", "write"})
-
     def __init__(self, lower: FileSystemLayer, key: bytes, name: str = "crypt"):
         super().__init__(lower, name=name)
         self.keystream = Keystream(key)

@@ -45,23 +45,6 @@ class MonitorLayer(NullLayer):
 
     layer_name = "monitor"
 
-    #: The operations :class:`MonitorVnode` times (when enabled).
-    INTERCEPTS: frozenset[str] = frozenset(
-        {
-            "read",
-            "write",
-            "lookup",
-            "create",
-            "mkdir",
-            "remove",
-            "rmdir",
-            "getattr",
-            "setattr",
-            "readdir",
-            "truncate",
-        }
-    )
-
     def __init__(
         self,
         lower: FileSystemLayer,
@@ -75,23 +58,6 @@ class MonitorLayer(NullLayer):
         self.clock = clock or time.perf_counter
         self.registry = registry
         self.profile: dict[str, OpProfile] = {}
-        #: live profiling switch — a disabled monitor is a pure pass-through
-        self.enabled = True
-
-    def set_enabled(self, value: bool) -> bool:
-        """Turn profiling on or off; returns the previous setting.
-
-        A disabled monitor interposes on nothing, so fused stacks over it
-        must rebuild their dispatch plans — hence the fusion invalidation.
-        """
-        previous = self.enabled
-        self.enabled = bool(value)
-        if previous != self.enabled:
-            self.invalidate_fusion()
-        return previous
-
-    def intercepted_ops(self) -> frozenset[str]:
-        return self.INTERCEPTS if self.enabled else frozenset()
 
     def wrap(self, lower: Vnode) -> "MonitorVnode":
         return MonitorVnode(self, lower)
@@ -137,8 +103,6 @@ class MonitorVnode(PassthroughVnode):
         self.layer: MonitorLayer = layer
 
     def _timed(self, op: str, thunk, n_in: int = 0):
-        if not self.layer.enabled:
-            return thunk()
         clock = self.layer.clock
         start = clock()
         try:
@@ -156,8 +120,6 @@ class MonitorVnode(PassthroughVnode):
         return self._timed("read", lambda: self.lower.read(offset, length, ctx))
 
     def write(self, offset: int, data: bytes, ctx: OpContext = ROOT_CTX) -> int:
-        if not self.layer.enabled:
-            return self.lower.write(offset, data, ctx)
         clock = self.layer.clock
         start = clock()
         try:

@@ -45,10 +45,6 @@ class PeerStats:
     bytes_received: int = 0
     latency_seconds: float = 0.0
 
-    @property
-    def mean_latency(self) -> float:
-        return self.latency_seconds / self.rpcs if self.rpcs else 0.0
-
 
 def _payload_bytes(values: Iterable[object]) -> int:
     """Approximate wire volume: the bytes-valued arguments only (handles

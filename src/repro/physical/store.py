@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro import fastpath
 from repro.errors import FileNotFound, InvalidArgument
 from repro.telemetry import MetricsRegistry
 from repro.physical.wire import (
@@ -126,7 +125,7 @@ class ReplicaStore:
         #: than once per recon tick (in-memory: a crash only costs one
         #: extra walk after reboot)
         self._ancestor_sync_memo: dict[FicusFileHandle, str] = {}
-        # -- decoded-metadata caches (the PR-7 hot path) ------------------
+        # -- decoded-metadata caches ---------------------------------------
         # Every entry is stamped with the storage bottom's buffer-cache
         # epoch: when the block cache goes cold (invalidate_all, fault
         # injection) the decoded caches go cold with it, preserving the
@@ -149,7 +148,7 @@ class ReplicaStore:
         return node.cache_epoch if node is not None else 0
 
     def _cache_get(self, cache: dict, key) -> object | None:
-        if not fastpath.ENABLED or not self._caches_enabled:
+        if not self._caches_enabled:
             return None
         entry = cache.get(key)
         if entry is None:
@@ -160,10 +159,8 @@ class ReplicaStore:
         return entry[1]
 
     def _cache_put(self, cache: dict, key, value) -> None:
-        if fastpath.ENABLED and self._caches_enabled:
+        if self._caches_enabled:
             cache[key] = (self._epoch(), value)
-        else:
-            cache.pop(key, None)
 
     def _count(self, name: str, amount: int = 1) -> None:
         if self._metrics is not None:
@@ -232,9 +229,7 @@ class ReplicaStore:
         # stable name, rewritten in place — the vnode never goes stale
         meta = self.__dict__.get("_meta")
         if meta is None:
-            meta = self._base.lookup(META_NAME)
-            if fastpath.ENABLED:
-                self._meta = meta
+            meta = self._meta = self._base.lookup(META_NAME)
         return meta
 
     def _read_meta(self) -> dict[str, str]:

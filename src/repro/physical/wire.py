@@ -26,7 +26,6 @@ import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
-from repro import fastpath
 from repro.errors import InvalidArgument, NameTooLong
 from repro.ufs.layout import MAX_NAME_LEN
 from repro.util import FicusFileHandle, decode_record, encode_record, escape_value, unescape_value
@@ -202,8 +201,6 @@ class DirectoryEntry:
         rewriting a directory then re-encodes only the entries that
         actually changed.
         """
-        if not fastpath.ENABLED:
-            return encode_record(self.to_record())
         cached = self.__dict__.get("_line")
         if cached is None:
             cached = encode_record(self.to_record())
@@ -212,8 +209,6 @@ class DirectoryEntry:
 
     def fold_component(self) -> str:
         """This entry's contribution to the directory entry fold."""
-        if not fastpath.ENABLED:
-            return content_digest(encode_record(self.to_record()))
         cached = self.__dict__.get("_fold")
         if cached is None:
             cached = content_digest(self.encoded_line())
@@ -297,12 +292,11 @@ class AuxAttributes:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "AuxAttributes":
-        if fastpath.ENABLED:
-            cached = _DECODE_AUX_MEMO.get(data)
-            if cached is not None:
-                _DECODE_AUX_MEMO.move_to_end(data)
-                # clone: callers mutate the returned record in place
-                return replace(cached)
+        cached = _DECODE_AUX_MEMO.get(data)
+        if cached is not None:
+            _DECODE_AUX_MEMO.move_to_end(data)
+            # clone: callers mutate the returned record in place
+            return replace(cached)
         rec = decode_record(data.decode("utf-8"))
         try:
             aux = cls(
@@ -318,10 +312,9 @@ class AuxAttributes:
             )
         except KeyError as exc:
             raise InvalidArgument(f"aux record missing field {exc}") from exc
-        if fastpath.ENABLED:
-            _DECODE_AUX_MEMO[data] = replace(aux)
-            while len(_DECODE_AUX_MEMO) > _DECODE_AUX_CAP:
-                _DECODE_AUX_MEMO.popitem(last=False)
+        _DECODE_AUX_MEMO[data] = replace(aux)
+        while len(_DECODE_AUX_MEMO) > _DECODE_AUX_CAP:
+            _DECODE_AUX_MEMO.popitem(last=False)
         return aux
 
     def ancestor_digests(self) -> tuple[str, ...] | None:
@@ -473,19 +466,17 @@ _DECODE_AUX_CAP = 1024
 
 def decode_directory(data: bytes) -> list[DirectoryEntry]:
     """Parse a Ficus directory file back into entries."""
-    if fastpath.ENABLED:
-        cached = _DECODE_DIR_MEMO.get(data)
-        if cached is not None:
-            _DECODE_DIR_MEMO.move_to_end(data)
-            return list(cached)
+    cached = _DECODE_DIR_MEMO.get(data)
+    if cached is not None:
+        _DECODE_DIR_MEMO.move_to_end(data)
+        return list(cached)
     text = data.decode("utf-8")
     if not text:
         return []
     entries = [DirectoryEntry.from_record(decode_record(line)) for line in text.split("\n")]
-    if fastpath.ENABLED:
-        _DECODE_DIR_MEMO[data] = list(entries)
-        while len(_DECODE_DIR_MEMO) > _DECODE_DIR_CAP:
-            _DECODE_DIR_MEMO.popitem(last=False)
+    _DECODE_DIR_MEMO[data] = list(entries)
+    while len(_DECODE_DIR_MEMO) > _DECODE_DIR_CAP:
+        _DECODE_DIR_MEMO.popitem(last=False)
     return entries
 
 

@@ -15,10 +15,9 @@ When both sides store the file, the pull is a *block delta* (rsync-style):
 fetch the remote's block signatures, pull only the blocks whose content
 hashes differ, splice them over the local copy in the shadow file, and
 commit atomically exactly as the whole-file path does.  The whole-file
-copy remains as the fallback — remote predates the delta operations, the
-remote changed out-of-band between the attribute fetch and the digest
-fetch (the pull then restarts from a fresh record), or the delta would be
-no smaller than the file itself.
+copy remains as the fallback — the remote changed out-of-band between
+the attribute fetch and the digest fetch (the pull then restarts from a
+fresh record), or the delta would be no smaller than the file itself.
 
 The directory is the unit of work: :func:`pull_children` decides every
 file of a directory from the one ``getattrs_batch`` its directory pass
@@ -31,7 +30,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.errors import FileNotFound, HostUnreachable, NotSupported, StaleFileHandle
+from repro.errors import FileNotFound, HostUnreachable, StaleFileHandle
 from repro.physical import FicusPhysicalLayer, ReplicaStore
 from repro.physical.policy import StoragePolicy
 from repro.physical.wire import AttrBatch, content_digest, op_byfh, split_blocks
@@ -212,17 +211,14 @@ def _delta_pull(
 ) -> PullResult | object | None:
     """Try to install the remote version by copying only changed blocks.
 
-    Returns ``None`` to fall back to the whole-file copy (remote predates
-    the delta operations, or the delta would not be smaller than the
-    file), ``_REMOTE_MOVED`` when the remote replica is no longer at
-    ``remote_vv`` (the signatures describe another version, or a fetched
-    block failed verification), or a final :class:`PullResult` when the
-    delta path settled the pull itself.
+    Returns ``None`` to fall back to the whole-file copy (the delta would
+    not be smaller than the file), ``_REMOTE_MOVED`` when the remote
+    replica is no longer at ``remote_vv`` (the signatures describe another
+    version, or a fetched block failed verification), or a final
+    :class:`PullResult` when the delta path settled the pull itself.
     """
     try:
         sig = remote_dir.block_digests(fh)
-    except NotSupported:
-        return None  # remote predates the delta operations
     except (HostUnreachable, StaleFileHandle):
         return PullResult(PullOutcome.UNREACHABLE, local_vv, remote_vv)
     except FileNotFound:
@@ -247,7 +243,7 @@ def _delta_pull(
     if changed:
         try:
             fetched = remote_dir.read_blocks(fh, sorted(changed))
-        except (NotSupported, FileNotFound):
+        except FileNotFound:
             return None
         except (HostUnreachable, StaleFileHandle):
             return PullResult(PullOutcome.UNREACHABLE, local_vv, remote_vv)

@@ -18,8 +18,7 @@ into a directory it compares the remote's subtree recon digest (one
 ``sync_probe`` RPC, or the per-child digest the parent's probe already
 supplied) against its own, and skips converged subtrees entirely.  A
 fully converged volume replica therefore reconciles in O(1) RPCs instead
-of two per directory.  Against a remote that predates ``sync_probe`` the
-walk degrades to the exhaustive traversal.
+of two per directory.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.errors import FileNotFound, HostUnreachable, NotSupported, StaleFileHandle
+from repro.errors import FileNotFound, HostUnreachable, StaleFileHandle
 from repro.physical import FicusPhysicalLayer
 from repro.physical.policy import StoragePolicy
 from repro.physical.wire import op_dir
@@ -109,19 +108,16 @@ def reconcile_subtree(
     seen: set[FicusFileHandle] = set()
     #: (directory, remote subtree digest if the parent's probe supplied one)
     queue: deque[tuple[FicusFileHandle, str | None]] = deque([(start, None)])
-    probe_supported = True
     while queue:
         dir_fh, remote_hint = queue.popleft()
         if dir_fh in seen:
             continue  # the namespace is a DAG; visit each directory once
         seen.add(dir_fh)
 
-        local_digest: str | None = None
-        if probe_supported:
-            try:
-                local_digest = store.subtree_digest(dir_fh)
-            except FileNotFound:
-                local_digest = None  # not stored locally yet; walk it fully
+        try:
+            local_digest = store.subtree_digest(dir_fh)
+        except FileNotFound:
+            local_digest = None  # not stored locally yet; walk it fully
         if local_digest is not None and remote_hint == local_digest:
             result.subtrees_pruned += 1
             # digest equality proves every file below is common with this
@@ -130,19 +126,17 @@ def reconcile_subtree(
             continue  # converged below here — zero RPCs spent
 
         probe = None
-        if probe_supported and local_digest is not None:
+        if local_digest is not None:
             try:
                 probe = remote_volume_root.sync_probe(dir_fh)
                 result.probe_rpcs += 1
-            except NotSupported:
-                probe_supported = False  # legacy remote: exhaustive walk
             except FileNotFound:
                 continue  # remote replica does not store this directory
             except (HostUnreachable, StaleFileHandle):
                 result.aborted_by_partition = True
                 result.directories_unreachable += 1
                 continue
-            if probe is not None and probe.digest == local_digest:
+            if probe.digest == local_digest:
                 result.subtrees_pruned += 1
                 store.note_subtree_synced(dir_fh)
                 continue

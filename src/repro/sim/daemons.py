@@ -351,10 +351,6 @@ class ReconStats:
         return sum(r.file_conflicts for r in self.results)
 
     @property
-    def total_pulled(self) -> int:
-        return sum(r.files_pulled for r in self.results)
-
-    @property
     def total_auto_resolved(self) -> int:
         return sum(r.conflicts_auto_resolved for r in self.results)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable
 
-from repro.telemetry.events import TelemetryEvent
 from repro.telemetry.trace import Span
 
 #: Virtual-clock seconds -> Chrome trace microseconds.
@@ -21,10 +20,6 @@ _US = 1_000_000.0
 def spans_to_jsonl(spans: Iterable[Span]) -> str:
     """One JSON object per line, in finish order."""
     return "\n".join(json.dumps(span.to_dict(), sort_keys=True) for span in spans)
-
-
-def events_to_jsonl(events: Iterable[TelemetryEvent]) -> str:
-    return "\n".join(json.dumps(event.to_dict(), sort_keys=True, default=str) for event in events)
 
 
 def to_chrome_trace(spans: Iterable[Span]) -> dict[str, object]:

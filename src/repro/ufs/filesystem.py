@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro import fastpath
 from repro.errors import (
     DirectoryNotEmpty,
     FicusError,
@@ -28,7 +27,7 @@ from repro.errors import (
 from repro.storage import BlockDevice
 from repro.ufs.cache import BufferCache, NameCache
 from repro.ufs.inode import FileAttributes, FileType, Inode
-from repro.ufs.layout import MAX_NAME_LEN, NDIRECT, ROOT_INO, Superblock
+from repro.ufs.layout import INODE_SIZE, MAX_NAME_LEN, NDIRECT, ROOT_INO, Superblock
 from repro.util import VirtualClock
 from repro.util.codec import escape_value, unescape_value
 
@@ -88,8 +87,6 @@ class Ufs:
         the block size to isolate every inode in its own block (used by
         the Section-6 I/O-accounting experiments).
         """
-        from repro.ufs.layout import INODE_SIZE
-
         sb = Superblock.compute(device, num_inodes, inode_size=inode_size or INODE_SIZE)
         device.write_block(0, sb.pack())
         zero = bytes(device.block_size)
@@ -136,17 +133,15 @@ class Ufs:
     # -- inode table ----------------------------------------------------------
 
     def _get_inode_raw(self, ino: int) -> Inode:
-        if fastpath.ENABLED and self.cache.capacity:
+        if self.cache.capacity:
             entry = self._icache.get(ino)
             if entry is not None and entry[0] == self.cache.epoch:
                 master = entry[1]
                 return replace(master, direct=list(master.direct))
         block, offset = self.sb.inode_location(ino)
         data = self.cache.read(block)
-        from repro.ufs.layout import INODE_SIZE
-
         inode = Inode.unpack(ino, data[offset : offset + INODE_SIZE])
-        if fastpath.ENABLED and self.cache.capacity:
+        if self.cache.capacity:
             self._icache[ino] = (
                 self.cache.epoch,
                 replace(inode, direct=list(inode.direct)),
@@ -172,13 +167,11 @@ class Ufs:
             # decoded copy can no longer be trusted to match the device.
             self._icache.pop(inode.ino, None)
             raise
-        if fastpath.ENABLED and self.cache.capacity:
+        if self.cache.capacity:
             self._icache[inode.ino] = (
                 self.cache.epoch,
                 replace(inode, direct=list(inode.direct)),
             )
-        else:
-            self._icache.pop(inode.ino, None)
 
     def _alloc_inode(self, ftype: FileType, perm: int = 0o644, uid: int = 0) -> Inode:
         for ino in range(ROOT_INO, self.sb.num_inodes + 1):

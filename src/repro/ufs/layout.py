@@ -68,10 +68,6 @@ class Superblock:
         return self.block_size // self.inode_size
 
     @property
-    def num_data_blocks(self) -> int:
-        return self.num_blocks - self.data_start
-
-    @property
     def pointers_per_block(self) -> int:
         return self.block_size // 4
 

@@ -1,7 +1,6 @@
 """Stackable vnode layer framework (paper Section 2)."""
 
 from repro.vnode.context import ROOT_CRED, ROOT_CTX, Credential, OpContext
-from repro.vnode.fusion import FusedStack, FusedVnode, fuse_stack
 from repro.vnode.interface import (
     DirEntry,
     FileSystemLayer,
@@ -17,9 +16,6 @@ __all__ = [
     "Credential",
     "DirEntry",
     "FileSystemLayer",
-    "FusedStack",
-    "FusedVnode",
-    "fuse_stack",
     "MountLayer",
     "MountVnode",
     "NullLayer",

@@ -47,9 +47,6 @@ class OpContext:
 
     # -- derivation (immutability means "modify" = "derive") ----------------
 
-    def with_cred(self, cred: Credential) -> "OpContext":
-        return replace(self, cred=cred)
-
     def with_trace(self, trace: TraceContext | None) -> "OpContext":
         return replace(self, trace=trace)
 

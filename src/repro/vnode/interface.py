@@ -322,39 +322,8 @@ class FileSystemLayer(abc.ABC):
 
     layer_name = "layer"
 
-    #: Operations this layer interposes on (adds behaviour beyond forwarding).
-    #: The conservative default is "everything": an unknown layer is assumed
-    #: to care about every crossing, so mount-time fusion never skips it.
-    #: Transparent layers narrow this set (the null layer to nothing) so the
-    #: fused hot path can bypass their pure-forwarding crossings.
-    INTERCEPTS: frozenset[str] = frozenset(Vnode.OPERATIONS)
-
-    #: Class-wide count of interposition changes across ALL layers.  Fused
-    #: stacks compare one integer per dispatch against this; only when it
-    #: moved (rare: an enablement toggle somewhere) do they re-derive their
-    #: own members' epochs.  Keeps the fused dispatch check O(1).
-    _fusion_generation = 0
-
     def __init__(self) -> None:
         self.counters = OpCounters()
-        #: Bumped whenever this layer's interposition behaviour changes
-        #: (e.g. a monitor toggling off).  Fusion plans are stamped with the
-        #: sum of their members' epochs and rebuilt on mismatch.
-        self._fusion_epoch = 0
-
-    def intercepted_ops(self) -> frozenset[str]:
-        """The operations this layer currently interposes on.
-
-        Layers whose interposition depends on runtime state (an enable
-        flag, a key being loaded) override this and must call
-        :meth:`invalidate_fusion` whenever the answer changes.
-        """
-        return self.INTERCEPTS
-
-    def invalidate_fusion(self) -> None:
-        """Force fused stacks over this layer to rebuild their plans."""
-        self._fusion_epoch += 1
-        FileSystemLayer._fusion_generation += 1
 
     @abc.abstractmethod
     def root(self) -> Vnode:

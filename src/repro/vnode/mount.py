@@ -11,7 +11,7 @@ namespace beside its private files.
 
 from __future__ import annotations
 
-from repro.errors import CrossDevice, FileNotFound, InvalidArgument
+from repro.errors import CrossDevice, InvalidArgument
 from repro.ufs.inode import FileAttributes
 from repro.vnode.interface import (
     ROOT_CTX,

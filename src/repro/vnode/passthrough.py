@@ -185,9 +185,6 @@ class NullLayer(FileSystemLayer):
 
     layer_name = "null"
 
-    #: A pure pass-through interposes on nothing — fusion elides it entirely.
-    INTERCEPTS: frozenset[str] = frozenset()
-
     def __init__(self, lower: FileSystemLayer, name: str = "null"):
         super().__init__()
         self.lower_layer = lower

@@ -1,0 +1,103 @@
+"""Differential test: the decoded-object caches never change an answer.
+
+The replica store's decoded directory/aux/vnode caches and the UFS
+decoded-inode cache are stamped with the buffer-cache epoch and switch
+off with it (capacity 0).  That uncached configuration decodes from disk
+blocks on every operation, so it is the reference implementation: one
+scripted history must produce the same per-op results and the same
+replicated state on a default cluster and on an uncached one.
+"""
+
+from repro.errors import FicusError
+from repro.sim import DaemonConfig, FicusSystem, HostConfig
+from repro.workload.verify import state_fingerprint
+
+QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
+UNCACHED = HostConfig(cache_blocks=0, name_cache_size=0)
+BIG = bytes(range(256)) * 40  # several blocks, so pulls have something to diff
+
+
+def run_history(host_config: HostConfig | None):
+    """Drive the scripted history; returns (system, per-op results)."""
+    system = FicusSystem(["alpha", "beta"], daemon_config=QUIET, host_config=host_config)
+    alpha, beta = system.host("alpha"), system.host("beta")
+    results = []
+
+    def op(host, method, *args):
+        try:
+            out = getattr(host.fs(), method)(*args)
+        except FicusError as exc:
+            out = type(exc).__name__
+        results.append((host.name, method, args, out))
+
+    def observe(*paths):
+        for host in (alpha, beta):
+            op(host, "walk_tree")
+            for path in paths:
+                op(host, "stat", path)
+                op(host, "read_file", path)
+
+    # create / overwrite / append / rename / unlink / mkdir on one side
+    op(alpha, "mkdir", "/d")
+    op(alpha, "write_file", "/d/a", b"first")
+    op(alpha, "write_file", "/d/a", BIG)
+    op(alpha, "append_file", "/d/a", b"tail")
+    op(alpha, "write_file", "/d/b", b"to be renamed")
+    op(alpha, "rename", "/d/b", "/d/c")
+    op(alpha, "write_file", "/d/gone", b"x")
+    op(alpha, "unlink", "/d/gone")
+    op(alpha, "mkdir", "/d/sub")
+    op(alpha, "write_file", "/d/both", b"common ancestor")
+    op(alpha, "read_file", "/d/gone")  # FileNotFound, both ways
+    op(alpha, "mkdir", "/d")  # FileExists, both ways
+    system.reconcile_everything()
+    observe("/d/a", "/d/c")
+
+    # both sides update across a partition, then heal
+    system.partition([{"alpha"}, {"beta"}])
+    op(alpha, "write_file", "/d/a", BIG[::-1])
+    op(alpha, "rename", "/d/c", "/d/sub/c")
+    op(beta, "write_file", "/d/sub/x", b"beta side")
+    op(beta, "mkdir", "/e")
+    op(beta, "append_file", "/d/c", b" + beta")  # concurrent with the rename
+    op(alpha, "write_file", "/d/both", b"alpha's version")
+    op(beta, "write_file", "/d/both", b"beta's version")  # a file conflict
+    op(beta, "unlink", "/d/nope")
+    system.heal()
+    system.reconcile_everything()
+    results.append(("conflicts", system.total_conflicts()))
+    observe("/d/a", "/d/both", "/d/sub/c", "/d/sub/x")
+
+    # a cold buffer cache mid-run must take the decoded caches with it
+    for host in (alpha, beta):
+        host.ufs.cache.invalidate_all()
+    observe("/d/a", "/d/sub/x")
+    op(beta, "write_file", "/d/sub/x", b"after invalidate")
+
+    # a notified pull installs through the shadow file and its commit rename
+    op(alpha, "write_file", "/d/a", BIG + b"v4")
+    results.append(("pulled", beta.propagation_daemon.tick()))
+    op(beta, "read_file", "/d/a")
+
+    # a crashed host misses an update, reboots cold and catches up
+    beta.crash()
+    op(alpha, "write_file", "/d/sub/late", b"while beta was down")
+    op(alpha, "unlink", "/d/sub/x")
+    beta.restart(system)
+    system.reconcile_everything()
+    observe("/d/a", "/d/sub/late", "/d/sub/x")
+    return system, results
+
+
+def test_uncached_reference_and_cached_cluster_agree():
+    cached, cached_results = run_history(None)
+    reference, reference_results = run_history(UNCACHED)
+
+    # the comparison is only worth something if each side is what it claims
+    for host in reference.hosts.values():
+        assert host.ufs.cache.stats.hits == 0 and host.ufs.namecache.stats.hits == 0
+    for host in cached.hosts.values():
+        assert host.ufs.cache.stats.hits > 0 and host.ufs.namecache.stats.hits > 0
+
+    assert cached_results == reference_results
+    assert state_fingerprint(cached) == state_fingerprint(reference)

@@ -9,7 +9,7 @@ notification loop guard).
 
 import pytest
 
-from repro.errors import HostUnreachable, NotSupported
+from repro.errors import HostUnreachable
 from repro.physical.wire import DELTA_BLOCK_SIZE
 from repro.recon import PullOutcome, pull_file, reconcile_directory, reconcile_subtree
 from repro.sim import DaemonConfig, FicusSystem
@@ -112,24 +112,6 @@ class TestBlockDeltaPull:
         assert result.outcome is PullOutcome.PULLED
         assert result.bytes_copied == len(b"version one")
         assert result.bytes_saved == 0
-
-    def test_remote_without_delta_ops_falls_back_to_whole_file(self, system):
-        fh, contents = seeded_file(system)
-        mutated = contents[:100] + b"!" + contents[101:]
-        system.host("alpha").root().lookup("big").write(0, mutated)
-
-        class Legacy(_RemoteDirProxy):
-            def block_digests(self, fh, ctx=None):
-                raise NotSupported("block_digests")
-
-        beta_store = store_of(system, "beta")
-        root_fh = beta_store.root_handle()
-        result = pull_file(
-            beta_store, root_fh, fh, Legacy(remote_root_vnode(system, "beta", "alpha"))
-        )
-        assert result.outcome is PullOutcome.PULLED
-        assert result.bytes_copied == len(mutated)  # the whole file
-        assert beta_store.file_vnode(root_fh, fh).read_all() == mutated
 
     def test_out_of_band_change_falls_back_to_whole_file(self, system):
         """Signatures describing a different version than the attribute
@@ -236,23 +218,6 @@ class TestSubtreePruning:
         assert result.subtrees_pruned >= 7
         assert result.files_pulled == 1
         assert system.host("beta").fs().read_file("/d3/f0") == b"fresh contents"
-
-    def test_legacy_remote_degrades_to_full_walk(self, system):
-        build_tree(system, dirs=4)
-
-        class LegacyRoot(_RemoteDirProxy):
-            def sync_probe(self, fh=None, ctx=None):
-                raise NotSupported("sync_probe")
-
-        beta = system.host("beta")
-        result = reconcile_subtree(
-            beta.physical,
-            volrep_of(system, "beta"),
-            LegacyRoot(remote_root_vnode(system, "beta", "alpha")),
-            "alpha",
-        )
-        assert result.subtrees_pruned == 0
-        assert result.directories_reconciled == 5  # root + four subdirs
 
     def test_pruning_preserves_convergence_semantics(self):
         """Divergence under partition still converges to identical trees."""

@@ -10,12 +10,17 @@ implementation actually has the scaling shape those decisions buy:
 * pathname translation cost is independent of cluster size;
 * one reconciliation pass is pairwise — its cost tracks divergence, not
   cluster size;
-* autograft lookup cost is independent of how many volumes exist.
+* autograft lookup cost is independent of how many volumes exist;
+* under all of it, a UFS create + write does not grow with the number of
+  files the disk already holds (allocation searches from a bound, not
+  from the first slot).
 """
 
 import pytest
 
 from repro.sim import DaemonConfig, FicusSystem
+from repro.storage import BlockDevice
+from repro.ufs import ROOT_INO, Ufs
 
 QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
 
@@ -81,6 +86,53 @@ class TestShape:
             system.host("h1").recon_daemon.tick()
             costs[replicas] = system.network.stats.rpcs_sent - before
         assert max(costs.values()) <= min(costs.values()) + 2
+
+    def test_ufs_create_write_cost_independent_of_live_files(self, capsys):
+        """Buffer-cache lookups (exact) for one create + 4 KiB write into
+        a fresh directory, on a disk already holding 100 and 1 500 files
+        spread over 20-entry directories so that no directory grows."""
+        fs = Ufs.mkfs(BlockDevice(4096), num_inodes=2048)
+        first_dir = None
+        live = 0
+
+        def populate(upto: int) -> None:
+            nonlocal first_dir, live
+            while live < upto:
+                if live % 20 == 0:
+                    directory = fs.mkdir(ROOT_INO, f"d{live // 20}")
+                    first_dir = first_dir or directory
+                fs.write_file(fs.create(directory, f"f{live}"), 0, bytes(4096))
+                live += 1
+
+        def create_write(directory: int, name: str) -> int:
+            before = fs.cache.stats.lookups
+            fs.write_file(fs.create(directory, name), 0, bytes(4096))
+            return fs.cache.stats.lookups - before
+
+        rows = {}
+        for files in (100, 1500):
+            populate(files)
+            rows[files] = create_write(fs.mkdir(ROOT_INO, f"probe{files}"), "f")
+
+        # the worst case the bounds allow: free a low slot, allocate twice.
+        # The first allocation refills the hole; the second walks from it
+        # to the end of the live region, and pays per table block passed
+        # (32 slots each; one bitmap block covers the disk), not per slot.
+        probe = fs.mkdir(ROOT_INO, "probe-hole")
+        fs.unlink(first_dir, "f0")
+        refill = create_write(probe, "refill")
+        walk = create_write(probe, "walk")
+        table_blocks = fs.sb.bitmap_start - fs.sb.inode_table_start
+        with capsys.disabled():
+            print(
+                "[E13] buffer-cache lookups for one UFS create + 4 KiB write vs live files:",
+                rows,
+                f"| after freeing a low slot: {refill}, then {walk} "
+                f"(inode table is {table_blocks} blocks)",
+            )
+        assert rows[100] == rows[1500]
+        assert refill == rows[1500]
+        assert walk <= rows[1500] + table_blocks + 1
 
 
 @pytest.mark.parametrize("n_hosts", CLUSTER_SIZES)

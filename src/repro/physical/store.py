@@ -30,8 +30,6 @@ directory, a consequence of concurrent renames) needs no extra mechanism.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.errors import FileNotFound, InvalidArgument
 from repro.telemetry import MetricsRegistry
 from repro.physical.wire import (
@@ -308,7 +306,7 @@ class ReplicaStore:
         self._cache_put(self._child_vnode_cache, (key, FDIR_NAME), fdir)
         self._cache_put(self._child_vnode_cache, (key, FAUX_NAME), faux)
         self._cache_put(self._entries_cache, key, [])
-        self._cache_put(self._dir_aux_cache, key, replace(aux))
+        self._cache_put(self._dir_aux_cache, key, aux.clone())
         self._subtree_memo.clear()
         return unix_dir
 
@@ -368,10 +366,10 @@ class ReplicaStore:
         cached = self._cache_get(self._dir_aux_cache, key)
         if cached is not None:
             # clone: callers mutate the returned record in place
-            return replace(cached)
+            return cached.clone()
         faux = self._unix_child(fh, FAUX_NAME)
         aux = AuxAttributes.from_bytes(faux.read_all())
-        self._cache_put(self._dir_aux_cache, key, replace(aux))
+        self._cache_put(self._dir_aux_cache, key, aux.clone())
         return aux
 
     def write_dir_aux(self, fh: FicusFileHandle, aux: AuxAttributes) -> None:
@@ -388,7 +386,7 @@ class ReplicaStore:
         except BaseException:
             self._dir_aux_cache.pop(key, None)
             raise
-        self._cache_put(self._dir_aux_cache, key, replace(aux))
+        self._cache_put(self._dir_aux_cache, key, aux.clone())
 
     def _fold_file_into_dir(
         self,
@@ -428,9 +426,9 @@ class ReplicaStore:
         key = self._file_key(fh)
         cached = self._cache_get(self._file_aux_cache, key)
         if cached is not None:
-            return replace(cached)
+            return cached.clone()
         aux = AuxAttributes.from_bytes(self.aux_vnode(parent, fh).read_all())
-        self._cache_put(self._file_aux_cache, key, replace(aux))
+        self._cache_put(self._file_aux_cache, key, aux.clone())
         return aux
 
     def write_file_aux(
@@ -446,7 +444,7 @@ class ReplicaStore:
         except BaseException:
             self._file_aux_cache.pop(key, None)
             raise
-        self._cache_put(self._file_aux_cache, key, replace(aux))
+        self._cache_put(self._file_aux_cache, key, aux.clone())
         if old.vv != aux.vv:
             self._fold_file_into_dir(
                 parent,
@@ -482,7 +480,7 @@ class ReplicaStore:
         dir_key = self._dir_key(parent)
         self._cache_put(self._child_vnode_cache, (dir_key, key), contents)
         self._cache_put(self._child_vnode_cache, (dir_key, key + AUX_SUFFIX), aux_file)
-        self._cache_put(self._file_aux_cache, key, replace(aux))
+        self._cache_put(self._file_aux_cache, key, aux.clone())
         self._fold_file_into_dir(parent, in_component=file_component(fh, aux.vv))
         return contents
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.errors import InvalidArgument, NameTooLong
 from repro.ufs.layout import MAX_NAME_LEN
@@ -271,6 +271,20 @@ class AuxAttributes:
     #: each refresh captures contents the replicas demonstrably shared.
     ancestor: str = ""
 
+    def clone(self) -> "AuxAttributes":
+        """A copy callers may mutate (every field is an immutable value)."""
+        return AuxAttributes(
+            self.fh,
+            self.etype,
+            self.vv,
+            self.refs,
+            self.graft_volume,
+            self.dig_entries,
+            self.dig_files,
+            self.merge_policy,
+            self.ancestor,
+        )
+
     def to_bytes(self) -> bytes:
         rec = {
             "fh": self.fh.to_hex(),
@@ -296,7 +310,7 @@ class AuxAttributes:
         if cached is not None:
             _DECODE_AUX_MEMO.move_to_end(data)
             # clone: callers mutate the returned record in place
-            return replace(cached)
+            return cached.clone()
         rec = decode_record(data.decode("utf-8"))
         try:
             aux = cls(
@@ -312,7 +326,7 @@ class AuxAttributes:
             )
         except KeyError as exc:
             raise InvalidArgument(f"aux record missing field {exc}") from exc
-        _DECODE_AUX_MEMO[data] = replace(aux)
+        _DECODE_AUX_MEMO[data] = aux.clone()
         while len(_DECODE_AUX_MEMO) > _DECODE_AUX_CAP:
             _DECODE_AUX_MEMO.popitem(last=False)
         return aux

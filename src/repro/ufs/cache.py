@@ -58,10 +58,12 @@ class BufferCache:
         self.capacity = capacity
         self.stats = CacheStats()
         #: Coherence stamp for decoded-object caches layered above this
-        #: one (inode cache, replica-store metadata caches).  Bumped when
-        #: blocks are invalidated, so "cold buffer cache" also means
-        #: "cold decoded caches" and the paper's E3/E4 disk-I/O counts
-        #: stay byte-for-byte intact.
+        #: one (the UFS decoded inodes and decoded directories, the
+        #: replica-store metadata caches).  Bumped when blocks are
+        #: invalidated, so "cold buffer cache" also means "cold decoded
+        #: caches" and the paper's E3/E4 disk-I/O counts stay
+        #: byte-for-byte intact.  LRU eviction does not bump it: a decoded
+        #: object may outlive its block, which can only save a device read.
         self.epoch = 0
         self._lru: OrderedDict[int, bytes] = OrderedDict()
 

@@ -7,11 +7,19 @@ Section 2.1).  It provides the classic Unix objects: inodes, regular files
 with direct + single-indirect block mapping, directories with ``.``/``..``
 entries and hard links, and a path lookup that exercises the buffer cache
 and name cache the paper's performance notes rely on.
+
+Metadata costs O(1) in the size of the tables.  Allocation searches from
+an in-memory lower bound (see :class:`Ufs`), peeking at raw table bytes
+one block at a time; decoded inodes and decoded directories are handed
+out as copies of an epoch-stamped master.  None of it changes what
+reaches the device: every allocation is still the lowest free slot, so
+the write sequence is the one a scan from the first slot would produce.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import struct
+from collections.abc import Iterator
 
 from repro.errors import (
     DirectoryNotEmpty,
@@ -26,8 +34,15 @@ from repro.errors import (
 )
 from repro.storage import BlockDevice
 from repro.ufs.cache import BufferCache, NameCache
-from repro.ufs.inode import FileAttributes, FileType, Inode
-from repro.ufs.layout import INODE_SIZE, MAX_NAME_LEN, NDIRECT, ROOT_INO, Superblock
+from repro.ufs.inode import FileAttributes, FileType, Inode, slot_is_free
+from repro.ufs.layout import (
+    INODE_SIZE,
+    MAX_NAME_LEN,
+    NDIRECT,
+    ROOT_INO,
+    Superblock,
+    peek_slot_generation,
+)
 from repro.util import VirtualClock
 from repro.util.codec import escape_value, unescape_value
 
@@ -68,6 +83,20 @@ class Ufs:
         # dropped when the buffer-cache epoch moves, so an invalidated
         # buffer cache also means cold decoded inodes (E3/E4 accounting).
         self._icache: dict[int, tuple[int, Inode]] = {}
+        # Decoded-directory cache: ino -> (buffer-cache epoch, entries in
+        # on-disk order).  Lives by _icache's rules: never filled at
+        # capacity 0, readers get a copy, dropped before anything writes
+        # or frees the inode's data (the write may raise half-way) and
+        # refreshed by _write_dir_entries once its inode write has landed.
+        self._dcache: dict[int, tuple[int, dict[str, int]]] = {}
+        # Allocation bounds: no inode below _ino_floor and no data block
+        # below _blk_floor is free.  A bound only says where the search
+        # starts — whether a slot is free is always read off the table —
+        # so it may be low but never high: it advances only after the
+        # claiming write has landed, drops on every free, and starts at
+        # the table's first slot on every mount.
+        self._ino_floor = ROOT_INO
+        self._blk_floor = superblock.data_start
 
     # -- construction -------------------------------------------------------
 
@@ -126,26 +155,35 @@ class Ufs:
     def _scan_max_generation(self) -> int:
         # Freed slots keep their generation, so scanning every slot (not
         # just allocated ones) yields the true high-water mark.
-        return max(
-            self._get_inode_raw(ino).generation for ino in range(1, self.sb.num_inodes + 1)
-        )
+        return max(peek_slot_generation(block, offset) for _, block, offset in self._inode_slots())
 
     # -- inode table ----------------------------------------------------------
+
+    def _inode_slots(self, start: int = 1) -> Iterator[tuple[int, bytes, int]]:
+        """Walk the inode table from slot ``start``: ``(ino, table block,
+        offset of the slot in it)``, one ``cache.read`` per table block.
+        Callers peek at the raw slot; no :class:`Inode` is built and
+        ``_icache`` is not touched."""
+        sb = self.sb
+        ino = start
+        while ino <= sb.num_inodes:
+            block, offset = sb.inode_location(ino)
+            data = self.cache.read(block)
+            while offset + sb.inode_size <= sb.block_size and ino <= sb.num_inodes:
+                yield ino, data, offset
+                ino += 1
+                offset += sb.inode_size
 
     def _get_inode_raw(self, ino: int) -> Inode:
         if self.cache.capacity:
             entry = self._icache.get(ino)
             if entry is not None and entry[0] == self.cache.epoch:
-                master = entry[1]
-                return replace(master, direct=list(master.direct))
+                return entry[1].clone()
         block, offset = self.sb.inode_location(ino)
         data = self.cache.read(block)
         inode = Inode.unpack(ino, data[offset : offset + INODE_SIZE])
         if self.cache.capacity:
-            self._icache[ino] = (
-                self.cache.epoch,
-                replace(inode, direct=list(inode.direct)),
-            )
+            self._icache[ino] = (self.cache.epoch, inode.clone())
         return inode
 
     def get_inode(self, ino: int) -> Inode:
@@ -168,36 +206,36 @@ class Ufs:
             self._icache.pop(inode.ino, None)
             raise
         if self.cache.capacity:
-            self._icache[inode.ino] = (
-                self.cache.epoch,
-                replace(inode, direct=list(inode.direct)),
-            )
+            self._icache[inode.ino] = (self.cache.epoch, inode.clone())
 
     def _alloc_inode(self, ftype: FileType, perm: int = 0o644, uid: int = 0) -> Inode:
-        for ino in range(ROOT_INO, self.sb.num_inodes + 1):
-            inode = self._get_inode_raw(ino)
-            if inode.is_free:
-                now = self.clock.now()
-                fresh = Inode(
-                    ino=ino,
-                    ftype=ftype,
-                    perm=perm,
-                    uid=uid,
-                    nlink=0,
-                    size=0,
-                    atime=now,
-                    mtime=now,
-                    ctime=now,
-                    generation=self._next_generation,
-                )
-                self._next_generation += 1
-                self._put_inode(fresh)
-                return fresh
-        raise NoSpace("out of inodes")
+        for ino, block, offset in self._inode_slots(self._ino_floor):
+            if slot_is_free(block, offset):
+                break
+        else:
+            raise NoSpace("out of inodes")
+        now = self.clock.now()
+        fresh = Inode(
+            ino=ino,
+            ftype=ftype,
+            perm=perm,
+            uid=uid,
+            nlink=0,
+            size=0,
+            atime=now,
+            mtime=now,
+            ctime=now,
+            generation=self._next_generation,
+        )
+        self._next_generation += 1
+        self._put_inode(fresh)
+        self._ino_floor = ino + 1
+        return fresh
 
     def _free_inode(self, inode: Inode) -> None:
         self._truncate_blocks(inode, 0)
         self.namecache.purge_ino(inode.ino)
+        self._ino_floor = min(self._ino_floor, inode.ino)
         # Keep the generation in the freed slot (as 4.2BSD does) so a
         # re-allocation of this ino gets a strictly larger generation and
         # stale NFS file handles can be detected after remount.
@@ -205,18 +243,43 @@ class Ufs:
 
     # -- free-block bitmap ------------------------------------------------------
 
+    def _bitmap_scan(self, start: int, used: bool) -> Iterator[int]:
+        """Data blocks from ``start`` up whose bitmap bit is set (``used``)
+        or clear, ascending.  Each bitmap block is read once and searched
+        as one integer, so the cost is per block passed and per block
+        yielded, not per bit."""
+        sb = self.sb
+        bits_per_block = sb.block_size * 8
+        index = start - sb.data_start
+        total = sb.num_blocks - sb.data_start
+        while index < total:
+            bm_index, first_bit = divmod(index, bits_per_block)
+            block_start = index - first_bit  # the data block bit 0 stands for
+            word = int.from_bytes(self.cache.read(sb.bitmap_start + bm_index), "little")
+            if not used:
+                word = ~word
+            # keep bits [first_bit, end of the device) of this bitmap block
+            word &= (1 << min(bits_per_block, total - block_start)) - 1
+            word >>= first_bit
+            while word:
+                lowest = word & -word
+                yield sb.data_start + index + lowest.bit_length() - 1
+                word ^= lowest
+            index = block_start + bits_per_block
+
     def _alloc_block(self) -> int:
-        for blk in range(self.sb.data_start, self.sb.num_blocks):
-            bm_block, byte_off, bit = self.sb.bitmap_location(blk)
-            data = self.cache.read(bm_block)
-            if not (data[byte_off] >> bit) & 1:
-                buf = bytearray(data)
-                buf[byte_off] |= 1 << bit
-                self.cache.write(bm_block, bytes(buf))
-                return blk
-        raise NoSpace("out of data blocks")
+        blk = next(self._bitmap_scan(self._blk_floor, used=False), None)
+        if blk is None:
+            raise NoSpace("out of data blocks")
+        bm_block, byte_off, bit = self.sb.bitmap_location(blk)
+        buf = bytearray(self.cache.read(bm_block))
+        buf[byte_off] |= 1 << bit
+        self.cache.write(bm_block, bytes(buf))
+        self._blk_floor = blk + 1
+        return blk
 
     def _free_block(self, blk: int) -> None:
+        self._blk_floor = min(self._blk_floor, blk)
         bm_block, byte_off, bit = self.sb.bitmap_location(blk)
         buf = bytearray(self.cache.read(bm_block))
         buf[byte_off] &= ~(1 << bit)
@@ -236,15 +299,12 @@ class Ufs:
         if inode.indirect == 0:
             return [0] * self.sb.pointers_per_block
         data = self.cache.read(inode.indirect)
-        ptrs = []
-        for i in range(self.sb.pointers_per_block):
-            ptrs.append(int.from_bytes(data[i * 4 : i * 4 + 4], "little"))
-        return ptrs
+        return list(struct.unpack_from(f"<{self.sb.pointers_per_block}I", data))
 
     def _write_indirect(self, inode: Inode, ptrs: list[int]) -> None:
         if inode.indirect == 0:
             inode.indirect = self._alloc_block()
-        raw = b"".join(p.to_bytes(4, "little") for p in ptrs)
+        raw = struct.pack(f"<{len(ptrs)}I", *ptrs)
         self.cache.write(inode.indirect, raw.ljust(self.sb.block_size, b"\x00"))
 
     def _bmap(self, inode: Inode, file_block: int, allocate: bool) -> int:
@@ -329,6 +389,9 @@ class Ufs:
     def _write_inode_data(self, inode: Inode, offset: int, data: bytes) -> None:
         if offset < 0:
             raise InvalidArgument("negative offset")
+        # the write may half-land: a decoded directory is untrusted until
+        # _write_dir_entries has seen its inode write go through
+        self._dcache.pop(inode.ino, None)
         bs = self.sb.block_size
         pos = offset
         remaining = memoryview(bytes(data))
@@ -364,6 +427,7 @@ class Ufs:
         self._put_inode(inode)
 
     def _truncate_blocks(self, inode: Inode, size: int) -> None:
+        self._dcache.pop(inode.ino, None)
         bs = self.sb.block_size
         keep = (size + bs - 1) // bs
         ptrs = self._read_indirect(inode) if inode.indirect else None
@@ -395,6 +459,12 @@ class Ufs:
     def _read_dir_entries(self, inode: Inode) -> dict[str, int]:
         if not inode.is_dir:
             raise NotADirectory(f"inode {inode.ino} is not a directory")
+        if self.cache.capacity:
+            cached = self._dcache.get(inode.ino)
+            if cached is not None and cached[0] == self.cache.epoch:
+                # as reading the data would: callers persist this inode
+                inode.atime = self.clock.now()
+                return dict(cached[1])
         raw = self._read_inode_data(inode)
         entries: dict[str, int] = {}
         if raw:
@@ -402,6 +472,8 @@ class Ufs:
                 if line:
                     name, ino = _decode_dirent(line)
                     entries[name] = ino
+        if self.cache.capacity:
+            self._dcache[inode.ino] = (self.cache.epoch, dict(entries))
         return entries
 
     def _write_dir_entries(self, inode: Inode, entries: dict[str, int]) -> None:
@@ -414,7 +486,8 @@ class Ufs:
         shadow-commit rename relies on ("the shadow atomically replaces
         the original by changing a low-level directory reference").
         """
-        text = "\n".join(_encode_dirent(name, ino) for name, ino in sorted(entries.items()))
+        ordered = sorted(entries.items())
+        text = "\n".join(_encode_dirent(name, ino) for name, ino in ordered)
         data = text.encode("utf-8")
         bs = self.sb.block_size
         new_size = max(bs, ((len(data) + bs - 1) // bs) * bs)
@@ -430,6 +503,8 @@ class Ufs:
         inode.mtime = now
         inode.ctime = now
         self._put_inode(inode)
+        if self.cache.capacity:
+            self._dcache[inode.ino] = (self.cache.epoch, dict(ordered))
 
     def readdir(self, dir_ino: int) -> dict[str, int]:
         """Return all entries of a directory, including ``.`` and ``..``."""
@@ -671,15 +746,8 @@ class Ufs:
             self.write_file(ino, 0, data)
 
     def free_inode_count(self) -> int:
-        return sum(
-            1
-            for ino in range(ROOT_INO, self.sb.num_inodes + 1)
-            if self._get_inode_raw(ino).is_free
-        )
+        return sum(slot_is_free(block, offset) for _, block, offset in self._inode_slots(ROOT_INO))
 
     def free_block_count(self) -> int:
-        return sum(
-            1
-            for blk in range(self.sb.data_start, self.sb.num_blocks)
-            if not self.block_allocated(blk)
-        )
+        used = sum(1 for _ in self._bitmap_scan(self.sb.data_start, used=True))
+        return self.sb.num_blocks - self.sb.data_start - used

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.ufs.filesystem import Ufs
+from repro.ufs.inode import slot_is_free
 from repro.ufs.layout import NDIRECT, ROOT_INO
 
 
@@ -37,11 +38,10 @@ def fsck(fs: Ufs) -> FsckReport:
     subdir_counts: dict[int, int] = {}  # dir ino -> number of child dirs
 
     live = {}
-    for ino in range(1, fs.sb.num_inodes + 1):
-        inode = fs._get_inode_raw(ino)
-        if inode.is_free:
+    for ino, block, offset in fs._inode_slots():
+        if slot_is_free(block, offset):
             continue
-        live[ino] = inode
+        live[ino] = fs._get_inode_raw(ino)
         report.inodes_checked += 1
 
     # pass 1: block references and sizes
@@ -71,8 +71,8 @@ def fsck(fs: Ufs) -> FsckReport:
     report.blocks_referenced = len(seen_blocks)
 
     # pass 2: bitmap has no blocks marked used that nobody references
-    for blk in range(fs.sb.data_start, fs.sb.num_blocks):
-        if fs.block_allocated(blk) and blk not in seen_blocks:
+    for blk in fs._bitmap_scan(fs.sb.data_start, used=True):
+        if blk not in seen_blocks:
             report.complain(f"block {blk} marked used in bitmap but unreferenced")
 
     # pass 3: directory structure and link counts

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.ufs.layout import NDIRECT, pack_inode_slot, unpack_inode_slot
+from repro.ufs.layout import NDIRECT, pack_inode_slot, peek_slot_mode, unpack_inode_slot
 
 
 class FileType(enum.IntEnum):
@@ -19,6 +19,12 @@ class FileType(enum.IntEnum):
 
 _TYPE_SHIFT = 12
 _PERM_MASK = 0o7777
+
+
+def slot_is_free(block: bytes, offset: int) -> bool:
+    """Whether the inode slot at ``offset`` of a raw table block is free,
+    decided from its mode word alone (no :class:`Inode` is built)."""
+    return peek_slot_mode(block, offset) >> _TYPE_SHIFT == FileType.NONE
 
 
 @dataclass
@@ -53,6 +59,23 @@ class Inode:
     @property
     def is_free(self) -> bool:
         return self.ftype == FileType.NONE
+
+    def clone(self) -> "Inode":
+        """An independent copy (its own ``direct`` list)."""
+        return Inode(
+            self.ino,
+            self.ftype,
+            self.perm,
+            self.nlink,
+            self.uid,
+            self.size,
+            self.atime,
+            self.mtime,
+            self.ctime,
+            self.direct[:],
+            self.indirect,
+            self.generation,
+        )
 
     def pack(self) -> bytes:
         fields = (

@@ -41,6 +41,10 @@ FIRST_FREE_INO = 3
 _INODE_FMT = f"<HHIQddd{NDIRECT}III"
 _INODE_STRUCT = struct.Struct(_INODE_FMT)
 assert _INODE_STRUCT.size <= INODE_SIZE
+#: the two words a table walk reads without unpacking the whole slot
+_MODE_STRUCT = struct.Struct("<H")
+_GENERATION_STRUCT = struct.Struct("<I")
+_GENERATION_OFFSET = _INODE_STRUCT.size - _GENERATION_STRUCT.size
 
 _SUPERBLOCK_MAGIC = b"UFSREPRO"
 _SUPERBLOCK_FMT = "<8sIIIIIII"
@@ -155,3 +159,13 @@ def pack_inode_slot(fields: tuple) -> bytes:
 def unpack_inode_slot(data: bytes) -> tuple:
     """Unpack a 128-byte inode slot into its field tuple."""
     return _INODE_STRUCT.unpack_from(data)
+
+
+def peek_slot_mode(block: bytes, offset: int) -> int:
+    """The mode word of the inode slot at ``offset`` of a table block."""
+    return _MODE_STRUCT.unpack_from(block, offset)[0]
+
+
+def peek_slot_generation(block: bytes, offset: int) -> int:
+    """The generation word of the inode slot at ``offset`` of a table block."""
+    return _GENERATION_STRUCT.unpack_from(block, offset + _GENERATION_OFFSET)[0]

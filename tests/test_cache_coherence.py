@@ -1,8 +1,8 @@
 """Differential test: the decoded-object caches never change an answer.
 
 The replica store's decoded directory/aux/vnode caches and the UFS
-decoded-inode cache are stamped with the buffer-cache epoch and switch
-off with it (capacity 0).  That uncached configuration decodes from disk
+decoded-inode and decoded-directory caches are stamped with the
+buffer-cache epoch and switch off with it (capacity 0).  That uncached configuration decodes from disk
 blocks on every operation, so it is the reference implementation: one
 scripted history must produce the same per-op results and the same
 replicated state on a default cluster and on an uncached one.
@@ -10,6 +10,8 @@ replicated state on a default cluster and on an uncached one.
 
 from repro.errors import FicusError
 from repro.sim import DaemonConfig, FicusSystem, HostConfig
+from repro.storage import BlockDevice
+from repro.ufs import ROOT_INO, Ufs
 from repro.workload.verify import state_fingerprint
 
 QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
@@ -96,8 +98,56 @@ def test_uncached_reference_and_cached_cluster_agree():
     # the comparison is only worth something if each side is what it claims
     for host in reference.hosts.values():
         assert host.ufs.cache.stats.hits == 0 and host.ufs.namecache.stats.hits == 0
+        assert not host.ufs._icache and not host.ufs._dcache
     for host in cached.hosts.values():
         assert host.ufs.cache.stats.hits > 0 and host.ufs.namecache.stats.hits > 0
+        assert host.ufs._icache and host.ufs._dcache
 
     assert cached_results == reference_results
     assert state_fingerprint(cached) == state_fingerprint(reference)
+
+    # every decoded directory a host still holds is what a cold mount of
+    # the same device parses, entry order included
+    for host in cached.hosts.values():
+        cold = Ufs.mount(host.ufs.device)
+        for ino, (epoch, entries) in host.ufs._dcache.items():
+            if epoch == host.ufs.cache.epoch:
+                assert list(entries.items()) == list(cold.readdir(ino).items())
+
+
+def test_decoded_directory_follows_every_rewrite():
+    """One scripted namespace history on a cached ``Ufs`` and on the
+    capacity-0 reference: equal listings after every step, the cached side
+    answering from the copy ``_write_dir_entries`` refreshed (no buffer
+    cache lookup at all), the reference never holding one."""
+    cached = Ufs.mkfs(BlockDevice(256), num_inodes=64)
+    reference = Ufs.mkfs(BlockDevice(256), num_inodes=64, cache_blocks=0, name_cache_size=0)
+    script = [
+        ("mkdir", ROOT_INO, "d"),
+        ("create", 3, "b"),
+        ("create", 3, "a"),  # sorts before "b" on disk: order is the disk's
+        ("create", 3, "name with spaces"),
+        ("rename", 3, "b", 3, "c"),
+        ("link", 4, ROOT_INO, "hard"),
+        ("rename", 3, "a", ROOT_INO, "moved"),
+        ("unlink", 3, "c"),
+        ("mkdir", 3, "sub"),
+        ("rmdir", 3, "sub"),
+    ]
+    for method, *args in script:
+        for fs in (cached, reference):
+            getattr(fs, method)(*args)
+        for directory in (ROOT_INO, 3):
+            before = cached.cache.stats.lookups
+            listing = cached.readdir(directory)
+            assert cached.cache.stats.lookups == before, f"{method}{args}: re-read from blocks"
+            assert list(listing.items()) == list(reference.readdir(directory).items())
+            listing["scribble"] = 0  # callers own what they are handed
+            assert "scribble" not in cached.readdir(directory)
+    assert not reference._dcache and not reference._icache
+
+    # a cold buffer cache takes the decoded copy with it
+    cached.cache.invalidate_all()
+    before = cached.cache.stats.misses
+    cached.readdir(3)
+    assert cached.cache.stats.misses > before

@@ -242,7 +242,7 @@ class FicusFileSystem:
     def open(self, path: str, mode: str = "r") -> FicusFile:
         """Open a file; modes ``r``, ``w``, ``a``, ``r+`` as usual.
 
-        ``w``/``a`` create the file if missing.  The open/close pair
+        ``w``/``a``/``r+`` create the file if missing.  The open/close pair
         delimits one update session (one version-vector bump however many
         writes happen inside).
         """
@@ -308,16 +308,28 @@ class FicusFileSystem:
         return CheckedRead(data=data, divergence_suspected=suspected)
 
     def write_file(self, path: str, data: bytes) -> None:
+        """Replace a file's whole contents, creating it when absent.
+
+        Writes over the old bytes and then trims to the new length, rather
+        than truncating first: the blocks about to be filled are not freed
+        and taken back, and the trim costs nothing when the length is
+        unchanged.  A failure between the two steps leaves new bytes over
+        an old tail (``open(path, "w")`` leaves a truncated file).
+        """
         # the whole open -> write -> close(update notify) session becomes
         # one trace tree rooted here
         tracer = self._tracer
         if not tracer.enabled:
-            with self.open(path, "w") as f:
-                f.write(data)
+            self._replace_contents(path, data)
             return
         with tracer.span("fs.write_file", layer="fs", host=self.logical.host_addr, path=path):
-            with self.open(path, "w") as f:
-                f.write(data)
+            self._replace_contents(path, data)
+
+    def _replace_contents(self, path: str, data: bytes) -> None:
+        # "r+" opens without truncating and, like "w", creates when absent
+        with self.open(path, "r+") as f:
+            f.write(data)
+            f.truncate(len(data))
 
     def append_file(self, path: str, data: bytes) -> None:
         tracer = self._tracer

@@ -26,6 +26,18 @@ locality.  A file with several names is hard-linked (contents and aux)
 into each naming directory's UFS directory.  Ficus *directories* are keyed
 flat in ``nodes/`` so that the directory DAG (multiple names for one
 directory, a consequence of concurrent renames) needs no extra mechanism.
+
+What an update writes.  ``.meta``, ``.faux`` and ``<filefh-hex>.aux`` each
+hold one record of a few hundred bytes and are replaced whole through
+:meth:`ReplicaStore._replace_record`, the only "replace" idiom here: a
+record of the length already on disk is overwritten in place (one data
+block, one inode write, old-or-new under a crash), any other length is
+``truncate(0)`` + ``write``.  ``.fdir`` holds many records, changes length
+on every rewrite and still goes through ``truncate(0)`` + ``write`` in
+:meth:`ReplicaStore.write_entries`.  The device-write sequence of each
+operation, and what a crash between each pair of writes leaves, is
+ARCHITECTURE.md's "What one update writes, in order", held by
+``tests/test_write_order.py``.
 """
 
 from __future__ import annotations
@@ -164,6 +176,25 @@ class ReplicaStore:
         if self._metrics is not None:
             self._metrics.counter(name).inc(amount)
 
+    def _replace_record(self, vnode: Vnode, data: bytes) -> None:
+        """Replace the whole contents of a one-record file (``.meta``, a
+        directory's ``.faux``, a file's ``.aux``).
+
+        A record of the length already stored is overwritten in place:
+        no block changes hands, and while the record fits one block of
+        the storage below (every record the tests and workloads write
+        does) that one block write carries all of it, so a crash leaves
+        exactly the old record or exactly the new one.  Any other length
+        is ``truncate(0)`` + ``write``, whose crash points can also leave
+        the record empty.  Callers drop their decoded copy if this raises.
+        """
+        if vnode.getattr().size == len(data):
+            self._count("store.records_in_place")
+        else:
+            self._count("store.records_resized")
+            vnode.truncate(0)
+        vnode.write(0, data)
+
     # -- construction -------------------------------------------------------
 
     @classmethod
@@ -234,10 +265,7 @@ class ReplicaStore:
         return decode_record(self._meta_vnode().read_all().decode("utf-8"))
 
     def _write_meta(self, rec: dict[str, str]) -> None:
-        meta = self._meta_vnode()
-        data = encode_record(rec).encode("utf-8")
-        meta.truncate(0)
-        meta.write(0, data)
+        self._replace_record(self._meta_vnode(), encode_record(rec).encode("utf-8"))
 
     def new_file_id(self) -> FileId:
         """Mint a file-id: ⟨this replica's id, next unique⟩ (Section 4.2)."""
@@ -378,11 +406,9 @@ class ReplicaStore:
 
     def _write_dir_aux_raw(self, fh: FicusFileHandle, aux: AuxAttributes) -> None:
         faux = self._unix_child(fh, FAUX_NAME)
-        data = aux.to_bytes()
         key = self._dir_key(fh)
         try:
-            faux.truncate(0)
-            faux.write(0, data)
+            self._replace_record(faux, aux.to_bytes())
         except BaseException:
             self._dir_aux_cache.pop(key, None)
             raise
@@ -436,11 +462,9 @@ class ReplicaStore:
     ) -> None:
         vnode = self.aux_vnode(parent, fh)
         old = self.read_file_aux(parent, fh)
-        data = aux.to_bytes()
         key = self._file_key(fh)
         try:
-            vnode.truncate(0)
-            vnode.write(0, data)
+            self._replace_record(vnode, aux.to_bytes())
         except BaseException:
             self._file_aux_cache.pop(key, None)
             raise

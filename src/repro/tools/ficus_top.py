@@ -79,11 +79,27 @@ def render_health_table(healths: list[HostHealth]) -> str:
     return _table([_row(h) for h in healths])
 
 
+def render_record_replaces(metrics) -> str:
+    """How the replica stores replaced their one-record files: in place
+    (the length held; two device writes) against resized (five).  Empty
+    when the registry is not recording or no store has replaced one."""
+    in_place, resized = (
+        getattr(metrics.get(f"store.records_{arm}"), "value", 0) for arm in ("in_place", "resized")
+    )
+    if not in_place + resized:
+        return ""
+    return (
+        f"record replaces: {in_place} in place, {resized} resized "
+        f"({in_place / (in_place + resized):.0%} in place)"
+    )
+
+
 def render_system(system) -> str:
     """The live cluster health table of a :class:`~repro.sim.FicusSystem`."""
     healths = [system.host(name).health() for name in sorted(system.hosts)]
     header = f"ficus_top @ t={system.clock.now():.1f}s, {len(healths)} hosts"
-    return header + "\n" + render_health_table(healths)
+    lines = [header, render_health_table(healths), render_record_replaces(system.telemetry.metrics)]
+    return "\n".join(line for line in lines if line)
 
 
 def render_dump(path: str, ops_shown: int = DEFAULT_OPS_SHOWN) -> str:
@@ -213,8 +229,9 @@ def render_timeline(paths: list[str], ops_shown: int = 0) -> str:
 def _demo_system():
     """A tiny partitioned cluster whose health table is worth looking at."""
     from repro.sim import FicusSystem
+    from repro.telemetry import Telemetry
 
-    system = FicusSystem(["alpha", "beta", "gamma"])
+    system = FicusSystem(["alpha", "beta", "gamma"], telemetry=Telemetry())
     fs = system.host("alpha").fs()
     fs.mkdir("/project")
     fs.write_file("/project/notes", b"first draft")

@@ -14,6 +14,13 @@ one block at a time; decoded inodes and decoded directories are handed
 out as copies of an epoch-stamped master.  None of it changes what
 reaches the device: every allocation is still the lowest free slot, so
 the write sequence is the one a scan from the first slot would produce.
+
+Two writes are never issued because they change nothing on the device:
+``truncate_file`` to the size a file already has returns before touching
+anything, and ``_put_inode`` skips the table-block write when the packed
+slot equals the bytes the block already holds (the buffer cache is
+write-through, so those bytes are durable).  Every other step of a
+``write``/``truncate`` still writes through in call order.
 """
 
 from __future__ import annotations
@@ -195,16 +202,21 @@ class Ufs:
 
     def _put_inode(self, inode: Inode) -> None:
         block, offset = self.sb.inode_location(inode.ino)
-        data = bytearray(self.cache.read(block))
+        data = self.cache.read(block)
         packed = inode.pack()
-        data[offset : offset + len(packed)] = packed
-        try:
-            self.cache.write(block, bytes(data))
-        except BaseException:
-            # The block write may not have landed (fault injection): the
-            # decoded copy can no longer be trusted to match the device.
-            self._icache.pop(inode.ino, None)
-            raise
+        # The cache is write-through, so a slot that already holds these
+        # bytes is already durable: writing the block again changes
+        # nothing a crash could observe.  (The virtual clock stands still
+        # inside one operation, so its second write of an inode is
+        # usually this one.)
+        if data[offset : offset + len(packed)] != packed:
+            try:
+                self.cache.write(block, data[:offset] + packed + data[offset + len(packed) :])
+            except BaseException:
+                # The block write may not have landed (fault injection): the
+                # decoded copy can no longer be trusted to match the device.
+                self._icache.pop(inode.ino, None)
+                raise
         if self.cache.capacity:
             self._icache[inode.ino] = (self.cache.epoch, inode.clone())
 
@@ -417,8 +429,14 @@ class Ufs:
         inode.ctime = now
 
     def truncate_file(self, ino: int, size: int) -> None:
-        """Shrink or zero-extend a file to ``size`` bytes."""
+        """Shrink or zero-extend a file to ``size`` bytes.
+
+        A file already that long is left untouched, times included (POSIX
+        marks them only "if the file size is changed").
+        """
         inode = self.get_inode(ino)
+        if inode.size == size:
+            return
         self._truncate_blocks(inode, size)
         inode.size = size
         now = self.clock.now()
@@ -738,12 +756,6 @@ class Ufs:
         return ino
 
     # -- convenience for higher layers ----------------------------------------
-
-    def write_file_atomic_contents(self, ino: int, data: bytes) -> None:
-        """Replace the entire contents of a file (truncate + write)."""
-        self.truncate_file(ino, 0)
-        if data:
-            self.write_file(ino, 0, data)
 
     def free_inode_count(self) -> int:
         return sum(slot_is_free(block, offset) for _, block, offset in self._inode_slots(ROOT_INO))

@@ -151,3 +151,24 @@ def test_decoded_directory_follows_every_rewrite():
     before = cached.cache.stats.misses
     cached.readdir(3)
     assert cached.cache.stats.misses > before
+
+
+def test_skipped_inode_write_still_refreshes_the_decoded_inode():
+    """``_put_inode`` writes nothing when the slot already holds the packed
+    bytes, but the decoded copy it keeps must still become current: here
+    the one held went stale with the buffer cache between get and put."""
+    fs = Ufs.mkfs(BlockDevice(256), num_inodes=64)
+    ino = fs.create(ROOT_INO, "f")
+    inode = fs.get_inode(ino)
+    fs.cache.invalidate_all()
+    writes = fs.device.counters.writes
+    fs._put_inode(inode)
+    assert fs.device.counters.writes == writes  # byte-identical: skipped
+    assert fs._icache[ino] == (fs.cache.epoch, inode)
+    lookups = fs.cache.stats.lookups
+    assert fs.get_inode(ino) == inode
+    assert fs.cache.stats.lookups == lookups, "re-read from the table block"
+
+    reference = Ufs.mkfs(BlockDevice(256), num_inodes=64, cache_blocks=0, name_cache_size=0)
+    reference._put_inode(reference.get_inode(reference.create(ROOT_INO, "f")))
+    assert not reference._icache

@@ -47,7 +47,8 @@ class UfsModel(RuleBasedStateMachine):
             except FicusError:
                 return
         ino = self.fs.path_lookup("/" + name)
-        self.fs.write_file_atomic_contents(ino, data)
+        self.fs.truncate_file(ino, 0)
+        self.fs.write_file(ino, 0, data)
         self.model[name] = data
 
     @rule(name=names)
@@ -88,7 +89,8 @@ class UfsModel(RuleBasedStateMachine):
             except FicusError:
                 return
         ino = self.fs.path_lookup("/" + path)
-        self.fs.write_file_atomic_contents(ino, data)
+        self.fs.truncate_file(ino, 0)
+        self.fs.write_file(ino, 0, data)
         self.model[path] = data
 
     @rule(src=names, dst=names)

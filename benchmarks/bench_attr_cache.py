@@ -11,6 +11,11 @@ it per (replica, directory):
 * warm path: ZERO RPCs — selection is answered from the cache;
 * local updates write through, notifications invalidate remotely.
 
+The same cache entry holds the replica's decoded name view (for as long as
+the batch) and the handles resolved through it (for as long as the
+directory handle), so a warm operation from a diskless client sends only
+what the protocol needs; ``WARM_OP_BUDGETS`` gates those counts exactly.
+
 ``attr_cache_snapshot()`` produces the BENCH_attr_cache.json payload
 (measured RPC counts plus the net.* counters) that report_all.py writes.
 """
@@ -42,6 +47,70 @@ def _selection_rpcs(system: FicusSystem, host: str) -> int:
     return system.network.stats.rpcs_sent - before
 
 
+#: RPCs one facade call may send from a diskless client over three
+#: replicas, everything warm: a read is ``session_open`` + ``read`` +
+#: ``session_close``; a stat (inside the NFS attribute TTL) and a listdir
+#: send nothing; a missing name costs the one directory re-read that
+#: verifies it.  ``after_write.*`` is the first such call in a directory
+#: after the client's own ``write_file`` there dropped its batches: three
+#: batched fetches and one directory read on top.
+WARM_OP_BUDGETS = {
+    "read_file": 3,
+    "stat": 0,
+    "listdir": 0,
+    "exists_missing": 1,
+    "after_write.read_file": 7,
+    "after_write.stat": 4,
+    "after_write.listdir": 4,
+    "after_write.exists_missing": 4,
+}
+
+
+def warm_op_rpcs() -> dict[str, int]:
+    """RPCs per facade call, diskless client ``cl`` over replicas a, b, c."""
+    system = FicusSystem(HOSTS + ["cl"], root_volume_hosts=HOSTS, daemon_config=QUIET)
+    fs = system.host("a").fs()
+    fs.mkdir("/d")
+    for i in range(NUM_FILES):
+        fs.write_file(f"/d/f{i}", b"payload-%d" % i)
+    system.reconcile_everything()
+    client = system.host("cl").fs()
+    ops = {
+        "read_file": lambda: client.read_file("/d/f1"),
+        "stat": lambda: client.stat("/d/f1"),
+        "listdir": lambda: client.listdir("/d"),
+        "exists_missing": lambda: client.exists("/d/nope"),
+    }
+    for op in ops.values():
+        op()  # resolve and fetch everything once
+    out = {}
+    for prefix, own_write_first in (("", False), ("after_write.", True)):
+        for name, op in ops.items():
+            if own_write_first:
+                client.write_file("/d/f2", b"rewritten")
+            before = system.network.stats.rpcs_sent
+            op()
+            out[prefix + name] = system.network.stats.rpcs_sent - before
+    return out
+
+
+def check_bounds(snapshot: dict) -> list[str]:
+    """The CI gate: returns a list of violated bounds (empty = pass)."""
+    violations = []
+    if snapshot["cold"]["rpcs_per_remote_replica"] > 1:
+        violations.append(
+            f"cold selection: {snapshot['cold']['rpcs']} RPCs (bound: 1 per remote replica)"
+        )
+    if snapshot["warm"]["rpcs"] != 0:
+        violations.append(f"warm selection: {snapshot['warm']['rpcs']} RPCs (bound: 0)")
+    for name, budget in WARM_OP_BUDGETS.items():
+        if snapshot["warm_op_rpcs"][name] != budget:
+            violations.append(
+                f"warm {name}: {snapshot['warm_op_rpcs'][name]} RPCs (budget: exactly {budget})"
+            )
+    return violations
+
+
 def attr_cache_snapshot() -> dict:
     """The BENCH_attr_cache.json payload."""
     system = build_world(telemetry=Telemetry())
@@ -71,6 +140,7 @@ def attr_cache_snapshot() -> dict:
             "bound": "<= 1 batched RPC per remote replica",
         },
         "warm": {"rpcs": warm_rpcs, "bound": "0 RPCs"},
+        "warm_op_rpcs": warm_op_rpcs(),
         "fully_cold_rpcs": fully_cold_rpcs,  # + one handle resolution each
         "unbatched_equivalent_rpcs": unbatched_rpcs,
         "cache": logical.attr_cache.stats.as_dict(),
@@ -104,6 +174,9 @@ class TestShape:
         system.host("b").fs().write_file("/f0", b"new version")  # notifies c
         rpcs = _selection_rpcs(system, "c")
         assert 1 <= rpcs <= len(HOSTS) - 1
+
+    def test_warm_ops_send_exactly_their_budget(self):
+        assert warm_op_rpcs() == WARM_OP_BUDGETS
 
 
 def test_bench_warm_selection(benchmark):

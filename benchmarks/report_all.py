@@ -218,7 +218,8 @@ def e15_summary(snap: dict) -> str:
         f"attribute plane: cold selection {snap['cold']['rpcs']} RPCs "
         f"({snap['cold']['rpcs_per_remote_replica']:.1f}/remote replica, "
         f"un-batched would be {snap['unbatched_equivalent_rpcs']}), "
-        f"warm {snap['warm']['rpcs']} RPCs"
+        f"warm {snap['warm']['rpcs']} RPCs; diskless warm ops "
+        + ", ".join(f"{op} {n}" for op, n in snap["warm_op_rpcs"].items())
     )
 
 
@@ -296,7 +297,7 @@ EXPORTS = (
     ("E14", "BENCH_telemetry.json", e14_summary,
      telemetry_with_overhead, {}, None),
     ("E15", "BENCH_attr_cache.json", e15_summary,
-     bench_attr_cache.attr_cache_snapshot, {}, None),
+     bench_attr_cache.attr_cache_snapshot, {}, bench_attr_cache.check_bounds),
     ("E16", "BENCH_delta_sync.json", e16_summary,
      bench_delta_sync.delta_sync_snapshot, {}, bench_delta_sync.check_bounds),
     ("E17", "BENCH_health.json", e17_summary,

@@ -8,6 +8,9 @@ operation.  This cache remembers, per directory replica, the last
 :class:`~repro.physical.wire.AttrBatch` fetched from it — the directory's
 own auxiliary attributes plus those of every stored child — together with
 the resolved directory vnode, so a warm selection needs no RPCs at all.
+Two more things ride each entry: the replica's decoded name -> entry view,
+valid exactly as long as the batch beside it, and the file vnodes resolved
+through the directory vnode, valid exactly as long as it is.
 
 Coherence is notification-driven, matching the paper's update model:
 
@@ -27,9 +30,9 @@ a stale NFS handle announces itself with ESTALE on use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from repro.physical.wire import AttrBatch
+from repro.physical.wire import AttrBatch, DirectoryEntry
 from repro.util import FicusFileHandle, VirtualClock, VolumeId, VolumeReplicaId
 from repro.vnode.interface import Vnode
 
@@ -45,6 +48,15 @@ class CacheEntry:
     dir_vnode: Vnode
     batch: AttrBatch | None = None
     fetched_at: float = 0.0
+    #: the replica's ``effective_entries`` view, decoded once per batch: it
+    #: is only ever read beside a live ``batch`` and is dropped with it
+    names: dict[str, DirectoryEntry] | None = None
+    #: file vnodes resolved through ``dir_vnode``, by logical handle; like
+    #: it they survive attribute changes and die on ESTALE
+    children: dict[FicusFileHandle, Vnode] = field(default_factory=dict)
+
+    def drop_batch(self) -> None:
+        self.batch = self.names = None
 
 
 @dataclass
@@ -70,26 +82,27 @@ class CacheStats:
 class VersionVectorCache:
     """Maps (volume replica, directory handle) to its last attribute batch.
 
-    Keys always use the *logical* (replica-independent) directory handle;
-    the replica identity lives in the :class:`VolumeReplicaId` half of the
-    key, so one directory cached through three replicas occupies three
-    independent entries that age and invalidate separately.
+    Keyed by volume and *logical* (replica-independent) directory handle,
+    then by replica: one directory cached through three replicas occupies
+    three entries that age and invalidate separately, and a notification
+    naming the directory finds all of them without scanning the cache.
     """
 
     def __init__(self, clock: VirtualClock, ttl: float = DEFAULT_TTL):
         self.clock = clock
         self.ttl = ttl
         self.stats = CacheStats()
-        self._entries: dict[tuple[VolumeReplicaId, FicusFileHandle], CacheEntry] = {}
+        self._dirs: dict[
+            tuple[VolumeId, FicusFileHandle], dict[VolumeReplicaId, CacheEntry]
+        ] = {}
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(len(replicas) for replicas in self._dirs.values())
 
-    @staticmethod
-    def _key(
-        volrep: VolumeReplicaId, dir_fh: FicusFileHandle
-    ) -> tuple[VolumeReplicaId, FicusFileHandle]:
-        return (volrep, dir_fh.logical)
+    def _replicas(
+        self, volume: VolumeId, dir_fh: FicusFileHandle
+    ) -> dict[VolumeReplicaId, CacheEntry]:
+        return self._dirs.get((volume, dir_fh.logical)) or {}
 
     # -- reads --------------------------------------------------------------
 
@@ -100,12 +113,12 @@ class VersionVectorCache:
         (the resolved vnode is still good); a wholly absent entry is a
         miss.  Stats are bumped accordingly.
         """
-        entry = self._entries.get(self._key(volrep, dir_fh))
+        entry = self._replicas(volrep.volume, dir_fh).get(volrep)
         if entry is None:
             self.stats.misses += 1
             return None
         if entry.batch is not None and self.clock.now() - entry.fetched_at > self.ttl:
-            entry.batch = None
+            entry.drop_batch()
             self.stats.expirations += 1
         if entry.batch is None:
             self.stats.misses += 1
@@ -120,20 +133,29 @@ class VersionVectorCache:
         volrep: VolumeReplicaId,
         dir_fh: FicusFileHandle,
         dir_vnode: Vnode,
-        batch: AttrBatch | None,
-    ) -> None:
-        """Record a freshly fetched batch (and the vnode it came through)."""
-        self._entries[self._key(volrep, dir_fh)] = CacheEntry(
-            dir_vnode=dir_vnode,
-            batch=batch,
-            fetched_at=self.clock.now(),
-        )
+        batch: AttrBatch,
+    ) -> CacheEntry:
+        """Record a freshly fetched batch (and the vnode it came through).
+
+        The entry is updated in place, so an open session that pinned it
+        keeps sharing its handles; the name view belonged to the old batch
+        and goes, and child vnodes the new batch no longer lists are pruned.
+        """
+        replicas = self._dirs.setdefault((volrep.volume, dir_fh.logical), {})
+        entry = replicas.get(volrep)
+        if entry is None:
+            entry = replicas[volrep] = CacheEntry(dir_vnode)
+        entry.dir_vnode, entry.batch, entry.names = dir_vnode, batch, None
+        entry.fetched_at = self.clock.now()
+        for fh in entry.children.keys() - batch.children.keys():
+            del entry.children[fh]
+        return entry
 
     # -- invalidation ----------------------------------------------------------
 
     def invalidate(self, volrep: VolumeReplicaId, dir_fh: FicusFileHandle) -> None:
         """Forget everything cached for one directory replica."""
-        if self._entries.pop(self._key(volrep, dir_fh), None) is not None:
+        if self._replicas(volrep.volume, dir_fh).pop(volrep, None) is not None:
             self.stats.invalidations += 1
 
     def invalidate_dir(self, volume: VolumeId, dir_fh: FicusFileHandle) -> int:
@@ -144,15 +166,14 @@ class VersionVectorCache:
         dominated, so all of them must re-fetch.  The resolved vnodes are
         kept — handles stay valid across attribute changes.
         """
-        dir_fh = dir_fh.logical
         dropped = 0
-        for (volrep, fh), entry in self._entries.items():
-            if volrep.volume == volume and fh == dir_fh and entry.batch is not None:
-                entry.batch = None
+        for entry in self._replicas(volume, dir_fh).values():
+            if entry.batch is not None:
+                entry.drop_batch()
                 dropped += 1
         self.stats.invalidations += dropped
         return dropped
 
     def clear(self) -> None:
         """Forget everything (host restart, volume ungraft)."""
-        self._entries.clear()
+        self._dirs.clear()

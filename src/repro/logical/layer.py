@@ -32,12 +32,17 @@ from repro.errors import (
     InvalidArgument,
     StaleFileHandle,
 )
-from repro.logical.attr_cache import DEFAULT_TTL, VersionVectorCache
+from repro.logical.attr_cache import DEFAULT_TTL, CacheEntry, VersionVectorCache
 from repro.logical.fabric import Fabric
 from repro.logical.locks import LockManager
 from repro.net import Network
-from repro.physical import DirectoryEntry, decode_directory, volume_root_handle
-from repro.physical.wire import AttrBatch
+from repro.physical import (
+    DirectoryEntry,
+    decode_directory,
+    effective_entries,
+    volume_root_handle,
+)
+from repro.physical.wire import AttrBatch, op_byfh
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.util import FicusFileHandle, VolumeId, VolumeReplicaId
 from repro.vnode.interface import (
@@ -60,15 +65,25 @@ class ReplicaView:
     """One reachable replica of a directory (or of a file through it)."""
 
     location: ReplicaLocation
-    dir_vnode: Vnode
+    #: the replica's cache entry: the handles this view reaches it through
+    entry: CacheEntry
+
+    @property
+    def dir_vnode(self) -> Vnode:
+        return self.entry.dir_vnode
+
+    def child(self, fh: FicusFileHandle, ctx: OpContext = ROOT_CTX) -> Vnode:
+        """The file's vnode at this replica, resolved once per directory handle."""
+        child = None if ctx.no_cache else self.entry.children.get(fh)
+        if child is None:
+            child = self.entry.children[fh] = self.dir_vnode.lookup(op_byfh(fh), ctx)
+        return child
 
 
 @dataclass
-class FileReplicaView:
+class FileReplicaView(ReplicaView):
     """One reachable, stored replica of a regular file."""
 
-    location: ReplicaLocation
-    dir_vnode: Vnode
     vv: VersionVector
 
 
@@ -175,7 +190,7 @@ class FicusLogicalLayer(FileSystemLayer):
         if entry is not None and entry.batch is not None:
             if self.telemetry.enabled:
                 self.telemetry.metrics.counter("logical.attr_cache_hits").inc()
-            return ReplicaView(location, entry.dir_vnode), entry.batch
+            return ReplicaView(location, entry), entry.batch
         if self.telemetry.enabled:
             self.telemetry.metrics.counter("logical.attr_cache_misses").inc()
         dir_vnode = entry.dir_vnode if entry is not None else None
@@ -193,8 +208,8 @@ class FicusLogicalLayer(FileSystemLayer):
                 return None
         except (HostUnreachable, FileNotFound):
             return None
-        self.attr_cache.store(location.volrep, fh, dir_vnode, batch)
-        return ReplicaView(location, dir_vnode), batch
+        entry = self.attr_cache.store(location.volrep, fh, dir_vnode, batch)
+        return ReplicaView(location, entry), batch
 
     def _skip_degraded(self, location: ReplicaLocation) -> bool:
         probe = self.degraded_probe
@@ -257,29 +272,68 @@ class FicusLogicalLayer(FileSystemLayer):
             return view
         raise AllReplicasUnavailable(f"no reachable replica stores directory {fh}")
 
-    def read_entries(
-        self, volume: VolumeId, fh: FicusFileHandle, ctx: OpContext = ROOT_CTX
-    ) -> list[DirectoryEntry]:
-        """Directory entries, from the selected replica.
+    def dir_view(
+        self,
+        volume: VolumeId,
+        fh: FicusFileHandle,
+        ctx: OpContext = ROOT_CTX,
+        fresh: bool = False,
+        name: str | None = None,
+    ) -> dict[str, DirectoryEntry]:
+        """The live entries of a directory by name, from the selected replica.
 
         Under the default ``latest`` policy this is the directory replica
         with a maximal version vector among those reachable — "select the
         most recent copy available" applies to directories too, so a host
         whose own replica has not yet reconciled still sees names created
         elsewhere.  Under ``any``, the first reachable replica serves.
+
+        The decoded view is kept beside the batch selection just compared
+        and is served again while that batch lives.  Reconciliation installs
+        names without notifying, so a view that lacks ``name`` is read again
+        before the caller reports it missing; ``fresh`` always reads.
         """
-        best = self.select_dir_replica(volume, fh, ctx)
+
+        def read() -> dict[str, DirectoryEntry]:
+            entry = self.select_dir_replica(volume, fh, ctx).entry
+            view = None if fresh or ctx.no_cache else entry.names
+            if view is None or (name is not None and name not in view):
+                view = entry.names = effective_entries(
+                    decode_directory(read_whole(entry.dir_vnode, ctx=ctx))
+                )
+            return view
+
+        return self.retry_stale(volume, fh, read, ctx=ctx)
+
+    def retry_stale(
+        self,
+        volume: VolumeId,
+        parent_fh: FicusFileHandle,
+        operation,
+        fh: FicusFileHandle | None = None,
+        ctx: OpContext = ROOT_CTX,
+    ):
+        """Run a replica operation issued on held handles, retrying once on ESTALE.
+
+        A server reboot kills every handle it issued and a shadow commit
+        replaces a file's inode, so a held handle can go stale mid-use; the
+        NFS client scrubs its own caches before the error surfaces.  Here
+        the directory's handles, child handles and views are dropped on
+        every replica and the open session's pin (``fh``) is resolved
+        afresh, so the retry's selection and lookups start from the volume
+        root (real NFS clients do exactly this dance on ESTALE).
+        """
         try:
-            return decode_directory(read_whole(best.dir_vnode, ctx=ctx))
+            return operation()
         except StaleFileHandle:
-            # a server rebooted under us; its caches are scrubbed now, so
-            # re-resolve the replica we already selected rather than
-            # re-probing every replica from scratch
-            self.attr_cache.invalidate(best.location.volrep, fh.logical)
-            fresh = self.fabric.dir_by_handle(
-                best.location.host, best.location.volrep, fh
-            )
-            return decode_directory(read_whole(fresh, ctx=ctx))
+            for location in self.locations_for(volume):
+                self.attr_cache.invalidate(location.volrep, parent_fh)
+            pin = self._session_pins.get(fh)
+            if pin is not None:
+                state = self._replica_batch(pin.location, parent_fh, ctx)
+                if state is not None:
+                    self._session_pins[fh] = state[0]
+            return operation()
 
     def select_dir_replica(
         self, volume: VolumeId, fh: FicusFileHandle, ctx: OpContext = ROOT_CTX
@@ -348,9 +402,7 @@ class FicusLogicalLayer(FileSystemLayer):
             aux = batch.child(fh)
             if aux is None:
                 continue
-            out.append(
-                FileReplicaView(location=view.location, dir_vnode=view.dir_vnode, vv=aux.vv)
-            )
+            out.append(FileReplicaView(view.location, view.entry, aux.vv))
         return out
 
     def select_read_replica(
@@ -359,13 +411,15 @@ class FicusLogicalLayer(FileSystemLayer):
         parent_fh: FicusFileHandle,
         fh: FicusFileHandle,
         ctx: OpContext = ROOT_CTX,
-    ) -> FileReplicaView:
+    ) -> ReplicaView:
         """Pick the replica to read: "select the most recent copy available".
 
-        With the ``latest`` policy the replicas' version vectors are
-        compared and a maximal (undominated) one wins; concurrent maxima
-        tie-break deterministically on total updates then replica id.
-        With ``any``, the first reachable stored copy wins.
+        Inside an open session the pinned replica serves while it is
+        reachable, through the handles the open resolved.  Otherwise, with
+        the ``latest`` policy the replicas' version vectors are compared
+        and a maximal (undominated) one wins; concurrent maxima tie-break
+        deterministically on total updates then replica id.  With ``any``,
+        the first reachable stored copy wins.
         """
         health = self.health
         if health is not None:
@@ -377,14 +431,8 @@ class FicusLogicalLayer(FileSystemLayer):
                 volume
             ) or health.divergence_suspected(volume)
         pinned = self._session_pins.get(fh.logical)
-        if pinned is not None:
-            replicas = [
-                r
-                for r in self.file_replicas(volume, parent_fh, fh, ctx)
-                if r.location == pinned.location
-            ]
-            if replicas:
-                return replicas[0]
+        if pinned is not None and self.network.reachable(self.host_addr, pinned.location.host):
+            return pinned
         candidates = self.file_replicas(volume, parent_fh, fh, ctx)
         if not candidates:
             raise AllReplicasUnavailable(f"no reachable replica stores file {fh}")
@@ -425,16 +473,7 @@ class FicusLogicalLayer(FileSystemLayer):
         reachable replica storing the directory will do; local preferred.
         """
         if fh is not None:
-            pinned = self._session_pins.get(fh.logical)
-            if pinned is not None and self.network.reachable(
-                self.host_addr, pinned.location.host
-            ):
-                return pinned
-            stored = self.file_replicas(volume, parent_fh, fh, ctx)
-            if not stored:
-                raise AllReplicasUnavailable(f"no reachable replica stores file {fh}")
-            best = self.select_read_replica(volume, parent_fh, fh, ctx)
-            return ReplicaView(location=best.location, dir_vnode=best.dir_vnode)
+            return self.select_read_replica(volume, parent_fh, fh, ctx)
         return self.first_dir(volume, parent_fh, ctx)
 
     # -- update notification ------------------------------------------------------
@@ -563,9 +602,15 @@ class FicusLogicalLayer(FileSystemLayer):
         ctx: OpContext = ROOT_CTX,
     ) -> ReplicaView:
         """Open = pin a replica and start an update session on it."""
-        view = self.select_update_replica(volume, parent_fh, fh, ctx)
-        view.dir_vnode.session_open(fh, ctx)
-        self._session_pins[fh.logical] = view
+
+        def attempt() -> ReplicaView:
+            view = self.select_update_replica(volume, parent_fh, fh, ctx)
+            view.dir_vnode.session_open(fh, ctx)
+            return view
+
+        view = self._session_pins[fh.logical] = self.retry_stale(
+            volume, parent_fh, attempt, fh.logical, ctx
+        )
         return view
 
     def close_file(
@@ -575,16 +620,20 @@ class FicusLogicalLayer(FileSystemLayer):
         fh: FicusFileHandle,
         ctx: OpContext = ROOT_CTX,
     ) -> None:
-        view = self._session_pins.pop(fh.logical, None)
-        if view is None:
+        fh = fh.logical
+        pins = self._session_pins
+        if fh not in pins:
             return
         try:
-            updated = view.dir_vnode.session_close(fh, ctx)
+            updated = self.retry_stale(
+                volume, parent_fh, lambda: pins[fh].dir_vnode.session_close(fh, ctx), fh, ctx
+            )
         except (HostUnreachable, FileNotFound, StaleFileHandle):
             # the session dies with the partition or crash; recon cleans
             # up.  (The old lookup-smuggled close could not even see the
             # crash: a cached lookup reply swallowed the RPC entirely.)
             updated = False
+        view = pins.pop(fh)
         if updated:
             # read-only sessions notify nobody: no version changed, so
             # peers' cached attribute batches stay valid

@@ -19,7 +19,7 @@ from repro.errors import (
     NotADirectory,
 )
 from repro.physical import EntryType, decode_directory, effective_entries
-from repro.physical.wire import op_byfh, op_insert, op_remove
+from repro.physical.wire import op_insert, op_remove
 from repro.ufs.inode import FileAttributes, FileType
 from repro.util import FicusFileHandle, VolumeId
 from repro.vnode.interface import (
@@ -86,17 +86,13 @@ class LogicalDirVnode(Vnode):
 
     # -- helpers ----------------------------------------------------------
 
-    def _view(self, ctx: OpContext = ROOT_CTX) -> dict[str, object]:
-        entries = self.layer.read_entries(self.volume, self.fh, ctx)
-        return effective_entries(entries)
-
     def _autograft(self, entry, ctx: OpContext = ROOT_CTX) -> "LogicalDirVnode":
         """Cross into the volume a graft point names (paper Section 4.4)."""
         from repro.physical import volume_root_handle
 
         target_volume = VolumeId.from_hex(entry.data)
-        graft_entries = self.layer.read_entries(self.volume, entry.fh, ctx)
-        locations = locations_from_entries(target_volume, graft_entries)
+        graft_entries = self.layer.dir_view(self.volume, entry.fh, ctx, fresh=True)
+        locations = locations_from_entries(target_volume, graft_entries.values())
         state = self.layer.grafter.graft(target_volume, locations)
         self.layer.learn_locations(target_volume, state.locations)
         return LogicalDirVnode(self.layer, target_volume, volume_root_handle(target_volume))
@@ -150,8 +146,7 @@ class LogicalDirVnode(Vnode):
             return self._lookup_impl(name, ctx)
 
     def _lookup_impl(self, name: str, ctx: OpContext) -> Vnode:
-        view = self._view(ctx)
-        entry = view.get(name)
+        entry = self.layer.dir_view(self.volume, self.fh, ctx, name=name).get(name)
         if entry is None or entry.etype == EntryType.LOCATION:
             raise FileNotFound(f"{name!r} not found")
         return self._child(entry, ctx)
@@ -245,11 +240,8 @@ class LogicalDirVnode(Vnode):
         if entry.etype == EntryType.FILE or entry.etype == EntryType.SYMLINK:
             raise NotADirectory(f"{name!r} is not a directory")
         if entry.etype == EntryType.DIRECTORY:
-            sub_entries = self.layer.read_entries(self.volume, entry.fh, ctx)
-            live = [
-                e for e in sub_entries if e.live and e.etype != EntryType.LOCATION
-            ]
-            if live:
+            sub = self.layer.dir_view(self.volume, entry.fh, ctx, fresh=True)
+            if any(e.etype != EntryType.LOCATION for e in sub.values()):
                 raise DirectoryNotEmpty(f"{name!r} is not empty")
         replica.dir_vnode.remove(op_remove(entry.eid), ctx)
         self.layer.notify_update(self.volume, replica.location, self.fh, entry.fh, objkind="dir")
@@ -338,7 +330,7 @@ class LogicalDirVnode(Vnode):
     def readdir(self, ctx: OpContext = ROOT_CTX) -> list[DirEntry]:
         self.layer.counters.bump("readdir")
         out = []
-        for name, entry in sorted(self._view(ctx).items()):
+        for name, entry in sorted(self.layer.dir_view(self.volume, self.fh, ctx).items()):
             if entry.etype == EntryType.LOCATION:
                 continue
             out.append(
@@ -383,26 +375,27 @@ class LogicalFileVnode(Vnode):
 
     def _read_child(self, ctx: OpContext = ROOT_CTX) -> Vnode:
         view = self.layer.select_read_replica(self.volume, self.parent_fh, self.fh, ctx)
-        return view.dir_vnode.lookup(op_byfh(self.fh), ctx)
+        return view.child(self.fh, ctx)
 
     def _update_view(self, ctx: OpContext = ROOT_CTX):
         return self.layer.select_update_replica(self.volume, self.parent_fh, self.fh, ctx)
 
-    @staticmethod
-    def _retry_stale(operation):
-        """Run a replica operation, retrying once on a stale NFS handle.
+    def _retry_stale(self, operation, ctx: OpContext):
+        """Every replica operation of this file runs under the layer's one
+        stale-handle rule."""
+        return self.layer.retry_stale(self.volume, self.parent_fh, operation, self.fh, ctx)
 
-        A shadow commit replaces the file's underlying inode, so a cached
-        handle can go stale mid-use; the NFS client scrubs its caches
-        before the error surfaces, so one fresh selection + lookup
-        recovers (real NFS clients do exactly this dance on ESTALE).
-        """
-        from repro.errors import StaleFileHandle
+    def _update(self, apply, ctx: OpContext):
+        """Apply one update to the file's vnode at the update replica, then
+        send the notification naming that replica."""
 
-        try:
-            return operation()
-        except StaleFileHandle:
-            return operation()
+        def attempt():
+            view = self._update_view(ctx)
+            result = apply(view.child(self.fh, ctx))
+            self.layer.notify_update(self.volume, view.location, self.parent_fh, self.fh)
+            return result
+
+        return self._retry_stale(attempt, ctx)
 
     # -- lifetime: open/close delimit one update session --
 
@@ -436,69 +429,54 @@ class LogicalFileVnode(Vnode):
         _record(self.layer, "file.read", self.fh.to_hex(), ctx)
         tracer = self._tracer
         if not tracer.enabled:
-            return self._retry_stale(lambda: self._read_child(ctx).read(offset, length, ctx))
+            return self._retry_stale(lambda: self._read_child(ctx).read(offset, length, ctx), ctx)
         with tracer.span("logical.read", layer="logical", host=self.layer.host_addr):
-            return self._retry_stale(lambda: self._read_child(ctx).read(offset, length, ctx))
+            return self._retry_stale(lambda: self._read_child(ctx).read(offset, length, ctx), ctx)
 
     def write(self, offset: int, data: bytes, ctx: OpContext = ROOT_CTX) -> int:
         self.layer.counters.bump("write")
         _record(self.layer, "file.write", self.fh.to_hex(), ctx)
-
-        def attempt() -> int:
-            view = self._update_view(ctx)
-            written = view.dir_vnode.lookup(op_byfh(self.fh), ctx).write(offset, data, ctx)
-            self.layer.notify_update(self.volume, view.location, self.parent_fh, self.fh)
-            return written
-
         tracer = self._tracer
         if not tracer.enabled:
-            return self._retry_stale(attempt)
+            return self._update(lambda child: child.write(offset, data, ctx), ctx)
         with tracer.span(
             "logical.write", layer="logical", host=self.layer.host_addr, bytes=len(data)
         ):
-            return self._retry_stale(attempt)
+            return self._update(lambda child: child.write(offset, data, ctx), ctx)
 
     def truncate(self, size: int, ctx: OpContext = ROOT_CTX) -> None:
         self.layer.counters.bump("truncate")
         _record(self.layer, "file.truncate", self.fh.to_hex(), ctx)
-
-        def impl() -> None:
-            view = self._update_view(ctx)
-            view.dir_vnode.lookup(op_byfh(self.fh), ctx).truncate(size, ctx)
-            self.layer.notify_update(self.volume, view.location, self.parent_fh, self.fh)
-
         tracer = self._tracer
         if not tracer.enabled:
-            impl()
+            self._update(lambda child: child.truncate(size, ctx), ctx)
             return
         with tracer.span("logical.truncate", layer="logical", host=self.layer.host_addr):
-            impl()
+            self._update(lambda child: child.truncate(size, ctx), ctx)
 
     def fsync(self, ctx: OpContext = ROOT_CTX) -> None:
         self.layer.counters.bump("fsync")
-        self._update_view(ctx).dir_vnode.lookup(op_byfh(self.fh), ctx).fsync(ctx)
+        self._retry_stale(lambda: self._update_view(ctx).child(self.fh, ctx).fsync(ctx), ctx)
 
     # -- attributes --
 
     def getattr(self, ctx: OpContext = ROOT_CTX) -> FileAttributes:
         self.layer.counters.bump("getattr")
-        return self._retry_stale(lambda: self._read_child(ctx).getattr(ctx))
+        return self._retry_stale(lambda: self._read_child(ctx).getattr(ctx), ctx)
 
     def setattr(self, attrs: SetAttrs, ctx: OpContext = ROOT_CTX) -> None:
         self.layer.counters.bump("setattr")
-        view = self._update_view(ctx)
-        view.dir_vnode.lookup(op_byfh(self.fh), ctx).setattr(attrs, ctx)
-        self.layer.notify_update(self.volume, view.location, self.parent_fh, self.fh)
+        self._update(lambda child: child.setattr(attrs, ctx), ctx)
 
     def access(self, mode: int, ctx: OpContext = ROOT_CTX) -> bool:
         self.layer.counters.bump("access")
-        return self._read_child(ctx).access(mode, ctx)
+        return self._retry_stale(lambda: self._read_child(ctx).access(mode, ctx), ctx)
 
     # -- symlink --
 
     def readlink(self, ctx: OpContext = ROOT_CTX) -> str:
         self.layer.counters.bump("readlink")
-        return self._retry_stale(lambda: self._read_child(ctx).readlink(ctx))
+        return self._retry_stale(lambda: self._read_child(ctx).readlink(ctx), ctx)
 
     def lookup(self, name: str, ctx: OpContext = ROOT_CTX) -> Vnode:
         raise NotADirectory(f"{self.fh} is not a directory")

@@ -12,6 +12,11 @@ pick a *dominated* replica once the host has been told better:
 * a partitioned replica's cached batch is never served while the replica
   is unreachable — availability comes from the remaining replicas, not
   from a ghost of the missing one.
+
+The decoded name view of a directory replica rides the same entry and
+obeys the same three rules (``TestNameViews``); the one thing it adds is
+that a *missing* name is re-read from the selected replica before it is
+reported, because reconciliation installs names without notifying.
 """
 
 import pytest
@@ -20,6 +25,7 @@ from repro.errors import InvalidArgument
 from repro.logical.attr_cache import DEFAULT_TTL, VersionVectorCache
 from repro.physical import AuxAttributes, EntryType
 from repro.physical.wire import AttrBatch
+from repro.recon import reconcile_subtree
 from repro.sim import DaemonConfig, FicusSystem
 from repro.util import FicusFileHandle, FileId, VirtualClock, VolumeId, VolumeReplicaId
 from repro.vv import VersionVector
@@ -72,6 +78,31 @@ class TestCacheUnit:
         self.cache.invalidate(self.vr1, FH)
         assert self.cache.lookup(self.vr1, FH) is None
         assert len(self.cache) == 0
+
+    def test_name_view_dies_with_the_batch_child_vnodes_with_the_handle(self):
+        kept, gone = FicusFileHandle(VOL, FileId(1, 8)), FicusFileHandle(VOL, FileId(1, 9))
+        listing = batch(VersionVector({1: 1}))
+        listing.children[kept] = AuxAttributes(fh=kept, etype=EntryType.FILE)
+
+        def warm():
+            entry = self.cache.store(self.vr1, FH, "vnode", listing)
+            entry.names = {"kept": object()}
+            entry.children.update({kept: "kept-vnode", gone: "gone-vnode"})
+            return entry
+
+        entry = warm()
+        self.cache.invalidate_dir(VOL, FH)
+        assert entry.names is None and len(entry.children) == 2
+        entry = warm()
+        self.clock.advance(11.0)
+        assert self.cache.lookup(self.vr1, FH) is entry
+        assert entry.names is None and len(entry.children) == 2
+        # a refetched batch starts a new view and prunes to what it lists
+        assert warm() is entry
+        assert self.cache.store(self.vr1, FH, "vnode", listing) is entry
+        assert entry.names is None and entry.children == {kept: "kept-vnode"}
+        self.cache.invalidate(self.vr1, FH)
+        assert self.cache.lookup(self.vr1, FH) is None
 
 
 def two_host_world():
@@ -166,6 +197,85 @@ class TestPartitionReachability:
         assert fs_a.read_file("/f") == b"v1"
         assert system.network.stats.rpcs_sent == before
         assert system.host("alpha").logical.attr_cache.stats.hits > hits_before
+
+
+class TestNameViews:
+    """Staleness of cached names: the batch rules, plus the negative re-read."""
+
+    @staticmethod
+    def beta_selected_world():
+        """alpha's selection prefers beta's root directory (it dominates:
+        ``/g`` exists only there), and alpha holds its view warm."""
+        system, fs_a, fs_b = two_host_world()
+        fs_b.write_file("/g", b"made at beta")  # notification delivered
+        assert fs_a.listdir("/") == ["f", "g"]
+        before = system.network.stats.rpcs_sent
+        assert fs_a.listdir("/") == ["f", "g"] and fs_a.exists("/g")
+        assert system.network.stats.rpcs_sent == before  # warm: no directory read
+        return system, fs_a, fs_b
+
+    def test_cached_view_of_unreachable_replica_is_not_served(self):
+        system, fs_a, fs_b = self.beta_selected_world()
+        system.partition([{"alpha"}, {"beta"}])
+        # alpha's own replica never heard of /g, and beta's view must not ghost
+        assert fs_a.listdir("/") == ["f"]
+        assert not fs_a.exists("/g")
+
+    def lose_a_remove_and_a_create(self):
+        system, fs_a, fs_b = self.beta_selected_world()
+        system.partition([{"alpha"}, {"beta"}])
+        fs_b.unlink("/g")
+        fs_b.write_file("/h", b"also unseen")  # both datagrams lost
+        system.heal()
+        return system, fs_a, fs_b
+
+    def test_ttl_bounds_a_stale_name_when_the_notification_is_lost(self):
+        system, fs_a, fs_b = self.lose_a_remove_and_a_create()
+        assert fs_a.listdir("/") == ["f", "g"]  # nothing told alpha: stale
+        system.run_for(DEFAULT_TTL + 1.0)
+        assert fs_a.listdir("/") == ["f", "h"]
+        assert not fs_a.exists("/g")
+
+    def test_heal_plus_notification_defeats_stale_view(self):
+        system, fs_a, fs_b = self.lose_a_remove_and_a_create()
+        fs_b.write_file("/f", b"v2")  # delivered, names the root directory
+        assert fs_a.listdir("/") == ["f", "h"]
+        assert not fs_a.exists("/g")
+
+    def test_missing_name_is_reread_before_it_is_reported(self):
+        """Reconciliation installs ``/g`` in alpha's replica without a
+        notification; alpha's warm view lacks it, and the lookup must find
+        it now, not after the TTL."""
+        system, fs_a, fs_b = two_host_world()
+        assert fs_a.listdir("/") == ["f"]  # warm: alpha selects its own replica
+        system.partition([{"alpha"}, {"beta"}])
+        fs_b.write_file("/g", b"made at beta")  # datagram lost
+        system.heal()
+        alpha = system.host("alpha")
+        here, there = sorted(system.root_locations, key=lambda loc: loc.host != "alpha")
+        reconcile_subtree(
+            alpha.physical, here.volrep, alpha.fabric.volume_root("beta", there.volrep), "beta"
+        )
+        assert fs_a.listdir("/") == ["f"]  # still the cached view...
+        assert fs_a.read_file("/g") == b"made at beta"  # ...but a miss is re-read
+        assert fs_a.listdir("/") == ["f", "g"]
+
+    def test_read_your_writes_with_the_view_warm(self):
+        system, fs_a, fs_b = two_host_world()
+        for fs in (fs_a, system.host("alpha").fs()):  # the view is per host
+            assert fs.listdir("/") == ["f"]
+        fs_a.write_file("/new", b"x")
+        assert fs_a.exists("/new") and fs_a.listdir("/") == ["f", "new"]
+        fs_a.rename("/new", "/moved")
+        assert not fs_a.exists("/new") and fs_a.read_file("/moved") == b"x"
+        fs_a.unlink("/moved")
+        assert not fs_a.exists("/moved") and fs_a.listdir("/") == ["f"]
+        fs_a.mkdir("/d")
+        fs_a.write_file("/d/inner", b"y")
+        assert fs_a.listdir("/d") == ["inner"]
+        fs_a.unlink("/d/inner")
+        fs_a.rmdir("/d")
+        assert not fs_a.exists("/d")
 
 
 class TestReservedNames:

@@ -6,12 +6,21 @@ buffer-cache epoch and switch off with it (capacity 0).  That uncached configura
 blocks on every operation, so it is the reference implementation: one
 scripted history must produce the same per-op results and the same
 replicated state on a default cluster and on an uncached one.
+
+The logical layer's cached name views and held handles get the same
+treatment: ``ctx.no_cache`` re-resolves, re-fetches and re-reads on every
+operation, so the same history run under it is their reference.
 """
 
+from dataclasses import replace
+
+from repro.core import FicusFileSystem
+from repro.core.filesystem import StatResult
 from repro.errors import FicusError
 from repro.sim import DaemonConfig, FicusSystem, HostConfig
 from repro.storage import BlockDevice
 from repro.ufs import ROOT_INO, Ufs
+from repro.vnode.interface import ROOT_CTX, OpContext
 from repro.workload.verify import state_fingerprint
 
 QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
@@ -19,7 +28,7 @@ UNCACHED = HostConfig(cache_blocks=0, name_cache_size=0)
 BIG = bytes(range(256)) * 40  # several blocks, so pulls have something to diff
 
 
-def run_history(host_config: HostConfig | None):
+def run_history(host_config: HostConfig | None, ctx: OpContext = ROOT_CTX):
     """Drive the scripted history; returns (system, per-op results)."""
     system = FicusSystem(["alpha", "beta"], daemon_config=QUIET, host_config=host_config)
     alpha, beta = system.host("alpha"), system.host("beta")
@@ -27,7 +36,7 @@ def run_history(host_config: HostConfig | None):
 
     def op(host, method, *args):
         try:
-            out = getattr(host.fs(), method)(*args)
+            out = getattr(FicusFileSystem(host.logical, ctx), method)(*args)
         except FicusError as exc:
             out = type(exc).__name__
         results.append((host.name, method, args, out))
@@ -113,6 +122,37 @@ def test_uncached_reference_and_cached_cluster_agree():
         for ino, (epoch, entries) in host.ufs._dcache.items():
             if epoch == host.ufs.cache.epoch:
                 assert list(entries.items()) == list(cold.readdir(ino).items())
+
+
+def test_logical_name_views_and_held_handles_never_change_an_answer():
+    cached, cached_results = run_history(None)
+    reference, reference_results = run_history(None, ROOT_CTX.with_no_cache())
+
+    # each side is what it claims: the reference never served a batch (and
+    # so never a view) from the cache, the default side mostly did
+    for host in reference.hosts.values():
+        assert host.logical.attr_cache.stats.hits == 0
+    for host in cached.hosts.values():
+        stats = host.logical.attr_cache.stats
+        assert stats.hits > stats.misses
+
+    # every RPC takes virtual time and the reference issues more of them,
+    # so the two runs stamp different mtimes and ledger times
+    def timeless(results):
+        return [
+            (*row[:-1], replace(row[-1], mtime=0.0)) if isinstance(row[-1], StatResult) else row
+            for row in results
+        ]
+
+    def timeless_state(system):
+        state = state_fingerprint(system)
+        for host in state.values():
+            for event in host["prov"]:
+                del event["at"]
+        return state
+
+    assert timeless(cached_results) == timeless(reference_results)
+    assert timeless_state(cached) == timeless_state(reference)
 
 
 def test_decoded_directory_follows_every_rewrite():

@@ -223,3 +223,65 @@ class TestCrossVolumeRestrictions:
         f = root.create("f")
         with pytest.raises(CrossDevice):
             other.link(f, "bad")
+
+
+class TestStaleHandles:
+    """One rule for a held handle that went stale: drop the directory's
+    handles on every replica, resolve the session's pin afresh, retry once.
+    The client is diskless, so every handle it holds is an NFS handle."""
+
+    @pytest.fixture
+    def world(self):
+        system = FicusSystem(
+            ["a", "b", "cl"], root_volume_hosts=["a", "b"], daemon_config=QUIET
+        )
+        fs_a = system.host("a").fs()
+        fs_a.mkdir("/d")
+        fs_a.write_file("/d/f", b"version one")
+        system.reconcile_everything()
+        return system, system.host("cl").fs()
+
+    @staticmethod
+    def reboot_servers(system):
+        for name in ("a", "b"):
+            system.host(name).crash()
+            system.host(name).restart(system)
+
+    def test_truncate_on_a_handle_staled_by_a_shadow_commit(self, world):
+        system, fs = world
+        node = fs.resolve("/d/f")
+        assert node.getattr().size == 11  # cl now holds the file's handle at a
+        # b updates its own copy; a's pull installs it through a shadow
+        # file whose commit gives the file a new inode at a
+        system.partition([{"a", "cl"}, {"b"}])
+        system.host("b").fs().write_file("/d/f", b"version two, longer")
+        system.heal()
+        system.reconcile_everything()
+        node.truncate(4)
+        assert fs.read_file("/d/f") == b"vers"
+
+    def test_server_reboot_between_two_warm_reads(self, world):
+        system, fs = world
+        assert fs.read_file("/d/f") == b"version one"
+        self.reboot_servers(system)
+        stats = system.host("cl").logical.attr_cache.stats
+        before = stats.invalidations
+        assert fs.read_file("/d/f") == b"version one"
+        # the warm path really did run into the dead handles and drop them
+        assert stats.invalidations > before
+
+    def test_server_reboot_before_a_warm_stat(self, world):
+        system, fs = world
+        assert fs.stat("/d/f").size == 11
+        self.reboot_servers(system)
+        system.run_for(3.5)  # past the NFS attribute TTL, inside the view's
+        assert fs.stat("/d/f").size == 11
+        assert fs.listdir("/d") == ["f"]
+
+    def test_server_reboot_inside_an_open_session(self, world):
+        system, fs = world
+        with fs.open("/d/f", "r+") as f:
+            assert f.read(7) == b"version"
+            self.reboot_servers(system)
+            f.write(b" 1.5")
+        assert fs.read_file("/d/f") == b"version 1.5"

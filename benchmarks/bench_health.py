@@ -1,67 +1,27 @@
-"""E17: the consistency observability plane — cost and correctness.
+"""E17: the consistency observability plane tells the truth.
 
-Two claims:
+A write during a partition raises divergence suspicion for the
+unreachable replica hosts immediately; a completed reconciliation round
+after heal clears it.  The flight ring stays bounded no matter how many
+operations run, and an anomaly dump renders offline through ``ficus_top``.
 
-* **The plane is effectively free.**  The always-on hooks are attribute
-  checks, dict scans, and one bounded-deque append per vnode operation,
-  so a steady-state write+read with the health plane enabled must stay
-  within ``OVERHEAD_BOUND`` of the same workload with it disabled
-  (telemetry off in both, its cost is measured separately in E14; the
-  provenance ledger off in both, its cost is measured in E21).
-
-* **The gauges tell the truth.**  A write during a partition raises
-  divergence suspicion for the unreachable replica hosts immediately;
-  a completed reconciliation round after heal clears it.  The flight
-  ring stays bounded no matter how many operations run, and an anomaly
-  dump renders offline through ``ficus_top``.
+The plane is always on, so there is no plane-off run to compare a cost
+against: what the hooks cost is read off the repo benchmark's
+``telemetry.self_share`` (``benchmarks/e2e``, ``--trace 1``).
 
 ``health_snapshot()`` produces the BENCH_health.json payload that
-report_all.py writes.  Run directly (``python benchmarks/bench_health.py
---fast``) it sizes the workload down and exits non-zero if any bound is
-violated — the CI gate.
+report_all.py writes.  Run directly (``python benchmarks/bench_health.py``)
+it exits non-zero if any bound is violated — the CI gate.
 """
 
 import json
 import sys
 import tempfile
-import time
 
 from repro.sim import DaemonConfig, FicusSystem
 from repro.telemetry import FLIGHT_RING_CAPACITY
 
 QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
-
-#: enabled/disabled steady-state cost ratio the CI gate enforces
-OVERHEAD_BOUND = 1.05
-
-
-def _steady_state_fs(health: bool):
-    system = FicusSystem(["solo"], daemon_config=QUIET, health=health)
-    if health:
-        # isolate the health plane's own cost: the provenance ledger it
-        # hosts is a separate plane, A/B-measured by bench_provenance
-        # (E21) the same way telemetry is measured by E14
-        for host in system.hosts.values():
-            host.health_plane.provenance.enabled = False
-    fs = system.host("solo").fs()
-    fs.write_file("/f", b"warm")
-    return fs
-
-
-def measure_overhead(ops: int = 200, repeats: int = 5) -> tuple[float, float]:
-    """(disabled_seconds_per_op, enabled_seconds_per_op) for a write+read."""
-    results = []
-    for health in (False, True):
-        fs = _steady_state_fs(health)
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            for _ in range(ops):
-                fs.write_file("/f", b"x" * 64)
-                fs.read_file("/f")
-            best = min(best, (time.perf_counter() - start) / ops)
-        results.append(best)
-    return results[0], results[1]
 
 
 def partition_scenario() -> dict:
@@ -118,17 +78,9 @@ def recorder_scenario(ops: int = FLIGHT_RING_CAPACITY + 44) -> dict:
     }
 
 
-def health_snapshot(fast: bool = False) -> dict:
+def health_snapshot() -> dict:
     """The BENCH_health.json payload."""
-    ops = 120 if fast else 300
-    off, on = measure_overhead(ops=ops)
     return {
-        "overhead": {
-            "disabled_us_per_op": off * 1e6,
-            "enabled_us_per_op": on * 1e6,
-            "ratio": on / off if off else 1.0,
-            "bound": f"<= {OVERHEAD_BOUND}x",
-        },
         "partition_scenario": partition_scenario(),
         "flight_recorder": recorder_scenario(),
     }
@@ -137,11 +89,6 @@ def health_snapshot(fast: bool = False) -> dict:
 def check_bounds(snapshot: dict) -> list[str]:
     """The CI gate: returns a list of violated bounds (empty = pass)."""
     violations = []
-    ratio = snapshot["overhead"]["ratio"]
-    if ratio > OVERHEAD_BOUND:
-        violations.append(
-            f"health plane overhead {ratio:.3f}x (bound: {OVERHEAD_BOUND}x)"
-        )
     scenario = snapshot["partition_scenario"]
     for key in (
         "suspicion_raised_during_partition",
@@ -173,37 +120,9 @@ class TestShape:
         assert recorder["ring_size"] == FLIGHT_RING_CAPACITY
         assert recorder["dump_renders"]
 
-    def test_overhead_is_small(self):
-        # the hard 1.05x gate runs in main(); under pytest parallel load
-        # timing is too noisy for that, so only guard against regressions
-        # an order of magnitude past the budget
-        off, on = measure_overhead(ops=80, repeats=3)
-        assert on / off < 1.5
 
-
-def test_bench_write_read_health_off(benchmark):
-    fs = _steady_state_fs(health=False)
-
-    def op():
-        fs.write_file("/f", b"x" * 64)
-        return fs.read_file("/f")
-
-    benchmark(op)
-
-
-def test_bench_write_read_health_on(benchmark):
-    fs = _steady_state_fs(health=True)
-
-    def op():
-        fs.write_file("/f", b"x" * 64)
-        return fs.read_file("/f")
-
-    benchmark(op)
-
-
-def main(argv: list[str]) -> int:
-    fast = "--fast" in argv
-    snapshot = health_snapshot(fast=fast)
+def main() -> int:
+    snapshot = health_snapshot()
     print(json.dumps(snapshot, indent=2, default=str))
     violations = check_bounds(snapshot)
     for violation in violations:
@@ -212,4 +131,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -193,23 +193,11 @@ def a1_to_a4_ablations() -> None:
     print(f"[A4] 20 appends: {with_session} writes in a session vs {without} bare")
 
 
-def telemetry_with_overhead() -> dict:
-    snap = bench_telemetry.telemetry_snapshot()
-    off, on = bench_telemetry.measure_overhead(ops=100)
-    snap["overhead"] = {
-        "disabled_us_per_op": off * 1e6,
-        "enabled_us_per_op": on * 1e6,
-        "relative": (on - off) / off if off else 0.0,
-    }
-    return snap
-
-
 def e14_summary(snap: dict) -> str:
     spans = snap["spans"]
     return (
         f"telemetry: {spans['finished']} spans / {spans['traces']} traces, "
-        f"{len(snap['metrics'])} metrics, {sum(snap['events'].values())} events; "
-        f"overhead {snap['overhead']['relative']:+.1%}"
+        f"{len(snap['metrics'])} metrics, {sum(snap['events'].values())} events"
     )
 
 
@@ -236,12 +224,10 @@ def e16_summary(snap: dict) -> str:
 
 
 def e17_summary(snap: dict) -> str:
-    overhead = snap["overhead"]
     scenario = snap["partition_scenario"]
     recorder = snap["flight_recorder"]
     return (
-        f"observability plane: overhead {overhead['ratio']:.3f}x "
-        f"(bound {overhead['bound']}); partitioned write suspects "
+        f"observability plane: partitioned write suspects "
         f"{','.join(scenario['suspected_peers'])}, cleared after recon: "
         f"{scenario['suspicion_cleared_after_recon']}; flight ring "
         f"{recorder['ring_size']}/{recorder['ring_capacity']} entries"
@@ -277,12 +263,10 @@ def e20_summary(snap: dict) -> str:
 
 
 def e21_summary(snap: dict) -> str:
-    overhead = snap["overhead"]
     lineage = snap["lineage_scenario"]
     verify = snap["replicate_and_verify"]
     return (
-        f"provenance plane: overhead {overhead['ratio']:.3f}x "
-        f"(bound {overhead['bound']}); {lineage['versions_ledgered']}/"
+        f"provenance plane: {lineage['versions_ledgered']}/"
         f"{lineage['live_versions']} live versions ledgered, feeds-of-conflict "
         f"exact: {lineage['feeds_of_conflict_exact']}; replicate-and-verify "
         f"seed {verify['seed']}: {verify['ops_replayed']}/{verify['ops_recorded']} "
@@ -295,7 +279,7 @@ def e21_summary(snap: dict) -> str:
 FAST = {"fast": True}
 EXPORTS = (
     ("E14", "BENCH_telemetry.json", e14_summary,
-     telemetry_with_overhead, {}, None),
+     bench_telemetry.telemetry_snapshot, {}, None),
     ("E15", "BENCH_attr_cache.json", e15_summary,
      bench_attr_cache.attr_cache_snapshot, {}, bench_attr_cache.check_bounds),
     ("E16", "BENCH_delta_sync.json", e16_summary,
@@ -307,7 +291,7 @@ EXPORTS = (
     ("E20", "BENCH_scale_out.json", e20_summary,
      bench_scale_out.scale_out_snapshot, FAST, bench_scale_out.check_bounds),
     ("E21", "BENCH_provenance.json", e21_summary,
-     bench_provenance.provenance_snapshot, FAST, bench_provenance.check_bounds),
+     bench_provenance.provenance_snapshot, {}, bench_provenance.check_bounds),
 )
 
 

@@ -8,11 +8,21 @@ with open/close sessions and advisory locking handled for the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.errors import FileNotFound, InvalidArgument, IsADirectory, NotADirectory
 from repro.logical import FicusLogicalLayer, LogicalDirVnode, LogicalFileVnode
+from repro.telemetry import spanned
 from repro.ufs.inode import FileAttributes, FileType
 from repro.vnode.interface import ROOT_CTX, OpContext, Vnode
+
+
+_spanned = partial(spanned, layer="fs", host="logical.host_addr")
+
+
+def _path_tag(fs: "FicusFileSystem", path: str, *args: object, **kwargs: object) -> dict[str, object]:
+    """The span tag of the whole-file operations."""
+    return {"path": path}
 
 
 def _split(path: str) -> list[str]:
@@ -239,6 +249,7 @@ class FicusFileSystem:
 
     # -- file access -----------------------------------------------------------
 
+    @_spanned("fs.open", tags=lambda self, path, mode="r": {"path": path, "mode": mode})
     def open(self, path: str, mode: str = "r") -> FicusFile:
         """Open a file; modes ``r``, ``w``, ``a``, ``r+`` as usual.
 
@@ -248,15 +259,6 @@ class FicusFileSystem:
         """
         if not any(m in mode for m in "rwa"):
             raise InvalidArgument(f"bad mode {mode!r}")
-        tracer = self._tracer
-        if not tracer.enabled:
-            return self._open(path, mode)
-        with tracer.span(
-            "fs.open", layer="fs", host=self.logical.host_addr, path=path, mode=mode
-        ):
-            return self._open(path, mode)
-
-    def _open(self, path: str, mode: str) -> FicusFile:
         try:
             node = self.resolve(path, follow=True)
         except FileNotFound:
@@ -278,14 +280,10 @@ class FicusFileSystem:
         assert isinstance(node, LogicalFileVnode)
         return FicusFile(self, node, mode, self.ctx)
 
+    @_spanned("fs.read_file", tags=_path_tag)
     def read_file(self, path: str) -> bytes:
-        tracer = self._tracer
-        if not tracer.enabled:
-            with self.open(path, "r") as f:
-                return f.read()
-        with tracer.span("fs.read_file", layer="fs", host=self.logical.host_addr, path=path):
-            with self.open(path, "r") as f:
-                return f.read()
+        with self.open(path, "r") as f:
+            return f.read()
 
     def read_file_checked(self, path: str) -> "CheckedRead":
         """Read a file and report whether its volume may be diverged.
@@ -302,11 +300,13 @@ class FicusFileSystem:
             raise IsADirectory(f"{path!r} is a directory")
         data = self.read_file(path)
         suspected = bool(self.logical.last_read_divergence_suspected)
-        health = self.logical.health
-        if health is not None and isinstance(node, LogicalFileVnode):
-            suspected = suspected or health.divergence_suspected(node.volume)
+        if isinstance(node, LogicalFileVnode):
+            suspected = suspected or self.logical.health.divergence_suspected(node.volume)
         return CheckedRead(data=data, divergence_suspected=suspected)
 
+    # the whole open -> write -> close(update notify) session becomes one
+    # trace tree rooted here
+    @_spanned("fs.write_file", tags=_path_tag)
     def write_file(self, path: str, data: bytes) -> None:
         """Replace a file's whole contents, creating it when absent.
 
@@ -316,30 +316,15 @@ class FicusFileSystem:
         unchanged.  A failure between the two steps leaves new bytes over
         an old tail (``open(path, "w")`` leaves a truncated file).
         """
-        # the whole open -> write -> close(update notify) session becomes
-        # one trace tree rooted here
-        tracer = self._tracer
-        if not tracer.enabled:
-            self._replace_contents(path, data)
-            return
-        with tracer.span("fs.write_file", layer="fs", host=self.logical.host_addr, path=path):
-            self._replace_contents(path, data)
-
-    def _replace_contents(self, path: str, data: bytes) -> None:
         # "r+" opens without truncating and, like "w", creates when absent
         with self.open(path, "r+") as f:
             f.write(data)
             f.truncate(len(data))
 
+    @_spanned("fs.append_file", tags=_path_tag)
     def append_file(self, path: str, data: bytes) -> None:
-        tracer = self._tracer
-        if not tracer.enabled:
-            with self.open(path, "a") as f:
-                f.write(data)
-            return
-        with tracer.span("fs.append_file", layer="fs", host=self.logical.host_addr, path=path):
-            with self.open(path, "a") as f:
-                f.write(data)
+        with self.open(path, "a") as f:
+            f.write(data)
 
     # -- namespace ---------------------------------------------------------------
 

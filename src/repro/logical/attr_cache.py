@@ -61,7 +61,7 @@ class CacheEntry:
 
 @dataclass
 class CacheStats:
-    """Hit/miss accounting (mirrors into telemetry at the layer)."""
+    """Hit/miss accounting (telemetry views it as ``logical.attr_cache.*``)."""
 
     hits: int = 0
     misses: int = 0

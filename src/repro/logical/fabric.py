@@ -15,7 +15,7 @@ from repro.net import Network
 from repro.nfs import NfsClientConfig, NfsClientLayer
 from repro.physical import FicusPhysicalLayer
 from repro.physical.wire import op_dir
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import NULL_TELEMETRY, HealthPlane, Telemetry
 from repro.util import FicusFileHandle, VolumeReplicaId
 from repro.vnode.interface import Vnode
 
@@ -33,15 +33,19 @@ class Fabric:
         local_physical: FicusPhysicalLayer | None = None,
         nfs_config: NfsClientConfig | None = None,
         telemetry: Telemetry | None = None,
-        health=None,
     ):
         self.network = network
         self.host_addr = host_addr
         self.local_physical = local_physical
         self.nfs_config = nfs_config
         self.telemetry = telemetry or NULL_TELEMETRY
-        #: this host's HealthPlane, handed to every NFS client mount
-        self.health = health
+        #: this host's HealthPlane — the local physical layer's — handed
+        #: to the logical layer and to every NFS client mount
+        self.health: HealthPlane = (
+            local_physical.health
+            if local_physical is not None
+            else HealthPlane(host_addr, clock=network.clock.now, telemetry=self.telemetry)
+        )
         self._mounts: dict[str, NfsClientLayer] = {}
 
     def is_local(self, host: str) -> bool:

@@ -123,8 +123,8 @@ class FicusLogicalLayer(FileSystemLayer):
         #: per-replica attribute batches, kept coherent by notification
         self.attr_cache = VersionVectorCache(network.clock, ttl=attr_cache_ttl)
         self.notifications_sent = 0
-        #: this host's HealthPlane, wired by the cluster (None when disabled)
-        self.health = None
+        #: this host's HealthPlane, shared with the fabric's mounts
+        self.health = fabric.health
         #: callable peer_host -> bool: is the peer degraded (flapping)?
         #: Wired from the daemons' PeerHealth so READ_LATEST selection
         #: stops probing flapping replicas first.
@@ -138,6 +138,15 @@ class FicusLogicalLayer(FileSystemLayer):
         # physical layer's new-version cache listens to
         if network.has_host(host_addr):
             network.register_datagram_handler(host_addr, self._on_datagram)
+        metrics = self.telemetry.metrics
+        metrics.add_source(
+            "logical",
+            lambda: {
+                "notifications_sent": self.notifications_sent,
+                "degraded_skips": self.degraded_skips,
+            },
+        )
+        metrics.add_source("logical.attr_cache", self.attr_cache.stats)
 
     # -- locations ----------------------------------------------------------
 
@@ -188,11 +197,7 @@ class FicusLogicalLayer(FileSystemLayer):
             return None
         entry = None if ctx.no_cache else self.attr_cache.lookup(location.volrep, fh)
         if entry is not None and entry.batch is not None:
-            if self.telemetry.enabled:
-                self.telemetry.metrics.counter("logical.attr_cache_hits").inc()
             return ReplicaView(location, entry), entry.batch
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter("logical.attr_cache_misses").inc()
         dir_vnode = entry.dir_vnode if entry is not None else None
         try:
             if dir_vnode is None:
@@ -247,8 +252,6 @@ class FicusLogicalLayer(FileSystemLayer):
             if yielded:
                 # a healthy replica answered: the degraded peer is spared
                 self.degraded_skips += 1
-                if self.telemetry.enabled:
-                    self.telemetry.metrics.counter("selection.degraded_skips").inc()
                 continue
             # availability first: when only degraded peers store the
             # volume, probe them anyway rather than failing the operation
@@ -421,15 +424,13 @@ class FicusLogicalLayer(FileSystemLayer):
         deterministically on total updates then replica id.  With ``any``,
         the first reachable stored copy wins.
         """
-        health = self.health
-        if health is not None:
-            # the paper's one-copy availability serves the best *reachable*
-            # copy; under a partition (or with divergence already suspected
-            # for the volume) the result may be stale, and the caller can
-            # see that through this flag
-            self.last_read_divergence_suspected = self._partition_suspected(
-                volume
-            ) or health.divergence_suspected(volume)
+        # the paper's one-copy availability serves the best *reachable*
+        # copy; under a partition (or with divergence already suspected
+        # for the volume) the result may be stale, and the caller can
+        # see that through this flag
+        self.last_read_divergence_suspected = self._partition_suspected(
+            volume
+        ) or self.health.divergence_suspected(volume)
         pinned = self._session_pins.get(fh.logical)
         if pinned is not None and self.network.reachable(self.host_addr, pinned.location.host):
             return pinned
@@ -546,8 +547,7 @@ class FicusLogicalLayer(FileSystemLayer):
         )
         delivered = self.network.multicast(self.host_addr, sorted(others), payload)
         self.notifications_sent += 1
-        health = self.health
-        if health is not None and origin == "update" and delivered < len(others):
+        if origin == "update" and delivered < len(others):
             # a replica-storing host missed this update's notification;
             # if it is partitioned away it now holds (or may soon hold)
             # diverged state — suspect it until a recon round completes.
@@ -556,9 +556,8 @@ class FicusLogicalLayer(FileSystemLayer):
                 if target != self.host_addr and not self.network.reachable(
                     self.host_addr, target
                 ):
-                    health.note_missed_notification(volume, target)
+                    self.health.note_missed_notification(volume, target)
         if self.telemetry.enabled:
-            self.telemetry.metrics.counter("logical.notifications_sent").inc()
             self.telemetry.events.emit(
                 "notification.sent",
                 host=self.host_addr,
@@ -583,14 +582,11 @@ class FicusLogicalLayer(FileSystemLayer):
             fh = FicusFileHandle.from_hex(payload["fh"])
         except (KeyError, TypeError, InvalidArgument):
             return
-        dropped = self.attr_cache.invalidate_dir(volume, parent)
+        self.attr_cache.invalidate_dir(volume, parent)
         if payload.get("objkind") == "dir":
-            dropped += self.attr_cache.invalidate_dir(volume, fh)
-        if self.health is not None:
-            # the flight ring shows which notifications this host heard
-            self.health.record_op("notification.recv", f"{src}:{fh.to_hex()}")
-        if dropped and self.telemetry.enabled:
-            self.telemetry.metrics.counter("logical.attr_cache_invalidated").inc(dropped)
+            self.attr_cache.invalidate_dir(volume, fh)
+        # the flight ring shows which notifications this host heard
+        self.health.record_op("notification.recv", f"{src}:{fh.to_hex()}")
 
     # -- open/close sessions ---------------------------------------------------------
 

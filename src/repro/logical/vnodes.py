@@ -8,6 +8,8 @@ its replica to a partition simply fails over to another copy.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.errors import (
     AllReplicasUnavailable,
     CrossDevice,
@@ -20,6 +22,7 @@ from repro.errors import (
 )
 from repro.physical import EntryType, decode_directory, effective_entries
 from repro.physical.wire import op_insert, op_remove
+from repro.telemetry import spanned
 from repro.ufs.inode import FileAttributes, FileType
 from repro.util import FicusFileHandle, VolumeId
 from repro.vnode.interface import (
@@ -31,6 +34,8 @@ from repro.vnode.interface import (
     read_whole,
 )
 from repro.volume import locations_from_entries
+
+_spanned = partial(spanned, layer="logical", host="layer.host_addr")
 
 _TYPE_MAP = {
     EntryType.FILE: FileType.REGULAR,
@@ -53,13 +58,6 @@ def _check_user_name(name: str) -> None:
             f"{name!r}: names beginning with '@@' are reserved for "
             "physical-layer control operations"
         )
-
-
-def _record(layer, op: str, target: str, ctx: OpContext) -> None:
-    """Flight-recorder hook: one ring append when the health plane is on."""
-    health = layer.health
-    if health is not None:
-        health.record_op(op, target, ctx)
 
 
 class LogicalDirVnode(Vnode):
@@ -104,6 +102,18 @@ class LogicalDirVnode(Vnode):
             return LogicalDirVnode(self.layer, self.volume, entry.fh)
         return LogicalFileVnode(self.layer, self.volume, self.fh, entry.fh, entry.etype)
 
+    def _retry_stale(self, operation, ctx: OpContext):
+        """Every replica operation of this directory runs under the layer's
+        one stale-handle rule.  Each reads through a held handle before it
+        changes anything, so the retry never repeats a change."""
+        return self.layer.retry_stale(self.volume, self.fh, operation, ctx=ctx)
+
+    def _first_dir(self, ctx: OpContext) -> Vnode:
+        return self.layer.first_dir(self.volume, self.fh, ctx).dir_vnode
+
+    def _update_dir(self, ctx: OpContext):
+        return self.layer.select_update_replica(self.volume, self.fh, ctx=ctx)
+
     # -- lifetime --
 
     def open(self, ctx: OpContext = ROOT_CTX) -> None:
@@ -119,33 +129,22 @@ class LogicalDirVnode(Vnode):
 
     def getattr(self, ctx: OpContext = ROOT_CTX) -> FileAttributes:
         self.layer.counters.bump("getattr")
-        view = self.layer.first_dir(self.volume, self.fh, ctx)
-        return view.dir_vnode.getattr(ctx)
+        return self._retry_stale(lambda: self._first_dir(ctx).getattr(ctx), ctx)
 
     def setattr(self, attrs: SetAttrs, ctx: OpContext = ROOT_CTX) -> None:
         self.layer.counters.bump("setattr")
-        view = self.layer.select_update_replica(self.volume, self.fh, ctx=ctx)
-        view.dir_vnode.setattr(attrs, ctx)
+        self._retry_stale(lambda: self._update_dir(ctx).dir_vnode.setattr(attrs, ctx), ctx)
 
     def access(self, mode: int, ctx: OpContext = ROOT_CTX) -> bool:
         self.layer.counters.bump("access")
-        view = self.layer.first_dir(self.volume, self.fh, ctx)
-        return view.dir_vnode.access(mode, ctx)
+        return self._retry_stale(lambda: self._first_dir(ctx).access(mode, ctx), ctx)
 
     # -- namespace --
 
+    @_spanned("logical.lookup")
     def lookup(self, name: str, ctx: OpContext = ROOT_CTX) -> Vnode:
         self.layer.counters.bump("lookup")
-        _record(self.layer, "dir.lookup", name, ctx)
-        # enabled-check before building span arguments: this is a hot path
-        # and the disabled fast path must cost only a branch
-        tracer = self._tracer
-        if not tracer.enabled:
-            return self._lookup_impl(name, ctx)
-        with tracer.span("logical.lookup", layer="logical", host=self.layer.host_addr):
-            return self._lookup_impl(name, ctx)
-
-    def _lookup_impl(self, name: str, ctx: OpContext) -> Vnode:
+        self.layer.health.record_op("dir.lookup", name, ctx)
         entry = self.layer.dir_view(self.volume, self.fh, ctx, name=name).get(name)
         if entry is None or entry.etype == EntryType.LOCATION:
             raise FileNotFound(f"{name!r} not found")
@@ -159,21 +158,22 @@ class LogicalDirVnode(Vnode):
         merge_policy: str = "",
     ) -> Vnode:
         self.layer.counters.bump("create")
-        _record(self.layer, "dir.create", name, ctx)
+        self.layer.health.record_op("dir.create", name, ctx)
         return self._insert_new(name, EntryType.FILE, ctx=ctx, merge_policy=merge_policy)
 
     def mkdir(self, name: str, perm: int = 0o755, ctx: OpContext = ROOT_CTX) -> Vnode:
         self.layer.counters.bump("mkdir")
-        _record(self.layer, "dir.mkdir", name, ctx)
+        self.layer.health.record_op("dir.mkdir", name, ctx)
         return self._insert_new(name, EntryType.DIRECTORY, ctx=ctx)
 
     def symlink(self, name: str, target: str, ctx: OpContext = ROOT_CTX) -> Vnode:
         self.layer.counters.bump("symlink")
-        _record(self.layer, "dir.symlink", name, ctx)
+        self.layer.health.record_op("dir.symlink", name, ctx)
         vnode = self._insert_new(name, EntryType.SYMLINK, ctx=ctx)
         vnode.write(0, target.encode("utf-8"), ctx)
         return vnode
 
+    @_spanned("logical.insert", tags=lambda self, name, etype, *a, **k: {"etype": etype.value})
     def _insert_new(
         self,
         name: str,
@@ -183,28 +183,21 @@ class LogicalDirVnode(Vnode):
         merge_policy: str = "",
     ) -> Vnode:
         """Create a brand-new object: the chosen replica mints its ids."""
-        tracer = self._tracer
-        if not tracer.enabled:
-            return self._insert_new_impl(name, etype, data, ctx, merge_policy)
-        with tracer.span(
-            "logical.insert", layer="logical", host=self.layer.host_addr, etype=etype.value
-        ):
-            return self._insert_new_impl(name, etype, data, ctx, merge_policy)
-
-    def _insert_new_impl(
-        self, name: str, etype: EntryType, data: str, ctx: OpContext, merge_policy: str = ""
-    ) -> Vnode:
         _check_user_name(name)
-        replica = self.layer.select_update_replica(self.volume, self.fh, ctx=ctx)
-        existing = effective_entries(decode_directory(read_whole(replica.dir_vnode, ctx=ctx)))
-        if name in existing:
-            raise FileExists(f"{name!r} already exists")
-        replica.dir_vnode.create(
-            op_insert(None, name, None, etype, data=data, merge_policy=merge_policy), ctx=ctx
-        )
-        entry = self._find_entry_at(replica, name, ctx)
-        self.layer.notify_update(self.volume, replica.location, self.fh, entry.fh, objkind="dir")
-        return self._child(entry, ctx)
+
+        def insert() -> Vnode:
+            replica = self._update_dir(ctx)
+            existing = effective_entries(decode_directory(read_whole(replica.dir_vnode, ctx=ctx)))
+            if name in existing:
+                raise FileExists(f"{name!r} already exists")
+            replica.dir_vnode.create(
+                op_insert(None, name, None, etype, data=data, merge_policy=merge_policy), ctx=ctx
+            )
+            entry = self._find_entry_at(replica, name, ctx)
+            self.layer.notify_update(self.volume, replica.location, self.fh, entry.fh, objkind="dir")
+            return self._child(entry, ctx)
+
+        return self._retry_stale(insert, ctx)
 
     def _find_entry_at(self, replica, name: str, ctx: OpContext = ROOT_CTX):
         entries = decode_directory(read_whole(replica.dir_vnode, ctx=ctx))
@@ -214,56 +207,61 @@ class LogicalDirVnode(Vnode):
             raise FileNotFound(f"{name!r} vanished after insert")
         return entry
 
+    @_spanned("logical.remove")
     def remove(self, name: str, ctx: OpContext = ROOT_CTX) -> None:
         self.layer.counters.bump("remove")
-        _record(self.layer, "dir.remove", name, ctx)
-        tracer = self._tracer
-        if not tracer.enabled:
-            self._remove_impl(name, ctx)
-            return
-        with tracer.span("logical.remove", layer="logical", host=self.layer.host_addr):
-            self._remove_impl(name, ctx)
+        self.layer.health.record_op("dir.remove", name, ctx)
 
-    def _remove_impl(self, name: str, ctx: OpContext) -> None:
-        replica = self.layer.select_update_replica(self.volume, self.fh, ctx=ctx)
-        entry = self._find_entry_at(replica, name, ctx)
-        if entry.etype in (EntryType.DIRECTORY, EntryType.GRAFT_POINT):
-            raise IsADirectory(f"{name!r} is a directory; use rmdir")
-        replica.dir_vnode.remove(op_remove(entry.eid), ctx)
-        self.layer.notify_update(self.volume, replica.location, self.fh, entry.fh, objkind="dir")
+        def remove() -> None:
+            replica = self._update_dir(ctx)
+            entry = self._find_entry_at(replica, name, ctx)
+            if entry.etype in (EntryType.DIRECTORY, EntryType.GRAFT_POINT):
+                raise IsADirectory(f"{name!r} is a directory; use rmdir")
+            replica.dir_vnode.remove(op_remove(entry.eid), ctx)
+            self.layer.notify_update(self.volume, replica.location, self.fh, entry.fh, objkind="dir")
+
+        self._retry_stale(remove, ctx)
 
     def rmdir(self, name: str, ctx: OpContext = ROOT_CTX) -> None:
         self.layer.counters.bump("rmdir")
-        _record(self.layer, "dir.rmdir", name, ctx)
-        replica = self.layer.select_update_replica(self.volume, self.fh, ctx=ctx)
-        entry = self._find_entry_at(replica, name, ctx)
-        if entry.etype == EntryType.FILE or entry.etype == EntryType.SYMLINK:
-            raise NotADirectory(f"{name!r} is not a directory")
-        if entry.etype == EntryType.DIRECTORY:
-            sub = self.layer.dir_view(self.volume, entry.fh, ctx, fresh=True)
-            if any(e.etype != EntryType.LOCATION for e in sub.values()):
-                raise DirectoryNotEmpty(f"{name!r} is not empty")
-        replica.dir_vnode.remove(op_remove(entry.eid), ctx)
-        self.layer.notify_update(self.volume, replica.location, self.fh, entry.fh, objkind="dir")
+        self.layer.health.record_op("dir.rmdir", name, ctx)
+
+        def rmdir() -> None:
+            replica = self._update_dir(ctx)
+            entry = self._find_entry_at(replica, name, ctx)
+            if entry.etype == EntryType.FILE or entry.etype == EntryType.SYMLINK:
+                raise NotADirectory(f"{name!r} is not a directory")
+            if entry.etype == EntryType.DIRECTORY:
+                sub = self.layer.dir_view(self.volume, entry.fh, ctx, fresh=True)
+                if any(e.etype != EntryType.LOCATION for e in sub.values()):
+                    raise DirectoryNotEmpty(f"{name!r} is not empty")
+            replica.dir_vnode.remove(op_remove(entry.eid), ctx)
+            self.layer.notify_update(self.volume, replica.location, self.fh, entry.fh, objkind="dir")
+
+        self._retry_stale(rmdir, ctx)
 
     def link(self, target: Vnode, name: str, ctx: OpContext = ROOT_CTX) -> None:
         """Give an existing file an additional name (paper: Ficus files are
         organized in a general DAG; files may have several names)."""
         self.layer.counters.bump("link")
-        _record(self.layer, "dir.link", name, ctx)
+        self.layer.health.record_op("dir.link", name, ctx)
         _check_user_name(name)
         if not isinstance(target, LogicalFileVnode):
             raise InvalidArgument("link target must be a logical file")
         if target.volume != self.volume:
             raise CrossDevice("links may not cross volume boundaries")
-        replica = self._replica_storing(target, ctx)
-        existing = effective_entries(decode_directory(read_whole(replica.dir_vnode, ctx=ctx)))
-        if name in existing:
-            raise FileExists(f"{name!r} already exists")
-        replica.dir_vnode.create(
-            op_insert(None, name, target.fh, target.etype, link_from=target.parent_fh), ctx=ctx
-        )
-        self.layer.notify_update(self.volume, replica.location, self.fh, target.fh, objkind="dir")
+
+        def link() -> None:
+            replica = self._replica_storing(target, ctx)
+            existing = effective_entries(decode_directory(read_whole(replica.dir_vnode, ctx=ctx)))
+            if name in existing:
+                raise FileExists(f"{name!r} already exists")
+            replica.dir_vnode.create(
+                op_insert(None, name, target.fh, target.etype, link_from=target.parent_fh), ctx=ctx
+            )
+            self.layer.notify_update(self.volume, replica.location, self.fh, target.fh, objkind="dir")
+
+        self._retry_stale(link, ctx)
 
     def _replica_storing(self, target: "LogicalFileVnode", ctx: OpContext = ROOT_CTX):
         """An update replica of this directory that also stores ``target``.
@@ -296,36 +294,38 @@ class LogicalDirVnode(Vnode):
         the concurrent-rename case that leaves a directory with two names.
         """
         self.layer.counters.bump("rename")
-        _record(self.layer, "dir.rename", f"{src_name}->{dst_name}", ctx)
+        self.layer.health.record_op("dir.rename", f"{src_name}->{dst_name}", ctx)
         _check_user_name(dst_name)
         if not isinstance(dst_dir, LogicalDirVnode):
             raise InvalidArgument("rename destination must be a logical directory")
         if dst_dir.volume != self.volume:
             raise CrossDevice("rename may not cross volume boundaries")
-        src_replica = self.layer.select_update_replica(self.volume, self.fh, ctx=ctx)
-        entry = self._find_entry_at(src_replica, src_name, ctx)
-        # Unix semantics: a file target is replaced, a directory target errors.
-        try:
-            dst_existing = dst_dir._find_entry_at(
-                self.layer.select_update_replica(self.volume, dst_dir.fh, ctx=ctx),
-                dst_name,
-                ctx,
+
+        def rename() -> None:
+            src_replica = self._update_dir(ctx)
+            entry = self._find_entry_at(src_replica, src_name, ctx)
+            # Unix semantics: a file target is replaced, a directory target errors.
+            try:
+                dst_existing = dst_dir._find_entry_at(dst_dir._update_dir(ctx), dst_name, ctx)
+            except FileNotFound:
+                dst_existing = None
+            if dst_existing is not None:
+                if dst_existing.etype in (EntryType.DIRECTORY, EntryType.GRAFT_POINT):
+                    raise IsADirectory(f"rename target {dst_name!r} is a directory")
+                dst_dir.remove(dst_name, ctx)
+            link_from = self.fh if entry.etype in (EntryType.FILE, EntryType.SYMLINK) else None
+            dst_replica = dst_dir._update_dir(ctx)
+            dst_replica.dir_vnode.create(
+                op_insert(None, dst_name, entry.fh, entry.etype, data=entry.data, link_from=link_from),
+                ctx=ctx,
             )
-        except FileNotFound:
-            dst_existing = None
-        if dst_existing is not None:
-            if dst_existing.etype in (EntryType.DIRECTORY, EntryType.GRAFT_POINT):
-                raise IsADirectory(f"rename target {dst_name!r} is a directory")
-            dst_dir.remove(dst_name, ctx)
-        link_from = self.fh if entry.etype in (EntryType.FILE, EntryType.SYMLINK) else None
-        dst_replica = self.layer.select_update_replica(self.volume, dst_dir.fh, ctx=ctx)
-        dst_replica.dir_vnode.create(
-            op_insert(None, dst_name, entry.fh, entry.etype, data=entry.data, link_from=link_from),
-            ctx=ctx,
-        )
-        self.layer.notify_update(self.volume, dst_replica.location, dst_dir.fh, entry.fh, objkind="dir")
-        src_replica.dir_vnode.remove(op_remove(entry.eid), ctx)
-        self.layer.notify_update(self.volume, src_replica.location, self.fh, entry.fh, objkind="dir")
+            self.layer.notify_update(self.volume, dst_replica.location, dst_dir.fh, entry.fh, objkind="dir")
+            src_replica.dir_vnode.remove(op_remove(entry.eid), ctx)
+            self.layer.notify_update(self.volume, src_replica.location, self.fh, entry.fh, objkind="dir")
+
+        # both directories' handles are held: a stale one in either is
+        # dropped under its own directory's rule before the other retries
+        self._retry_stale(lambda: dst_dir._retry_stale(rename, ctx), ctx)
 
     def readdir(self, ctx: OpContext = ROOT_CTX) -> list[DirEntry]:
         self.layer.counters.bump("readdir")
@@ -399,60 +399,40 @@ class LogicalFileVnode(Vnode):
 
     # -- lifetime: open/close delimit one update session --
 
+    @_spanned("logical.open")
     def open(self, ctx: OpContext = ROOT_CTX) -> None:
         self.layer.counters.bump("open")
-        _record(self.layer, "file.open", self.fh.to_hex(), ctx)
-        tracer = self._tracer
-        if not tracer.enabled:
-            self.layer.open_file(self.volume, self.parent_fh, self.fh, ctx)
-            return
-        with tracer.span("logical.open", layer="logical", host=self.layer.host_addr):
-            self.layer.open_file(self.volume, self.parent_fh, self.fh, ctx)
+        self.layer.health.record_op("file.open", self.fh.to_hex(), ctx)
+        self.layer.open_file(self.volume, self.parent_fh, self.fh, ctx)
 
+    @_spanned("logical.close")
     def close(self, ctx: OpContext = ROOT_CTX) -> None:
         self.layer.counters.bump("close")
-        _record(self.layer, "file.close", self.fh.to_hex(), ctx)
-        tracer = self._tracer
-        if not tracer.enabled:
-            self.layer.close_file(self.volume, self.parent_fh, self.fh, ctx)
-            return
-        with tracer.span("logical.close", layer="logical", host=self.layer.host_addr):
-            self.layer.close_file(self.volume, self.parent_fh, self.fh, ctx)
+        self.layer.health.record_op("file.close", self.fh.to_hex(), ctx)
+        self.layer.close_file(self.volume, self.parent_fh, self.fh, ctx)
 
     def inactive(self) -> None:
         self.layer.counters.bump("inactive")
 
     # -- data --
 
+    @_spanned("logical.read")
     def read(self, offset: int, length: int, ctx: OpContext = ROOT_CTX) -> bytes:
         self.layer.counters.bump("read")
-        _record(self.layer, "file.read", self.fh.to_hex(), ctx)
-        tracer = self._tracer
-        if not tracer.enabled:
-            return self._retry_stale(lambda: self._read_child(ctx).read(offset, length, ctx), ctx)
-        with tracer.span("logical.read", layer="logical", host=self.layer.host_addr):
-            return self._retry_stale(lambda: self._read_child(ctx).read(offset, length, ctx), ctx)
+        self.layer.health.record_op("file.read", self.fh.to_hex(), ctx)
+        return self._retry_stale(lambda: self._read_child(ctx).read(offset, length, ctx), ctx)
 
+    @_spanned("logical.write", tags=lambda self, offset, data, *a, **k: {"bytes": len(data)})
     def write(self, offset: int, data: bytes, ctx: OpContext = ROOT_CTX) -> int:
         self.layer.counters.bump("write")
-        _record(self.layer, "file.write", self.fh.to_hex(), ctx)
-        tracer = self._tracer
-        if not tracer.enabled:
-            return self._update(lambda child: child.write(offset, data, ctx), ctx)
-        with tracer.span(
-            "logical.write", layer="logical", host=self.layer.host_addr, bytes=len(data)
-        ):
-            return self._update(lambda child: child.write(offset, data, ctx), ctx)
+        self.layer.health.record_op("file.write", self.fh.to_hex(), ctx)
+        return self._update(lambda child: child.write(offset, data, ctx), ctx)
 
+    @_spanned("logical.truncate")
     def truncate(self, size: int, ctx: OpContext = ROOT_CTX) -> None:
         self.layer.counters.bump("truncate")
-        _record(self.layer, "file.truncate", self.fh.to_hex(), ctx)
-        tracer = self._tracer
-        if not tracer.enabled:
-            self._update(lambda child: child.truncate(size, ctx), ctx)
-            return
-        with tracer.span("logical.truncate", layer="logical", host=self.layer.host_addr):
-            self._update(lambda child: child.truncate(size, ctx), ctx)
+        self.layer.health.record_op("file.truncate", self.fh.to_hex(), ctx)
+        self._update(lambda child: child.truncate(size, ctx), ctx)
 
     def fsync(self, ctx: OpContext = ROOT_CTX) -> None:
         self.layer.counters.bump("fsync")

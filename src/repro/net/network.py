@@ -28,7 +28,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from repro.errors import HostUnreachable, InvalidArgument, RpcTimeout, ServiceUnavailable
-from repro.telemetry import NULL_TELEMETRY, MetricsRegistry, Telemetry
+from repro.telemetry import NULL_TELEMETRY, Histogram, Telemetry
 from repro.util import VirtualClock
 
 RpcHandler = Callable[..., object]
@@ -56,10 +56,11 @@ def _payload_bytes(values: Iterable[object]) -> int:
 class NetworkStats:
     """Traffic accounting for benchmarks.
 
-    The five aggregate counters remain plain ints (cheap, always on);
-    per-peer detail lands in :attr:`per_peer`, and when the network is
-    built with telemetry the same updates mirror into the central
-    :class:`~repro.telemetry.MetricsRegistry` under ``net.*`` names.
+    The five aggregate counters are plain ints (cheap, always on) and
+    per-peer detail lands in :attr:`per_peer`; the deployment's
+    :class:`~repro.telemetry.MetricsRegistry` views both under ``net.*``
+    names.  The latency distribution has no plain-int form, so it lives in
+    the registry's histogram the network binds here (a no-op without one).
     """
 
     rpcs_sent: int = 0
@@ -68,11 +69,9 @@ class NetworkStats:
     datagrams_delivered: int = 0
     datagrams_lost: int = 0
     per_peer: dict[tuple[str, str], PeerStats] = field(default_factory=dict, repr=False)
-    _registry: MetricsRegistry | None = field(default=None, repr=False)
-
-    def register(self, registry: MetricsRegistry) -> None:
-        """Mirror all subsequent updates into ``registry``."""
-        self._registry = registry
+    rpc_latency: Histogram = field(
+        default=NULL_TELEMETRY.metrics.histogram("net.rpc_latency_seconds"), repr=False
+    )
 
     def peer(self, src: str, dst: str) -> PeerStats:
         stats = self.per_peer.get((src, dst))
@@ -99,16 +98,7 @@ class NetworkStats:
         if not ok:
             self.rpcs_failed += 1
             peer.failures += 1
-        registry = self._registry
-        if registry is not None:
-            registry.counter("net.rpcs_sent").inc()
-            if not ok:
-                registry.counter("net.rpcs_failed").inc()
-            if bytes_out:
-                registry.counter("net.rpc_bytes_sent").inc(bytes_out)
-            if bytes_in:
-                registry.counter("net.rpc_bytes_received").inc(bytes_in)
-            registry.histogram("net.rpc_latency_seconds").observe(latency)
+        self.rpc_latency.observe(latency)
 
     def record_datagram(self, delivered: bool) -> None:
         self.datagrams_sent += 1
@@ -116,12 +106,6 @@ class NetworkStats:
             self.datagrams_delivered += 1
         else:
             self.datagrams_lost += 1
-        registry = self._registry
-        if registry is not None:
-            registry.counter("net.datagrams_sent").inc()
-            registry.counter(
-                "net.datagrams_delivered" if delivered else "net.datagrams_lost"
-            ).inc()
 
     def rpcs_by_host(self) -> dict[str, int]:
         """Total RPCs issued per source host, folded from the per-peer
@@ -130,6 +114,14 @@ class NetworkStats:
         for (src, _dst), peer in self.per_peer.items():
             out[src] = out.get(src, 0) + peer.rpcs
         return out
+
+    def rpc_bytes(self) -> dict[str, int]:
+        """RPC payload bytes moved in each direction, over every peer pair."""
+        peers = self.per_peer.values()
+        return {
+            "rpc_bytes_sent": sum(p.bytes_sent for p in peers),
+            "rpc_bytes_received": sum(p.bytes_received for p in peers),
+        }
 
     def bytes_by_host(self) -> dict[str, int]:
         """Total RPC payload bytes moved per source host (both directions)."""
@@ -222,11 +214,6 @@ class FaultPlane:
         self.enabled = True
         #: faults injected so far, by kind
         self.injected: dict[str, int] = {}
-        self._registry: MetricsRegistry | None = None
-
-    def register(self, registry: MetricsRegistry) -> None:
-        """Mirror injected-fault counts into ``registry`` (``net.faults_*``)."""
-        self._registry = registry
 
     # -- configuration ----------------------------------------------------
 
@@ -290,10 +277,6 @@ class FaultPlane:
 
     def _count(self, kind: str) -> None:
         self.injected[kind] = self.injected.get(kind, 0) + 1
-        registry = self._registry
-        if registry is not None:
-            registry.counter("net.faults_injected").inc()
-            registry.counter(f"net.faults.{kind}").inc()
 
     @property
     def total_injected(self) -> int:
@@ -381,11 +364,12 @@ class Network:
         self.clock = clock or VirtualClock()
         self.rpc_latency = rpc_latency
         self.telemetry = telemetry or NULL_TELEMETRY
-        self.stats = NetworkStats()
+        metrics = self.telemetry.metrics
+        self.stats = NetworkStats(rpc_latency=metrics.histogram("net.rpc_latency_seconds"))
         self.faults = fault_plane or FaultPlane()
-        if self.telemetry.enabled:
-            self.stats.register(self.telemetry.metrics)
-            self.faults.register(self.telemetry.metrics)
+        metrics.add_source("net", self.stats)
+        metrics.add_source("net", self.stats.rpc_bytes)
+        metrics.add_source("net.faults", self.faults.injected)
         self._hosts: dict[str, _HostState] = {}
         #: reordered datagrams awaiting delivery, per destination host
         self._deferred_datagrams: dict[str, list[tuple[str, object]]] = {}

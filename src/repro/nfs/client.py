@@ -24,11 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import RpcTimeout, StaleFileHandle
+from repro.errors import HostUnreachable, RpcTimeout, StaleFileHandle
 from repro.net import Network
 from repro.nfs.protocol import CTX_FIELD, LookupReply, NfsHandle
 from repro.physical.wire import AttrBatch, BlockDigests, SyncProbe
-from repro.telemetry import NULL_SPAN, NULL_TELEMETRY, Telemetry
+from repro.telemetry import NULL_TELEMETRY, HealthPlane, Telemetry, spanned
 from repro.ufs.inode import FileAttributes, FileType
 from repro.util import VirtualClock
 from repro.vnode.interface import (
@@ -91,10 +91,12 @@ class NfsClientLayer(FileSystemLayer):
         self.config = config or NfsClientConfig()
         self.telemetry = telemetry or NULL_TELEMETRY
         # stable per Telemetry hub — bound once to shorten the per-RPC path
-        self.tracer = self.telemetry.tracer
+        self._tracer = self.telemetry.tracer
         #: the client host's HealthPlane; an ambiguous non-idempotent
         #: timeout (executed? reply lost?) fires its anomaly recorder
-        self.health = health
+        self.health: HealthPlane = health or HealthPlane(
+            client_addr, clock=network.clock.now, telemetry=self.telemetry
+        )
         self._attr_cache: dict[NfsHandle, tuple[float, FileAttributes]] = {}
         self._name_cache: dict[tuple[NfsHandle, str], tuple[float, LookupReply]] = {}
 
@@ -104,6 +106,12 @@ class NfsClientLayer(FileSystemLayer):
 
     # -- RPC plumbing ------------------------------------------------------
 
+    @spanned(
+        lambda self, op, *args, **kwargs: f"nfs.{op}",
+        layer="nfs-client",
+        host="client_addr",
+        tags=lambda self, *args, **kwargs: {"server": self.server_addr},
+    )
     def call(self, op: str, *args: object, ctx: OpContext = ROOT_CTX) -> object:
         """Issue one NFS RPC with retransmission.
 
@@ -114,30 +122,28 @@ class NfsClientLayer(FileSystemLayer):
         retransmissions) is one ``nfs-client`` span whose context replaces
         ``ctx.trace`` on the wire, stitching client and server trees.
         """
-        tracer = self.tracer
-        if not tracer.enabled:
-            wire = ctx.to_wire()
-            if not wire:
-                return self._call_with_retries(op, args, {}, NULL_SPAN)
-            # like the wire form itself, the single-field kwargs dict is
-            # immutable in practice (the transport spreads it; the server
-            # pops from its own copy), so cache it on the context too
-            kwargs: dict[str, object] | None = ctx.__dict__.get("_wire_kwargs")
-            if kwargs is None:
-                kwargs = {CTX_FIELD: wire}
-                object.__setattr__(ctx, "_wire_kwargs", kwargs)
-            return self._call_with_retries(op, args, kwargs, NULL_SPAN)
-        with tracer.span(f"nfs.{op}", layer="nfs-client", host=self.client_addr) as span:
-            span.set_tag("server", self.server_addr)
-            kwargs = {CTX_FIELD: ctx.with_trace(span.context).to_wire()}
-            return self._call_with_retries(op, args, kwargs, span)
+        span_ctx = self._tracer.current_context()
+        if span_ctx is not None:
+            return self._call_with_retries(
+                op, args, {CTX_FIELD: ctx.with_trace(span_ctx).to_wire()}
+            )
+        wire = ctx.to_wire()
+        if not wire:
+            return self._call_with_retries(op, args, {})
+        # like the wire form itself, the single-field kwargs dict is
+        # immutable in practice (the transport spreads it; the server
+        # pops from its own copy), so cache it on the context too
+        kwargs: dict[str, object] | None = ctx.__dict__.get("_wire_kwargs")
+        if kwargs is None:
+            kwargs = {CTX_FIELD: wire}
+            object.__setattr__(ctx, "_wire_kwargs", kwargs)
+        return self._call_with_retries(op, args, kwargs)
 
     def _call_with_retries(
         self,
         op: str,
         args: tuple[object, ...],
         kwargs: dict[str, object],
-        span,
     ) -> object:
         """Retransmit with bounded exponential backoff — idempotent ops only.
 
@@ -164,7 +170,7 @@ class NfsClientLayer(FileSystemLayer):
                     min(self.config.backoff_max, self.config.backoff_base * 2 ** (attempt - 1))
                 )
                 self.telemetry.metrics.counter("nfs.retries").inc()
-                span.set_tag("retries", attempt)
+                self._tracer.tag_current("retries", attempt)
             try:
                 return self.network.rpc(
                     self.client_addr,
@@ -175,24 +181,18 @@ class NfsClientLayer(FileSystemLayer):
                 )
             except RpcTimeout as exc:
                 if not may_replay_ambiguous:
-                    if self.health is not None:
-                        # the most dangerous failure shape in the protocol:
-                        # the server may or may not have minted fresh ids
-                        self.health.anomaly(
-                            "ambiguous_timeout", op=op, server=self.server_addr
-                        )
+                    # the most dangerous failure shape in the protocol:
+                    # the server may or may not have minted fresh ids
+                    self.health.anomaly("ambiguous_timeout", op=op, server=self.server_addr)
                     raise  # the server may already have executed this
                 last_error = exc
-            except StaleFileHandle:
-                raise
-            except Exception as exc:
+            except HostUnreachable as exc:
                 # definitively-not-executed transport error: anything may
-                # retransmit (exact class: RpcTimeout is handled above and
-                # application errors must propagate)
-                if exc.__class__.__name__ == "HostUnreachable":
-                    last_error = exc
-                    continue
-                raise
+                # retransmit (exact class: its RpcTimeout subclass is
+                # handled above and application errors must propagate)
+                if type(exc) is not HostUnreachable:
+                    raise
+                last_error = exc
         raise RpcTimeout(f"{op}: server {self.server_addr} unreachable") from last_error
 
     # -- caches ------------------------------------------------------------------

@@ -25,7 +25,7 @@ from repro.physical.vnodes import (
     PhysicalRootVnode,
 )
 from repro.physical.wire import EntryType
-from repro.telemetry import NULL_TELEMETRY, Telemetry, TraceContext
+from repro.telemetry import NULL_TELEMETRY, HealthPlane, Telemetry, TraceContext
 from repro.util import FicusFileHandle, VirtualClock, VolumeReplicaId
 from repro.vnode.interface import FileSystemLayer, Vnode
 
@@ -131,8 +131,9 @@ class FicusPhysicalLayer(FileSystemLayer):
         self._registry: dict[int, Vnode] = {}
         #: count of version-vector bumps deferred into sessions (observability)
         self.session_coalesced_updates = 0
-        #: this host's HealthPlane, wired by the cluster (None when disabled)
-        self.health = None
+        #: this host's HealthPlane; a host that reboots hands the rebuilt
+        #: layer the plane its first one made (the flight recorder survives)
+        self.health = HealthPlane(host_addr, clock=self.clock.now, telemetry=self.telemetry)
         if network is not None:
             network.register_datagram_handler(host_addr, self._on_datagram)
 
@@ -274,19 +275,15 @@ class FicusPhysicalLayer(FileSystemLayer):
     def record_version(self, kind, fh, vv, parents=(), origin="", detail="") -> None:
         """Append one minted/installed version to the provenance ledger.
 
-        Hot path (every vv bump lands here): one attribute check when the
-        health plane is off, one ring append of raw immutable references
-        when on — the ledger encodes lazily at query time.
+        Hot path (every vv bump lands here): one ring append of raw
+        immutable references — the ledger encodes lazily at query time.
         """
-        health = self.health
-        if health is None or not health.provenance.enabled:
-            return
         trace = ""
         if self.telemetry.enabled:
             tc = self.telemetry.tracer.current_context()
             if tc is not None:
                 trace = f"{tc.trace_id:x}:{tc.span_id:x}"
-        health.provenance.record(
+        self.health.provenance.record(
             kind,
             fh.logical,
             vv,

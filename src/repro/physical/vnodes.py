@@ -25,6 +25,7 @@ itself needs no coordination.
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 
 from repro.errors import (
     FileNotFound,
@@ -45,10 +46,13 @@ from repro.physical.wire import (
     decode_op,
     is_encoded_op,
 )
+from repro.telemetry import spanned
 from repro.ufs.inode import FileAttributes, FileType
 from repro.util import FicusFileHandle
 from repro.vnode.interface import ROOT_CTX, DirEntry, OpContext, SetAttrs, Vnode
 from repro.vv import VersionVector
+
+_spanned = partial(spanned, layer="physical", host="layer.host_addr")
 
 #: Separator used when repairing a live-name collision: the colliding
 #: entries after the first become ``name#<entry-id>``.
@@ -304,18 +308,10 @@ class PhysicalDirVnode(Vnode):
 
     # -- namespace ---------------------------------------------------------------
 
+    @_spanned("physical.lookup", tags=lambda self, name, *a, **k: {"encoded": is_encoded_op(name)})
     def lookup(self, name: str, ctx: OpContext = ROOT_CTX) -> Vnode:
         self.layer.counters.bump("lookup")
-        encoded = is_encoded_op(name)
-        # enabled-check before building span arguments: lookup is the
-        # hottest vnode operation and must stay free when not tracing
-        tracer = self._tracer
-        if not tracer.enabled:
-            return self._encoded_lookup(name) if encoded else self._plain_lookup(name)
-        with tracer.span(
-            "physical.lookup", layer="physical", host=self.layer.host_addr, encoded=encoded
-        ):
-            return self._encoded_lookup(name) if encoded else self._plain_lookup(name)
+        return self._encoded_lookup(name) if is_encoded_op(name) else self._plain_lookup(name)
 
     def _plain_lookup(self, name: str) -> Vnode:
         view = effective_entries(self.entries())
@@ -381,6 +377,7 @@ class PhysicalDirVnode(Vnode):
     # insert arrives as the name argument of create (paper Section 2.3
     # style overloading: NFS passes the string through untouched).
 
+    @_spanned("physical.insert")
     def create(self, name: str, perm: int = 0o644, ctx: OpContext = ROOT_CTX) -> Vnode:
         self.layer.counters.bump("create")
         if not is_encoded_op(name):
@@ -391,13 +388,6 @@ class PhysicalDirVnode(Vnode):
         op, fields = decode_op(name)
         if op != "insert":
             raise NotSupported(f"create cannot carry operation {op!r}")
-        tracer = self._tracer
-        if not tracer.enabled:
-            return self._create_decoded(fields)
-        with tracer.span("physical.insert", layer="physical", host=self.layer.host_addr):
-            return self._create_decoded(fields)
-
-    def _create_decoded(self, fields: list[str]) -> Vnode:
         # The applying replica mints ids the requester left blank — id
         # issuance stays with the volume replica (paper Section 4.2) even
         # when the request crossed an NFS hop.
@@ -515,6 +505,7 @@ class PhysicalDirVnode(Vnode):
         entries.append(entry.killed(acks=merged_acks).with_acks(merged_acks, merged_acks2))
         self.store.write_entries(self.fh, entries)
 
+    @_spanned("physical.remove")
     def remove(self, name: str, ctx: OpContext = ROOT_CTX) -> None:
         self.layer.counters.bump("remove")
         if not is_encoded_op(name):
@@ -524,12 +515,7 @@ class PhysicalDirVnode(Vnode):
         op, fields = decode_op(name)
         if op != "remove":
             raise NotSupported(f"remove cannot carry operation {op!r}")
-        tracer = self._tracer
-        if not tracer.enabled:
-            self.apply_remove(EntryId.decode(fields[0]), from_recon=bool(fields[1]))
-            return
-        with tracer.span("physical.remove", layer="physical", host=self.layer.host_addr):
-            self.apply_remove(EntryId.decode(fields[0]), from_recon=bool(fields[1]))
+        self.apply_remove(EntryId.decode(fields[0]), from_recon=bool(fields[1]))
 
     def apply_remove(self, eid: EntryId, from_recon: bool = False) -> None:
         """Tombstone one entry and garbage-collect its backing storage.
@@ -676,39 +662,23 @@ class PhysicalFileVnode(Vnode):
 
     # -- data --
 
+    @_spanned("physical.read")
     def read(self, offset: int, length: int, ctx: OpContext = ROOT_CTX) -> bytes:
         self.layer.counters.bump("read")
-        tracer = self._tracer
-        if not tracer.enabled:
-            return self._contents().read(offset, length, ctx)
-        with tracer.span("physical.read", layer="physical", host=self.layer.host_addr):
-            return self._contents().read(offset, length, ctx)
+        return self._contents().read(offset, length, ctx)
 
+    @_spanned("physical.write", tags=lambda self, offset, data, *a, **k: {"bytes": len(data)})
     def write(self, offset: int, data: bytes, ctx: OpContext = ROOT_CTX) -> int:
         self.layer.counters.bump("write")
-        tracer = self._tracer
-        if not tracer.enabled:
-            return self._write_impl(offset, data, ctx)
-        with tracer.span(
-            "physical.write", layer="physical", host=self.layer.host_addr, bytes=len(data)
-        ):
-            return self._write_impl(offset, data, ctx)
-
-    def _write_impl(self, offset: int, data: bytes, ctx: OpContext) -> int:
         written = self._contents().write(offset, data, ctx)
         self.layer.note_update(self.store, self.parent_fh, self.fh)
         return written
 
+    @_spanned("physical.truncate")
     def truncate(self, size: int, ctx: OpContext = ROOT_CTX) -> None:
         self.layer.counters.bump("truncate")
-        tracer = self._tracer
-        if not tracer.enabled:
-            self._contents().truncate(size, ctx)
-            self.layer.note_update(self.store, self.parent_fh, self.fh)
-            return
-        with tracer.span("physical.truncate", layer="physical", host=self.layer.host_addr):
-            self._contents().truncate(size, ctx)
-            self.layer.note_update(self.store, self.parent_fh, self.fh)
+        self._contents().truncate(size, ctx)
+        self.layer.note_update(self.store, self.parent_fh, self.fh)
 
     def fsync(self, ctx: OpContext = ROOT_CTX) -> None:
         self.layer.counters.bump("fsync")

@@ -46,8 +46,9 @@ class ConflictLog:
     def __init__(self, telemetry: Telemetry | None = None) -> None:
         self._reports: list[ConflictReport] = []
         self.telemetry = telemetry or NULL_TELEMETRY
-        #: this host's HealthPlane, wired by the cluster (None when disabled)
-        self.health = None
+        self.telemetry.metrics.add_source(
+            "recon", lambda: {"conflicts_reported": len(self._reports)}
+        )
 
     def report(self, conflict: ConflictReport) -> bool:
         """Add a report unless an unresolved equivalent is already logged.
@@ -65,18 +66,7 @@ class ConflictLog:
             ):
                 return False
         self._reports.append(conflict)
-        if self.health is not None:
-            # a conflict is an anomaly worth a flight-recorder snapshot:
-            # the operations that led to it are still in the op ring
-            self.health.anomaly(
-                "conflict_detected",
-                conflict_kind=conflict.kind.value,
-                name=conflict.name,
-                fh=conflict.fh.logical.to_hex(),
-                remote_host=conflict.remote_host,
-            )
         if self.telemetry.enabled:
-            self.telemetry.metrics.counter("recon.conflicts_reported").inc()
             self.telemetry.events.emit(
                 "conflict.detected",
                 conflict_kind=conflict.kind.value,

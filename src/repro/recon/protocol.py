@@ -208,19 +208,28 @@ def reconcile_subtree(
                 if resolved is ResolveOutcome.FALLBACK:
                     result.resolver_fallbacks += 1
                 result.file_conflicts += 1
-                if conflict_log is not None:
-                    conflict_log.report(
-                        ConflictReport(
-                            kind=ConflictKind.FILE_UPDATE,
-                            volume=volrep.volume,
-                            parent_fh=dir_fh,
-                            fh=file_fh,
-                            name=file_entry.name,
-                            local_vv=pull.local_vv,
-                            remote_vv=pull.remote_vv,
-                            remote_host=remote_host,
-                            detected_at=physical.clock.now(),
-                        )
+                if conflict_log is not None and conflict_log.report(
+                    ConflictReport(
+                        kind=ConflictKind.FILE_UPDATE,
+                        volume=volrep.volume,
+                        parent_fh=dir_fh,
+                        fh=file_fh,
+                        name=file_entry.name,
+                        local_vv=pull.local_vv,
+                        remote_vv=pull.remote_vv,
+                        remote_host=remote_host,
+                        detected_at=physical.clock.now(),
+                    )
+                ):
+                    # a new conflict is an anomaly worth a flight-recorder
+                    # snapshot: the operations that led to it are still in
+                    # the op ring
+                    physical.health.anomaly(
+                        "conflict_detected",
+                        conflict_kind=ConflictKind.FILE_UPDATE.value,
+                        name=file_entry.name,
+                        fh=file_fh.logical.to_hex(),
+                        remote_host=remote_host,
                     )
             elif pull.outcome is PullOutcome.UNREACHABLE:
                 result.aborted_by_partition = True

@@ -64,19 +64,11 @@ class FicusHost:
         allocator_id: int,
         config: HostConfig,
         telemetry: Telemetry | None = None,
-        health_enabled: bool = True,
     ):
         self.name = name
         self.network = network
         self.clock = clock
         self.telemetry = telemetry or NULL_TELEMETRY
-        #: the consistency observability plane (None when disabled); the
-        #: plane itself survives crashes — it plays the flight recorder
-        self.health_plane: HealthPlane | None = (
-            HealthPlane(name, clock=clock.now, telemetry=self.telemetry)
-            if health_enabled
-            else None
-        )
         self.allocator = IdAllocator(allocator_id)
         self.device = BlockDevice(config.disk_blocks, name=f"{name}-disk")
         self.ufs = Ufs.mkfs(
@@ -91,17 +83,16 @@ class FicusHost:
         self.physical = FicusPhysicalLayer(
             self.ufs_layer, name, network=network, clock=clock, telemetry=self.telemetry
         )
-        self.physical.health = self.health_plane
+        #: the consistency observability plane the first physical layer
+        #: built; it survives crashes — it plays the flight recorder
+        self.health_plane: HealthPlane = self.physical.health
         self.nfs_server = NfsServer(
             network, name, self.physical, service=PHYSICAL_SERVICE, telemetry=self.telemetry
         )
         self.graft_table = GraftTable()
-        self.fabric = Fabric(
-            network, name, self.physical, telemetry=self.telemetry, health=self.health_plane
-        )
+        self.fabric = Fabric(network, name, self.physical, telemetry=self.telemetry)
         self.logical: FicusLogicalLayer | None = None  # wired by FicusSystem
         self.conflict_log = ConflictLog(telemetry=self.telemetry)
-        self.conflict_log.health = self.health_plane
         self.propagation_daemon: PropagationDaemon | None = None
         self.recon_daemon: ReconciliationDaemon | None = None
         self.graft_prune_daemon: GraftPruneDaemon | None = None
@@ -128,14 +119,6 @@ class FicusHost:
             topology = self.recon_daemon.topology
             topology_name = topology.name
             fanout = topology.fanout(self.recon_daemon.max_peer_count())
-        if self.health_plane is None:
-            return HostHealth(
-                host=self.name,
-                up=self.network.host_is_up(self.name),
-                degraded_peers=sorted(degraded),
-                topology=topology_name,
-                fanout=fanout,
-            )
         return self.health_plane.host_health(
             up=self.network.host_is_up(self.name),
             notes_pending=self.physical.new_version_cache_size,
@@ -189,13 +172,7 @@ class FicusHost:
                 store.scavenge_shadows(dir_fh)
         self.nfs_server.exported = self.physical
         self.nfs_server.reboot()
-        self.fabric = Fabric(
-            self.network,
-            self.name,
-            self.physical,
-            telemetry=self.telemetry,
-            health=self.health_plane,
-        )
+        self.fabric = Fabric(self.network, self.name, self.physical, telemetry=self.telemetry)
         self.logical = FicusLogicalLayer(
             self.network,
             self.name,
@@ -205,7 +182,6 @@ class FicusHost:
             read_policy=self.logical.read_policy,
             telemetry=self.telemetry,
         )
-        self.logical.health = self.health_plane
         self.logical.degraded_probe = self._degraded_probe
         self.propagation_daemon.physical = self.physical
         self.propagation_daemon.fabric = self.fabric
@@ -236,7 +212,6 @@ class FicusSystem:
         daemon_config: DaemonConfig | None = None,
         read_policy: str = READ_LATEST,
         telemetry: Telemetry | None = None,
-        health: bool = True,
         resolvers=None,
         topology: str | Topology | None = None,
     ):
@@ -267,7 +242,6 @@ class FicusSystem:
                 allocator_id=index,
                 config=self.host_config,
                 telemetry=self.telemetry,
-                health_enabled=health,
             )
 
         # the root volume, replicated where asked (default: everywhere)
@@ -287,7 +261,6 @@ class FicusSystem:
                 read_policy=read_policy,
                 telemetry=self.telemetry,
             )
-            host.logical.health = host.health_plane
             self._wire_daemons(host)
 
     # -- volume management -----------------------------------------------
@@ -383,8 +356,7 @@ class FicusSystem:
         host.graft_prune_daemon = GraftPruneDaemon(
             host.logical, idle_timeout=cfg.graft_idle_timeout
         )
-        if host.health_plane is not None:
-            host.health_plane.topology = self.topology.name
+        host.health_plane.topology = self.topology.name
         host.logical.degraded_probe = host._degraded_probe
         if cfg.propagation_period is not None:
             self.loop.schedule_every(cfg.propagation_period, host.propagation_daemon.tick)

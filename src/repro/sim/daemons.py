@@ -180,6 +180,12 @@ class PropagationDaemon:
         self.stats = PropagationStats()
         self.peer_health = PeerHealth()
         self._tick_index = 0
+        physical.telemetry.metrics.add_source("propagation", self.stats)
+
+    @property
+    def ticks(self) -> int:
+        """Ticks since boot that found a pending note to consider."""
+        return self._tick_index
 
     def reboot(self) -> None:
         """Forget all volatile state (crash recovery).
@@ -218,9 +224,7 @@ class PropagationDaemon:
             # idle fast path: an empty cache means no note can be aged,
             # skipped, or serviced — one length check and out (this is
             # the common case for every quiescent host in a large sim)
-            health = physical.health
-            if health is not None:
-                health.set_notes_pending(0)
+            physical.health.notes_pending = 0
             return 0
         now = physical.clock.now()
         notes = physical.pending_new_versions()
@@ -238,19 +242,15 @@ class PropagationDaemon:
                 continue
             if allowed is not None and note.src_addr not in allowed:
                 self.stats.notes_gated += 1
-                self.physical.telemetry.metrics.counter("propagation.notes_gated").inc()
                 continue
             if self.peer_health.should_skip(note.src_addr):
                 self.stats.notes_deferred += 1
-                self.physical.telemetry.metrics.counter("propagation.notes_deferred").inc()
                 continue
             key = (note.src_addr, note.src_volrep, note.key.volrep, note.key.parent_fh.logical)
             groups.setdefault(key, []).append(note)
         roots: dict[tuple, Vnode] = {}  # remote volume roots resolved this tick
         pulled = sum(self._service_group(group, roots) for group in groups.values())
-        health = self.physical.health
-        if health is not None:
-            health.set_notes_pending(self.physical.new_version_cache_size)
+        physical.health.notes_pending = physical.new_version_cache_size
         return pulled
 
     def _service_group(self, group: list[NewVersionNote], roots: dict) -> int:
@@ -262,8 +262,6 @@ class PropagationDaemon:
         telemetry = physical.telemetry
         stats = self.stats
         src = group[0].src_addr
-        bytes_before = stats.bytes_copied
-        saved_before = stats.bytes_saved
         with ExitStack() as stack:
             # each span is parented on the trace context its note's update
             # notification carried, so the pull joins every originating
@@ -295,17 +293,9 @@ class PropagationDaemon:
                 setattr(stats, counter, getattr(stats, counter) + 1)
                 if outcome != "unreachable":
                     physical.clear_new_version(note.key)
-            telemetry.metrics.counter("propagation.pulls_attempted").inc()
-            telemetry.metrics.counter(f"propagation.{outcome}").inc()
             telemetry.events.emit(
                 "propagation.pull", host=physical.host_addr, outcome=outcome, objkind=note.objkind, src=src
             )
-        copied = stats.bytes_copied - bytes_before
-        if copied:
-            telemetry.metrics.counter("propagation.bytes_copied").inc(copied)
-        saved = stats.bytes_saved - saved_before
-        if saved:
-            telemetry.metrics.counter("propagation.bytes_saved").inc(saved)
         return pulled
 
     def _attempt(self, group: list[NewVersionNote], roots: dict) -> tuple[list[str], int]:
@@ -340,6 +330,8 @@ class PropagationDaemon:
 @dataclass
 class ReconStats:
     runs: int = 0
+    #: peers the ring/gossip topology put inside a tick's fanout
+    peers_selected: int = 0
     #: ring peers passed over this-and-previous ticks because they kept
     #: failing while reachable (degraded), letting the round do useful
     #: work against someone else instead of stalling
@@ -353,6 +345,15 @@ class ReconStats:
     @property
     def total_auto_resolved(self) -> int:
         return sum(r.conflicts_auto_resolved for r in self.results)
+
+    def totals(self) -> dict[str, int]:
+        """The daemon's counters plus every field of the results summed —
+        what the metrics registry views as ``recon.*``."""
+        out = {name: value for name, value in vars(self).items() if name != "results"}
+        for result in self.results:
+            for name, value in vars(result).items():
+                out[name] = out.get(name, 0) + value
+        return out
 
 
 class ReconciliationDaemon:
@@ -393,6 +394,12 @@ class ReconciliationDaemon:
         self.stats = ReconStats()
         self.peer_health = PeerHealth()
         self.tombstones_purged = 0
+        physical.telemetry.metrics.add_source("recon", self.stats.totals)
+
+    @property
+    def ticks(self) -> int:
+        """Ticks since boot."""
+        return self._tick_index
 
     @property
     def peers(self) -> MappingProxyType:
@@ -437,7 +444,6 @@ class ReconciliationDaemon:
         retry cycles; unreachable peers cost one cheap check and surface
         as an aborted result routed through the health plane.
         """
-        telemetry = self.physical.telemetry
         outcomes = []
         health = self.physical.health
         topology = self.topology
@@ -448,17 +454,15 @@ class ReconciliationDaemon:
             if not peers:
                 continue
             hosts = self._peer_hosts[volrep]
-            if health is not None:
-                # every ring peer ages one tick; a completed round resets it
-                health.recon_tick(volrep.volume, hosts)
+            # every ring peer ages one tick; a completed round resets it
+            health.recon_tick(volrep.volume, hosts)
             if topology.is_full_mesh:
                 position = self._ring_position.get(volrep, 0)
                 order = [(position + offset) % len(peers) for offset in range(len(peers))]
             else:
                 position = 0
                 order = topology.select(self.physical.host_addr, hosts, tick_index)
-                if order:
-                    telemetry.metrics.counter("recon.peers_selected").inc(len(order))
+                self.stats.peers_selected += len(order)
             reconciled = False
             saw_unreachable = False
             unreachable_hosts: list[str] = []
@@ -470,7 +474,6 @@ class ReconciliationDaemon:
                     continue
                 if self.peer_health.should_skip(peer.host):
                     self.stats.peers_skipped += 1
-                    telemetry.metrics.counter("recon.peers_skipped").inc()
                     continue
                 if topology.is_full_mesh:
                     self._ring_position[volrep] = position + scanned + 1
@@ -496,11 +499,8 @@ class ReconciliationDaemon:
                     result = SubtreeReconResult(aborted_by_partition=True)
                     self.stats.runs += 1
                     self.stats.results.append(result)
-                    telemetry.metrics.counter("recon.runs").inc()
-                    telemetry.metrics.counter("recon.aborted_by_partition").inc()
-                    if health is not None:
-                        for peer_host in unreachable_hosts:
-                            health.recon_result(volrep.volume, peer_host, ok=False)
+                    for peer_host in unreachable_hosts:
+                        health.recon_result(volrep.volume, peer_host, ok=False)
                     outcomes.append(result)
         return outcomes
 
@@ -520,33 +520,12 @@ class ReconciliationDaemon:
         ) as span:
             span.set_tag("peer", peer.host)
             result = self._reconcile_with(volrep, peer, span)
-        telemetry.metrics.counter("recon.runs").inc()
-        health = self.physical.health
-        if health is not None:
-            health.recon_result(
-                volrep.volume,
-                peer.host,
-                ok=not result.aborted_by_partition,
-                conflicts=result.file_conflicts,
-            )
-        if result.aborted_by_partition:
-            telemetry.metrics.counter("recon.aborted_by_partition").inc()
-        if result.files_pulled:
-            telemetry.metrics.counter("recon.files_pulled").inc(result.files_pulled)
-        if result.file_conflicts:
-            telemetry.metrics.counter("recon.file_conflicts").inc(result.file_conflicts)
-        if result.conflicts_auto_resolved:
-            telemetry.metrics.counter("recon.conflicts_auto_resolved").inc(
-                result.conflicts_auto_resolved
-            )
-        if result.resolver_fallbacks:
-            telemetry.metrics.counter("recon.resolver_fallbacks").inc(result.resolver_fallbacks)
-        if result.subtrees_pruned:
-            telemetry.metrics.counter("recon.subtrees_pruned").inc(result.subtrees_pruned)
-        if result.probe_rpcs:
-            telemetry.metrics.counter("recon.probe_rpcs").inc(result.probe_rpcs)
-        if result.bytes_saved:
-            telemetry.metrics.counter("propagation.bytes_saved").inc(result.bytes_saved)
+        self.physical.health.recon_result(
+            volrep.volume,
+            peer.host,
+            ok=not result.aborted_by_partition,
+            conflicts=result.file_conflicts,
+        )
         return result
 
     def _reconcile_with(

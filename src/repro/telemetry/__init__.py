@@ -30,7 +30,7 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.telemetry.trace import NULL_SPAN, Span, TraceContext, Tracer
+from repro.telemetry.trace import NULL_SPAN, Span, TraceContext, Tracer, spanned
 
 
 class Telemetry:
@@ -57,17 +57,12 @@ class Telemetry:
         self.events._clock = clock
 
     def reset(self) -> None:
-        """Drop recorded data; registered instrument *names* survive."""
+        """Drop recorded spans and events and zero the registry-held
+        instruments (their names survive); viewed metrics are the live
+        state of the components they view and are not touched."""
         self.tracer.reset()
         self.events.clear()
-        for name in self.metrics.names():
-            instrument = self.metrics.get(name)
-            if isinstance(instrument, Histogram):
-                instrument.bucket_counts = [0] * (len(instrument.buckets) + 1)
-                instrument.count = 0
-                instrument.total = 0.0
-            elif instrument is not None:
-                instrument.value = 0
+        self.metrics.reset()
 
     def __repr__(self) -> str:
         state = "enabled" if self.enabled else "disabled"
@@ -127,4 +122,5 @@ __all__ = [
     "Tracer",
     "load_dump",
     "snapshot_to_jsonl",
+    "spanned",
 ]

@@ -20,10 +20,9 @@ module maintains that answer per host:
   but not yet pulled.
 
 All state lives in plain Python (the plane works with telemetry
-disabled); when the deployment's :class:`~repro.telemetry.Telemetry`
-hub is enabled the same numbers mirror into gauges named
-``health.divergence_suspected.<host>``, ``health.notes_pending.<host>``
-and ``health.staleness_ticks.<host>.<peer>``.
+disabled); the deployment's :class:`~repro.telemetry.Telemetry` hub views
+the same numbers as gauges named ``health.divergence_suspected.<host>``,
+``health.notes_pending.<host>`` and ``health.staleness_ticks.<host>.<peer>``.
 
 The :class:`FlightRecorder` is the always-on black box: a bounded ring
 of recent vnode operations (with their trace ids) that snapshots itself
@@ -242,11 +241,10 @@ def load_dump(path: str) -> dict:
 class HealthPlane:
     """Per-host consistency health: suspicion, staleness, anomalies.
 
-    Constructed unconditionally by :class:`~repro.sim.FicusHost` (the
-    state is plain Python and the hot-path hooks are attribute checks),
-    and consulted by the logical layer, the daemons, the conflict log,
-    the NFS client, and ``pull_file``.  ``FicusHost.health()`` renders
-    it as a :class:`HostHealth`.
+    Always on: the physical layer builds one (a :class:`~repro.sim.FicusHost`
+    keeps its first across reboots), and the logical layer, the daemons,
+    reconciliation, the NFS client, and ``pull_file`` consult it.
+    ``FicusHost.health()`` renders it as a :class:`HostHealth`.
     """
 
     def __init__(
@@ -283,6 +281,25 @@ class HealthPlane:
         self.recorder = FlightRecorder(
             host, capacity=ring_capacity, clock=clock, context=self._dump_context
         )
+        metrics = self.telemetry.metrics
+        metrics.add_source("health", self._gauges, kind="gauge")
+        metrics.add_source("health.anomaly", self.anomaly_counts)
+        metrics.add_source("resolver", self._resolver_counts)
+
+    def _gauges(self) -> dict[str, int]:
+        gauges = {
+            f"divergence_suspected.{self.host}": len(self._suspected),
+            f"notes_pending.{self.host}": self.notes_pending,
+        }
+        for peer, ticks in self._staleness.items():
+            gauges[f"staleness_ticks.{self.host}.{peer}"] = ticks
+        return gauges
+
+    def _resolver_counts(self) -> dict[str, int]:
+        return {
+            "auto_resolved": self.resolver_auto_resolved,
+            "fallback_manual": self.resolver_fallback_manual,
+        }
 
     def now(self) -> float:
         return self._clock() if self._clock is not None else 0.0
@@ -304,7 +321,6 @@ class HealthPlane:
         if key in self._suspected:
             return
         self._suspected[key] = reason
-        self._mirror_suspicion()
         if self.telemetry.enabled:
             self.telemetry.events.emit(
                 "health.divergence_suspected",
@@ -315,8 +331,7 @@ class HealthPlane:
             )
 
     def clear_suspicion(self, volume, peer: str) -> None:
-        if self._suspected.pop((volume, peer), None) is not None:
-            self._mirror_suspicion()
+        self._suspected.pop((volume, peer), None)
 
     def note_missed_notification(self, volume, peer: str) -> None:
         """An update notification could not reach ``peer``: it missed a write."""
@@ -343,7 +358,6 @@ class HealthPlane:
             # it; until a round completes, its staleness clock runs from
             # this moment
             self._fresh_since.setdefault(peer, self.now())
-        self._mirror_staleness()
 
     def recon_result(self, volume, peer: str, ok: bool, conflicts: int = 0) -> None:
         """A reconciliation round with ``peer`` finished (or aborted)."""
@@ -363,7 +377,6 @@ class HealthPlane:
             self._staleness[peer] = 0
             self._fresh_since[peer] = self.now()
             self.clear_suspicion(volume, peer)
-            self._mirror_staleness()
         else:
             self.suspect(volume, peer, "recon-aborted")
 
@@ -379,11 +392,6 @@ class HealthPlane:
             peer: max(0.0, now - self._fresh_since.get(peer, now))
             for peer in self._staleness
         }
-
-    def set_notes_pending(self, count: int) -> None:
-        self.notes_pending = count
-        if self.telemetry.enabled:
-            self.telemetry.metrics.gauge(f"health.notes_pending.{self.host}").set(count)
 
     # -- automatic conflict resolution ------------------------------------
 
@@ -418,7 +426,6 @@ class HealthPlane:
             f"{name}[{tag}] {local_vv.encode() or '0'} x {remote_vv.encode() or '0'}",
         )
         if self.telemetry.enabled:
-            self.telemetry.metrics.counter("resolver.auto_resolved").inc()
             self.telemetry.events.emit(
                 "resolver.auto_resolved", host=self.host, **entry
             )
@@ -430,7 +437,6 @@ class HealthPlane:
         self.resolver_fallback_manual += 1
         self.recorder.record("conflict_resolver_fallback", f"{name}[{tag}] {reason}")
         if self.telemetry.enabled:
-            self.telemetry.metrics.counter("resolver.fallback_manual").inc()
             self.telemetry.events.emit(
                 "resolver.fallback_manual",
                 host=self.host,
@@ -448,8 +454,6 @@ class HealthPlane:
         """An anomaly fired: count it and freeze a flight-recorder snapshot."""
         self.anomaly_counts[kind] = self.anomaly_counts.get(kind, 0) + 1
         if self.telemetry.enabled:
-            self.telemetry.metrics.counter("health.anomalies").inc()
-            self.telemetry.metrics.counter(f"health.anomaly.{kind}").inc()
             self.telemetry.events.emit("health.anomaly", host=self.host, anomaly_kind=kind)
         return self.recorder.anomaly(kind, detail)
 
@@ -478,7 +482,7 @@ class HealthPlane:
         fanout: int = 0,
     ) -> HostHealth:
         if notes_pending is not None:
-            self.set_notes_pending(notes_pending)
+            self.notes_pending = notes_pending
         return HostHealth(
             host=self.host,
             up=up,
@@ -497,25 +501,11 @@ class HealthPlane:
         )
 
     def _dump_context(self) -> dict:
-        metrics = self.telemetry.metrics.snapshot() if self.telemetry.enabled else {}
         return {
             "health": self.state_dict(),
             "last_recon": list(self.last_recon),
-            "metrics": metrics,
+            "metrics": self.telemetry.metrics.snapshot(),
             # the provenance ring rides along in every anomaly dump, so an
             # offline ficus_prov can rebuild the version DAG of an incident
             "prov": self.provenance.snapshot(),
         }
-
-    def _mirror_suspicion(self) -> None:
-        if self.telemetry.enabled:
-            self.telemetry.metrics.gauge(
-                f"health.divergence_suspected.{self.host}"
-            ).set(len(self._suspected))
-
-    def _mirror_staleness(self) -> None:
-        if self.telemetry.enabled:
-            for peer, ticks in self._staleness.items():
-                self.telemetry.metrics.gauge(
-                    f"health.staleness_ticks.{self.host}.{peer}"
-                ).set(ticks)

@@ -1,19 +1,24 @@
 """A central metrics registry: counters, gauges, fixed-bucket histograms.
 
-Before this module every component kept a private stats dataclass
-(``NetworkStats``, ``PropagationStats``, ``OpProfile``...) and exporting a
-measurement meant hand-copying fields.  The registry gives them one naming
-scheme and one snapshot, which is what ``benchmarks/report_all.py``
-serializes into ``BENCH_telemetry.json``.
+Every component keeps its counts in a plain stats object it owns
+(``NetworkStats``, ``PropagationStats``, ``CacheStats``...), which is what
+the benchmarks read.  The registry gives them one naming scheme and one
+snapshot — what ``benchmarks/report_all.py`` serializes into
+``BENCH_telemetry.json`` — by *viewing* them: a component registers its
+stats object once with :meth:`MetricsRegistry.add_source` and the registry
+reads it whenever someone asks, so a count has one home and a view cannot
+drift from it.  Only facts with no other home (``nfs.retries``,
+``store.records_*``, histograms) are held by the registry itself.
 
 A registry constructed with ``enabled=False`` hands out shared no-op
-instruments and never stores an entry, so a disabled system provably
-allocates nothing (tests assert ``len(registry) == 0``).
+instruments and never stores an entry or a source, so a disabled system
+provably allocates nothing (tests assert ``len(registry) == 0``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Callable, Mapping
 
 from repro.errors import InvalidArgument
 
@@ -161,11 +166,13 @@ _NULL_HISTOGRAM = _NullHistogram("null")
 
 
 class MetricsRegistry:
-    """Get-or-create home for every instrument in one deployment."""
+    """One deployment's metrics: held instruments plus views of live stats."""
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
+        #: (prefix, source, instrument class) per registered view
+        self._sources: list[tuple[str, object, type]] = []
 
     def _get_or_create(self, name: str, factory, expected_kind: str):
         existing = self._instruments.get(name)
@@ -176,6 +183,8 @@ class MetricsRegistry:
                     f"requested {expected_kind}"
                 )
             return existing
+        if name in self._viewed():
+            raise InvalidArgument(f"metric {name!r} is a view of live stats; read it with get()")
         instrument = factory()
         self._instruments[name] = instrument
         return instrument
@@ -195,23 +204,73 @@ class MetricsRegistry:
             return _NULL_HISTOGRAM
         return self._get_or_create(name, lambda: Histogram(name, buckets), "histogram")
 
+    # -- views --------------------------------------------------------------
+
+    def add_source(
+        self,
+        prefix: str,
+        source: "object | Mapping[str, float] | Callable[[], Mapping[str, float]]",
+        kind: str = "counter",
+    ) -> None:
+        """View ``source``'s numbers as ``<prefix>.<field>`` metrics.
+
+        ``source`` is a stats object (its public int/float attributes are
+        the fields), a mapping, or a callable returning a mapping; it is
+        read each time the registry is, never copied.  Sources naming the
+        same metric add up (one per host makes the deployment's total),
+        and they are never dropped: a layer rebuilt by a host reboot
+        registers again and the dead one's final counts stay in the sum.
+        """
+        if self.enabled:
+            self._sources.append((prefix, source, Gauge if kind == "gauge" else Counter))
+
+    def _viewed(self) -> dict[str, Counter | Gauge]:
+        out: dict[str, Counter | Gauge] = {}
+        for prefix, source, instrument in self._sources:
+            fields = source() if callable(source) else source
+            if not isinstance(fields, Mapping):
+                fields = vars(fields)
+            for field, value in fields.items():
+                if field.startswith("_") or type(value) not in (int, float):
+                    continue
+                name = f"{prefix}.{field}"
+                seen = out.get(name)
+                if seen is None:
+                    seen = out[name] = instrument(name)
+                    seen.value = value
+                else:
+                    seen.value += value
+        return out
+
     # -- introspection ------------------------------------------------------
 
+    def _all(self) -> dict[str, Counter | Gauge | Histogram]:
+        return {**self._viewed(), **self._instruments}
+
     def get(self, name: str) -> Counter | Gauge | Histogram | None:
-        return self._instruments.get(name)
+        held = self._instruments.get(name)
+        return held if held is not None else self._viewed().get(name)
 
     def names(self) -> list[str]:
-        return sorted(self._instruments)
+        return sorted(self._all())
 
     def __len__(self) -> int:
-        return len(self._instruments)
+        return len(self._all())
 
     def __contains__(self, name: str) -> bool:
-        return name in self._instruments
+        return name in self._all()
 
     def snapshot(self) -> dict[str, dict[str, object]]:
-        """Every instrument, serialized — the export format."""
-        return {name: inst.to_dict() for name, inst in sorted(self._instruments.items())}
+        """Every metric, held or viewed, serialized — the export format."""
+        return {name: inst.to_dict() for name, inst in sorted(self._all().items())}
 
     def reset(self) -> None:
-        self._instruments.clear()
+        """Zero the held instruments in place (names and bound references
+        survive); viewed values are live state and keep reading it."""
+        for instrument in self._instruments.values():
+            if isinstance(instrument, Histogram):
+                instrument.bucket_counts = [0] * (len(instrument.buckets) + 1)
+                instrument.count = 0
+                instrument.total = 0.0
+            else:
+                instrument.value = 0

@@ -104,8 +104,7 @@ class ProvenanceLedger:
     an entry is one plain-tuple deque append: the file handle, version
     vector, and parents may arrive as the raw **immutable** objects and
     are hex/string-encoded lazily when a query materializes
-    :class:`ProvEvent`\\ s.  ``enabled`` exists for the overhead
-    benchmark's A/B — production never turns it off.
+    :class:`ProvEvent`\\ s.
     """
 
     def __init__(
@@ -117,7 +116,6 @@ class ProvenanceLedger:
         self.host = host
         self.capacity = capacity
         self._clock = clock
-        self.enabled = True
         #: raw (at, kind, fh, vv, parents, origin, detail, trace) tuples;
         #: fh/vv/parents are encoded strings OR the immutable originals
         self.ring: deque[tuple] = deque(maxlen=capacity)
@@ -144,8 +142,6 @@ class ProvenanceLedger:
         Raw objects are preferred on hot paths — they defer the string
         work to query time.
         """
-        if not self.enabled:
-            return
         if len(self.ring) == self.capacity:
             self.evicted += 1
         self.ring.append((self.now(), kind, fh, vv, parents, origin, detail, trace))

@@ -25,10 +25,12 @@ a byte-identical trace.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
+from operator import attrgetter
 
 #: Wire keys used when a TraceContext rides inside an RPC call (within the
 #: operation context of repro.nfs.protocol.CTX_FIELD) or a datagram payload.
@@ -185,6 +187,42 @@ class _ActiveSpan:
         return False
 
 
+def spanned(
+    name: "str | Callable[..., str]",
+    layer: str,
+    host: str,
+    tags: "Callable[..., dict[str, object]] | None" = None,
+):
+    """Method decorator: the operation's one body, under a span when tracing.
+
+    The owner binds its hub's tracer as ``self._tracer``.  With the tracer
+    disabled a call costs one attribute test and the call of the body —
+    nothing below (span name, host, tag dict, context manager) is touched.
+    ``name`` is the span name, or a callable computing it from the call's
+    arguments; ``host`` is the attribute path from ``self`` to the host
+    address; ``tags`` computes the span's tags from the call's arguments.
+    """
+    host_of = attrgetter(host)
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def op(self, *args, **kwargs):
+            tracer = self._tracer
+            if not tracer.enabled:
+                return fn(self, *args, **kwargs)
+            with tracer.span(
+                name if isinstance(name, str) else name(self, *args, **kwargs),
+                layer=layer,
+                host=host_of(self),
+                **(tags(self, *args, **kwargs) if tags is not None else {}),
+            ):
+                return fn(self, *args, **kwargs)
+
+        return op
+
+    return decorate
+
+
 class Tracer:
     """Mints spans, tracks the active stack, retains finished spans.
 
@@ -267,6 +305,11 @@ class Tracer:
         if not self.enabled or not self._stack:
             return None
         return self._stack[-1].context
+
+    def tag_current(self, key: str, value: object) -> None:
+        """Tag the innermost active span (there is none when idle or disabled)."""
+        if self._stack:
+            self._stack[-1].tags[key] = value
 
     @property
     def active_depth(self) -> int:

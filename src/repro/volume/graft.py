@@ -118,6 +118,10 @@ class Grafter:
         self._grafts: dict[VolumeId, GraftState] = {}
         self.grafts_performed = 0
         self.grafts_pruned = 0
+        self.telemetry.metrics.add_source(
+            "graft",
+            lambda: {"performed": self.grafts_performed, "pruned": self.grafts_pruned},
+        )
 
     def candidate_order(self, locations: list[ReplicaLocation]) -> list[ReplicaLocation]:
         """Deterministic preference order: local replicas first."""
@@ -156,7 +160,6 @@ class Grafter:
                 self._grafts[volume] = state
                 self.grafts_performed += 1
                 if self.telemetry.enabled:
-                    self.telemetry.metrics.counter("graft.performed").inc()
                     self.telemetry.events.emit(
                         "graft.bind",
                         host=self.host_addr,
@@ -170,7 +173,6 @@ class Grafter:
         if self._grafts.pop(volume, None) is not None:
             self.grafts_pruned += 1
             if self.telemetry.enabled:
-                self.telemetry.metrics.counter("graft.pruned").inc()
                 self.telemetry.events.emit(
                     "graft.prune", host=self.host_addr, volume=volume.to_hex()
                 )
@@ -186,7 +188,6 @@ class Grafter:
         for volume in stale:
             del self._grafts[volume]
             if self.telemetry.enabled:
-                self.telemetry.metrics.counter("graft.pruned").inc()
                 self.telemetry.events.emit(
                     "graft.prune", host=self.host_addr, volume=volume.to_hex()
                 )

@@ -56,10 +56,7 @@ def state_fingerprint(system, host_names: list[str] | None = None) -> dict:
                             aux.vv.encode(),
                         )
             stores[str(volrep)] = {"entries": sorted(entries), "files": files}
-        prov = []
-        if host.health_plane is not None:
-            prov = host.health_plane.provenance.snapshot()
-        out[host_name] = {"stores": stores, "prov": prov}
+        out[host_name] = {"stores": stores, "prov": host.health_plane.provenance.snapshot()}
     return out
 
 

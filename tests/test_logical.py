@@ -15,6 +15,7 @@ from repro.logical import READ_ANY
 from repro.physical import volume_root_handle
 from repro.sim import DaemonConfig, FicusSystem
 from repro.ufs import FileType
+from repro.vnode.interface import SetAttrs
 
 QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
 
@@ -277,6 +278,36 @@ class TestStaleHandles:
         system.run_for(3.5)  # past the NFS attribute TTL, inside the view's
         assert fs.stat("/d/f").size == 11
         assert fs.listdir("/d") == ["f"]
+
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda fs: fs.stat("/d"),
+            lambda fs: fs.resolve("/d").setattr(SetAttrs(perm=0o700)),
+            lambda fs: fs.resolve("/d").access(4),
+            lambda fs: fs.create_file("/d/c"),
+            lambda fs: fs.mkdir("/d/sub"),
+            lambda fs: fs.symlink("f", "/d/s"),
+            lambda fs: fs.link("/d/f", "/d/l"),
+            lambda fs: fs.unlink("/d/f"),
+            lambda fs: fs.rmdir("/d/e"),
+            lambda fs: fs.rename("/d/f", "/d/h"),
+        ],
+        ids=["getattr", "setattr", "access", "create", "mkdir", "symlink", "link", "remove",
+             "rmdir", "rename"],
+    )
+    def test_server_reboot_before_a_directory_operation(self, world, operation):
+        """A held *directory* handle goes stale like a file's; every
+        directory operation re-resolves it under the same rule."""
+        system, fs = world
+        system.host("a").fs().mkdir("/d/e")
+        system.reconcile_everything()
+        assert fs.stat("/d").is_dir and fs.listdir("/d") == ["e", "f"]  # cl holds /d's handles
+        self.reboot_servers(system)
+        system.run_for(3.5)  # past the NFS attribute TTL
+        operation(fs)
+        system.reconcile_everything()
+        assert fs.listdir("/d") == system.host("a").fs().listdir("/d")
 
     def test_server_reboot_inside_an_open_session(self, world):
         system, fs = world

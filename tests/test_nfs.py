@@ -156,6 +156,24 @@ class TestPartitionBehaviour:
         assert f.read(0, 1) == b"z"
 
 
+    def test_only_the_transport_class_itself_is_retransmitted(self, world):
+        """A same-named application error is not the transport's verdict."""
+        net, _, _, client = world
+        calls = []
+
+        class HostUnreachable(Exception):
+            pass
+
+        def handler(*args, **kwargs):
+            calls.append(args)
+            raise HostUnreachable("raised by the exported layer, after it ran")
+
+        net.register_rpc("server", "nfs.probe", handler)
+        with pytest.raises(HostUnreachable):
+            client.call("probe")
+        assert len(calls) == 1
+
+
 class TestClientCaching:
     def test_attr_cache_serves_stale_within_ttl(self, world):
         """The paper's complaint: NFS caching 'results in unexpected

@@ -455,11 +455,3 @@ class TestLedgerBounds:
             ledger.record("write", "aa", f"1:{i + 1}", parents=(f"1:{i}",))
         assert len(ledger.ring) == 8
         assert ledger.evicted == 12
-
-    def test_disabled_ledger_records_nothing(self):
-        from repro.telemetry import ProvenanceLedger
-
-        ledger = ProvenanceLedger("h")
-        ledger.enabled = False
-        ledger.record("write", "aa", "1:1")
-        assert ledger.events() == []

@@ -560,11 +560,10 @@ class TestObservability:
         system.host("b").fs().write_file("/inbox.log", b"seed\nbravo\n")
         system.heal()
         system.reconcile_everything(rounds=4)
-        total = sum(
-            system.host(n).telemetry.metrics.counter("resolver.auto_resolved").value
-            for n in system.hosts
-        )
-        assert total >= 1
+        # one hub serves the deployment: the view adds every host's plane
+        assert system.telemetry.metrics.get("resolver.auto_resolved").value == sum(
+            system.host(n).health_plane.resolver_auto_resolved for n in system.hosts
+        ) >= 1
 
     def test_ficus_top_renders_resolver_column(self):
         from repro.tools.ficus_top import render_health_table

@@ -6,7 +6,9 @@ open, write, notify, pull — must yield a *single* trace tree whose spans
 live in the logical, NFS, and physical layers on at least two hosts.
 """
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +152,13 @@ class TestMetrics:
         with pytest.raises(InvalidArgument):
             registry.gauge("x")
 
+    def test_a_viewed_name_cannot_be_shadowed_by_a_held_instrument(self):
+        registry = MetricsRegistry()
+        registry.add_source("net", {"rpcs_sent": 3})
+        with pytest.raises(InvalidArgument):
+            registry.counter("net.rpcs_sent")
+        assert registry.get("net.rpcs_sent").value == 3
+
     def test_snapshot_is_serializable(self):
         registry = MetricsRegistry()
         registry.counter("a").inc()
@@ -244,7 +253,7 @@ class TestCrossHostTrace:
         assert events.counts.get("propagation.pull", 0) >= 1
         metrics = system.telemetry.metrics
         assert metrics.get("logical.notifications_sent").value >= 1
-        assert metrics.get("propagation.pulled").value >= 1
+        assert metrics.get("propagation.pulls_succeeded").value >= 1
 
     def test_chrome_trace_export_is_valid_json_with_both_hosts(self):
         system = _cross_host_workload()
@@ -294,6 +303,142 @@ class TestDisabledOverhead:
         before = NULL_TELEMETRY.tracer._clock
         FicusSystem(["a"])
         assert NULL_TELEMETRY.tracer._clock is before
+
+
+def _bench_workload(hub: Telemetry) -> FicusSystem:
+    """``bench_telemetry.run_workload``: two hosts, update, partition, heal, pull."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_telemetry.py"
+    spec = importlib.util.spec_from_file_location("bench_telemetry", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.run_workload(telemetry=hub)
+
+
+def _total(objects) -> dict[str, float]:
+    """Field-by-field sum of stats objects (or dicts), numbers only."""
+    out: dict[str, float] = {}
+    for obj in objects:
+        for field, value in (obj if isinstance(obj, dict) else vars(obj)).items():
+            if type(value) in (int, float):
+                out[field] = out.get(field, 0) + value
+    return out
+
+
+def _health_gauges(system: FicusSystem) -> dict[str, int]:
+    out = {}
+    for name, host in system.hosts.items():
+        health = host.health()
+        out[f"divergence_suspected.{name}"] = sum(len(p) for p in health.suspected.values())
+        out[f"notes_pending.{name}"] = host.health_plane.notes_pending
+        for peer, ticks in health.staleness_ticks.items():
+            out[f"staleness_ticks.{name}.{peer}"] = ticks
+    return out
+
+
+#: metric prefix -> the home of its numbers, read straight off the live
+#: objects the e2e benchmark and the tools read (never through the registry)
+VIEWED = {
+    "net": lambda s: {
+        **_total([s.network.stats]),
+        "rpc_bytes_sent": sum(p.bytes_sent for p in s.network.stats.per_peer.values()),
+        "rpc_bytes_received": sum(p.bytes_received for p in s.network.stats.per_peer.values()),
+    },
+    "net.faults": lambda s: s.network.faults.injected,
+    "logical": lambda s: {
+        "notifications_sent": sum(h.logical.notifications_sent for h in s.hosts.values()),
+        "degraded_skips": sum(h.logical.degraded_skips for h in s.hosts.values()),
+    },
+    "logical.attr_cache": lambda s: _total(h.logical.attr_cache.stats for h in s.hosts.values()),
+    "graft": lambda s: {
+        "performed": sum(h.logical.grafter.grafts_performed for h in s.hosts.values()),
+        "pruned": sum(h.logical.grafter.grafts_pruned for h in s.hosts.values()),
+    },
+    "propagation": lambda s: _total(h.propagation_daemon.stats for h in s.hosts.values()),
+    "recon": lambda s: {
+        **_total(
+            [h.recon_daemon.stats for h in s.hosts.values()]
+            + [
+                {**vars(r), "aborted_by_partition": int(r.aborted_by_partition)}
+                for h in s.hosts.values()
+                for r in h.recon_daemon.stats.results
+            ]
+        ),
+        "conflicts_reported": sum(len(h.conflict_log) for h in s.hosts.values()),
+    },
+    "health": _health_gauges,
+    "health.anomaly": lambda s: _total(h.health_plane.anomaly_counts for h in s.hosts.values()),
+    "resolver": lambda s: {
+        "auto_resolved": sum(h.health().resolver_auto_resolved for h in s.hosts.values()),
+        "fallback_manual": sum(h.health().resolver_fallback_manual for h in s.hosts.values()),
+    },
+}
+
+#: counters with no other home: the registry itself holds them
+HELD = {
+    "nfs.retries",
+    "physical.notifications_received",
+    "store.records_in_place",
+    "store.records_resized",
+    "store.shadows_created",
+    "store.shadow_commits",
+    "store.shadows_scavenged",
+}
+
+
+def _expected(system: FicusSystem, prefix: str) -> dict[str, float]:
+    return {f"{prefix}.{field}": value for field, value in VIEWED[prefix](system).items()}
+
+
+class TestMetricsAreViews:
+    """A viewed metric is read off the stats object it names at snapshot
+    time, so it cannot drift from it the way a hand-written mirror could."""
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        return _bench_workload(Telemetry())
+
+    @pytest.mark.parametrize("prefix", sorted(VIEWED))
+    def test_every_viewed_metric_equals_its_stats_field(self, system, prefix):
+        snapshot = system.telemetry.metrics.snapshot()
+        expected = _expected(system, prefix)
+        assert expected or prefix in ("net.faults", "health.anomaly")
+        assert {name: snapshot[name]["value"] for name in expected} == expected
+
+    def test_snapshot_holds_nothing_but_views_and_the_held_few(self, system):
+        plain = {
+            name
+            for name, entry in system.telemetry.metrics.snapshot().items()
+            if entry["kind"] != "histogram"
+        }
+        viewed = {name for prefix in VIEWED for name in _expected(system, prefix)}
+        assert viewed <= plain
+        assert plain - viewed <= HELD
+
+    def test_a_later_snapshot_moves_with_no_call_site_help(self, system):
+        metrics = system.telemetry.metrics
+        before = metrics.snapshot()
+        system.host("west").fs().write_file("/later.txt", b"more work")
+        system.run_for(30.0)
+        after = metrics.snapshot()
+        for name in ("net.rpcs_sent", "logical.notifications_sent", "propagation.pulls_succeeded"):
+            assert after[name]["value"] > before[name]["value"], name
+        assert after["net.rpcs_sent"]["value"] == system.network.stats.rpcs_sent
+
+    def test_reset_zeroes_what_the_hub_holds_and_views_keep_reading(self):
+        system = _bench_workload(Telemetry())
+        hub, stats = system.telemetry, system.network.stats
+        assert hub.metrics.get("store.records_in_place").value > 0
+        hub.reset()
+        assert len(hub.tracer.finished) == 0 and len(hub.events) == 0
+        assert hub.metrics.get("store.records_in_place").value == 0
+        assert hub.metrics.get("net.rpc_latency_seconds").count == 0
+        # a view is the component's live state, which a hub reset does not own
+        assert hub.metrics.get("net.rpcs_sent").value == stats.rpcs_sent > 0
+        sent = stats.rpcs_sent
+        system.host("east").fs().read_file("/a.txt")
+        system.reconcile_everything()
+        # and the zeroed histogram is still the one the network observes into
+        assert hub.metrics.get("net.rpc_latency_seconds").count == stats.rpcs_sent - sent > 0
 
 
 class TestTelemetryHub:

@@ -223,7 +223,7 @@ class TestRestartResetsPolicyState:
         system = FicusSystem(["a", "b", "c"], daemon_config=QUIET)
         daemon = system.host("a").recon_daemon
         daemon.tick()
-        assert daemon._ring_position and daemon._tick_index > 0
+        assert daemon._ring_position and daemon.ticks > 0
 
         host = system.host("a")
         host.crash()
@@ -231,7 +231,7 @@ class TestRestartResetsPolicyState:
 
         daemon = system.host("a").recon_daemon
         assert not daemon._ring_position
-        assert daemon._tick_index == 0
+        assert daemon.ticks == 0
 
 
 class TestPeerMemoConsistency:

@@ -53,7 +53,11 @@ def _selection_rpcs(system: FicusSystem, host: str) -> int:
 #: send nothing; a missing name costs the one directory re-read that
 #: verifies it.  ``after_write.*`` is the first such call in a directory
 #: after the client's own ``write_file`` there dropped its batches: three
-#: batched fetches and one directory read on top.
+#: batched fetches and one directory read on top.  A namespace op on a warm
+#: directory is the update replica's directory read plus one ``insert`` or
+#: ``remove_entry`` (the insert's reply is the entry: nothing is read back);
+#: ``write_file`` of a new name adds the three batch refetches its
+#: notification forces and a write session behind one ``lookup_fh``.
 WARM_OP_BUDGETS = {
     "read_file": 3,
     "stat": 0,
@@ -63,6 +67,11 @@ WARM_OP_BUDGETS = {
     "after_write.stat": 4,
     "after_write.listdir": 4,
     "after_write.exists_missing": 4,
+    "mkdir": 2,
+    "unlink": 2,
+    "rename": 4,
+    "link": 2,
+    "write_file_new": 12,
 }
 
 
@@ -91,6 +100,18 @@ def warm_op_rpcs() -> dict[str, int]:
             before = system.network.stats.rpcs_sent
             op()
             out[prefix + name] = system.network.stats.rpcs_sent - before
+    namespace_ops = {
+        "mkdir": lambda: client.mkdir("/d/sub"),
+        "unlink": lambda: client.unlink("/d/f3"),
+        "rename": lambda: client.rename("/d/f4", "/d/g4"),
+        "link": lambda: client.link("/d/f5", "/d/l5"),
+        "write_file_new": lambda: client.write_file("/d/new", b"x"),
+    }
+    for name, op in namespace_ops.items():
+        client.listdir("/d")  # the previous op's notification dropped the batches
+        before = system.network.stats.rpcs_sent
+        op()
+        out[name] = system.network.stats.rpcs_sent - before
     return out
 
 

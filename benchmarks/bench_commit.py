@@ -15,7 +15,7 @@ update.
 import pytest
 
 from repro.errors import CrashInjected
-from repro.physical import EntryType, FicusPhysicalLayer, op_commit, op_insert, op_shadow
+from repro.physical import EntryType, FicusPhysicalLayer
 from repro.storage import BlockDevice
 from repro.ufs import Ufs, fsck
 from repro.util import FicusFileHandle, VolumeId, VolumeReplicaId
@@ -38,7 +38,8 @@ def make_world(disk_blocks: int = 1 << 16):
 
 def insert_file(store, root, name, size):
     fh = FicusFileHandle(VOL, store.new_file_id())
-    vnode = root.create(op_insert(store.new_entry_id(), name, fh, EntryType.FILE))
+    root.insert(name, EntryType.FILE, eid=store.new_entry_id(), fh=fh)
+    vnode = root.lookup_fh(fh)
     vnode.write(0, b"a" * size)
     return fh, vnode
 
@@ -50,10 +51,10 @@ def point_update_via_shadow(store, root, fh, contents: bytes) -> int:
     """
     device = store.lower_root.layer.fs.device
     snap = device.counters.snapshot()
-    shadow = root.lookup(op_shadow(fh))
+    shadow = store.shadow_vnode(store.root_handle(), fh, create=True)
     patched = contents[:100] + b"PATCHED!" + contents[108:]
     shadow.write(0, patched)
-    root.lookup(op_commit(fh, VersionVector({1: 2})))
+    store.commit_shadow(store.root_handle(), fh, VersionVector({1: 2}))
     return device.counters.delta_since(snap).writes
 
 
@@ -76,11 +77,11 @@ class TestShape:
     def test_crash_before_substitution_preserves_original(self):
         device, ufs_layer, store, root = make_world()
         fh, _ = insert_file(store, root, "f", 4096)
-        shadow = root.lookup(op_shadow(fh))
+        shadow = store.shadow_vnode(store.root_handle(), fh, create=True)
         shadow.write(0, b"b" * 4096)
         device.plan_crash_after_writes(0)  # crash at the rename
         with pytest.raises(CrashInjected):
-            root.lookup(op_commit(fh, VersionVector({1: 2})))
+            store.commit_shadow(store.root_handle(), fh, VersionVector({1: 2}))
         device.recover()
         assert store.scavenge_shadows(store.root_handle()) == 1
         assert root.lookup("f").read_all() == b"a" * 4096
@@ -124,9 +125,9 @@ def test_bench_shadow_commit(benchmark, size):
     contents = vnode.read_all()
 
     def run():
-        shadow = root.lookup(op_shadow(fh))
+        shadow = store.shadow_vnode(store.root_handle(), fh, create=True)
         shadow.write(0, contents)
-        root.lookup(op_commit(fh, VersionVector({1: 2})))
+        store.commit_shadow(store.root_handle(), fh, VersionVector({1: 2}))
 
     benchmark(run)
 

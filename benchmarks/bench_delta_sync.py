@@ -64,7 +64,7 @@ def _volrep(system: FicusSystem, host: str):
 
 def measure_no_change_round(dirs: int) -> dict:
     """RPC cost of reconciling an already-converged volume.  (Un-pruned,
-    the walk is one ``op_dir`` lookup + one ``getattrs_batch`` per
+    the walk is one ``lookup_dir`` + one ``getattrs_batch`` per
     directory by construction: 2 RPCs x ``directories``.)"""
     system = build_volume(dirs)
 

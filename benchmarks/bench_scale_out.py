@@ -28,7 +28,7 @@ import json
 import math
 import sys
 
-from repro.physical import EntryType, op_insert
+from repro.physical import EntryType
 from repro.sim import DaemonConfig, FicusSystem, HostConfig, make_topology
 from repro.sim.topology import log_fanout
 from repro.util import FicusFileHandle
@@ -91,8 +91,8 @@ def _insert_file(system: FicusSystem, location, name: str, payload: bytes) -> No
     store = host.physical.store_for(location.volrep)
     root = host.physical.root().lookup(location.volrep.to_hex())
     fh = FicusFileHandle(location.volrep.volume, store.new_file_id())
-    vnode = root.create(op_insert(store.new_entry_id(), name, fh, EntryType.FILE))
-    vnode.write(0, payload)
+    root.insert(name, EntryType.FILE, eid=store.new_entry_id(), fh=fh)
+    root.lookup_fh(fh).write(0, payload)
 
 
 def diverge(system: FicusSystem, volumes, files_per_volume: int) -> int:

@@ -131,13 +131,14 @@ def e9_grafting() -> None:
 
 
 def e10_overload() -> None:
-    from repro.physical import max_user_name_length
+    from bench_lookup_overload import paper_name_budget
+
     from repro.ufs import MAX_NAME_LEN
 
     print(
-        f"[E10] name budget: {MAX_NAME_LEN} -> {max_user_name_length()} after "
-        f"insert encoding (paper: 'about 200'); session open/close are "
-        f"first-class NFS ops, not lookup-encoded"
+        f"[E10] name budget: the paper's open/close encoding leaves {paper_name_budget()} of "
+        f"{MAX_NAME_LEN} (paper: 'about 200'); this system's limit is {MAX_NAME_LEN} — "
+        f"every Ficus operation is an NFS op, none rides a name"
     )
 
 

@@ -411,15 +411,13 @@ class FicusFileSystem:
         tag like any other update.  (Applying it to several replicas at
         once would mint concurrent versions and manufacture a conflict.)
         """
-        from repro.physical.wire import op_setpolicy
-
         node = self.resolve(path)
         if not isinstance(node, LogicalFileVnode):
             raise InvalidArgument(f"{path!r} is not a regular file")
         view = self.logical.select_update_replica(
             node.volume, node.parent_fh, node.fh, ctx=self.ctx
         )
-        view.dir_vnode.lookup(op_setpolicy(node.fh, tag), self.ctx)
+        view.dir_vnode.set_policy(node.fh, tag, self.ctx)
         self.logical.notify_update(node.volume, view.location, node.parent_fh, node.fh)
 
     def merge_policy(self, path: str) -> str:
@@ -446,11 +444,9 @@ class FicusFileSystem:
         for view in self.logical.file_replicas(
             report.volume, report.parent_fh, report.fh
         ):
-            from repro.physical.wire import op_byfh
             from repro.vnode.interface import read_whole
 
-            child = view.dir_vnode.lookup(op_byfh(report.fh))
-            versions[view.location.host] = read_whole(child)
+            versions[view.location.host] = read_whole(view.dir_vnode.lookup_fh(report.fh))
         return versions
 
     def resolve_conflict(self, report, chosen: bytes, conflict_log=None) -> None:

@@ -4,6 +4,12 @@ Enforces an access-control policy *above* whatever storage sits below —
 without the storage layer knowing.  The policy is deliberately simple
 (per-uid allow/deny plus read-only users); the point is architectural:
 authentication slips into the stack as one more transparent layer.
+
+A transparent layer can only classify what the interface lets it see,
+which is why every request is an operation and none is a name.  Of the
+Ficus extensions, ``insert``, ``remove_entry`` and ``set_policy`` are
+checked as mutations and ``lookup_fh``/``lookup_dir`` as reads; the
+session brackets and the attribute and sync planes pass unchecked.
 """
 
 from __future__ import annotations
@@ -88,6 +94,14 @@ class AuthVnode(PassthroughVnode):
         self.layer.check(ctx.cred, mutating=False)
         return super().lookup(name, ctx)
 
+    def lookup_fh(self, fh, ctx: OpContext = ROOT_CTX) -> Vnode:
+        self.layer.check(ctx.cred, mutating=False)
+        return super().lookup_fh(fh, ctx)
+
+    def lookup_dir(self, fh, ctx: OpContext = ROOT_CTX) -> Vnode:
+        self.layer.check(ctx.cred, mutating=False)
+        return super().lookup_dir(fh, ctx)
+
     def readlink(self, ctx: OpContext = ROOT_CTX) -> str:
         self.layer.check(ctx.cred, mutating=False)
         return super().readlink(ctx)
@@ -137,3 +151,15 @@ class AuthVnode(PassthroughVnode):
     def symlink(self, name: str, target: str, ctx: OpContext = ROOT_CTX) -> Vnode:
         self.layer.check(ctx.cred, mutating=True)
         return super().symlink(name, target, ctx)
+
+    def insert(self, name: str, etype, *, ctx: OpContext = ROOT_CTX, **fields: object):
+        self.layer.check(ctx.cred, mutating=True)
+        return super().insert(name, etype, ctx=ctx, **fields)
+
+    def remove_entry(self, eid, from_recon: bool = False, ctx: OpContext = ROOT_CTX) -> None:
+        self.layer.check(ctx.cred, mutating=True)
+        super().remove_entry(eid, from_recon, ctx)
+
+    def set_policy(self, fh, tag: str, ctx: OpContext = ROOT_CTX) -> None:
+        self.layer.check(ctx.cred, mutating=True)
+        super().set_policy(fh, tag, ctx)

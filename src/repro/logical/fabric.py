@@ -14,7 +14,6 @@ from repro.errors import HostUnreachable
 from repro.net import Network
 from repro.nfs import NfsClientConfig, NfsClientLayer
 from repro.physical import FicusPhysicalLayer
-from repro.physical.wire import op_dir
 from repro.telemetry import NULL_TELEMETRY, HealthPlane, Telemetry
 from repro.util import FicusFileHandle, VolumeReplicaId
 from repro.vnode.interface import Vnode
@@ -89,6 +88,6 @@ class Fabric:
         from repro.errors import StaleFileHandle
 
         try:
-            return self.volume_root(host, volrep).lookup(op_dir(fh))
+            return self.volume_root(host, volrep).lookup_dir(fh)
         except StaleFileHandle:
-            return self.volume_root(host, volrep).lookup(op_dir(fh))
+            return self.volume_root(host, volrep).lookup_dir(fh)

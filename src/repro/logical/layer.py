@@ -42,7 +42,7 @@ from repro.physical import (
     effective_entries,
     volume_root_handle,
 )
-from repro.physical.wire import AttrBatch, op_byfh
+from repro.physical.wire import AttrBatch
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.util import FicusFileHandle, VolumeId, VolumeReplicaId
 from repro.vnode.interface import (
@@ -76,7 +76,7 @@ class ReplicaView:
         """The file's vnode at this replica, resolved once per directory handle."""
         child = None if ctx.no_cache else self.entry.children.get(fh)
         if child is None:
-            child = self.entry.children[fh] = self.dir_vnode.lookup(op_byfh(fh), ctx)
+            child = self.entry.children[fh] = self.dir_vnode.lookup_fh(fh, ctx)
         return child
 
 
@@ -652,24 +652,15 @@ class FicusLogicalLayer(FileSystemLayer):
         inside the graft point, replicated and reconciled like any other
         directory contents.
         """
-        from repro.physical.wire import EntryType, op_dir, op_insert
+        from repro.physical.wire import EntryType
         from repro.volume import location_entry_name
 
         replica = self.select_update_replica(parent.volume, parent.fh)
-        replica.dir_vnode.create(
-            op_insert(None, name, None, EntryType.GRAFT_POINT, data=target_volume.to_hex())
-        )
-        entry = parent._find_entry_at(replica, name)
-        graft_dir = replica.dir_vnode.lookup(op_dir(entry.fh))
+        entry = replica.dir_vnode.insert(name, EntryType.GRAFT_POINT, data=target_volume.to_hex())
+        graft_dir = replica.dir_vnode.lookup_dir(entry.fh)
         for location in locations:
-            graft_dir.create(
-                op_insert(
-                    None,
-                    location_entry_name(location.volrep.replica_id),
-                    None,
-                    EntryType.LOCATION,
-                    data=location.host,
-                )
+            graft_dir.insert(
+                location_entry_name(location.volrep.replica_id), EntryType.LOCATION, data=location.host
             )
         self.notify_update(parent.volume, replica.location, parent.fh, entry.fh)
         self.learn_locations(target_volume, locations)
@@ -685,20 +676,14 @@ class FicusLogicalLayer(FileSystemLayer):
         "the number and placement of volume replicas may be dynamically
         changed" (Section 4.3).
         """
-        from repro.physical.wire import EntryType, op_dir, op_insert
+        from repro.physical.wire import EntryType
         from repro.volume import location_entry_name
 
         replica = self.select_update_replica(parent.volume, parent.fh)
         entry = parent._find_entry_at(replica, graft_name)
-        graft_dir = replica.dir_vnode.lookup(op_dir(entry.fh))
-        graft_dir.create(
-            op_insert(
-                None,
-                location_entry_name(location.volrep.replica_id),
-                None,
-                EntryType.LOCATION,
-                data=location.host,
-            )
+        graft_dir = replica.dir_vnode.lookup_dir(entry.fh)
+        graft_dir.insert(
+            location_entry_name(location.volrep.replica_id), EntryType.LOCATION, data=location.host
         )
         self.notify_update(parent.volume, replica.location, parent.fh, entry.fh)
         target = VolumeId.from_hex(entry.data)

@@ -21,7 +21,6 @@ from repro.errors import (
     NotADirectory,
 )
 from repro.physical import EntryType, decode_directory, effective_entries
-from repro.physical.wire import op_insert, op_remove
 from repro.telemetry import spanned
 from repro.ufs.inode import FileAttributes, FileType
 from repro.util import FicusFileHandle, VolumeId
@@ -43,21 +42,6 @@ _TYPE_MAP = {
     EntryType.DIRECTORY: FileType.DIRECTORY,
     EntryType.GRAFT_POINT: FileType.DIRECTORY,
 }
-
-
-def _check_user_name(name: str) -> None:
-    """Reject names that collide with the physical control namespace.
-
-    The physical layer encodes replica-addressed control operations as
-    ``@@``-prefixed pseudo-names (paper Section 2.3).  A user file named
-    ``@@dir|...`` would be indistinguishable from such a control request,
-    so the prefix is reserved at the boundary where user names enter.
-    """
-    if name.startswith("@@"):
-        raise InvalidArgument(
-            f"{name!r}: names beginning with '@@' are reserved for "
-            "physical-layer control operations"
-        )
 
 
 class LogicalDirVnode(Vnode):
@@ -183,28 +167,25 @@ class LogicalDirVnode(Vnode):
         merge_policy: str = "",
     ) -> Vnode:
         """Create a brand-new object: the chosen replica mints its ids."""
-        _check_user_name(name)
 
         def insert() -> Vnode:
             replica = self._update_dir(ctx)
-            existing = effective_entries(decode_directory(read_whole(replica.dir_vnode, ctx=ctx)))
-            if name in existing:
+            if name in self._names_at(replica, ctx):
                 raise FileExists(f"{name!r} already exists")
-            replica.dir_vnode.create(
-                op_insert(None, name, None, etype, data=data, merge_policy=merge_policy), ctx=ctx
-            )
-            entry = self._find_entry_at(replica, name, ctx)
+            entry = replica.dir_vnode.insert(name, etype, data=data, merge_policy=merge_policy, ctx=ctx)
             self.layer.notify_update(self.volume, replica.location, self.fh, entry.fh, objkind="dir")
             return self._child(entry, ctx)
 
         return self._retry_stale(insert, ctx)
 
+    def _names_at(self, replica, ctx: OpContext = ROOT_CTX):
+        """The replica's name -> entry view, read fresh (mutations check it)."""
+        return effective_entries(decode_directory(read_whole(replica.dir_vnode, ctx=ctx)))
+
     def _find_entry_at(self, replica, name: str, ctx: OpContext = ROOT_CTX):
-        entries = decode_directory(read_whole(replica.dir_vnode, ctx=ctx))
-        view = effective_entries(entries)
-        entry = view.get(name)
+        entry = self._names_at(replica, ctx).get(name)
         if entry is None:
-            raise FileNotFound(f"{name!r} vanished after insert")
+            raise FileNotFound(f"{name!r} not found")
         return entry
 
     @_spanned("logical.remove")
@@ -217,7 +198,7 @@ class LogicalDirVnode(Vnode):
             entry = self._find_entry_at(replica, name, ctx)
             if entry.etype in (EntryType.DIRECTORY, EntryType.GRAFT_POINT):
                 raise IsADirectory(f"{name!r} is a directory; use rmdir")
-            replica.dir_vnode.remove(op_remove(entry.eid), ctx)
+            replica.dir_vnode.remove_entry(entry.eid, ctx=ctx)
             self.layer.notify_update(self.volume, replica.location, self.fh, entry.fh, objkind="dir")
 
         self._retry_stale(remove, ctx)
@@ -235,7 +216,7 @@ class LogicalDirVnode(Vnode):
                 sub = self.layer.dir_view(self.volume, entry.fh, ctx, fresh=True)
                 if any(e.etype != EntryType.LOCATION for e in sub.values()):
                     raise DirectoryNotEmpty(f"{name!r} is not empty")
-            replica.dir_vnode.remove(op_remove(entry.eid), ctx)
+            replica.dir_vnode.remove_entry(entry.eid, ctx=ctx)
             self.layer.notify_update(self.volume, replica.location, self.fh, entry.fh, objkind="dir")
 
         self._retry_stale(rmdir, ctx)
@@ -245,7 +226,6 @@ class LogicalDirVnode(Vnode):
         organized in a general DAG; files may have several names)."""
         self.layer.counters.bump("link")
         self.layer.health.record_op("dir.link", name, ctx)
-        _check_user_name(name)
         if not isinstance(target, LogicalFileVnode):
             raise InvalidArgument("link target must be a logical file")
         if target.volume != self.volume:
@@ -253,12 +233,9 @@ class LogicalDirVnode(Vnode):
 
         def link() -> None:
             replica = self._replica_storing(target, ctx)
-            existing = effective_entries(decode_directory(read_whole(replica.dir_vnode, ctx=ctx)))
-            if name in existing:
+            if name in self._names_at(replica, ctx):
                 raise FileExists(f"{name!r} already exists")
-            replica.dir_vnode.create(
-                op_insert(None, name, target.fh, target.etype, link_from=target.parent_fh), ctx=ctx
-            )
+            replica.dir_vnode.insert(name, target.etype, fh=target.fh, link_from=target.parent_fh, ctx=ctx)
             self.layer.notify_update(self.volume, replica.location, self.fh, target.fh, objkind="dir")
 
         self._retry_stale(link, ctx)
@@ -295,7 +272,6 @@ class LogicalDirVnode(Vnode):
         """
         self.layer.counters.bump("rename")
         self.layer.health.record_op("dir.rename", f"{src_name}->{dst_name}", ctx)
-        _check_user_name(dst_name)
         if not isinstance(dst_dir, LogicalDirVnode):
             raise InvalidArgument("rename destination must be a logical directory")
         if dst_dir.volume != self.volume:
@@ -305,22 +281,18 @@ class LogicalDirVnode(Vnode):
             src_replica = self._update_dir(ctx)
             entry = self._find_entry_at(src_replica, src_name, ctx)
             # Unix semantics: a file target is replaced, a directory target errors.
-            try:
-                dst_existing = dst_dir._find_entry_at(dst_dir._update_dir(ctx), dst_name, ctx)
-            except FileNotFound:
-                dst_existing = None
+            dst_existing = dst_dir._names_at(dst_dir._update_dir(ctx), ctx).get(dst_name)
             if dst_existing is not None:
                 if dst_existing.etype in (EntryType.DIRECTORY, EntryType.GRAFT_POINT):
                     raise IsADirectory(f"rename target {dst_name!r} is a directory")
                 dst_dir.remove(dst_name, ctx)
             link_from = self.fh if entry.etype in (EntryType.FILE, EntryType.SYMLINK) else None
             dst_replica = dst_dir._update_dir(ctx)
-            dst_replica.dir_vnode.create(
-                op_insert(None, dst_name, entry.fh, entry.etype, data=entry.data, link_from=link_from),
-                ctx=ctx,
+            dst_replica.dir_vnode.insert(
+                dst_name, entry.etype, fh=entry.fh, data=entry.data, link_from=link_from, ctx=ctx
             )
             self.layer.notify_update(self.volume, dst_replica.location, dst_dir.fh, entry.fh, objkind="dir")
-            src_replica.dir_vnode.remove(op_remove(entry.eid), ctx)
+            src_replica.dir_vnode.remove_entry(entry.eid, ctx=ctx)
             self.layer.notify_update(self.volume, src_replica.location, self.fh, entry.fh, objkind="dir")
 
         # both directories' handles are held: a stale one in either is

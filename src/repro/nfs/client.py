@@ -11,13 +11,14 @@ design reacts to them:
 * **open/close are dropped.**  The protocol has no such calls; the client
   accepts them as no-ops and never forwards them.  The original Ficus
   smuggled open/close through ``lookup`` (Section 2.3, experiment E10);
-  our protocol instead forwards the explicit ``session_open``/
-  ``session_close`` vnode operations, which exist precisely because the
-  classic calls cannot survive the hop.
+  our protocol instead forwards every Ficus vnode operation by name, so
+  no request rides a name.
 * **Caching is not fully controllable.**  The client keeps an attribute
   cache and a directory-name-lookup cache with time-based expiry ("there is
   no user-level way to disable all caching"), so upper layers can observe
-  bounded staleness exactly as Ficus had to tolerate.
+  bounded staleness exactly as Ficus had to tolerate.  The three lookups
+  (``lookup``, ``lookup_fh``, ``lookup_dir``) share that cache and its
+  rules; mutations are never answered from it.
 """
 
 from __future__ import annotations
@@ -60,12 +61,13 @@ class NfsClientConfig:
 #: Operations whose replay after an ambiguous failure is NOT safe: the
 #: server mints fresh entry/file ids per request, so a retransmission
 #: after a lost *reply* would commit the operation twice (two live
-#: entries, two files).  Everything else in the protocol is idempotent —
-#: reads trivially, and the Ficus mutations by construction (inserts and
-#: removes are keyed on entry ids carried in the request, writes carry
-#: absolute offsets, session brackets and shadow commits re-apply
-#: harmlessly).
-NON_IDEMPOTENT_OPS = frozenset({"create", "mkdir", "symlink", "link"})
+#: entries, two files) — a Ficus ``insert`` leaves its ids blank for
+#: the applying replica to mint, exactly like the creates.
+#: Everything else in the protocol is idempotent — reads trivially, and
+#: the other Ficus mutations by construction (``remove_entry`` is keyed
+#: on the entry id it carries, writes carry absolute offsets, session
+#: brackets and ``set_policy`` re-apply harmlessly).
+NON_IDEMPOTENT_OPS = frozenset({"create", "mkdir", "symlink", "link", "insert"})
 
 
 class NfsClientLayer(FileSystemLayer):
@@ -98,7 +100,8 @@ class NfsClientLayer(FileSystemLayer):
             client_addr, clock=network.clock.now, telemetry=self.telemetry
         )
         self._attr_cache: dict[NfsHandle, tuple[float, FileAttributes]] = {}
-        self._name_cache: dict[tuple[NfsHandle, str], tuple[float, LookupReply]] = {}
+        #: (directory handle, lookup op, name or Ficus handle) -> reply
+        self._name_cache: dict[tuple[NfsHandle, str, object], tuple[float, LookupReply]] = {}
 
     @property
     def clock(self) -> VirtualClock:
@@ -211,17 +214,17 @@ class NfsClientLayer(FileSystemLayer):
             return None
         return attrs
 
-    def _cache_name(self, handle: NfsHandle, name: str, reply: LookupReply) -> None:
+    def _cache_name(self, handle: NfsHandle, name, reply: LookupReply, op: str = "lookup") -> None:
         if self.config.name_cache_ttl > 0:
-            self._name_cache[(handle, name)] = (self.clock.now(), reply)
+            self._name_cache[(handle, op, name)] = (self.clock.now(), reply)
 
-    def _cached_name(self, handle: NfsHandle, name: str) -> LookupReply | None:
-        entry = self._name_cache.get((handle, name))
+    def _cached_name(self, handle: NfsHandle, name, op: str = "lookup") -> LookupReply | None:
+        entry = self._name_cache.get((handle, op, name))
         if entry is None:
             return None
         when, reply = entry
         if self.clock.now() - when > self.config.name_cache_ttl:
-            del self._name_cache[(handle, name)]
+            del self._name_cache[(handle, op, name)]
             return None
         return reply
 
@@ -408,15 +411,41 @@ class NfsClientVnode(Vnode):
 
     # -- namespace --
 
-    def lookup(self, name: str, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.counters.bump("lookup")
-        cached = self.layer._cached_name(self.handle, name)
+    def _lookup(self, op: str, key, ctx: OpContext) -> Vnode:
+        """One of the three lookups — by name or by Ficus file handle, a
+        frozen value that crosses as it is — through the name cache."""
+        self.layer.counters.bump(op)
+        cached = self.layer._cached_name(self.handle, key, op)
         if cached is not None:
             return NfsClientVnode(self.layer, cached.handle)
-        reply = self.layer.call_h(self.handle, "lookup", name, ctx=ctx)
+        reply = self.layer.call_h(self.handle, op, key, ctx=ctx)
         assert isinstance(reply, LookupReply)
-        self.layer._cache_name(self.handle, name, reply)
+        self.layer._cache_name(self.handle, key, reply, op)
         return self._wrap(reply)
+
+    def lookup(self, name: str, ctx: OpContext = ROOT_CTX) -> Vnode:
+        return self._lookup("lookup", name, ctx)
+
+    def lookup_fh(self, fh, ctx: OpContext = ROOT_CTX) -> Vnode:
+        return self._lookup("lookup_fh", fh, ctx)
+
+    def lookup_dir(self, fh, ctx: OpContext = ROOT_CTX) -> Vnode:
+        return self._lookup("lookup_dir", fh, ctx)
+
+    def insert(self, name: str, etype, *, ctx: OpContext = ROOT_CTX, **fields: object):
+        self.layer.counters.bump("insert")
+        entry = self.layer.call_h(self.handle, "insert", name, etype, fields, ctx=ctx)
+        self.layer.invalidate_handle(self.handle)
+        return entry
+
+    def remove_entry(self, eid, from_recon: bool = False, ctx: OpContext = ROOT_CTX) -> None:
+        self.layer.counters.bump("remove_entry")
+        self.layer.call_h(self.handle, "remove_entry", eid, from_recon, ctx=ctx)
+        self.layer.invalidate_handle(self.handle)
+
+    def set_policy(self, fh, tag: str, ctx: OpContext = ROOT_CTX) -> None:
+        self.layer.counters.bump("set_policy")
+        self.layer.call_h(self.handle, "set_policy", fh, tag, ctx=ctx)
 
     def create(self, name: str, perm: int = 0o644, ctx: OpContext = ROOT_CTX) -> Vnode:
         self.layer.counters.bump("create")
@@ -429,7 +458,7 @@ class NfsClientVnode(Vnode):
     def remove(self, name: str, ctx: OpContext = ROOT_CTX) -> None:
         self.layer.counters.bump("remove")
         self.layer.call_h(self.handle, "remove", name, ctx=ctx)
-        self.layer._name_cache.pop((self.handle, name), None)
+        self.layer._name_cache.pop((self.handle, "lookup", name), None)
         self.layer.invalidate_handle(self.handle)
 
     def link(self, target: Vnode, name: str, ctx: OpContext = ROOT_CTX) -> None:
@@ -451,8 +480,8 @@ class NfsClientVnode(Vnode):
         if not isinstance(dst_dir, NfsClientVnode):
             raise StaleFileHandle("rename destination is not an NFS vnode")
         self.layer.call("rename", self.handle, src_name, dst_dir.handle, dst_name, ctx=ctx)
-        self.layer._name_cache.pop((self.handle, src_name), None)
-        self.layer._name_cache.pop((dst_dir.handle, dst_name), None)
+        self.layer._name_cache.pop((self.handle, "lookup", src_name), None)
+        self.layer._name_cache.pop((dst_dir.handle, "lookup", dst_name), None)
         self.layer.invalidate_handle(self.handle)
         self.layer.invalidate_handle(dst_dir.handle)
 
@@ -466,7 +495,7 @@ class NfsClientVnode(Vnode):
     def rmdir(self, name: str, ctx: OpContext = ROOT_CTX) -> None:
         self.layer.counters.bump("rmdir")
         self.layer.call_h(self.handle, "rmdir", name, ctx=ctx)
-        self.layer._name_cache.pop((self.handle, name), None)
+        self.layer._name_cache.pop((self.handle, "lookup", name), None)
         self.layer.invalidate_handle(self.handle)
 
     def readdir(self, ctx: OpContext = ROOT_CTX) -> list[DirEntry]:

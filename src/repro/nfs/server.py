@@ -78,6 +78,11 @@ class NfsServer:
             "sync_probe",
             "block_digests",
             "read_blocks",
+            "lookup_fh",
+            "lookup_dir",
+            "insert",
+            "remove_entry",
+            "set_policy",
         ):
             network.register_rpc(addr, f"{service}.{op}", self._make_handler(op))
 
@@ -85,7 +90,7 @@ class NfsServer:
         """Wrap one RPC op: rebuild the operation context from the wire
         field, and when this server traces, parent a server-side span on
         the context's trace."""
-        inner = getattr(self, f"_op_{op}")
+        inner = getattr(self, f"_serve_{op}")
 
         def handler(*args: object, **kwargs: object) -> object:
             wire = kwargs.pop(CTX_FIELD, None)
@@ -140,52 +145,53 @@ class NfsServer:
 
     # -- RPC operation handlers ----------------------------------------------
 
-    def _op_root(self, ctx: OpContext = ROOT_CTX) -> LookupReply:
-        vnode = self.exported.root()
-        return LookupReply(self._handle_for(vnode), vnode.getattr(ctx))
+    def _reply(self, child: Vnode, ctx: OpContext) -> LookupReply:
+        """A vnode-valued reply: the child's handle plus its attributes."""
+        return LookupReply(self._handle_for(child), child.getattr(ctx))
 
-    def _op_getattr(self, handle: NfsHandle, ctx: OpContext = ROOT_CTX) -> FileAttributes:
+    def _serve_root(self, ctx: OpContext = ROOT_CTX) -> LookupReply:
+        return self._reply(self.exported.root(), ctx)
+
+    def _serve_getattr(self, handle: NfsHandle, ctx: OpContext = ROOT_CTX) -> FileAttributes:
         return self._resolve(handle).getattr(ctx)
 
-    def _op_setattr(
+    def _serve_setattr(
         self, handle: NfsHandle, attrs: SetAttrs, ctx: OpContext = ROOT_CTX
     ) -> FileAttributes:
         vnode = self._resolve(handle)
         vnode.setattr(attrs, ctx)
         return vnode.getattr(ctx)
 
-    def _op_lookup(self, handle: NfsHandle, name: str, ctx: OpContext = ROOT_CTX) -> LookupReply:
-        child = self._resolve(handle).lookup(name, ctx)
-        return LookupReply(self._handle_for(child), child.getattr(ctx))
+    def _serve_lookup(self, handle: NfsHandle, name: str, ctx: OpContext = ROOT_CTX) -> LookupReply:
+        return self._reply(self._resolve(handle).lookup(name, ctx), ctx)
 
-    def _op_read(
+    def _serve_read(
         self, handle: NfsHandle, offset: int, length: int, ctx: OpContext = ROOT_CTX
     ) -> bytes:
         return self._resolve(handle).read(offset, length, ctx)
 
-    def _op_write(
+    def _serve_write(
         self, handle: NfsHandle, offset: int, data: bytes, ctx: OpContext = ROOT_CTX
     ) -> int:
         return self._resolve(handle).write(offset, data, ctx)
 
-    def _op_truncate(self, handle: NfsHandle, size: int, ctx: OpContext = ROOT_CTX) -> None:
+    def _serve_truncate(self, handle: NfsHandle, size: int, ctx: OpContext = ROOT_CTX) -> None:
         self._resolve(handle).truncate(size, ctx)
 
-    def _op_create(
+    def _serve_create(
         self, handle: NfsHandle, name: str, perm: int, ctx: OpContext = ROOT_CTX
     ) -> LookupReply:
-        child = self._resolve(handle).create(name, perm, ctx)
-        return LookupReply(self._handle_for(child), child.getattr(ctx))
+        return self._reply(self._resolve(handle).create(name, perm, ctx), ctx)
 
-    def _op_remove(self, handle: NfsHandle, name: str, ctx: OpContext = ROOT_CTX) -> None:
+    def _serve_remove(self, handle: NfsHandle, name: str, ctx: OpContext = ROOT_CTX) -> None:
         self._resolve(handle).remove(name, ctx)
 
-    def _op_link(
+    def _serve_link(
         self, dir_handle: NfsHandle, target: NfsHandle, name: str, ctx: OpContext = ROOT_CTX
     ) -> None:
         self._resolve(dir_handle).link(self._resolve(target), name, ctx)
 
-    def _op_rename(
+    def _serve_rename(
         self,
         src_dir: NfsHandle,
         src_name: str,
@@ -195,55 +201,71 @@ class NfsServer:
     ) -> None:
         self._resolve(src_dir).rename(src_name, self._resolve(dst_dir), dst_name, ctx)
 
-    def _op_mkdir(
+    def _serve_mkdir(
         self, handle: NfsHandle, name: str, perm: int, ctx: OpContext = ROOT_CTX
     ) -> LookupReply:
-        child = self._resolve(handle).mkdir(name, perm, ctx)
-        return LookupReply(self._handle_for(child), child.getattr(ctx))
+        return self._reply(self._resolve(handle).mkdir(name, perm, ctx), ctx)
 
-    def _op_rmdir(self, handle: NfsHandle, name: str, ctx: OpContext = ROOT_CTX) -> None:
+    def _serve_rmdir(self, handle: NfsHandle, name: str, ctx: OpContext = ROOT_CTX) -> None:
         self._resolve(handle).rmdir(name, ctx)
 
-    def _op_readdir(self, handle: NfsHandle, ctx: OpContext = ROOT_CTX) -> list[ReaddirEntry]:
+    def _serve_readdir(self, handle: NfsHandle, ctx: OpContext = ROOT_CTX) -> list[ReaddirEntry]:
         entries = self._resolve(handle).readdir(ctx)
         return [ReaddirEntry(e.name, e.fileid, int(e.ftype)) for e in entries]
 
-    def _op_symlink(
+    def _serve_symlink(
         self, handle: NfsHandle, name: str, target: str, ctx: OpContext = ROOT_CTX
     ) -> LookupReply:
-        child = self._resolve(handle).symlink(name, target, ctx)
-        return LookupReply(self._handle_for(child), child.getattr(ctx))
+        return self._reply(self._resolve(handle).symlink(name, target, ctx), ctx)
 
-    def _op_readlink(self, handle: NfsHandle, ctx: OpContext = ROOT_CTX) -> str:
+    def _serve_readlink(self, handle: NfsHandle, ctx: OpContext = ROOT_CTX) -> str:
         return self._resolve(handle).readlink(ctx)
 
     # -- Ficus extensions ------------------------------------------------------
 
-    def _op_session_open(self, handle: NfsHandle, fh_hex: str, ctx: OpContext = ROOT_CTX) -> None:
+    def _serve_session_open(self, handle: NfsHandle, fh_hex: str, ctx: OpContext = ROOT_CTX) -> None:
         self._resolve(handle).session_open(FicusFileHandle.from_hex(fh_hex), ctx)
 
-    def _op_session_close(self, handle: NfsHandle, fh_hex: str, ctx: OpContext = ROOT_CTX) -> bool:
+    def _serve_session_close(self, handle: NfsHandle, fh_hex: str, ctx: OpContext = ROOT_CTX) -> bool:
         return bool(self._resolve(handle).session_close(FicusFileHandle.from_hex(fh_hex), ctx))
 
-    def _op_getattrs_batch(
+    def _serve_getattrs_batch(
         self, handle: NfsHandle, fh_hexes: list[str] | None, ctx: OpContext = ROOT_CTX
     ) -> dict[str, object]:
         fhs = None if fh_hexes is None else [FicusFileHandle.from_hex(h) for h in fh_hexes]
         return self._resolve(handle).getattrs_batch(fhs, ctx).to_wire()
 
-    def _op_sync_probe(
+    def _serve_sync_probe(
         self, handle: NfsHandle, fh_hex: str | None, ctx: OpContext = ROOT_CTX
     ) -> dict[str, object]:
         fh = None if fh_hex is None else FicusFileHandle.from_hex(fh_hex)
         return self._resolve(handle).sync_probe(fh, ctx).to_wire()
 
-    def _op_block_digests(
+    def _serve_block_digests(
         self, handle: NfsHandle, fh_hex: str, ctx: OpContext = ROOT_CTX
     ) -> dict[str, object]:
         return self._resolve(handle).block_digests(FicusFileHandle.from_hex(fh_hex), ctx).to_wire()
 
-    def _op_read_blocks(
+    def _serve_read_blocks(
         self, handle: NfsHandle, fh_hex: str, indices: list[int], ctx: OpContext = ROOT_CTX
     ) -> list[list[object]]:
         blocks = self._resolve(handle).read_blocks(FicusFileHandle.from_hex(fh_hex), indices, ctx)
         return [[index, data] for index, data in sorted(blocks.items())]
+
+    # the five replica-addressed operations: their arguments (Ficus handles,
+    # entry ids, the entry made) are frozen values and cross as they are
+
+    def _serve_lookup_fh(self, handle: NfsHandle, fh, ctx: OpContext = ROOT_CTX) -> LookupReply:
+        return self._reply(self._resolve(handle).lookup_fh(fh, ctx), ctx)
+
+    def _serve_lookup_dir(self, handle: NfsHandle, fh, ctx: OpContext = ROOT_CTX) -> LookupReply:
+        return self._reply(self._resolve(handle).lookup_dir(fh, ctx), ctx)
+
+    def _serve_insert(self, handle: NfsHandle, name: str, etype, fields, ctx: OpContext = ROOT_CTX):
+        return self._resolve(handle).insert(name, etype, ctx=ctx, **fields)
+
+    def _serve_remove_entry(self, handle: NfsHandle, eid, from_recon, ctx: OpContext = ROOT_CTX) -> None:
+        self._resolve(handle).remove_entry(eid, from_recon, ctx)
+
+    def _serve_set_policy(self, handle: NfsHandle, fh, tag: str, ctx: OpContext = ROOT_CTX) -> None:
+        self._resolve(handle).set_policy(fh, tag, ctx)

@@ -30,19 +30,7 @@ from repro.physical.wire import (
     EntryId,
     EntryType,
     decode_directory,
-    decode_op,
     encode_directory,
-    encode_op,
-    is_encoded_op,
-    max_user_name_length,
-    op_abort_shadow,
-    op_byfh,
-    op_commit,
-    op_insert,
-    op_mergevv,
-    op_remove,
-    op_setvv,
-    op_shadow,
 )
 
 __all__ = [
@@ -69,20 +57,8 @@ __all__ = [
     "ReplicaStore",
     "count_name_collisions",
     "decode_directory",
-    "decode_op",
     "effective_entries",
     "encode_directory",
-    "encode_op",
-    "is_encoded_op",
-    "max_user_name_length",
     "notification_payload",
-    "op_abort_shadow",
-    "op_byfh",
-    "op_commit",
-    "op_insert",
-    "op_mergevv",
-    "op_remove",
-    "op_setvv",
-    "op_shadow",
     "volume_root_handle",
 ]

@@ -5,14 +5,16 @@ Section 2.6).  Its vnodes are:
 
 * :class:`PhysicalRootVnode` — names the volume replicas this host stores.
 * :class:`PhysicalDirVnode` — one Ficus directory replica (or graft
-  point).  Plain-name lookups perform the dual mapping (name -> Ficus file
-  handle via the directory file, handle -> inode via the hex-encoded UFS
-  name).  Update-session bracketing and attribute fetches are first-class
-  vnode operations (``session_open``/``session_close``/``getattrs_batch``)
-  forwarded explicitly by our NFS; the remaining replica-addressed control
-  operations — access by handle, shadow and commit for atomic propagation,
-  version-vector maintenance — still travel as encoded ``@@op|...`` names
-  so they work unmodified through an intervening NFS layer.
+  point).  ``lookup`` takes names and performs the dual mapping (name ->
+  Ficus file handle via the directory file, handle -> inode via the
+  hex-encoded UFS name).  Everything else a caller may ask of a replica is
+  a vnode operation our NFS forwards: update-session brackets, the
+  attribute and sync planes, access by handle (``lookup_fh``,
+  ``lookup_dir``), entry ``insert``/``remove_entry`` and ``set_policy``.
+  The directory has no ``create``/``mkdir``/``remove``/``rmdir``/``rename``
+  of its own — the logical layer composes those from insert and remove —
+  and shadow/commit belong to the store, called by the reconciliation that
+  runs beside it, never remotely.
 * :class:`PhysicalFileVnode` — one regular-file (or symlink) replica;
   writes advance the replica's version vector.
 
@@ -31,8 +33,8 @@ from repro.errors import (
     FileNotFound,
     InvalidArgument,
     IsADirectory,
+    NameTooLong,
     NotADirectory,
-    NotSupported,
 )
 from repro.physical.store import ReplicaStore
 from repro.physical.wire import (
@@ -43,11 +45,10 @@ from repro.physical.wire import (
     EntryId,
     EntryType,
     SyncProbe,
-    decode_op,
-    is_encoded_op,
 )
 from repro.telemetry import spanned
 from repro.ufs.inode import FileAttributes, FileType
+from repro.ufs.layout import MAX_NAME_LEN
 from repro.util import FicusFileHandle
 from repro.vnode.interface import ROOT_CTX, DirEntry, OpContext, SetAttrs, Vnode
 from repro.vv import VersionVector
@@ -244,7 +245,7 @@ class PhysicalDirVnode(Vnode):
 
         Replica selection needs the version vector of every candidate
         anyway; returning them in one reply collapses the logical layer's
-        per-replica encoded-lookup probes into a single RPC.
+        per-replica, per-file probes into a single RPC.
         """
         self.layer.counters.bump("getattrs_batch")
         wanted = None if fhs is None else {fh.logical for fh in fhs}
@@ -308,138 +309,81 @@ class PhysicalDirVnode(Vnode):
 
     # -- namespace ---------------------------------------------------------------
 
-    @_spanned("physical.lookup", tags=lambda self, name, *a, **k: {"encoded": is_encoded_op(name)})
+    @_spanned("physical.lookup")
     def lookup(self, name: str, ctx: OpContext = ROOT_CTX) -> Vnode:
         self.layer.counters.bump("lookup")
-        return self._encoded_lookup(name) if is_encoded_op(name) else self._plain_lookup(name)
-
-    def _plain_lookup(self, name: str) -> Vnode:
-        view = effective_entries(self.entries())
-        entry = view.get(name)
+        entry = effective_entries(self.entries()).get(name)
         if entry is None:
             raise FileNotFound(f"{name!r} not found in Ficus directory {self.fh}")
         return self._child_vnode(entry)
 
-    def _encoded_lookup(self, name: str) -> Vnode:
-        """Dispatch an operation smuggled through the lookup service."""
-        op, fields = decode_op(name)
-        if op == "byfh":
-            return self._child_vnode(self.find_live_by_fh(FicusFileHandle.from_hex(fields[0])))
-        if op == "dir":
-            fh = FicusFileHandle.from_hex(fields[0])
-            if not self.store.has_directory(fh):
-                raise FileNotFound(f"directory {fh} not stored in this volume replica")
-            return self.layer.dir_vnode(self.store, fh)
-        if op == "shadow":
-            fh = FicusFileHandle.from_hex(fields[0])
-            return self.store.shadow_vnode(self.fh, fh, create=True)
-        if op == "commit":
-            fh = FicusFileHandle.from_hex(fields[0])
-            vv = VersionVector.decode(fields[1])
-            self.store.commit_shadow(self.fh, fh, vv)
-            return self._child_vnode(self.find_live_by_fh(fh))
-        if op == "abortshadow":
-            fh = FicusFileHandle.from_hex(fields[0])
-            self.store.abort_shadow(self.fh, fh)
-            return self
-        if op == "mergevv":
-            self._merge_dir_vv(VersionVector.decode(fields[0]))
-            return self
-        if op == "setvv":
-            fh = FicusFileHandle.from_hex(fields[0])
-            aux = self.store.read_file_aux(self.fh, fh)
-            aux.vv = VersionVector.decode(fields[1])
-            self.store.write_file_aux(self.fh, fh, aux)
-            return self._child_vnode(self.find_live_by_fh(fh))
-        if op == "setpolicy":
-            fh = FicusFileHandle.from_hex(fields[0])
-            aux = self.store.read_file_aux(self.fh, fh)
-            aux.merge_policy = fields[1]
-            # a policy change is an update: bumping the vv makes the tag
-            # propagate (and win) through normal reconciliation
-            prior = aux.vv
-            aux.vv = aux.vv.bump(self.store.replica_id)
-            self.store.write_file_aux(self.fh, fh, aux)
-            self.layer.record_version("write", fh, aux.vv, parents=(prior,), detail="setpolicy")
-            return self._child_vnode(self.find_live_by_fh(fh))
-        raise NotSupported(f"encoded operation {op!r}")
+    @_spanned("physical.lookup_fh")
+    def lookup_fh(self, fh: FicusFileHandle, ctx: OpContext = ROOT_CTX) -> Vnode:
+        self.layer.counters.bump("lookup_fh")
+        return self._child_vnode(self.find_live_by_fh(fh))
 
-    def _merge_dir_vv(self, remote: VersionVector) -> None:
-        aux = self.aux()
-        aux.vv = aux.vv.merge(remote)
-        self.store.write_dir_aux(self.fh, aux)
+    @_spanned("physical.lookup_dir")
+    def lookup_dir(self, fh: FicusFileHandle, ctx: OpContext = ROOT_CTX) -> Vnode:
+        self.layer.counters.bump("lookup_dir")
+        if not self.store.has_directory(fh):
+            raise FileNotFound(f"directory {fh} not stored in this volume replica")
+        return self.layer.dir_vnode(self.store, fh)
+
+    @_spanned("physical.set_policy")
+    def set_policy(self, fh: FicusFileHandle, tag: str, ctx: OpContext = ROOT_CTX) -> None:
+        self.layer.counters.bump("set_policy")
+        aux = self.store.read_file_aux(self.fh, fh)
+        aux.merge_policy = tag
+        # a policy change is an update: bumping the vv makes the tag
+        # propagate (and win) through normal reconciliation
+        prior = aux.vv
+        aux.vv = aux.vv.bump(self.store.replica_id)
+        self.store.write_file_aux(self.fh, fh, aux)
+        self.layer.record_version("write", fh, aux.vv, parents=(prior,), detail="setpolicy")
 
     def _bump_dir_vv(self) -> None:
         aux = self.aux()
         aux.vv = aux.vv.bump(self.store.replica_id)
         self.store.write_dir_aux(self.fh, aux)
 
-    # insert arrives as the name argument of create (paper Section 2.3
-    # style overloading: NFS passes the string through untouched).
-
     @_spanned("physical.insert")
-    def create(self, name: str, perm: int = 0o644, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.counters.bump("create")
-        if not is_encoded_op(name):
-            raise InvalidArgument(
-                "physical-layer create expects an encoded insert operation; "
-                "plain creates belong to the logical layer"
-            )
-        op, fields = decode_op(name)
-        if op != "insert":
-            raise NotSupported(f"create cannot carry operation {op!r}")
-        # The applying replica mints ids the requester left blank — id
-        # issuance stays with the volume replica (paper Section 4.2) even
-        # when the request crossed an NFS hop.
-        eid = EntryId.decode(fields[0]) if fields[0] else self.store.new_entry_id()
-        user_name = fields[1]
-        if fields[2]:
-            fh = FicusFileHandle.from_hex(fields[2])
-        else:
-            fh = FicusFileHandle(self.store.volume, self.store.new_file_id())
-        etype = EntryType(fields[3])
-        data = fields[4]
-        link_from = FicusFileHandle.from_hex(fields[5]) if fields[5] else None
-        from_recon = bool(fields[6])
-        # pre-resolver encoders send 7 fields; the policy tag is optional
-        merge_policy = fields[7] if len(fields) > 7 else ""
-        return self.apply_insert(
-            eid, user_name, fh, etype, data, link_from, from_recon, merge_policy
-        )
+    def insert(
+        self, name: str, etype: EntryType, *, ctx: OpContext = ROOT_CTX, **fields: object
+    ) -> DirectoryEntry:
+        self.layer.counters.bump("insert")
+        return self.apply_insert(name, etype, **fields)
 
     def apply_insert(
         self,
-        eid: EntryId,
         name: str,
-        fh: FicusFileHandle,
         etype: EntryType,
+        eid: EntryId | None = None,
+        fh: FicusFileHandle | None = None,
         data: str = "",
         link_from: FicusFileHandle | None = None,
         from_recon: bool = False,
         merge_policy: str = "",
-    ) -> Vnode:
+    ) -> DirectoryEntry:
         """Insert one directory entry and materialize backing storage.
 
         Idempotent on entry-id: re-applying an insert (an RPC retry or a
-        repeated reconciliation) is a no-op.
+        repeated reconciliation) is a no-op answered with the entry on file.
         """
-        if is_encoded_op(name) or "/" in name or "\x00" in name or not name:
+        # The applying replica mints ids the requester left blank — id
+        # issuance stays with the volume replica (paper Section 4.2) even
+        # when the request crossed an NFS hop.
+        if eid is None:
+            eid = self.store.new_entry_id()
+        if fh is None:
+            fh = FicusFileHandle(self.store.volume, self.store.new_file_id())
+        if "/" in name or "\x00" in name or not name:
             raise InvalidArgument(f"bad Ficus name {name!r}")
-        from repro.errors import NameTooLong
-        from repro.physical.wire import max_user_name_length
-
-        if len(name) > max_user_name_length():
-            # footnote 2: the encoding overhead caps user components at
-            # ~200 chars; enforce the worst-case bound uniformly so every
-            # entry can be re-encoded through an NFS hop later
-            raise NameTooLong(
-                f"name of {len(name)} chars exceeds the {max_user_name_length()}-char "
-                "budget left by the lookup-overload encoding"
-            )
+        if len(name) > MAX_NAME_LEN:
+            raise NameTooLong(f"name of {len(name)} chars exceeds the {MAX_NAME_LEN}-char limit")
         entries = self.entries()
         for existing in entries:
             if existing.eid == eid:
-                return self._child_vnode(existing) if existing.live else self
+                return existing
         fh = fh.logical
         entry = DirectoryEntry(eid=eid, name=name, fh=fh, etype=etype, data=data)
         # materialize storage before publishing the entry
@@ -469,12 +413,7 @@ class PhysicalDirVnode(Vnode):
         self.store.write_entries(self.fh, entries)
         if not from_recon:
             self._bump_dir_vv()
-        if entry.etype == EntryType.LOCATION:
-            return self  # metadata entries have no child vnode
-        try:
-            return self._child_vnode(entry)
-        except ReplicaNotStored:
-            return self
+        return entry
 
     def apply_tombstone(self, entry: DirectoryEntry) -> None:
         """Record a remote entry that is already dead, storage-free.
@@ -506,16 +445,11 @@ class PhysicalDirVnode(Vnode):
         self.store.write_entries(self.fh, entries)
 
     @_spanned("physical.remove")
-    def remove(self, name: str, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("remove")
-        if not is_encoded_op(name):
-            raise InvalidArgument(
-                "physical-layer remove expects an encoded remove operation"
-            )
-        op, fields = decode_op(name)
-        if op != "remove":
-            raise NotSupported(f"remove cannot carry operation {op!r}")
-        self.apply_remove(EntryId.decode(fields[0]), from_recon=bool(fields[1]))
+    def remove_entry(
+        self, eid: EntryId, from_recon: bool = False, ctx: OpContext = ROOT_CTX
+    ) -> None:
+        self.layer.counters.bump("remove_entry")
+        self.apply_remove(eid, from_recon)
 
     def apply_remove(self, eid: EntryId, from_recon: bool = False) -> None:
         """Tombstone one entry and garbage-collect its backing storage.
@@ -564,25 +498,6 @@ class PhysicalDirVnode(Vnode):
             self.store.write_dir_aux(dead.fh, daux)
             return
         self.store.remove_directory_storage(dead.fh)
-
-    def rename(
-        self,
-        src_name: str,
-        dst_dir: Vnode,
-        dst_name: str,
-        ctx: OpContext = ROOT_CTX,
-    ) -> None:
-        raise NotSupported(
-            "the logical layer composes rename from insert + remove; the "
-            "physical layer has no rename of its own"
-        )
-
-    def mkdir(self, name: str, perm: int = 0o755, ctx: OpContext = ROOT_CTX) -> Vnode:
-        # mkdir carries the same encoded insert as create
-        return self.create(name, perm, ctx)
-
-    def rmdir(self, name: str, ctx: OpContext = ROOT_CTX) -> None:
-        self.remove(name, ctx)
 
     def readdir(self, ctx: OpContext = ROOT_CTX) -> list[DirEntry]:
         self.layer.counters.bump("readdir")

@@ -1,22 +1,17 @@
-"""On-disk record formats and encoded operations for the physical layer.
-
-Two kinds of byte formats live here:
+"""On-disk record formats and reply payloads of the physical layer.
 
 * **Ficus directory entries and auxiliary attributes** — Ficus directories
   are stored as UFS *files* of entry records, and "replication-related
   attributes [are] stored in an auxiliary file" (paper Section 2.6).
 
-* **Encoded vnode operations.**  The vnode interface predates Ficus, and
-  the original NFS dropped calls it did not know — so Ficus "overloaded
-  the lookup service by encoding an open/close request as a null-terminated
-  ASCII string of sufficient length to be passed on by NFS without
-  interpretation or interference" (Section 2.3).  Our NFS now forwards
-  session open/close and attribute batches as first-class operations, so
-  only the *replica-addressed* control operations remain encoded (shadow
-  access, commit, version merging, by-handle fetches) plus the
-  entry-management operations through the name argument of create/remove.
-  The footnoted cost is reproduced exactly: the encoding overhead shrinks
-  the usable name component from 255 to about 200 characters.
+* **Replies of the Ficus vnode operations** — attribute batches, sync
+  probes and block digests, with the wire forms the NFS hop carries.
+
+The paper "overloaded the lookup service by encoding an open/close request
+as a null-terminated ASCII string" (Section 2.3) because SunOS NFS dropped
+calls it did not know.  Our NFS forwards every operation the physical
+layer implements, so nothing here encodes a request in a name; benchmark
+E10 keeps a rendering of the paper's encoding and its name-length cost.
 """
 
 from __future__ import annotations
@@ -26,17 +21,9 @@ import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.errors import InvalidArgument, NameTooLong
-from repro.ufs.layout import MAX_NAME_LEN
-from repro.util import FicusFileHandle, decode_record, encode_record, escape_value, unescape_value
+from repro.errors import InvalidArgument
+from repro.util import FicusFileHandle, decode_record, encode_record
 from repro.vv import VersionVector
-
-#: Prefix marking an encoded operation smuggled through a name argument.
-#: Real names may not start with this (checked at insert time).
-OP_PREFIX = "@@"
-
-#: Separator between fields of an encoded operation.
-OP_SEP = "|"
 
 #: Reserved UFS names inside a Ficus directory's underlying Unix directory.
 FDIR_NAME = ".fdir"  # the Ficus directory entry file
@@ -354,7 +341,7 @@ class AttrBatch:
     replica, keyed by the logical half of their file handle (stable across
     replicas, unlike the physical half).  This is the attribute plane —
     replica selection needs every version vector of a directory anyway, so
-    shipping them together turns O(children) encoded-lookup RPCs into one.
+    shipping them together turns O(children) per-file RPCs into one.
     """
 
     dir_aux: AuxAttributes
@@ -492,145 +479,3 @@ def decode_directory(data: bytes) -> list[DirectoryEntry]:
     while len(_DECODE_DIR_MEMO) > _DECODE_DIR_CAP:
         _DECODE_DIR_MEMO.popitem(last=False)
     return entries
-
-
-# ---------------------------------------------------------------------------
-# Encoded operations (the lookup/create overloading of paper Section 2.3)
-# ---------------------------------------------------------------------------
-
-
-def encode_op(op: str, *fields: str) -> str:
-    """Build an encoded operation string: ``@@op|field|field...``.
-
-    Fields are escaped so user-supplied names survive the trip.  The result
-    must fit in one UFS name component, which is what costs roughly 55
-    characters of user-name budget (255 -> ~200, paper footnote 2).
-    """
-    encoded = OP_PREFIX + OP_SEP.join([op, *[escape_value(f) for f in fields]])
-    if len(encoded) > MAX_NAME_LEN:
-        raise NameTooLong(
-            f"encoded {op} operation is {len(encoded)} chars; the {MAX_NAME_LEN}-char "
-            "UFS name limit leaves roughly 200 for the user name"
-        )
-    return encoded
-
-
-def is_encoded_op(name: str) -> bool:
-    return name.startswith(OP_PREFIX)
-
-
-def decode_op(name: str) -> tuple[str, list[str]]:
-    """Split an encoded operation into (op, fields)."""
-    if not is_encoded_op(name):
-        raise InvalidArgument(f"{name!r} is not an encoded operation")
-    parts = name[len(OP_PREFIX) :].split(OP_SEP)
-    return parts[0], [unescape_value(p) for p in parts[1:]]
-
-
-# Specific operation builders, so call sites stay typo-proof.
-
-
-def op_byfh(fh: FicusFileHandle) -> str:
-    """Fetch a child vnode directly by file handle."""
-    return encode_op("byfh", fh.to_hex())
-
-
-def op_dir(fh: FicusFileHandle) -> str:
-    """Fetch any directory of the same volume replica by handle.
-
-    Used by the reconciliation protocol to address remote directory
-    replicas directly instead of walking the path.
-    """
-    return encode_op("dir", fh.to_hex())
-
-
-def op_shadow(fh: FicusFileHandle) -> str:
-    """Fetch (creating if needed) the shadow vnode of a child file."""
-    return encode_op("shadow", fh.to_hex())
-
-
-def op_commit(fh: FicusFileHandle, vv: VersionVector) -> str:
-    """Atomically promote the shadow of ``fh`` with version vector ``vv``."""
-    return encode_op("commit", fh.to_hex(), vv.encode())
-
-
-def op_abort_shadow(fh: FicusFileHandle) -> str:
-    """Discard an uncommitted shadow (crash recovery / aborted pull)."""
-    return encode_op("abortshadow", fh.to_hex())
-
-
-def op_insert(
-    eid: EntryId | None,
-    name: str,
-    fh: FicusFileHandle | None,
-    etype: EntryType,
-    data: str = "",
-    link_from: FicusFileHandle | None = None,
-    vv: VersionVector | None = None,
-    merge_policy: str = "",
-) -> str:
-    """Insert a directory entry (the name argument of vnode ``create``).
-
-    ``eid`` and/or ``fh`` may be ``None``: the physical replica applying
-    the insert then mints them itself, preserving the paper's rule that
-    "each volume replica assigns file identifiers to new files
-    independently" even when the requesting logical layer is remote.
-
-    ``link_from`` names the directory already holding the file's storage
-    when this insert adds an additional name (a cross-directory link).
-    ``vv`` carries the entry's origin version for reconciliation-applied
-    inserts; local inserts leave it empty and the physical layer bumps.
-    ``merge_policy`` declares the file's conflict-resolver tag at create
-    time (decoders tolerate its absence for pre-resolver callers).
-    """
-    return encode_op(
-        "insert",
-        eid.encode() if eid is not None else "",
-        name,
-        fh.to_hex() if fh is not None else "",
-        etype.value,
-        data,
-        link_from.to_hex() if link_from is not None else "",
-        vv.encode() if vv is not None else "",
-        merge_policy,
-    )
-
-
-def op_remove(eid: EntryId, vv: VersionVector | None = None) -> str:
-    """Tombstone the entry with id ``eid`` (the name argument of remove)."""
-    return encode_op("remove", eid.encode(), vv.encode() if vv is not None else "")
-
-
-def op_mergevv(vv: VersionVector) -> str:
-    """Merge ``vv`` into the directory's own version vector (end of recon)."""
-    return encode_op("mergevv", vv.encode())
-
-
-def op_setvv(fh: FicusFileHandle, vv: VersionVector) -> str:
-    """Overwrite a child's version vector (conflict resolution)."""
-    return encode_op("setvv", fh.to_hex(), vv.encode())
-
-
-def op_setpolicy(fh: FicusFileHandle, tag: str) -> str:
-    """Declare a child file's merge-policy tag (bumps its version vector
-    so the tag propagates with the next reconciliation round)."""
-    return encode_op("setpolicy", fh.to_hex(), tag)
-
-
-#: Overhead the insert encoding steals from the 255-char name budget; the
-#: paper reports the usable component length drops to "about 200".
-_MAX_USER_NAME_LEN: int | None = None
-
-
-def max_user_name_length() -> int:
-    """Longest user name component guaranteed to survive encoding."""
-    global _MAX_USER_NAME_LEN
-    if _MAX_USER_NAME_LEN is None:
-        probe = op_insert(
-            EntryId(0xFFFFFFFF, 0xFFFFFFFF),
-            "",
-            FicusFileHandle.from_hex("ffffffff.ffffffff.ffffffff.ffffffff.fffffffe"),
-            EntryType.GRAFT_POINT,
-        )
-        _MAX_USER_NAME_LEN = MAX_NAME_LEN - len(probe)
-    return _MAX_USER_NAME_LEN

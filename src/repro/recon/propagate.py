@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from repro.errors import FileNotFound, HostUnreachable, StaleFileHandle
 from repro.physical import FicusPhysicalLayer, ReplicaStore
 from repro.physical.policy import StoragePolicy
-from repro.physical.wire import AttrBatch, content_digest, op_byfh, split_blocks
+from repro.physical.wire import AttrBatch, content_digest, split_blocks
 from repro.recon.directory import reconcile_directory
 from repro.util import FicusFileHandle
 from repro.vnode.interface import Vnode, read_whole
@@ -146,7 +146,7 @@ def pull_file(
             return result
 
     try:
-        contents = read_whole(remote_dir.lookup(op_byfh(fh)))
+        contents = read_whole(remote_dir.lookup_fh(fh))
     except (HostUnreachable, StaleFileHandle):
         return PullResult(PullOutcome.UNREACHABLE, local_vv, remote_vv)
     except FileNotFound:

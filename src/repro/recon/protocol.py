@@ -30,7 +30,6 @@ from typing import Callable
 from repro.errors import FileNotFound, HostUnreachable, StaleFileHandle
 from repro.physical import FicusPhysicalLayer
 from repro.physical.policy import StoragePolicy
-from repro.physical.wire import op_dir
 from repro.recon.conflicts import ConflictKind, ConflictLog, ConflictReport
 from repro.recon.directory import DirReconResult, reconcile_directory
 from repro.recon.propagate import PullOutcome, pull_children
@@ -142,7 +141,7 @@ def reconcile_subtree(
                 continue
 
         try:
-            remote_dir = remote_volume_root.lookup(op_dir(dir_fh))
+            remote_dir = remote_volume_root.lookup_dir(dir_fh)
         except FileNotFound:
             continue  # remote replica does not store this directory
         except (HostUnreachable, StaleFileHandle):

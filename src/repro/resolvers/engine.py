@@ -23,7 +23,6 @@ import enum
 
 from repro.errors import FileNotFound, HostUnreachable, StaleFileHandle
 from repro.physical import ReplicaStore
-from repro.physical.wire import op_byfh
 from repro.resolvers.base import ConflictPair, ResolverError
 from repro.resolvers.registry import ResolverRegistry
 from repro.util import FicusFileHandle
@@ -78,7 +77,7 @@ def auto_resolve_conflict(
         return ResolveOutcome.FALLBACK
 
     try:
-        remote_contents = read_whole(remote_dir.lookup(op_byfh(fh)))
+        remote_contents = read_whole(remote_dir.lookup_fh(fh))
     except (HostUnreachable, StaleFileHandle):
         return ResolveOutcome.UNREACHABLE
     except FileNotFound:

@@ -20,8 +20,8 @@ _ESCAPES = {
     " ": "\\s",
     "\n": "\\n",
     "=": "\\e",
-    # Pipe separates fields of encoded operations (physical layer wire
-    # format), so it must never appear raw in an escaped value.
+    # Every stored record escapes the pipe this way: nothing splits on
+    # it, but the escape is part of the on-disk format.
     "|": "\\p",
 }
 _UNESCAPES = {v[1]: k for k, v in _ESCAPES.items()}

@@ -12,10 +12,12 @@ hop to a different host.
 
 Every operation takes an :class:`~repro.vnode.context.OpContext` carrying
 identity, trace parentage, and cache-control flags; see that module.  The
-interface also carries three operations the original SunOS set lacked but
-Ficus needs first-class (rather than smuggled through ``lookup`` names):
-``session_open``/``session_close`` for replica update sessions, and
-``getattrs_batch`` for the batched attribute plane.
+interface also carries the operations the original SunOS set lacked but
+Ficus needs (the paper smuggled its two through ``lookup`` names; our NFS
+forwards them): ``session_open``/``session_close``, the attribute and sync
+planes, and the replica-addressed directory operations ``lookup_fh``/
+``lookup_dir``/``insert``/``remove_entry``/``set_policy``.  An operation's
+arguments are data; ``lookup`` takes names and nothing else.
 """
 
 from __future__ import annotations
@@ -29,7 +31,15 @@ from repro.ufs.inode import FileAttributes, FileType
 from repro.vnode.context import ROOT_CRED, ROOT_CTX, Credential, OpContext
 
 if TYPE_CHECKING:
-    from repro.physical.wire import AttrBatch, BlockDigests, EntryId, SyncProbe
+    from repro.physical.wire import (
+        AttrBatch,
+        BlockDigests,
+        DirectoryEntry,
+        EntryId,
+        EntryType,
+        SyncProbe,
+    )
+    from repro.util import FicusFileHandle
 
 __all__ = [
     "Credential",
@@ -123,6 +133,11 @@ class Vnode(abc.ABC):
         "sync_probe",
         "block_digests",
         "read_blocks",
+        "lookup_fh",
+        "lookup_dir",
+        "insert",
+        "remove_entry",
+        "set_policy",
     )
 
     # -- object lifetime ----------------------------------------------------
@@ -215,7 +230,7 @@ class Vnode(abc.ABC):
     def readlink(self, ctx: OpContext = ROOT_CTX) -> str:
         raise NotSupported("readlink")
 
-    # -- Ficus extensions (first-class, not smuggled through lookup) -----------
+    # -- Ficus extensions ----------------------------------------------------
 
     def session_open(self, fh: "EntryId", ctx: OpContext = ROOT_CTX) -> None:
         """Begin an update session on the replica holding ``fh``.
@@ -241,7 +256,7 @@ class Vnode(abc.ABC):
         ``fhs=None`` means "all children stored here"; a list restricts the
         result.  This is the attribute plane: one RPC returns every version
         vector the logical layer needs for replica selection, replacing one
-        encoded-lookup RPC per replica per open.
+        RPC per file per replica per open.
         """
         raise NotSupported("getattrs_batch")
 
@@ -270,6 +285,49 @@ class Vnode(abc.ABC):
     ) -> dict[int, bytes]:
         """Fetch selected fixed-size blocks of a stored file in one call."""
         raise NotSupported("read_blocks")
+
+    def lookup_fh(self, fh: "FicusFileHandle", ctx: OpContext = ROOT_CTX) -> "Vnode":
+        """The child this directory replica names, addressed by file handle."""
+        raise NotSupported("lookup_fh")
+
+    def lookup_dir(self, fh: "FicusFileHandle", ctx: OpContext = ROOT_CTX) -> "Vnode":
+        """Any directory of the same volume replica, addressed by handle."""
+        raise NotSupported("lookup_dir")
+
+    def insert(
+        self,
+        name: str,
+        etype: "EntryType",
+        *,
+        eid: "EntryId | None" = None,
+        fh: "FicusFileHandle | None" = None,
+        data: str = "",
+        link_from: "FicusFileHandle | None" = None,
+        from_recon: bool = False,
+        merge_policy: str = "",
+        ctx: OpContext = ROOT_CTX,
+    ) -> "DirectoryEntry":
+        """Insert a directory entry; the entry made is the reply.
+
+        ``eid`` and ``fh`` left ``None`` are minted by the applying replica
+        ("each volume replica assigns file identifiers to new files
+        independently", Section 4.2).  ``link_from`` names the directory
+        already holding the file's storage when this adds another name;
+        ``from_recon`` publishes the entry without contents or a version
+        bump; ``merge_policy`` is the new file's conflict-resolver tag.
+        """
+        raise NotSupported("insert")
+
+    def remove_entry(
+        self, eid: "EntryId", from_recon: bool = False, ctx: OpContext = ROOT_CTX
+    ) -> None:
+        """Tombstone the entry with id ``eid`` (idempotent)."""
+        raise NotSupported("remove_entry")
+
+    def set_policy(self, fh: "FicusFileHandle", tag: str, ctx: OpContext = ROOT_CTX) -> None:
+        """Declare a child file's merge-policy tag; bumps its version vector
+        so the tag propagates with the next reconciliation round."""
+        raise NotSupported("set_policy")
 
     # -- conveniences shared by all layers -----------------------------------------
 

@@ -171,6 +171,26 @@ class PassthroughVnode(Vnode):
         self.layer.counters.bump("read_blocks")
         return self.lower.read_blocks(fh, indices, ctx)
 
+    def lookup_fh(self, fh, ctx: OpContext = ROOT_CTX) -> Vnode:
+        self.layer.counters.bump("lookup_fh")
+        return self._wrap(self.lower.lookup_fh(fh, ctx))
+
+    def lookup_dir(self, fh, ctx: OpContext = ROOT_CTX) -> Vnode:
+        self.layer.counters.bump("lookup_dir")
+        return self._wrap(self.lower.lookup_dir(fh, ctx))
+
+    def insert(self, name: str, etype, *, ctx: OpContext = ROOT_CTX, **fields: object):
+        self.layer.counters.bump("insert")
+        return self.lower.insert(name, etype, ctx=ctx, **fields)
+
+    def remove_entry(self, eid, from_recon: bool = False, ctx: OpContext = ROOT_CTX) -> None:
+        self.layer.counters.bump("remove_entry")
+        self.lower.remove_entry(eid, from_recon, ctx)
+
+    def set_policy(self, fh, tag: str, ctx: OpContext = ROOT_CTX) -> None:
+        self.layer.counters.bump("set_policy")
+        self.lower.set_policy(fh, tag, ctx)
+
     def __repr__(self) -> str:
         return f"PassthroughVnode({self.layer.layer_name}, {self.lower!r})"
 

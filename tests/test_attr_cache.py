@@ -279,8 +279,11 @@ class TestNameViews:
 
 
 class TestReservedNames:
-    """User names beginning with '@@' are rejected at the logical layer
-    (they are the physical layer's operation-encoding prefix)."""
+    """The only names a Ficus directory refuses are the ones the UFS below
+    it refuses (NUL, '/', empty, longer than MAX_NAME_LEN).  No prefix is
+    reserved: an operation is never a name, so '@@' means nothing."""
+
+    NUL = "/bad\x00name"
 
     def setup_method(self):
         self.system = FicusSystem(["solo"], daemon_config=QUIET)
@@ -288,29 +291,38 @@ class TestReservedNames:
 
     def test_create_rejected(self):
         with pytest.raises(InvalidArgument):
-            self.fs.write_file("/@@evil", b"x")
+            self.fs.write_file(self.NUL, b"x")
 
     def test_mkdir_rejected(self):
         with pytest.raises(InvalidArgument):
-            self.fs.mkdir("/@@dir")
+            self.fs.mkdir(self.NUL)
 
     def test_symlink_rejected(self):
         with pytest.raises(InvalidArgument):
-            self.fs.symlink("/target", "/@@link")
+            self.fs.symlink("/target", self.NUL)
 
     def test_rename_to_reserved_rejected(self):
         self.fs.write_file("/ok", b"x")
         with pytest.raises(InvalidArgument):
-            self.fs.rename("/ok", "/@@sneaky")
+            self.fs.rename("/ok", self.NUL)
         assert self.fs.read_file("/ok") == b"x"
 
     def test_link_rejected(self):
         self.fs.write_file("/ok", b"x")
         with pytest.raises(InvalidArgument):
-            self.fs.link("/ok", "/@@alias")
+            self.fs.link("/ok", self.NUL)
 
     def test_plain_names_with_at_signs_still_work(self):
-        self.fs.write_file("/user@host", b"mail-style names are fine")
-        self.fs.write_file("/a@@b", b"interior @@ is fine")
-        assert self.fs.read_file("/user@host") == b"mail-style names are fine"
-        assert self.fs.read_file("/a@@b") == b"interior @@ is fine"
+        """What used to look like an encoded operation is an ordinary name."""
+        fs = self.fs
+        fs.write_file("/user@host", b"mail-style")
+        fs.write_file("/@@evil", b"leading")
+        fs.mkdir("/@@dir|x")
+        fs.write_file("/@@dir|x/a@@b", b"interior")
+        fs.rename("/@@evil", "/@@dir|x/@@byfh|deadbeef")
+        fs.link("/@@dir|x/a@@b", "/@@alias")
+        fs.symlink("/@@alias", "/@@link")
+        assert fs.listdir("/") == ["@@alias", "@@dir|x", "@@link", "user@host"]
+        assert fs.listdir("/@@dir|x") == ["@@byfh|deadbeef", "a@@b"]
+        assert fs.read_file("/@@dir|x/@@byfh|deadbeef") == b"leading"
+        assert fs.read_file("/@@link") == b"interior"

@@ -335,10 +335,7 @@ class TestDirectoryAtATime:
             ops = [op for _, op, _ in calls]
             assert ops.count("root") <= 1
             assert ops.count("getattrs_batch") == 1
-            dir_lookups = [
-                args for _, op, args in calls if op == "lookup" and args[1].startswith("@@dir")
-            ]
-            assert len(dir_lookups) <= 1
+            assert ops.count("lookup_dir") <= 1
             d_fh = system.host("alpha").root().lookup("d").fh
             dir_handle = beta.fabric.dir_by_handle("alpha", volrep_of(system, "alpha"), d_fh).handle
             dir_reads = [args for _, op, args in calls if op == "read" and args[0] == dir_handle]

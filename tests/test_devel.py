@@ -43,7 +43,7 @@ class TestExternalize:
     def test_ficus_physical_layer_runs_at_user_level(self):
         """The actual Section-5 use case: develop the *Ficus* layers
         outside the kernel."""
-        from repro.physical import EntryType, FicusPhysicalLayer, op_insert
+        from repro.physical import EntryType, FicusPhysicalLayer
         from repro.util import VolumeId, VolumeReplicaId
 
         def phys_factory():
@@ -53,7 +53,7 @@ class TestExternalize:
 
         layer = build_switchable(phys_factory, user_level=True, name="phys")
         volroot = layer.root().lookup(VolumeReplicaId(VolumeId(1, 1), 1).to_hex())
-        f = volroot.create(op_insert(None, "devfile", None, EntryType.FILE))
+        f = volroot.lookup_fh(volroot.insert("devfile", EntryType.FILE).fh)
         f.write(0, b"developed at user level")
         assert volroot.lookup("devfile").read_all() == b"developed at user level"
 

@@ -7,11 +7,13 @@ import pytest
 from repro.errors import RpcTimeout
 from repro.net import Network
 from repro.nfs import NfsClientLayer, NfsServer
+from repro.physical import EntryType, FicusPhysicalLayer
 from repro.recon import PullOutcome, pull_file
 from repro.sim import DaemonConfig, FicusSystem
 from repro.storage import BlockDevice
 from repro.telemetry import FLIGHT_RING_CAPACITY, HealthPlane, load_dump
 from repro.ufs import Ufs
+from repro.util import VolumeId, VolumeReplicaId
 from repro.vnode import UfsLayer
 from repro.vnode.interface import ROOT_CTX
 from repro.workload import ChaosConfig, run_chaos
@@ -232,19 +234,27 @@ class TestDegradedReadRouting:
 
 class TestAmbiguousTimeoutAnomaly:
     def test_non_idempotent_ambiguous_failure_fires_anomaly(self):
+        """A Ficus insert leaves its ids for the server to mint, like the
+        create it used to travel as: the timeout surfaces, nothing replays."""
         net = Network()
         net.add_host("server")
         net.add_host("client")
         ufs_layer = UfsLayer(Ufs.mkfs(BlockDevice(4096), num_inodes=256, clock=net.clock))
-        NfsServer(net, "server", ufs_layer)
+        volrep = VolumeReplicaId(VolumeId(1, 1), 1)
+        physical = FicusPhysicalLayer(ufs_layer, "server")
+        store = physical.create_volume_replica(volrep)
+        NfsServer(net, "server", physical)
         plane = HealthPlane("client")
         client = NfsClientLayer(net, "client", "server", health=plane)
-        root = client.root()  # before the fault: root() itself makes an RPC
-        net.faults.schedule_rpc("client", "server", ["reply_lost"])
+        root = client.root().lookup(volrep.to_hex())  # before the fault: these are RPCs too
+        sent = net.stats.rpcs_sent
+        net.faults.schedule_rpc("client", "server", ["reply_lost", "ok"])
         with pytest.raises(RpcTimeout):
-            root.create("minted")
+            root.insert("minted", EntryType.FILE)
+        assert net.stats.rpcs_sent - sent == 1  # the scripted "ok" was never consumed
         assert plane.anomaly_counts == {"ambiguous_timeout": 1}
-        assert plane.recorder.dumps[-1]["detail"]["op"] == "create"
+        assert plane.recorder.dumps[-1]["detail"]["op"] == "insert"
+        assert [e.name for e in store.read_entries(store.root_handle())] == ["minted"]
 
 
 class TestCrashChaos:

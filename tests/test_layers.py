@@ -98,6 +98,32 @@ class TestAuthLayer:
         with pytest.raises(PermissionDenied):
             root.link(f, "alias", reader)
 
+    def test_ficus_mutations_gated_handle_lookups_are_reads(self, ufs_layer):
+        """insert, remove_entry and set_policy are operations, so the layer
+        can tell them from the lookups beside them (as a lookup *name*,
+        setpolicy walked straight through a read-only uid's check)."""
+        from repro.physical import EntryType, FicusPhysicalLayer
+        from repro.util import VolumeId, VolumeReplicaId
+
+        phys = FicusPhysicalLayer(ufs_layer, "hostX")
+        vr = VolumeReplicaId(VolumeId(1, 1), 1)
+        store = phys.create_volume_replica(vr)
+        auth = AuthLayer(phys, AccessPolicy(read_only_uids={7}))
+        root = auth.root().lookup(vr.to_hex())
+        entry = root.insert("f", EntryType.FILE)
+        reader = OpContext(cred=Credential(uid=7))
+        assert root.lookup_fh(entry.fh, reader).read(0, 8, reader) == b""
+        assert root.lookup_dir(store.root_handle(), reader).readdir(reader)[0].name == "f"
+        with pytest.raises(PermissionDenied):
+            root.insert("g", EntryType.FILE, ctx=reader)
+        with pytest.raises(PermissionDenied):
+            root.remove_entry(entry.eid, ctx=reader)
+        with pytest.raises(PermissionDenied):
+            root.set_policy(entry.fh, "lww", reader)
+        assert auth.denials == 3
+        assert [(e.name, e.live) for e in store.read_entries(store.root_handle())] == [("f", True)]
+        assert store.read_file_aux(store.root_handle(), entry.fh).merge_policy == ""
+
 
 class TestKeystream:
     def test_apply_is_involution(self):
@@ -178,18 +204,15 @@ class TestComposition:
         'can ... even surround other layers' (Section 7)."""
         from repro.physical import FicusPhysicalLayer
         from repro.util import VolumeId, VolumeReplicaId
-        from repro.physical import EntryType, op_insert
+        from repro.physical import EntryType
 
         base = UfsLayer(Ufs.mkfs(BlockDevice(8192), num_inodes=256))
         crypt = CryptLayer(base, key=b"disk-key")
         phys = FicusPhysicalLayer(crypt, "hostX")
         vr = VolumeReplicaId(VolumeId(1, 1), 1)
-        store = phys.create_volume_replica(vr)
+        phys.create_volume_replica(vr)
         root = phys.root().lookup(vr.to_hex())
-        from repro.util import FicusFileHandle
-
-        fh = FicusFileHandle(VolumeId(1, 1), store.new_file_id())
-        root.create(op_insert(store.new_entry_id(), "doc", fh, EntryType.FILE)).write(0, b"top secret")
+        root.lookup_fh(root.insert("doc", EntryType.FILE).fh).write(0, b"top secret")
         # through the stack: plaintext
         assert root.lookup("doc").read(0, 10) == b"top secret"
         # on the raw UFS: ciphertext (find the biggest regular file's bytes)

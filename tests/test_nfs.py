@@ -2,11 +2,14 @@
 
 import pytest
 
-from repro.errors import FileNotFound, RpcTimeout, StaleFileHandle
+from repro.errors import FileNotFound, NameTooLong, RpcTimeout, StaleFileHandle
 from repro.net import Network
 from repro.nfs import NfsClientConfig, NfsClientLayer, NfsServer
+from repro.physical import EntryType, FicusPhysicalLayer
+from repro.sim import DaemonConfig, FicusSystem
 from repro.storage import BlockDevice
-from repro.ufs import FileType, Ufs
+from repro.ufs import MAX_NAME_LEN, FileType, Ufs
+from repro.util import VolumeId, VolumeReplicaId
 from repro.vnode import UfsLayer
 
 
@@ -213,3 +216,99 @@ class TestClientCaching:
         sent_before = net.stats.rpcs_sent
         root.lookup("f")
         assert net.stats.rpcs_sent == sent_before + 1  # every lookup is an RPC
+
+
+VR = VolumeReplicaId(VolumeId(1, 1), 1)
+
+
+def ficus_root(hop: bool):
+    """The root directory of a fresh one-replica physical layer: the local
+    vnode, or the same vnode reached through an NFS client."""
+    net = Network()
+    net.add_host("server")
+    net.add_host("client")
+    phys = FicusPhysicalLayer(
+        UfsLayer(Ufs.mkfs(BlockDevice(4096), num_inodes=256, clock=net.clock)), "server"
+    )
+    phys.create_volume_replica(VR)
+    NfsServer(net, "server", phys)
+    layer = NfsClientLayer(net, "client", "server") if hop else phys
+    return net, layer.root().lookup(VR.to_hex())
+
+
+def drive_five_ops(root, name: str):
+    """One pass over the replica-addressed operations; what the caller sees."""
+    d = root.insert("d", EntryType.DIRECTORY)
+    with pytest.raises(FileNotFound):
+        root.lookup(f"@@dir|{d.fh.to_hex()}")  # a name is never a command
+    sub = root.lookup_dir(d.fh)
+    try:
+        entry = sub.insert(name, EntryType.FILE, merge_policy="lww")
+    except NameTooLong:
+        return "name too long"
+    sub.lookup_fh(entry.fh).write(0, name.encode())
+    seen = [entry, sub.lookup(name).read_all()]
+    sub.set_policy(entry.fh, "append-log")
+    aux = sub.getattrs_batch([entry.fh]).child(entry.fh)
+    seen += [aux.merge_policy, aux.vv, [row.name for row in sub.readdir()]]
+    sub.remove_entry(entry.eid)
+    sub.remove_entry(entry.eid)  # idempotent on the entry id
+    for lookup in (lambda: sub.lookup(name), lambda: sub.lookup_fh(entry.fh)):
+        with pytest.raises(FileNotFound):
+            lookup()
+    return seen + [sub.readdir()]
+
+
+class TestFicusOpsOverNfs:
+    """lookup_fh, lookup_dir, insert, remove_entry and set_policy are vnode
+    operations the hop carries: their arguments are data, whatever they spell."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["with space", "eq=uals", "pi|pe", "back\\slash", "@@dir|deadbeef", "n" * 255, "n" * 256],
+        ids=lambda name: name if len(name) < 255 else f"{len(name)} chars",
+    )
+    def test_identical_local_and_through_the_hop(self, name):
+        local = drive_five_ops(ficus_root(hop=False)[1], name)
+        assert drive_five_ops(ficus_root(hop=True)[1], name) == local
+        if len(name) > MAX_NAME_LEN:
+            assert local == "name too long"
+        else:
+            entry, contents, policy, vv, names, after = local
+            assert (entry.name, contents, names, after) == (name, name.encode(), [name], [])
+            assert policy == "append-log" and vv.total_updates == 2  # the write, the policy
+
+    def test_handle_lookups_ride_the_name_cache(self):
+        net, root = ficus_root(hop=True)
+        d, f = root.insert("d", EntryType.DIRECTORY), root.insert("f", EntryType.FILE)
+        sub, child = root.lookup_dir(d.fh), root.lookup_fh(f.fh)
+        sent = net.stats.rpcs_sent
+        assert root.lookup_dir(d.fh) == sub and root.lookup_fh(f.fh) == child
+        assert net.stats.rpcs_sent == sent  # warm, inside the TTL
+        root.layer.note_stale(child.handle)
+        assert root.lookup_fh(f.fh) == child and root.lookup_dir(d.fh) == sub
+        assert net.stats.rpcs_sent == sent + 1  # only the stale one re-resolved
+        net.clock.advance(10.0)
+        root.lookup_dir(d.fh)
+        assert net.stats.rpcs_sent == sent + 2  # past the TTL
+
+    def test_every_set_merge_policy_reaches_the_server(self):
+        """A mutation is never answered from the name cache: the third call
+        repeats the first inside the TTL and must still arrive (it was a
+        lookup of a cached name once, and the server stayed at "lww")."""
+        quiet = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
+        system = FicusSystem(["server", "client"], root_volume_hosts=["server"], daemon_config=quiet)
+        fs = system.host("client").fs()
+        fs.write_file("/f", b"x")
+        store = system.host("server").physical.store_for(system.root_locations[0].volrep)
+        fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "f")
+        before = store.read_file_aux(store.root_handle(), fh).vv.total_updates
+        for tag in ("append-log", "lww", "append-log"):
+            fs.set_merge_policy("/f", tag)
+        aux = store.read_file_aux(store.root_handle(), fh)
+        assert (aux.merge_policy, aux.vv.total_updates) == ("append-log", before + 3)
+        real, sent = system.network.rpc, []
+        system.network.rpc = lambda s, d, op, *a, **k: sent.append(op) or real(s, d, op, *a, **k)
+        fs.set_merge_policy("/f", "lww")
+        fs.set_merge_policy("/f", "lww")
+        assert sum(op.endswith(".set_policy") for op in sent) == 2

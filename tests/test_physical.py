@@ -6,7 +6,6 @@ from repro.errors import (
     CrashInjected,
     FileNotFound,
     InvalidArgument,
-    NameTooLong,
     NotSupported,
 )
 from repro.net import Network
@@ -18,18 +17,10 @@ from repro.physical import (
     ReplicaNotStored,
     count_name_collisions,
     effective_entries,
-    max_user_name_length,
-    op_abort_shadow,
-    op_commit,
-    op_insert,
-    op_mergevv,
-    op_remove,
-    op_setvv,
-    op_shadow,
 )
-from repro.physical.wire import DirectoryEntry, decode_op, encode_op, op_dir
+from repro.physical.wire import DirectoryEntry
 from repro.storage import BlockDevice
-from repro.ufs import MAX_NAME_LEN, FileType, Ufs, fsck
+from repro.ufs import FileType, Ufs, fsck
 from repro.util import FicusFileHandle, VolumeId, VolumeReplicaId
 from repro.vnode import UfsLayer
 from repro.vv import VersionVector
@@ -49,16 +40,16 @@ def world():
 
 
 def insert_file(store, root, name, contents=b""):
-    fh = FicusFileHandle(VOL, store.new_file_id())
-    vnode = root.create(op_insert(store.new_entry_id(), name, fh, EntryType.FILE))
+    fh = root.insert(name, EntryType.FILE).fh
+    vnode = root.lookup_fh(fh)
     if contents:
         vnode.write(0, contents)
     return fh, vnode
 
 
 def insert_dir(store, parent, name):
-    fh = FicusFileHandle(VOL, store.new_file_id())
-    return fh, parent.create(op_insert(store.new_entry_id(), name, fh, EntryType.DIRECTORY))
+    fh = parent.insert(name, EntryType.DIRECTORY).fh
+    return fh, parent.lookup_dir(fh)
 
 
 class TestBasicOperations:
@@ -86,14 +77,12 @@ class TestBasicOperations:
     def test_nested_directories(self, world):
         _, _, _, store, root = world
         dfh, d = insert_dir(store, root, "a")
-        fh = FicusFileHandle(VOL, store.new_file_id())
-        d.create(op_insert(store.new_entry_id(), "f", fh, EntryType.FILE)).write(0, b"deep")
+        d.lookup_fh(d.insert("f", EntryType.FILE).fh).write(0, b"deep")
         assert root.lookup("a").lookup("f").read_all() == b"deep"
 
     def test_symlink(self, world):
         _, _, _, store, root = world
-        fh = FicusFileHandle(VOL, store.new_file_id())
-        lnk = root.create(op_insert(store.new_entry_id(), "l", fh, EntryType.SYMLINK))
+        lnk = root.lookup_fh(root.insert("l", EntryType.SYMLINK).fh)
         lnk.write(0, b"/target/path")
         assert root.lookup("l").readlink() == "/target/path"
         assert root.lookup("l").getattr().ftype == FileType.SYMLINK
@@ -102,7 +91,7 @@ class TestBasicOperations:
         _, _, _, store, root = world
         fh, _ = insert_file(store, root, "f", b"x")
         eid = store.read_entries(store.root_handle())[0].eid
-        root.remove(op_remove(eid))
+        root.remove_entry(eid)
         with pytest.raises(FileNotFound):
             root.lookup("f")
         tombs = [e for e in store.read_entries(store.root_handle()) if not e.live]
@@ -113,7 +102,7 @@ class TestBasicOperations:
         fh, _ = insert_file(store, root, "f", b"big" * 1000)
         eid = store.read_entries(store.root_handle())[0].eid
         free_before = ufs.fs.free_block_count()
-        root.remove(op_remove(eid))
+        root.remove_entry(eid)
         assert ufs.fs.free_block_count() > free_before
         assert fsck(ufs.fs).clean
 
@@ -121,21 +110,21 @@ class TestBasicOperations:
         _, _, _, store, root = world
         fh = FicusFileHandle(VOL, store.new_file_id())
         eid = store.new_entry_id()
-        root.create(op_insert(eid, "f", fh, EntryType.FILE))
-        root.create(op_insert(eid, "f", fh, EntryType.FILE))  # RPC retry
+        first = root.insert("f", EntryType.FILE, eid=eid, fh=fh)
+        assert root.insert("f", EntryType.FILE, eid=eid, fh=fh) == first  # RPC retry
         assert len(store.read_entries(store.root_handle())) == 1
 
     def test_remove_idempotent(self, world):
         _, _, _, store, root = world
         insert_file(store, root, "f")
         eid = store.read_entries(store.root_handle())[0].eid
-        root.remove(op_remove(eid))
-        root.remove(op_remove(eid))  # retry: no error, still dead
+        root.remove_entry(eid)
+        root.remove_entry(eid)  # retry: no error, still dead
         assert not store.read_entries(store.root_handle())[0].live
 
     def test_plain_create_rejected(self, world):
         _, _, _, _, root = world
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(NotSupported):
             root.create("plain-name")
 
     def test_rename_not_supported(self, world):
@@ -154,7 +143,7 @@ class TestBasicOperations:
         insert_file(store, root, "keep")
         insert_file(store, root, "kill")
         eid = next(e.eid for e in store.read_entries(store.root_handle()) if e.name == "kill")
-        root.remove(op_remove(eid))
+        root.remove_entry(eid)
         names = [e.name for e in root.readdir()]
         assert names == ["keep"]
 
@@ -163,9 +152,7 @@ class TestMultipleNames:
     def test_hard_link_within_directory(self, world):
         _, _, _, store, root = world
         fh, vnode = insert_file(store, root, "orig", b"shared")
-        root.create(
-            op_insert(store.new_entry_id(), "alias", fh, EntryType.FILE, link_from=store.root_handle())
-        )
+        root.insert("alias", EntryType.FILE, fh=fh, link_from=store.root_handle())
         assert root.lookup("alias").read_all() == b"shared"
         vnode.write(0, b"SHARED")
         assert root.lookup("alias").read_all() == b"SHARED"
@@ -174,7 +161,7 @@ class TestMultipleNames:
         _, _, _, store, root = world
         dfh, d = insert_dir(store, root, "d")
         fh, vnode = insert_file(store, root, "orig", b"x")
-        d.create(op_insert(store.new_entry_id(), "other", fh, EntryType.FILE, link_from=store.root_handle()))
+        d.insert("other", EntryType.FILE, fh=fh, link_from=store.root_handle())
         vnode.write(0, b"y")
         assert root.lookup("d").lookup("other").read_all() == b"y"
         # version vector is shared through the link (aux is hard-linked)
@@ -185,9 +172,8 @@ class TestMultipleNames:
         may have more than one name' (paper Section 2.5)."""
         _, _, _, store, root = world
         dfh, d = insert_dir(store, root, "name1")
-        root.create(op_insert(store.new_entry_id(), "name2", dfh, EntryType.DIRECTORY))
-        fh = FicusFileHandle(VOL, store.new_file_id())
-        d.create(op_insert(store.new_entry_id(), "f", fh, EntryType.FILE)).write(0, b"dag")
+        root.insert("name2", EntryType.DIRECTORY, fh=dfh)
+        d.lookup_fh(d.insert("f", EntryType.FILE).fh).write(0, b"dag")
         assert root.lookup("name1").lookup("f").read_all() == b"dag"
         assert root.lookup("name2").lookup("f").read_all() == b"dag"
         assert store.read_dir_aux(dfh).refs == 2
@@ -195,9 +181,9 @@ class TestMultipleNames:
     def test_removing_one_dir_name_keeps_storage(self, world):
         _, _, _, store, root = world
         dfh, d = insert_dir(store, root, "name1")
-        root.create(op_insert(store.new_entry_id(), "name2", dfh, EntryType.DIRECTORY))
+        root.insert("name2", EntryType.DIRECTORY, fh=dfh)
         eid = next(e.eid for e in store.read_entries(store.root_handle()) if e.name == "name1")
-        root.remove(op_remove(eid))
+        root.remove_entry(eid)
         assert root.lookup("name2").getattr().ftype == FileType.DIRECTORY
         assert store.read_dir_aux(dfh).refs == 1
 
@@ -205,7 +191,7 @@ class TestMultipleNames:
         _, _, _, store, root = world
         dfh, _ = insert_dir(store, root, "d")
         eid = store.read_entries(store.root_handle())[0].eid
-        root.remove(op_remove(eid))
+        root.remove_entry(eid)
         assert not store.has_directory(dfh)
 
 
@@ -296,18 +282,18 @@ class TestShadowCommit:
     def test_shadow_then_commit_replaces_atomically(self, world):
         _, _, _, store, root = world
         fh, _ = insert_file(store, root, "f", b"old version")
-        shadow = root.lookup(op_shadow(fh))
+        shadow = store.shadow_vnode(store.root_handle(), fh, create=True)
         shadow.write(0, b"new version")
         vv = VersionVector({2: 9})
-        root.lookup(op_commit(fh, vv))
+        store.commit_shadow(store.root_handle(), fh, vv)
         assert root.lookup("f").read_all() == b"new version"
         assert store.read_file_aux(store.root_handle(), fh).vv == vv
 
     def test_abort_discards_shadow(self, world):
         _, _, _, store, root = world
         fh, _ = insert_file(store, root, "f", b"original")
-        root.lookup(op_shadow(fh)).write(0, b"half-done")
-        root.lookup(op_abort_shadow(fh))
+        store.shadow_vnode(store.root_handle(), fh, create=True).write(0, b"half-done")
+        store.abort_shadow(store.root_handle(), fh)
         assert root.lookup("f").read_all() == b"original"
         with pytest.raises(FileNotFound):
             store.shadow_vnode(store.root_handle(), fh)
@@ -317,11 +303,11 @@ class TestShadowCommit:
         replica is retained during recovery and the shadow discarded.'"""
         device, ufs, phys, store, root = world
         fh, _ = insert_file(store, root, "f", b"the original survives")
-        shadow = root.lookup(op_shadow(fh))
+        shadow = store.shadow_vnode(store.root_handle(), fh, create=True)
         shadow.write(0, b"partial new conten")
         device.plan_crash_after_writes(0)
         with pytest.raises(CrashInjected):
-            root.lookup(op_commit(fh, VersionVector({1: 9})))
+            store.commit_shadow(store.root_handle(), fh, VersionVector({1: 9}))
         device.recover()
         # recovery: scavenge orphan shadows, original intact
         dropped = store.scavenge_shadows(store.root_handle())
@@ -333,43 +319,18 @@ class TestShadowCommit:
         _, _, _, store, root = world
         fh, vnode = insert_file(store, root, "f", b"x")
         vv = VersionVector({1: 5, 2: 5})
-        root.lookup(op_setvv(fh, vv))
+        aux = store.read_file_aux(store.root_handle(), fh)
+        aux.vv = vv
+        store.write_file_aux(store.root_handle(), fh, aux)
         assert store.read_file_aux(store.root_handle(), fh).vv == vv
 
     def test_mergevv_merges_directory_version(self, world):
         _, _, _, store, root = world
         insert_file(store, root, "f")  # bumps dir vv to {1:1}
-        root.lookup(op_mergevv(VersionVector({7: 3})))
+        aux = store.read_dir_aux(store.root_handle())
+        aux.vv = aux.vv.merge(VersionVector({7: 3}))
+        store.write_dir_aux(store.root_handle(), aux)
         assert store.read_dir_aux(store.root_handle()).vv == VersionVector({1: 1, 7: 3})
-
-
-class TestEncodedOps:
-    def test_round_trip_arbitrary_names(self):
-        op = encode_op("insert", "1:2", "weird |name= \\here")
-        kind, fields = decode_op(op)
-        assert kind == "insert"
-        assert fields[1] == "weird |name= \\here"
-
-    def test_user_name_budget_about_200(self):
-        """Paper footnote 2: 'the reduction in the maximum length of a file
-        name component from 255 to about 200'."""
-        budget = max_user_name_length()
-        assert 150 <= budget <= 210
-
-    def test_oversize_encoded_op_rejected(self):
-        with pytest.raises(NameTooLong):
-            encode_op("insert", "x" * MAX_NAME_LEN)
-
-    def test_unknown_encoded_lookup_rejected(self, world):
-        _, _, _, _, root = world
-        with pytest.raises(NotSupported):
-            root.lookup(encode_op("frobnicate"))
-
-    def test_insert_of_encoded_looking_name_rejected(self, world):
-        _, _, _, store, root = world
-        fh = FicusFileHandle(VOL, store.new_file_id())
-        with pytest.raises(InvalidArgument):
-            root.create(op_insert(store.new_entry_id(), "@@sneaky", fh, EntryType.FILE))
 
 
 class TestPartialReplicas:
@@ -377,10 +338,7 @@ class TestPartialReplicas:
         """Reconciliation-applied inserts publish the entry before the
         contents arrive; lookup must say 'not stored', not 'no such file'."""
         _, _, _, store, root = world
-        fh = FicusFileHandle(VOL, store.new_file_id())
-        root.create(
-            op_insert(store.new_entry_id(), "ghost", fh, EntryType.FILE, vv=VersionVector({2: 1}))
-        )
+        root.insert("ghost", EntryType.FILE, from_recon=True)
         with pytest.raises(ReplicaNotStored):
             root.lookup("ghost")
         assert "ghost" in [e.name for e in root.readdir()]
@@ -402,8 +360,7 @@ class TestPhysicalOverNfs:
 
     def test_insert_and_read_over_nfs(self, remote_root):
         store, root = remote_root
-        fh = FicusFileHandle(VOL, store.new_file_id())
-        f = root.create(op_insert(store.new_entry_id(), "remote", fh, EntryType.FILE))
+        f = root.lookup_fh(root.insert("remote", EntryType.FILE).fh)
         f.write(0, b"via nfs")
         assert root.lookup("remote").read_all() == b"via nfs"
 
@@ -411,26 +368,18 @@ class TestPhysicalOverNfs:
         """E10: open/close session boundaries travel as first-class vnode
         operations over the NFS hop (no lookup-name smuggling)."""
         store, root = remote_root
-        fh = FicusFileHandle(VOL, store.new_file_id())
-        f = root.create(op_insert(store.new_entry_id(), "f", fh, EntryType.FILE))
+        fh = root.insert("f", EntryType.FILE).fh
+        f = root.lookup_fh(fh)
         root.session_open(fh)
         f.write(0, b"a")
         f.write(1, b"b")
         root.session_close(fh)
         assert store.read_file_aux(store.root_handle(), fh).vv == VersionVector({1: 1})
 
-    def test_shadow_commit_over_nfs(self, remote_root):
-        store, root = remote_root
-        fh = FicusFileHandle(VOL, store.new_file_id())
-        root.create(op_insert(store.new_entry_id(), "f", fh, EntryType.FILE)).write(0, b"v1")
-        root.lookup(op_shadow(fh)).write(0, b"v2")
-        root.lookup(op_commit(fh, VersionVector({1: 2})))
-        assert root.lookup("f").read_all() == b"v2"
-
     def test_aux_readable_over_nfs(self, remote_root):
         store, root = remote_root
-        fh = FicusFileHandle(VOL, store.new_file_id())
-        root.create(op_insert(store.new_entry_id(), "f", fh, EntryType.FILE)).write(0, b"x")
+        fh = root.insert("f", EntryType.FILE).fh
+        root.lookup_fh(fh).write(0, b"x")
         batch = root.getattrs_batch([fh])
         assert batch.child(fh).vv == VersionVector({1: 1})
         # the directory's own aux record rides in the same reply
@@ -438,6 +387,5 @@ class TestPhysicalOverNfs:
 
     def test_dir_by_handle_over_nfs(self, remote_root):
         store, root = remote_root
-        dfh = FicusFileHandle(VOL, store.new_file_id())
-        root.create(op_insert(store.new_entry_id(), "d", dfh, EntryType.DIRECTORY))
-        assert root.lookup(op_dir(dfh)).getattr().ftype == FileType.DIRECTORY
+        dfh = root.insert("d", EntryType.DIRECTORY).fh
+        assert root.lookup_dir(dfh).getattr().ftype == FileType.DIRECTORY

@@ -56,8 +56,6 @@ class TestSingleHostRestart:
         assert fresh not in before
 
     def test_orphan_shadows_scavenged_on_restart(self):
-        from repro.physical import op_shadow
-
         system = FicusSystem(["solo"], daemon_config=QUIET)
         host = system.host("solo")
         fs = host.fs()
@@ -66,8 +64,7 @@ class TestSingleHostRestart:
         store = host.physical.store_for(volrep)
         fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "f")
         # a propagation died mid-shadow-write...
-        root = host.physical.root().lookup(volrep.to_hex())
-        root.lookup(op_shadow(fh)).write(0, b"half-pulled ne")
+        store.shadow_vnode(store.root_handle(), fh, create=True).write(0, b"half-pulled ne")
         host.crash()
         host.restart(system)
         store2 = host.physical.store_for(volrep)

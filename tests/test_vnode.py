@@ -1,8 +1,16 @@
 """Tests for the vnode framework: UFS layer, null layers, transparency."""
 
+import inspect
+from pathlib import Path
+
 import pytest
 
 from repro.errors import FileNotFound, NotSupported, PermissionDenied
+from repro.layers import AccessPolicy, AuthLayer
+from repro.net import Network
+from repro.nfs import NfsServer
+from repro.nfs.client import NON_IDEMPOTENT_OPS, NfsClientVnode
+from repro.physical import PhysicalDirVnode
 from repro.storage import BlockDevice
 from repro.ufs import FileType, Ufs, fsck
 from repro.vnode import (
@@ -14,6 +22,7 @@ from repro.vnode import (
     Vnode,
     build_null_stack,
 )
+from repro.vnode.passthrough import PassthroughVnode
 
 
 @pytest.fixture
@@ -167,11 +176,55 @@ class TestVnodeDefaults:
                 getattr(bare, op)()
 
     def test_operations_list_is_about_two_dozen(self):
-        """Paper: 'a set of about two dozen services' — plus the six
-        first-class Ficus extensions (sessions, attribute batches, and
-        the sync plane's probe/delta operations)."""
-        FICUS_EXTENSIONS = 6
+        """Paper: 'a set of about two dozen services' — plus the eleven
+        Ficus extensions (sessions, attribute batches, the sync plane's
+        probe/delta operations, and the five replica-addressed directory
+        operations that used to travel as lookup names)."""
+        FICUS_EXTENSIONS = 11
+        assert len(Vnode.OPERATIONS) == 35
         assert 20 <= len(Vnode.OPERATIONS) - FICUS_EXTENSIONS <= 28
+
+
+class TestOperationsTable:
+    """ARCHITECTURE.md's "The vnode operations" table is what the code does."""
+
+    @staticmethod
+    def auth_check(op: str, ufs_layer) -> str:
+        """How AuthVnode classifies ``op``: probed with a uid that one policy
+        holds read-only and another does not admit at all."""
+        takes = inspect.signature(getattr(Vnode, op)).parameters
+        args = [None for p in takes.values() if p.default is p.empty and p.name != "self"]
+        kwargs = {"ctx": OpContext(cred=Credential(uid=7))} if "ctx" in takes else {}
+        policies = {"mutation": AccessPolicy(read_only_uids={7}), "read": AccessPolicy(allowed_uids={1})}
+        for verdict, policy in policies.items():
+            try:
+                getattr(AuthLayer(ufs_layer, policy).wrap(Vnode()), op)(*args, **kwargs)
+            except PermissionDenied:
+                return verdict
+            except NotSupported:
+                pass  # the check passed; the bare vnode below implements nothing
+        return "–"
+
+    def test_table_matches_the_code(self, ufs_layer):
+        text = (Path(__file__).parent.parent / "ARCHITECTURE.md").read_text()
+        rows = text.split("### The vnode operations")[1].split("|---|\n")[1].split("\n\n")[0]
+        cells = [[c.split()[0].strip("`") for c in row.strip("|").split("|")] for row in rows.splitlines()]
+        assert tuple(row[0] for row in cells) == Vnode.OPERATIONS
+        net = Network()
+        net.add_host("server")
+        NfsServer(net, "server", ufs_layer)
+        served = {service.split(".")[1] for service in net._host("server").rpc_services} - {"root"}
+        assert {row[0] for row in cells if row[1] == "yes"} == served >= NON_IDEMPOTENT_OPS
+        for op, crosses, _cache, replayed, auth in cells:
+            assert replayed == ("–" if crosses == "no" else "no" if op in NON_IDEMPOTENT_OPS else "yes")
+            assert auth == self.auth_check(op, ufs_layer), op
+
+    def test_each_ficus_op_is_a_plain_method_of_every_layer_that_carries_it(self):
+        for op in ("lookup_fh", "lookup_dir", "insert", "remove_entry", "set_policy"):
+            for cls in (Vnode, PassthroughVnode, NfsClientVnode, PhysicalDirVnode):
+                assert inspect.isfunction(vars(cls)[op]), (cls.__name__, op)
+        # the directory composes nothing of its own: the base class answers
+        assert not {"create", "mkdir", "remove", "rmdir", "rename"} & set(vars(PhysicalDirVnode))
 
 
 class TestCrossLayerSafety:

@@ -27,7 +27,7 @@ import re
 import pytest
 
 from repro.errors import CrashInjected
-from repro.physical import EntryType, FicusPhysicalLayer, op_insert
+from repro.physical import EntryType, FicusPhysicalLayer
 from repro.physical.store import ReplicaStore
 from repro.physical.wire import AUX_SUFFIX, FAUX_NAME, FDIR_NAME, META_NAME
 from repro.sim import DaemonConfig, FicusSystem
@@ -275,7 +275,8 @@ def make_store(prepare) -> tuple[BlockDevice, ReplicaStore, FicusFileHandle]:
     store = physical.create_volume_replica(VR)
     root = physical.root().lookup(VR.to_hex())
     fh = FicusFileHandle(VOL, store.new_file_id())
-    root.create(op_insert(store.new_entry_id(), "f", fh, EntryType.FILE)).write(0, b"x")
+    root.insert("f", EntryType.FILE, eid=store.new_entry_id(), fh=fh)
+    root.lookup_fh(fh).write(0, b"x")
     if prepare is not None:
         prepare(store, fh)
     clock.advance(1.0)

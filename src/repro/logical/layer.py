@@ -526,7 +526,15 @@ class FicusLogicalLayer(FileSystemLayer):
                 self.attr_cache.stats.refreshes += 1
             except (FileNotFound, StaleFileHandle):
                 pass
-        others = {loc.host for loc in self.locations_for(volume)}
+        try:
+            others = {loc.host for loc in self.locations_for(volume)}
+        except AllReplicasUnavailable:
+            # a host can store a replica of a grafted volume its own logical
+            # layer has never resolved; the sync notification is only an
+            # optimisation (peers' attribute TTL covers it), so skip it
+            if origin != "sync":
+                raise
+            return 0
         if self.fabric.is_local(acting.host):
             # this host applied the update itself: its physical layer needs
             # no pull-note and its cache was already adjusted above

@@ -266,10 +266,11 @@ class FicusPhysicalLayer(FileSystemLayer):
     def _bump_file_vv(
         self, store: ReplicaStore, parent_fh: FicusFileHandle, fh: FicusFileHandle
     ) -> None:
-        aux = store.read_file_aux(parent_fh, fh)
-        prior = aux.vv
-        aux.vv = aux.vv.bump(store.replica_id)
-        store.write_file_aux(parent_fh, fh, aux)
+        with store.operation():
+            aux = store.read_file_aux(parent_fh, fh)
+            prior = aux.vv
+            aux.vv = aux.vv.bump(store.replica_id)
+            store.write_file_aux(parent_fh, fh, aux)
         self.record_version("write", fh, aux.vv, parents=(prior,))
 
     def record_version(self, kind, fh, vv, parents=(), origin="", detail="") -> None:

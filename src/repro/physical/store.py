@@ -27,17 +27,43 @@ into each naming directory's UFS directory.  Ficus *directories* are keyed
 flat in ``nodes/`` so that the directory DAG (multiple names for one
 directory, a consequence of concurrent renames) needs no extra mechanism.
 
-What an update writes.  ``.meta``, ``.faux`` and ``<filefh-hex>.aux`` each
-hold one record of a few hundred bytes and are replaced whole through
-:meth:`ReplicaStore._replace_record`, the only "replace" idiom here: a
-record of the length already on disk is overwritten in place (one data
-block, one inode write, old-or-new under a crash), any other length is
-``truncate(0)`` + ``write``.  ``.fdir`` holds many records, changes length
-on every rewrite and still goes through ``truncate(0)`` + ``write`` in
-:meth:`ReplicaStore.write_entries`.  The device-write sequence of each
-operation, and what a crash between each pair of writes leaves, is
-ARCHITECTURE.md's "What one update writes, in order", held by
-``tests/test_write_order.py``.
+What an update writes, and when.  Two kinds of record, two disciplines.
+
+*Write-through, in call order*: file contents, a file's own
+``<filefh-hex>.aux``, the shadow and the UFS rename that commits it, and
+``.meta``.  The (contents, version vector) commit of Section 3.2 is a
+sequence the caller spells, and it reaches the device as spelled.  ``.meta``
+holds the two id mints' high-water marks, fixed-width so the record never
+changes length: ids are handed out from an in-memory range of
+:data:`ID_RANGE` and the mark is written before the first id of a range is
+used, so a crash skips ids and never reuses one.
+
+*Staged, flushed once per operation and directory*: a directory's entry
+list (``.fdir``) and its aux record (``.faux``).  Every store call that
+changes either runs inside :meth:`ReplicaStore.operation` — re-entrant; a
+call made outside any scope is a scope of its own — and only records what
+the directory will hold.  ``read_entries``/``read_dir_aux`` answer from the
+staged set first, whatever the decoded caches hold.  The outermost exit,
+normal or by exception, writes each dirty directory in first-dirtied order:
+``.fdir`` if its entries changed, then ``.faux`` once with the entry fold,
+the file fold, the version vector and the reference count all final; a
+record equal to the one the operation first read is not written.  Storage
+an operation asked to free (:meth:`ReplicaStore.unlink_file_storage`,
+:meth:`ReplicaStore.remove_directory_storage`) is freed after the flush of
+the directory whose tombstone orphaned it, and only if the final state
+still says it is garbage.  :meth:`ReplicaStore._flush_directory` is the
+only writer of ``.fdir`` and ``.faux`` once ``create_directory_storage``
+has made them.
+
+A one-record file (``.meta``, ``.faux``, ``<filefh-hex>.aux``) is replaced
+whole through :meth:`ReplicaStore._replace_record`: a record of the length
+already on disk is overwritten in place (one data block, one inode write,
+old-or-new under a crash), any other length is ``truncate(0)`` + ``write``.
+``.fdir`` holds many records, changes length on every rewrite and is always
+``truncate(0)`` + ``write``.  The device-write sequence of each operation,
+what a crash between each pair of writes leaves, and the three rules of the
+flush are ARCHITECTURE.md's "What one update writes, in order" and "The
+flush protocol", held by ``tests/test_write_order.py``.
 """
 
 from __future__ import annotations
@@ -78,6 +104,16 @@ from repro.vv import VersionVector
 #: reserved for volume genesis, so no replica's mint can collide with it).
 ROOT_FILE_ID = FileId(0, 1)
 
+#: Ids an id mint reserves per ``.meta`` write; a crash skips at most this
+#: many of each kind.
+ID_RANGE = 64
+
+
+def _mark(value: int) -> str:
+    """A mint's high-water mark as ``.meta`` holds it: as wide as a u32,
+    so the record keeps its length and is always replaced in place."""
+    return f"{value:010d}"
+
 
 def volume_root_handle(volume: VolumeId) -> FicusFileHandle:
     """The logical handle of a volume's root directory."""
@@ -111,6 +147,50 @@ def _find_cache_epoch(root: Vnode) -> object | None:
 def file_component(fh: FicusFileHandle, vv) -> str:
     """One stored child file's contribution to its directory's fold."""
     return content_digest(fh.logical.to_hex(), vv.encode())
+
+
+class _DirUpdate:
+    """What the open operation will leave in one directory's records."""
+
+    __slots__ = ("fh", "entries", "stored_entries", "aux", "stored_aux", "free_files", "free_dirs", "staged")
+
+    def __init__(self, fh: FicusFileHandle):
+        self.fh = fh
+        #: the staged entry list (``None``: not changed) and the list the
+        #: operation first read
+        self.entries: list[DirectoryEntry] | None = None
+        self.stored_entries: list[DirectoryEntry] | None = None
+        #: the staged aux record — the live object, edited in place —
+        #: and the record the operation first read (equal records encode
+        #: equally, so the comparison needs no encoding)
+        self.aux: AuxAttributes | None = None
+        self.stored_aux: AuxAttributes | None = None
+        #: storage to free once this directory's records are durable
+        self.free_files: list[FicusFileHandle] = []
+        self.free_dirs: list[FicusFileHandle] = []
+        #: staging calls, for ``store.dir_writes_coalesced``
+        self.staged = 0
+
+
+class _OperationScope:
+    """The re-entrant ``with`` target of :meth:`ReplicaStore.operation`."""
+
+    __slots__ = ("store", "depth")
+
+    def __init__(self, store: "ReplicaStore"):
+        self.store = store
+        self.depth = 0
+
+    def __enter__(self) -> None:
+        self.depth += 1
+
+    def __exit__(self, *exc_info: object) -> None:
+        try:
+            # still one deep while flushing: a store call the flush makes nests
+            if self.depth == 1 and self.store._pending:
+                self.store._flush()
+        finally:
+            self.depth -= 1
 
 
 class ReplicaStore:
@@ -152,6 +232,12 @@ class ReplicaStore:
         self._entries_cache: dict[str, tuple[int, list[DirectoryEntry]]] = {}
         self._dir_aux_cache: dict[str, tuple[int, AuxAttributes]] = {}
         self._file_aux_cache: dict[str, tuple[int, AuxAttributes]] = {}
+        # -- the operation scope: staged directory records, by directory key,
+        # in first-dirtied order (never stamped: they are not a cache)
+        self._scope = _OperationScope(self)
+        self._pending: dict[str, _DirUpdate] = {}
+        #: per id mint: the next id to hand out and the mark ``.meta`` holds
+        self._mints: dict[str, list[int]] | None = None
 
     def _epoch(self) -> int:
         node = self._epoch_node
@@ -212,8 +298,8 @@ class ReplicaStore:
             encode_record(
                 {
                     "volrep": volrep.to_hex(),
-                    "next_unique": "1",
-                    "next_seq": "1",
+                    "next_unique": _mark(1),
+                    "next_seq": _mark(1),
                 }
             ).encode("utf-8"),
         )
@@ -267,21 +353,32 @@ class ReplicaStore:
     def _write_meta(self, rec: dict[str, str]) -> None:
         self._replace_record(self._meta_vnode(), encode_record(rec).encode("utf-8"))
 
+    def _mint(self, counter: str) -> int:
+        """Hand out the next id of one mint.  ``.meta`` holds each mint's
+        high-water mark; a range of :data:`ID_RANGE` is reserved by writing
+        the mark through *before* the first id of the range is used, and a
+        fresh attach resumes at the mark, so the ids a crash left reserved
+        are skipped and none is ever handed out twice."""
+        if self._mints is None:
+            rec = self._read_meta()
+            self._mints = {name: [int(rec[name])] * 2 for name in ("next_unique", "next_seq")}
+        mint = self._mints[counter]
+        value, reserved = mint
+        if value >= reserved:
+            rec = self._read_meta()
+            rec[counter] = _mark(value + ID_RANGE)
+            self._write_meta(rec)
+            mint[1] = value + ID_RANGE
+        mint[0] = value + 1
+        return value
+
     def new_file_id(self) -> FileId:
         """Mint a file-id: ⟨this replica's id, next unique⟩ (Section 4.2)."""
-        rec = self._read_meta()
-        unique = int(rec["next_unique"])
-        rec["next_unique"] = str(unique + 1)
-        self._write_meta(rec)
-        return FileId(self.replica_id, unique)
+        return FileId(self.replica_id, self._mint("next_unique"))
 
     def new_entry_id(self) -> EntryId:
         """Mint a directory-entry insertion id, unique to this replica."""
-        rec = self._read_meta()
-        seq = int(rec["next_seq"])
-        rec["next_seq"] = str(seq + 1)
-        self._write_meta(rec)
-        return EntryId(self.replica_id, seq)
+        return EntryId(self.replica_id, self._mint("next_seq"))
 
     # -- directory storage -----------------------------------------------------
 
@@ -338,9 +435,17 @@ class ReplicaStore:
         self._subtree_memo.clear()
         return unix_dir
 
-    def remove_directory_storage(self, fh: FicusFileHandle) -> None:
-        """Reclaim a dead directory's storage (refs reached zero)."""
+    def remove_directory_storage(self, fh: FicusFileHandle, named_in: FicusFileHandle) -> None:
+        """Ask for a dead directory's storage to be reclaimed: after the
+        flush of ``named_in`` (the directory whose tombstone dropped the
+        last name), and only if the directory then still has no reference
+        and no live entry."""
+        with self._scope:
+            self._update(named_in).free_dirs.append(fh.logical)
+
+    def _remove_directory_storage(self, fh: FicusFileHandle) -> None:
         key = self._dir_key(fh)
+        self._pending.pop(key, None)  # nothing left to describe
         unix_dir = self.dir_unix_vnode(fh)
         for entry in unix_dir.readdir():
             if entry.name in (".", ".."):
@@ -358,6 +463,9 @@ class ReplicaStore:
     def read_entries(self, fh: FicusFileHandle) -> list[DirectoryEntry]:
         """All entries of a Ficus directory, tombstones included."""
         key = self._dir_key(fh)
+        update = self._pending.get(key)
+        if update is not None and update.entries is not None:
+            return list(update.entries)
         cached = self._cache_get(self._entries_cache, key)
         if cached is not None:
             # fresh list: callers append/replace before writing back
@@ -368,29 +476,20 @@ class ReplicaStore:
         return entries
 
     def write_entries(self, fh: FicusFileHandle, entries: list[DirectoryEntry]) -> None:
-        fdir = self._unix_child(fh, FDIR_NAME)
-        data = encode_directory(entries)
-        key = self._dir_key(fh)
-        try:
-            fdir.truncate(0)
-            if data:
-                fdir.write(0, data)
-        except BaseException:
-            # the rewrite may have half-landed: decoded copy is untrusted
-            self._entries_cache.pop(key, None)
-            raise
-        self._cache_put(self._entries_cache, key, list(entries))
-        self._subtree_memo.clear()
-        # keep the entry fold in the aux record current (it already holds
-        # the in-memory entry list, so the fold is one pass, no re-read)
-        fold = entries_fold(entries)
-        aux = self.read_dir_aux(fh)
-        if aux.dig_entries != fold:
-            aux.dig_entries = fold
-            self._write_dir_aux_raw(fh, aux)
+        """Stage a directory's entry list, and its fold in the aux record."""
+        with self._scope:
+            update = self._stage_aux(fh)
+            update.staged += 1  # two records: the list, and its fold in the aux
+            if update.entries is None:
+                update.stored_entries = self.read_entries(fh)
+            update.entries = list(entries)
+            update.aux.dig_entries = entries_fold(entries)
 
     def read_dir_aux(self, fh: FicusFileHandle) -> AuxAttributes:
         key = self._dir_key(fh)
+        update = self._pending.get(key)
+        if update is not None and update.aux is not None:
+            return update.aux.clone()
         cached = self._cache_get(self._dir_aux_cache, key)
         if cached is not None:
             # clone: callers mutate the returned record in place
@@ -401,18 +500,24 @@ class ReplicaStore:
         return aux
 
     def write_dir_aux(self, fh: FicusFileHandle, aux: AuxAttributes) -> None:
-        self._subtree_memo.clear()
-        self._write_dir_aux_raw(fh, aux)
+        """Stage a directory's whole aux record."""
+        with self._scope:
+            self._stage_aux(fh).aux = aux.clone()
 
-    def _write_dir_aux_raw(self, fh: FicusFileHandle, aux: AuxAttributes) -> None:
-        faux = self._unix_child(fh, FAUX_NAME)
-        key = self._dir_key(fh)
-        try:
-            self._replace_record(faux, aux.to_bytes())
-        except BaseException:
-            self._dir_aux_cache.pop(key, None)
-            raise
-        self._cache_put(self._dir_aux_cache, key, aux.clone())
+    def staged_dir_aux(self, fh: FicusFileHandle) -> AuxAttributes:
+        """A directory's aux record as the open operation will leave it —
+        the live object, so a change made to it is staged.  Only inside
+        :meth:`operation`."""
+        assert self._scope.depth, "directory records are staged inside an operation"
+        return self._stage_aux(fh).aux
+
+    def _stage_aux(self, fh: FicusFileHandle) -> _DirUpdate:
+        update = self._update(fh)
+        update.staged += 1
+        if update.aux is None:
+            update.aux = self.read_dir_aux(fh)
+            update.stored_aux = update.aux.clone()
+        return update
 
     def _fold_file_into_dir(
         self,
@@ -421,16 +526,94 @@ class ReplicaStore:
         in_component: str = "",
     ) -> None:
         """Incrementally update a directory's stored-child-file fold."""
+        with self._scope:
+            aux = self.staged_dir_aux(parent)
+            for component in (out_component, in_component):
+                if component:
+                    aux.dig_files = xor_fold(aux.dig_files, component)
+
+    # -- the operation scope ------------------------------------------------------
+
+    def operation(self) -> _OperationScope:
+        """``with store.operation():`` — one operation's directory records
+        are staged inside and flushed once, at the outermost exit."""
+        return self._scope
+
+    def flushed(self, fh: FicusFileHandle | None = None) -> bool:
+        """Nothing staged for ``fh`` (``None``: for any directory)?  What
+        leaves the host must describe durable state."""
+        return not self._pending if fh is None else self._dir_key(fh) not in self._pending
+
+    def _update(self, fh: FicusFileHandle) -> _DirUpdate:
+        key = self._dir_key(fh)
+        update = self._pending.get(key)
+        if update is None:
+            update = self._pending[key] = _DirUpdate(fh.logical)
         self._subtree_memo.clear()
-        aux = self.read_dir_aux(parent)
-        fold = aux.dig_files
-        if out_component:
-            fold = xor_fold(fold, out_component)
-        if in_component:
-            fold = xor_fold(fold, in_component)
-        if fold != aux.dig_files:
-            aux.dig_files = fold
-            self._write_dir_aux_raw(parent, aux)
+        return update
+
+    def _flush(self) -> None:
+        """Write every staged directory, in first-dirtied order.  One that
+        fails loses its decoded copies (the write may have half-landed) and
+        the rest are still attempted; the first failure is raised."""
+        failure: BaseException | None = None
+        while self._pending:
+            key = next(iter(self._pending))
+            try:
+                self._flush_directory(key, self._pending[key])
+            except BaseException as exc:
+                self._pending.pop(key, None)
+                self._entries_cache.pop(key, None)
+                self._dir_aux_cache.pop(key, None)
+                failure = failure or exc
+        if failure is not None:
+            raise failure
+
+    def _flush_directory(self, key: str, update: _DirUpdate) -> None:
+        """``.fdir`` if the entries changed, then ``.faux`` once, then the
+        frees this directory's tombstones asked for.  Until the records are
+        written the directory stays staged, so every read here sees the
+        state the operation is leaving."""
+        fh = update.fh
+        doomed = update.free_files
+        if doomed:
+            # a file a live entry of the final list names again keeps its
+            # storage; it left the fold when the free was asked for, so
+            # the folds are re-anchored from what is stored
+            named = {entry.fh for entry in self.read_entries(fh) if entry.live}
+            if named.intersection(doomed):
+                doomed = [child for child in doomed if child not in named]
+                self.refresh_dir_digests(fh)
+        written = 0
+        if update.entries is not None and update.entries != update.stored_entries:
+            fdir = self._unix_child(fh, FDIR_NAME)
+            data = encode_directory(update.entries)
+            fdir.truncate(0)
+            if data:
+                fdir.write(0, data)
+            written += 1
+        if update.aux is not None and update.aux != update.stored_aux:
+            self._replace_record(self._unix_child(fh, FAUX_NAME), update.aux.to_bytes())
+            written += 1
+        del self._pending[key]
+        if update.entries is not None:
+            self._cache_put(self._entries_cache, key, update.entries)
+        if update.aux is not None:
+            self._cache_put(self._dir_aux_cache, key, update.aux)
+        if written:
+            self._count("store.dir_flushes")
+        if update.staged > written:
+            self._count("store.dir_writes_coalesced", update.staged - written)
+        for child in doomed:
+            if self.has_file(fh, child):
+                self._unlink_file_storage(fh, child)
+        for child in update.free_dirs:
+            if (
+                self.has_directory(child)
+                and self.read_dir_aux(child).refs <= 0
+                and not any(entry.live for entry in self.read_entries(child))
+            ):
+                self._remove_directory_storage(child)
 
     # -- regular-file storage (lives inside the parent's Unix directory) --------
 
@@ -529,13 +712,31 @@ class ReplicaStore:
         self._fold_file_into_dir(dst_parent, in_component=file_component(fh, aux.vv))
 
     def unlink_file_storage(self, parent: FicusFileHandle, fh: FicusFileHandle) -> None:
-        """Drop one directory's name for a file (UFS frees at last link)."""
+        """Ask for one directory's name for a file to be dropped (UFS
+        frees at the last link).  The file leaves the directory's fold now;
+        its storage goes after ``parent``'s flush has made the tombstone
+        durable, and only if no live entry of the list it wrote names the
+        file — a rename replayed as tombstone + insert in one operation
+        keeps the storage it would otherwise pull again."""
+        fh = fh.logical
+        with self._scope:
+            if not self.has_file(parent, fh) or any(
+                entry.live and entry.fh == fh for entry in self.read_entries(parent)
+            ):
+                return
+            frees = self._update(parent).free_files
+            if fh in frees:
+                return
+            try:
+                component = file_component(fh, self.read_file_aux(parent, fh).vv)
+            except (FileNotFound, InvalidArgument):
+                component = ""
+            self._fold_file_into_dir(parent, out_component=component)
+            frees.append(fh)
+
+    def _unlink_file_storage(self, parent: FicusFileHandle, fh: FicusFileHandle) -> None:
         unix_dir = self.dir_unix_vnode(parent)
         key = self._file_key(fh)
-        try:
-            aux = self.read_file_aux(parent, fh)
-        except (FileNotFound, InvalidArgument):
-            aux = None
         unix_dir.remove(key)
         unix_dir.remove(key + AUX_SUFFIX)
         try:
@@ -546,10 +747,7 @@ class ReplicaStore:
         self._child_vnode_cache.pop((dir_key, key), None)
         self._child_vnode_cache.pop((dir_key, key + AUX_SUFFIX), None)
         self._file_aux_cache.pop(key, None)
-        if aux is not None:
-            self._fold_file_into_dir(parent, out_component=file_component(fh, aux.vv))
-        else:
-            self._subtree_memo.clear()
+        self._subtree_memo.clear()
 
     def has_file(self, parent: FicusFileHandle, fh: FicusFileHandle) -> bool:
         try:
@@ -637,7 +835,8 @@ class ReplicaStore:
         replica that *originated* an update would never retain an
         ancestor, because pruning skips the per-file EQUAL visit.
         """
-        self._note_subtree_synced(fh.logical, set())
+        with self._scope:
+            self._note_subtree_synced(fh.logical, set())
 
     def _note_subtree_synced(self, fh: FicusFileHandle, visiting: set[FicusFileHandle]) -> None:
         if fh in visiting:
@@ -667,6 +866,47 @@ class ReplicaStore:
         if dropped:
             self._count("store.shadows_scavenged", dropped)
         return dropped
+
+    def recover_directory(self, fh: FicusFileHandle) -> None:
+        """Crash recovery for one directory, in the order a reboot needs.
+
+        Orphan shadows go.  A file the crash left half made or half
+        unlinked goes — contents with no aux record beside them or the
+        reverse, and contents no entry names whose aux record does not
+        decode (a create cut short before it published anything): none of
+        them can be served.  A free the crash cut short is finished: the
+        tombstone was durable before the storage was to go, so storage
+        only tombstones name is garbage.  Then the folds are recomputed
+        from what is stored — a crash between a file's aux write and its
+        directory's flush must not leave equal digests over different
+        state.  A *published* record torn inside its resized replace reads
+        empty and is left as it is: ``ficus_fsck``'s finding.
+        """
+        fh = fh.logical
+        self.scavenge_shadows(fh)
+        unix_dir = self.dir_unix_vnode(fh)
+        names = {entry.name for entry in unix_dir.readdir()} - {".", "..", FDIR_NAME, FAUX_NAME}
+        entries = self.read_entries(fh)
+        live = {self._file_key(entry.fh) for entry in entries if entry.live}
+        dead = {self._file_key(entry.fh) for entry in entries} - live
+        for name in sorted(names):
+            key = name.removesuffix(AUX_SUFFIX)
+            whole = {key, key + AUX_SUFFIX} <= names
+            if whole and (key in live or (key not in dead and self._decodes(unix_dir, key))):
+                continue  # served, or waiting for the entry only this host could publish
+            unix_dir.remove(name)
+        try:
+            self.refresh_dir_digests(fh)
+        except InvalidArgument:
+            pass
+
+    @staticmethod
+    def _decodes(unix_dir: Vnode, key: str) -> bool:
+        try:
+            AuxAttributes.from_bytes(unix_dir.lookup(key + AUX_SUFFIX).read_all())
+            return True
+        except InvalidArgument:
+            return False
 
     # -- recon digests (subtree pruning, Merkle-style) ---------------------------
 
@@ -755,10 +995,10 @@ class ReplicaStore:
             fold_files = xor_fold(fold_files, file_component(child, self.read_file_aux(fh, child).vv))
         aux = self.read_dir_aux(fh)
         if aux.dig_entries != fold_entries or aux.dig_files != fold_files:
-            aux.dig_entries = fold_entries
-            aux.dig_files = fold_files
-            self._subtree_memo.clear()
-            self._write_dir_aux_raw(fh, aux)
+            with self._scope:
+                aux = self.staged_dir_aux(fh)
+                aux.dig_entries = fold_entries
+                aux.dig_files = fold_files
 
     # -- block signatures (rsync-style delta propagation) ------------------------
 

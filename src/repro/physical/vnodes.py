@@ -27,7 +27,7 @@ itself needs no coordination.
 from __future__ import annotations
 
 import dataclasses
-from functools import partial
+from functools import partial, wraps
 
 from repro.errors import (
     FileNotFound,
@@ -54,6 +54,19 @@ from repro.vnode.interface import ROOT_CTX, DirEntry, OpContext, SetAttrs, Vnode
 from repro.vv import VersionVector
 
 _spanned = partial(spanned, layer="physical", host="layer.host_addr")
+
+
+def _one_operation(method):
+    """Run a directory vnode's mutation as one store operation: what it
+    stages for ``.fdir`` and ``.faux`` is flushed once, before it returns."""
+
+    @wraps(method)
+    def scoped(self, *args, **kwargs):
+        with self.store.operation():
+            return method(self, *args, **kwargs)
+
+    return scoped
+
 
 #: Separator used when repairing a live-name collision: the colliding
 #: entries after the first become ``name#<entry-id>``.
@@ -181,6 +194,7 @@ class PhysicalDirVnode(Vnode):
 
     def getattr(self, ctx: OpContext = ROOT_CTX) -> FileAttributes:
         self.layer.counters.bump("getattr")
+        assert self.store.flushed(self.fh), "getattr of a directory with staged records"
         attrs = self._fdir_vnode().getattr(ctx)
         attrs = dataclasses.replace(attrs, ftype=FileType.DIRECTORY)
         self.layer.register_vnode(attrs.fileid, self)
@@ -206,6 +220,7 @@ class PhysicalDirVnode(Vnode):
         """Read the raw directory file (the logical layer and the
         reconciliation protocol parse entries from these bytes)."""
         self.layer.counters.bump("read")
+        assert self.store.flushed(self.fh), "read of a directory with staged records"
         return self._fdir_vnode().read(offset, length, ctx)
 
     def write(self, offset: int, data: bytes, ctx: OpContext = ROOT_CTX) -> int:
@@ -248,6 +263,7 @@ class PhysicalDirVnode(Vnode):
         per-replica, per-file probes into a single RPC.
         """
         self.layer.counters.bump("getattrs_batch")
+        assert self.store.flushed(self.fh), "getattrs_batch of a directory with staged records"
         wanted = None if fhs is None else {fh.logical for fh in fhs}
         children: dict[FicusFileHandle, AuxAttributes] = {}
         for entry in self.entries():
@@ -275,6 +291,7 @@ class PhysicalDirVnode(Vnode):
         subtrees without issuing one probe per child.
         """
         self.layer.counters.bump("sync_probe")
+        assert self.store.flushed(), "sync_probe of a replica with staged records"
         target = self.fh if fh is None else fh.logical
         if not self.store.has_directory(target):
             raise FileNotFound(f"directory {target} not stored in this volume replica")
@@ -330,6 +347,7 @@ class PhysicalDirVnode(Vnode):
         return self.layer.dir_vnode(self.store, fh)
 
     @_spanned("physical.set_policy")
+    @_one_operation
     def set_policy(self, fh: FicusFileHandle, tag: str, ctx: OpContext = ROOT_CTX) -> None:
         self.layer.counters.bump("set_policy")
         aux = self.store.read_file_aux(self.fh, fh)
@@ -342,9 +360,8 @@ class PhysicalDirVnode(Vnode):
         self.layer.record_version("write", fh, aux.vv, parents=(prior,), detail="setpolicy")
 
     def _bump_dir_vv(self) -> None:
-        aux = self.aux()
+        aux = self.store.staged_dir_aux(self.fh)
         aux.vv = aux.vv.bump(self.store.replica_id)
-        self.store.write_dir_aux(self.fh, aux)
 
     @_spanned("physical.insert")
     def insert(
@@ -353,6 +370,7 @@ class PhysicalDirVnode(Vnode):
         self.layer.counters.bump("insert")
         return self.apply_insert(name, etype, **fields)
 
+    @_one_operation
     def apply_insert(
         self,
         name: str,
@@ -404,9 +422,7 @@ class PhysicalDirVnode(Vnode):
                     self.layer.record_version("create", fh, VersionVector(), detail=name)
         else:
             if self.store.has_directory(fh):
-                daux = self.store.read_dir_aux(fh)
-                daux.refs += 1
-                self.store.write_dir_aux(fh, daux)
+                self.store.staged_dir_aux(fh).refs += 1
             else:
                 self.store.create_directory_storage(fh, etype, graft_volume=data)
         entries.append(entry)
@@ -415,6 +431,7 @@ class PhysicalDirVnode(Vnode):
             self._bump_dir_vv()
         return entry
 
+    @_one_operation
     def apply_tombstone(self, entry: DirectoryEntry) -> None:
         """Record a remote entry that is already dead, storage-free.
 
@@ -434,7 +451,7 @@ class PhysicalDirVnode(Vnode):
                         merged_acks, merged_acks2
                     )
                     self.store.write_entries(self.fh, entries)
-                    self._gc_storage(existing, entries)
+                    self._gc_storage(existing)
                 elif not (merged_acks <= existing.acks and merged_acks2 <= existing.acks2):
                     entries[index] = existing.with_acks(
                         existing.acks | merged_acks, existing.acks2 | merged_acks2
@@ -451,6 +468,7 @@ class PhysicalDirVnode(Vnode):
         self.layer.counters.bump("remove_entry")
         self.apply_remove(eid, from_recon)
 
+    @_one_operation
     def apply_remove(self, eid: EntryId, from_recon: bool = False) -> None:
         """Tombstone one entry and garbage-collect its backing storage.
 
@@ -466,38 +484,31 @@ class PhysicalDirVnode(Vnode):
                     return
                 entries[index] = entry.killed(acks=frozenset({self.store.replica_id}))
                 self.store.write_entries(self.fh, entries)
-                self._gc_storage(entry, entries)
+                self._gc_storage(entry)
                 if not from_recon:
                     self._bump_dir_vv()
                 return
         raise FileNotFound(f"no entry {eid.encode()} in directory {self.fh}")
 
-    def _gc_storage(self, dead: DirectoryEntry, entries: list[DirectoryEntry]) -> None:
+    def _gc_storage(self, dead: DirectoryEntry) -> None:
+        """Ask the store to free what a tombstoned entry named.  It does so
+        after this directory's flush, and not at all if the final entry
+        list still names the object."""
         if dead.etype == EntryType.LOCATION:
             return
         if dead.etype in (EntryType.FILE, EntryType.SYMLINK):
-            still_named_here = any(
-                e.live and e.fh == dead.fh for e in entries
-            )
-            if not still_named_here and self.store.has_file(self.fh, dead.fh):
-                self.store.unlink_file_storage(self.fh, dead.fh)
+            self.store.unlink_file_storage(self.fh, dead.fh)
             return
         if not self.store.has_directory(dead.fh):
             return
-        daux = self.store.read_dir_aux(dead.fh)
+        daux = self.store.staged_dir_aux(dead.fh)
         daux.refs -= 1
-        if daux.refs > 0:
-            self.store.write_dir_aux(dead.fh, daux)
-            return
-        # last name gone: reclaim, but only when the directory is empty of
-        # live entries (the logical layer enforces rmdir-on-empty; entries
-        # arriving later via reconciliation leave an orphan for the GC
-        # daemon rather than losing data).
-        sub_entries = self.store.read_entries(dead.fh)
-        if any(e.live for e in sub_entries):
-            self.store.write_dir_aux(dead.fh, daux)
-            return
-        self.store.remove_directory_storage(dead.fh)
+        if daux.refs <= 0:
+            # last name gone: reclaim, but only when the directory is empty
+            # of live entries (the logical layer enforces rmdir-on-empty;
+            # entries arriving later via reconciliation leave an orphan for
+            # the GC daemon rather than losing data).
+            self.store.remove_directory_storage(dead.fh, named_in=self.fh)
 
     def readdir(self, ctx: OpContext = ROOT_CTX) -> list[DirEntry]:
         self.layer.counters.bump("readdir")

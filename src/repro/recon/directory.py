@@ -110,6 +110,15 @@ def reconcile_directory(
         result.unreachable = True
         return result
 
+    with store.operation():
+        _replay(physical, store, dir_fh, remote_entries, remote_aux, all_replicas, result)
+    return result
+
+
+def _replay(physical, store, dir_fh, remote_entries, remote_aux, all_replicas, result) -> None:
+    """Apply the remote's unseen entry operations to the local directory:
+    one store operation, so ``.fdir`` and ``.faux`` are each written once
+    with the merged vector and both folds final."""
     local_vnode = PhysicalDirVnode(physical, store, dir_fh)
     local_aux = store.read_dir_aux(dir_fh)
     if local_aux.vv.compare(remote_aux.vv) is Ordering.CONCURRENT:
@@ -192,9 +201,8 @@ def reconcile_directory(
 
     # Converged up to the remote's history: merge the version vectors so a
     # third party can tell this replica now includes the remote's updates.
-    local_aux = store.read_dir_aux(dir_fh)
+    local_aux = store.staged_dir_aux(dir_fh)
     local_aux.vv = local_aux.vv.merge(remote_aux.vv)
-    store.write_dir_aux(dir_fh, local_aux)
     # Re-anchor the incremental recon-digest folds from the actual stored
     # state: hard links through another naming directory can leave them
     # stale, which only delays pruning but would delay it indefinitely if
@@ -211,4 +219,3 @@ def reconcile_directory(
             result.child_directories.append(entry.fh)
         elif entry.etype in (EntryType.FILE, EntryType.SYMLINK):
             result.child_files.append(entry)
-    return result

@@ -333,15 +333,18 @@ def push_notify_pull(
     store = physical.store_for(volrep)
     dir_fh = first.key.parent_fh.logical
     changed = False
-    if any(note.objkind == "dir" for note in notes):
-        merged = reconcile_directory(physical, store, dir_fh, remote_dir)
-        if merged.unreachable:
-            raise HostUnreachable(first.src_addr)
-        batch, entries, changed = merged.remote_attrs, merged.child_files, merged.changed
-    else:
-        wanted = dict.fromkeys(note.key.fh.logical for note in notes)
-        batch = remote_dir.getattrs_batch(list(wanted))
-        entries = [e for e in store.read_entries(dir_fh) if e.live and e.fh.logical in wanted]
-    policy, health = physical.policy_for(volrep), physical.health
-    children = pull_children(store, dir_fh, remote_dir, batch, entries, policy, health, first.src_addr)
-    return {entry.fh.logical: pull for entry, pull in children if pull is not None}, changed
+    # one store operation for the group: however many notes it holds, the
+    # directory's records are flushed once, before the caller announces it
+    with store.operation():
+        if any(note.objkind == "dir" for note in notes):
+            merged = reconcile_directory(physical, store, dir_fh, remote_dir)
+            if merged.unreachable:
+                raise HostUnreachable(first.src_addr)
+            batch, entries, changed = merged.remote_attrs, merged.child_files, merged.changed
+        else:
+            wanted = dict.fromkeys(note.key.fh.logical for note in notes)
+            batch = remote_dir.getattrs_batch(list(wanted))
+            entries = [e for e in store.read_entries(dir_fh) if e.live and e.fh.logical in wanted]
+        policy, health = physical.policy_for(volrep), physical.health
+        children = pull_children(store, dir_fh, remote_dir, batch, entries, policy, health, first.src_addr)
+        return {entry.fh.logical: pull for entry, pull in children if pull is not None}, changed

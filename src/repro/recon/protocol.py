@@ -149,89 +149,92 @@ def reconcile_subtree(
             result.directories_unreachable += 1
             continue
 
-        dir_result = reconcile_directory(
-            physical, store, dir_fh, remote_dir, all_replicas=all_replicas
-        )
-        if dir_result.unreachable:
-            result.aborted_by_partition = True
-            result.directories_unreachable += 1
-            continue
-        result.fold_dir(dir_result)
-        directory_changed = dir_result.changed
-
-        batch, files = dir_result.remote_attrs, dir_result.child_files
-        for file_entry, pull in pull_children(
-            store, dir_fh, remote_dir, batch, files, policy, physical.health, remote_host
-        ):
-            file_fh = file_entry.fh
-            if pull is None:
-                # selective replication: this replica declines the
-                # contents; the entry stays entry-only here
-                result.files_declined_by_policy += 1
-                continue
-            result.files_checked += 1
-            if pull.outcome is PullOutcome.PULLED:
-                result.files_pulled += 1
-                result.bytes_copied += pull.bytes_copied
-                result.bytes_saved += pull.bytes_saved
-                directory_changed = True
-                if conflict_log is not None:
-                    # a strictly dominating version arrived: conflicts it
-                    # supersedes (both recorded vvs dominated) are settled
-                    conflict_log.mark_resolved(file_fh, pull.remote_vv)
-            elif pull.outcome is PullOutcome.UP_TO_DATE:
-                if conflict_log is not None and pull.local_vv.strictly_dominates(pull.remote_vv):
-                    conflict_log.mark_resolved(file_fh, pull.local_vv)
-                if pull.local_vv == pull.remote_vv and store.has_file(dir_fh, file_fh):
-                    # both replicas demonstrably hold these contents: a
-                    # sync point — retain them as the merge ancestor
-                    store.note_file_synced(dir_fh, file_fh)
-            elif pull.outcome is PullOutcome.CONFLICT:
-                resolved = ResolveOutcome.NOT_COVERED
-                if resolvers is not None:
-                    resolved = auto_resolve_conflict(
-                        store,
-                        dir_fh,
-                        file_fh,
-                        file_entry.name,
-                        remote_dir,
-                        pull,
-                        resolvers,
-                        conflict_log=conflict_log,
-                        health=physical.health,
-                    )
-                if resolved is ResolveOutcome.RESOLVED:
-                    result.conflicts_auto_resolved += 1
-                    directory_changed = True
-                    continue
-                if resolved is ResolveOutcome.FALLBACK:
-                    result.resolver_fallbacks += 1
-                result.file_conflicts += 1
-                if conflict_log is not None and conflict_log.report(
-                    ConflictReport(
-                        kind=ConflictKind.FILE_UPDATE,
-                        volume=volrep.volume,
-                        parent_fh=dir_fh,
-                        fh=file_fh,
-                        name=file_entry.name,
-                        local_vv=pull.local_vv,
-                        remote_vv=pull.remote_vv,
-                        remote_host=remote_host,
-                        detected_at=physical.clock.now(),
-                    )
-                ):
-                    # a new conflict is an anomaly worth a flight-recorder
-                    # snapshot: the operations that led to it are still in
-                    # the op ring
-                    physical.health.anomaly(
-                        "conflict_detected",
-                        conflict_kind=ConflictKind.FILE_UPDATE.value,
-                        name=file_entry.name,
-                        fh=file_fh.logical.to_hex(),
-                        remote_host=remote_host,
-                    )
-            elif pull.outcome is PullOutcome.UNREACHABLE:
+        # one store operation per directory — the merge, its pulls and the
+        # resolver installs — closed (flushed) before anyone is told
+        with store.operation():
+            dir_result = reconcile_directory(
+                physical, store, dir_fh, remote_dir, all_replicas=all_replicas
+            )
+            if dir_result.unreachable:
                 result.aborted_by_partition = True
+                result.directories_unreachable += 1
+                continue
+            result.fold_dir(dir_result)
+            directory_changed = dir_result.changed
+
+            batch, files = dir_result.remote_attrs, dir_result.child_files
+            for file_entry, pull in pull_children(
+                store, dir_fh, remote_dir, batch, files, policy, physical.health, remote_host
+            ):
+                file_fh = file_entry.fh
+                if pull is None:
+                    # selective replication: this replica declines the
+                    # contents; the entry stays entry-only here
+                    result.files_declined_by_policy += 1
+                    continue
+                result.files_checked += 1
+                if pull.outcome is PullOutcome.PULLED:
+                    result.files_pulled += 1
+                    result.bytes_copied += pull.bytes_copied
+                    result.bytes_saved += pull.bytes_saved
+                    directory_changed = True
+                    if conflict_log is not None:
+                        # a strictly dominating version arrived: conflicts it
+                        # supersedes (both recorded vvs dominated) are settled
+                        conflict_log.mark_resolved(file_fh, pull.remote_vv)
+                elif pull.outcome is PullOutcome.UP_TO_DATE:
+                    if conflict_log is not None and pull.local_vv.strictly_dominates(pull.remote_vv):
+                        conflict_log.mark_resolved(file_fh, pull.local_vv)
+                    if pull.local_vv == pull.remote_vv and store.has_file(dir_fh, file_fh):
+                        # both replicas demonstrably hold these contents: a
+                        # sync point — retain them as the merge ancestor
+                        store.note_file_synced(dir_fh, file_fh)
+                elif pull.outcome is PullOutcome.CONFLICT:
+                    resolved = ResolveOutcome.NOT_COVERED
+                    if resolvers is not None:
+                        resolved = auto_resolve_conflict(
+                            store,
+                            dir_fh,
+                            file_fh,
+                            file_entry.name,
+                            remote_dir,
+                            pull,
+                            resolvers,
+                            conflict_log=conflict_log,
+                            health=physical.health,
+                        )
+                    if resolved is ResolveOutcome.RESOLVED:
+                        result.conflicts_auto_resolved += 1
+                        directory_changed = True
+                        continue
+                    if resolved is ResolveOutcome.FALLBACK:
+                        result.resolver_fallbacks += 1
+                    result.file_conflicts += 1
+                    if conflict_log is not None and conflict_log.report(
+                        ConflictReport(
+                            kind=ConflictKind.FILE_UPDATE,
+                            volume=volrep.volume,
+                            parent_fh=dir_fh,
+                            fh=file_fh,
+                            name=file_entry.name,
+                            local_vv=pull.local_vv,
+                            remote_vv=pull.remote_vv,
+                            remote_host=remote_host,
+                            detected_at=physical.clock.now(),
+                        )
+                    ):
+                        # a new conflict is an anomaly worth a flight-recorder
+                        # snapshot: the operations that led to it are still in
+                        # the op ring
+                        physical.health.anomaly(
+                            "conflict_detected",
+                            conflict_kind=ConflictKind.FILE_UPDATE.value,
+                            name=file_entry.name,
+                            fh=file_fh.logical.to_hex(),
+                            remote_host=remote_host,
+                        )
+                elif pull.outcome is PullOutcome.UNREACHABLE:
+                    result.aborted_by_partition = True
 
         if directory_changed and on_directory_changed is not None:
             on_directory_changed(dir_fh)

@@ -145,8 +145,10 @@ class FicusHost:
         version cache, open sessions, grafts — is lost; everything on the
         simulated disk (files, directories, version vectors, tombstone
         state, id-mint counters) survives.  Persisted volume replicas are
-        re-attached by scanning the disk, and orphan shadow files left by
-        the crash are scavenged.
+        re-attached by scanning the disk and every directory is recovered
+        (:meth:`ReplicaStore.recover_directory`): orphan shadows and
+        half-made files dropped, frees the crash cut short finished, and
+        the recon-digest folds recomputed from what is stored.
         """
         hosted = list(self.physical.stores)
         # the dying stack's datagram subscriptions go with it — leaking
@@ -169,7 +171,7 @@ class FicusHost:
         for volrep in hosted:
             store = self.physical.attach_volume_replica(volrep)
             for dir_fh in store.all_directory_handles():
-                store.scavenge_shadows(dir_fh)
+                store.recover_directory(dir_fh)
         self.nfs_server.exported = self.physical
         self.nfs_server.reboot()
         self.fabric = Fabric(self.network, self.name, self.physical, telemetry=self.telemetry)

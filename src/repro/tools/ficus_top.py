@@ -81,16 +81,20 @@ def render_health_table(healths: list[HostHealth]) -> str:
 
 def render_record_replaces(metrics) -> str:
     """How the replica stores replaced their one-record files: in place
-    (the length held; two device writes) against resized (five).  Empty
-    when the registry is not recording or no store has replaced one."""
-    in_place, resized = (
-        getattr(metrics.get(f"store.records_{arm}"), "value", 0) for arm in ("in_place", "resized")
+    (the length held; two device writes) against resized (five) — and how
+    many directory flushes carried how many staged record updates that
+    never reached the device on their own.  Empty when the registry is not
+    recording or no store has replaced one."""
+    in_place, resized, flushes, coalesced = (
+        getattr(metrics.get(f"store.{name}"), "value", 0)
+        for name in ("records_in_place", "records_resized", "dir_flushes", "dir_writes_coalesced")
     )
     if not in_place + resized:
         return ""
     return (
         f"record replaces: {in_place} in place, {resized} resized "
-        f"({in_place / (in_place + resized):.0%} in place)"
+        f"({in_place / (in_place + resized):.0%} in place); "
+        f"directory flushes: {flushes}, {coalesced} staged writes coalesced"
     )
 
 

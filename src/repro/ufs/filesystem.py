@@ -220,7 +220,12 @@ class Ufs:
         if self.cache.capacity:
             self._icache[inode.ino] = (self.cache.epoch, inode.clone())
 
-    def _alloc_inode(self, ftype: FileType, perm: int = 0o644, uid: int = 0) -> Inode:
+    def _alloc_inode(
+        self, ftype: FileType, perm: int = 0o644, uid: int = 0, nlink: int = 0
+    ) -> Inode:
+        """Claim the lowest free slot and write the new inode once, with
+        the link count its caller is about to give it (so no crash point
+        leaves an allocated regular file with ``nlink == 0``)."""
         for ino, block, offset in self._inode_slots(self._ino_floor):
             if slot_is_free(block, offset):
                 break
@@ -232,7 +237,7 @@ class Ufs:
             ftype=ftype,
             perm=perm,
             uid=uid,
-            nlink=0,
+            nlink=nlink,
             size=0,
             atime=now,
             mtime=now,
@@ -573,9 +578,7 @@ class Ufs:
         """Create an empty regular file; returns its inode number."""
         self._check_name(name)
         dir_inode = self.get_inode(dir_ino)
-        inode = self._alloc_inode(FileType.REGULAR, perm=perm, uid=uid)
-        inode.nlink = 1
-        self._put_inode(inode)
+        inode = self._alloc_inode(FileType.REGULAR, perm=perm, uid=uid, nlink=1)
         try:
             self._add_entry(dir_inode, name, inode.ino)
         except FileExists:
@@ -608,8 +611,7 @@ class Ufs:
         """Create a symbolic link whose data is ``target``."""
         self._check_name(name)
         dir_inode = self.get_inode(dir_ino)
-        inode = self._alloc_inode(FileType.SYMLINK, perm=0o777, uid=uid)
-        inode.nlink = 1
+        inode = self._alloc_inode(FileType.SYMLINK, perm=0o777, uid=uid, nlink=1)
         self._write_inode_data(inode, 0, target.encode("utf-8"))
         self._put_inode(inode)
         try:
@@ -632,10 +634,15 @@ class Ufs:
         if inode.is_dir:
             raise IsADirectory("hard links to directories are not allowed")
         dir_inode = self.get_inode(dir_ino)
-        self._add_entry(dir_inode, name, ino)
+        if name in self._read_dir_entries(dir_inode):
+            raise FileExists(f"{name!r} already exists in directory {dir_ino}")
+        # the count before the name: a crash between the two leaves a count
+        # one too high (a leak ``fsck`` reports), never a second name whose
+        # inode an unlink of the first one frees
         inode.nlink += 1
         inode.ctime = self.clock.now()
         self._put_inode(inode)
+        self._add_entry(dir_inode, name, ino)
 
     def unlink(self, dir_ino: int, name: str) -> None:
         """Remove a name; frees the inode when the last link goes."""

@@ -114,6 +114,10 @@ def test_uncached_reference_and_cached_cluster_agree():
 
     assert cached_results == reference_results
     assert state_fingerprint(cached) == state_fingerprint(reference)
+    # and the same device writes: what an operation stages and when it is
+    # flushed — or skipped as byte-identical — does not lean on a cache
+    writes = {name: host.ufs.device.counters.writes for name, host in cached.hosts.items()}
+    assert writes == {name: host.ufs.device.counters.writes for name, host in reference.hosts.items()}
 
     # every decoded directory a host still holds is what a cold mount of
     # the same device parses, entry order included

@@ -211,3 +211,25 @@ class TestGraftPruning:
         alpha.root().lookup("p")
         system.clock.advance(10_000)
         assert alpha.graft_prune_daemon.tick() == 1
+
+
+class TestPropagationIntoAnUnresolvedVolume:
+    def test_tick_on_a_host_that_never_resolved_the_grafted_volume(self):
+        # examples/volume_grafting.py's sequence: lab2 stores a replica of
+        # the projects volume, but only lab1's logical layer has ever
+        # walked through the graft point, so lab2 knows no locations for
+        # it.  lab2's propagation daemon installs lab1's update and then
+        # announces the install — an optimisation (peers' attribute TTL
+        # covers it) that must be skipped, not raised out of the event loop.
+        system = FicusSystem(["lab1", "lab2", "vault"])
+        lab1, lab2 = system.host("lab1"), system.host("lab2")
+        projects_vol, projects_locs = system.create_volume(["lab1", "lab2"])
+        lab1.logical.create_graft_point(lab1.root(), "projects", projects_vol, projects_locs)
+        lab1.fs().makedirs("/projects/ficus")
+        lab1.fs().write_file("/projects/ficus/README", b"a replicated file system")
+        with pytest.raises(AllReplicasUnavailable):
+            lab2.logical.locations_for(projects_vol)
+        system.run_for(120.0)
+        assert lab2.propagation_daemon.stats.pulls_succeeded > 0
+        system.reconcile_everything()
+        assert lab2.fs().read_file("/projects/ficus/README") == b"a replicated file system"

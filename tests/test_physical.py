@@ -18,6 +18,8 @@ from repro.physical import (
     count_name_collisions,
     effective_entries,
 )
+from repro.physical.check import ficus_fsck
+from repro.physical.store import ReplicaStore
 from repro.physical.wire import DirectoryEntry
 from repro.storage import BlockDevice
 from repro.ufs import FileType, Ufs, fsck
@@ -331,6 +333,118 @@ class TestShadowCommit:
         aux.vv = aux.vv.merge(VersionVector({7: 3}))
         store.write_dir_aux(store.root_handle(), aux)
         assert store.read_dir_aux(store.root_handle()).vv == VersionVector({1: 1, 7: 3})
+
+
+class TestOperationScope:
+    """``ReplicaStore.operation``: a directory's ``.fdir`` and ``.faux`` are
+    staged inside it and written once, at the outermost exit."""
+
+    @staticmethod
+    def grow_dir_vv(store, replica):
+        aux = store.read_dir_aux(store.root_handle())
+        aux.vv = aux.vv.merge(VersionVector({replica: 1}))
+        store.write_dir_aux(store.root_handle(), aux)
+
+    def test_nesting_flushes_once_at_the_outermost_exit(self, world):
+        device, _, _, store, root = world
+        fh, _ = insert_file(store, root, "f", b"x")
+        before = device.counters.writes
+        with store.operation():
+            with store.operation():
+                self.grow_dir_vv(store, 7)
+                entries = store.read_entries(store.root_handle())
+                store.write_entries(store.root_handle(), entries[:0])
+            assert device.counters.writes == before and not store.flushed(store.root_handle())
+            assert store.read_entries(store.root_handle()) == []  # the staged list
+            store.write_entries(store.root_handle(), entries)  # and back: nothing to write
+            self.grow_dir_vv(store, 8)
+        assert store.flushed()
+        # one resized replace of .faux, no .fdir write: the list is the one first read
+        assert device.counters.writes == before + 5
+        fresh = ReplicaStore.attach(store.lower_root, VR)
+        assert fresh.read_dir_aux(store.root_handle()).vv == VersionVector({1: 1, 7: 1, 8: 1})
+        assert [e.fh for e in fresh.read_entries(store.root_handle())] == [fh]
+
+    def test_an_exception_inside_still_flushes_what_was_staged(self, world):
+        _, _, _, store, _ = world
+        with pytest.raises(RuntimeError):
+            with store.operation():
+                self.grow_dir_vv(store, 7)
+                raise RuntimeError("the operation failed half way")
+        assert store.flushed()
+        fresh = ReplicaStore.attach(store.lower_root, VR)
+        assert fresh.read_dir_aux(store.root_handle()).vv == VersionVector({7: 1})
+
+    def test_a_flush_that_raises_drops_the_decoded_copy(self, world):
+        device, _, _, store, _ = world
+        old = store.read_dir_aux(store.root_handle())
+        device.plan_crash_after_writes(1)  # inside the replace of .faux
+        with pytest.raises(CrashInjected):
+            with store.operation():
+                self.grow_dir_vv(store, 7)
+        assert store.flushed() and not store._dir_aux_cache
+        device.recover()
+        assert store.read_dir_aux(store.root_handle()) == old  # from the device, not from memory
+
+    def test_pending_reads_are_served_with_no_cache_at_all(self):
+        device = BlockDevice(8192)
+        phys = FicusPhysicalLayer(UfsLayer(Ufs.mkfs(device, num_inodes=512, cache_blocks=0)), "hostA")
+        store = phys.create_volume_replica(VR)
+        root = phys.root().lookup(VR.to_hex())
+        insert_file(store, root, "f", b"x")
+        assert not store._entries_cache and not store._dir_aux_cache
+        with store.operation():
+            entry = store.read_entries(store.root_handle())[0]
+            before = device.counters.writes
+            store.write_entries(store.root_handle(), [entry.killed()])
+            assert [e.live for e in store.read_entries(store.root_handle())] == [False]
+            assert store.read_dir_aux(store.root_handle()).dig_entries == entry.killed().fold_component()
+            assert device.counters.writes == before
+        assert device.counters.writes > before
+        assert [e.live for e in store.read_entries(store.root_handle())] == [False]
+
+    def test_a_byte_identical_record_is_not_written(self, world):
+        device, _, _, store, root = world
+        insert_file(store, root, "f", b"x")
+        before = device.counters.writes
+        store.write_dir_aux(store.root_handle(), store.read_dir_aux(store.root_handle()))
+        store.write_entries(store.root_handle(), store.read_entries(store.root_handle()))
+        store.refresh_dir_digests(store.root_handle())
+        assert device.counters.writes == before
+
+    def test_a_tombstone_and_an_insert_of_one_file_keep_its_storage(self, world):
+        _, ufs, _, store, root = world
+        fh, vnode = insert_file(store, root, "f", b"kept")
+        ino = vnode.getattr().fileid
+        (entry,) = store.read_entries(store.root_handle())
+        with store.operation():
+            root.apply_remove(entry.eid, from_recon=True)
+            root.apply_insert("g", EntryType.FILE, eid=EntryId(2, 1), fh=fh, from_recon=True)
+        renamed = root.lookup("g")
+        assert renamed.read_all() == b"kept" and renamed.getattr().fileid == ino
+        assert ficus_fsck(store).clean and fsck(ufs.fs).clean
+        # the fold the free took the file out of has it back
+        stored = store.read_dir_aux(store.root_handle()).dig_files
+        store.refresh_dir_digests(store.root_handle())
+        assert store.read_dir_aux(store.root_handle()).dig_files == stored != ""
+
+    def test_a_tombstone_alone_frees_after_the_flush(self, world):
+        _, _, _, store, root = world
+        fh, _ = insert_file(store, root, "f", b"gone")
+        (entry,) = store.read_entries(store.root_handle())
+        with store.operation():
+            root.apply_remove(entry.eid)
+            assert store.has_file(store.root_handle(), fh)  # asked for, not yet done
+        assert not store.has_file(store.root_handle(), fh)
+        assert ficus_fsck(store).clean
+
+    def test_serving_a_directory_with_staged_records_is_an_assertion(self, world):
+        _, _, _, store, root = world
+        with store.operation():
+            self.grow_dir_vv(store, 7)
+            for serve in (lambda: root.read(0, 10), root.getattr, root.getattrs_batch, root.sync_probe):
+                with pytest.raises(AssertionError):
+                    serve()
 
 
 class TestPartialReplicas:

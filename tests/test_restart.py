@@ -1,8 +1,12 @@
 """Host crash/restart: durable state survives, volatile state rebuilds."""
 
+import itertools
+
 import pytest
 
-from repro.errors import AllReplicasUnavailable, FileNotFound
+from repro.errors import AllReplicasUnavailable, CrashInjected, FileNotFound
+from repro.physical.check import ficus_fsck
+from repro.physical.store import ID_RANGE
 from repro.sim import DaemonConfig, FicusSystem
 
 QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
@@ -54,6 +58,44 @@ class TestSingleHostRestart:
         store = host.physical.store_for(volrep)
         fresh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "fresh")
         assert fresh not in before
+
+    def test_reserved_ids_are_skipped_never_reused_by_a_crash(self):
+        """The mints hand out ids from a range ``.meta`` reserved before the
+        first of them was used.  Crash the host at every device write of a
+        mint that reserves, reboot, mint again: an id may be skipped, none
+        is handed out twice, and ``.meta`` stays ahead of every issued id."""
+        for crash_point in itertools.count():
+            system = FicusSystem(["solo"], daemon_config=QUIET)
+            host = system.host("solo")
+            device = host.ufs.device
+            store = host.physical.store_for(system.root_locations[0].volrep)
+            host.fs().write_file("/early", b"x")  # a published id of each kind
+            issued = []
+            while True:  # mint until one had to write .meta first: a new range
+                writes = device.counters.writes
+                issued.append(store.new_entry_id())
+                if device.counters.writes != writes:
+                    break
+            issued += [store.new_entry_id() for _ in range(ID_RANGE - 1)]  # ... now used up
+            system.run_for(1.0)
+            device.plan_crash_after_writes(crash_point)
+            try:
+                issued.append(store.new_entry_id())  # the mint that reserves
+            except CrashInjected:
+                pass
+            completed = not device.failed
+            host.crash()
+            device.recover()
+            host.restart(system)
+            store = host.physical.store_for(system.root_locations[0].volrep)
+            issued += [store.new_entry_id() for _ in range(3)]
+            host.fs().write_file("/fresh", b"y")
+            published = [entry.eid for entry in store.read_entries(store.root_handle())]
+            assert len(set(issued + published)) == len(issued) + len(published)
+            assert not [p for p in ficus_fsck(store).problems if "mint behind" in p]
+            if completed:
+                break
+        assert crash_point == 2  # the in-place replace of .meta: data, inode
 
     def test_orphan_shadows_scavenged_on_restart(self):
         system = FicusSystem(["solo"], daemon_config=QUIET)

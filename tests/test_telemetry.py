@@ -377,6 +377,8 @@ VIEWED = {
 HELD = {
     "nfs.retries",
     "physical.notifications_received",
+    "store.dir_flushes",
+    "store.dir_writes_coalesced",
     "store.records_in_place",
     "store.records_resized",
     "store.shadows_created",

@@ -1,8 +1,11 @@
 """Unit tests for the UFS substrate."""
 
+import itertools
+
 import pytest
 
 from repro.errors import (
+    CrashInjected,
     DirectoryNotEmpty,
     FileExists,
     FileNotFound,
@@ -319,3 +322,31 @@ class TestSpaceExhaustion:
             pass
         # partial writes may have landed; block accounting must still agree
         assert fsck(fs).clean
+
+
+class TestCrashOrdering:
+    def test_a_crashed_link_never_leaves_a_name_an_unlink_can_orphan(self):
+        """``link`` writes the count before the name.  Crash it after each
+        device write, remount, unlink the *first* name: a second name that
+        reached the disk must still reach a live inode holding the data."""
+        for crash_point in itertools.count():
+            device = BlockDevice(512)
+            fs = Ufs.mkfs(device, num_inodes=32)
+            ino = fs.create(ROOT_INO, "first")
+            fs.write_file(ino, 0, b"payload")
+            other = fs.mkdir(ROOT_INO, "other")
+            device.plan_crash_after_writes(crash_point)
+            try:
+                fs.link(ino, other, "second")
+            except CrashInjected:
+                pass
+            completed = not device.failed
+            device.recover()
+            fs = Ufs.mount(device)
+            fs.unlink(ROOT_INO, "first")
+            if "second" in fs.readdir(fs.lookup(ROOT_INO, "other")):
+                assert fs.read_file(fs.path_lookup("/other/second")) == b"payload"
+            assert not any("free inode" in problem for problem in fsck(fs).problems)
+            if completed:
+                assert fsck(fs).clean
+                break

@@ -18,7 +18,13 @@ reachable replica serves one :class:`~repro.physical.wire.AttrBatch`
 call, and the per-host :class:`~repro.logical.attr_cache.VersionVectorCache`
 keeps those batches warm between update notifications, so the hot read
 path needs at most one batched RPC per replica when cold and none at all
-when warm.
+when warm.  A batch arrives as the object the replica built for this
+reply, local or across NFS, and is only read here.
+
+An update notification is sent, and heard, as one frozen
+:class:`~repro.physical.UpdateNotification`.  An open pins one replica per
+file and host and counts the logical opens that share it, so the physical
+update session is bracketed once and the last close ends it.
 """
 
 from __future__ import annotations
@@ -38,13 +44,14 @@ from repro.logical.locks import LockManager
 from repro.net import Network
 from repro.physical import (
     DirectoryEntry,
+    UpdateNotification,
     decode_directory,
     effective_entries,
     volume_root_handle,
 )
 from repro.physical.wire import AttrBatch
 from repro.telemetry import NULL_TELEMETRY, Telemetry
-from repro.util import FicusFileHandle, VolumeId, VolumeReplicaId
+from repro.util import FicusFileHandle, VolumeId
 from repro.vnode.interface import (
     ROOT_CTX,
     FileSystemLayer,
@@ -87,6 +94,30 @@ class FileReplicaView(ReplicaView):
     vv: VersionVector
 
 
+@dataclass
+class SessionPin:
+    """One file's update session on this host: the replica taking it, and
+    how many logical opens share it (the physical session is bracketed
+    once per host and file)."""
+
+    view: ReplicaView
+    opens: int = 1
+
+
+def most_recent(versions: list[tuple[ReplicaView, VersionVector]]) -> ReplicaView:
+    """The paper's default policy, "select the most recent copy available":
+    an undominated version vector wins; concurrent maxima tie-break
+    deterministically on total updates, then replica id."""
+    if len(versions) == 1:
+        return versions[0][0]  # the only reachable copy is the most recent available
+    maximal = [
+        (view, vv)
+        for view, vv in versions
+        if not any(other.strictly_dominates(vv) for _, other in versions)
+    ]
+    return min(maximal, key=lambda c: (-c[1].total_updates, c[0].location.volrep.replica_id))[0]
+
+
 class FicusLogicalLayer(FileSystemLayer):
     """Per-host logical layer: the single-copy abstraction."""
 
@@ -119,7 +150,7 @@ class FicusLogicalLayer(FileSystemLayer):
         #: graft table; others learned by autografting).
         self._locations: dict[VolumeId, list[ReplicaLocation]] = {}
         #: open-session pins: logical fh -> the replica taking this session
-        self._session_pins: dict[FicusFileHandle, ReplicaView] = {}
+        self._session_pins: dict[FicusFileHandle, SessionPin] = {}
         #: per-replica attribute batches, kept coherent by notification
         self.attr_cache = VersionVectorCache(network.clock, ttl=attr_cache_ttl)
         self.notifications_sent = 0
@@ -333,9 +364,9 @@ class FicusLogicalLayer(FileSystemLayer):
                 self.attr_cache.invalidate(location.volrep, parent_fh)
             pin = self._session_pins.get(fh)
             if pin is not None:
-                state = self._replica_batch(pin.location, parent_fh, ctx)
+                state = self._replica_batch(pin.view.location, parent_fh, ctx)
                 if state is not None:
-                    self._session_pins[fh] = state[0]
+                    pin.view = state[0]
             return operation()
 
     def select_dir_replica(
@@ -349,22 +380,10 @@ class FicusLogicalLayer(FileSystemLayer):
         """
         if self.read_policy == READ_ANY:
             return self.first_dir(volume, fh, ctx)
-        candidates = list(self.replica_batches(volume, fh, ctx))
+        candidates = [(view, batch.dir_aux.vv) for view, batch in self.replica_batches(volume, fh, ctx)]
         if not candidates:
             raise AllReplicasUnavailable(f"no reachable replica stores directory {fh}")
-        if len(candidates) == 1:
-            # only one copy reachable: it is trivially the most recent available
-            return candidates[0][0]
-        maximal = [
-            (view, batch.dir_aux.vv)
-            for view, batch in candidates
-            if not any(
-                other.dir_aux.vv.strictly_dominates(batch.dir_aux.vv)
-                for _, other in candidates
-            )
-        ]
-        maximal.sort(key=lambda c: (-c[1].total_updates, c[0].location.volrep.replica_id))
-        return maximal[0][0]
+        return most_recent(candidates)
 
     # -- file replica selection -------------------------------------------------
 
@@ -420,9 +439,8 @@ class FicusLogicalLayer(FileSystemLayer):
         Inside an open session the pinned replica serves while it is
         reachable, through the handles the open resolved.  Otherwise, with
         the ``latest`` policy the replicas' version vectors are compared
-        and a maximal (undominated) one wins; concurrent maxima tie-break
-        deterministically on total updates then replica id.  With ``any``,
-        the first reachable stored copy wins.
+        (:func:`most_recent`).  With ``any``, the first reachable stored
+        copy wins.
         """
         # the paper's one-copy availability serves the best *reachable*
         # copy; under a partition (or with divergence already suspected
@@ -431,21 +449,15 @@ class FicusLogicalLayer(FileSystemLayer):
         self.last_read_divergence_suspected = self._partition_suspected(
             volume
         ) or self.health.divergence_suspected(volume)
-        pinned = self._session_pins.get(fh.logical)
-        if pinned is not None and self.network.reachable(self.host_addr, pinned.location.host):
-            return pinned
+        pin = self._session_pins.get(fh.logical)
+        if pin is not None and self.network.reachable(self.host_addr, pin.view.location.host):
+            return pin.view
         candidates = self.file_replicas(volume, parent_fh, fh, ctx)
         if not candidates:
             raise AllReplicasUnavailable(f"no reachable replica stores file {fh}")
         if self.read_policy == READ_ANY:
             return candidates[0]
-        maximal = [
-            c
-            for c in candidates
-            if not any(o.vv.strictly_dominates(c.vv) for o in candidates)
-        ]
-        maximal.sort(key=lambda c: (-c.vv.total_updates, c.location.volrep.replica_id))
-        return maximal[0]
+        return most_recent([(c, c.vv) for c in candidates])
 
     def _partition_suspected(self, volume: VolumeId) -> bool:
         """Is some known replica host of ``volume`` currently unreachable?"""
@@ -512,8 +524,6 @@ class FicusLogicalLayer(FileSystemLayer):
         layer's new-version cache so the caller's own replicas pull the
         new version).
         """
-        from repro.physical import notification_payload
-
         self.attr_cache.invalidate_dir(volume, parent_fh)
         if objkind == "dir":
             self.attr_cache.invalidate_dir(volume, fh)
@@ -543,17 +553,16 @@ class FicusLogicalLayer(FileSystemLayer):
             return 0
         # the notification carries the live trace context so the receiving
         # host's eventual daemon pull joins this update's trace tree
-        ctx = self.telemetry.tracer.current_context()
-        payload = notification_payload(
+        note = UpdateNotification(
             acting.volrep,
-            parent_fh,
-            fh,
+            parent_fh.logical,
+            fh.logical,
             acting.host,
             objkind,
-            trace=ctx.to_wire() if ctx is not None else None,
+            trace=self.telemetry.tracer.current_context(),
             origin=origin,
         )
-        delivered = self.network.multicast(self.host_addr, sorted(others), payload)
+        delivered = self.network.multicast(self.host_addr, sorted(others), note)
         self.notifications_sent += 1
         if origin == "update" and delivered < len(others):
             # a replica-storing host missed this update's notification;
@@ -576,25 +585,20 @@ class FicusLogicalLayer(FileSystemLayer):
             )
         return delivered
 
-    def _on_datagram(self, src: str, payload: object) -> None:
+    def _on_datagram(self, src: str, note: object) -> None:
         """Drop cached attribute batches named by an update notification.
 
         The datagram is best-effort; a lost one leaves a stale batch whose
         staleness the cache TTL bounds.
         """
-        if not isinstance(payload, dict) or payload.get("kind") != "new-version":
+        if not isinstance(note, UpdateNotification):
             return
-        try:
-            volume = VolumeReplicaId.from_hex(payload["volrep"]).volume
-            parent = FicusFileHandle.from_hex(payload["parent"])
-            fh = FicusFileHandle.from_hex(payload["fh"])
-        except (KeyError, TypeError, InvalidArgument):
-            return
-        self.attr_cache.invalidate_dir(volume, parent)
-        if payload.get("objkind") == "dir":
-            self.attr_cache.invalidate_dir(volume, fh)
+        volume = note.volrep.volume
+        self.attr_cache.invalidate_dir(volume, note.parent_fh)
+        if note.objkind == "dir":
+            self.attr_cache.invalidate_dir(volume, note.fh)
         # the flight ring shows which notifications this host heard
-        self.health.record_op("notification.recv", f"{src}:{fh.to_hex()}")
+        self.health.record_op("notification.recv", f"{src}:{note.fh.to_hex()}")
 
     # -- open/close sessions ---------------------------------------------------------
 
@@ -604,18 +608,21 @@ class FicusLogicalLayer(FileSystemLayer):
         parent_fh: FicusFileHandle,
         fh: FicusFileHandle,
         ctx: OpContext = ROOT_CTX,
-    ) -> ReplicaView:
-        """Open = pin a replica and start an update session on it."""
+    ) -> None:
+        """Open = pin a replica and start an update session on it — once
+        per host and file: a second open of an open file joins the pin."""
+        fh = fh.logical
+        pin = self._session_pins.get(fh)
+        if pin is not None:
+            pin.opens += 1
+            return
 
         def attempt() -> ReplicaView:
             view = self.select_update_replica(volume, parent_fh, fh, ctx)
             view.dir_vnode.session_open(fh, ctx)
             return view
 
-        view = self._session_pins[fh.logical] = self.retry_stale(
-            volume, parent_fh, attempt, fh.logical, ctx
-        )
-        return view
+        self._session_pins[fh] = SessionPin(self.retry_stale(volume, parent_fh, attempt, fh, ctx))
 
     def close_file(
         self,
@@ -624,24 +631,28 @@ class FicusLogicalLayer(FileSystemLayer):
         fh: FicusFileHandle,
         ctx: OpContext = ROOT_CTX,
     ) -> None:
+        """Close one open; the last one closes the physical session."""
         fh = fh.logical
-        pins = self._session_pins
-        if fh not in pins:
+        pin = self._session_pins.get(fh)
+        if pin is None:
+            return
+        if pin.opens > 1:
+            pin.opens -= 1
             return
         try:
             updated = self.retry_stale(
-                volume, parent_fh, lambda: pins[fh].dir_vnode.session_close(fh, ctx), fh, ctx
+                volume, parent_fh, lambda: pin.view.dir_vnode.session_close(fh, ctx), fh, ctx
             )
         except (HostUnreachable, FileNotFound, StaleFileHandle):
             # the session dies with the partition or crash; recon cleans
             # up.  (The old lookup-smuggled close could not even see the
             # crash: a cached lookup reply swallowed the RPC entirely.)
             updated = False
-        view = pins.pop(fh)
+        del self._session_pins[fh]
         if updated:
             # read-only sessions notify nobody: no version changed, so
             # peers' cached attribute batches stay valid
-            self.notify_update(volume, view.location, parent_fh, fh)
+            self.notify_update(volume, pin.view.location, parent_fh, fh)
 
     # -- graft point administration ---------------------------------------------------
 

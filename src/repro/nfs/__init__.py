@@ -1,7 +1,7 @@
 """Stateless NFS transport: server exporting a vnode layer, client layer."""
 
 from repro.nfs.client import NfsClientConfig, NfsClientLayer, NfsClientVnode
-from repro.nfs.protocol import DROPPED_OPERATIONS, LookupReply, NfsHandle, ReaddirEntry
+from repro.nfs.protocol import DROPPED_OPERATIONS, LookupReply, NfsHandle
 from repro.nfs.server import NfsServer
 
 __all__ = [
@@ -12,5 +12,4 @@ __all__ = [
     "NfsClientVnode",
     "NfsHandle",
     "NfsServer",
-    "ReaddirEntry",
 ]

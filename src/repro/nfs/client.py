@@ -12,7 +12,9 @@ design reacts to them:
   accepts them as no-ops and never forwards them.  The original Ficus
   smuggled open/close through ``lookup`` (Section 2.3, experiment E10);
   our protocol instead forwards every Ficus vnode operation by name, so
-  no request rides a name.
+  no request rides a name, and passes its arguments and reply — Ficus
+  handles, attribute batches, directory rows, the operation context — as
+  the objects they are.
 * **Caching is not fully controllable.**  The client keeps an attribute
   cache and a directory-name-lookup cache with time-based expiry ("there is
   no user-level way to disable all caching"), so upper layers can observe
@@ -27,10 +29,10 @@ from dataclasses import dataclass
 
 from repro.errors import HostUnreachable, RpcTimeout, StaleFileHandle
 from repro.net import Network
-from repro.nfs.protocol import CTX_FIELD, LookupReply, NfsHandle
+from repro.nfs.protocol import LookupReply, NfsHandle
 from repro.physical.wire import AttrBatch, BlockDigests, SyncProbe
 from repro.telemetry import NULL_TELEMETRY, HealthPlane, Telemetry, spanned
-from repro.ufs.inode import FileAttributes, FileType
+from repro.ufs.inode import FileAttributes
 from repro.util import VirtualClock
 from repro.vnode.interface import (
     ROOT_CTX,
@@ -65,8 +67,9 @@ class NfsClientConfig:
 #: the applying replica to mint, exactly like the creates.
 #: Everything else in the protocol is idempotent — reads trivially, and
 #: the other Ficus mutations by construction (``remove_entry`` is keyed
-#: on the entry id it carries, writes carry absolute offsets, session
-#: brackets and ``set_policy`` re-apply harmlessly).
+#: on the entry id it carries, writes carry absolute offsets, a session is
+#: open or not so a replayed bracket is a no-op, and ``set_policy``
+#: re-applies harmlessly).
 NON_IDEMPOTENT_OPS = frozenset({"create", "mkdir", "symlink", "link", "insert"})
 
 
@@ -118,35 +121,23 @@ class NfsClientLayer(FileSystemLayer):
     def call(self, op: str, *args: object, ctx: OpContext = ROOT_CTX) -> object:
         """Issue one NFS RPC with retransmission.
 
-        The operation context travels as the single structured
-        :data:`~repro.nfs.protocol.CTX_FIELD` keyword — credential, trace
-        parentage, and hints in one field instead of per-purpose side
-        channels.  With tracing enabled, the whole call (including
-        retransmissions) is one ``nfs-client`` span whose context replaces
-        ``ctx.trace`` on the wire, stitching client and server trees.
+        The operation context travels as the call's ``ctx`` keyword, the
+        frozen value itself — credential, trace parentage and hints in one
+        argument instead of per-purpose side channels.  With tracing
+        enabled, the whole call (including retransmissions) is one
+        ``nfs-client`` span whose context replaces ``ctx.trace``, stitching
+        client and server trees.
         """
         span_ctx = self._tracer.current_context()
         if span_ctx is not None:
-            return self._call_with_retries(
-                op, args, {CTX_FIELD: ctx.with_trace(span_ctx).to_wire()}
-            )
-        wire = ctx.to_wire()
-        if not wire:
-            return self._call_with_retries(op, args, {})
-        # like the wire form itself, the single-field kwargs dict is
-        # immutable in practice (the transport spreads it; the server
-        # pops from its own copy), so cache it on the context too
-        kwargs: dict[str, object] | None = ctx.__dict__.get("_wire_kwargs")
-        if kwargs is None:
-            kwargs = {CTX_FIELD: wire}
-            object.__setattr__(ctx, "_wire_kwargs", kwargs)
-        return self._call_with_retries(op, args, kwargs)
+            ctx = ctx.with_trace(span_ctx)
+        return self._call_with_retries(op, args, ctx)
 
     def _call_with_retries(
         self,
         op: str,
         args: tuple[object, ...],
-        kwargs: dict[str, object],
+        ctx: OpContext,
     ) -> object:
         """Retransmit with bounded exponential backoff — idempotent ops only.
 
@@ -180,7 +171,7 @@ class NfsClientLayer(FileSystemLayer):
                     self.server_addr,
                     f"{self.service}.{op}",
                     *args,
-                    **kwargs,
+                    ctx=ctx,
                 )
             except RpcTimeout as exc:
                 if not may_replay_ambiguous:
@@ -319,45 +310,38 @@ class NfsClientVnode(Vnode):
 
     def session_open(self, fh, ctx: OpContext = ROOT_CTX) -> None:
         self.layer.counters.bump("session_open")
-        self.layer.call_h(self.handle, "session_open", fh.to_hex(), ctx=ctx)
+        self.layer.call_h(self.handle, "session_open", fh, ctx=ctx)
 
     def session_close(self, fh, ctx: OpContext = ROOT_CTX) -> bool:
         self.layer.counters.bump("session_close")
-        return bool(self.layer.call_h(self.handle, "session_close", fh.to_hex(), ctx=ctx))
+        return self.layer.call_h(self.handle, "session_close", fh, ctx=ctx)
 
     def getattrs_batch(self, fhs=None, ctx: OpContext = ROOT_CTX) -> AttrBatch:
         self.layer.counters.bump("getattrs_batch")
-        wire_fhs = None if fhs is None else [fh.to_hex() for fh in fhs]
-        reply = self.layer.call_h(self.handle, "getattrs_batch", wire_fhs, ctx=ctx)
-        return AttrBatch.from_wire(reply)
+        return self.layer.call_h(self.handle, "getattrs_batch", fhs, ctx=ctx)
 
     def sync_probe(self, fh=None, ctx: OpContext = ROOT_CTX) -> SyncProbe:
         self.layer.counters.bump("sync_probe")
-        wire_fh = None if fh is None else fh.to_hex()
-        reply = self.layer.call_h(self.handle, "sync_probe", wire_fh, ctx=ctx)
-        return SyncProbe.from_wire(reply)
+        return self.layer.call_h(self.handle, "sync_probe", fh, ctx=ctx)
 
     def block_digests(self, fh, ctx: OpContext = ROOT_CTX) -> BlockDigests:
         self.layer.counters.bump("block_digests")
-        reply = self.layer.call_h(self.handle, "block_digests", fh.to_hex(), ctx=ctx)
-        return BlockDigests.from_wire(reply)
+        return self.layer.call_h(self.handle, "block_digests", fh, ctx=ctx)
 
     def read_blocks(self, fh, indices: list[int], ctx: OpContext = ROOT_CTX) -> dict[int, bytes]:
         self.layer.counters.bump("read_blocks")
-        reply = self.layer.call_h(self.handle, "read_blocks", fh.to_hex(), list(indices), ctx=ctx)
-        assert isinstance(reply, list)
-        out = {int(index): data for index, data in reply}
+        blocks = self.layer.call_h(self.handle, "read_blocks", fh, indices, ctx=ctx)
         faults = self.layer.network.faults
         if faults.active:
             # block payloads can be corrupted in flight; the digest check
             # in the delta pull detects this and replays as a whole file
-            out = {
+            blocks = {
                 index: faults.maybe_corrupt_block(
                     self.layer.client_addr, self.layer.server_addr, data
                 )
-                for index, data in out.items()
+                for index, data in blocks.items()
             }
-        return out
+        return blocks
 
     # -- attributes --
 
@@ -458,7 +442,6 @@ class NfsClientVnode(Vnode):
     def remove(self, name: str, ctx: OpContext = ROOT_CTX) -> None:
         self.layer.counters.bump("remove")
         self.layer.call_h(self.handle, "remove", name, ctx=ctx)
-        self.layer._name_cache.pop((self.handle, "lookup", name), None)
         self.layer.invalidate_handle(self.handle)
 
     def link(self, target: Vnode, name: str, ctx: OpContext = ROOT_CTX) -> None:
@@ -480,8 +463,6 @@ class NfsClientVnode(Vnode):
         if not isinstance(dst_dir, NfsClientVnode):
             raise StaleFileHandle("rename destination is not an NFS vnode")
         self.layer.call("rename", self.handle, src_name, dst_dir.handle, dst_name, ctx=ctx)
-        self.layer._name_cache.pop((self.handle, "lookup", src_name), None)
-        self.layer._name_cache.pop((dst_dir.handle, "lookup", dst_name), None)
         self.layer.invalidate_handle(self.handle)
         self.layer.invalidate_handle(dst_dir.handle)
 
@@ -495,14 +476,11 @@ class NfsClientVnode(Vnode):
     def rmdir(self, name: str, ctx: OpContext = ROOT_CTX) -> None:
         self.layer.counters.bump("rmdir")
         self.layer.call_h(self.handle, "rmdir", name, ctx=ctx)
-        self.layer._name_cache.pop((self.handle, "lookup", name), None)
         self.layer.invalidate_handle(self.handle)
 
     def readdir(self, ctx: OpContext = ROOT_CTX) -> list[DirEntry]:
         self.layer.counters.bump("readdir")
-        rows = self.layer.call_h(self.handle, "readdir", ctx=ctx)
-        assert isinstance(rows, list)
-        return [DirEntry(r.name, r.fileid, FileType(r.ftype)) for r in rows]
+        return self.layer.call_h(self.handle, "readdir", ctx=ctx)
 
     def symlink(self, name: str, target: str, ctx: OpContext = ROOT_CTX) -> Vnode:
         self.layer.counters.bump("symlink")

@@ -6,6 +6,11 @@ identifies files by opaque handles (fileid + generation) and defines no
 open/close calls at all; those vnode operations simply vanish at the
 client ("a layer intending to receive an open will never get it if NFS is
 in between").
+
+These are the protocol's own types.  Everything else a call carries — the
+operation context, Ficus file handles, entry ids, attribute batches,
+directory rows — is a value of the layers on either side and crosses as it
+is; nothing is encoded for the hop.
 """
 
 from __future__ import annotations
@@ -19,15 +24,6 @@ from repro.ufs.inode import FileAttributes
 #: grew explicit ``session_open``/``session_close`` calls instead (the
 #: original Ficus smuggled them through ``lookup``, paper Section 2.3).
 DROPPED_OPERATIONS = ("open", "close")
-
-#: Optional RPC keyword carrying the serialized operation context
-#: (:meth:`repro.vnode.context.OpContext.to_wire`): credential, telemetry
-#: trace parentage, replica hints, cache-control flags — one structured
-#: field for everything a call carries besides its arguments.  The server
-#: strips it before dispatching, so a context-sending client interoperates
-#: with any server; when the server traces, its span is parented on the
-#: context's trace — this is how one trace tree crosses the NFS hop.
-CTX_FIELD = "_opctx"
 
 
 @dataclass(frozen=True)
@@ -50,10 +46,3 @@ class LookupReply:
 
     handle: NfsHandle
     attrs: FileAttributes
-
-
-@dataclass(frozen=True)
-class ReaddirEntry:
-    name: str
-    fileid: int
-    ftype: int

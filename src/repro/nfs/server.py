@@ -10,22 +10,26 @@ hosts: "The Ficus replication service layers are able to use NFS for
 transparent access to remote layers, without having to build a transport
 service" (paper Section 2.2).
 
-Every RPC may carry one structured operation-context field
-(:data:`~repro.nfs.protocol.CTX_FIELD`); the server rebuilds the
-:class:`~repro.vnode.context.OpContext` — credential, trace parentage,
-hints — and threads it into the exported layer's vnode operations.
+Every RPC carries the caller's :class:`~repro.vnode.context.OpContext` —
+credential, trace parentage, hints — as its ``ctx`` keyword, and the server
+threads that same value into the exported layer's vnode operations.  The
+arguments and replies of the Ficus operations cross the same way: the
+server decodes and encodes nothing.  That rests on one rule (ARCHITECTURE.md
+"The vnode operations"): a layer replies only with objects it does not
+keep, and no receiver mutates what it received.
 """
 
 from __future__ import annotations
 
 from repro.errors import StaleFileHandle
 from repro.net import Network
-from repro.nfs.protocol import CTX_FIELD, LookupReply, NfsHandle, ReaddirEntry
+from repro.nfs.protocol import LookupReply, NfsHandle
+from repro.physical.wire import AttrBatch, BlockDigests, SyncProbe
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.ufs.inode import FileAttributes
-from repro.util import FicusFileHandle
 from repro.vnode.interface import (
     ROOT_CTX,
+    DirEntry,
     FileSystemLayer,
     OpContext,
     SetAttrs,
@@ -87,14 +91,11 @@ class NfsServer:
             network.register_rpc(addr, f"{service}.{op}", self._make_handler(op))
 
     def _make_handler(self, op: str):
-        """Wrap one RPC op: rebuild the operation context from the wire
-        field, and when this server traces, parent a server-side span on
-        the context's trace."""
+        """Wrap one RPC op: when this server traces, parent a server-side
+        span on the operation context's trace."""
         inner = getattr(self, f"_serve_{op}")
 
-        def handler(*args: object, **kwargs: object) -> object:
-            wire = kwargs.pop(CTX_FIELD, None)
-            ctx = ROOT_CTX if wire is None else OpContext.from_wire(wire)
+        def handler(*args: object, ctx: OpContext = ROOT_CTX) -> object:
             telemetry = self.telemetry
             if ctx.trace is None or not telemetry.enabled:
                 return inner(*args, ctx=ctx)
@@ -209,9 +210,8 @@ class NfsServer:
     def _serve_rmdir(self, handle: NfsHandle, name: str, ctx: OpContext = ROOT_CTX) -> None:
         self._resolve(handle).rmdir(name, ctx)
 
-    def _serve_readdir(self, handle: NfsHandle, ctx: OpContext = ROOT_CTX) -> list[ReaddirEntry]:
-        entries = self._resolve(handle).readdir(ctx)
-        return [ReaddirEntry(e.name, e.fileid, int(e.ftype)) for e in entries]
+    def _serve_readdir(self, handle: NfsHandle, ctx: OpContext = ROOT_CTX) -> list[DirEntry]:
+        return self._resolve(handle).readdir(ctx)
 
     def _serve_symlink(
         self, handle: NfsHandle, name: str, target: str, ctx: OpContext = ROOT_CTX
@@ -223,37 +223,27 @@ class NfsServer:
 
     # -- Ficus extensions ------------------------------------------------------
 
-    def _serve_session_open(self, handle: NfsHandle, fh_hex: str, ctx: OpContext = ROOT_CTX) -> None:
-        self._resolve(handle).session_open(FicusFileHandle.from_hex(fh_hex), ctx)
+    def _serve_session_open(self, handle: NfsHandle, fh, ctx: OpContext = ROOT_CTX) -> None:
+        self._resolve(handle).session_open(fh, ctx)
 
-    def _serve_session_close(self, handle: NfsHandle, fh_hex: str, ctx: OpContext = ROOT_CTX) -> bool:
-        return bool(self._resolve(handle).session_close(FicusFileHandle.from_hex(fh_hex), ctx))
+    def _serve_session_close(self, handle: NfsHandle, fh, ctx: OpContext = ROOT_CTX) -> bool:
+        return self._resolve(handle).session_close(fh, ctx)
 
-    def _serve_getattrs_batch(
-        self, handle: NfsHandle, fh_hexes: list[str] | None, ctx: OpContext = ROOT_CTX
-    ) -> dict[str, object]:
-        fhs = None if fh_hexes is None else [FicusFileHandle.from_hex(h) for h in fh_hexes]
-        return self._resolve(handle).getattrs_batch(fhs, ctx).to_wire()
+    def _serve_getattrs_batch(self, handle: NfsHandle, fhs, ctx: OpContext = ROOT_CTX) -> AttrBatch:
+        return self._resolve(handle).getattrs_batch(fhs, ctx)
 
-    def _serve_sync_probe(
-        self, handle: NfsHandle, fh_hex: str | None, ctx: OpContext = ROOT_CTX
-    ) -> dict[str, object]:
-        fh = None if fh_hex is None else FicusFileHandle.from_hex(fh_hex)
-        return self._resolve(handle).sync_probe(fh, ctx).to_wire()
+    def _serve_sync_probe(self, handle: NfsHandle, fh, ctx: OpContext = ROOT_CTX) -> SyncProbe:
+        return self._resolve(handle).sync_probe(fh, ctx)
 
-    def _serve_block_digests(
-        self, handle: NfsHandle, fh_hex: str, ctx: OpContext = ROOT_CTX
-    ) -> dict[str, object]:
-        return self._resolve(handle).block_digests(FicusFileHandle.from_hex(fh_hex), ctx).to_wire()
+    def _serve_block_digests(self, handle: NfsHandle, fh, ctx: OpContext = ROOT_CTX) -> BlockDigests:
+        return self._resolve(handle).block_digests(fh, ctx)
 
     def _serve_read_blocks(
-        self, handle: NfsHandle, fh_hex: str, indices: list[int], ctx: OpContext = ROOT_CTX
-    ) -> list[list[object]]:
-        blocks = self._resolve(handle).read_blocks(FicusFileHandle.from_hex(fh_hex), indices, ctx)
-        return [[index, data] for index, data in sorted(blocks.items())]
+        self, handle: NfsHandle, fh, indices: list[int], ctx: OpContext = ROOT_CTX
+    ) -> dict[int, bytes]:
+        return self._resolve(handle).read_blocks(fh, indices, ctx)
 
-    # the five replica-addressed operations: their arguments (Ficus handles,
-    # entry ids, the entry made) are frozen values and cross as they are
+    # the five replica-addressed operations
 
     def _serve_lookup_fh(self, handle: NfsHandle, fh, ctx: OpContext = ROOT_CTX) -> LookupReply:
         return self._reply(self._resolve(handle).lookup_fh(fh, ctx), ctx)

@@ -11,7 +11,7 @@ from repro.physical.layer import (
     FicusPhysicalLayer,
     NewVersionKey,
     NewVersionNote,
-    notification_payload,
+    UpdateNotification,
 )
 from repro.physical.store import ROOT_FILE_ID, ReplicaStore, volume_root_handle
 from repro.physical.vnodes import (
@@ -55,10 +55,10 @@ __all__ = [
     "ROOT_FILE_ID",
     "ReplicaNotStored",
     "ReplicaStore",
+    "UpdateNotification",
     "count_name_collisions",
     "decode_directory",
     "effective_entries",
     "encode_directory",
-    "notification_payload",
     "volume_root_handle",
 ]

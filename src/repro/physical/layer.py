@@ -9,6 +9,11 @@ update sessions, advances version vectors on updates, and keeps the
 the file in a new version cache.  An update propagation daemon consults
 this cache to see what new replica versions should be propagated in, and
 performs the propagation when it deems it appropriate" (Section 3.2).
+
+A notification is one frozen :class:`UpdateNotification` and crosses the
+network as that value; a datagram of any other shape is not one and is
+ignored.  An update session is open or not: the logical layer counts its
+own opens of a file and brackets the physical session once.
 """
 
 from __future__ import annotations
@@ -54,33 +59,18 @@ class NewVersionNote:
     trace_ctx: TraceContext | None = None
 
 
-@dataclass
-class _Session:
-    """Open/close update session state for one file replica."""
+@dataclass(frozen=True)
+class UpdateNotification:
+    """The update-notification datagram, crossing as the value it is.
 
-    opens: int = 0
-    dirty: bool = False
-
-
-def notification_payload(
-    volrep: VolumeReplicaId,
-    parent_fh: FicusFileHandle,
-    fh: FicusFileHandle,
-    src_addr: str,
-    objkind: str = "file",
-    trace: dict[str, str] | None = None,
-    origin: str = "update",
-) -> dict[str, object]:
-    """Wire form of an update-notification datagram.
-
+    ``volrep`` is the replica the update was applied to and ``src`` the
+    host storing it; ``parent_fh`` and ``fh`` are logical handles.
     ``objkind`` distinguishes file-content updates (propagated by atomic
     copy) from directory updates (propagated by replaying entry operations
     through directory reconciliation — "simply copying directory contents
-    is incorrect", Section 3.2).
-
-    ``trace`` optionally carries the sender's serialized trace context
-    (:meth:`repro.telemetry.TraceContext.to_wire`) so the receiving host
-    can parent its eventual propagation pull on the originating update.
+    is incorrect", Section 3.2).  ``trace`` is the sender's live trace
+    context, so the receiving host can parent its eventual propagation pull
+    on the originating update.
 
     ``origin="sync"`` marks a notification sent because propagation or
     reconciliation *installed* a version that already exists elsewhere.
@@ -88,19 +78,14 @@ def notification_payload(
     a new-version note — otherwise two pullers would bounce install
     notifications back and forth forever.
     """
-    payload: dict[str, object] = {
-        "kind": "new-version",
-        "volrep": volrep.to_hex(),
-        "parent": parent_fh.logical.to_hex(),
-        "fh": fh.logical.to_hex(),
-        "src": src_addr,
-        "objkind": objkind,
-    }
-    if trace is not None:
-        payload["trace"] = trace
-    if origin != "update":
-        payload["origin"] = origin
-    return payload
+
+    volrep: VolumeReplicaId
+    parent_fh: FicusFileHandle
+    fh: FicusFileHandle
+    src: str
+    objkind: str
+    trace: TraceContext | None
+    origin: str
 
 
 class FicusPhysicalLayer(FileSystemLayer):
@@ -125,8 +110,8 @@ class FicusPhysicalLayer(FileSystemLayer):
         self.telemetry = telemetry or NULL_TELEMETRY
         self.stores: dict[VolumeReplicaId, ReplicaStore] = {}
         self._policies: dict[VolumeReplicaId, StoragePolicy] = {}
-        self._sessions: dict[tuple[int, FicusFileHandle], _Session] = {}
-        self._session_parents: dict[tuple[int, FicusFileHandle], FicusFileHandle] = {}
+        #: open update sessions: (store, file) -> has the session updated it?
+        self._sessions: dict[tuple[int, FicusFileHandle], bool] = {}
         self._new_versions: dict[NewVersionKey, NewVersionNote] = {}
         self._registry: dict[int, Vnode] = {}
         #: count of version-vector bumps deferred into sessions (observability)
@@ -212,36 +197,24 @@ class FicusPhysicalLayer(FileSystemLayer):
     def _session_key(self, store: ReplicaStore, fh: FicusFileHandle) -> tuple[int, FicusFileHandle]:
         return (id(store), fh.logical)
 
-    def session_open(
-        self, store: ReplicaStore, parent_fh: FicusFileHandle, fh: FicusFileHandle
-    ) -> None:
-        key = self._session_key(store, fh)
-        session = self._sessions.setdefault(key, _Session())
-        session.opens += 1
-        self._session_parents[key] = parent_fh.logical
+    def session_open(self, store: ReplicaStore, fh: FicusFileHandle) -> None:
+        """Open the file's update session; a session is open or not, so a
+        replayed open is a no-op (the logical layer counts its own opens
+        and brackets once per host and file)."""
+        self._sessions.setdefault(self._session_key(store, fh), False)
 
     def session_close(
         self, store: ReplicaStore, parent_fh: FicusFileHandle, fh: FicusFileHandle
     ) -> bool:
-        """Close one nesting level; True when this close ended a session
-        that actually updated the replica (the caller should notify)."""
-        key = self._session_key(store, fh)
-        session = self._sessions.get(key)
-        if session is None or session.opens == 0:
-            return False
-        session.opens -= 1
-        if session.opens > 0:
-            return False
-        dirty = session.dirty
+        """End the session; True when it actually updated the replica (the
+        caller should notify).  Closing no open session answers False."""
+        dirty = self._sessions.pop(self._session_key(store, fh), False)
         if dirty:
             self._bump_file_vv(store, parent_fh, fh)
-        del self._sessions[key]
-        self._session_parents.pop(key, None)
         return dirty
 
     def has_open_session(self, store: ReplicaStore, fh: FicusFileHandle) -> bool:
-        session = self._sessions.get(self._session_key(store, fh))
-        return session is not None and session.opens > 0
+        return self._session_key(store, fh) in self._sessions
 
     def note_update(
         self, store: ReplicaStore, parent_fh: FicusFileHandle, fh: FicusFileHandle
@@ -256,9 +229,8 @@ class FicusPhysicalLayer(FileSystemLayer):
         ``session_open``/``session_close`` operations).
         """
         key = self._session_key(store, fh)
-        session = self._sessions.get(key)
-        if session is not None and session.opens > 0:
-            session.dirty = True
+        if key in self._sessions:
+            self._sessions[key] = True
             self.session_coalesced_updates += 1
             return
         self._bump_file_vv(store, parent_fh, fh)
@@ -296,38 +268,24 @@ class FicusPhysicalLayer(FileSystemLayer):
 
     # -- new-version cache (update notification receive side) ------------------
 
-    def _on_datagram(self, src: str, payload: object) -> None:
-        if not isinstance(payload, dict) or payload.get("kind") != "new-version":
-            return
-        try:
-            volrep_field = payload["volrep"]
-            parent = FicusFileHandle.from_hex(payload["parent"])
-            fh = FicusFileHandle.from_hex(payload["fh"])
-            src_addr = payload["src"]
-        except (KeyError, InvalidArgument):
+    def _on_datagram(self, src: str, note: object) -> None:
+        if not isinstance(note, UpdateNotification) or note.origin == "sync":
+            # A sync notification: propagation/recon installed a version
+            # that already exists at the sender's source; peers' logical
+            # caches must invalidate, but minting a new-version note here
+            # would make the two pullers notify each other in a loop.
             return
         # The notification names the *sender's* volume replica; we care if
         # we host ANY replica of the same volume.
-        try:
-            sender_volrep = VolumeReplicaId.from_hex(volrep_field)
-        except InvalidArgument:
-            return
-        if payload.get("origin") == "sync":
-            # Propagation/recon installed a version that already exists at
-            # the sender's source; peers' logical caches must invalidate,
-            # but minting a new-version note here would make the two
-            # pullers notify each other in a loop.
-            return
-        trace_ctx = TraceContext.from_wire(payload.get("trace"))
         for volrep in self.stores:
-            if volrep.volume == sender_volrep.volume:
-                if volrep == sender_volrep:
+            if volrep.volume == note.volrep.volume:
+                if volrep == note.volrep:
                     # we host the replica the update was applied to (it was
                     # driven here remotely over NFS): nothing to pull — the
                     # notification only matters to the logical-layer cache
                     continue
-                key = NewVersionKey(volrep=volrep, parent_fh=parent, fh=fh)
-                objkind = payload.get("objkind", "file")
+                key = NewVersionKey(volrep=volrep, parent_fh=note.parent_fh, fh=note.fh)
+                objkind = note.objkind
                 existing = self._new_versions.get(key)
                 if existing is not None and existing.objkind == "dir":
                     # a pending directory note subsumes a file note: the
@@ -335,19 +293,19 @@ class FicusPhysicalLayer(FileSystemLayer):
                     objkind = "dir"
                 self._new_versions[key] = NewVersionNote(
                     key=key,
-                    src_addr=src_addr,
-                    src_volrep=sender_volrep,
+                    src_addr=note.src,
+                    src_volrep=note.volrep,
                     noted_at=self.clock.now(),
                     objkind=objkind,
-                    trace_ctx=trace_ctx,
+                    trace_ctx=note.trace,
                 )
                 if self.telemetry.enabled:
                     self.telemetry.metrics.counter("physical.notifications_received").inc()
                     self.telemetry.events.emit(
                         "notification.received",
                         host=self.host_addr,
-                        src=src_addr,
-                        fh=fh.logical.to_hex(),
+                        src=note.src,
+                        fh=note.fh.to_hex(),
                         objkind=objkind,
                     )
 

@@ -867,6 +867,32 @@ class ReplicaStore:
             self._count("store.shadows_scavenged", dropped)
         return dropped
 
+    def recover(self) -> None:
+        """Crash recovery for the whole replica, the first act of a reboot.
+
+        A directory the crash left half made or half freed goes: one whose
+        Unix directory lacks ``.fdir`` or ``.faux``, or whose aux record
+        does not decode while no live entry names it — a ``mkdir`` cut
+        short before anything published it, or a free cut short after its
+        tombstone was durable.  Nothing can serve it, and reading it would
+        fail the reboot.  Every other directory is recovered in turn
+        (:meth:`recover_directory`).
+        """
+        dirs = self.all_directory_handles()
+        whole = [
+            fh
+            for fh in dirs
+            if {FDIR_NAME, FAUX_NAME} <= {e.name for e in self.dir_unix_vnode(fh).readdir()}
+        ]
+        named = {self.root_handle()} | {
+            entry.fh.logical for fh in whole for entry in self.read_entries(fh) if entry.live
+        }
+        for fh in dirs:
+            if fh in whole and (fh in named or self._decodes(self.dir_unix_vnode(fh), FAUX_NAME)):
+                self.recover_directory(fh)
+            else:
+                self._remove_directory_storage(fh)
+
     def recover_directory(self, fh: FicusFileHandle) -> None:
         """Crash recovery for one directory, in the order a reboot needs.
 
@@ -892,7 +918,7 @@ class ReplicaStore:
         for name in sorted(names):
             key = name.removesuffix(AUX_SUFFIX)
             whole = {key, key + AUX_SUFFIX} <= names
-            if whole and (key in live or (key not in dead and self._decodes(unix_dir, key))):
+            if whole and (key in live or (key not in dead and self._decodes(unix_dir, key + AUX_SUFFIX))):
                 continue  # served, or waiting for the entry only this host could publish
             unix_dir.remove(name)
         try:
@@ -901,9 +927,10 @@ class ReplicaStore:
             pass
 
     @staticmethod
-    def _decodes(unix_dir: Vnode, key: str) -> bool:
+    def _decodes(unix_dir: Vnode, name: str) -> bool:
+        """Does the aux record ``name`` of ``unix_dir`` decode?"""
         try:
-            AuxAttributes.from_bytes(unix_dir.lookup(key + AUX_SUFFIX).read_all())
+            AuxAttributes.from_bytes(unix_dir.lookup(name).read_all())
             return True
         except InvalidArgument:
             return False
@@ -936,18 +963,8 @@ class ReplicaStore:
         if fh in visiting:
             return local  # cycle guard; the namespace is a DAG in practice
         visiting.add(fh)
-        child_fhs = sorted(
-            {
-                entry.fh.logical
-                for entry in self.read_entries(fh)
-                if entry.live
-                and entry.etype in (EntryType.DIRECTORY, EntryType.GRAFT_POINT)
-                and self.has_directory(entry.fh)
-            },
-            key=lambda child: child.to_hex(),
-        )
         parts = [local]
-        for child in child_fhs:
+        for child in self.stored_child_directories(fh):
             parts.append(child.to_hex())
             parts.append(self._subtree_digest(child, visiting))
         visiting.discard(fh)

@@ -243,7 +243,7 @@ class PhysicalDirVnode(Vnode):
         """Begin an update session on the child file ``fh``."""
         self.layer.counters.bump("session_open")
         self.find_live_by_fh(fh)  # raises FileNotFound for dangling handles
-        self.layer.session_open(self.store, self.fh, fh.logical)
+        self.layer.session_open(self.store, fh.logical)
 
     def session_close(self, fh: FicusFileHandle, ctx: OpContext = ROOT_CTX) -> bool:
         """End an update session; the coalesced version bump lands here.
@@ -577,7 +577,7 @@ class PhysicalFileVnode(Vnode):
         between this never arrives — remote callers bracket updates with
         ``session_open`` on the parent directory vnode instead."""
         self.layer.counters.bump("open")
-        self.layer.session_open(self.store, self.parent_fh, self.fh)
+        self.layer.session_open(self.store, self.fh)
 
     def close(self, ctx: OpContext = ROOT_CTX) -> None:
         self.layer.counters.bump("close")

@@ -5,7 +5,8 @@
   attributes [are] stored in an auxiliary file" (paper Section 2.6).
 
 * **Replies of the Ficus vnode operations** — attribute batches, sync
-  probes and block digests, with the wire forms the NFS hop carries.
+  probes and block digests.  They have no wire form: the NFS hop carries
+  them as the objects they are, so only what is stored is encoded.
 
 The paper "overloaded the lookup service by encoding an open/close request
 as a null-terminated ASCII string" (Section 2.3) because SunOS NFS dropped
@@ -293,14 +294,9 @@ class AuxAttributes:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "AuxAttributes":
-        cached = _DECODE_AUX_MEMO.get(data)
-        if cached is not None:
-            _DECODE_AUX_MEMO.move_to_end(data)
-            # clone: callers mutate the returned record in place
-            return cached.clone()
         rec = decode_record(data.decode("utf-8"))
         try:
-            aux = cls(
+            return cls(
                 fh=FicusFileHandle.from_hex(rec["fh"]),
                 etype=EntryType(rec["type"]),
                 vv=VersionVector.decode(rec.get("vv", "")),
@@ -313,10 +309,6 @@ class AuxAttributes:
             )
         except KeyError as exc:
             raise InvalidArgument(f"aux record missing field {exc}") from exc
-        _DECODE_AUX_MEMO[data] = aux.clone()
-        while len(_DECODE_AUX_MEMO) > _DECODE_AUX_CAP:
-            _DECODE_AUX_MEMO.popitem(last=False)
-        return aux
 
     def ancestor_digests(self) -> tuple[str, ...] | None:
         """The retained ancestor as a digest tuple, or ``None`` if absent."""
@@ -350,27 +342,6 @@ class AttrBatch:
     def child(self, fh: FicusFileHandle) -> AuxAttributes | None:
         return self.children.get(fh.logical)
 
-    def to_wire(self) -> dict[str, object]:
-        return {
-            "dir": self.dir_aux.to_bytes(),
-            "children": {fh.to_hex(): v.to_bytes() for fh, v in self.children.items()},
-        }
-
-    @classmethod
-    def from_wire(cls, payload: object) -> "AttrBatch":
-        if not isinstance(payload, dict) or "dir" not in payload:
-            raise InvalidArgument("malformed attribute batch")
-        children = payload.get("children", {})
-        if not isinstance(children, dict):
-            raise InvalidArgument("malformed attribute batch children")
-        return cls(
-            dir_aux=AuxAttributes.from_bytes(payload["dir"]),
-            children={
-                FicusFileHandle.from_hex(k): AuxAttributes.from_bytes(v)
-                for k, v in children.items()
-            },
-        )
-
 
 @dataclass
 class SyncProbe:
@@ -388,24 +359,6 @@ class SyncProbe:
     digest: str
     children: dict[FicusFileHandle, str] = field(default_factory=dict)
 
-    def to_wire(self) -> dict[str, object]:
-        return {
-            "digest": self.digest,
-            "children": {fh.to_hex(): d for fh, d in self.children.items()},
-        }
-
-    @classmethod
-    def from_wire(cls, payload: object) -> "SyncProbe":
-        if not isinstance(payload, dict) or "digest" not in payload:
-            raise InvalidArgument("malformed sync probe")
-        children = payload.get("children", {})
-        if not isinstance(children, dict):
-            raise InvalidArgument("malformed sync probe children")
-        return cls(
-            digest=str(payload["digest"]),
-            children={FicusFileHandle.from_hex(k): str(v) for k, v in children.items()},
-        )
-
 
 @dataclass
 class BlockDigests:
@@ -421,25 +374,6 @@ class BlockDigests:
     size: int
     vv: VersionVector
     digests: list[str] = field(default_factory=list)
-
-    def to_wire(self) -> dict[str, object]:
-        return {
-            "block_size": self.block_size,
-            "size": self.size,
-            "vv": self.vv.encode(),
-            "digests": list(self.digests),
-        }
-
-    @classmethod
-    def from_wire(cls, payload: object) -> "BlockDigests":
-        if not isinstance(payload, dict) or "digests" not in payload:
-            raise InvalidArgument("malformed block digests")
-        return cls(
-            block_size=int(payload["block_size"]),
-            size=int(payload["size"]),
-            vv=VersionVector.decode(str(payload.get("vv", ""))),
-            digests=[str(d) for d in payload["digests"]],
-        )
 
 
 def split_blocks(data: bytes, block_size: int = DELTA_BLOCK_SIZE) -> list[bytes]:
@@ -458,11 +392,6 @@ def encode_directory(entries: list[DirectoryEntry]) -> bytes:
 #: (callers append/replace elements before rewriting).
 _DECODE_DIR_MEMO: OrderedDict[bytes, list[DirectoryEntry]] = OrderedDict()
 _DECODE_DIR_CAP = 512
-
-#: Memoized aux-record decodes; values are masters, callers get clones
-#: (callers mutate vv/refs/digests in place before writing back).
-_DECODE_AUX_MEMO: OrderedDict[bytes, "AuxAttributes"] = OrderedDict()
-_DECODE_AUX_CAP = 1024
 
 
 def decode_directory(data: bytes) -> list[DirectoryEntry]:

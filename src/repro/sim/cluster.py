@@ -145,10 +145,10 @@ class FicusHost:
         version cache, open sessions, grafts — is lost; everything on the
         simulated disk (files, directories, version vectors, tombstone
         state, id-mint counters) survives.  Persisted volume replicas are
-        re-attached by scanning the disk and every directory is recovered
-        (:meth:`ReplicaStore.recover_directory`): orphan shadows and
-        half-made files dropped, frees the crash cut short finished, and
-        the recon-digest folds recomputed from what is stored.
+        re-attached by scanning the disk and recovered
+        (:meth:`ReplicaStore.recover`): half-made directories, orphan
+        shadows and half-made files dropped, frees the crash cut short
+        finished, and the recon-digest folds recomputed from what is stored.
         """
         hosted = list(self.physical.stores)
         # the dying stack's datagram subscriptions go with it — leaking
@@ -169,9 +169,7 @@ class FicusHost:
         )
         self.physical.health = self.health_plane
         for volrep in hosted:
-            store = self.physical.attach_volume_replica(volrep)
-            for dir_fh in store.all_directory_handles():
-                store.recover_directory(dir_fh)
+            self.physical.attach_volume_replica(volrep).recover()
         self.nfs_server.exported = self.physical
         self.nfs_server.reboot()
         self.fabric = Fabric(self.network, self.name, self.physical, telemetry=self.telemetry)

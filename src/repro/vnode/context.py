@@ -12,9 +12,10 @@ first), every operation now takes one :class:`OpContext` that aggregates:
 * ``replica_hint`` — a preferred host for replica selection;
 * ``no_cache`` — bypass the logical layer's version-vector cache.
 
-The context is immutable (``with_*`` constructors derive variants) and has
-a compact wire form so the NFS client can ship it as a single structured
-RPC field instead of smuggling pieces through names and kwargs.
+The context is immutable (``with_*`` constructors derive variants), so it
+crosses the NFS hop as it is: the client passes it as the call's ``ctx``
+keyword and the server hands that same value to the exported layer — no
+wire form, and nothing smuggled through names or per-purpose kwargs.
 """
 
 from __future__ import annotations
@@ -52,54 +53,6 @@ class OpContext:
 
     def with_no_cache(self, no_cache: bool = True) -> "OpContext":
         return replace(self, no_cache=no_cache)
-
-    # -- wire form (one structured field on the NFS RPC) --------------------
-
-    def to_wire(self) -> dict[str, object]:
-        """Compact dict form; omits defaulted fields to keep RPCs small.
-
-        The context is frozen, so the encoded form is computed once and
-        cached — a session's worth of NFS RPCs reuses one dict instead of
-        rebuilding it per call.  Receivers treat the payload as read-only
-        (:meth:`from_wire` only reads it), so sharing is safe.
-        """
-        cached = self.__dict__.get("_wire")
-        if cached is not None:
-            return cached
-        wire: dict[str, object] = {}
-        if self.cred.uid:
-            wire["u"] = self.cred.uid
-        if self.cred.gids:
-            wire["g"] = list(self.cred.gids)
-        if self.trace is not None:
-            wire["t"] = self.trace.to_wire()
-        if self.replica_hint is not None:
-            wire["rh"] = self.replica_hint
-        if self.no_cache:
-            wire["nc"] = True
-        object.__setattr__(self, "_wire", wire)
-        return wire
-
-    @classmethod
-    def from_wire(cls, payload: object) -> "OpContext":
-        """Rebuild a context from its wire form; malformed input degrades
-        to the defaults rather than failing the whole RPC."""
-        if not isinstance(payload, dict):
-            return ROOT_CTX
-        uid = payload.get("u", 0)
-        gids = payload.get("g", ())
-        try:
-            cred = Credential(uid=int(uid), gids=tuple(int(g) for g in gids))
-        except (TypeError, ValueError):
-            cred = ROOT_CRED
-        trace = TraceContext.from_wire(payload.get("t"))
-        hint = payload.get("rh")
-        return cls(
-            cred=cred,
-            trace=trace,
-            replica_hint=hint if isinstance(hint, str) else None,
-            no_cache=bool(payload.get("nc", False)),
-        )
 
 
 #: The default context: root identity, no trace, no hints.

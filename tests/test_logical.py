@@ -203,6 +203,35 @@ class TestOpenCloseSessions:
         # writes inside a session do notify (cheap datagrams), close adds one
         assert alpha.logical.notifications_sent > sent_before
 
+    def test_nested_opens_leave_no_session_open(self):
+        """Two logical vnodes of one file opened on one host and both closed:
+        no physical session outlives them, so later writes still advance
+        the version vector and reconciliation carries them."""
+        system = FicusSystem(["a", "b"], daemon_config=QUIET)
+        fs = system.host("a").fs()
+        fs.write_file("/f", b"v1")
+        system.reconcile_everything()
+        root = system.host("a").root()
+        first, second = root.lookup("f"), root.lookup("f")
+        first.open()
+        second.open()
+        first.close()
+        second.close()
+        fs.write_file("/f", b"v2")
+        fs.write_file("/f", b"v3")
+        system.reconcile_everything()
+        states, sessions = [], []
+        for location in system.root_locations:
+            host = system.host(location.host)
+            store = host.physical.store_for(location.volrep)
+            parent = store.root_handle()
+            fh = next(e.fh for e in store.read_entries(parent) if e.live and e.name == "f")
+            aux = store.read_file_aux(parent, fh)
+            states.append((store.file_vnode(parent, fh).read_all(), aux.vv.total_updates))
+            sessions.append(host.physical.has_open_session(store, fh))
+        assert states == [(b"v3", 3), (b"v3", 3)]
+        assert sessions == [False, False]
+
 
 class TestCrossVolumeRestrictions:
     def test_rename_across_volumes_rejected(self, system):

@@ -8,9 +8,12 @@ from repro.nfs import NfsClientConfig, NfsClientLayer, NfsServer
 from repro.physical import EntryType, FicusPhysicalLayer
 from repro.sim import DaemonConfig, FicusSystem
 from repro.storage import BlockDevice
+from repro.telemetry import TraceContext
 from repro.ufs import MAX_NAME_LEN, FileType, Ufs
 from repro.util import VolumeId, VolumeReplicaId
 from repro.vnode import UfsLayer
+from repro.vnode.context import ROOT_CTX, Credential, OpContext
+from repro.vnode.passthrough import NullLayer, PassthroughVnode
 
 
 @pytest.fixture
@@ -236,8 +239,8 @@ def ficus_root(hop: bool):
     return net, layer.root().lookup(VR.to_hex())
 
 
-def drive_five_ops(root, name: str):
-    """One pass over the replica-addressed operations; what the caller sees."""
+def drive_ficus_ops(root, name: str):
+    """One pass over the Ficus vnode operations; what the caller sees."""
     d = root.insert("d", EntryType.DIRECTORY)
     with pytest.raises(FileNotFound):
         root.lookup(f"@@dir|{d.fh.to_hex()}")  # a name is never a command
@@ -246,11 +249,16 @@ def drive_five_ops(root, name: str):
         entry = sub.insert(name, EntryType.FILE, merge_policy="lww")
     except NameTooLong:
         return "name too long"
+    sub.session_open(entry.fh)
+    sub.session_open(entry.fh)  # replayed: a session is open or not
     sub.lookup_fh(entry.fh).write(0, name.encode())
-    seen = [entry, sub.lookup(name).read_all()]
+    seen = [entry, sub.session_close(entry.fh), sub.session_close(entry.fh)]
+    seen.append(sub.lookup(name).read_all())
     sub.set_policy(entry.fh, "append-log")
     aux = sub.getattrs_batch([entry.fh]).child(entry.fh)
     seen += [aux.merge_policy, aux.vv, [row.name for row in sub.readdir()]]
+    seen += [sub.getattrs_batch(), root.sync_probe(), root.sync_probe(d.fh)]
+    seen += [sub.block_digests(entry.fh), sub.read_blocks(entry.fh, [0, 1]), sub.readdir()]
     sub.remove_entry(entry.eid)
     sub.remove_entry(entry.eid)  # idempotent on the entry id
     for lookup in (lambda: sub.lookup(name), lambda: sub.lookup_fh(entry.fh)):
@@ -259,9 +267,26 @@ def drive_five_ops(root, name: str):
     return seen + [sub.readdir()]
 
 
+class ContextRecorder(NullLayer):
+    """A layer under the NFS server that records the context of each read."""
+
+    def __init__(self, lower):
+        super().__init__(lower, name="recorder")
+        self.seen = []
+
+    def wrap(self, lower):
+        return RecordingVnode(self, lower)
+
+
+class RecordingVnode(PassthroughVnode):
+    def read(self, offset, length, ctx=ROOT_CTX):
+        self.layer.seen.append(ctx)
+        return super().read(offset, length, ctx)
+
+
 class TestFicusOpsOverNfs:
-    """lookup_fh, lookup_dir, insert, remove_entry and set_policy are vnode
-    operations the hop carries: their arguments are data, whatever they spell."""
+    """Every Ficus vnode operation is one the hop carries: its arguments and
+    reply cross as the values they are, whatever they spell."""
 
     @pytest.mark.parametrize(
         "name",
@@ -269,14 +294,78 @@ class TestFicusOpsOverNfs:
         ids=lambda name: name if len(name) < 255 else f"{len(name)} chars",
     )
     def test_identical_local_and_through_the_hop(self, name):
-        local = drive_five_ops(ficus_root(hop=False)[1], name)
-        assert drive_five_ops(ficus_root(hop=True)[1], name) == local
+        local = drive_ficus_ops(ficus_root(hop=False)[1], name)
+        assert drive_ficus_ops(ficus_root(hop=True)[1], name) == local
         if len(name) > MAX_NAME_LEN:
             assert local == "name too long"
         else:
-            entry, contents, policy, vv, names, after = local
+            entry, closed, replayed, contents, policy, vv, names, *replies, after = local
             assert (entry.name, contents, names, after) == (name, name.encode(), [name], [])
-            assert policy == "append-log" and vv.total_updates == 2  # the write, the policy
+            assert (closed, replayed) == (True, False)
+            assert policy == "append-log" and vv.total_updates == 2  # the session, the policy
+            batch, probe, sub_probe, digests, blocks, rows = replies
+            assert batch.child(entry.fh).vv == vv and list(probe.children.values()) == [sub_probe.digest]
+            assert digests.vv == vv and blocks == {0: name.encode()}
+            assert [(row.name, row.ftype) for row in rows] == [(name, FileType.REGULAR)]
+
+    def test_the_operation_context_reaches_the_exported_layer_equal(self):
+        net = Network()
+        net.add_host("server")
+        net.add_host("client")
+        recorder = ContextRecorder(UfsLayer(Ufs.mkfs(BlockDevice(4096), num_inodes=256, clock=net.clock)))
+        NfsServer(net, "server", recorder)
+        f = NfsClientLayer(net, "client", "server").root().create("f")
+        f.write(0, b"x")
+        ctx = OpContext(
+            cred=Credential(uid=7, gids=(3, 5)),
+            trace=TraceContext(trace_id=11, span_id=13),
+            replica_hint="b",
+            no_cache=True,
+        )
+        assert f.read(0, 1, ctx) == b"x"
+        assert recorder.seen == [ctx]
+
+    @pytest.mark.parametrize("hop", [False, True], ids=["local", "through the hop"])
+    def test_a_received_batch_is_the_receivers_own(self, hop):
+        """A layer replies only with objects it does not keep: changing a
+        received batch changes nothing the replica answers next."""
+        _, root = ficus_root(hop)
+        entry = root.insert("f", EntryType.FILE)
+        first = root.getattrs_batch()
+        child = first.child(entry.fh)
+        child.vv = child.vv.bump(9)
+        child.refs = 99
+        first.dir_aux.refs = 42
+        again = root.getattrs_batch()
+        assert (again.child(entry.fh).vv.total_updates, again.child(entry.fh).refs) == (0, 1)
+        assert again.dir_aux.refs == 1
+
+    def test_a_retransmitted_session_open_leaves_no_session_open(self):
+        """From a diskless client, a lost reply to ``session_open`` is
+        retransmitted: the replayed open is a no-op, so the close ends the
+        session and every later write still advances the version vector."""
+        quiet = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
+        system = FicusSystem(["server", "client"], root_volume_hosts=["server"], daemon_config=quiet)
+        fs = system.host("client").fs()
+        fs.write_file("/f", b"v1")
+        real, lost = system.network.rpc, []
+
+        def rpc(src, dst, service, *args, **kwargs):
+            if service.endswith(".session_open") and not lost:
+                lost.append(service)
+                system.network.faults.schedule_rpc(src, dst, ["reply_lost"])
+            return real(src, dst, service, *args, **kwargs)
+
+        system.network.rpc = rpc
+        fs.write_file("/f", b"v2")
+        system.network.rpc = real
+        fs.write_file("/f", b"v3")
+        assert lost and system.network.faults.injected == {"reply_lost": 1}
+        physical = system.host("server").physical
+        store = physical.store_for(system.root_locations[0].volrep)
+        fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "f")
+        assert store.read_file_aux(store.root_handle(), fh).vv.total_updates == 3
+        assert not physical.has_open_session(store, fh)
 
     def test_handle_lookups_ride_the_name_cache(self):
         net, root = ficus_root(hop=True)

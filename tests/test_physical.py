@@ -21,6 +21,7 @@ from repro.physical import (
 from repro.physical.check import ficus_fsck
 from repro.physical.store import ReplicaStore
 from repro.physical.wire import DirectoryEntry
+from repro.sim import DaemonConfig, FicusSystem
 from repro.storage import BlockDevice
 from repro.ufs import FileType, Ufs, fsck
 from repro.util import FicusFileHandle, VolumeId, VolumeReplicaId
@@ -251,15 +252,17 @@ class TestSessionOps:
         assert phys.session_coalesced_updates == 3
 
     def test_nested_sessions_bump_once(self, world):
+        """A session is open or not: a replayed open is a no-op and the
+        first close ends the session (the logical layer counts its own
+        opens and brackets once); a replayed close answers False."""
         _, _, phys, store, root = world
         fh, vnode = insert_file(store, root, "f")
         root.session_open(fh)
         root.session_open(fh)
         vnode.write(0, b"x")
-        root.session_close(fh)
-        assert phys.has_open_session(store, fh)
-        root.session_close(fh)
+        assert root.session_close(fh) is True
         assert not phys.has_open_session(store, fh)
+        assert root.session_close(fh) is False
         assert store.read_file_aux(store.root_handle(), fh).vv == VersionVector({1: 1})
 
     def test_clean_session_no_bump(self, world):
@@ -278,6 +281,38 @@ class TestSessionOps:
         vnode.write(3, b"pqr")
         vnode.close()
         assert store.read_file_aux(store.root_handle(), fh).vv == VersionVector({1: 1})
+
+
+class TestUpdateNotification:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            None,
+            "junk",
+            42,
+            {},
+            {"kind": "new-version"},
+            {"kind": "new-version", "volrep": "0.0.1", "parent": "x", "fh": "y", "src": "a"},
+            ("new-version", "a"),
+        ],
+    )
+    def test_a_datagram_that_is_no_notification_is_ignored(self, payload):
+        """Both receivers take an UpdateNotification or nothing: any other
+        datagram (the retired dict form included) raises nothing and
+        touches neither the new-version cache, the attribute cache nor the
+        flight ring."""
+        quiet = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
+        system = FicusSystem(["a", "b"], daemon_config=quiet)
+        b = system.host("b")
+        b.fs().write_file("/f", b"x")  # b's attribute cache holds batches
+
+        def observed():
+            ring = sum(1 for entry in b.logical.health.recorder.ring if entry[1] == "notification.recv")
+            return b.physical.new_version_cache_size, b.logical.attr_cache.stats.invalidations, ring
+
+        before = observed()
+        assert system.network.multicast("a", ["b"], payload) == 1
+        assert observed() == before
 
 
 class TestShadowCommit:

@@ -508,6 +508,8 @@ def three_notes_for_beta(system: FicusSystem) -> None:
 
 
 SETTLED = {"/d/f": PAYLOAD, "/d/g": PAYLOAD, "/d/h": PAYLOAD}
+#: what an outcome expects of a path that names a directory
+DIR = "a directory"
 #: scenario -> (crashing host, set-up, the operation, what every replica
 #: holds once settled: the acknowledged state, then each outcome the
 #: operation's own names may take — old, new, or a step in between that a
@@ -519,6 +521,20 @@ SWEEP = {
         lambda system: system.host("alpha").fs().write_file("/d/new", PAYLOAD),
         SETTLED,
         [{"/d/new": None}, {"/d/new": b""}, {"/d/new": PAYLOAD}],
+    ),
+    "mkdir": (
+        "alpha",
+        None,
+        lambda system: system.host("alpha").fs().mkdir("/d/sub"),
+        SETTLED,
+        [{"/d/sub": None}, {"/d/sub": DIR}],
+    ),
+    "link, across directories": (
+        "alpha",
+        None,
+        lambda system: system.host("alpha").fs().link("/d/f", "/e/l"),
+        SETTLED,
+        [{"/e/l": None}, {"/e/l": PAYLOAD}],
     ),
     "unlink": (
         "alpha",
@@ -565,14 +581,17 @@ UFS_FINDINGS = {
 #: crash points that leave a *published* one-record file empty — the
 #: interior of the resized replace ``R*`` of a live file's aux record (in
 #: the create, its version vector gains its first entry) or a directory's
-#: (in the rename, the empty target gains both folds and a vector).  An
-#: empty record does not decode: ``ficus_fsck`` reports it and the replica
-#: cannot serve that directory until it is repaired.  Not new and not the
-#: flush's: ROADMAP item 1's fixed slots retire ``R*``.  (The grouped pass
-#: tears records too, at six points, but of a file it has not published
-#: yet: recovery drops that storage and the next pass pulls it again.)
+#: (in the rename and the link, the empty target gains both folds and a
+#: vector).  An empty record does not decode: ``ficus_fsck`` reports it and
+#: the replica cannot serve that directory until it is repaired.  Not new
+#: and not the flush's: ROADMAP item 1's fixed slots retire ``R*``.  (The
+#: grouped pass tears records too, at six points, and so does the mkdir at
+#: two, but of storage nothing has published yet: recovery drops it, and
+#: the next pass pulls the file again.)
 TORN = {
     "create": [20, 21, 22],
+    "mkdir": [],
+    "link, across directories": [10, 11, 12],
     "unlink": [],
     "rename, same directory": [],
     "rename, across directories": [10, 11, 12],
@@ -614,8 +633,15 @@ def stored_folds_are_recomputed(store: ReplicaStore) -> bool:
 
 
 def holds(fs, expected: dict) -> bool:
-    """``expected`` maps a path to its contents, or to ``None`` for absent."""
-    return all((fs.read_file(path) if fs.exists(path) else None) == contents for path, contents in expected.items())
+    """``expected`` maps a path to its contents, to :data:`DIR`, or to
+    ``None`` for absent."""
+
+    def found(path):
+        if not fs.exists(path):
+            return None
+        return DIR if fs.stat(path).is_dir else fs.read_file(path)
+
+    return all(found(path) == contents for path, contents in expected.items())
 
 
 @pytest.mark.parametrize("scenario", SWEEP)

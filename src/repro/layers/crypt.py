@@ -67,10 +67,8 @@ class CryptVnode(PassthroughVnode):
 
     def read(self, offset: int, length: int, ctx: OpContext = ROOT_CTX) -> bytes:
         ciphertext = self.lower.read(offset, length, ctx)
-        self.layer.counters.bump("read")
         return self.layer.keystream.apply(self._fileid(), offset, ciphertext)
 
     def write(self, offset: int, data: bytes, ctx: OpContext = ROOT_CTX) -> int:
-        self.layer.counters.bump("write")
         ciphertext = self.layer.keystream.apply(self._fileid(), offset, data)
         return self.lower.write(offset, ciphertext, ctx)

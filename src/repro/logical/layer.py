@@ -134,7 +134,6 @@ class FicusLogicalLayer(FileSystemLayer):
         telemetry: Telemetry | None = None,
         attr_cache_ttl: float = DEFAULT_TTL,
     ):
-        super().__init__()
         if read_policy not in (READ_LATEST, READ_ANY):
             raise InvalidArgument(f"unknown read policy {read_policy!r}")
         self.network = network

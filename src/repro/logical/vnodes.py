@@ -101,33 +101,30 @@ class LogicalDirVnode(Vnode):
     # -- lifetime --
 
     def open(self, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("open")
+        """Accepted: a directory changes only through its namespace
+        operations, so it has no update session to begin."""
 
     def close(self, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("close")
+        """Accepted, like :meth:`open`."""
 
     def inactive(self) -> None:
-        self.layer.counters.bump("inactive")
+        """No per-vnode state to tear down."""
 
     # -- attributes --
 
     def getattr(self, ctx: OpContext = ROOT_CTX) -> FileAttributes:
-        self.layer.counters.bump("getattr")
         return self._retry_stale(lambda: self._first_dir(ctx).getattr(ctx), ctx)
 
     def setattr(self, attrs: SetAttrs, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("setattr")
         self._retry_stale(lambda: self._update_dir(ctx).dir_vnode.setattr(attrs, ctx), ctx)
 
     def access(self, mode: int, ctx: OpContext = ROOT_CTX) -> bool:
-        self.layer.counters.bump("access")
         return self._retry_stale(lambda: self._first_dir(ctx).access(mode, ctx), ctx)
 
     # -- namespace --
 
     @_spanned("logical.lookup")
     def lookup(self, name: str, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.counters.bump("lookup")
         self.layer.health.record_op("dir.lookup", name, ctx)
         entry = self.layer.dir_view(self.volume, self.fh, ctx, name=name).get(name)
         if entry is None or entry.etype == EntryType.LOCATION:
@@ -141,17 +138,14 @@ class LogicalDirVnode(Vnode):
         ctx: OpContext = ROOT_CTX,
         merge_policy: str = "",
     ) -> Vnode:
-        self.layer.counters.bump("create")
         self.layer.health.record_op("dir.create", name, ctx)
         return self._insert_new(name, EntryType.FILE, ctx=ctx, merge_policy=merge_policy)
 
     def mkdir(self, name: str, perm: int = 0o755, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.counters.bump("mkdir")
         self.layer.health.record_op("dir.mkdir", name, ctx)
         return self._insert_new(name, EntryType.DIRECTORY, ctx=ctx)
 
     def symlink(self, name: str, target: str, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.counters.bump("symlink")
         self.layer.health.record_op("dir.symlink", name, ctx)
         vnode = self._insert_new(name, EntryType.SYMLINK, ctx=ctx)
         vnode.write(0, target.encode("utf-8"), ctx)
@@ -190,7 +184,6 @@ class LogicalDirVnode(Vnode):
 
     @_spanned("logical.remove")
     def remove(self, name: str, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("remove")
         self.layer.health.record_op("dir.remove", name, ctx)
 
         def remove() -> None:
@@ -204,7 +197,6 @@ class LogicalDirVnode(Vnode):
         self._retry_stale(remove, ctx)
 
     def rmdir(self, name: str, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("rmdir")
         self.layer.health.record_op("dir.rmdir", name, ctx)
 
         def rmdir() -> None:
@@ -224,7 +216,6 @@ class LogicalDirVnode(Vnode):
     def link(self, target: Vnode, name: str, ctx: OpContext = ROOT_CTX) -> None:
         """Give an existing file an additional name (paper: Ficus files are
         organized in a general DAG; files may have several names)."""
-        self.layer.counters.bump("link")
         self.layer.health.record_op("dir.link", name, ctx)
         if not isinstance(target, LogicalFileVnode):
             raise InvalidArgument("link target must be a logical file")
@@ -270,7 +261,6 @@ class LogicalDirVnode(Vnode):
         partition exactly like any other insert/delete pair — including
         the concurrent-rename case that leaves a directory with two names.
         """
-        self.layer.counters.bump("rename")
         self.layer.health.record_op("dir.rename", f"{src_name}->{dst_name}", ctx)
         if not isinstance(dst_dir, LogicalDirVnode):
             raise InvalidArgument("rename destination must be a logical directory")
@@ -300,7 +290,6 @@ class LogicalDirVnode(Vnode):
         self._retry_stale(lambda: dst_dir._retry_stale(rename, ctx), ctx)
 
     def readdir(self, ctx: OpContext = ROOT_CTX) -> list[DirEntry]:
-        self.layer.counters.bump("readdir")
         out = []
         for name, entry in sorted(self.layer.dir_view(self.volume, self.fh, ctx).items()):
             if entry.etype == EntryType.LOCATION:
@@ -373,61 +362,51 @@ class LogicalFileVnode(Vnode):
 
     @_spanned("logical.open")
     def open(self, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("open")
         self.layer.health.record_op("file.open", self.fh.to_hex(), ctx)
         self.layer.open_file(self.volume, self.parent_fh, self.fh, ctx)
 
     @_spanned("logical.close")
     def close(self, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("close")
         self.layer.health.record_op("file.close", self.fh.to_hex(), ctx)
         self.layer.close_file(self.volume, self.parent_fh, self.fh, ctx)
 
     def inactive(self) -> None:
-        self.layer.counters.bump("inactive")
+        """No per-vnode state to tear down."""
 
     # -- data --
 
     @_spanned("logical.read")
     def read(self, offset: int, length: int, ctx: OpContext = ROOT_CTX) -> bytes:
-        self.layer.counters.bump("read")
         self.layer.health.record_op("file.read", self.fh.to_hex(), ctx)
         return self._retry_stale(lambda: self._read_child(ctx).read(offset, length, ctx), ctx)
 
     @_spanned("logical.write", tags=lambda self, offset, data, *a, **k: {"bytes": len(data)})
     def write(self, offset: int, data: bytes, ctx: OpContext = ROOT_CTX) -> int:
-        self.layer.counters.bump("write")
         self.layer.health.record_op("file.write", self.fh.to_hex(), ctx)
         return self._update(lambda child: child.write(offset, data, ctx), ctx)
 
     @_spanned("logical.truncate")
     def truncate(self, size: int, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("truncate")
         self.layer.health.record_op("file.truncate", self.fh.to_hex(), ctx)
         self._update(lambda child: child.truncate(size, ctx), ctx)
 
     def fsync(self, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("fsync")
         self._retry_stale(lambda: self._update_view(ctx).child(self.fh, ctx).fsync(ctx), ctx)
 
     # -- attributes --
 
     def getattr(self, ctx: OpContext = ROOT_CTX) -> FileAttributes:
-        self.layer.counters.bump("getattr")
         return self._retry_stale(lambda: self._read_child(ctx).getattr(ctx), ctx)
 
     def setattr(self, attrs: SetAttrs, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("setattr")
         self._update(lambda child: child.setattr(attrs, ctx), ctx)
 
     def access(self, mode: int, ctx: OpContext = ROOT_CTX) -> bool:
-        self.layer.counters.bump("access")
         return self._retry_stale(lambda: self._read_child(ctx).access(mode, ctx), ctx)
 
     # -- symlink --
 
     def readlink(self, ctx: OpContext = ROOT_CTX) -> str:
-        self.layer.counters.bump("readlink")
         return self._retry_stale(lambda: self._read_child(ctx).readlink(ctx), ctx)
 
     def lookup(self, name: str, ctx: OpContext = ROOT_CTX) -> Vnode:

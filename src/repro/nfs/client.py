@@ -88,7 +88,6 @@ class NfsClientLayer(FileSystemLayer):
         telemetry: Telemetry | None = None,
         health=None,
     ):
-        super().__init__()
         self.network = network
         self.client_addr = client_addr
         self.server_addr = server_addr
@@ -296,40 +295,31 @@ class NfsClientVnode(Vnode):
         definition, and so are ignored: a layer intending to receive an
         open will never get it if NFS is in between."
         """
-        self.layer.counters.bump("open-dropped")
 
     def close(self, ctx: OpContext = ROOT_CTX) -> None:
         """Accepted and DROPPED, exactly like :meth:`open`."""
-        self.layer.counters.bump("close-dropped")
 
     def inactive(self) -> None:
-        self.layer.counters.bump("inactive")
         self.layer.invalidate_handle(self.handle)
 
     # -- Ficus extensions: forwarded explicitly (unlike open/close) --
 
     def session_open(self, fh, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("session_open")
         self.layer.call_h(self.handle, "session_open", fh, ctx=ctx)
 
     def session_close(self, fh, ctx: OpContext = ROOT_CTX) -> bool:
-        self.layer.counters.bump("session_close")
         return self.layer.call_h(self.handle, "session_close", fh, ctx=ctx)
 
     def getattrs_batch(self, fhs=None, ctx: OpContext = ROOT_CTX) -> AttrBatch:
-        self.layer.counters.bump("getattrs_batch")
         return self.layer.call_h(self.handle, "getattrs_batch", fhs, ctx=ctx)
 
     def sync_probe(self, fh=None, ctx: OpContext = ROOT_CTX) -> SyncProbe:
-        self.layer.counters.bump("sync_probe")
         return self.layer.call_h(self.handle, "sync_probe", fh, ctx=ctx)
 
     def block_digests(self, fh, ctx: OpContext = ROOT_CTX) -> BlockDigests:
-        self.layer.counters.bump("block_digests")
         return self.layer.call_h(self.handle, "block_digests", fh, ctx=ctx)
 
     def read_blocks(self, fh, indices: list[int], ctx: OpContext = ROOT_CTX) -> dict[int, bytes]:
-        self.layer.counters.bump("read_blocks")
         blocks = self.layer.call_h(self.handle, "read_blocks", fh, indices, ctx=ctx)
         faults = self.layer.network.faults
         if faults.active:
@@ -346,7 +336,6 @@ class NfsClientVnode(Vnode):
     # -- attributes --
 
     def getattr(self, ctx: OpContext = ROOT_CTX) -> FileAttributes:
-        self.layer.counters.bump("getattr")
         cached = self.layer._cached_attrs(self.handle)
         if cached is not None:
             return cached
@@ -356,13 +345,11 @@ class NfsClientVnode(Vnode):
         return attrs
 
     def setattr(self, attrs: SetAttrs, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("setattr")
         fresh = self.layer.call_h(self.handle, "setattr", attrs, ctx=ctx)
         assert isinstance(fresh, FileAttributes)
         self.layer._cache_attrs(self.handle, fresh)
 
     def access(self, mode: int, ctx: OpContext = ROOT_CTX) -> bool:
-        self.layer.counters.bump("access")
         attrs = self.getattr(ctx)
         if ctx.cred.uid == 0:
             return True
@@ -372,33 +359,28 @@ class NfsClientVnode(Vnode):
     # -- data --
 
     def read(self, offset: int, length: int, ctx: OpContext = ROOT_CTX) -> bytes:
-        self.layer.counters.bump("read")
         data = self.layer.call_h(self.handle, "read", offset, length, ctx=ctx)
         assert isinstance(data, bytes)
         return data
 
     def write(self, offset: int, data: bytes, ctx: OpContext = ROOT_CTX) -> int:
-        self.layer.counters.bump("write")
         written = self.layer.call_h(self.handle, "write", offset, data, ctx=ctx)
         self.layer.invalidate_handle(self.handle)
         assert isinstance(written, int)
         return written
 
     def truncate(self, size: int, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("truncate")
         self.layer.call_h(self.handle, "truncate", size, ctx=ctx)
         self.layer.invalidate_handle(self.handle)
 
     def fsync(self, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("fsync")
-        # NFS writes in this simulation are write-through already.
+        """NFS writes in this simulation are write-through already."""
 
     # -- namespace --
 
     def _lookup(self, op: str, key, ctx: OpContext) -> Vnode:
         """One of the three lookups — by name or by Ficus file handle, a
         frozen value that crosses as it is — through the name cache."""
-        self.layer.counters.bump(op)
         cached = self.layer._cached_name(self.handle, key, op)
         if cached is not None:
             return NfsClientVnode(self.layer, cached.handle)
@@ -417,22 +399,18 @@ class NfsClientVnode(Vnode):
         return self._lookup("lookup_dir", fh, ctx)
 
     def insert(self, name: str, etype, *, ctx: OpContext = ROOT_CTX, **fields: object):
-        self.layer.counters.bump("insert")
         entry = self.layer.call_h(self.handle, "insert", name, etype, fields, ctx=ctx)
         self.layer.invalidate_handle(self.handle)
         return entry
 
     def remove_entry(self, eid, from_recon: bool = False, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("remove_entry")
         self.layer.call_h(self.handle, "remove_entry", eid, from_recon, ctx=ctx)
         self.layer.invalidate_handle(self.handle)
 
     def set_policy(self, fh, tag: str, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("set_policy")
         self.layer.call_h(self.handle, "set_policy", fh, tag, ctx=ctx)
 
     def create(self, name: str, perm: int = 0o644, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.counters.bump("create")
         reply = self.layer.call_h(self.handle, "create", name, perm, ctx=ctx)
         assert isinstance(reply, LookupReply)
         self.layer.invalidate_handle(self.handle)
@@ -440,12 +418,10 @@ class NfsClientVnode(Vnode):
         return self._wrap(reply)
 
     def remove(self, name: str, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("remove")
         self.layer.call_h(self.handle, "remove", name, ctx=ctx)
         self.layer.invalidate_handle(self.handle)
 
     def link(self, target: Vnode, name: str, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("link")
         if not isinstance(target, NfsClientVnode):
             raise StaleFileHandle("link target is not an NFS vnode")
         self.layer.call("link", self.handle, target.handle, name, ctx=ctx)
@@ -459,7 +435,6 @@ class NfsClientVnode(Vnode):
         dst_name: str,
         ctx: OpContext = ROOT_CTX,
     ) -> None:
-        self.layer.counters.bump("rename")
         if not isinstance(dst_dir, NfsClientVnode):
             raise StaleFileHandle("rename destination is not an NFS vnode")
         self.layer.call("rename", self.handle, src_name, dst_dir.handle, dst_name, ctx=ctx)
@@ -467,30 +442,25 @@ class NfsClientVnode(Vnode):
         self.layer.invalidate_handle(dst_dir.handle)
 
     def mkdir(self, name: str, perm: int = 0o755, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.counters.bump("mkdir")
         reply = self.layer.call_h(self.handle, "mkdir", name, perm, ctx=ctx)
         assert isinstance(reply, LookupReply)
         self.layer.invalidate_handle(self.handle)
         return self._wrap(reply)
 
     def rmdir(self, name: str, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("rmdir")
         self.layer.call_h(self.handle, "rmdir", name, ctx=ctx)
         self.layer.invalidate_handle(self.handle)
 
     def readdir(self, ctx: OpContext = ROOT_CTX) -> list[DirEntry]:
-        self.layer.counters.bump("readdir")
         return self.layer.call_h(self.handle, "readdir", ctx=ctx)
 
     def symlink(self, name: str, target: str, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.counters.bump("symlink")
         reply = self.layer.call_h(self.handle, "symlink", name, target, ctx=ctx)
         assert isinstance(reply, LookupReply)
         self.layer.invalidate_handle(self.handle)
         return self._wrap(reply)
 
     def readlink(self, ctx: OpContext = ROOT_CTX) -> str:
-        self.layer.counters.bump("readlink")
         text = self.layer.call_h(self.handle, "readlink", ctx=ctx)
         assert isinstance(text, str)
         return text

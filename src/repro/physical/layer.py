@@ -101,7 +101,6 @@ class FicusPhysicalLayer(FileSystemLayer):
         clock: VirtualClock | None = None,
         telemetry: Telemetry | None = None,
     ):
-        super().__init__()
         self.lower_layer = lower
         self.lower_root = lower.root()
         self.host_addr = host_addr

@@ -110,16 +110,13 @@ class PhysicalRootVnode(Vnode):
         self.layer = layer
 
     def getattr(self, ctx: OpContext = ROOT_CTX) -> FileAttributes:
-        self.layer.counters.bump("getattr")
         return self.layer.lower_root.getattr(ctx)
 
     def lookup(self, name: str, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.counters.bump("lookup")
         store = self.layer.store_by_hex(name)
         return self.layer.dir_vnode(store, store.root_handle())
 
     def readdir(self, ctx: OpContext = ROOT_CTX) -> list[DirEntry]:
-        self.layer.counters.bump("readdir")
         out = []
         for volrep, store in sorted(self.layer.stores.items(), key=lambda kv: kv[0].to_hex()):
             fileid = store.dir_unix_vnode(store.root_handle()).getattr().fileid
@@ -193,7 +190,6 @@ class PhysicalDirVnode(Vnode):
     # -- attributes ----------------------------------------------------------
 
     def getattr(self, ctx: OpContext = ROOT_CTX) -> FileAttributes:
-        self.layer.counters.bump("getattr")
         assert self.store.flushed(self.fh), "getattr of a directory with staged records"
         attrs = self._fdir_vnode().getattr(ctx)
         attrs = dataclasses.replace(attrs, ftype=FileType.DIRECTORY)
@@ -201,13 +197,11 @@ class PhysicalDirVnode(Vnode):
         return attrs
 
     def setattr(self, attrs: SetAttrs, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("setattr")
         if attrs.size is not None:
             raise IsADirectory("cannot truncate a directory")
         self._fdir_vnode().setattr(attrs, ctx)
 
     def access(self, mode: int, ctx: OpContext = ROOT_CTX) -> bool:
-        self.layer.counters.bump("access")
         attrs = self.getattr(ctx)
         if ctx.cred.uid == 0:
             return True
@@ -219,7 +213,6 @@ class PhysicalDirVnode(Vnode):
     def read(self, offset: int, length: int, ctx: OpContext = ROOT_CTX) -> bytes:
         """Read the raw directory file (the logical layer and the
         reconciliation protocol parse entries from these bytes)."""
-        self.layer.counters.bump("read")
         assert self.store.flushed(self.fh), "read of a directory with staged records"
         return self._fdir_vnode().read(offset, length, ctx)
 
@@ -229,26 +222,25 @@ class PhysicalDirVnode(Vnode):
     # -- lifetime ---------------------------------------------------------------
 
     def open(self, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("open")
+        """Accepted: a directory replica changes only through insert and
+        remove_entry, so it has no update session to begin."""
 
     def close(self, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("close")
+        """Accepted, like :meth:`open`."""
 
     def inactive(self) -> None:
-        self.layer.counters.bump("inactive")
+        """No per-vnode state to tear down."""
 
     # -- update sessions and the attribute plane (first-class Ficus ops) --------
 
     def session_open(self, fh: FicusFileHandle, ctx: OpContext = ROOT_CTX) -> None:
         """Begin an update session on the child file ``fh``."""
-        self.layer.counters.bump("session_open")
         self.find_live_by_fh(fh)  # raises FileNotFound for dangling handles
         self.layer.session_open(self.store, fh.logical)
 
     def session_close(self, fh: FicusFileHandle, ctx: OpContext = ROOT_CTX) -> bool:
         """End an update session; the coalesced version bump lands here.
         Returns True when the closing session had updated the replica."""
-        self.layer.counters.bump("session_close")
         return self.layer.session_close(self.store, self.fh, fh.logical)
 
     def getattrs_batch(
@@ -262,7 +254,6 @@ class PhysicalDirVnode(Vnode):
         anyway; returning them in one reply collapses the logical layer's
         per-replica, per-file probes into a single RPC.
         """
-        self.layer.counters.bump("getattrs_batch")
         assert self.store.flushed(self.fh), "getattrs_batch of a directory with staged records"
         wanted = None if fhs is None else {fh.logical for fh in fhs}
         children: dict[FicusFileHandle, AuxAttributes] = {}
@@ -290,7 +281,6 @@ class PhysicalDirVnode(Vnode):
         lookup RPC).  The child digests let the caller prune converged
         subtrees without issuing one probe per child.
         """
-        self.layer.counters.bump("sync_probe")
         assert self.store.flushed(), "sync_probe of a replica with staged records"
         target = self.fh if fh is None else fh.logical
         if not self.store.has_directory(target):
@@ -305,7 +295,6 @@ class PhysicalDirVnode(Vnode):
 
     def block_digests(self, fh: FicusFileHandle, ctx: OpContext = ROOT_CTX) -> BlockDigests:
         """Block signatures of the stored child file ``fh`` (rsync-style)."""
-        self.layer.counters.bump("block_digests")
         fh = fh.logical
         if not self.store.has_file(self.fh, fh):
             raise ReplicaNotStored(f"file {fh} contents not stored in this volume replica")
@@ -318,7 +307,6 @@ class PhysicalDirVnode(Vnode):
         ctx: OpContext = ROOT_CTX,
     ) -> dict[int, bytes]:
         """Fetch selected blocks of the stored child file ``fh`` in one call."""
-        self.layer.counters.bump("read_blocks")
         fh = fh.logical
         if not self.store.has_file(self.fh, fh):
             raise ReplicaNotStored(f"file {fh} contents not stored in this volume replica")
@@ -328,7 +316,6 @@ class PhysicalDirVnode(Vnode):
 
     @_spanned("physical.lookup")
     def lookup(self, name: str, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.counters.bump("lookup")
         entry = effective_entries(self.entries()).get(name)
         if entry is None:
             raise FileNotFound(f"{name!r} not found in Ficus directory {self.fh}")
@@ -336,12 +323,10 @@ class PhysicalDirVnode(Vnode):
 
     @_spanned("physical.lookup_fh")
     def lookup_fh(self, fh: FicusFileHandle, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.counters.bump("lookup_fh")
         return self._child_vnode(self.find_live_by_fh(fh))
 
     @_spanned("physical.lookup_dir")
     def lookup_dir(self, fh: FicusFileHandle, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.counters.bump("lookup_dir")
         if not self.store.has_directory(fh):
             raise FileNotFound(f"directory {fh} not stored in this volume replica")
         return self.layer.dir_vnode(self.store, fh)
@@ -349,7 +334,6 @@ class PhysicalDirVnode(Vnode):
     @_spanned("physical.set_policy")
     @_one_operation
     def set_policy(self, fh: FicusFileHandle, tag: str, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("set_policy")
         aux = self.store.read_file_aux(self.fh, fh)
         aux.merge_policy = tag
         # a policy change is an update: bumping the vv makes the tag
@@ -367,7 +351,6 @@ class PhysicalDirVnode(Vnode):
     def insert(
         self, name: str, etype: EntryType, *, ctx: OpContext = ROOT_CTX, **fields: object
     ) -> DirectoryEntry:
-        self.layer.counters.bump("insert")
         return self.apply_insert(name, etype, **fields)
 
     @_one_operation
@@ -465,7 +448,6 @@ class PhysicalDirVnode(Vnode):
     def remove_entry(
         self, eid: EntryId, from_recon: bool = False, ctx: OpContext = ROOT_CTX
     ) -> None:
-        self.layer.counters.bump("remove_entry")
         self.apply_remove(eid, from_recon)
 
     @_one_operation
@@ -511,7 +493,6 @@ class PhysicalDirVnode(Vnode):
             self.store.remove_directory_storage(dead.fh, named_in=self.fh)
 
     def readdir(self, ctx: OpContext = ROOT_CTX) -> list[DirEntry]:
-        self.layer.counters.bump("readdir")
         out = []
         type_map = {
             EntryType.FILE: FileType.REGULAR,
@@ -576,44 +557,37 @@ class PhysicalFileVnode(Vnode):
         """Works when the physical layer is local; when an NFS hop is in
         between this never arrives — remote callers bracket updates with
         ``session_open`` on the parent directory vnode instead."""
-        self.layer.counters.bump("open")
         self.layer.session_open(self.store, self.fh)
 
     def close(self, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("close")
         self.layer.session_close(self.store, self.parent_fh, self.fh)
 
     def inactive(self) -> None:
-        self.layer.counters.bump("inactive")
+        """No per-vnode state to tear down."""
 
     # -- data --
 
     @_spanned("physical.read")
     def read(self, offset: int, length: int, ctx: OpContext = ROOT_CTX) -> bytes:
-        self.layer.counters.bump("read")
         return self._contents().read(offset, length, ctx)
 
     @_spanned("physical.write", tags=lambda self, offset, data, *a, **k: {"bytes": len(data)})
     def write(self, offset: int, data: bytes, ctx: OpContext = ROOT_CTX) -> int:
-        self.layer.counters.bump("write")
         written = self._contents().write(offset, data, ctx)
         self.layer.note_update(self.store, self.parent_fh, self.fh)
         return written
 
     @_spanned("physical.truncate")
     def truncate(self, size: int, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("truncate")
         self._contents().truncate(size, ctx)
         self.layer.note_update(self.store, self.parent_fh, self.fh)
 
     def fsync(self, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("fsync")
         self._contents().fsync(ctx)
 
     # -- attributes --
 
     def getattr(self, ctx: OpContext = ROOT_CTX) -> FileAttributes:
-        self.layer.counters.bump("getattr")
         attrs = self._contents().getattr(ctx)
         if self.etype == EntryType.SYMLINK:
             attrs = dataclasses.replace(attrs, ftype=FileType.SYMLINK)
@@ -621,13 +595,11 @@ class PhysicalFileVnode(Vnode):
         return attrs
 
     def setattr(self, attrs: SetAttrs, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("setattr")
         self._contents().setattr(attrs, ctx)
         if attrs.size is not None:
             self.layer.note_update(self.store, self.parent_fh, self.fh)
 
     def access(self, mode: int, ctx: OpContext = ROOT_CTX) -> bool:
-        self.layer.counters.bump("access")
         attrs = self.getattr(ctx)
         if ctx.cred.uid == 0:
             return True
@@ -637,7 +609,6 @@ class PhysicalFileVnode(Vnode):
     # -- symlink --
 
     def readlink(self, ctx: OpContext = ROOT_CTX) -> str:
-        self.layer.counters.bump("readlink")
         if self.etype != EntryType.SYMLINK:
             raise InvalidArgument("not a symlink")
         return self._contents().read_all(ctx).decode("utf-8")

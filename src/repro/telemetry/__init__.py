@@ -41,13 +41,12 @@ class Telemetry:
         enabled: bool = True,
         clock: Callable[[], float] | None = None,
         max_spans: int = 100_000,
-        event_capacity: int = 1024,
     ):
         self.enabled = enabled
         clock_fn = clock or time.perf_counter
         self.tracer = Tracer(clock=clock_fn, enabled=enabled, max_spans=max_spans)
         self.metrics = MetricsRegistry(enabled=enabled)
-        self.events = EventLog(capacity=event_capacity, clock=clock_fn, enabled=enabled)
+        self.events = EventLog(clock=clock_fn, enabled=enabled)
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Drive all timestamps from ``clock`` (e.g. a VirtualClock's now)."""

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry.provenance import ProvenanceLedger
+from repro.telemetry.trace import TraceContext
 
 #: ring capacity of the per-host flight recorder
 FLIGHT_RING_CAPACITY = 256
@@ -252,7 +253,6 @@ class HealthPlane:
         host: str,
         clock: Callable[[], float] | None = None,
         telemetry: Telemetry | None = None,
-        ring_capacity: int = FLIGHT_RING_CAPACITY,
     ):
         self.host = host
         self._clock = clock
@@ -278,9 +278,7 @@ class HealthPlane:
         self.resolver_auto_resolved = 0
         self.resolver_fallback_manual = 0
         self.last_resolutions: deque[dict] = deque(maxlen=MAX_RECON_OUTCOMES)
-        self.recorder = FlightRecorder(
-            host, capacity=ring_capacity, clock=clock, context=self._dump_context
-        )
+        self.recorder = FlightRecorder(host, clock=clock, context=self._dump_context)
         metrics = self.telemetry.metrics
         metrics.add_source("health", self._gauges, kind="gauge")
         metrics.add_source("health.anomaly", self.anomaly_counts)
@@ -309,7 +307,7 @@ class HealthPlane:
     def record_op(self, op: str, target: str = "", ctx=None) -> None:
         """Append one vnode operation to the flight ring (hot path)."""
         trace = None
-        if ctx is not None and ctx.trace is not None:
+        if ctx is not None and isinstance(ctx.trace, TraceContext):
             tc = ctx.trace
             trace = f"{tc.trace_id:x}:{tc.span_id:x}"
         self.recorder.record(op, target, trace)

@@ -4,7 +4,6 @@ from repro.vnode.context import ROOT_CRED, ROOT_CTX, Credential, OpContext
 from repro.vnode.interface import (
     DirEntry,
     FileSystemLayer,
-    OpCounters,
     SetAttrs,
     Vnode,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "MountVnode",
     "NullLayer",
     "OpContext",
-    "OpCounters",
     "PassthroughVnode",
     "ROOT_CRED",
     "ROOT_CTX",

@@ -23,7 +23,7 @@ arguments are data; ``lookup`` takes names and nothing else.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import NotSupported
@@ -48,7 +48,6 @@ __all__ = [
     "ROOT_CTX",
     "DirEntry",
     "SetAttrs",
-    "OpCounters",
     "Vnode",
     "read_whole",
     "FileSystemLayer",
@@ -71,26 +70,6 @@ class SetAttrs:
     perm: int | None = None
     uid: int | None = None
     size: int | None = None
-
-
-@dataclass
-class OpCounters:
-    """Per-layer count of vnode operations handled.
-
-    The paper's Section 6 argues the cost of a layer crossing is "one
-    additional procedure call, one pointer indirection, and storage for
-    another vnode block"; counting crossings lets benchmark E2 report the
-    measured overhead per crossing.
-    """
-
-    by_op: dict[str, int] = field(default_factory=dict)
-
-    def bump(self, op: str) -> None:
-        self.by_op[op] = self.by_op.get(op, 0) + 1
-
-    @property
-    def total(self) -> int:
-        return sum(self.by_op.values())
 
 
 class Vnode(abc.ABC):
@@ -375,13 +354,11 @@ class FileSystemLayer(abc.ABC):
     """One layer in a vnode stack (a "virtual file system type").
 
     A layer exposes a root vnode; everything else is reached via lookup.
-    Layers keep :class:`OpCounters` so experiments can observe crossings.
+    A layer does not count its own operations: stack a
+    :class:`~repro.layers.monitor.MonitorLayer` where the counts are wanted.
     """
 
     layer_name = "layer"
-
-    def __init__(self) -> None:
-        self.counters = OpCounters()
 
     @abc.abstractmethod
     def root(self) -> Vnode:

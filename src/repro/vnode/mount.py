@@ -38,7 +38,6 @@ class MountLayer(FileSystemLayer):
     layer_name = "mount"
 
     def __init__(self, base: FileSystemLayer):
-        super().__init__()
         self.base = base
         self._mounts: dict[tuple[str, ...], FileSystemLayer] = {}
 
@@ -106,7 +105,6 @@ class MountVnode(Vnode):
     # -- namespace: the interesting part --
 
     def lookup(self, name: str, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.counters.bump("lookup")
         child_path = (*self.path, name)
         mounted = self.layer._covering_mount(child_path)
         if mounted is not None:
@@ -116,23 +114,19 @@ class MountVnode(Vnode):
         return self._wrap(self.lower.lookup(name, ctx), child_path)
 
     def create(self, name: str, perm: int = 0o644, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.counters.bump("create")
         if self.layer._covering_mount((*self.path, name)) is not None:
             raise InvalidArgument(f"{name!r} is a mount point")
         return self._wrap(self.lower.create(name, perm, ctx), (*self.path, name))
 
     def mkdir(self, name: str, perm: int = 0o755, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.counters.bump("mkdir")
         return self._wrap(self.lower.mkdir(name, perm, ctx), (*self.path, name))
 
     def remove(self, name: str, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("remove")
         if self.layer._covering_mount((*self.path, name)) is not None:
             raise InvalidArgument(f"cannot remove mount point {name!r}")
         self.lower.remove(name, ctx)
 
     def rmdir(self, name: str, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("rmdir")
         if self.layer._covering_mount((*self.path, name)) is not None:
             raise InvalidArgument(f"cannot rmdir mount point {name!r}")
         self.lower.rmdir(name, ctx)
@@ -140,7 +134,6 @@ class MountVnode(Vnode):
     def rename(
         self, src_name: str, dst_dir: Vnode, dst_name: str, ctx: OpContext = ROOT_CTX
     ) -> None:
-        self.layer.counters.bump("rename")
         if not isinstance(dst_dir, MountVnode):
             raise InvalidArgument("rename destination must be in the mounted namespace")
         if self.layer._mount_owner(self.path) is not self.layer._mount_owner(dst_dir.path):
@@ -148,7 +141,6 @@ class MountVnode(Vnode):
         self.lower.rename(src_name, self._unwrap(dst_dir), dst_name, ctx)
 
     def link(self, target: Vnode, name: str, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("link")
         if not isinstance(target, MountVnode):
             raise InvalidArgument("link target must be in the mounted namespace")
         if self.layer._mount_owner(self.path) is not self.layer._mount_owner(target.path):
@@ -156,11 +148,9 @@ class MountVnode(Vnode):
         self.lower.link(self._unwrap(target), name, ctx)
 
     def readdir(self, ctx: OpContext = ROOT_CTX) -> list[DirEntry]:
-        self.layer.counters.bump("readdir")
         return self.lower.readdir(ctx)
 
     def symlink(self, name: str, target: str, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.counters.bump("symlink")
         return self._wrap(self.lower.symlink(name, target, ctx), (*self.path, name))
 
     # -- everything else passes straight through --

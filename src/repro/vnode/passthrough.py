@@ -5,7 +5,9 @@ wrapping returned vnodes so the stack stays layered.  It demonstrates the
 paper's transparency claim — "layers can indeed be transparently inserted
 between other layers" — and its per-crossing cost is what benchmark E2
 measures ("one additional procedure call, one pointer indirection, and
-storage for another vnode block").
+storage for another vnode block").  The layer counts nothing; to count
+the operations crossing a point of a stack, stack a
+:class:`~repro.layers.monitor.MonitorLayer` there.
 """
 
 from __future__ import annotations
@@ -27,7 +29,11 @@ if TYPE_CHECKING:
 
 
 class PassthroughVnode(Vnode):
-    """Wraps one lower vnode; every operation forwards after counting."""
+    """Wraps one lower vnode; every operation forwards unchanged.
+
+    Subclasses that add behaviour around an operation (monitor, auth)
+    call these methods, so wrapping results and unwrapping arguments
+    stay here."""
 
     def __init__(self, layer: "NullLayer", lower: Vnode):
         self.layer = layer
@@ -44,69 +50,54 @@ class PassthroughVnode(Vnode):
     # -- lifetime --
 
     def open(self, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("open")
         self.lower.open(ctx)
 
     def close(self, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("close")
         self.lower.close(ctx)
 
     def inactive(self) -> None:
-        self.layer.counters.bump("inactive")
         self.lower.inactive()
 
     # -- data --
 
     def read(self, offset: int, length: int, ctx: OpContext = ROOT_CTX) -> bytes:
-        self.layer.counters.bump("read")
         return self.lower.read(offset, length, ctx)
 
     def write(self, offset: int, data: bytes, ctx: OpContext = ROOT_CTX) -> int:
-        self.layer.counters.bump("write")
         return self.lower.write(offset, data, ctx)
 
     def truncate(self, size: int, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("truncate")
         self.lower.truncate(size, ctx)
 
     def fsync(self, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("fsync")
         self.lower.fsync(ctx)
 
     def ioctl(self, command: str, argument: object = None, ctx: OpContext = ROOT_CTX) -> object:
-        self.layer.counters.bump("ioctl")
         return self.lower.ioctl(command, argument, ctx)
 
     # -- attributes --
 
     def getattr(self, ctx: OpContext = ROOT_CTX) -> FileAttributes:
-        self.layer.counters.bump("getattr")
         return self.lower.getattr(ctx)
 
     def setattr(self, attrs: SetAttrs, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("setattr")
         self.lower.setattr(attrs, ctx)
 
     def access(self, mode: int, ctx: OpContext = ROOT_CTX) -> bool:
-        self.layer.counters.bump("access")
         return self.lower.access(mode, ctx)
 
     # -- namespace --
 
     def lookup(self, name: str, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.counters.bump("lookup")
         return self._wrap(self.lower.lookup(name, ctx))
 
     def create(self, name: str, perm: int = 0o644, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.counters.bump("create")
         return self._wrap(self.lower.create(name, perm, ctx))
 
     def remove(self, name: str, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("remove")
         self.lower.remove(name, ctx)
 
     def link(self, target: Vnode, name: str, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("link")
         self.lower.link(self._unwrap(target), name, ctx)
 
     def rename(
@@ -116,37 +107,29 @@ class PassthroughVnode(Vnode):
         dst_name: str,
         ctx: OpContext = ROOT_CTX,
     ) -> None:
-        self.layer.counters.bump("rename")
         self.lower.rename(src_name, self._unwrap(dst_dir), dst_name, ctx)
 
     def mkdir(self, name: str, perm: int = 0o755, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.counters.bump("mkdir")
         return self._wrap(self.lower.mkdir(name, perm, ctx))
 
     def rmdir(self, name: str, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("rmdir")
         self.lower.rmdir(name, ctx)
 
     def readdir(self, ctx: OpContext = ROOT_CTX) -> list[DirEntry]:
-        self.layer.counters.bump("readdir")
         return self.lower.readdir(ctx)
 
     def symlink(self, name: str, target: str, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.counters.bump("symlink")
         return self._wrap(self.lower.symlink(name, target, ctx))
 
     def readlink(self, ctx: OpContext = ROOT_CTX) -> str:
-        self.layer.counters.bump("readlink")
         return self.lower.readlink(ctx)
 
     # -- Ficus extensions --
 
     def session_open(self, fh: "EntryId", ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("session_open")
         self.lower.session_open(fh, ctx)
 
     def session_close(self, fh: "EntryId", ctx: OpContext = ROOT_CTX) -> bool:
-        self.layer.counters.bump("session_close")
         return self.lower.session_close(fh, ctx)
 
     def getattrs_batch(
@@ -154,41 +137,32 @@ class PassthroughVnode(Vnode):
         fhs: list["EntryId"] | None = None,
         ctx: OpContext = ROOT_CTX,
     ) -> "AttrBatch":
-        self.layer.counters.bump("getattrs_batch")
         return self.lower.getattrs_batch(fhs, ctx)
 
     def sync_probe(self, fh: "EntryId | None" = None, ctx: OpContext = ROOT_CTX) -> "SyncProbe":
-        self.layer.counters.bump("sync_probe")
         return self.lower.sync_probe(fh, ctx)
 
     def block_digests(self, fh: "EntryId", ctx: OpContext = ROOT_CTX) -> "BlockDigests":
-        self.layer.counters.bump("block_digests")
         return self.lower.block_digests(fh, ctx)
 
     def read_blocks(
         self, fh: "EntryId", indices: list[int], ctx: OpContext = ROOT_CTX
     ) -> dict[int, bytes]:
-        self.layer.counters.bump("read_blocks")
         return self.lower.read_blocks(fh, indices, ctx)
 
     def lookup_fh(self, fh, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.counters.bump("lookup_fh")
         return self._wrap(self.lower.lookup_fh(fh, ctx))
 
     def lookup_dir(self, fh, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.counters.bump("lookup_dir")
         return self._wrap(self.lower.lookup_dir(fh, ctx))
 
     def insert(self, name: str, etype, *, ctx: OpContext = ROOT_CTX, **fields: object):
-        self.layer.counters.bump("insert")
         return self.lower.insert(name, etype, ctx=ctx, **fields)
 
     def remove_entry(self, eid, from_recon: bool = False, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("remove_entry")
         self.lower.remove_entry(eid, from_recon, ctx)
 
     def set_policy(self, fh, tag: str, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("set_policy")
         self.lower.set_policy(fh, tag, ctx)
 
     def __repr__(self) -> str:
@@ -206,7 +180,6 @@ class NullLayer(FileSystemLayer):
     layer_name = "null"
 
     def __init__(self, lower: FileSystemLayer, name: str = "null"):
-        super().__init__()
         self.lower_layer = lower
         self.layer_name = name
 

@@ -57,41 +57,35 @@ class UfsVnode(Vnode):
     # -- lifetime: UFS keeps no open state, but honours the calls -------------
 
     def open(self, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("open")
+        """Nothing to prepare: an inode is always ready for I/O."""
 
     def close(self, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("close")
+        """Nothing to release."""
 
     def inactive(self) -> None:
-        self.layer.counters.bump("inactive")
+        """No per-vnode state to tear down."""
 
     def fsync(self, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("fsync")
-        # write-through buffer cache: everything is already on the device
+        """Write-through buffer cache: everything is already on the device."""
 
     # -- data --
 
     def read(self, offset: int, length: int, ctx: OpContext = ROOT_CTX) -> bytes:
-        self.layer.counters.bump("read")
         return self.fs.read_file(self.ino, offset, length)
 
     def write(self, offset: int, data: bytes, ctx: OpContext = ROOT_CTX) -> int:
-        self.layer.counters.bump("write")
         self.fs.write_file(self.ino, offset, data)
         return len(data)
 
     def truncate(self, size: int, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("truncate")
         self.fs.truncate_file(self.ino, size)
 
     # -- attributes --
 
     def getattr(self, ctx: OpContext = ROOT_CTX) -> FileAttributes:
-        self.layer.counters.bump("getattr")
         return self.fs.getattr(self.ino)
 
     def setattr(self, attrs: SetAttrs, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("setattr")
         if attrs.size is not None:
             self.fs.truncate_file(self.ino, attrs.size)
         if attrs.perm is not None or attrs.uid is not None:
@@ -99,7 +93,6 @@ class UfsVnode(Vnode):
 
     def access(self, mode: int, ctx: OpContext = ROOT_CTX) -> bool:
         """Classic Unix permission check against owner/other bits."""
-        self.layer.counters.bump("access")
         attrs = self.fs.getattr(self.ino)
         if ctx.cred.uid == 0:
             return True
@@ -110,19 +103,15 @@ class UfsVnode(Vnode):
     # -- namespace --
 
     def lookup(self, name: str, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.counters.bump("lookup")
         return self._node(self.fs.lookup(self.ino, name))
 
     def create(self, name: str, perm: int = 0o644, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.counters.bump("create")
         return self._node(self.fs.create(self.ino, name, perm=perm, uid=ctx.cred.uid))
 
     def remove(self, name: str, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("remove")
         self.fs.unlink(self.ino, name)
 
     def link(self, target: Vnode, name: str, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("link")
         if not isinstance(target, UfsVnode) or target.layer is not self.layer:
             raise PermissionDenied("cross-layer hard link")
         self.fs.link(target.ino, self.ino, name)
@@ -134,21 +123,17 @@ class UfsVnode(Vnode):
         dst_name: str,
         ctx: OpContext = ROOT_CTX,
     ) -> None:
-        self.layer.counters.bump("rename")
         if not isinstance(dst_dir, UfsVnode) or dst_dir.layer is not self.layer:
             raise PermissionDenied("cross-layer rename")
         self.fs.rename(self.ino, src_name, dst_dir.ino, dst_name)
 
     def mkdir(self, name: str, perm: int = 0o755, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.counters.bump("mkdir")
         return self._node(self.fs.mkdir(self.ino, name, perm=perm, uid=ctx.cred.uid))
 
     def rmdir(self, name: str, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.counters.bump("rmdir")
         self.fs.rmdir(self.ino, name)
 
     def readdir(self, ctx: OpContext = ROOT_CTX) -> list[DirEntry]:
-        self.layer.counters.bump("readdir")
         out = []
         for name, ino in sorted(self.fs.readdir(self.ino).items()):
             try:
@@ -159,11 +144,9 @@ class UfsVnode(Vnode):
         return out
 
     def symlink(self, name: str, target: str, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.counters.bump("symlink")
         return self._node(self.fs.symlink(self.ino, name, target, uid=ctx.cred.uid))
 
     def readlink(self, ctx: OpContext = ROOT_CTX) -> str:
-        self.layer.counters.bump("readlink")
         return self.fs.readlink(self.ino)
 
     def __repr__(self) -> str:
@@ -176,7 +159,6 @@ class UfsLayer(FileSystemLayer):
     layer_name = "ufs"
 
     def __init__(self, fs: Ufs):
-        super().__init__()
         self.fs = fs
 
     def root(self) -> UfsVnode:

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.core.filesystem import FicusFileSystem
 from repro.errors import RpcTimeout
 from repro.net import Network
 from repro.nfs import NfsClientLayer, NfsServer
@@ -15,7 +16,7 @@ from repro.telemetry import FLIGHT_RING_CAPACITY, HealthPlane, load_dump
 from repro.ufs import Ufs
 from repro.util import VolumeId, VolumeReplicaId
 from repro.vnode import UfsLayer
-from repro.vnode.interface import ROOT_CTX
+from repro.vnode.interface import ROOT_CTX, OpContext
 from repro.workload import ChaosConfig, run_chaos
 
 QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
@@ -112,6 +113,25 @@ class TestFlightRecorder:
             fs.write_file("/f", b"x")
         plane = system.host("solo").health_plane
         assert len(plane.recorder.ring) == FLIGHT_RING_CAPACITY
+
+    @pytest.mark.parametrize(
+        "payload",
+        [None, "junk", 42, {}, {"trace_id": "xyz-not-hex"}, {"trace_id": "1"}, {"span_id": "2"}],
+    )
+    def test_a_trace_that_is_no_trace_context_is_recorded_as_none(self, payload):
+        """The ring treats a malformed ``ctx.trace`` as ``Tracer.span`` does:
+        as no trace.  The ops record exactly as under an untraced context."""
+
+        def ring_after(ctx):
+            host = FicusSystem(["solo"], daemon_config=QUIET).host("solo")
+            fs = FicusFileSystem(host.logical, ctx=ctx)
+            fs.write_file("/f", b"contents")
+            assert fs.read_file("/f") == b"contents"
+            return list(host.health_plane.recorder.ring)
+
+        ring = ring_after(OpContext(trace=payload))
+        assert ring == ring_after(OpContext())
+        assert ring and all(trace is None for *_, trace in ring)
 
     def test_anomaly_dump_round_trips_and_renders(self, tmp_path):
         from repro.tools.ficus_top import render_dump

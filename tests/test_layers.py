@@ -2,13 +2,15 @@
 composition — the paper's 'slipped in as a transparent layer' claim
 exercised with layers that actually do something."""
 
+import inspect
+
 import pytest
 
 from repro.errors import FileNotFound, PermissionDenied
 from repro.layers import AccessPolicy, AuthLayer, CryptLayer, Keystream, MonitorLayer
 from repro.storage import BlockDevice
 from repro.ufs import Ufs, fsck
-from repro.vnode import Credential, OpContext, UfsLayer
+from repro.vnode import Credential, FileSystemLayer, OpContext, PassthroughVnode, UfsLayer, Vnode
 
 
 @pytest.fixture
@@ -51,6 +53,54 @@ class TestMonitorLayer:
         assert "create" in text and "calls" in text
         mon.reset()
         assert not mon.profile
+
+    def test_every_forwarded_op_is_profiled(self):
+        """Each operation the pass-through layer forwards lands in the
+        profile exactly once, so no operation can cross unprofiled."""
+        forwarded = [op for op in Vnode.OPERATIONS if op in vars(PassthroughVnode)]
+        stub = AnswerEveryOp()
+        mon = MonitorLayer(StubLayer(stub))
+        root = mon.root()
+        for op in forwarded:
+            required = [
+                p
+                for p in inspect.signature(getattr(Vnode, op)).parameters.values()
+                if p.name != "self" and p.default is p.empty and p.kind is p.POSITIONAL_OR_KEYWORD
+            ]
+            getattr(root, op)(*[None] * len(required))
+        assert stub.received == forwarded
+        assert {op: prof.calls for op, prof in mon.profile.items()} == dict.fromkeys(forwarded, 1)
+
+
+#: what the stub answers where the result is not None
+_STUB_ANSWERS = {"read": b"", "write": 0, "readlink": ""}
+
+
+def _stub_answer(op):
+    def answer(self, *args, **kwargs):
+        self.received.append(op)
+        return _STUB_ANSWERS.get(op)
+
+    return answer
+
+
+class AnswerEveryOp(Vnode):
+    """A lower vnode answering every vnode operation, noting each arrival."""
+
+    def __init__(self):
+        self.received = []
+
+
+for _op in Vnode.OPERATIONS:
+    setattr(AnswerEveryOp, _op, _stub_answer(_op))
+
+
+class StubLayer(FileSystemLayer):
+    def __init__(self, root):
+        self._root = root
+
+    def root(self):
+        return self._root
 
 
 class TestAuthLayer:

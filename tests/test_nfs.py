@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import FileNotFound, NameTooLong, RpcTimeout, StaleFileHandle
+from repro.layers import MonitorLayer
 from repro.net import Network
 from repro.nfs import NfsClientConfig, NfsClientLayer, NfsServer
 from repro.physical import EntryType, FicusPhysicalLayer
@@ -99,17 +100,25 @@ class TestRemoteOperations:
 
 
 class TestDroppedOpenClose:
-    def test_open_close_never_reach_server(self, world):
+    def test_open_close_never_reach_server(self):
         """Paper Section 2.2: 'a layer intending to receive an open will
         never get it if NFS is in between.'"""
-        _, ufs_layer, _, client = world
-        f = client.root().create("f")
+        net = Network()
+        net.add_host("server")
+        net.add_host("client")
+        monitor = MonitorLayer(UfsLayer(Ufs.mkfs(BlockDevice(4096), num_inodes=256, clock=net.clock)))
+        NfsServer(net, "server", monitor)
+        f = NfsClientLayer(net, "client", "server").root().create("f")
+        # the monitor sees open/close when they do arrive
+        local = monitor.root().lookup("f")
+        local.open()
+        local.close()
+        assert (monitor.profile["open"].calls, monitor.profile["close"].calls) == (1, 1)
+        rpcs = net.stats.rpcs_sent
         f.open()
         f.close()
-        assert "open" not in ufs_layer.counters.by_op
-        assert "close" not in ufs_layer.counters.by_op
-        assert client.counters.by_op["open-dropped"] == 1
-        assert client.counters.by_op["close-dropped"] == 1
+        assert (monitor.profile["open"].calls, monitor.profile["close"].calls) == (1, 1)
+        assert net.stats.rpcs_sent == rpcs
 
 
 class TestStatelessness:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import FileNotFound, NotSupported, PermissionDenied
-from repro.layers import AccessPolicy, AuthLayer
+from repro.layers import AccessPolicy, AuthLayer, MonitorLayer
 from repro.net import Network
 from repro.nfs import NfsServer
 from repro.nfs.client import NON_IDEMPOTENT_OPS, NfsClientVnode
@@ -112,11 +112,15 @@ class TestUfsLayer:
         with pytest.raises(FileNotFound):
             ufs_layer.vnode_for(ino)
 
-    def test_counters_track_operations(self, ufs_layer, root):
+    def test_counters_track_operations(self, ufs_layer):
+        """A layer does not count itself; a monitor stacked on it counts
+        the operations that reach it, each once."""
+        outer = MonitorLayer(MonitorLayer(ufs_layer, "inner"), "outer")
+        root = outer.root()
         root.create("f")
         root.lookup("f")
-        assert ufs_layer.counters.by_op["create"] == 1
-        assert ufs_layer.counters.by_op["lookup"] == 1
+        for monitor in (outer, outer.lower_layer):
+            assert {op: p.calls for op, p in monitor.profile.items()} == {"create": 1, "lookup": 1}
 
 
 class TestNullLayer:
@@ -132,13 +136,11 @@ class TestNullLayer:
         assert fsck(ufs_layer.fs).clean
 
     def test_each_layer_counts_crossings(self, ufs_layer):
-        n1 = NullLayer(ufs_layer, "n1")
-        n2 = NullLayer(n1, "n2")
-        root = n2.root()
-        root.create("f")
-        assert n1.counters.by_op["create"] == 1
-        assert n2.counters.by_op["create"] == 1
-        assert ufs_layer.counters.by_op["create"] == 1
+        below = MonitorLayer(ufs_layer, "below")
+        above = MonitorLayer(NullLayer(below, "n1"), "above")
+        above.root().create("f")
+        assert above.profile["create"].calls == 1
+        assert below.profile["create"].calls == 1
 
     def test_vnode_args_unwrapped_across_layers(self, ufs_layer):
         """rename/link take vnode arguments; wrappers must be peeled."""

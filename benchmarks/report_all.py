@@ -198,7 +198,7 @@ def e14_summary(snap: dict) -> str:
     spans = snap["spans"]
     return (
         f"telemetry: {spans['finished']} spans / {spans['traces']} traces, "
-        f"{len(snap['metrics'])} metrics, {sum(snap['events'].values())} events"
+        f"{len(snap['metrics'])} metrics"
     )
 
 

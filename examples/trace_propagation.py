@@ -62,9 +62,6 @@ def main() -> None:
     print(f"\nwrote {len(list(tracer.finished))} spans to {TRACE_PATH} "
           "(open in chrome://tracing or Perfetto)")
 
-    print("\n== what happened, as the event log saw it ==")
-    print(telemetry.events.summary())
-
     print("\n== full telemetry digest ==")
     print(export.summary(telemetry))
 

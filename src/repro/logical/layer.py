@@ -573,15 +573,6 @@ class FicusLogicalLayer(FileSystemLayer):
                     self.host_addr, target
                 ):
                     self.health.note_missed_notification(volume, target)
-        if self.telemetry.enabled:
-            self.telemetry.events.emit(
-                "notification.sent",
-                host=self.host_addr,
-                fh=fh.logical.to_hex(),
-                objkind=objkind,
-                targets=len(others),
-                delivered=delivered,
-            )
         return delivered
 
     def _on_datagram(self, src: str, note: object) -> None:
@@ -597,7 +588,7 @@ class FicusLogicalLayer(FileSystemLayer):
         if note.objkind == "dir":
             self.attr_cache.invalidate_dir(volume, note.fh)
         # the flight ring shows which notifications this host heard
-        self.health.record_op("notification.recv", f"{src}:{note.fh.to_hex()}")
+        self.health.record_op("notification.recv", (src, note.fh))
 
     # -- open/close sessions ---------------------------------------------------------
 

@@ -362,12 +362,12 @@ class LogicalFileVnode(Vnode):
 
     @_spanned("logical.open")
     def open(self, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.health.record_op("file.open", self.fh.to_hex(), ctx)
+        self.layer.health.record_op("file.open", self.fh, ctx)
         self.layer.open_file(self.volume, self.parent_fh, self.fh, ctx)
 
     @_spanned("logical.close")
     def close(self, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.health.record_op("file.close", self.fh.to_hex(), ctx)
+        self.layer.health.record_op("file.close", self.fh, ctx)
         self.layer.close_file(self.volume, self.parent_fh, self.fh, ctx)
 
     def inactive(self) -> None:
@@ -377,17 +377,17 @@ class LogicalFileVnode(Vnode):
 
     @_spanned("logical.read")
     def read(self, offset: int, length: int, ctx: OpContext = ROOT_CTX) -> bytes:
-        self.layer.health.record_op("file.read", self.fh.to_hex(), ctx)
+        self.layer.health.record_op("file.read", self.fh, ctx)
         return self._retry_stale(lambda: self._read_child(ctx).read(offset, length, ctx), ctx)
 
     @_spanned("logical.write", tags=lambda self, offset, data, *a, **k: {"bytes": len(data)})
     def write(self, offset: int, data: bytes, ctx: OpContext = ROOT_CTX) -> int:
-        self.layer.health.record_op("file.write", self.fh.to_hex(), ctx)
+        self.layer.health.record_op("file.write", self.fh, ctx)
         return self._update(lambda child: child.write(offset, data, ctx), ctx)
 
     @_spanned("logical.truncate")
     def truncate(self, size: int, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.health.record_op("file.truncate", self.fh.to_hex(), ctx)
+        self.layer.health.record_op("file.truncate", self.fh, ctx)
         self._update(lambda child: child.truncate(size, ctx), ctx)
 
     def fsync(self, ctx: OpContext = ROOT_CTX) -> None:

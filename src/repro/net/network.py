@@ -422,14 +422,9 @@ class Network:
                 seen.add(host)
             frozen.append(fz)
         self._groups = frozen
-        self.telemetry.events.emit(
-            "net.partition", groups=[sorted(g) for g in frozen]
-        )
 
     def heal(self) -> None:
         """Remove all partitions: everyone can talk again."""
-        if self._groups:
-            self.telemetry.events.emit("net.heal")
         self._groups = []
 
     @property
@@ -545,12 +540,10 @@ class Network:
         for dst in dsts:
             if not self.reachable(src, dst):
                 self.stats.record_datagram(delivered=False)
-                self.telemetry.events.emit("notification.lost", host=src, dst=dst)
                 continue
             verdict = self.faults.datagram_verdict(src, dst) if faults_active else DG_DELIVER
             if verdict == DG_DROP:
                 self.stats.record_datagram(delivered=False)
-                self.telemetry.events.emit("notification.lost", host=src, dst=dst)
                 continue
             if verdict == DG_REORDER:
                 # held back until the next datagram to the same host (or an
@@ -571,7 +564,6 @@ class Network:
         handlers = self._host(dst).datagram_handlers
         if not handlers:
             self.stats.record_datagram(delivered=False)
-            self.telemetry.events.emit("notification.lost", host=src, dst=dst)
             return False
         for handler in handlers:
             handler(src, payload)

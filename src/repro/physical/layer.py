@@ -300,13 +300,6 @@ class FicusPhysicalLayer(FileSystemLayer):
                 )
                 if self.telemetry.enabled:
                     self.telemetry.metrics.counter("physical.notifications_received").inc()
-                    self.telemetry.events.emit(
-                        "notification.received",
-                        host=self.host_addr,
-                        src=note.src,
-                        fh=note.fh.to_hex(),
-                        objkind=objkind,
-                    )
 
     def pending_new_versions(self) -> list[NewVersionNote]:
         """What the propagation daemon consults."""

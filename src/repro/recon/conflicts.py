@@ -45,8 +45,7 @@ class ConflictLog:
 
     def __init__(self, telemetry: Telemetry | None = None) -> None:
         self._reports: list[ConflictReport] = []
-        self.telemetry = telemetry or NULL_TELEMETRY
-        self.telemetry.metrics.add_source(
+        (telemetry or NULL_TELEMETRY).metrics.add_source(
             "recon", lambda: {"conflicts_reported": len(self._reports)}
         )
 
@@ -66,14 +65,6 @@ class ConflictLog:
             ):
                 return False
         self._reports.append(conflict)
-        if self.telemetry.enabled:
-            self.telemetry.events.emit(
-                "conflict.detected",
-                conflict_kind=conflict.kind.value,
-                name=conflict.name,
-                fh=conflict.fh.logical.to_hex(),
-                remote_host=conflict.remote_host,
-            )
         return True
 
     def unresolved(self) -> list[ConflictReport]:

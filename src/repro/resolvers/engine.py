@@ -68,12 +68,12 @@ def auto_resolve_conflict(
         if local_aux.merge_policy and remote_tag:
             # both sides declared a policy and they disagree: covered but
             # unresolvable until an owner settles the tag itself
-            _note_fallback(health, name, fh, "policy-tags-disagree", pull)
+            _note_fallback(health, name, "policy-tags-disagree")
             return ResolveOutcome.FALLBACK
         return ResolveOutcome.NOT_COVERED
     resolver = registry.resolver(tag)
     if resolver is None:
-        _note_fallback(health, name, fh, f"no resolver registered for {tag!r}", pull)
+        _note_fallback(health, name, f"no resolver registered for {tag!r}")
         return ResolveOutcome.FALLBACK
 
     try:
@@ -95,7 +95,7 @@ def auto_resolve_conflict(
     try:
         merged = resolver.merge(pair)
     except ResolverError as exc:
-        _note_fallback(health, name, fh, str(exc), pull, tag=tag)
+        _note_fallback(health, name, str(exc), tag=tag)
         return ResolveOutcome.FALLBACK
 
     resolved_vv = pull.local_vv.merge(pull.remote_vv)
@@ -125,15 +125,6 @@ def auto_resolve_conflict(
     return ResolveOutcome.RESOLVED
 
 
-def _note_fallback(
-    health, name: str, fh: FicusFileHandle, reason: str, pull, tag: str = ""
-) -> None:
+def _note_fallback(health, name: str, reason: str, tag: str = "") -> None:
     if health is not None:
-        health.resolution_fallback(
-            name=name,
-            fh=fh.to_hex(),
-            tag=tag,
-            reason=reason,
-            local_vv=pull.local_vv,
-            remote_vv=pull.remote_vv,
-        )
+        health.resolution_fallback(name=name, tag=tag, reason=reason)

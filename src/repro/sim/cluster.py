@@ -225,7 +225,7 @@ class FicusSystem:
         #: shared ResolverRegistry for automatic conflict resolution (every
         #: host must run the same registry, or resolutions could diverge)
         self.resolvers = resolvers
-        # all timestamps (spans, events) come from the shared virtual clock
+        # all span timestamps come from the shared virtual clock
         # so a replayed experiment yields byte-identical telemetry
         self.telemetry.bind_clock(self.clock.now)
         self.network = Network(clock=self.clock, telemetry=self.telemetry)

@@ -292,9 +292,6 @@ class PropagationDaemon:
                 setattr(stats, counter, getattr(stats, counter) + 1)
                 if outcome != "unreachable":
                     physical.clear_new_version(note.key)
-            telemetry.events.emit(
-                "propagation.pull", host=physical.host_addr, outcome=outcome, objkind=note.objkind, src=src
-            )
         return pulled
 
     def _attempt(self, group: list[NewVersionNote], roots: dict) -> tuple[list[str], int]:

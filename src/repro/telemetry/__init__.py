@@ -1,4 +1,4 @@
-"""Cross-layer telemetry: trace spans, metrics registry, structured events.
+"""Cross-layer telemetry: trace spans and a metrics registry.
 
 One :class:`Telemetry` hub serves a whole deployment; every layer holds a
 reference (defaulting to the shared disabled :data:`NULL_TELEMETRY`) and
@@ -19,10 +19,8 @@ deterministically.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable
 
-from repro.telemetry.events import EventLog, TelemetryEvent
 from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -34,7 +32,7 @@ from repro.telemetry.trace import NULL_SPAN, Span, TraceContext, Tracer, spanned
 
 
 class Telemetry:
-    """The per-deployment hub bundling tracer, metrics, and event log."""
+    """The per-deployment hub bundling a tracer and a metrics registry."""
 
     def __init__(
         self,
@@ -43,24 +41,20 @@ class Telemetry:
         max_spans: int = 100_000,
     ):
         self.enabled = enabled
-        clock_fn = clock or time.perf_counter
-        self.tracer = Tracer(clock=clock_fn, enabled=enabled, max_spans=max_spans)
+        self.tracer = Tracer(clock=clock, enabled=enabled, max_spans=max_spans)
         self.metrics = MetricsRegistry(enabled=enabled)
-        self.events = EventLog(clock=clock_fn, enabled=enabled)
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Drive all timestamps from ``clock`` (e.g. a VirtualClock's now)."""
         if not self.enabled:
             return  # keep the shared disabled hub inert
         self.tracer._clock = clock
-        self.events._clock = clock
 
     def reset(self) -> None:
-        """Drop recorded spans and events and zero the registry-held
-        instruments (their names survive); viewed metrics are the live
-        state of the components they view and are not touched."""
+        """Drop recorded spans and zero the registry-held instruments
+        (their names survive); viewed metrics are the live state of the
+        components they view and are not touched."""
         self.tracer.reset()
-        self.events.clear()
         self.metrics.reset()
 
     def __repr__(self) -> str:
@@ -97,7 +91,6 @@ from repro.telemetry.health import (  # noqa: E402
 __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
-    "EventLog",
     "FLIGHT_RING_CAPACITY",
     "FlightRecorder",
     "Gauge",
@@ -116,7 +109,6 @@ __all__ = [
     "VersionNode",
     "compose_system_dag",
     "Telemetry",
-    "TelemetryEvent",
     "TraceContext",
     "Tracer",
     "load_dump",

@@ -77,7 +77,7 @@ def write_chrome_trace(path: str, spans: Iterable[Span]) -> None:
 
 
 def summary(telemetry) -> str:
-    """Human-readable digest of one Telemetry hub (spans/metrics/events)."""
+    """Human-readable digest of one Telemetry hub (spans and metrics)."""
     tracer = telemetry.tracer
     spans = list(tracer.finished)
     lines = ["== telemetry summary =="]
@@ -100,8 +100,4 @@ def summary(telemetry) -> str:
                 )
             else:
                 lines.append(f"  {name:<40} {data['value']}")
-    if telemetry.events.counts:
-        lines.append("events:")
-        for kind in sorted(telemetry.events.counts):
-            lines.append(f"  {kind:<40} {telemetry.events.counts[kind]:>7}")
     return "\n".join(lines)

@@ -123,9 +123,12 @@ class FlightRecorder:
     """Bounded ring of recent operations plus anomaly snapshots.
 
     ``record`` must stay cheap — it runs on every vnode operation — so a
-    ring entry is one small tuple ``(at, op, target, trace)``.  When an
-    anomaly fires the whole ring is frozen into a snapshot dict together
-    with whatever ``context`` supplies (health state, metrics, recon
+    ring entry is one small tuple ``(at, op, target, trace)``.  Like the
+    provenance ledger, ``target`` may be the raw **immutable** object —
+    a file handle, or a ``(src, handle)`` pair for a heard notification —
+    and is rendered to its string only when a snapshot freezes the ring.
+    When an anomaly fires the whole ring is frozen into a snapshot dict
+    together with whatever ``context`` supplies (health state, metrics, recon
     outcomes); snapshots are retained in memory and, when ``dump_dir``
     is set, written as JSONL files an offline ``ficus_top`` can render.
     """
@@ -141,7 +144,7 @@ class FlightRecorder:
         self.capacity = capacity
         self._clock = clock
         self._context = context
-        self.ring: deque[tuple[float, str, str, str | None]] = deque(maxlen=capacity)
+        self.ring: deque[tuple[float, str, object, str | None]] = deque(maxlen=capacity)
         self.dumps: deque[dict] = deque(maxlen=MAX_RETAINED_DUMPS)
         #: when set, every anomaly also writes a JSONL file here
         self.dump_dir: str | None = None
@@ -151,7 +154,7 @@ class FlightRecorder:
     def now(self) -> float:
         return self._clock() if self._clock is not None else 0.0
 
-    def record(self, op: str, target: str = "", trace: str | None = None) -> None:
+    def record(self, op: str, target: object = "", trace: str | None = None) -> None:
         self.ring.append((self.now(), op, target, trace))
 
     def anomaly(self, kind: str, detail: dict | None = None) -> dict:
@@ -163,7 +166,7 @@ class FlightRecorder:
             "kind": kind,
             "at": self.now(),
             "detail": dict(detail or {}),
-            "ops": [list(entry) for entry in self.ring],
+            "ops": [[at, op, _label(target), trace] for at, op, target, trace in self.ring],
         }
         if self._context is not None:
             snapshot.update(self._context())
@@ -181,6 +184,17 @@ class FlightRecorder:
             for line in snapshot_to_jsonl(snapshot):
                 fp.write(line + "\n")
         return path
+
+
+def _label(target) -> str:
+    """A ring target as a dump shows it: a handle as its hex form, a
+    ``(src, handle)`` pair as ``"<src>:<hex>"``."""
+    if isinstance(target, str):
+        return target
+    if isinstance(target, tuple):
+        src, fh = target
+        return f"{src}:{fh.to_hex()}"
+    return target.to_hex()
 
 
 def snapshot_to_jsonl(snapshot: dict) -> list[str]:
@@ -304,7 +318,7 @@ class HealthPlane:
 
     # -- the op ring -------------------------------------------------------
 
-    def record_op(self, op: str, target: str = "", ctx=None) -> None:
+    def record_op(self, op: str, target: object = "", ctx=None) -> None:
         """Append one vnode operation to the flight ring (hot path)."""
         trace = None
         if ctx is not None and isinstance(ctx.trace, TraceContext):
@@ -319,14 +333,6 @@ class HealthPlane:
         if key in self._suspected:
             return
         self._suspected[key] = reason
-        if self.telemetry.enabled:
-            self.telemetry.events.emit(
-                "health.divergence_suspected",
-                host=self.host,
-                volume=volume.to_hex(),
-                peer=peer,
-                reason=reason,
-            )
 
     def clear_suspicion(self, volume, peer: str) -> None:
         self._suspected.pop((volume, peer), None)
@@ -423,36 +429,17 @@ class HealthPlane:
             "conflict_auto_resolved",
             f"{name}[{tag}] {local_vv.encode() or '0'} x {remote_vv.encode() or '0'}",
         )
-        if self.telemetry.enabled:
-            self.telemetry.events.emit(
-                "resolver.auto_resolved", host=self.host, **entry
-            )
 
-    def resolution_fallback(
-        self, name: str, fh: str, tag: str, reason: str, local_vv, remote_vv
-    ) -> None:
+    def resolution_fallback(self, name: str, tag: str, reason: str) -> None:
         """A covered conflict could not be merged; it goes to the owner."""
         self.resolver_fallback_manual += 1
         self.recorder.record("conflict_resolver_fallback", f"{name}[{tag}] {reason}")
-        if self.telemetry.enabled:
-            self.telemetry.events.emit(
-                "resolver.fallback_manual",
-                host=self.host,
-                name=name,
-                fh=fh,
-                tag=tag,
-                reason=reason,
-                local_vv=local_vv.encode(),
-                remote_vv=remote_vv.encode(),
-            )
 
     # -- anomalies ---------------------------------------------------------
 
     def anomaly(self, kind: str, **detail) -> dict:
         """An anomaly fired: count it and freeze a flight-recorder snapshot."""
         self.anomaly_counts[kind] = self.anomaly_counts.get(kind, 0) + 1
-        if self.telemetry.enabled:
-            self.telemetry.events.emit("health.anomaly", host=self.host, anomaly_kind=kind)
         return self.recorder.anomaly(kind, detail)
 
     # -- rendering ---------------------------------------------------------

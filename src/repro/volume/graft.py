@@ -114,11 +114,10 @@ class Grafter:
         self.network = network
         self.host_addr = host_addr
         self.prefer_local = prefer_local
-        self.telemetry = telemetry or NULL_TELEMETRY
         self._grafts: dict[VolumeId, GraftState] = {}
         self.grafts_performed = 0
         self.grafts_pruned = 0
-        self.telemetry.metrics.add_source(
+        (telemetry or NULL_TELEMETRY).metrics.add_source(
             "graft",
             lambda: {"performed": self.grafts_performed, "pruned": self.grafts_pruned},
         )
@@ -159,23 +158,12 @@ class Grafter:
                 state.touch(now)
                 self._grafts[volume] = state
                 self.grafts_performed += 1
-                if self.telemetry.enabled:
-                    self.telemetry.events.emit(
-                        "graft.bind",
-                        host=self.host_addr,
-                        volume=volume.to_hex(),
-                        bound=candidate.host,
-                    )
                 return state
         raise AllReplicasUnavailable(f"no reachable replica of {volume}")
 
     def ungraft(self, volume: VolumeId) -> None:
         if self._grafts.pop(volume, None) is not None:
             self.grafts_pruned += 1
-            if self.telemetry.enabled:
-                self.telemetry.events.emit(
-                    "graft.prune", host=self.host_addr, volume=volume.to_hex()
-                )
 
     def prune(self, idle_timeout: float) -> int:
         """Quietly drop grafts unused for ``idle_timeout`` seconds."""
@@ -187,10 +175,6 @@ class Grafter:
         ]
         for volume in stale:
             del self._grafts[volume]
-            if self.telemetry.enabled:
-                self.telemetry.events.emit(
-                    "graft.prune", host=self.host_addr, volume=volume.to_hex()
-                )
         self.grafts_pruned += len(stale)
         return len(stale)
 

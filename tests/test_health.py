@@ -151,6 +151,27 @@ class TestFlightRecorder:
         assert "fsck_violation" in rendered
         assert "recorded ops" in rendered
 
+    def test_dump_labels_file_ops_by_handle_and_notifications_by_sender(self, tmp_path):
+        """A dump names a file op's target by the file's hex handle and a
+        heard update notification as ``"<src>:<hex>"``."""
+        system, fs = converged_cluster(("a", "b"))
+        b_fs = system.host("b").fs()
+        b_fs.write_file("/doc", b"edited on b")
+        assert b_fs.read_file("/doc") == b"edited on b"
+        fs.write_file("/doc", b"edited on a")  # notifies b
+        hex_fh = b_fs.resolve("/doc").fh.to_hex()
+        plane = system.host("b").health_plane
+        snapshot = plane.anomaly("fsck_violation")
+        path = plane.recorder.write_dump(snapshot, str(tmp_path / "b.jsonl"))
+        ops = load_dump(path)["ops"]
+        file_ops = [(op, target) for _, op, target, _ in ops if op.startswith("file.")]
+        assert {"file.open", "file.write", "file.truncate", "file.read", "file.close"} <= {
+            op for op, _ in file_ops
+        }
+        assert all(target == hex_fh for _, target in file_ops)
+        heard = [target for _, op, target, _ in ops if op == "notification.recv"]
+        assert heard and heard[-1] == f"a:{hex_fh}"
+
     def test_conflict_detection_fires_the_recorder(self):
         system, fs = converged_cluster(("a", "b"))
         system.partition([{"a"}, {"b"}])

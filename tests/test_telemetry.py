@@ -1,4 +1,4 @@
-"""Telemetry subsystem: tracing, metrics, events, and cross-host propagation.
+"""Telemetry subsystem: tracing, metrics, and cross-host propagation.
 
 The headline assertion mirrors the paper's layering claim (Section 1,
 "performance monitoring" as a stackable service): one cross-host update —
@@ -17,7 +17,6 @@ from repro.sim import DaemonConfig, FicusSystem
 from repro.telemetry import (
     NULL_SPAN,
     NULL_TELEMETRY,
-    EventLog,
     Histogram,
     MetricsRegistry,
     Telemetry,
@@ -174,30 +173,6 @@ class TestMetrics:
         assert registry.snapshot() == {}
 
 
-class TestEventLog:
-    def test_emit_and_query(self):
-        log = EventLog(clock=FakeClock())
-        log.emit("notification.sent", host="a", targets=2)
-        log.emit("propagation.pull", host="b", outcome="pulled")
-        assert len(log) == 2
-        assert log.records("propagation.pull")[0].fields["outcome"] == "pulled"
-
-    def test_bounded_with_exact_counts(self):
-        log = EventLog(capacity=5, clock=FakeClock())
-        for i in range(12):
-            log.emit("tick", host="a", i=i)
-        assert len(log) == 5
-        assert log.evicted == 7
-        assert log.counts["tick"] == 12  # eviction never loses the total
-        assert [e.fields["i"] for e in log.records()] == [7, 8, 9, 10, 11]
-
-    def test_disabled_log_records_nothing(self):
-        log = EventLog(enabled=False, clock=FakeClock())
-        log.emit("anything", host="a")
-        assert len(log) == 0
-        assert log.counts == {}
-
-
 QUICK = DaemonConfig(propagation_period=5.0, recon_period=None, graft_prune_period=None)
 
 
@@ -247,12 +222,11 @@ class TestCrossHostTrace:
 
     def test_events_and_metrics_recorded_alongside(self):
         system = _cross_host_workload()
-        events = system.telemetry.events
-        assert events.counts.get("notification.sent", 0) >= 1
-        assert events.counts.get("notification.received", 0) >= 1
-        assert events.counts.get("propagation.pull", 0) >= 1
+        # each fact the deleted event log counted has one home in the registry
         metrics = system.telemetry.metrics
         assert metrics.get("logical.notifications_sent").value >= 1
+        assert metrics.get("physical.notifications_received").value >= 1
+        assert metrics.get("propagation.pulls_attempted").value >= 1
         assert metrics.get("propagation.pulls_succeeded").value >= 1
 
     def test_chrome_trace_export_is_valid_json_with_both_hosts(self):
@@ -270,7 +244,7 @@ class TestCrossHostTrace:
         lines = spans_to_jsonl(system.telemetry.tracer.finished).splitlines()
         assert all("name" in json.loads(line) for line in lines)
         digest = summary(system.telemetry)
-        assert "spans:" in digest and "events:" in digest
+        assert "spans:" in digest and "metrics:" in digest
 
 
 class TestDisabledOverhead:
@@ -285,8 +259,6 @@ class TestDisabledOverhead:
         system.run_for(30.0)
         assert len(NULL_TELEMETRY.tracer.finished) == 0
         assert len(NULL_TELEMETRY.metrics) == 0
-        assert len(NULL_TELEMETRY.events) == 0
-        assert NULL_TELEMETRY.events.counts == {}
 
     def test_disabled_tracer_returns_the_shared_null_span(self):
         tracer = Tracer(enabled=False)
@@ -431,7 +403,7 @@ class TestMetricsAreViews:
         hub, stats = system.telemetry, system.network.stats
         assert hub.metrics.get("store.records_in_place").value > 0
         hub.reset()
-        assert len(hub.tracer.finished) == 0 and len(hub.events) == 0
+        assert len(hub.tracer.finished) == 0
         assert hub.metrics.get("store.records_in_place").value == 0
         assert hub.metrics.get("net.rpc_latency_seconds").count == 0
         # a view is the component's live state, which a hub reset does not own
@@ -450,13 +422,11 @@ class TestTelemetryHub:
         hub.metrics.histogram("h").observe(0.5)
         with hub.tracer.span("s"):
             pass
-        hub.events.emit("e", host="a")
         hub.reset()
         assert hub.metrics.get("kept").value == 0
         assert hub.metrics.get("h").count == 0
         assert "kept" in hub.metrics
         assert len(hub.tracer.finished) == 0
-        assert len(hub.events) == 0
 
     def test_bind_clock_rebinds_tracer_and_events(self):
         hub = Telemetry()
@@ -464,6 +434,4 @@ class TestTelemetryHub:
         hub.bind_clock(clock)
         with hub.tracer.span("s"):
             pass
-        hub.events.emit("e", host="a")
         assert hub.tracer.finished[0].start == 1.0
-        assert hub.events.records()[0].ts == 3.0

@@ -138,12 +138,11 @@ def cluster_summary(system) -> str:
             f"pending-notes={host.physical.new_version_cache_size} "
             f"disk={host.device.counters}"
         )
-        if getattr(host, "health_plane", None) is not None:
-            health = host.health()
-            lines.append(
-                f"    health: staleness={health.max_staleness} "
-                f"suspected={','.join(health.suspected_volumes()) or '-'} "
-                f"degraded={','.join(health.degraded_peers) or '-'} "
-                f"anomalies={sum(health.anomalies.values())}"
-            )
+        health = host.health()
+        lines.append(
+            f"    health: staleness={health.max_staleness} "
+            f"suspected={','.join(health.suspected_volumes()) or '-'} "
+            f"degraded={','.join(health.degraded_peers) or '-'} "
+            f"anomalies={sum(health.anomalies.values())}"
+        )
     return "\n".join(lines)

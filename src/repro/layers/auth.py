@@ -14,18 +14,33 @@ session brackets and the attribute and sync planes pass unchecked.
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass, field
 
 from repro.errors import PermissionDenied
-from repro.vnode.interface import (
-    ROOT_CTX,
-    Credential,
-    FileSystemLayer,
-    OpContext,
-    SetAttrs,
-    Vnode,
-)
+from repro.vnode.interface import ROOT_CTX, Credential, FileSystemLayer, Vnode
 from repro.vnode.passthrough import NullLayer, PassthroughVnode
+
+#: operations checked as reads: a read-only uid may issue them
+READS = ("read", "getattr", "readdir", "lookup", "lookup_fh", "lookup_dir", "readlink", "access")
+
+#: operations checked as mutations: a read-only uid is refused them
+MUTATIONS = (
+    "write",
+    "truncate",
+    "setattr",
+    "create",
+    "mkdir",
+    "remove",
+    "rmdir",
+    "rename",
+    "link",
+    "symlink",
+    "insert",
+    "remove_entry",
+    "set_policy",
+)
 
 
 @dataclass
@@ -72,94 +87,27 @@ class AuthLayer(NullLayer):
 class AuthVnode(PassthroughVnode):
     """Checks the credential before forwarding each operation."""
 
-    def __init__(self, layer: AuthLayer, lower: Vnode):
-        super().__init__(layer, lower)
-        self.layer: AuthLayer = layer
+    layer: AuthLayer
 
-    # -- reads --
 
-    def read(self, offset: int, length: int, ctx: OpContext = ROOT_CTX) -> bytes:
-        self.layer.check(ctx.cred, mutating=False)
-        return super().read(offset, length, ctx)
+def _checked(op: str, mutating: bool):
+    """Check the caller's credential, then ``PassthroughVnode.<op>``.
 
-    def getattr(self, ctx: OpContext = ROOT_CTX):
-        self.layer.check(ctx.cred, mutating=False)
-        return super().getattr(ctx)
+    ``ctx`` may arrive by keyword or in its place among the positional
+    arguments, so both are read.
+    """
+    forward = vars(PassthroughVnode)[op]
+    at = list(inspect.signature(forward).parameters).index("ctx") - 1  # after self
 
-    def readdir(self, ctx: OpContext = ROOT_CTX):
-        self.layer.check(ctx.cred, mutating=False)
-        return super().readdir(ctx)
+    @functools.wraps(forward)
+    def checked(self: AuthVnode, *args, **kwargs):
+        ctx = kwargs.get("ctx", args[at] if len(args) > at else ROOT_CTX)
+        self.layer.check(ctx.cred, mutating)
+        return forward(self, *args, **kwargs)
 
-    def lookup(self, name: str, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.check(ctx.cred, mutating=False)
-        return super().lookup(name, ctx)
+    return checked
 
-    def lookup_fh(self, fh, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.check(ctx.cred, mutating=False)
-        return super().lookup_fh(fh, ctx)
 
-    def lookup_dir(self, fh, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.check(ctx.cred, mutating=False)
-        return super().lookup_dir(fh, ctx)
-
-    def readlink(self, ctx: OpContext = ROOT_CTX) -> str:
-        self.layer.check(ctx.cred, mutating=False)
-        return super().readlink(ctx)
-
-    def access(self, mode: int, ctx: OpContext = ROOT_CTX) -> bool:
-        self.layer.check(ctx.cred, mutating=False)
-        return super().access(mode, ctx)
-
-    # -- mutations --
-
-    def write(self, offset: int, data: bytes, ctx: OpContext = ROOT_CTX) -> int:
-        self.layer.check(ctx.cred, mutating=True)
-        return super().write(offset, data, ctx)
-
-    def truncate(self, size: int, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.check(ctx.cred, mutating=True)
-        super().truncate(size, ctx)
-
-    def setattr(self, attrs: SetAttrs, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.check(ctx.cred, mutating=True)
-        super().setattr(attrs, ctx)
-
-    def create(self, name: str, perm: int = 0o644, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.check(ctx.cred, mutating=True)
-        return super().create(name, perm, ctx)
-
-    def mkdir(self, name: str, perm: int = 0o755, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.check(ctx.cred, mutating=True)
-        return super().mkdir(name, perm, ctx)
-
-    def remove(self, name: str, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.check(ctx.cred, mutating=True)
-        super().remove(name, ctx)
-
-    def rmdir(self, name: str, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.check(ctx.cred, mutating=True)
-        super().rmdir(name, ctx)
-
-    def rename(self, src_name: str, dst_dir: Vnode, dst_name: str, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.check(ctx.cred, mutating=True)
-        super().rename(src_name, dst_dir, dst_name, ctx)
-
-    def link(self, target: Vnode, name: str, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.check(ctx.cred, mutating=True)
-        super().link(target, name, ctx)
-
-    def symlink(self, name: str, target: str, ctx: OpContext = ROOT_CTX) -> Vnode:
-        self.layer.check(ctx.cred, mutating=True)
-        return super().symlink(name, target, ctx)
-
-    def insert(self, name: str, etype, *, ctx: OpContext = ROOT_CTX, **fields: object):
-        self.layer.check(ctx.cred, mutating=True)
-        return super().insert(name, etype, ctx=ctx, **fields)
-
-    def remove_entry(self, eid, from_recon: bool = False, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.check(ctx.cred, mutating=True)
-        super().remove_entry(eid, from_recon, ctx)
-
-    def set_policy(self, fh, tag: str, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.check(ctx.cred, mutating=True)
-        super().set_policy(fh, tag, ctx)
+for _op in READS + MUTATIONS:
+    setattr(AuthVnode, _op, _checked(_op, mutating=_op in MUTATIONS))
+del _op

@@ -41,6 +41,7 @@ from repro.vnode.interface import (
     OpContext,
     SetAttrs,
     Vnode,
+    unix_permits,
 )
 
 
@@ -117,12 +118,13 @@ class NfsClientLayer(FileSystemLayer):
         host="client_addr",
         tags=lambda self, *args, **kwargs: {"server": self.server_addr},
     )
-    def call(self, op: str, *args: object, ctx: OpContext = ROOT_CTX) -> object:
+    def call(self, op: str, *args: object, ctx: OpContext = ROOT_CTX, **kwargs: object) -> object:
         """Issue one NFS RPC with retransmission.
 
         The operation context travels as the call's ``ctx`` keyword, the
         frozen value itself — credential, trace parentage and hints in one
-        argument instead of per-purpose side channels.  With tracing
+        argument instead of per-purpose side channels; any other keyword
+        argument of the operation crosses as a keyword too.  With tracing
         enabled, the whole call (including retransmissions) is one
         ``nfs-client`` span whose context replaces ``ctx.trace``, stitching
         client and server trees.
@@ -130,12 +132,13 @@ class NfsClientLayer(FileSystemLayer):
         span_ctx = self._tracer.current_context()
         if span_ctx is not None:
             ctx = ctx.with_trace(span_ctx)
-        return self._call_with_retries(op, args, ctx)
+        return self._call_with_retries(op, args, kwargs, ctx)
 
     def _call_with_retries(
         self,
         op: str,
         args: tuple[object, ...],
+        kwargs: dict[str, object],
         ctx: OpContext,
     ) -> object:
         """Retransmit with bounded exponential backoff — idempotent ops only.
@@ -171,6 +174,7 @@ class NfsClientLayer(FileSystemLayer):
                     f"{self.service}.{op}",
                     *args,
                     ctx=ctx,
+                    **kwargs,
                 )
             except RpcTimeout as exc:
                 if not may_replay_ambiguous:
@@ -239,13 +243,13 @@ class NfsClientLayer(FileSystemLayer):
             del self._name_cache[key]
 
     def call_h(
-        self, handle: NfsHandle, op: str, *args: object, ctx: OpContext = ROOT_CTX
+        self, handle: NfsHandle, op: str, *args: object, ctx: OpContext = ROOT_CTX, **kwargs: object
     ) -> object:
         """Issue an RPC whose first argument is ``handle``; on ESTALE the
         caches are scrubbed before the error propagates, so the caller's
         retry re-lookups instead of replaying the dead handle."""
         try:
-            return self.call(op, handle, *args, ctx=ctx)
+            return self.call(op, handle, *args, ctx=ctx, **kwargs)
         except StaleFileHandle:
             self.note_stale(handle)
             raise
@@ -350,11 +354,7 @@ class NfsClientVnode(Vnode):
         self.layer._cache_attrs(self.handle, fresh)
 
     def access(self, mode: int, ctx: OpContext = ROOT_CTX) -> bool:
-        attrs = self.getattr(ctx)
-        if ctx.cred.uid == 0:
-            return True
-        shift = 6 if ctx.cred.uid == attrs.uid else 0
-        return (attrs.perm >> shift) & mode == mode
+        return unix_permits(self.getattr(ctx), ctx.cred, mode)
 
     # -- data --
 
@@ -399,7 +399,7 @@ class NfsClientVnode(Vnode):
         return self._lookup("lookup_dir", fh, ctx)
 
     def insert(self, name: str, etype, *, ctx: OpContext = ROOT_CTX, **fields: object):
-        entry = self.layer.call_h(self.handle, "insert", name, etype, fields, ctx=ctx)
+        entry = self.layer.call_h(self.handle, "insert", name, etype, ctx=ctx, **fields)
         self.layer.invalidate_handle(self.handle)
         return entry
 

@@ -18,12 +18,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.ufs.inode import FileAttributes
+from repro.vnode.interface import Vnode
 
 #: Vnode operations that the NFS protocol has no call for.  The client
 #: accepts them and drops them on the floor — which is why the protocol
 #: grew explicit ``session_open``/``session_close`` calls instead (the
 #: original Ficus smuggled them through ``lookup``, paper Section 2.3).
 DROPPED_OPERATIONS = ("open", "close")
+
+#: Vnode operations that never leave a host: the client answers them
+#: itself (``access`` from its attributes, ``fsync`` because writes are
+#: write-through, ``inactive`` by dropping its cache entries) or not at all.
+LOCAL_OPERATIONS = ("ioctl", "select", "access", "fsync", "inactive", "bmap", "sync")
+
+#: Every other vnode operation crosses the hop as one RPC of its name.
+CARRIED_OPERATIONS = tuple(
+    op for op in Vnode.OPERATIONS if op not in DROPPED_OPERATIONS + LOCAL_OPERATIONS
+)
 
 
 @dataclass(frozen=True)

@@ -17,24 +17,21 @@ arguments and replies of the Ficus operations cross the same way: the
 server decodes and encodes nothing.  That rests on one rule (ARCHITECTURE.md
 "The vnode operations"): a layer replies only with objects it does not
 keep, and no receiver mutates what it received.
+
+So one rule serves every carried operation: resolve the handles, call the
+exported vnode's operation of the same name, and answer a vnode with its
+handle and attributes.
 """
 
 from __future__ import annotations
 
+import inspect
+
 from repro.errors import StaleFileHandle
 from repro.net import Network
-from repro.nfs.protocol import LookupReply, NfsHandle
-from repro.physical.wire import AttrBatch, BlockDigests, SyncProbe
+from repro.nfs.protocol import CARRIED_OPERATIONS, LookupReply, NfsHandle
 from repro.telemetry import NULL_TELEMETRY, Telemetry
-from repro.ufs.inode import FileAttributes
-from repro.vnode.interface import (
-    ROOT_CTX,
-    DirEntry,
-    FileSystemLayer,
-    OpContext,
-    SetAttrs,
-    Vnode,
-)
+from repro.vnode.interface import ROOT_CTX, FileSystemLayer, OpContext, Vnode
 
 
 class NfsServer:
@@ -59,53 +56,25 @@ class NfsServer:
         self.service = service
         self.telemetry = telemetry or NULL_TELEMETRY
         self._vnode_cache: dict[int, Vnode] = {}
-        for op in (
-            "root",
-            "getattr",
-            "setattr",
-            "lookup",
-            "read",
-            "write",
-            "truncate",
-            "create",
-            "remove",
-            "link",
-            "rename",
-            "mkdir",
-            "rmdir",
-            "readdir",
-            "symlink",
-            "readlink",
-            "session_open",
-            "session_close",
-            "getattrs_batch",
-            "sync_probe",
-            "block_digests",
-            "read_blocks",
-            "lookup_fh",
-            "lookup_dir",
-            "insert",
-            "remove_entry",
-            "set_policy",
-        ):
-            network.register_rpc(addr, f"{service}.{op}", self._make_handler(op))
+        network.register_rpc(addr, f"{service}.root", self._traced("root", self._serve_root))
+        for op in CARRIED_OPERATIONS:
+            network.register_rpc(addr, f"{service}.{op}", self._traced(op, self._carry(op)))
 
-    def _make_handler(self, op: str):
+    def _traced(self, op: str, inner):
         """Wrap one RPC op: when this server traces, parent a server-side
         span on the operation context's trace."""
-        inner = getattr(self, f"_serve_{op}")
 
-        def handler(*args: object, ctx: OpContext = ROOT_CTX) -> object:
+        def handler(*args: object, ctx: OpContext = ROOT_CTX, **kwargs: object) -> object:
             telemetry = self.telemetry
             if ctx.trace is None or not telemetry.enabled:
-                return inner(*args, ctx=ctx)
+                return inner(*args, ctx=ctx, **kwargs)
             with telemetry.tracer.span(
                 f"nfs.{op}",
                 layer="nfs-server",
                 host=self.addr,
                 parent=ctx.trace,
             ):
-                return inner(*args, ctx=ctx)
+                return inner(*args, ctx=ctx, **kwargs)
 
         return handler
 
@@ -153,109 +122,40 @@ class NfsServer:
     def _serve_root(self, ctx: OpContext = ROOT_CTX) -> LookupReply:
         return self._reply(self.exported.root(), ctx)
 
-    def _serve_getattr(self, handle: NfsHandle, ctx: OpContext = ROOT_CTX) -> FileAttributes:
-        return self._resolve(handle).getattr(ctx)
+    def _carry(self, op: str):
+        """The handler of one carried operation, shaped once from the
+        operation's signature in :class:`Vnode`.
 
-    def _serve_setattr(
-        self, handle: NfsHandle, attrs: SetAttrs, ctx: OpContext = ROOT_CTX
-    ) -> FileAttributes:
-        vnode = self._resolve(handle)
-        vnode.setattr(attrs, ctx)
-        return vnode.getattr(ctx)
+        The first argument is the handle of the vnode addressed.  Every
+        argument the interface types as a vnode (the ``link`` target, the
+        ``rename`` destination) arrives as a handle and is resolved in
+        place, and a vnode reply goes back as a :class:`LookupReply`.
+        ``setattr`` answers with the fresh attributes, so the client's
+        attribute cache is refreshed in the same round trip.
+        """
+        signature = inspect.signature(getattr(Vnode, op))
+        params = list(signature.parameters.values())[1:]  # after self
+        handles_at = [i for i, p in enumerate(params) if _names_vnode(p.annotation)]
+        replies_vnode = _names_vnode(signature.return_annotation)
 
-    def _serve_lookup(self, handle: NfsHandle, name: str, ctx: OpContext = ROOT_CTX) -> LookupReply:
-        return self._reply(self._resolve(handle).lookup(name, ctx), ctx)
+        def serve(handle: NfsHandle, *args: object, ctx: OpContext = ROOT_CTX, **kwargs: object):
+            vnode = self._resolve(handle)
+            if handles_at:
+                args = list(args)
+                for i in handles_at:
+                    args[i] = self._resolve(args[i])
+            reply = getattr(vnode, op)(*args, ctx=ctx, **kwargs)
+            if replies_vnode:
+                return self._reply(reply, ctx)
+            if op == "setattr":
+                return vnode.getattr(ctx)
+            return reply
 
-    def _serve_read(
-        self, handle: NfsHandle, offset: int, length: int, ctx: OpContext = ROOT_CTX
-    ) -> bytes:
-        return self._resolve(handle).read(offset, length, ctx)
+        return serve
 
-    def _serve_write(
-        self, handle: NfsHandle, offset: int, data: bytes, ctx: OpContext = ROOT_CTX
-    ) -> int:
-        return self._resolve(handle).write(offset, data, ctx)
 
-    def _serve_truncate(self, handle: NfsHandle, size: int, ctx: OpContext = ROOT_CTX) -> None:
-        self._resolve(handle).truncate(size, ctx)
-
-    def _serve_create(
-        self, handle: NfsHandle, name: str, perm: int, ctx: OpContext = ROOT_CTX
-    ) -> LookupReply:
-        return self._reply(self._resolve(handle).create(name, perm, ctx), ctx)
-
-    def _serve_remove(self, handle: NfsHandle, name: str, ctx: OpContext = ROOT_CTX) -> None:
-        self._resolve(handle).remove(name, ctx)
-
-    def _serve_link(
-        self, dir_handle: NfsHandle, target: NfsHandle, name: str, ctx: OpContext = ROOT_CTX
-    ) -> None:
-        self._resolve(dir_handle).link(self._resolve(target), name, ctx)
-
-    def _serve_rename(
-        self,
-        src_dir: NfsHandle,
-        src_name: str,
-        dst_dir: NfsHandle,
-        dst_name: str,
-        ctx: OpContext = ROOT_CTX,
-    ) -> None:
-        self._resolve(src_dir).rename(src_name, self._resolve(dst_dir), dst_name, ctx)
-
-    def _serve_mkdir(
-        self, handle: NfsHandle, name: str, perm: int, ctx: OpContext = ROOT_CTX
-    ) -> LookupReply:
-        return self._reply(self._resolve(handle).mkdir(name, perm, ctx), ctx)
-
-    def _serve_rmdir(self, handle: NfsHandle, name: str, ctx: OpContext = ROOT_CTX) -> None:
-        self._resolve(handle).rmdir(name, ctx)
-
-    def _serve_readdir(self, handle: NfsHandle, ctx: OpContext = ROOT_CTX) -> list[DirEntry]:
-        return self._resolve(handle).readdir(ctx)
-
-    def _serve_symlink(
-        self, handle: NfsHandle, name: str, target: str, ctx: OpContext = ROOT_CTX
-    ) -> LookupReply:
-        return self._reply(self._resolve(handle).symlink(name, target, ctx), ctx)
-
-    def _serve_readlink(self, handle: NfsHandle, ctx: OpContext = ROOT_CTX) -> str:
-        return self._resolve(handle).readlink(ctx)
-
-    # -- Ficus extensions ------------------------------------------------------
-
-    def _serve_session_open(self, handle: NfsHandle, fh, ctx: OpContext = ROOT_CTX) -> None:
-        self._resolve(handle).session_open(fh, ctx)
-
-    def _serve_session_close(self, handle: NfsHandle, fh, ctx: OpContext = ROOT_CTX) -> bool:
-        return self._resolve(handle).session_close(fh, ctx)
-
-    def _serve_getattrs_batch(self, handle: NfsHandle, fhs, ctx: OpContext = ROOT_CTX) -> AttrBatch:
-        return self._resolve(handle).getattrs_batch(fhs, ctx)
-
-    def _serve_sync_probe(self, handle: NfsHandle, fh, ctx: OpContext = ROOT_CTX) -> SyncProbe:
-        return self._resolve(handle).sync_probe(fh, ctx)
-
-    def _serve_block_digests(self, handle: NfsHandle, fh, ctx: OpContext = ROOT_CTX) -> BlockDigests:
-        return self._resolve(handle).block_digests(fh, ctx)
-
-    def _serve_read_blocks(
-        self, handle: NfsHandle, fh, indices: list[int], ctx: OpContext = ROOT_CTX
-    ) -> dict[int, bytes]:
-        return self._resolve(handle).read_blocks(fh, indices, ctx)
-
-    # the five replica-addressed operations
-
-    def _serve_lookup_fh(self, handle: NfsHandle, fh, ctx: OpContext = ROOT_CTX) -> LookupReply:
-        return self._reply(self._resolve(handle).lookup_fh(fh, ctx), ctx)
-
-    def _serve_lookup_dir(self, handle: NfsHandle, fh, ctx: OpContext = ROOT_CTX) -> LookupReply:
-        return self._reply(self._resolve(handle).lookup_dir(fh, ctx), ctx)
-
-    def _serve_insert(self, handle: NfsHandle, name: str, etype, fields, ctx: OpContext = ROOT_CTX):
-        return self._resolve(handle).insert(name, etype, ctx=ctx, **fields)
-
-    def _serve_remove_entry(self, handle: NfsHandle, eid, from_recon, ctx: OpContext = ROOT_CTX) -> None:
-        self._resolve(handle).remove_entry(eid, from_recon, ctx)
-
-    def _serve_set_policy(self, handle: NfsHandle, fh, tag: str, ctx: OpContext = ROOT_CTX) -> None:
-        self._resolve(handle).set_policy(fh, tag, ctx)
+def _names_vnode(annotation: str) -> bool:
+    """Whether an annotation of the interface names a vnode.  The interface
+    postpones its annotations, so each is the string it was written as —
+    a forward reference keeps its own quotes."""
+    return annotation.strip("'\"") == "Vnode"

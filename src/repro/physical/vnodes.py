@@ -50,7 +50,7 @@ from repro.telemetry import spanned
 from repro.ufs.inode import FileAttributes, FileType
 from repro.ufs.layout import MAX_NAME_LEN
 from repro.util import FicusFileHandle
-from repro.vnode.interface import ROOT_CTX, DirEntry, OpContext, SetAttrs, Vnode
+from repro.vnode.interface import ROOT_CTX, DirEntry, OpContext, SetAttrs, Vnode, unix_permits
 from repro.vv import VersionVector
 
 _spanned = partial(spanned, layer="physical", host="layer.host_addr")
@@ -202,11 +202,7 @@ class PhysicalDirVnode(Vnode):
         self._fdir_vnode().setattr(attrs, ctx)
 
     def access(self, mode: int, ctx: OpContext = ROOT_CTX) -> bool:
-        attrs = self.getattr(ctx)
-        if ctx.cred.uid == 0:
-            return True
-        shift = 6 if ctx.cred.uid == attrs.uid else 0
-        return (attrs.perm >> shift) & mode == mode
+        return unix_permits(self.getattr(ctx), ctx.cred, mode)
 
     # -- data: a Ficus directory IS a file, so it can be read ------------------
 
@@ -600,11 +596,7 @@ class PhysicalFileVnode(Vnode):
             self.layer.note_update(self.store, self.parent_fh, self.fh)
 
     def access(self, mode: int, ctx: OpContext = ROOT_CTX) -> bool:
-        attrs = self.getattr(ctx)
-        if ctx.cred.uid == 0:
-            return True
-        shift = 6 if ctx.cred.uid == attrs.uid else 0
-        return (attrs.perm >> shift) & mode == mode
+        return unix_permits(self.getattr(ctx), ctx.cred, mode)
 
     # -- symlink --
 

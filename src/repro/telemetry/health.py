@@ -100,24 +100,6 @@ class HostHealth:
     def max_staleness_seconds(self) -> float:
         return max(self.staleness_seconds.values(), default=0.0)
 
-    def to_dict(self) -> dict:
-        return {
-            "host": self.host,
-            "up": self.up,
-            "topology": self.topology,
-            "fanout": self.fanout,
-            "notes_pending": self.notes_pending,
-            "staleness_ticks": dict(self.staleness_ticks),
-            "staleness_seconds": dict(self.staleness_seconds),
-            "suspected": {v: list(p) for v, p in self.suspected.items()},
-            "degraded_peers": list(self.degraded_peers),
-            "anomalies": dict(self.anomalies),
-            "last_recon": list(self.last_recon),
-            "resolver_auto_resolved": self.resolver_auto_resolved,
-            "resolver_fallback_manual": self.resolver_fallback_manual,
-            "last_resolutions": list(self.last_resolutions),
-        }
-
 
 class FlightRecorder:
     """Bounded ring of recent operations plus anomaly snapshots.

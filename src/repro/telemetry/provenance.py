@@ -380,9 +380,6 @@ class VersionDAG:
 
 def compose_system_dag(system) -> VersionDAG:
     """The cluster-wide DAG of a live :class:`~repro.sim.FicusSystem`."""
-    ledgers = []
-    for name in sorted(system.hosts):
-        plane = system.host(name).health_plane
-        if plane is not None:
-            ledgers.append(plane.provenance)
-    return VersionDAG.compose(ledgers)
+    return VersionDAG.compose(
+        [system.host(name).health_plane.provenance for name in sorted(system.hosts)]
+    )

@@ -50,6 +50,7 @@ __all__ = [
     "SetAttrs",
     "Vnode",
     "read_whole",
+    "unix_permits",
     "FileSystemLayer",
 ]
 
@@ -348,6 +349,16 @@ def read_whole(vnode: "Vnode", chunk: int = 1 << 20, ctx: OpContext = ROOT_CTX) 
         if len(data) < chunk:
             break
     return b"".join(pieces)
+
+
+def unix_permits(attrs: FileAttributes, cred: Credential, mode: int) -> bool:
+    """The classic Unix permission check: uid 0 may do anything, the owner
+    is judged by the owner bits of ``attrs.perm``, everyone else by the
+    other bits."""
+    if cred.uid == 0:
+        return True
+    shift = 6 if cred.uid == attrs.uid else 0
+    return (attrs.perm >> shift) & mode == mode
 
 
 class FileSystemLayer(abc.ABC):

@@ -11,16 +11,9 @@ namespace beside its private files.
 
 from __future__ import annotations
 
-from repro.errors import CrossDevice, InvalidArgument
-from repro.ufs.inode import FileAttributes
-from repro.vnode.interface import (
-    ROOT_CTX,
-    DirEntry,
-    FileSystemLayer,
-    OpContext,
-    SetAttrs,
-    Vnode,
-)
+from repro.errors import CrossDevice, InvalidArgument, NotSupported
+from repro.vnode.interface import ROOT_CTX, FileSystemLayer, OpContext, Vnode
+from repro.vnode.passthrough import PassthroughVnode
 
 
 def _split_mount_path(path: str) -> tuple[str, ...]:
@@ -86,40 +79,42 @@ class MountLayer(FileSystemLayer):
         return MountVnode(self, self.base.root(), ())
 
 
-class MountVnode(Vnode):
+class MountVnode(PassthroughVnode):
     """Wraps a vnode of whichever layer owns this point in the namespace,
-    remembering the path so lookups can detect mount crossings."""
+    remembering the path so lookups can detect mount crossings.
+
+    Only the operations that name a child involve the path; every other
+    operation forwards unchanged.  ``lookup_fh`` and ``lookup_dir`` would
+    have to invent the path of what they reach, so they stay unsupported.
+    """
+
+    layer: MountLayer
 
     def __init__(self, layer: MountLayer, lower: Vnode, path: tuple[str, ...]):
-        self.layer = layer
-        self.lower = lower
+        super().__init__(layer, lower)
         self.path = path
 
-    def _wrap(self, lower: Vnode, path: tuple[str, ...]) -> "MountVnode":
-        return MountVnode(self.layer, lower, path)
-
-    @staticmethod
-    def _unwrap(node: Vnode) -> Vnode:
-        return node.lower if isinstance(node, MountVnode) else node
-
-    # -- namespace: the interesting part --
+    def _child(self, lower: Vnode, name: str) -> "MountVnode":
+        return MountVnode(self.layer, lower, (*self.path, name))
 
     def lookup(self, name: str, ctx: OpContext = ROOT_CTX) -> Vnode:
-        child_path = (*self.path, name)
-        mounted = self.layer._covering_mount(child_path)
+        mounted = self.layer._covering_mount((*self.path, name))
         if mounted is not None:
             # crossing a mount point: the mounted layer's root covers the
             # underlying directory
-            return self._wrap(mounted.root(), child_path)
-        return self._wrap(self.lower.lookup(name, ctx), child_path)
+            return self._child(mounted.root(), name)
+        return self._child(self.lower.lookup(name, ctx), name)
 
     def create(self, name: str, perm: int = 0o644, ctx: OpContext = ROOT_CTX) -> Vnode:
         if self.layer._covering_mount((*self.path, name)) is not None:
             raise InvalidArgument(f"{name!r} is a mount point")
-        return self._wrap(self.lower.create(name, perm, ctx), (*self.path, name))
+        return self._child(self.lower.create(name, perm, ctx), name)
 
     def mkdir(self, name: str, perm: int = 0o755, ctx: OpContext = ROOT_CTX) -> Vnode:
-        return self._wrap(self.lower.mkdir(name, perm, ctx), (*self.path, name))
+        return self._child(self.lower.mkdir(name, perm, ctx), name)
+
+    def symlink(self, name: str, target: str, ctx: OpContext = ROOT_CTX) -> Vnode:
+        return self._child(self.lower.symlink(name, target, ctx), name)
 
     def remove(self, name: str, ctx: OpContext = ROOT_CTX) -> None:
         if self.layer._covering_mount((*self.path, name)) is not None:
@@ -138,55 +133,20 @@ class MountVnode(Vnode):
             raise InvalidArgument("rename destination must be in the mounted namespace")
         if self.layer._mount_owner(self.path) is not self.layer._mount_owner(dst_dir.path):
             raise CrossDevice("rename across mount boundaries")
-        self.lower.rename(src_name, self._unwrap(dst_dir), dst_name, ctx)
+        super().rename(src_name, dst_dir, dst_name, ctx)
 
     def link(self, target: Vnode, name: str, ctx: OpContext = ROOT_CTX) -> None:
         if not isinstance(target, MountVnode):
             raise InvalidArgument("link target must be in the mounted namespace")
         if self.layer._mount_owner(self.path) is not self.layer._mount_owner(target.path):
             raise CrossDevice("hard link across mount boundaries")
-        self.lower.link(self._unwrap(target), name, ctx)
+        super().link(target, name, ctx)
 
-    def readdir(self, ctx: OpContext = ROOT_CTX) -> list[DirEntry]:
-        return self.lower.readdir(ctx)
+    def lookup_fh(self, fh, ctx: OpContext = ROOT_CTX) -> Vnode:
+        raise NotSupported("lookup_fh")
 
-    def symlink(self, name: str, target: str, ctx: OpContext = ROOT_CTX) -> Vnode:
-        return self._wrap(self.lower.symlink(name, target, ctx), (*self.path, name))
-
-    # -- everything else passes straight through --
-
-    def open(self, ctx: OpContext = ROOT_CTX) -> None:
-        self.lower.open(ctx)
-
-    def close(self, ctx: OpContext = ROOT_CTX) -> None:
-        self.lower.close(ctx)
-
-    def inactive(self) -> None:
-        self.lower.inactive()
-
-    def read(self, offset: int, length: int, ctx: OpContext = ROOT_CTX) -> bytes:
-        return self.lower.read(offset, length, ctx)
-
-    def write(self, offset: int, data: bytes, ctx: OpContext = ROOT_CTX) -> int:
-        return self.lower.write(offset, data, ctx)
-
-    def truncate(self, size: int, ctx: OpContext = ROOT_CTX) -> None:
-        self.lower.truncate(size, ctx)
-
-    def fsync(self, ctx: OpContext = ROOT_CTX) -> None:
-        self.lower.fsync(ctx)
-
-    def getattr(self, ctx: OpContext = ROOT_CTX) -> FileAttributes:
-        return self.lower.getattr(ctx)
-
-    def setattr(self, attrs: SetAttrs, ctx: OpContext = ROOT_CTX) -> None:
-        self.lower.setattr(attrs, ctx)
-
-    def access(self, mode: int, ctx: OpContext = ROOT_CTX) -> bool:
-        return self.lower.access(mode, ctx)
-
-    def readlink(self, ctx: OpContext = ROOT_CTX) -> str:
-        return self.lower.readlink(ctx)
+    def lookup_dir(self, fh, ctx: OpContext = ROOT_CTX) -> Vnode:
+        raise NotSupported("lookup_dir")
 
     def __repr__(self) -> str:
         return f"MountVnode(/{'/'.join(self.path)})"

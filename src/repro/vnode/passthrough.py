@@ -31,9 +31,9 @@ if TYPE_CHECKING:
 class PassthroughVnode(Vnode):
     """Wraps one lower vnode; every operation forwards unchanged.
 
-    Subclasses that add behaviour around an operation (monitor, auth)
-    call these methods, so wrapping results and unwrapping arguments
-    stay here."""
+    Subclasses that add behaviour around an operation (monitor, auth,
+    mount) call these methods, so wrapping results and unwrapping
+    arguments stay here."""
 
     def __init__(self, layer: "NullLayer", lower: Vnode):
         self.layer = layer

@@ -17,6 +17,7 @@ from repro.vnode.interface import (
     OpContext,
     SetAttrs,
     Vnode,
+    unix_permits,
 )
 
 
@@ -92,13 +93,7 @@ class UfsVnode(Vnode):
             self.fs.setattr(self.ino, perm=attrs.perm, uid=attrs.uid)
 
     def access(self, mode: int, ctx: OpContext = ROOT_CTX) -> bool:
-        """Classic Unix permission check against owner/other bits."""
-        attrs = self.fs.getattr(self.ino)
-        if ctx.cred.uid == 0:
-            return True
-        perm = attrs.perm
-        shift = 6 if ctx.cred.uid == attrs.uid else 0
-        return (perm >> shift) & mode == mode
+        return unix_permits(self.fs.getattr(self.ino), ctx.cred, mode)
 
     # -- namespace --
 

@@ -199,20 +199,7 @@ def run_chaos(seed: int, config: ChaosConfig | None = None, dump_dir: str = "out
         raise ValueError("record_history/verify_replication exclude rename_storm and crashes")
     history: list | None = report.history if recording else None
 
-    host_names = [f"h{i}" for i in range(config.host_count)]
-    system = FicusSystem(
-        host_names,
-        daemon_config=_QUIET,
-        topology=make_topology(config.topology, seed=seed),
-    )
-    system.network.faults.reseed(seed)
-    if config.resolvers:
-        system.enable_resolvers()
-
-    if config.rename_storm:
-        _rename_storm(system, host_names)
-
-    system.network.faults.set_default(config.faults)
+    system, host_names = build_cluster(seed, config)
     partitioned = False
     down: dict[str, int] = {}  # crashed host -> rounds left down
     for round_index in range(config.rounds):
@@ -271,17 +258,7 @@ def run_chaos(seed: int, config: ChaosConfig | None = None, dump_dir: str = "out
         _restart_host(system, host_name, report)
     down.clear()
     report.faults_injected = dict(system.network.faults.injected)
-    system.heal()
-    system.network.faults.clear()
-    system.network.flush_deferred_datagrams()
-    for host_name in host_names:
-        host = system.host(host_name)
-        host.propagation_daemon.peer_health.reset()
-        host.recon_daemon.peer_health.reset()
-    system.reconcile_everything(rounds=config.host_count + 2)
-    for _ in range(2):
-        for host_name in host_names:
-            system.host(host_name).propagation_daemon.tick()
+    quiesce(system, host_names)
 
     _check_convergence(system, host_names, report, config)
     report.unresolved_conflicts = system.total_conflicts()
@@ -321,6 +298,44 @@ def run_chaos(seed: int, config: ChaosConfig | None = None, dump_dir: str = "out
     return report
 
 
+def build_cluster(seed: int, config: ChaosConfig) -> tuple[FicusSystem, list[str]]:
+    """The cluster a chaos run of ``seed`` drives, its faults armed.
+
+    Everything random about it (the gossip schedule, the fault plane's
+    draws) is seeded from ``seed``, so building it twice and issuing the
+    same calls reproduces the same datagram and fault schedule.
+    """
+    host_names = [f"h{i}" for i in range(config.host_count)]
+    system = FicusSystem(
+        host_names,
+        daemon_config=_QUIET,
+        topology=make_topology(config.topology, seed=seed),
+    )
+    system.network.faults.reseed(seed)
+    if config.resolvers:
+        system.enable_resolvers()
+    if config.rename_storm:
+        _rename_storm(system, host_names)
+    system.network.faults.set_default(config.faults)
+    return system, host_names
+
+
+def quiesce(system: FicusSystem, host_names: list[str]) -> None:
+    """Withdraw every fault and partition, then converge: the bounded
+    reconciliation rounds and propagation ticks the oracle runs after."""
+    system.heal()
+    system.network.faults.clear()
+    system.network.flush_deferred_datagrams()
+    for host_name in host_names:
+        host = system.host(host_name)
+        host.propagation_daemon.peer_health.reset()
+        host.recon_daemon.peer_health.reset()
+    system.reconcile_everything(rounds=len(host_names) + 2)
+    for _ in range(2):
+        for host_name in host_names:
+            system.host(host_name).propagation_daemon.tick()
+
+
 def _record_tick(history: list, system: FicusSystem, host_name: str, daemon: str) -> None:
     from repro.workload.replay import TraceOp
 
@@ -347,9 +362,7 @@ def _restart_host(system: FicusSystem, host_name: str, report: ChaosReport) -> N
         report.problems.append(
             f"{host_name}: recovery sweep left {residue} shadow file(s) behind"
         )
-        plane = host.health_plane
-        if plane is not None:
-            plane.anomaly("fsck_violation", host=host_name, shadow_residue=residue)
+        host.health_plane.anomaly("fsck_violation", host=host_name, shadow_residue=residue)
 
 
 def _dump_flight_recorders(
@@ -359,8 +372,6 @@ def _dump_flight_recorders(
     os.makedirs(dump_dir, exist_ok=True)
     for host_name in host_names:
         plane = system.host(host_name).health_plane
-        if plane is None:
-            continue
         snapshot = plane.anomaly(
             "chaos_oracle_failure", seed=seed, problems=report.problems[:5]
         )

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.telemetry import VersionDAG
+from repro.workload.chaos import build_cluster, quiesce
 from repro.workload.replay import TraceOp, replay_trace
 
 
@@ -163,44 +164,17 @@ def replicate_and_verify(
     """Re-execute a recorded chaos history on a fresh cluster and compare.
 
     ``config`` is the :class:`~repro.workload.chaos.ChaosConfig` of the
-    recorded run — the fresh system is built exactly as ``run_chaos``
-    builds one (same topology seed, same fault-plane reseed, same
-    resolver registry, same fault profile), so replaying the recorded
-    call sequence reproduces the exact datagram and fault schedule.
+    recorded run; the fresh system comes from the same
+    :func:`~repro.workload.chaos.build_cluster` and is quiesced by the same
+    :func:`~repro.workload.chaos.quiesce`, so replaying the recorded call
+    sequence reproduces the exact datagram and fault schedule.
     ``baseline`` is the recorded run's :func:`state_fingerprint` taken
     after its quiesce.
     """
-    # imported here: chaos imports this module, so the reverse import
-    # must stay inside the function
-    from repro.sim import FicusSystem, make_topology
-    from repro.workload.chaos import _QUIET
-
-    host_names = [f"h{i}" for i in range(config.host_count)]
-    system = FicusSystem(
-        host_names,
-        daemon_config=_QUIET,
-        topology=make_topology(config.topology, seed=seed),
-    )
-    system.network.faults.reseed(seed)
-    if config.resolvers:
-        system.enable_resolvers()
-    system.network.faults.set_default(config.faults)
-
+    system, host_names = build_cluster(seed, config)
     replay = replay_trace(system, history, strict=False)
     report = VerifyReport(ops_replayed=replay.applied, ops_failed=replay.failed)
-
-    # quiesce exactly as run_chaos does
-    system.heal()
-    system.network.faults.clear()
-    system.network.flush_deferred_datagrams()
-    for host_name in host_names:
-        host = system.host(host_name)
-        host.propagation_daemon.peer_health.reset()
-        host.recon_daemon.peer_health.reset()
-    system.reconcile_everything(rounds=config.host_count + 2)
-    for _ in range(2):
-        for host_name in host_names:
-            system.host(host_name).propagation_daemon.tick()
+    quiesce(system, host_names)
 
     replayed = state_fingerprint(system, host_names)
     _diff_fingerprints(baseline, replayed, report)

@@ -6,7 +6,7 @@ import inspect
 
 import pytest
 
-from repro.errors import FileNotFound, PermissionDenied
+from repro.errors import FileNotFound, NotSupported, PermissionDenied
 from repro.layers import AccessPolicy, AuthLayer, CryptLayer, Keystream, MonitorLayer
 from repro.storage import BlockDevice
 from repro.ufs import Ufs, fsck
@@ -147,6 +147,41 @@ class TestAuthLayer:
             root.rename("f", root, "g", reader)
         with pytest.raises(PermissionDenied):
             root.link(f, "alias", reader)
+
+    @pytest.mark.parametrize("how", ["positional", "keyword"])
+    def test_denial_fires_however_ctx_is_passed(self, ufs_layer, how):
+        """Every checked operation refuses an unadmitted uid before it
+        forwards, whether its ``ctx`` comes in its place or by keyword."""
+        stub = AnswerEveryOp()
+        auth = AuthLayer(ufs_layer, AccessPolicy(allowed_uids={100}))
+        vnode = auth.wrap(stub)
+        intruder = OpContext(cred=Credential(uid=200))
+        denied = set()
+        for op in Vnode.OPERATIONS:
+            params = inspect.signature(getattr(Vnode, op)).parameters
+            if "ctx" not in params:
+                continue
+            args = [
+                None if p.default is p.empty else p.default
+                for name, p in params.items()
+                if name not in ("self", "ctx") and p.kind is p.POSITIONAL_OR_KEYWORD
+            ]
+            # ctx is the last positional parameter wherever it is one at all
+            in_place = how == "positional" and params["ctx"].kind is params["ctx"].POSITIONAL_OR_KEYWORD
+            args, kwargs = ([*args, intruder], {}) if in_place else (args, {"ctx": intruder})
+            try:
+                getattr(vnode, op)(*args, **kwargs)
+            except PermissionDenied:
+                denied.add(op)
+            except NotSupported:
+                pass  # select: the pass-through layer does not forward it
+        reads = {"read", "getattr", "readdir", "lookup", "lookup_fh", "lookup_dir", "readlink", "access"}
+        mutations = {"write", "truncate", "setattr", "create", "mkdir", "remove", "rmdir", "rename"}
+        mutations |= {"link", "symlink", "insert", "remove_entry", "set_policy"}
+        checked = reads | mutations
+        assert denied == checked
+        assert auth.denials == len(checked)
+        assert not checked & set(stub.received)
 
     def test_ficus_mutations_gated_handle_lookups_are_reads(self, ufs_layer):
         """insert, remove_entry and set_policy are operations, so the layer

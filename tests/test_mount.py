@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.errors import CrossDevice, FileNotFound, InvalidArgument
+from repro.errors import CrossDevice, FileNotFound, InvalidArgument, NotSupported
+from repro.physical import EntryType, FicusPhysicalLayer
 from repro.sim import DaemonConfig, FicusSystem
 from repro.storage import BlockDevice
 from repro.ufs import Ufs
+from repro.util import VolumeId, VolumeReplicaId
 from repro.vnode import MountLayer, UfsLayer
 
 QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
@@ -85,6 +87,35 @@ class TestMounting:
             ns.root().rmdir("mnt")
         with pytest.raises(InvalidArgument):
             ns.root().remove("mnt")
+
+
+class TestForwarding:
+    def test_operations_naming_no_child_forward(self, namespace):
+        ns, _, mounted = namespace
+        root = ns.root()
+        inside = root.walk("mnt/inside")
+        assert inside.read(0, 4) == b"from"
+        assert inside.write(0, b"FROM") == 4
+        assert mounted.root().lookup("inside").read(0, 8) == b"FROM the"
+        assert inside.getattr().fileid == mounted.root().lookup("inside").getattr().fileid
+        assert {"inside"} <= {e.name for e in root.walk("mnt").readdir()}
+        assert {"mnt", "home"} <= {e.name for e in root.readdir()}
+        with pytest.raises(InvalidArgument):
+            root.create("mnt")  # a mount point is never a new file
+
+    def test_lookup_by_handle_is_not_supported(self):
+        """A handle names no path, so the mount could not tell which layer
+        owns what it would reach — even over a layer that answers it."""
+        physical = FicusPhysicalLayer(ufs_layer(), "host")
+        vr = VolumeReplicaId(VolumeId(1, 1), 1)
+        store = physical.create_volume_replica(vr)
+        entry = physical.root().lookup(vr.to_hex()).insert("f", EntryType.FILE)
+        volume = MountLayer(physical).root().lookup(vr.to_hex())
+        assert volume.lookup("f").getattr().size == 0
+        with pytest.raises(NotSupported):
+            volume.lookup_fh(entry.fh)
+        with pytest.raises(NotSupported):
+            volume.lookup_dir(store.root_handle())
 
 
 class TestCrossMountRestrictions:

@@ -143,6 +143,37 @@ class TestStatelessness:
         with pytest.raises(StaleFileHandle):
             f.read(0, 1)
 
+    def test_stale_link_target_is_refused(self, world):
+        """The second handle of a call is checked like the first: a link
+        to a deleted file fails ESTALE even after its fileid is reused."""
+        _, _, server, client = world
+        root = client.root()
+        victim = root.create("victim")
+        root.remove("victim")
+        server.reboot()
+        client.flush_caches()
+        assert root.create("newcomer").handle.fileid == victim.handle.fileid
+        with pytest.raises(StaleFileHandle):
+            root.link(victim, "alias")
+        assert root.lookup("newcomer").getattr().nlink == 1
+        with pytest.raises(FileNotFound):
+            root.lookup("alias")
+
+    def test_stale_rename_destination_is_refused(self, world):
+        _, _, server, client = world
+        root = client.root()
+        root.create("f")
+        gone = root.mkdir("d")
+        root.rmdir("d")
+        server.reboot()
+        client.flush_caches()
+        newcomer = root.mkdir("e")
+        assert newcomer.handle.fileid == gone.handle.fileid
+        with pytest.raises(StaleFileHandle):
+            root.rename("f", gone, "g")
+        assert [e.name for e in root.readdir() if e.name in ("f", "g")] == ["f"]
+        assert "g" not in [e.name for e in newcomer.readdir()]
+
     def test_write_retry_is_idempotent(self, world):
         """Stateless ops can be retransmitted without harm."""
         _, _, _, client = world

@@ -14,7 +14,7 @@ from repro.errors import FileNotFound, InvalidArgument, IsADirectory, NotADirect
 from repro.logical import FicusLogicalLayer, LogicalDirVnode, LogicalFileVnode
 from repro.telemetry import spanned
 from repro.ufs.inode import FileAttributes, FileType
-from repro.vnode.interface import ROOT_CTX, OpContext, Vnode
+from repro.vnode.interface import ROOT_CTX, OpContext, Vnode, read_whole
 
 
 _spanned = partial(spanned, layer="fs", host="logical.host_addr")
@@ -112,22 +112,10 @@ class FicusFile:
         self._check_open()
         if size is not None:
             data = self._vnode.read(self._offset, max(0, size), self._ctx)
-            self._offset += len(data)
-            return data
-        # read to EOF by chunking rather than trusting getattr().size:
-        # across an NFS hop the attribute cache may serve a stale size
-        # (paper Section 2.2), and a chunked read cannot be fooled by it
-        pieces = []
-        chunk = 1 << 20
-        while True:
-            data = self._vnode.read(self._offset, chunk, self._ctx)
-            if not data:
-                break
-            pieces.append(data)
-            self._offset += len(data)
-            if len(data) < chunk:
-                break
-        return b"".join(pieces)
+        else:
+            data = read_whole(self._vnode, ctx=self._ctx, offset=self._offset)
+        self._offset += len(data)
+        return data
 
     def write(self, data: bytes) -> int:
         self._check_open()
@@ -444,8 +432,6 @@ class FicusFileSystem:
         for view in self.logical.file_replicas(
             report.volume, report.parent_fh, report.fh
         ):
-            from repro.vnode.interface import read_whole
-
             versions[view.location.host] = read_whole(view.dir_vnode.lookup_fh(report.fh))
         return versions
 

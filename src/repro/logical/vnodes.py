@@ -21,8 +21,9 @@ from repro.errors import (
     NotADirectory,
 )
 from repro.physical import EntryType, decode_directory, effective_entries
+from repro.physical.vnodes import ENTRY_FILE_TYPES
 from repro.telemetry import spanned
-from repro.ufs.inode import FileAttributes, FileType
+from repro.ufs.inode import FileAttributes
 from repro.util import FicusFileHandle, VolumeId
 from repro.vnode.interface import (
     ROOT_CTX,
@@ -35,13 +36,6 @@ from repro.vnode.interface import (
 from repro.volume import locations_from_entries
 
 _spanned = partial(spanned, layer="logical", host="layer.host_addr")
-
-_TYPE_MAP = {
-    EntryType.FILE: FileType.REGULAR,
-    EntryType.SYMLINK: FileType.SYMLINK,
-    EntryType.DIRECTORY: FileType.DIRECTORY,
-    EntryType.GRAFT_POINT: FileType.DIRECTORY,
-}
 
 
 class LogicalDirVnode(Vnode):
@@ -295,7 +289,7 @@ class LogicalDirVnode(Vnode):
             if entry.etype == EntryType.LOCATION:
                 continue
             out.append(
-                DirEntry(name=name, fileid=entry.fh.file_id.unique, ftype=_TYPE_MAP[entry.etype])
+                DirEntry(name=name, fileid=entry.fh.file_id.unique, ftype=ENTRY_FILE_TYPES[entry.etype])
             )
         return out
 

@@ -28,22 +28,24 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from repro.errors import HostUnreachable, InvalidArgument, RpcTimeout, ServiceUnavailable
-from repro.telemetry import NULL_TELEMETRY, Histogram, Telemetry
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.util import VirtualClock
 
 RpcHandler = Callable[..., object]
 DatagramHandler = Callable[[str, object], None]
 
+#: Virtual seconds one RPC advances the clock (an injected timeout too).
+RPC_LATENCY = 0.001
+
 
 @dataclass
 class PeerStats:
-    """Per (src, dst) RPC accounting: latency and byte volumes."""
+    """Per (src, dst) RPC accounting: calls, failures and byte volumes."""
 
     rpcs: int = 0
     failures: int = 0
     bytes_sent: int = 0
     bytes_received: int = 0
-    latency_seconds: float = 0.0
 
 
 def _payload_bytes(values: Iterable[object]) -> int:
@@ -59,8 +61,7 @@ class NetworkStats:
     The five aggregate counters are plain ints (cheap, always on) and
     per-peer detail lands in :attr:`per_peer`; the deployment's
     :class:`~repro.telemetry.MetricsRegistry` views both under ``net.*``
-    names.  The latency distribution has no plain-int form, so it lives in
-    the registry's histogram the network binds here (a no-op without one).
+    names.
     """
 
     rpcs_sent: int = 0
@@ -69,9 +70,6 @@ class NetworkStats:
     datagrams_delivered: int = 0
     datagrams_lost: int = 0
     per_peer: dict[tuple[str, str], PeerStats] = field(default_factory=dict, repr=False)
-    rpc_latency: Histogram = field(
-        default=NULL_TELEMETRY.metrics.histogram("net.rpc_latency_seconds"), repr=False
-    )
 
     def peer(self, src: str, dst: str) -> PeerStats:
         stats = self.per_peer.get((src, dst))
@@ -85,7 +83,6 @@ class NetworkStats:
         dst: str,
         *,
         ok: bool,
-        latency: float = 0.0,
         bytes_out: int = 0,
         bytes_in: int = 0,
     ) -> None:
@@ -94,11 +91,9 @@ class NetworkStats:
         peer.rpcs += 1
         peer.bytes_sent += bytes_out
         peer.bytes_received += bytes_in
-        peer.latency_seconds += latency
         if not ok:
             self.rpcs_failed += 1
             peer.failures += 1
-        self.rpc_latency.observe(latency)
 
     def record_datagram(self, delivered: bool) -> None:
         self.datagrams_sent += 1
@@ -129,15 +124,6 @@ class NetworkStats:
         for (src, _dst), peer in self.per_peer.items():
             out[src] = out.get(src, 0) + peer.bytes_sent + peer.bytes_received
         return out
-
-    def snapshot(self) -> "NetworkStats":
-        return NetworkStats(
-            self.rpcs_sent,
-            self.rpcs_failed,
-            self.datagrams_sent,
-            self.datagrams_delivered,
-            self.datagrams_lost,
-        )
 
 
 @dataclass(frozen=True)
@@ -211,7 +197,6 @@ class FaultPlane:
         self._links: dict[tuple[str, str], LinkFaults] = {}
         self._rpc_scripts: dict[tuple[str, str], deque[str]] = {}
         self._block_scripts: dict[tuple[str, str], int] = {}
-        self.enabled = True
         #: faults injected so far, by kind
         self.injected: dict[str, int] = {}
 
@@ -263,7 +248,7 @@ class FaultPlane:
     @property
     def active(self) -> bool:
         """Cheap guard for the network's hot paths."""
-        return self.enabled and bool(
+        return bool(
             self._links
             or self._rpc_scripts
             or self._block_scripts
@@ -357,15 +342,13 @@ class Network:
     def __init__(
         self,
         clock: VirtualClock | None = None,
-        rpc_latency: float = 0.001,
         telemetry: Telemetry | None = None,
         fault_plane: FaultPlane | None = None,
     ):
         self.clock = clock or VirtualClock()
-        self.rpc_latency = rpc_latency
         self.telemetry = telemetry or NULL_TELEMETRY
         metrics = self.telemetry.metrics
-        self.stats = NetworkStats(rpc_latency=metrics.histogram("net.rpc_latency_seconds"))
+        self.stats = NetworkStats()
         self.faults = fault_plane or FaultPlane()
         metrics.add_source("net", self.stats)
         metrics.add_source("net", self.stats.rpc_bytes)
@@ -474,32 +457,27 @@ class Network:
         verdict = self.faults.rpc_verdict(src, dst) if self.faults.active else RPC_OK
         if verdict == RPC_TIMEOUT:
             # the request is lost before the server sees it
-            self.clock.advance(self.rpc_latency)
+            self.clock.advance(RPC_LATENCY)
             self.stats.record_rpc(src, dst, ok=False, bytes_out=bytes_out)
             raise RpcTimeout(f"{src} -> {dst}: injected timeout for {service!r}")
-        self.clock.advance(self.rpc_latency)
+        self.clock.advance(RPC_LATENCY)
         # application errors surfacing through the handler are still a
         # delivered RPC at the transport level — count them as sent
         try:
             result = handler(*args, **kwargs)
         except Exception:
-            self.stats.record_rpc(
-                src, dst, ok=True, latency=self.rpc_latency, bytes_out=bytes_out
-            )
+            self.stats.record_rpc(src, dst, ok=True, bytes_out=bytes_out)
             raise
         if verdict == RPC_REPLY_LOST:
             # the server executed, the reply vanished: the caller cannot
             # distinguish this from a lost request — exactly why blind
             # retry of non-idempotent operations is unsafe
-            self.stats.record_rpc(
-                src, dst, ok=False, latency=self.rpc_latency, bytes_out=bytes_out
-            )
+            self.stats.record_rpc(src, dst, ok=False, bytes_out=bytes_out)
             raise RpcTimeout(f"{src} -> {dst}: injected reply loss for {service!r}")
         self.stats.record_rpc(
             src,
             dst,
             ok=True,
-            latency=self.rpc_latency,
             bytes_out=bytes_out,
             bytes_in=len(result) if isinstance(result, (bytes, bytearray)) else 0,
         )

@@ -105,6 +105,9 @@ class NfsClientLayer(FileSystemLayer):
         self._attr_cache: dict[NfsHandle, tuple[float, FileAttributes]] = {}
         #: (directory handle, lookup op, name or Ficus handle) -> reply
         self._name_cache: dict[tuple[NfsHandle, str, object], tuple[float, LookupReply]] = {}
+        #: RPC retransmissions sent
+        self.retries = 0
+        self.telemetry.metrics.add_source("nfs", lambda: {"retries": self.retries})
 
     @property
     def clock(self) -> VirtualClock:
@@ -165,7 +168,7 @@ class NfsClientLayer(FileSystemLayer):
                 self.clock.advance(
                     min(self.config.backoff_max, self.config.backoff_base * 2 ** (attempt - 1))
                 )
-                self.telemetry.metrics.counter("nfs.retries").inc()
+                self.retries += 1
                 self._tracer.tag_current("retries", attempt)
             try:
                 return self.network.rpc(

@@ -115,6 +115,11 @@ class FicusPhysicalLayer(FileSystemLayer):
         self._registry: dict[int, Vnode] = {}
         #: count of version-vector bumps deferred into sessions (observability)
         self.session_coalesced_updates = 0
+        #: update notifications that made or refreshed a new-version note
+        self.notifications_received = 0
+        self.telemetry.metrics.add_source(
+            "physical", lambda: {"notifications_received": self.notifications_received}
+        )
         #: this host's HealthPlane; a host that reboots hands the rebuilt
         #: layer the plane its first one made (the flight recorder survives)
         self.health = HealthPlane(host_addr, clock=self.clock.now, telemetry=self.telemetry)
@@ -127,22 +132,18 @@ class FicusPhysicalLayer(FileSystemLayer):
         """Initialize storage for a new volume replica on this host."""
         if volrep in self.stores:
             raise InvalidArgument(f"{volrep} already hosted on {self.host_addr}")
-        store = ReplicaStore.create(self.lower_root, volrep, metrics=self._metrics_or_none())
-        self.stores[volrep] = store
-        return store
+        return self._host_store(volrep, ReplicaStore.create(self.lower_root, volrep))
 
     def attach_volume_replica(self, volrep: VolumeReplicaId) -> ReplicaStore:
         """Attach to existing storage (host restart)."""
         if volrep in self.stores:
             return self.stores[volrep]
-        store = ReplicaStore.attach(self.lower_root, volrep, metrics=self._metrics_or_none())
-        self.stores[volrep] = store
-        return store
+        return self._host_store(volrep, ReplicaStore.attach(self.lower_root, volrep))
 
-    def _metrics_or_none(self):
-        """Stores take a registry only when it records; None keeps their
-        counting helper a single branch on the disabled path."""
-        return self.telemetry.metrics if self.telemetry.enabled else None
+    def _host_store(self, volrep: VolumeReplicaId, store: ReplicaStore) -> ReplicaStore:
+        self.stores[volrep] = store
+        self.telemetry.metrics.add_source("store", store.stats)
+        return store
 
     def store_for(self, volrep: VolumeReplicaId) -> ReplicaStore:
         try:
@@ -298,8 +299,7 @@ class FicusPhysicalLayer(FileSystemLayer):
                     objkind=objkind,
                     trace_ctx=note.trace,
                 )
-                if self.telemetry.enabled:
-                    self.telemetry.metrics.counter("physical.notifications_received").inc()
+                self.notifications_received += 1
 
     def pending_new_versions(self) -> list[NewVersionNote]:
         """What the propagation daemon consults."""

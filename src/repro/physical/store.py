@@ -68,8 +68,9 @@ flush protocol", held by ``tests/test_write_order.py``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.errors import FileNotFound, InvalidArgument
-from repro.telemetry import MetricsRegistry
 from repro.physical.wire import (
     AUX_SUFFIX,
     DELTA_BLOCK_SIZE,
@@ -149,6 +150,27 @@ def file_component(fh: FicusFileHandle, vv) -> str:
     return content_digest(fh.logical.to_hex(), vv.encode())
 
 
+@dataclass
+class StoreStats:
+    """What one replica store has done to its records, counted where it
+    happens; the physical layer views it as the ``store.*`` metrics."""
+
+    #: one-record replaces that kept the stored length (overwritten in place)
+    records_in_place: int = 0
+    #: one-record replaces that changed it (``truncate(0)`` + ``write``)
+    records_resized: int = 0
+    #: directories whose flush wrote ``.fdir`` or ``.faux``
+    dir_flushes: int = 0
+    #: staged directory-record updates a flush absorbed without a write
+    dir_writes_coalesced: int = 0
+    #: shadows made to receive a propagated version
+    shadows_created: int = 0
+    #: orphan shadows dropped by crash recovery
+    shadows_scavenged: int = 0
+    #: shadows renamed over the contents they replace
+    shadow_commits: int = 0
+
+
 class _DirUpdate:
     """What the open operation will leave in one directory's records."""
 
@@ -168,7 +190,7 @@ class _DirUpdate:
         #: storage to free once this directory's records are durable
         self.free_files: list[FicusFileHandle] = []
         self.free_dirs: list[FicusFileHandle] = []
-        #: staging calls, for ``store.dir_writes_coalesced``
+        #: staging calls, for ``StoreStats.dir_writes_coalesced``
         self.staged = 0
 
 
@@ -196,15 +218,10 @@ class _OperationScope:
 class ReplicaStore:
     """Reads and writes one volume replica's on-disk structures."""
 
-    def __init__(
-        self,
-        lower_root: Vnode,
-        volrep: VolumeReplicaId,
-        metrics: MetricsRegistry | None = None,
-    ):
+    def __init__(self, lower_root: Vnode, volrep: VolumeReplicaId):
         self.lower_root = lower_root
         self.volrep = volrep
-        self._metrics = metrics
+        self.stats = StoreStats()
         self._base = lower_root.lookup(volrep.to_hex())
         self._nodes = self._base.lookup("nodes")
         #: memoized subtree recon digests, cleared on every mutation; a
@@ -258,10 +275,6 @@ class ReplicaStore:
         if self._caches_enabled:
             cache[key] = (self._epoch(), value)
 
-    def _count(self, name: str, amount: int = 1) -> None:
-        if self._metrics is not None:
-            self._metrics.counter(name).inc(amount)
-
     def _replace_record(self, vnode: Vnode, data: bytes) -> None:
         """Replace the whole contents of a one-record file (``.meta``, a
         directory's ``.faux``, a file's ``.aux``).
@@ -275,21 +288,16 @@ class ReplicaStore:
         the record empty.  Callers drop their decoded copy if this raises.
         """
         if vnode.getattr().size == len(data):
-            self._count("store.records_in_place")
+            self.stats.records_in_place += 1
         else:
-            self._count("store.records_resized")
+            self.stats.records_resized += 1
             vnode.truncate(0)
         vnode.write(0, data)
 
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def create(
-        cls,
-        lower_root: Vnode,
-        volrep: VolumeReplicaId,
-        metrics: MetricsRegistry | None = None,
-    ) -> "ReplicaStore":
+    def create(cls, lower_root: Vnode, volrep: VolumeReplicaId) -> "ReplicaStore":
         """Initialize storage for a brand-new volume replica."""
         base = lower_root.mkdir(volrep.to_hex())
         meta = base.create(META_NAME)
@@ -304,20 +312,15 @@ class ReplicaStore:
             ).encode("utf-8"),
         )
         base.mkdir("nodes")
-        store = cls(lower_root, volrep, metrics=metrics)
+        store = cls(lower_root, volrep)
         root_fh = volume_root_handle(volrep.volume)
         store.create_directory_storage(root_fh, EntryType.DIRECTORY)
         return store
 
     @classmethod
-    def attach(
-        cls,
-        lower_root: Vnode,
-        volrep: VolumeReplicaId,
-        metrics: MetricsRegistry | None = None,
-    ) -> "ReplicaStore":
+    def attach(cls, lower_root: Vnode, volrep: VolumeReplicaId) -> "ReplicaStore":
         """Open existing volume-replica storage (e.g. after host restart)."""
-        return cls(lower_root, volrep, metrics=metrics)
+        return cls(lower_root, volrep)
 
     @classmethod
     def exists(cls, lower_root: Vnode, volrep: VolumeReplicaId) -> bool:
@@ -601,9 +604,9 @@ class ReplicaStore:
         if update.aux is not None:
             self._cache_put(self._dir_aux_cache, key, update.aux)
         if written:
-            self._count("store.dir_flushes")
+            self.stats.dir_flushes += 1
         if update.staged > written:
-            self._count("store.dir_writes_coalesced", update.staged - written)
+            self.stats.dir_writes_coalesced += update.staged - written
         for child in doomed:
             if self.has_file(fh, child):
                 self._unlink_file_storage(fh, child)
@@ -766,7 +769,7 @@ class ReplicaStore:
         except FileNotFound:
             if not create:
                 raise
-            self._count("store.shadows_created")
+            self.stats.shadows_created += 1
             return unix_dir.create(key)
 
     def commit_shadow(
@@ -791,7 +794,7 @@ class ReplicaStore:
         # point, so the installed version becomes the retained ancestor
         aux.ancestor = self._ancestor_record(parent, fh)
         self.write_file_aux(parent, fh, aux)
-        self._count("store.shadow_commits")
+        self.stats.shadow_commits += 1
 
     def abort_shadow(self, parent: FicusFileHandle, fh: FicusFileHandle) -> None:
         """Discard an uncommitted shadow ("the shadow discarded")."""
@@ -863,8 +866,7 @@ class ReplicaStore:
             if entry.name.endswith(SHADOW_SUFFIX):
                 unix_dir.remove(entry.name)
                 dropped += 1
-        if dropped:
-            self._count("store.shadows_scavenged", dropped)
+        self.stats.shadows_scavenged += dropped
         return dropped
 
     def recover(self) -> None:

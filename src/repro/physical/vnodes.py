@@ -55,6 +55,15 @@ from repro.vv import VersionVector
 
 _spanned = partial(spanned, layer="physical", host="layer.host_addr")
 
+#: The file type ``readdir`` reports for each user-visible entry type
+#: (``LOCATION`` entries are graft-point metadata and never listed).
+ENTRY_FILE_TYPES = {
+    EntryType.FILE: FileType.REGULAR,
+    EntryType.SYMLINK: FileType.SYMLINK,
+    EntryType.DIRECTORY: FileType.DIRECTORY,
+    EntryType.GRAFT_POINT: FileType.DIRECTORY,
+}
+
 
 def _one_operation(method):
     """Run a directory vnode's mutation as one store operation: what it
@@ -490,12 +499,6 @@ class PhysicalDirVnode(Vnode):
 
     def readdir(self, ctx: OpContext = ROOT_CTX) -> list[DirEntry]:
         out = []
-        type_map = {
-            EntryType.FILE: FileType.REGULAR,
-            EntryType.SYMLINK: FileType.SYMLINK,
-            EntryType.DIRECTORY: FileType.DIRECTORY,
-            EntryType.GRAFT_POINT: FileType.DIRECTORY,
-        }
         for name, entry in sorted(effective_entries(self.entries()).items()):
             if entry.etype == EntryType.LOCATION:
                 continue  # graft-point metadata is not user-visible
@@ -503,7 +506,7 @@ class PhysicalDirVnode(Vnode):
                 DirEntry(
                     name=name,
                     fileid=entry.fh.file_id.unique,
-                    ftype=type_map[entry.etype],
+                    ftype=ENTRY_FILE_TYPES[entry.etype],
                 )
             )
         return out

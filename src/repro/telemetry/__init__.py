@@ -21,13 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.telemetry.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.telemetry.metrics import Metric, MetricsRegistry
 from repro.telemetry.trace import NULL_SPAN, Span, TraceContext, Tracer, spanned
 
 
@@ -51,11 +45,9 @@ class Telemetry:
         self.tracer._clock = clock
 
     def reset(self) -> None:
-        """Drop recorded spans and zero the registry-held instruments
-        (their names survive); viewed metrics are the live state of the
-        components they view and are not touched."""
+        """Drop recorded spans.  Metrics are views of the components' live
+        state, which a hub does not own, so they are not touched."""
         self.tracer.reset()
-        self.metrics.reset()
 
     def __repr__(self) -> str:
         state = "enabled" if self.enabled else "disabled"
@@ -63,9 +55,9 @@ class Telemetry:
 
 
 #: Shared default for components built without a hub.  Permanently
-#: disabled: every instrument it hands out is a no-op, so uninstrumented
-#: deployments pay (nearly) nothing.  Never enable it — construct a fresh
-#: Telemetry instead.
+#: disabled: it records no span and keeps no metric source, so
+#: uninstrumented deployments pay (nearly) nothing.  Never enable it —
+#: construct a fresh Telemetry instead.
 NULL_TELEMETRY = Telemetry(enabled=False)
 
 # provenance depends only on repro.vv; health builds on it and on
@@ -89,15 +81,12 @@ from repro.telemetry.health import (  # noqa: E402
 )
 
 __all__ = [
-    "Counter",
-    "DEFAULT_BUCKETS",
     "FLIGHT_RING_CAPACITY",
     "FlightRecorder",
-    "Gauge",
     "HealthPlane",
-    "Histogram",
     "HostHealth",
     "MINT_KINDS",
+    "Metric",
     "MetricsRegistry",
     "NULL_SPAN",
     "NULL_TELEMETRY",

@@ -94,10 +94,5 @@ def summary(telemetry) -> str:
     if len(telemetry.metrics):
         lines.append(f"metrics: {len(telemetry.metrics)} instruments")
         for name, data in telemetry.metrics.snapshot().items():
-            if data["kind"] == "histogram":
-                lines.append(
-                    f"  {name:<40} n={data['count']:>7} mean={data['mean']:.6g}"
-                )
-            else:
-                lines.append(f"  {name:<40} {data['value']}")
+            lines.append(f"  {name:<40} {data['value']}")
     return "\n".join(lines)

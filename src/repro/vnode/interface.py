@@ -328,8 +328,10 @@ class Vnode(abc.ABC):
         return node
 
 
-def read_whole(vnode: "Vnode", chunk: int = 1 << 20, ctx: OpContext = ROOT_CTX) -> bytes:
-    """Read a vnode to EOF without trusting getattr's size.
+def read_whole(
+    vnode: "Vnode", chunk: int = 1 << 20, ctx: OpContext = ROOT_CTX, offset: int = 0
+) -> bytes:
+    """Read a vnode from ``offset`` to EOF without trusting getattr's size.
 
     Through an NFS hop, getattr may serve a *cached, stale* size (the
     uncontrollable caching the paper complains about in Section 2.2), so
@@ -339,7 +341,6 @@ def read_whole(vnode: "Vnode", chunk: int = 1 << 20, ctx: OpContext = ROOT_CTX) 
     Ficus directory files, auxiliary attributes, file pulls.
     """
     pieces = []
-    offset = 0
     while True:
         data = vnode.read(offset, chunk, ctx)
         if not data:

@@ -104,16 +104,9 @@ class GraftTable:
 class Grafter:
     """The autograft cache of one logical layer."""
 
-    def __init__(
-        self,
-        network: Network,
-        host_addr: str,
-        prefer_local: bool = True,
-        telemetry: Telemetry | None = None,
-    ):
+    def __init__(self, network: Network, host_addr: str, telemetry: Telemetry | None = None):
         self.network = network
         self.host_addr = host_addr
-        self.prefer_local = prefer_local
         self._grafts: dict[VolumeId, GraftState] = {}
         self.grafts_performed = 0
         self.grafts_pruned = 0
@@ -124,8 +117,6 @@ class Grafter:
 
     def candidate_order(self, locations: list[ReplicaLocation]) -> list[ReplicaLocation]:
         """Deterministic preference order: local replicas first."""
-        if not self.prefer_local:
-            return list(locations)
         local = [loc for loc in locations if loc.host == self.host_addr]
         remote = [loc for loc in locations if loc.host != self.host_addr]
         return local + remote

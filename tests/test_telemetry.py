@@ -12,17 +12,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import InvalidArgument
+from repro.physical import ReplicaStore
 from repro.sim import DaemonConfig, FicusSystem
+from repro.storage import BlockDevice
 from repro.telemetry import (
     NULL_SPAN,
     NULL_TELEMETRY,
-    Histogram,
     MetricsRegistry,
     Telemetry,
     Tracer,
 )
 from repro.telemetry.export import chrome_trace_json, spans_to_jsonl, summary
+from repro.ufs import Ufs
+from repro.util import VolumeId, VolumeReplicaId
+from repro.vnode import UfsLayer
 
 
 class FakeClock:
@@ -121,56 +124,44 @@ class TestTraceContext:
         assert len(tracer.trace_ids()) == 2
 
 
+class _Stats:
+    def __init__(self) -> None:
+        self.c = 0
+        self.label = "not a number"
+        self._private = 9
+
+
 class TestMetrics:
     def test_counter_and_gauge(self):
         registry = MetricsRegistry()
-        registry.counter("c").inc()
-        registry.counter("c").inc(4)
-        registry.gauge("g").set(2.5)
-        registry.gauge("g").add(-0.5)
-        assert registry.get("c").value == 5
-        assert registry.get("g").value == 2.0
-
-    def test_histogram_bucketing(self):
-        h = Histogram("lat", buckets=(0.001, 0.01, 0.1))
-        for value in [0.0005, 0.001, 0.002, 0.05, 0.09, 99.0]:
-            h.observe(value)
-        # bucket_counts[i] counts observations <= buckets[i]; last = overflow
-        assert h.bucket_counts == [2, 1, 2, 1]
-        assert h.count == 6
-        assert h.quantile(0.5) == 0.01
-        assert h.quantile(1.0) == 0.1  # overflow clamps to the top bound
-
-    def test_histogram_rejects_unsorted_buckets(self):
-        with pytest.raises(InvalidArgument):
-            Histogram("bad", buckets=(0.1, 0.01))
-
-    def test_kind_collision_is_an_error(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(InvalidArgument):
-            registry.gauge("x")
-
-    def test_a_viewed_name_cannot_be_shadowed_by_a_held_instrument(self):
-        registry = MetricsRegistry()
-        registry.add_source("net", {"rpcs_sent": 3})
-        with pytest.raises(InvalidArgument):
-            registry.counter("net.rpcs_sent")
-        assert registry.get("net.rpcs_sent").value == 3
+        stats, levels = _Stats(), {"g": 2.5}
+        registry.add_source("s", stats)
+        registry.add_source("s", lambda: {"c": 1})
+        registry.add_source("lvl", levels, kind="gauge")
+        stats.c += 4
+        levels["g"] -= 0.5
+        # read at call time, same-named sources summed, only public numbers
+        assert registry.get("s.c").value == 5
+        assert registry.get("lvl.g").value == 2.0
+        assert (registry.get("s.c").kind, registry.get("lvl.g").kind) == ("counter", "gauge")
+        assert registry.names() == ["lvl.g", "s.c"]
 
     def test_snapshot_is_serializable(self):
         registry = MetricsRegistry()
-        registry.counter("a").inc()
-        registry.histogram("b").observe(0.5)
-        assert json.loads(json.dumps(registry.snapshot()))["a"]["value"] == 1
+        registry.add_source("a", {"n": 1})
+        registry.add_source("b", {"level": 0.5}, kind="gauge")
+        assert json.loads(json.dumps(registry.snapshot())) == {
+            "a.n": {"kind": "counter", "value": 1},
+            "b.level": {"kind": "gauge", "value": 0.5},
+        }
 
     def test_disabled_registry_registers_nothing(self):
         registry = MetricsRegistry(enabled=False)
-        registry.counter("c").inc(100)
-        registry.gauge("g").set(7)
-        registry.histogram("h").observe(1.0)
+        registry.add_source("c", {"n": 100})
+        registry.add_source("g", lambda: {"level": 7}, kind="gauge")
         assert len(registry) == 0
         assert registry.snapshot() == {}
+        assert registry.get("c.n") is None
 
 
 QUICK = DaemonConfig(propagation_period=5.0, recon_period=None, graft_prune_period=None)
@@ -343,20 +334,19 @@ VIEWED = {
         "auto_resolved": sum(h.health().resolver_auto_resolved for h in s.hosts.values()),
         "fallback_manual": sum(h.health().resolver_fallback_manual for h in s.hosts.values()),
     },
+    "store": lambda s: _total(
+        store.stats for h in s.hosts.values() for store in h.physical.stores.values()
+    ),
+    "physical": lambda s: {
+        "notifications_received": sum(h.physical.notifications_received for h in s.hosts.values()),
+    },
+    "nfs": lambda s: {
+        "retries": sum(m.retries for h in s.hosts.values() for m in h.fabric._mounts.values()),
+    },
 }
 
-#: counters with no other home: the registry itself holds them
-HELD = {
-    "nfs.retries",
-    "physical.notifications_received",
-    "store.dir_flushes",
-    "store.dir_writes_coalesced",
-    "store.records_in_place",
-    "store.records_resized",
-    "store.shadows_created",
-    "store.shadow_commits",
-    "store.shadows_scavenged",
-}
+#: names the registry holds itself rather than views: none
+HELD: set[str] = set()
 
 
 def _expected(system: FicusSystem, prefix: str) -> dict[str, float]:
@@ -379,14 +369,10 @@ class TestMetricsAreViews:
         assert {name: snapshot[name]["value"] for name in expected} == expected
 
     def test_snapshot_holds_nothing_but_views_and_the_held_few(self, system):
-        plain = {
-            name
-            for name, entry in system.telemetry.metrics.snapshot().items()
-            if entry["kind"] != "histogram"
-        }
+        names = set(system.telemetry.metrics.snapshot())
         viewed = {name for prefix in VIEWED for name in _expected(system, prefix)}
-        assert viewed <= plain
-        assert plain - viewed <= HELD
+        assert viewed <= names
+        assert names - viewed <= HELD
 
     def test_a_later_snapshot_moves_with_no_call_site_help(self, system):
         metrics = system.telemetry.metrics
@@ -401,32 +387,55 @@ class TestMetricsAreViews:
     def test_reset_zeroes_what_the_hub_holds_and_views_keep_reading(self):
         system = _bench_workload(Telemetry())
         hub, stats = system.telemetry, system.network.stats
-        assert hub.metrics.get("store.records_in_place").value > 0
+        in_place = hub.metrics.get("store.records_in_place").value
+        assert hub.tracer.finished and in_place > 0
         hub.reset()
+        # the hub holds spans only; what it views is the components' live
+        # state, which a hub reset does not own
         assert len(hub.tracer.finished) == 0
-        assert hub.metrics.get("store.records_in_place").value == 0
-        assert hub.metrics.get("net.rpc_latency_seconds").count == 0
-        # a view is the component's live state, which a hub reset does not own
+        assert hub.metrics.get("store.records_in_place").value == in_place
         assert hub.metrics.get("net.rpcs_sent").value == stats.rpcs_sent > 0
         sent = stats.rpcs_sent
         system.host("east").fs().read_file("/a.txt")
         system.reconcile_everything()
-        # and the zeroed histogram is still the one the network observes into
-        assert hub.metrics.get("net.rpc_latency_seconds").count == stats.rpcs_sent - sent > 0
+        assert hub.metrics.get("net.rpcs_sent").value == stats.rpcs_sent > sent
+        assert hub.tracer.finished
+
+    def test_a_store_counts_without_a_hub_and_a_reboot_keeps_the_sum(self):
+        volrep = VolumeReplicaId(VolumeId(1, 1), 1)
+        store = ReplicaStore.create(UfsLayer(Ufs.mkfs(BlockDevice(1024), num_inodes=64)).root(), volrep)
+        store.new_file_id()  # reserves an id range: rewrites .meta in place
+        assert store.stats.records_in_place >= 1
+
+        system = FicusSystem(["solo"], daemon_config=QUICK, telemetry=Telemetry())
+        host, metrics = system.host("solo"), system.telemetry.metrics
+
+        def records() -> int:
+            return sum(metrics.get(f"store.records_{arm}").value for arm in ("in_place", "resized"))
+
+        host.fs().write_file("/f", b"before the reboot")
+        (dead,) = host.physical.stores.values()
+        before = records()
+        assert before > 0
+        host.crash()
+        host.restart(system)
+        host.fs().write_file("/f", b"after the reboot")
+        (live,) = host.physical.stores.values()
+        assert live is not dead and live.stats.records_in_place > 0
+        # the dead store's counts stay in the sum; the rebuilt one adds to it
+        assert records() == before + live.stats.records_in_place + live.stats.records_resized
 
 
 class TestTelemetryHub:
     def test_reset_keeps_instrument_names(self):
         hub = Telemetry()
-        hub.metrics.counter("kept").inc(3)
-        hub.metrics.histogram("h").observe(0.5)
+        hub.metrics.add_source("kept", {"n": 3})
         with hub.tracer.span("s"):
             pass
         hub.reset()
-        assert hub.metrics.get("kept").value == 0
-        assert hub.metrics.get("h").count == 0
-        assert "kept" in hub.metrics
         assert len(hub.tracer.finished) == 0
+        assert "kept.n" in hub.metrics
+        assert hub.metrics.get("kept.n").value == 3
 
     def test_bind_clock_rebinds_tracer_and_events(self):
         hub = Telemetry()

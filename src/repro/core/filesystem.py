@@ -454,11 +454,10 @@ class FicusFileSystem:
         # replica this host's physical layer owns when possible
         local_physical = self.logical.fabric.local_physical
         store = None
-        if local_physical is not None:
-            for replica in replicas:
-                if local_physical.hosts_volume_replica(replica.location.volrep):
-                    store = local_physical.store_for(replica.location.volrep)
-                    break
+        for replica in replicas:
+            if local_physical.hosts_volume_replica(replica.location.volrep):
+                store = local_physical.store_for(replica.location.volrep)
+                break
         if store is None:
             raise InvalidArgument(
                 "conflict resolution currently requires a locally hosted replica"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.errors import HostUnreachable
 from repro.net import Network
-from repro.nfs import NfsClientConfig, NfsClientLayer
+from repro.nfs import NfsClientLayer
 from repro.physical import FicusPhysicalLayer
 from repro.telemetry import NULL_TELEMETRY, HealthPlane, Telemetry
 from repro.util import FicusFileHandle, VolumeReplicaId
@@ -29,26 +29,20 @@ class Fabric:
         self,
         network: Network,
         host_addr: str,
-        local_physical: FicusPhysicalLayer | None = None,
-        nfs_config: NfsClientConfig | None = None,
+        local_physical: FicusPhysicalLayer,
         telemetry: Telemetry | None = None,
     ):
         self.network = network
         self.host_addr = host_addr
         self.local_physical = local_physical
-        self.nfs_config = nfs_config
         self.telemetry = telemetry or NULL_TELEMETRY
         #: this host's HealthPlane — the local physical layer's — handed
         #: to the logical layer and to every NFS client mount
-        self.health: HealthPlane = (
-            local_physical.health
-            if local_physical is not None
-            else HealthPlane(host_addr, clock=network.clock.now, telemetry=self.telemetry)
-        )
+        self.health: HealthPlane = local_physical.health
         self._mounts: dict[str, NfsClientLayer] = {}
 
     def is_local(self, host: str) -> bool:
-        return host == self.host_addr and self.local_physical is not None
+        return host == self.host_addr
 
     def nfs_mount(self, host: str) -> NfsClientLayer:
         """The cached NFS client mount of ``host``'s physical layer."""
@@ -59,7 +53,6 @@ class Fabric:
                 self.host_addr,
                 host,
                 service=PHYSICAL_SERVICE,
-                config=self.nfs_config,
                 telemetry=self.telemetry,
                 health=self.health,
             )

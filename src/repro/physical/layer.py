@@ -243,28 +243,7 @@ class FicusPhysicalLayer(FileSystemLayer):
             prior = aux.vv
             aux.vv = aux.vv.bump(store.replica_id)
             store.write_file_aux(parent_fh, fh, aux)
-        self.record_version("write", fh, aux.vv, parents=(prior,))
-
-    def record_version(self, kind, fh, vv, parents=(), origin="", detail="") -> None:
-        """Append one minted/installed version to the provenance ledger.
-
-        Hot path (every vv bump lands here): one ring append of raw
-        immutable references — the ledger encodes lazily at query time.
-        """
-        trace = ""
-        if self.telemetry.enabled:
-            tc = self.telemetry.tracer.current_context()
-            if tc is not None:
-                trace = f"{tc.trace_id:x}:{tc.span_id:x}"
-        self.health.provenance.record(
-            kind,
-            fh.logical,
-            vv,
-            parents=parents,
-            origin=origin,
-            detail=detail,
-            trace=trace,
-        )
+        self.health.record_version("write", fh, aux.vv, parents=(prior,))
 
     # -- new-version cache (update notification receive side) ------------------
 

@@ -346,7 +346,7 @@ class PhysicalDirVnode(Vnode):
         prior = aux.vv
         aux.vv = aux.vv.bump(self.store.replica_id)
         self.store.write_file_aux(self.fh, fh, aux)
-        self.layer.record_version("write", fh, aux.vv, parents=(prior,), detail="setpolicy")
+        self.layer.health.record_version("write", fh, aux.vv, parents=(prior,), detail="setpolicy")
 
     def _bump_dir_vv(self) -> None:
         aux = self.store.staged_dir_aux(self.fh)
@@ -407,7 +407,7 @@ class PhysicalDirVnode(Vnode):
                     self.store.create_file_storage(self.fh, fh, etype, merge_policy=merge_policy)
                     # the genesis node: an empty-vv version every later
                     # write chains back to through its parent edge
-                    self.layer.record_version("create", fh, VersionVector(), detail=name)
+                    self.layer.health.record_version("create", fh, VersionVector(), detail=name)
         else:
             if self.store.has_directory(fh):
                 self.store.staged_dir_aux(fh).refs += 1

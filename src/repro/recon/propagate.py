@@ -82,8 +82,9 @@ def pull_file(
     (optional) is the pulling host's HealthPlane: a fetched block that
     fails digest verification fires its ``pull_digest_mismatch`` anomaly
     before the pull falls back to the whole-file copy, and an installed
-    version is appended to its provenance ledger with ``origin`` (the
-    host pulled from) as the sync-origin annotation.
+    version is appended to its provenance ledger — parent: the local
+    version it superseded — with ``origin`` (the host pulled from) as the
+    sync-origin annotation.
 
     ``batch`` is the remote directory's attribute batch when the caller
     already holds one (:func:`pull_children`); without it the file's own
@@ -162,21 +163,9 @@ def pull_file(
         shadow.write(0, contents)
     store.commit_shadow(parent_fh, fh, remote_vv)
     _adopt_policy(store, parent_fh, fh, remote_aux.merge_policy)
-    _record_pull(health, fh, local_vv, remote_vv, origin)
-    return PullResult(PullOutcome.PULLED, remote_vv, remote_vv, bytes_copied=len(contents))
-
-
-def _record_pull(health, fh, local_vv, remote_vv, origin: str) -> None:
-    """Ledger an installed version: node (fh, remote_vv), parent = the
-    local version the install superseded, origin = the host pulled from."""
     if health is not None:
-        health.provenance.record(
-            "pull",
-            fh.to_hex(),
-            remote_vv.encode(),
-            parents=(local_vv.encode(),),
-            origin=origin,
-        )
+        health.record_version("pull", fh, remote_vv, parents=(local_vv,), origin=origin)
+    return PullResult(PullOutcome.PULLED, remote_vv, remote_vv, bytes_copied=len(contents))
 
 
 def _adopt_policy(
@@ -275,7 +264,8 @@ def _delta_pull(
     if contents:
         shadow.write(0, contents)
     store.commit_shadow(parent_fh, fh, remote_vv)
-    _record_pull(health, fh, local_vv, remote_vv, origin)
+    if health is not None:
+        health.record_version("pull", fh, remote_vv, parents=(local_vv,), origin=origin)
     delta_bytes = sum(len(block) for block in fetched.values())
     return PullResult(
         PullOutcome.PULLED,

@@ -50,12 +50,7 @@ def resolve_file_conflict(
     if conflict_log is not None:
         conflict_log.mark_resolved(fh, resolved_vv)
     if health is not None:
-        parents = {local_vv.encode(), *(vv.encode() for vv in observed_vvs)}
-        health.provenance.record(
-            "resolve",
-            fh.to_hex(),
-            resolved_vv.encode(),
-            parents=tuple(sorted(parents)),
-            detail="owner",
-        )
+        # one parent per distinct observed version, in encoding order
+        parents = tuple(sorted({local_vv, *observed_vvs}, key=VersionVector.encode))
+        health.record_version("resolve", fh, resolved_vv, parents=parents, detail="owner")
     return resolved_vv

@@ -116,7 +116,7 @@ def auto_resolve_conflict(
     if health is not None:
         health.resolution_applied(
             name=name,
-            fh=fh.to_hex(),
+            fh=fh,
             tag=tag,
             local_vv=pull.local_vv,
             remote_vv=pull.remote_vv,

@@ -22,7 +22,7 @@ from repro.sim.daemons import GraftPruneDaemon, PropagationDaemon, Reconciliatio
 from repro.sim.events import EventLoop
 from repro.sim.topology import Topology, make_topology
 from repro.storage import BlockDevice
-from repro.telemetry import NULL_TELEMETRY, HealthPlane, HostHealth, Telemetry
+from repro.telemetry import NULL_TELEMETRY, HealthPlane, HostHealth, Telemetry, VersionDAG
 from repro.ufs import Ufs
 from repro.util import IdAllocator, VirtualClock, VolumeId, VolumeReplicaId
 from repro.vnode import UfsLayer
@@ -109,30 +109,22 @@ class FicusHost:
 
     def health(self) -> HostHealth:
         """This host's consistency health as one structured record."""
-        degraded: set[str] = set()
-        for daemon in (self.propagation_daemon, self.recon_daemon):
-            if daemon is not None:
-                degraded.update(daemon.peer_health.degraded_hosts())
-        topology_name = "full_mesh"
-        fanout = 0
-        if self.recon_daemon is not None:
-            topology = self.recon_daemon.topology
-            topology_name = topology.name
-            fanout = topology.fanout(self.recon_daemon.max_peer_count())
+        recon = self.recon_daemon
         return self.health_plane.host_health(
             up=self.network.host_is_up(self.name),
             notes_pending=self.physical.new_version_cache_size,
-            degraded_peers=degraded,
-            topology=topology_name,
-            fanout=fanout,
+            degraded_peers={
+                *self.propagation_daemon.peer_health.degraded_hosts(),
+                *recon.peer_health.degraded_hosts(),
+            },
+            topology=recon.topology.name,
+            fanout=recon.topology.fanout(recon.max_peer_count()),
         )
 
     def _degraded_probe(self, peer: str) -> bool:
         """Is ``peer`` currently being routed around by either daemon?"""
-        for daemon in (self.propagation_daemon, self.recon_daemon):
-            if daemon is not None and daemon.peer_health.is_degraded(peer):
-                return True
-        return False
+        propagation, recon = self.propagation_daemon, self.recon_daemon
+        return propagation.peer_health.is_degraded(peer) or recon.peer_health.is_degraded(peer)
 
     def crash(self) -> None:
         """Crash this host: unreachable, volatile state gone on restart."""
@@ -289,9 +281,7 @@ class FicusSystem:
         volume = minting_host.allocator.new_volume_id()
         locations = self._place_volume(volume, placements)
         for location in locations:
-            daemon = self.hosts[location.host].recon_daemon
-            if daemon is not None:
-                daemon.set_peers(location.volrep, locations)
+            self.hosts[location.host].recon_daemon.set_peers(location.volrep, locations)
             if learn_locations:
                 self.hosts[location.host].graft_table.learn(volume, locations)
         return volume, locations
@@ -335,9 +325,9 @@ class FicusSystem:
         host.propagation_daemon = PropagationDaemon(
             host.physical,
             host.fabric,
+            host.logical,
+            self.topology,
             min_age=cfg.propagation_min_age,
-            logical=host.logical,
-            topology=self.topology,
         )
         peers = {
             loc.volrep: [o for o in self.root_locations if o.volrep != loc.volrep]
@@ -349,9 +339,9 @@ class FicusSystem:
             host.fabric,
             host.conflict_log,
             peers,
-            logical=host.logical,
+            host.logical,
+            self.topology,
             resolvers=self.resolvers,
-            topology=self.topology,
         )
         host.graft_prune_daemon = GraftPruneDaemon(
             host.logical, idle_timeout=cfg.graft_idle_timeout
@@ -377,8 +367,7 @@ class FicusSystem:
             registry = default_registry()
         self.resolvers = registry
         for host in self.hosts.values():
-            if host.recon_daemon is not None:
-                host.recon_daemon.resolvers = registry
+            host.recon_daemon.resolvers = registry
 
     # -- dynamic replica placement -----------------------------------------------
 
@@ -478,8 +467,8 @@ class FicusSystem:
     def total_conflicts(self) -> int:
         return sum(len(h.conflict_log.unresolved()) for h in self.hosts.values())
 
-    def provenance_dag(self):
+    def provenance_dag(self) -> VersionDAG:
         """The cluster-wide version DAG composed from every host's ledger."""
-        from repro.telemetry import compose_system_dag
-
-        return compose_system_dag(self)
+        return VersionDAG.compose(
+            [self.host(name).health_plane.provenance for name in sorted(self.hosts)]
+        )

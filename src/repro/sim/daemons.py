@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import partial
 from types import MappingProxyType
 
 from repro.errors import FicusError
@@ -38,10 +39,14 @@ from repro.recon import (
     push_notify_pull,
     reconcile_subtree,
 )
-from repro.sim.topology import FullMeshTopology, Topology
-from repro.util import VolumeReplicaId
+from repro.sim.topology import Topology
+from repro.util import FicusFileHandle, VolumeReplicaId
 from repro.vnode.interface import Vnode
 from repro.volume import ReplicaLocation
+
+
+#: the most consecutive considerations a degraded peer is skipped for
+MAX_SKIPS = 4
 
 
 class PeerHealth:
@@ -49,7 +54,7 @@ class PeerHealth:
 
     A peer that keeps failing *while reachable* (transient RPC faults, a
     lossy link) is marked degraded: the next ``min(2^(failures-1),
-    max_skips)`` considerations of that peer are skipped, so a periodic
+    MAX_SKIPS)`` considerations of that peer are skipped, so a periodic
     round routes around it instead of stalling on retries every tick.
     Partitioned or crashed peers are NOT penalized — unreachability is
     detected for free and is the normal state reconciliation exists for.
@@ -58,15 +63,14 @@ class PeerHealth:
     virtual time advances.
     """
 
-    def __init__(self, max_skips: int = 4):
-        self.max_skips = max_skips
+    def __init__(self):
         self._failures: dict[str, int] = {}
         self._skips_left: dict[str, int] = {}
 
     def record_failure(self, host: str) -> None:
         failures = self._failures.get(host, 0) + 1
         self._failures[host] = failures
-        self._skips_left[host] = min(self.max_skips, 2 ** (failures - 1))
+        self._skips_left[host] = min(MAX_SKIPS, 2 ** (failures - 1))
 
     def record_success(self, host: str) -> None:
         self._failures.pop(host, None)
@@ -152,30 +156,38 @@ def _note_outcome(note: NewVersionNote, pull: PullResult | None, dir_changed: bo
     return "stale_note"  # moot: neither a peer failure nor a success
 
 
-class PropagationDaemon:
-    """Pulls new versions named by the new-version cache.
+def announce_sync_install(
+    logical: FicusLogicalLayer, volrep: VolumeReplicaId, dir_fh: FicusFileHandle
+) -> None:
+    """Announce that a sync pass (propagation or reconciliation) installed
+    into directory ``dir_fh`` of this host's replica ``volrep``.
 
-    ``logical`` (optional) lets the daemon route each installed version
-    back through the update-notification path, so peers' attribute caches
-    invalidate immediately instead of waiting out their TTL.  Those
-    notifications are marked ``origin="sync"``: receivers must not mint
-    new-version notes from them, or two pullers would notify each other
-    in a loop.
+    The install rides the update-notification path, so peers' attribute
+    caches invalidate now instead of at TTL expiry.  It is marked
+    ``origin="sync"``: receivers must not mint new-version notes from it,
+    or two pullers would notify each other in a loop.
     """
+    acting = ReplicaLocation(volrep=volrep, host=logical.host_addr)
+    logical.notify_update(volrep.volume, acting, dir_fh, dir_fh, objkind="dir", origin="sync")
+
+
+class PropagationDaemon:
+    """Pulls new versions named by the new-version cache, and announces
+    each directory it installed into through ``logical``."""
 
     def __init__(
         self,
         physical: FicusPhysicalLayer,
         fabric: Fabric,
+        logical: FicusLogicalLayer,
+        topology: Topology,
         min_age: float = 0.0,
-        logical: FicusLogicalLayer | None = None,
-        topology: Topology | None = None,
     ):
         self.physical = physical
         self.fabric = fabric
         self.min_age = min_age
         self.logical = logical
-        self.topology = topology if topology is not None else FullMeshTopology()
+        self.topology = topology
         self.stats = PropagationStats()
         self.peer_health = PeerHealth()
         self._tick_index = 0
@@ -195,15 +207,6 @@ class PropagationDaemon:
         """
         self.peer_health = PeerHealth()
         self._tick_index = 0
-
-    def _notify_installed(self, volrep, parent_fh, fh, objkind: str) -> None:
-        """Announce a version this daemon just installed (origin="sync")."""
-        if self.logical is None:
-            return
-        acting = ReplicaLocation(volrep=volrep, host=self.physical.host_addr)
-        self.logical.notify_update(
-            volrep.volume, acting, parent_fh, fh, objkind=objkind, origin="sync"
-        )
 
     def tick(self) -> int:
         """Service every sufficiently old new-version note; returns the
@@ -319,7 +322,7 @@ class PropagationDaemon:
                 self.stats.bytes_copied += pull.bytes_copied
                 self.stats.bytes_saved += pull.bytes_saved
         if pulled or dir_changed:
-            self._notify_installed(volrep, dir_fh, dir_fh, objkind="dir")
+            announce_sync_install(self.logical, volrep, dir_fh)
         return [_note_outcome(note, pulls.get(note.key.fh.logical), dir_changed) for note in group], pulled
 
 
@@ -361,9 +364,9 @@ class ReconciliationDaemon:
         fabric: Fabric,
         conflict_log: ConflictLog,
         peers: dict[VolumeReplicaId, list[ReplicaLocation]],
-        logical: FicusLogicalLayer | None = None,
+        logical: FicusLogicalLayer,
+        topology: Topology,
         resolvers=None,
-        topology: Topology | None = None,
     ):
         self.physical = physical
         self.fabric = fabric
@@ -384,7 +387,7 @@ class ReconciliationDaemon:
         self.logical = logical
         #: optional ResolverRegistry enabling automatic conflict resolution
         self.resolvers = resolvers
-        self.topology = topology if topology is not None else FullMeshTopology()
+        self.topology = topology
         self._ring_position: dict[VolumeReplicaId, int] = {}
         self._tick_index = 0
         self.stats = ReconStats()
@@ -536,24 +539,6 @@ class ReconciliationDaemon:
             span.set_tag("aborted", True)
             return result
         all_replicas = self.volume_replica_ids(volrep)
-        on_changed = None
-        if self.logical is not None:
-            acting = ReplicaLocation(volrep=volrep, host=self.physical.host_addr)
-
-            def on_changed(dir_fh, _acting=acting):
-                # route the install through the update-notification path so
-                # peers' attribute caches invalidate now, not at TTL expiry;
-                # origin="sync" keeps receivers from minting pull notes that
-                # would bounce between the two pullers forever
-                self.logical.notify_update(
-                    _acting.volrep.volume,
-                    _acting,
-                    dir_fh,
-                    dir_fh,
-                    objkind="dir",
-                    origin="sync",
-                )
-
         result = reconcile_subtree(
             self.physical,
             volrep,
@@ -562,7 +547,7 @@ class ReconciliationDaemon:
             conflict_log=self.conflict_log,
             all_replicas=all_replicas,
             policy=self.physical.policy_for(volrep),
-            on_directory_changed=on_changed,
+            on_directory_changed=partial(announce_sync_install, self.logical, volrep),
             resolvers=self.resolvers,
         )
         # tombstone garbage collection: purge fully-acknowledged deletes

@@ -69,7 +69,6 @@ from repro.telemetry.provenance import (  # noqa: E402
     ProvenanceLedger,
     VersionDAG,
     VersionNode,
-    compose_system_dag,
 )
 from repro.telemetry.health import (  # noqa: E402
     FLIGHT_RING_CAPACITY,
@@ -96,7 +95,6 @@ __all__ = [
     "Span",
     "VersionDAG",
     "VersionNode",
-    "compose_system_dag",
     "Telemetry",
     "TraceContext",
     "Tracer",

@@ -26,10 +26,11 @@ the same numbers as gauges named ``health.divergence_suspected.<host>``,
 
 The :class:`FlightRecorder` is the always-on black box: a bounded ring
 of recent vnode operations (with their trace ids) that snapshots itself
-— ring, health state, metrics, last recon outcomes — whenever an
-anomaly fires (conflict detected, ambiguous non-idempotent timeout,
-pull digest mismatch, fsck violation, chaos-oracle failure), turning
-"seed 23 diverged" into a replayable evidence bundle.
+— ring, the host's :class:`HostHealth` record, metrics, provenance
+ledger — whenever an anomaly fires (conflict detected, ambiguous
+non-idempotent timeout, pull digest mismatch, fsck violation,
+chaos-oracle failure), turning "seed 23 diverged" into a replayable
+evidence bundle.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import json
 import os
 from collections import deque
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry.provenance import ProvenanceLedger
@@ -82,8 +83,6 @@ class HostHealth:
     resolver_auto_resolved: int = 0
     #: conflicts a resolver covered but had to hand to the owner
     resolver_fallback_manual: int = 0
-    #: most recent automatic resolutions, oldest first
-    last_resolutions: list[dict] = field(default_factory=list)
 
     @property
     def divergence_suspected(self) -> bool:
@@ -110,9 +109,10 @@ class FlightRecorder:
     a file handle, or a ``(src, handle)`` pair for a heard notification —
     and is rendered to its string only when a snapshot freezes the ring.
     When an anomaly fires the whole ring is frozen into a snapshot dict
-    together with whatever ``context`` supplies (health state, metrics, recon
-    outcomes); snapshots are retained in memory and, when ``dump_dir``
-    is set, written as JSONL files an offline ``ficus_top`` can render.
+    together with whatever ``context`` supplies (the health record,
+    metrics, the provenance ledger); snapshots are retained in memory and,
+    when ``dump_dir`` is set, written as JSONL files an offline
+    ``ficus_top`` can render.
     """
 
     def __init__(
@@ -180,7 +180,7 @@ def _label(target) -> str:
 
 
 def snapshot_to_jsonl(snapshot: dict) -> list[str]:
-    """One JSON object per line: anomaly, ops, health, recon, metrics."""
+    """One JSON object per line: anomaly, ops, health, prov, metrics."""
     lines = [
         json.dumps(
             {
@@ -199,8 +199,6 @@ def snapshot_to_jsonl(snapshot: dict) -> list[str]:
         )
     if "health" in snapshot:
         lines.append(json.dumps({"type": "health", **snapshot["health"]}))
-    for outcome in snapshot.get("last_recon", []):
-        lines.append(json.dumps({"type": "recon", **outcome}))
     for event in snapshot.get("prov", []):
         lines.append(json.dumps({"type": "prov", **event}))
     if snapshot.get("metrics"):
@@ -210,7 +208,7 @@ def snapshot_to_jsonl(snapshot: dict) -> list[str]:
 
 def load_dump(path: str) -> dict:
     """Rebuild a snapshot dict from a JSONL flight-recorder dump."""
-    snapshot: dict = {"ops": [], "last_recon": [], "health": {}, "metrics": {}, "prov": []}
+    snapshot: dict = {"ops": [], "health": {}, "metrics": {}, "prov": []}
     with open(path, encoding="utf-8") as fp:
         for raw in fp:
             raw = raw.strip()
@@ -226,8 +224,6 @@ def load_dump(path: str) -> dict:
                 )
             elif kind == "health":
                 snapshot["health"] = record
-            elif kind == "recon":
-                snapshot["last_recon"].append(record)
             elif kind == "prov":
                 snapshot["prov"].append(record)
             elif kind == "metrics":
@@ -273,7 +269,6 @@ class HealthPlane:
         self.anomaly_counts: dict[str, int] = {}
         self.resolver_auto_resolved = 0
         self.resolver_fallback_manual = 0
-        self.last_resolutions: deque[dict] = deque(maxlen=MAX_RECON_OUTCOMES)
         self.recorder = FlightRecorder(host, clock=clock, context=self._dump_context)
         metrics = self.telemetry.metrics
         metrics.add_source("health", self._gauges, kind="gauge")
@@ -304,9 +299,22 @@ class HealthPlane:
         """Append one vnode operation to the flight ring (hot path)."""
         trace = None
         if ctx is not None and isinstance(ctx.trace, TraceContext):
-            tc = ctx.trace
-            trace = f"{tc.trace_id:x}:{tc.span_id:x}"
+            trace = ctx.trace.label()
         self.recorder.record(op, target, trace)
+
+    # -- the provenance ledger ---------------------------------------------
+
+    def record_version(self, kind: str, fh, vv, parents=(), origin: str = "", detail: str = "") -> None:
+        """Ledger one minted or installed file version: the ledger's one
+        writer.  ``fh`` is a handle, ``vv`` and each parent a
+        ``VersionVector``; the event carries the live trace context.
+
+        Hot path (every vv bump lands here): one ring append of raw
+        immutable references — the ledger encodes lazily at query time.
+        """
+        tc = self.telemetry.tracer.current_context()
+        trace = tc.label() if tc is not None else ""
+        self.provenance.record(kind, fh.logical, vv, parents, origin, detail, trace)
 
     # -- divergence suspicion ---------------------------------------------
 
@@ -381,35 +389,16 @@ class HealthPlane:
 
     # -- automatic conflict resolution ------------------------------------
 
-    def resolution_applied(
-        self, name: str, fh: str, tag: str, local_vv, remote_vv, resolved_vv
-    ) -> None:
-        """A resolver merged a conflict and the result was committed."""
+    def resolution_applied(self, name: str, fh, tag: str, local_vv, remote_vv, resolved_vv) -> None:
+        """A resolver merged a conflict and the result was committed.
+
+        The ledger's ``merge`` event is the one record of it: the minted
+        version's parents are exactly the two concurrent inputs — the
+        >= 2-parent merge node of the DAG.
+        """
         self.resolver_auto_resolved += 1
-        entry = {
-            "at": self.now(),
-            "name": name,
-            "fh": fh,
-            "tag": tag,
-            "local_vv": local_vv.encode(),
-            "remote_vv": remote_vv.encode(),
-            "resolved_vv": resolved_vv.encode(),
-        }
-        self.last_resolutions.append(entry)
-        # a resolver merge mints a version whose parents are exactly the
-        # two concurrent inputs — the >= 2-parent merge node of the DAG
-        self.provenance.record(
-            "merge",
-            fh,
-            resolved_vv.encode(),
-            parents=(local_vv.encode(), remote_vv.encode()),
-            detail=f"{name}[{tag}]",
-        )
-        # the op timeline keeps both input vvs so a dump shows exactly
-        # which version pair the merge consumed
-        self.recorder.record(
-            "conflict_auto_resolved",
-            f"{name}[{tag}] {local_vv.encode() or '0'} x {remote_vv.encode() or '0'}",
+        self.record_version(
+            "merge", fh, resolved_vv, parents=(local_vv, remote_vv), detail=f"{name}[{tag}]"
         )
 
     def resolution_fallback(self, name: str, tag: str, reason: str) -> None:
@@ -425,20 +414,6 @@ class HealthPlane:
         return self.recorder.anomaly(kind, detail)
 
     # -- rendering ---------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        return {
-            "host": self.host,
-            "topology": self.topology,
-            "notes_pending": self.notes_pending,
-            "staleness_ticks": dict(self._staleness),
-            "staleness_seconds": self.staleness_seconds(),
-            "suspected": self.suspected_by_volume(),
-            "anomalies": dict(self.anomaly_counts),
-            "resolver_auto_resolved": self.resolver_auto_resolved,
-            "resolver_fallback_manual": self.resolver_fallback_manual,
-            "last_resolutions": list(self.last_resolutions),
-        }
 
     def host_health(
         self,
@@ -464,13 +439,13 @@ class HealthPlane:
             last_recon=list(self.last_recon),
             resolver_auto_resolved=self.resolver_auto_resolved,
             resolver_fallback_manual=self.resolver_fallback_manual,
-            last_resolutions=list(self.last_resolutions),
         )
 
     def _dump_context(self) -> dict:
         return {
-            "health": self.state_dict(),
-            "last_recon": list(self.last_recon),
+            # the one rendering of the host's health, last recon outcomes
+            # included; ficus_top rebuilds it with ``HostHealth(**health)``
+            "health": asdict(self.host_health()),
             "metrics": self.telemetry.metrics.snapshot(),
             # the provenance ring rides along in every anomaly dump, so an
             # offline ficus_prov can rebuild the version DAG of an incident

@@ -5,7 +5,8 @@ answers the paper's harder operational question — *which replica's update
 produced this version, and what conflicted with it?*  Every event that
 mints or installs a file version (a write bumping the version vector, a
 resolver merge, a manual resolution, a propagation pull) appends one
-bounded-ring entry to the host's :class:`ProvenanceLedger`.  The ledgers
+bounded-ring entry to the host's :class:`ProvenanceLedger`, always through
+:meth:`~repro.telemetry.HealthPlane.record_version`.  The ledgers
 of several hosts compose on demand into a :class:`VersionDAG`:
 
 * **nodes** are minted versions, keyed by ``(fh, version vector)`` —
@@ -102,9 +103,10 @@ class ProvenanceLedger:
 
     ``record`` runs on the version-vector hot path (every write bump), so
     an entry is one plain-tuple deque append: the file handle, version
-    vector, and parents may arrive as the raw **immutable** objects and
-    are hex/string-encoded lazily when a query materializes
-    :class:`ProvEvent`\\ s.
+    vector, and parents arrive as the raw **immutable** objects and are
+    hex/string-encoded lazily when a query materializes
+    :class:`ProvEvent`\\ s.  Its one writer is
+    :meth:`~repro.telemetry.HealthPlane.record_version`.
     """
 
     def __init__(
@@ -116,8 +118,7 @@ class ProvenanceLedger:
         self.host = host
         self.capacity = capacity
         self._clock = clock
-        #: raw (at, kind, fh, vv, parents, origin, detail, trace) tuples;
-        #: fh/vv/parents are encoded strings OR the immutable originals
+        #: raw (at, kind, fh, vv, parents, origin, detail, trace) tuples
         self.ring: deque[tuple] = deque(maxlen=capacity)
         #: events evicted from the ring since boot (coverage accounting)
         self.evicted = 0
@@ -135,24 +136,11 @@ class ProvenanceLedger:
         detail: str = "",
         trace: str = "",
     ) -> None:
-        """Ledger one version event.
-
-        ``fh`` is a hex string or an id object with ``to_hex``; ``vv``
-        and each parent are encoded strings or ``VersionVector``\\ s.
-        Raw objects are preferred on hot paths — they defer the string
-        work to query time.
-        """
+        """Ledger one version event: ``fh`` is a file handle, ``vv`` and
+        each parent a ``VersionVector``."""
         if len(self.ring) == self.capacity:
             self.evicted += 1
         self.ring.append((self.now(), kind, fh, vv, parents, origin, detail, trace))
-
-    @staticmethod
-    def _hex(fh) -> str:
-        return fh if isinstance(fh, str) else fh.to_hex()
-
-    @staticmethod
-    def _enc(vv) -> str:
-        return vv if isinstance(vv, str) else vv.encode()
 
     def _materialize(self, raw: tuple) -> ProvEvent:
         at, kind, fh, vv, parents, origin, detail, trace = raw
@@ -160,9 +148,9 @@ class ProvenanceLedger:
             at=at,
             host=self.host,
             kind=kind,
-            fh=self._hex(fh),
-            vv=self._enc(vv),
-            parents=tuple(self._enc(p) for p in parents),
+            fh=fh.to_hex(),
+            vv=vv.encode(),
+            parents=tuple(p.encode() for p in parents),
             origin=origin,
             detail=detail,
             trace=trace,
@@ -376,10 +364,3 @@ class VersionDAG:
                     lines.append(f'  {name} -> "{node.fh}@{parent or "genesis"}";')
         lines.append("}")
         return "\n".join(lines)
-
-
-def compose_system_dag(system) -> VersionDAG:
-    """The cluster-wide DAG of a live :class:`~repro.sim.FicusSystem`."""
-    return VersionDAG.compose(
-        [system.host(name).health_plane.provenance for name in sorted(system.hosts)]
-    )

@@ -41,6 +41,11 @@ class TraceContext:
     trace_id: int
     span_id: int
 
+    def label(self) -> str:
+        """``"<trace>:<span>"`` in hex: how the flight ring and the
+        provenance ledger name the operation a record belongs to."""
+        return f"{self.trace_id:x}:{self.span_id:x}"
+
 
 class Span:
     """One timed, named interval within a trace tree."""

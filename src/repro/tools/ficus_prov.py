@@ -29,14 +29,7 @@ from repro.telemetry import VersionDAG, load_dump
 
 def dag_from_dumps(paths: list[str]) -> VersionDAG:
     """Compose one DAG from the ``prov`` records of several flight dumps."""
-    dag = VersionDAG()
-    for path in paths:
-        snapshot = load_dump(path)
-        dag2 = VersionDAG.from_records(snapshot.get("prov", []))
-        for node in dag2.nodes.values():
-            for event in node.events:
-                dag.add_event(event)
-    return dag
+    return VersionDAG.from_records(rec for path in paths for rec in load_dump(path)["prov"])
 
 
 def resolve_handle(dag: VersionDAG, prefix: str) -> str:

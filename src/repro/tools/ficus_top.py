@@ -119,41 +119,23 @@ def render_dump(path: str, ops_shown: int = DEFAULT_OPS_SHOWN) -> str:
         rendered = ", ".join(f"{key}={value}" for key, value in sorted(detail.items()))
         lines.append(f"  detail: {rendered}")
 
-    health = snapshot.get("health") or {}
-    if health:
+    health = HostHealth(**snapshot["health"]) if snapshot["health"] else None
+    if health is not None:
         lines.append("")
-        lines.append(
-            render_health_table(
-                [
-                    HostHealth(
-                        host=health.get("host", snapshot.get("host", "?")),
-                        topology=health.get("topology", "full_mesh"),
-                        fanout=health.get("fanout", 0),
-                        notes_pending=health.get("notes_pending", 0),
-                        staleness_ticks=health.get("staleness_ticks", {}),
-                        staleness_seconds=health.get("staleness_seconds", {}),
-                        suspected=health.get("suspected", {}),
-                        anomalies=health.get("anomalies", {}),
-                        resolver_auto_resolved=health.get("resolver_auto_resolved", 0),
-                        resolver_fallback_manual=health.get("resolver_fallback_manual", 0),
-                        last_resolutions=health.get("last_resolutions", []),
-                    )
-                ]
-            )
-        )
+        lines.append(render_health_table([health]))
 
-    resolutions = (health or {}).get("last_resolutions") or []
-    if resolutions:
+    # a resolver merge is one ledger event: name[tag], its two inputs, the result
+    merges = [rec for rec in snapshot["prov"] if rec["kind"] == "merge"]
+    if merges:
         lines.append("")
         lines.append("  recent automatic conflict resolutions:")
-        for entry in resolutions:
+        for rec in merges:
+            local_vv, remote_vv = rec["parents"]
             lines.append(
-                f"    t={entry.get('at', 0.0)} {entry.get('name')}[{entry.get('tag')}] "
-                f"{entry.get('local_vv')} x {entry.get('remote_vv')} "
-                f"-> {entry.get('resolved_vv')}"
+                f"    t={rec['at']} {rec['detail']} {local_vv} x {remote_vv} -> {rec['vv']}"
             )
 
-    recon = snapshot.get("last_recon") or []
+    recon = health.last_recon if health is not None else []
     if recon:
         lines.append("")
         lines.append("  recent reconciliation outcomes:")
@@ -212,11 +194,12 @@ def render_timeline(paths: list[str], ops_shown: int = 0) -> str:
     if ops_shown:
         entries = entries[-ops_shown:]
 
+    # a label is "<trace>:<span>"; two spans of one trace are one thread
     trace_hosts: dict[str, set[str]] = {}
     for _, host, _, trace in entries:
         if trace:
-            trace_hosts.setdefault(trace, set()).add(host)
-    cross = {trace for trace, hosts in trace_hosts.items() if len(hosts) > 1}
+            trace_hosts.setdefault(trace.partition(":")[0], set()).add(host)
+    cross = {trace_id for trace_id, hosts in trace_hosts.items() if len(hosts) > 1}
 
     width = max((len(host) for _, host, _, _ in entries), default=4)
     lines = [f"incident timeline from {len(paths)} dump(s), {len(entries)} events"]
@@ -224,7 +207,7 @@ def render_timeline(paths: list[str], ops_shown: int = 0) -> str:
     for at, host, text, trace in entries:
         suffix = ""
         if trace:
-            marker = " <-- spans hosts" if trace in cross else ""
+            marker = " <-- spans hosts" if trace.partition(":")[0] in cross else ""
             suffix = f"  [trace {trace}]{marker}"
         lines.append(f"  t={at:<8g} {host.ljust(width)}  {text}{suffix}")
     return "\n".join(lines)

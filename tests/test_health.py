@@ -12,7 +12,7 @@ from repro.physical import EntryType, FicusPhysicalLayer
 from repro.recon import PullOutcome, pull_file
 from repro.sim import DaemonConfig, FicusSystem
 from repro.storage import BlockDevice
-from repro.telemetry import FLIGHT_RING_CAPACITY, HealthPlane, load_dump
+from repro.telemetry import FLIGHT_RING_CAPACITY, HealthPlane, HostHealth, Telemetry, load_dump
 from repro.ufs import Ufs
 from repro.util import VolumeId, VolumeReplicaId
 from repro.vnode import UfsLayer
@@ -151,6 +151,19 @@ class TestFlightRecorder:
         assert "fsck_violation" in rendered
         assert "recorded ops" in rendered
 
+    def test_dump_health_line_is_the_host_health_record(self, tmp_path):
+        """A dump renders a host's health one way: the plane's
+        :class:`HostHealth`, recon outcomes included, rebuilt as it was."""
+        system, fs = converged_cluster()
+        system.partition([{"a"}, {"b", "c"}])
+        fs.write_file("/doc", b"partitioned edit")
+        system.host("a").recon_daemon.tick()
+        plane = system.host("a").health_plane
+        path = plane.recorder.write_dump(plane.anomaly("fsck_violation"), str(tmp_path / "a.jsonl"))
+        rebuilt = HostHealth(**load_dump(path)["health"])
+        assert rebuilt == plane.host_health()
+        assert rebuilt.last_recon and rebuilt.suspected and rebuilt.staleness_ticks
+
     def test_dump_labels_file_ops_by_handle_and_notifications_by_sender(self, tmp_path):
         """A dump names a file op's target by the file's hex handle and a
         heard update notification as ``"<src>:<hex>"``."""
@@ -185,6 +198,25 @@ class TestFlightRecorder:
         assert any(
             dump["kind"] == "conflict_detected" for p in planes for dump in p.recorder.dumps
         )
+
+    def test_timeline_marks_a_write_and_its_pull_as_one_thread(self, tmp_path):
+        """A write on one host and its propagation pull on another carry
+        spans of one trace, so the merged timeline flags both lines."""
+        from repro.tools.ficus_top import render_timeline
+
+        system = FicusSystem(["a", "b"], daemon_config=QUIET, telemetry=Telemetry())
+        system.host("a").fs().write_file("/doc", b"traced")
+        system.host("b").propagation_daemon.tick()
+        paths = []
+        for name in ("a", "b"):
+            plane = system.host(name).health_plane
+            snapshot = plane.anomaly("fsck_violation")
+            paths.append(plane.recorder.write_dump(snapshot, str(tmp_path / f"{name}.jsonl")))
+        lines = render_timeline(paths).splitlines()
+        write = [line for line in lines if " a  version write " in line]
+        pull = [line for line in lines if " b  version pull " in line]
+        assert write and pull
+        assert all(line.endswith("<-- spans hosts") for line in write + pull)
 
 
 class TestBlockCorruptionFallback:

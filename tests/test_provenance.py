@@ -449,9 +449,13 @@ class TestStalenessSlo:
 class TestLedgerBounds:
     def test_ring_is_bounded_and_counts_evictions(self):
         from repro.telemetry import ProvenanceLedger
+        from repro.util import FicusFileHandle, FileId, VolumeId
+        from repro.vv import VersionVector
 
+        fh = FicusFileHandle(VolumeId(1, 1), FileId(1, 1))
         ledger = ProvenanceLedger("h", capacity=8)
         for i in range(20):
-            ledger.record("write", "aa", f"1:{i + 1}", parents=(f"1:{i}",))
+            ledger.record("write", fh, VersionVector({1: i + 1}), parents=(VersionVector({1: i}),))
         assert len(ledger.ring) == 8
         assert ledger.evicted == 12
+        assert [event.vv for event in ledger.events(fh.to_hex())][0] == "1:13"

@@ -7,6 +7,8 @@ replicas healing into byte-identical contents with the conflict log
 staying clean for covered types.
 """
 
+import json
+
 import pytest
 
 from repro.physical import ficus_fsck
@@ -22,6 +24,7 @@ from repro.resolvers import (
     default_registry,
 )
 from repro.sim import DaemonConfig, FicusSystem
+from repro.telemetry import load_dump
 from repro.vv import VersionVector
 
 QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
@@ -272,9 +275,13 @@ class TestAutomaticResolution:
         store = next(iter(system.host("a").physical.stores.values()))
         dir_fh, fh = find_file(store, "inbox.log")
         vv = store.read_file_aux(dir_fh, fh).vv
-        entry = system.host("a").health().last_resolutions[-1]
-        assert vv.strictly_dominates(VersionVector.decode(entry["local_vv"]))
-        assert vv.strictly_dominates(VersionVector.decode(entry["remote_vv"]))
+        ledger = system.host("a").health_plane.provenance
+        merges = [event for event in ledger.events(fh.to_hex()) if event.kind == "merge"]
+        assert merges and merges[-1].detail == "inbox.log[append-log]"
+        local_vv, remote_vv = (VersionVector.decode(p) for p in merges[-1].parents)
+        assert local_vv != remote_vv
+        assert vv.strictly_dominates(local_vv)
+        assert vv.strictly_dominates(remote_vv)
 
     def test_independent_resolutions_are_byte_identical(self):
         """Opposite hosts resolving the same conflict produce one result."""
@@ -528,26 +535,57 @@ class TestObservability:
                 return system.host(name)
         raise AssertionError("no host auto-resolved")
 
-    def test_health_surfaces_resolution_counters(self):
+    def dump_of(self, host, path) -> str:
+        plane = host.health_plane
+        return plane.recorder.write_dump(plane.anomaly("fsck_violation"), str(path))
+
+    def test_health_surfaces_resolution_counters(self, tmp_path):
         host = self.resolving_host(self.resolved_system())
         health = host.health()
         assert health.resolver_auto_resolved >= 1
         assert health.resolver_fallback_manual == 0
-        entry = health.last_resolutions[-1]
-        assert entry["name"] == "inbox.log"
-        assert entry["tag"] == "append-log"
-        assert entry["local_vv"] and entry["remote_vv"] and entry["resolved_vv"]
+        # each counted resolution is one merge event in the dump's ledger
+        prov = load_dump(self.dump_of(host, tmp_path / "dump.jsonl"))["prov"]
+        merges = [rec for rec in prov if rec["kind"] == "merge"]
+        assert len(merges) == health.resolver_auto_resolved
+        for rec in merges:
+            assert rec["detail"] == "inbox.log[append-log]"
+            assert rec["vv"] and len(set(rec["parents"])) == 2
 
-    def test_op_ring_records_both_input_vvs(self):
+    def test_op_ring_records_both_input_vvs(self, tmp_path):
+        """The merge event names both input vvs, and the offline dump
+        renders the pair the merge consumed."""
+        from repro.tools.ficus_top import render_dump
+
         host = self.resolving_host(self.resolved_system())
-        ops = [
-            op
-            for op in host.health_plane.recorder.ring
-            if op[1] == "conflict_auto_resolved"
-        ]
-        assert ops
-        entry = host.health().last_resolutions[-1]
-        assert entry["local_vv"] in ops[-1][2] and entry["remote_vv"] in ops[-1][2]
+        path = self.dump_of(host, tmp_path / "dump.jsonl")
+        merge = next(rec for rec in load_dump(path)["prov"] if rec["kind"] == "merge")
+        local_vv, remote_vv = merge["parents"]
+        assert local_vv and remote_vv and local_vv != remote_vv
+        line = f"inbox.log[append-log] {local_vv} x {remote_vv} -> {merge['vv']}"
+        assert line in render_dump(path)
+
+    def test_one_resolution_is_one_dump_record(self, tmp_path):
+        """A resolver merge is recorded once: the dump's ``merge`` event is
+        the only record naming the resolution or the version it minted."""
+        system = resolver_system()
+        seed_and_sync(system, "/inbox.log", b"seed\n")
+        system.partition([{"a"}, {"b"}])
+        system.host("a").fs().write_file("/inbox.log", b"seed\nalpha\n")
+        system.host("b").fs().write_file("/inbox.log", b"seed\nbravo\n")
+        system.heal()
+        host = system.host("a")
+        host.recon_daemon.tick()
+        assert host.health().resolver_auto_resolved == 1
+        store = next(iter(host.physical.stores.values()))
+        resolved = store.read_file_aux(*find_file(store, "inbox.log")).vv.encode()
+        with open(self.dump_of(host, tmp_path / "dump.jsonl"), encoding="utf-8") as fp:
+            mentions = [
+                json.loads(line)
+                for line in fp
+                if "inbox.log[append-log]" in line or f'"{resolved}"' in line
+            ]
+        assert [(rec["type"], rec["kind"]) for rec in mentions] == [("prov", "merge")]
 
     def test_telemetry_counters(self):
         from repro.telemetry import Telemetry

@@ -8,7 +8,8 @@ measures what it was buying:
 * A2 — the directory name lookup cache and buffer cache: what warm opens
   cost without them (the Section 6 claim depends on them).
 * A3 — update notification vs reconciliation-only propagation: how stale
-  a peer replica stays when the notification datagrams are lost.
+  a peer replica stays when the notification datagrams are lost, all of
+  them or a random share.
 * A4 — open/close session coalescing vs per-write version bumps: how much
   aux-file traffic the smuggled open/close information saves.
 """
@@ -16,6 +17,7 @@ measures what it was buying:
 import pytest
 
 from repro.devel import measure_crossing_penalty
+from repro.net import LinkFaults
 from repro.sim import DaemonConfig, FicusSystem, HostConfig
 from repro.storage import BlockDevice
 from repro.ufs import Ufs
@@ -116,6 +118,48 @@ class TestA3NotificationValue:
         # without it the next periodic recon (60 s) must come around
         assert with_notify <= 5.0
         assert recon_only > with_notify * 4
+
+    def _staleness_under_loss(self, drop: float, writes: int = 200, seed: int = 7) -> list[float]:
+        """Write-to-replica time of ``writes`` successive ``write_file``
+        sessions with every datagram dropped at rate ``drop``."""
+        config = DaemonConfig(
+            propagation_period=1.0, propagation_min_age=0.0,
+            recon_period=60.0, graft_prune_period=None,
+        )
+        system = FicusSystem(["w", "r"], daemon_config=config)
+        writer = system.host("w").fs()
+        writer.write_file("/f", b"v0")
+        system.run_for(65.0)
+        volrep = next(loc.volrep for loc in system.root_locations if loc.host == "r")
+        store = system.host("r").physical.store_for(volrep)
+        fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "f")
+        system.network.faults.reseed(seed)
+        system.network.faults.set_default(LinkFaults(drop=drop))
+        times = []
+        for i in range(1, writes + 1):
+            data = b"v%d" % i
+            writer.write_file("/f", data)
+            written_at = system.clock.now()
+            while store.file_vnode(store.root_handle(), fh).read_all() != data:
+                system.run_for(0.25)
+            times.append(system.clock.now() - written_at)
+        return times
+
+    def test_a_lost_session_notification_waits_for_reconciliation(self, capsys):
+        """A session sends one datagram, from its close: with datagrams
+        dropped at rate p, about p of the sessions reach the peer only by
+        the next periodic reconciliation, and every one of them arrives."""
+        waited = {}
+        for drop in (0.0, 0.2):
+            times = self._staleness_under_loss(drop)
+            waited[drop] = sum(t > 5.0 for t in times) / len(times)
+            with capsys.disabled():
+                print(
+                    f"\n[A3] drop {drop:.1f}: mean write-to-replica {sum(times) / len(times):.2f}s, "
+                    f"{waited[drop]:.1%} waited for reconciliation"
+                )
+        assert waited[0.0] == 0.0
+        assert 0.1 < waited[0.2] < 0.35
 
 
 class TestA4SessionCoalescing:

@@ -52,12 +52,15 @@ def _selection_rpcs(system: FicusSystem, host: str) -> int:
 #: ``session_close``; a stat (inside the NFS attribute TTL) and a listdir
 #: send nothing; a missing name costs the one directory re-read that
 #: verifies it.  ``after_write.*`` is the first such call in a directory
-#: after the client's own ``write_file`` there dropped its batches: three
-#: batched fetches and one directory read on top.  A namespace op on a warm
-#: directory is the update replica's directory read plus one ``insert`` or
+#: after the client's own ``write_file`` there dropped its batches (the
+#: session sends one notification, at close, and the client's replicas
+#: are all remote, so nothing is written through): three batched fetches
+#: and one directory read on top.  A namespace op on a warm directory is
+#: the update replica's directory read plus one ``insert`` or
 #: ``remove_entry`` (the insert's reply is the entry: nothing is read back);
-#: ``write_file`` of a new name adds the three batch refetches its
-#: notification forces and a write session behind one ``lookup_fh``.
+#: ``write_file`` of a new name adds the three batch refetches the create's
+#: notification forces on the open's selection and a write session behind
+#: one ``lookup_fh``.
 WARM_OP_BUDGETS = {
     "read_file": 3,
     "stat": 0,

@@ -144,11 +144,14 @@ class FicusFile:
         if self._closed:
             return
         self._closed = True
-        self._vnode.close(self._ctx)
-        if self._writable:
-            self._fs.logical.locks.release_exclusive(self._vnode.fh, self._owner)
-        else:
-            self._fs.logical.locks.release_shared(self._vnode.fh, self._owner)
+        try:
+            self._vnode.close(self._ctx)
+        finally:
+            # a failed close still ends this handle: never leak its lock
+            if self._writable:
+                self._fs.logical.locks.release_exclusive(self._vnode.fh, self._owner)
+            else:
+                self._fs.logical.locks.release_shared(self._vnode.fh, self._owner)
 
     def _check_open(self) -> None:
         if self._closed:

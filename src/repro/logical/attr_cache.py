@@ -9,16 +9,19 @@ operation.  This cache remembers, per directory replica, the last
 own auxiliary attributes plus those of every stored child — together with
 the resolved directory vnode, so a warm selection needs no RPCs at all.
 Two more things ride each entry: the replica's decoded name -> entry view,
-valid exactly as long as the batch beside it, and the file vnodes resolved
-through the directory vnode, valid exactly as long as it is.
+valid as long as the directory's entries are, and the file vnodes resolved
+through the directory vnode, valid exactly as long as it is.  Beside a
+directory's entries sits the replica selection made from their batches,
+so a warm selection also compares no vectors.
 
 Coherence is notification-driven, matching the paper's update model:
 
 * the update-notification multicast datagram ("a new version of a file
   may be obtained...", Section 2.5) invalidates the affected directory's
   cached batches on every host that receives it;
-* the updating host itself invalidates (and, for its local replica,
-  refreshes) in :meth:`~repro.logical.layer.FicusLogicalLayer.notify_update`;
+* the updating host itself invalidates every other replica's batch and
+  writes its own local replica's through (:meth:`VersionVectorCache.write_through`,
+  from :meth:`~repro.logical.layer.FicusLogicalLayer.notify_update`);
 * because datagrams are best-effort and partitions eat them, every batch
   also carries a TTL — a lost invalidation delays freshness by at most
   ``ttl`` seconds of virtual time rather than forever.
@@ -31,6 +34,7 @@ a stale NFS handle announces itself with ESTALE on use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from repro.physical.wire import AttrBatch, DirectoryEntry
 from repro.util import FicusFileHandle, VirtualClock, VolumeId, VolumeReplicaId
@@ -50,6 +54,7 @@ class CacheEntry:
     fetched_at: float = 0.0
     #: the replica's ``effective_entries`` view, decoded once per batch: it
     #: is only ever read beside a live ``batch`` and is dropped with it
+    #: (a write-through of a file update keeps it: no entry changed)
     names: dict[str, DirectoryEntry] | None = None
     #: file vnodes resolved through ``dir_vnode``, by logical handle; like
     #: it they survive attribute changes and die on ESTALE
@@ -57,6 +62,20 @@ class CacheEntry:
 
     def drop_batch(self) -> None:
         self.batch = self.names = None
+
+
+@dataclass
+class DirRecord:
+    """Everything cached for one directory: an entry per replica, and the
+    selections made from those entries' batches."""
+
+    replicas: dict[VolumeReplicaId, CacheEntry] = field(default_factory=dict)
+    #: ``most_recent``'s winner per selection — the directory's own under
+    #: ``None``, each file's under its logical handle — beside the batches
+    #: it was chosen from; dropped whenever any replica's batch changes
+    winners: dict[FicusFileHandle | None, tuple[tuple[AttrBatch, ...], Any]] = field(
+        default_factory=dict
+    )
 
 
 @dataclass
@@ -92,17 +111,13 @@ class VersionVectorCache:
         self.clock = clock
         self.ttl = ttl
         self.stats = CacheStats()
-        self._dirs: dict[
-            tuple[VolumeId, FicusFileHandle], dict[VolumeReplicaId, CacheEntry]
-        ] = {}
+        self._dirs: dict[tuple[VolumeId, FicusFileHandle], DirRecord] = {}
 
     def __len__(self) -> int:
-        return sum(len(replicas) for replicas in self._dirs.values())
+        return sum(len(record.replicas) for record in self._dirs.values())
 
-    def _replicas(
-        self, volume: VolumeId, dir_fh: FicusFileHandle
-    ) -> dict[VolumeReplicaId, CacheEntry]:
-        return self._dirs.get((volume, dir_fh.logical)) or {}
+    def _record(self, volume: VolumeId, dir_fh: FicusFileHandle) -> DirRecord | None:
+        return self._dirs.get((volume, dir_fh.logical))
 
     # -- reads --------------------------------------------------------------
 
@@ -113,18 +128,50 @@ class VersionVectorCache:
         (the resolved vnode is still good); a wholly absent entry is a
         miss.  Stats are bumped accordingly.
         """
-        entry = self._replicas(volrep.volume, dir_fh).get(volrep)
+        record = self._record(volrep.volume, dir_fh)
+        entry = None if record is None else record.replicas.get(volrep)
         if entry is None:
             self.stats.misses += 1
             return None
         if entry.batch is not None and self.clock.now() - entry.fetched_at > self.ttl:
             entry.drop_batch()
+            record.winners.clear()
             self.stats.expirations += 1
         if entry.batch is None:
             self.stats.misses += 1
         else:
             self.stats.hits += 1
         return entry
+
+    def selection(
+        self,
+        volume: VolumeId,
+        dir_fh: FicusFileHandle,
+        key: FicusFileHandle | None,
+        batches: tuple[AttrBatch, ...],
+        choose: Callable[[], Any],
+    ) -> Any:
+        """The winner ``choose`` picks from exactly ``batches``, chosen once.
+
+        ``key`` is ``None`` for the directory's own replica selection and a
+        file's logical handle for that file's.  A remembered winner is
+        served only while the candidates' batches are the very objects it
+        was chosen from: a replica partitioned away or deferred as degraded
+        changes the candidate set and misses it, and every batch the
+        directory's record refetches, expires or drops takes the record's
+        winners with it.
+        """
+        record = self._dirs[(volume, dir_fh.logical)]
+        memo = record.winners.get(key)
+        if memo is not None:
+            chosen_from, winner = memo
+            if len(chosen_from) == len(batches) and all(
+                a is b for a, b in zip(chosen_from, batches)
+            ):
+                return winner
+        winner = choose()
+        record.winners[key] = (batches, winner)
+        return winner
 
     # -- writes -------------------------------------------------------------
 
@@ -141,21 +188,69 @@ class VersionVectorCache:
         keeps sharing its handles; the name view belonged to the old batch
         and goes, and child vnodes the new batch no longer lists are pruned.
         """
-        replicas = self._dirs.setdefault((volrep.volume, dir_fh.logical), {})
-        entry = replicas.get(volrep)
+        record = self._dirs.setdefault((volrep.volume, dir_fh.logical), DirRecord())
+        record.winners.clear()
+        entry = record.replicas.get(volrep)
         if entry is None:
-            entry = replicas[volrep] = CacheEntry(dir_vnode)
+            entry = record.replicas[volrep] = CacheEntry(dir_vnode)
         entry.dir_vnode, entry.batch, entry.names = dir_vnode, batch, None
         entry.fetched_at = self.clock.now()
         for fh in entry.children.keys() - batch.children.keys():
             del entry.children[fh]
         return entry
 
+    def write_through(
+        self,
+        volrep: VolumeReplicaId,
+        dir_fh: FicusFileHandle,
+        dir_vnode: Vnode,
+        fh: FicusFileHandle,
+        objkind: str,
+    ) -> None:
+        """This host updated ``fh`` in its local replica ``volrep`` of a
+        directory: drop every replica's batch, then rebuild the local one.
+
+        Any cached view of the directory may now be dominated, so all
+        batches go, as on a notification.  The local replica's is rebuilt
+        from what the update changed when a live batch was held: the reply
+        of ``getattrs_batch([fh])`` (the directory's record and that one
+        child's) is merged over it, and a child the reply lacks is gone.
+        The merge keeps the held ``fetched_at``, since the siblings it did
+        not re-read are no fresher, and keeps the name view for a file
+        update (``objkind="file"``: no entry changed).  With nothing held,
+        the whole batch is fetched.
+        """
+        record = self._record(volrep.volume, dir_fh)
+        entry = None if record is None else record.replicas.get(volrep)
+        held = None
+        if entry is not None and entry.batch is not None and (
+            self.clock.now() - entry.fetched_at <= self.ttl
+        ):
+            held, fetched_at, names = entry.batch, entry.fetched_at, entry.names
+        reply = dir_vnode.getattrs_batch(None if held is None else [fh])
+        self.invalidate_dir(volrep.volume, dir_fh)
+        self.stats.refreshes += 1
+        if held is None:
+            self.store(volrep, dir_fh, dir_vnode, reply)
+            return
+        children = dict(held.children)
+        aux = reply.child(fh)
+        if aux is None:
+            children.pop(fh.logical, None)
+        else:
+            children[fh.logical] = aux
+        entry = self.store(volrep, dir_fh, dir_vnode, AttrBatch(reply.dir_aux, children))
+        entry.fetched_at = fetched_at
+        if objkind == "file":
+            entry.names = names
+
     # -- invalidation ----------------------------------------------------------
 
     def invalidate(self, volrep: VolumeReplicaId, dir_fh: FicusFileHandle) -> None:
         """Forget everything cached for one directory replica."""
-        if self._replicas(volrep.volume, dir_fh).pop(volrep, None) is not None:
+        record = self._record(volrep.volume, dir_fh)
+        if record is not None and record.replicas.pop(volrep, None) is not None:
+            record.winners.clear()
             self.stats.invalidations += 1
 
     def invalidate_dir(self, volume: VolumeId, dir_fh: FicusFileHandle) -> int:
@@ -166,8 +261,12 @@ class VersionVectorCache:
         dominated, so all of them must re-fetch.  The resolved vnodes are
         kept — handles stay valid across attribute changes.
         """
+        record = self._record(volume, dir_fh)
+        if record is None:
+            return 0
+        record.winners.clear()
         dropped = 0
-        for entry in self._replicas(volume, dir_fh).values():
+        for entry in record.replicas.values():
             if entry.batch is not None:
                 entry.drop_batch()
                 dropped += 1

@@ -24,7 +24,8 @@ reply, local or across NFS, and is only read here.
 An update notification is sent, and heard, as one frozen
 :class:`~repro.physical.UpdateNotification`.  An open pins one replica per
 file and host and counts the logical opens that share it, so the physical
-update session is bracketed once and the last close ends it.
+update session is bracketed once and the last close ends it — and sends
+the session's one notification.
 """
 
 from __future__ import annotations
@@ -96,20 +97,19 @@ class FileReplicaView(ReplicaView):
 
 @dataclass
 class SessionPin:
-    """One file's update session on this host: the replica taking it, and
-    how many logical opens share it (the physical session is bracketed
-    once per host and file)."""
+    """One file's update session on this host: the replica taking it, how
+    many logical opens share it (the physical session is bracketed once
+    per host and file), and whether an update inside it went unannounced."""
 
     view: ReplicaView
     opens: int = 1
+    updated: bool = False
 
 
 def most_recent(versions: list[tuple[ReplicaView, VersionVector]]) -> ReplicaView:
     """The paper's default policy, "select the most recent copy available":
     an undominated version vector wins; concurrent maxima tie-break
     deterministically on total updates, then replica id."""
-    if len(versions) == 1:
-        return versions[0][0]  # the only reachable copy is the most recent available
     maximal = [
         (view, vv)
         for view, vv in versions
@@ -382,7 +382,28 @@ class FicusLogicalLayer(FileSystemLayer):
         candidates = [(view, batch.dir_aux.vv) for view, batch in self.replica_batches(volume, fh, ctx)]
         if not candidates:
             raise AllReplicasUnavailable(f"no reachable replica stores directory {fh}")
-        return most_recent(candidates)
+        return self._most_recent(volume, fh, None, candidates)
+
+    def _most_recent(
+        self,
+        volume: VolumeId,
+        dir_fh: FicusFileHandle,
+        key: FicusFileHandle | None,
+        candidates: list[tuple[ReplicaView, VersionVector]],
+    ) -> ReplicaView:
+        """:func:`most_recent`, compared once per set of candidate batches.
+
+        The winner is remembered in the directory's cache record beside the
+        batches it came from (each candidate's ``entry.batch``) and dies
+        with them.  A lone candidate wins outright and is not remembered:
+        on a one-replica host a memo costs more than it saves.
+        """
+        if len(candidates) == 1:
+            return candidates[0][0]  # the only reachable copy is the most recent available
+        batches = tuple(view.entry.batch for view, _ in candidates)
+        return self.attr_cache.selection(
+            volume, dir_fh, key, batches, lambda: most_recent(candidates)
+        )
 
     # -- file replica selection -------------------------------------------------
 
@@ -456,7 +477,7 @@ class FicusLogicalLayer(FileSystemLayer):
             raise AllReplicasUnavailable(f"no reachable replica stores file {fh}")
         if self.read_policy == READ_ANY:
             return candidates[0]
-        return most_recent([(c, c.vv) for c in candidates])
+        return self._most_recent(volume, parent_fh, fh.logical, [(c, c.vv) for c in candidates])
 
     def _partition_suspected(self, volume: VolumeId) -> bool:
         """Is some known replica host of ``volume`` currently unreachable?"""
@@ -506,6 +527,11 @@ class FicusLogicalLayer(FileSystemLayer):
         available replicas informing them that a new version of a file may
         be obtained from the replica receiving the update" (Section 2.5).
 
+        It is sent once per update: once per namespace operation, once per
+        write, truncate or ``setattr`` outside a session, and once for a
+        whole update session, by its close (:meth:`close_file`).  Best
+        effort, once: a lost datagram leaves the update to reconciliation.
+
         The same event drives attribute-cache coherence: every cached
         batch of the updated directory is dropped, here and on each host
         receiving the datagram.  Dropping ALL replicas' batches (not just
@@ -514,7 +540,9 @@ class FicusLogicalLayer(FileSystemLayer):
         notifications, so a notification is also the cheapest moment to
         shed any view of the directory that may have gone stale out of
         band.  The acting replica's batch — when it is local, so
-        re-reading costs no RPC — is refreshed write-through.
+        re-reading costs no RPC — is written through: only the updated
+        object's record is re-read
+        (:meth:`~repro.logical.attr_cache.VersionVectorCache.write_through`).
 
         The datagram goes to every host storing the volume, including the
         acting host when the update was driven onto it remotely over NFS
@@ -523,18 +551,18 @@ class FicusLogicalLayer(FileSystemLayer):
         layer's new-version cache so the caller's own replicas pull the
         new version).
         """
-        self.attr_cache.invalidate_dir(volume, parent_fh)
         if objkind == "dir":
+            # first: a sync install names the directory itself (fh is
+            # parent_fh), and then nothing held may be merged over
             self.attr_cache.invalidate_dir(volume, fh)
         if self.fabric.is_local(acting.host):
             try:
                 vnode = self.fabric.dir_by_handle(acting.host, acting.volrep, parent_fh)
-                self.attr_cache.store(
-                    acting.volrep, parent_fh, vnode, vnode.getattrs_batch()
-                )
-                self.attr_cache.stats.refreshes += 1
+                self.attr_cache.write_through(acting.volrep, parent_fh, vnode, fh, objkind)
             except (FileNotFound, StaleFileHandle):
-                pass
+                self.attr_cache.invalidate_dir(volume, parent_fh)
+        else:
+            self.attr_cache.invalidate_dir(volume, parent_fh)
         try:
             others = {loc.host for loc in self.locations_for(volume)}
         except AllReplicasUnavailable:
@@ -621,7 +649,18 @@ class FicusLogicalLayer(FileSystemLayer):
         fh: FicusFileHandle,
         ctx: OpContext = ROOT_CTX,
     ) -> None:
-        """Close one open; the last one closes the physical session."""
+        """Close one open; the last one closes the physical session.
+
+        A session that updated its replica sends the session's one update
+        notification here: when ``session_close`` reports it dirty (and
+        bumped the vector), or when an update went through the pin
+        unannounced.  The second covers a replica host that rebooted and
+        forgot the session without a stale handle to show for it — its
+        writes then bumped the vector one by one, and the close finds no
+        session to report.  The pin goes whatever the close raised: a pin
+        left behind would be joined by every later open, pinning reads to
+        its replica and silencing that file's notifications for good.
+        """
         fh = fh.logical
         pin = self._session_pins.get(fh)
         if pin is None:
@@ -638,8 +677,9 @@ class FicusLogicalLayer(FileSystemLayer):
             # up.  (The old lookup-smuggled close could not even see the
             # crash: a cached lookup reply swallowed the RPC entirely.)
             updated = False
-        del self._session_pins[fh]
-        if updated:
+        finally:
+            del self._session_pins[fh]
+        if updated or pin.updated:
             # read-only sessions notify nobody: no version changed, so
             # peers' cached attribute batches stay valid
             self.notify_update(volume, pin.view.location, parent_fh, fh)
@@ -671,7 +711,7 @@ class FicusLogicalLayer(FileSystemLayer):
             graft_dir.insert(
                 location_entry_name(location.volrep.replica_id), EntryType.LOCATION, data=location.host
             )
-        self.notify_update(parent.volume, replica.location, parent.fh, entry.fh)
+        self.notify_update(parent.volume, replica.location, parent.fh, entry.fh, objkind="dir")
         self.learn_locations(target_volume, locations)
 
     def add_graft_location(
@@ -694,7 +734,7 @@ class FicusLogicalLayer(FileSystemLayer):
         graft_dir.insert(
             location_entry_name(location.volrep.replica_id), EntryType.LOCATION, data=location.host
         )
-        self.notify_update(parent.volume, replica.location, parent.fh, entry.fh)
+        self.notify_update(parent.volume, replica.location, parent.fh, entry.fh, objkind="dir")
         target = VolumeId.from_hex(entry.data)
         known = {loc.volrep: loc for loc in self._locations.get(target, [])}
         known[location.volrep] = location

@@ -341,13 +341,28 @@ class LogicalFileVnode(Vnode):
         return self.layer.retry_stale(self.volume, self.parent_fh, operation, self.fh, ctx)
 
     def _update(self, apply, ctx: OpContext):
-        """Apply one update to the file's vnode at the update replica, then
-        send the notification naming that replica."""
+        """Apply one update to the file's vnode at the update replica, and
+        notify unless it landed inside this host's open session.
+
+        An update session counts as one update (paper Section 2.3): the
+        physical layer bumps the vector once, at close, and
+        :meth:`~repro.logical.layer.FicusLogicalLayer.close_file` sends the
+        session's one notification then.  Notifications sent before it
+        would only repeat that one — a peer queues the note and pulls at
+        its next daemon tick — so the update is marked on the pin instead.
+        The cost is redundancy: a lost close datagram leaves the session
+        unannounced until reconciliation.  An update outside any session — or
+        one that fell over to another replica because the pinned one is
+        unreachable — bumps the vector at once and is announced at once."""
 
         def attempt():
             view = self._update_view(ctx)
             result = apply(view.child(self.fh, ctx))
-            self.layer.notify_update(self.volume, view.location, self.parent_fh, self.fh)
+            pin = self.layer._session_pins.get(self.fh)
+            if pin is not None and pin.view is view:
+                pin.updated = True
+            else:
+                self.layer.notify_update(self.volume, view.location, self.parent_fh, self.fh)
             return result
 
         return self._retry_stale(attempt, ctx)

@@ -226,7 +226,9 @@ class FicusPhysicalLayer(FileSystemLayer):
         forwarding the open/close information buys (paper Section 2.3:
         "Ficus is able to use effectively the open/close information that
         NFS intercepts and ignores"; our NFS forwards it as the explicit
-        ``session_open``/``session_close`` operations).
+        ``session_open``/``session_close`` operations).  The logical layer
+        announces such a session once, at its close, when the new version
+        exists.
         """
         key = self._session_key(store, fh)
         if key in self._sessions:

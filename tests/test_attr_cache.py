@@ -104,6 +104,45 @@ class TestCacheUnit:
         self.cache.invalidate(self.vr1, FH)
         assert self.cache.lookup(self.vr1, FH) is None
 
+    def test_a_selection_is_served_only_from_the_very_batches_it_came_from(self):
+        one, two = batch(VersionVector({1: 1})), batch(VersionVector({2: 1}))
+        chosen = []
+
+        def select(*batches):
+            return self.cache.selection(VOL, FH, None, batches, lambda: chosen.append(1) or "winner")
+
+        self.cache.store(self.vr1, FH, "v1", one)
+        self.cache.store(self.vr2, FH, "v2", two)
+        assert select(one, two) == select(one, two) == "winner" and len(chosen) == 1
+        select(one)  # a replica left the candidate set
+        select(one, batch(VersionVector({2: 1})))  # an equal batch is not the same batch
+        assert len(chosen) == 3
+
+    def test_a_selection_dies_with_any_batch_of_its_directory(self):
+        def remembered() -> bool:
+            return bool(self.cache._record(VOL, FH).winners)
+
+        def warm():
+            self.cache.store(self.vr1, FH, "v1", batch(VersionVector({1: 1})))
+            self.cache.store(self.vr2, FH, "v2", batch(VersionVector({2: 1})))
+            batches = tuple(self.cache.lookup(vr, FH).batch for vr in (self.vr1, self.vr2))
+            self.cache.selection(VOL, FH, None, batches, lambda: "winner")
+            self.cache.selection(VOL, FH, FH, batches, lambda: "file winner")
+            assert remembered()
+
+        for drop in (
+            lambda: self.cache.store(self.vr2, FH, "v2", batch(VersionVector({2: 2}))),
+            lambda: self.cache.invalidate(self.vr1, FH),
+            lambda: self.cache.invalidate_dir(VOL, FH),
+            lambda: (self.clock.advance(11.0), self.cache.lookup(self.vr1, FH)),
+        ):
+            warm()
+            drop()
+            assert not remembered()
+        warm()
+        self.cache.clear()
+        assert self.cache._record(VOL, FH) is None
+
 
 def two_host_world():
     """alpha holds replica 1, beta replica 2, of one converged volume."""
@@ -149,6 +188,96 @@ class TestNotificationCoherence:
         cache = system.host("alpha").logical.attr_cache
         assert cache.stats.refreshes > refreshes_before
         assert fs_a.read_file("/f") == b"v2"
+
+    def test_write_through_rereads_only_what_the_update_changed(self):
+        """After each local update alpha's batch of its own replica is what
+        a full fetch would return, yet it was never fully refetched: its
+        ``fetched_at`` does not move, so siblings age as they were.  A file
+        update keeps the name view; a namespace update drops it."""
+        system, fs_a, fs_b = two_host_world()
+        alpha = system.host("alpha")
+        cache, root_fh = alpha.logical.attr_cache, alpha.logical.root().fh
+        here = next(loc for loc in system.root_locations if loc.host == "alpha")
+        local_dir = alpha.fabric.dir_by_handle("alpha", here.volrep, root_fh)
+        assert fs_a.listdir("/") == ["f"]  # warm: alpha selects its own replica
+        entry = cache.lookup(here.volrep, root_fh)
+        fetched_at, names = entry.fetched_at, entry.names
+        assert names is not None
+        system.run_for(1.0)  # a full refetch would stamp a later time
+
+        def written_through() -> bool:
+            return entry.batch == local_dir.getattrs_batch() and entry.fetched_at == fetched_at
+
+        fs_a.write_file("/f", b"v2")
+        assert written_through() and entry.names is names
+        fs_a.write_file("/new", b"created")
+        assert written_through() and entry.names is None
+        assert fs_a.listdir("/") == ["f", "new"] and entry.names is not None
+        fs_a.unlink("/new")
+        assert written_through() and entry.names is None
+        assert fs_a.listdir("/") == ["f"]
+
+
+class TestSelectionMemo:
+    """Replica selection compares vectors once per set of candidate batches,
+    and the remembered winner obeys the batches' staleness rules."""
+
+    @staticmethod
+    def beta_ahead():
+        """Three converged replicas, then beta, cut off, updates ``/f`` and
+        creates ``/g`` in its own replica: after the heal beta's copies of
+        both the file and the root dominate."""
+        system = FicusSystem(["alpha", "beta", "gamma"], daemon_config=QUIET)
+        system.host("alpha").fs().write_file("/f", b"v1")
+        system.reconcile_everything()
+        system.partition([{"alpha", "gamma"}, {"beta"}])
+        fs_b = system.host("beta").fs()
+        fs_b.write_file("/f", b"v2 at beta")
+        fs_b.write_file("/g", b"made at beta")
+        system.heal()
+        return system, system.host("gamma")
+
+    def test_a_partitioned_winner_is_never_served(self):
+        system, gamma = self.beta_ahead()
+        logical = gamma.logical
+        node = gamma.fs().resolve("/f")
+        selections = {
+            "file": lambda: logical.select_read_replica(node.volume, node.parent_fh, node.fh),
+            "dir": lambda: logical.select_dir_replica(node.volume, node.parent_fh),
+        }
+        for select in selections.values():
+            first = select()
+            assert first.location.host == "beta"
+            assert select() is first  # remembered, not compared again
+        system.partition([{"alpha", "gamma"}, {"beta"}])
+        for select in selections.values():
+            assert select().location.host != "beta"
+        system.heal()
+        for select in selections.values():
+            assert select().location.host == "beta"
+
+    def test_a_remembered_winner_goes_with_the_directorys_batches(self):
+        system, gamma = self.beta_ahead()
+        logical = gamma.logical
+        root_fh = logical.root().fh
+        first = logical.select_dir_replica(logical.root_volume, root_fh)
+        assert logical.attr_cache._record(logical.root_volume, root_fh).winners
+        logical.attr_cache.invalidate_dir(logical.root_volume, root_fh)
+        assert not logical.attr_cache._record(logical.root_volume, root_fh).winners
+        again = logical.select_dir_replica(logical.root_volume, root_fh)
+        assert again is not first and again.location == first.location
+
+    def test_a_lone_candidate_is_not_remembered(self):
+        system = FicusSystem(["solo"], daemon_config=QUIET)
+        fs = system.host("solo").fs()
+        fs.write_file("/f", b"x")
+        logical = system.host("solo").logical
+        root_fh = logical.root().fh
+        node = fs.resolve("/f")
+        for _ in range(2):
+            logical.select_dir_replica(logical.root_volume, root_fh)
+            logical.select_read_replica(node.volume, node.parent_fh, node.fh)
+        assert not logical.attr_cache._record(logical.root_volume, root_fh).winners
 
 
 class TestLostDatagramTtl:
@@ -276,6 +405,12 @@ class TestNameViews:
         fs_a.unlink("/d/inner")
         fs_a.rmdir("/d")
         assert not fs_a.exists("/d")
+        # a graft point is a namespace update too: the view must not survive it
+        assert fs_a.listdir("/") == ["f"]
+        volume, locations = system.create_volume(["beta"])
+        alpha = system.host("alpha")
+        alpha.logical.create_graft_point(alpha.root(), "vol", volume, locations)
+        assert fs_a.listdir("/") == ["f", "vol"]
 
 
 class TestReservedNames:

@@ -8,11 +8,12 @@ from repro.errors import (
     DirectoryNotEmpty,
     FileExists,
     FileNotFound,
+    IOError_,
     IsADirectory,
     NotADirectory,
 )
 from repro.logical import READ_ANY
-from repro.physical import volume_root_handle
+from repro.physical import FicusPhysicalLayer, volume_root_handle
 from repro.sim import DaemonConfig, FicusSystem
 from repro.ufs import FileType
 from repro.vnode.interface import SetAttrs
@@ -200,8 +201,9 @@ class TestOpenCloseSessions:
         f.write(0, b"a")
         f.write(1, b"b")
         f.close()
-        # writes inside a session do notify (cheap datagrams), close adds one
-        assert alpha.logical.notifications_sent > sent_before
+        # writes inside a session leave the vector alone, so they announce
+        # nothing; the close that bumps it sends the one notification
+        assert alpha.logical.notifications_sent == sent_before + 1
 
     def test_nested_opens_leave_no_session_open(self):
         """Two logical vnodes of one file opened on one host and both closed:
@@ -231,6 +233,79 @@ class TestOpenCloseSessions:
             sessions.append(host.physical.has_open_session(store, fh))
         assert states == [(b"v3", 3), (b"v3", 3)]
         assert sessions == [False, False]
+
+
+class TestOneNotificationPerSession:
+    """An update session is one update (paper Section 2.3), and the
+    notification announces the version it made (Section 2.5): one per
+    session, sent by the close that bumps the vector."""
+
+    @pytest.fixture
+    def world(self):
+        system = FicusSystem(
+            ["a", "b", "c", "cl"], root_volume_hosts=["a", "b", "c"], daemon_config=QUIET
+        )
+        system.host("a").fs().write_file("/f", b"v1")
+        system.reconcile_everything()
+        return system
+
+    @staticmethod
+    def sent(system, host):
+        return system.host(host).logical.notifications_sent, system.network.stats.datagrams_sent
+
+    # a replica host updates its own replica and tells the two others; a
+    # diskless client updates a's over NFS and tells all three (a's cache
+    # must learn its own replica moved)
+    @pytest.mark.parametrize("host, datagrams", [("a", 2), ("cl", 3)], ids=["replica-host", "diskless"])
+    @pytest.mark.parametrize("op", ["write_file", "append_file"])
+    def test_an_update_session_sends_one_notification(self, world, host, datagrams, op):
+        notes_before, datagrams_before = self.sent(world, host)
+        getattr(world.host(host).fs(), op)("/f", b"v2")
+        notes_after, datagrams_after = self.sent(world, host)
+        assert notes_after - notes_before == 1
+        assert datagrams_after - datagrams_before == datagrams
+
+    def test_an_update_outside_any_session_notifies_once(self, world):
+        node = world.host("a").fs().resolve("/f")
+        for update in (
+            lambda: node.write(0, b"V"),
+            lambda: node.truncate(1),
+            lambda: node.setattr(SetAttrs(size=0)),
+        ):
+            notes_before, _ = self.sent(world, "a")
+            update()
+            assert self.sent(world, "a")[0] - notes_before == 1
+
+    def test_a_failed_close_drops_its_pin(self, world, monkeypatch):
+        """The session's close fails in the vector-bump write: the error
+        reaches the caller, and nothing of the session outlives it."""
+        a = world.host("a")
+        fs = a.fs()
+        fh = fs.resolve("/f").fh
+        bump, session_open = FicusPhysicalLayer._bump_file_vv, FicusPhysicalLayer.session_open
+        failures = [IOError_("injected: the vector-bump write failed")]
+        opened = []
+
+        def failing_bump(self, *args):
+            if failures:
+                raise failures.pop()
+            return bump(self, *args)
+
+        def counting_open(self, store, fh):
+            opened.append(fh)
+            return session_open(self, store, fh)
+
+        monkeypatch.setattr(FicusPhysicalLayer, "_bump_file_vv", failing_bump)
+        monkeypatch.setattr(FicusPhysicalLayer, "session_open", counting_open)
+        with pytest.raises(IOError_):
+            fs.write_file("/f", b"v2")
+        assert fh not in a.logical._session_pins
+        del opened[:]
+        notes_before, _ = self.sent(world, "a")
+        fs.write_file("/f", b"v3")
+        assert opened == [fh]  # a new physical session, not the dead pin
+        assert self.sent(world, "a")[0] - notes_before == 1
+        assert world.host("b").fs().read_file("/f") == b"v3"
 
 
 class TestCrossVolumeRestrictions:
@@ -345,3 +420,31 @@ class TestStaleHandles:
             self.reboot_servers(system)
             f.write(b" 1.5")
         assert fs.read_file("/d/f") == b"version 1.5"
+
+    @pytest.mark.parametrize("handle_goes_stale", [True, False], ids=["estale", "no-estale"])
+    def test_a_session_the_reboot_forgot_still_notifies_once(self, world, handle_goes_stale):
+        """The rebooted server lost the session, so the write lands outside
+        one and the close finds nothing to report; the pin remembers the
+        unannounced write and the close announces it.  Without ESTALE the
+        handle resolves again because the pinned host itself read the
+        file's attributes after its restart."""
+        system, fs = world
+        logical = system.host("cl").logical
+        with fs.open("/d/f", "r+") as f:
+            f.read(7)
+            if handle_goes_stale:
+                self.reboot_servers(system)
+            else:
+                a = system.host("a")
+                a.crash()
+                a.restart(system)
+                assert a.fs().stat("/d/f").size == 11
+            invalidations = logical.attr_cache.stats.invalidations
+            sent = logical.notifications_sent
+            f.write(b" 1.5")
+            assert logical.notifications_sent == sent
+            went_stale = logical.attr_cache.stats.invalidations > invalidations
+            assert went_stale == handle_goes_stale
+        assert logical.notifications_sent == sent + 1
+        system.reconcile_everything()
+        assert system.host("b").fs().read_file("/d/f") == b"version 1.5"

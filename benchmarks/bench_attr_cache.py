@@ -52,29 +52,30 @@ def _selection_rpcs(system: FicusSystem, host: str) -> int:
 #: ``session_close``; a stat (inside the NFS attribute TTL) and a listdir
 #: send nothing; a missing name costs the one directory re-read that
 #: verifies it.  ``after_write.*`` is the first such call in a directory
-#: after the client's own ``write_file`` there dropped its batches (the
-#: session sends one notification, at close, and the client's replicas
-#: are all remote, so nothing is written through): three batched fetches
-#: and one directory read on top.  A namespace op on a warm directory is
-#: the update replica's directory read plus one ``insert`` or
-#: ``remove_entry`` (the insert's reply is the entry: nothing is read back);
-#: ``write_file`` of a new name adds the three batch refetches the create's
-#: notification forces on the open's selection and a write session behind
-#: one ``lookup_fh``.
+#: after the client's own ``write_file`` there dropped the batch of the
+#: one replica it changed (the session sends one notification, at close,
+#: and the client's replicas are all remote, so nothing is written
+#: through; the other two replicas' batches stay): one batched fetch and
+#: one directory read on top.  A namespace op on a warm directory is the
+#: update replica's directory read plus one ``insert`` or ``remove_entry``
+#: (the insert's reply is the entry: nothing is read back); ``write_file``
+#: of a new name adds the one batch refetch of the replica the create
+#: changed, on the open's selection, and a write session behind one
+#: ``lookup_fh``.
 WARM_OP_BUDGETS = {
     "read_file": 3,
     "stat": 0,
     "listdir": 0,
     "exists_missing": 1,
-    "after_write.read_file": 7,
-    "after_write.stat": 4,
-    "after_write.listdir": 4,
-    "after_write.exists_missing": 4,
+    "after_write.read_file": 5,
+    "after_write.stat": 2,
+    "after_write.listdir": 2,
+    "after_write.exists_missing": 2,
     "mkdir": 2,
     "unlink": 2,
     "rename": 4,
     "link": 2,
-    "write_file_new": 12,
+    "write_file_new": 10,
 }
 
 
@@ -111,7 +112,7 @@ def warm_op_rpcs() -> dict[str, int]:
         "write_file_new": lambda: client.write_file("/d/new", b"x"),
     }
     for name, op in namespace_ops.items():
-        client.listdir("/d")  # the previous op's notification dropped the batches
+        client.listdir("/d")  # the previous op dropped the batch of the replica it changed
         before = system.network.stats.rpcs_sent
         op()
         out[name] = system.network.stats.rpcs_sent - before

@@ -18,10 +18,13 @@ Coherence is notification-driven, matching the paper's update model:
 
 * the update-notification multicast datagram ("a new version of a file
   may be obtained...", Section 2.5) invalidates the affected directory's
-  cached batches on every host that receives it;
-* the updating host itself invalidates every other replica's batch and
-  writes its own local replica's through (:meth:`VersionVectorCache.write_through`,
-  from :meth:`~repro.logical.layer.FicusLogicalLayer.notify_update`);
+  cached batches on every host that receives it, and so does a sync
+  install on the host that made it;
+* the updating host itself drops only what its update changed: the
+  acting replica's batch, written through when that replica is local
+  (:meth:`VersionVectorCache.write_through`, from
+  :meth:`~repro.logical.layer.FicusLogicalLayer.notify_update`), and the
+  batch of each replica whose host the notification did not reach;
 * because datagrams are best-effort and partitions eat them, every batch
   also carries a TTL — a lost invalidation delays freshness by at most
   ``ttl`` seconds of virtual time rather than forever.
@@ -36,9 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.physical import decode_directory, effective_entries
 from repro.physical.wire import AttrBatch, DirectoryEntry
 from repro.util import FicusFileHandle, VirtualClock, VolumeId, VolumeReplicaId
-from repro.vnode.interface import Vnode
+from repro.vnode.interface import ROOT_CTX, OpContext, Vnode, read_whole
 
 #: Default time-to-live for a cached batch, in seconds of virtual time.
 #: Bounds the staleness window when an invalidation datagram is lost.
@@ -54,7 +58,8 @@ class CacheEntry:
     fetched_at: float = 0.0
     #: the replica's ``effective_entries`` view, decoded once per batch: it
     #: is only ever read beside a live ``batch`` and is dropped with it
-    #: (a write-through of a file update keeps it: no entry changed)
+    #: (a write-through keeps it: as is for a file update, which changed
+    #: no entry, and decoded again for a namespace update)
     names: dict[str, DirectoryEntry] | None = None
     #: file vnodes resolved through ``dir_vnode``, by logical handle; like
     #: it they survive attribute changes and die on ESTALE
@@ -62,6 +67,11 @@ class CacheEntry:
 
     def drop_batch(self) -> None:
         self.batch = self.names = None
+
+    def read_names(self, ctx: OpContext = ROOT_CTX) -> dict[str, DirectoryEntry]:
+        """Decode the replica's live entries afresh and keep them as the view."""
+        self.names = effective_entries(decode_directory(read_whole(self.dir_vnode, ctx=ctx)))
+        return self.names
 
 
 @dataclass
@@ -173,6 +183,15 @@ class VersionVectorCache:
         record.winners[key] = (batches, winner)
         return winner
 
+    def held_children(
+        self, volume: VolumeId, dir_fh: FicusFileHandle, fh: FicusFileHandle
+    ) -> list[Vnode]:
+        """The vnodes of file ``fh`` held through any replica of a directory."""
+        record = self._record(volume, dir_fh)
+        if record is None:
+            return []
+        return [entry.children[fh] for entry in record.replicas.values() if fh in entry.children]
+
     # -- writes -------------------------------------------------------------
 
     def store(
@@ -208,17 +227,21 @@ class VersionVectorCache:
         objkind: str,
     ) -> None:
         """This host updated ``fh`` in its local replica ``volrep`` of a
-        directory: drop every replica's batch, then rebuild the local one.
+        directory: rebuild that replica's batch, and only that one.
 
-        Any cached view of the directory may now be dominated, so all
-        batches go, as on a notification.  The local replica's is rebuilt
-        from what the update changed when a live batch was held: the reply
-        of ``getattrs_batch([fh])`` (the directory's record and that one
-        child's) is merged over it, and a child the reply lacks is gone.
+        The update changed this replica alone, so every other replica's
+        batch still describes its replica as well as it did before.  The
+        local one is rebuilt from what the update changed when a live
+        batch was held: the reply of ``getattrs_batch([fh])`` (the
+        directory's record and that one child's) is merged over it, and a
+        child the reply lacks is gone.
         The merge keeps the held ``fetched_at``, since the siblings it did
         not re-read are no fresher, and keeps the name view for a file
-        update (``objkind="file"``: no entry changed).  With nothing held,
-        the whole batch is fetched.
+        update (``objkind="file"``: no entry changed).  A namespace update
+        changed the entries, so a held name view is decoded again from the
+        local replica: a view that was warm stays warm, and the
+        directory's next lookup does not decode it instead.  With nothing
+        held, the whole batch is fetched.
         """
         record = self._record(volrep.volume, dir_fh)
         entry = None if record is None else record.replicas.get(volrep)
@@ -228,7 +251,7 @@ class VersionVectorCache:
         ):
             held, fetched_at, names = entry.batch, entry.fetched_at, entry.names
         reply = dir_vnode.getattrs_batch(None if held is None else [fh])
-        self.invalidate_dir(volrep.volume, dir_fh)
+        self.invalidate_batch(volrep, dir_fh)
         self.stats.refreshes += 1
         if held is None:
             self.store(volrep, dir_fh, dir_vnode, reply)
@@ -243,6 +266,8 @@ class VersionVectorCache:
         entry.fetched_at = fetched_at
         if objkind == "file":
             entry.names = names
+        elif names is not None:
+            entry.read_names()
 
     # -- invalidation ----------------------------------------------------------
 
@@ -253,13 +278,28 @@ class VersionVectorCache:
             record.winners.clear()
             self.stats.invalidations += 1
 
+    def invalidate_batch(self, volrep: VolumeReplicaId, dir_fh: FicusFileHandle) -> None:
+        """Drop the cached batch of one directory replica.
+
+        Used by the updating host: its update changed the acting replica
+        alone.  The resolved vnodes are kept, as by :meth:`invalidate_dir`.
+        """
+        record = self._record(volrep.volume, dir_fh)
+        if record is None:
+            return
+        record.winners.clear()
+        entry = record.replicas.get(volrep)
+        if entry is not None and entry.batch is not None:
+            entry.drop_batch()
+            self.stats.invalidations += 1
+
     def invalidate_dir(self, volume: VolumeId, dir_fh: FicusFileHandle) -> int:
         """Drop the cached batch of *every* replica of one directory.
 
-        Used on update notification: the datagram names the acting
-        replica, but any cached view of the directory may now be
-        dominated, so all of them must re-fetch.  The resolved vnodes are
-        kept — handles stay valid across attribute changes.
+        Used on a heard update notification and on a sync install: the
+        datagram names one replica, but any cached view of the directory
+        may now be dominated, so all of them must re-fetch.  The resolved
+        vnodes are kept — handles stay valid across attribute changes.
         """
         record = self._record(volume, dir_fh)
         if record is None:

@@ -43,23 +43,11 @@ from repro.logical.attr_cache import DEFAULT_TTL, CacheEntry, VersionVectorCache
 from repro.logical.fabric import Fabric
 from repro.logical.locks import LockManager
 from repro.net import Network
-from repro.physical import (
-    DirectoryEntry,
-    UpdateNotification,
-    decode_directory,
-    effective_entries,
-    volume_root_handle,
-)
+from repro.physical import DirectoryEntry, UpdateNotification, volume_root_handle
 from repro.physical.wire import AttrBatch
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.util import FicusFileHandle, VolumeId
-from repro.vnode.interface import (
-    ROOT_CTX,
-    FileSystemLayer,
-    OpContext,
-    Vnode,
-    read_whole,
-)
+from repro.vnode.interface import ROOT_CTX, FileSystemLayer, OpContext, Vnode
 from repro.volume import GraftTable, Grafter, ReplicaLocation
 from repro.vv import VersionVector
 
@@ -331,9 +319,7 @@ class FicusLogicalLayer(FileSystemLayer):
             entry = self.select_dir_replica(volume, fh, ctx).entry
             view = None if fresh or ctx.no_cache else entry.names
             if view is None or (name is not None and name not in view):
-                view = entry.names = effective_entries(
-                    decode_directory(read_whole(entry.dir_vnode, ctx=ctx))
-                )
+                view = entry.read_names(ctx)
             return view
 
         return self.retry_stale(volume, fh, read, ctx=ctx)
@@ -422,8 +408,8 @@ class FicusLogicalLayer(FileSystemLayer):
 
         A *negative* answer — no reachable replica stores the file — is
         never believed from the cache alone: reconciliation and update
-        propagation add entries to replicas without sending notifications,
-        so a warm batch can lack a file its replica has since acquired.
+        propagation announce the entries they add only best effort, so a
+        warm batch can lack a file its replica has since acquired.
         Before declaring the file unavailable, the batches are refetched
         once (``no_cache``) and the verdict re-derived.
         """
@@ -532,17 +518,24 @@ class FicusLogicalLayer(FileSystemLayer):
         whole update session, by its close (:meth:`close_file`).  Best
         effort, once: a lost datagram leaves the update to reconciliation.
 
-        The same event drives attribute-cache coherence: every cached
-        batch of the updated directory is dropped, here and on each host
-        receiving the datagram.  Dropping ALL replicas' batches (not just
-        the acting replica's) is deliberately conservative: reconciliation
-        and propagation move entries between replicas without sending
-        notifications, so a notification is also the cheapest moment to
-        shed any view of the directory that may have gone stale out of
-        band.  The acting replica's batch — when it is local, so
-        re-reading costs no RPC — is written through: only the updated
-        object's record is re-read
+        The same event drives attribute-cache coherence.  Here, for an
+        update, only what the update changed is dropped: the acting
+        replica's batch of the directory (and of a directory the update
+        named), plus the batch of each replica whose host the datagram
+        could not reach, since a cut-off replica may diverge unheard.
+        Updates apply to one replica (Section 2.5), so every other
+        replica's batch still describes a state this update did not touch;
+        this host's staleness about them is bounded as any reader's is, by
+        the TTL and by the notifications it hears.  The acting replica's
+        batch — when it is local, so re-reading costs no RPC — is written
+        through: only the updated object's record is re-read
         (:meth:`~repro.logical.attr_cache.VersionVectorCache.write_through`).
+
+        Two events still drop every replica's batch.  A sync install does,
+        here: the installer may hold a batch of the very replica it pulled
+        from at an older vector.  A heard notification does, in
+        :meth:`_on_datagram`: the replica it names may have taken updates
+        the hearer never heard of.
 
         The datagram goes to every host storing the volume, including the
         acting host when the update was driven onto it remotely over NFS
@@ -551,18 +544,20 @@ class FicusLogicalLayer(FileSystemLayer):
         layer's new-version cache so the caller's own replicas pull the
         new version).
         """
-        if objkind == "dir":
+        if origin == "sync":
             # first: a sync install names the directory itself (fh is
             # parent_fh), and then nothing held may be merged over
             self.attr_cache.invalidate_dir(volume, fh)
+        elif objkind == "dir":
+            self.attr_cache.invalidate_batch(acting.volrep, fh)
         if self.fabric.is_local(acting.host):
             try:
                 vnode = self.fabric.dir_by_handle(acting.host, acting.volrep, parent_fh)
                 self.attr_cache.write_through(acting.volrep, parent_fh, vnode, fh, objkind)
             except (FileNotFound, StaleFileHandle):
-                self.attr_cache.invalidate_dir(volume, parent_fh)
+                self.attr_cache.invalidate_batch(acting.volrep, parent_fh)
         else:
-            self.attr_cache.invalidate_dir(volume, parent_fh)
+            self.attr_cache.invalidate_batch(acting.volrep, parent_fh)
         try:
             others = {loc.host for loc in self.locations_for(volume)}
         except AllReplicasUnavailable:
@@ -594,25 +589,34 @@ class FicusLogicalLayer(FileSystemLayer):
         if origin == "update" and delivered < len(others):
             # a replica-storing host missed this update's notification;
             # if it is partitioned away it now holds (or may soon hold)
-            # diverged state — suspect it until a recon round completes.
+            # diverged state — suspect it until a recon round completes,
+            # and shed the batch of its replica of the directory.
             # The guard keeps the common all-delivered case free.
-            for target in others:
-                if target != self.host_addr and not self.network.reachable(
-                    self.host_addr, target
+            for location in self.locations_for(volume):
+                if location.host != self.host_addr and not self.network.reachable(
+                    self.host_addr, location.host
                 ):
-                    self.health.note_missed_notification(volume, target)
+                    self.attr_cache.invalidate_batch(location.volrep, parent_fh)
+                    self.health.note_missed_notification(volume, location.host)
         return delivered
 
     def _on_datagram(self, src: str, note: object) -> None:
         """Drop cached attribute batches named by an update notification.
 
-        The datagram is best-effort; a lost one leaves a stale batch whose
-        staleness the cache TTL bounds.
+        Every replica's batch of the directory goes, not only the named
+        replica's: the update may have landed on a replica that holds
+        updates this host never heard of.  The attributes the NFS client
+        keeps of the named file's held vnodes go too, or ``stat`` would
+        answer from them until their own TTL while a read sees the new
+        version.  The datagram is best-effort; a lost one leaves a stale
+        batch whose staleness the cache TTL bounds.
         """
         if not isinstance(note, UpdateNotification):
             return
         volume = note.volrep.volume
         self.attr_cache.invalidate_dir(volume, note.parent_fh)
+        for child in self.attr_cache.held_children(volume, note.parent_fh, note.fh):
+            child.inactive()
         if note.objkind == "dir":
             self.attr_cache.invalidate_dir(volume, note.fh)
         # the flight ring shows which notifications this host heard

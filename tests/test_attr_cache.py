@@ -23,11 +23,12 @@ import pytest
 
 from repro.errors import InvalidArgument
 from repro.logical.attr_cache import DEFAULT_TTL, VersionVectorCache
-from repro.physical import AuxAttributes, EntryType
+from repro.physical import AuxAttributes, EntryType, decode_directory, effective_entries
 from repro.physical.wire import AttrBatch
 from repro.recon import reconcile_subtree
 from repro.sim import DaemonConfig, FicusSystem
 from repro.util import FicusFileHandle, FileId, VirtualClock, VolumeId, VolumeReplicaId
+from repro.vnode.interface import read_whole
 from repro.vv import VersionVector
 
 QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
@@ -193,7 +194,8 @@ class TestNotificationCoherence:
         """After each local update alpha's batch of its own replica is what
         a full fetch would return, yet it was never fully refetched: its
         ``fetched_at`` does not move, so siblings age as they were.  A file
-        update keeps the name view; a namespace update drops it."""
+        update keeps the name view; a namespace update decodes it again, to
+        what a fresh read of the replica gives."""
         system, fs_a, fs_b = two_host_world()
         alpha = system.host("alpha")
         cache, root_fh = alpha.logical.attr_cache, alpha.logical.root().fh
@@ -208,14 +210,97 @@ class TestNotificationCoherence:
         def written_through() -> bool:
             return entry.batch == local_dir.getattrs_batch() and entry.fetched_at == fetched_at
 
+        def names_written_through() -> bool:
+            fresh = effective_entries(decode_directory(read_whole(local_dir)))
+            return entry.names is not names and entry.names == fresh
+
         fs_a.write_file("/f", b"v2")
         assert written_through() and entry.names is names
         fs_a.write_file("/new", b"created")
-        assert written_through() and entry.names is None
+        assert written_through() and names_written_through()
         assert fs_a.listdir("/") == ["f", "new"] and entry.names is not None
         fs_a.unlink("/new")
-        assert written_through() and entry.names is None
+        assert written_through() and names_written_through()
         assert fs_a.listdir("/") == ["f"]
+
+    def test_a_heard_notification_refreshes_stat_as_well_as_read(self):
+        """beta reads alpha's copy over NFS (the lowest replica id wins the
+        tie).  The notification of alpha's next write must also drop the
+        NFS client's attributes of that copy, or ``stat`` reports the old
+        size until their TTL while ``read_file`` returns the new bytes."""
+        system = FicusSystem(["alpha", "beta"], daemon_config=QUIET)
+        fs_a, fs_b = system.host("alpha").fs(), system.host("beta").fs()
+        fs_a.write_file("/f", b"1234")
+        system.reconcile_everything()
+        assert fs_b.stat("/f").size == 4
+        fs_a.write_file("/f", b"12345678")  # beta hears the notification
+        assert fs_b.stat("/f").size == 8
+        assert fs_b.read_file("/f") == b"12345678"
+
+
+class TestTheWriterDropsOnlyWhatItChanged:
+    """An update applies to one replica (paper Section 2.5): the updating
+    host keeps its batches of every other replica, except those whose host
+    the notification could not reach.  A sync install still drops them all."""
+
+    @staticmethod
+    def warm_world():
+        """Three converged replicas; alpha holds all three root batches."""
+        system = FicusSystem(["alpha", "beta", "gamma"], daemon_config=QUIET)
+        fs = system.host("alpha").fs()
+        fs.write_file("/f", b"v1")
+        system.reconcile_everything()
+        assert fs.listdir("/") == ["f"] and fs.stat("/f").size == 2
+        logical = system.host("alpha").logical
+        record = logical.attr_cache._record(logical.root_volume, logical.root().fh)
+        replicas = {loc.host: record.replicas[loc.volrep] for loc in system.root_locations}
+        return system, fs, replicas
+
+    def test_a_local_update_keeps_every_other_replicas_batch(self):
+        system, fs, replicas = self.warm_world()
+        others = {host: replicas[host].batch for host in ("beta", "gamma")}
+        for update, names in (
+            (lambda: fs.write_file("/f", b"v2"), ["f"]),
+            (lambda: fs.write_file("/g", b"created"), ["f", "g"]),
+            (lambda: fs.unlink("/g"), ["f"]),
+        ):
+            update()
+            assert all(replicas[host].batch is held for host, held in others.items())
+            before = system.network.stats.rpcs_sent
+            assert fs.stat("/f").size == 2 and fs.listdir("/") == names
+            assert system.network.stats.rpcs_sent == before
+
+    def test_a_write_cut_off_from_a_replica_drops_its_batch(self):
+        system, fs, replicas = self.warm_world()
+        beta_batch = replicas["beta"].batch
+        system.partition([{"alpha", "beta"}, {"gamma"}])
+        fs.write_file("/f", b"v2 while gamma is away")
+        assert replicas["gamma"].batch is None and replicas["beta"].batch is beta_batch
+        system.heal()  # no reconciliation: gamma's replica is as it was
+        logical = system.host("alpha").logical
+        before = system.network.stats.rpcs_sent
+        logical.select_dir_replica(logical.root_volume, logical.root().fh)
+        assert system.network.stats.rpcs_sent - before == 1  # gamma's batch, refetched
+        assert replicas["gamma"].batch is not None and replicas["beta"].batch is beta_batch
+
+    def test_a_sync_install_drops_every_replicas_batch(self):
+        """alpha still holds beta's pre-partition batch when its
+        reconciliation pulls beta's newer ``/f``: the install it announces
+        drops that batch with every other."""
+        system, fs_a, fs_b = two_host_world()
+        assert fs_a.listdir("/") == ["f"]
+        alpha = system.host("alpha")
+        record = alpha.logical.attr_cache._record(alpha.logical.root_volume, alpha.logical.root().fh)
+        beta_entry = next(
+            record.replicas[loc.volrep] for loc in system.root_locations if loc.host == "beta"
+        )
+        system.partition([{"alpha"}, {"beta"}])
+        fs_b.write_file("/f", b"v2 unseen")  # datagram lost
+        system.heal()
+        assert beta_entry.batch is not None  # the pre-partition one, still held
+        alpha.recon_daemon.tick()
+        assert beta_entry.batch is None
+        assert fs_a.read_file("/f") == b"v2 unseen"
 
 
 class TestSelectionMemo:

@@ -235,6 +235,16 @@ class TestOpenCloseSessions:
         assert sessions == [False, False]
 
 
+def replicas_and_a_client() -> FicusSystem:
+    """Replicas on a, b and c agreeing on ``/f``; ``cl`` is diskless."""
+    system = FicusSystem(
+        ["a", "b", "c", "cl"], root_volume_hosts=["a", "b", "c"], daemon_config=QUIET
+    )
+    system.host("a").fs().write_file("/f", b"v1")
+    system.reconcile_everything()
+    return system
+
+
 class TestOneNotificationPerSession:
     """An update session is one update (paper Section 2.3), and the
     notification announces the version it made (Section 2.5): one per
@@ -242,12 +252,7 @@ class TestOneNotificationPerSession:
 
     @pytest.fixture
     def world(self):
-        system = FicusSystem(
-            ["a", "b", "c", "cl"], root_volume_hosts=["a", "b", "c"], daemon_config=QUIET
-        )
-        system.host("a").fs().write_file("/f", b"v1")
-        system.reconcile_everything()
-        return system
+        return replicas_and_a_client()
 
     @staticmethod
     def sent(system, host):
@@ -306,6 +311,37 @@ class TestOneNotificationPerSession:
         assert opened == [fh]  # a new physical session, not the dead pin
         assert self.sent(world, "a")[0] - notes_before == 1
         assert world.host("b").fs().read_file("/f") == b"v3"
+
+
+class TestTheWriterKeepsWhatItDidNotChange:
+    """An update changes the one replica that applied it (Section 2.5), so
+    the updating host drops its batch of that replica alone — from a
+    replica host (whose own replica takes the update) and from a diskless
+    client (which updates the lowest-id replica over NFS)."""
+
+    @pytest.mark.parametrize("host", ["a", "cl"], ids=["replica-host", "diskless"])
+    @pytest.mark.parametrize(
+        "update",
+        [
+            lambda fs: fs.write_file("/f", b"v2"),
+            lambda fs: fs.write_file("/new", b"x"),
+            lambda fs: fs.mkdir("/d"),
+            lambda fs: fs.rename("/f", "/g"),
+            lambda fs: fs.link("/f", "/l"),
+            lambda fs: fs.unlink("/f"),
+        ],
+        ids=["write", "create", "mkdir", "rename", "link", "unlink"],
+    )
+    def test_only_the_acting_replicas_batch_goes(self, host, update):
+        system = replicas_and_a_client()
+        fs, logical = system.host(host).fs(), system.host(host).logical
+        assert fs.listdir("/") == ["f"]  # every replica's root batch held
+        record = logical.attr_cache._record(logical.root_volume, logical.root().fh)
+        held = {loc.host: record.replicas[loc.volrep].batch for loc in system.root_locations}
+        update(fs)
+        after = {loc.host: record.replicas[loc.volrep].batch for loc in system.root_locations}
+        assert after["a"] is not held["a"]
+        assert after["b"] is held["b"] and after["c"] is held["c"]
 
 
 class TestCrossVolumeRestrictions:

@@ -157,7 +157,10 @@ class DeviceWrites:
 #: arm ``data[x] inode[x]`` (``data[x]`` alone when the inode's bytes did
 #: not change: same size, and the virtual clock had not moved since its
 #: last write) or its resized arm ``bitmap inode[x] bitmap data[x]
-#: inode[x]``.
+#: inode[x]``.  A create's second ``daux`` replace is ``data[daux]``
+#: alone: the creating host holds its peer's batch of the directory across
+#: the create, so no RPC advances the clock between the two replaces, and
+#: ``_put_inode`` skips the byte-identical inode.
 TABLE = {
     "overwrite": """
         data[contents] inode[contents]
@@ -172,7 +175,7 @@ TABLE = {
         data[daux] inode[daux]
         bitmap data[+contents] inode[+contents]
         bitmap inode[+faux] bitmap data[+faux] inode[+faux]
-        data[daux] inode[daux]
+        data[daux]
     """,
     "unlink": """
         bitmap inode[fdir] bitmap data[fdir] inode[fdir]

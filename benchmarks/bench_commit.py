@@ -12,6 +12,8 @@ exactly that: commit cost grows with file size even for a 16-byte point
 update.
 """
 
+import itertools
+
 import pytest
 
 from repro.errors import CrashInjected
@@ -51,10 +53,8 @@ def point_update_via_shadow(store, root, fh, contents: bytes) -> int:
     """
     device = store.lower_root.layer.fs.device
     snap = device.counters.snapshot()
-    shadow = store.shadow_vnode(store.root_handle(), fh, create=True)
     patched = contents[:100] + b"PATCHED!" + contents[108:]
-    shadow.write(0, patched)
-    store.commit_shadow(store.root_handle(), fh, VersionVector({1: 2}))
+    store.install(store.root_handle(), fh, patched, VersionVector({1: 2}), "")
     return device.counters.delta_since(snap).writes
 
 
@@ -75,16 +75,23 @@ class TestShape:
         assert rows[-1][1] > rows[0][1] * 10
 
     def test_crash_before_substitution_preserves_original(self):
-        device, ufs_layer, store, root = make_world()
-        fh, _ = insert_file(store, root, "f", 4096)
-        shadow = store.shadow_vnode(store.root_handle(), fh, create=True)
-        shadow.write(0, b"b" * 4096)
-        device.plan_crash_after_writes(0)  # crash at the rename
-        with pytest.raises(CrashInjected):
-            store.commit_shadow(store.root_handle(), fh, VersionVector({1: 2}))
-        device.recover()
-        assert store.scavenge_shadows(store.root_handle()) == 1
-        assert root.lookup("f").read_all() == b"a" * 4096
+        """A crash at every write of the install before its rename: the
+        original is retained and recovery discards the shadow."""
+        scavenged = 0
+        for crash_point in itertools.count():
+            device, ufs_layer, store, root = make_world()
+            fh, _ = insert_file(store, root, "f", 4096)
+            device.plan_crash_after_writes(crash_point)
+            try:
+                store.install(store.root_handle(), fh, b"b" * 4096, VersionVector({1: 2}), "")
+                break
+            except CrashInjected:
+                device.recover()
+            dropped = store.scavenge_shadows(store.root_handle())
+            if root.lookup("f").read_all() != b"a" * 4096:
+                break  # past the rename: the new version
+            scavenged += dropped
+        assert scavenged >= 1  # crashes before the rename left a shadow to drop
         assert fsck(ufs_layer.fs).clean
 
     def test_crash_at_any_point_never_mixes_versions(self):
@@ -97,11 +104,9 @@ class TestShape:
             device, ufs_layer, store, root = make_world()
             fh, _ = insert_file(store, root, "f", 0)
             store.file_vnode(store.root_handle(), fh).write(0, old)
-            shadow = store.shadow_vnode(store.root_handle(), fh, create=True)
-            shadow.write(0, new)
             device.plan_crash_after_writes(crash_point)
             try:
-                store.commit_shadow(store.root_handle(), fh, VersionVector({1: 2}))
+                store.install(store.root_handle(), fh, new, VersionVector({1: 2}), "")
                 completed = True
             except CrashInjected:
                 completed = False
@@ -125,9 +130,7 @@ def test_bench_shadow_commit(benchmark, size):
     contents = vnode.read_all()
 
     def run():
-        shadow = store.shadow_vnode(store.root_handle(), fh, create=True)
-        shadow.write(0, contents)
-        store.commit_shadow(store.root_handle(), fh, VersionVector({1: 2}))
+        store.install(store.root_handle(), fh, contents, VersionVector({1: 2}), "")
 
     benchmark(run)
 

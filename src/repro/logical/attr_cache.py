@@ -184,13 +184,19 @@ class VersionVectorCache:
         return winner
 
     def held_children(
-        self, volume: VolumeId, dir_fh: FicusFileHandle, fh: FicusFileHandle
+        self, volume: VolumeId, dir_fh: FicusFileHandle, fh: FicusFileHandle | None = None
     ) -> list[Vnode]:
-        """The vnodes of file ``fh`` held through any replica of a directory."""
+        """The vnodes of file ``fh`` (``None``: of every file) held through
+        any replica of a directory."""
         record = self._record(volume, dir_fh)
         if record is None:
             return []
-        return [entry.children[fh] for entry in record.replicas.values() if fh in entry.children]
+        return [
+            child
+            for entry in record.replicas.values()
+            for key, child in entry.children.items()
+            if fh is None or key == fh
+        ]
 
     # -- writes -------------------------------------------------------------
 

@@ -533,7 +533,9 @@ class FicusLogicalLayer(FileSystemLayer):
 
         Two events still drop every replica's batch.  A sync install does,
         here: the installer may hold a batch of the very replica it pulled
-        from at an older vector.  A heard notification does, in
+        from at an older vector, and the NFS client attributes of every
+        file it holds through the directory go too.  A heard notification
+        does, in
         :meth:`_on_datagram`: the replica it names may have taken updates
         the hearer never heard of.
 
@@ -546,8 +548,11 @@ class FicusLogicalLayer(FileSystemLayer):
         """
         if origin == "sync":
             # first: a sync install names the directory itself (fh is
-            # parent_fh), and then nothing held may be merged over
+            # parent_fh), and then nothing held may be merged over — nor
+            # served from the NFS client's attributes of its files
             self.attr_cache.invalidate_dir(volume, fh)
+            for child in self.attr_cache.held_children(volume, fh):
+                child.inactive()
         elif objkind == "dir":
             self.attr_cache.invalidate_batch(acting.volrep, fh)
         if self.fabric.is_local(acting.host):

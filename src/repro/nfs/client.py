@@ -343,7 +343,7 @@ class NfsClientVnode(Vnode):
     # -- attributes --
 
     def getattr(self, ctx: OpContext = ROOT_CTX) -> FileAttributes:
-        cached = self.layer._cached_attrs(self.handle)
+        cached = None if ctx.no_cache else self.layer._cached_attrs(self.handle)
         if cached is not None:
             return cached
         attrs = self.layer.call_h(self.handle, "getattr", ctx=ctx)

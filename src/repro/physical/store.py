@@ -32,11 +32,13 @@ What an update writes, and when.  Two kinds of record, two disciplines.
 *Write-through, in call order*: file contents, a file's own
 ``<filefh-hex>.aux``, the shadow and the UFS rename that commits it, and
 ``.meta``.  The (contents, version vector) commit of Section 3.2 is a
-sequence the caller spells, and it reaches the device as spelled.  ``.meta``
-holds the two id mints' high-water marks, fixed-width so the record never
-changes length: ids are handed out from an in-memory range of
-:data:`ID_RANGE` and the mark is written before the first id of a range is
-used, so a crash skips ids and never reuses one.
+sequence the caller spells, and it reaches the device as spelled; every
+pulled or resolved version goes through the one call that spells it,
+:meth:`ReplicaStore.install`, and a file not stored here yet is born from
+its shadow.  ``.meta`` holds the two id mints' high-water marks,
+fixed-width so the record never changes length: ids are handed out from
+an in-memory range of :data:`ID_RANGE` and the mark is written before the
+first id of a range is used, so a crash skips ids and never reuses one.
 
 *Staged, flushed once per operation and directory*: a directory's entry
 list (``.fdir``) and its aux record (``.faux``).  Every store call that
@@ -51,19 +53,21 @@ record equal to the one the operation first read is not written.  Storage
 an operation asked to free (:meth:`ReplicaStore.unlink_file_storage`,
 :meth:`ReplicaStore.remove_directory_storage`) is freed after the flush of
 the directory whose tombstone orphaned it, and only if the final state
-still says it is garbage.  :meth:`ReplicaStore._flush_directory` is the
-only writer of ``.fdir`` and ``.faux`` once ``create_directory_storage``
-has made them.
+still says it is garbage.
 
-A one-record file (``.meta``, ``.faux``, ``<filefh-hex>.aux``) is replaced
-whole through :meth:`ReplicaStore._replace_record`: a record of the length
-already on disk is overwritten in place (one data block, one inode write,
-old-or-new under a crash), any other length is ``truncate(0)`` + ``write``.
-``.fdir`` holds many records, changes length on every rewrite and is always
-``truncate(0)`` + ``write``.  The device-write sequence of each operation,
-what a crash between each pair of writes leaves, and the three rules of the
-flush are ARCHITECTURE.md's "What one update writes, in order" and "The
-flush protocol", held by ``tests/test_write_order.py``.
+Every record file (``.meta``, ``.fdir``, ``.faux``, ``<filefh-hex>.aux``)
+is replaced whole through :meth:`ReplicaStore._replace_record`, its one
+writer once it exists, under one rule: a record of the length already on
+disk that fits one block is overwritten in place (one data block, one
+inode write, old-or-new under a crash); anything else is ``truncate(0)`` +
+``write``.  Aux records are NUL-padded to a 256-byte slot and ``.fdir`` to
+whole blocks, so a vector gaining a digit, a fold's first value or a
+policy tag keeps the length; only a record outgrowing its slot or a
+``.fdir`` changing its block count is resized.  The device-write sequence
+of each operation, what a crash between each pair of writes leaves, and
+the three rules of the flush are ARCHITECTURE.md's "What one update
+writes, in order" and "The flush protocol", held by
+``tests/test_write_order.py``.
 """
 
 from __future__ import annotations
@@ -79,6 +83,7 @@ from repro.physical.wire import (
     FDIR_NAME,
     META_NAME,
     SHADOW_SUFFIX,
+    STORE_BLOCK_SIZE,
     AuxAttributes,
     BlockDigests,
     DirectoryEntry,
@@ -145,6 +150,11 @@ def _find_cache_epoch(root: Vnode) -> object | None:
     return None
 
 
+def _ancestor_of(contents: bytes) -> str:
+    """Some contents' block digests, encoded as a retained-ancestor record."""
+    return AuxAttributes.encode_ancestor([content_digest(block) for block in split_blocks(contents)])
+
+
 def file_component(fh: FicusFileHandle, vv) -> str:
     """One stored child file's contribution to its directory's fold."""
     return content_digest(fh.logical.to_hex(), vv.encode())
@@ -155,9 +165,10 @@ class StoreStats:
     """What one replica store has done to its records, counted where it
     happens; the physical layer views it as the ``store.*`` metrics."""
 
-    #: one-record replaces that kept the stored length (overwritten in place)
+    #: record replaces that kept the stored length within one block
+    #: (overwritten in place)
     records_in_place: int = 0
-    #: one-record replaces that changed it (``truncate(0)`` + ``write``)
+    #: record replaces that did not (``truncate(0)`` + ``write``)
     records_resized: int = 0
     #: directories whose flush wrote ``.fdir`` or ``.faux``
     dir_flushes: int = 0
@@ -167,7 +178,7 @@ class StoreStats:
     shadows_created: int = 0
     #: orphan shadows dropped by crash recovery
     shadows_scavenged: int = 0
-    #: shadows renamed over the contents they replace
+    #: installed versions: shadows renamed to the file's name
     shadow_commits: int = 0
 
 
@@ -276,23 +287,29 @@ class ReplicaStore:
             cache[key] = (self._epoch(), value)
 
     def _replace_record(self, vnode: Vnode, data: bytes) -> None:
-        """Replace the whole contents of a one-record file (``.meta``, a
-        directory's ``.faux``, a file's ``.aux``).
+        """Replace the whole contents of a record file (``.meta``, ``.fdir``,
+        a directory's ``.faux``, a file's ``.aux``) — the only writer of
+        each once it exists, under one rule.
 
-        A record of the length already stored is overwritten in place:
-        no block changes hands, and while the record fits one block of
-        the storage below (every record the tests and workloads write
-        does) that one block write carries all of it, so a crash leaves
-        exactly the old record or exactly the new one.  Any other length
-        is ``truncate(0)`` + ``write``, whose crash points can also leave
-        the record empty.  Callers drop their decoded copy if this raises.
+        A record of the length already stored that fits one block of the
+        storage below (:data:`STORE_BLOCK_SIZE`) is overwritten in place:
+        no block changes hands and the one block write carries all of it,
+        so a crash leaves exactly the old record or exactly the new one.
+        Aux records are padded to a slot and ``.fdir`` to whole blocks, so
+        this is every replace but a record outgrowing its slot or a
+        directory changing its block count.  Anything else is
+        ``truncate(0)`` + ``write``, whose crash points can also leave the
+        record empty — never a splice of two records, which an in-place
+        rewrite of two blocks could leave.  Callers drop their decoded copy
+        if this raises.
         """
-        if vnode.getattr().size == len(data):
+        if vnode.getattr().size == len(data) <= STORE_BLOCK_SIZE:
             self.stats.records_in_place += 1
         else:
             self.stats.records_resized += 1
             vnode.truncate(0)
-        vnode.write(0, data)
+        if data:
+            vnode.write(0, data)
 
     # -- construction -------------------------------------------------------
 
@@ -589,11 +606,7 @@ class ReplicaStore:
                 self.refresh_dir_digests(fh)
         written = 0
         if update.entries is not None and update.entries != update.stored_entries:
-            fdir = self._unix_child(fh, FDIR_NAME)
-            data = encode_directory(update.entries)
-            fdir.truncate(0)
-            if data:
-                fdir.write(0, data)
+            self._replace_record(self._unix_child(fh, FDIR_NAME), encode_directory(update.entries))
             written += 1
         if update.aux is not None and update.aux != update.stored_aux:
             self._replace_record(self._unix_child(fh, FAUX_NAME), update.aux.to_bytes())
@@ -759,58 +772,67 @@ class ReplicaStore:
         except FileNotFound:
             return False
 
-    # -- shadow files (single-file atomic commit, paper Section 3.2) -----------
+    # -- installing a version (single-file atomic commit, paper Section 3.2) ---
 
-    def shadow_vnode(self, parent: FicusFileHandle, fh: FicusFileHandle, create: bool = False) -> Vnode:
-        unix_dir = self.dir_unix_vnode(parent)
-        key = self._file_key(fh) + SHADOW_SUFFIX
-        try:
-            return unix_dir.lookup(key)
-        except FileNotFound:
-            if not create:
-                raise
-            self.stats.shadows_created += 1
-            return unix_dir.create(key)
-
-    def commit_shadow(
-        self, parent: FicusFileHandle, fh: FicusFileHandle, vv: VersionVector
+    def install(
+        self,
+        parent: FicusFileHandle,
+        fh: FicusFileHandle,
+        contents: bytes,
+        vv: VersionVector,
+        merge_policy: str,
+        etype: EntryType = EntryType.FILE,
     ) -> None:
-        """Atomically replace the file contents with its shadow.
+        """Install a version of a regular file — pulled, or a resolution —
+        as ``contents`` with vector ``vv`` and policy tag ``merge_policy``.
 
         "a shadow file replica is used to hold the new version until it is
         completely propagated, and then the shadow atomically replaces the
         original by changing a low-level directory reference."  The
-        low-level reference change is a UFS rename.
+        low-level reference change is a UFS rename, and the contents are
+        written to the shadow first.  A file stored here then has its aux
+        record replaced; a file with no storage here is born from its
+        shadow: its aux record is made already final, and the rename gives
+        the shadow the file's name (``etype`` is the new file's type).  A
+        crash before the rename leaves a shadow and, for a new file, a lone
+        aux record — recovery drops both.
+
+        An install is a sync point (the replicas now share these contents),
+        so they become the retained merge ancestor, digested from
+        ``contents`` without reading anything back.
         """
+        parent, fh = parent.logical, fh.logical
         unix_dir = self.dir_unix_vnode(parent)
         key = self._file_key(fh)
-        unix_dir.rename(key + SHADOW_SUFFIX, unix_dir, key)
-        # the rename rebound the contents name to the shadow's inode: any
-        # cached contents vnode for this name is now the WRONG file
-        self._child_vnode_cache.pop((self._dir_key(parent), key), None)
-        aux = self.read_file_aux(parent, fh)
-        aux.vv = vv
-        # a commit installs contents both replicas now share — a sync
-        # point, so the installed version becomes the retained ancestor
-        aux.ancestor = self._ancestor_record(parent, fh)
-        self.write_file_aux(parent, fh, aux)
+        try:
+            shadow = unix_dir.lookup(key + SHADOW_SUFFIX)  # one a failed install left
+        except FileNotFound:
+            self.stats.shadows_created += 1
+            shadow = unix_dir.create(key + SHADOW_SUFFIX)
+        shadow.truncate(0)
+        if contents:
+            shadow.write(0, contents)
+        ancestor = _ancestor_of(contents)
+        dir_key = self._dir_key(parent)
+        if self.has_file(parent, fh):
+            unix_dir.rename(key + SHADOW_SUFFIX, unix_dir, key)
+            # the rename rebound the contents name to the shadow's inode
+            self._cache_put(self._child_vnode_cache, (dir_key, key), shadow)
+            aux = self.read_file_aux(parent, fh)
+            aux.vv, aux.merge_policy, aux.ancestor = vv, merge_policy, ancestor
+            self.write_file_aux(parent, fh, aux)
+        else:
+            aux = AuxAttributes(fh=fh, etype=etype, vv=vv, merge_policy=merge_policy, ancestor=ancestor)
+            aux_file = unix_dir.create(key + AUX_SUFFIX)
+            aux_file.write(0, aux.to_bytes())
+            unix_dir.rename(key + SHADOW_SUFFIX, unix_dir, key)
+            self._cache_put(self._child_vnode_cache, (dir_key, key), shadow)
+            self._cache_put(self._child_vnode_cache, (dir_key, key + AUX_SUFFIX), aux_file)
+            self._cache_put(self._file_aux_cache, key, aux.clone())
+            self._fold_file_into_dir(parent, in_component=file_component(fh, vv))
         self.stats.shadow_commits += 1
 
-    def abort_shadow(self, parent: FicusFileHandle, fh: FicusFileHandle) -> None:
-        """Discard an uncommitted shadow ("the shadow discarded")."""
-        try:
-            self.dir_unix_vnode(parent).remove(self._file_key(fh) + SHADOW_SUFFIX)
-        except FileNotFound:
-            pass
-
     # -- merge-ancestor retention (three-way conflict resolution) ---------------
-
-    def _ancestor_record(self, parent: FicusFileHandle, fh: FicusFileHandle) -> str:
-        """Encode the current contents' block digests as an ancestor record."""
-        contents = self.file_vnode(parent, fh).read_all()
-        return AuxAttributes.encode_ancestor(
-            [content_digest(block) for block in split_blocks(contents)]
-        )
 
     def note_file_synced(self, parent: FicusFileHandle, fh: FicusFileHandle) -> None:
         """Refresh the retained merge ancestor at an observed sync point.
@@ -822,7 +844,7 @@ class ReplicaStore:
         two later-conflicting hosts hold the *same* ancestor.
         """
         aux = self.read_file_aux(parent, fh)
-        record = self._ancestor_record(parent, fh)
+        record = _ancestor_of(self.file_vnode(parent, fh).read_all())
         if aux.ancestor != record:
             aux.ancestor = record
             # vv unchanged, so this never disturbs the recon digests

@@ -216,10 +216,12 @@ class PhysicalDirVnode(Vnode):
     # -- data: a Ficus directory IS a file, so it can be read ------------------
 
     def read(self, offset: int, length: int, ctx: OpContext = ROOT_CTX) -> bytes:
-        """Read the raw directory file (the logical layer and the
-        reconciliation protocol parse entries from these bytes)."""
+        """Read the directory file (the logical layer and the
+        reconciliation protocol parse entries from these bytes), without
+        the padding that fills its last block: NUL never occurs in the
+        encoding, so trimming any chunk removes padding only."""
         assert self.store.flushed(self.fh), "read of a directory with staged records"
-        return self._fdir_vnode().read(offset, length, ctx)
+        return self._fdir_vnode().read(offset, length, ctx).rstrip(b"\0")
 
     def write(self, offset: int, data: bytes, ctx: OpContext = ROOT_CTX) -> int:
         raise InvalidArgument("Ficus directories are mutated via insert/remove operations")

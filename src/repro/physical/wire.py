@@ -40,6 +40,17 @@ SHADOW_SUFFIX = ".shadow"  # transient shadow replica during propagation
 #: Fixed block size for block-delta propagation (rsync-style signatures).
 DELTA_BLOCK_SIZE = 4096
 
+#: The block size of the storage below, as the store's record replace
+#: assumes it: a record no longer than this is carried whole by one device
+#: write, so overwriting it in place is old-or-new under a crash.
+STORE_BLOCK_SIZE = 4096
+
+#: The slot an aux record is padded to.  Every record the workloads write
+#: fits one (a file's is 64-127 B, a directory's 96-159 B), so a change that
+#: lengthens the encoding — a vector gaining a digit or a replica, a fold's
+#: first value, a policy tag, an ancestor — keeps the stored length.
+AUX_SLOT_SIZE = 256
+
 #: Width of a recon digest in hex characters (128 bits of SHA-256).
 DIGEST_HEX_LEN = 32
 
@@ -70,6 +81,12 @@ def xor_fold(accumulated: str, part: str) -> str:
     if not part:
         part = EMPTY_DIGEST
     return format(int(accumulated, 16) ^ int(part, 16), f"0{DIGEST_HEX_LEN}x")
+
+
+def pad(data: bytes, unit: int) -> bytes:
+    """``data`` padded with NUL to a whole number of ``unit``-byte units.
+    NUL never occurs in an encoded record, so stripping it undoes this."""
+    return data + bytes(-len(data) % unit)
 
 
 class EntryType(enum.Enum):
@@ -290,11 +307,11 @@ class AuxAttributes:
             rec["mpol"] = self.merge_policy
         if self.ancestor:
             rec["anc"] = self.ancestor
-        return encode_record(rec).encode("utf-8")
+        return pad(encode_record(rec).encode("utf-8"), AUX_SLOT_SIZE)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "AuxAttributes":
-        rec = decode_record(data.decode("utf-8"))
+        rec = decode_record(data.rstrip(b"\0").decode("utf-8"))
         try:
             return cls(
                 fh=FicusFileHandle.from_hex(rec["fh"]),
@@ -382,8 +399,9 @@ def split_blocks(data: bytes, block_size: int = DELTA_BLOCK_SIZE) -> list[bytes]
 
 
 def encode_directory(entries: list[DirectoryEntry]) -> bytes:
-    """Serialize a Ficus directory to its UFS file contents."""
-    return "\n".join(entry.encoded_line() for entry in entries).encode("utf-8")
+    """Serialize a Ficus directory to its UFS file contents, padded to whole
+    store blocks so a rewrite that keeps the block count keeps the length."""
+    return pad("\n".join(entry.encoded_line() for entry in entries).encode("utf-8"), STORE_BLOCK_SIZE)
 
 
 #: Memoized directory decodes, keyed by the raw file bytes.  Entries are
@@ -395,7 +413,8 @@ _DECODE_DIR_CAP = 512
 
 
 def decode_directory(data: bytes) -> list[DirectoryEntry]:
-    """Parse a Ficus directory file back into entries."""
+    """Parse a Ficus directory file (padded or not) back into entries."""
+    data = data.rstrip(b"\0")
     cached = _DECODE_DIR_MEMO.get(data)
     if cached is not None:
         _DECODE_DIR_MEMO.move_to_end(data)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from repro.errors import FileNotFound, HostUnreachable, StaleFileHandle
 from repro.physical import FicusPhysicalLayer, ReplicaStore
 from repro.physical.policy import StoragePolicy
-from repro.physical.wire import AttrBatch, content_digest, split_blocks
+from repro.physical.wire import AttrBatch, AuxAttributes, content_digest, split_blocks
 from repro.recon.directory import reconcile_directory
 from repro.util import FicusFileHandle
 from repro.vnode.interface import Vnode, read_whole
@@ -134,7 +134,7 @@ def pull_file(
     # remote strictly dominates: propagate through shadow + atomic commit.
     # With a local copy to diff against, try the block-delta path first.
     if local_stored and delta:
-        result = _delta_pull(store, parent_fh, fh, remote_dir, local_vv, remote_vv, health, origin)
+        result = _delta_pull(store, parent_fh, fh, remote_dir, local_vv, remote_aux, health, origin)
         if result is _REMOTE_MOVED:
             # the record that chose ``remote_vv`` is stale (a directory-wide
             # batch can be many transfers old): start over from a fresh one
@@ -142,8 +142,6 @@ def pull_file(
             # is one the remote actually held
             return pull_file(store, parent_fh, fh, remote_dir, health, origin, live=True, delta=False)
         if result is not None:
-            if result.outcome is PullOutcome.PULLED:
-                _adopt_policy(store, parent_fh, fh, remote_aux.merge_policy)
             return result
 
     try:
@@ -153,34 +151,12 @@ def pull_file(
     except FileNotFound:
         return PullResult(PullOutcome.REMOTE_MISSING, local_vv, remote_vv)
 
-    if not local_stored:
-        store.create_file_storage(
-            parent_fh, fh, remote_aux.etype, merge_policy=remote_aux.merge_policy
-        )
-    shadow = store.shadow_vnode(parent_fh, fh, create=True)
-    shadow.truncate(0)
-    if contents:
-        shadow.write(0, contents)
-    store.commit_shadow(parent_fh, fh, remote_vv)
-    _adopt_policy(store, parent_fh, fh, remote_aux.merge_policy)
+    # a strictly dominating remote has seen every local policy change (one
+    # bumps the vector), so its tag is installed with its version
+    store.install(parent_fh, fh, contents, remote_vv, remote_aux.merge_policy, remote_aux.etype)
     if health is not None:
         health.record_version("pull", fh, remote_vv, parents=(local_vv,), origin=origin)
     return PullResult(PullOutcome.PULLED, remote_vv, remote_vv, bytes_copied=len(contents))
-
-
-def _adopt_policy(
-    store: ReplicaStore, parent_fh: FicusFileHandle, fh: FicusFileHandle, tag: str
-) -> None:
-    """Make the local policy tag follow an installed dominating version.
-
-    A policy change bumps the file's version vector, so a strictly
-    dominating remote has by definition seen every local tag change —
-    its tag state is the newer one and replaces ours wholesale.
-    """
-    aux = store.read_file_aux(parent_fh, fh)
-    if aux.merge_policy != tag:
-        aux.merge_policy = tag
-        store.write_file_aux(parent_fh, fh, aux)
 
 
 #: :func:`_delta_pull`'s "the remote is no longer at the version the
@@ -194,11 +170,12 @@ def _delta_pull(
     fh: FicusFileHandle,
     remote_dir: Vnode,
     local_vv: VersionVector,
-    remote_vv: VersionVector,
+    remote_aux: AuxAttributes,
     health=None,
     origin: str = "",
 ) -> PullResult | object | None:
-    """Try to install the remote version by copying only changed blocks.
+    """Try to install the remote version ``remote_aux`` describes by
+    copying only changed blocks.
 
     Returns ``None`` to fall back to the whole-file copy (the delta would
     not be smaller than the file), ``_REMOTE_MOVED`` when the remote
@@ -206,6 +183,7 @@ def _delta_pull(
     version, or a fetched block failed verification), or a final
     :class:`PullResult` when the delta path settled the pull itself.
     """
+    remote_vv = remote_aux.vv
     try:
         sig = remote_dir.block_digests(fh)
     except (HostUnreachable, StaleFileHandle):
@@ -259,11 +237,7 @@ def _delta_pull(
     if len(contents) != sig.size:
         return None
 
-    shadow = store.shadow_vnode(parent_fh, fh, create=True)
-    shadow.truncate(0)
-    if contents:
-        shadow.write(0, contents)
-    store.commit_shadow(parent_fh, fh, remote_vv)
+    store.install(parent_fh, fh, contents, remote_vv, remote_aux.merge_policy)
     if health is not None:
         health.record_version("pull", fh, remote_vv, parents=(local_vv,), origin=origin)
     delta_bytes = sum(len(block) for block in fetched.values())

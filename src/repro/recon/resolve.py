@@ -35,17 +35,13 @@ def resolve_file_conflict(
     """
     parent_fh = parent_fh.logical
     fh = fh.logical
-    local_vv = store.read_file_aux(parent_fh, fh).vv
+    local_aux = store.read_file_aux(parent_fh, fh)
+    local_vv = local_aux.vv
     merged = local_vv
     for vv in observed_vvs:
         merged = merged.merge(vv)
     resolved_vv = merged.bump(store.replica_id)
-
-    shadow = store.shadow_vnode(parent_fh, fh, create=True)
-    shadow.truncate(0)
-    if chosen_contents:
-        shadow.write(0, chosen_contents)
-    store.commit_shadow(parent_fh, fh, resolved_vv)
+    store.install(parent_fh, fh, chosen_contents, resolved_vv, local_aux.merge_policy)
 
     if conflict_log is not None:
         conflict_log.mark_resolved(fh, resolved_vv)

@@ -99,18 +99,10 @@ def auto_resolve_conflict(
         return ResolveOutcome.FALLBACK
 
     resolved_vv = pull.local_vv.merge(pull.remote_vv)
-    shadow = store.shadow_vnode(parent_fh, fh, create=True)
-    shadow.truncate(0)
-    if merged:
-        shadow.write(0, merged)
-    store.commit_shadow(parent_fh, fh, resolved_vv)
-    if local_aux.merge_policy != tag:
-        # adopt the governing tag (declared remotely or sniffed) so later
-        # conflicts need no sniff; no vv bump — the tag is determined by
-        # the same inputs on every host, so this cannot diverge
-        aux = store.read_file_aux(parent_fh, fh)
-        aux.merge_policy = tag
-        store.write_file_aux(parent_fh, fh, aux)
+    # the governing tag (declared remotely or sniffed) is installed with the
+    # merge, so later conflicts need no sniff; no vv bump — the tag is
+    # determined by the same inputs on every host, so this cannot diverge
+    store.install(parent_fh, fh, merged, resolved_vv, tag)
     if conflict_log is not None:
         conflict_log.mark_resolved(fh, resolved_vv)
     if health is not None:

@@ -302,6 +302,26 @@ class TestTheWriterDropsOnlyWhatItChanged:
         assert beta_entry.batch is None
         assert fs_a.read_file("/f") == b"v2 unseen"
 
+    def test_a_sync_install_refreshes_stat_as_well_as_read(self):
+        """beta stats alpha's copy over NFS (the lowest replica id wins the
+        tie), so its NFS client holds that copy's attributes.  alpha's next
+        write goes unheard, and beta's reconciliation pulls it as a block
+        delta, which fetches no attributes.  The install beta announces
+        must drop those it holds, or ``stat`` reports the size cached
+        before the partition while ``read_file`` returns the new bytes."""
+        system = FicusSystem(["alpha", "beta"], daemon_config=QUIET)
+        fs_a, fs_b = system.host("alpha").fs(), system.host("beta").fs()
+        old = bytes(range(256)) * 40  # 10 KiB: three delta blocks
+        fs_a.write_file("/f", old)
+        system.reconcile_everything()
+        assert fs_b.stat("/f").size == len(old)
+        system.partition([{"alpha"}, {"beta"}])
+        fs_a.write_file("/f", old + b"tail")  # datagram lost
+        system.heal()
+        system.host("beta").recon_daemon.tick()
+        assert fs_b.stat("/f").size == len(old) + 4
+        assert fs_b.read_file("/f") == old + b"tail"
+
 
 class TestSelectionMemo:
     """Replica selection compares vectors once per set of candidate batches,

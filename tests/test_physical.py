@@ -1,5 +1,7 @@
 """Tests for the Ficus physical layer."""
 
+import itertools
+
 import pytest
 
 from repro.errors import (
@@ -20,26 +22,31 @@ from repro.physical import (
 )
 from repro.physical.check import ficus_fsck
 from repro.physical.store import ReplicaStore
-from repro.physical.wire import DirectoryEntry
+from repro.physical.wire import FDIR_NAME, SHADOW_SUFFIX, STORE_BLOCK_SIZE, DirectoryEntry, decode_directory, encode_directory
 from repro.sim import DaemonConfig, FicusSystem
 from repro.storage import BlockDevice
 from repro.ufs import FileType, Ufs, fsck
 from repro.util import FicusFileHandle, VolumeId, VolumeReplicaId
 from repro.vnode import UfsLayer
+from repro.vnode.interface import read_whole
 from repro.vv import VersionVector
 
 VOL = VolumeId(1, 1)
 VR = VolumeReplicaId(VOL, 1)
 
 
-@pytest.fixture
-def world():
+def make_world():
     device = BlockDevice(8192)
     ufs = UfsLayer(Ufs.mkfs(device, num_inodes=512))
     phys = FicusPhysicalLayer(ufs, "hostA")
     store = phys.create_volume_replica(VR)
     root = phys.root().lookup(VR.to_hex())
     return device, ufs, phys, store, root
+
+
+@pytest.fixture
+def world():
+    return make_world()
 
 
 def insert_file(store, root, name, contents=b""):
@@ -319,38 +326,49 @@ class TestShadowCommit:
     def test_shadow_then_commit_replaces_atomically(self, world):
         _, _, _, store, root = world
         fh, _ = insert_file(store, root, "f", b"old version")
-        shadow = store.shadow_vnode(store.root_handle(), fh, create=True)
-        shadow.write(0, b"new version")
         vv = VersionVector({2: 9})
-        store.commit_shadow(store.root_handle(), fh, vv)
+        store.install(store.root_handle(), fh, b"new version", vv, "")
         assert root.lookup("f").read_all() == b"new version"
         assert store.read_file_aux(store.root_handle(), fh).vv == vv
+        assert store.stats.shadows_created == store.stats.shadow_commits == 1
 
     def test_abort_discards_shadow(self, world):
+        """A half-written shadow an install left behind is discarded: by
+        recovery's scavenge, or by the next install, which reuses it."""
         _, _, _, store, root = world
         fh, _ = insert_file(store, root, "f", b"original")
-        store.shadow_vnode(store.root_handle(), fh, create=True).write(0, b"half-done")
-        store.abort_shadow(store.root_handle(), fh)
+        unix_dir = store.dir_unix_vnode(store.root_handle())
+        shadow_name = fh.logical.to_hex() + SHADOW_SUFFIX
+        unix_dir.create(shadow_name).write(0, b"half-done and longer than the next")
         assert root.lookup("f").read_all() == b"original"
+        store.install(store.root_handle(), fh, b"whole", VersionVector({1: 9}), "")
+        assert root.lookup("f").read_all() == b"whole"
+        assert store.stats.shadows_created == 0 and store.scavenge_shadows(store.root_handle()) == 0
         with pytest.raises(FileNotFound):
-            store.shadow_vnode(store.root_handle(), fh)
+            unix_dir.lookup(shadow_name)
 
-    def test_crash_before_commit_preserves_original(self, world):
+    def test_crash_before_commit_preserves_original(self):
         """'If a crash occurs before the shadow substitution, the original
         replica is retained during recovery and the shadow discarded.'"""
-        device, ufs, phys, store, root = world
-        fh, _ = insert_file(store, root, "f", b"the original survives")
-        shadow = store.shadow_vnode(store.root_handle(), fh, create=True)
-        shadow.write(0, b"partial new conten")
-        device.plan_crash_after_writes(0)
-        with pytest.raises(CrashInjected):
-            store.commit_shadow(store.root_handle(), fh, VersionVector({1: 9}))
-        device.recover()
-        # recovery: scavenge orphan shadows, original intact
-        dropped = store.scavenge_shadows(store.root_handle())
-        assert dropped == 1
-        assert root.lookup("f").read_all() == b"the original survives"
-        assert fsck(ufs.fs).clean
+        original, new = b"the original survives", b"partial new conten"
+        outcomes = []
+        for crash_point in itertools.count():
+            device, ufs, _, store, root = make_world()
+            fh, _ = insert_file(store, root, "f", original)
+            device.plan_crash_after_writes(crash_point)
+            try:
+                store.install(store.root_handle(), fh, new, VersionVector({1: 9}), "")
+                break
+            except CrashInjected:
+                device.recover()
+            # recovery: scavenge orphan shadows
+            dropped = store.scavenge_shadows(store.root_handle())
+            holds = root.lookup("f").read_all()
+            assert holds in (original, new)
+            outcomes.append((dropped, holds == original, fsck(ufs.fs).clean))
+        # the crash at the rename: the shadow whole, the original intact
+        assert (1, True, True) in outcomes
+        assert all(kept for dropped, kept, _ in outcomes if dropped)
 
     def test_setvv_overwrites_version(self, world):
         _, _, _, store, root = world
@@ -394,8 +412,9 @@ class TestOperationScope:
             store.write_entries(store.root_handle(), entries)  # and back: nothing to write
             self.grow_dir_vv(store, 8)
         assert store.flushed()
-        # one resized replace of .faux, no .fdir write: the list is the one first read
-        assert device.counters.writes == before + 5
+        # one in-place replace of .faux (its data block alone: the clock has
+        # not moved), no .fdir write: the list is the one first read
+        assert device.counters.writes == before + 1
         fresh = ReplicaStore.attach(store.lower_root, VR)
         assert fresh.read_dir_aux(store.root_handle()).vv == VersionVector({1: 1, 7: 1, 8: 1})
         assert [e.fh for e in fresh.read_entries(store.root_handle())] == [fh]
@@ -413,7 +432,7 @@ class TestOperationScope:
     def test_a_flush_that_raises_drops_the_decoded_copy(self, world):
         device, _, _, store, _ = world
         old = store.read_dir_aux(store.root_handle())
-        device.plan_crash_after_writes(1)  # inside the replace of .faux
+        device.plan_crash_after_writes(0)  # at the in-place replace of .faux
         with pytest.raises(CrashInjected):
             with store.operation():
                 self.grow_dir_vv(store, 7)
@@ -524,6 +543,17 @@ class TestPhysicalOverNfs:
         f.write(1, b"b")
         root.session_close(fh)
         assert store.read_file_aux(store.root_handle(), fh).vv == VersionVector({1: 1})
+
+    def test_a_directory_read_over_nfs_carries_no_padding(self, remote_root):
+        """``.fdir`` is padded to whole blocks on disk; what a remote
+        ``read_whole`` gets is the encoding alone."""
+        store, root = remote_root
+        root.insert("f", EntryType.FILE)
+        stored = store.dir_unix_vnode(store.root_handle()).lookup(FDIR_NAME).read_all()
+        encoding = encode_directory(store.read_entries(store.root_handle())).rstrip(b"\0")
+        assert len(stored) == STORE_BLOCK_SIZE and stored.rstrip(b"\0") == encoding
+        assert read_whole(root) == encoding
+        assert decode_directory(read_whole(root)) == store.read_entries(store.root_handle())
 
     def test_aux_readable_over_nfs(self, remote_root):
         store, root = remote_root

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.physical import ficus_fsck
+from repro.physical.wire import SHADOW_SUFFIX
 from repro.recon.conflicts import ConflictKind, ConflictReport
 from repro.resolvers import (
     AppendLogResolver,
@@ -441,9 +442,8 @@ class TestManualResolvePrimitive:
         dir_fh, fh = find_file(store, "f")
         report = host.conflict_log.unresolved()[0]
         # the owner starts a resolution: shadow written, commit never runs
-        shadow = store.shadow_vnode(dir_fh, fh, create=True)
-        shadow.truncate(0)
-        shadow.write(0, b"half-committed")
+        shadow_name = fh.logical.to_hex() + SHADOW_SUFFIX
+        store.dir_unix_vnode(dir_fh).create(shadow_name).write(0, b"half-committed")
         host.crash()
         host.restart(system)
         store = next(iter(host.physical.stores.values()))

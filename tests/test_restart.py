@@ -7,6 +7,7 @@ import pytest
 from repro.errors import AllReplicasUnavailable, CrashInjected, FileNotFound
 from repro.physical.check import ficus_fsck
 from repro.physical.store import ID_RANGE
+from repro.physical.wire import SHADOW_SUFFIX
 from repro.sim import DaemonConfig, FicusSystem
 
 QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
@@ -106,12 +107,13 @@ class TestSingleHostRestart:
         store = host.physical.store_for(volrep)
         fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "f")
         # a propagation died mid-shadow-write...
-        store.shadow_vnode(store.root_handle(), fh, create=True).write(0, b"half-pulled ne")
+        shadow_name = fh.logical.to_hex() + SHADOW_SUFFIX
+        store.dir_unix_vnode(store.root_handle()).create(shadow_name).write(0, b"half-pulled ne")
         host.crash()
         host.restart(system)
         store2 = host.physical.store_for(volrep)
         with pytest.raises(FileNotFound):
-            store2.shadow_vnode(store2.root_handle(), fh)
+            store2.dir_unix_vnode(store2.root_handle()).lookup(shadow_name)
         assert host.fs().read_file("/f") == b"original"
 
 

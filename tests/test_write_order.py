@@ -8,17 +8,18 @@ Three oracles, all reading ``BlockDevice.write_block`` directly:
   one update writes, in order") — with no bitmap write where no block
   changes hands and no block written twice in a row with the same bytes;
 * a crash after every device write of the store's record replace
-  (``.meta``, a file's aux record, a directory's aux record), both arms:
-  what the record reads after recovery and a remount is the table's
-  "what a crash leaves" column;
+  (``.meta``, ``.fdir``, a file's aux record, a directory's aux record),
+  both arms: what the record reads after recovery and a remount is the
+  table's "what a crash leaves" column;
 * ``fs().write_file`` trims instead of truncating first, and the trim
   neither leaks blocks nor lets old bytes resurface.
 
-One-block assumption: every record written here, and every record the
-workloads write, fits one device block (a few hundred bytes against
-4 KiB), so the in-place arm's single data write carries the whole record.
-A record longer than a block would be spliced by a crash between its
-block writes.
+One-block rule: the replace writes in place only a record that keeps its
+length and fits one device block (``STORE_BLOCK_SIZE``), so the in-place
+arm's single data write carries the whole record.  Aux records are padded
+to a 256-byte slot and ``.fdir`` to whole blocks; a record outgrowing its
+slot, or a ``.fdir`` of more than one block, takes the resized arm, which
+can read empty after a crash but never as a splice of two records.
 """
 
 import itertools
@@ -32,12 +33,16 @@ from repro.physical import EntryType, FicusPhysicalLayer
 from repro.physical.check import ficus_fsck
 from repro.physical.store import ReplicaStore, entries_fold, file_component
 from repro.physical.wire import (
+    AUX_SLOT_SIZE,
     AUX_SUFFIX,
     EMPTY_DIGEST,
     FAUX_NAME,
     FDIR_NAME,
     META_NAME,
+    STORE_BLOCK_SIZE,
     AuxAttributes,
+    DirectoryEntry,
+    encode_directory,
     xor_fold,
 )
 from repro.recon import reconcile_directory
@@ -156,11 +161,19 @@ class DeviceWrites:
 #: operation.  R(x), the store's record replace, appears as its in-place
 #: arm ``data[x] inode[x]`` (``data[x]`` alone when the inode's bytes did
 #: not change: same size, and the virtual clock had not moved since its
-#: last write) or its resized arm ``bitmap inode[x] bitmap data[x]
-#: inode[x]``.  A create's second ``daux`` replace is ``data[daux]``
-#: alone: the creating host holds its peer's batch of the directory across
-#: the create, so no RPC advances the clock between the two replaces, and
-#: ``_put_inode`` skips the byte-identical inode.
+#: last write).  Every record here keeps its slot — aux records are padded
+#: to 256 bytes and ``.fdir`` to whole blocks — so the resized arm
+#: ``bitmap inode[x] bitmap data[x] inode[x]`` appears only as the
+#: cross-directory rename's empty target ``.fdir`` taking its first block
+#: (``bitmap data[fdir] inode[fdir]``: there was nothing to truncate).  A
+#: create's second replaces are ``data[x]`` alone: the creating host holds
+#: its peer's batch of the directory across the create, so no RPC advances
+#: the clock, and ``_put_inode`` skips the byte-identical inode.  A pulled
+#: new file is born from its shadow (the grouped pass's second file): the
+#: shadow, its aux record made final, the rename — no contents inode made
+#: and freed, no record resized.  (The grouped pass labels the inode the
+#: overwrite frees and the new file's shadow ``contents``, not ``-`` and
+#: ``+``: the shadow is given the very inode the overwrite freed.)
 TABLE = {
     "overwrite": """
         data[contents] inode[contents]
@@ -171,30 +184,30 @@ TABLE = {
         inode[+contents] udir inode[udir]
         inode[+faux] udir
         bitmap data[+faux] inode[+faux]
-        bitmap inode[fdir] bitmap data[fdir] inode[fdir]
+        data[fdir] inode[fdir]
         data[daux] inode[daux]
         bitmap data[+contents] inode[+contents]
-        bitmap inode[+faux] bitmap data[+faux] inode[+faux]
+        data[+faux]
         data[daux]
     """,
     "unlink": """
-        bitmap inode[fdir] bitmap data[fdir] inode[fdir]
+        data[fdir] inode[fdir]
         data[daux] inode[daux]
         udir inode[udir] bitmap inode[-contents]
         udir bitmap inode[-faux]
     """,
     "rename, same directory": """
-        bitmap inode[fdir] bitmap data[fdir] inode[fdir]
+        data[fdir] inode[fdir]
         data[daux] inode[daux]
-        bitmap inode[fdir] bitmap data[fdir] inode[fdir]
+        data[fdir]
         data[daux]
     """,
     "rename, across directories": """
         inode[contents] udir inode[udir]
         inode[faux] udir
         bitmap data[fdir] inode[fdir]
-        bitmap inode[daux] bitmap data[daux] inode[daux]
-        bitmap inode[fdir] bitmap data[fdir] inode[fdir]
+        data[daux] inode[daux]
+        data[fdir] inode[fdir]
         data[daux] inode[daux]
         udir inode[udir] inode[contents]
         udir inode[faux]
@@ -213,18 +226,15 @@ TABLE = {
         inode[+contents] udir inode[udir]
         bitmap data[+contents] inode[+contents]
         udir
-        bitmap inode[-contents]
+        bitmap inode[contents]
         data[faux] inode[faux]
-        inode[-contents] udir inode[udir]
+        inode[contents] udir inode[udir]
+        bitmap data[contents] inode[contents]
         inode[+faux] udir
         bitmap data[+faux] inode[+faux]
-        inode[+contents] udir
-        bitmap data[+contents] inode[+contents]
         udir
-        inode[-contents]
-        bitmap inode[+faux] bitmap data[+faux] inode[+faux]
-        bitmap inode[fdir] bitmap data[fdir] inode[fdir]
-        bitmap inode[daux] bitmap data[daux] inode[daux]
+        data[fdir] inode[fdir]
+        data[daux] inode[daux]
         udir bitmap inode[-contents]
         udir bitmap inode[-faux]
     """,
@@ -306,6 +316,36 @@ def test_a_group_writes_its_directory_once(recorded):
     assert max(i for i, label in enumerate(labels) if label.startswith("data[+")) < labels.index("data[fdir]")
 
 
+def test_a_pulled_new_file_is_born_from_its_shadow(recorded):
+    # the propagation pull of a file beta does not store yet: no inode is
+    # made and then freed, nothing is resized, and the aux record is
+    # written once, already final — the pulled vector and the ancestor
+    system = settled_cluster()
+    alpha, beta = system.host("alpha"), system.host("beta")
+    beta.propagation_daemon.tick()
+    alpha.fs().write_file("/d/born", PAYLOAD)
+    system.run_for(1.0)
+    with DeviceWrites(beta) as writes:
+        beta.propagation_daemon.tick()
+    assert beta.fs().read_file("/d/born") == PAYLOAD
+    labels = writes.labels
+    assert not [label for label in labels if "-" in label]
+    assert "bitmap inode[" not in " ".join(labels)  # no resized arm
+    assert labels.count("data[+faux]") == 1 and labels.count("data[+contents]") == 1
+    (store,) = beta.physical.stores.values()
+    (alpha_store,) = alpha.physical.stores.values()
+    dir_fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "d")
+    fh = next(e.fh for e in store.read_entries(dir_fh) if e.name == "born")
+    aux = store.read_file_aux(dir_fh, fh)
+    assert aux.vv == alpha_store.read_file_aux(dir_fh, fh).vv and aux.ancestor_digests()
+    # and so in the grouped pass: the new file's part, after the overwrite's
+    # R(faux), up to the directory's flush
+    grouped = recorded["grouped pass"].labels
+    part = grouped[grouped.index("data[faux]") + 2 : grouped.index("data[fdir]")]
+    assert len(part) == 12 and "inode[-contents]" not in part and part.count("data[+faux]") == 1
+    assert "bitmap inode[" not in " ".join(part)
+
+
 def test_no_bitmap_write_where_no_block_changes_hands(recorded):
     # a same-size overwrite — contents, then the session close's
     # version-vector bump in the file's and the directory's aux records
@@ -370,6 +410,30 @@ def set_merge_policy(tag):
     return replace
 
 
+def set_merge_policy_to_fill(length):
+    """Set a policy tag that makes the file's encoded aux record exactly
+    ``length`` bytes long, before its padding to the slot."""
+
+    def replace(store, fh):
+        aux = store.read_file_aux(store.root_handle(), fh)
+        aux.merge_policy = "p"
+        unpadded = len(aux.to_bytes().rstrip(b"\0"))
+        set_merge_policy("p" * (1 + length - unpadded))(store, fh)
+
+    return replace
+
+
+def entry_file_vnode(store, fh):
+    return store._unix_child(store.root_handle(), FDIR_NAME)
+
+
+def tombstone_the_entry(store, fh):
+    """Replace ``.fdir`` with the same list, its one entry now a tombstone
+    (the status keeps its width, so the file keeps its block)."""
+    (entry,) = store.read_entries(store.root_handle())
+    store._replace_record(entry_file_vnode(store, fh), encode_directory([entry.killed()]))
+
+
 def merge_dir_vv(remote):
     def replace(store, fh):
         aux = store.read_dir_aux(store.root_handle())
@@ -387,7 +451,8 @@ def merge_dir_vv(remote):
 IN_PLACE = [("old", "clean"), ("new", "clean")]
 #: The resized arm is ``bitmap`` (free) ``inode`` (size 0) ``bitmap``
 #: (take) ``data`` ``inode`` (size): what ``truncate(0)`` + ``write`` has
-#: always left, an empty record at three of its four interior points.
+#: always left, an empty record at three of its four interior points.  A
+#: record takes it only when it outgrows its slot.
 RESIZED = [
     ("old", "clean"),
     ("old", "in use but free in bitmap"),
@@ -402,9 +467,16 @@ CASES = {
     # the marks are fixed-width, so .meta has no resized arm left
     "meta, same length": (meta_vnode, use_up_entry_ids_through(64), mint_entry_id, IN_PLACE),
     "file aux, same length": (file_aux_vnode, set_merge_policy("lww"), set_merge_policy("log"), IN_PLACE),
-    "file aux, longer": (file_aux_vnode, None, set_merge_policy("log"), RESIZED),
+    # a longer encoding in the same slot: a policy tag, a replica's digit
+    "file aux, longer": (file_aux_vnode, None, set_merge_policy("log"), IN_PLACE),
     "directory aux, same length": (dir_aux_vnode, None, merge_dir_vv({1: 5}), IN_PLACE),
-    "directory aux, longer": (dir_aux_vnode, None, merge_dir_vv({2: 1}), RESIZED),
+    "directory aux, longer": (dir_aux_vnode, None, merge_dir_vv({2: 1}), IN_PLACE),
+    # the slot's edge: 255 bytes still fill one slot, 257 need two
+    "file aux, one byte short of the slot": (
+        file_aux_vnode, None, set_merge_policy_to_fill(AUX_SLOT_SIZE - 1), IN_PLACE
+    ),
+    "file aux, one byte over the slot": (file_aux_vnode, None, set_merge_policy_to_fill(AUX_SLOT_SIZE + 1), RESIZED),
+    "entry file, same blocks": (entry_file_vnode, None, tombstone_the_entry, IN_PLACE),
 }
 
 
@@ -452,12 +524,35 @@ def test_both_arms_are_counted_and_shown():
     before = counts()
     fs.write_file("/f", PAYLOAD[::-1])  # R(faux), R(daux): both keep their length
     assert counts() == [before[0] + 2, before[1]]
-    fs.set_merge_policy("/f", "append-log")  # the file's aux record grows
-    assert counts()[1] == before[1] + 1
+    fs.set_merge_policy("/f", "append-log")  # longer, in the same slot
+    assert counts() == [before[0] + 4, before[1]]
+    fs.set_merge_policy("/f", "x" * AUX_SLOT_SIZE)  # outgrows its slot
+    assert counts() == [before[0] + 5, before[1] + 1]
     in_place, resized = counts()
     assert f"record replaces: {in_place} in place, {resized} resized" in render_system(system)
     # and a system that records nothing says nothing
     assert "record replaces" not in render_system(FicusSystem(["alpha"], daemon_config=QUIET))
+
+
+def test_an_entry_file_of_two_blocks_is_never_rewritten_in_place():
+    # in place, a crash between its two block writes could leave block 0
+    # new and block 1 old: a splice of two lists.  Resized, it can only
+    # read empty.
+    device, store, fh = make_store(None)
+    root = store.root_handle()
+    (entry,) = store.read_entries(root)
+    entries = [entry] + [
+        DirectoryEntry(store.new_entry_id(), f"name-{i:03d}", FicusFileHandle(VOL, store.new_file_id()), EntryType.FILE)
+        for i in range(60)
+    ]
+    store.write_entries(root, entries)
+    stored = store._unix_child(root, FDIR_NAME).getattr().size
+    assert stored == 2 * STORE_BLOCK_SIZE
+    in_place, resized = store.stats.records_in_place, store.stats.records_resized
+    store.write_entries(root, [entries[0].killed()] + entries[1:])  # same length
+    assert store._unix_child(root, FDIR_NAME).getattr().size == stored
+    # .fdir resized, .faux (the entry fold) in place
+    assert (store.stats.records_in_place, store.stats.records_resized) == (in_place + 1, resized + 1)
 
 
 # -- (iii) write_file trims instead of truncating first ---------------------------------
@@ -581,23 +676,23 @@ UFS_FINDINGS = {
     "allocated but unreachable from root",
     "nlink differs from observed references",
 }
-#: crash points that leave a *published* one-record file empty — the
-#: interior of the resized replace ``R*`` of a live file's aux record (in
-#: the create, its version vector gains its first entry) or a directory's
-#: (in the rename and the link, the empty target gains both folds and a
-#: vector).  An empty record does not decode: ``ficus_fsck`` reports it and
-#: the replica cannot serve that directory until it is repaired.  Not new
-#: and not the flush's: ROADMAP item 1's fixed slots retire ``R*``.  (The
-#: grouped pass tears records too, at six points, and so does the mkdir at
-#: two, but of storage nothing has published yet: recovery drops it, and
-#: the next pass pulls the file again.)
+#: crash points that leave a *published* record file empty — none.  Every
+#: record these operations replace keeps its slot (aux records are padded
+#: to 256 bytes) or its block count (``.fdir`` is padded to whole blocks),
+#: so each is overwritten in place, old-or-new.  What can still tear is a
+#: record that outgrows its slot (a policy tag or an ancestor long enough)
+#: and a ``.fdir`` that changes its block count: their resized arm reads
+#: empty at three crash points, which ``ficus_fsck`` reports.  (The
+#: cross-directory link and rename give the empty target's ``.fdir`` its
+#: first block through the resized arm, but an empty list has nothing to
+#: lose: there is no truncate, and a crash leaves the old, empty list.)
 TORN = {
-    "create": [20, 21, 22],
+    "create": [],
     "mkdir": [],
-    "link, across directories": [10, 11, 12],
+    "link, across directories": [],
     "unlink": [],
     "rename, same directory": [],
-    "rename, across directories": [10, 11, 12],
+    "rename, across directories": [],
     "grouped pass": [],
 }
 

@@ -18,8 +18,8 @@ E10 keeps a rendering of the paper's encoding and its name-length cost.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.errors import InvalidArgument
@@ -134,7 +134,7 @@ class EntryId:
             raise InvalidArgument(f"bad entry id {text!r}") from exc
 
 
-@dataclass
+@dataclass(frozen=True)
 class DirectoryEntry:
     """One record of a Ficus directory file.
 
@@ -150,6 +150,9 @@ class DirectoryEntry:
     covers every replica — purging on a full phase-1 set alone is the
     classic mistake (the purger stops relaying the acknowledgements its
     peers still need).
+
+    Frozen: :func:`decode_directory` hands one instance to every directory
+    version, on every host, that holds its record line.
     """
 
     eid: EntryId
@@ -201,15 +204,14 @@ class DirectoryEntry:
     def encoded_line(self) -> str:
         """This entry's serialized record line, memoized per instance.
 
-        Entries are never mutated in place (``killed``/``with_acks``
-        derive new objects), so the encoding of one instance is stable;
-        rewriting a directory then re-encodes only the entries that
-        actually changed.
+        Entries are frozen (``killed``/``with_acks`` derive new objects),
+        so the encoding of one instance is stable; rewriting a directory
+        then re-encodes only the entries that actually changed.
         """
         cached = self.__dict__.get("_line")
         if cached is None:
             cached = encode_record(self.to_record())
-            self._line = cached
+            object.__setattr__(self, "_line", cached)
         return cached
 
     def fold_component(self) -> str:
@@ -217,7 +219,7 @@ class DirectoryEntry:
         cached = self.__dict__.get("_fold")
         if cached is None:
             cached = content_digest(self.encoded_line())
-            self._fold = cached
+            object.__setattr__(self, "_fold", cached)
         return cached
 
     @classmethod
@@ -404,26 +406,27 @@ def encode_directory(entries: list[DirectoryEntry]) -> bytes:
     return pad("\n".join(entry.encoded_line() for entry in entries).encode("utf-8"), STORE_BLOCK_SIZE)
 
 
-#: Memoized directory decodes, keyed by the raw file bytes.  Entries are
-#: immutable by convention, so handing the same objects to every decoder
-#: of identical bytes is safe; the returned *list* is always fresh
-#: (callers append/replace elements before rewriting).
-_DECODE_DIR_MEMO: OrderedDict[bytes, list[DirectoryEntry]] = OrderedDict()
-_DECODE_DIR_CAP = 512
+#: Decoded entries kept by :func:`_decode_line`: the record lines of every
+#: directory the hosts of one process read.  A ``replicated_churn`` run of
+#: the repo benchmark (three replicas, names created, renamed and killed
+#: throughout) decodes under 600 distinct lines, so this holds several
+#: such working sets; an entry and its line take well under 1 KiB.
+DECODE_LINE_CAP = 4096
+
+
+@functools.lru_cache(maxsize=DECODE_LINE_CAP)
+def _decode_line(line: str) -> DirectoryEntry:
+    """The entry one record line encodes, shared by every decoder of that
+    line: a directory rewrite that changed one entry builds one entry."""
+    return DirectoryEntry.from_record(decode_record(line))
 
 
 def decode_directory(data: bytes) -> list[DirectoryEntry]:
-    """Parse a Ficus directory file (padded or not) back into entries."""
-    data = data.rstrip(b"\0")
-    cached = _DECODE_DIR_MEMO.get(data)
-    if cached is not None:
-        _DECODE_DIR_MEMO.move_to_end(data)
-        return list(cached)
-    text = data.decode("utf-8")
+    """Parse a Ficus directory file (padded or not) back into entries.
+
+    The list is always fresh (callers append/replace elements before
+    rewriting); its entries are frozen and shared."""
+    text = data.rstrip(b"\0").decode("utf-8")
     if not text:
         return []
-    entries = [DirectoryEntry.from_record(decode_record(line)) for line in text.split("\n")]
-    _DECODE_DIR_MEMO[data] = list(entries)
-    while len(_DECODE_DIR_MEMO) > _DECODE_DIR_CAP:
-        _DECODE_DIR_MEMO.popitem(last=False)
-    return entries
+    return [_decode_line(line) for line in text.split("\n")]

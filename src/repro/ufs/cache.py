@@ -155,12 +155,6 @@ class NameCache:
         for key in stale:
             del self._lru[key]
 
-    def purge_ino(self, ino: int) -> None:
-        """Drop every entry resolving to ``ino`` (e.g. after inode free)."""
-        stale = [key for key, value in self._lru.items() if value == ino]
-        for key in stale:
-            del self._lru[key]
-
     def invalidate_all(self) -> None:
         self._lru.clear()
 

@@ -25,6 +25,7 @@ write-through, so those bytes are durable).  Every other step of a
 
 from __future__ import annotations
 
+import functools
 import struct
 from collections.abc import Iterator
 
@@ -54,6 +55,16 @@ from repro.util import VirtualClock
 from repro.util.codec import escape_value, unescape_value
 
 
+#: Encoded directory entries kept by :func:`_encode_dirent`.  A rewrite
+#: encodes every entry of the directory, so the memo must hold the entries
+#: of the directories being rewritten on every UFS of the process at once.
+#: A ``replicated_churn`` run of the repo benchmark (three hosts, each
+#: install a shadow create, an aux create and a rename) encodes under 3000
+#: distinct (name, ino) pairs; an entry is one short string.
+DIRENT_MEMO_SIZE = 8192
+
+
+@functools.lru_cache(maxsize=DIRENT_MEMO_SIZE)
 def _encode_dirent(name: str, ino: int) -> str:
     return f"{escape_value(name)} {ino}"
 
@@ -250,8 +261,9 @@ class Ufs:
         return fresh
 
     def _free_inode(self, inode: Inode) -> None:
+        # every path here has already dropped the inode's names from the
+        # name cache (removed, overwritten, or never entered)
         self._truncate_blocks(inode, 0)
-        self.namecache.purge_ino(inode.ino)
         self._ino_floor = min(self._ino_floor, inode.ino)
         # Keep the generation in the freed slot (as 4.2BSD does) so a
         # re-allocation of this ino gets a strictly larger generation and
@@ -733,6 +745,7 @@ class Ufs:
             entries = self._read_dir_entries(self.get_inode(src_ino))
             entries[".."] = dst_dir
             self._write_dir_entries(self.get_inode(src_ino), entries)
+            self.namecache.remove(src_ino, "..")
             old_parent = self.get_inode(src_dir)
             old_parent.nlink -= 1
             self._put_inode(old_parent)

@@ -158,6 +158,15 @@ class FicusFileHandle:
             object.__setattr__(self, "_logical", cached)
         return cached
 
+    def __hash__(self) -> int:
+        # Hashed on every dict and set probe: hash once.  The value is the
+        # one the dataclass would generate, so iteration orders hold.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.volume, self.file_id, self.replica_id))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
     def at_replica(self, replica_id: int) -> "FicusFileHandle":
         """Bind this handle to a specific volume replica."""
         return FicusFileHandle(self.volume, self.file_id, replica_id)

@@ -10,9 +10,10 @@ is one bounded-deque append per version, read off the repo benchmark's
   merge head has >= 2 parents, and ``feeds_of_conflict`` names exactly
   the per-branch write sets.
 
-* **Histories replay byte-identically.**  A recorded chaos workload
-  re-executed on a fresh cluster converges to the same trees, version
-  vectors, and provenance ledgers (replicate-and-verify).
+* **Schedules replay byte-identically.**  A chaos run's schedule executed
+  again on a fresh cluster converges to the same trees, version vectors,
+  and provenance ledgers (replicate-and-verify), and every step is
+  accounted for: replayed or failed as in the first run.
 
 ``provenance_snapshot()`` produces the BENCH_provenance.json payload
 that report_all.py writes.  Run directly (``python
@@ -98,14 +99,16 @@ def lineage_scenario() -> dict:
 
 
 def verify_scenario(seed: int = VERIFY_SEED) -> dict:
-    """Record one chaos run and replay it on a fresh cluster."""
+    """Run one chaos schedule, then execute it again on a fresh cluster."""
     report = run_chaos(seed, ChaosConfig(verify_replication=True))
     verify = report.verify
     return {
         "seed": seed,
         "converged": report.converged,
-        "ops_recorded": len(report.history),
+        "ops_recorded": len(report.schedule),
         "ops_replayed": verify.ops_replayed if verify else 0,
+        # steps that raised at the client, as they did in the first run
+        "ops_failed": verify.ops_failed if verify else 0,
         "replay_identical": bool(verify and verify.identical),
         "problems": list(verify.problems) if verify else ["verify did not run"],
     }
@@ -139,6 +142,11 @@ def check_bounds(snapshot: dict) -> list[str]:
     verify = snapshot["replicate_and_verify"]
     if not verify["converged"]:
         violations.append(f"chaos seed {verify['seed']} did not converge")
+    if verify["ops_replayed"] + verify["ops_failed"] != verify["ops_recorded"]:
+        violations.append(
+            f"seed {verify['seed']}: {verify['ops_replayed']} replayed + "
+            f"{verify['ops_failed']} failed != {verify['ops_recorded']} recorded"
+        )
     if not verify["replay_identical"]:
         violations.append(
             f"replicate-and-verify diverged on seed {verify['seed']}: "

@@ -270,8 +270,9 @@ def e21_summary(snap: dict) -> str:
         f"provenance plane: {lineage['versions_ledgered']}/"
         f"{lineage['live_versions']} live versions ledgered, feeds-of-conflict "
         f"exact: {lineage['feeds_of_conflict_exact']}; replicate-and-verify "
-        f"seed {verify['seed']}: {verify['ops_replayed']}/{verify['ops_recorded']} "
-        f"ops replayed, identical: {verify['replay_identical']}"
+        f"seed {verify['seed']}: {verify['ops_replayed']} replayed + "
+        f"{verify['ops_failed']} failed of {verify['ops_recorded']} steps, "
+        f"identical: {verify['replay_identical']}"
     )
 
 

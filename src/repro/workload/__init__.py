@@ -5,6 +5,7 @@ from repro.workload.chaos import (
     RENAME_BUG_SEED,
     ChaosConfig,
     ChaosReport,
+    chaos_schedule,
     run_chaos,
 )
 from repro.workload.locality import FileRef, ZipfReferenceGenerator, hit_ratio_estimate
@@ -31,6 +32,7 @@ __all__ = [
     "ChaosConfig",
     "ChaosReport",
     "RENAME_BUG_SEED",
+    "chaos_schedule",
     "run_chaos",
     "FileRef",
     "PartitionEpoch",

@@ -7,12 +7,15 @@ acknowledging it, and partitions come and go.  The system's answer is
 that *reconciliation* guarantees eventual consistency regardless of what
 the optimistic fast path loses.
 
-This harness puts that guarantee under test.  It drives a
-:class:`~repro.sim.FicusSystem` through a seeded schedule of namespace
-operations while the network's :class:`~repro.net.FaultPlane` drops,
-duplicates, reorders, and times out traffic, and partitions split the
-hosts at random.  Then every fault is withdrawn and the system is given
-a bounded number of reconciliation rounds, after which the oracle runs:
+This harness puts that guarantee under test.  A run is a list of steps
+(:class:`~repro.workload.replay.TraceOp`) that :func:`chaos_schedule`
+draws from the seed before anything executes: namespace operations,
+partitions and heals, crashes and restarts, daemon ticks and clock
+advances.  The one executor, :func:`~repro.workload.replay.replay_trace`,
+runs that list on a cluster whose :class:`~repro.net.FaultPlane` drops,
+duplicates, reorders, and times out traffic.  Then every fault is
+withdrawn and the system is given a bounded number of reconciliation
+rounds, after which the oracle runs:
 
 * ``ficus_fsck`` must be clean on every replica (this includes the
   duplicate-(name, fh) invariant behind the cross-host rename bug);
@@ -21,23 +24,24 @@ a bounded number of reconciliation rounds, after which the oracle runs:
 
 Everything is derived from one integer seed — the fault plane, the
 partition schedule, and the operation mix — so any failure replays
-exactly with ``run_chaos(seed)``.
+exactly with ``run_chaos(seed)``, and from the ``chaos_<seed>.schedule``
+file a failed run writes beside its flight-recorder dumps.
 
-Run as a module for CI::
-
-    python -m repro.workload.chaos --seeds 11 17 1990 --rename-storm-seed 1990
+The command line is :mod:`repro.tools.ficus_chaos`.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
 
 from repro.errors import FicusError
 from repro.net import LinkFaults
 from repro.physical import ficus_fsck
-from repro.sim import TOPOLOGIES, DaemonConfig, FicusSystem, make_topology
+from repro.sim import DaemonConfig, FicusSystem, make_topology
+from repro.workload.replay import CLIENT_OPS, TraceOp, encode_trace, replay_trace
 
 #: seed under which the harness always replays the cross-host rename
 #: collision (the PR's headline bug) inside the chaos schedule
@@ -65,7 +69,7 @@ class ChaosConfig:
     heal_prob: float = 0.5
     faults: LinkFaults = DEFAULT_FAULTS
     #: deterministically replay the same-name cross-host rename collision
-    #: before the random schedule begins
+    #: while the cluster is built, before its faults are armed
     rename_storm: bool = False
     #: distinct file names the operation mix draws from (small on purpose,
     #: so concurrent operations collide)
@@ -85,12 +89,8 @@ class ChaosConfig:
     #: and the gossip schedule is seeded from the chaos seed so a failing
     #: run replays its peer selections exactly
     topology: str = "full_mesh"
-    #: record the exact call history (every fs call, tick, partition and
-    #: heal) as a replayable trace on the report; consumes no randomness,
-    #: so recorded and unrecorded runs of a seed are byte-identical
-    record_history: bool = False
-    #: after convergence, re-execute the recorded history on a fresh
-    #: cluster and byte-diff the two (implies ``record_history``)
+    #: after convergence, execute the schedule again on a fresh cluster
+    #: and byte-diff the two
     verify_replication: bool = False
     #: oracle gate: after the quiesce no replica may report reconciliation
     #: staleness older than this many virtual seconds (None = ungated)
@@ -101,12 +101,18 @@ class ChaosConfig:
     #: draws no randomness either way)
     clock_step: float = 0.0
 
+    @property
+    def host_names(self) -> list[str]:
+        return [f"h{i}" for i in range(self.host_count)]
+
 
 @dataclass
 class ChaosReport:
     """What one chaos run did and whether the system converged."""
 
     seed: int
+    #: the steps the run executed (:func:`chaos_schedule`)
+    schedule: list[TraceOp] = field(default_factory=list)
     ops_attempted: int = 0
     #: operations the fault plane caused to fail at the client
     ops_failed: int = 0
@@ -123,9 +129,6 @@ class ChaosReport:
     tree: list[str] = field(default_factory=list)
     #: flight-recorder dumps written because the oracle failed
     flight_dumps: list[str] = field(default_factory=list)
-    #: the recorded call history (``config.record_history``), replayable
-    #: through :func:`~repro.workload.replay.replay_trace`
-    history: list = field(default_factory=list)
     #: worst per-host wall-clock staleness observed after the quiesce
     max_staleness_seconds: float = 0.0
     #: the replicate-and-verify outcome (``config.verify_replication``)
@@ -136,127 +139,27 @@ class ChaosReport:
         return not self.problems
 
 
-class _RecordingFs:
-    """Transparent recorder around the path-based filesystem facade.
-
-    Every call is appended to the history *before* it runs, so attempts
-    the fault plane failed are recorded too — replaying them re-issues
-    the same RPCs and therefore consumes the same fault-plane draws,
-    which is what makes the re-execution schedule byte-identical.
-    """
-
-    def __init__(self, fs, host_name: str, clock, history: list):
-        self._fs = fs
-        self._host = host_name
-        self._clock = clock
-        self._history = history
-
-    def _rec(self, op: str, path: str = "", path2: str = "", data: bytes = b"") -> None:
-        from repro.workload.replay import TraceOp
-
-        self._history.append(
-            TraceOp(
-                at=self._clock.now(), op=op, host=self._host, path=path, path2=path2, data=data
-            )
-        )
-
-    def write_file(self, path: str, data: bytes):
-        self._rec("write", path, data=data)
-        return self._fs.write_file(path, data)
-
-    def read_file(self, path: str):
-        self._rec("read", path)
-        return self._fs.read_file(path)
-
-    def exists(self, path: str):
-        self._rec("exists", path)
-        return self._fs.exists(path)
-
-    def mkdir(self, path: str):
-        self._rec("mkdir", path)
-        return self._fs.mkdir(path)
-
-    def rename(self, src: str, dst: str):
-        self._rec("rename", src, dst)
-        return self._fs.rename(src, dst)
-
-    def unlink(self, path: str):
-        self._rec("unlink", path)
-        return self._fs.unlink(path)
-
-
 def run_chaos(seed: int, config: ChaosConfig | None = None, dump_dir: str = "out") -> ChaosReport:
-    """One seeded chaos run: inject faults, quiesce, check convergence
-    (a failed oracle dumps every flight recorder under ``dump_dir``)."""
+    """One seeded chaos run: execute its schedule, quiesce, check
+    convergence (a failed oracle dumps every flight recorder, and the
+    schedule, under ``dump_dir``)."""
     config = config or ChaosConfig()
-    rng = random.Random(seed)
-    report = ChaosReport(seed=seed)
-
-    recording = config.record_history or config.verify_replication
-    if recording and (config.rename_storm or config.crash_prob):
-        # the storm prologue and crash/restart epochs act outside the
-        # trace vocabulary, so a recorded history could not replay them
-        raise ValueError("record_history/verify_replication exclude rename_storm and crashes")
-    history: list | None = report.history if recording else None
-
+    report = ChaosReport(seed=seed, schedule=chaos_schedule(seed, config))
     system, host_names = build_cluster(seed, config)
-    partitioned = False
-    down: dict[str, int] = {}  # crashed host -> rounds left down
-    for round_index in range(config.rounds):
-        if config.clock_step:
-            system.clock.advance(config.clock_step)
-        # reboot hosts whose downtime has elapsed; the restart runs the
-        # shadow-commit recovery sweep, so a second sweep must find nothing
-        for host_name in [h for h, left in down.items() if left <= 1]:
-            del down[host_name]
-            _restart_host(system, host_name, report)
-        for host_name in down:
-            down[host_name] -= 1
-        partitioned = _maybe_repartition(
-            system, host_names, rng, partitioned, report, config, history
-        )
-        # config.crash_prob short-circuits before the rng draw, keeping
-        # crash-free seeds' schedules byte-identical to before
-        if (
-            config.crash_prob
-            and len(down) < len(host_names) - 1
-            and rng.random() < config.crash_prob
-        ):
-            victim = rng.choice(sorted(h for h in host_names if h not in down))
-            system.host(victim).crash()
-            down[victim] = config.crash_down_rounds
-            report.crashes += 1
-        for host_name in host_names:
-            if host_name in down:
-                continue
-            fs = system.host(host_name).fs()
-            if history is not None:
-                fs = _RecordingFs(fs, host_name, system.clock, history)
-            for _ in range(config.ops_per_round):
-                report.ops_attempted += 1
-                try:
-                    _random_op(fs, rng, config, host_name, round_index)
-                except FicusError:
-                    # an injected timeout or a partition surfaced at the
-                    # client — exactly what optimism tolerates
-                    report.ops_failed += 1
-        # exercise the daemons (and their retry/degraded-peer policies)
-        # while the faults are still live
-        for host_name in host_names:
-            if host_name in down:
-                continue
-            host = system.host(host_name)
-            if history is not None:
-                _record_tick(history, system, host_name, "propagation")
-            host.propagation_daemon.tick()
-            if history is not None:
-                _record_tick(history, system, host_name, "recon")
-            host.recon_daemon.tick()
+    result = replay_trace(system, report.schedule)
+    kinds = Counter(step.op for step in report.schedule)
+    report.ops_attempted = sum(kinds[kind] for kind in CLIENT_OPS)
+    report.partitions_formed = kinds["partition"]
+    report.crashes, report.restarts = kinds["crash"], kinds["restart"]
+    for step, error in result.failures:
+        if step.op in CLIENT_OPS:
+            # an injected timeout or a partition surfaced at the client —
+            # exactly what optimism tolerates
+            report.ops_failed += 1
+        else:
+            report.problems.append(f"{step.host}: {step.op} failed: {error}")
 
     # -- quiesce: withdraw every fault, then converge ---------------------
-    for host_name in sorted(down):
-        _restart_host(system, host_name, report)
-    down.clear()
     report.faults_injected = dict(system.network.faults.injected)
     quiesce(system, host_names)
 
@@ -288,24 +191,81 @@ def run_chaos(seed: int, config: ChaosConfig | None = None, dump_dir: str = "out
         from repro.workload.verify import replicate_and_verify, state_fingerprint
 
         baseline = state_fingerprint(system, host_names)
-        verify = replicate_and_verify(report.history, seed, config, baseline)
+        verify = replicate_and_verify(report.schedule, seed, config, baseline)
         report.verify = verify
         for problem in verify.problems:
             report.problems.append(f"replicate-and-verify: {problem}")
 
     if report.problems:
-        _dump_flight_recorders(system, host_names, seed, report, dump_dir)
+        _dump_evidence(system, host_names, seed, report, dump_dir)
     return report
+
+
+def chaos_schedule(seed: int, config: ChaosConfig) -> list[TraceOp]:
+    """The steps of the chaos run of ``seed``, drawn before any executes.
+
+    No draw reads system state: each depends only on the seed and on the
+    generator's own record of which hosts are partitioned or down, so the
+    list is a function of ``(seed, config)`` alone.  An operation whose
+    effect depends on state (rename onto a free name only, ...) is one
+    guarded step, and the executor runs its ``exists`` probes.
+    """
+    rng = random.Random(seed)
+    host_names = config.host_names
+    steps: list[TraceOp] = []
+    partitioned = False
+    down: dict[str, int] = {}  # crashed host -> rounds left down
+    for round_index in range(config.rounds):
+        if config.clock_step:
+            steps.append(TraceOp(op="advance", seconds=config.clock_step))
+        # reboot hosts whose downtime has elapsed
+        for host_name in [h for h, left in down.items() if left <= 1]:
+            del down[host_name]
+            steps.append(TraceOp(op="restart", host=host_name))
+        for host_name in down:
+            down[host_name] -= 1
+        if partitioned and rng.random() < config.heal_prob:
+            steps.append(TraceOp(op="heal"))
+            partitioned = False
+        elif not partitioned and rng.random() < config.partition_prob and len(host_names) > 1:
+            shuffled = list(host_names)
+            rng.shuffle(shuffled)
+            cut = rng.randrange(1, len(shuffled))
+            groups = (frozenset(shuffled[:cut]), frozenset(shuffled[cut:]))
+            steps.append(TraceOp(op="partition", groups=groups))
+            partitioned = True
+        # config.crash_prob short-circuits before the rng draw, keeping
+        # crash-free seeds' schedules byte-identical to before
+        if (
+            config.crash_prob
+            and len(down) < len(host_names) - 1
+            and rng.random() < config.crash_prob
+        ):
+            victim = rng.choice(sorted(h for h in host_names if h not in down))
+            steps.append(TraceOp(op="crash", host=victim))
+            down[victim] = config.crash_down_rounds
+        up = [h for h in host_names if h not in down]
+        for host_name in up:
+            for _ in range(config.ops_per_round):
+                steps.append(_random_op(rng, config, host_name, round_index))
+        # exercise the daemons (and their retry/degraded-peer policies)
+        # while the faults are still live
+        for host_name in up:
+            steps.append(TraceOp(op="tick", host=host_name, path="propagation"))
+            steps.append(TraceOp(op="tick", host=host_name, path="recon"))
+    # hosts still down reboot while the faults are live, before the quiesce
+    steps.extend(TraceOp(op="restart", host=host_name) for host_name in sorted(down))
+    return steps
 
 
 def build_cluster(seed: int, config: ChaosConfig) -> tuple[FicusSystem, list[str]]:
     """The cluster a chaos run of ``seed`` drives, its faults armed.
 
     Everything random about it (the gossip schedule, the fault plane's
-    draws) is seeded from ``seed``, so building it twice and issuing the
-    same calls reproduces the same datagram and fault schedule.
+    draws) is seeded from ``seed``, so building it twice and executing
+    the same steps reproduces the same datagram and fault schedule.
     """
-    host_names = [f"h{i}" for i in range(config.host_count)]
+    host_names = config.host_names
     system = FicusSystem(
         host_names,
         daemon_config=_QUIET,
@@ -336,39 +296,11 @@ def quiesce(system: FicusSystem, host_names: list[str]) -> None:
             system.host(host_name).propagation_daemon.tick()
 
 
-def _record_tick(history: list, system: FicusSystem, host_name: str, daemon: str) -> None:
-    from repro.workload.replay import TraceOp
-
-    history.append(
-        TraceOp(at=system.clock.now(), op="tick", host=host_name, path=daemon)
-    )
-
-
-def _restart_host(system: FicusSystem, host_name: str, report: ChaosReport) -> None:
-    """Reboot a crashed host and assert the recovery sweep ran clean.
-
-    ``FicusHost.restart`` scavenges orphan shadow files as part of crash
-    recovery; a second sweep immediately afterwards must therefore find
-    nothing — residue means the atomic-commit recovery path is broken.
-    """
-    host = system.host(host_name)
-    host.restart(system)
-    report.restarts += 1
-    residue = 0
-    for store in host.physical.stores.values():
-        for dir_fh in store.all_directory_handles():
-            residue += store.scavenge_shadows(dir_fh)
-    if residue:
-        report.problems.append(
-            f"{host_name}: recovery sweep left {residue} shadow file(s) behind"
-        )
-        host.health_plane.anomaly("fsck_violation", host=host_name, shadow_residue=residue)
-
-
-def _dump_flight_recorders(
+def _dump_evidence(
     system: FicusSystem, host_names: list[str], seed: int, report: ChaosReport, dump_dir: str
 ) -> None:
-    """The oracle failed: freeze every host's flight recorder to disk."""
+    """The oracle failed: freeze every host's flight recorder to disk,
+    and the schedule, which reproduces the run on a fresh cluster."""
     os.makedirs(dump_dir, exist_ok=True)
     for host_name in host_names:
         plane = system.host(host_name).health_plane
@@ -377,6 +309,8 @@ def _dump_flight_recorders(
         )
         path = os.path.join(dump_dir, f"ficus_flight_chaos_{seed}_{host_name}.jsonl")
         report.flight_dumps.append(plane.recorder.write_dump(snapshot, path))
+    with open(os.path.join(dump_dir, f"chaos_{seed}.schedule"), "w") as out:
+        out.write(encode_trace(report.schedule) + "\n")
 
 
 def _rename_storm(system: FicusSystem, host_names: list[str]) -> None:
@@ -395,74 +329,30 @@ def _rename_storm(system: FicusSystem, host_names: list[str]) -> None:
     system.heal()
 
 
-def _maybe_repartition(
-    system: FicusSystem,
-    host_names: list[str],
-    rng: random.Random,
-    partitioned: bool,
-    report: ChaosReport,
-    config: ChaosConfig,
-    history: list | None = None,
-) -> bool:
-    if partitioned and rng.random() < config.heal_prob:
-        if history is not None:
-            from repro.workload.replay import TraceOp
-
-            history.append(TraceOp(at=system.clock.now(), op="heal"))
-        system.heal()
-        return False
-    if not partitioned and rng.random() < config.partition_prob and len(host_names) > 1:
-        shuffled = list(host_names)
-        rng.shuffle(shuffled)
-        cut = rng.randrange(1, len(shuffled))
-        groups = [set(shuffled[:cut]), set(shuffled[cut:])]
-        if history is not None:
-            from repro.workload.replay import TraceOp
-
-            history.append(
-                TraceOp(
-                    at=system.clock.now(),
-                    op="partition",
-                    groups=tuple(frozenset(g) for g in groups),
-                )
-            )
-        system.partition(groups)
-        report.partitions_formed += 1
-        return True
-    return partitioned
-
-
-def _append_log_line(fs, path: str, line: str) -> None:
-    """Append one record to a mailbox-style log file (read-modify-write)."""
-    existing = fs.read_file(path) if fs.exists(path) else b""
-    fs.write_file(path, existing + line.encode() + b"\n")
-
-
-def _random_op(fs, rng: random.Random, config: ChaosConfig, host_name: str, round_index: int):
+def _random_op(rng: random.Random, config: ChaosConfig, host_name: str, round_index: int) -> TraceOp:
     """One namespace operation drawn from a deliberately small namespace."""
     # the resolvers gate short-circuits before any rng draw, so seeds run
     # without resolvers keep their historical schedules byte-identical
     if config.resolvers and rng.random() < 0.35:
-        line = f"{host_name}:{round_index}:{rng.randrange(1000)}"
-        _append_log_line(fs, f"/box{rng.randrange(2)}.log", line)
-        return
+        line = f"{host_name}:{round_index}:{rng.randrange(1000)}\n"
+        return TraceOp(
+            op="append", host=host_name, path=f"/box{rng.randrange(2)}.log", data=line.encode()
+        )
     roll = rng.random()
     fname = f"/f{rng.randrange(config.file_names)}"
     dname = f"/d{rng.randrange(config.dir_names)}"
     if roll < 0.45:
-        fs.write_file(fname, f"{host_name}:{round_index}:{rng.randrange(1000)}".encode())
-    elif roll < 0.60:
-        if not fs.exists(dname):
-            fs.mkdir(dname)
-        else:
-            fs.write_file(f"{dname}/inner", host_name.encode())
-    elif roll < 0.80:
+        data = f"{host_name}:{round_index}:{rng.randrange(1000)}".encode()
+        return TraceOp(op="write", host=host_name, path=fname, data=data)
+    if roll < 0.60:
+        return TraceOp(
+            op="mkdir_or_write", host=host_name, path=dname, path2=f"{dname}/inner",
+            data=host_name.encode(),
+        )
+    if roll < 0.80:
         target = f"/f{rng.randrange(config.file_names)}"
-        if fs.exists(fname) and fname != target and not fs.exists(target):
-            fs.rename(fname, target)
-    else:
-        if fs.exists(fname):
-            fs.unlink(fname)
+        return TraceOp(op="rename_if_free", host=host_name, path=fname, path2=target)
+    return TraceOp(op="unlink_if_exists", host=host_name, path=fname)
 
 
 def _check_convergence(
@@ -526,108 +416,3 @@ def _check_convergence(
                     contents.add(fs.read_file(path))
             if len(contents) > 1:
                 report.problems.append(f"{path}: contents diverged with no conflict reported")
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description="Seeded chaos convergence runs")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[11, 17, 23])
-    parser.add_argument(
-        "--rename-storm-seed",
-        type=int,
-        default=None,
-        help="additionally run this seed with the cross-host rename collision replay",
-    )
-    parser.add_argument(
-        "--crash-seed",
-        type=int,
-        default=None,
-        help="additionally run this seed with seeded host crash/restart epochs",
-    )
-    parser.add_argument(
-        "--resolver-seed",
-        type=int,
-        default=None,
-        help="additionally run this seed with automatic conflict resolvers "
-        "and covered append-log traffic in the mix",
-    )
-    parser.add_argument(
-        "--verify-seed",
-        type=int,
-        default=None,
-        help="additionally run this seed recording its full call history, then "
-        "re-execute the recording on a fresh cluster and byte-diff the two "
-        "(with the wall-clock staleness SLO gated)",
-    )
-    parser.add_argument(
-        "--staleness-slo",
-        type=float,
-        default=60.0,
-        help="staleness bound in virtual seconds applied to the --verify-seed run",
-    )
-    parser.add_argument("--hosts", type=int, default=3)
-    parser.add_argument("--rounds", type=int, default=8)
-    parser.add_argument("--dump-dir", default="out", help="where a diverged run dumps its flight recorders")
-    parser.add_argument(
-        "--topology",
-        choices=sorted(TOPOLOGIES),
-        default="full_mesh",
-        help="peer-selection strategy for both daemons (default: full_mesh, "
-        "which replays historical seed schedules byte-identically)",
-    )
-    args = parser.parse_args(argv)
-
-    base = ChaosConfig(host_count=args.hosts, rounds=args.rounds, topology=args.topology)
-    runs = [(seed, base) for seed in args.seeds]
-    if args.rename_storm_seed is not None:
-        runs.append((args.rename_storm_seed, replace(base, rename_storm=True)))
-    if args.crash_seed is not None:
-        runs.append((args.crash_seed, replace(base, crash_prob=0.25)))
-    if args.resolver_seed is not None:
-        runs.append((args.resolver_seed, replace(base, resolvers=True)))
-    if args.verify_seed is not None:
-        runs.append(
-            (
-                args.verify_seed,
-                replace(
-                    base,
-                    verify_replication=True,
-                    staleness_slo_seconds=args.staleness_slo,
-                    clock_step=1.0,
-                ),
-            )
-        )
-
-    failures = 0
-    for seed, config in runs:
-        report = run_chaos(seed, config, dump_dir=args.dump_dir)
-        status = "converged" if report.converged else "DIVERGED"
-        storm = "" if config.topology == "full_mesh" else f" [{config.topology}]"
-        storm += " +rename-storm" if config.rename_storm else ""
-        if config.resolvers:
-            storm += f" +resolvers({report.auto_resolved} auto-resolved)"
-        if config.verify_replication:
-            verdict = "replay identical" if report.verify.identical else "REPLAY DIVERGED"
-            storm += (
-                f" +verify({len(report.history)} ops recorded, {verdict}, "
-                f"staleness {report.max_staleness_seconds:g}s)"
-            )
-        crashes = f", {report.crashes} crashes" if config.crash_prob else ""
-        print(
-            f"seed {seed}{storm}: {status}; "
-            f"{report.ops_attempted} ops ({report.ops_failed} failed), "
-            f"{report.partitions_formed} partitions{crashes}, "
-            f"faults {report.faults_injected or '{}'}, "
-            f"{report.unresolved_conflicts} conflicts open"
-        )
-        for problem in report.problems:
-            print(f"  !! {problem}")
-        for path in report.flight_dumps:
-            print(f"  flight recorder dumped: {path}")
-        failures += 0 if report.converged else 1
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

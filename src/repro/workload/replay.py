@@ -1,11 +1,17 @@
-"""Trace-driven workload replay.
+"""Trace-driven workload replay, and the one executor every schedule runs.
 
 Floyd's studies (papers [5], [6]) were trace-driven; this module gives the
-reproduction the same methodology: a plain-text trace format (one operation
-per line, key=value records), a synthesizer that turns the statistical
-generators into traces, and a replayer that applies a trace to a live
-:class:`~repro.sim.FicusSystem` — including partition and heal events, so
-whole experiment scenarios are a data file rather than code.
+reproduction the same methodology: a plain-text trace format (one step per
+line, key=value records), a synthesizer that turns the statistical
+generators into traces, and :func:`replay_trace`, the executor that applies
+a list of steps to a live :class:`~repro.sim.FicusSystem`.  The steps are
+the whole vocabulary of a run — client operations, partition and heal,
+crash and restart, one daemon tick, a clock advance — so an experiment
+scenario or a chaos run's schedule is a data file rather than code.
+
+Time: the executor first runs the event loop up to a step's ``at``, which
+drives hand-written and synthesized traces.  A generated chaos schedule
+leaves every ``at`` at zero and moves time only by ``advance`` steps.
 """
 
 from __future__ import annotations
@@ -13,11 +19,13 @@ from __future__ import annotations
 import base64
 from dataclasses import dataclass, field
 
-from repro.errors import FicusError, InvalidArgument
+from repro.errors import FicusError, InvalidArgument, IOError_
 from repro.util.codec import decode_record, encode_record
 
-#: Operations understood by the replayer.
-OPS = (
+#: Steps a host's filesystem executes.  The last four are the chaos
+#: harness's operations: each probes with ``exists`` first, so executing
+#: one issues exactly the RPCs the harness draws it for.
+CLIENT_OPS = (
     "write",
     "read",
     "exists",
@@ -26,24 +34,28 @@ OPS = (
     "rmdir",
     "rename",
     "symlink",
-    "partition",
-    "heal",
-    "advance",
-    "tick",
+    "append",  # read-modify-write: a missing file starts empty
+    "mkdir_or_write",  # mkdir ``path``, or if it exists write ``path2``
+    "rename_if_free",  # rename if ``path`` exists and ``path2`` does not
+    "unlink_if_exists",
 )
+
+#: Every step the executor understands.
+OPS = CLIENT_OPS + ("partition", "heal", "advance", "tick", "crash", "restart")
 
 
 @dataclass(frozen=True)
 class TraceOp:
-    """One trace line."""
+    """One step: one trace line."""
 
-    at: float
     op: str
+    at: float = 0.0
     host: str = ""
     path: str = ""
-    path2: str = ""  # rename destination / symlink target
+    path2: str = ""  # rename destination / symlink target / file written
     data: bytes = b""
     groups: tuple[frozenset[str], ...] = ()
+    seconds: float = 0.0  # how far an ``advance`` moves the clock past ``at``
 
     def encode(self) -> str:
         rec = {"t": f"{self.at:.6f}", "op": self.op}
@@ -57,6 +69,8 @@ class TraceOp:
             rec["data"] = base64.b64encode(self.data).decode("ascii")
         if self.groups:
             rec["groups"] = ";".join(",".join(sorted(g)) for g in self.groups)
+        if self.seconds:
+            rec["dt"] = repr(self.seconds)
         return encode_record(rec)
 
     @classmethod
@@ -79,6 +93,7 @@ class TraceOp:
                 path2=rec.get("path2", ""),
                 data=base64.b64decode(rec["data"]) if "data" in rec else b"",
                 groups=groups,
+                seconds=float(rec.get("dt", 0.0)),
             )
         except KeyError as exc:
             raise InvalidArgument(f"trace line missing field {exc}") from exc
@@ -107,12 +122,12 @@ class ReplayResult:
 
 
 def replay_trace(system, ops: list[TraceOp], strict: bool = False) -> ReplayResult:
-    """Apply a trace to a :class:`~repro.sim.FicusSystem`.
+    """Execute a list of steps on a :class:`~repro.sim.FicusSystem`.
 
-    Virtual time advances to each op's timestamp (firing daemons on the
-    way).  With ``strict`` False (the default), operation failures — e.g.
-    a read during a partition — are recorded, not raised: partial
-    operation is the normal state of the world being replayed.
+    Virtual time advances to each step's timestamp (firing daemons on the
+    way).  With ``strict`` False (the default), step failures — e.g. a
+    read during a partition — are recorded, not raised: partial operation
+    is the normal state of the world being replayed.
     """
     result = ReplayResult()
     for op in ops:
@@ -130,17 +145,16 @@ def replay_trace(system, ops: list[TraceOp], strict: bool = False) -> ReplayResu
 
 
 def _apply(system, op: TraceOp, result: ReplayResult) -> None:
-    if op.op == "partition":
+    if op.op in CLIENT_OPS:
+        _apply_client(system.host(op.host).fs(), op, result)
+    elif op.op == "partition":
         system.partition([set(g) for g in op.groups])
-        return
-    if op.op == "heal":
+    elif op.op == "heal":
         system.heal()
-        return
-    if op.op == "advance":
-        return  # time already advanced by the replay loop
-    if op.op == "tick":
-        # a recorded daemon tick: path names which daemon ran on the host,
-        # so replicate-and-verify reproduces the exact message schedule
+    elif op.op == "advance":
+        system.clock.advance(op.seconds)
+    elif op.op == "tick":
+        # path names which daemon runs one tick on the host
         host = system.host(op.host)
         if op.path == "propagation":
             host.propagation_daemon.tick()
@@ -148,8 +162,13 @@ def _apply(system, op: TraceOp, result: ReplayResult) -> None:
             host.recon_daemon.tick()
         else:
             raise InvalidArgument(f"unknown tick daemon {op.path!r}")
-        return
-    fs = system.host(op.host).fs()
+    elif op.op == "crash":
+        system.host(op.host).crash()
+    elif op.op == "restart":
+        _restart(system, op.host)
+
+
+def _apply_client(fs, op: TraceOp, result: ReplayResult) -> None:
     if op.op == "write":
         fs.write_file(op.path, op.data)
     elif op.op == "read":
@@ -171,6 +190,39 @@ def _apply(system, op: TraceOp, result: ReplayResult) -> None:
         fs.rename(op.path, op.path2)
     elif op.op == "symlink":
         fs.symlink(op.path2, op.path)
+    elif op.op == "append":
+        existing = fs.read_file(op.path) if fs.exists(op.path) else b""
+        fs.write_file(op.path, existing + op.data)
+    elif op.op == "mkdir_or_write":
+        if not fs.exists(op.path):
+            fs.mkdir(op.path)
+        else:
+            fs.write_file(op.path2, op.data)
+    elif op.op == "rename_if_free":
+        if fs.exists(op.path) and op.path != op.path2 and not fs.exists(op.path2):
+            fs.rename(op.path, op.path2)
+    elif op.op == "unlink_if_exists":
+        if fs.exists(op.path):
+            fs.unlink(op.path)
+
+
+def _restart(system, host_name: str) -> None:
+    """Reboot a crashed host; a recovery sweep that left residue fails.
+
+    ``FicusHost.restart`` scavenges orphan shadow files as part of crash
+    recovery, so a second sweep immediately afterwards must find nothing —
+    residue means the atomic-commit recovery path is broken.
+    """
+    host = system.host(host_name)
+    host.restart(system)
+    residue = sum(
+        store.scavenge_shadows(dir_fh)
+        for store in host.physical.stores.values()
+        for dir_fh in store.all_directory_handles()
+    )
+    if residue:
+        host.health_plane.anomaly("fsck_violation", host=host_name, shadow_residue=residue)
+        raise IOError_(f"recovery sweep left {residue} shadow file(s) behind")
 
 
 def synthesize_trace(

@@ -1,13 +1,13 @@
-"""Replicate-and-verify: re-execute a recorded workload, byte-diff the result.
+"""Replicate-and-verify: execute a schedule twice, byte-diff the result.
 
 The chaos harness proves *convergence* — every replica agrees after the
-faults are withdrawn.  This module proves *determinism*: record the exact
-operation history of a chaos run (every filesystem call, probe, daemon
-tick, partition, and heal), re-execute it on a freshly built
-:class:`~repro.sim.FicusSystem` with the same seed, and compare the two
+faults are withdrawn.  This module proves *determinism*: execute a chaos
+run's schedule (its every operation, daemon tick, partition and heal,
+crash and restart) again on a freshly built :class:`~repro.sim.FicusSystem`
+with the same seed, through the same executor, and compare the two
 clusters byte for byte — name trees, file contents per replica, and the
 per-file version-vector maps.  A mismatch means some state crept in from
-outside the recorded inputs (an unseeded random, wall-clock leakage, an
+outside the schedule (an unseeded random, wall-clock leakage, an
 iteration-order dependency), which is exactly the class of bug that makes
 "replay the failing seed" debugging impossible.
 
@@ -67,7 +67,7 @@ class VerifyReport:
 
     ops_replayed: int = 0
     ops_failed: int = 0
-    #: mismatches between the recorded run and its re-execution; empty
+    #: mismatches between the first run and its re-execution; empty
     #: means the replay reproduced the cluster byte for byte
     problems: list[str] = field(default_factory=list)
     #: human-readable pointer at the first version whose provenance
@@ -156,23 +156,22 @@ def _first_diverging_write(baseline: dict, replayed: dict) -> str:
 
 
 def replicate_and_verify(
-    history: list[TraceOp],
+    schedule: list[TraceOp],
     seed: int,
     config,
     baseline: dict,
 ) -> VerifyReport:
-    """Re-execute a recorded chaos history on a fresh cluster and compare.
+    """Execute a chaos run's schedule on a fresh cluster and compare.
 
     ``config`` is the :class:`~repro.workload.chaos.ChaosConfig` of the
-    recorded run; the fresh system comes from the same
+    first run; the fresh system comes from the same
     :func:`~repro.workload.chaos.build_cluster` and is quiesced by the same
-    :func:`~repro.workload.chaos.quiesce`, so replaying the recorded call
-    sequence reproduces the exact datagram and fault schedule.
-    ``baseline`` is the recorded run's :func:`state_fingerprint` taken
-    after its quiesce.
+    :func:`~repro.workload.chaos.quiesce`, so executing the same steps
+    reproduces the exact datagram and fault schedule.  ``baseline`` is the
+    first run's :func:`state_fingerprint` taken after its quiesce.
     """
     system, host_names = build_cluster(seed, config)
-    replay = replay_trace(system, history, strict=False)
+    replay = replay_trace(system, schedule)
     report = VerifyReport(ops_replayed=replay.applied, ops_failed=replay.failed)
     quiesce(system, host_names)
 

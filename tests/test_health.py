@@ -17,7 +17,13 @@ from repro.ufs import Ufs
 from repro.util import VolumeId, VolumeReplicaId
 from repro.vnode import UfsLayer
 from repro.vnode.interface import ROOT_CTX, OpContext
-from repro.workload import ChaosConfig, run_chaos
+from repro.workload import (
+    ChaosConfig,
+    decode_trace,
+    replay_trace,
+    run_chaos,
+    state_fingerprint,
+)
 
 QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
 
@@ -354,20 +360,29 @@ class TestCrashChaos:
         from repro.tools.ficus_top import render_dump
 
         real_check = chaos_module._check_convergence
+        fingerprints = []
 
         def failing_check(system, host_names, report, config):
             real_check(system, host_names, report, config)
+            fingerprints.append(state_fingerprint(system, host_names))
             report.problems.append("synthetic oracle failure (test)")
 
         monkeypatch.setattr(chaos_module, "_check_convergence", failing_check)
         dump_dir = tmp_path / "dumps"  # created on demand
-        report = run_chaos(11, ChaosConfig(rounds=2, ops_per_round=2), dump_dir=str(dump_dir))
+        config = ChaosConfig(rounds=2, ops_per_round=2)
+        report = run_chaos(11, config, dump_dir=str(dump_dir))
         assert not report.converged
         assert len(report.flight_dumps) == 3  # one per host
         for path in report.flight_dumps:
             assert os.path.dirname(path) == str(dump_dir)
             rendered = render_dump(path)
             assert "chaos_oracle_failure" in rendered
+        # the schedule left beside the dumps reproduces the failed run
+        schedule = decode_trace((dump_dir / "chaos_11.schedule").read_text())
+        system, host_names = chaos_module.build_cluster(11, config)
+        replay_trace(system, schedule)
+        chaos_module.quiesce(system, host_names)
+        assert state_fingerprint(system, host_names) == fingerprints[0]
 
     def test_restarted_host_health_survives_the_reboot(self):
         system, fs = converged_cluster(("a", "b"))

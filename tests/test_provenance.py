@@ -7,16 +7,16 @@ The invariants held here are the ones ARCHITECTURE.md promises:
 * the composed DAG is a pure function of the event set (order-free);
 * ``feeds_of_conflict`` names the exact cross-host write set feeding each
   branch of a conflict — handcrafted and chaos-produced alike;
-* a recorded chaos history replays on a fresh cluster to byte-identical
-  trees and version-vector maps (replicate-and-verify).
+* a chaos run's schedule, executed again on a fresh cluster, reaches
+  byte-identical trees and version-vector maps (replicate-and-verify).
 """
 
 import pytest
 
 from repro.sim import DaemonConfig, FicusSystem
 from repro.telemetry import MINT_KINDS, ProvEvent, VersionDAG, load_dump, snapshot_to_jsonl
-from repro.workload import TraceOp, replay_trace
-from repro.workload.chaos import ChaosConfig, run_chaos
+from repro.workload import TraceOp, decode_trace, encode_trace, replay_trace
+from repro.workload.chaos import ChaosConfig, build_cluster, chaos_schedule, quiesce, run_chaos
 from repro.workload.verify import replicate_and_verify, state_fingerprint
 
 QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
@@ -242,37 +242,24 @@ class TestDagComposition:
         assert ProvEvent.from_dict(event.to_dict()) == event
 
 
+def _executed(seed, config):
+    """A cluster that ran ``seed``'s chaos schedule and quiesced, kept
+    (``run_chaos`` drops its system): same seed, same fault schedule."""
+    system, host_names = build_cluster(seed, config)
+    replay_trace(system, chaos_schedule(seed, config))
+    quiesce(system, host_names)
+    return system
+
+
 class TestChaosProvenance:
     def test_feeds_of_conflict_on_chaos_produced_conflict(self):
         """Acceptance: the write set of a chaos conflict is exact."""
-        from repro.sim import make_topology
-        from repro.workload.chaos import _QUIET
-
-        # run_chaos tears its system down, so record seed 11's history and
-        # replay it onto a cluster we keep — same seed, same fault schedule
-        config = ChaosConfig(record_history=True)
-        report = run_chaos(11, config)
-        assert report.converged
-        assert report.unresolved_conflicts > 0, "seed 11 is expected to conflict"
-        system = FicusSystem(
-            ["h0", "h1", "h2"],
-            daemon_config=_QUIET,
-            topology=make_topology("full_mesh", seed=11),
-        )
-        system.network.faults.reseed(11)
-        system.network.faults.set_default(config.faults)
-        replay_trace(system, report.history, strict=False)
-        system.heal()
-        system.network.faults.clear()
-        system.network.flush_deferred_datagrams()
-        for name in ("h0", "h1", "h2"):
-            system.host(name).propagation_daemon.peer_health.reset()
-            system.host(name).recon_daemon.peer_health.reset()
-        system.reconcile_everything(rounds=5)
+        system = _executed(11, ChaosConfig())
+        assert system.total_conflicts() > 0, "seed 11 is expected to conflict"
 
         dag = system.provenance_dag()
         conflicted = [fh for fh in dag.file_handles() if len(dag.heads(fh)) >= 2]
-        assert conflicted, "replayed seed 11 should hold open conflicts"
+        assert conflicted, "seed 11 should hold open conflicts"
         checked = 0
         for fh in conflicted:
             feeds = dag.feeds_of_conflict(fh)
@@ -296,66 +283,42 @@ class TestChaosProvenance:
         report = run_chaos(7, ChaosConfig(verify_replication=True))
         assert report.converged, report.problems
         assert report.verify is not None and report.verify.identical
-        assert report.verify.ops_replayed + report.verify.ops_failed == len(report.history)
+        assert report.verify.ops_replayed + report.verify.ops_failed == len(report.schedule)
 
     def test_verify_detects_a_tampered_baseline(self):
-        """The byte-diff is not vacuous: corrupt one vv, expect a scream."""
-        config = ChaosConfig(record_history=True)
-        report = run_chaos(7, config)
-        assert report.converged
-
-        from repro.sim import make_topology
-        from repro.workload.chaos import _QUIET
-
-        system = FicusSystem(
-            ["h0", "h1", "h2"],
-            daemon_config=_QUIET,
-            topology=make_topology("full_mesh", seed=7),
+        """The byte-diff is not vacuous: corrupt one file, expect a scream."""
+        config = ChaosConfig()
+        baseline = state_fingerprint(_executed(7, config))
+        store = next(
+            store
+            for host in baseline.values()
+            for store in host["stores"].values()
+            if store["files"]
         )
-        system.network.faults.reseed(7)
-        system.network.faults.set_default(config.faults)
-        replay_trace(system, report.history, strict=False)
-        system.heal()
-        system.network.faults.clear()
-        system.network.flush_deferred_datagrams()
-        for name in ("h0", "h1", "h2"):
-            system.host(name).propagation_daemon.peer_health.reset()
-            system.host(name).recon_daemon.peer_health.reset()
-        system.reconcile_everything(rounds=5)
-        for _ in range(2):
-            for name in ("h0", "h1", "h2"):
-                system.host(name).propagation_daemon.tick()
-
-        baseline = state_fingerprint(system)
-        tampered = False
-        for host in baseline.values():
-            for store in host["stores"].values():
-                for fh, (contents, vv) in store["files"].items():
-                    store["files"][fh] = (contents + b"!tampered", vv)
-                    tampered = True
-                    break
-                if tampered:
-                    break
-            if tampered:
-                break
-        assert tampered
-        verdict = replicate_and_verify(report.history, 7, config, baseline)
+        fh, (contents, vv) = next(iter(store["files"].items()))
+        store["files"][fh] = (contents + b"!tampered", vv)
+        verdict = replicate_and_verify(chaos_schedule(7, config), 7, config, baseline)
         assert not verdict.identical
         assert any("contents diverged" in p for p in verdict.problems)
 
     def test_recording_is_transparent(self):
-        """A recorded run and a bare run of one seed are byte-identical."""
-        bare = run_chaos(23, ChaosConfig())
-        recorded = run_chaos(23, ChaosConfig(record_history=True))
-        assert bare.converged and recorded.converged
-        assert bare.faults_injected == recorded.faults_injected
-        assert bare.tree == recorded.tree
+        """A schedule is a function of the seed, and it is what a run executes."""
+        config = ChaosConfig(crash_prob=0.25, clock_step=1.0)
+        schedule = chaos_schedule(31, config)
+        assert schedule == chaos_schedule(31, config)
+        assert {"advance", "crash", "restart", "tick"} <= {step.op for step in schedule}
+        assert decode_trace(encode_trace(schedule)) == schedule
+        assert run_chaos(31, config).schedule == schedule
 
-    def test_recording_excludes_untraceable_features(self):
-        with pytest.raises(ValueError):
-            run_chaos(7, ChaosConfig(record_history=True, rename_storm=True))
-        with pytest.raises(ValueError):
-            run_chaos(7, ChaosConfig(verify_replication=True, crash_prob=0.2))
+    def test_crashes_and_the_rename_storm_replay_identical(self):
+        """Every run has a schedule, so crash epochs and the rename storm
+        verify like any other seed."""
+        crashes = run_chaos(31, ChaosConfig(crash_prob=0.25, verify_replication=True))
+        storm = run_chaos(1990, ChaosConfig(rename_storm=True, verify_replication=True))
+        assert crashes.crashes >= 1 and "/storm-renamed" in storm.tree
+        for report in (crashes, storm):
+            assert report.converged, report.problems
+            assert report.verify.identical
 
 
 class TestReplayFidelity:

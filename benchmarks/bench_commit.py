@@ -40,7 +40,7 @@ def make_world(disk_blocks: int = 1 << 16):
 
 def insert_file(store, root, name, size):
     fh = FicusFileHandle(VOL, store.new_file_id())
-    root.insert(name, EntryType.FILE, eid=store.new_entry_id(), fh=fh)
+    root.insert(name, EntryType.FILE, fh=fh)
     vnode = root.lookup_fh(fh)
     vnode.write(0, b"a" * size)
     return fh, vnode

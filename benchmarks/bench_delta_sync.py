@@ -64,8 +64,9 @@ def _volrep(system: FicusSystem, host: str):
 
 def measure_no_change_round(dirs: int) -> dict:
     """RPC cost of reconciling an already-converged volume.  (Un-pruned,
-    the walk is one ``lookup_dir`` + one ``getattrs_batch`` per
-    directory by construction: 2 RPCs x ``directories``.)"""
+    the walk is one ``lookup_fh`` of the directory's handle + one
+    ``getattrs_batch`` per directory by construction: 2 RPCs x
+    ``directories``.)"""
     system = build_volume(dirs)
 
     before = system.network.stats.rpcs_sent

@@ -91,7 +91,7 @@ def _insert_file(system: FicusSystem, location, name: str, payload: bytes) -> No
     store = host.physical.store_for(location.volrep)
     root = host.physical.root().lookup(location.volrep.to_hex())
     fh = FicusFileHandle(location.volrep.volume, store.new_file_id())
-    root.insert(name, EntryType.FILE, eid=store.new_entry_id(), fh=fh)
+    root.insert(name, EntryType.FILE, fh=fh)
     root.lookup_fh(fh).write(0, payload)
 
 

@@ -14,7 +14,7 @@ from repro.errors import FileNotFound, InvalidArgument, IsADirectory, NotADirect
 from repro.logical import FicusLogicalLayer, LogicalDirVnode, LogicalFileVnode
 from repro.telemetry import spanned
 from repro.ufs.inode import FileAttributes, FileType
-from repro.vnode.interface import ROOT_CTX, OpContext, Vnode, read_whole
+from repro.vnode.interface import ROOT_CTX, OpContext, SetAttrs, Vnode, read_whole
 
 
 _spanned = partial(spanned, layer="fs", host="logical.host_addr")
@@ -95,7 +95,7 @@ class FicusFile:
         try:
             vnode.open(ctx)
             if "w" in mode:
-                vnode.truncate(0, ctx)
+                vnode.setattr(SetAttrs(size=0), ctx)
             if "a" in mode:
                 self._offset = vnode.getattr(ctx).size
         except Exception:
@@ -138,7 +138,7 @@ class FicusFile:
         self._check_open()
         if not self._writable:
             raise InvalidArgument("file not opened for writing")
-        self._vnode.truncate(size, self._ctx)
+        self._vnode.setattr(SetAttrs(size=size), self._ctx)
 
     def close(self) -> None:
         if self._closed:
@@ -397,19 +397,16 @@ class FicusFileSystem:
     def set_merge_policy(self, path: str, tag: str) -> None:
         """Declare (or change) an existing file's conflict-resolver tag.
 
-        Applied through exactly one replica — the policy change bumps the
-        file's version vector there, and reconciliation propagates the
-        tag like any other update.  (Applying it to several replicas at
-        once would mint concurrent versions and manufacture a conflict.)
+        A ``setattr`` of the tag, so it is applied like any other update:
+        through exactly one replica, whose version vector it bumps, and
+        reconciliation propagates the tag.  (Applying it to several
+        replicas at once would mint concurrent versions and manufacture a
+        conflict.)
         """
         node = self.resolve(path)
         if not isinstance(node, LogicalFileVnode):
             raise InvalidArgument(f"{path!r} is not a regular file")
-        view = self.logical.select_update_replica(
-            node.volume, node.parent_fh, node.fh, ctx=self.ctx
-        )
-        view.dir_vnode.set_policy(node.fh, tag, self.ctx)
-        self.logical.notify_update(node.volume, view.location, node.parent_fh, node.fh)
+        node.setattr(SetAttrs(policy=tag), self.ctx)
 
     def merge_policy(self, path: str) -> str:
         """The file's declared resolver tag (``""`` when none)."""

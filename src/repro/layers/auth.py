@@ -7,9 +7,11 @@ authentication slips into the stack as one more transparent layer.
 
 A transparent layer can only classify what the interface lets it see,
 which is why every request is an operation and none is a name.  Of the
-Ficus extensions, ``insert``, ``remove_entry`` and ``set_policy`` are
-checked as mutations and ``lookup_fh``/``lookup_dir`` as reads; the
-session brackets and the attribute and sync planes pass unchecked.
+Ficus extensions, ``insert`` and ``remove_entry`` are checked as mutations
+(a merge-policy tag is a ``setattr`` field, so it is one too).  The rest
+are checked as reads: ``lookup_fh``, the attribute and sync planes, and
+the session brackets, which a read-only open issues as well.  Only the
+operations that never reach a replica's data pass unchecked.
 """
 
 from __future__ import annotations
@@ -23,24 +25,12 @@ from repro.vnode.interface import ROOT_CTX, Credential, FileSystemLayer, Vnode
 from repro.vnode.passthrough import NullLayer, PassthroughVnode
 
 #: operations checked as reads: a read-only uid may issue them
-READS = ("read", "getattr", "readdir", "lookup", "lookup_fh", "lookup_dir", "readlink", "access")
+READS = ("read", "getattr", "readdir", "lookup", "lookup_fh", "readlink", "access")
+READS += ("session_open", "session_close", "getattrs_batch", "sync_probe", "block_digests", "read_blocks")
 
 #: operations checked as mutations: a read-only uid is refused them
-MUTATIONS = (
-    "write",
-    "truncate",
-    "setattr",
-    "create",
-    "mkdir",
-    "remove",
-    "rmdir",
-    "rename",
-    "link",
-    "symlink",
-    "insert",
-    "remove_entry",
-    "set_policy",
-)
+MUTATIONS = ("write", "setattr", "create", "mkdir", "remove", "rmdir", "rename", "link", "symlink")
+MUTATIONS += ("insert", "remove_entry")
 
 
 @dataclass

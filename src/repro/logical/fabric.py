@@ -81,6 +81,6 @@ class Fabric:
         from repro.errors import StaleFileHandle
 
         try:
-            return self.volume_root(host, volrep).lookup_dir(fh)
+            return self.volume_root(host, volrep).lookup_fh(fh)
         except StaleFileHandle:
-            return self.volume_root(host, volrep).lookup_dir(fh)
+            return self.volume_root(host, volrep).lookup_fh(fh)

@@ -514,7 +514,7 @@ class FicusLogicalLayer(FileSystemLayer):
         be obtained from the replica receiving the update" (Section 2.5).
 
         It is sent once per update: once per namespace operation, once per
-        write, truncate or ``setattr`` outside a session, and once for a
+        write or ``setattr`` outside a session, and once for a
         whole update session, by its close (:meth:`close_file`).  Best
         effort, once: a lost datagram leaves the update to reconciliation.
 
@@ -715,7 +715,7 @@ class FicusLogicalLayer(FileSystemLayer):
 
         replica = self.select_update_replica(parent.volume, parent.fh)
         entry = replica.dir_vnode.insert(name, EntryType.GRAFT_POINT, data=target_volume.to_hex())
-        graft_dir = replica.dir_vnode.lookup_dir(entry.fh)
+        graft_dir = replica.dir_vnode.lookup_fh(entry.fh)
         for location in locations:
             graft_dir.insert(
                 location_entry_name(location.volrep.replica_id), EntryType.LOCATION, data=location.host
@@ -739,7 +739,7 @@ class FicusLogicalLayer(FileSystemLayer):
 
         replica = self.select_update_replica(parent.volume, parent.fh)
         entry = parent._find_entry_at(replica, graft_name)
-        graft_dir = replica.dir_vnode.lookup_dir(entry.fh)
+        graft_dir = replica.dir_vnode.lookup_fh(entry.fh)
         graft_dir.insert(
             location_entry_name(location.volrep.replica_id), EntryType.LOCATION, data=location.host
         )

@@ -394,11 +394,6 @@ class LogicalFileVnode(Vnode):
         self.layer.health.record_op("file.write", self.fh, ctx)
         return self._update(lambda child: child.write(offset, data, ctx), ctx)
 
-    @_spanned("logical.truncate")
-    def truncate(self, size: int, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.health.record_op("file.truncate", self.fh, ctx)
-        self._update(lambda child: child.truncate(size, ctx), ctx)
-
     def fsync(self, ctx: OpContext = ROOT_CTX) -> None:
         self._retry_stale(lambda: self._update_view(ctx).child(self.fh, ctx).fsync(ctx), ctx)
 
@@ -407,7 +402,10 @@ class LogicalFileVnode(Vnode):
     def getattr(self, ctx: OpContext = ROOT_CTX) -> FileAttributes:
         return self._retry_stale(lambda: self._read_child(ctx).getattr(ctx), ctx)
 
+    @_spanned("logical.setattr")
     def setattr(self, attrs: SetAttrs, ctx: OpContext = ROOT_CTX) -> None:
+        if attrs.size is not None:
+            self.layer.health.record_op("file.truncate", self.fh, ctx)
         self._update(lambda child: child.setattr(attrs, ctx), ctx)
 
     def access(self, mode: int, ctx: OpContext = ROOT_CTX) -> bool:

@@ -18,9 +18,9 @@ design reacts to them:
 * **Caching is not fully controllable.**  The client keeps an attribute
   cache and a directory-name-lookup cache with time-based expiry ("there is
   no user-level way to disable all caching"), so upper layers can observe
-  bounded staleness exactly as Ficus had to tolerate.  The three lookups
-  (``lookup``, ``lookup_fh``, ``lookup_dir``) share that cache and its
-  rules; mutations are never answered from it.
+  bounded staleness exactly as Ficus had to tolerate.  The two lookups
+  (``lookup`` by name, ``lookup_fh`` by Ficus file handle) share that
+  cache and its rules; mutations are never answered from it.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class NfsClientConfig:
 #: Everything else in the protocol is idempotent — reads trivially, and
 #: the other Ficus mutations by construction (``remove_entry`` is keyed
 #: on the entry id it carries, writes carry absolute offsets, a session is
-#: open or not so a replayed bracket is a no-op, and ``set_policy``
-#: re-applies harmlessly).
+#: open or not so a replayed bracket is a no-op, and a ``setattr`` sets
+#: the same values again).
 NON_IDEMPOTENT_OPS = frozenset({"create", "mkdir", "symlink", "link", "insert"})
 
 
@@ -372,17 +372,13 @@ class NfsClientVnode(Vnode):
         assert isinstance(written, int)
         return written
 
-    def truncate(self, size: int, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.call_h(self.handle, "truncate", size, ctx=ctx)
-        self.layer.invalidate_handle(self.handle)
-
     def fsync(self, ctx: OpContext = ROOT_CTX) -> None:
         """NFS writes in this simulation are write-through already."""
 
     # -- namespace --
 
     def _lookup(self, op: str, key, ctx: OpContext) -> Vnode:
-        """One of the three lookups — by name or by Ficus file handle, a
+        """One of the two lookups — by name or by Ficus file handle, a
         frozen value that crosses as it is — through the name cache."""
         cached = self.layer._cached_name(self.handle, key, op)
         if cached is not None:
@@ -398,20 +394,14 @@ class NfsClientVnode(Vnode):
     def lookup_fh(self, fh, ctx: OpContext = ROOT_CTX) -> Vnode:
         return self._lookup("lookup_fh", fh, ctx)
 
-    def lookup_dir(self, fh, ctx: OpContext = ROOT_CTX) -> Vnode:
-        return self._lookup("lookup_dir", fh, ctx)
-
     def insert(self, name: str, etype, *, ctx: OpContext = ROOT_CTX, **fields: object):
         entry = self.layer.call_h(self.handle, "insert", name, etype, ctx=ctx, **fields)
         self.layer.invalidate_handle(self.handle)
         return entry
 
-    def remove_entry(self, eid, from_recon: bool = False, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.call_h(self.handle, "remove_entry", eid, from_recon, ctx=ctx)
+    def remove_entry(self, eid, ctx: OpContext = ROOT_CTX) -> None:
+        self.layer.call_h(self.handle, "remove_entry", eid, ctx=ctx)
         self.layer.invalidate_handle(self.handle)
-
-    def set_policy(self, fh, tag: str, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.call_h(self.handle, "set_policy", fh, tag, ctx=ctx)
 
     def create(self, name: str, perm: int = 0o644, ctx: OpContext = ROOT_CTX) -> Vnode:
         reply = self.layer.call_h(self.handle, "create", name, perm, ctx=ctx)

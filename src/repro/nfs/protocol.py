@@ -29,7 +29,7 @@ DROPPED_OPERATIONS = ("open", "close")
 #: Vnode operations that never leave a host: the client answers them
 #: itself (``access`` from its attributes, ``fsync`` because writes are
 #: write-through, ``inactive`` by dropping its cache entries) or not at all.
-LOCAL_OPERATIONS = ("ioctl", "select", "access", "fsync", "inactive", "bmap", "sync")
+LOCAL_OPERATIONS = ("ioctl", "select", "access", "fsync", "inactive", "bmap")
 
 #: Every other vnode operation crosses the hop as one RPC of its name.
 CARRIED_OPERATIONS = tuple(

@@ -219,7 +219,7 @@ class FicusPhysicalLayer(FileSystemLayer):
     def note_update(
         self, store: ReplicaStore, parent_fh: FicusFileHandle, fh: FicusFileHandle
     ) -> None:
-        """A write/truncate happened: advance the version vector.
+        """A write or a size setattr happened: advance the version vector.
 
         Inside an open/close session the bump is deferred to close so one
         whole update session counts as a single update — this is what

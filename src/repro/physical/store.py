@@ -103,7 +103,7 @@ from repro.util import (
     decode_record,
     encode_record,
 )
-from repro.vnode.interface import Vnode
+from repro.vnode.interface import SetAttrs, Vnode
 from repro.vv import VersionVector
 
 #: Every volume root directory has this well-known file-id (issuer 0 is
@@ -307,7 +307,7 @@ class ReplicaStore:
             self.stats.records_in_place += 1
         else:
             self.stats.records_resized += 1
-            vnode.truncate(0)
+            vnode.setattr(SetAttrs(size=0))
         if data:
             vnode.write(0, data)
 
@@ -809,7 +809,7 @@ class ReplicaStore:
         except FileNotFound:
             self.stats.shadows_created += 1
             shadow = unix_dir.create(key + SHADOW_SUFFIX)
-        shadow.truncate(0)
+        shadow.setattr(SetAttrs(size=0))
         if contents:
             shadow.write(0, contents)
         ancestor = _ancestor_of(contents)

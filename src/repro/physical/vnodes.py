@@ -9,14 +9,16 @@ Section 2.6).  Its vnodes are:
   Ficus file handle via the directory file, handle -> inode via the
   hex-encoded UFS name).  Everything else a caller may ask of a replica is
   a vnode operation our NFS forwards: update-session brackets, the
-  attribute and sync planes, access by handle (``lookup_fh``,
-  ``lookup_dir``), entry ``insert``/``remove_entry`` and ``set_policy``.
+  attribute and sync planes, access by handle (``lookup_fh``, for a child
+  file or any directory of the volume replica) and entry
+  ``insert``/``remove_entry``.
   The directory has no ``create``/``mkdir``/``remove``/``rmdir``/``rename``
   of its own — the logical layer composes those from insert and remove —
   and shadow/commit belong to the store, called by the reconciliation that
   runs beside it, never remotely.
 * :class:`PhysicalFileVnode` — one regular-file (or symlink) replica;
-  writes advance the replica's version vector.
+  writes advance the replica's version vector, and so does a ``setattr``
+  of its size or of its merge-policy tag.
 
 Name conflicts between live entries (possible after optimistic concurrent
 inserts) are repaired *deterministically at read time*: every replica
@@ -189,12 +191,15 @@ class PhysicalDirVnode(Vnode):
             )
         return self.layer.file_vnode(self.store, self.fh, entry.fh, entry.etype)
 
-    def find_live_by_fh(self, fh: FicusFileHandle) -> DirectoryEntry:
+    def find_live_by_fh(self, fh: FicusFileHandle) -> DirectoryEntry | None:
+        """The live entry naming ``fh`` here, if any.  Handles compare by
+        their cached hash first: a full comparison is a nested one."""
         logical = fh.logical
+        key = hash(logical)
         for entry in self.entries():
-            if entry.live and entry.fh == logical:
+            if hash(entry.fh) == key and entry.fh == logical and entry.live:
                 return entry
-        raise FileNotFound(f"no live entry for {fh} in directory {self.fh}")
+        return None
 
     # -- attributes ----------------------------------------------------------
 
@@ -208,6 +213,8 @@ class PhysicalDirVnode(Vnode):
     def setattr(self, attrs: SetAttrs, ctx: OpContext = ROOT_CTX) -> None:
         if attrs.size is not None:
             raise IsADirectory("cannot truncate a directory")
+        if attrs.policy is not None:
+            raise InvalidArgument("a directory has no merge policy")
         self._fdir_vnode().setattr(attrs, ctx)
 
     def access(self, mode: int, ctx: OpContext = ROOT_CTX) -> bool:
@@ -242,7 +249,8 @@ class PhysicalDirVnode(Vnode):
 
     def session_open(self, fh: FicusFileHandle, ctx: OpContext = ROOT_CTX) -> None:
         """Begin an update session on the child file ``fh``."""
-        self.find_live_by_fh(fh)  # raises FileNotFound for dangling handles
+        if self.find_live_by_fh(fh) is None:
+            raise FileNotFound(f"no live entry for {fh} in directory {self.fh}")
         self.layer.session_open(self.store, fh.logical)
 
     def session_close(self, fh: FicusFileHandle, ctx: OpContext = ROOT_CTX) -> bool:
@@ -330,25 +338,16 @@ class PhysicalDirVnode(Vnode):
 
     @_spanned("physical.lookup_fh")
     def lookup_fh(self, fh: FicusFileHandle, ctx: OpContext = ROOT_CTX) -> Vnode:
-        return self._child_vnode(self.find_live_by_fh(fh))
-
-    @_spanned("physical.lookup_dir")
-    def lookup_dir(self, fh: FicusFileHandle, ctx: OpContext = ROOT_CTX) -> Vnode:
-        if not self.store.has_directory(fh):
-            raise FileNotFound(f"directory {fh} not stored in this volume replica")
-        return self.layer.dir_vnode(self.store, fh)
-
-    @_spanned("physical.set_policy")
-    @_one_operation
-    def set_policy(self, fh: FicusFileHandle, tag: str, ctx: OpContext = ROOT_CTX) -> None:
-        aux = self.store.read_file_aux(self.fh, fh)
-        aux.merge_policy = tag
-        # a policy change is an update: bumping the vv makes the tag
-        # propagate (and win) through normal reconciliation
-        prior = aux.vv
-        aux.vv = aux.vv.bump(self.store.replica_id)
-        self.store.write_file_aux(self.fh, fh, aux)
-        self.layer.health.record_version("write", fh, aux.vv, parents=(prior,), detail="setpolicy")
+        """The live child named here with handle ``fh``; failing that, the
+        directory ``fh`` of this volume replica, wherever it is named.
+        (Asking the store about a file handle first would cost a failed
+        Unix lookup per file resolved.)"""
+        entry = self.find_live_by_fh(fh)
+        if entry is not None:
+            return self._child_vnode(entry)
+        if self.store.has_directory(fh):
+            return self.layer.dir_vnode(self.store, fh)
+        raise FileNotFound(f"no live entry or directory {fh} in {self.fh}")
 
     def _bump_dir_vv(self) -> None:
         aux = self.store.staged_dir_aux(self.fh)
@@ -356,9 +355,9 @@ class PhysicalDirVnode(Vnode):
 
     @_spanned("physical.insert")
     def insert(
-        self, name: str, etype: EntryType, *, ctx: OpContext = ROOT_CTX, **fields: object
+        self, name: str, etype: EntryType, *, fh=None, data="", link_from=None, merge_policy="", ctx=ROOT_CTX
     ) -> DirectoryEntry:
-        return self.apply_insert(name, etype, **fields)
+        return self.apply_insert(name, etype, fh=fh, data=data, link_from=link_from, merge_policy=merge_policy)
 
     @_one_operation
     def apply_insert(
@@ -452,10 +451,8 @@ class PhysicalDirVnode(Vnode):
         self.store.write_entries(self.fh, entries)
 
     @_spanned("physical.remove")
-    def remove_entry(
-        self, eid: EntryId, from_recon: bool = False, ctx: OpContext = ROOT_CTX
-    ) -> None:
-        self.apply_remove(eid, from_recon)
+    def remove_entry(self, eid: EntryId, ctx: OpContext = ROOT_CTX) -> None:
+        self.apply_remove(eid)
 
     @_one_operation
     def apply_remove(self, eid: EntryId, from_recon: bool = False) -> None:
@@ -578,11 +575,6 @@ class PhysicalFileVnode(Vnode):
         self.layer.note_update(self.store, self.parent_fh, self.fh)
         return written
 
-    @_spanned("physical.truncate")
-    def truncate(self, size: int, ctx: OpContext = ROOT_CTX) -> None:
-        self._contents().truncate(size, ctx)
-        self.layer.note_update(self.store, self.parent_fh, self.fh)
-
     def fsync(self, ctx: OpContext = ROOT_CTX) -> None:
         self._contents().fsync(ctx)
 
@@ -595,7 +587,17 @@ class PhysicalFileVnode(Vnode):
         self.layer.register_vnode(attrs.fileid, self)
         return attrs
 
+    @_spanned("physical.setattr")
     def setattr(self, attrs: SetAttrs, ctx: OpContext = ROOT_CTX) -> None:
+        if attrs.policy is not None:
+            # a policy change is an update, bumped at once (not coalesced
+            # into a session): the tag propagates, and wins, through recon
+            with self.store.operation():
+                aux = self.aux()
+                prior, aux.merge_policy, aux.vv = aux.vv, attrs.policy, aux.vv.bump(self.store.replica_id)
+                self.store.write_file_aux(self.parent_fh, self.fh, aux)
+            self.layer.health.record_version("write", self.fh, aux.vv, parents=(prior,), detail="setpolicy")
+            attrs = dataclasses.replace(attrs, policy=None)
         self._contents().setattr(attrs, ctx)
         if attrs.size is not None:
             self.layer.note_update(self.store, self.parent_fh, self.fh)

@@ -141,7 +141,7 @@ def reconcile_subtree(
                 continue
 
         try:
-            remote_dir = remote_volume_root.lookup_dir(dir_fh)
+            remote_dir = remote_volume_root.lookup_fh(dir_fh)
         except FileNotFound:
             continue  # remote replica does not store this directory
         except (HostUnreachable, StaleFileHandle):

@@ -311,7 +311,7 @@ class PropagationDaemon:
             remote_root = roots.get(source)
             if remote_root is None:
                 remote_root = roots[source] = self.fabric.volume_root(*source)
-            remote_dir = remote_root.lookup_dir(dir_fh)
+            remote_dir = remote_root.lookup_fh(dir_fh)
             pulls, dir_changed = push_notify_pull(self.physical, group, remote_dir)
         except FicusError:
             return ["unreachable"] * len(group), 0  # nothing in the group is settled

@@ -11,13 +11,32 @@ whether the layer beneath it is local UFS, another Ficus layer, or an NFS
 hop to a different host.
 
 Every operation takes an :class:`~repro.vnode.context.OpContext` carrying
-identity, trace parentage, and cache-control flags; see that module.  The
-interface also carries the operations the original SunOS set lacked but
-Ficus needs (the paper smuggled its two through ``lookup`` names; our NFS
-forwards them): ``session_open``/``session_close``, the attribute and sync
-planes, and the replica-addressed directory operations ``lookup_fh``/
-``lookup_dir``/``insert``/``remove_entry``/``set_policy``.  An operation's
-arguments are data; ``lookup`` takes names and nothing else.
+identity, trace parentage, and cache-control flags; see that module.  An
+operation's arguments are data; ``lookup`` takes names and nothing else.
+
+Twenty-two classic operations are joined by nine that the original SunOS
+set lacked but Ficus needs (the paper smuggled its two through ``lookup``
+names; our NFS forwards them).  A Ficus need that an existing operation
+can carry rides it instead: truncation and a file's merge-policy tag are
+``setattr`` fields, and a directory handle is looked up by ``lookup_fh``.
+Each of the nine stays because nothing classic can say it:
+
+* ``session_open``/``session_close``: the NFS hop drops ``open``/``close``
+  on purpose (paper Sections 2.2-2.3), so the update session needs calls
+  of its own.
+* ``getattrs_batch``: no classic operation returns N attribute records in
+  one reply.
+* ``sync_probe``: it is addressed by handle from the volume root, so a
+  probe costs no lookup RPC; folded into ``getattrs_batch`` it would cost
+  one per probed directory.
+* ``block_digests``/``read_blocks``: a classic ``read`` would need a
+  ``lookup_fh`` first, and one RPC per changed range.
+* ``lookup_fh``: ``lookup`` takes names only.
+* ``remove_entry``: a remove by name is unsafe to retransmit — after a
+  collision repair ``name#<eid>`` becomes ``name``, so a replayed remove
+  would delete the other entry.
+* ``insert``: it carries the handle, link source, entry type and data,
+  which no ``create`` has.
 """
 
 from __future__ import annotations
@@ -66,11 +85,16 @@ class DirEntry:
 
 @dataclass
 class SetAttrs:
-    """Fields settable via setattr; ``None`` means "leave unchanged"."""
+    """Fields settable via setattr; ``None`` means "leave unchanged".
+
+    ``size`` truncates or extends the file, as ``va_size`` does in SunOS.
+    ``policy`` is a Ficus file's conflict-resolver tag; only a physical
+    file replica stores one, and setting it is an update of the file."""
 
     perm: int | None = None
     uid: int | None = None
     size: int | None = None
+    policy: str | None = None
 
 
 class Vnode(abc.ABC):
@@ -81,7 +105,8 @@ class Vnode(abc.ABC):
     ops vector with missing entries; layers override what they support.
     """
 
-    #: Operations comprising the interface ("about two dozen services").
+    #: Operations comprising the interface ("about two dozen services"):
+    #: 22 classic, then the nine Ficus extensions (see the module docstring).
     OPERATIONS = (
         "open",
         "close",
@@ -105,8 +130,6 @@ class Vnode(abc.ABC):
         "fsync",
         "inactive",
         "bmap",
-        "truncate",
-        "sync",
         "session_open",
         "session_close",
         "getattrs_batch",
@@ -114,10 +137,8 @@ class Vnode(abc.ABC):
         "block_digests",
         "read_blocks",
         "lookup_fh",
-        "lookup_dir",
         "insert",
         "remove_entry",
-        "set_policy",
     )
 
     # -- object lifetime ----------------------------------------------------
@@ -143,9 +164,6 @@ class Vnode(abc.ABC):
         """Write bytes; returns the number written."""
         raise NotSupported("write")
 
-    def truncate(self, size: int, ctx: OpContext = ROOT_CTX) -> None:
-        raise NotSupported("truncate")
-
     def fsync(self, ctx: OpContext = ROOT_CTX) -> None:
         raise NotSupported("fsync")
 
@@ -157,9 +175,6 @@ class Vnode(abc.ABC):
 
     def bmap(self, file_block: int) -> int:
         raise NotSupported("bmap")
-
-    def sync(self) -> None:
-        raise NotSupported("sync")
 
     # -- attributes -------------------------------------------------------------
 
@@ -267,47 +282,35 @@ class Vnode(abc.ABC):
         raise NotSupported("read_blocks")
 
     def lookup_fh(self, fh: "FicusFileHandle", ctx: OpContext = ROOT_CTX) -> "Vnode":
-        """The child this directory replica names, addressed by file handle."""
+        """An object addressed by Ficus file handle: the live child this
+        directory replica names, or any directory of the same volume
+        replica."""
         raise NotSupported("lookup_fh")
-
-    def lookup_dir(self, fh: "FicusFileHandle", ctx: OpContext = ROOT_CTX) -> "Vnode":
-        """Any directory of the same volume replica, addressed by handle."""
-        raise NotSupported("lookup_dir")
 
     def insert(
         self,
         name: str,
         etype: "EntryType",
         *,
-        eid: "EntryId | None" = None,
         fh: "FicusFileHandle | None" = None,
         data: str = "",
         link_from: "FicusFileHandle | None" = None,
-        from_recon: bool = False,
         merge_policy: str = "",
         ctx: OpContext = ROOT_CTX,
     ) -> "DirectoryEntry":
         """Insert a directory entry; the entry made is the reply.
 
-        ``eid`` and ``fh`` left ``None`` are minted by the applying replica
-        ("each volume replica assigns file identifiers to new files
-        independently", Section 4.2).  ``link_from`` names the directory
-        already holding the file's storage when this adds another name;
-        ``from_recon`` publishes the entry without contents or a version
-        bump; ``merge_policy`` is the new file's conflict-resolver tag.
+        The applying replica mints the entry id, and the file handle when
+        ``fh`` is ``None`` ("each volume replica assigns file identifiers
+        to new files independently", Section 4.2).  ``link_from`` names the
+        directory already holding the file's storage when this adds another
+        name; ``merge_policy`` is the new file's conflict-resolver tag.
         """
         raise NotSupported("insert")
 
-    def remove_entry(
-        self, eid: "EntryId", from_recon: bool = False, ctx: OpContext = ROOT_CTX
-    ) -> None:
+    def remove_entry(self, eid: "EntryId", ctx: OpContext = ROOT_CTX) -> None:
         """Tombstone the entry with id ``eid`` (idempotent)."""
         raise NotSupported("remove_entry")
-
-    def set_policy(self, fh: "FicusFileHandle", tag: str, ctx: OpContext = ROOT_CTX) -> None:
-        """Declare a child file's merge-policy tag; bumps its version vector
-        so the tag propagates with the next reconciliation round."""
-        raise NotSupported("set_policy")
 
     # -- conveniences shared by all layers -----------------------------------------
 

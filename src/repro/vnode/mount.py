@@ -84,8 +84,8 @@ class MountVnode(PassthroughVnode):
     remembering the path so lookups can detect mount crossings.
 
     Only the operations that name a child involve the path; every other
-    operation forwards unchanged.  ``lookup_fh`` and ``lookup_dir`` would
-    have to invent the path of what they reach, so they stay unsupported.
+    operation forwards unchanged.  ``lookup_fh`` would have to invent the
+    path of what it reaches, so it stays unsupported.
     """
 
     layer: MountLayer
@@ -144,9 +144,6 @@ class MountVnode(PassthroughVnode):
 
     def lookup_fh(self, fh, ctx: OpContext = ROOT_CTX) -> Vnode:
         raise NotSupported("lookup_fh")
-
-    def lookup_dir(self, fh, ctx: OpContext = ROOT_CTX) -> Vnode:
-        raise NotSupported("lookup_dir")
 
     def __repr__(self) -> str:
         return f"MountVnode(/{'/'.join(self.path)})"

@@ -66,9 +66,6 @@ class PassthroughVnode(Vnode):
     def write(self, offset: int, data: bytes, ctx: OpContext = ROOT_CTX) -> int:
         return self.lower.write(offset, data, ctx)
 
-    def truncate(self, size: int, ctx: OpContext = ROOT_CTX) -> None:
-        self.lower.truncate(size, ctx)
-
     def fsync(self, ctx: OpContext = ROOT_CTX) -> None:
         self.lower.fsync(ctx)
 
@@ -153,17 +150,11 @@ class PassthroughVnode(Vnode):
     def lookup_fh(self, fh, ctx: OpContext = ROOT_CTX) -> Vnode:
         return self._wrap(self.lower.lookup_fh(fh, ctx))
 
-    def lookup_dir(self, fh, ctx: OpContext = ROOT_CTX) -> Vnode:
-        return self._wrap(self.lower.lookup_dir(fh, ctx))
-
     def insert(self, name: str, etype, *, ctx: OpContext = ROOT_CTX, **fields: object):
         return self.lower.insert(name, etype, ctx=ctx, **fields)
 
-    def remove_entry(self, eid, from_recon: bool = False, ctx: OpContext = ROOT_CTX) -> None:
-        self.lower.remove_entry(eid, from_recon, ctx)
-
-    def set_policy(self, fh, tag: str, ctx: OpContext = ROOT_CTX) -> None:
-        self.lower.set_policy(fh, tag, ctx)
+    def remove_entry(self, eid, ctx: OpContext = ROOT_CTX) -> None:
+        self.lower.remove_entry(eid, ctx)
 
     def __repr__(self) -> str:
         return f"PassthroughVnode({self.layer.layer_name}, {self.lower!r})"

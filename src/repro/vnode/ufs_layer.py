@@ -7,7 +7,7 @@ vnode interface, making it a drop-in bottom layer.
 
 from __future__ import annotations
 
-from repro.errors import FicusError, PermissionDenied
+from repro.errors import FicusError, InvalidArgument, PermissionDenied
 from repro.ufs import ROOT_INO, FileType, Ufs
 from repro.ufs.inode import FileAttributes
 from repro.vnode.interface import (
@@ -78,15 +78,14 @@ class UfsVnode(Vnode):
         self.fs.write_file(self.ino, offset, data)
         return len(data)
 
-    def truncate(self, size: int, ctx: OpContext = ROOT_CTX) -> None:
-        self.fs.truncate_file(self.ino, size)
-
     # -- attributes --
 
     def getattr(self, ctx: OpContext = ROOT_CTX) -> FileAttributes:
         return self.fs.getattr(self.ino)
 
     def setattr(self, attrs: SetAttrs, ctx: OpContext = ROOT_CTX) -> None:
+        if attrs.policy is not None:
+            raise InvalidArgument("a UFS file has no merge policy")
         if attrs.size is not None:
             self.fs.truncate_file(self.ino, attrs.size)
         if attrs.perm is not None or attrs.uid is not None:

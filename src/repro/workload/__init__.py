@@ -18,7 +18,9 @@ from repro.workload.partitions import (
 from repro.workload.replay import (
     ReplayResult,
     TraceOp,
+    decode_schedule,
     decode_trace,
+    encode_schedule,
     encode_trace,
     replay_trace,
     synthesize_trace,
@@ -47,7 +49,9 @@ __all__ = [
     "replicate_and_verify",
     "state_fingerprint",
     "apply_epoch",
+    "decode_schedule",
     "decode_trace",
+    "encode_schedule",
     "encode_trace",
     "replay_trace",
     "synthesize_trace",

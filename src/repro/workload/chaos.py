@@ -41,7 +41,7 @@ from repro.errors import FicusError
 from repro.net import LinkFaults
 from repro.physical import ficus_fsck
 from repro.sim import DaemonConfig, FicusSystem, make_topology
-from repro.workload.replay import CLIENT_OPS, TraceOp, encode_trace, replay_trace
+from repro.workload.replay import CLIENT_OPS, TraceOp, encode_schedule, replay_trace
 
 #: seed under which the harness always replays the cross-host rename
 #: collision (the PR's headline bug) inside the chaos schedule
@@ -310,7 +310,7 @@ def _dump_evidence(
         path = os.path.join(dump_dir, f"ficus_flight_chaos_{seed}_{host_name}.jsonl")
         report.flight_dumps.append(plane.recorder.write_dump(snapshot, path))
     with open(os.path.join(dump_dir, f"chaos_{seed}.schedule"), "w") as out:
-        out.write(encode_trace(report.schedule) + "\n")
+        out.write(encode_schedule(report.schedule))
 
 
 def _rename_storm(system: FicusSystem, host_names: list[str]) -> None:

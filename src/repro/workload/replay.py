@@ -110,6 +110,22 @@ def decode_trace(text: str) -> list[TraceOp]:
     return ops
 
 
+#: A schedule file's first line, its format version.  A change to what a
+#: step does bumps it, so an old file is refused rather than misread.
+SCHEDULE_HEADER = "schedule=1"
+
+
+def encode_schedule(steps: list[TraceOp]) -> str:
+    return f"{SCHEDULE_HEADER}\n{encode_trace(steps)}\n"
+
+
+def decode_schedule(text: str) -> list[TraceOp]:
+    header, _, body = text.partition("\n")
+    if header != SCHEDULE_HEADER:
+        raise InvalidArgument(f"schedule header {header!r} is not {SCHEDULE_HEADER!r}")
+    return decode_trace(body)
+
+
 @dataclass
 class ReplayResult:
     """What happened during one replay."""

@@ -19,11 +19,12 @@ from repro.vnode import UfsLayer
 from repro.vnode.interface import ROOT_CTX, OpContext
 from repro.workload import (
     ChaosConfig,
-    decode_trace,
+    decode_schedule,
     replay_trace,
     run_chaos,
     state_fingerprint,
 )
+from repro.workload.replay import SCHEDULE_HEADER
 
 QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
 
@@ -377,8 +378,12 @@ class TestCrashChaos:
             assert os.path.dirname(path) == str(dump_dir)
             rendered = render_dump(path)
             assert "chaos_oracle_failure" in rendered
-        # the schedule left beside the dumps reproduces the failed run
-        schedule = decode_trace((dump_dir / "chaos_11.schedule").read_text())
+        # the schedule left beside the dumps, under its format version,
+        # reproduces the failed run
+        text = (dump_dir / "chaos_11.schedule").read_text()
+        assert text.splitlines()[0] == SCHEDULE_HEADER == "schedule=1"
+        schedule = decode_schedule(text)
+        assert schedule == report.schedule
         system, host_names = chaos_module.build_cluster(11, config)
         replay_trace(system, schedule)
         chaos_module.quiesce(system, host_names)

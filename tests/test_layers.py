@@ -10,7 +10,8 @@ from repro.errors import FileNotFound, NotSupported, PermissionDenied
 from repro.layers import AccessPolicy, AuthLayer, CryptLayer, Keystream, MonitorLayer
 from repro.storage import BlockDevice
 from repro.ufs import Ufs, fsck
-from repro.vnode import Credential, FileSystemLayer, OpContext, PassthroughVnode, UfsLayer, Vnode
+from repro.vv import VersionVector
+from repro.vnode import Credential, FileSystemLayer, OpContext, PassthroughVnode, SetAttrs, UfsLayer, Vnode
 
 
 @pytest.fixture
@@ -175,18 +176,19 @@ class TestAuthLayer:
                 denied.add(op)
             except NotSupported:
                 pass  # select: the pass-through layer does not forward it
-        reads = {"read", "getattr", "readdir", "lookup", "lookup_fh", "lookup_dir", "readlink", "access"}
-        mutations = {"write", "truncate", "setattr", "create", "mkdir", "remove", "rmdir", "rename"}
-        mutations |= {"link", "symlink", "insert", "remove_entry", "set_policy"}
+        reads = {"read", "getattr", "readdir", "lookup", "lookup_fh", "readlink", "access"}
+        reads |= {"session_open", "session_close", "getattrs_batch", "sync_probe", "block_digests", "read_blocks"}
+        mutations = {"write", "setattr", "create", "mkdir", "remove", "rmdir", "rename"}
+        mutations |= {"link", "symlink", "insert", "remove_entry"}
         checked = reads | mutations
         assert denied == checked
         assert auth.denials == len(checked)
         assert not checked & set(stub.received)
 
     def test_ficus_mutations_gated_handle_lookups_are_reads(self, ufs_layer):
-        """insert, remove_entry and set_policy are operations, so the layer
-        can tell them from the lookups beside them (as a lookup *name*,
-        setpolicy walked straight through a read-only uid's check)."""
+        """insert, remove_entry and a policy setattr are operations, so the
+        layer can tell them from the lookups beside them (as a lookup
+        *name*, setpolicy walked straight through a read-only uid's check)."""
         from repro.physical import EntryType, FicusPhysicalLayer
         from repro.util import VolumeId, VolumeReplicaId
 
@@ -197,17 +199,51 @@ class TestAuthLayer:
         root = auth.root().lookup(vr.to_hex())
         entry = root.insert("f", EntryType.FILE)
         reader = OpContext(cred=Credential(uid=7))
-        assert root.lookup_fh(entry.fh, reader).read(0, 8, reader) == b""
-        assert root.lookup_dir(store.root_handle(), reader).readdir(reader)[0].name == "f"
+        child = root.lookup_fh(entry.fh, reader)
+        assert child.read(0, 8, reader) == b""
+        assert root.lookup_fh(store.root_handle(), reader).readdir(reader)[0].name == "f"
         with pytest.raises(PermissionDenied):
             root.insert("g", EntryType.FILE, ctx=reader)
         with pytest.raises(PermissionDenied):
             root.remove_entry(entry.eid, ctx=reader)
         with pytest.raises(PermissionDenied):
-            root.set_policy(entry.fh, "lww", reader)
+            child.setattr(SetAttrs(policy="lww"), reader)
         assert auth.denials == 3
         assert [(e.name, e.live) for e in store.read_entries(store.root_handle())] == [("f", True)]
         assert store.read_file_aux(store.root_handle(), entry.fh).merge_policy == ""
+
+    def test_the_sync_plane_is_admitted_like_a_read(self, ufs_layer):
+        """A uid the layer does not admit gets none of a replica's bytes or
+        records through the attribute and sync planes or the session
+        brackets, while a read-only uid (whose open brackets a session)
+        gets all of them."""
+        from repro.physical import EntryType, FicusPhysicalLayer
+        from repro.util import VolumeId, VolumeReplicaId
+
+        phys = FicusPhysicalLayer(ufs_layer, "hostX")
+        vr = VolumeReplicaId(VolumeId(1, 1), 1)
+        phys.create_volume_replica(vr)
+        below = phys.root().lookup(vr.to_hex())
+        fh = below.insert("secret", EntryType.FILE).fh
+        below.lookup_fh(fh).write(0, b"top secret bytes")
+        auth = AuthLayer(phys, AccessPolicy(allowed_uids={1, 2}, read_only_uids={2}))
+        root = auth.root().lookup(vr.to_hex())
+        sync_plane = {
+            "read_blocks": lambda ctx: root.read_blocks(fh, [0], ctx),
+            "block_digests": lambda ctx: root.block_digests(fh, ctx).vv,
+            "getattrs_batch": lambda ctx: root.getattrs_batch(None, ctx).child(fh).vv,
+            "sync_probe": lambda ctx: root.sync_probe(None, ctx).digest != "",
+            "session_open": lambda ctx: root.session_open(fh, ctx),
+            "session_close": lambda ctx: root.session_close(fh, ctx),
+        }
+        reader = OpContext(cred=Credential(uid=2))
+        answers = [op(reader) for op in sync_plane.values()]
+        assert answers == [{0: b"top secret bytes"}, VersionVector({1: 1}), VersionVector({1: 1}), True, None, False]
+        intruder = OpContext(cred=Credential(uid=7))
+        for op in sync_plane.values():
+            with pytest.raises(PermissionDenied):
+                op(intruder)
+        assert auth.denials == len(sync_plane)
 
 
 class TestKeystream:

@@ -274,8 +274,8 @@ class TestOneNotificationPerSession:
         node = world.host("a").fs().resolve("/f")
         for update in (
             lambda: node.write(0, b"V"),
-            lambda: node.truncate(1),
             lambda: node.setattr(SetAttrs(size=0)),
+            lambda: node.setattr(SetAttrs(policy="lww")),
         ):
             notes_before, _ = self.sent(world, "a")
             update()
@@ -398,7 +398,7 @@ class TestStaleHandles:
         system.host("b").fs().write_file("/d/f", b"version two, longer")
         system.heal()
         system.reconcile_everything()
-        node.truncate(4)
+        node.setattr(SetAttrs(size=4))
         assert fs.read_file("/d/f") == b"vers"
 
     def test_server_reboot_between_two_warm_reads(self, world):

@@ -2,19 +2,20 @@
 
 import pytest
 
-from repro.errors import FileNotFound, NameTooLong, RpcTimeout, StaleFileHandle
+from repro.errors import FileNotFound, InvalidArgument, NameTooLong, RpcTimeout, StaleFileHandle
 from repro.layers import MonitorLayer
 from repro.net import Network
 from repro.nfs import NfsClientConfig, NfsClientLayer, NfsServer
-from repro.physical import EntryType, FicusPhysicalLayer
+from repro.physical import EntryType, FicusPhysicalLayer, volume_root_handle
 from repro.sim import DaemonConfig, FicusSystem
 from repro.storage import BlockDevice
 from repro.telemetry import TraceContext
 from repro.ufs import MAX_NAME_LEN, FileType, Ufs
-from repro.util import VolumeId, VolumeReplicaId
-from repro.vnode import UfsLayer
+from repro.util import FicusFileHandle, FileId, VolumeId, VolumeReplicaId
+from repro.vnode import SetAttrs, UfsLayer
 from repro.vnode.context import ROOT_CTX, Credential, OpContext
 from repro.vnode.passthrough import NullLayer, PassthroughVnode
+from repro.vv import VersionVector
 
 
 @pytest.fixture
@@ -89,7 +90,7 @@ class TestRemoteOperations:
         _, _, _, client = world
         f = client.root().create("f")
         f.write(0, b"0123456789")
-        f.truncate(3)
+        f.setattr(SetAttrs(size=3))
         assert f.read_all() == b"012"
 
     def test_changes_visible_to_local_layer(self, world):
@@ -284,7 +285,7 @@ def drive_ficus_ops(root, name: str):
     d = root.insert("d", EntryType.DIRECTORY)
     with pytest.raises(FileNotFound):
         root.lookup(f"@@dir|{d.fh.to_hex()}")  # a name is never a command
-    sub = root.lookup_dir(d.fh)
+    sub = root.lookup_fh(d.fh)
     try:
         entry = sub.insert(name, EntryType.FILE, merge_policy="lww")
     except NameTooLong:
@@ -294,7 +295,7 @@ def drive_ficus_ops(root, name: str):
     sub.lookup_fh(entry.fh).write(0, name.encode())
     seen = [entry, sub.session_close(entry.fh), sub.session_close(entry.fh)]
     seen.append(sub.lookup(name).read_all())
-    sub.set_policy(entry.fh, "append-log")
+    sub.lookup_fh(entry.fh).setattr(SetAttrs(policy="append-log"))
     aux = sub.getattrs_batch([entry.fh]).child(entry.fh)
     seen += [aux.merge_policy, aux.vv, [row.name for row in sub.readdir()]]
     seen += [sub.getattrs_batch(), root.sync_probe(), root.sync_probe(d.fh)]
@@ -408,18 +409,57 @@ class TestFicusOpsOverNfs:
         assert not physical.has_open_session(store, fh)
 
     def test_handle_lookups_ride_the_name_cache(self):
+        """``lookup`` and ``lookup_fh`` share one name cache and its rules."""
         net, root = ficus_root(hop=True)
         d, f = root.insert("d", EntryType.DIRECTORY), root.insert("f", EntryType.FILE)
-        sub, child = root.lookup_dir(d.fh), root.lookup_fh(f.fh)
+        sub, child = root.lookup("d"), root.lookup_fh(f.fh)
         sent = net.stats.rpcs_sent
-        assert root.lookup_dir(d.fh) == sub and root.lookup_fh(f.fh) == child
+        assert root.lookup("d") == sub and root.lookup_fh(f.fh) == child
         assert net.stats.rpcs_sent == sent  # warm, inside the TTL
         root.layer.note_stale(child.handle)
-        assert root.lookup_fh(f.fh) == child and root.lookup_dir(d.fh) == sub
+        assert root.lookup_fh(f.fh) == child and root.lookup("d") == sub
         assert net.stats.rpcs_sent == sent + 1  # only the stale one re-resolved
         net.clock.advance(10.0)
-        root.lookup_dir(d.fh)
+        assert root.lookup_fh(d.fh) == sub
         assert net.stats.rpcs_sent == sent + 2  # past the TTL
+
+    @pytest.mark.parametrize("hop", [False, True], ids=["local", "through the hop"])
+    def test_lookup_fh_reaches_a_directory_the_addressed_one_does_not_name(self, hop):
+        """What a walk would reach, one ``lookup_fh`` reaches from any
+        directory of the volume replica: a grandchild, or the root."""
+        _, root = ficus_root(hop)
+        d = root.insert("d", EntryType.DIRECTORY)
+        sub = root.lookup_fh(d.fh)
+        e = sub.insert("e", EntryType.DIRECTORY)
+        assert root.lookup_fh(e.fh) == sub.lookup("e")
+        assert sub.lookup_fh(volume_root_handle(VR.volume)) == root
+        with pytest.raises(FileNotFound):
+            sub.lookup_fh(FicusFileHandle(VR.volume, FileId(9, 9)))
+
+    def test_a_policy_is_refused_by_a_ufs_file_and_by_a_directory(self, world):
+        _, _, _, client = world
+        f = client.root().create("f")
+        with pytest.raises(InvalidArgument):
+            f.setattr(SetAttrs(policy="lww"))
+        _, root = ficus_root(hop=True)
+        with pytest.raises(InvalidArgument):
+            root.setattr(SetAttrs(policy="lww"))
+
+    def test_a_write_file_over_nfs_leaves_the_same_bytes_and_vector(self):
+        """From a diskless client, ``write_file`` ends in a size setattr
+        where it used to end in a truncate: the replica holds the same
+        bytes and the same version vector, one bump per session."""
+        quiet = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
+        system = FicusSystem(["server", "client"], root_volume_hosts=["server"], daemon_config=quiet)
+        fs = system.host("client").fs()
+        for data in (b"a longer first version", b"short", b"short", b""):
+            fs.write_file("/f", data)
+        store = system.host("server").physical.store_for(system.root_locations[0].volrep)
+        fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "f")
+        assert store.file_vnode(store.root_handle(), fh).read_all() == b""
+        assert store.read_file_aux(store.root_handle(), fh).vv == VersionVector({1: 4})
+        fs.write_file("/f", b"back")
+        assert (fs.read_file("/f"), fs.stat("/f").size) == (b"back", 4)
 
     def test_every_set_merge_policy_reaches_the_server(self):
         """A mutation is never answered from the name cache: the third call
@@ -440,4 +480,4 @@ class TestFicusOpsOverNfs:
         system.network.rpc = lambda s, d, op, *a, **k: sent.append(op) or real(s, d, op, *a, **k)
         fs.set_merge_policy("/f", "lww")
         fs.set_merge_policy("/f", "lww")
-        assert sum(op.endswith(".set_policy") for op in sent) == 2
+        assert sum(op.endswith(".setattr") for op in sent) == 2

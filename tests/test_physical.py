@@ -27,7 +27,7 @@ from repro.sim import DaemonConfig, FicusSystem
 from repro.storage import BlockDevice
 from repro.ufs import FileType, Ufs, fsck
 from repro.util import FicusFileHandle, VolumeId, VolumeReplicaId
-from repro.vnode import UfsLayer
+from repro.vnode import SetAttrs, UfsLayer
 from repro.vnode.interface import read_whole
 from repro.vv import VersionVector
 
@@ -59,7 +59,7 @@ def insert_file(store, root, name, contents=b""):
 
 def insert_dir(store, parent, name):
     fh = parent.insert(name, EntryType.DIRECTORY).fh
-    return fh, parent.lookup_dir(fh)
+    return fh, parent.lookup_fh(fh)
 
 
 class TestBasicOperations:
@@ -81,8 +81,18 @@ class TestBasicOperations:
         _, _, _, store, root = world
         fh, vnode = insert_file(store, root, "f", b"0123456789")
         before = store.read_file_aux(store.root_handle(), fh).vv
-        vnode.truncate(3)
+        vnode.setattr(SetAttrs(size=3))
         assert store.read_file_aux(store.root_handle(), fh).vv.strictly_dominates(before)
+        assert vnode.read_all() == b"012"
+
+    def test_a_policy_setattr_is_one_update_of_the_file(self, world):
+        _, _, _, store, root = world
+        fh, vnode = insert_file(store, root, "f", b"data")
+        vnode.setattr(SetAttrs(policy="lww"))
+        aux = store.read_file_aux(store.root_handle(), fh)
+        assert (aux.merge_policy, aux.vv) == ("lww", VersionVector({1: 2}))
+        assert vnode.read_all() == b"data"
+
 
     def test_nested_directories(self, world):
         _, _, _, store, root = world
@@ -120,8 +130,8 @@ class TestBasicOperations:
         _, _, _, store, root = world
         fh = FicusFileHandle(VOL, store.new_file_id())
         eid = store.new_entry_id()
-        first = root.insert("f", EntryType.FILE, eid=eid, fh=fh)
-        assert root.insert("f", EntryType.FILE, eid=eid, fh=fh) == first  # RPC retry
+        first = root.apply_insert("f", EntryType.FILE, eid=eid, fh=fh)
+        assert root.apply_insert("f", EntryType.FILE, eid=eid, fh=fh) == first  # a repeated recon
         assert len(store.read_entries(store.root_handle())) == 1
 
     def test_remove_idempotent(self, world):
@@ -506,7 +516,7 @@ class TestPartialReplicas:
         """Reconciliation-applied inserts publish the entry before the
         contents arrive; lookup must say 'not stored', not 'no such file'."""
         _, _, _, store, root = world
-        root.insert("ghost", EntryType.FILE, from_recon=True)
+        root.apply_insert("ghost", EntryType.FILE, from_recon=True)
         with pytest.raises(ReplicaNotStored):
             root.lookup("ghost")
         assert "ghost" in [e.name for e in root.readdir()]
@@ -567,4 +577,4 @@ class TestPhysicalOverNfs:
     def test_dir_by_handle_over_nfs(self, remote_root):
         store, root = remote_root
         dfh = root.insert("d", EntryType.DIRECTORY).fh
-        assert root.lookup_dir(dfh).getattr().ftype == FileType.DIRECTORY
+        assert root.lookup_fh(dfh).getattr().ftype == FileType.DIRECTORY

@@ -8,7 +8,9 @@ from repro.errors import InvalidArgument
 from repro.sim import DaemonConfig, FicusSystem
 from repro.workload import (
     TraceOp,
+    decode_schedule,
     decode_trace,
+    encode_schedule,
     encode_trace,
     replay_trace,
     synthesize_trace,
@@ -41,6 +43,15 @@ class TestTraceFormat:
         )
         with pytest.raises(InvalidArgument):
             decode_trace(text)
+
+    def test_a_schedule_states_its_format_version(self):
+        steps = [TraceOp(op="tick", host="a"), TraceOp(op="advance", seconds=2.5)]
+        text = encode_schedule(steps)
+        assert text.splitlines()[0] == "schedule=1"
+        assert decode_schedule(text) == steps
+        for unversioned in (encode_trace(steps), "", "schedule=2\n" + encode_trace(steps)):
+            with pytest.raises(InvalidArgument):
+                decode_schedule(unversioned)
 
     def test_blank_lines_skipped(self):
         text = "\n" + TraceOp(at=1.0, op="heal").encode() + "\n\n"

@@ -366,7 +366,7 @@ def make_store(prepare) -> tuple[BlockDevice, ReplicaStore, FicusFileHandle]:
     store = physical.create_volume_replica(VR)
     root = physical.root().lookup(VR.to_hex())
     fh = FicusFileHandle(VOL, store.new_file_id())
-    root.insert("f", EntryType.FILE, eid=store.new_entry_id(), fh=fh)
+    root.insert("f", EntryType.FILE, fh=fh)
     root.lookup_fh(fh).write(0, b"x")
     if prepare is not None:
         prepare(store, fh)
@@ -806,7 +806,7 @@ def test_a_repeated_directory_reconcile_writes_nothing():
     (store,) = beta.physical.stores.values()
     (peer,) = (loc for loc in system.root_locations if loc.host == "alpha")
     dir_fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "d")
-    remote_dir = beta.fabric.volume_root(peer.host, peer.volrep).lookup_dir(dir_fh)
+    remote_dir = beta.fabric.volume_root(peer.host, peer.volrep).lookup_fh(dir_fh)
 
     with DeviceWrites(beta) as first:
         assert reconcile_directory(beta.physical, store, dir_fh, remote_dir).changed

@@ -185,7 +185,7 @@ class TestA4SessionCoalescing:
         with capsys.disabled():
             print(
                 f"\n[A4] device writes for 20 appends: session={with_session}, "
-                f"bare={without} (each bare write rewrites the aux file)"
+                f"bare={without} (each bare write rewrites the file's record)"
             )
         assert with_session < without
 

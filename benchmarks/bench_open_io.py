@@ -9,14 +9,17 @@ page.  (The last two correspond to normal Unix overhead.)  Opening a
 recently accessed file or directory involves no overhead not already
 incurred by the normal Unix file system."
 
-The paper's four I/Os are reproduced exactly in the cold-open breakdown,
-plus two more our batched attribute plane spends eagerly: the directory's
-OWN aux record (inode + data page), which the paper's lazy scheme left on
-disk until a directory-level operation needed it.  The batch buys that
-back immediately — once it is cached, every further open in the directory
-skips ALL four aux I/Os, and a warm open costs zero extra, matching E4
-exactly.  Inodes are isolated one-per-block so that one inode fetch is
-one disk I/O — the unit the paper counts in.
+A cold open here costs two I/Os beyond UFS, below the paper's four: the
+underlying Unix directory's inode and data page are still loaded, but the
+auxiliary attributes are no file of their own.  Every record of the volume
+replica sits in one attribute table whose inode and blocks all records
+share, and a new record is placed in its parent's block, so the table's
+inode and the block holding both the directory's and the file's record
+were already read by the open that warmed the volume root.  A cold record
+read costs one table block when it is not.  Once the batch is cached,
+every further open in the directory skips all record I/O, and a warm open
+costs zero extra, matching E4 exactly.  Inodes are isolated one-per-block
+so that one inode fetch is one disk I/O — the unit the paper counts in.
 """
 
 from repro.sim import DaemonConfig, FicusSystem, HostConfig
@@ -29,10 +32,13 @@ ISOLATED = HostConfig(disk_blocks=65536, num_inodes=512, isolate_inodes=True)
 #: The paper's number: extra I/Os for a cold open vs. plain UFS.
 PAPER_EXTRA_IOS = 4
 
-#: What the batched attribute plane adds to a fully cold open: the
-#: directory's own aux record (inode + data page), fetched eagerly with
-#: the children's so replica selection never needs a second RPC.
-BATCH_EXTRA_IOS = 2
+#: What the attribute table changes in a cold open against the paper's
+#: count: the auxiliary file's inode and data page are gone — the table's
+#: inode and the block holding the directory's and the file's records are
+#: the ones the warm-up open of a sibling directory already read — while
+#: the directory's own record is still fetched eagerly with the children's,
+#: so replica selection never needs a second RPC.
+BATCH_EXTRA_IOS = -2
 
 
 def ufs_open_reads() -> tuple[int, int]:
@@ -67,8 +73,8 @@ def ficus_open_reads() -> tuple[int, int]:
     host.ufs.cache.invalidate_all()
     host.ufs.namecache.invalidate_all()
     # "non-recently accessed" includes the logical layer's attribute
-    # cache: were its batch still warm, the aux files would never be
-    # re-read and the paper's aux I/Os would not appear
+    # cache: were its batch still warm, the records would never be
+    # re-read and the record I/O would not appear
     host.logical.attr_cache.clear()
     fs.stat("/e/g")  # warm the globals and the root directory
     snap = host.device.counters.snapshot()
@@ -81,10 +87,11 @@ def ficus_open_reads() -> tuple[int, int]:
 
 
 class TestShape:
-    def test_cold_open_costs_the_four_paper_ios_plus_dir_aux(self, capsys):
-        """E3: the paper's 'four I/Os beyond the normal Unix overhead' —
-        unix-dir inode + page, file-aux inode + page — plus the directory's
-        own aux (inode + page) that the batched attribute plane front-loads."""
+    def test_cold_open_costs_less_than_the_four_paper_ios(self, capsys):
+        """E3: of the paper's 'four I/Os beyond the normal Unix overhead' —
+        unix-dir inode + page, aux-file inode + page — only the underlying
+        Unix directory's two are left: the records share the attribute
+        table's inode and block with the rest of the replica's."""
         ufs_cold, _ = ufs_open_reads()
         ficus_cold, _ = ficus_open_reads()
         with capsys.disabled():
@@ -92,7 +99,7 @@ class TestShape:
                 f"\n[E3] cold open of a file in a non-recently-accessed directory:"
                 f" UFS={ufs_cold} reads, Ficus={ficus_cold} reads,"
                 f" extra={ficus_cold - ufs_cold}"
-                f" (paper: {PAPER_EXTRA_IOS}, + {BATCH_EXTRA_IOS} batched dir aux)"
+                f" (paper: {PAPER_EXTRA_IOS}, {BATCH_EXTRA_IOS:+d} for the shared attribute table)"
             )
         assert ficus_cold - ufs_cold == PAPER_EXTRA_IOS + BATCH_EXTRA_IOS
 
@@ -121,8 +128,8 @@ class TestShape:
         fs.stat("/d/f")
         batched_cold = host.device.counters.delta_since(snap).reads
         ufs_cold, _ = ufs_open_reads()
-        # the 4 aux I/Os (.faux + file aux, inode and page each) are gone,
-        # and so are the Ficus directory file's inode + page: what is left
+        # no record I/O (the table's inode and block), and no Ficus
+        # directory file's inode + page either: what is left
         # is the underlying Unix directory's inode + page and the file's
         # inode, the same three reads a cold UFS open makes
         assert batched_cold - ufs_cold == 0
@@ -138,10 +145,11 @@ class TestShape:
         assert ficus_warm == 0
 
     def test_the_four_ios_are_the_documented_objects(self):
-        """The 4 extra fetches are: underlying Unix dir inode + data page,
-        auxiliary file inode + data page.  Check by eliminating the aux
-        read path: opening the *directory* itself (no aux involved) costs
-        only the 2 extra underlying-Unix-directory I/Os."""
+        """The paper's 4 extra fetches are: underlying Unix dir inode + data
+        page, auxiliary file inode + data page; the first pair is what is
+        left here.  Check by eliminating the record read path: opening the
+        *directory* itself (no record involved) costs only the 2 extra
+        underlying-Unix-directory I/Os."""
         system = FicusSystem(["solo"], daemon_config=QUIET, host_config=ISOLATED)
         host = system.host("solo")
         fs = host.fs()

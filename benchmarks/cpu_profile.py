@@ -11,7 +11,11 @@ Prints one JSON document: the functions with the most self time (with
 their call counts), self time per ``repro`` subpackage (``repro/ufs/...``
 is ``ufs``; code outside ``repro`` is ``other``), and how many
 ``DirectoryEntry`` objects are still alive once the pass has returned —
-what the process's memos keep.  cProfile slows every call, so compare
+what the process's memos keep.  The engine's calibration kernel
+(``Kernel.sample`` and everything it calls) is reported once, as the
+``harness`` package: its time is taken out of the shares and the calls of
+the functions it calls (``dataclasses.replace`` among them), by each
+function's share of its calls that came from the kernel.  cProfile slows every call, so compare
 the shares and counts between checkouts, not the seconds with a timed run;
 set ``PYTHONHASHSEED=0``, as the benchmark does, for counts that repeat.
 """
@@ -37,6 +41,32 @@ def package_of(filename: str) -> str:
     return below[0].removesuffix(".py")
 
 
+def kernel_parts(stats: dict) -> dict:
+    """The share of each function's calls made on behalf of the engine's
+    calibration kernel (``Kernel.sample``), from cProfile's caller records:
+    a function ``Kernel.sample`` calls has the calls it made; one those
+    call, their kernel share of its calls from them; and so on down."""
+    root = next((key for key in stats if key[0].endswith("calibrate.py") and key[2] == "sample"), None)
+    if root is None:
+        return {}
+    callees: dict = collections.defaultdict(list)
+    for func, (_, _, _, _, callers) in stats.items():
+        for caller, entry in callers.items():
+            callees[caller].append((func, entry[1]))
+    share = {root: 1.0}
+    pending = [root]
+    while pending:
+        caller = pending.pop()
+        for func, calls in callees[caller]:
+            if func in share or func == caller:
+                continue
+            callers = stats[func][4]
+            from_kernel = sum(entry[1] * share.get(by, 0.0) for by, entry in callers.items())
+            share[func] = min(1.0, from_kernel / max(1, stats[func][1]))
+            pending.append(func)
+    return share
+
+
 def profile(workload: str, seed: int, seconds: float, top: int) -> dict:
     from e2e import engine
     from repro.physical.wire import DirectoryEntry
@@ -49,10 +79,15 @@ def profile(workload: str, seed: int, seconds: float, top: int) -> dict:
     live_entries = sum(isinstance(obj, DirectoryEntry) for obj in gc.get_objects())
     stats = pstats.Stats(profiler).stats
     total = sum(tt for _, _, tt, _, _ in stats.values())
+    kernel = kernel_parts(stats)
     by_package: collections.Counter = collections.Counter()
-    for (filename, _, _), (_, _, tt, _, _) in stats.items():
-        by_package[package_of(filename)] += tt
-    rows = sorted(stats.items(), key=lambda item: item[1][2], reverse=True)[:top]
+    rows = []
+    for func, (_, calls, tt, _, _) in stats.items():
+        part = kernel.get(func, 0.0)
+        by_package["harness"] += tt * part
+        by_package[package_of(func[0])] += tt * (1.0 - part)
+        rows.append((func, round(calls * (1.0 - part)), tt * (1.0 - part)))
+    rows = sorted(rows, key=lambda row: row[2], reverse=True)[:top]
     return {
         "workload": workload,
         "seed": seed,
@@ -66,7 +101,7 @@ def profile(workload: str, seed: int, seconds: float, top: int) -> dict:
                 "calls": calls,
                 "self_share": round(tt / total, 4),
             }
-            for (filename, line, name), (_, calls, tt, _, _) in rows
+            for (filename, line, name), calls, tt in rows
         ],
         "live_directory_entries": live_entries,
     }

@@ -24,7 +24,7 @@ import bench_resolvers  # noqa: E402
 import bench_scale_out  # noqa: E402
 import bench_telemetry  # noqa: E402
 from bench_layers import STACKS, op_script  # noqa: E402
-from bench_open_io import PAPER_EXTRA_IOS, ficus_open_reads, ufs_open_reads  # noqa: E402
+from bench_open_io import BATCH_EXTRA_IOS, PAPER_EXTRA_IOS, ficus_open_reads, ufs_open_reads  # noqa: E402
 
 
 def e1_layers() -> None:
@@ -64,7 +64,7 @@ def e3_e4_open_io() -> None:
     print(
         f"[E3] cold open: UFS={ufs_cold} reads, Ficus={ficus_cold} reads, "
         f"extra={ficus_cold - ufs_cold} (paper: {PAPER_EXTRA_IOS}, "
-        f"+2 batched dir aux, amortized by the attr cache)"
+        f"{BATCH_EXTRA_IOS:+d}: the records share the attribute table's inode and block)"
     )
     print(f"[E4] warm open: UFS={ufs_warm} reads, Ficus={ficus_warm} reads (paper: 0 extra)")
 

@@ -30,12 +30,16 @@ ALLOCATION = "inode allocation"
 
 
 def record_of(name: str) -> str:
-    if name in (".fdir", ".faux", ".meta"):
+    if name in (".fdir", ".attr", ".meta"):
+        return name
+    if name.endswith(".shadow"):
+        return "shadow"
+    # the per-directory and per-file record files of the layout before the
+    # attribute table, so a checkout from before it reads too
+    if name == ".faux":
         return name
     if name.endswith(".aux"):
         return "file .aux"
-    if name.endswith(".shadow"):
-        return "shadow"
     return "contents"
 
 

@@ -6,16 +6,21 @@ organization, the way :func:`repro.ufs.fsck` validates UFS structure:
 * every directory's entry file decodes, and entry-ids are unique;
 * no directory holds two live entries with the same (name, handle) pair
   (the cross-host same-name rename artifact reconciliation must resolve);
-* live file/symlink entries either have contents + aux storage in the
-  naming directory, or are awaiting propagation (entry-only);
-* aux records agree with their entries (handle, type);
-* directory reference counts in aux equal the number of live entries
-  naming the directory across the whole replica;
+* live file/symlink entries either have contents in the naming directory
+  and a record in the attribute table, or are awaiting propagation
+  (entry-only);
+* records agree with their entries (handle, type);
+* directory reference counts in the records equal the number of live
+  entries naming the directory across the whole replica, and a file's
+  equal the Unix directories storing its contents;
+* every record's object is stored: no record of a file whose contents
+  are stored nowhere, or of a directory with no storage;
 * directory storage is reachable: every ``nodes/`` directory except the
   volume root is named by at least one live entry (or is a tolerated
   orphan awaiting the GC daemon);
 * no stray objects inside the underlying Unix directories (everything is
-  a known file, aux, shadow, or metadata name);
+  a known file, shadow, or metadata name), and no contents without a
+  record;
 * LOCATION entries appear only inside graft points;
 * the id mints are ahead of every issued id.
 
@@ -28,14 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import FicusError
-from repro.physical.store import ReplicaStore, volume_root_handle
-from repro.physical.wire import (
-    AUX_SUFFIX,
-    FAUX_NAME,
-    FDIR_NAME,
-    SHADOW_SUFFIX,
-    EntryType,
-)
+from repro.physical.store import DIR_TYPES, ReplicaStore, handle_of, volume_root_handle
+from repro.physical.wire import FDIR_NAME, SHADOW_SUFFIX, EntryType
 from repro.util import FicusFileHandle
 
 
@@ -87,6 +86,8 @@ def ficus_fsck(store: ReplicaStore, conflict_log=None, resolvers=None) -> FicusC
 
     #: directory fh -> live references observed across the replica
     dir_refs: dict[FicusFileHandle, int] = {fh: 0 for fh in dir_set}
+    #: file fh -> Unix directories storing its contents
+    stored_names: dict[FicusFileHandle, int] = {}
     issued_uniques: list[int] = []
     issued_seqs: list[int] = []
 
@@ -108,7 +109,7 @@ def ficus_fsck(store: ReplicaStore, conflict_log=None, resolvers=None) -> FicusC
 
         seen_eids = set()
         live_name_fh: set[tuple[str, FicusFileHandle]] = set()
-        expected_names = {FDIR_NAME, FAUX_NAME}
+        expected_names = {FDIR_NAME}
         for entry in entries:
             report.entries_checked += 1
             if entry.eid in seen_eids:
@@ -146,9 +147,8 @@ def ficus_fsck(store: ReplicaStore, conflict_log=None, resolvers=None) -> FicusC
                 continue
             # FILE / SYMLINK
             key = entry.fh.logical.to_hex()
-            if store.has_file(dir_fh, entry.fh):
+            if store.has_file(dir_fh, entry.fh) and store.has_record(entry.fh):
                 expected_names.add(key)
-                expected_names.add(key + AUX_SUFFIX)
                 try:
                     aux = store.read_file_aux(dir_fh, entry.fh)
                 except FicusError as exc:
@@ -162,7 +162,7 @@ def ficus_fsck(store: ReplicaStore, conflict_log=None, resolvers=None) -> FicusC
                     report.complain(
                         f"dir {dir_fh}: {entry.name!r} aux type {aux.etype} != entry {entry.etype}"
                     )
-            else:
+            elif not store.has_file(dir_fh, entry.fh):
                 # entry-only: contents arrive later by propagation
                 report.entries_awaiting_contents += 1
 
@@ -171,17 +171,22 @@ def ficus_fsck(store: ReplicaStore, conflict_log=None, resolvers=None) -> FicusC
             unix_dir = store.dir_unix_vnode(dir_fh)
             for dirent in unix_dir.readdir():
                 name = dirent.name
-                if name in (".", ".."):
-                    continue
-                if name in expected_names:
+                if name in (".", "..", FDIR_NAME):
                     continue
                 if name.endswith(SHADOW_SUFFIX):
                     continue  # in-flight propagation; scavenged on recovery
-                if name.endswith(AUX_SUFFIX) or _is_handle_hex(name):
+                child = handle_of(name)
+                if child is not None and store.has_record(child):
+                    stored_names[child] = stored_names.get(child, 0) + 1
+                if name in expected_names:
+                    continue
+                if child is None:
+                    report.complain(f"dir {dir_fh}: unrecognized name {name!r}")
+                elif not store.has_record(child):
+                    report.complain(f"dir {dir_fh}: contents without a record {name!r}")
+                else:
                     # storage for a dead or unknown entry: a leak
                     report.complain(f"dir {dir_fh}: stray object {name!r}")
-                else:
-                    report.complain(f"dir {dir_fh}: unrecognized name {name!r}")
         except FicusError as exc:
             report.complain(f"dir {dir_fh}: cannot sweep unix directory ({exc})")
 
@@ -199,6 +204,21 @@ def ficus_fsck(store: ReplicaStore, conflict_log=None, resolvers=None) -> FicusC
             report.complain(
                 f"dir {dir_fh}: aux refs={recorded} but {observed} live names observed"
             )
+
+    # every record's object is stored, and a file's counts its names
+    for fh in store.record_handles():
+        try:
+            aux = store.read_dir_aux(fh)
+        except FicusError as exc:
+            report.complain(f"record {fh}: unreadable ({exc})")
+            continue
+        if aux.etype in DIR_TYPES:
+            if fh not in dir_set:
+                report.complain(f"record of directory {fh} stored nowhere")
+        elif fh not in stored_names:
+            report.complain(f"record of file {fh} stored nowhere")
+        elif aux.refs != stored_names[fh]:
+            report.complain(f"file {fh}: record refs={aux.refs} but {stored_names[fh]} stored names")
 
     # id mints must be ahead of everything issued
     meta = store._read_meta()
@@ -250,11 +270,3 @@ def _check_conflict_bookkeeping(
                 f"resolver-covered file {conflict.name!r} ({conflict.fh}) "
                 f"sits unresolved in the conflict log"
             )
-
-
-def _is_handle_hex(name: str) -> bool:
-    try:
-        FicusFileHandle.from_hex(name)
-        return True
-    except FicusError:
-        return False

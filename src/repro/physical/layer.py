@@ -219,20 +219,26 @@ class FicusPhysicalLayer(FileSystemLayer):
     def note_update(
         self, store: ReplicaStore, parent_fh: FicusFileHandle, fh: FicusFileHandle
     ) -> None:
-        """A write or a size setattr happened: advance the version vector.
+        """A write or a size setattr is about to change the contents:
+        advance the version vector first, so a crash between the two leaves
+        the old contents under the new vector, never the reverse.
 
         Inside an open/close session the bump is deferred to close so one
         whole update session counts as a single update — this is what
         forwarding the open/close information buys (paper Section 2.3:
         "Ficus is able to use effectively the open/close information that
         NFS intercepts and ignores"; our NFS forwards it as the explicit
-        ``session_open``/``session_close`` operations).  The logical layer
-        announces such a session once, at its close, when the new version
-        exists.
+        ``session_open``/``session_close`` operations).  The session's first
+        update marks the file's record ``updating`` instead, and the close's
+        bump clears it: a crash before the close leaves the mark for
+        recovery to count.  The logical layer announces such a session
+        once, at its close, when the new version exists.
         """
         key = self._session_key(store, fh)
         if key in self._sessions:
-            self._sessions[key] = True
+            if not self._sessions[key]:
+                store.mark_updating(fh)
+                self._sessions[key] = True
             self.session_coalesced_updates += 1
             return
         self._bump_file_vv(store, parent_fh, fh)
@@ -243,7 +249,7 @@ class FicusPhysicalLayer(FileSystemLayer):
         with store.operation():
             aux = store.read_file_aux(parent_fh, fh)
             prior = aux.vv
-            aux.vv = aux.vv.bump(store.replica_id)
+            aux.vv, aux.updating = aux.vv.bump(store.replica_id), False
             store.write_file_aux(parent_fh, fh, aux)
         self.health.record_version("write", fh, aux.vv, parents=(prior,))
 

@@ -9,65 +9,71 @@ Layout under the lower layer's root::
 
     <volrep-hex>/            one UFS directory per hosted volume replica
       .meta                  identity + id-mint counters
+      .attr                  the attribute table: one record per Ficus
+                             file and directory, keyed by logical handle
       nodes/
         <dirfh-hex>/         the "underlying Unix directory" of one Ficus
                              directory (keyed by the *logical* handle so
                              every replica uses the same key)
           .fdir              the Ficus directory file (entry records)
-          .faux              the directory's auxiliary attributes
           <filefh-hex>       a regular file replica's contents
-          <filefh-hex>.aux   its auxiliary attributes (version vector...)
           <filefh-hex>.shadow  transient shadow during atomic propagation
 
 Regular files live inside their directory's UFS directory — the "on-disk
 file organization closely parallels the logical Ficus name space topology"
 (Section 2.6), which is what lets the UFS caches exploit directory
-locality.  A file with several names is hard-linked (contents and aux)
-into each naming directory's UFS directory.  Ficus *directories* are keyed
-flat in ``nodes/`` so that the directory DAG (multiple names for one
-directory, a consequence of concurrent renames) needs no extra mechanism.
+locality.  A file with several names has its contents hard-linked into each
+naming directory's UFS directory and one record, whose ``refs`` counts
+those stored names.  Ficus *directories* are keyed flat in ``nodes/`` so
+that the directory DAG (multiple names for one directory, a consequence of
+concurrent renames) needs no extra mechanism.
 
-What an update writes, and when.  Two kinds of record, two disciplines.
+The paper's "auxiliary attribute file" (Section 2.6) is one run of 256-byte
+slots in ``.attr`` (:mod:`repro.physical.table`): a record never straddles
+a block, so a vector bump and its parent's fold — usually in the same
+block, since a new record is placed beside its parent's — cost one or two
+block writes, and a cold record read costs one.
 
-*Write-through, in call order*: file contents, a file's own
-``<filefh-hex>.aux``, the shadow and the UFS rename that commits it, and
-``.meta``.  The (contents, version vector) commit of Section 3.2 is a
-sequence the caller spells, and it reaches the device as spelled; every
-pulled or resolved version goes through the one call that spells it,
-:meth:`ReplicaStore.install`, and a file not stored here yet is born from
-its shadow.  ``.meta`` holds the two id mints' high-water marks,
-fixed-width so the record never changes length: ids are handed out from
-an in-memory range of :data:`ID_RANGE` and the mark is written before the
-first id of a range is used, so a crash skips ids and never reuses one.
+What an update writes, and when.  Two disciplines.
 
-*Staged, flushed once per operation and directory*: a directory's entry
-list (``.fdir``) and its aux record (``.faux``).  Every store call that
-changes either runs inside :meth:`ReplicaStore.operation` — re-entrant; a
-call made outside any scope is a scope of its own — and only records what
-the directory will hold.  ``read_entries``/``read_dir_aux`` answer from the
-staged set first, whatever the decoded caches hold.  The outermost exit,
-normal or by exception, writes each dirty directory in first-dirtied order:
-``.fdir`` if its entries changed, then ``.faux`` once with the entry fold,
-the file fold, the version vector and the reference count all final; a
-record equal to the one the operation first read is not written.  Storage
-an operation asked to free (:meth:`ReplicaStore.unlink_file_storage`,
-:meth:`ReplicaStore.remove_directory_storage`) is freed after the flush of
-the directory whose tombstone orphaned it, and only if the final state
-still says it is garbage.
+*Write-through, in call order*: file contents, the shadow and the UFS
+rename that commits it, the contents' UFS names (create, link), a
+record's ``updating`` mark (set before a write session's first write, so a
+crash before the session's close is counted as an update by
+:meth:`ReplicaStore.recover`), and ``.meta``.  Every pulled or resolved version goes through the one call
+that spells its commit, :meth:`ReplicaStore.install`, and a file not
+stored here yet is born from its shadow.  ``.meta`` holds the two id
+mints' high-water marks, fixed-width so the record never changes length:
+ids are handed out from an in-memory range of :data:`ID_RANGE` and the
+mark is written before the first id of a range is used, so a crash skips
+ids and never reuses one.
 
-Every record file (``.meta``, ``.fdir``, ``.faux``, ``<filefh-hex>.aux``)
-is replaced whole through :meth:`ReplicaStore._replace_record`, its one
-writer once it exists, under one rule: a record of the length already on
-disk that fits one block is overwritten in place (one data block, one
-inode write, old-or-new under a crash); anything else is ``truncate(0)`` +
-``write``.  Aux records are NUL-padded to a 256-byte slot and ``.fdir`` to
-whole blocks, so a vector gaining a digit, a fold's first value or a
-policy tag keeps the length; only a record outgrowing its slot or a
-``.fdir`` changing its block count is resized.  The device-write sequence
-of each operation, what a crash between each pair of writes leaves, and
-the three rules of the flush are ARCHITECTURE.md's "What one update
-writes, in order" and "The flush protocol", held by
-``tests/test_write_order.py``.
+*Staged, flushed once per operation*: a directory's entry list
+(``.fdir``) and every record of the attribute table.  Every store call
+that changes either runs inside :meth:`ReplicaStore.operation` —
+re-entrant; a call made outside any scope is a scope of its own — and only
+records what the operation will leave.  Reads answer from the staged set
+first, whatever the decoded caches hold.  The outermost exit, normal or by
+exception, decides the frees the operation asked for
+(:meth:`ReplicaStore.unlink_file_storage`,
+:meth:`ReplicaStore.remove_directory_storage`) on the final state, then
+writes, in order: (1) the table blocks where a new or outgrown record
+lands in a fresh run; (2) each changed ``.fdir``, in first-dirtied order;
+(3) each other changed table block, once, and every clear — a record
+cleared because its last name or its directory is going is never written
+before the list that stops naming it, so a block of step 1 that holds a
+clear is written twice; (4) the frees.  A
+record or list equal to the one the operation first read is not written.
+
+``.meta`` and ``.fdir`` are replaced whole through
+:meth:`ReplicaStore._replace_record` under one rule: a record of the
+length already on disk that fits one block is overwritten in place (one
+data block, one inode write, old-or-new under a crash); anything else is
+``truncate(0)`` + ``write``.  ``.fdir`` is NUL-padded to whole blocks, so
+only a list changing its block count is resized.  The device-write sequence
+of each operation, what a crash between each pair of writes leaves, and the
+flush's order are ARCHITECTURE.md's "What one update writes, in order" and
+"The flush protocol", held by ``tests/test_write_order.py``.
 """
 
 from __future__ import annotations
@@ -75,11 +81,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import FileNotFound, InvalidArgument
+from repro.physical.table import AttrTable
 from repro.physical.wire import (
-    AUX_SUFFIX,
+    ATTR_NAME,
     DELTA_BLOCK_SIZE,
     EMPTY_DIGEST,
-    FAUX_NAME,
     FDIR_NAME,
     META_NAME,
     SHADOW_SUFFIX,
@@ -155,6 +161,15 @@ def _ancestor_of(contents: bytes) -> str:
     return AuxAttributes.encode_ancestor([content_digest(block) for block in split_blocks(contents)])
 
 
+def handle_of(name: str) -> FicusFileHandle | None:
+    """The file handle a contents name in an underlying Unix directory
+    encodes, or ``None`` for any other name."""
+    try:
+        return FicusFileHandle.from_hex(name)
+    except (InvalidArgument, ValueError):
+        return None
+
+
 def file_component(fh: FicusFileHandle, vv) -> str:
     """One stored child file's contribution to its directory's fold."""
     return content_digest(fh.logical.to_hex(), vv.encode())
@@ -165,14 +180,16 @@ class StoreStats:
     """What one replica store has done to its records, counted where it
     happens; the physical layer views it as the ``store.*`` metrics."""
 
-    #: record replaces that kept the stored length within one block
-    #: (overwritten in place)
+    #: records rewritten where they were: a ``.meta`` or ``.fdir`` replace
+    #: that kept its length within one block, or a table record that kept
+    #: its run (each old-or-new in one block write)
     records_in_place: int = 0
-    #: record replaces that did not (``truncate(0)`` + ``write``)
+    #: records that were not: a ``truncate(0)`` + ``write`` replace, or a
+    #: table record written to a fresh run because it outgrew its own
     records_resized: int = 0
-    #: directories whose flush wrote ``.fdir`` or ``.faux``
+    #: directories whose entry list or record a flush wrote
     dir_flushes: int = 0
-    #: staged directory-record updates a flush absorbed without a write
+    #: staged record updates a flush absorbed without a write
     dir_writes_coalesced: int = 0
     #: shadows made to receive a propagated version
     shadows_created: int = 0
@@ -182,10 +199,15 @@ class StoreStats:
     shadow_commits: int = 0
 
 
-class _DirUpdate:
-    """What the open operation will leave in one directory's records."""
+#: Entry types whose object is a Ficus directory with storage in ``nodes/``.
+DIR_TYPES = (EntryType.DIRECTORY, EntryType.GRAFT_POINT)
 
-    __slots__ = ("fh", "entries", "stored_entries", "aux", "stored_aux", "free_files", "free_dirs", "staged")
+
+class _DirUpdate:
+    """What the open operation will leave in one directory's entry list,
+    and the storage its tombstones asked to free."""
+
+    __slots__ = ("fh", "entries", "stored_entries", "free_files", "free_dirs")
 
     def __init__(self, fh: FicusFileHandle):
         self.fh = fh
@@ -193,16 +215,22 @@ class _DirUpdate:
         #: operation first read
         self.entries: list[DirectoryEntry] | None = None
         self.stored_entries: list[DirectoryEntry] | None = None
-        #: the staged aux record — the live object, edited in place —
-        #: and the record the operation first read (equal records encode
-        #: equally, so the comparison needs no encoding)
-        self.aux: AuxAttributes | None = None
-        self.stored_aux: AuxAttributes | None = None
-        #: storage to free once this directory's records are durable
+        #: storage to free once this directory's list is durable
         self.free_files: list[FicusFileHandle] = []
         self.free_dirs: list[FicusFileHandle] = []
-        #: staging calls, for ``StoreStats.dir_writes_coalesced``
-        self.staged = 0
+
+
+class _Staged:
+    """One table record as the open operation will leave it: ``aux`` is the
+    live object, edited in place (``None``: cleared), ``stored`` the record
+    the operation first read (``None``: it had none; equal records encode
+    equally, so the comparison needs no encoding), and ``near`` the handle
+    whose record's block a new record would share."""
+
+    __slots__ = ("aux", "stored", "near")
+
+    def __init__(self, aux: AuxAttributes | None, stored: AuxAttributes | None, near=None):
+        self.aux, self.stored, self.near = aux, stored, near
 
 
 class _OperationScope:
@@ -220,7 +248,7 @@ class _OperationScope:
     def __exit__(self, *exc_info: object) -> None:
         try:
             # still one deep while flushing: a store call the flush makes nests
-            if self.depth == 1 and self.store._pending:
+            if self.depth == 1 and not self.store.flushed():
                 self.store._flush()
         finally:
             self.depth -= 1
@@ -258,12 +286,21 @@ class ReplicaStore:
         self._dir_vnode_cache: dict[str, tuple[int, Vnode]] = {}
         self._child_vnode_cache: dict[tuple[str, str], tuple[int, Vnode]] = {}
         self._entries_cache: dict[str, tuple[int, list[DirectoryEntry]]] = {}
-        self._dir_aux_cache: dict[str, tuple[int, AuxAttributes]] = {}
-        self._file_aux_cache: dict[str, tuple[int, AuxAttributes]] = {}
-        # -- the operation scope: staged directory records, by directory key,
-        # in first-dirtied order (never stamped: they are not a cache)
+        #: the table's decoded records, files' and directories' alike
+        self._record_cache: dict[FicusFileHandle, tuple[int, AuxAttributes]] = {}
+        # -- the attribute table: its vnode (a stable name, written in
+        # place) and its index, built here by one read (``None`` after a
+        # flush failed part-way: rebuilt from the device at next use)
+        self._attr_vnode = self._base.lookup(ATTR_NAME)
+        self._table: AttrTable | None = AttrTable.load(self._attr_vnode)
+        # -- the operation scope: staged entry lists, by directory key, in
+        # first-dirtied order, and staged records, by handle (never stamped:
+        # they are not a cache)
         self._scope = _OperationScope(self)
         self._pending: dict[str, _DirUpdate] = {}
+        self._records: dict[FicusFileHandle, _Staged] = {}
+        #: staging calls of the open operation, for ``dir_writes_coalesced``
+        self._staged_calls = 0
         #: per id mint: the next id to hand out and the mark ``.meta`` holds
         self._mints: dict[str, list[int]] | None = None
 
@@ -286,22 +323,26 @@ class ReplicaStore:
         if self._caches_enabled:
             cache[key] = (self._epoch(), value)
 
+    @property
+    def _attr(self) -> AttrTable:
+        table = self._table
+        if table is None:
+            table = self._table = AttrTable.load(self._attr_vnode)
+        return table
+
     def _replace_record(self, vnode: Vnode, data: bytes) -> None:
-        """Replace the whole contents of a record file (``.meta``, ``.fdir``,
-        a directory's ``.faux``, a file's ``.aux``) — the only writer of
-        each once it exists, under one rule.
+        """Replace the whole contents of ``.meta`` or a ``.fdir`` — the only
+        writer of each once it exists, under one rule.
 
         A record of the length already stored that fits one block of the
         storage below (:data:`STORE_BLOCK_SIZE`) is overwritten in place:
         no block changes hands and the one block write carries all of it,
         so a crash leaves exactly the old record or exactly the new one.
-        Aux records are padded to a slot and ``.fdir`` to whole blocks, so
-        this is every replace but a record outgrowing its slot or a
-        directory changing its block count.  Anything else is
-        ``truncate(0)`` + ``write``, whose crash points can also leave the
-        record empty — never a splice of two records, which an in-place
-        rewrite of two blocks could leave.  Callers drop their decoded copy
-        if this raises.
+        ``.meta`` keeps its length and ``.fdir`` is padded to whole blocks,
+        so this is every replace but a directory changing its block count.
+        Anything else is ``truncate(0)`` + ``write``, whose crash points can
+        also leave the record empty — never a splice of two records, which
+        an in-place rewrite of two blocks could leave.
         """
         if vnode.getattr().size == len(data) <= STORE_BLOCK_SIZE:
             self.stats.records_in_place += 1
@@ -328,6 +369,7 @@ class ReplicaStore:
                 }
             ).encode("utf-8"),
         )
+        base.create(ATTR_NAME)
         base.mkdir("nodes")
         store = cls(lower_root, volrep)
         root_fh = volume_root_handle(volrep.volume)
@@ -423,10 +465,10 @@ class ReplicaStore:
         return vnode
 
     def _unix_child(self, fh: FicusFileHandle, name: str) -> Vnode:
-        """Look up (with caching) one reserved file inside a directory's
-        underlying Unix directory.  Mutations that rebind a cached name
-        (shadow commit's rename, unlink, directory removal) drop the
-        affected keys."""
+        """Look up (with caching) one name inside a directory's underlying
+        Unix directory.  Mutations that rebind a cached name (shadow
+        commit's rename, unlink, directory removal) drop the affected
+        keys."""
         key = (self._dir_key(fh), name)
         vnode = self._cache_get(self._child_vnode_cache, key)
         if vnode is None:
@@ -439,20 +481,21 @@ class ReplicaStore:
         fh: FicusFileHandle,
         etype: EntryType,
         graft_volume: str = "",
+        parent: FicusFileHandle | None = None,
     ) -> Vnode:
-        """Materialize storage for a new Ficus directory (or graft point)."""
+        """Materialize storage for a new Ficus directory (or graft point):
+        its Unix directory and empty ``.fdir`` now, its record — beside
+        ``parent``'s when that block has room — with the operation."""
+        fh = fh.logical
         key = self._dir_key(fh)
         unix_dir = self._nodes.mkdir(key)
         fdir = unix_dir.create(FDIR_NAME)
-        aux = AuxAttributes(fh=fh.logical, etype=etype, refs=1, graft_volume=graft_volume)
-        faux = unix_dir.create(FAUX_NAME)
-        faux.write(0, aux.to_bytes())
+        aux = AuxAttributes(fh=fh, etype=etype, refs=1, graft_volume=graft_volume)
+        with self._scope:
+            self._stage_new(fh, aux, parent)
         self._cache_put(self._dir_vnode_cache, key, unix_dir)
         self._cache_put(self._child_vnode_cache, (key, FDIR_NAME), fdir)
-        self._cache_put(self._child_vnode_cache, (key, FAUX_NAME), faux)
         self._cache_put(self._entries_cache, key, [])
-        self._cache_put(self._dir_aux_cache, key, aux.clone())
-        self._subtree_memo.clear()
         return unix_dir
 
     def remove_directory_storage(self, fh: FicusFileHandle, named_in: FicusFileHandle) -> None:
@@ -463,19 +506,37 @@ class ReplicaStore:
         with self._scope:
             self._update(named_in).free_dirs.append(fh.logical)
 
+    def _unix_names(self, fh: FicusFileHandle) -> list[str]:
+        """The names in a directory's Unix directory, ``.fdir`` aside."""
+        return [
+            entry.name
+            for entry in self.dir_unix_vnode(fh).readdir()
+            if entry.name not in (".", "..", FDIR_NAME)
+        ]
+
+    def _doom_directory(self, fh: FicusFileHandle) -> None:
+        """Stage what freeing a directory's storage does to the table: its
+        record is cleared, and each file stored in it loses a name."""
+        with self._scope:
+            if self.has_record(fh):
+                self._stage_clear(fh)
+            for name in self._unix_names(fh):
+                child = handle_of(name)
+                if child is not None:
+                    self._drop_name(child)
+
     def _remove_directory_storage(self, fh: FicusFileHandle) -> None:
+        """Remove a directory's Unix directory and everything in it (its
+        record is the caller's, staged by :meth:`_doom_directory`)."""
         key = self._dir_key(fh)
         self._pending.pop(key, None)  # nothing left to describe
         unix_dir = self.dir_unix_vnode(fh)
         for entry in unix_dir.readdir():
-            if entry.name in (".", ".."):
-                continue
-            unix_dir.remove(entry.name)
-            self._file_aux_cache.pop(entry.name, None)
+            if entry.name not in (".", ".."):
+                unix_dir.remove(entry.name)
         self._nodes.rmdir(key)
         self._dir_vnode_cache.pop(key, None)
         self._entries_cache.pop(key, None)
-        self._dir_aux_cache.pop(key, None)
         for child_key in [k for k in self._child_vnode_cache if k[0] == key]:
             del self._child_vnode_cache[child_key]
         self._subtree_memo.clear()
@@ -496,48 +557,29 @@ class ReplicaStore:
         return entries
 
     def write_entries(self, fh: FicusFileHandle, entries: list[DirectoryEntry]) -> None:
-        """Stage a directory's entry list, and its fold in the aux record."""
+        """Stage a directory's entry list, and its fold in the record."""
         with self._scope:
-            update = self._stage_aux(fh)
-            update.staged += 1  # two records: the list, and its fold in the aux
+            update = self._update(fh)
             if update.entries is None:
                 update.stored_entries = self.read_entries(fh)
             update.entries = list(entries)
-            update.aux.dig_entries = entries_fold(entries)
+            self._staged_calls += 1
+            self._stage(fh.logical).aux.dig_entries = entries_fold(entries)
 
     def read_dir_aux(self, fh: FicusFileHandle) -> AuxAttributes:
-        key = self._dir_key(fh)
-        update = self._pending.get(key)
-        if update is not None and update.aux is not None:
-            return update.aux.clone()
-        cached = self._cache_get(self._dir_aux_cache, key)
-        if cached is not None:
-            # clone: callers mutate the returned record in place
-            return cached.clone()
-        faux = self._unix_child(fh, FAUX_NAME)
-        aux = AuxAttributes.from_bytes(faux.read_all())
-        self._cache_put(self._dir_aux_cache, key, aux.clone())
-        return aux
+        return self._record(fh.logical)
 
     def write_dir_aux(self, fh: FicusFileHandle, aux: AuxAttributes) -> None:
-        """Stage a directory's whole aux record."""
+        """Stage a directory's whole record."""
         with self._scope:
-            self._stage_aux(fh).aux = aux.clone()
+            self._stage(fh.logical).aux = aux.clone()
 
     def staged_dir_aux(self, fh: FicusFileHandle) -> AuxAttributes:
-        """A directory's aux record as the open operation will leave it —
-        the live object, so a change made to it is staged.  Only inside
+        """A directory's record as the open operation will leave it — the
+        live object, so a change made to it is staged.  Only inside
         :meth:`operation`."""
-        assert self._scope.depth, "directory records are staged inside an operation"
-        return self._stage_aux(fh).aux
-
-    def _stage_aux(self, fh: FicusFileHandle) -> _DirUpdate:
-        update = self._update(fh)
-        update.staged += 1
-        if update.aux is None:
-            update.aux = self.read_dir_aux(fh)
-            update.stored_aux = update.aux.clone()
-        return update
+        assert self._scope.depth, "records are staged inside an operation"
+        return self._stage(fh.logical).aux
 
     def _fold_file_into_dir(
         self,
@@ -552,17 +594,82 @@ class ReplicaStore:
                 if component:
                     aux.dig_files = xor_fold(aux.dig_files, component)
 
+    # -- the attribute table's records ---------------------------------------------
+
+    def _record(self, fh: FicusFileHandle) -> AuxAttributes:
+        """A copy of one record as the open operation leaves it."""
+        # an empty dict's get still hashes its key, and a handle's hash is
+        # a Python call: most reads happen with nothing staged
+        staged = self._records.get(fh) if self._records else None
+        if staged is not None:
+            if staged.aux is None:
+                raise FileNotFound(f"the attribute record of {fh} is being cleared")
+            return staged.aux.clone()
+        cached = self._cache_get(self._record_cache, fh)
+        if cached is not None:
+            # clone: callers mutate the returned record in place
+            return cached.clone()
+        aux = self._attr.read(fh)
+        self._cache_put(self._record_cache, fh, aux.clone())
+        return aux
+
+    def has_record(self, fh: FicusFileHandle) -> bool:
+        """Does the table (as the open operation leaves it) hold ``fh``?"""
+        staged = self._records.get(fh.logical) if self._records else None
+        return staged.aux is not None if staged is not None else fh.logical in self._attr
+
+    def record_handles(self) -> list[FicusFileHandle]:
+        """Every handle with a record in the table."""
+        return self._attr.handles()
+
+    def _stage(self, fh: FicusFileHandle) -> _Staged:
+        """The staged copy of an existing record, staged on first use."""
+        staged = self._records.get(fh)
+        if staged is None:
+            aux = self._record(fh)
+            staged = self._records[fh] = _Staged(aux, aux.clone())
+        elif staged.aux is None:
+            raise FileNotFound(f"the attribute record of {fh} is being cleared")
+        self._staged_calls += 1
+        self._subtree_memo.clear()
+        return staged
+
+    def _stage_new(self, fh: FicusFileHandle, aux: AuxAttributes, near: FicusFileHandle | None) -> None:
+        """Stage a record for a handle that has none."""
+        staged = self._records.get(fh)
+        if staged is None:
+            self._records[fh] = _Staged(aux, None, near)
+        else:
+            staged.aux = aux
+        self._staged_calls += 1
+        self._subtree_memo.clear()
+
+    def _stage_clear(self, fh: FicusFileHandle) -> None:
+        self._stage(fh).aux = None
+
+    def _drop_name(self, fh: FicusFileHandle) -> None:
+        """One stored name of a file is going: count it off its record, and
+        clear the record with the last."""
+        if not self.has_record(fh):
+            return
+        staged = self._stage(fh)
+        staged.aux.refs -= 1
+        if staged.aux.refs <= 0:
+            staged.aux = None
+
     # -- the operation scope ------------------------------------------------------
 
     def operation(self) -> _OperationScope:
-        """``with store.operation():`` — one operation's directory records
-        are staged inside and flushed once, at the outermost exit."""
+        """``with store.operation():`` — one operation's entry lists and
+        records are staged inside and flushed once, at the outermost exit."""
         return self._scope
 
     def flushed(self, fh: FicusFileHandle | None = None) -> bool:
-        """Nothing staged for ``fh`` (``None``: for any directory)?  What
-        leaves the host must describe durable state."""
-        return not self._pending if fh is None else self._dir_key(fh) not in self._pending
+        """Nothing staged for ``fh`` (``None``: for anything)?  What leaves
+        the host must describe durable state."""
+        if fh is None:
+            return not self._pending and not self._records
+        return self._dir_key(fh) not in self._pending and (not self._records or fh.logical not in self._records)
 
     def _update(self, fh: FicusFileHandle) -> _DirUpdate:
         key = self._dir_key(fh)
@@ -573,63 +680,90 @@ class ReplicaStore:
         return update
 
     def _flush(self) -> None:
-        """Write every staged directory, in first-dirtied order.  One that
-        fails loses its decoded copies (the write may have half-landed) and
-        the rest are still attempted; the first failure is raised."""
-        failure: BaseException | None = None
-        while self._pending:
-            key = next(iter(self._pending))
-            try:
-                self._flush_directory(key, self._pending[key])
-            except BaseException as exc:
-                self._pending.pop(key, None)
-                self._entries_cache.pop(key, None)
-                self._dir_aux_cache.pop(key, None)
-                failure = failure or exc
-        if failure is not None:
-            raise failure
+        """Decide the frees on the final state, then write: the table blocks
+        where records land in fresh runs, each changed ``.fdir`` in
+        first-dirtied order, every other changed table block once and the
+        clears, and last the frees.  A failure part-way drops every decoded copy and
+        the table's index (the writes may have half-landed; the index is
+        rebuilt from the device at next use) and is raised."""
+        try:
+            doomed_files, doomed_dirs = self._settle_frees()
+            lists = [
+                update
+                for update in self._pending.values()
+                if update.entries is not None and update.entries != update.stored_entries
+            ]
+            changes = {fh: staged.aux for fh, staged in self._records.items() if staged.aux != staged.stored}
 
-    def _flush_directory(self, key: str, update: _DirUpdate) -> None:
-        """``.fdir`` if the entries changed, then ``.faux`` once, then the
-        frees this directory's tombstones asked for.  Until the records are
-        written the directory stays staged, so every read here sees the
-        state the operation is leaving."""
-        fh = update.fh
-        doomed = update.free_files
-        if doomed:
-            # a file a live entry of the final list names again keeps its
-            # storage; it left the fold when the free was asked for, so
-            # the folds are re-anchored from what is stored
-            named = {entry.fh for entry in self.read_entries(fh) if entry.live}
-            if named.intersection(doomed):
-                doomed = [child for child in doomed if child not in named]
-                self.refresh_dir_digests(fh)
-        written = 0
-        if update.entries is not None and update.entries != update.stored_entries:
-            self._replace_record(self._unix_child(fh, FDIR_NAME), encode_directory(update.entries))
-            written += 1
-        if update.aux is not None and update.aux != update.stored_aux:
-            self._replace_record(self._unix_child(fh, FAUX_NAME), update.aux.to_bytes())
-            written += 1
-        del self._pending[key]
-        if update.entries is not None:
-            self._cache_put(self._entries_cache, key, update.entries)
-        if update.aux is not None:
-            self._cache_put(self._dir_aux_cache, key, update.aux)
-        if written:
-            self.stats.dir_flushes += 1
-        if update.staged > written:
-            self.stats.dir_writes_coalesced += update.staged - written
-        for child in doomed:
-            if self.has_file(fh, child):
-                self._unlink_file_storage(fh, child)
-        for child in update.free_dirs:
-            if (
-                self.has_directory(child)
-                and self.read_dir_aux(child).refs <= 0
-                and not any(entry.live for entry in self.read_entries(child))
-            ):
+            def write_lists() -> None:
+                for update in lists:
+                    self._replace_record(self._unix_child(update.fh, FDIR_NAME), encode_directory(update.entries))
+
+            in_place, moved = self._attr.commit(changes, lambda fh: self._records[fh].near, write_lists)
+            self.stats.records_in_place += in_place
+            self.stats.records_resized += moved
+            written_dirs = {update.fh for update in lists} | {
+                fh
+                for fh, staged in self._records.items()
+                if fh in changes and (staged.aux or staged.stored).etype in DIR_TYPES
+            }
+            self.stats.dir_flushes += len(written_dirs)
+            self.stats.dir_writes_coalesced += max(0, self._staged_calls - len(lists) - len(changes))
+            for key, update in self._pending.items():
+                if update.entries is not None:
+                    self._cache_put(self._entries_cache, key, update.entries)
+            for fh, staged in self._records.items():
+                if staged.aux is None:
+                    self._record_cache.pop(fh, None)
+                else:
+                    self._cache_put(self._record_cache, fh, staged.aux)
+            for parent, child in doomed_files:
+                self._unlink_file_storage(parent, child)
+            for child in doomed_dirs:
                 self._remove_directory_storage(child)
+        except BaseException:
+            self._entries_cache.clear()
+            self._record_cache.clear()
+            self._child_vnode_cache.clear()
+            self._dir_vnode_cache.clear()
+            self._table = None
+            raise
+        finally:
+            self._pending.clear()
+            self._records.clear()
+            self._staged_calls = 0
+
+    def _settle_frees(self) -> tuple[list[tuple[FicusFileHandle, FicusFileHandle]], list[FicusFileHandle]]:
+        """The storage the operation's tombstones asked to free that the
+        final state still says is garbage, with what freeing it does to the
+        table staged: each file name freed counts off its record, and a
+        directory freed clears its record."""
+        files: list[tuple[FicusFileHandle, FicusFileHandle]] = []
+        dirs: list[FicusFileHandle] = []
+        for update in list(self._pending.values()):
+            fh, doomed = update.fh, update.free_files
+            if doomed:
+                # a file a live entry of the final list names again keeps its
+                # storage; it left the fold when the free was asked for, so
+                # the folds are re-anchored from what is stored
+                named = {entry.fh for entry in self.read_entries(fh) if entry.live}
+                if named.intersection(doomed):
+                    doomed = [child for child in doomed if child not in named]
+                    self.refresh_dir_digests(fh)
+            for child in doomed:
+                if self.has_file(fh, child):
+                    files.append((fh, child))
+                    self._drop_name(child)
+            for child in update.free_dirs:
+                if (
+                    child not in dirs
+                    and self.has_directory(child)
+                    and self.read_dir_aux(child).refs <= 0
+                    and not any(entry.live for entry in self.read_entries(child))
+                ):
+                    dirs.append(child)
+                    self._doom_directory(child)
+        return files, dirs
 
     # -- regular-file storage (lives inside the parent's Unix directory) --------
 
@@ -641,39 +775,45 @@ class ReplicaStore:
         """The contents vnode of a regular-file replica."""
         return self._unix_child(parent, self._file_key(fh))
 
-    def aux_vnode(self, parent: FicusFileHandle, fh: FicusFileHandle) -> Vnode:
-        return self._unix_child(parent, self._file_key(fh) + AUX_SUFFIX)
-
     def read_file_aux(self, parent: FicusFileHandle, fh: FicusFileHandle) -> AuxAttributes:
         # Keyed by the FILE (not the ⟨parent, file⟩ pair): a hard-linked
-        # file's aux is one shared inode, so a write through any naming
-        # directory must be seen through every other name.
-        key = self._file_key(fh)
-        cached = self._cache_get(self._file_aux_cache, key)
-        if cached is not None:
-            return cached.clone()
-        aux = AuxAttributes.from_bytes(self.aux_vnode(parent, fh).read_all())
-        self._cache_put(self._file_aux_cache, key, aux.clone())
-        return aux
+        # file has one record, so a write through any naming directory is
+        # seen through every other name.
+        return self._record(fh.logical)
 
     def write_file_aux(
         self, parent: FicusFileHandle, fh: FicusFileHandle, aux: AuxAttributes
     ) -> None:
-        vnode = self.aux_vnode(parent, fh)
-        old = self.read_file_aux(parent, fh)
-        key = self._file_key(fh)
+        """Stage a file's whole record, and its new vector in ``parent``'s
+        fold."""
+        with self._scope:
+            staged = self._stage(fh.logical)
+            old_vv = staged.aux.vv
+            staged.aux = aux.clone()
+            if old_vv != aux.vv:
+                self._fold_file_into_dir(
+                    parent,
+                    out_component=file_component(fh, old_vv),
+                    in_component=file_component(fh, aux.vv),
+                )
+
+    def mark_updating(self, fh: FicusFileHandle) -> None:
+        """Mark a file's record ``updating``: an update session is about to
+        write the contents for the first time since the vector's bump.  The
+        mark must be on the device before that write, so it is written at
+        once, never staged — the flag's byte, in place."""
+        assert not self._scope.depth, "a mark is written before the write it announces"
+        fh = fh.logical
+        aux = self._record(fh)
+        if aux.updating:
+            return
         try:
-            self._replace_record(vnode, aux.to_bytes())
-        except BaseException:
-            self._file_aux_cache.pop(key, None)
-            raise
-        self._cache_put(self._file_aux_cache, key, aux.clone())
-        if old.vv != aux.vv:
-            self._fold_file_into_dir(
-                parent,
-                out_component=file_component(fh, old.vv),
-                in_component=file_component(fh, aux.vv),
-            )
+            self._attr.mark_updating(fh)
+        finally:
+            self._record_cache.pop(fh, None)
+        self.stats.records_in_place += 1
+        aux.updating = True
+        self._cache_put(self._record_cache, fh, aux)
 
     def create_file_storage(
         self,
@@ -682,29 +822,27 @@ class ReplicaStore:
         etype: EntryType = EntryType.FILE,
         merge_policy: str = "",
     ) -> Vnode:
-        """Materialize contents + aux for a new regular file or symlink.
+        """Materialize contents now and a record with the operation, for a
+        new regular file or symlink.
 
-        The fresh aux record retains the empty file as the merge ancestor:
+        The fresh record retains the empty file as the merge ancestor:
         creation is the first sync point (every replica starts from the
         same nothing).
         """
-        unix_dir = self.dir_unix_vnode(parent)
+        fh = fh.logical
         key = self._file_key(fh)
-        contents = unix_dir.create(key)
+        contents = self.dir_unix_vnode(parent).create(key)
         aux = AuxAttributes(
-            fh=fh.logical,
+            fh=fh,
             etype=etype,
             refs=1,
             merge_policy=merge_policy,
             ancestor=AuxAttributes.encode_ancestor([]),
         )
-        aux_file = unix_dir.create(key + AUX_SUFFIX)
-        aux_file.write(0, aux.to_bytes())
-        dir_key = self._dir_key(parent)
-        self._cache_put(self._child_vnode_cache, (dir_key, key), contents)
-        self._cache_put(self._child_vnode_cache, (dir_key, key + AUX_SUFFIX), aux_file)
-        self._cache_put(self._file_aux_cache, key, aux.clone())
-        self._fold_file_into_dir(parent, in_component=file_component(fh, aux.vv))
+        self._cache_put(self._child_vnode_cache, (self._dir_key(parent), key), contents)
+        with self._scope:
+            self._stage_new(fh, aux, parent.logical)
+            self._fold_file_into_dir(parent, in_component=file_component(fh, aux.vv))
         return contents
 
     def link_file_storage(
@@ -713,27 +851,29 @@ class ReplicaStore:
         dst_parent: FicusFileHandle,
         fh: FicusFileHandle,
     ) -> None:
-        """Hard-link a file's contents and aux into another directory.
+        """Hard-link a file's contents into another directory.
 
         Gives the file a second name without copying: both Unix names share
-        one inode, so updates and version-vector changes are seen through
+        one inode, and the file keeps its one record, which counts the new
+        name — so updates and version-vector changes are seen through
         every name.
         """
-        src_dir = self.dir_unix_vnode(src_parent)
-        dst_dir = self.dir_unix_vnode(dst_parent)
+        fh = fh.logical
         key = self._file_key(fh)
-        dst_dir.link(src_dir.lookup(key), key)
-        dst_dir.link(src_dir.lookup(key + AUX_SUFFIX), key + AUX_SUFFIX)
-        aux = self.read_file_aux(dst_parent, fh)
-        self._fold_file_into_dir(dst_parent, in_component=file_component(fh, aux.vv))
+        self.dir_unix_vnode(dst_parent).link(self.dir_unix_vnode(src_parent).lookup(key), key)
+        with self._scope:
+            aux = self._stage(fh).aux
+            aux.refs += 1
+            self._fold_file_into_dir(dst_parent, in_component=file_component(fh, aux.vv))
 
     def unlink_file_storage(self, parent: FicusFileHandle, fh: FicusFileHandle) -> None:
-        """Ask for one directory's name for a file to be dropped (UFS
-        frees at the last link).  The file leaves the directory's fold now;
-        its storage goes after ``parent``'s flush has made the tombstone
-        durable, and only if no live entry of the list it wrote names the
-        file — a rename replayed as tombstone + insert in one operation
-        keeps the storage it would otherwise pull again."""
+        """Ask for one directory's name for a file to be dropped.  The file
+        leaves the directory's fold now; its name goes after the flush has
+        made the tombstone durable, and only if no live entry of the list
+        it wrote names the file — a rename replayed as tombstone + insert
+        in one operation keeps the storage it would otherwise pull again.
+        The flush that drops the last name clears the record, before the
+        name goes."""
         fh = fh.logical
         with self._scope:
             if not self.has_file(parent, fh) or any(
@@ -744,7 +884,7 @@ class ReplicaStore:
             if fh in frees:
                 return
             try:
-                component = file_component(fh, self.read_file_aux(parent, fh).vv)
+                component = file_component(fh, self._record(fh).vv)
             except (FileNotFound, InvalidArgument):
                 component = ""
             self._fold_file_into_dir(parent, out_component=component)
@@ -754,15 +894,11 @@ class ReplicaStore:
         unix_dir = self.dir_unix_vnode(parent)
         key = self._file_key(fh)
         unix_dir.remove(key)
-        unix_dir.remove(key + AUX_SUFFIX)
         try:
             unix_dir.remove(key + SHADOW_SUFFIX)
         except FileNotFound:
             pass
-        dir_key = self._dir_key(parent)
-        self._child_vnode_cache.pop((dir_key, key), None)
-        self._child_vnode_cache.pop((dir_key, key + AUX_SUFFIX), None)
-        self._file_aux_cache.pop(key, None)
+        self._child_vnode_cache.pop((self._dir_key(parent), key), None)
         self._subtree_memo.clear()
 
     def has_file(self, parent: FicusFileHandle, fh: FicusFileHandle) -> bool:
@@ -790,18 +926,69 @@ class ReplicaStore:
         completely propagated, and then the shadow atomically replaces the
         original by changing a low-level directory reference."  The
         low-level reference change is a UFS rename, and the contents are
-        written to the shadow first.  A file stored here then has its aux
-        record replaced; a file with no storage here is born from its
-        shadow: its aux record is made already final, and the rename gives
-        the shadow the file's name (``etype`` is the new file's type).  A
-        crash before the rename leaves a shadow and, for a new file, a lone
-        aux record — recovery drops both.
+        written to the shadow first; the record follows with the
+        operation.  A file with no storage here is born from its shadow:
+        the rename gives the shadow the file's name, and the record is made
+        already final (``etype`` is the new file's type).  A file stored
+        here under other names too — a hard link, or a rename whose old
+        name has not been dropped yet — has one record for all of them, so
+        every other name is re-linked to the new contents; and when those
+        names already hold exactly ``contents``, the new name is linked to
+        them and no shadow is made.  A crash before the rename leaves a
+        shadow, and one after it contents the old record describes or, for
+        a new file, contents with no record — recovery drops the shadow and
+        the recordless contents.
 
         An install is a sync point (the replicas now share these contents),
         so they become the retained merge ancestor, digested from
         ``contents`` without reading anything back.
         """
         parent, fh = parent.logical, fh.logical
+        ancestor = _ancestor_of(contents)
+        with self._scope:
+            stored_here = self.has_file(parent, fh)
+            elsewhere = self._stored_elsewhere(parent, fh)
+            if not stored_here and elsewhere and self.file_vnode(elsewhere[0], fh).read_all() == contents:
+                self.link_file_storage(elsewhere[0], parent, fh)
+                stored_here, elsewhere = True, []
+            else:
+                self._commit_shadow(parent, fh, contents, elsewhere)
+            if stored_here:
+                aux = self._record(fh)
+                aux.vv, aux.merge_policy, aux.ancestor = vv, merge_policy, ancestor
+                self.write_file_aux(parent, fh, aux)
+            elif elsewhere:
+                aux = self._stage(fh).aux
+                aux.refs += 1
+                aux.vv, aux.merge_policy, aux.ancestor = vv, merge_policy, ancestor
+                self._fold_file_into_dir(parent, in_component=file_component(fh, vv))
+            else:
+                aux = AuxAttributes(fh=fh, etype=etype, vv=vv, merge_policy=merge_policy, ancestor=ancestor)
+                self._stage_new(fh, aux, parent)
+                self._fold_file_into_dir(parent, in_component=file_component(fh, vv))
+
+    def _stored_elsewhere(self, parent: FicusFileHandle, fh: FicusFileHandle) -> list[FicusFileHandle]:
+        """The other directories storing ``fh`` (each names it in its
+        entries); none unless its record counts a name outside ``parent``."""
+        if not self.has_record(fh) or self._record(fh).refs <= self.has_file(parent, fh):
+            return []
+        key = hash(fh)  # handles compare by their cached hash first: a full comparison is a nested one
+        return [
+            dir_fh
+            for dir_fh in self.all_directory_handles()
+            if dir_fh != parent
+            and any(hash(entry.fh) == key and entry.fh == fh for entry in self.read_entries(dir_fh))
+            and self.has_file(dir_fh, fh)
+        ]
+
+    def _commit_shadow(
+        self, parent: FicusFileHandle, fh: FicusFileHandle, contents: bytes, elsewhere: list[FicusFileHandle]
+    ) -> None:
+        """Write ``contents`` to the file's shadow in ``parent`` and rename
+        it over the file's name, then give each directory of ``elsewhere``
+        the new contents too, by a link and a rename over its name (a crash
+        leaves each name old or new, and at worst a shadow-named link,
+        which recovery scavenges)."""
         unix_dir = self.dir_unix_vnode(parent)
         key = self._file_key(fh)
         try:
@@ -812,25 +999,15 @@ class ReplicaStore:
         shadow.setattr(SetAttrs(size=0))
         if contents:
             shadow.write(0, contents)
-        ancestor = _ancestor_of(contents)
-        dir_key = self._dir_key(parent)
-        if self.has_file(parent, fh):
-            unix_dir.rename(key + SHADOW_SUFFIX, unix_dir, key)
-            # the rename rebound the contents name to the shadow's inode
-            self._cache_put(self._child_vnode_cache, (dir_key, key), shadow)
-            aux = self.read_file_aux(parent, fh)
-            aux.vv, aux.merge_policy, aux.ancestor = vv, merge_policy, ancestor
-            self.write_file_aux(parent, fh, aux)
-        else:
-            aux = AuxAttributes(fh=fh, etype=etype, vv=vv, merge_policy=merge_policy, ancestor=ancestor)
-            aux_file = unix_dir.create(key + AUX_SUFFIX)
-            aux_file.write(0, aux.to_bytes())
-            unix_dir.rename(key + SHADOW_SUFFIX, unix_dir, key)
-            self._cache_put(self._child_vnode_cache, (dir_key, key), shadow)
-            self._cache_put(self._child_vnode_cache, (dir_key, key + AUX_SUFFIX), aux_file)
-            self._cache_put(self._file_aux_cache, key, aux.clone())
-            self._fold_file_into_dir(parent, in_component=file_component(fh, vv))
+        unix_dir.rename(key + SHADOW_SUFFIX, unix_dir, key)
         self.stats.shadow_commits += 1
+        # each rename (re)binds a contents name to the shadow's inode
+        self._cache_put(self._child_vnode_cache, (self._dir_key(parent), key), shadow)
+        for dir_fh in elsewhere:
+            other = self.dir_unix_vnode(dir_fh)
+            other.link(shadow, key + SHADOW_SUFFIX)
+            other.rename(key + SHADOW_SUFFIX, other, key)
+            self._cache_put(self._child_vnode_cache, (self._dir_key(dir_fh), key), shadow)
 
     # -- merge-ancestor retention (three-way conflict resolution) ---------------
 
@@ -891,73 +1068,91 @@ class ReplicaStore:
         self.stats.shadows_scavenged += dropped
         return dropped
 
-    def recover(self) -> None:
-        """Crash recovery for the whole replica, the first act of a reboot.
+    def recover(self) -> list[tuple[FicusFileHandle, VersionVector, VersionVector]]:
+        """Crash recovery for the whole replica, the first act of a reboot,
+        as one operation; returns the updates it counted, as (file, prior
+        vector, new vector).
 
-        A directory the crash left half made or half freed goes: one whose
-        Unix directory lacks ``.fdir`` or ``.faux``, or whose aux record
-        does not decode while no live entry names it — a ``mkdir`` cut
-        short before anything published it, or a free cut short after its
-        tombstone was durable.  Nothing can serve it, and reading it would
-        fail the reboot.  Every other directory is recovered in turn
-        (:meth:`recover_directory`).
+        A file whose record is marked ``updating`` was written by a session
+        the crash cut short: its contents may be new, so the update is
+        counted — its vector bumped, the mark cleared.  A directory the
+        crash left half made or half freed goes: one whose
+        Unix directory lacks ``.fdir``, or that has no record while no live
+        entry names it — a ``mkdir`` cut short before anything published
+        it, or a free cut short after its record was cleared.  Nothing can
+        serve it, and reading it would fail the reboot.  Every other
+        directory is recovered in turn (:meth:`recover_directory`).  Then
+        each file's record counts the names it has left, and the records
+        of objects stored nowhere are cleared: a file whose last name a
+        crash removed, a directory whose Unix directory is gone.
         """
-        dirs = self.all_directory_handles()
-        whole = [
-            fh
-            for fh in dirs
-            if {FDIR_NAME, FAUX_NAME} <= {e.name for e in self.dir_unix_vnode(fh).readdir()}
-        ]
-        named = {self.root_handle()} | {
-            entry.fh.logical for fh in whole for entry in self.read_entries(fh) if entry.live
-        }
-        for fh in dirs:
-            if fh in whole and (fh in named or self._decodes(self.dir_unix_vnode(fh), FAUX_NAME)):
-                self.recover_directory(fh)
-            else:
-                self._remove_directory_storage(fh)
+        counted = []
+        with self._scope:
+            for fh in self.record_handles():
+                if self._record(fh).updating:
+                    aux = self._stage(fh).aux
+                    prior, aux.vv, aux.updating = aux.vv, aux.vv.bump(self.replica_id), False
+                    counted.append((fh, prior, aux.vv))
+            dirs = self.all_directory_handles()
+            whole = [fh for fh in dirs if FDIR_NAME in {e.name for e in self.dir_unix_vnode(fh).readdir()}]
+            named = {self.root_handle()} | {
+                entry.fh.logical for fh in whole for entry in self.read_entries(fh) if entry.live
+            }
+            names: dict[FicusFileHandle, int] = {}
+            for fh in dirs:
+                if fh in whole and (fh in named or self.has_record(fh)):
+                    for child in self.recover_directory(fh):
+                        names[child] = names.get(child, 0) + 1
+                else:
+                    if self.has_record(fh):
+                        self._stage_clear(fh)
+                    self._remove_directory_storage(fh)
+            for fh in self.record_handles():
+                if not self.has_record(fh):
+                    continue
+                aux = self._record(fh)
+                if aux.etype in DIR_TYPES:
+                    if not self.has_directory(fh):
+                        self._stage_clear(fh)
+                elif not names.get(fh):
+                    self._stage_clear(fh)
+                elif aux.refs != names[fh]:
+                    self._stage(fh).aux.refs = names[fh]
+        return counted
 
-    def recover_directory(self, fh: FicusFileHandle) -> None:
-        """Crash recovery for one directory, in the order a reboot needs.
+    def recover_directory(self, fh: FicusFileHandle) -> list[FicusFileHandle]:
+        """Crash recovery for one directory, in the order a reboot needs;
+        returns the files whose contents it still stores.
 
-        Orphan shadows go.  A file the crash left half made or half
-        unlinked goes — contents with no aux record beside them or the
-        reverse, and contents no entry names whose aux record does not
-        decode (a create cut short before it published anything): none of
-        them can be served.  A free the crash cut short is finished: the
-        tombstone was durable before the storage was to go, so storage
-        only tombstones name is garbage.  Then the folds are recomputed
-        from what is stored — a crash between a file's aux write and its
-        directory's flush must not leave equal digests over different
-        state.  A *published* record torn inside its resized replace reads
-        empty and is left as it is: ``ficus_fsck``'s finding.
+        Orphan shadows go.  Contents with no record go (a create cut short
+        before its record landed, a free cut short after it cleared the
+        record): they cannot be served.  A free the crash cut short is
+        finished: the tombstone was durable before the storage was to go,
+        so contents only tombstones name are garbage.  Contents no entry
+        names whose record exists stay, waiting for the entry only this
+        host could publish.  Then the folds are recomputed from what is
+        stored — a crash between a record's write and its directory's list
+        must not leave equal digests over different state.
         """
         fh = fh.logical
         self.scavenge_shadows(fh)
         unix_dir = self.dir_unix_vnode(fh)
-        names = {entry.name for entry in unix_dir.readdir()} - {".", "..", FDIR_NAME, FAUX_NAME}
         entries = self.read_entries(fh)
         live = {self._file_key(entry.fh) for entry in entries if entry.live}
         dead = {self._file_key(entry.fh) for entry in entries} - live
-        for name in sorted(names):
-            key = name.removesuffix(AUX_SUFFIX)
-            whole = {key, key + AUX_SUFFIX} <= names
-            if whole and (key in live or (key not in dead and self._decodes(unix_dir, key + AUX_SUFFIX))):
+        kept = []
+        for name in sorted(self._unix_names(fh)):
+            child = handle_of(name)
+            if child is not None and self.has_record(child) and (name in live or name not in dead):
+                kept.append(child)
                 continue  # served, or waiting for the entry only this host could publish
             unix_dir.remove(name)
+            self._child_vnode_cache.pop((self._dir_key(fh), name), None)
         try:
             self.refresh_dir_digests(fh)
-        except InvalidArgument:
+        except (FileNotFound, InvalidArgument):
             pass
-
-    @staticmethod
-    def _decodes(unix_dir: Vnode, name: str) -> bool:
-        """Does the aux record ``name`` of ``unix_dir`` decode?"""
-        try:
-            AuxAttributes.from_bytes(unix_dir.lookup(name).read_all())
-            return True
-        except InvalidArgument:
-            return False
+        return kept
 
     # -- recon digests (subtree pruning, Merkle-style) ---------------------------
 

@@ -69,7 +69,8 @@ ENTRY_FILE_TYPES = {
 
 def _one_operation(method):
     """Run a directory vnode's mutation as one store operation: what it
-    stages for ``.fdir`` and ``.faux`` is flushed once, before it returns."""
+    stages for ``.fdir`` and the attribute table is flushed once, before it
+    returns."""
 
     @wraps(method)
     def scoped(self, *args, **kwargs):
@@ -263,11 +264,14 @@ class PhysicalDirVnode(Vnode):
         fhs: list[FicusFileHandle] | None = None,
         ctx: OpContext = ROOT_CTX,
     ) -> AttrBatch:
-        """This directory's aux record plus its stored children's, at once.
+        """This directory's record plus its stored children's, at once.
 
         Replica selection needs the version vector of every candidate
         anyway; returning them in one reply collapses the logical layer's
-        per-replica, per-file probes into a single RPC.
+        per-replica, per-file probes into a single RPC.  The records share
+        the attribute table's blocks — a child's record is placed beside
+        its directory's — so a cold batch reads a block or a few, not a
+        file per child.
         """
         assert self.store.flushed(self.fh), "getattrs_batch of a directory with staged records"
         wanted = None if fhs is None else {fh.logical for fh in fhs}
@@ -277,8 +281,10 @@ class PhysicalDirVnode(Vnode):
                 continue
             if wanted is not None and entry.fh not in wanted:
                 continue
-            if not self.store.has_file(self.fh, entry.fh):
-                continue  # entry known but contents not stored here
+            # entry known but contents not stored here: a file with no
+            # record is stored nowhere, which costs no Unix lookup to learn
+            if not self.store.has_record(entry.fh) or not self.store.has_file(self.fh, entry.fh):
+                continue
             children[entry.fh] = self.store.read_file_aux(self.fh, entry.fh)
         return AttrBatch(dir_aux=self.aux(), children=children)
 
@@ -413,7 +419,7 @@ class PhysicalDirVnode(Vnode):
             if self.store.has_directory(fh):
                 self.store.staged_dir_aux(fh).refs += 1
             else:
-                self.store.create_directory_storage(fh, etype, graft_volume=data)
+                self.store.create_directory_storage(fh, etype, graft_volume=data, parent=self.fh)
         entries.append(entry)
         self.store.write_entries(self.fh, entries)
         if not from_recon:
@@ -571,9 +577,8 @@ class PhysicalFileVnode(Vnode):
 
     @_spanned("physical.write", tags=lambda self, offset, data, *a, **k: {"bytes": len(data)})
     def write(self, offset: int, data: bytes, ctx: OpContext = ROOT_CTX) -> int:
-        written = self._contents().write(offset, data, ctx)
         self.layer.note_update(self.store, self.parent_fh, self.fh)
-        return written
+        return self._contents().write(offset, data, ctx)
 
     def fsync(self, ctx: OpContext = ROOT_CTX) -> None:
         self._contents().fsync(ctx)
@@ -598,9 +603,9 @@ class PhysicalFileVnode(Vnode):
                 self.store.write_file_aux(self.parent_fh, self.fh, aux)
             self.layer.health.record_version("write", self.fh, aux.vv, parents=(prior,), detail="setpolicy")
             attrs = dataclasses.replace(attrs, policy=None)
-        self._contents().setattr(attrs, ctx)
         if attrs.size is not None:
             self.layer.note_update(self.store, self.parent_fh, self.fh)
+        self._contents().setattr(attrs, ctx)
 
     def access(self, mode: int, ctx: OpContext = ROOT_CTX) -> bool:
         return unix_permits(self.getattr(ctx), ctx.cred, mode)

@@ -1,8 +1,10 @@
 """On-disk record formats and reply payloads of the physical layer.
 
 * **Ficus directory entries and auxiliary attributes** — Ficus directories
-  are stored as UFS *files* of entry records, and "replication-related
-  attributes [are] stored in an auxiliary file" (paper Section 2.6).
+  are stored as UFS *files* of entry records, and the "replication-related
+  attributes" the paper keeps in an auxiliary file (Section 2.6) are one
+  record per file or directory in the volume replica's attribute table
+  (:mod:`repro.physical.table`).
 
 * **Replies of the Ficus vnode operations** — attribute batches, sync
   probes and block digests.  They have no wire form: the NFS hop carries
@@ -26,11 +28,12 @@ from repro.errors import InvalidArgument
 from repro.util import FicusFileHandle, decode_record, encode_record
 from repro.vv import VersionVector
 
+#: Reserved UFS names beside ``nodes/`` in a volume replica's directory.
+META_NAME = ".meta"  # volume-replica counters (file-id / entry-id mints)
+ATTR_NAME = ".attr"  # the attribute table: every file's and directory's record
+
 #: Reserved UFS names inside a Ficus directory's underlying Unix directory.
 FDIR_NAME = ".fdir"  # the Ficus directory entry file
-FAUX_NAME = ".faux"  # the directory's auxiliary attribute file
-META_NAME = ".meta"  # volume-replica counters (file-id / entry-id mints)
-AUX_SUFFIX = ".aux"  # per-file auxiliary attribute file
 SHADOW_SUFFIX = ".shadow"  # transient shadow replica during propagation
 
 # ---------------------------------------------------------------------------
@@ -45,10 +48,11 @@ DELTA_BLOCK_SIZE = 4096
 #: write, so overwriting it in place is old-or-new under a crash.
 STORE_BLOCK_SIZE = 4096
 
-#: The slot an aux record is padded to.  Every record the workloads write
-#: fits one (a file's is 64-127 B, a directory's 96-159 B), so a change that
-#: lengthens the encoding — a vector gaining a digit or a replica, a fold's
-#: first value, a policy tag, an ancestor — keeps the stored length.
+#: The slot of the attribute table.  A record takes a run of whole slots,
+#: and every record the workloads write fits one (a file's is 80-150 B, a
+#: directory's 110-180 B), so a change that lengthens the encoding — a
+#: vector gaining a digit or a replica, a fold's first value, a policy tag,
+#: an ancestor — keeps the record in its run.
 AUX_SLOT_SIZE = 256
 
 #: Width of a recon digest in hex characters (128 bits of SHA-256).
@@ -241,7 +245,8 @@ class DirectoryEntry:
 
 @dataclass
 class AuxAttributes:
-    """Replication attributes of one file replica (the auxiliary file).
+    """Replication attributes of one file or directory replica: its record
+    in the attribute table.
 
     "These attributes would be placed in the inode if we were to modify
     the UFS" (paper Section 2.6).
@@ -250,8 +255,10 @@ class AuxAttributes:
     fh: FicusFileHandle
     etype: EntryType
     vv: VersionVector = field(default_factory=VersionVector)
-    #: live directory entries referencing this object in this volume
-    #: replica — drives storage garbage collection for directories.
+    #: a directory's: the live entries naming it in this volume replica,
+    #: which drives its storage's garbage collection; a file's: the
+    #: underlying Unix directories storing its contents under its name, so
+    #: the flush that drops the last one clears the record.
     refs: int = 1
     #: graft points record their target volume here (hex VolumeId).
     graft_volume: str = ""
@@ -277,6 +284,12 @@ class AuxAttributes:
     #: but both ends of a conflict converge on the same record because
     #: each refresh captures contents the replicas demonstrably shared.
     ancestor: str = ""
+    #: an open update session has written the contents since the vector's
+    #: last bump (regular files only; host-local).  Set durably before the
+    #: session's first write lands and cleared by its close's bump, so a
+    #: crash in between leaves it set and recovery counts the update: new
+    #: contents never sit under the vector of the old ones.
+    updating: bool = False
 
     def clone(self) -> "AuxAttributes":
         """A copy callers may mutate (every field is an immutable value)."""
@@ -290,11 +303,16 @@ class AuxAttributes:
             self.dig_files,
             self.merge_policy,
             self.ancestor,
+            self.updating,
         )
 
-    def to_bytes(self) -> bytes:
+    def to_record(self) -> dict[str, str]:
+        """The record's fields: its handle first (the attribute table finds
+        a record's start by it), then the one-character ``updating`` flag,
+        at a fixed offset so the table can set it in place."""
         rec = {
             "fh": self.fh.to_hex(),
+            "upd": "1" if self.updating else "0",
             "type": self.etype.value,
             "vv": self.vv.encode(),
             "refs": str(self.refs),
@@ -309,11 +327,10 @@ class AuxAttributes:
             rec["mpol"] = self.merge_policy
         if self.ancestor:
             rec["anc"] = self.ancestor
-        return pad(encode_record(rec).encode("utf-8"), AUX_SLOT_SIZE)
+        return rec
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "AuxAttributes":
-        rec = decode_record(data.rstrip(b"\0").decode("utf-8"))
+    def from_record(cls, rec: dict[str, str]) -> "AuxAttributes":
         try:
             return cls(
                 fh=FicusFileHandle.from_hex(rec["fh"]),
@@ -325,9 +342,12 @@ class AuxAttributes:
                 dig_files=rec.get("digf", ""),
                 merge_policy=rec.get("mpol", ""),
                 ancestor=rec.get("anc", ""),
+                updating=rec.get("upd") == "1",
             )
         except KeyError as exc:
             raise InvalidArgument(f"aux record missing field {exc}") from exc
+        except ValueError as exc:
+            raise InvalidArgument(f"bad aux record: {exc}") from exc
 
     def ancestor_digests(self) -> tuple[str, ...] | None:
         """The retained ancestor as a digest tuple, or ``None`` if absent."""

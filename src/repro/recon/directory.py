@@ -117,8 +117,8 @@ def reconcile_directory(
 
 def _replay(physical, store, dir_fh, remote_entries, remote_aux, all_replicas, result) -> None:
     """Apply the remote's unseen entry operations to the local directory:
-    one store operation, so ``.fdir`` and ``.faux`` are each written once
-    with the merged vector and both folds final."""
+    one store operation, so ``.fdir`` and the directory's record are each
+    written once, with the merged vector and both folds final."""
     local_vnode = PhysicalDirVnode(physical, store, dir_fh)
     local_aux = store.read_dir_aux(dir_fh)
     if local_aux.vv.compare(remote_aux.vv) is Ordering.CONCURRENT:

@@ -14,6 +14,7 @@ from dataclasses import replace
 
 from repro.sim import TOPOLOGIES
 from repro.workload.chaos import ChaosConfig, run_chaos
+from repro.workload.replay import SCHEDULE_HEADER
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -95,8 +96,9 @@ def main(argv: list[str] | None = None) -> int:
             storm += f" +resolvers({report.auto_resolved} auto-resolved)"
         if config.verify_replication:
             verdict = "replay identical" if report.verify.identical else "REPLAY DIVERGED"
+            # the schedule's version names what its recorded steps do
             storm += (
-                f" +verify({len(report.schedule)} ops recorded, {verdict}, "
+                f" +verify({SCHEDULE_HEADER}, {len(report.schedule)} ops recorded, {verdict}, "
                 f"staleness {report.max_staleness_seconds:g}s)"
             )
         crashes = f", {report.crashes} crashes" if config.crash_prob else ""

@@ -80,11 +80,12 @@ def render_health_table(healths: list[HostHealth]) -> str:
 
 
 def render_record_replaces(metrics) -> str:
-    """How the replica stores replaced their one-record files: in place
-    (the length held; two device writes) against resized (five) — and how
-    many directory flushes carried how many staged record updates that
-    never reached the device on their own.  Empty when the registry is not
-    recording or no store has replaced one."""
+    """How the replica stores rewrote their records: in place (a table
+    record in its run, a ``.meta``/``.fdir`` of the length it had) against
+    resized (a table record moved to a fresh run, a ``.fdir`` changing its
+    block count) — and how many directory flushes carried how many staged
+    record updates that never reached the device on their own.  Empty when
+    the registry is not recording or no store has rewritten one."""
     in_place, resized, flushes, coalesced = (
         getattr(metrics.get(f"store.{name}"), "value", 0)
         for name in ("records_in_place", "records_resized", "dir_flushes", "dir_writes_coalesced")

@@ -427,11 +427,16 @@ class Ufs:
         while remaining:
             fblock, in_off = divmod(pos, bs)
             take = min(bs - in_off, len(remaining))
-            blk = self._bmap(inode, fblock, allocate=True)
+            blk = self._bmap(inode, fblock, allocate=False)
+            fresh = not blk
+            if fresh:
+                blk = self._bmap(inode, fblock, allocate=True)
             if in_off == 0 and take == bs:
                 block_data = bytes(remaining[:take])
             else:
-                buf = bytearray(self.cache.read(blk))
+                # a block just allocated starts from zeros: what it held
+                # before belonged to a file that freed it
+                buf = bytearray(bs) if fresh else bytearray(self.cache.read(blk))
                 buf[in_off : in_off + take] = remaining[:take]
                 block_data = bytes(buf)
             self.cache.write(blk, block_data)

@@ -8,10 +8,12 @@ disk image) and so that arbitrary user-supplied names round-trip exactly.
 
 A *record* is one line of ``key=value`` fields separated by spaces; a file is
 a sequence of records separated by newlines.  Values are escaped so they may
-contain spaces, newlines, ``=`` and arbitrary unicode.
+contain spaces, newlines, ``=``, NULs and arbitrary unicode.
 """
 
 from __future__ import annotations
+
+import re
 
 from repro.errors import InvalidArgument
 
@@ -23,16 +25,20 @@ _ESCAPES = {
     # Every stored record escapes the pipe this way: nothing splits on
     # it, but the escape is part of the on-disk format.
     "|": "\\p",
+    # A stored record never holds a NUL: the attribute table pads each
+    # record's run with NULs and reads one as the end of a torn run.
+    "\0": "\\0",
 }
 _UNESCAPES = {v[1]: k for k, v in _ESCAPES.items()}
 _ESCAPE_TABLE = str.maketrans(_ESCAPES)
-_NEEDS_ESCAPE = set(_ESCAPES)
+#: the first character of a string that ``_ESCAPES`` names, or ``None``
+_needs_escape = re.compile("[" + re.escape("".join(_ESCAPES)) + "]").search
 
 
 def escape_value(value: str) -> str:
-    """Escape a field value so it contains no space, newline or ``=``."""
+    """Escape a field value so it contains no space, newline, ``=`` or NUL."""
     # fast path: hex handles, plain names etc. need no escaping at all
-    if not _NEEDS_ESCAPE.intersection(value):
+    if _needs_escape(value) is None:
         return value
     return value.translate(_ESCAPE_TABLE)
 
@@ -68,7 +74,7 @@ def encode_record(fields: dict[str, str]) -> str:
     """Encode one record (dict of string fields) as a single line."""
     parts = []
     for key, value in fields.items():
-        if not key or any(c in key for c in " =\n\\"):
+        if not key or _needs_escape(key) is not None:
             raise InvalidArgument(f"bad record key {key!r}")
         parts.append(f"{key}={escape_value(value)}")
     return " ".join(parts)

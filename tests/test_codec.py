@@ -32,6 +32,11 @@ class TestEscaping:
     def test_backslash_escaped(self):
         assert unescape_value(escape_value("a\\b")) == "a\\b"
 
+    def test_nul_escaped(self):
+        # the attribute table reads a NUL as the end of a torn run
+        assert "\0" not in escape_value("a\0b")
+        assert unescape_value(escape_value("a\0b")) == "a\0b"
+
     def test_dangling_escape_rejected(self):
         with pytest.raises(InvalidArgument):
             unescape_value("oops\\")

@@ -8,6 +8,7 @@ from repro.errors import FicusError
 from repro.physical import ficus_fsck
 from repro.sim import DaemonConfig, FicusSystem
 from repro.ufs import fsck
+from repro.util import FicusFileHandle
 
 QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
 
@@ -139,6 +140,42 @@ class TestDetectsCorruption:
         store.write_dir_aux(dfh, aux)
         report = ficus_fsck(store)
         assert any("refs=5" in p for p in report.problems)
+
+    def test_contents_without_a_record_detected(self):
+        system = FicusSystem(["solo"], daemon_config=QUIET)
+        host = system.host("solo")
+        store = host.physical.store_for(system.root_locations[0].volrep)
+        # a create cut short after its contents, before its record
+        orphan = FicusFileHandle(store.volume, store.new_file_id())
+        store.dir_unix_vnode(store.root_handle()).create(orphan.to_hex())
+        report = ficus_fsck(store)
+        assert report.problems == [f"dir {store.root_handle()}: contents without a record {orphan.to_hex()!r}"]
+
+    def test_a_record_stored_nowhere_detected(self):
+        system = FicusSystem(["solo"], daemon_config=QUIET)
+        host = system.host("solo")
+        host.fs().write_file("/f", b"x")
+        store = host.physical.store_for(system.root_locations[0].volrep)
+        fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "f")
+        # the contents' last name gone, the record not cleared with it
+        store.dir_unix_vnode(store.root_handle()).remove(fh.to_hex())
+        store._child_vnode_cache.clear()
+        assert f"record of file {fh} stored nowhere" in ficus_fsck(store).problems
+
+    def test_a_file_record_counts_its_stored_names(self):
+        system = FicusSystem(["solo"], daemon_config=QUIET)
+        host = system.host("solo")
+        fs = host.fs()
+        fs.mkdir("/d")
+        fs.write_file("/f", b"x")
+        fs.link("/f", "/d/alias")
+        store = host.physical.store_for(system.root_locations[0].volrep)
+        fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "f")
+        assert store.read_file_aux(store.root_handle(), fh).refs == 2 and ficus_fsck(store).clean
+        aux = store.read_file_aux(store.root_handle(), fh)
+        aux.refs = 1
+        store.write_file_aux(store.root_handle(), fh, aux)
+        assert f"file {fh}: record refs=1 but 2 stored names" in ficus_fsck(store).problems
 
 
 class TestRandomizedOracle:

@@ -22,7 +22,16 @@ from repro.physical import (
 )
 from repro.physical.check import ficus_fsck
 from repro.physical.store import ReplicaStore
-from repro.physical.wire import FDIR_NAME, SHADOW_SUFFIX, STORE_BLOCK_SIZE, DirectoryEntry, decode_directory, encode_directory
+from repro.physical.table import SLOTS_PER_BLOCK, AttrTable, encode_run
+from repro.physical.wire import (
+    AUX_SLOT_SIZE,
+    FDIR_NAME,
+    SHADOW_SUFFIX,
+    STORE_BLOCK_SIZE,
+    DirectoryEntry,
+    decode_directory,
+    encode_directory,
+)
 from repro.sim import DaemonConfig, FicusSystem
 from repro.storage import BlockDevice
 from repro.ufs import FileType, Ufs, fsck
@@ -33,6 +42,8 @@ from repro.vv import VersionVector
 
 VOL = VolumeId(1, 1)
 VR = VolumeReplicaId(VOL, 1)
+QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
+PAYLOAD = bytes(range(256)) * 8
 
 
 def make_world():
@@ -184,7 +195,7 @@ class TestMultipleNames:
         d.insert("other", EntryType.FILE, fh=fh, link_from=store.root_handle())
         vnode.write(0, b"y")
         assert root.lookup("d").lookup("other").read_all() == b"y"
-        # version vector is shared through the link (aux is hard-linked)
+        # the file has one record, whichever directory names it
         assert store.read_file_aux(dfh, fh).vv == store.read_file_aux(store.root_handle(), fh).vv
 
     def test_directory_with_two_names(self, world):
@@ -399,8 +410,9 @@ class TestShadowCommit:
 
 
 class TestOperationScope:
-    """``ReplicaStore.operation``: a directory's ``.fdir`` and ``.faux`` are
-    staged inside it and written once, at the outermost exit."""
+    """``ReplicaStore.operation``: a directory's ``.fdir`` and its record in
+    the attribute table are staged inside it and written once, at the
+    outermost exit."""
 
     @staticmethod
     def grow_dir_vv(store, replica):
@@ -422,8 +434,9 @@ class TestOperationScope:
             store.write_entries(store.root_handle(), entries)  # and back: nothing to write
             self.grow_dir_vv(store, 8)
         assert store.flushed()
-        # one in-place replace of .faux (its data block alone: the clock has
-        # not moved), no .fdir write: the list is the one first read
+        # one in-place write of the record's table block (its data block
+        # alone: the clock has not moved), no .fdir write: the list is the
+        # one first read
         assert device.counters.writes == before + 1
         fresh = ReplicaStore.attach(store.lower_root, VR)
         assert fresh.read_dir_aux(store.root_handle()).vv == VersionVector({1: 1, 7: 1, 8: 1})
@@ -442,11 +455,11 @@ class TestOperationScope:
     def test_a_flush_that_raises_drops_the_decoded_copy(self, world):
         device, _, _, store, _ = world
         old = store.read_dir_aux(store.root_handle())
-        device.plan_crash_after_writes(0)  # at the in-place replace of .faux
+        device.plan_crash_after_writes(0)  # at the in-place write of the table block
         with pytest.raises(CrashInjected):
             with store.operation():
                 self.grow_dir_vv(store, 7)
-        assert store.flushed() and not store._dir_aux_cache
+        assert store.flushed() and not store._record_cache
         device.recover()
         assert store.read_dir_aux(store.root_handle()) == old  # from the device, not from memory
 
@@ -456,7 +469,7 @@ class TestOperationScope:
         store = phys.create_volume_replica(VR)
         root = phys.root().lookup(VR.to_hex())
         insert_file(store, root, "f", b"x")
-        assert not store._entries_cache and not store._dir_aux_cache
+        assert not store._entries_cache and not store._record_cache
         with store.operation():
             entry = store.read_entries(store.root_handle())[0]
             before = device.counters.writes
@@ -509,6 +522,130 @@ class TestOperationScope:
             for serve in (lambda: root.read(0, 10), root.getattr, root.getattrs_batch, root.sync_probe):
                 with pytest.raises(AssertionError):
                     serve()
+
+
+class TestAttributeTable:
+    """Every file's and directory's record in one table per volume replica."""
+
+    def test_no_record_file_is_made_anywhere(self):
+        system = FicusSystem(["alpha", "beta"], daemon_config=QUIET)
+        fs = system.host("alpha").fs()
+        fs.makedirs("/d/e")
+        fs.write_file("/d/f", b"x")
+        fs.link("/d/f", "/d/e/l")
+        fs.rename("/d/f", "/g")
+        fs.set_merge_policy("/g", "lww")
+        fs.symlink("/g", "/s")
+        system.reconcile_everything()
+        for host in ("alpha", "beta"):
+            ufs = system.host(host).ufs
+            names, pending = [], [2]
+            while pending:
+                for name, ino in ufs.readdir(pending.pop()).items():
+                    if name not in (".", ".."):
+                        names.append(name)
+                        if ufs.get_inode(ino).is_dir:
+                            pending.append(ino)
+            assert ".attr" in names and ".fdir" in names
+            assert not [name for name in names if name.endswith(".aux") or name == ".faux"], host
+
+    def test_a_hard_linked_file_is_one_record(self, world):
+        _, _, _, store, root = world
+        dfh, d = insert_dir(store, root, "d")
+        fh, vnode = insert_file(store, root, "f", b"one")
+        d.insert("alias", EntryType.FILE, fh=fh, link_from=store.root_handle())
+        records = len(store.record_handles())
+        assert store.read_file_aux(dfh, fh).refs == 2
+        alias = d.lookup("alias")
+        alias.write(0, b"two")  # an update through the second name...
+        # ...is the one record both names read
+        assert store.read_file_aux(store.root_handle(), fh) == store.read_file_aux(dfh, fh)
+        assert store.read_file_aux(store.root_handle(), fh).vv == VersionVector({1: 2})
+        assert root.lookup("f").read_all() == b"two"
+        fresh = ReplicaStore.attach(store.lower_root, VR)
+        assert fresh.read_file_aux(store.root_handle(), fh).vv == VersionVector({1: 2})
+        # dropping a name counts it off; dropping the last clears the record
+        d.remove_entry(next(e.eid for e in store.read_entries(dfh) if e.name == "alias"))
+        assert store.read_file_aux(store.root_handle(), fh).refs == 1
+        root.remove_entry(next(e.eid for e in store.read_entries(store.root_handle()) if e.name == "f"))
+        assert len(store.record_handles()) == records - 1 and fh not in store.record_handles()
+        assert ficus_fsck(store).clean
+
+    def test_a_pull_reaches_every_name_of_a_hard_linked_file(self):
+        system = FicusSystem(["alpha", "beta"], daemon_config=QUIET)
+        fs = system.host("alpha").fs()
+        fs.mkdir("/d")
+        fs.mkdir("/e")
+        fs.write_file("/d/f", b"one")
+        fs.link("/d/f", "/e/l")
+        system.reconcile_everything()
+        fs.write_file("/d/f", b"two!")
+        system.reconcile_everything()
+        (store,) = system.host("beta").physical.stores.values()
+        dirs = {e.name: e.fh for e in store.read_entries(store.root_handle())}
+        fh = next(e.fh for e in store.read_entries(dirs["d"]) if e.name == "f")
+        assert store.read_file_aux(dirs["d"], fh).refs == 2
+        # the one record's vector describes both stored names
+        assert store.file_vnode(dirs["d"], fh).read_all() == store.file_vnode(dirs["e"], fh).read_all() == b"two!"
+        assert ficus_fsck(store).clean
+
+    def test_a_pulled_rename_links_contents_it_already_stores(self):
+        system = FicusSystem(["alpha", "beta"], daemon_config=QUIET)
+        fs = system.host("alpha").fs()
+        fs.mkdir("/e")  # reconciled before /d: beta pulls the new name first
+        fs.mkdir("/d")
+        fs.write_file("/d/f", PAYLOAD)
+        system.reconcile_everything()
+        (store,) = system.host("beta").physical.stores.values()
+        shadows = store.stats.shadows_created
+        fs.rename("/d/f", "/e/g")
+        system.reconcile_everything()
+        # the new name is linked to the contents the old one stored: no copy
+        assert store.stats.shadows_created == shadows
+        dirs = {e.name: e.fh for e in store.read_entries(store.root_handle())}
+        fh = next(e.fh for e in store.read_entries(dirs["e"]) if e.name == "g")
+        assert store.file_vnode(dirs["e"], fh).read_all() == PAYLOAD
+        assert not store.has_file(dirs["d"], fh) and store.read_file_aux(dirs["e"], fh).refs == 1
+        assert ficus_fsck(store).clean
+
+    def test_a_new_record_lands_beside_its_parents(self, world):
+        _, _, _, store, root = world
+        dfh, d = insert_dir(store, root, "d")
+        fh = d.insert("f", EntryType.FILE).fh
+        table = store._attr
+        assert table.runs[fh].block == table.runs[dfh].block == table.runs[store.root_handle()].block
+
+    def test_a_record_longer_than_a_block_takes_whole_blocks(self, world):
+        _, _, _, store, root = world
+        fh, vnode = insert_file(store, root, "f", b"x")
+        vnode.setattr(SetAttrs(policy="p" * 5000))
+        run = store._attr.runs[fh]
+        assert run.start % SLOTS_PER_BLOCK == 0 and len(run.blocks()) == 2
+        fresh = ReplicaStore.attach(store.lower_root, VR)
+        assert fresh.read_file_aux(store.root_handle(), fh).merge_policy == "p" * 5000
+        vnode.setattr(SetAttrs(policy="short"))  # moved back into one block
+        assert len(store._attr.runs[fh].blocks()) == 1
+        assert ReplicaStore.attach(store.lower_root, VR).read_file_aux(store.root_handle(), fh).merge_policy == "short"
+        assert ficus_fsck(store).clean
+
+    def test_the_newer_copy_wins_the_attach_and_stale_bytes_go(self, world):
+        device, _, _, store, root = world
+        fh, _ = insert_file(store, root, "f", b"x")
+        old = store.read_file_aux(store.root_handle(), fh)
+        new = old.clone()
+        new.merge_policy = "newer"
+        attr = store._attr_vnode
+        # a crash between a record's fresh run and its old run's clear
+        # leaves two copies; a torn run (no newline) is no record at all
+        attr.write(STORE_BLOCK_SIZE, encode_run(new, 99) + encode_run(old, 1)[:40])
+        assert len(AttrTable.load(attr).runs) == len(store.record_handles())
+        fresh = ReplicaStore.attach(store.lower_root, VR)
+        assert fresh.read_file_aux(store.root_handle(), fh).merge_policy == "newer"
+        assert fresh._attr.runs[fh].stamp == 99 and fresh._attr.next_stamp == 100
+        # the attach cleared the losing copy and the torn bytes
+        data = attr.read_all()
+        assert data.count(fh.to_hex().encode()) == 1
+        assert data[STORE_BLOCK_SIZE + AUX_SLOT_SIZE :].strip(b"\0") == b""
 
 
 class TestPartialReplicas:

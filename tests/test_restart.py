@@ -7,8 +7,9 @@ import pytest
 from repro.errors import AllReplicasUnavailable, CrashInjected, FileNotFound
 from repro.physical.check import ficus_fsck
 from repro.physical.store import ID_RANGE
-from repro.physical.wire import SHADOW_SUFFIX
+from repro.physical.wire import SHADOW_SUFFIX, AuxAttributes, EntryType
 from repro.sim import DaemonConfig, FicusSystem
+from repro.util import FicusFileHandle
 
 QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
 
@@ -115,6 +116,73 @@ class TestSingleHostRestart:
         with pytest.raises(FileNotFound):
             store2.dir_unix_vnode(store2.root_handle()).lookup(shadow_name)
         assert host.fs().read_file("/f") == b"original"
+
+    def test_contents_without_a_record_dropped_on_restart(self):
+        system = FicusSystem(["solo"], daemon_config=QUIET)
+        host = system.host("solo")
+        volrep = system.root_locations[0].volrep
+        store = host.physical.store_for(volrep)
+        # a create cut short after its contents, before its record landed
+        orphan = FicusFileHandle(store.volume, store.new_file_id())
+        store.dir_unix_vnode(store.root_handle()).create(orphan.to_hex()).write(0, b"never published")
+        host.crash()
+        host.restart(system)
+        store2 = host.physical.store_for(volrep)
+        assert not store2.has_file(store2.root_handle(), orphan)
+        assert ficus_fsck(store2).clean
+
+    def test_a_record_stored_nowhere_cleared_on_restart(self):
+        system = FicusSystem(["solo"], daemon_config=QUIET)
+        host = system.host("solo")
+        host.fs().write_file("/f", b"x")
+        host.fs().unlink("/f")
+        volrep = system.root_locations[0].volrep
+        store = host.physical.store_for(volrep)
+        # a record whose file is stored nowhere: its last name went, and
+        # the crash took the clear that should have gone with it
+        ghost = FicusFileHandle(store.volume, store.new_file_id())
+        with store.operation():
+            store._stage_new(ghost, AuxAttributes(fh=ghost, etype=EntryType.FILE), None)
+        assert ghost in store.record_handles()
+        host.crash()
+        host.restart(system)
+        store2 = host.physical.store_for(volrep)
+        assert ghost not in store2.record_handles()
+        assert ficus_fsck(store2).clean
+
+    def test_a_session_cut_short_by_a_crash_is_counted_on_restart(self):
+        system = FicusSystem(["solo"], daemon_config=QUIET)
+        host = system.host("solo")
+        host.fs().write_file("/f", b"v1")
+        volrep = system.root_locations[0].volrep
+        store = host.physical.store_for(volrep)
+        fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "f")
+        before = store.read_file_aux(store.root_handle(), fh).vv
+        handle = host.fs().open("/f", "r+")
+        handle.write(b"v2")  # lands, marked as an update in progress
+        assert store.read_file_aux(store.root_handle(), fh).updating
+        host.crash()  # the close, and its bump, never happen
+        host.restart(system)
+        store2 = host.physical.store_for(volrep)
+        aux = store2.read_file_aux(store2.root_handle(), fh)
+        assert aux.vv.strictly_dominates(before) and not aux.updating
+        assert host.fs().read_file("/f") == b"v2"
+
+    def test_a_policy_tag_holding_a_nul_survives_restart(self):
+        # the attribute table pads a record's run with NULs, so the codec
+        # escapes a NUL in any value: the run stays whole and decodes
+        system = FicusSystem(["solo"], daemon_config=QUIET)
+        host = system.host("solo")
+        host.fs().write_file("/f", b"kept")
+        host.fs().set_merge_policy("/f", "a\0b")
+        host.crash()
+        host.restart(system)
+        volrep = system.root_locations[0].volrep
+        store = host.physical.store_for(volrep)
+        fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "f")
+        assert store.read_file_aux(store.root_handle(), fh).merge_policy == "a\0b"
+        assert host.fs().read_file("/f") == b"kept"
+        assert ficus_fsck(store).clean
 
 
 class TestClusterWithRestarts:

@@ -88,6 +88,17 @@ class TestFiles:
         fs.write_file(ino, 12, b"new")
         assert fs.read_file(ino) == b"secret" + bytes(6) + b"new"
 
+    def test_a_fresh_block_never_shows_a_previous_owners_bytes(self, fs):
+        """A short write into a block just allocated starts from zeros, so
+        growing the file past it reads zeros, not the freed file's data."""
+        old = fs.create(ROOT_INO, "old")
+        fs.write_file(old, 0, b"S" * 4096)
+        fs.unlink(ROOT_INO, "old")
+        ino = fs.create(ROOT_INO, "new")
+        fs.write_file(ino, 0, b"hi")
+        fs.truncate_file(ino, 4096)
+        assert fs.read_file(ino) == b"hi" + bytes(4094)
+
     def test_duplicate_create_rejected_without_leak(self, fs):
         fs.create(ROOT_INO, "f")
         free = fs.free_inode_count()

@@ -163,28 +163,35 @@ class TestA3NotificationValue:
 
 
 class TestA4SessionCoalescing:
-    def _aux_writes_for_k_writes(self, use_session: bool, k: int = 20) -> int:
+    #: each workload's 20 writes, as the k-th write's offset
+    WORKLOADS = {"overwrites": lambda k: 0, "appends": lambda k: k}
+
+    def _device_writes_for_k_writes(self, use_session: bool, workload: str, k: int = 20) -> int:
+        offset_of = self.WORKLOADS[workload]
         system = FicusSystem(["solo"], daemon_config=QUIET)
         host = system.host("solo")
         fs = host.fs()
         fs.write_file("/f", b"")
         snap = host.device.counters.snapshot()
         if use_session:
-            with fs.open("/f", "a") as f:
-                for _ in range(k):
+            with fs.open("/f", "r+") as f:
+                for i in range(k):
+                    f.seek(offset_of(i))
                     f.write(b"x")
         else:
             vnode = host.root().lookup("f")
-            for _ in range(k):
-                vnode.write(0, b"x")  # bare writes: no session
+            for i in range(k):
+                vnode.write(offset_of(i), b"x")  # bare writes: no session
         return host.device.counters.delta_since(snap).writes
 
-    def test_sessions_cut_write_amplification(self, capsys):
-        with_session = self._aux_writes_for_k_writes(True)
-        without = self._aux_writes_for_k_writes(False)
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_sessions_cut_write_amplification(self, capsys, workload):
+        # like for like: both arms run the same 20 writes
+        with_session = self._device_writes_for_k_writes(True, workload)
+        without = self._device_writes_for_k_writes(False, workload)
         with capsys.disabled():
             print(
-                f"\n[A4] device writes for 20 appends: session={with_session}, "
+                f"\n[A4] device writes for 20 {workload}: session={with_session}, "
                 f"bare={without} (each bare write rewrites the file's record)"
             )
         assert with_session < without
@@ -198,7 +205,7 @@ class TestA4SessionCoalescing:
         volrep = system.root_locations[0].volrep
         store = system.host("solo").physical.store_for(volrep)
         fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "f")
-        assert store.read_file_aux(store.root_handle(), fh).vv.total_updates == 1
+        assert store.read_record(fh).vv.total_updates == 1
 
 
 @pytest.mark.parametrize("user_level", [False, True])

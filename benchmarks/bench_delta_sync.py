@@ -2,9 +2,9 @@
 
 Two claims, both about making sync cost O(what changed):
 
-* **Subtree pruning.**  Each directory's aux record carries a recon digest
-  folded over its entries and stored children; ``sync_probe`` exposes the
-  Merkle-style subtree digest plus per-child hints in one RPC.  A no-change
+* **Subtree pruning.**  Each directory's recon digest is computed from its
+  entries and the records of its stored children; ``sync_probe`` exposes
+  the Merkle-style subtree digest plus per-child hints in one RPC.  A no-change
   reconciliation round against a converged peer is a constant number of
   RPCs — one volume-root fetch, at most one replica-name lookup, and one
   probe — regardless of how many directories the volume holds.

@@ -54,7 +54,7 @@ class TestShape:
         volrep = system.root_locations[0].volrep
         store = server.physical.store_for(volrep)
         fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "f")
-        assert store.read_file_aux(store.root_handle(), fh).vv.total_updates == 1
+        assert store.read_record(fh).vv.total_updates == 1
 
     def test_plain_vnode_open_is_dropped_by_nfs(self):
         """The problem session ops solve: a plain open on an NFS client

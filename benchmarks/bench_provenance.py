@@ -72,7 +72,7 @@ def lineage_scenario() -> dict:
                     fh = entry.fh.logical
                     if not entry.live or not store.has_file(dir_fh, fh):
                         continue
-                    vv = store.read_file_aux(dir_fh, fh).vv
+                    vv = store.read_record(fh).vv
                     if not vv:
                         continue
                     live_versions += 1

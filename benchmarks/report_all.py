@@ -189,9 +189,10 @@ def a1_to_a4_ablations() -> None:
     from bench_ablations import TestA4SessionCoalescing
 
     coalesce = TestA4SessionCoalescing()
-    with_session = coalesce._aux_writes_for_k_writes(True)
-    without = coalesce._aux_writes_for_k_writes(False)
-    print(f"[A4] 20 appends: {with_session} writes in a session vs {without} bare")
+    for workload in coalesce.WORKLOADS:
+        with_session = coalesce._device_writes_for_k_writes(True, workload)
+        without = coalesce._device_writes_for_k_writes(False, workload)
+        print(f"[A4] 20 {workload}: {with_session} writes in a session vs {without} bare")
 
 
 def e14_summary(snap: dict) -> str:

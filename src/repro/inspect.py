@@ -26,7 +26,7 @@ def dump_replica(store: ReplicaStore, show_tombstones: bool = True) -> str:
             return
         seen.add(dir_fh)
         try:
-            aux = store.read_dir_aux(dir_fh)
+            aux = store.read_record(dir_fh)
             entries = store.read_entries(dir_fh)
         except Exception as exc:
             lines.append(f"{indent}!! unreadable: {exc}")
@@ -49,7 +49,7 @@ def dump_replica(store: ReplicaStore, show_tombstones: bool = True) -> str:
                 lines.append(f"{indent}  @ {entry.name} -> {entry.data}")
             else:
                 if store.has_file(dir_fh, entry.fh):
-                    file_aux = store.read_file_aux(dir_fh, entry.fh)
+                    file_aux = store.read_record(entry.fh)
                     size = store.file_vnode(dir_fh, entry.fh).getattr().size
                     lines.append(
                         f"{indent}  - {entry.name} ({size}B, vv={file_aux.vv})"
@@ -92,7 +92,7 @@ def _collect(store: ReplicaStore) -> dict[str, tuple]:
                     recurse(entry.fh, path, seen)
             else:
                 vv = (
-                    store.read_file_aux(dir_fh, entry.fh).vv
+                    store.read_record(entry.fh).vv
                     if store.has_file(dir_fh, entry.fh)
                     else None
                 )

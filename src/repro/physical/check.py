@@ -99,7 +99,7 @@ def ficus_fsck(store: ReplicaStore, conflict_log=None, resolvers=None) -> FicusC
             report.complain(f"dir {dir_fh}: unreadable entry file ({exc})")
             continue
         try:
-            dir_aux = store.read_dir_aux(dir_fh)
+            dir_aux = store.read_record(dir_fh)
         except FicusError as exc:
             report.complain(f"dir {dir_fh}: unreadable aux ({exc})")
             continue
@@ -150,7 +150,7 @@ def ficus_fsck(store: ReplicaStore, conflict_log=None, resolvers=None) -> FicusC
             if store.has_file(dir_fh, entry.fh) and store.has_record(entry.fh):
                 expected_names.add(key)
                 try:
-                    aux = store.read_file_aux(dir_fh, entry.fh)
+                    aux = store.read_record(entry.fh)
                 except FicusError as exc:
                     report.complain(f"dir {dir_fh}: {entry.name!r} unreadable aux ({exc})")
                     continue
@@ -195,7 +195,7 @@ def ficus_fsck(store: ReplicaStore, conflict_log=None, resolvers=None) -> FicusC
         if dir_fh == root_fh:
             continue
         try:
-            recorded = store.read_dir_aux(dir_fh).refs
+            recorded = store.read_record(dir_fh).refs
         except FicusError:
             continue  # already complained above
         if observed == 0:
@@ -208,7 +208,7 @@ def ficus_fsck(store: ReplicaStore, conflict_log=None, resolvers=None) -> FicusC
     # every record's object is stored, and a file's counts its names
     for fh in store.record_handles():
         try:
-            aux = store.read_dir_aux(fh)
+            aux = store.read_record(fh)
         except FicusError as exc:
             report.complain(f"record {fh}: unreadable ({exc})")
             continue
@@ -250,7 +250,7 @@ def _check_conflict_bookkeeping(
         try:
             if not store.has_file(conflict.parent_fh, conflict.fh):
                 continue  # dropped, renamed away, or never propagated here
-            aux = store.read_file_aux(conflict.parent_fh, conflict.fh)
+            aux = store.read_record(conflict.fh)
         except FicusError:
             continue  # structural problems are complained about elsewhere
         if conflict.resolved:

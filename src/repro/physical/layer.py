@@ -203,22 +203,18 @@ class FicusPhysicalLayer(FileSystemLayer):
         and brackets once per host and file)."""
         self._sessions.setdefault(self._session_key(store, fh), False)
 
-    def session_close(
-        self, store: ReplicaStore, parent_fh: FicusFileHandle, fh: FicusFileHandle
-    ) -> bool:
+    def session_close(self, store: ReplicaStore, fh: FicusFileHandle) -> bool:
         """End the session; True when it actually updated the replica (the
         caller should notify).  Closing no open session answers False."""
         dirty = self._sessions.pop(self._session_key(store, fh), False)
         if dirty:
-            self._bump_file_vv(store, parent_fh, fh)
+            self._bump_file_vv(store, fh)
         return dirty
 
     def has_open_session(self, store: ReplicaStore, fh: FicusFileHandle) -> bool:
         return self._session_key(store, fh) in self._sessions
 
-    def note_update(
-        self, store: ReplicaStore, parent_fh: FicusFileHandle, fh: FicusFileHandle
-    ) -> None:
+    def note_update(self, store: ReplicaStore, fh: FicusFileHandle) -> None:
         """A write or a size setattr is about to change the contents:
         advance the version vector first, so a crash between the two leaves
         the old contents under the new vector, never the reverse.
@@ -241,16 +237,13 @@ class FicusPhysicalLayer(FileSystemLayer):
                 self._sessions[key] = True
             self.session_coalesced_updates += 1
             return
-        self._bump_file_vv(store, parent_fh, fh)
+        self._bump_file_vv(store, fh)
 
-    def _bump_file_vv(
-        self, store: ReplicaStore, parent_fh: FicusFileHandle, fh: FicusFileHandle
-    ) -> None:
+    def _bump_file_vv(self, store: ReplicaStore, fh: FicusFileHandle) -> None:
         with store.operation():
-            aux = store.read_file_aux(parent_fh, fh)
+            aux = store.staged_record(fh)
             prior = aux.vv
             aux.vv, aux.updating = aux.vv.bump(store.replica_id), False
-            store.write_file_aux(parent_fh, fh, aux)
         self.health.record_version("write", fh, aux.vv, parents=(prior,))
 
     # -- new-version cache (update notification receive side) ------------------

@@ -30,9 +30,11 @@ concurrent renames) needs no extra mechanism.
 
 The paper's "auxiliary attribute file" (Section 2.6) is one run of 256-byte
 slots in ``.attr`` (:mod:`repro.physical.table`): a record never straddles
-a block, so a vector bump and its parent's fold — usually in the same
-block, since a new record is placed beside its parent's — cost one or two
-block writes, and a cold record read costs one.
+a block, so a vector bump costs one block write and a cold record read one,
+and a new record is placed beside its parent's.  A directory's recon digest
+is not stored: :meth:`ReplicaStore.directory_digest` computes it from the
+entry list and the records of the files stored in the directory, so no
+crash can leave it disagreeing with them.
 
 What an update writes, and when.  Two disciplines.
 
@@ -170,8 +172,8 @@ def handle_of(name: str) -> FicusFileHandle | None:
         return None
 
 
-def file_component(fh: FicusFileHandle, vv) -> str:
-    """One stored child file's contribution to its directory's fold."""
+def file_component(fh: FicusFileHandle, vv: VersionVector) -> str:
+    """One stored child file's contribution to its directory's digest."""
     return content_digest(fh.logical.to_hex(), vv.encode())
 
 
@@ -557,60 +559,48 @@ class ReplicaStore:
         return entries
 
     def write_entries(self, fh: FicusFileHandle, entries: list[DirectoryEntry]) -> None:
-        """Stage a directory's entry list, and its fold in the record."""
+        """Stage a directory's entry list."""
         with self._scope:
             update = self._update(fh)
             if update.entries is None:
                 update.stored_entries = self.read_entries(fh)
             update.entries = list(entries)
             self._staged_calls += 1
-            self._stage(fh.logical).aux.dig_entries = entries_fold(entries)
-
-    def read_dir_aux(self, fh: FicusFileHandle) -> AuxAttributes:
-        return self._record(fh.logical)
-
-    def write_dir_aux(self, fh: FicusFileHandle, aux: AuxAttributes) -> None:
-        """Stage a directory's whole record."""
-        with self._scope:
-            self._stage(fh.logical).aux = aux.clone()
-
-    def staged_dir_aux(self, fh: FicusFileHandle) -> AuxAttributes:
-        """A directory's record as the open operation will leave it — the
-        live object, so a change made to it is staged.  Only inside
-        :meth:`operation`."""
-        assert self._scope.depth, "records are staged inside an operation"
-        return self._stage(fh.logical).aux
-
-    def _fold_file_into_dir(
-        self,
-        parent: FicusFileHandle,
-        out_component: str = "",
-        in_component: str = "",
-    ) -> None:
-        """Incrementally update a directory's stored-child-file fold."""
-        with self._scope:
-            aux = self.staged_dir_aux(parent)
-            for component in (out_component, in_component):
-                if component:
-                    aux.dig_files = xor_fold(aux.dig_files, component)
 
     # -- the attribute table's records ---------------------------------------------
 
-    def _record(self, fh: FicusFileHandle) -> AuxAttributes:
-        """A copy of one record as the open operation leaves it."""
+    def read_record(self, fh: FicusFileHandle) -> AuxAttributes:
+        """A copy of a file's or directory's record as the open operation
+        leaves it.  Keyed by the object alone: a hard-linked file has one
+        record, so a write through any of its names is seen through every
+        other."""
+        return self._peek(fh.logical).clone()
+
+    def write_record(self, fh: FicusFileHandle, aux: AuxAttributes) -> None:
+        """Stage a file's or directory's whole record."""
+        with self._scope:
+            self._stage(fh.logical).aux = aux.clone()
+
+    def staged_record(self, fh: FicusFileHandle) -> AuxAttributes:
+        """A record as the open operation will leave it — the live object,
+        so a change made to it is staged.  Only inside :meth:`operation`."""
+        assert self._scope.depth, "records are staged inside an operation"
+        return self._stage(fh.logical).aux
+
+    def _peek(self, fh: FicusFileHandle) -> AuxAttributes:
+        """One record as the open operation leaves it: the object the stage
+        or the cache holds, which the caller must not change."""
         # an empty dict's get still hashes its key, and a handle's hash is
         # a Python call: most reads happen with nothing staged
         staged = self._records.get(fh) if self._records else None
         if staged is not None:
             if staged.aux is None:
                 raise FileNotFound(f"the attribute record of {fh} is being cleared")
-            return staged.aux.clone()
-        cached = self._cache_get(self._record_cache, fh)
-        if cached is not None:
-            # clone: callers mutate the returned record in place
-            return cached.clone()
-        aux = self._attr.read(fh)
-        self._cache_put(self._record_cache, fh, aux.clone())
+            return staged.aux
+        aux = self._cache_get(self._record_cache, fh)
+        if aux is None:
+            aux = self._attr.read(fh)
+            self._cache_put(self._record_cache, fh, aux)
         return aux
 
     def has_record(self, fh: FicusFileHandle) -> bool:
@@ -626,8 +616,8 @@ class ReplicaStore:
         """The staged copy of an existing record, staged on first use."""
         staged = self._records.get(fh)
         if staged is None:
-            aux = self._record(fh)
-            staged = self._records[fh] = _Staged(aux, aux.clone())
+            stored = self._peek(fh)
+            staged = self._records[fh] = _Staged(stored.clone(), stored)
         elif staged.aux is None:
             raise FileNotFound(f"the attribute record of {fh} is being cleared")
         self._staged_calls += 1
@@ -743,13 +733,9 @@ class ReplicaStore:
         for update in list(self._pending.values()):
             fh, doomed = update.fh, update.free_files
             if doomed:
-                # a file a live entry of the final list names again keeps its
-                # storage; it left the fold when the free was asked for, so
-                # the folds are re-anchored from what is stored
+                # a file a live entry of the final list names again keeps its storage
                 named = {entry.fh for entry in self.read_entries(fh) if entry.live}
-                if named.intersection(doomed):
-                    doomed = [child for child in doomed if child not in named]
-                    self.refresh_dir_digests(fh)
+                doomed = [child for child in doomed if child not in named]
             for child in doomed:
                 if self.has_file(fh, child):
                     files.append((fh, child))
@@ -758,7 +744,7 @@ class ReplicaStore:
                 if (
                     child not in dirs
                     and self.has_directory(child)
-                    and self.read_dir_aux(child).refs <= 0
+                    and self._peek(child).refs <= 0
                     and not any(entry.live for entry in self.read_entries(child))
                 ):
                     dirs.append(child)
@@ -775,28 +761,6 @@ class ReplicaStore:
         """The contents vnode of a regular-file replica."""
         return self._unix_child(parent, self._file_key(fh))
 
-    def read_file_aux(self, parent: FicusFileHandle, fh: FicusFileHandle) -> AuxAttributes:
-        # Keyed by the FILE (not the ⟨parent, file⟩ pair): a hard-linked
-        # file has one record, so a write through any naming directory is
-        # seen through every other name.
-        return self._record(fh.logical)
-
-    def write_file_aux(
-        self, parent: FicusFileHandle, fh: FicusFileHandle, aux: AuxAttributes
-    ) -> None:
-        """Stage a file's whole record, and its new vector in ``parent``'s
-        fold."""
-        with self._scope:
-            staged = self._stage(fh.logical)
-            old_vv = staged.aux.vv
-            staged.aux = aux.clone()
-            if old_vv != aux.vv:
-                self._fold_file_into_dir(
-                    parent,
-                    out_component=file_component(fh, old_vv),
-                    in_component=file_component(fh, aux.vv),
-                )
-
     def mark_updating(self, fh: FicusFileHandle) -> None:
         """Mark a file's record ``updating``: an update session is about to
         write the contents for the first time since the vector's bump.  The
@@ -804,7 +768,7 @@ class ReplicaStore:
         once, never staged — the flag's byte, in place."""
         assert not self._scope.depth, "a mark is written before the write it announces"
         fh = fh.logical
-        aux = self._record(fh)
+        aux = self._peek(fh).clone()
         if aux.updating:
             return
         try:
@@ -842,7 +806,6 @@ class ReplicaStore:
         self._cache_put(self._child_vnode_cache, (self._dir_key(parent), key), contents)
         with self._scope:
             self._stage_new(fh, aux, parent.logical)
-            self._fold_file_into_dir(parent, in_component=file_component(fh, aux.vv))
         return contents
 
     def link_file_storage(
@@ -862,18 +825,15 @@ class ReplicaStore:
         key = self._file_key(fh)
         self.dir_unix_vnode(dst_parent).link(self.dir_unix_vnode(src_parent).lookup(key), key)
         with self._scope:
-            aux = self._stage(fh).aux
-            aux.refs += 1
-            self._fold_file_into_dir(dst_parent, in_component=file_component(fh, aux.vv))
+            self._stage(fh).aux.refs += 1
 
     def unlink_file_storage(self, parent: FicusFileHandle, fh: FicusFileHandle) -> None:
-        """Ask for one directory's name for a file to be dropped.  The file
-        leaves the directory's fold now; its name goes after the flush has
-        made the tombstone durable, and only if no live entry of the list
-        it wrote names the file — a rename replayed as tombstone + insert
-        in one operation keeps the storage it would otherwise pull again.
-        The flush that drops the last name clears the record, before the
-        name goes."""
+        """Ask for one directory's name for a file to be dropped: it goes
+        after the flush has made the tombstone durable, and only if no live
+        entry of the list it wrote names the file — a rename replayed as
+        tombstone + insert in one operation keeps the storage it would
+        otherwise pull again.  The flush that drops the last name clears
+        the record, before the name goes."""
         fh = fh.logical
         with self._scope:
             if not self.has_file(parent, fh) or any(
@@ -881,14 +841,8 @@ class ReplicaStore:
             ):
                 return
             frees = self._update(parent).free_files
-            if fh in frees:
-                return
-            try:
-                component = file_component(fh, self._record(fh).vv)
-            except (FileNotFound, InvalidArgument):
-                component = ""
-            self._fold_file_into_dir(parent, out_component=component)
-            frees.append(fh)
+            if fh not in frees:
+                frees.append(fh)
 
     def _unlink_file_storage(self, parent: FicusFileHandle, fh: FicusFileHandle) -> None:
         unix_dir = self.dir_unix_vnode(parent)
@@ -953,24 +907,19 @@ class ReplicaStore:
                 stored_here, elsewhere = True, []
             else:
                 self._commit_shadow(parent, fh, contents, elsewhere)
-            if stored_here:
-                aux = self._record(fh)
-                aux.vv, aux.merge_policy, aux.ancestor = vv, merge_policy, ancestor
-                self.write_file_aux(parent, fh, aux)
-            elif elsewhere:
+            if stored_here or elsewhere:
                 aux = self._stage(fh).aux
-                aux.refs += 1
+                if not stored_here:
+                    aux.refs += 1  # the shadow's rename gave the file a name here
                 aux.vv, aux.merge_policy, aux.ancestor = vv, merge_policy, ancestor
-                self._fold_file_into_dir(parent, in_component=file_component(fh, vv))
             else:
                 aux = AuxAttributes(fh=fh, etype=etype, vv=vv, merge_policy=merge_policy, ancestor=ancestor)
                 self._stage_new(fh, aux, parent)
-                self._fold_file_into_dir(parent, in_component=file_component(fh, vv))
 
     def _stored_elsewhere(self, parent: FicusFileHandle, fh: FicusFileHandle) -> list[FicusFileHandle]:
         """The other directories storing ``fh`` (each names it in its
         entries); none unless its record counts a name outside ``parent``."""
-        if not self.has_record(fh) or self._record(fh).refs <= self.has_file(parent, fh):
+        if not self.has_record(fh) or self._peek(fh).refs <= self.has_file(parent, fh):
             return []
         key = hash(fh)  # handles compare by their cached hash first: a full comparison is a nested one
         return [
@@ -1020,12 +969,11 @@ class ReplicaStore:
         never touch the record — only sync points do — which is what lets
         two later-conflicting hosts hold the *same* ancestor.
         """
-        aux = self.read_file_aux(parent, fh)
+        fh = fh.logical
         record = _ancestor_of(self.file_vnode(parent, fh).read_all())
-        if aux.ancestor != record:
-            aux.ancestor = record
-            # vv unchanged, so this never disturbs the recon digests
-            self.write_file_aux(parent, fh, aux)
+        if self._peek(fh).ancestor != record:
+            with self._scope:
+                self._stage(fh).aux.ancestor = record
 
     def note_subtree_synced(self, fh: FicusFileHandle) -> None:
         """Refresh merge ancestors across a subtree proven equal to a peer.
@@ -1089,7 +1037,7 @@ class ReplicaStore:
         counted = []
         with self._scope:
             for fh in self.record_handles():
-                if self._record(fh).updating:
+                if self._peek(fh).updating:
                     aux = self._stage(fh).aux
                     prior, aux.vv, aux.updating = aux.vv, aux.vv.bump(self.replica_id), False
                     counted.append((fh, prior, aux.vv))
@@ -1110,7 +1058,7 @@ class ReplicaStore:
             for fh in self.record_handles():
                 if not self.has_record(fh):
                     continue
-                aux = self._record(fh)
+                aux = self._peek(fh)
                 if aux.etype in DIR_TYPES:
                     if not self.has_directory(fh):
                         self._stage_clear(fh)
@@ -1130,9 +1078,7 @@ class ReplicaStore:
         finished: the tombstone was durable before the storage was to go,
         so contents only tombstones name are garbage.  Contents no entry
         names whose record exists stay, waiting for the entry only this
-        host could publish.  Then the folds are recomputed from what is
-        stored — a crash between a record's write and its directory's list
-        must not leave equal digests over different state.
+        host could publish.
         """
         fh = fh.logical
         self.scavenge_shadows(fh)
@@ -1148,21 +1094,35 @@ class ReplicaStore:
                 continue  # served, or waiting for the entry only this host could publish
             unix_dir.remove(name)
             self._child_vnode_cache.pop((self._dir_key(fh), name), None)
-        try:
-            self.refresh_dir_digests(fh)
-        except (FileNotFound, InvalidArgument):
-            pass
+            self._subtree_memo.clear()
         return kept
 
     # -- recon digests (subtree pruning, Merkle-style) ---------------------------
 
     def directory_digest(self, fh: FicusFileHandle) -> str:
-        """This directory's own recon digest: vv + entry fold + file fold."""
-        aux = self.read_dir_aux(fh)
+        """This directory's own recon digest, computed from what the replica
+        stores: its vector, the fold of its entry records, and the fold of
+        each live child file stored in it with that file's vector — through
+        whichever name the file was last written."""
+        fh = fh.logical
+        entries = self.read_entries(fh)
+        files = ""
+        seen: set[FicusFileHandle] = set()
+        for entry in entries:
+            child = entry.fh.logical
+            if (
+                entry.live
+                and entry.etype in (EntryType.FILE, EntryType.SYMLINK)
+                and child not in seen
+                and self.has_record(child)
+                and self.has_file(fh, child)
+            ):
+                seen.add(child)
+                files = xor_fold(files, file_component(child, self._peek(child).vv))
         return content_digest(
-            aux.vv.encode(),
-            aux.dig_entries or EMPTY_DIGEST,
-            aux.dig_files or EMPTY_DIGEST,
+            self._peek(fh).vv.encode(),
+            entries_fold(entries) or EMPTY_DIGEST,
+            files or EMPTY_DIGEST,
         )
 
     def subtree_digest(self, fh: FicusFileHandle) -> str:
@@ -1204,48 +1164,15 @@ class ReplicaStore:
             key=lambda child: child.to_hex(),
         )
 
-    def refresh_dir_digests(self, fh: FicusFileHandle) -> None:
-        """Authoritatively recompute one directory's digest components.
-
-        The incremental folds can drift when a hard-linked file's aux is
-        rewritten through a *different* naming directory (that path cannot
-        see this parent).  Drift only delays pruning — digest inequality
-        never skips needed work — and reconciliation calls this to
-        re-anchor the folds from the actual stored state.
-        """
-        fh = fh.logical
-        entries = self.read_entries(fh)
-        fold_entries = entries_fold(entries)
-        fold_files = ""
-        seen: set[FicusFileHandle] = set()
-        for entry in entries:
-            child = entry.fh.logical
-            if (
-                not entry.live
-                or entry.etype not in (EntryType.FILE, EntryType.SYMLINK)
-                or child in seen
-                or not self.has_file(fh, child)
-            ):
-                continue
-            seen.add(child)
-            fold_files = xor_fold(fold_files, file_component(child, self.read_file_aux(fh, child).vv))
-        aux = self.read_dir_aux(fh)
-        if aux.dig_entries != fold_entries or aux.dig_files != fold_files:
-            with self._scope:
-                aux = self.staged_dir_aux(fh)
-                aux.dig_entries = fold_entries
-                aux.dig_files = fold_files
-
     # -- block signatures (rsync-style delta propagation) ------------------------
 
     def file_block_digests(self, parent: FicusFileHandle, fh: FicusFileHandle) -> BlockDigests:
         """Content hashes of one file replica's fixed-size blocks."""
         contents = self.file_vnode(parent, fh).read_all()
-        aux = self.read_file_aux(parent, fh)
         return BlockDigests(
             block_size=DELTA_BLOCK_SIZE,
             size=len(contents),
-            vv=aux.vv,
+            vv=self._peek(fh.logical).vv,
             digests=[content_digest(block) for block in split_blocks(contents)],
         )
 

@@ -176,7 +176,7 @@ class PhysicalDirVnode(Vnode):
         return self.store.read_entries(self.fh)
 
     def aux(self) -> AuxAttributes:
-        return self.store.read_dir_aux(self.fh)
+        return self.store.read_record(self.fh)
 
     def _child_vnode(self, entry: DirectoryEntry) -> Vnode:
         if entry.etype == EntryType.LOCATION:
@@ -257,7 +257,7 @@ class PhysicalDirVnode(Vnode):
     def session_close(self, fh: FicusFileHandle, ctx: OpContext = ROOT_CTX) -> bool:
         """End an update session; the coalesced version bump lands here.
         Returns True when the closing session had updated the replica."""
-        return self.layer.session_close(self.store, self.fh, fh.logical)
+        return self.layer.session_close(self.store, fh.logical)
 
     def getattrs_batch(
         self,
@@ -285,7 +285,7 @@ class PhysicalDirVnode(Vnode):
             # record is stored nowhere, which costs no Unix lookup to learn
             if not self.store.has_record(entry.fh) or not self.store.has_file(self.fh, entry.fh):
                 continue
-            children[entry.fh] = self.store.read_file_aux(self.fh, entry.fh)
+            children[entry.fh] = self.store.read_record(entry.fh)
         return AttrBatch(dir_aux=self.aux(), children=children)
 
     # -- the sync plane: recon digests and block deltas --------------------------
@@ -356,7 +356,7 @@ class PhysicalDirVnode(Vnode):
         raise FileNotFound(f"no live entry or directory {fh} in {self.fh}")
 
     def _bump_dir_vv(self) -> None:
-        aux = self.store.staged_dir_aux(self.fh)
+        aux = self.store.staged_record(self.fh)
         aux.vv = aux.vv.bump(self.store.replica_id)
 
     @_spanned("physical.insert")
@@ -417,7 +417,7 @@ class PhysicalDirVnode(Vnode):
                     self.layer.health.record_version("create", fh, VersionVector(), detail=name)
         else:
             if self.store.has_directory(fh):
-                self.store.staged_dir_aux(fh).refs += 1
+                self.store.staged_record(fh).refs += 1
             else:
                 self.store.create_directory_storage(fh, etype, graft_volume=data, parent=self.fh)
         entries.append(entry)
@@ -493,7 +493,7 @@ class PhysicalDirVnode(Vnode):
             return
         if not self.store.has_directory(dead.fh):
             return
-        daux = self.store.staged_dir_aux(dead.fh)
+        daux = self.store.staged_record(dead.fh)
         daux.refs -= 1
         if daux.refs <= 0:
             # last name gone: reclaim, but only when the directory is empty
@@ -542,7 +542,7 @@ class PhysicalFileVnode(Vnode):
         return self.store.file_vnode(self.parent_fh, self.fh)
 
     def aux(self) -> AuxAttributes:
-        return self.store.read_file_aux(self.parent_fh, self.fh)
+        return self.store.read_record(self.fh)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -564,7 +564,7 @@ class PhysicalFileVnode(Vnode):
         self.layer.session_open(self.store, self.fh)
 
     def close(self, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.session_close(self.store, self.parent_fh, self.fh)
+        self.layer.session_close(self.store, self.fh)
 
     def inactive(self) -> None:
         """No per-vnode state to tear down."""
@@ -577,7 +577,7 @@ class PhysicalFileVnode(Vnode):
 
     @_spanned("physical.write", tags=lambda self, offset, data, *a, **k: {"bytes": len(data)})
     def write(self, offset: int, data: bytes, ctx: OpContext = ROOT_CTX) -> int:
-        self.layer.note_update(self.store, self.parent_fh, self.fh)
+        self.layer.note_update(self.store, self.fh)
         return self._contents().write(offset, data, ctx)
 
     def fsync(self, ctx: OpContext = ROOT_CTX) -> None:
@@ -600,11 +600,11 @@ class PhysicalFileVnode(Vnode):
             with self.store.operation():
                 aux = self.aux()
                 prior, aux.merge_policy, aux.vv = aux.vv, attrs.policy, aux.vv.bump(self.store.replica_id)
-                self.store.write_file_aux(self.parent_fh, self.fh, aux)
+                self.store.write_record(self.fh, aux)
             self.layer.health.record_version("write", self.fh, aux.vv, parents=(prior,), detail="setpolicy")
             attrs = dataclasses.replace(attrs, policy=None)
         if attrs.size is not None:
-            self.layer.note_update(self.store, self.parent_fh, self.fh)
+            self.layer.note_update(self.store, self.fh)
         self._contents().setattr(attrs, ctx)
 
     def access(self, mode: int, ctx: OpContext = ROOT_CTX) -> bool:

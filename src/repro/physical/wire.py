@@ -51,8 +51,8 @@ STORE_BLOCK_SIZE = 4096
 #: The slot of the attribute table.  A record takes a run of whole slots,
 #: and every record the workloads write fits one (a file's is 80-150 B, a
 #: directory's 110-180 B), so a change that lengthens the encoding — a
-#: vector gaining a digit or a replica, a fold's first value, a policy tag,
-#: an ancestor — keeps the record in its run.
+#: vector gaining a digit or a replica, a policy tag, an ancestor — keeps
+#: the record in its run.
 AUX_SLOT_SIZE = 256
 
 #: Width of a recon digest in hex characters (128 bits of SHA-256).
@@ -76,9 +76,8 @@ def content_digest(*parts: bytes | str) -> str:
 def xor_fold(accumulated: str, part: str) -> str:
     """Fold one digest into an accumulator, order-independently.
 
-    XOR makes the fold commutative and self-inverse, so a mutation can
-    update an accumulated digest incrementally: fold the old component out
-    and the new one in, without rescanning the whole set.
+    XOR makes the fold commutative, so a set's digest does not depend on
+    the order its members are read in.
     """
     if not accumulated:
         accumulated = EMPTY_DIGEST
@@ -262,16 +261,6 @@ class AuxAttributes:
     refs: int = 1
     #: graft points record their target volume here (hex VolumeId).
     graft_volume: str = ""
-    #: recon digest components (directories only; empty = "not computed").
-    #: ``dig_entries`` folds every entry record of the directory file;
-    #: ``dig_files`` folds (handle, version vector) of each child file
-    #: whose contents are stored here.  Maintained incrementally on every
-    #: physical-layer mutation and recomputed authoritatively at the end
-    #: of each directory reconciliation (hard links can leave a sibling
-    #: directory's fold stale; drift only costs a missed prune, and the
-    #: recompute self-heals it).
-    dig_entries: str = ""
-    dig_files: str = ""
     #: merge-policy tag naming the automatic conflict resolver for this
     #: file (regular files only; ``""`` = none declared).  Travels with
     #: the replica through the attribute plane so every host applies the
@@ -299,8 +288,6 @@ class AuxAttributes:
             self.vv,
             self.refs,
             self.graft_volume,
-            self.dig_entries,
-            self.dig_files,
             self.merge_policy,
             self.ancestor,
             self.updating,
@@ -319,10 +306,6 @@ class AuxAttributes:
         }
         if self.graft_volume:
             rec["graftvol"] = self.graft_volume
-        if self.dig_entries:
-            rec["dige"] = self.dig_entries
-        if self.dig_files:
-            rec["digf"] = self.dig_files
         if self.merge_policy:
             rec["mpol"] = self.merge_policy
         if self.ancestor:
@@ -338,8 +321,6 @@ class AuxAttributes:
                 vv=VersionVector.decode(rec.get("vv", "")),
                 refs=int(rec.get("refs", "1")),
                 graft_volume=rec.get("graftvol", ""),
-                dig_entries=rec.get("dige", ""),
-                dig_files=rec.get("digf", ""),
                 merge_policy=rec.get("mpol", ""),
                 ancestor=rec.get("anc", ""),
                 updating=rec.get("upd") == "1",

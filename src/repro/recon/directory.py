@@ -118,9 +118,9 @@ def reconcile_directory(
 def _replay(physical, store, dir_fh, remote_entries, remote_aux, all_replicas, result) -> None:
     """Apply the remote's unseen entry operations to the local directory:
     one store operation, so ``.fdir`` and the directory's record are each
-    written once, with the merged vector and both folds final."""
+    written once, with the merged vector final."""
     local_vnode = PhysicalDirVnode(physical, store, dir_fh)
-    local_aux = store.read_dir_aux(dir_fh)
+    local_aux = store.read_record(dir_fh)
     if local_aux.vv.compare(remote_aux.vv) is Ordering.CONCURRENT:
         result.was_concurrent = True
 
@@ -201,14 +201,8 @@ def _replay(physical, store, dir_fh, remote_entries, remote_aux, all_replicas, r
 
     # Converged up to the remote's history: merge the version vectors so a
     # third party can tell this replica now includes the remote's updates.
-    local_aux = store.staged_dir_aux(dir_fh)
+    local_aux = store.staged_record(dir_fh)
     local_aux.vv = local_aux.vv.merge(remote_aux.vv)
-    # Re-anchor the incremental recon-digest folds from the actual stored
-    # state: hard links through another naming directory can leave them
-    # stale, which only delays pruning but would delay it indefinitely if
-    # never repaired.  Reconciliation visits every diverged directory, so
-    # this is the natural repair point.
-    store.refresh_dir_digests(dir_fh)
 
     merged = store.read_entries(dir_fh)
     result.collisions_repaired = count_name_collisions(merged)

@@ -7,7 +7,8 @@ support file update propagation."
 
 The pull compares version vectors first:
 
-* remote EQUAL / DOMINATED  -> nothing to do (we are as new or newer)
+* remote EQUAL / DOMINATED  -> nothing to do (we are as new or newer),
+                              once the local replica stores the file
 * remote DOMINATES          -> pull through a shadow + atomic commit
 * CONCURRENT                -> a conflict: report, never merge silently
 
@@ -98,7 +99,7 @@ def pull_file(
     # (the entry arrived by directory reconciliation).
     local_stored = store.has_file(parent_fh, fh)
     local_vv = (
-        store.read_file_aux(parent_fh, fh).vv if local_stored else VersionVector()
+        store.read_record(fh).vv if local_stored else VersionVector()
     )
     if not local_stored and not live:
         # A delete can land between a new-version note being queued and
@@ -126,7 +127,10 @@ def pull_file(
 
     remote_vv = remote_aux.vv
     order = local_vv.compare(remote_vv)
-    if order in (Ordering.EQUAL, Ordering.DOMINATES):
+    # a file created empty keeps the empty vector until its first write,
+    # which an unstored replica's vector equals: EQUAL is up to date only
+    # where the contents are stored
+    if order is Ordering.DOMINATES or (order is Ordering.EQUAL and local_stored):
         return PullResult(PullOutcome.UP_TO_DATE, local_vv, remote_vv)
     if order is Ordering.CONCURRENT:
         return PullResult(PullOutcome.CONFLICT, local_vv, remote_vv, remote_aux=remote_aux)

@@ -35,7 +35,7 @@ def resolve_file_conflict(
     """
     parent_fh = parent_fh.logical
     fh = fh.logical
-    local_aux = store.read_file_aux(parent_fh, fh)
+    local_aux = store.read_record(fh)
     local_vv = local_aux.vv
     merged = local_vv
     for vv in observed_vvs:

@@ -60,7 +60,7 @@ def auto_resolve_conflict(
     fh = fh.logical
     if not store.has_file(parent_fh, fh):
         return ResolveOutcome.NOT_COVERED  # entry-only replica; nothing to merge
-    local_aux = store.read_file_aux(parent_fh, fh)
+    local_aux = store.read_record(fh)
     remote_aux = getattr(pull, "remote_aux", None)
     remote_tag = remote_aux.merge_policy if remote_aux is not None else ""
     tag = registry.policy_for(name, local_aux.merge_policy, remote_tag)

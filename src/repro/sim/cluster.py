@@ -139,8 +139,8 @@ class FicusHost:
         state, id-mint counters) survives.  Persisted volume replicas are
         re-attached by scanning the disk and recovered
         (:meth:`ReplicaStore.recover`): half-made directories, orphan
-        shadows and half-made files dropped, frees the crash cut short
-        finished, and the recon-digest folds recomputed from what is stored.
+        shadows and half-made files dropped, and frees the crash cut short
+        finished.
         """
         hosted = list(self.physical.stores)
         # the dying stack's datagram subscriptions go with it — leaking

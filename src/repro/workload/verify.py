@@ -51,7 +51,7 @@ def state_fingerprint(system, host_names: list[str] | None = None) -> dict:
                     )
                     fh = entry.fh.logical
                     if entry.live and store.has_file(dir_fh, fh):
-                        aux = store.read_file_aux(dir_fh, fh)
+                        aux = store.read_record(fh)
                         files[fh.to_hex()] = (
                             store.file_vnode(dir_fh, fh).read_all(),
                             aux.vv.encode(),

@@ -90,7 +90,7 @@ class TestFileIo:
         store = alpha.physical.store_for(volrep)
         entries = store.read_entries(store.root_handle())
         fh = next(e.fh for e in entries if e.name == "f")
-        assert store.read_file_aux(store.root_handle(), fh).vv.total_updates == 1
+        assert store.read_record(fh).vv.total_updates == 1
 
 
 class TestNamespace:

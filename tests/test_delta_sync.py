@@ -381,7 +381,7 @@ class TestDirectoryAtATime:
         third = bytes(b ^ 0xAA for b in contents) + b"tail"
         alpha_big.write(0, third)  # out of band: after the batch
         alpha_store = store_of(system, "alpha")
-        third_vv = alpha_store.read_file_aux(alpha_store.root_handle(), fh).vv
+        third_vv = alpha_store.read_record(fh).vv
         assert third_vv.strictly_dominates(batch_vv)
 
         ((entry, pull),) = [
@@ -394,7 +394,7 @@ class TestDirectoryAtATime:
         assert pull.outcome is PullOutcome.PULLED
         assert pull.bytes_copied == len(third)  # the whole file, no delta
         assert beta_store.file_vnode(root_fh, fh).read_all() == third
-        assert beta_store.read_file_aux(root_fh, fh).vv == third_vv
+        assert beta_store.read_record(fh).vv == third_vv
 
     def test_entry_only_remote_child_is_missing_not_materialised(self):
         """Selective replication: the remote names a file it does not

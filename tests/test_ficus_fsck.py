@@ -135,9 +135,9 @@ class TestDetectsCorruption:
         store = host.physical.store_for(system.root_locations[0].volrep)
         entries = store.read_entries(store.root_handle())
         dfh = next(e.fh for e in entries if e.name == "d")
-        aux = store.read_dir_aux(dfh)
+        aux = store.read_record(dfh)
         aux.refs = 5
-        store.write_dir_aux(dfh, aux)
+        store.write_record(dfh, aux)
         report = ficus_fsck(store)
         assert any("refs=5" in p for p in report.problems)
 
@@ -171,10 +171,10 @@ class TestDetectsCorruption:
         fs.link("/f", "/d/alias")
         store = host.physical.store_for(system.root_locations[0].volrep)
         fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "f")
-        assert store.read_file_aux(store.root_handle(), fh).refs == 2 and ficus_fsck(store).clean
-        aux = store.read_file_aux(store.root_handle(), fh)
+        assert store.read_record(fh).refs == 2 and ficus_fsck(store).clean
+        aux = store.read_record(fh)
         aux.refs = 1
-        store.write_file_aux(store.root_handle(), fh, aux)
+        store.write_record(fh, aux)
         assert f"file {fh}: record refs=1 but 2 stored names" in ficus_fsck(store).problems
 
 

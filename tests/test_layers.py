@@ -210,7 +210,7 @@ class TestAuthLayer:
             child.setattr(SetAttrs(policy="lww"), reader)
         assert auth.denials == 3
         assert [(e.name, e.live) for e in store.read_entries(store.root_handle())] == [("f", True)]
-        assert store.read_file_aux(store.root_handle(), entry.fh).merge_policy == ""
+        assert store.read_record(entry.fh).merge_policy == ""
 
     def test_the_sync_plane_is_admitted_like_a_read(self, ufs_layer):
         """A uid the layer does not admit gets none of a replica's bytes or

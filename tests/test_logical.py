@@ -13,7 +13,7 @@ from repro.errors import (
     NotADirectory,
 )
 from repro.logical import READ_ANY
-from repro.physical import FicusPhysicalLayer, volume_root_handle
+from repro.physical import FicusPhysicalLayer
 from repro.sim import DaemonConfig, FicusSystem
 from repro.ufs import FileType
 from repro.vnode.interface import SetAttrs
@@ -190,7 +190,7 @@ class TestOpenCloseSessions:
         f.close()
         volrep = system.root_locations[0].volrep
         store = alpha.physical.store_for(volrep)
-        aux = store.read_file_aux(volume_root_handle(system.root_volume), f.fh)
+        aux = store.read_record(f.fh)
         assert aux.vv.total_updates == 1
 
     def test_close_sends_one_notification(self, system):
@@ -228,7 +228,7 @@ class TestOpenCloseSessions:
             store = host.physical.store_for(location.volrep)
             parent = store.root_handle()
             fh = next(e.fh for e in store.read_entries(parent) if e.live and e.name == "f")
-            aux = store.read_file_aux(parent, fh)
+            aux = store.read_record(fh)
             states.append((store.file_vnode(parent, fh).read_all(), aux.vv.total_updates))
             sessions.append(host.physical.has_open_session(store, fh))
         assert states == [(b"v3", 3), (b"v3", 3)]

@@ -405,7 +405,7 @@ class TestFicusOpsOverNfs:
         physical = system.host("server").physical
         store = physical.store_for(system.root_locations[0].volrep)
         fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "f")
-        assert store.read_file_aux(store.root_handle(), fh).vv.total_updates == 3
+        assert store.read_record(fh).vv.total_updates == 3
         assert not physical.has_open_session(store, fh)
 
     def test_handle_lookups_ride_the_name_cache(self):
@@ -457,7 +457,7 @@ class TestFicusOpsOverNfs:
         store = system.host("server").physical.store_for(system.root_locations[0].volrep)
         fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "f")
         assert store.file_vnode(store.root_handle(), fh).read_all() == b""
-        assert store.read_file_aux(store.root_handle(), fh).vv == VersionVector({1: 4})
+        assert store.read_record(fh).vv == VersionVector({1: 4})
         fs.write_file("/f", b"back")
         assert (fs.read_file("/f"), fs.stat("/f").size) == (b"back", 4)
 
@@ -471,10 +471,10 @@ class TestFicusOpsOverNfs:
         fs.write_file("/f", b"x")
         store = system.host("server").physical.store_for(system.root_locations[0].volrep)
         fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "f")
-        before = store.read_file_aux(store.root_handle(), fh).vv.total_updates
+        before = store.read_record(fh).vv.total_updates
         for tag in ("append-log", "lww", "append-log"):
             fs.set_merge_policy("/f", tag)
-        aux = store.read_file_aux(store.root_handle(), fh)
+        aux = store.read_record(fh)
         assert (aux.merge_policy, aux.vv.total_updates) == ("append-log", before + 3)
         real, sent = system.network.rpc, []
         system.network.rpc = lambda s, d, op, *a, **k: sent.append(op) or real(s, d, op, *a, **k)

@@ -21,14 +21,16 @@ from repro.physical import (
     effective_entries,
 )
 from repro.physical.check import ficus_fsck
-from repro.physical.store import ReplicaStore
+from repro.physical.store import ReplicaStore, entries_fold, file_component
 from repro.physical.table import SLOTS_PER_BLOCK, AttrTable, encode_run
 from repro.physical.wire import (
     AUX_SLOT_SIZE,
+    EMPTY_DIGEST,
     FDIR_NAME,
     SHADOW_SUFFIX,
     STORE_BLOCK_SIZE,
     DirectoryEntry,
+    content_digest,
     decode_directory,
     encode_directory,
 )
@@ -82,25 +84,25 @@ class TestBasicOperations:
     def test_write_bumps_version_vector(self, world):
         _, _, _, store, root = world
         fh, vnode = insert_file(store, root, "f")
-        assert store.read_file_aux(store.root_handle(), fh).vv == VersionVector()
+        assert store.read_record(fh).vv == VersionVector()
         vnode.write(0, b"x")
-        assert store.read_file_aux(store.root_handle(), fh).vv == VersionVector({1: 1})
+        assert store.read_record(fh).vv == VersionVector({1: 1})
         vnode.write(0, b"y")
-        assert store.read_file_aux(store.root_handle(), fh).vv == VersionVector({1: 2})
+        assert store.read_record(fh).vv == VersionVector({1: 2})
 
     def test_truncate_bumps_version_vector(self, world):
         _, _, _, store, root = world
         fh, vnode = insert_file(store, root, "f", b"0123456789")
-        before = store.read_file_aux(store.root_handle(), fh).vv
+        before = store.read_record(fh).vv
         vnode.setattr(SetAttrs(size=3))
-        assert store.read_file_aux(store.root_handle(), fh).vv.strictly_dominates(before)
+        assert store.read_record(fh).vv.strictly_dominates(before)
         assert vnode.read_all() == b"012"
 
     def test_a_policy_setattr_is_one_update_of_the_file(self, world):
         _, _, _, store, root = world
         fh, vnode = insert_file(store, root, "f", b"data")
         vnode.setattr(SetAttrs(policy="lww"))
-        aux = store.read_file_aux(store.root_handle(), fh)
+        aux = store.read_record(fh)
         assert (aux.merge_policy, aux.vv) == ("lww", VersionVector({1: 2}))
         assert vnode.read_all() == b"data"
 
@@ -196,7 +198,7 @@ class TestMultipleNames:
         vnode.write(0, b"y")
         assert root.lookup("d").lookup("other").read_all() == b"y"
         # the file has one record, whichever directory names it
-        assert store.read_file_aux(dfh, fh).vv == store.read_file_aux(store.root_handle(), fh).vv
+        assert root.lookup("d").getattrs_batch([fh]).child(fh).vv == root.getattrs_batch([fh]).child(fh).vv
 
     def test_directory_with_two_names(self, world):
         """Ficus directories form a DAG: 'unlike Unix, Ficus directories
@@ -207,7 +209,7 @@ class TestMultipleNames:
         d.lookup_fh(d.insert("f", EntryType.FILE).fh).write(0, b"dag")
         assert root.lookup("name1").lookup("f").read_all() == b"dag"
         assert root.lookup("name2").lookup("f").read_all() == b"dag"
-        assert store.read_dir_aux(dfh).refs == 2
+        assert store.read_record(dfh).refs == 2
 
     def test_removing_one_dir_name_keeps_storage(self, world):
         _, _, _, store, root = world
@@ -216,7 +218,7 @@ class TestMultipleNames:
         eid = next(e.eid for e in store.read_entries(store.root_handle()) if e.name == "name1")
         root.remove_entry(eid)
         assert root.lookup("name2").getattr().ftype == FileType.DIRECTORY
-        assert store.read_dir_aux(dfh).refs == 1
+        assert store.read_record(dfh).refs == 1
 
     def test_removing_last_dir_name_reclaims_empty_dir(self, world):
         _, _, _, store, root = world
@@ -276,7 +278,7 @@ class TestSessionOps:
         vnode.write(1, b"b")
         vnode.write(2, b"c")
         root.session_close(fh)
-        assert store.read_file_aux(store.root_handle(), fh).vv == VersionVector({1: 1})
+        assert store.read_record(fh).vv == VersionVector({1: 1})
         assert phys.session_coalesced_updates == 3
 
     def test_nested_sessions_bump_once(self, world):
@@ -291,14 +293,14 @@ class TestSessionOps:
         assert root.session_close(fh) is True
         assert not phys.has_open_session(store, fh)
         assert root.session_close(fh) is False
-        assert store.read_file_aux(store.root_handle(), fh).vv == VersionVector({1: 1})
+        assert store.read_record(fh).vv == VersionVector({1: 1})
 
     def test_clean_session_no_bump(self, world):
         _, _, _, store, root = world
         fh, _ = insert_file(store, root, "f")
         root.session_open(fh)
         root.session_close(fh)
-        assert store.read_file_aux(store.root_handle(), fh).vv == VersionVector()
+        assert store.read_record(fh).vv == VersionVector()
 
     def test_local_open_close_vnode_calls_also_work(self, world):
         """When no NFS hop intervenes the plain vnode open/close arrive."""
@@ -308,7 +310,7 @@ class TestSessionOps:
         vnode.write(0, b"xyz")
         vnode.write(3, b"pqr")
         vnode.close()
-        assert store.read_file_aux(store.root_handle(), fh).vv == VersionVector({1: 1})
+        assert store.read_record(fh).vv == VersionVector({1: 1})
 
 
 class TestUpdateNotification:
@@ -350,7 +352,7 @@ class TestShadowCommit:
         vv = VersionVector({2: 9})
         store.install(store.root_handle(), fh, b"new version", vv, "")
         assert root.lookup("f").read_all() == b"new version"
-        assert store.read_file_aux(store.root_handle(), fh).vv == vv
+        assert store.read_record(fh).vv == vv
         assert store.stats.shadows_created == store.stats.shadow_commits == 1
 
     def test_abort_discards_shadow(self, world):
@@ -395,18 +397,18 @@ class TestShadowCommit:
         _, _, _, store, root = world
         fh, vnode = insert_file(store, root, "f", b"x")
         vv = VersionVector({1: 5, 2: 5})
-        aux = store.read_file_aux(store.root_handle(), fh)
+        aux = store.read_record(fh)
         aux.vv = vv
-        store.write_file_aux(store.root_handle(), fh, aux)
-        assert store.read_file_aux(store.root_handle(), fh).vv == vv
+        store.write_record(fh, aux)
+        assert store.read_record(fh).vv == vv
 
     def test_mergevv_merges_directory_version(self, world):
         _, _, _, store, root = world
         insert_file(store, root, "f")  # bumps dir vv to {1:1}
-        aux = store.read_dir_aux(store.root_handle())
+        aux = store.read_record(store.root_handle())
         aux.vv = aux.vv.merge(VersionVector({7: 3}))
-        store.write_dir_aux(store.root_handle(), aux)
-        assert store.read_dir_aux(store.root_handle()).vv == VersionVector({1: 1, 7: 3})
+        store.write_record(store.root_handle(), aux)
+        assert store.read_record(store.root_handle()).vv == VersionVector({1: 1, 7: 3})
 
 
 class TestOperationScope:
@@ -416,9 +418,9 @@ class TestOperationScope:
 
     @staticmethod
     def grow_dir_vv(store, replica):
-        aux = store.read_dir_aux(store.root_handle())
+        aux = store.read_record(store.root_handle())
         aux.vv = aux.vv.merge(VersionVector({replica: 1}))
-        store.write_dir_aux(store.root_handle(), aux)
+        store.write_record(store.root_handle(), aux)
 
     def test_nesting_flushes_once_at_the_outermost_exit(self, world):
         device, _, _, store, root = world
@@ -439,7 +441,7 @@ class TestOperationScope:
         # one first read
         assert device.counters.writes == before + 1
         fresh = ReplicaStore.attach(store.lower_root, VR)
-        assert fresh.read_dir_aux(store.root_handle()).vv == VersionVector({1: 1, 7: 1, 8: 1})
+        assert fresh.read_record(store.root_handle()).vv == VersionVector({1: 1, 7: 1, 8: 1})
         assert [e.fh for e in fresh.read_entries(store.root_handle())] == [fh]
 
     def test_an_exception_inside_still_flushes_what_was_staged(self, world):
@@ -450,18 +452,18 @@ class TestOperationScope:
                 raise RuntimeError("the operation failed half way")
         assert store.flushed()
         fresh = ReplicaStore.attach(store.lower_root, VR)
-        assert fresh.read_dir_aux(store.root_handle()).vv == VersionVector({7: 1})
+        assert fresh.read_record(store.root_handle()).vv == VersionVector({7: 1})
 
     def test_a_flush_that_raises_drops_the_decoded_copy(self, world):
         device, _, _, store, _ = world
-        old = store.read_dir_aux(store.root_handle())
+        old = store.read_record(store.root_handle())
         device.plan_crash_after_writes(0)  # at the in-place write of the table block
         with pytest.raises(CrashInjected):
             with store.operation():
                 self.grow_dir_vv(store, 7)
         assert store.flushed() and not store._record_cache
         device.recover()
-        assert store.read_dir_aux(store.root_handle()) == old  # from the device, not from memory
+        assert store.read_record(store.root_handle()) == old  # from the device, not from memory
 
     def test_pending_reads_are_served_with_no_cache_at_all(self):
         device = BlockDevice(8192)
@@ -475,7 +477,11 @@ class TestOperationScope:
             before = device.counters.writes
             store.write_entries(store.root_handle(), [entry.killed()])
             assert [e.live for e in store.read_entries(store.root_handle())] == [False]
-            assert store.read_dir_aux(store.root_handle()).dig_entries == entry.killed().fold_component()
+            # the digest is the staged list's, and computing it writes nothing
+            vv = store.read_record(store.root_handle()).vv
+            assert store.directory_digest(store.root_handle()) == content_digest(
+                vv.encode(), entry.killed().fold_component(), EMPTY_DIGEST
+            )
             assert device.counters.writes == before
         assert device.counters.writes > before
         assert [e.live for e in store.read_entries(store.root_handle())] == [False]
@@ -484,9 +490,10 @@ class TestOperationScope:
         device, _, _, store, root = world
         insert_file(store, root, "f", b"x")
         before = device.counters.writes
-        store.write_dir_aux(store.root_handle(), store.read_dir_aux(store.root_handle()))
+        digest = store.directory_digest(store.root_handle())
+        store.write_record(store.root_handle(), store.read_record(store.root_handle()))
         store.write_entries(store.root_handle(), store.read_entries(store.root_handle()))
-        store.refresh_dir_digests(store.root_handle())
+        assert store.directory_digest(store.root_handle()) == digest
         assert device.counters.writes == before
 
     def test_a_tombstone_and_an_insert_of_one_file_keep_its_storage(self, world):
@@ -500,10 +507,31 @@ class TestOperationScope:
         renamed = root.lookup("g")
         assert renamed.read_all() == b"kept" and renamed.getattr().fileid == ino
         assert ficus_fsck(store).clean and fsck(ufs.fs).clean
-        # the fold the free took the file out of has it back
-        stored = store.read_dir_aux(store.root_handle()).dig_files
-        store.refresh_dir_digests(store.root_handle())
-        assert store.read_dir_aux(store.root_handle()).dig_files == stored != ""
+        # the file the free was asked for is still in its directory's digest
+        root_fh = store.root_handle()
+        assert store.directory_digest(root_fh) == content_digest(
+            store.read_record(root_fh).vv.encode(),
+            entries_fold(store.read_entries(root_fh)),
+            file_component(fh, store.read_record(fh).vv),
+        )
+
+    def test_a_digest_follows_every_name_of_a_hard_linked_file(self):
+        system = FicusSystem(["alpha", "beta"], daemon_config=QUIET)
+        fs = system.host("alpha").fs()
+        fs.mkdir("/a")
+        fs.mkdir("/b")
+        fs.write_file("/a/f", b"one")
+        fs.link("/a/f", "/b/f")
+        system.reconcile_everything()
+        (store,) = system.host("alpha").physical.stores.values()
+        (peer,) = system.host("beta").physical.stores.values()
+        dirs = {e.name: e.fh for e in store.read_entries(store.root_handle())}
+        before = store.directory_digest(dirs["b"])
+        assert peer.directory_digest(dirs["b"]) == before
+        fs.write_file("/a/f", b"two")  # through the other name
+        assert store.directory_digest(dirs["b"]) != before
+        system.reconcile_everything()
+        assert peer.subtree_digest(peer.root_handle()) == store.subtree_digest(store.root_handle())
 
     def test_a_tombstone_alone_frees_after_the_flush(self, world):
         _, _, _, store, root = world
@@ -555,18 +583,18 @@ class TestAttributeTable:
         fh, vnode = insert_file(store, root, "f", b"one")
         d.insert("alias", EntryType.FILE, fh=fh, link_from=store.root_handle())
         records = len(store.record_handles())
-        assert store.read_file_aux(dfh, fh).refs == 2
+        assert store.read_record(fh).refs == 2
         alias = d.lookup("alias")
         alias.write(0, b"two")  # an update through the second name...
         # ...is the one record both names read
-        assert store.read_file_aux(store.root_handle(), fh) == store.read_file_aux(dfh, fh)
-        assert store.read_file_aux(store.root_handle(), fh).vv == VersionVector({1: 2})
+        assert d.getattrs_batch([fh]).child(fh) == root.getattrs_batch([fh]).child(fh)
+        assert store.read_record(fh).vv == VersionVector({1: 2})
         assert root.lookup("f").read_all() == b"two"
         fresh = ReplicaStore.attach(store.lower_root, VR)
-        assert fresh.read_file_aux(store.root_handle(), fh).vv == VersionVector({1: 2})
+        assert fresh.read_record(fh).vv == VersionVector({1: 2})
         # dropping a name counts it off; dropping the last clears the record
         d.remove_entry(next(e.eid for e in store.read_entries(dfh) if e.name == "alias"))
-        assert store.read_file_aux(store.root_handle(), fh).refs == 1
+        assert store.read_record(fh).refs == 1
         root.remove_entry(next(e.eid for e in store.read_entries(store.root_handle()) if e.name == "f"))
         assert len(store.record_handles()) == records - 1 and fh not in store.record_handles()
         assert ficus_fsck(store).clean
@@ -584,7 +612,7 @@ class TestAttributeTable:
         (store,) = system.host("beta").physical.stores.values()
         dirs = {e.name: e.fh for e in store.read_entries(store.root_handle())}
         fh = next(e.fh for e in store.read_entries(dirs["d"]) if e.name == "f")
-        assert store.read_file_aux(dirs["d"], fh).refs == 2
+        assert store.read_record(fh).refs == 2
         # the one record's vector describes both stored names
         assert store.file_vnode(dirs["d"], fh).read_all() == store.file_vnode(dirs["e"], fh).read_all() == b"two!"
         assert ficus_fsck(store).clean
@@ -605,7 +633,7 @@ class TestAttributeTable:
         dirs = {e.name: e.fh for e in store.read_entries(store.root_handle())}
         fh = next(e.fh for e in store.read_entries(dirs["e"]) if e.name == "g")
         assert store.file_vnode(dirs["e"], fh).read_all() == PAYLOAD
-        assert not store.has_file(dirs["d"], fh) and store.read_file_aux(dirs["e"], fh).refs == 1
+        assert not store.has_file(dirs["d"], fh) and store.read_record(fh).refs == 1
         assert ficus_fsck(store).clean
 
     def test_a_new_record_lands_beside_its_parents(self, world):
@@ -622,16 +650,16 @@ class TestAttributeTable:
         run = store._attr.runs[fh]
         assert run.start % SLOTS_PER_BLOCK == 0 and len(run.blocks()) == 2
         fresh = ReplicaStore.attach(store.lower_root, VR)
-        assert fresh.read_file_aux(store.root_handle(), fh).merge_policy == "p" * 5000
+        assert fresh.read_record(fh).merge_policy == "p" * 5000
         vnode.setattr(SetAttrs(policy="short"))  # moved back into one block
         assert len(store._attr.runs[fh].blocks()) == 1
-        assert ReplicaStore.attach(store.lower_root, VR).read_file_aux(store.root_handle(), fh).merge_policy == "short"
+        assert ReplicaStore.attach(store.lower_root, VR).read_record(fh).merge_policy == "short"
         assert ficus_fsck(store).clean
 
     def test_the_newer_copy_wins_the_attach_and_stale_bytes_go(self, world):
         device, _, _, store, root = world
         fh, _ = insert_file(store, root, "f", b"x")
-        old = store.read_file_aux(store.root_handle(), fh)
+        old = store.read_record(fh)
         new = old.clone()
         new.merge_policy = "newer"
         attr = store._attr_vnode
@@ -640,7 +668,7 @@ class TestAttributeTable:
         attr.write(STORE_BLOCK_SIZE, encode_run(new, 99) + encode_run(old, 1)[:40])
         assert len(AttrTable.load(attr).runs) == len(store.record_handles())
         fresh = ReplicaStore.attach(store.lower_root, VR)
-        assert fresh.read_file_aux(store.root_handle(), fh).merge_policy == "newer"
+        assert fresh.read_record(fh).merge_policy == "newer"
         assert fresh._attr.runs[fh].stamp == 99 and fresh._attr.next_stamp == 100
         # the attach cleared the losing copy and the torn bytes
         data = attr.read_all()
@@ -689,7 +717,7 @@ class TestPhysicalOverNfs:
         f.write(0, b"a")
         f.write(1, b"b")
         root.session_close(fh)
-        assert store.read_file_aux(store.root_handle(), fh).vv == VersionVector({1: 1})
+        assert store.read_record(fh).vv == VersionVector({1: 1})
 
     def test_a_directory_read_over_nfs_carries_no_padding(self, remote_root):
         """``.fdir`` is padded to whole blocks on disk; what a remote
@@ -709,7 +737,7 @@ class TestPhysicalOverNfs:
         batch = root.getattrs_batch([fh])
         assert batch.child(fh).vv == VersionVector({1: 1})
         # the directory's own aux record rides in the same reply
-        assert batch.dir_aux.vv == store.read_dir_aux(store.root_handle()).vv
+        assert batch.dir_aux.vv == store.read_record(store.root_handle()).vv
 
     def test_dir_by_handle_over_nfs(self, remote_root):
         store, root = remote_root

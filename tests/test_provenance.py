@@ -216,7 +216,7 @@ class TestDagComposition:
                         fh = entry.fh.logical
                         if not entry.live or not store.has_file(dir_fh, fh):
                             continue
-                        vv = store.read_file_aux(dir_fh, fh).vv
+                        vv = store.read_record(fh).vv
                         if not vv:
                             continue  # directories / never-written files
                         node = dag.node(fh.to_hex(), vv.encode())

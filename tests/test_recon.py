@@ -78,6 +78,22 @@ class TestPullFile:
         # neither side's data was clobbered
         assert beta_store.file_vnode(beta_store.root_handle(), f.fh).read_all() == b"beta side"
 
+    def test_a_file_created_empty_reaches_the_other_replica(self, system):
+        # never written, its vector is the empty one an unstored replica's
+        # equals: EQUAL must not read as up to date where nothing is stored
+        system.host("alpha").fs().create_file("/bare")
+        system.reconcile_everything()
+        system.reconcile_everything()
+        beta_store = store_of(system, "beta")
+        fh = next(e.fh for e in beta_store.read_entries(beta_store.root_handle()) if e.name == "bare")
+        assert beta_store.has_file(beta_store.root_handle(), fh)
+        alpha_store = store_of(system, "alpha")
+        assert beta_store.subtree_digest(beta_store.root_handle()) == alpha_store.subtree_digest(
+            alpha_store.root_handle()
+        )
+        system.partition([{"alpha"}, {"beta"}])
+        assert system.host("beta").fs().read_file("/bare") == b""
+
     def test_pull_unreachable(self, system):
         alpha = system.host("alpha")
         f = alpha.root().create("f")
@@ -287,8 +303,8 @@ class TestDirectoryRecon:
         reconcile_directory(
             system.host("beta").physical, beta_store, beta_store.root_handle(), remote
         )
-        beta_vv = beta_store.read_dir_aux(beta_store.root_handle()).vv
-        alpha_vv = alpha_store.read_dir_aux(alpha_store.root_handle()).vv
+        beta_vv = beta_store.read_record(beta_store.root_handle()).vv
+        alpha_vv = alpha_store.read_record(alpha_store.root_handle()).vv
         assert beta_vv.dominates(alpha_vv)
 
 

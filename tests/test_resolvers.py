@@ -275,7 +275,7 @@ class TestAutomaticResolution:
         system = self.diverge("/inbox.log", b"seed\na\n", b"seed\nb\n", b"seed\n")
         store = next(iter(system.host("a").physical.stores.values()))
         dir_fh, fh = find_file(store, "inbox.log")
-        vv = store.read_file_aux(dir_fh, fh).vv
+        vv = store.read_record(fh).vv
         ledger = system.host("a").health_plane.provenance
         merges = [event for event in ledger.events(fh.to_hex()) if event.kind == "merge"]
         assert merges and merges[-1].detail == "inbox.log[append-log]"
@@ -578,7 +578,7 @@ class TestObservability:
         host.recon_daemon.tick()
         assert host.health().resolver_auto_resolved == 1
         store = next(iter(host.physical.stores.values()))
-        resolved = store.read_file_aux(*find_file(store, "inbox.log")).vv.encode()
+        resolved = store.read_record(find_file(store, "inbox.log")[1]).vv.encode()
         with open(self.dump_of(host, tmp_path / "dump.jsonl"), encoding="utf-8") as fp:
             mentions = [
                 json.loads(line)

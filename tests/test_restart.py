@@ -36,11 +36,11 @@ class TestSingleHostRestart:
         volrep = system.root_locations[0].volrep
         store = host.physical.store_for(volrep)
         fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "f")
-        vv_before = store.read_file_aux(store.root_handle(), fh).vv
+        vv_before = store.read_record(fh).vv
         host.crash()
         host.restart(system)
         store2 = host.physical.store_for(volrep)
-        assert store2.read_file_aux(store2.root_handle(), fh).vv == vv_before
+        assert store2.read_record(fh).vv == vv_before
 
     def test_id_mints_never_reissue_after_restart(self):
         system = FicusSystem(["solo"], daemon_config=QUIET)
@@ -157,14 +157,14 @@ class TestSingleHostRestart:
         volrep = system.root_locations[0].volrep
         store = host.physical.store_for(volrep)
         fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "f")
-        before = store.read_file_aux(store.root_handle(), fh).vv
+        before = store.read_record(fh).vv
         handle = host.fs().open("/f", "r+")
         handle.write(b"v2")  # lands, marked as an update in progress
-        assert store.read_file_aux(store.root_handle(), fh).updating
+        assert store.read_record(fh).updating
         host.crash()  # the close, and its bump, never happen
         host.restart(system)
         store2 = host.physical.store_for(volrep)
-        aux = store2.read_file_aux(store2.root_handle(), fh)
+        aux = store2.read_record(fh)
         assert aux.vv.strictly_dominates(before) and not aux.updating
         assert host.fs().read_file("/f") == b"v2"
 
@@ -180,7 +180,7 @@ class TestSingleHostRestart:
         volrep = system.root_locations[0].volrep
         store = host.physical.store_for(volrep)
         fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "f")
-        assert store.read_file_aux(store.root_handle(), fh).merge_policy == "a\0b"
+        assert store.read_record(fh).merge_policy == "a\0b"
         assert host.fs().read_file("/f") == b"kept"
         assert ficus_fsck(store).clean
 

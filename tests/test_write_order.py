@@ -35,18 +35,16 @@ from repro.inspect import diff_replicas
 from repro.nfs.client import NfsClientConfig
 from repro.physical import EntryType, FicusPhysicalLayer
 from repro.physical.check import ficus_fsck
-from repro.physical.store import ReplicaStore, entries_fold, file_component
+from repro.physical.store import ReplicaStore
 from repro.physical.table import SLOTS_PER_BLOCK, encode_run
 from repro.physical.wire import (
     ATTR_NAME,
     AUX_SLOT_SIZE,
-    EMPTY_DIGEST,
     FDIR_NAME,
     META_NAME,
     STORE_BLOCK_SIZE,
     DirectoryEntry,
     encode_directory,
-    xor_fold,
 )
 from repro.recon import reconcile_directory
 from repro.sim import DaemonConfig, FicusSystem
@@ -338,8 +336,8 @@ def test_a_pulled_new_file_is_born_from_its_shadow(recorded):
     (alpha_store,) = alpha.physical.stores.values()
     dir_fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "d")
     fh = next(e.fh for e in store.read_entries(dir_fh) if e.name == "born")
-    aux = store.read_file_aux(dir_fh, fh)
-    assert aux.vv == alpha_store.read_file_aux(dir_fh, fh).vv and aux.ancestor_digests()
+    aux = store.read_record(fh)
+    assert aux.vv == alpha_store.read_record(fh).vv and aux.ancestor_digests()
     # and so in the grouped pass: the new file's part, after the overwrite's
     # shadow commit (its first nine writes), up to the operation's flush
     grouped = recorded["grouped pass"].labels
@@ -389,11 +387,11 @@ def entry_file_bytes(store, fh):
 
 
 def file_record(store, fh):
-    return store.read_file_aux(store.root_handle(), fh)
+    return store.read_record(fh)
 
 
 def dir_record(store, fh):
-    return store.read_dir_aux(store.root_handle())
+    return store.read_record(store.root_handle())
 
 
 def mint_entry_id(store, fh):
@@ -413,9 +411,9 @@ def use_up_entry_ids_through(last):
 
 def set_merge_policy(tag):
     def replace(store, fh):
-        aux = store.read_file_aux(store.root_handle(), fh)
+        aux = store.read_record(fh)
         aux.merge_policy = tag
-        store.write_file_aux(store.root_handle(), fh, aux)
+        store.write_record(fh, aux)
 
     return replace
 
@@ -425,7 +423,7 @@ def set_merge_policy_to_fill(length):
     bytes long, before its padding to whole slots."""
 
     def replace(store, fh):
-        aux = store.read_file_aux(store.root_handle(), fh)
+        aux = store.read_record(fh)
         aux.merge_policy = "p"
         unpadded = len(encode_run(aux, store._attr.runs[fh].stamp).rstrip(b"\0"))
         set_merge_policy("p" * (1 + length - unpadded))(store, fh)
@@ -478,9 +476,9 @@ def tombstone_the_entry(store, fh):
 
 def merge_dir_vv(remote):
     def replace(store, fh):
-        aux = store.read_dir_aux(store.root_handle())
+        aux = store.read_record(store.root_handle())
         aux.vv = aux.vv.merge(VersionVector(remote))
-        store.write_dir_aux(store.root_handle(), aux)
+        store.write_record(store.root_handle(), aux)
 
     return replace
 
@@ -635,14 +633,14 @@ def test_both_arms_are_counted_and_shown():
         return [counters.get(f"store.records_{arm}").value for arm in ("in_place", "resized")]
 
     before = counts()
-    # the session's mark, then the file's and the directory's record at the
-    # close: each keeps its run
+    # the session's mark, then the file's record at the close: each keeps
+    # its run (the directory's record does not change)
     fs.write_file("/f", PAYLOAD[::-1])
-    assert counts() == [before[0] + 3, before[1]]
+    assert counts() == [before[0] + 2, before[1]]
     fs.set_merge_policy("/f", "append-log")  # longer, in the same run
-    assert counts() == [before[0] + 5, before[1]]
+    assert counts() == [before[0] + 3, before[1]]
     fs.set_merge_policy("/f", "x" * AUX_SLOT_SIZE)  # outgrows its run: moved
-    assert counts() == [before[0] + 6, before[1] + 1]
+    assert counts() == [before[0] + 3, before[1] + 1]
     in_place, resized = counts()
     assert f"record replaces: {in_place} in place, {resized} resized" in render_system(system)
     # and a system that records nothing says nothing
@@ -666,8 +664,8 @@ def test_an_entry_file_of_two_blocks_is_never_rewritten_in_place():
     in_place, resized = store.stats.records_in_place, store.stats.records_resized
     store.write_entries(root, [entries[0].killed()] + entries[1:])  # same length
     assert store._unix_child(root, FDIR_NAME).getattr().size == stored
-    # .fdir resized, the directory's record (the entry fold) in place
-    assert (store.stats.records_in_place, store.stats.records_resized) == (in_place + 1, resized + 1)
+    # .fdir resized, and nothing else written: the record holds no digest
+    assert (store.stats.records_in_place, store.stats.records_resized) == (in_place, resized + 1)
 
 
 # -- (iii) write_file trims instead of truncating first ---------------------------------
@@ -718,6 +716,29 @@ def three_notes_for_beta(system: FicusSystem) -> None:
     fs.write_file("/d/f", PAYLOAD[::-1])
     fs.unlink("/d/g")
     system.run_for(1.0)
+
+
+def three_updates_unheard_at_beta(system: FicusSystem) -> None:
+    """A create, an overwrite and an unlink in one directory, made at alpha
+    while beta was partitioned away: beta holds no note of any of them."""
+    system.partition([{"alpha"}, {"beta"}])
+    fs = system.host("alpha").fs()
+    fs.write_file("/d/made", PAYLOAD)
+    fs.write_file("/d/f", PAYLOAD[::-1])
+    fs.unlink("/d/g")
+    system.heal()
+    system.run_for(1.0)
+
+
+def beta_reconciles_d(system: FicusSystem) -> None:
+    """One directory reconciliation of ``/d`` at beta against alpha, alone:
+    the entry replay, with no file pulled."""
+    beta = system.host("beta")
+    (store,) = beta.physical.stores.values()
+    (peer,) = (loc for loc in system.root_locations if loc.host == "alpha")
+    dir_fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "d")
+    remote_dir = beta.fabric.volume_root(peer.host, peer.volrep).lookup_fh(dir_fh)
+    reconcile_directory(beta.physical, store, dir_fh, remote_dir)
 
 
 def a_session_written_at_alpha(system: FicusSystem) -> None:
@@ -847,6 +868,16 @@ SWEEP = {
         {"/d/h": PAYLOAD},
         [{"/d/made": PAYLOAD, "/d/f": PAYLOAD[::-1], "/d/g": None}],
     ),
+    # the entry replay outside a propagation group: the new entry, the
+    # tombstone (and the storage it frees) and the merged vector in one
+    # flush; the files follow in the settling sweeps
+    "directory reconcile": (
+        "beta",
+        three_updates_unheard_at_beta,
+        beta_reconciles_d,
+        {"/d/h": PAYLOAD},
+        [{"/d/made": PAYLOAD, "/d/f": PAYLOAD[::-1], "/d/g": None}],
+    ),
 }
 
 #: what UFS ``fsck`` may say after a crash inside one of these operations:
@@ -890,24 +921,10 @@ def torn_records(store: ReplicaStore) -> list[str]:
             )
             if entry.live and stored:
                 try:
-                    store.read_dir_aux(entry.fh)
+                    store.read_record(entry.fh)
                 except (FileNotFound, InvalidArgument):
                     torn.append(entry.name)
     return torn
-
-
-def stored_folds_are_recomputed(store: ReplicaStore) -> bool:
-    for dir_fh in store.all_directory_handles():
-        entries, aux = store.read_entries(dir_fh), store.read_dir_aux(dir_fh)
-        files = ""
-        for fh in {e.fh for e in entries if e.live and e.etype in (EntryType.FILE, EntryType.SYMLINK)}:
-            if store.has_file(dir_fh, fh):
-                files = xor_fold(files, file_component(fh, store.read_file_aux(dir_fh, fh).vv))
-        if (aux.dig_entries or EMPTY_DIGEST) != (entries_fold(entries) or EMPTY_DIGEST):
-            return False
-        if (aux.dig_files or EMPTY_DIGEST) != (files or EMPTY_DIGEST):
-            return False
-    return True
 
 
 def stored_files(store: ReplicaStore) -> dict:
@@ -918,7 +935,7 @@ def stored_files(store: ReplicaStore) -> dict:
     for dir_fh in store.all_directory_handles():
         for entry in store.read_entries(dir_fh):
             if entry.live and entry.etype == EntryType.FILE and store.has_file(dir_fh, entry.fh):
-                aux = store.read_file_aux(dir_fh, entry.fh)
+                aux = store.read_record(entry.fh)
                 held[entry.fh] = (aux.vv, aux.merge_policy, store.file_vnode(dir_fh, entry.fh).read_all())
     return held
 
@@ -969,7 +986,6 @@ def test_crash_after_every_write_of_an_operation(scenario):
         assert not ufs or 0 < crash_point and not completed, where
         # storage whose entry was never published is all ficus_fsck may find
         assert all("stray object" in problem for problem in ficus), (where, ficus)
-        assert stored_folds_are_recomputed(store), where
 
         for _ in range(2):
             system.reconcile_everything()
@@ -977,13 +993,14 @@ def test_crash_after_every_write_of_an_operation(scenario):
         (a,), (b,) = alpha.physical.stores.values(), beta.physical.stores.values()
         divergence = diff_replicas(a, b)
         assert not (divergence.only_in_a or divergence.only_in_b or divergence.version_mismatches), where
+        # what pruning needs: converged replicas answer a probe alike
+        assert a.subtree_digest(a.root_handle()) == b.subtree_digest(b.root_handle()), where
         # converged replicas store the same tag and contents under each vector
         held_a, held_b = stored_files(a), stored_files(b)
         assert all(held_a[fh] == held_b[fh] for fh in held_a.keys() & held_b.keys()), where
         for replica in (alpha, beta):
             (replica_store,) = replica.physical.stores.values()
             assert all("stray object" in p for p in ficus_fsck(replica_store).problems), where
-            assert stored_folds_are_recomputed(replica_store), where
             assert holds(replica.fs(), acknowledged), where
         reached = [outcome for outcome in outcomes if holds(alpha.fs(), outcome)]
         assert len(reached) == 1 and holds(beta.fs(), reached[0]), where

@@ -75,9 +75,13 @@ class TestShape:
         assert rows[-1][1] > rows[0][1] * 10
 
     def test_crash_before_substitution_preserves_original(self):
-        """A crash at every write of the install before its rename: the
-        original is retained and recovery discards the shadow."""
-        scavenged = 0
+        """A crash at every write of the install before its substitution:
+        the original is retained.  The install is one operation, so the
+        shadow's blocks and inode reach the device before the one
+        directory-block write that substitutes it, and never under a name
+        of their own: a crash before the substitution leaves the shadow as
+        a leak UFS ``fsck`` reports, with nothing for recovery to scavenge."""
+        retained = 0
         for crash_point in itertools.count():
             device, ufs_layer, store, root = make_world()
             fh, _ = insert_file(store, root, "f", 4096)
@@ -87,12 +91,14 @@ class TestShape:
                 break
             except CrashInjected:
                 device.recover()
-            dropped = store.scavenge_shadows(store.root_handle())
+            assert store.scavenge_shadows(store.root_handle()) == 0
             if root.lookup("f").read_all() != b"a" * 4096:
-                break  # past the rename: the new version
-            scavenged += dropped
-        assert scavenged >= 1  # crashes before the rename left a shadow to drop
-        assert fsck(ufs_layer.fs).clean
+                break  # past the substitution: the new version
+            retained += 1
+            problems = fsck(ufs_layer.fs).problems
+            assert all("unreachable" in p or "unreferenced" in p for p in problems), problems
+        # the crashes after the shadow's data, its bitmap and its inode
+        assert retained == 4
 
     def test_crash_at_any_point_never_mixes_versions(self):
         """Sweep the crash point across the whole commit sequence: after

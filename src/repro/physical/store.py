@@ -36,46 +36,61 @@ is not stored: :meth:`ReplicaStore.directory_digest` computes it from the
 entry list and the records of the files stored in the directory, so no
 crash can leave it disagreeing with them.
 
-What an update writes, and when.  Two disciplines.
+What an update writes, and when.  Every store call that changes storage
+runs inside :meth:`ReplicaStore.operation` — re-entrant; a call made
+outside any scope is a scope of its own — and the outermost scope enters
+the operation scope of the UFS below (:meth:`repro.ufs.Ufs.operation`, found
+by the walk down to the storage bottom), so every block the operation
+writes is held there and reaches the device once, in soft-update order:
+file data and fresh blocks, then bitmap, then inode-table blocks, then
+the underlying Unix directories' blocks, then the frees.  What must be
+ordered *between* blocks the store says with a barrier (``fsync`` on the
+bottom vnode), which puts everything held so far on the device.
 
-*Write-through, in call order*: file contents, the shadow and the UFS
-rename that commits it, the contents' UFS names (create, link), a
-record's ``updating`` mark (set before a write session's first write, so a
-crash before the session's close is counted as an update by
-:meth:`ReplicaStore.recover`), and ``.meta``.  Every pulled or resolved version goes through the one call
+*Made at once, inside the set*: file contents, the shadow and the UFS
+rename that commits it, the contents' UFS names (create, link), and
+``.meta``.  Every pulled or resolved version goes through the one call
 that spells its commit, :meth:`ReplicaStore.install`, and a file not
-stored here yet is born from its shadow.  ``.meta`` holds the two id
-mints' high-water marks, fixed-width so the record never changes length:
-ids are handed out from an in-memory range of :data:`ID_RANGE` and the
-mark is written before the first id of a range is used, so a crash skips
-ids and never reuses one.
+stored here yet is born from its shadow; every install of one operation
+shares one set, so the underlying directory's block goes out once, naming
+every new version.  ``.meta`` holds the two id mints' high-water marks,
+fixed-width so the record never changes length: ids are handed out from
+an in-memory range of :data:`ID_RANGE`, and the mark's data block goes out
+in the first phase of its set, ahead of every name that uses the range
+(records come after a barrier), so a crash skips ids and never reuses one.
+A record's ``updating`` mark is written by an operation of its own before
+a write session's first write, so a crash before the session's close is
+counted as an update by :meth:`ReplicaStore.recover`.
 
 *Staged, flushed once per operation*: a directory's entry list
-(``.fdir``) and every record of the attribute table.  Every store call
-that changes either runs inside :meth:`ReplicaStore.operation` —
-re-entrant; a call made outside any scope is a scope of its own — and only
+(``.fdir``) and every record of the attribute table.  A staging call only
 records what the operation will leave.  Reads answer from the staged set
 first, whatever the decoded caches hold.  The outermost exit, normal or by
 exception, decides the frees the operation asked for
 (:meth:`ReplicaStore.unlink_file_storage`,
 :meth:`ReplicaStore.remove_directory_storage`) on the final state, then
-writes, in order: (1) the table blocks where a new or outgrown record
-lands in a fresh run; (2) each changed ``.fdir``, in first-dirtied order;
-(3) each other changed table block, once, and every clear — a record
-cleared because its last name or its directory is going is never written
-before the list that stops naming it, so a block of step 1 that holds a
-clear is written twice; (4) the frees.  A
-record or list equal to the one the operation first read is not written.
+writes, with a barrier before each step: (1) the table blocks where a new
+or outgrown record lands in a fresh run; (2) each changed ``.fdir``, in
+first-dirtied order; (3) each other changed table block, once, and every
+clear — a record cleared because its last name or its directory is going
+is never written before the list that stops naming it, so a block of step
+1 that holds a clear is written twice; (4) the frees.  The first barrier
+puts the contents the operation committed on the device before any record
+names them.  A record or list equal to the one the operation first read is
+not written.
 
 ``.meta`` and ``.fdir`` are replaced whole through
 :meth:`ReplicaStore._replace_record` under one rule: a record of the
 length already on disk that fits one block is overwritten in place (one
 data block, one inode write, old-or-new under a crash); anything else is
-``truncate(0)`` + ``write``.  ``.fdir`` is NUL-padded to whole blocks, so
-only a list changing its block count is resized.  The device-write sequence
-of each operation, what a crash between each pair of writes leaves, and the
-flush's order are ARCHITECTURE.md's "What one update writes, in order" and
-"The flush protocol", held by ``tests/test_write_order.py``.
+``truncate(0)`` + ``write`` in one operation, whose inode write is the
+commit point — the new blocks are written before it and the old ones freed
+after it, so it too is old-or-new.  ``.fdir`` is NUL-padded to whole
+blocks, so only a list changing its block count is resized.  The
+device-write sequence of each operation, what a crash between each pair of
+writes leaves, and the flush's order are ARCHITECTURE.md's "What one
+update writes, in order" and "The flush protocol", held by
+``tests/test_write_order.py``.
 """
 
 from __future__ import annotations
@@ -142,13 +157,15 @@ def entries_fold(entries: list[DirectoryEntry]) -> str:
     return fold
 
 
-def _find_cache_epoch(root: Vnode) -> object | None:
-    """Walk down a vnode chain to the storage bottom's epoch provider.
+def _storage_bottom(root: Vnode) -> object | None:
+    """Walk down a vnode chain to the storage bottom.
 
     Returns the first object exposing ``cache_epoch`` (the UFS vnode
-    adaptor; see :attr:`BufferCache.epoch`), or ``None`` when the stack
-    has no such bottom — decoded caches then rely purely on write-side
-    invalidation through this store.
+    adaptor; see :attr:`BufferCache.epoch`), whose operation scope and
+    barrier the store uses too, or ``None`` when the stack has no such
+    bottom (NFS-hopped storage) — decoded caches then rely purely on
+    write-side invalidation through this store, and each call below is
+    an operation of its own, on the device when it returns.
     """
     node: object | None = root
     while node is not None:
@@ -236,24 +253,36 @@ class _Staged:
 
 
 class _OperationScope:
-    """The re-entrant ``with`` target of :meth:`ReplicaStore.operation`."""
+    """The re-entrant ``with`` target of :meth:`ReplicaStore.operation`;
+    the outermost one holds the storage bottom's scope (``None``: none)."""
 
-    __slots__ = ("store", "depth")
+    __slots__ = ("store", "depth", "storage")
 
-    def __init__(self, store: "ReplicaStore"):
+    def __init__(self, store: "ReplicaStore", storage):
         self.store = store
         self.depth = 0
+        self.storage = storage
 
     def __enter__(self) -> None:
+        if not self.depth and self.storage is not None:
+            self.storage.__enter__()
         self.depth += 1
 
-    def __exit__(self, *exc_info: object) -> None:
+    def __exit__(self, *exc_info) -> None:
+        if self.depth > 1:
+            self.depth -= 1
+            return
         try:
             # still one deep while flushing: a store call the flush makes nests
-            if self.depth == 1 and not self.store.flushed():
+            if not self.store.flushed():
                 self.store._flush()
+        except BaseException as error:
+            exc_info = (type(error), error, error.__traceback__)
+            raise
         finally:
-            self.depth -= 1
+            self.depth = 0
+            if self.storage is not None:
+                self.storage.__exit__(*exc_info)
 
 
 class ReplicaStore:
@@ -279,12 +308,12 @@ class ReplicaStore:
         # injection) the decoded caches go cold with it, preserving the
         # paper's E3/E4 disk-I/O accounting byte for byte.  Mutations
         # through this store update or drop the affected keys directly.
-        self._epoch_node = _find_cache_epoch(lower_root)
+        self._bottom = _storage_bottom(lower_root)
         # A storage bottom with caching disabled (the A2 "no caches"
         # ablation) disables the decoded caches with it; stacks without
         # an epoch provider (NFS-hopped storage) keep them on and rely
         # on write-side invalidation.
-        self._caches_enabled = getattr(self._epoch_node, "caches_enabled", True)
+        self._caches_enabled = getattr(self._bottom, "caches_enabled", True)
         self._dir_vnode_cache: dict[str, tuple[int, Vnode]] = {}
         self._child_vnode_cache: dict[tuple[str, str], tuple[int, Vnode]] = {}
         self._entries_cache: dict[str, tuple[int, list[DirectoryEntry]]] = {}
@@ -298,7 +327,7 @@ class ReplicaStore:
         # -- the operation scope: staged entry lists, by directory key, in
         # first-dirtied order, and staged records, by handle (never stamped:
         # they are not a cache)
-        self._scope = _OperationScope(self)
+        self._scope = _OperationScope(self, self._bottom.operation() if self._bottom is not None else None)
         self._pending: dict[str, _DirUpdate] = {}
         self._records: dict[FicusFileHandle, _Staged] = {}
         #: staging calls of the open operation, for ``dir_writes_coalesced``
@@ -307,8 +336,14 @@ class ReplicaStore:
         self._mints: dict[str, list[int]] | None = None
 
     def _epoch(self) -> int:
-        node = self._epoch_node
+        node = self._bottom
         return node.cache_epoch if node is not None else 0
+
+    def _barrier(self) -> None:
+        """Put every block the operation has written so far on the device
+        before any it writes next (nothing is held without a bottom)."""
+        if self._bottom is not None:
+            self._bottom.fsync()
 
     def _cache_get(self, cache: dict, key) -> object | None:
         if not self._caches_enabled:
@@ -342,17 +377,20 @@ class ReplicaStore:
         so a crash leaves exactly the old record or exactly the new one.
         ``.meta`` keeps its length and ``.fdir`` is padded to whole blocks,
         so this is every replace but a directory changing its block count.
-        Anything else is ``truncate(0)`` + ``write``, whose crash points can
-        also leave the record empty — never a splice of two records, which
-        an in-place rewrite of two blocks could leave.
+        Anything else is ``truncate(0)`` + ``write`` in one operation: the
+        new blocks are written before the inode that names them, the old
+        ones freed after it, so the inode write is the commit point and a
+        crash leaves the old record or the new one — never a splice of two
+        records, which an in-place rewrite of two blocks could leave.
         """
-        if vnode.getattr().size == len(data) <= STORE_BLOCK_SIZE:
-            self.stats.records_in_place += 1
-        else:
-            self.stats.records_resized += 1
-            vnode.setattr(SetAttrs(size=0))
-        if data:
-            vnode.write(0, data)
+        with self._scope:
+            if vnode.getattr().size == len(data) <= STORE_BLOCK_SIZE:
+                self.stats.records_in_place += 1
+            else:
+                self.stats.records_resized += 1
+                vnode.setattr(SetAttrs(size=0))
+            if data:
+                vnode.write(0, data)
 
     # -- construction -------------------------------------------------------
 
@@ -670,11 +708,13 @@ class ReplicaStore:
         return update
 
     def _flush(self) -> None:
-        """Decide the frees on the final state, then write: the table blocks
-        where records land in fresh runs, each changed ``.fdir`` in
-        first-dirtied order, every other changed table block once and the
-        clears, and last the frees.  A failure part-way drops every decoded copy and
-        the table's index (the writes may have half-landed; the index is
+        """Decide the frees on the final state, then write, each step behind
+        a barrier: the table blocks where records land in fresh runs, each
+        changed ``.fdir`` in first-dirtied order, every other changed table
+        block once and the clears, and last the frees.  The first barrier
+        puts the contents the operation committed on the device before any
+        record.  A failure part-way drops every decoded copy and the
+        table's index (the writes may have half-landed; the index is
         rebuilt from the device at next use) and is raised."""
         try:
             doomed_files, doomed_dirs = self._settle_frees()
@@ -686,9 +726,12 @@ class ReplicaStore:
             changes = {fh: staged.aux for fh, staged in self._records.items() if staged.aux != staged.stored}
 
             def write_lists() -> None:
+                self._barrier()
                 for update in lists:
                     self._replace_record(self._unix_child(update.fh, FDIR_NAME), encode_directory(update.entries))
+                self._barrier()
 
+            self._barrier()
             in_place, moved = self._attr.commit(changes, lambda fh: self._records[fh].near, write_lists)
             self.stats.records_in_place += in_place
             self.stats.records_resized += moved
@@ -707,6 +750,7 @@ class ReplicaStore:
                     self._record_cache.pop(fh, None)
                 else:
                     self._cache_put(self._record_cache, fh, staged.aux)
+            self._barrier()
             for parent, child in doomed_files:
                 self._unlink_file_storage(parent, child)
             for child in doomed_dirs:

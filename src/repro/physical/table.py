@@ -322,8 +322,8 @@ class AttrTable:
         """One device write of one block: the span its pieces cover, laid
         over the bytes between them.  A block the table does not have yet
         is written whole, so the table stays whole blocks long and no
-        write inside it changes its size: the data write is the commit
-        point."""
+        write inside it changes its size: the table's inode write, which
+        the UFS puts after the block's, is the commit point."""
         if block >= self.blocks:
             offset, span = block * STORE_BLOCK_SIZE, bytearray(STORE_BLOCK_SIZE)
         elif len(pieces) == 1:

@@ -6,7 +6,8 @@ directory and file reference locality", which is why the Ficus dual-mapping
 scheme does not repeat the poor performance of the early AFS prototype.
 Both caches here are the mechanisms that argument depends on:
 
-* :class:`BufferCache` — an LRU write-through cache of disk blocks.  A warm
+* :class:`BufferCache` — an LRU cache of disk blocks, which also holds the
+  open operation's dirty blocks until the UFS writes them in order.  A warm
   hit costs zero device I/Os, which is exactly the paper's claim that
   "opening a recently accessed file or directory involves no overhead not
   already incurred by the normal Unix file system".
@@ -30,6 +31,9 @@ class CacheStats:
 
     hits: int = 0
     misses: int = 0
+    #: buffer cache only: reads answered by the open operation's own held
+    #: writes — neither a hit nor a miss, since nothing was cached
+    held: int = 0
 
     @property
     def lookups(self) -> int:
@@ -40,15 +44,22 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
     def snapshot(self) -> "CacheStats":
-        return CacheStats(self.hits, self.misses)
+        return CacheStats(self.hits, self.misses, self.held)
 
 
 class BufferCache:
-    """LRU write-through block cache in front of a :class:`BlockDevice`.
+    """LRU block cache in front of a :class:`BlockDevice`, holding the open
+    operation's dirty blocks.
 
-    Write-through keeps crash semantics trivial (the device always holds
-    every acknowledged write) while still giving reads the locality benefit
-    the paper's I/O accounting assumes.
+    The UFS above writes every block of an operation into :attr:`held`,
+    keyed by block in first-dirtied order, and every read answers from it
+    first.  At the operation's end
+    the UFS hands the blocks to :meth:`land` in the order a crash may see
+    them (:meth:`repro.ufs.Ufs.barrier`); each goes to the device once.
+    The LRU keeps only what the device holds — a block enters it when it is
+    read from the device or lands — so a warm hit costs zero device I/Os
+    and a crash loses exactly the held set.  Capacity bounds the LRU only:
+    at capacity 0 an operation still holds its blocks.
     """
 
     def __init__(self, device: BlockDevice, capacity: int = 256):
@@ -66,6 +77,8 @@ class BufferCache:
         #: object may outlive its block, which can only save a device read.
         self.epoch = 0
         self._lru: OrderedDict[int, bytes] = OrderedDict()
+        #: the open operation's dirty blocks, in first-dirtied order
+        self.held: dict[int, bytes] = {}
 
     @property
     def caching_enabled(self) -> bool:
@@ -75,7 +88,11 @@ class BufferCache:
         return self.capacity > 0
 
     def read(self, blockno: int) -> bytes:
-        """Read a block, hitting the cache when possible."""
+        """Read a block: held, else cached, else from the device."""
+        data = self.held.get(blockno)
+        if data is not None:
+            self.stats.held += 1
+            return data
         if blockno in self._lru:
             self.stats.hits += 1
             self._lru.move_to_end(blockno)
@@ -86,9 +103,14 @@ class BufferCache:
         return data
 
     def write(self, blockno: int, data: bytes) -> None:
-        """Write-through: the device sees the write immediately."""
+        """Write one block to the device now, and cache it."""
         self.device.write_block(blockno, data)
         self._insert(blockno, bytes(data))
+
+    def land(self, order) -> None:
+        """Write held blocks to the device in ``order``, each once."""
+        for blockno in order:
+            self.write(blockno, self.held.pop(blockno))
 
     def _insert(self, blockno: int, data: bytes) -> None:
         if self.capacity == 0:

@@ -15,26 +15,44 @@ out as copies of an epoch-stamped master.  None of it changes what
 reaches the device: every allocation is still the lowest free slot, so
 the write sequence is the one a scan from the first slot would produce.
 
+Every change is made inside an operation scope (:meth:`Ufs.operation`;
+a call made outside any scope is a scope of its own).  The scope holds
+block writes in one set keyed by block, answers reads from that set before
+the buffer cache, and queues frees — a link-count decrement, an inode
+slot, a bitmap bit — without applying them, so nothing an operation frees
+is reused before the free is on the device.  At the scope's end, or at a
+:meth:`Ufs.barrier`, the set goes to the device in FFS soft-update order,
+each block once: file data and blocks allocated in the scope, then the
+bitmap blocks, then the inode-table blocks, then the data blocks of
+directories that existed before the scope, in first-dirtied order; then
+the frees are applied and written, every inode slot before any bitmap bit.
+So a block is named on the device only after it holds its data, an inode
+only after it is written, and nothing is freed while a name still reaches
+it.  Nothing is kept across operations: no write-behind, no journal.
+
 Two writes are never issued because they change nothing on the device:
 ``truncate_file`` to the size a file already has returns before touching
 anything, and ``_put_inode`` skips the table-block write when the packed
-slot equals the bytes the block already holds (the buffer cache is
-write-through, so those bytes are durable).  Every other step of a
-``write``/``truncate`` still writes through in call order.
+slot equals the bytes a read of the block sees — the held set's, which
+the scope's end will write, else the device's own (the buffer cache holds
+only what the device holds), so holding them again changes nothing a
+crash could observe.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import struct
 from collections.abc import Iterator
 
 from repro.errors import (
+    CrashInjected,
     DirectoryNotEmpty,
-    FicusError,
     FileExists,
     FileNotFound,
     InvalidArgument,
+    IOError_,
     IsADirectory,
     NameTooLong,
     NoSpace,
@@ -72,6 +90,49 @@ def _encode_dirent(name: str, ino: int) -> str:
 def _decode_dirent(line: str) -> tuple[str, int]:
     raw, _, ino = line.rpartition(" ")
     return unescape_value(raw), int(ino)
+
+
+class _OperationScope:
+    """The re-entrant ``with`` target of :meth:`Ufs.operation`."""
+
+    __slots__ = ("fs", "depth")
+
+    def __init__(self, fs: "Ufs"):
+        self.fs = fs
+        self.depth = 0
+
+    def __enter__(self) -> None:
+        self.depth += 1
+
+    def __exit__(self, exc_type, *exc_info: object) -> None:
+        if self.depth > 1:
+            self.depth -= 1
+            return
+        try:
+            # normal or by exception, the set goes out: a call that failed
+            # half-way (NoSpace) leaves what it did, as it always has
+            self.fs.barrier()
+        except BaseException:
+            # a device that failed under the original error fails this too:
+            # the original stands; any other error gives way to the device's
+            if exc_type is None or not issubclass(exc_type, (CrashInjected, IOError_)):
+                raise
+        finally:
+            self.depth = 0
+
+
+def _scoped(method):
+    """Run a ``Ufs`` mutation inside an operation scope: its own, unless
+    the caller opened one."""
+
+    @functools.wraps(method)
+    def scoped(self, *args, **kwargs):
+        if self._scope.depth:
+            return method(self, *args, **kwargs)
+        with self._scope:
+            return method(self, *args, **kwargs)
+
+    return scoped
 
 
 class Ufs:
@@ -115,6 +176,15 @@ class Ufs:
         # the table's first slot on every mount.
         self._ino_floor = ROOT_INO
         self._blk_floor = superblock.data_start
+        # -- the operation scope (its held blocks are the buffer cache's):
+        # the data blocks allocated in it, the existing directory blocks it
+        # rewrote, and the frees it queued: (ino, every link or one) and
+        # data blocks whose bitmap bit is to clear
+        self._scope = _OperationScope(self)
+        self._fresh: set[int] = set()
+        self._dir_data: set[int] = set()
+        self._unrefs: list[tuple[int, bool]] = []
+        self._freed: list[int] = []
 
     # -- construction -------------------------------------------------------
 
@@ -140,11 +210,12 @@ class Ufs:
         for blk in range(sb.inode_table_start, sb.data_start):
             device.write_block(blk, zero)
         fs = cls(device, sb, clock=clock, cache_blocks=cache_blocks, name_cache_size=name_cache_size)
-        root = fs._alloc_inode(FileType.DIRECTORY, perm=0o755)
-        assert root.ino == ROOT_INO, f"root allocated as {root.ino}"
-        fs._write_dir_entries(root, {".": root.ino, "..": root.ino})
-        root.nlink = 2
-        fs._put_inode(root)
+        with fs.operation():
+            root = fs._alloc_inode(FileType.DIRECTORY, perm=0o755)
+            assert root.ino == ROOT_INO, f"root allocated as {root.ino}"
+            fs._write_dir_entries(root, {".": root.ino, "..": root.ino})
+            root.nlink = 2
+            fs._put_inode(root)
         return fs
 
     @classmethod
@@ -175,11 +246,76 @@ class Ufs:
         # just allocated ones) yields the true high-water mark.
         return max(peek_slot_generation(block, offset) for _, block, offset in self._inode_slots())
 
+    # -- the operation scope ---------------------------------------------------
+
+    def operation(self) -> _OperationScope:
+        """``with fs.operation():`` — every block the calls inside write is
+        held and goes to the device once, in order, at the outermost exit
+        (or at a :meth:`barrier`); see the module docstring."""
+        return self._scope
+
+    def barrier(self) -> None:
+        """Put everything held on the device now, in order, and apply the
+        queued frees (nothing held outside a scope: a no-op).  A failure
+        part-way — the device crashed — drops what is still held, with
+        every cache that may describe it, and is raised."""
+        if not (self.cache.held or self._unrefs or self._freed):
+            return
+        try:
+            self._land()
+            if self._unrefs:
+                unrefs, self._unrefs = self._unrefs, []
+                for ino, outright in unrefs:
+                    self._release(ino, outright)
+                self._land()
+            if self._freed:
+                freed, self._freed = self._freed, []
+                for blk in freed:
+                    self._clear_bit(blk)
+                self._land()
+        except BaseException:
+            self._fresh.clear()
+            self._dir_data.clear()
+            self._unrefs.clear()
+            self._freed.clear()
+            # the held set, the caches (decoded ones by the epoch) and the
+            # bounds may describe writes that never landed: start again
+            # from the device
+            self.cache.held.clear()
+            self.cache.invalidate_all()
+            self.namecache.invalidate_all()
+            self._ino_floor = ROOT_INO
+            self._blk_floor = self.sb.data_start
+            raise
+
+    def _land(self) -> None:
+        """Write the held set in soft-update order, each block once."""
+        held = self.cache.held
+        if not held:
+            return
+        sb = self.sb
+        data, bitmap, table, dirs = [], [], [], []
+        for blk in held:
+            if blk >= sb.data_start:
+                (dirs if blk in self._dir_data else data).append(blk)
+            elif blk >= sb.bitmap_start:
+                bitmap.append(blk)
+            else:
+                table.append(blk)
+        self._fresh.clear()
+        self._dir_data.clear()
+        self.cache.land(itertools.chain(data, bitmap, table, dirs))
+
+    def _hold(self, blk: int, data: bytes) -> None:
+        """Write a block: into the held set, for :meth:`_land` to write."""
+        assert self._scope.depth, "UFS writes are made inside an operation"
+        self.cache.held[blk] = data
+
     # -- inode table ----------------------------------------------------------
 
     def _inode_slots(self, start: int = 1) -> Iterator[tuple[int, bytes, int]]:
         """Walk the inode table from slot ``start``: ``(ino, table block,
-        offset of the slot in it)``, one ``cache.read`` per table block.
+        offset of the slot in it)``, one block read per table block.
         Callers peek at the raw slot; no :class:`Inode` is built and
         ``_icache`` is not touched."""
         sb = self.sb
@@ -215,19 +351,13 @@ class Ufs:
         block, offset = self.sb.inode_location(inode.ino)
         data = self.cache.read(block)
         packed = inode.pack()
-        # The cache is write-through, so a slot that already holds these
-        # bytes is already durable: writing the block again changes
-        # nothing a crash could observe.  (The virtual clock stands still
-        # inside one operation, so its second write of an inode is
-        # usually this one.)
+        # A slot that already reads as these bytes is either held — the
+        # scope's end writes it — or on the device (the buffer cache holds
+        # only what the device holds): holding it again changes nothing a
+        # crash could observe.  (The virtual clock stands still inside one
+        # operation, so its second write of an inode is usually this one.)
         if data[offset : offset + len(packed)] != packed:
-            try:
-                self.cache.write(block, data[:offset] + packed + data[offset + len(packed) :])
-            except BaseException:
-                # The block write may not have landed (fault injection): the
-                # decoded copy can no longer be trusted to match the device.
-                self._icache.pop(inode.ino, None)
-                raise
+            self._hold(block, data[:offset] + packed + data[offset + len(packed) :])
         if self.cache.capacity:
             self._icache[inode.ino] = (self.cache.epoch, inode.clone())
 
@@ -260,7 +390,22 @@ class Ufs:
         self._ino_floor = ino + 1
         return fresh
 
-    def _free_inode(self, inode: Inode) -> None:
+    def _unref(self, ino: int, outright: bool = False) -> None:
+        """Queue a link-count decrement (``outright``: the inode's free):
+        applied once the names that reached the inode are on the device."""
+        self._unrefs.append((ino, outright))
+
+    def _release(self, ino: int, outright: bool) -> None:
+        """Apply one queued free: drop a link, and free the inode — its
+        blocks queued in turn — when none is left."""
+        inode = self._get_inode_raw(ino)
+        if inode.is_free:
+            return
+        inode.nlink = 0 if outright else inode.nlink - 1
+        inode.ctime = self.clock.now()
+        if inode.nlink > 0:
+            self._put_inode(inode)
+            return
         # every path here has already dropped the inode's names from the
         # name cache (removed, overwritten, or never entered)
         self._truncate_blocks(inode, 0)
@@ -303,16 +448,22 @@ class Ufs:
         bm_block, byte_off, bit = self.sb.bitmap_location(blk)
         buf = bytearray(self.cache.read(bm_block))
         buf[byte_off] |= 1 << bit
-        self.cache.write(bm_block, bytes(buf))
+        self._hold(bm_block, bytes(buf))
+        self._fresh.add(blk)
         self._blk_floor = blk + 1
         return blk
 
     def _free_block(self, blk: int) -> None:
+        """Queue a block's free: its bit clears after the inode that stops
+        pointing at it is on the device."""
+        self._freed.append(blk)
+
+    def _clear_bit(self, blk: int) -> None:
         self._blk_floor = min(self._blk_floor, blk)
         bm_block, byte_off, bit = self.sb.bitmap_location(blk)
         buf = bytearray(self.cache.read(bm_block))
         buf[byte_off] &= ~(1 << bit)
-        self.cache.write(bm_block, bytes(buf))
+        self._hold(bm_block, bytes(buf))
 
     def block_allocated(self, blk: int) -> bool:
         bm_block, byte_off, bit = self.sb.bitmap_location(blk)
@@ -334,7 +485,7 @@ class Ufs:
         if inode.indirect == 0:
             inode.indirect = self._alloc_block()
         raw = struct.pack(f"<{len(ptrs)}I", *ptrs)
-        self.cache.write(inode.indirect, raw.ljust(self.sb.block_size, b"\x00"))
+        self._hold(inode.indirect, raw.ljust(self.sb.block_size, b"\x00"))
 
     def _bmap(self, inode: Inode, file_block: int, allocate: bool) -> int:
         """Map a file-relative block index to a device block (0 = hole)."""
@@ -397,29 +548,23 @@ class Ufs:
         inode.atime = self.clock.now()
         return b"".join(chunks)
 
+    @_scoped
     def write_file(self, ino: int, offset: int, data: bytes) -> None:
         """Write ``data`` at ``offset``, extending the file as needed."""
         inode = self.get_inode(ino)
         try:
             self._write_inode_data(inode, offset, data)
-        except BaseException:
-            # Persist whatever landed even when the write fails part-way
-            # (NoSpace, injected crash): blocks already allocated must be
-            # reachable from the inode or fsck would report them leaked.
-            # A secondary failure of this best-effort write (the device
-            # just crashed, after all) must not mask the original error.
-            try:
-                self._put_inode(inode)
-            except FicusError:
-                pass
-            raise
-        self._put_inode(inode)
+        finally:
+            # also when the write fails part-way (NoSpace): blocks already
+            # allocated must be reachable from the inode or fsck would
+            # report them leaked
+            self._put_inode(inode)
 
     def _write_inode_data(self, inode: Inode, offset: int, data: bytes) -> None:
         if offset < 0:
             raise InvalidArgument("negative offset")
-        # the write may half-land: a decoded directory is untrusted until
-        # _write_dir_entries has seen its inode write go through
+        # the write may stop half-way: a decoded directory is untrusted
+        # until _write_dir_entries has seen it through
         self._dcache.pop(inode.ino, None)
         bs = self.sb.block_size
         pos = offset
@@ -439,17 +584,20 @@ class Ufs:
                 buf = bytearray(bs) if fresh else bytearray(self.cache.read(blk))
                 buf[in_off : in_off + take] = remaining[:take]
                 block_data = bytes(buf)
-            self.cache.write(blk, block_data)
+            self._hold(blk, block_data)
+            if inode.is_dir and blk not in self._fresh:
+                self._dir_data.add(blk)
             pos += take
             remaining = remaining[take:]
-            # Grow size as blocks land so a mid-write failure (NoSpace,
-            # injected crash) never leaves allocated blocks unaccounted.
+            # Grow size as blocks are written so a mid-write NoSpace never
+            # leaves allocated blocks unaccounted.
             inode.size = max(inode.size, pos)
         inode.size = max(inode.size, offset + len(data))
         now = self.clock.now()
         inode.mtime = now
         inode.ctime = now
 
+    @_scoped
     def truncate_file(self, ino: int, size: int) -> None:
         """Shrink or zero-extend a file to ``size`` bytes.
 
@@ -492,7 +640,7 @@ class Ufs:
             if last:
                 buf = bytearray(self.cache.read(last))
                 buf[size % bs :] = bytes(bs - size % bs)
-                self.cache.write(last, bytes(buf))
+                self._hold(last, bytes(buf))
 
     # -- directories ------------------------------------------------------------
 
@@ -535,8 +683,8 @@ class Ufs:
         old_size = inode.size
         self._write_inode_data(inode, 0, padded)
         if new_size < old_size:
-            # shrink AFTER the new prefix is durable; the inode write is
-            # the commit point, block frees follow
+            # the inode write is the commit point; the blocks it stops
+            # naming are freed after it
             self._truncate_blocks(inode, new_size)
             inode.size = new_size
         now = self.clock.now()
@@ -591,6 +739,7 @@ class Ufs:
 
     # -- namespace operations -------------------------------------------------
 
+    @_scoped
     def create(self, dir_ino: int, name: str, perm: int = 0o644, uid: int = 0) -> int:
         """Create an empty regular file; returns its inode number."""
         self._check_name(name)
@@ -599,10 +748,11 @@ class Ufs:
         try:
             self._add_entry(dir_inode, name, inode.ino)
         except FileExists:
-            self._free_inode(inode)
+            self._unref(inode.ino, outright=True)
             raise
         return inode.ino
 
+    @_scoped
     def mkdir(self, dir_ino: int, name: str, perm: int = 0o755, uid: int = 0) -> int:
         """Create a subdirectory with ``.`` and ``..``; returns its ino."""
         self._check_name(name)
@@ -617,13 +767,14 @@ class Ufs:
         try:
             self._add_entry(parent, name, inode.ino)
         except FileExists:
-            self._free_inode(inode)
+            self._unref(inode.ino, outright=True)
             raise
         parent = self.get_inode(dir_ino)
         parent.nlink += 1
         self._put_inode(parent)
         return inode.ino
 
+    @_scoped
     def symlink(self, dir_ino: int, name: str, target: str, uid: int = 0) -> int:
         """Create a symbolic link whose data is ``target``."""
         self._check_name(name)
@@ -634,7 +785,7 @@ class Ufs:
         try:
             self._add_entry(dir_inode, name, inode.ino)
         except FileExists:
-            self._free_inode(inode)
+            self._unref(inode.ino, outright=True)
             raise
         return inode.ino
 
@@ -644,6 +795,7 @@ class Ufs:
             raise InvalidArgument(f"inode {ino} is not a symlink")
         return self._read_inode_data(inode).decode("utf-8")
 
+    @_scoped
     def link(self, ino: int, dir_ino: int, name: str) -> None:
         """Create a hard link to an existing file (not a directory)."""
         self._check_name(name)
@@ -653,14 +805,16 @@ class Ufs:
         dir_inode = self.get_inode(dir_ino)
         if name in self._read_dir_entries(dir_inode):
             raise FileExists(f"{name!r} already exists in directory {dir_ino}")
-        # the count before the name: a crash between the two leaves a count
-        # one too high (a leak ``fsck`` reports), never a second name whose
-        # inode an unlink of the first one frees
+        # the count before the name (the inode table goes out before the
+        # directory block): a crash between the two leaves a count one too
+        # high (a leak ``fsck`` reports), never a second name whose inode an
+        # unlink of the first one frees
         inode.nlink += 1
         inode.ctime = self.clock.now()
         self._put_inode(inode)
         self._add_entry(dir_inode, name, ino)
 
+    @_scoped
     def unlink(self, dir_ino: int, name: str) -> None:
         """Remove a name; frees the inode when the last link goes."""
         dir_inode = self.get_inode(dir_ino)
@@ -671,13 +825,9 @@ class Ufs:
         if inode.is_dir:
             raise IsADirectory(f"{name!r} is a directory; use rmdir")
         self._remove_entry(dir_inode, name)
-        inode.nlink -= 1
-        inode.ctime = self.clock.now()
-        if inode.nlink <= 0:
-            self._free_inode(inode)
-        else:
-            self._put_inode(inode)
+        self._unref(inode.ino)
 
+    @_scoped
     def rmdir(self, dir_ino: int, name: str) -> None:
         """Remove an empty subdirectory."""
         if name in (".", ".."):
@@ -692,11 +842,10 @@ class Ufs:
             raise DirectoryNotEmpty(f"directory {name!r} is not empty")
         self._remove_entry(parent, name)
         self.namecache.purge_dir(target_ino)
-        self._free_inode(target)
-        parent = self.get_inode(dir_ino)
-        parent.nlink -= 1
-        self._put_inode(parent)
+        self._unref(target_ino, outright=True)
+        self._unref(dir_ino)  # its ``..``
 
+    @_scoped
     def rename(self, src_dir: int, src_name: str, dst_dir: int, dst_name: str) -> None:
         """Rename within the file system; replaces a non-directory target.
 
@@ -704,7 +853,7 @@ class Ufs:
         one-block directory, one block write): the atomic low-level
         reference change that the Ficus shadow commit depends on.  Any
         replaced target's inode is released only after the new directory
-        state is durable.
+        state is on the device (a queued free).
         """
         self._check_name(dst_name)
         src_ino = self.lookup(src_dir, src_name)
@@ -726,8 +875,9 @@ class Ufs:
             self.namecache.remove(src_dir, src_name)
             self.namecache.enter(src_dir, dst_name, src_ino)
         else:
-            # cross-directory: add the new name first so a crash between
-            # the two writes leaves the file reachable (never lost)
+            # cross-directory: add the new name first (directory blocks go
+            # out in first-dirtied order) so a crash between the two writes
+            # leaves the file reachable (never lost)
             if dst_name in dst_entries:
                 entries = dict(dst_entries)
                 entries[dst_name] = src_ino
@@ -738,22 +888,14 @@ class Ufs:
             self._remove_entry(self.get_inode(src_dir), src_name)
 
         if replaced_ino is not None:
-            replaced = self.get_inode(replaced_ino)
-            replaced.nlink -= 1
-            replaced.ctime = self.clock.now()
-            if replaced.nlink <= 0:
-                self._free_inode(replaced)
-            else:
-                self._put_inode(replaced)
+            self._unref(replaced_ino)
         if src_inode.is_dir and src_dir != dst_dir:
             # fix .. and parent link counts
             entries = self._read_dir_entries(self.get_inode(src_ino))
             entries[".."] = dst_dir
             self._write_dir_entries(self.get_inode(src_ino), entries)
             self.namecache.remove(src_ino, "..")
-            old_parent = self.get_inode(src_dir)
-            old_parent.nlink -= 1
-            self._put_inode(old_parent)
+            self._unref(src_dir)
             new_parent = self.get_inode(dst_dir)
             new_parent.nlink += 1
             self._put_inode(new_parent)
@@ -763,6 +905,7 @@ class Ufs:
     def getattr(self, ino: int) -> FileAttributes:
         return FileAttributes.from_inode(self.get_inode(ino))
 
+    @_scoped
     def setattr(self, ino: int, perm: int | None = None, uid: int | None = None) -> None:
         inode = self.get_inode(ino)
         if perm is not None:

@@ -46,6 +46,12 @@ class UfsVnode(Vnode):
         :attr:`BufferCache.caching_enabled`)."""
         return self.fs.cache.caching_enabled
 
+    def operation(self):
+        """The UFS operation scope (:meth:`Ufs.operation`): a layer above
+        that groups several calls into one operation — the replica store —
+        enters it, so their block writes go to the device once, in order."""
+        return self.fs.operation()
+
     def _node(self, ino: int) -> "UfsVnode":
         return UfsVnode(self.layer, ino)
 
@@ -67,7 +73,10 @@ class UfsVnode(Vnode):
         """No per-vnode state to tear down."""
 
     def fsync(self, ctx: OpContext = ROOT_CTX) -> None:
-        """Write-through buffer cache: everything is already on the device."""
+        """A barrier: everything the open operation scope holds goes to the
+        device now, in order (:meth:`Ufs.barrier`).  Outside a scope nothing
+        is held — every call's writes are on the device when it returns."""
+        self.fs.barrier()
 
     # -- data --
 

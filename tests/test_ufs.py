@@ -361,3 +361,83 @@ class TestCrashOrdering:
             if completed:
                 assert fsck(fs).clean
                 break
+
+
+class TestOperationScope:
+    """``Ufs.operation``: an operation's blocks go to the device once each,
+    in soft-update order, at its end; its frees after its names."""
+
+    @staticmethod
+    def recording(device: BlockDevice) -> list[int]:
+        written: list[int] = []
+        write_block = device.write_block
+
+        def record(blockno: int, data: bytes) -> None:
+            write_block(blockno, data)
+            written.append(blockno)
+
+        device.write_block = record
+        return written
+
+    @staticmethod
+    def kind(fs: Ufs, blockno: int, directory: int) -> str:
+        if blockno >= fs.sb.data_start:
+            return "dir" if blockno in fs._file_blocks(fs.get_inode(directory)) else "data"
+        return "bitmap" if blockno >= fs.sb.bitmap_start else "inode"
+
+    def test_an_operation_writes_each_block_once_in_order(self, fs):
+        d = fs.mkdir(ROOT_INO, "d")
+        written = self.recording(fs.device)
+        with fs.operation():
+            for name in "abcd":
+                fs.write_file(fs.create(d, name), 0, b"x" * 2048)
+            assert written == []  # held until the end
+        assert len(written) == len(set(written))
+        kinds = [self.kind(fs, blockno, d) for blockno in written]
+        # four data blocks, then the bitmap, the inode table, the directory
+        assert kinds == ["data"] * 4 + ["bitmap", "inode", "dir"]
+        assert sorted(fs.readdir(d)) == [".", "..", "a", "b", "c", "d"]
+        assert fsck(fs).clean
+
+    def test_a_crash_inside_an_operation_leaves_old_or_new(self):
+        """A replace by rename-over inside one operation, crashed after every
+        device write: the name reads the old contents or the new, and the
+        only findings are leaks."""
+        outcomes = []
+        for crash_point in itertools.count():
+            device = BlockDevice(512)
+            fs = Ufs.mkfs(device, num_inodes=32)
+            fs.write_file(fs.create(ROOT_INO, "f"), 0, b"old" * 2000)
+            device.plan_crash_after_writes(crash_point)
+            try:
+                with fs.operation():
+                    fs.write_file(fs.create(ROOT_INO, "f.new"), 0, b"new" * 2000)
+                    fs.rename(ROOT_INO, "f.new", ROOT_INO, "f")
+            except CrashInjected:
+                pass
+            completed = not device.failed
+            device.recover()
+            fs = Ufs.mount(device)
+            assert sorted(fs.readdir(ROOT_INO)) == [".", "..", "f"]
+            outcomes.append(fs.read_file(fs.lookup(ROOT_INO, "f"))[:3].decode())
+            assert all("unreachable" in p or "unreferenced" in p for p in fsck(fs).problems), crash_point
+            if completed:
+                assert fsck(fs).clean
+                break
+        # old up to the one directory-block write, new from it on
+        assert outcomes == sorted(outcomes, key="old new".split().index) and outcomes[0] == "old"
+        assert outcomes[-1] == "new" and crash_point > 3
+
+    def test_nothing_an_operation_frees_is_reused_inside_it(self, fs):
+        ino = fs.create(ROOT_INO, "gone")
+        fs.write_file(ino, 0, b"x" * 100)
+        blocks = fs._file_blocks(fs.get_inode(ino))
+        free_inodes, free_blocks = fs.free_inode_count(), fs.free_block_count()
+        with fs.operation():
+            fs.unlink(ROOT_INO, "gone")
+            other = fs.create(ROOT_INO, "other")
+            fs.write_file(other, 0, b"y" * 100)
+            assert other != ino and not set(fs._file_blocks(fs.get_inode(other))) & set(blocks)
+        # and once the operation is over, the frees are applied
+        assert (fs.free_inode_count(), fs.free_block_count()) == (free_inodes, free_blocks)
+        assert fsck(fs).clean

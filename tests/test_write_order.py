@@ -18,11 +18,13 @@ One-block rule: ``.meta`` and ``.fdir`` are replaced in place only when
 the record keeps its length and fits one device block
 (``STORE_BLOCK_SIZE``), so the in-place arm's single data write carries the
 whole record; ``.fdir`` is padded to whole blocks, and a ``.fdir`` of more
-than one block takes the resized arm, which can read empty after a crash but
-never as a splice of two lists.  A record of the attribute table lives in a
-run of 256-byte slots inside one block: rewriting it is one block write,
-and one that outgrows its run is written to a fresh run before the old one
-is cleared, so a crash leaves the old record or the new one.
+than one block takes the resized arm, whose inode write is its commit point
+(the new blocks are written before it, the old ones freed after it), so it
+reads old or new after a crash, never a splice of two lists.  A record of
+the attribute table lives in a run of 256-byte slots inside one block:
+rewriting it is one block write, and one that outgrows its run is written
+to a fresh run before the old one is cleared, so a crash leaves the old
+record or the new one.
 """
 
 import itertools
@@ -46,7 +48,7 @@ from repro.physical.wire import (
     DirectoryEntry,
     encode_directory,
 )
-from repro.recon import reconcile_directory
+from repro.recon import collect_directory, reconcile_directory
 from repro.sim import DaemonConfig, FicusSystem
 from repro.storage import BlockDevice
 from repro.telemetry import Telemetry
@@ -156,29 +158,33 @@ class DeviceWrites:
 
 # -- (i) the table ----------------------------------------------------------------------
 
-#: The sequences ARCHITECTURE.md prints, one line per step of the
-#: operation.  A record file's replace appears as its in-place arm
-#: ``data[x] inode[x]`` (``data[x]`` alone when the inode's bytes did not
-#: change: same size, and the virtual clock had not moved since its last
-#: write); ``attr`` is the attribute table, where a file's record and its
-#: directory's share a block — a new record is placed beside its parent's —
-#: so one block write carries a vector bump and the fold it moves.  The
-#: resized arm ``bitmap inode[x] bitmap data[x] inode[x]`` appears only as
-#: the cross-directory rename's empty target ``.fdir`` taking its first
-#: block (``bitmap data[fdir] inode[fdir]``: there was nothing to
-#: truncate).  A write session's first write is preceded by the record's
-#: ``updating`` mark, and its close's bump clears the mark (the last
-#: ``data[attr]``), so a crash between them is counted as an update.  A
-#: create's later table writes are ``data[attr]`` alone: the creating host
-#: holds its peer's batch of the directory across the create, so no RPC
-#: advances the clock, and ``_put_inode`` skips the byte-identical inode.
-#: A flush writes the table blocks where new records land, then
-#: ``.fdir``, then every other changed table block, then the frees.  A
+#: The sequences ARCHITECTURE.md prints, one line per set of writes the
+#: UFS below holds and writes at a barrier or at the operation's end.  A
+#: set goes out in soft-update order, each block once: file data and fresh
+#: blocks, bitmap, inode-table blocks, underlying-directory blocks, then the
+#: frees — each inode slot before its bitmap bit.  An inode-table block
+#: carrying several changed slots is one write (``inode[udir,+contents]``).
+#: A record file's replace appears as its in-place arm ``data[x] inode[x]``
+#: (``data[x]`` alone when the inode's bytes did not change: same size, and
+#: the virtual clock had not moved since its last write); ``attr`` is the
+#: attribute table, where a file's record and its directory's share a block
+#: — a new record is placed beside its parent's.  The resized arm appears
+#: only as the cross-directory rename's empty target ``.fdir`` taking its
+#: first block (``data[fdir] bitmap inode[fdir]``: the inode write is the
+#: commit point, and there was nothing to free).  A write session's first
+#: write is preceded by the record's ``updating`` mark, an operation of its
+#: own, and its close's bump clears the mark (the last ``data[attr]``), so a
+#: crash between them is counted as an update.  A create's later table
+#: writes are ``data[attr]`` alone: the creating host holds its peer's
+#: batch of the directory across the create, so no RPC advances the clock,
+#: and ``_put_inode`` skips the byte-identical inode.  A store flush puts a
+#: barrier before each step: the contents the operation committed, the
+#: table blocks where new records land, ``.fdir``, every other changed
+#: table block, the frees.  A propagation pull's installs share one set:
+#: every shadow's blocks and inode, then the underlying directory's block
+#: once, naming every new version, then the replaced contents freed.  A
 #: pulled new file is born from its shadow (the grouped pass's second
-#: file): the shadow, the rename, and its record with the directory's — no
-#: contents inode made and freed.  (The grouped pass labels the inode the
-#: overwrite frees and the new file's shadow ``contents``, not ``-`` and
-#: ``+``: the shadow is given the very inode the overwrite freed.)
+#: ``+contents``) — no contents inode made and freed.
 TABLE = {
     "overwrite": """
         data[attr] inode[attr]
@@ -186,17 +192,17 @@ TABLE = {
         data[attr]
     """,
     "create": """
-        inode[+contents] udir inode[udir]
+        inode[udir,+contents] udir
         data[attr] inode[attr]
         data[fdir] inode[fdir]
         data[attr]
-        bitmap data[+contents] inode[+contents]
+        data[+contents] bitmap inode[+contents]
         data[attr]
     """,
     "unlink": """
         data[fdir] inode[fdir]
         data[attr] inode[attr]
-        udir inode[udir] bitmap inode[-contents]
+        inode[udir] udir inode[-contents] bitmap
     """,
     "rename, same directory": """
         data[fdir] inode[fdir]
@@ -205,34 +211,28 @@ TABLE = {
         data[attr]
     """,
     "rename, across directories": """
-        inode[contents] udir inode[udir]
-        bitmap data[fdir] inode[fdir]
+        inode[udir,contents] udir
+        data[fdir] bitmap inode[fdir]
         data[attr] inode[attr]
         data[fdir] inode[fdir]
         data[attr]
-        udir inode[udir] inode[contents]
+        inode[udir] udir inode[contents]
     """,
     "shadow commit": """
-        inode[+contents] udir inode[udir]
-        bitmap data[+contents] inode[+contents]
-        udir
-        bitmap inode[-contents]
+        data[+contents] bitmap inode[udir,+contents] udir
+        inode[-contents] bitmap
         data[attr] inode[attr]
     """,
     # three notes of one directory (a create, an overwrite, an unlink) in
-    # one group: each file's own writes in turn, then the directory once
+    # one group: both installs in one set, then the directory's records and
+    # entry list, then the storage the unlink orphaned
     "grouped pass": """
-        inode[+contents] udir inode[udir]
-        bitmap data[+contents] inode[+contents]
-        udir
-        bitmap inode[contents]
-        inode[contents] udir inode[udir]
-        bitmap data[contents] inode[contents]
-        udir
+        data[+contents] data[+contents] bitmap inode[udir,+contents,+contents] udir
+        inode[-contents] bitmap
         data[attr] inode[attr]
         data[fdir] inode[fdir]
         data[attr]
-        udir bitmap inode[-contents]
+        udir inode[-contents] bitmap
     """,
 }
 
@@ -308,12 +308,16 @@ def test_a_group_writes_its_directory_once(recorded):
     # freed.  The table block holding every record the group changed is
     # written before it, because the new file's record lands there, and
     # once more after it: the unlinked file's record is cleared only once no
-    # stored list names the file.
+    # stored list names the file.  The underlying Unix directory's block is
+    # written once for both installs, naming both new versions, before any
+    # record, and once more for the free, after the list.
     labels = recorded["grouped pass"].labels
     assert labels.count("data[fdir]") == 1 and labels.count("data[attr]") == 2
     fdir = labels.index("data[fdir]")
-    assert labels.index("data[attr]") < fdir < labels.index("data[attr]", fdir) < labels.index("inode[-contents]")
-    assert max(i for i, label in enumerate(labels) if label.startswith("data[+")) < labels.index("data[attr]")
+    first, last = labels.index("data[attr]"), labels.index("data[attr]", fdir)
+    assert first < fdir < last < labels.index("inode[-contents]", last)
+    assert max(i for i, label in enumerate(labels) if label.startswith("data[+")) < first
+    assert labels.count("udir") == 2 and labels.index("udir") < first and labels.index("udir", first) > last
 
 
 def test_a_pulled_new_file_is_born_from_its_shadow(recorded):
@@ -330,7 +334,7 @@ def test_a_pulled_new_file_is_born_from_its_shadow(recorded):
     assert beta.fs().read_file("/d/born") == PAYLOAD
     labels = writes.labels
     assert not [label for label in labels if "-" in label]
-    assert "bitmap inode[" not in " ".join(labels)  # no resized arm
+    assert labels.count("data[fdir]") == 1 and labels.count("bitmap") == 1  # no resized arm
     assert labels.count("data[attr]") == 1 and labels.count("data[+contents]") == 1
     (store,) = beta.physical.stores.values()
     (alpha_store,) = alpha.physical.stores.values()
@@ -338,11 +342,14 @@ def test_a_pulled_new_file_is_born_from_its_shadow(recorded):
     fh = next(e.fh for e in store.read_entries(dir_fh) if e.name == "born")
     aux = store.read_record(fh)
     assert aux.vv == alpha_store.read_record(fh).vv and aux.ancestor_digests()
-    # and so in the grouped pass: the new file's part, after the overwrite's
-    # shadow commit (its first nine writes), up to the operation's flush
+    # and so in the grouped pass, whose installs share one set: two shadows'
+    # blocks and inodes — the overwrite's and the new file's — one
+    # directory-block write, and only the overwritten contents freed
     grouped = recorded["grouped pass"].labels
-    part = grouped[9 : grouped.index("data[attr]")]
-    assert part == "inode[contents] udir inode[udir] bitmap data[contents] inode[contents] udir".split()
+    part = grouped[: grouped.index("data[attr]")]
+    assert part == (
+        "data[+contents] data[+contents] bitmap inode[udir,+contents,+contents] udir inode[-contents] bitmap"
+    ).split()
 
 
 def test_no_bitmap_write_where_no_block_changes_hands(recorded):
@@ -494,21 +501,18 @@ IN_PLACE = [("old", "clean"), ("new", "clean")]
 #: ``inode`` ``data`` (the old run cleared).  Between the two data writes
 #: the table holds both copies, and the newer stamp wins the attach.
 MOVED = [("old", "clean"), ("new", "clean"), ("new", "clean")]
-#: The resized arm of ``.meta``/``.fdir`` is ``bitmap`` (free) ``inode``
-#: (size 0) ``bitmap`` (take) ``data`` ``inode`` (size): what
-#: ``truncate(0)`` + ``write`` has always left, an empty record at three of
-#: its four interior points.  Only a ``.fdir`` changing its block count
-#: takes it (``test_an_entry_file_of_two_blocks_is_never_rewritten_in_place``).
-RESIZED = [
-    ("old", "clean"),
-    ("old", "in use but free in bitmap"),
-    ("empty", "clean"),
-    ("empty", "marked used in bitmap but unreferenced"),
-    ("empty", "marked used in bitmap but unreferenced"),
-]
-#: The same arm writing one block more than it freed: the second block's
-#: ``bitmap`` (take) and ``data`` each leave it marked but unreferenced too.
-RESIZED_BY_A_BLOCK = RESIZED + [("empty", ", ".join(["marked used in bitmap but unreferenced"] * 2))] * 2
+LEAK = "marked used in bitmap but unreferenced"
+#: The resized arm of ``.meta``/``.fdir`` — ``truncate(0)`` + ``write`` in
+#: one operation — is ``data`` (the new block) ``bitmap`` (take) ``inode``
+#: (the commit point: size and pointers) ``bitmap`` (the old block's free,
+#: after the inode that stopped naming it).  Old or new at every crash
+#: point; between the takes and the free a block is leaked, never lost.
+#: Only a ``.fdir`` changing its block count takes it
+#: (``test_an_entry_file_of_two_blocks_is_never_rewritten_in_place``).
+RESIZED = [("old", "clean"), ("old", "clean"), ("old", LEAK), ("new", LEAK)]
+#: The same arm writing one block more than it freed: two new blocks' data
+#: before the bitmap takes both.
+RESIZED_BY_A_BLOCK = RESIZED[:2] + [("old", "clean"), ("old", f"{LEAK}, {LEAK}"), ("new", LEAK)]
 
 CASES = {
     # record: (its reader, set-up, the replace, outcome at each crash point)
@@ -649,8 +653,8 @@ def test_both_arms_are_counted_and_shown():
 
 def test_an_entry_file_of_two_blocks_is_never_rewritten_in_place():
     # in place, a crash between its two block writes could leave block 0
-    # new and block 1 old: a splice of two lists.  Resized, it can only
-    # read empty.
+    # new and block 1 old: a splice of two lists.  Resized, its inode write
+    # commits new blocks: old or new.
     device, store, fh = make_store(None)
     root = store.root_handle()
     (entry,) = store.read_entries(root)
@@ -739,6 +743,87 @@ def beta_reconciles_d(system: FicusSystem) -> None:
     dir_fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "d")
     remote_dir = beta.fabric.volume_root(peer.host, peer.volrep).lookup_fh(dir_fh)
     reconcile_directory(beta.physical, store, dir_fh, remote_dir)
+
+
+def d_at(system: FicusSystem, host_name: str):
+    """(the host's store, the handle of ``/d``)."""
+    (store,) = system.host(host_name).physical.stores.values()
+    return store, next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "d")
+
+
+def replica_ids(system: FicusSystem) -> frozenset:
+    return frozenset(loc.volrep.replica_id for loc in system.root_locations)
+
+
+def reconciles_d(system: FicusSystem, host_name: str, peer_name: str) -> None:
+    """One directory reconciliation of ``/d`` at a host against a peer,
+    with the volume's replica set (what carries deletion acks)."""
+    host = system.host(host_name)
+    store, dir_fh = d_at(system, host_name)
+    (peer,) = (loc for loc in system.root_locations if loc.host == peer_name)
+    remote_dir = host.fabric.volume_root(peer.host, peer.volrep).lookup_fh(dir_fh)
+    reconcile_directory(host.physical, store, dir_fh, remote_dir, all_replicas=replica_ids(system))
+
+
+def tombstones_of_d(system: FicusSystem, host_name: str) -> list:
+    store, dir_fh = d_at(system, host_name)
+    return [(entry.acks, entry.acks2) for entry in store.read_entries(dir_fh) if not entry.live]
+
+
+def acknowledged_everywhere(system: FicusSystem) -> None:
+    """``/d/g`` unlinked at alpha, and the delete acknowledged by both
+    replicas at both: alpha's next collection starts phase 2."""
+    system.host("alpha").fs().unlink("/d/g")
+    reconciles_d(system, "beta", "alpha")
+    reconciles_d(system, "alpha", "beta")
+    everyone = replica_ids(system)
+    assert tombstones_of_d(system, "alpha") == [(everyone, frozenset())]
+
+
+def in_phase_two_everywhere(system: FicusSystem) -> None:
+    """Further: both replicas have collected once and told each other, so
+    alpha's next collection purges the tombstone."""
+    acknowledged_everywhere(system)
+    for name in ("alpha", "beta"):
+        collect_directory(*d_at(system, name), replica_ids(system))
+    reconciles_d(system, "beta", "alpha")
+    reconciles_d(system, "alpha", "beta")
+    everyone = replica_ids(system)
+    assert tombstones_of_d(system, "alpha") == [(everyone, everyone)]
+
+
+def alpha_collects_d(system: FicusSystem) -> None:
+    collect_directory(*d_at(system, "alpha"), replica_ids(system))
+
+
+#: what the append-log resolver makes of the two partitioned appends below
+MERGED_LOG = b"alpha\nbravo\nseed\n"
+
+
+def conflicting_appends(system: FicusSystem) -> None:
+    """``/d/notes.log``, an append log both replicas hold as ``seed``, then
+    appended to at each side of a partition; healed, nobody reconciled.
+    Like :func:`a_session_written_at_alpha` it ends once beta's cached NFS
+    lookups of alpha have expired."""
+    system.enable_resolvers()
+    system.host("alpha").fs().write_file("/d/notes.log", b"seed\n")
+    system.reconcile_everything()
+    for name in system.hosts:
+        system.host(name).propagation_daemon.tick()  # each retains the seed as the ancestor
+    system.partition([{"alpha"}, {"beta"}])
+    system.host("alpha").fs().write_file("/d/notes.log", b"seed\nalpha\n")
+    system.host("beta").fs().write_file("/d/notes.log", b"seed\nbravo\n")
+    system.heal()
+    system.run_for(NfsClientConfig().name_cache_ttl + 1.0)
+
+
+def alpha_reconciles_with_beta(system: FicusSystem) -> None:
+    """A recon daemon run at alpha against beta: the conflict is found and
+    the resolver's merge installed."""
+    (location,) = (loc for loc in system.root_locations if loc.host == "alpha")
+    (peer,) = (loc for loc in system.root_locations if loc.host == "beta")
+    result = system.host("alpha").recon_daemon.reconcile_with(location.volrep, peer)
+    assert result.conflicts_auto_resolved == 1 or system.host("alpha").ufs.device.failed
 
 
 def a_session_written_at_alpha(system: FicusSystem) -> None:
@@ -859,6 +944,31 @@ SWEEP = {
         SETTLED,
         [{"/d/f": PAYLOAD}],
     ),
+    # a resolver's merge of two partitioned appends, installed by alpha's
+    # reconciliation with beta: a shadow commit of contents neither side wrote
+    "resolver-merge install": (
+        "alpha",
+        conflicting_appends,
+        alpha_reconciles_with_beta,
+        SETTLED,
+        [{"/d/notes.log": MERGED_LOG}],
+    ),
+    # the two steps of tombstone collection, each one rewrite of ``.fdir``:
+    # the replica's own phase-2 mark, then the purge
+    "tombstone GC, phase 1": (
+        "alpha",
+        acknowledged_everywhere,
+        alpha_collects_d,
+        {"/d/f": PAYLOAD, "/d/h": PAYLOAD},
+        [{"/d/g": None}],
+    ),
+    "tombstone GC, purge": (
+        "alpha",
+        in_phase_two_everywhere,
+        alpha_collects_d,
+        {"/d/f": PAYLOAD, "/d/h": PAYLOAD},
+        [{"/d/g": None}],
+    ),
     # everything here was acknowledged at alpha before beta's pass began,
     # so there is one outcome: beta ends up holding all of it
     "grouped pass": (
@@ -881,11 +991,11 @@ SWEEP = {
 }
 
 #: what UFS ``fsck`` may say after a crash inside one of these operations:
-#: the resized replace's two bitmap/inode disagreements, and the two
-#: windows of UFS's own create/unlink/link (an inode written before the
-#: name that reaches it, a name removed before the link count is)
+#: a leak, each an order the soft-update flush keeps — a block taken before
+#: the inode naming it, or freed after the inode that stopped; an inode
+#: written before the name that reaches it; a name removed before the link
+#: count is.  Never a block in use but free in the bitmap.
 UFS_FINDINGS = {
-    "in use but free in bitmap",
     "marked used in bitmap but unreferenced",
     "allocated but unreachable from root",
     "nlink differs from observed references",
@@ -894,13 +1004,33 @@ UFS_FINDINGS = {
 #: record of the attribute table is rewritten in its run (one block write)
 #: or written to a fresh run before its old run is cleared, so it reads old
 #: or new; ``.fdir`` keeps its block count (it is padded to whole blocks),
-#: so it is overwritten in place.  What can still tear is a ``.fdir`` that
-#: changes its block count: its resized arm reads empty at three crash
-#: points.  (The cross-directory link and rename give the empty target's
-#: ``.fdir`` its first block through the resized arm, but an empty list has
-#: nothing to lose: there is no truncate, and a crash leaves the old, empty
-#: list.)
+#: so it is overwritten in place; a ``.fdir`` that changes its block count
+#: is committed by its inode write, the new blocks written before it and the
+#: old ones freed after it.  (The cross-directory link and rename give the
+#: empty target's ``.fdir`` its first block that way.)
 TORN = {scenario: [] for scenario in SWEEP}
+
+
+#: crash points each scenario visits before the run that completes: one per
+#: device write of the operation (in brackets, the count when every UFS call
+#: wrote through in call order).
+CRASH_POINTS = {
+    "create": 11,  # (12)
+    "mkdir": 8,  # (14)
+    "link, across directories": 7,  # (8)
+    "unlink": 8,  # (8)
+    "rename, same directory": 6,  # (6)
+    "rename, across directories": 13,  # (14)
+    "setattr policy": 2,  # (2)
+    "session close": 1,  # (1)
+    "create, adding a table block": 13,  # (14)
+    "setattr policy, outgrowing its run": 3,  # (3)
+    "resolver-merge install": 8,  # (11)
+    "tombstone GC, phase 1": 1,  # (1)
+    "tombstone GC, purge": 1,  # (1)
+    "grouped pass": 15,  # (24)
+    "directory reconcile": 8,  # (8)
+}
 
 
 def normalized(problem: str) -> str:
@@ -1008,6 +1138,7 @@ def test_crash_after_every_write_of_an_operation(scenario):
             assert reached == outcomes[-1:], where
             break
     assert torn == TORN[scenario]
+    assert crash_point == CRASH_POINTS[scenario]
 
 
 def test_a_repeated_directory_reconcile_writes_nothing():

@@ -42,10 +42,11 @@ outside any scope is a scope of its own — and the outermost scope enters
 the operation scope of the UFS below (:meth:`repro.ufs.Ufs.operation`, found
 by the walk down to the storage bottom), so every block the operation
 writes is held there and reaches the device once, in soft-update order:
-file data and fresh blocks, then bitmap, then inode-table blocks, then
-the underlying Unix directories' blocks, then the frees.  What must be
-ordered *between* blocks the store says with a barrier (``fsync`` on the
-bottom vnode), which puts everything held so far on the device.
+file data and fresh blocks, then bitmap, then existing indirect blocks,
+then inode-table blocks, then the underlying Unix directories' blocks,
+then the frees.  What must be ordered *between* blocks the store says with
+a barrier (``fsync`` on the bottom vnode), which puts everything held so
+far on the device.
 
 *Made at once, inside the set*: file contents, the shadow and the UFS
 rename that commits it, the contents' UFS names (create, link), and
@@ -457,10 +458,12 @@ class ReplicaStore:
 
     def _mint(self, counter: str) -> int:
         """Hand out the next id of one mint.  ``.meta`` holds each mint's
-        high-water mark; a range of :data:`ID_RANGE` is reserved by writing
-        the mark through *before* the first id of the range is used, and a
-        fresh attach resumes at the mark, so the ids a crash left reserved
-        are skipped and none is ever handed out twice."""
+        high-water mark; a range of :data:`ID_RANGE` is reserved by raising
+        the mark, whose data block lands in the first phase of its set —
+        ahead of every name in that set — while every record that carries
+        an id of the range lands after a barrier.  A fresh attach resumes
+        at the mark, so the ids a crash left reserved are skipped and none
+        is ever handed out twice."""
         if self._mints is None:
             rec = self._read_meta()
             self._mints = {name: [int(rec[name])] * 2 for name in ("next_unique", "next_seq")}

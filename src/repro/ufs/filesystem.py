@@ -23,12 +23,16 @@ slot, a bitmap bit — without applying them, so nothing an operation frees
 is reused before the free is on the device.  At the scope's end, or at a
 :meth:`Ufs.barrier`, the set goes to the device in FFS soft-update order,
 each block once: file data and blocks allocated in the scope, then the
-bitmap blocks, then the inode-table blocks, then the data blocks of
-directories that existed before the scope, in first-dirtied order; then
-the frees are applied and written, every inode slot before any bitmap bit.
-So a block is named on the device only after it holds its data, an inode
-only after it is written, and nothing is freed while a name still reaches
-it.  Nothing is kept across operations: no write-behind, no journal.
+bitmap blocks, then existing indirect blocks, then the inode-table blocks,
+then the data blocks of directories that existed before the scope, in
+first-dirtied order; then the frees are applied and written, every inode
+slot before any bitmap bit.  A directory already on the device that
+changes its block count lands in between (see
+:meth:`Ufs._write_dir_entries`), so every block a name can reach from the
+device holds names.  So a block is named on the device only after it holds
+its data and its bitmap bit is set, an inode only after it is written, and
+nothing is freed while a name still reaches it.  Nothing is kept across
+operations: no write-behind, no journal.
 
 Two writes are never issued because they change nothing on the device:
 ``truncate_file`` to the size a file already has returns before touching
@@ -177,11 +181,14 @@ class Ufs:
         self._ino_floor = ROOT_INO
         self._blk_floor = superblock.data_start
         # -- the operation scope (its held blocks are the buffer cache's):
-        # the data blocks allocated in it, the existing directory blocks it
-        # rewrote, and the frees it queued: (ino, every link or one) and
-        # data blocks whose bitmap bit is to clear
+        # since the last landing, the data blocks and inodes allocated, the
+        # existing indirect and directory blocks rewritten; and the frees
+        # it queued: (ino, every link or one) and data blocks whose bitmap
+        # bit is to clear
         self._scope = _OperationScope(self)
         self._fresh: set[int] = set()
+        self._born: set[int] = set()
+        self._pointers: set[int] = set()
         self._dir_data: set[int] = set()
         self._unrefs: list[tuple[int, bool]] = []
         self._freed: list[int] = []
@@ -275,6 +282,8 @@ class Ufs:
                 self._land()
         except BaseException:
             self._fresh.clear()
+            self._born.clear()
+            self._pointers.clear()
             self._dir_data.clear()
             self._unrefs.clear()
             self._freed.clear()
@@ -294,17 +303,24 @@ class Ufs:
         if not held:
             return
         sb = self.sb
-        data, bitmap, table, dirs = [], [], [], []
+        data, bitmap, pointers, table, dirs = [], [], [], [], []
         for blk in held:
             if blk >= sb.data_start:
-                (dirs if blk in self._dir_data else data).append(blk)
+                if blk in self._dir_data:
+                    dirs.append(blk)
+                elif blk in self._pointers:
+                    pointers.append(blk)
+                else:
+                    data.append(blk)
             elif blk >= sb.bitmap_start:
                 bitmap.append(blk)
             else:
                 table.append(blk)
         self._fresh.clear()
+        self._born.clear()
+        self._pointers.clear()
         self._dir_data.clear()
-        self.cache.land(itertools.chain(data, bitmap, table, dirs))
+        self.cache.land(itertools.chain(data, bitmap, pointers, table, dirs))
 
     def _hold(self, blk: int, data: bytes) -> None:
         """Write a block: into the held set, for :meth:`_land` to write."""
@@ -387,6 +403,7 @@ class Ufs:
         )
         self._next_generation += 1
         self._put_inode(fresh)
+        self._born.add(ino)
         self._ino_floor = ino + 1
         return fresh
 
@@ -484,6 +501,9 @@ class Ufs:
     def _write_indirect(self, inode: Inode, ptrs: list[int]) -> None:
         if inode.indirect == 0:
             inode.indirect = self._alloc_block()
+        elif inode.indirect not in self._fresh:
+            # a pointer it gains names a block whose bit lands before it
+            self._pointers.add(inode.indirect)
         raw = struct.pack(f"<{len(ptrs)}I", *ptrs)
         self._hold(inode.indirect, raw.ljust(self.sb.block_size, b"\x00"))
 
@@ -672,17 +692,34 @@ class Ufs:
         blocks in place with no inode change — a one-block directory is
         then updated by a SINGLE block write, which is the atomicity the
         shadow-commit rename relies on ("the shadow atomically replaces
-        the original by changing a low-level directory reference").
+        the original by changing a low-level directory reference").  No
+        entry straddles two blocks, so any mix of old and new blocks reads
+        as whole entries.
+
+        A directory already named on the device changes its block count in
+        a landing of its own: it grows by blank blocks, landed with the
+        inode that names them before any entry goes into them, and it
+        shrinks once its entries have landed, so every name stays reachable
+        at every crash point.  A directory born since the last landing is
+        reached only by a name that lands after it, and needs neither.
         """
         ordered = sorted(entries.items())
-        text = "\n".join(_encode_dirent(name, ino) for name, ino in ordered)
-        data = text.encode("utf-8")
         bs = self.sb.block_size
+        data = "\n".join(_encode_dirent(name, ino) for name, ino in ordered).encode("utf-8")
+        if len(data) > bs:
+            data = self._pack_dirents(ordered)
         new_size = max(bs, ((len(data) + bs - 1) // bs) * bs)
         padded = data.ljust(new_size, b"\n")
         old_size = inode.size
+        settled = inode.ino not in self._born
+        if settled and new_size > old_size:
+            self._write_inode_data(inode, old_size, b"\n" * (new_size - old_size))
+            self._put_inode(inode)
+            self._land()
         self._write_inode_data(inode, 0, padded)
         if new_size < old_size:
+            if settled:
+                self._land()
             # the inode write is the commit point; the blocks it stops
             # naming are freed after it
             self._truncate_blocks(inode, new_size)
@@ -693,6 +730,20 @@ class Ufs:
         self._put_inode(inode)
         if self.cache.capacity:
             self._dcache[inode.ino] = (self.cache.epoch, dict(ordered))
+
+    def _pack_dirents(self, ordered: list[tuple[str, int]]) -> bytes:
+        """Entry lines of a directory longer than a block, each block padded
+        ahead of a line that would straddle its end."""
+        bs = self.sb.block_size
+        blocks, block = [], b""
+        for name, ino in ordered:
+            line = _encode_dirent(name, ino).encode("utf-8") + b"\n"
+            if block and len(block) + len(line) > bs:
+                blocks.append(block.ljust(bs, b"\n"))
+                block = b""
+            block += line
+        blocks.append(block)
+        return b"".join(blocks)
 
     def readdir(self, dir_ino: int) -> dict[str, int]:
         """Return all entries of a directory, including ``.`` and ``..``."""

@@ -17,6 +17,7 @@ from repro.errors import (
 )
 from repro.storage import BlockDevice
 from repro.ufs import MAX_NAME_LEN, ROOT_INO, FileType, Ufs, fsck
+from repro.ufs.layout import NDIRECT
 
 
 @pytest.fixture
@@ -335,7 +336,110 @@ class TestSpaceExhaustion:
         assert fsck(fs).clean
 
 
+def crash_sweep(prepare, operation):
+    """Run ``operation`` on a fresh file system crashed after each of its
+    device writes in turn: yields ``(remounted fs, what prepare returned,
+    completed)`` per crash point, the last one the run that completed."""
+    for crash_point in itertools.count():
+        device = BlockDevice(512)
+        fs = Ufs.mkfs(device, num_inodes=128)
+        state = prepare(fs)
+        device.plan_crash_after_writes(crash_point)
+        try:
+            operation(fs, state)
+        except CrashInjected:
+            pass
+        completed = not device.failed
+        device.recover()
+        yield Ufs.mount(device), state, completed
+        if completed:
+            return
+
+
+def only_leaks(fs: Ufs) -> bool:
+    """``fsck`` finds nothing but leaks: no name of a free inode, no block
+    in use but free, none claimed twice."""
+    return all(any(leak in p for leak in ("unreachable", "unreferenced", "nlink")) for p in fsck(fs).problems)
+
+
 class TestCrashOrdering:
+    def test_an_unlink_shrinking_a_directory_keeps_every_other_name(self):
+        """A directory of two blocks goes back to one: its rewritten block
+        reaches the device before the inode that stops naming the other."""
+
+        def prepare(fs):
+            d = fs.mkdir(ROOT_INO, "d")
+            target = fs.create(ROOT_INO, "target")
+            names = []
+            while fs.get_inode(d).size <= fs.sb.block_size:
+                names.append(f"{len(names):02d}" + "n" * 200)
+                fs.link(target, d, names[-1])
+            return d, names
+
+        points = 0
+        for fs, (d, names), completed in crash_sweep(prepare, lambda fs, state: fs.unlink(state[0], state[1][0])):
+            entries = fs.readdir(d)
+            assert set(entries) - {".", "..", names[0]} == set(names[1:]), points
+            assert only_leaks(fs), points
+            points += 1
+        assert names[0] not in entries and fs.get_inode(d).size == fs.sb.block_size and fsck(fs).clean
+        assert points > 3
+
+    def test_an_append_past_an_indirect_block_never_reuses_a_free_block(self):
+        """The indirect block gains its pointer after the bitmap takes the
+        block: remount at every crash point, write past the end again, and
+        nothing is in use but free, nor claimed twice."""
+        bs = 4096
+
+        def prepare(fs):
+            ino = fs.create(ROOT_INO, "big")
+            fs.write_file(ino, 0, bytes(bs * (NDIRECT + 1)))
+            return ino
+
+        points = 0
+        for fs, ino, completed in crash_sweep(prepare, lambda fs, ino: fs.write_file(ino, (NDIRECT + 1) * bs, b"x" * bs)):
+            size = fs.get_inode(ino).size
+            fs.write_file(ino, size, b"y" * bs)
+            other = fs.create(ROOT_INO, "other")
+            fs.write_file(other, 0, b"z" * bs)
+            assert only_leaks(fs), points
+            assert fs.read_file(ino, size) == b"y" * bs and fs.read_file(other) == b"z" * bs
+            points += 1
+        assert completed and fsck(fs).clean and size == (NDIRECT + 2) * bs
+
+    def test_a_group_growing_a_directory_names_only_written_inodes(self):
+        """One operation creates files whose inodes span two inode-table
+        blocks in a directory that grows a block on the way (a grouped pull
+        into a full directory): no crash point leaves a name of a free
+        inode, and every older name stays."""
+
+        def prepare(fs):
+            # the group's first inodes share the directory's table block
+            d = fs.mkdir(ROOT_INO, "d")
+            while fs.create(ROOT_INO, f"f{fs.free_inode_count()}") < fs.sb.inodes_per_block - 4:
+                pass
+            pad = fs.create(ROOT_INO, "pad")
+            names = []
+            while fs.get_inode(d).size <= fs.sb.block_size:
+                names.append(f"p{len(names):02d}" + "p" * 200)
+                fs.link(pad, d, names[-1])
+            fs.unlink(d, names.pop())
+            return d, names
+
+        def group(fs, state):
+            with fs.operation():
+                for i in range(40):
+                    fs.create(state[0], f"x{i:02d}")
+
+        points = 0
+        for fs, (d, names), completed in crash_sweep(prepare, group):
+            entries = fs.readdir(d)
+            assert set(names) <= set(entries), points
+            assert only_leaks(fs), points
+            points += 1
+        assert len(entries) == 2 + len(names) + 40 and fs.get_inode(d).size == 2 * fs.sb.block_size
+        assert fsck(fs).clean
+
     def test_a_crashed_link_never_leaves_a_name_an_unlink_can_orphan(self):
         """``link`` writes the count before the name.  Crash it after each
         device write, remount, unlink the *first* name: a second name that

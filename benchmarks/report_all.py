@@ -93,13 +93,13 @@ def e6_propagation() -> None:
 
 
 def e7_commit() -> None:
-    from bench_commit import SIZES, insert_file, make_world, point_update_via_shadow
+    from bench_commit import SIZES, insert_file, make_world, point_update_via_install
 
-    print("[E7] shadow-commit cost of a 16-byte point update:")
+    print("[E7] atomic-commit cost of a 16-byte point update:")
     for size in SIZES:
         _, _, store, root = make_world()
         fh, vnode = insert_file(store, root, "f", size)
-        writes = point_update_via_shadow(store, root, fh, vnode.read_all())
+        writes = point_update_via_install(store, root, fh, vnode.read_all())
         print(f"  file {size >> 10:>5} KiB -> {writes:>5} device writes")
 
 

@@ -43,10 +43,12 @@ KINDS = ("data", "inode table", "bitmap", "directory data")
 def record_of(name: str) -> str:
     if name in (".fdir", ".attr", ".meta"):
         return name
+    # a pulled version's shadow file, made before an install wrote into the
+    # file's own inode, and the per-directory and per-file record files of
+    # the layout before the attribute table, so a checkout from before
+    # either reads too
     if name.endswith(".shadow"):
         return "shadow"
-    # the per-directory and per-file record files of the layout before the
-    # attribute table, so a checkout from before it reads too
     if name == ".faux":
         return name
     if name.endswith(".aux"):

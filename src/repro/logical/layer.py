@@ -334,8 +334,9 @@ class FicusLogicalLayer(FileSystemLayer):
     ):
         """Run a replica operation issued on held handles, retrying once on ESTALE.
 
-        A server reboot kills every handle it issued and a shadow commit
-        replaces a file's inode, so a held handle can go stale mid-use; the
+        A server reboot kills every handle it issued, and a file removed
+        there takes its handle with it (an install keeps the file's inode),
+        so a held handle can go stale mid-use; the
         NFS client scrubs its own caches before the error surfaces.  Here
         the directory's handles, child handles and views are dropped on
         every replica and the open session's pin (``fh``) is resolved

@@ -236,7 +236,8 @@ class NfsClientLayer(FileSystemLayer):
 
         This covers both directions: attributes OF the handle, names
         looked up THROUGH it, and cached lookup replies that RESOLVED to
-        it (e.g. a file whose inode was replaced by a shadow commit).
+        it (e.g. a file removed at the server, or every handle after its
+        reboot).
         """
         self.invalidate_handle(handle)
         resolved_to = [

@@ -19,8 +19,7 @@ organization, the way :func:`repro.ufs.fsck` validates UFS structure:
   volume root is named by at least one live entry (or is a tolerated
   orphan awaiting the GC daemon);
 * no stray objects inside the underlying Unix directories (everything is
-  a known file, shadow, or metadata name), and no contents without a
-  record;
+  a known file or metadata name), and no contents without a record;
 * LOCATION entries appear only inside graft points;
 * the id mints are ahead of every issued id.
 
@@ -34,7 +33,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import FicusError
 from repro.physical.store import DIR_TYPES, ReplicaStore, handle_of, volume_root_handle
-from repro.physical.wire import FDIR_NAME, SHADOW_SUFFIX, EntryType
+from repro.physical.wire import FDIR_NAME, EntryType
 from repro.util import FicusFileHandle
 
 
@@ -173,8 +172,6 @@ def ficus_fsck(store: ReplicaStore, conflict_log=None, resolvers=None) -> FicusC
                 name = dirent.name
                 if name in (".", "..", FDIR_NAME):
                     continue
-                if name.endswith(SHADOW_SUFFIX):
-                    continue  # in-flight propagation; scavenged on recovery
                 child = handle_of(name)
                 if child is not None and store.has_record(child):
                     stored_names[child] = stored_names.get(child, 0) + 1

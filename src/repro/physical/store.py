@@ -17,7 +17,6 @@ Layout under the lower layer's root::
                              every replica uses the same key)
           .fdir              the Ficus directory file (entry records)
           <filefh-hex>       a regular file replica's contents
-          <filefh-hex>.shadow  transient shadow during atomic propagation
 
 Regular files live inside their directory's UFS directory — the "on-disk
 file organization closely parallels the logical Ficus name space topology"
@@ -48,13 +47,14 @@ then the frees.  What must be ordered *between* blocks the store says with
 a barrier (``fsync`` on the bottom vnode), which puts everything held so
 far on the device.
 
-*Made at once, inside the set*: file contents, the shadow and the UFS
-rename that commits it, the contents' UFS names (create, link), and
-``.meta``.  Every pulled or resolved version goes through the one call
-that spells its commit, :meth:`ReplicaStore.install`, and a file not
-stored here yet is born from its shadow; every install of one operation
-shares one set, so the underlying directory's block goes out once, naming
-every new version.  ``.meta`` holds the two id mints' high-water marks,
+*Made at once, inside the set*: file contents, the contents' UFS names
+(create, link), and ``.meta``.  Every pulled or resolved version goes
+through the one call that spells its commit, :meth:`ReplicaStore.install`,
+which writes it into the file's own inode — the inode every stored name of
+the file shares — and a file not stored here yet is created under its own
+name with its contents in that operation; every install of one operation
+shares one set, so an underlying directory's block goes out once, naming
+every new file.  ``.meta`` holds the two id mints' high-water marks,
 fixed-width so the record never changes length: ids are handed out from
 an in-memory range of :data:`ID_RANGE`, and the mark's data block goes out
 in the first phase of its set, ahead of every name that uses the range
@@ -80,14 +80,20 @@ puts the contents the operation committed on the device before any record
 names them.  A record or list equal to the one the operation first read is
 not written.
 
-``.meta`` and ``.fdir`` are replaced whole through
-:meth:`ReplicaStore._replace_record` under one rule: a record of the
-length already on disk that fits one block is overwritten in place (one
-data block, one inode write, old-or-new under a crash); anything else is
-``truncate(0)`` + ``write`` in one operation, whose inode write is the
+``.meta``, ``.fdir`` and an installed version's contents are replaced
+whole through :meth:`ReplicaStore._replace_record` under one rule: data of
+the length already on disk that fits one block is overwritten in place
+(one data block, one inode write, old-or-new under a crash); anything else
+is ``truncate(0)`` + ``write`` in one operation, whose inode write is the
 commit point — the new blocks are written before it and the old ones freed
-after it, so it too is old-or-new.  ``.fdir`` is NUL-padded to whole
-blocks, so only a list changing its block count is resized.  The
+after it, so it too is old-or-new.  This is the paper's single-file atomic
+commit (Section 3.2) with the low-level reference it changes being the
+inode's block pointers, not a directory entry: no shadow file is made, and
+an install keeps the inode, so the handles peers hold stay valid.
+``.fdir`` is NUL-padded to whole blocks, so only a list changing its block
+count is resized.  A ``NoSpace`` raised inside an operation lands nothing
+the UFS below has held since the last barrier, and the store then drops
+what it staged if it was raised before the flush began.  The
 device-write sequence of each operation, what a crash between each pair of
 writes leaves, and the flush's order are ARCHITECTURE.md's "What one
 update writes, in order" and "The flush protocol", held by
@@ -98,7 +104,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import FileNotFound, InvalidArgument
+from repro.errors import FileNotFound, InvalidArgument, NoSpace
 from repro.physical.table import AttrTable
 from repro.physical.wire import (
     ATTR_NAME,
@@ -106,7 +112,6 @@ from repro.physical.wire import (
     EMPTY_DIGEST,
     FDIR_NAME,
     META_NAME,
-    SHADOW_SUFFIX,
     STORE_BLOCK_SIZE,
     AuxAttributes,
     BlockDigests,
@@ -200,9 +205,10 @@ class StoreStats:
     """What one replica store has done to its records, counted where it
     happens; the physical layer views it as the ``store.*`` metrics."""
 
-    #: records rewritten where they were: a ``.meta`` or ``.fdir`` replace
-    #: that kept its length within one block, or a table record that kept
-    #: its run (each old-or-new in one block write)
+    #: records rewritten where they were: a ``.meta``, ``.fdir`` or
+    #: installed version's replace that kept its length within one block,
+    #: or a table record that kept its run (each old-or-new in one block
+    #: write)
     records_in_place: int = 0
     #: records that were not: a ``truncate(0)`` + ``write`` replace, or a
     #: table record written to a fresh run because it outgrew its own
@@ -211,12 +217,6 @@ class StoreStats:
     dir_flushes: int = 0
     #: staged record updates a flush absorbed without a write
     dir_writes_coalesced: int = 0
-    #: shadows made to receive a propagated version
-    shadows_created: int = 0
-    #: orphan shadows dropped by crash recovery
-    shadows_scavenged: int = 0
-    #: installed versions: shadows renamed to the file's name
-    shadow_commits: int = 0
 
 
 #: Entry types whose object is a Ficus directory with storage in ``nodes/``.
@@ -274,8 +274,12 @@ class _OperationScope:
             self.depth -= 1
             return
         try:
+            if isinstance(exc_info[1], NoSpace) and self.storage is not None:
+                # the UFS below dropped every write the operation made (the
+                # flush had not begun, so none had landed): so is its staging
+                self.store._abandon()
             # still one deep while flushing: a store call the flush makes nests
-            if not self.store.flushed():
+            elif not self.store.flushed():
                 self.store._flush()
         except BaseException as error:
             exc_info = (type(error), error, error.__traceback__)
@@ -369,20 +373,23 @@ class ReplicaStore:
         return table
 
     def _replace_record(self, vnode: Vnode, data: bytes) -> None:
-        """Replace the whole contents of ``.meta`` or a ``.fdir`` — the only
-        writer of each once it exists, under one rule.
+        """Replace the whole contents of ``.meta``, a ``.fdir`` or a file
+        replica — the only writer of each once it exists but a local update
+        session, under one rule.
 
-        A record of the length already stored that fits one block of the
+        Data of the length already stored that fits one block of the
         storage below (:data:`STORE_BLOCK_SIZE`) is overwritten in place:
         no block changes hands and the one block write carries all of it,
-        so a crash leaves exactly the old record or exactly the new one.
+        so a crash leaves exactly the old data or exactly the new.
         ``.meta`` keeps its length and ``.fdir`` is padded to whole blocks,
-        so this is every replace but a directory changing its block count.
-        Anything else is ``truncate(0)`` + ``write`` in one operation: the
-        new blocks are written before the inode that names them, the old
-        ones freed after it, so the inode write is the commit point and a
-        crash leaves the old record or the new one — never a splice of two
-        records, which an in-place rewrite of two blocks could leave.
+        so for them this is every replace but a directory changing its
+        block count.  Anything else is ``truncate(0)`` + ``write`` in one
+        operation: the new blocks are written before the inode that names
+        them, the old ones freed after it, so the inode write is the commit
+        point and a crash leaves the old data or the new — never a splice
+        of two versions, which an in-place rewrite of two blocks could
+        leave.  (A multi-block version is rewritten whole: footnote 5's
+        cost of a point update in a large file.)
         """
         with self._scope:
             if vnode.getattr().size == len(data) <= STORE_BLOCK_SIZE:
@@ -509,9 +516,8 @@ class ReplicaStore:
 
     def _unix_child(self, fh: FicusFileHandle, name: str) -> Vnode:
         """Look up (with caching) one name inside a directory's underlying
-        Unix directory.  Mutations that rebind a cached name (shadow
-        commit's rename, unlink, directory removal) drop the affected
-        keys."""
+        Unix directory.  Mutations that unbind a cached name (unlink,
+        directory removal) drop the affected keys."""
         key = (self._dir_key(fh), name)
         vnode = self._cache_get(self._child_vnode_cache, key)
         if vnode is None:
@@ -759,16 +765,34 @@ class ReplicaStore:
             for child in doomed_dirs:
                 self._remove_directory_storage(child)
         except BaseException:
-            self._entries_cache.clear()
-            self._record_cache.clear()
-            self._child_vnode_cache.clear()
-            self._dir_vnode_cache.clear()
-            self._table = None
+            self._drop_decoded()
             raise
         finally:
             self._pending.clear()
             self._records.clear()
             self._staged_calls = 0
+
+    def _abandon(self) -> None:
+        """Drop what the open operation staged, unwritten: the UFS below
+        ran out of space and dropped every write the operation made, so
+        the device still holds what it held before the operation — and so
+        do the decoded caches and the mints, once they are read again."""
+        self._pending.clear()
+        self._records.clear()
+        self._staged_calls = 0
+        self._drop_decoded()
+
+    def _drop_decoded(self) -> None:
+        """Forget every decoded copy of storage, the table's index and the
+        mints' in-memory range: each is read from the device at next use."""
+        self._entries_cache.clear()
+        self._record_cache.clear()
+        self._child_vnode_cache.clear()
+        self._dir_vnode_cache.clear()
+        self._subtree_memo.clear()
+        self._ancestor_sync_memo.clear()
+        self._table = None
+        self._mints = None
 
     def _settle_frees(self) -> tuple[list[tuple[FicusFileHandle, FicusFileHandle]], list[FicusFileHandle]]:
         """The storage the operation's tombstones asked to free that the
@@ -892,13 +916,8 @@ class ReplicaStore:
                 frees.append(fh)
 
     def _unlink_file_storage(self, parent: FicusFileHandle, fh: FicusFileHandle) -> None:
-        unix_dir = self.dir_unix_vnode(parent)
         key = self._file_key(fh)
-        unix_dir.remove(key)
-        try:
-            unix_dir.remove(key + SHADOW_SUFFIX)
-        except FileNotFound:
-            pass
+        self.dir_unix_vnode(parent).remove(key)
         self._child_vnode_cache.pop((self._dir_key(parent), key), None)
         self._subtree_memo.clear()
 
@@ -925,20 +944,23 @@ class ReplicaStore:
 
         "a shadow file replica is used to hold the new version until it is
         completely propagated, and then the shadow atomically replaces the
-        original by changing a low-level directory reference."  The
-        low-level reference change is a UFS rename, and the contents are
-        written to the shadow first; the record follows with the
-        operation.  A file with no storage here is born from its shadow:
-        the rename gives the shadow the file's name, and the record is made
-        already final (``etype`` is the new file's type).  A file stored
-        here under other names too — a hard link, or a rename whose old
-        name has not been dropped yet — has one record for all of them, so
-        every other name is re-linked to the new contents; and when those
-        names already hold exactly ``contents``, the new name is linked to
-        them and no shadow is made.  A crash before the rename leaves a
-        shadow, and one after it contents the old record describes or, for
-        a new file, contents with no record — recovery drops the shadow and
-        the recordless contents.
+        original by changing a low-level directory reference."  Here the
+        low-level reference is the file's inode, which maps it to its
+        blocks: the contents are written into the file's own inode by
+        :meth:`_replace_record` — over its one block when they keep its
+        length and fit one, else into new blocks the inode write commits —
+        so a crash leaves the old version or the new one, and the record
+        follows with the operation.  Every stored name of the file (a hard
+        link, or a rename whose old name has not been dropped yet) shares
+        the inode, so each sees the new version, and a file stored here
+        only under another directory's name is first linked into
+        ``parent``.  A file with no storage here is created under its own
+        name with its contents in the same operation, and its record is
+        made already final (``etype`` is the new file's type).  A crash
+        after the contents and before the record leaves the new contents
+        under the old record — pulled again, as the remote still dominates
+        — or, for a new file, contents with no record, which recovery
+        drops.
 
         An install is a sync point (the replicas now share these contents),
         so they become the retained merge ancestor, digested from
@@ -947,21 +969,24 @@ class ReplicaStore:
         parent, fh = parent.logical, fh.logical
         ancestor = _ancestor_of(contents)
         with self._scope:
-            stored_here = self.has_file(parent, fh)
-            elsewhere = self._stored_elsewhere(parent, fh)
-            if not stored_here and elsewhere and self.file_vnode(elsewhere[0], fh).read_all() == contents:
+            if self.has_file(parent, fh):
+                self._replace_record(self.file_vnode(parent, fh), contents)
+            elif elsewhere := self._stored_elsewhere(parent, fh):
                 self.link_file_storage(elsewhere[0], parent, fh)
-                stored_here, elsewhere = True, []
+                vnode = self.file_vnode(parent, fh)
+                if vnode.read_all() != contents:  # a rename replayed: often the very bytes
+                    self._replace_record(vnode, contents)
             else:
-                self._commit_shadow(parent, fh, contents, elsewhere)
-            if stored_here or elsewhere:
-                aux = self._stage(fh).aux
-                if not stored_here:
-                    aux.refs += 1  # the shadow's rename gave the file a name here
-                aux.vv, aux.merge_policy, aux.ancestor = vv, merge_policy, ancestor
-            else:
+                key = self._file_key(fh)
+                vnode = self.dir_unix_vnode(parent).create(key)
+                self._cache_put(self._child_vnode_cache, (self._dir_key(parent), key), vnode)
+                if contents:
+                    vnode.write(0, contents)
                 aux = AuxAttributes(fh=fh, etype=etype, vv=vv, merge_policy=merge_policy, ancestor=ancestor)
                 self._stage_new(fh, aux, parent)
+                return
+            aux = self._stage(fh).aux
+            aux.vv, aux.merge_policy, aux.ancestor = vv, merge_policy, ancestor
 
     def _stored_elsewhere(self, parent: FicusFileHandle, fh: FicusFileHandle) -> list[FicusFileHandle]:
         """The other directories storing ``fh`` (each names it in its
@@ -976,34 +1001,6 @@ class ReplicaStore:
             and any(hash(entry.fh) == key and entry.fh == fh for entry in self.read_entries(dir_fh))
             and self.has_file(dir_fh, fh)
         ]
-
-    def _commit_shadow(
-        self, parent: FicusFileHandle, fh: FicusFileHandle, contents: bytes, elsewhere: list[FicusFileHandle]
-    ) -> None:
-        """Write ``contents`` to the file's shadow in ``parent`` and rename
-        it over the file's name, then give each directory of ``elsewhere``
-        the new contents too, by a link and a rename over its name (a crash
-        leaves each name old or new, and at worst a shadow-named link,
-        which recovery scavenges)."""
-        unix_dir = self.dir_unix_vnode(parent)
-        key = self._file_key(fh)
-        try:
-            shadow = unix_dir.lookup(key + SHADOW_SUFFIX)  # one a failed install left
-        except FileNotFound:
-            self.stats.shadows_created += 1
-            shadow = unix_dir.create(key + SHADOW_SUFFIX)
-        shadow.setattr(SetAttrs(size=0))
-        if contents:
-            shadow.write(0, contents)
-        unix_dir.rename(key + SHADOW_SUFFIX, unix_dir, key)
-        self.stats.shadow_commits += 1
-        # each rename (re)binds a contents name to the shadow's inode
-        self._cache_put(self._child_vnode_cache, (self._dir_key(parent), key), shadow)
-        for dir_fh in elsewhere:
-            other = self.dir_unix_vnode(dir_fh)
-            other.link(shadow, key + SHADOW_SUFFIX)
-            other.rename(key + SHADOW_SUFFIX, other, key)
-            self._cache_put(self._child_vnode_cache, (self._dir_key(dir_fh), key), shadow)
 
     # -- merge-ancestor retention (three-way conflict resolution) ---------------
 
@@ -1051,17 +1048,6 @@ class ReplicaStore:
             elif entry.etype == EntryType.FILE and self.has_file(fh, entry.fh):
                 self.note_file_synced(fh, entry.fh)
         self._ancestor_sync_memo[fh] = digest
-
-    def scavenge_shadows(self, fh: FicusFileHandle) -> int:
-        """Crash recovery: drop every orphan shadow in one directory."""
-        unix_dir = self.dir_unix_vnode(fh)
-        dropped = 0
-        for entry in unix_dir.readdir():
-            if entry.name.endswith(SHADOW_SUFFIX):
-                unix_dir.remove(entry.name)
-                dropped += 1
-        self.stats.shadows_scavenged += dropped
-        return dropped
 
     def recover(self) -> list[tuple[FicusFileHandle, VersionVector, VersionVector]]:
         """Crash recovery for the whole replica, the first act of a reboot,
@@ -1119,7 +1105,7 @@ class ReplicaStore:
         """Crash recovery for one directory, in the order a reboot needs;
         returns the files whose contents it still stores.
 
-        Orphan shadows go.  Contents with no record go (a create cut short
+        Contents with no record go (a create or a pulled new file cut short
         before its record landed, a free cut short after it cleared the
         record): they cannot be served.  A free the crash cut short is
         finished: the tombstone was durable before the storage was to go,
@@ -1128,7 +1114,6 @@ class ReplicaStore:
         host could publish.
         """
         fh = fh.logical
-        self.scavenge_shadows(fh)
         unix_dir = self.dir_unix_vnode(fh)
         entries = self.read_entries(fh)
         live = {self._file_key(entry.fh) for entry in entries if entry.live}

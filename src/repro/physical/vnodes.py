@@ -14,8 +14,8 @@ Section 2.6).  Its vnodes are:
   ``insert``/``remove_entry``.
   The directory has no ``create``/``mkdir``/``remove``/``rmdir``/``rename``
   of its own — the logical layer composes those from insert and remove —
-  and shadow/commit belong to the store, called by the reconciliation that
-  runs beside it, never remotely.
+  and installing a version belongs to the store, called by the
+  reconciliation that runs beside it, never remotely.
 * :class:`PhysicalFileVnode` — one regular-file (or symlink) replica;
   writes advance the replica's version vector, and so does a ``setattr``
   of its size or of its merge-policy tag.

@@ -34,7 +34,6 @@ ATTR_NAME = ".attr"  # the attribute table: every file's and directory's record
 
 #: Reserved UFS names inside a Ficus directory's underlying Unix directory.
 FDIR_NAME = ".fdir"  # the Ficus directory entry file
-SHADOW_SUFFIX = ".shadow"  # transient shadow replica during propagation
 
 # ---------------------------------------------------------------------------
 # Recon digests and block signatures (the incremental sync plane)

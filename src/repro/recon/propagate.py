@@ -9,13 +9,20 @@ The pull compares version vectors first:
 
 * remote EQUAL / DOMINATED  -> nothing to do (we are as new or newer),
                               once the local replica stores the file
-* remote DOMINATES          -> pull through a shadow + atomic commit
+* remote DOMINATES          -> pull, installed by the atomic commit
 * CONCURRENT                -> a conflict: report, never merge silently
+
+The atomic commit is :meth:`ReplicaStore.install`: the version is written
+into the file's own inode, whose write commits it, so a crash leaves the
+old version or the new one.  A local update session that has written and
+not closed (its record marked ``updating``) defers the pull: its close
+bumps the local vector, and the next pass sees the two versions as
+concurrent — a conflict, never an update overwritten unseen.
 
 When both sides store the file, the pull is a *block delta* (rsync-style):
 fetch the remote's block signatures, pull only the blocks whose content
-hashes differ, splice them over the local copy in the shadow file, and
-commit atomically exactly as the whole-file path does.  The whole-file
+hashes differ, splice them with the local copy's other blocks in memory,
+and install the result exactly as the whole-file path does.  The whole-file
 copy remains as the fallback — the remote changed out-of-band between
 the attribute fetch and the digest fetch (the pull then restarts from a
 fresh record), or the delta would be no smaller than the file itself.
@@ -48,6 +55,7 @@ class PullOutcome(enum.Enum):
     REMOTE_MISSING = "remote-missing"  # remote replica does not store the file
     UNREACHABLE = "unreachable"  # partition/crash interrupted the pull
     LOCAL_DEAD = "local-dead"  # no live local entry names the file anymore
+    DEFERRED = "deferred"  # a local update session is writing the file
 
 
 @dataclass
@@ -78,8 +86,8 @@ def pull_file(
     """Bring the local replica of one file up to the remote version.
 
     ``remote_dir`` is the remote physical directory vnode holding the
-    file (possibly an NFS client vnode).  Crash-safe: contents land in a
-    shadow first and replace the original atomically.  ``health``
+    file (possibly an NFS client vnode).  Crash-safe: the install is the
+    single-file atomic commit (:meth:`ReplicaStore.install`).  ``health``
     (optional) is the pulling host's HealthPlane: a fetched block that
     fails digest verification fires its ``pull_digest_mismatch`` anomaly
     before the pull falls back to the whole-file copy, and an installed
@@ -98,9 +106,8 @@ def pull_file(
     # local state: the file may have an entry here but no storage yet
     # (the entry arrived by directory reconciliation).
     local_stored = store.has_file(parent_fh, fh)
-    local_vv = (
-        store.read_record(fh).vv if local_stored else VersionVector()
-    )
+    local = store.read_record(fh) if local_stored else None
+    local_vv = local.vv if local is not None else VersionVector()
     if not local_stored and not live:
         # A delete can land between a new-version note being queued and
         # serviced.  Materializing storage for a tombstoned (or unknown)
@@ -134,9 +141,12 @@ def pull_file(
         return PullResult(PullOutcome.UP_TO_DATE, local_vv, remote_vv)
     if order is Ordering.CONCURRENT:
         return PullResult(PullOutcome.CONFLICT, local_vv, remote_vv, remote_aux=remote_aux)
+    if local is not None and local.updating:
+        # a session has written what its close will count as an update
+        return PullResult(PullOutcome.DEFERRED, local_vv, remote_vv)
 
-    # remote strictly dominates: propagate through shadow + atomic commit.
-    # With a local copy to diff against, try the block-delta path first.
+    # remote strictly dominates: install it by the atomic commit.  With a
+    # local copy to diff against, try the block-delta path first.
     if local_stored and delta:
         result = _delta_pull(store, parent_fh, fh, remote_dir, local_vv, remote_aux, health, origin)
         if result is _REMOTE_MOVED:

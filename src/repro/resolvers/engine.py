@@ -3,8 +3,9 @@
 The reconciliation walk calls :func:`auto_resolve_conflict` the moment a
 pull reports CONCURRENT version vectors.  On success the merged contents
 are installed through the same dominate-and-propagate mechanism manual
-resolution uses — a shadow write followed by an atomic commit whose
-version vector is ``local_vv.merge(remote_vv)``.  The merge (pointwise
+resolution uses — :meth:`ReplicaStore.install`, the merge written into
+the file's own inode, whose write commits it — with the version vector
+``local_vv.merge(remote_vv)``.  The merge (pointwise
 max, *no* bump) is deliberate:
 
 * it is a pure function of the two inputs, so both hosts commit the

@@ -138,9 +138,8 @@ class FicusHost:
         simulated disk (files, directories, version vectors, tombstone
         state, id-mint counters) survives.  Persisted volume replicas are
         re-attached by scanning the disk and recovered
-        (:meth:`ReplicaStore.recover`): half-made directories, orphan
-        shadows and half-made files dropped, and frees the crash cut short
-        finished.
+        (:meth:`ReplicaStore.recover`): half-made directories and files
+        dropped, and frees the crash cut short finished.
         """
         hosted = list(self.physical.stores)
         # the dying stack's datagram subscriptions go with it — leaking

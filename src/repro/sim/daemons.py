@@ -108,7 +108,9 @@ class PropagationStats:
     pulls_succeeded: int = 0
     #: serviced notes that found the local replica as new as the source
     already_current: int = 0
-    #: notes naming a file in update conflict: cleared, recon reports it
+    #: notes naming a file in update conflict, or one a local update
+    #: session is writing (its close makes the two concurrent): cleared,
+    #: recon reports it
     conflicts_deferred: int = 0
     #: serviced notes left pending because the source could not answer
     unreachable: int = 0
@@ -144,7 +146,7 @@ def _note_outcome(note: NewVersionNote, pull: PullResult | None, dir_changed: bo
         return "pulled"
     if outcome is PullOutcome.UNREACHABLE:
         return "unreachable"
-    if outcome is PullOutcome.CONFLICT:
+    if outcome is PullOutcome.CONFLICT or outcome is PullOutcome.DEFERRED:
         return "conflict_deferred"
     if note.objkind == "dir":
         # the completed directory pass is what the note asked for

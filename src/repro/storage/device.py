@@ -9,7 +9,7 @@ better than real hardware.
 
 :class:`BlockDevice` is a flat array of fixed-size blocks with read/write
 counters and optional failure injection (for crash-consistency tests of the
-shadow-file atomic commit, paper Section 3.2).
+single-file atomic commit, paper Section 3.2).
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ class IoCounters:
 class CrashPlan:
     """Failure injection: crash the device after N more writes.
 
-    Used by the atomic-commit experiments (E7): a crash between the shadow
-    write and the commit record must leave the original replica intact.
+    Used by the atomic-commit experiments (E7): a crash anywhere in an
+    install must leave the original replica or the new one, never a mix.
     """
 
     writes_until_crash: int

@@ -80,10 +80,11 @@ def render_health_table(healths: list[HostHealth]) -> str:
 
 
 def render_record_replaces(metrics) -> str:
-    """How the replica stores rewrote their records: in place (a table
-    record in its run, a ``.meta``/``.fdir`` of the length it had) against
-    resized (a table record moved to a fresh run, a ``.fdir`` changing its
-    block count) — and how many directory flushes carried how many staged
+    """How the replica stores rewrote their records and installed
+    versions: in place (a table record in its run, a ``.meta``/``.fdir`` or
+    a version of the length it had, within one block) against resized (a
+    table record moved to a fresh run, anything else ``_replace_record``
+    rewrites) — and how many directory flushes carried how many staged
     record updates that never reached the device on their own.  Empty when
     the registry is not recording or no store has rewritten one."""
     in_place, resized, flushes, coalesced = (

@@ -32,7 +32,10 @@ changes its block count lands in between (see
 device holds names.  So a block is named on the device only after it holds
 its data and its bitmap bit is set, an inode only after it is written, and
 nothing is freed while a name still reaches it.  Nothing is kept across
-operations: no write-behind, no journal.
+operations: no write-behind, no journal.  A call that runs out of space
+(``NoSpace``) abandons the operation the way a failed landing does: what
+it held since the last landing is dropped, never written, so the device
+keeps what it held before — never a file or directory half resized.
 
 Two writes are never issued because they change nothing on the device:
 ``truncate_file`` to the size a file already has returns before touching
@@ -80,9 +83,9 @@ from repro.util.codec import escape_value, unescape_value
 #: Encoded directory entries kept by :func:`_encode_dirent`.  A rewrite
 #: encodes every entry of the directory, so the memo must hold the entries
 #: of the directories being rewritten on every UFS of the process at once.
-#: A ``replicated_churn`` run of the repo benchmark (three hosts, each
-#: install a shadow create, an aux create and a rename) encodes under 3000
-#: distinct (name, ino) pairs; an entry is one short string.
+#: A ``replicated_churn`` run of the repo benchmark (three hosts creating,
+#: renaming and unlinking) encodes under 3000 distinct (name, ino) pairs;
+#: an entry is one short string.
 DIRENT_MEMO_SIZE = 8192
 
 
@@ -113,8 +116,8 @@ class _OperationScope:
             self.depth -= 1
             return
         try:
-            # normal or by exception, the set goes out: a call that failed
-            # half-way (NoSpace) leaves what it did, as it always has
+            # normal or by exception, the set goes out (a call that ran out
+            # of space has already dropped it: see Ufs._no_space)
             self.fs.barrier()
         except BaseException:
             # a device that failed under the original error fails this too:
@@ -281,21 +284,33 @@ class Ufs:
                     self._clear_bit(blk)
                 self._land()
         except BaseException:
-            self._fresh.clear()
-            self._born.clear()
-            self._pointers.clear()
-            self._dir_data.clear()
-            self._unrefs.clear()
-            self._freed.clear()
-            # the held set, the caches (decoded ones by the epoch) and the
-            # bounds may describe writes that never landed: start again
-            # from the device
-            self.cache.held.clear()
-            self.cache.invalidate_all()
-            self.namecache.invalidate_all()
-            self._ino_floor = ROOT_INO
-            self._blk_floor = self.sb.data_start
+            self._drop_held()
             raise
+
+    def _drop_held(self) -> None:
+        """Forget everything held and queued since the last landing: the
+        held set, the caches (decoded ones by the epoch) and the bounds may
+        describe writes that will never land, so start again from the
+        device."""
+        self._fresh.clear()
+        self._born.clear()
+        self._pointers.clear()
+        self._dir_data.clear()
+        self._unrefs.clear()
+        self._freed.clear()
+        self.cache.held.clear()
+        self.cache.invalidate_all()
+        self.namecache.invalidate_all()
+        self._ino_floor = ROOT_INO
+        self._blk_floor = self.sb.data_start
+
+    def _no_space(self, what: str) -> NoSpace:
+        """Abandon the open operation for want of space: nothing it has
+        held since the last landing reaches the device — half a resize
+        would land a file or directory emptied — so the caller sees exactly
+        what the device held before it.  Returns the error to raise."""
+        self._drop_held()
+        return NoSpace(what)
 
     def _land(self) -> None:
         """Write the held set in soft-update order, each block once."""
@@ -387,7 +402,7 @@ class Ufs:
             if slot_is_free(block, offset):
                 break
         else:
-            raise NoSpace("out of inodes")
+            raise self._no_space("out of inodes")
         now = self.clock.now()
         fresh = Inode(
             ino=ino,
@@ -461,7 +476,7 @@ class Ufs:
     def _alloc_block(self) -> int:
         blk = next(self._bitmap_scan(self._blk_floor, used=False), None)
         if blk is None:
-            raise NoSpace("out of data blocks")
+            raise self._no_space("out of data blocks")
         bm_block, byte_off, bit = self.sb.bitmap_location(blk)
         buf = bytearray(self.cache.read(bm_block))
         buf[byte_off] |= 1 << bit
@@ -510,7 +525,7 @@ class Ufs:
     def _bmap(self, inode: Inode, file_block: int, allocate: bool) -> int:
         """Map a file-relative block index to a device block (0 = hole)."""
         if file_block >= self._max_file_blocks():
-            raise NoSpace(f"file block {file_block} exceeds max file size")
+            raise self._no_space(f"file block {file_block} exceeds max file size")
         if file_block < NDIRECT:
             blk = inode.direct[file_block]
             if blk == 0 and allocate:
@@ -572,13 +587,8 @@ class Ufs:
     def write_file(self, ino: int, offset: int, data: bytes) -> None:
         """Write ``data`` at ``offset``, extending the file as needed."""
         inode = self.get_inode(ino)
-        try:
-            self._write_inode_data(inode, offset, data)
-        finally:
-            # also when the write fails part-way (NoSpace): blocks already
-            # allocated must be reachable from the inode or fsck would
-            # report them leaked
-            self._put_inode(inode)
+        self._write_inode_data(inode, offset, data)
+        self._put_inode(inode)
 
     def _write_inode_data(self, inode: Inode, offset: int, data: bytes) -> None:
         if offset < 0:
@@ -609,9 +619,6 @@ class Ufs:
                 self._dir_data.add(blk)
             pos += take
             remaining = remaining[take:]
-            # Grow size as blocks are written so a mid-write NoSpace never
-            # leaves allocated blocks unaccounted.
-            inode.size = max(inode.size, pos)
         inode.size = max(inode.size, offset + len(data))
         now = self.clock.now()
         inode.mtime = now
@@ -690,11 +697,9 @@ class Ufs:
         Directory data is padded to whole blocks (the decoder skips blank
         lines), so an update that keeps the block count rewrites existing
         blocks in place with no inode change — a one-block directory is
-        then updated by a SINGLE block write, which is the atomicity the
-        shadow-commit rename relies on ("the shadow atomically replaces
-        the original by changing a low-level directory reference").  No
-        entry straddles two blocks, so any mix of old and new blocks reads
-        as whole entries.
+        then updated by a SINGLE block write, so a same-directory rename is
+        atomic.  No entry straddles two blocks, so any mix of old and new
+        blocks reads as whole entries.
 
         A directory already named on the device changes its block count in
         a landing of its own: it grows by blank blocks, landed with the
@@ -901,8 +906,7 @@ class Ufs:
         """Rename within the file system; replaces a non-directory target.
 
         A same-directory rename is applied as ONE directory rewrite (for a
-        one-block directory, one block write): the atomic low-level
-        reference change that the Ficus shadow commit depends on.  Any
+        one-block directory, one block write), so it is atomic.  Any
         replaced target's inode is released only after the new directory
         state is on the device (a queued free).
         """

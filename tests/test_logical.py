@@ -13,6 +13,7 @@ from repro.errors import (
     NotADirectory,
 )
 from repro.logical import READ_ANY
+from repro.nfs import NfsClientLayer
 from repro.physical import FicusPhysicalLayer
 from repro.sim import DaemonConfig, FicusSystem
 from repro.ufs import FileType
@@ -388,12 +389,35 @@ class TestStaleHandles:
             system.host(name).crash()
             system.host(name).restart(system)
 
-    def test_truncate_on_a_handle_staled_by_a_shadow_commit(self, world):
+    def test_an_install_keeps_a_held_handle_valid(self, world, monkeypatch):
+        system, fs = world
+        stale = []
+        monkeypatch.setattr(NfsClientLayer, "note_stale", lambda self, handle: stale.append(handle))
+        # cl opens the file while only b is reachable: its session holds
+        # the handle it looked up at b
+        system.partition([{"a"}, {"b", "cl"}])
+        session = fs.open("/d/f", "r")
+        assert session.read(64) == b"version one"
+        system.host("a").fs().write_file("/d/f", b"version two, longer")
+        system.heal()
+        system.reconcile_everything()  # b pulls a's version and installs it
+        rpcs = system.network.stats.peer("cl", "b").rpcs
+        invalidations = system.host("cl").logical.attr_cache.stats.invalidations
+        # the install wrote into the inode the handle names: the next read
+        # is one RPC, answered with the new bytes, and nothing went stale
+        session.seek(0)
+        assert session.read(64) == b"version two, longer"
+        assert system.network.stats.peer("cl", "b").rpcs == rpcs + 1
+        assert system.host("cl").logical.attr_cache.stats.invalidations == invalidations
+        assert stale == []
+        session.close()
+
+    def test_truncate_on_a_handle_held_across_a_pulled_install(self, world):
         system, fs = world
         node = fs.resolve("/d/f")
         assert node.getattr().size == 11  # cl now holds the file's handle at a
-        # b updates its own copy; a's pull installs it through a shadow
-        # file whose commit gives the file a new inode at a
+        # b updates its own copy; a's pull installs it into the inode that
+        # handle names
         system.partition([{"a", "cl"}, {"b"}])
         system.host("b").fs().write_file("/d/f", b"version two, longer")
         system.heal()

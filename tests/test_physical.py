@@ -8,6 +8,7 @@ from repro.errors import (
     CrashInjected,
     FileNotFound,
     InvalidArgument,
+    NoSpace,
     NotSupported,
 )
 from repro.net import Network
@@ -27,7 +28,6 @@ from repro.physical.wire import (
     AUX_SLOT_SIZE,
     EMPTY_DIGEST,
     FDIR_NAME,
-    SHADOW_SUFFIX,
     STORE_BLOCK_SIZE,
     DirectoryEntry,
     content_digest,
@@ -48,8 +48,8 @@ QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_per
 PAYLOAD = bytes(range(256)) * 8
 
 
-def make_world():
-    device = BlockDevice(8192)
+def make_world(disk_blocks: int = 8192):
+    device = BlockDevice(disk_blocks)
     ufs = UfsLayer(Ufs.mkfs(device, num_inodes=512))
     phys = FicusPhysicalLayer(ufs, "hostA")
     store = phys.create_volume_replica(VR)
@@ -68,6 +68,25 @@ def insert_file(store, root, name, contents=b""):
     if contents:
         vnode.write(0, contents)
     return fh, vnode
+
+
+def full_disk_with_a_file(contents: bytes):
+    """A one-replica store on a 256-block disk holding ``f`` (``contents``)
+    and a file ``filler`` grown a block at a time until no block is left:
+    (device, UFS layer, store, root, handle of ``f``)."""
+    device, ufs, _, store, root = make_world(disk_blocks=256)
+    fh, _ = insert_file(store, root, "f", contents)
+    fill_the_disk(root)
+    return device, ufs, store, root, fh
+
+
+def fill_the_disk(root, name: str = "filler") -> None:
+    """Grow a new file a block at a time until the disk is full."""
+    _, filler = insert_file(None, root, name)
+    block = bytes(STORE_BLOCK_SIZE)
+    with pytest.raises(NoSpace):
+        for offset in itertools.count(0, STORE_BLOCK_SIZE):
+            filler.write(offset, block)
 
 
 def insert_dir(store, parent, name):
@@ -346,39 +365,48 @@ class TestUpdateNotification:
 
 
 class TestShadowCommit:
+    """Section 3.2's single-file atomic commit.  The paper's shadow "atomically
+    replaces the original by changing a low-level directory reference"; here
+    the reference is the file's inode: the new version is written into the
+    file's own inode, and the inode write commits it."""
+
     def test_shadow_then_commit_replaces_atomically(self, world):
         _, _, _, store, root = world
-        fh, _ = insert_file(store, root, "f", b"old version")
+        fh, vnode = insert_file(store, root, "f", b"old version")
+        ino = vnode.getattr().fileid
         vv = VersionVector({2: 9})
         store.install(store.root_handle(), fh, b"new version", vv, "")
         assert root.lookup("f").read_all() == b"new version"
         assert store.read_record(fh).vv == vv
-        assert store.stats.shadows_created == store.stats.shadow_commits == 1
+        # the file's own inode, and no other name made beside it
+        assert store.file_vnode(store.root_handle(), fh).getattr().fileid == ino
+        assert store._unix_names(store.root_handle()) == [fh.logical.to_hex()]
 
-    def test_abort_discards_shadow(self, world):
-        """A half-written shadow an install left behind is discarded: by
-        recovery's scavenge, or by the next install, which reuses it."""
-        _, _, _, store, root = world
-        fh, _ = insert_file(store, root, "f", b"original")
-        unix_dir = store.dir_unix_vnode(store.root_handle())
-        shadow_name = fh.logical.to_hex() + SHADOW_SUFFIX
-        unix_dir.create(shadow_name).write(0, b"half-done and longer than the next")
-        assert root.lookup("f").read_all() == b"original"
-        store.install(store.root_handle(), fh, b"whole", VersionVector({1: 9}), "")
-        assert root.lookup("f").read_all() == b"whole"
-        assert store.stats.shadows_created == 0 and store.scavenge_shadows(store.root_handle()) == 0
-        with pytest.raises(FileNotFound):
-            unix_dir.lookup(shadow_name)
+    def test_abort_discards_shadow(self):
+        """A version whose install runs out of space is discarded whole:
+        its held blocks never land, the original and its vector stay, and
+        the install goes through once there is room."""
+        device, ufs, store, root, fh = full_disk_with_a_file(PAYLOAD)
+        vv = store.read_record(fh).vv
+        grown = PAYLOAD * 5  # three blocks where the original has one
+        with pytest.raises(NoSpace):
+            store.install(store.root_handle(), fh, grown, VersionVector({2: 9}), "")
+        assert root.lookup("f").read_all() == PAYLOAD and store.read_record(fh).vv == vv
+        assert fsck(ufs.fs).clean
+        root.lookup("filler").setattr(SetAttrs(size=0))
+        store.install(store.root_handle(), fh, grown, VersionVector({2: 9}), "")
+        assert root.lookup("f").read_all() == grown and store.read_record(fh).vv == VersionVector({2: 9})
 
     def test_crash_before_commit_preserves_original(self):
         """'If a crash occurs before the shadow substitution, the original
         replica is retained during recovery and the shadow discarded.'
 
-        The install is one operation: the shadow's blocks and inode are
-        written before the one directory-block write that names it in the
-        original's place, so the shadow never reaches the device under a
-        name of its own — a crash before the substitution leaves it as an
-        unreachable inode, a leak UFS ``fsck`` reports."""
+        The install is one operation: the new version's blocks and their
+        bitmap bits are written before the one inode write that names them
+        in the original's place, so they never reach the device under a
+        name — a crash before the commit leaves them as blocks taken and
+        unreferenced, a leak UFS ``fsck`` reports, with nothing for
+        recovery to drop."""
         original, new = b"the original survives", b"partial new conten"
         outcomes = []
         for crash_point in itertools.count():
@@ -390,17 +418,15 @@ class TestShadowCommit:
                 break
             except CrashInjected:
                 device.recover()
-            # recovery: scavenge orphan shadows
-            dropped = store.scavenge_shadows(store.root_handle())
             holds = root.lookup("f").read_all()
             assert holds in (original, new)
-            leaks = all("unreachable" in p or "unreferenced" in p for p in fsck(ufs.fs).problems)
-            outcomes.append((dropped, holds == original, leaks))
-        kept = [kept for _, kept, _ in outcomes]
-        # the original whole up to one write, the commit, and the new version
-        # after it; never a shadow on the device, and nothing worse than a leak
+            leaks = all("unreferenced" in p for p in fsck(ufs.fs).problems)
+            outcomes.append((holds == original, leaks))
+        kept = [kept for kept, _ in outcomes]
+        # the original whole up to the inode write, the new version after
+        # it, and nothing worse than a leak
         assert kept[0] and not kept[-1] and kept == sorted(kept, reverse=True)
-        assert all(dropped == 0 and leaks for dropped, _, leaks in outcomes)
+        assert all(leaks for _, leaks in outcomes)
 
     def test_setvv_overwrites_version(self, world):
         _, _, _, store, root = world
@@ -419,6 +445,69 @@ class TestShadowCommit:
         store.write_record(store.root_handle(), aux)
         assert store.read_record(store.root_handle()).vv == VersionVector({1: 1, 7: 3})
 
+
+
+class TestOutOfSpace:
+    """A ``NoSpace`` raised inside an operation lands nothing the operation
+    held since its last barrier: the UFS drops the held set as a failed
+    landing does, and the store drops what it staged unless its flush had
+    begun.  Each replace that runs out of blocks leaves the old data."""
+
+    @staticmethod
+    def reattached(device):
+        """The replica as the device holds it: remounted and re-attached."""
+        ufs = Ufs.mount(device)
+        return ReplicaStore.attach(UfsLayer(ufs).root(), VR), ufs
+
+    def test_an_entry_list_that_cannot_grow_keeps_every_name(self):
+        device, _, _, store, root = make_world(disk_blocks=256)
+        names = [f"{i:02d}-" + "x" * 68 for i in range(27)]
+        for name in names[:-1]:
+            root.insert(name, EntryType.FILE)
+        fill_the_disk(root, names[-1])
+        assert store._unix_child(store.root_handle(), FDIR_NAME).getattr().size == 2 * STORE_BLOCK_SIZE
+        # a list of two blocks is replaced by truncate(0) + write: the new
+        # blocks cannot be had, and the truncation must not land without them
+        with pytest.raises(NoSpace):
+            root.insert("one-more", EntryType.FILE)
+        store, ufs = self.reattached(device)
+        live = [entry.name for entry in store.read_entries(store.root_handle()) if entry.live]
+        assert sorted(live) == names
+        assert fsck(ufs).clean
+
+    def test_an_install_that_grows_a_file_keeps_the_old_version(self):
+        device, _, store, _, fh = full_disk_with_a_file(PAYLOAD)
+        vv = store.read_record(fh).vv
+        with pytest.raises(NoSpace):
+            store.install(store.root_handle(), fh, PAYLOAD * 5, VersionVector({2: 9}), "")
+        store, ufs = self.reattached(device)
+        assert store.file_vnode(store.root_handle(), fh).read_all() == PAYLOAD
+        assert store.read_record(fh).vv == vv
+        assert fsck(ufs).clean
+
+    def test_an_operation_that_runs_out_of_space_installs_nothing(self):
+        # two installs in one operation, as a pull group makes them: the
+        # first fits in place, the second — a file new here — finds no
+        # block; neither version lands, so neither record may
+        device, _, store, _, f = full_disk_with_a_file(PAYLOAD)
+        vv = store.read_record(f).vv
+        g = FicusFileHandle(VOL, store.new_file_id())
+        with pytest.raises(NoSpace):
+            with store.operation():
+                store.install(store.root_handle(), f, PAYLOAD[::-1], VersionVector({2: 9}), "")
+                store.install(store.root_handle(), g, PAYLOAD, VersionVector({2: 1}), "")
+        store, _ = self.reattached(device)
+        assert store.file_vnode(store.root_handle(), f).read_all() == PAYLOAD
+        assert store.read_record(f).vv == vv and not store.has_record(g)
+
+    def test_an_install_of_a_file_new_here_leaves_nothing(self):
+        device, _, store, _, _ = full_disk_with_a_file(PAYLOAD)
+        fh = FicusFileHandle(VOL, store.new_file_id())
+        with pytest.raises(NoSpace):
+            store.install(store.root_handle(), fh, PAYLOAD, VersionVector({2: 1}), "")
+        store, ufs = self.reattached(device)
+        assert not store.has_file(store.root_handle(), fh) and not store.has_record(fh)
+        assert fsck(ufs).clean
 
 class TestOperationScope:
     """``ReplicaStore.operation``: a directory's ``.fdir`` and its record in
@@ -634,13 +723,16 @@ class TestAttributeTable:
         fs.write_file("/d/f", PAYLOAD)
         system.reconcile_everything()
         (store,) = system.host("beta").physical.stores.values()
-        shadows = store.stats.shadows_created
+        dirs = {e.name: e.fh for e in store.read_entries(store.root_handle())}
+        fh = next(e.fh for e in store.read_entries(dirs["d"]) if e.name == "f")
+        stored = store.file_vnode(dirs["d"], fh).getattr()
+        system.run_for(1.0)
         fs.rename("/d/f", "/e/g")
         system.reconcile_everything()
-        # the new name is linked to the contents the old one stored: no copy
-        assert store.stats.shadows_created == shadows
-        dirs = {e.name: e.fh for e in store.read_entries(store.root_handle())}
-        fh = next(e.fh for e in store.read_entries(dirs["e"]) if e.name == "g")
+        # the new name is linked to the contents the old one stored: the
+        # same inode, its data not rewritten
+        linked = store.file_vnode(dirs["e"], fh).getattr()
+        assert (linked.fileid, linked.mtime) == (stored.fileid, stored.mtime)
         assert store.file_vnode(dirs["e"], fh).read_all() == PAYLOAD
         assert not store.has_file(dirs["d"], fh) and store.read_record(fh).refs == 1
         assert ficus_fsck(store).clean

@@ -94,6 +94,29 @@ class TestPullFile:
         system.partition([{"alpha"}, {"beta"}])
         assert system.host("beta").fs().read_file("/bare") == b""
 
+    def test_a_pull_never_lands_on_an_open_written_session(self):
+        # alpha's session has written and not closed when beta's version
+        # arrives: installing it would lose alpha's write to the close's
+        # bump, which then dominates.  The pull defers; the close makes the
+        # two versions concurrent, and the next pass reports the conflict.
+        system = FicusSystem(["alpha", "beta"])
+        system.host("alpha").fs().write_file("/f", b"base")
+        system.reconcile_everything()
+        system.partition([{"alpha"}, {"beta"}])
+        session = system.host("alpha").fs().open("/f", "r+")
+        session.write(b"alpha's")
+        system.host("beta").fs().write_file("/f", b"beta's version")
+        system.heal()
+        system.run_for(120)
+        system.reconcile_everything()
+        session.write(b"!")
+        session.close()
+        system.reconcile_everything()
+        assert system.total_conflicts() > 0
+        alpha_store = store_of(system, "alpha")
+        fh = next(e.fh for e in alpha_store.read_entries(alpha_store.root_handle()) if e.name == "f")
+        assert alpha_store.file_vnode(alpha_store.root_handle(), fh).read_all() == b"alpha's!"
+
     def test_pull_unreachable(self, system):
         alpha = system.host("alpha")
         f = alpha.root().create("f")

@@ -47,9 +47,10 @@ class TestTraceFormat:
     def test_a_schedule_states_its_format_version(self):
         steps = [TraceOp(op="tick", host="a"), TraceOp(op="advance", seconds=2.5)]
         text = encode_schedule(steps)
-        assert text.splitlines()[0] == "schedule=1"
+        assert text.splitlines()[0] == "schedule=2"
         assert decode_schedule(text) == steps
-        for unversioned in (encode_trace(steps), "", "schedule=2\n" + encode_trace(steps)):
+        body = encode_trace(steps)
+        for unversioned in (body, "", "schedule=1\n" + body, "schedule=3\n" + body):
             with pytest.raises(InvalidArgument):
                 decode_schedule(unversioned)
 

@@ -11,8 +11,8 @@ import json
 
 import pytest
 
+from repro.errors import CrashInjected
 from repro.physical import ficus_fsck
-from repro.physical.wire import SHADOW_SUFFIX
 from repro.recon.conflicts import ConflictKind, ConflictReport
 from repro.resolvers import (
     AppendLogResolver,
@@ -434,21 +434,25 @@ class TestManualResolvePrimitive:
         assert b"version C" in contents or b"A+B" in contents
 
     def test_resolution_during_partition_healing_mid_commit(self):
-        """A crash between shadow write and commit leaves an orphan shadow;
-        recovery scavenges it and the conflict stays open for a retry."""
+        """A crash between the merge's blocks and the inode write that
+        commits them leaves the original; the conflict stays open for a
+        retry."""
         system = self.conflicted()
         host = system.host("a")
         store = next(iter(host.physical.stores.values()))
         dir_fh, fh = find_file(store, "f")
         report = host.conflict_log.unresolved()[0]
-        # the owner starts a resolution: shadow written, commit never runs
-        shadow_name = fh.logical.to_hex() + SHADOW_SUFFIX
-        store.dir_unix_vnode(dir_fh).create(shadow_name).write(0, b"half-committed")
+        # the owner starts a resolution; the device dies two writes in,
+        # before the inode write that would commit the merge
+        host.ufs.device.plan_crash_after_writes(2)
+        with pytest.raises(CrashInjected):
+            host.fs().resolve_conflict(report, b"half-committed", host.conflict_log)
         host.crash()
+        host.ufs.device.recover()
         host.restart(system)
         store = next(iter(host.physical.stores.values()))
-        assert store.scavenge_shadows(dir_fh) == 0  # recovery already swept
         assert store.file_vnode(dir_fh, fh).read_all() == b"version A"
+        assert host.conflict_log.unresolved() == [report]
         # the retry goes through cleanly after the heal; the crash left
         # the peer-health tracker suspicious of `a`, so reset it the way
         # the operator playbook (and the chaos harness) does

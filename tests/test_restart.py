@@ -4,10 +4,10 @@ import itertools
 
 import pytest
 
-from repro.errors import AllReplicasUnavailable, CrashInjected, FileNotFound
+from repro.errors import AllReplicasUnavailable, CrashInjected
 from repro.physical.check import ficus_fsck
 from repro.physical.store import ID_RANGE
-from repro.physical.wire import SHADOW_SUFFIX, AuxAttributes, EntryType
+from repro.physical.wire import AuxAttributes, EntryType
 from repro.sim import DaemonConfig, FicusSystem
 from repro.util import FicusFileHandle
 
@@ -99,23 +99,29 @@ class TestSingleHostRestart:
                 break
         assert crash_point == 2  # the in-place replace of .meta: data, inode
 
-    def test_orphan_shadows_scavenged_on_restart(self):
+    def test_an_install_cut_short_leaves_the_original_on_restart(self):
         system = FicusSystem(["solo"], daemon_config=QUIET)
         host = system.host("solo")
         fs = host.fs()
         fs.write_file("/f", b"original")
         volrep = system.root_locations[0].volrep
         store = host.physical.store_for(volrep)
-        fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "f")
-        # a propagation died mid-shadow-write...
-        shadow_name = fh.logical.to_hex() + SHADOW_SUFFIX
-        store.dir_unix_vnode(store.root_handle()).create(shadow_name).write(0, b"half-pulled ne")
+        root = store.root_handle()
+        fh = next(e.fh for e in store.read_entries(root) if e.name == "f")
+        vv = store.read_record(fh).vv
+        # a propagation died mid-install: the new version's block and its
+        # bitmap bit landed, the inode write that commits them did not
+        host.ufs.device.plan_crash_after_writes(2)
+        with pytest.raises(CrashInjected):
+            store.install(root, fh, b"half-pulled new", vv.bump(2), "")
         host.crash()
+        host.ufs.device.recover()
         host.restart(system)
         store2 = host.physical.store_for(volrep)
-        with pytest.raises(FileNotFound):
-            store2.dir_unix_vnode(store2.root_handle()).lookup(shadow_name)
         assert host.fs().read_file("/f") == b"original"
+        assert store2.read_record(fh).vv == vv
+        # nothing for recovery to drop: the one name is the file's own
+        assert store2._unix_names(root) == [fh.logical.to_hex()]
 
     def test_contents_without_a_record_dropped_on_restart(self):
         system = FicusSystem(["solo"], daemon_config=QUIET)

@@ -332,7 +332,9 @@ class TestSpaceExhaustion:
             fs.write_file(ino, 0, bytes(fs.sb.block_size * 100))
         except NoSpace:
             pass
-        # partial writes may have landed; block accounting must still agree
+        # the call ran out of space: none of its writes landed, so the file
+        # is as it was and block accounting agrees
+        assert fs.read_file(ino) == b""
         assert fsck(fs).clean
 
 

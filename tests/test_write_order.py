@@ -66,7 +66,7 @@ PAYLOAD = bytes(range(256)) * 8  # 2 KiB
 
 def role_of(name: str) -> str:
     """The role of a store file, from its name in the underlying Unix
-    directory (a shadow exists only inside an operation, so never here)."""
+    directory."""
     return {META_NAME: "meta", FDIR_NAME: "fdir", ATTR_NAME: "attr"}.get(name, "contents")
 
 
@@ -180,10 +180,13 @@ class DeviceWrites:
 #: and ``_put_inode`` skips the byte-identical inode.  A store flush puts a
 #: barrier before each step: the contents the operation committed, the
 #: table blocks where new records land, ``.fdir``, every other changed
-#: table block, the frees.  A propagation pull's installs share one set:
-#: every shadow's blocks and inode, then the underlying directory's block
-#: once, naming every new version, then the replaced contents freed.  A
-#: pulled new file is born from its shadow (the grouped pass's second
+#: table block, the frees.  A pulled version is written into the file's own
+#: inode: one that keeps the stored length within one block is its data
+#: block in place (``data[contents] inode[contents]``: no block changes
+#: hands, no name changes), the record follows.  A propagation pull's
+#: installs share one set: every version's blocks, then the inodes, then
+#: the underlying directory's block once, naming every new file.  A pulled
+#: new file is created under its own name (the grouped pass's
 #: ``+contents``) — no contents inode made and freed.
 TABLE = {
     "overwrite": """
@@ -219,16 +222,14 @@ TABLE = {
         inode[udir] udir inode[contents]
     """,
     "shadow commit": """
-        data[+contents] bitmap inode[udir,+contents] udir
-        inode[-contents] bitmap
+        data[contents] inode[contents]
         data[attr] inode[attr]
     """,
     # three notes of one directory (a create, an overwrite, an unlink) in
     # one group: both installs in one set, then the directory's records and
     # entry list, then the storage the unlink orphaned
     "grouped pass": """
-        data[+contents] data[+contents] bitmap inode[udir,+contents,+contents] udir
-        inode[-contents] bitmap
+        data[contents] data[+contents] bitmap inode[udir,contents,+contents] udir
         data[attr] inode[attr]
         data[fdir] inode[fdir]
         data[attr]
@@ -309,18 +310,18 @@ def test_a_group_writes_its_directory_once(recorded):
     # written before it, because the new file's record lands there, and
     # once more after it: the unlinked file's record is cleared only once no
     # stored list names the file.  The underlying Unix directory's block is
-    # written once for both installs, naming both new versions, before any
+    # written once for the installs, naming the new file, before any
     # record, and once more for the free, after the list.
     labels = recorded["grouped pass"].labels
     assert labels.count("data[fdir]") == 1 and labels.count("data[attr]") == 2
     fdir = labels.index("data[fdir]")
     first, last = labels.index("data[attr]"), labels.index("data[attr]", fdir)
     assert first < fdir < last < labels.index("inode[-contents]", last)
-    assert max(i for i, label in enumerate(labels) if label.startswith("data[+")) < first
+    assert max(i for i, label in enumerate(labels) if label in ("data[contents]", "data[+contents]")) < first
     assert labels.count("udir") == 2 and labels.index("udir") < first and labels.index("udir", first) > last
 
 
-def test_a_pulled_new_file_is_born_from_its_shadow(recorded):
+def test_a_pulled_new_file_is_born_under_its_own_name(recorded):
     # the propagation pull of a file beta does not store yet: no inode is
     # made and then freed, nothing is resized, and the record is written
     # once, already final — the pulled vector and the ancestor
@@ -342,14 +343,13 @@ def test_a_pulled_new_file_is_born_from_its_shadow(recorded):
     fh = next(e.fh for e in store.read_entries(dir_fh) if e.name == "born")
     aux = store.read_record(fh)
     assert aux.vv == alpha_store.read_record(fh).vv and aux.ancestor_digests()
-    # and so in the grouped pass, whose installs share one set: two shadows'
-    # blocks and inodes — the overwrite's and the new file's — one
-    # directory-block write, and only the overwritten contents freed
+    # and so in the grouped pass, whose installs share one set: the
+    # overwrite's block in place and the new file's, both inodes, and one
+    # directory-block write naming the new file; nothing freed, nothing
+    # made that is not kept
     grouped = recorded["grouped pass"].labels
     part = grouped[: grouped.index("data[attr]")]
-    assert part == (
-        "data[+contents] data[+contents] bitmap inode[udir,+contents,+contents] udir inode[-contents] bitmap"
-    ).split()
+    assert part == "data[contents] data[+contents] bitmap inode[udir,contents,+contents] udir".split()
 
 
 def test_no_bitmap_write_where_no_block_changes_hands(recorded):
@@ -800,6 +800,29 @@ def alpha_collects_d(system: FicusSystem) -> None:
 MERGED_LOG = b"alpha\nbravo\nseed\n"
 
 
+#: three blocks' worth of a version: an install into a one-block file
+#: changes its block count
+THREE_BLOCKS = bytes(range(251)) * (2 * STORE_BLOCK_SIZE // 251 + 1)
+
+
+def a_grown_version_for_beta(system: FicusSystem) -> None:
+    """``/d/f`` rewritten at alpha one block long → three blocks long, the
+    note waiting in beta's new-version cache."""
+    system.host("beta").propagation_daemon.tick()
+    system.host("alpha").fs().write_file("/d/f", THREE_BLOCKS)
+    system.run_for(1.0)
+
+
+def a_linked_version_for_beta(system: FicusSystem) -> None:
+    """``/d/f`` also named ``/e/l`` at both replicas — one inode under two
+    names at beta — then rewritten at alpha, the note waiting at beta."""
+    system.host("alpha").fs().link("/d/f", "/e/l")
+    system.reconcile_everything()
+    system.host("beta").propagation_daemon.tick()
+    system.host("alpha").fs().write_file("/d/f", PAYLOAD[::-1])
+    system.run_for(1.0)
+
+
 def conflicting_appends(system: FicusSystem) -> None:
     """``/d/notes.log``, an append log both replicas hold as ``seed``, then
     appended to at each side of a partition; healed, nobody reconciled.
@@ -945,7 +968,7 @@ SWEEP = {
         [{"/d/f": PAYLOAD}],
     ),
     # a resolver's merge of two partitioned appends, installed by alpha's
-    # reconciliation with beta: a shadow commit of contents neither side wrote
+    # reconciliation with beta: an install of contents neither side wrote
     "resolver-merge install": (
         "alpha",
         conflicting_appends,
@@ -977,6 +1000,24 @@ SWEEP = {
         lambda system: system.host("beta").propagation_daemon.tick(),
         {"/d/h": PAYLOAD},
         [{"/d/made": PAYLOAD, "/d/f": PAYLOAD[::-1], "/d/g": None}],
+    ),
+    # a pulled version that takes the resized arm: new blocks, the inode
+    # that commits them, then the old block freed
+    "install that changes block count": (
+        "beta",
+        a_grown_version_for_beta,
+        lambda system: system.host("beta").propagation_daemon.tick(),
+        {"/d/g": PAYLOAD, "/d/h": PAYLOAD},
+        [{"/d/f": THREE_BLOCKS}],
+    ),
+    # a pulled version of a file stored under two names: both share the
+    # inode the install writes into, so they never split across versions
+    "install into a hard-linked file": (
+        "beta",
+        a_linked_version_for_beta,
+        lambda system: system.host("beta").propagation_daemon.tick(),
+        {"/d/g": PAYLOAD, "/d/h": PAYLOAD},
+        [{"/d/f": PAYLOAD[::-1], "/e/l": PAYLOAD[::-1]}],
     ),
     # the entry replay outside a propagation group: the new entry, the
     # tombstone (and the storage it frees) and the merged vector in one
@@ -1013,7 +1054,8 @@ TORN = {scenario: [] for scenario in SWEEP}
 
 #: crash points each scenario visits before the run that completes: one per
 #: device write of the operation (in brackets, the count when every UFS call
-#: wrote through in call order).
+#: wrote through in call order, or for the two installs swept last, when a
+#: pulled version went through a shadow file and a rename).
 CRASH_POINTS = {
     "create": 11,  # (12)
     "mkdir": 8,  # (14)
@@ -1025,11 +1067,13 @@ CRASH_POINTS = {
     "session close": 1,  # (1)
     "create, adding a table block": 13,  # (14)
     "setattr policy, outgrowing its run": 3,  # (3)
-    "resolver-merge install": 8,  # (11)
+    "resolver-merge install": 6,  # (11)
     "tombstone GC, phase 1": 1,  # (1)
     "tombstone GC, purge": 1,  # (1)
-    "grouped pass": 15,  # (24)
+    "grouped pass": 13,  # (24)
     "directory reconcile": 8,  # (8)
+    "install that changes block count": 8,  # (10)
+    "install into a hard-linked file": 4,  # (9)
 }
 
 

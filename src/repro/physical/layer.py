@@ -113,7 +113,7 @@ class FicusPhysicalLayer(FileSystemLayer):
         self._sessions: dict[tuple[int, FicusFileHandle], bool] = {}
         self._new_versions: dict[NewVersionKey, NewVersionNote] = {}
         self._registry: dict[int, Vnode] = {}
-        #: count of version-vector bumps deferred into sessions (observability)
+        #: count of updates made inside sessions, each session bumping once
         self.session_coalesced_updates = 0
         #: update notifications that made or refreshed a new-version note
         self.notifications_received = 0
@@ -204,46 +204,52 @@ class FicusPhysicalLayer(FileSystemLayer):
         self._sessions.setdefault(self._session_key(store, fh), False)
 
     def session_close(self, store: ReplicaStore, fh: FicusFileHandle) -> bool:
-        """End the session; True when it actually updated the replica (the
-        caller should notify).  Closing no open session answers False."""
-        dirty = self._sessions.pop(self._session_key(store, fh), False)
-        if dirty:
-            self._bump_file_vv(store, fh)
-        return dirty
+        """End the session; True when it updated the replica (the caller
+        should notify).  It writes nothing: the session's one vector bump
+        landed before its first write.  Closing no open session answers
+        False."""
+        return self._sessions.pop(self._session_key(store, fh), False)
 
     def has_open_session(self, store: ReplicaStore, fh: FicusFileHandle) -> bool:
         return self._session_key(store, fh) in self._sessions
 
+    def written_sessions(self, store: ReplicaStore) -> frozenset[FicusFileHandle]:
+        """The files of ``store`` whose open session has written: their
+        vector is the session's, their contents are not final."""
+        return frozenset(fh for (sid, fh), written in self._sessions.items() if written and sid == id(store))
+
     def note_update(self, store: ReplicaStore, fh: FicusFileHandle) -> None:
         """A write or a size setattr is about to change the contents:
-        advance the version vector first, so a crash between the two leaves
-        the old contents under the new vector, never the reverse.
+        advance the version vector first, in an operation of its own, so a
+        crash between the two leaves the old contents under the new vector,
+        never the reverse.
 
-        Inside an open/close session the bump is deferred to close so one
-        whole update session counts as a single update — this is what
+        Inside an open/close session only the first update advances it, so
+        one whole update session counts as a single update — this is what
         forwarding the open/close information buys (paper Section 2.3:
         "Ficus is able to use effectively the open/close information that
         NFS intercepts and ignores"; our NFS forwards it as the explicit
-        ``session_open``/``session_close`` operations).  The session's first
-        update marks the file's record ``updating`` instead, and the close's
-        bump clears it: a crash before the close leaves the mark for
-        recovery to count.  The logical layer announces such a session
-        once, at its close, when the new version exists.
+        ``session_open``/``session_close`` operations).  Until the close the
+        new vector names contents still being written, so
+        ``getattrs_batch`` names the file as written and no peer copies it
+        (:func:`repro.recon.pull_file` defers); a crash mid-session leaves
+        the advanced vector over whatever landed, which no peer copied, and
+        nothing to recover.  The logical layer announces such a session
+        once, at its close, when the new version is whole.
         """
         key = self._session_key(store, fh)
-        if key in self._sessions:
-            if not self._sessions[key]:
-                store.mark_updating(fh)
-                self._sessions[key] = True
+        written = self._sessions.get(key)  # None: no session open
+        if not written:
+            self._bump_file_vv(store, fh)
+        if written is not None:
+            self._sessions[key] = True
             self.session_coalesced_updates += 1
-            return
-        self._bump_file_vv(store, fh)
 
     def _bump_file_vv(self, store: ReplicaStore, fh: FicusFileHandle) -> None:
         with store.operation():
             aux = store.staged_record(fh)
             prior = aux.vv
-            aux.vv, aux.updating = aux.vv.bump(store.replica_id), False
+            aux.vv = aux.vv.bump(store.replica_id)
         self.health.record_version("write", fh, aux.vv, parents=(prior,))
 
     # -- new-version cache (update notification receive side) ------------------

@@ -59,9 +59,11 @@ fixed-width so the record never changes length: ids are handed out from
 an in-memory range of :data:`ID_RANGE`, and the mark's data block goes out
 in the first phase of its set, ahead of every name that uses the range
 (records come after a barrier), so a crash skips ids and never reuses one.
-A record's ``updating`` mark is written by an operation of its own before
-a write session's first write, so a crash before the session's close is
-counted as an update by :meth:`ReplicaStore.recover`.
+A file's vector advances in an operation of its own before its contents
+change (:meth:`FicusPhysicalLayer.note_update`; once per update session,
+before its first write), so a crash leaves the old contents or part of
+the new under the advanced vector, never new contents under the old one,
+and recovery has no update to count.
 
 *Staged, flushed once per operation*: a directory's entry list
 (``.fdir``) and every record of the attribute table.  A staging call only
@@ -832,24 +834,6 @@ class ReplicaStore:
         """The contents vnode of a regular-file replica."""
         return self._unix_child(parent, self._file_key(fh))
 
-    def mark_updating(self, fh: FicusFileHandle) -> None:
-        """Mark a file's record ``updating``: an update session is about to
-        write the contents for the first time since the vector's bump.  The
-        mark must be on the device before that write, so it is written at
-        once, never staged — the flag's byte, in place."""
-        assert not self._scope.depth, "a mark is written before the write it announces"
-        fh = fh.logical
-        aux = self._peek(fh).clone()
-        if aux.updating:
-            return
-        try:
-            self._attr.mark_updating(fh)
-        finally:
-            self._record_cache.pop(fh, None)
-        self.stats.records_in_place += 1
-        aux.updating = True
-        self._cache_put(self._record_cache, fh, aux)
-
     def create_file_storage(
         self,
         parent: FicusFileHandle,
@@ -1049,15 +1033,11 @@ class ReplicaStore:
                 self.note_file_synced(fh, entry.fh)
         self._ancestor_sync_memo[fh] = digest
 
-    def recover(self) -> list[tuple[FicusFileHandle, VersionVector, VersionVector]]:
+    def recover(self) -> None:
         """Crash recovery for the whole replica, the first act of a reboot,
-        as one operation; returns the updates it counted, as (file, prior
-        vector, new vector).
+        as one operation.
 
-        A file whose record is marked ``updating`` was written by a session
-        the crash cut short: its contents may be new, so the update is
-        counted — its vector bumped, the mark cleared.  A directory the
-        crash left half made or half freed goes: one whose
+        A directory the crash left half made or half freed goes: one whose
         Unix directory lacks ``.fdir``, or that has no record while no live
         entry names it — a ``mkdir`` cut short before anything published
         it, or a free cut short after its record was cleared.  Nothing can
@@ -1067,13 +1047,7 @@ class ReplicaStore:
         of objects stored nowhere are cleared: a file whose last name a
         crash removed, a directory whose Unix directory is gone.
         """
-        counted = []
         with self._scope:
-            for fh in self.record_handles():
-                if self._peek(fh).updating:
-                    aux = self._stage(fh).aux
-                    prior, aux.vv, aux.updating = aux.vv, aux.vv.bump(self.replica_id), False
-                    counted.append((fh, prior, aux.vv))
             dirs = self.all_directory_handles()
             whole = [fh for fh in dirs if FDIR_NAME in {e.name for e in self.dir_unix_vnode(fh).readdir()}]
             named = {self.root_handle()} | {
@@ -1099,7 +1073,6 @@ class ReplicaStore:
                     self._stage_clear(fh)
                 elif aux.refs != names[fh]:
                     self._stage(fh).aux.refs = names[fh]
-        return counted
 
     def recover_directory(self, fh: FicusFileHandle) -> list[FicusFileHandle]:
         """Crash recovery for one directory, in the order a reboot needs;

@@ -200,12 +200,6 @@ class AttrTable:
 
     # -- writing -----------------------------------------------------------------
 
-    def mark_updating(self, fh: FicusFileHandle) -> None:
-        """Set one record's ``updating`` flag where it is stored: one byte
-        of one block, its run and length unchanged."""
-        run = self.runs[fh]
-        self.vnode.write(run.start * AUX_SLOT_SIZE + len(f"fh={fh.to_hex()} upd="), b"1")
-
     def commit(
         self,
         changes: dict[FicusFileHandle, AuxAttributes | None],

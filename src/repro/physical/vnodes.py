@@ -255,8 +255,9 @@ class PhysicalDirVnode(Vnode):
         self.layer.session_open(self.store, fh.logical)
 
     def session_close(self, fh: FicusFileHandle, ctx: OpContext = ROOT_CTX) -> bool:
-        """End an update session; the coalesced version bump lands here.
-        Returns True when the closing session had updated the replica."""
+        """End an update session, writing nothing: its one version bump
+        landed before its first write.  Returns True when the closing
+        session had updated the replica."""
         return self.layer.session_close(self.store, fh.logical)
 
     def getattrs_batch(
@@ -271,7 +272,8 @@ class PhysicalDirVnode(Vnode):
         per-replica, per-file probes into a single RPC.  The records share
         the attribute table's blocks — a child's record is placed beside
         its directory's — so a cold batch reads a block or a few, not a
-        file per child.
+        file per child.  A child whose open update session has written is
+        named in ``writing``, read off the physical layer's sessions.
         """
         assert self.store.flushed(self.fh), "getattrs_batch of a directory with staged records"
         wanted = None if fhs is None else {fh.logical for fh in fhs}
@@ -286,7 +288,8 @@ class PhysicalDirVnode(Vnode):
             if not self.store.has_record(entry.fh) or not self.store.has_file(self.fh, entry.fh):
                 continue
             children[entry.fh] = self.store.read_record(entry.fh)
-        return AttrBatch(dir_aux=self.aux(), children=children)
+        writing = self.layer.written_sessions(self.store).intersection(children)
+        return AttrBatch(dir_aux=self.aux(), children=children, writing=writing)
 
     # -- the sync plane: recon digests and block deltas --------------------------
 

@@ -272,12 +272,6 @@ class AuxAttributes:
     #: but both ends of a conflict converge on the same record because
     #: each refresh captures contents the replicas demonstrably shared.
     ancestor: str = ""
-    #: an open update session has written the contents since the vector's
-    #: last bump (regular files only; host-local).  Set durably before the
-    #: session's first write lands and cleared by its close's bump, so a
-    #: crash in between leaves it set and recovery counts the update: new
-    #: contents never sit under the vector of the old ones.
-    updating: bool = False
 
     def clone(self) -> "AuxAttributes":
         """A copy callers may mutate (every field is an immutable value)."""
@@ -289,16 +283,13 @@ class AuxAttributes:
             self.graft_volume,
             self.merge_policy,
             self.ancestor,
-            self.updating,
         )
 
     def to_record(self) -> dict[str, str]:
-        """The record's fields: its handle first (the attribute table finds
-        a record's start by it), then the one-character ``updating`` flag,
-        at a fixed offset so the table can set it in place."""
+        """The record's fields, its handle first: the attribute table finds
+        a record's start by it."""
         rec = {
             "fh": self.fh.to_hex(),
-            "upd": "1" if self.updating else "0",
             "type": self.etype.value,
             "vv": self.vv.encode(),
             "refs": str(self.refs),
@@ -322,7 +313,6 @@ class AuxAttributes:
                 graft_volume=rec.get("graftvol", ""),
                 merge_policy=rec.get("mpol", ""),
                 ancestor=rec.get("anc", ""),
-                updating=rec.get("upd") == "1",
             )
         except KeyError as exc:
             raise InvalidArgument(f"aux record missing field {exc}") from exc
@@ -353,10 +343,15 @@ class AttrBatch:
     replicas, unlike the physical half).  This is the attribute plane —
     replica selection needs every version vector of a directory anyway, so
     shipping them together turns O(children) per-file RPCs into one.
+
+    ``writing`` names the children an open update session has written at
+    this replica: their record already holds the session's vector, their
+    contents are not final until its close, so no peer may copy them yet.
     """
 
     dir_aux: AuxAttributes
     children: dict[FicusFileHandle, AuxAttributes] = field(default_factory=dict)
+    writing: frozenset[FicusFileHandle] = frozenset()
 
     def child(self, fh: FicusFileHandle) -> AuxAttributes | None:
         return self.children.get(fh.logical)

@@ -14,10 +14,14 @@ The pull compares version vectors first:
 
 The atomic commit is :meth:`ReplicaStore.install`: the version is written
 into the file's own inode, whose write commits it, so a crash leaves the
-old version or the new one.  A local update session that has written and
-not closed (its record marked ``updating``) defers the pull: its close
-bumps the local vector, and the next pass sees the two versions as
-concurrent — a conflict, never an update overwritten unseen.
+old version or the new one.  An update session advances its file's
+vector before its first write, so until it closes the remote's vector
+names contents still being written: a remote the attribute batch names as
+``writing`` defers the pull before any vector is compared, so neither a
+pull nor a resolver merge copies a half-written version, and the close's
+notification asks again.  A remote that is not older than a *local*
+session that has written is concurrent with it, and defers too: a merge
+installed now would sit under the session's next write.
 
 When both sides store the file, the pull is a *block delta* (rsync-style):
 fetch the remote's block signatures, pull only the blocks whose content
@@ -55,7 +59,7 @@ class PullOutcome(enum.Enum):
     REMOTE_MISSING = "remote-missing"  # remote replica does not store the file
     UNREACHABLE = "unreachable"  # partition/crash interrupted the pull
     LOCAL_DEAD = "local-dead"  # no live local entry names the file anymore
-    DEFERRED = "deferred"  # a local update session is writing the file
+    DEFERRED = "deferred"  # a session, remote or local, is writing the file
 
 
 @dataclass
@@ -82,6 +86,7 @@ def pull_file(
     batch: AttrBatch | None = None,
     live: bool = False,
     delta: bool = True,
+    writing: frozenset[FicusFileHandle] = frozenset(),
 ) -> PullResult:
     """Bring the local replica of one file up to the remote version.
 
@@ -99,6 +104,9 @@ def pull_file(
     already holds one (:func:`pull_children`); without it the file's own
     record is fetched here.  ``live`` says the caller took ``fh`` from a
     live local entry; ``delta=False`` goes straight to the whole-file copy.
+    ``writing`` names the local files an open update session has written
+    (:meth:`FicusPhysicalLayer.written_sessions`): none of them takes a
+    pull or a merge until its session closes.
     """
     parent_fh = parent_fh.logical
     fh = fh.logical
@@ -106,8 +114,7 @@ def pull_file(
     # local state: the file may have an entry here but no storage yet
     # (the entry arrived by directory reconciliation).
     local_stored = store.has_file(parent_fh, fh)
-    local = store.read_record(fh) if local_stored else None
-    local_vv = local.vv if local is not None else VersionVector()
+    local_vv = store.read_record(fh).vv if local_stored else VersionVector()
     if not local_stored and not live:
         # A delete can land between a new-version note being queued and
         # serviced.  Materializing storage for a tombstoned (or unknown)
@@ -131,19 +138,24 @@ def pull_file(
         # the batch answers for the whole directory in one call; a missing
         # child record means the remote replica does not store the file
         return PullResult(PullOutcome.REMOTE_MISSING, local_vv, VersionVector())
-
     remote_vv = remote_aux.vv
+    if fh in batch.writing:
+        # the remote's vector is its open session's: the contents under it
+        # are not final until the close, which announces them
+        return PullResult(PullOutcome.DEFERRED, local_vv, remote_vv)
+
     order = local_vv.compare(remote_vv)
     # a file created empty keeps the empty vector until its first write,
     # which an unstored replica's vector equals: EQUAL is up to date only
     # where the contents are stored
     if order is Ordering.DOMINATES or (order is Ordering.EQUAL and local_stored):
         return PullResult(PullOutcome.UP_TO_DATE, local_vv, remote_vv)
+    if fh in writing:
+        # a local session has written the file and not closed: a merge
+        # installed now would sit under the session's later writes
+        return PullResult(PullOutcome.DEFERRED, local_vv, remote_vv)
     if order is Ordering.CONCURRENT:
         return PullResult(PullOutcome.CONFLICT, local_vv, remote_vv, remote_aux=remote_aux)
-    if local is not None and local.updating:
-        # a session has written what its close will count as an update
-        return PullResult(PullOutcome.DEFERRED, local_vv, remote_vv)
 
     # remote strictly dominates: install it by the atomic commit.  With a
     # local copy to diff against, try the block-delta path first.
@@ -154,12 +166,19 @@ def pull_file(
             # batch can be many transfers old): start over from a fresh one
             # and copy the whole file, so the (contents, vv) pair installed
             # is one the remote actually held
-            return pull_file(store, parent_fh, fh, remote_dir, health, origin, live=True, delta=False)
+            return pull_file(
+                store, parent_fh, fh, remote_dir, health, origin, live=True, delta=False, writing=writing
+            )
         if result is not None:
             return result
 
     try:
-        contents = read_whole(remote_dir.lookup_fh(fh))
+        try:
+            contents = read_whole(remote_dir.lookup_fh(fh))
+        except StaleFileHandle:
+            # a lookup cached before the remote rebooted names a vnode it no
+            # longer knows; the ESTALE purged it, so look the file up again
+            contents = read_whole(remote_dir.lookup_fh(fh))
     except (HostUnreachable, StaleFileHandle):
         return PullResult(PullOutcome.UNREACHABLE, local_vv, remote_vv)
     except FileNotFound:
@@ -273,6 +292,7 @@ def pull_children(
     policy: StoragePolicy | None = None,
     health=None,
     origin: str = "",
+    writing: frozenset[FicusFileHandle] = frozenset(),
 ):
     """Bring the files of one directory up to the remote's versions.
 
@@ -282,12 +302,15 @@ def pull_children(
     only a child the remote strictly dominates pays for a transfer.
     Yields ``(entry, PullResult)`` as each child is settled, ``(entry,
     None)`` for one the storage ``policy`` declines (it stays entry-only).
+    ``writing`` is :func:`pull_file`'s: the local files mid-session.
     """
     for entry in entries:
         if policy is not None and not policy.wants(entry) and not store.has_file(dir_fh, entry.fh):
             yield entry, None
         else:
-            yield entry, pull_file(store, dir_fh, entry.fh, remote_dir, health, origin, batch, live=True)
+            yield entry, pull_file(
+                store, dir_fh, entry.fh, remote_dir, health, origin, batch, live=True, writing=writing
+            )
 
 
 def push_notify_pull(
@@ -323,6 +346,8 @@ def push_notify_pull(
             wanted = dict.fromkeys(note.key.fh.logical for note in notes)
             batch = remote_dir.getattrs_batch(list(wanted))
             entries = [e for e in store.read_entries(dir_fh) if e.live and e.fh.logical in wanted]
-        policy, health = physical.policy_for(volrep), physical.health
-        children = pull_children(store, dir_fh, remote_dir, batch, entries, policy, health, first.src_addr)
+        policy, writing = physical.policy_for(volrep), physical.written_sessions(store)
+        children = pull_children(
+            store, dir_fh, remote_dir, batch, entries, policy, physical.health, first.src_addr, writing
+        )
         return {entry.fh.logical: pull for entry, pull in children if pull is not None}, changed

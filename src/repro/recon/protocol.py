@@ -163,8 +163,9 @@ def reconcile_subtree(
             directory_changed = dir_result.changed
 
             batch, files = dir_result.remote_attrs, dir_result.child_files
+            writing = physical.written_sessions(store)
             for file_entry, pull in pull_children(
-                store, dir_fh, remote_dir, batch, files, policy, physical.health, remote_host
+                store, dir_fh, remote_dir, batch, files, policy, physical.health, remote_host, writing
             ):
                 file_fh = file_entry.fh
                 if pull is None:

@@ -160,9 +160,7 @@ class FicusHost:
         )
         self.physical.health = self.health_plane
         for volrep in hosted:
-            # an update session the crash cut short is counted as an update
-            for fh, prior, vv in self.physical.attach_volume_replica(volrep).recover():
-                self.health_plane.record_version("write", fh, vv, parents=(prior,), detail="recovered")
+            self.physical.attach_volume_replica(volrep).recover()
         self.nfs_server.exported = self.physical
         self.nfs_server.reboot()
         self.fabric = Fabric(self.network, self.name, self.physical, telemetry=self.telemetry)

@@ -114,8 +114,9 @@ def decode_trace(text: str) -> list[TraceOp]:
 #: step does, or to what a chaos run of the same steps prints, bumps it, so
 #: an old file is refused rather than misread.  (2: an install keeps the
 #: file's inode, so fewer stale handles are retried and a run draws its
-#: faults for other RPCs.)
-SCHEDULE_HEADER = "schedule=2"
+#: faults for other RPCs.  3: a pull looks a file up again after ESTALE,
+#: which moves seed 1990's fault draws.)
+SCHEDULE_HEADER = "schedule=3"
 
 
 def encode_schedule(steps: list[TraceOp]) -> str:

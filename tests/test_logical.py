@@ -283,8 +283,8 @@ class TestOneNotificationPerSession:
             assert self.sent(world, "a")[0] - notes_before == 1
 
     def test_a_failed_close_drops_its_pin(self, world, monkeypatch):
-        """The session's close fails in the vector-bump write: the error
-        reaches the caller, and nothing of the session outlives it."""
+        """The session's first write fails in the vector-bump write: the
+        error reaches the caller, and nothing of the session outlives it."""
         a = world.host("a")
         fs = a.fs()
         fh = fs.resolve("/f").fh

@@ -94,11 +94,51 @@ class TestPullFile:
         system.partition([{"alpha"}, {"beta"}])
         assert system.host("beta").fs().read_file("/bare") == b""
 
+    @pytest.mark.parametrize("writer", ["alpha", "cl"], ids=["replica-host", "diskless"])
+    def test_no_peer_copies_a_version_whose_session_is_open(self, writer):
+        # the session's vector advances at its first write, so mid-session
+        # the writing replica's vector names contents still being written:
+        # a peer that copied them then would find the final version under
+        # the same vector after the close, and keep the half-written one
+        names = ["alpha", "beta"] + (["cl"] if writer == "cl" else [])
+        system = FicusSystem(names, daemon_config=QUIET, root_volume_hosts=["alpha", "beta"])
+        system.host(writer).fs().write_file("/f", b"settled!")
+        system.reconcile_everything()
+        stores = {name: store_of(system, name) for name in ("alpha", "beta")}
+        root = stores["alpha"].root_handle()
+        fh = next(e.fh for e in stores["alpha"].read_entries(root) if e.name == "f")
+        settled = stores["alpha"].read_record(fh).vv
+        assert stores["beta"].read_record(fh).vv == settled
+
+        session = system.host(writer).fs().open("/f", "r+")
+        session.write(b"AAAAAAAA")
+        (written,) = (
+            name for name in stores if fh in system.host(name).physical.written_sessions(stores[name])
+        )
+        (peer,) = set(stores) - {written}
+        advanced = settled.bump(stores[written].replica_id)
+        assert stores[written].read_record(fh).vv == advanced
+        system.reconcile_everything()
+        # mid-session the peer's stored replica is still the settled one
+        assert stores[peer].read_record(fh).vv == settled
+        assert stores[peer].file_vnode(root, fh).read_all() == b"settled!"
+
+        session.seek(0)
+        session.write(b"BB")
+        session.close()
+        system.run_for(1.0)
+        system.reconcile_everything()
+        for store in stores.values():
+            assert store.file_vnode(root, fh).read_all() == b"BBAAAAAA"
+            assert store.read_record(fh).vv == advanced  # advanced exactly once
+
     def test_a_pull_never_lands_on_an_open_written_session(self):
         # alpha's session has written and not closed when beta's version
-        # arrives: installing it would lose alpha's write to the close's
-        # bump, which then dominates.  The pull defers; the close makes the
-        # two versions concurrent, and the next pass reports the conflict.
+        # arrives: installing it would lose alpha's write.  The session's
+        # first write advanced alpha's vector, so the two versions are
+        # concurrent: alpha defers them until the close, then the pass
+        # reports the conflict; beta defers pulling a version whose session
+        # is open.
         system = FicusSystem(["alpha", "beta"])
         system.host("alpha").fs().write_file("/f", b"base")
         system.reconcile_everything()

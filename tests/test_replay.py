@@ -1,5 +1,9 @@
 """Tests for the trace format and replay harness."""
 
+import importlib.util
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,8 +19,42 @@ from repro.workload import (
     replay_trace,
     synthesize_trace,
 )
+from repro.workload.replay import SCHEDULE_HEADER
 
 QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def chaos_digests():
+    """``benchmarks/chaos_digests.py``, the CI check of the schedule rule."""
+    spec = importlib.util.spec_from_file_location("chaos_digests", ROOT / "benchmarks" / "chaos_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestScheduleVersionRule:
+    """Chaos stdout changes only with a new ``SCHEDULE_HEADER``."""
+
+    def test_the_current_version_has_the_ci_commands_digests(self):
+        module = chaos_digests()
+        ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        teed = re.findall(r"python -m repro\.tools\.ficus_chaos (.+) \| tee (\S+)", ci)
+        assert len(teed) == len(re.findall(r"python -m repro\.tools\.ficus_chaos", ci))
+        assert sorted(args for args, _ in teed) == sorted(module.COMMANDS)
+        assert sorted(module.load_table()[SCHEDULE_HEADER]) == sorted(module.COMMANDS)
+        # the check is handed each command's stdout in COMMANDS order
+        out = dict(teed)
+        check = re.search(r"python benchmarks/chaos_digests\.py (.+?)(?:\n\s*\n|\Z)", ci, re.S).group(1)
+        assert check.replace("\\", " ").split() == [out[args] for args in module.COMMANDS]
+
+    def test_changed_stdout_under_an_unchanged_version_is_refused(self):
+        violations = chaos_digests().violations
+        table = {"schedule=3": {"a": "1", "b": "2"}}
+        assert violations(table, "schedule=3", {"a": "1", "b": "2"}) == []
+        assert len(violations(table, "schedule=3", {"a": "1", "b": "9"})) == 1
+        # a new version is checked against digests recorded under it
+        assert violations(table, "schedule=4", {"a": "1", "b": "9"})
 
 
 class TestTraceFormat:
@@ -47,10 +85,10 @@ class TestTraceFormat:
     def test_a_schedule_states_its_format_version(self):
         steps = [TraceOp(op="tick", host="a"), TraceOp(op="advance", seconds=2.5)]
         text = encode_schedule(steps)
-        assert text.splitlines()[0] == "schedule=2"
+        assert text.splitlines()[0] == "schedule=3"
         assert decode_schedule(text) == steps
         body = encode_trace(steps)
-        for unversioned in (body, "", "schedule=1\n" + body, "schedule=3\n" + body):
+        for unversioned in (body, "", "schedule=2\n" + body, "schedule=4\n" + body):
             with pytest.raises(InvalidArgument):
                 decode_schedule(unversioned)
 

@@ -299,6 +299,29 @@ class TestAutomaticResolution:
 
         assert run("a") == run("b") == [b"alpha\nbravo\nseed\n"]
 
+    def test_no_merge_lands_on_an_open_written_session(self):
+        """a's session has written when b's concurrent version arrives: a
+        merge installed under the open session would sit beneath its next
+        write, which lands at the session's own offset over b's record, and
+        the merged vector would carry the loss to b.  The merge waits for
+        the close and takes the session's whole version."""
+        system = resolver_system()
+        seed_and_sync(system, "/inbox.log", b"seed\n")
+        system.partition([{"a"}, {"b"}])
+        session = system.host("a").fs().open("/inbox.log", "r+")
+        session.seek(len(b"seed\n"))
+        session.write(b"alpha\n")
+        system.host("b").fs().write_file("/inbox.log", b"seed\nbravo\n")
+        system.heal()
+        system.host("a").recon_daemon.tick()
+        session.write(b"again\n")
+        session.close()
+        system.reconcile_everything(rounds=4)
+        expected = b"again\nalpha\nbravo\nseed\n"
+        assert store_bytes(system, "a", "inbox.log") == [expected]
+        assert store_bytes(system, "b", "inbox.log") == [expected]
+        assert system.total_conflicts() == 0
+
     def test_third_replica_update_is_not_swallowed(self):
         """A resolution races a concurrent third-replica update: the merged
         vv must not dominate the unseen version, so it surfaces as a fresh

@@ -157,22 +157,26 @@ class TestSingleHostRestart:
         assert ficus_fsck(store2).clean
 
     def test_a_session_cut_short_by_a_crash_is_counted_on_restart(self):
+        # the session's vector advanced once, before its first write landed,
+        # so the crash leaves the update counted and nothing to recover
         system = FicusSystem(["solo"], daemon_config=QUIET)
         host = system.host("solo")
         host.fs().write_file("/f", b"v1")
         volrep = system.root_locations[0].volrep
         store = host.physical.store_for(volrep)
         fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "f")
-        before = store.read_record(fh).vv
+        advanced = store.read_record(fh).vv.bump(store.replica_id)
         handle = host.fs().open("/f", "r+")
-        handle.write(b"v2")  # lands, marked as an update in progress
-        assert store.read_record(fh).updating
-        host.crash()  # the close, and its bump, never happen
+        handle.write(b"v2")
+        handle.write(b"v3")  # the session's second write advances nothing
+        assert store.read_record(fh).vv == advanced
+        host.crash()  # the close never happens
         host.restart(system)
         store2 = host.physical.store_for(volrep)
-        aux = store2.read_record(fh)
-        assert aux.vv.strictly_dominates(before) and not aux.updating
-        assert host.fs().read_file("/f") == b"v2"
+        assert store2.read_record(fh).vv == advanced
+        # no flag in the record for recovery to read
+        assert b"upd=" not in store2._attr.vnode.read_all()
+        assert host.fs().read_file("/f") == b"v2v3"
 
     def test_a_policy_tag_holding_a_nul_survives_restart(self):
         # the attribute table pads a record's run with NULs, so the codec
@@ -226,6 +230,23 @@ class TestClusterWithRestarts:
         assert fs.read_file("/f") == b"before reboot"
         fs.write_file("/g", b"after reboot")
         assert fs.read_file("/g") == b"after reboot"
+
+    def test_a_lookup_cached_before_a_reboot_does_not_hold_back_the_pull(self):
+        # beta's NFS client cached its lookup of /d/f at alpha; after alpha
+        # reboots that lookup names a vnode alpha no longer knows.  beta's
+        # first sweep meets the stale volume root; the next one pulls
+        system = FicusSystem(["alpha", "beta"], daemon_config=QUIET)
+        alpha = system.host("alpha")
+        alpha.fs().mkdir("/d")
+        alpha.fs().write_file("/d/f", b"one")
+        system.reconcile_everything()
+        alpha.crash()
+        alpha.restart(system)
+        system.reconcile_everything()
+        alpha.fs().write_file("/d/f", b"two")
+        system.reconcile_everything()
+        system.partition([{"alpha"}, {"beta"}])
+        assert system.host("beta").fs().read_file("/d/f") == b"two"
 
     def test_open_session_dies_with_crash_without_corruption(self):
         system = FicusSystem(["server", "client"], root_volume_hosts=["server"], daemon_config=QUIET)

@@ -34,7 +34,6 @@ import pytest
 
 from repro.errors import CrashInjected, FileNotFound, InvalidArgument, IOError_
 from repro.inspect import diff_replicas
-from repro.nfs.client import NfsClientConfig
 from repro.physical import EntryType, FicusPhysicalLayer
 from repro.physical.check import ficus_fsck
 from repro.physical.store import ReplicaStore
@@ -172,9 +171,11 @@ class DeviceWrites:
 #: only as the cross-directory rename's empty target ``.fdir`` taking its
 #: first block (``data[fdir] bitmap inode[fdir]``: the inode write is the
 #: commit point, and there was nothing to free).  A write session's first
-#: write is preceded by the record's ``updating`` mark, an operation of its
-#: own, and its close's bump clears the mark (the last ``data[attr]``), so a
-#: crash between them is counted as an update.  A create's later table
+#: write is preceded by the advance of the file's vector in the table, an
+#: operation of its own (an overwrite's first ``data[attr]``), and its close
+#: writes nothing: a crash after the advance leaves the new vector over the
+#: old contents or part of the new, which no peer copies while the session
+#: is open.  A create's later table
 #: writes are ``data[attr]`` alone: the creating host holds its peer's
 #: batch of the directory across the create, so no RPC advances the clock,
 #: and ``_put_inode`` skips the byte-identical inode.  A store flush puts a
@@ -192,7 +193,6 @@ TABLE = {
     "overwrite": """
         data[attr] inode[attr]
         data[contents] inode[contents]
-        data[attr]
     """,
     "create": """
         inode[udir,+contents] udir
@@ -200,7 +200,6 @@ TABLE = {
         data[fdir] inode[fdir]
         data[attr]
         data[+contents] bitmap inode[+contents]
-        data[attr]
     """,
     "unlink": """
         data[fdir] inode[fdir]
@@ -353,9 +352,8 @@ def test_a_pulled_new_file_is_born_under_its_own_name(recorded):
 
 
 def test_no_bitmap_write_where_no_block_changes_hands(recorded):
-    # a same-size overwrite — the session's mark, the contents, then the
-    # session close's version-vector bump in the file's and the
-    # directory's records
+    # a same-size overwrite — the session's vector advance in the file's
+    # record, then the contents
     assert "bitmap" not in recorded["overwrite"].labels
 
 
@@ -637,14 +635,14 @@ def test_both_arms_are_counted_and_shown():
         return [counters.get(f"store.records_{arm}").value for arm in ("in_place", "resized")]
 
     before = counts()
-    # the session's mark, then the file's record at the close: each keeps
-    # its run (the directory's record does not change)
+    # the session's one vector advance, before its first write: the file's
+    # record keeps its run (the directory's record does not change)
     fs.write_file("/f", PAYLOAD[::-1])
-    assert counts() == [before[0] + 2, before[1]]
+    assert counts() == [before[0] + 1, before[1]]
     fs.set_merge_policy("/f", "append-log")  # longer, in the same run
-    assert counts() == [before[0] + 3, before[1]]
+    assert counts() == [before[0] + 2, before[1]]
     fs.set_merge_policy("/f", "x" * AUX_SLOT_SIZE)  # outgrows its run: moved
-    assert counts() == [before[0] + 3, before[1] + 1]
+    assert counts() == [before[0] + 2, before[1] + 1]
     in_place, resized = counts()
     assert f"record replaces: {in_place} in place, {resized} resized" in render_system(system)
     # and a system that records nothing says nothing
@@ -825,9 +823,7 @@ def a_linked_version_for_beta(system: FicusSystem) -> None:
 
 def conflicting_appends(system: FicusSystem) -> None:
     """``/d/notes.log``, an append log both replicas hold as ``seed``, then
-    appended to at each side of a partition; healed, nobody reconciled.
-    Like :func:`a_session_written_at_alpha` it ends once beta's cached NFS
-    lookups of alpha have expired."""
+    appended to at each side of a partition; healed, nobody reconciled."""
     system.enable_resolvers()
     system.host("alpha").fs().write_file("/d/notes.log", b"seed\n")
     system.reconcile_everything()
@@ -837,7 +833,6 @@ def conflicting_appends(system: FicusSystem) -> None:
     system.host("alpha").fs().write_file("/d/notes.log", b"seed\nalpha\n")
     system.host("beta").fs().write_file("/d/notes.log", b"seed\nbravo\n")
     system.heal()
-    system.run_for(NfsClientConfig().name_cache_ttl + 1.0)
 
 
 def alpha_reconciles_with_beta(system: FicusSystem) -> None:
@@ -849,18 +844,30 @@ def alpha_reconciles_with_beta(system: FicusSystem) -> None:
     assert result.conflicts_auto_resolved == 1 or system.host("alpha").ufs.device.failed
 
 
-def a_session_written_at_alpha(system: FicusSystem) -> None:
-    """An update session on ``/d/f`` at alpha that has written its new
-    contents and not closed yet (the handle waits on the system).
+def a_session_at_alpha(system: FicusSystem) -> None:
+    """A whole update session on ``/d/f`` at alpha: open, two writes, each
+    half of the new contents, close."""
+    with system.host("alpha").fs().open("/d/f", "r+") as session:
+        session.write(PAYLOAD[::-1][:KIB])
+        session.write(PAYLOAD[::-1][KIB:])
 
-    It opens once beta's cached NFS lookups of alpha have expired.  A
-    lookup cached before alpha reboots names a vnode alpha no longer
-    knows: beta's pull through it fails once with ESTALE, and the recon
-    back-off then keeps beta from pulling within two sweeps — an open item
-    of the NFS client (ROADMAP item 2), not of the flush swept here."""
-    system.run_for(NfsClientConfig().name_cache_ttl + 1.0)
-    system.session = system.host("alpha").fs().open("/d/f", "r+")
-    system.session.write(PAYLOAD[::-1])
+
+def f_as_stored(store: ReplicaStore) -> tuple[FicusFileHandle, tuple]:
+    """``/d/f``'s handle and what the replica stores for it."""
+    d = next(e.fh for e in store.read_entries(store.root_handle()) if e.live and e.name == "d")
+    f = next(e.fh for e in store.read_entries(d) if e.live and e.name == "f")
+    return f, stored_files(store)[f]
+
+
+def settled_or_advanced_once(system: FicusSystem) -> dict:
+    """Alpha's ``/d/f`` before any peer settles with it: the settled vector
+    over the settled bytes, or that vector advanced once over whatever
+    landed.  Beta, which took no part, still holds the settled version."""
+    (alpha,), (beta,) = (system.host(name).physical.stores.values() for name in ("alpha", "beta"))
+    fh, held = f_as_stored(alpha)
+    settled = f_as_stored(beta)[1]
+    assert held == settled or held[0] == settled[0].bump(alpha.replica_id), (held[0], settled[0])
+    return {fh: held}
 
 
 def filled_table(extra: int):
@@ -941,14 +948,15 @@ SWEEP = {
         SETTLED,
         [{"/d/f": PAYLOAD}],
     ),
-    # the close's bump alone: the session's writes landed before it, under
-    # the record's updating mark, so recovery counts them if the bump did not
-    "session close": (
+    # the vector's advance, then each write; the close writes nothing.  A
+    # crash leaves the advanced vector over whatever landed, which no peer
+    # copied while the session was open: :data:`RESTARTED` checks it
+    "update session": (
         "alpha",
-        a_session_written_at_alpha,
-        lambda system: system.session.close(),
+        None,
+        a_session_at_alpha,
         {"/d/g": PAYLOAD, "/d/h": PAYLOAD},
-        [{"/d/f": PAYLOAD[::-1]}],
+        [{"/d/f": PAYLOAD}, {"/d/f": PAYLOAD[::-1][:KIB] + PAYLOAD[KIB:]}, {"/d/f": PAYLOAD[::-1]}],
     ),
     # the new record lands in a block the table did not have
     "create, adding a table block": (
@@ -1031,6 +1039,11 @@ SWEEP = {
     ),
 }
 
+#: scenario -> a check of what the crashing replica holds once restarted
+#: (or completed), before any peer settles with it; it returns the
+#: ``stored_files`` items both replicas must then converge to
+RESTARTED = {"update session": settled_or_advanced_once}
+
 #: what UFS ``fsck`` may say after a crash inside one of these operations:
 #: a leak, each an order the soft-update flush keeps — a block taken before
 #: the inode naming it, or freed after the inode that stopped; an inode
@@ -1057,15 +1070,15 @@ TORN = {scenario: [] for scenario in SWEEP}
 #: wrote through in call order, or for the two installs swept last, when a
 #: pulled version went through a shadow file and a rename).
 CRASH_POINTS = {
-    "create": 11,  # (12)
+    "create": 10,  # (12)
     "mkdir": 8,  # (14)
     "link, across directories": 7,  # (8)
     "unlink": 8,  # (8)
     "rename, same directory": 6,  # (6)
     "rename, across directories": 13,  # (14)
     "setattr policy": 2,  # (2)
-    "session close": 1,  # (1)
-    "create, adding a table block": 13,  # (14)
+    "update session": 5,
+    "create, adding a table block": 12,  # (14)
     "setattr policy, outgrowing its run": 3,  # (3)
     "resolver-merge install": 6,  # (11)
     "tombstone GC, phase 1": 1,  # (1)
@@ -1154,6 +1167,7 @@ def test_crash_after_every_write_of_an_operation(scenario):
         if torn_records(store):
             torn.append(crash_point)
             continue
+        kept = RESTARTED[scenario](system) if scenario in RESTARTED else {}
         ficus = ficus_fsck(store).problems
         ufs = {re.sub(r"nlink \d+, observed references \d+", "nlink differs from observed references", normalized(p)) for p in fsck(host.ufs).problems}
         assert ufs <= UFS_FINDINGS, where
@@ -1172,6 +1186,8 @@ def test_crash_after_every_write_of_an_operation(scenario):
         # converged replicas store the same tag and contents under each vector
         held_a, held_b = stored_files(a), stored_files(b)
         assert all(held_a[fh] == held_b[fh] for fh in held_a.keys() & held_b.keys()), where
+        # and the peer converged to what the crashing replica held
+        assert all(held_a[fh] == held_b[fh] == held for fh, held in kept.items()), where
         for replica in (alpha, beta):
             (replica_store,) = replica.physical.stores.values()
             assert all("stray object" in p for p in ficus_fsck(replica_store).problems), where

@@ -68,7 +68,7 @@ and recovery has no update to count.
 *Staged, flushed once per operation*: a directory's entry list
 (``.fdir``) and every record of the attribute table.  A staging call only
 records what the operation will leave.  Reads answer from the staged set
-first, whatever the decoded caches hold.  The outermost exit, normal or by
+first, whatever the decoded map holds.  The outermost exit, normal or by
 exception, decides the frees the operation asked for
 (:meth:`ReplicaStore.unlink_file_storage`,
 :meth:`ReplicaStore.remove_directory_storage`) on the final state, then
@@ -168,16 +168,16 @@ def entries_fold(entries: list[DirectoryEntry]) -> str:
 def _storage_bottom(root: Vnode) -> object | None:
     """Walk down a vnode chain to the storage bottom.
 
-    Returns the first object exposing ``cache_epoch`` (the UFS vnode
-    adaptor; see :attr:`BufferCache.epoch`), whose operation scope and
-    barrier the store uses too, or ``None`` when the stack has no such
-    bottom (NFS-hopped storage) — decoded caches then rely purely on
-    write-side invalidation through this store, and each call below is
-    an operation of its own, on the device when it returns.
+    Returns the first object exposing ``decoded_map`` (the UFS vnode
+    adaptor), whose operation scope and barrier the store uses too, or
+    ``None`` when the stack has no such bottom (NFS-hopped storage) — the
+    decoded map is then a plain dict kept by write-side invalidation
+    alone, and each call below is an operation of its own, on the device
+    when it returns.
     """
     node: object | None = root
     while node is not None:
-        if hasattr(node, "cache_epoch"):
+        if hasattr(node, "decoded_map"):
             return node
         node = getattr(node, "lower", None)
     return None
@@ -223,6 +223,22 @@ class StoreStats:
 
 #: Entry types whose object is a Ficus directory with storage in ``nodes/``.
 DIR_TYPES = (EntryType.DIRECTORY, EntryType.GRAFT_POINT)
+
+
+class _Known:
+    """What the store has decoded about one object, by logical handle:
+    its record, and for a directory its Unix directory's vnode, its
+    ``.fdir``'s vnode, its entry list and the contents vnodes of the files
+    stored in it, by handle (``None``: not decoded yet)."""
+
+    __slots__ = ("record", "unix_dir", "fdir", "entries", "files")
+
+    def __init__(self):
+        self.record = self.unix_dir = self.fdir = self.entries = self.files = None
+
+
+#: what the decoded map answers for a handle it holds no entry for
+_UNKNOWN = _Known()
 
 
 class _DirUpdate:
@@ -309,42 +325,29 @@ class ReplicaStore:
         #: than once per recon tick (in-memory: a crash only costs one
         #: extra walk after reboot)
         self._ancestor_sync_memo: dict[FicusFileHandle, str] = {}
-        # -- decoded-metadata caches ---------------------------------------
-        # Every entry is stamped with the storage bottom's buffer-cache
-        # epoch: when the block cache goes cold (invalidate_all, fault
-        # injection) the decoded caches go cold with it, preserving the
-        # paper's E3/E4 disk-I/O accounting byte for byte.  Mutations
-        # through this store update or drop the affected keys directly.
+        # -- what the store has decoded, by logical handle, in a map the
+        # bottom's buffer cache empties when it goes cold (invalidate_all,
+        # fault injection: E3/E4's disk I/Os stay byte-for-byte intact) —
+        # at any time, inside an operation too, whose staged set is not in
+        # the map — and that keeps nothing at capacity 0 (the A2 "no
+        # caches" ablation).  Mutations through this store update it.
         self._bottom = _storage_bottom(lower_root)
-        # A storage bottom with caching disabled (the A2 "no caches"
-        # ablation) disables the decoded caches with it; stacks without
-        # an epoch provider (NFS-hopped storage) keep them on and rely
-        # on write-side invalidation.
-        self._caches_enabled = getattr(self._bottom, "caches_enabled", True)
-        self._dir_vnode_cache: dict[str, tuple[int, Vnode]] = {}
-        self._child_vnode_cache: dict[tuple[str, str], tuple[int, Vnode]] = {}
-        self._entries_cache: dict[str, tuple[int, list[DirectoryEntry]]] = {}
-        #: the table's decoded records, files' and directories' alike
-        self._record_cache: dict[FicusFileHandle, tuple[int, AuxAttributes]] = {}
+        self._known = self._bottom.decoded_map() if self._bottom is not None else {}
         # -- the attribute table: its vnode (a stable name, written in
         # place) and its index, built here by one read (``None`` after a
         # flush failed part-way: rebuilt from the device at next use)
         self._attr_vnode = self._base.lookup(ATTR_NAME)
         self._table: AttrTable | None = AttrTable.load(self._attr_vnode)
-        # -- the operation scope: staged entry lists, by directory key, in
-        # first-dirtied order, and staged records, by handle (never stamped:
-        # they are not a cache)
+        # -- the operation scope: staged entry lists, by directory handle,
+        # in first-dirtied order, and staged records, by handle (neither is
+        # in the decoded map: they are not a cache)
         self._scope = _OperationScope(self, self._bottom.operation() if self._bottom is not None else None)
-        self._pending: dict[str, _DirUpdate] = {}
+        self._pending: dict[FicusFileHandle, _DirUpdate] = {}
         self._records: dict[FicusFileHandle, _Staged] = {}
         #: staging calls of the open operation, for ``dir_writes_coalesced``
         self._staged_calls = 0
         #: per id mint: the next id to hand out and the mark ``.meta`` holds
         self._mints: dict[str, list[int]] | None = None
-
-    def _epoch(self) -> int:
-        node = self._bottom
-        return node.cache_epoch if node is not None else 0
 
     def _barrier(self) -> None:
         """Put every block the operation has written so far on the device
@@ -352,20 +355,14 @@ class ReplicaStore:
         if self._bottom is not None:
             self._bottom.fsync()
 
-    def _cache_get(self, cache: dict, key) -> object | None:
-        if not self._caches_enabled:
-            return None
-        entry = cache.get(key)
-        if entry is None:
-            return None
-        if entry[0] != self._epoch():
-            del cache[key]
-            return None
-        return entry[1]
-
-    def _cache_put(self, cache: dict, key, value) -> None:
-        if self._caches_enabled:
-            cache[key] = (self._epoch(), value)
+    def _learn(self, fh: FicusFileHandle) -> _Known:
+        """The decoded map's entry for ``fh``, made on first use — only
+        once there is something to record, so a failed lookup leaves no
+        entry behind."""
+        known = self._known.get(fh)
+        if known is None:
+            known = self._known[fh] = _Known()
+        return known
 
     @property
     def _attr(self) -> AttrTable:
@@ -496,10 +493,6 @@ class ReplicaStore:
 
     # -- directory storage -----------------------------------------------------
 
-    @staticmethod
-    def _dir_key(fh: FicusFileHandle) -> str:
-        return fh.logical.to_hex()
-
     def has_directory(self, fh: FicusFileHandle) -> bool:
         try:
             self.dir_unix_vnode(fh)
@@ -509,22 +502,20 @@ class ReplicaStore:
 
     def dir_unix_vnode(self, fh: FicusFileHandle) -> Vnode:
         """The underlying Unix directory of a Ficus directory."""
-        key = self._dir_key(fh)
-        vnode = self._cache_get(self._dir_vnode_cache, key)
+        fh = fh.logical
+        vnode = self._known.get(fh, _UNKNOWN).unix_dir
         if vnode is None:
-            vnode = self._nodes.lookup(key)
-            self._cache_put(self._dir_vnode_cache, key, vnode)
+            vnode = self._nodes.lookup(fh.to_hex())
+            self._learn(fh).unix_dir = vnode
         return vnode
 
-    def _unix_child(self, fh: FicusFileHandle, name: str) -> Vnode:
-        """Look up (with caching) one name inside a directory's underlying
-        Unix directory.  Mutations that unbind a cached name (unlink,
-        directory removal) drop the affected keys."""
-        key = (self._dir_key(fh), name)
-        vnode = self._cache_get(self._child_vnode_cache, key)
+    def fdir_vnode(self, fh: FicusFileHandle) -> Vnode:
+        """The ``.fdir`` of a Ficus directory: the file of its entry records."""
+        fh = fh.logical
+        vnode = self._known.get(fh, _UNKNOWN).fdir
         if vnode is None:
-            vnode = self.dir_unix_vnode(fh).lookup(name)
-            self._cache_put(self._child_vnode_cache, key, vnode)
+            vnode = self.dir_unix_vnode(fh).lookup(FDIR_NAME)
+            self._learn(fh).fdir = vnode
         return vnode
 
     def create_directory_storage(
@@ -538,15 +529,13 @@ class ReplicaStore:
         its Unix directory and empty ``.fdir`` now, its record — beside
         ``parent``'s when that block has room — with the operation."""
         fh = fh.logical
-        key = self._dir_key(fh)
-        unix_dir = self._nodes.mkdir(key)
+        unix_dir = self._nodes.mkdir(fh.to_hex())
         fdir = unix_dir.create(FDIR_NAME)
         aux = AuxAttributes(fh=fh, etype=etype, refs=1, graft_volume=graft_volume)
         with self._scope:
             self._stage_new(fh, aux, parent)
-        self._cache_put(self._dir_vnode_cache, key, unix_dir)
-        self._cache_put(self._child_vnode_cache, (key, FDIR_NAME), fdir)
-        self._cache_put(self._entries_cache, key, [])
+        known = self._learn(fh)
+        known.unix_dir, known.fdir, known.entries = unix_dir, fdir, []
         return unix_dir
 
     def remove_directory_storage(self, fh: FicusFileHandle, named_in: FicusFileHandle) -> None:
@@ -579,32 +568,27 @@ class ReplicaStore:
     def _remove_directory_storage(self, fh: FicusFileHandle) -> None:
         """Remove a directory's Unix directory and everything in it (its
         record is the caller's, staged by :meth:`_doom_directory`)."""
-        key = self._dir_key(fh)
-        self._pending.pop(key, None)  # nothing left to describe
+        self._pending.pop(fh, None)  # nothing left to describe
         unix_dir = self.dir_unix_vnode(fh)
         for entry in unix_dir.readdir():
             if entry.name not in (".", ".."):
                 unix_dir.remove(entry.name)
-        self._nodes.rmdir(key)
-        self._dir_vnode_cache.pop(key, None)
-        self._entries_cache.pop(key, None)
-        for child_key in [k for k in self._child_vnode_cache if k[0] == key]:
-            del self._child_vnode_cache[child_key]
+        self._nodes.rmdir(fh.to_hex())
+        self._known.pop(fh, None)
         self._subtree_memo.clear()
 
     def read_entries(self, fh: FicusFileHandle) -> list[DirectoryEntry]:
         """All entries of a Ficus directory, tombstones included."""
-        key = self._dir_key(fh)
-        update = self._pending.get(key)
+        fh = fh.logical
+        update = self._pending.get(fh)
         if update is not None and update.entries is not None:
             return list(update.entries)
-        cached = self._cache_get(self._entries_cache, key)
+        cached = self._known.get(fh, _UNKNOWN).entries
         if cached is not None:
             # fresh list: callers append/replace before writing back
             return list(cached)
-        fdir = self._unix_child(fh, FDIR_NAME)
-        entries = decode_directory(fdir.read_all())
-        self._cache_put(self._entries_cache, key, list(entries))
+        entries = decode_directory(self.fdir_vnode(fh).read_all())
+        self._learn(fh).entries = list(entries)
         return entries
 
     def write_entries(self, fh: FicusFileHandle, entries: list[DirectoryEntry]) -> None:
@@ -638,7 +622,7 @@ class ReplicaStore:
 
     def _peek(self, fh: FicusFileHandle) -> AuxAttributes:
         """One record as the open operation leaves it: the object the stage
-        or the cache holds, which the caller must not change."""
+        or the decoded map holds, which the caller must not change."""
         # an empty dict's get still hashes its key, and a handle's hash is
         # a Python call: most reads happen with nothing staged
         staged = self._records.get(fh) if self._records else None
@@ -646,10 +630,10 @@ class ReplicaStore:
             if staged.aux is None:
                 raise FileNotFound(f"the attribute record of {fh} is being cleared")
             return staged.aux
-        aux = self._cache_get(self._record_cache, fh)
+        aux = self._known.get(fh, _UNKNOWN).record
         if aux is None:
             aux = self._attr.read(fh)
-            self._cache_put(self._record_cache, fh, aux)
+            self._learn(fh).record = aux
         return aux
 
     def has_record(self, fh: FicusFileHandle) -> bool:
@@ -708,13 +692,14 @@ class ReplicaStore:
         the host must describe durable state."""
         if fh is None:
             return not self._pending and not self._records
-        return self._dir_key(fh) not in self._pending and (not self._records or fh.logical not in self._records)
+        fh = fh.logical
+        return fh not in self._pending and (not self._records or fh not in self._records)
 
     def _update(self, fh: FicusFileHandle) -> _DirUpdate:
-        key = self._dir_key(fh)
-        update = self._pending.get(key)
+        fh = fh.logical
+        update = self._pending.get(fh)
         if update is None:
-            update = self._pending[key] = _DirUpdate(fh.logical)
+            update = self._pending[fh] = _DirUpdate(fh)
         self._subtree_memo.clear()
         return update
 
@@ -739,7 +724,7 @@ class ReplicaStore:
             def write_lists() -> None:
                 self._barrier()
                 for update in lists:
-                    self._replace_record(self._unix_child(update.fh, FDIR_NAME), encode_directory(update.entries))
+                    self._replace_record(self.fdir_vnode(update.fh), encode_directory(update.entries))
                 self._barrier()
 
             self._barrier()
@@ -753,14 +738,14 @@ class ReplicaStore:
             }
             self.stats.dir_flushes += len(written_dirs)
             self.stats.dir_writes_coalesced += max(0, self._staged_calls - len(lists) - len(changes))
-            for key, update in self._pending.items():
+            for fh, update in self._pending.items():
                 if update.entries is not None:
-                    self._cache_put(self._entries_cache, key, update.entries)
+                    self._learn(fh).entries = update.entries
             for fh, staged in self._records.items():
-                if staged.aux is None:
-                    self._record_cache.pop(fh, None)
-                else:
-                    self._cache_put(self._record_cache, fh, staged.aux)
+                if staged.aux is not None:
+                    self._learn(fh).record = staged.aux
+                elif (known := self._known.get(fh)) is not None:
+                    known.record = None
             self._barrier()
             for parent, child in doomed_files:
                 self._unlink_file_storage(parent, child)
@@ -787,10 +772,7 @@ class ReplicaStore:
     def _drop_decoded(self) -> None:
         """Forget every decoded copy of storage, the table's index and the
         mints' in-memory range: each is read from the device at next use."""
-        self._entries_cache.clear()
-        self._record_cache.clear()
-        self._child_vnode_cache.clear()
-        self._dir_vnode_cache.clear()
+        self._known.clear()
         self._subtree_memo.clear()
         self._ancestor_sync_memo.clear()
         self._table = None
@@ -826,13 +808,25 @@ class ReplicaStore:
 
     # -- regular-file storage (lives inside the parent's Unix directory) --------
 
-    @staticmethod
-    def _file_key(fh: FicusFileHandle) -> str:
-        return fh.logical.to_hex()
-
     def file_vnode(self, parent: FicusFileHandle, fh: FicusFileHandle) -> Vnode:
         """The contents vnode of a regular-file replica."""
-        return self._unix_child(parent, self._file_key(fh))
+        parent, fh = parent.logical, fh.logical
+        files = self._known.get(parent, _UNKNOWN).files
+        vnode = files.get(fh) if files else None
+        if vnode is None:
+            vnode = self.dir_unix_vnode(parent).lookup(fh.to_hex())
+            self._keep_file(parent, fh, vnode)
+        return vnode
+
+    def _keep_file(self, parent: FicusFileHandle, fh: FicusFileHandle, vnode: Vnode) -> None:
+        known = self._learn(parent)
+        known.files = known.files or {}
+        known.files[fh] = vnode
+
+    def _forget_file(self, parent: FicusFileHandle, fh: FicusFileHandle | None) -> None:
+        files = self._known.get(parent, _UNKNOWN).files
+        if files:
+            files.pop(fh, None)
 
     def create_file_storage(
         self,
@@ -848,9 +842,8 @@ class ReplicaStore:
         creation is the first sync point (every replica starts from the
         same nothing).
         """
-        fh = fh.logical
-        key = self._file_key(fh)
-        contents = self.dir_unix_vnode(parent).create(key)
+        parent, fh = parent.logical, fh.logical
+        contents = self.dir_unix_vnode(parent).create(fh.to_hex())
         aux = AuxAttributes(
             fh=fh,
             etype=etype,
@@ -858,9 +851,9 @@ class ReplicaStore:
             merge_policy=merge_policy,
             ancestor=AuxAttributes.encode_ancestor([]),
         )
-        self._cache_put(self._child_vnode_cache, (self._dir_key(parent), key), contents)
+        self._keep_file(parent, fh, contents)
         with self._scope:
-            self._stage_new(fh, aux, parent.logical)
+            self._stage_new(fh, aux, parent)
         return contents
 
     def link_file_storage(
@@ -877,7 +870,7 @@ class ReplicaStore:
         every name.
         """
         fh = fh.logical
-        key = self._file_key(fh)
+        key = fh.to_hex()
         self.dir_unix_vnode(dst_parent).link(self.dir_unix_vnode(src_parent).lookup(key), key)
         with self._scope:
             self._stage(fh).aux.refs += 1
@@ -900,9 +893,8 @@ class ReplicaStore:
                 frees.append(fh)
 
     def _unlink_file_storage(self, parent: FicusFileHandle, fh: FicusFileHandle) -> None:
-        key = self._file_key(fh)
-        self.dir_unix_vnode(parent).remove(key)
-        self._child_vnode_cache.pop((self._dir_key(parent), key), None)
+        self.dir_unix_vnode(parent).remove(fh.to_hex())
+        self._forget_file(parent, fh)
         self._subtree_memo.clear()
 
     def has_file(self, parent: FicusFileHandle, fh: FicusFileHandle) -> bool:
@@ -961,9 +953,8 @@ class ReplicaStore:
                 if vnode.read_all() != contents:  # a rename replayed: often the very bytes
                     self._replace_record(vnode, contents)
             else:
-                key = self._file_key(fh)
-                vnode = self.dir_unix_vnode(parent).create(key)
-                self._cache_put(self._child_vnode_cache, (self._dir_key(parent), key), vnode)
+                vnode = self.dir_unix_vnode(parent).create(fh.to_hex())
+                self._keep_file(parent, fh, vnode)
                 if contents:
                     vnode.write(0, contents)
                 aux = AuxAttributes(fh=fh, etype=etype, vv=vv, merge_policy=merge_policy, ancestor=ancestor)
@@ -1089,16 +1080,16 @@ class ReplicaStore:
         fh = fh.logical
         unix_dir = self.dir_unix_vnode(fh)
         entries = self.read_entries(fh)
-        live = {self._file_key(entry.fh) for entry in entries if entry.live}
-        dead = {self._file_key(entry.fh) for entry in entries} - live
+        live = {entry.fh.logical for entry in entries if entry.live}
+        dead = {entry.fh.logical for entry in entries} - live
         kept = []
         for name in sorted(self._unix_names(fh)):
             child = handle_of(name)
-            if child is not None and self.has_record(child) and (name in live or name not in dead):
+            if child is not None and self.has_record(child) and (child in live or child not in dead):
                 kept.append(child)
                 continue  # served, or waiting for the entry only this host could publish
             unix_dir.remove(name)
-            self._child_vnode_cache.pop((self._dir_key(fh), name), None)
+            self._forget_file(fh, child)
             self._subtree_memo.clear()
         return kept
 

@@ -21,8 +21,8 @@ replica has one record in one UFS file, keyed by its logical handle:
 The index — which run holds which record, and which slots are free — is
 built by one read of the table when the store is made or attached and is
 kept current by the table's own writes.  It is placement state, like the
-id mints' range, not a cache: it has no epoch, and a cold record read
-costs one table block.
+id mints' range, not a cache: the buffer cache does not empty it, and a
+cold record read costs one table block.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ Both caches here are the mechanisms that argument depends on:
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -47,6 +48,19 @@ class CacheStats:
         return CacheStats(self.hits, self.misses, self.held)
 
 
+class _Decoded(dict):
+    """A decoded map: a dict the buffer cache can hold weakly."""
+
+    __slots__ = ("__weakref__",)
+
+
+class _KeepNothing(dict):
+    """The decoded map of a cache that keeps nothing: a store is dropped."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
 class BufferCache:
     """LRU block cache in front of a :class:`BlockDevice`, holding the open
     operation's dirty blocks.
@@ -68,24 +82,24 @@ class BufferCache:
         self.device = device
         self.capacity = capacity
         self.stats = CacheStats()
-        #: Coherence stamp for decoded-object caches layered above this
-        #: one (the UFS decoded inodes and decoded directories, the
-        #: replica-store metadata caches).  Bumped when blocks are
-        #: invalidated, so "cold buffer cache" also means "cold decoded
-        #: caches" and the paper's E3/E4 disk-I/O counts stay
-        #: byte-for-byte intact.  LRU eviction does not bump it: a decoded
-        #: object may outlive its block, which can only save a device read.
-        self.epoch = 0
         self._lru: OrderedDict[int, bytes] = OrderedDict()
         #: the open operation's dirty blocks, in first-dirtied order
         self.held: dict[int, bytes] = {}
+        self._decoded: list[weakref.ref] = []
 
-    @property
-    def caching_enabled(self) -> bool:
-        """False when capacity is 0 (the "no caches" ablation): decoded
-        caches layered above must disable with the block cache, or a
-        "warm" open would dodge the disk I/O the ablation measures."""
-        return self.capacity > 0
+    def decoded_map(self) -> dict:
+        """A map for objects decoded from these blocks (the UFS decoded
+        inodes and directories, the replica store's records, lists and
+        vnodes) that :meth:`invalidate_all` empties: "cold buffer cache"
+        means cold decoded caches too, so E3/E4's disk I/Os stay intact.
+        LRU eviction leaves it: a decoded object may outlive its block,
+        which only saves a read.  At capacity 0 (the "no caches" ablation)
+        it keeps nothing, or a "warm" open would dodge the I/O measured."""
+        if not self.capacity:
+            return _KeepNothing()
+        decoded = _Decoded()
+        self._decoded.append(weakref.ref(decoded))
+        return decoded
 
     def read(self, blockno: int) -> bytes:
         """Read a block: held, else cached, else from the device."""
@@ -120,14 +134,15 @@ class BufferCache:
         while len(self._lru) > self.capacity:
             self._lru.popitem(last=False)
 
-    def invalidate(self, blockno: int) -> None:
-        self.epoch += 1
-        self._lru.pop(blockno, None)
-
     def invalidate_all(self) -> None:
-        """Drop every cached block (simulates a cold cache / reboot)."""
-        self.epoch += 1
+        """Drop every cached block and empty every decoded map (simulates a
+        cold cache / reboot)."""
         self._lru.clear()
+        for ref in self._decoded:
+            decoded = ref()
+            if decoded is not None:
+                decoded.clear()
+        self._decoded = [ref for ref in self._decoded if ref() is not None]
 
     def __contains__(self, blockno: int) -> bool:
         return blockno in self._lru

@@ -11,9 +11,10 @@ and name cache the paper's performance notes rely on.
 Metadata costs O(1) in the size of the tables.  Allocation searches from
 an in-memory lower bound (see :class:`Ufs`), peeking at raw table bytes
 one block at a time; decoded inodes and decoded directories are handed
-out as copies of an epoch-stamped master.  None of it changes what
-reaches the device: every allocation is still the lowest free slot, so
-the write sequence is the one a scan from the first slot would produce.
+out as copies of a master kept in a map the buffer cache empties.  None
+of it changes what reaches the device: every allocation is still the
+lowest free slot, so the write sequence is the one a scan from the first
+slot would produce.
 
 Every change is made inside an operation scope (:meth:`Ufs.operation`;
 a call made outside any scope is a scope of its own).  The scope holds
@@ -163,18 +164,18 @@ class Ufs:
         self.cache = BufferCache(device, capacity=cache_blocks)
         self.namecache = NameCache(capacity=name_cache_size)
         self._next_generation = 1
-        # Decoded-inode cache: ino -> (buffer-cache epoch, master Inode).
-        # Avoids re-unpacking the same inode block on every crossing; all
-        # reads hand out CLONES (Inode is mutable) and every entry is
-        # dropped when the buffer-cache epoch moves, so an invalidated
-        # buffer cache also means cold decoded inodes (E3/E4 accounting).
-        self._icache: dict[int, tuple[int, Inode]] = {}
-        # Decoded-directory cache: ino -> (buffer-cache epoch, entries in
-        # on-disk order).  Lives by _icache's rules: never filled at
-        # capacity 0, readers get a copy, dropped before anything writes
-        # or frees the inode's data (the write may raise half-way) and
-        # refreshed by _write_dir_entries once its inode write has landed.
-        self._dcache: dict[int, tuple[int, dict[str, int]]] = {}
+        # Decoded-inode cache: ino -> master Inode.  Avoids re-unpacking
+        # the same inode block on every crossing; all reads hand out CLONES
+        # (Inode is mutable), and the buffer cache empties it with its
+        # blocks, so an invalidated buffer cache also means cold decoded
+        # inodes (E3/E4 accounting).
+        self._icache: dict[int, Inode] = self.cache.decoded_map()
+        # Decoded-directory cache: ino -> entries in on-disk order.  Lives
+        # by _icache's rules: never filled at capacity 0, readers get a
+        # copy, dropped before anything writes or frees the inode's data
+        # (the write may raise half-way) and refreshed by
+        # _write_dir_entries once its inode write has landed.
+        self._dcache: dict[int, dict[str, int]] = self.cache.decoded_map()
         # Allocation bounds: no inode below _ino_floor and no data block
         # below _blk_floor is free.  A bound only says where the search
         # starts — whether a slot is free is always read off the table —
@@ -289,9 +290,9 @@ class Ufs:
 
     def _drop_held(self) -> None:
         """Forget everything held and queued since the last landing: the
-        held set, the caches (decoded ones by the epoch) and the bounds may
-        describe writes that will never land, so start again from the
-        device."""
+        held set, the caches (the decoded ones with the buffer cache) and
+        the bounds may describe writes that will never land, so start again
+        from the device."""
         self._fresh.clear()
         self._born.clear()
         self._pointers.clear()
@@ -360,15 +361,13 @@ class Ufs:
                 offset += sb.inode_size
 
     def _get_inode_raw(self, ino: int) -> Inode:
-        if self.cache.capacity:
-            entry = self._icache.get(ino)
-            if entry is not None and entry[0] == self.cache.epoch:
-                return entry[1].clone()
+        cached = self._icache.get(ino)
+        if cached is not None:
+            return cached.clone()
         block, offset = self.sb.inode_location(ino)
         data = self.cache.read(block)
         inode = Inode.unpack(ino, data[offset : offset + INODE_SIZE])
-        if self.cache.capacity:
-            self._icache[ino] = (self.cache.epoch, inode.clone())
+        self._icache[ino] = inode.clone()
         return inode
 
     def get_inode(self, ino: int) -> Inode:
@@ -389,8 +388,7 @@ class Ufs:
         # operation, so its second write of an inode is usually this one.)
         if data[offset : offset + len(packed)] != packed:
             self._hold(block, data[:offset] + packed + data[offset + len(packed) :])
-        if self.cache.capacity:
-            self._icache[inode.ino] = (self.cache.epoch, inode.clone())
+        self._icache[inode.ino] = inode.clone()
 
     def _alloc_inode(
         self, ftype: FileType, perm: int = 0o644, uid: int = 0, nlink: int = 0
@@ -674,12 +672,11 @@ class Ufs:
     def _read_dir_entries(self, inode: Inode) -> dict[str, int]:
         if not inode.is_dir:
             raise NotADirectory(f"inode {inode.ino} is not a directory")
-        if self.cache.capacity:
-            cached = self._dcache.get(inode.ino)
-            if cached is not None and cached[0] == self.cache.epoch:
-                # as reading the data would: callers persist this inode
-                inode.atime = self.clock.now()
-                return dict(cached[1])
+        cached = self._dcache.get(inode.ino)
+        if cached is not None:
+            # as reading the data would: callers persist this inode
+            inode.atime = self.clock.now()
+            return dict(cached)
         raw = self._read_inode_data(inode)
         entries: dict[str, int] = {}
         if raw:
@@ -687,8 +684,7 @@ class Ufs:
                 if line:
                     name, ino = _decode_dirent(line)
                     entries[name] = ino
-        if self.cache.capacity:
-            self._dcache[inode.ino] = (self.cache.epoch, dict(entries))
+        self._dcache[inode.ino] = dict(entries)
         return entries
 
     def _write_dir_entries(self, inode: Inode, entries: dict[str, int]) -> None:
@@ -733,8 +729,7 @@ class Ufs:
         inode.mtime = now
         inode.ctime = now
         self._put_inode(inode)
-        if self.cache.capacity:
-            self._dcache[inode.ino] = (self.cache.epoch, dict(ordered))
+        self._dcache[inode.ino] = dict(ordered)
 
     def _pack_dirents(self, ordered: list[tuple[str, int]]) -> bytes:
         """Entry lines of a directory longer than a block, each block padded

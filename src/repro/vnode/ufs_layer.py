@@ -32,19 +32,12 @@ class UfsVnode(Vnode):
     def fs(self) -> Ufs:
         return self.layer.fs
 
-    @property
-    def cache_epoch(self) -> int:
-        """Coherence stamp for decoded-object caches layered above this
-        storage bottom (see :attr:`BufferCache.epoch`).  Layers that keep
-        decoded metadata (the replica store) walk down to this provider
-        so "buffer cache went cold" also invalidates their caches."""
-        return self.fs.cache.epoch
-
-    @property
-    def caches_enabled(self) -> bool:
-        """Whether the storage bottom caches at all (see
-        :attr:`BufferCache.caching_enabled`)."""
-        return self.fs.cache.caching_enabled
+    def decoded_map(self) -> dict:
+        """A map for what a layer above decodes from this storage bottom
+        (see :meth:`BufferCache.decoded_map`): the replica store walks down
+        to this provider and keeps its decoded metadata in one, so "buffer
+        cache went cold" also empties it."""
+        return self.fs.cache.decoded_map()
 
     def operation(self):
         """The UFS operation scope (:meth:`Ufs.operation`): a layer above

@@ -1,9 +1,10 @@
 """Differential test: the decoded-object caches never change an answer.
 
-The replica store's decoded directory/aux/vnode caches and the UFS
-decoded-inode and decoded-directory caches are stamped with the
-buffer-cache epoch and switch off with it (capacity 0).  That uncached configuration decodes from disk
-blocks on every operation, so it is the reference implementation: one
+The replica store's decoded map (records, entry lists and vnodes, by
+logical handle) and the UFS decoded-inode and decoded-directory caches are
+maps the buffer cache hands out: it empties them when it goes cold, and at
+capacity 0 they keep nothing.  That uncached configuration decodes from
+disk blocks on every operation, so it is the reference implementation: one
 scripted history must produce the same per-op results and the same
 replicated state on a default cluster and on an uncached one.
 
@@ -17,10 +18,13 @@ from dataclasses import replace
 from repro.core import FicusFileSystem
 from repro.core.filesystem import StatResult
 from repro.errors import FicusError
+from repro.physical.store import ReplicaStore
 from repro.sim import DaemonConfig, FicusSystem, HostConfig
 from repro.storage import BlockDevice
 from repro.ufs import ROOT_INO, Ufs
+from repro.vnode import UfsLayer
 from repro.vnode.interface import ROOT_CTX, OpContext
+from repro.vv import VersionVector
 from repro.workload.verify import state_fingerprint
 
 QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
@@ -85,7 +89,7 @@ def run_history(host_config: HostConfig | None, ctx: OpContext = ROOT_CTX):
     observe("/d/a", "/d/sub/x")
     op(beta, "write_file", "/d/sub/x", b"after invalidate")
 
-    # a notified pull installs through the shadow file and its commit rename
+    # a notified pull installs the new version into the file's own inode
     op(alpha, "write_file", "/d/a", BIG + b"v4")
     results.append(("pulled", beta.propagation_daemon.tick()))
     op(beta, "read_file", "/d/a")
@@ -123,9 +127,8 @@ def test_uncached_reference_and_cached_cluster_agree():
     # the same device parses, entry order included
     for host in cached.hosts.values():
         cold = Ufs.mount(host.ufs.device)
-        for ino, (epoch, entries) in host.ufs._dcache.items():
-            if epoch == host.ufs.cache.epoch:
-                assert list(entries.items()) == list(cold.readdir(ino).items())
+        for ino, entries in host.ufs._dcache.items():
+            assert list(entries.items()) == list(cold.readdir(ino).items())
 
 
 def test_logical_name_views_and_held_handles_never_change_an_answer():
@@ -208,7 +211,7 @@ def test_skipped_inode_write_still_refreshes_the_decoded_inode():
     writes = fs.device.counters.writes
     fs._put_inode(inode)
     assert fs.device.counters.writes == writes  # byte-identical: skipped
-    assert fs._icache[ino] == (fs.cache.epoch, inode)
+    assert fs._icache[ino] == inode
     lookups = fs.cache.stats.lookups
     assert fs.get_inode(ino) == inode
     assert fs.cache.stats.lookups == lookups, "re-read from the table block"
@@ -216,3 +219,57 @@ def test_skipped_inode_write_still_refreshes_the_decoded_inode():
     reference = Ufs.mkfs(BlockDevice(256), num_inodes=64, cache_blocks=0, name_cache_size=0)
     reference._put_inode(reference.get_inode(reference.create(ROOT_INO, "f")))
     assert not reference._icache
+
+
+def one_file_replica():
+    """A one-host system holding ``/f``: (host, its store, root, f's handle)."""
+    system = FicusSystem(["alpha"], daemon_config=QUIET)
+    host = system.host("alpha")
+    host.fs().write_file("/f", b"x")
+    store = host.physical.store_for(system.root_locations[0].volrep)
+    root = store.root_handle()
+    (fh,) = [entry.fh for entry in store.read_entries(root) if entry.name == "f"]
+    return host, store, root, fh
+
+
+def test_a_cold_buffer_cache_empties_the_store_map():
+    """Cold as E3/E4 make it — the buffer cache and the name cache emptied
+    — means every entry list, record and contents vnode the store decoded
+    is read from the device again, once."""
+    host, store, root, fh = one_file_replica()
+    device = host.ufs.device
+    probes = {
+        "read_entries": lambda: store.read_entries(root),
+        "read_record": lambda: store.read_record(fh),
+        "file_vnode": lambda: store.file_vnode(root, fh),
+    }
+    for name, probe in probes.items():
+        probe()
+        host.ufs.cache.invalidate_all()
+        host.ufs.namecache.invalidate_all()
+        reads = device.counters.reads
+        probe()
+        assert device.counters.reads > reads, f"{name} answered from a decoded copy"
+        reads = device.counters.reads
+        probe()
+        assert device.counters.reads == reads, f"{name} read the device again"
+
+
+def test_a_cold_buffer_cache_inside_an_operation_keeps_what_is_staged():
+    """The buffer cache may go cold while a store operation is open: what
+    the operation staged is not a decoded copy, so it is still what reads
+    answer, and the flush lands it."""
+    host, store, root, fh = one_file_replica()
+    entries = [entry.killed() if entry.fh == fh else entry for entry in store.read_entries(root)]
+    record = store.read_record(fh)
+    record.vv = record.vv.merge(VersionVector({7: 1}))
+    with store.operation():
+        store.write_entries(root, entries)
+        store.write_record(fh, record)
+        host.ufs.cache.invalidate_all()
+        assert store.read_entries(root) == entries
+        assert store.read_record(fh) == record
+    assert store.flushed()
+    fresh = ReplicaStore.attach(UfsLayer(Ufs.mount(host.ufs.device)).root(), store.volrep)
+    assert fresh.read_entries(root) == entries
+    assert fresh.read_record(fh) == record

@@ -40,14 +40,6 @@ class TestBufferCache:
         assert cache.read(5) == b"w" * 512
         assert device.counters.reads == before  # served from cache
 
-    def test_invalidate_single_block(self, device):
-        cache = BufferCache(device, capacity=4)
-        cache.read(1)
-        cache.invalidate(1)
-        before = device.counters.reads
-        cache.read(1)
-        assert device.counters.reads == before + 1
-
     def test_zero_capacity_never_caches(self, device):
         cache = BufferCache(device, capacity=0)
         cache.read(1)

@@ -140,9 +140,9 @@ class TestBlockDeltaPull:
         assert beta_store.file_vnode(root_fh, fh).read_all() == bytes(mutated)
 
     def test_mid_pull_partition_leaves_old_contents_intact(self, system):
-        """The delta lands in the shadow and commits atomically: a
-        partition after the signature fetch but before the block fetch
-        leaves the local replica exactly as it was."""
+        """The delta is installed only once every block has arrived, in one
+        commit: a partition after the signature fetch but before the block
+        fetch leaves the local replica exactly as it was."""
         fh, contents = seeded_file(system)
         mutated = bytearray(contents)
         mutated[2 * DELTA_BLOCK_SIZE] ^= 0xFF

@@ -159,7 +159,7 @@ class TestDetectsCorruption:
         fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "f")
         # the contents' last name gone, the record not cleared with it
         store.dir_unix_vnode(store.root_handle()).remove(fh.to_hex())
-        store._child_vnode_cache.clear()
+        store._known.clear()
         assert f"record of file {fh} stored nowhere" in ficus_fsck(store).problems
 
     def test_a_file_record_counts_its_stored_names(self):

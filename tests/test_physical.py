@@ -465,7 +465,7 @@ class TestOutOfSpace:
         for name in names[:-1]:
             root.insert(name, EntryType.FILE)
         fill_the_disk(root, names[-1])
-        assert store._unix_child(store.root_handle(), FDIR_NAME).getattr().size == 2 * STORE_BLOCK_SIZE
+        assert store.fdir_vnode(store.root_handle()).getattr().size == 2 * STORE_BLOCK_SIZE
         # a list of two blocks is replaced by truncate(0) + write: the new
         # blocks cannot be had, and the truncation must not land without them
         with pytest.raises(NoSpace):
@@ -559,7 +559,7 @@ class TestOperationScope:
         with pytest.raises(CrashInjected):
             with store.operation():
                 self.grow_dir_vv(store, 7)
-        assert store.flushed() and not store._record_cache
+        assert store.flushed() and not store._known
         device.recover()
         assert store.read_record(store.root_handle()) == old  # from the device, not from memory
 
@@ -569,7 +569,7 @@ class TestOperationScope:
         store = phys.create_volume_replica(VR)
         root = phys.root().lookup(VR.to_hex())
         insert_file(store, root, "f", b"x")
-        assert not store._entries_cache and not store._record_cache
+        assert not store._known
         with store.operation():
             entry = store.read_entries(store.root_handle())[0]
             before = device.counters.writes

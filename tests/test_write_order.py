@@ -384,7 +384,7 @@ def meta_bytes(store, fh):
 
 
 def entry_file_vnode(store, fh):
-    return store._unix_child(store.root_handle(), FDIR_NAME)
+    return store.fdir_vnode(store.root_handle())
 
 
 def entry_file_bytes(store, fh):
@@ -661,11 +661,11 @@ def test_an_entry_file_of_two_blocks_is_never_rewritten_in_place():
         for i in range(60)
     ]
     store.write_entries(root, entries)
-    stored = store._unix_child(root, FDIR_NAME).getattr().size
+    stored = store.fdir_vnode(root).getattr().size
     assert stored == 2 * STORE_BLOCK_SIZE
     in_place, resized = store.stats.records_in_place, store.stats.records_resized
     store.write_entries(root, [entries[0].killed()] + entries[1:])  # same length
-    assert store._unix_child(root, FDIR_NAME).getattr().size == stored
+    assert store.fdir_vnode(root).getattr().size == stored
     # .fdir resized, and nothing else written: the record holds no digest
     assert (store.stats.records_in_place, store.stats.records_resized) == (in_place, resized + 1)
 

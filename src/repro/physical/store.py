@@ -229,12 +229,19 @@ class _Known:
     """What the store has decoded about one object, by logical handle:
     its record, and for a directory its Unix directory's vnode, its
     ``.fdir``'s vnode, its entry list and the contents vnodes of the files
-    stored in it, by handle (``None``: not decoded yet)."""
+    stored in it, by handle (``None``: not decoded yet).
 
-    __slots__ = ("record", "unix_dir", "fdir", "entries", "files")
+    And what reconciliation has learnt of it: a directory's ``subtree``
+    digest; ``readers``, the directories whose digest read this object,
+    each of which a change to it makes stale; and for a file ``synced``,
+    the (vector, merge ancestor) pair its contents were last digested at.
+    """
+
+    __slots__ = ("record", "unix_dir", "fdir", "entries", "files", "subtree", "readers", "synced")
 
     def __init__(self):
         self.record = self.unix_dir = self.fdir = self.entries = self.files = None
+        self.subtree = self.readers = self.synced = None
 
 
 #: what the decoded map answers for a handle it holds no entry for
@@ -317,14 +324,6 @@ class ReplicaStore:
         self.stats = StoreStats()
         self._base = lower_root.lookup(volrep.to_hex())
         self._nodes = self._base.lookup("nodes")
-        #: memoized subtree recon digests, cleared on every mutation; a
-        #: converged replica answers repeated sync probes from memory
-        self._subtree_memo: dict[FicusFileHandle, str] = {}
-        #: subtree digest at the last wholesale ancestor refresh, so a
-        #: converged replica pays the refresh walk once per state rather
-        #: than once per recon tick (in-memory: a crash only costs one
-        #: extra walk after reboot)
-        self._ancestor_sync_memo: dict[FicusFileHandle, str] = {}
         # -- what the store has decoded, by logical handle, in a map the
         # bottom's buffer cache empties when it goes cold (invalidate_all,
         # fault injection: E3/E4's disk I/Os stay byte-for-byte intact) —
@@ -363,6 +362,21 @@ class ReplicaStore:
         if known is None:
             known = self._known[fh] = _Known()
         return known
+
+    def _changed(self, fh: FicusFileHandle) -> None:
+        """``fh`` changed: drop the subtree digests that read it — its own
+        and every directory's above it, along the edges
+        :meth:`directory_digest` recorded.  Each edge is followed once and
+        forgotten (the directory records it again when it next digests),
+        so a walk stops at a directory already visited and costs the
+        depth of the change, not the size of the volume."""
+        stack = [self._known.get(fh)]
+        while stack:
+            known = stack.pop()
+            if known is not None:
+                known.subtree = None
+                readers, known.readers = known.readers, None
+                stack.extend(map(self._known.get, readers or ()))
 
     @property
     def _attr(self) -> AttrTable:
@@ -574,8 +588,8 @@ class ReplicaStore:
             if entry.name not in (".", ".."):
                 unix_dir.remove(entry.name)
         self._nodes.rmdir(fh.to_hex())
+        self._changed(fh)
         self._known.pop(fh, None)
-        self._subtree_memo.clear()
 
     def read_entries(self, fh: FicusFileHandle) -> list[DirectoryEntry]:
         """All entries of a Ficus directory, tombstones included."""
@@ -654,7 +668,7 @@ class ReplicaStore:
         elif staged.aux is None:
             raise FileNotFound(f"the attribute record of {fh} is being cleared")
         self._staged_calls += 1
-        self._subtree_memo.clear()
+        self._changed(fh)
         return staged
 
     def _stage_new(self, fh: FicusFileHandle, aux: AuxAttributes, near: FicusFileHandle | None) -> None:
@@ -665,7 +679,7 @@ class ReplicaStore:
         else:
             staged.aux = aux
         self._staged_calls += 1
-        self._subtree_memo.clear()
+        self._changed(fh)
 
     def _stage_clear(self, fh: FicusFileHandle) -> None:
         self._stage(fh).aux = None
@@ -700,7 +714,7 @@ class ReplicaStore:
         update = self._pending.get(fh)
         if update is None:
             update = self._pending[fh] = _DirUpdate(fh)
-        self._subtree_memo.clear()
+        self._changed(fh)
         return update
 
     def _flush(self) -> None:
@@ -773,8 +787,6 @@ class ReplicaStore:
         """Forget every decoded copy of storage, the table's index and the
         mints' in-memory range: each is read from the device at next use."""
         self._known.clear()
-        self._subtree_memo.clear()
-        self._ancestor_sync_memo.clear()
         self._table = None
         self._mints = None
 
@@ -854,6 +866,7 @@ class ReplicaStore:
         self._keep_file(parent, fh, contents)
         with self._scope:
             self._stage_new(fh, aux, parent)
+        self._learn(fh).synced = (aux.vv, aux.ancestor)
         return contents
 
     def link_file_storage(
@@ -895,7 +908,7 @@ class ReplicaStore:
     def _unlink_file_storage(self, parent: FicusFileHandle, fh: FicusFileHandle) -> None:
         self.dir_unix_vnode(parent).remove(fh.to_hex())
         self._forget_file(parent, fh)
-        self._subtree_memo.clear()
+        self._changed(parent)
 
     def has_file(self, parent: FicusFileHandle, fh: FicusFileHandle) -> bool:
         try:
@@ -959,9 +972,11 @@ class ReplicaStore:
                     vnode.write(0, contents)
                 aux = AuxAttributes(fh=fh, etype=etype, vv=vv, merge_policy=merge_policy, ancestor=ancestor)
                 self._stage_new(fh, aux, parent)
+                self._learn(fh).synced = (vv, ancestor)
                 return
             aux = self._stage(fh).aux
             aux.vv, aux.merge_policy, aux.ancestor = vv, merge_policy, ancestor
+            self._learn(fh).synced = (vv, ancestor)
 
     def _stored_elsewhere(self, parent: FicusFileHandle, fh: FicusFileHandle) -> list[FicusFileHandle]:
         """The other directories storing ``fh`` (each names it in its
@@ -987,12 +1002,23 @@ class ReplicaStore:
         the latest common ancestor either side can prove.  Local writes
         never touch the record — only sync points do — which is what lets
         two later-conflicting hosts hold the *same* ancestor.
+
+        The contents are read and digested only when the record's (vector,
+        ancestor) pair is not the one they were last digested at (by this
+        call, :meth:`install` or :meth:`create_file_storage`): one vector
+        names one version's contents.  The exception, an open update
+        session that has written under its advanced vector, never reaches
+        here — no peer copies that vector until the session closes.
         """
         fh = fh.logical
+        aux = self._peek(fh)
+        if self._known.get(fh, _UNKNOWN).synced == (aux.vv, aux.ancestor):
+            return
         record = _ancestor_of(self.file_vnode(parent, fh).read_all())
-        if self._peek(fh).ancestor != record:
+        if aux.ancestor != record:
             with self._scope:
                 self._stage(fh).aux.ancestor = record
+        self._learn(fh).synced = (aux.vv, record)
 
     def note_subtree_synced(self, fh: FicusFileHandle) -> None:
         """Refresh merge ancestors across a subtree proven equal to a peer.
@@ -1002,7 +1028,9 @@ class ReplicaStore:
         demonstrably common — the same sync point ``note_file_synced``
         records per file, observed wholesale.  Without this hook the
         replica that *originated* an update would never retain an
-        ancestor, because pruning skips the per-file EQUAL visit.
+        ancestor, because pruning skips the per-file EQUAL visit.  A file
+        whose version has not moved since its last sync point costs no
+        read (:meth:`note_file_synced`).
         """
         with self._scope:
             self._note_subtree_synced(fh.logical, set())
@@ -1011,9 +1039,6 @@ class ReplicaStore:
         if fh in visiting:
             return
         visiting.add(fh)
-        digest = self._subtree_digest(fh, set())
-        if self._ancestor_sync_memo.get(fh) == digest:
-            return  # already refreshed for this exact subtree state
         for entry in self.read_entries(fh):
             if not entry.live:
                 continue
@@ -1022,7 +1047,6 @@ class ReplicaStore:
                     self._note_subtree_synced(entry.fh.logical, visiting)
             elif entry.etype == EntryType.FILE and self.has_file(fh, entry.fh):
                 self.note_file_synced(fh, entry.fh)
-        self._ancestor_sync_memo[fh] = digest
 
     def recover(self) -> None:
         """Crash recovery for the whole replica, the first act of a reboot,
@@ -1090,7 +1114,7 @@ class ReplicaStore:
                 continue  # served, or waiting for the entry only this host could publish
             unix_dir.remove(name)
             self._forget_file(fh, child)
-            self._subtree_memo.clear()
+            self._changed(fh)
         return kept
 
     # -- recon digests (subtree pruning, Merkle-style) ---------------------------
@@ -1099,16 +1123,24 @@ class ReplicaStore:
         """This directory's own recon digest, computed from what the replica
         stores: its vector, the fold of its entry records, and the fold of
         each live child file stored in it with that file's vector — through
-        whichever name the file was last written."""
+        whichever name the file was last written.  Each live entry's object
+        records this directory as a reader, so a change to it drops exactly
+        the subtree digests above it (:meth:`_changed`)."""
         fh = fh.logical
         entries = self.read_entries(fh)
         files = ""
         seen: set[FicusFileHandle] = set()
         for entry in entries:
+            if not entry.live or entry.etype is EntryType.LOCATION:
+                continue
             child = entry.fh.logical
+            known = self._learn(child)
+            if known.readers is None:
+                known.readers = {fh}
+            else:
+                known.readers.add(fh)
             if (
-                entry.live
-                and entry.etype in (EntryType.FILE, EntryType.SYMLINK)
+                entry.etype in (EntryType.FILE, EntryType.SYMLINK)
                 and child not in seen
                 and self.has_record(child)
                 and self.has_file(fh, child)
@@ -1125,13 +1157,16 @@ class ReplicaStore:
         """The recon digest of everything reachable from one directory.
 
         Folds the directory's own digest with each stored child
-        directory's subtree digest.  Memoized until the next mutation, so
-        a converged replica answers repeated probes without touching disk.
+        directory's subtree digest.  Memoized per directory in the decoded
+        map until something it read changes: a mutation drops the memo of
+        the object it changed and of the directories above it, so the next
+        probe refolds only the path to the change, and a converged replica
+        answers repeated probes without touching disk.
         """
         return self._subtree_digest(fh.logical, set())
 
     def _subtree_digest(self, fh: FicusFileHandle, visiting: set[FicusFileHandle]) -> str:
-        cached = self._subtree_memo.get(fh)
+        cached = self._known.get(fh, _UNKNOWN).subtree
         if cached is not None:
             return cached
         local = self.directory_digest(fh)
@@ -1144,7 +1179,7 @@ class ReplicaStore:
             parts.append(self._subtree_digest(child, visiting))
         visiting.discard(fh)
         digest = content_digest(*parts)
-        self._subtree_memo[fh] = digest
+        self._learn(fh).subtree = digest
         return digest
 
     def stored_child_directories(self, fh: FicusFileHandle) -> list[FicusFileHandle]:

@@ -84,6 +84,7 @@ def reconcile_subtree(
     policy: StoragePolicy | None = None,
     on_directory_changed: Callable[[FicusFileHandle], None] | None = None,
     resolvers: ResolverRegistry | None = None,
+    fetch_root: Callable[[], Vnode] | None = None,
 ) -> SubtreeReconResult:
     """Reconcile the local volume replica against one remote replica.
 
@@ -99,7 +100,24 @@ def reconcile_subtree(
     concurrent-update conflict on a resolver-covered file is merged and
     committed on the spot instead of being reported; the manual conflict
     log only receives conflicts no resolver handles.
+
+    ``fetch_root`` (optional) fetches the remote volume root afresh.  A
+    remote that rebooted since ``remote_volume_root`` was fetched answers
+    its handle with ``StaleFileHandle``; the run then fetches the root
+    once more and goes on, as :meth:`repro.logical.Fabric.dir_by_handle`
+    does, instead of giving up the pass.
     """
+
+    def ask(call: Callable[[Vnode], object]) -> object:
+        nonlocal remote_volume_root, fetch_root
+        try:
+            return call(remote_volume_root)
+        except StaleFileHandle:
+            if fetch_root is None:
+                raise
+            remote_volume_root, fetch_root = fetch_root(), None
+            return call(remote_volume_root)
+
     store = physical.store_for(volrep)
     result = SubtreeReconResult()
     start = (root_fh or store.root_handle()).logical
@@ -127,7 +145,7 @@ def reconcile_subtree(
         probe = None
         if local_digest is not None:
             try:
-                probe = remote_volume_root.sync_probe(dir_fh)
+                probe = ask(lambda root: root.sync_probe(dir_fh))
                 result.probe_rpcs += 1
             except FileNotFound:
                 continue  # remote replica does not store this directory
@@ -141,7 +159,7 @@ def reconcile_subtree(
                 continue
 
         try:
-            remote_dir = remote_volume_root.lookup_fh(dir_fh)
+            remote_dir = ask(lambda root: root.lookup_fh(dir_fh))
         except FileNotFound:
             continue  # remote replica does not store this directory
         except (HostUnreachable, StaleFileHandle):

@@ -551,6 +551,7 @@ class ReconciliationDaemon:
             policy=self.physical.policy_for(volrep),
             on_directory_changed=partial(announce_sync_install, self.logical, volrep),
             resolvers=self.resolvers,
+            fetch_root=partial(self.fabric.volume_root, peer.host, peer.volrep),
         )
         # tombstone garbage collection: purge fully-acknowledged deletes
         from repro.recon.gc import collect_volume_replica

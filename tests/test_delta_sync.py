@@ -10,7 +10,7 @@ notification loop guard).
 import pytest
 
 from repro.errors import HostUnreachable
-from repro.physical import PhysicalDirVnode
+from repro.physical import PhysicalDirVnode, ReplicaStore
 from repro.physical.wire import DELTA_BLOCK_SIZE
 from repro.recon import PullOutcome, pull_file, reconcile_directory, reconcile_subtree
 from repro.sim import DaemonConfig, FicusSystem
@@ -236,6 +236,37 @@ class TestSubtreePruning:
         assert sorted(a.listdir("/d2")) == sorted(b.listdir("/d2"))
         assert a.read_file("/d2/new-b") == b"b side"
         assert b.read_file("/d0/new-a") == b"a side"
+
+    def test_a_write_refolds_only_its_path(self, system, monkeypatch):
+        """A write drops the subtree digests of its own path and no other:
+        the next probe digests the written directory and each directory
+        above it once, and a repeated probe digests nothing."""
+        build_tree(system, dirs=13)
+        fs = system.host("alpha").fs()
+        fs.makedirs("/n1/n2/n3")
+        fs.write_file("/n1/n2/n3/f", b"one")
+        system.reconcile_everything()
+        store = store_of(system, "alpha")
+        root = store.root_handle()
+        assert len(store.all_directory_handles()) == 16 + 1
+        store.subtree_digest(root)
+        fs.write_file("/n1/n2/n3/f", b"two")
+
+        digested = []
+        digest = ReplicaStore.directory_digest
+
+        def counted_digest(self, fh):
+            digested.append(fh)
+            return digest(self, fh)
+
+        monkeypatch.setattr(ReplicaStore, "directory_digest", counted_digest)
+        refolded = store.subtree_digest(root)
+        assert len(digested) == 3 + 1
+        digested.clear()
+        assert store.subtree_digest(root) == refolded
+        assert digested == []
+        monkeypatch.undo()
+        assert ReplicaStore.attach(store.lower_root, store.volrep).subtree_digest(root) == refolded
 
 
 class TestSyncNotifications:

@@ -233,8 +233,8 @@ class TestClusterWithRestarts:
 
     def test_a_lookup_cached_before_a_reboot_does_not_hold_back_the_pull(self):
         # beta's NFS client cached its lookup of /d/f at alpha; after alpha
-        # reboots that lookup names a vnode alpha no longer knows.  beta's
-        # first sweep meets the stale volume root; the next one pulls
+        # reboots that lookup names a vnode alpha no longer knows, and the
+        # pull looks the file up once more
         system = FicusSystem(["alpha", "beta"], daemon_config=QUIET)
         alpha = system.host("alpha")
         alpha.fs().mkdir("/d")
@@ -247,6 +247,25 @@ class TestClusterWithRestarts:
         system.reconcile_everything()
         system.partition([{"alpha"}, {"beta"}])
         assert system.host("beta").fs().read_file("/d/f") == b"two"
+
+    def test_the_first_pass_after_a_peer_reboots_pulls_its_write(self):
+        # beta's NFS client holds alpha's volume root from before the
+        # reboot: the pass meets the stale handle, fetches the root again
+        # and reconciles instead of giving up until the next tick
+        system = FicusSystem(["alpha", "beta"], daemon_config=QUIET)
+        alpha, beta = system.host("alpha"), system.host("beta")
+        alpha.fs().write_file("/f", b"one")
+        system.reconcile_everything()
+        alpha.crash()
+        alpha.restart(system)
+        alpha.fs().write_file("/f", b"two")
+        beta_volrep = next(loc.volrep for loc in system.root_locations if loc.host == "beta")
+        alpha_loc = next(loc for loc in system.root_locations if loc.host == "alpha")
+        result = beta.recon_daemon.reconcile_with(beta_volrep, alpha_loc)
+        assert not result.aborted_by_partition
+        assert result.files_pulled == 1
+        system.partition([{"alpha"}, {"beta"}])
+        assert beta.fs().read_file("/f") == b"two"
 
     def test_open_session_dies_with_crash_without_corruption(self):
         system = FicusSystem(["server", "client"], root_volume_hosts=["server"], daemon_config=QUIET)

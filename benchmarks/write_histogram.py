@@ -21,9 +21,12 @@ by its kind.  By *operation*: the outermost of ``push_notify_pull`` /
 directory data (a data block last mapped by a directory) — and
 ``repeats`` the writes, by the same kinds, that hit a block already written
 inside the same outermost ``ReplicaStore`` operation: what a per-operation
-set of held blocks could save.  Only names both commits of a comparison
-share are patched, so the same script reads the parent and the change
-(EXPERIMENTS.md E29).
+set of held blocks could save.  ``times_only`` counts the inode-table
+writes whose bytes differ from the block's previous device image only
+inside slots' three times (bytes 16–40 of a slot: the atime, mtime and
+ctime of ``ufs/layout.py``'s slot format) — what lazy inode times save.
+Only names both commits of a comparison share are patched, so the same
+script reads the parent and the change (EXPERIMENTS.md E29, E49).
 """
 
 from __future__ import annotations
@@ -38,6 +41,17 @@ from pathlib import Path
 
 ALLOCATION = "inode allocation"
 KINDS = ("data", "inode table", "bitmap", "directory data")
+#: the bytes of an inode slot its three times take (``<HHIQ`` before them),
+#: spelled out rather than imported so that checkouts from before the name
+#: ``ufs.layout.SLOT_TIMES`` read too
+TIMES = range(16, 40)
+
+
+def times_only(old: bytes, new: bytes, inode_size: int) -> bool:
+    """Whether a table block's new image differs from its old one, and
+    only inside slots' times."""
+    changed = [i for i, (a, b) in enumerate(zip(old, new)) if a != b]
+    return bool(changed) and all(i % inode_size in TIMES for i in changed)
 
 
 def record_of(name: str) -> str:
@@ -73,7 +87,7 @@ def histogram(workload: str, seed: int, seconds: float) -> dict:
     inodes: list[str] = []  # the records being written, innermost last
     operations: list[str] = []
     written: set[tuple[int, int]] = set()  # blocks written inside the open store operations
-    state = {"timed": False, "creating": False, "open": 0}
+    state = {"timed": False, "creating": False, "open": 0, "times_only": 0}
 
     def kind_of(device, blockno) -> tuple[str, str]:
         """(block kind, record) of a block, read off the superblock and
@@ -86,9 +100,12 @@ def histogram(workload: str, seed: int, seconds: float) -> dict:
 
     def counting(original):
         def write_block(self, blockno, data):
+            old = self.raw_block(blockno)
             original(self, blockno, data)
             if state["timed"]:
                 kind, record = kind_of(self, blockno)
+                if kind == "inode table":
+                    state["times_only"] += times_only(old, data, geometry[id(self)].inode_size)
                 by_record[inodes[-1] if inodes else record] += 1
                 by_operation[operations[0] if operations else "foreground"] += 1
                 by_kind[kind] += 1
@@ -215,6 +232,7 @@ def histogram(workload: str, seed: int, seconds: float) -> dict:
         "by_operation": dict(by_operation.most_common()),
         "by_kind": dict(by_kind),
         "repeats": dict(repeats),
+        "times_only": state["times_only"],
     }
 
 

@@ -38,6 +38,21 @@ operations: no write-behind, no journal.  A call that runs out of space
 it held since the last landing is dropped, never written, so the device
 keeps what it held before — never a file or directory half resized.
 
+Inode times are lazy (Linux's ``lazytime``).  A change that moves only
+a slot's times — an in-place write that keeps a file's size, a directory
+rewritten in its own blocks — holds no block: ``_put_inode`` records the packed times in
+:attr:`Ufs._lazy`, keyed by table block, every decode of an inode lays
+them over what its block holds, and the next real change to that block
+(a size, a pointer, a link count, a mode, a generation, any slot's)
+splices all of them into the image it holds, so they reach the device
+with no write of their own.  A time-only change to a block already held
+goes straight into the held image.  What is lazy is exactly as durable
+as a held block: dropping the held set (a crash, a ``NoSpace``, a
+remount) drops the lazy times with it, rolling a file's times back to
+its table block's last landing.  No name, size, pointer, link count or
+generation is ever lazy, so the soft-update order above is untouched.
+``atime`` is the birth time: nothing reads it, and no read writes it.
+
 Two writes are never issued because they change nothing on the device:
 ``truncate_file`` to the size a file already has returns before touching
 anything, and ``_put_inode`` skips the table-block write when the packed
@@ -74,6 +89,7 @@ from repro.ufs.layout import (
     MAX_NAME_LEN,
     NDIRECT,
     ROOT_INO,
+    SLOT_TIMES,
     Superblock,
     peek_slot_generation,
 )
@@ -176,6 +192,11 @@ class Ufs:
         # (the write may raise half-way) and refreshed by
         # _write_dir_entries once its inode write has landed.
         self._dcache: dict[int, dict[str, int]] = self.cache.decoded_map()
+        # Lazy times: table block -> {slot offset: packed times} changed
+        # since the block last landed and not yet in any image of it (see
+        # the module docstring).  Not a decoded map: it is the only copy,
+        # so it goes only with the held set (_drop_held) or into it.
+        self._lazy: dict[int, dict[int, bytes]] = {}
         # Allocation bounds: no inode below _ino_floor and no data block
         # below _blk_floor is free.  A bound only says where the search
         # starts — whether a slot is free is always read off the table —
@@ -299,6 +320,7 @@ class Ufs:
         self._dir_data.clear()
         self._unrefs.clear()
         self._freed.clear()
+        self._lazy.clear()
         self.cache.held.clear()
         self.cache.invalidate_all()
         self.namecache.invalidate_all()
@@ -365,8 +387,11 @@ class Ufs:
         if cached is not None:
             return cached.clone()
         block, offset = self.sb.inode_location(ino)
-        data = self.cache.read(block)
-        inode = Inode.unpack(ino, data[offset : offset + INODE_SIZE])
+        raw = self.cache.read(block)[offset : offset + INODE_SIZE]
+        lazy = self._lazy.get(block)
+        if lazy and offset in lazy:
+            raw = raw[: SLOT_TIMES.start] + lazy[offset] + raw[SLOT_TIMES.stop :]
+        inode = Inode.unpack(ino, raw)
         self._icache[ino] = inode.clone()
         return inode
 
@@ -381,13 +406,29 @@ class Ufs:
         block, offset = self.sb.inode_location(inode.ino)
         data = self.cache.read(block)
         packed = inode.pack()
+        end = offset + len(packed)
+        old = data[offset:end]
         # A slot that already reads as these bytes is either held — the
         # scope's end writes it — or on the device (the buffer cache holds
         # only what the device holds): holding it again changes nothing a
         # crash could observe.  (The virtual clock stands still inside one
         # operation, so its second write of an inode is usually this one.)
-        if data[offset : offset + len(packed)] != packed:
-            self._hold(block, data[:offset] + packed + data[offset + len(packed) :])
+        # A slot of a block not held whose times alone differ holds
+        # nothing: its times wait in _lazy for the block's next real
+        # change, which carries every lazy time of the block with it.
+        if old != packed:
+            if (
+                block not in self.cache.held
+                and old[: SLOT_TIMES.start] == packed[: SLOT_TIMES.start]
+                and old[SLOT_TIMES.stop :] == packed[SLOT_TIMES.stop :]
+            ):
+                self._lazy.setdefault(block, {})[offset] = packed[SLOT_TIMES]
+            else:
+                image = bytearray(data)
+                for at, times in self._lazy.pop(block, {}).items():
+                    image[at + SLOT_TIMES.start : at + SLOT_TIMES.stop] = times
+                image[offset:end] = packed
+                self._hold(block, bytes(image))
         self._icache[inode.ino] = inode.clone()
 
     def _alloc_inode(
@@ -578,7 +619,6 @@ class Ufs:
             else:
                 chunks.append(self.cache.read(blk)[in_off : in_off + take])
             pos += take
-        inode.atime = self.clock.now()
         return b"".join(chunks)
 
     @_scoped
@@ -674,8 +714,6 @@ class Ufs:
             raise NotADirectory(f"inode {inode.ino} is not a directory")
         cached = self._dcache.get(inode.ino)
         if cached is not None:
-            # as reading the data would: callers persist this inode
-            inode.atime = self.clock.now()
             return dict(cached)
         raw = self._read_inode_data(inode)
         entries: dict[str, int] = {}

@@ -41,6 +41,9 @@ FIRST_FREE_INO = 3
 _INODE_FMT = f"<HHIQddd{NDIRECT}III"
 _INODE_STRUCT = struct.Struct(_INODE_FMT)
 assert _INODE_STRUCT.size <= INODE_SIZE
+#: where a slot's three times lie: the bytes a time-only change touches
+SLOT_TIMES = slice(struct.calcsize("<HHIQ"), struct.calcsize("<HHIQddd"))
+assert _INODE_FMT.startswith("<HHIQddd")
 #: the two words a table walk reads without unpacking the whole slot
 _MODE_STRUCT = struct.Struct("<H")
 _GENERATION_STRUCT = struct.Struct("<I")

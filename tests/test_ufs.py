@@ -17,7 +17,9 @@ from repro.errors import (
 )
 from repro.storage import BlockDevice
 from repro.ufs import MAX_NAME_LEN, ROOT_INO, FileType, Ufs, fsck
-from repro.ufs.layout import NDIRECT
+from repro.ufs.inode import Inode
+from repro.ufs.layout import INODE_SIZE, NDIRECT
+from repro.util import VirtualClock
 
 
 @pytest.fixture
@@ -309,6 +311,107 @@ class TestCaching:
         f = fs.create(ROOT_INO, "f")
         fs.write_file(f, 0, b"no caching")
         assert fs.read_file(fs.path_lookup("/f")) == b"no caching"
+
+
+class TestLazyTimes:
+    """A change of an inode's times alone writes no inode-table block: the
+    block's next real change carries them, every read sees them, and they
+    are exactly as durable as a held block."""
+
+    @staticmethod
+    def settled(cache_blocks: int = 256) -> tuple[Ufs, VirtualClock, int]:
+        """A file of 100 bytes whose inode landed at time 1.0; the clock is
+        then at 2.0."""
+        clock = VirtualClock()
+        fs = Ufs.mkfs(BlockDevice(512), num_inodes=32, clock=clock, cache_blocks=cache_blocks)
+        clock.advance(1.0)
+        ino = fs.create(ROOT_INO, "f")
+        fs.write_file(ino, 0, b"a" * 100)
+        clock.advance(1.0)
+        return fs, clock, ino
+
+    @staticmethod
+    def table_writes(fs: Ufs) -> list[int]:
+        written: list[int] = []
+        write_block = fs.device.write_block
+
+        def record(blockno: int, data: bytes) -> None:
+            write_block(blockno, data)
+            if fs.sb.inode_table_start <= blockno < fs.sb.bitmap_start:
+                written.append(blockno)
+
+        fs.device.write_block = record
+        return written
+
+    @staticmethod
+    def device_times(fs: Ufs, ino: int) -> tuple[float, float]:
+        """(mtime, ctime) of the inode's slot as the device holds it."""
+        block, offset = fs.sb.inode_location(ino)
+        inode = Inode.unpack(ino, fs.device.raw_block(block)[offset : offset + INODE_SIZE])
+        return inode.mtime, inode.ctime
+
+    @pytest.mark.parametrize("cache_blocks", [256, 0])
+    def test_a_same_size_write_writes_no_table_block_and_stat_sees_its_time(self, cache_blocks):
+        fs, clock, ino = self.settled(cache_blocks)
+        written = self.table_writes(fs)
+        fs.write_file(ino, 0, b"b" * 100)
+        assert written == []
+        assert self.device_times(fs, ino) == (1.0, 1.0)
+        attrs = fs.getattr(ino)
+        assert (attrs.mtime, attrs.ctime) == (2.0, 2.0)
+        # a cold buffer cache forgets no time (at capacity 0 nothing is cached)
+        fs.cache.invalidate_all()
+        attrs = fs.getattr(ino)
+        assert (attrs.mtime, attrs.ctime, attrs.size) == (2.0, 2.0, 100)
+        assert fs.read_file(ino) == b"b" * 100
+
+    def test_a_neighbours_real_change_carries_the_time(self):
+        fs, clock, ino = self.settled()
+        fs.write_file(ino, 0, b"b" * 100)
+        neighbour = fs.create(ROOT_INO, "g")
+        assert fs.sb.inode_location(neighbour)[0] == fs.sb.inode_location(ino)[0]
+        assert self.device_times(fs, ino) == (2.0, 2.0)
+        clock.advance(1.0)
+        # and a time-only change to a block already held goes into its image
+        with fs.operation():
+            fs.setattr(neighbour, perm=0o600)
+            fs.write_file(ino, 0, b"c" * 100)
+        assert self.device_times(fs, ino) == (3.0, 3.0)
+
+    def test_a_remount_rolls_the_time_back_to_the_last_landing(self):
+        fs, clock, ino = self.settled()
+        fs.write_file(ino, 0, b"b" * 100)
+        fs = fs.remount()
+        attrs = fs.getattr(ino)
+        assert (attrs.mtime, attrs.ctime) == (1.0, 1.0)
+        assert fs.read_file(ino) == b"b" * 100
+        assert fsck(fs).clean
+
+    def test_no_space_leaves_no_time_from_the_abandoned_operation(self):
+        fs, clock, ino = self.settled()
+        big = fs.create(ROOT_INO, "big")
+        with pytest.raises(NoSpace):
+            with fs.operation():
+                fs.write_file(ino, 0, b"b" * 100)
+                fs.write_file(big, 0, bytes(fs.sb.block_size * fs.sb.num_blocks))
+        attrs = fs.getattr(ino)
+        assert (attrs.mtime, attrs.ctime) == (1.0, 1.0)
+        assert fs.read_file(ino) == b"a" * 100
+        assert fsck(fs).clean
+
+    def test_a_read_writes_nothing_and_atime_is_the_birth_time(self):
+        fs, clock, ino = self.settled()
+        d = fs.mkdir(ROOT_INO, "d")
+        clock.advance(1.0)
+        writes = fs.device.counters.writes
+        fs.read_file(ino)
+        fs.readdir(d)
+        fs.readdir(d)  # the decoded directory's path
+        assert fs.device.counters.writes == writes
+        fs.create(d, "x")  # reads d's entries, then rewrites them
+        attrs = fs.getattr(d)
+        assert (attrs.atime, attrs.mtime) == (2.0, 3.0)
+        assert fs.getattr(ino).atime == 1.0
 
 
 class TestSpaceExhaustion:

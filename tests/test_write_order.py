@@ -163,9 +163,13 @@ class DeviceWrites:
 #: blocks, bitmap, inode-table blocks, underlying-directory blocks, then the
 #: frees — each inode slot before its bitmap bit.  An inode-table block
 #: carrying several changed slots is one write (``inode[udir,+contents]``).
-#: A record file's replace appears as its in-place arm ``data[x] inode[x]``
-#: (``data[x]`` alone when the inode's bytes did not change: same size, and
-#: the virtual clock had not moved since its last write); ``attr`` is the
+#: Inode times are lazy: a change of times alone writes no table block, and
+#: the block's next real change carries them, so an inode-table write names
+#: every slot whose times waited for it as well as the one that changed
+#: (``inode[attr,fdir,+contents]``: the new file's inode, carrying the
+#: times of the records this create wrote in place).  A record file's
+#: replace appears as its in-place arm ``data[x]`` — same size, so its
+#: inode changes only its times; ``attr`` is the
 #: attribute table, where a file's record and its directory's share a block
 #: — a new record is placed beside its parent's.  The resized arm appears
 #: only as the cross-directory rename's empty target ``.fdir`` taking its
@@ -175,64 +179,61 @@ class DeviceWrites:
 #: operation of its own (an overwrite's first ``data[attr]``), and its close
 #: writes nothing: a crash after the advance leaves the new vector over the
 #: old contents or part of the new, which no peer copies while the session
-#: is open.  A create's later table
-#: writes are ``data[attr]`` alone: the creating host holds its peer's
-#: batch of the directory across the create, so no RPC advances the clock,
-#: and ``_put_inode`` skips the byte-identical inode.  A store flush puts a
+#: is open.  A store flush puts a
 #: barrier before each step: the contents the operation committed, the
 #: table blocks where new records land, ``.fdir``, every other changed
 #: table block, the frees.  A pulled version is written into the file's own
 #: inode: one that keeps the stored length within one block is its data
-#: block in place (``data[contents] inode[contents]``: no block changes
-#: hands, no name changes), the record follows.  A propagation pull's
+#: block in place (``data[contents]``: no block changes hands, no name
+#: changes, and the inode only its times), the record follows.  A propagation pull's
 #: installs share one set: every version's blocks, then the inodes, then
 #: the underlying directory's block once, naming every new file.  A pulled
 #: new file is created under its own name (the grouped pass's
 #: ``+contents``) — no contents inode made and freed.
 TABLE = {
     "overwrite": """
-        data[attr] inode[attr]
-        data[contents] inode[contents]
+        data[attr]
+        data[contents]
     """,
     "create": """
-        inode[udir,+contents] udir
-        data[attr] inode[attr]
-        data[fdir] inode[fdir]
+        inode[attr,udir,contents,+contents] udir
         data[attr]
-        data[+contents] bitmap inode[+contents]
+        data[fdir]
+        data[attr]
+        data[+contents] bitmap inode[attr,fdir,+contents]
     """,
     "unlink": """
-        data[fdir] inode[fdir]
-        data[attr] inode[attr]
-        inode[udir] udir inode[-contents] bitmap
+        data[fdir]
+        data[attr]
+        udir inode[attr,udir,fdir,-contents] bitmap
     """,
     "rename, same directory": """
-        data[fdir] inode[fdir]
-        data[attr] inode[attr]
+        data[fdir]
+        data[attr]
         data[fdir]
         data[attr]
     """,
     "rename, across directories": """
-        inode[udir,contents] udir
+        inode[attr,fdir,udir,contents] udir
         data[fdir] bitmap inode[fdir]
-        data[attr] inode[attr]
-        data[fdir] inode[fdir]
         data[attr]
-        inode[udir] udir inode[contents]
+        data[fdir]
+        data[attr]
+        udir inode[attr,udir,fdir,contents]
     """,
     "shadow commit": """
-        data[contents] inode[contents]
-        data[attr] inode[attr]
+        data[contents]
+        data[attr]
     """,
     # three notes of one directory (a create, an overwrite, an unlink) in
     # one group: both installs in one set, then the directory's records and
     # entry list, then the storage the unlink orphaned
     "grouped pass": """
-        data[contents] data[+contents] bitmap inode[udir,contents,+contents] udir
-        data[attr] inode[attr]
-        data[fdir] inode[fdir]
+        data[contents] data[+contents] bitmap inode[attr,udir,fdir,contents,+contents] udir
         data[attr]
-        udir inode[-contents] bitmap
+        data[fdir]
+        data[attr]
+        udir inode[attr,fdir,-contents] bitmap
     """,
 }
 
@@ -315,7 +316,8 @@ def test_a_group_writes_its_directory_once(recorded):
     assert labels.count("data[fdir]") == 1 and labels.count("data[attr]") == 2
     fdir = labels.index("data[fdir]")
     first, last = labels.index("data[attr]"), labels.index("data[attr]", fdir)
-    assert first < fdir < last < labels.index("inode[-contents]", last)
+    freed = next(i for i, label in enumerate(labels) if "-contents" in label)
+    assert first < fdir < last < freed
     assert max(i for i, label in enumerate(labels) if label in ("data[contents]", "data[+contents]")) < first
     assert labels.count("udir") == 2 and labels.index("udir") < first and labels.index("udir", first) > last
 
@@ -348,7 +350,7 @@ def test_a_pulled_new_file_is_born_under_its_own_name(recorded):
     # made that is not kept
     grouped = recorded["grouped pass"].labels
     part = grouped[: grouped.index("data[attr]")]
-    assert part == "data[contents] data[+contents] bitmap inode[udir,contents,+contents] udir".split()
+    assert part == "data[contents] data[+contents] bitmap inode[attr,udir,fdir,contents,+contents] udir".split()
 
 
 def test_no_bitmap_write_where_no_block_changes_hands(recorded):
@@ -365,7 +367,8 @@ VR = VolumeReplicaId(VOL, 1)
 
 def make_store(prepare) -> tuple[BlockDevice, ReplicaStore, FicusFileHandle]:
     """A one-replica store holding one file, on its own device, a second
-    after its last write (so a replace has new inode times to write)."""
+    after its last write (so a replace gives its inode new times, which
+    are lazy: no table block is written for them)."""
     device, clock = BlockDevice(1024), VirtualClock()
     physical = FicusPhysicalLayer(UfsLayer(Ufs.mkfs(device, num_inodes=128, clock=clock)), "hostA")
     store = physical.create_volume_replica(VR)
@@ -491,14 +494,15 @@ def merge_dir_vv(remote):
 #: (what the record reads, what UFS ``fsck`` says) after recovery from a
 #: crash that let k device writes of the replace through — the "what a
 #: crash leaves" column of ARCHITECTURE.md's crash-window table.  In place
-#: is ``data`` ``inode``: no block changes hands, so the tables cannot
-#: disagree, and the one data write is the commit point.  It is every
-#: table record's rewrite, and a move to a fresh run in the same block.
-IN_PLACE = [("old", "clean"), ("new", "clean")]
+#: is ``data`` alone: no block changes hands and the inode changes only its
+#: times, which are lazy, so the one data write is the commit point.  It is
+#: every table record's rewrite, and a move to a fresh run in the same
+#: block.
+IN_PLACE = [("old", "clean")]
 #: A record moved to a fresh run in another block: ``data`` (the fresh run)
-#: ``inode`` ``data`` (the old run cleared).  Between the two data writes
-#: the table holds both copies, and the newer stamp wins the attach.
-MOVED = [("old", "clean"), ("new", "clean"), ("new", "clean")]
+#: ``data`` (the old run cleared).  Between the two data writes the table
+#: holds both copies, and the newer stamp wins the attach.
+MOVED = [("old", "clean"), ("new", "clean")]
 LEAK = "marked used in bitmap but unreferenced"
 #: The resized arm of ``.meta``/``.fdir`` — ``truncate(0)`` + ``write`` in
 #: one operation — is ``data`` (the new block) ``bitmap`` (take) ``inode``
@@ -1070,23 +1074,23 @@ TORN = {scenario: [] for scenario in SWEEP}
 #: wrote through in call order, or for the two installs swept last, when a
 #: pulled version went through a shadow file and a rename).
 CRASH_POINTS = {
-    "create": 10,  # (12)
-    "mkdir": 8,  # (14)
-    "link, across directories": 7,  # (8)
-    "unlink": 8,  # (8)
-    "rename, same directory": 6,  # (6)
-    "rename, across directories": 13,  # (14)
-    "setattr policy": 2,  # (2)
-    "update session": 5,
-    "create, adding a table block": 12,  # (14)
-    "setattr policy, outgrowing its run": 3,  # (3)
-    "resolver-merge install": 6,  # (11)
+    "create": 8,  # (12)
+    "mkdir": 6,  # (14)
+    "link, across directories": 6,  # (8)
+    "unlink": 5,  # (8)
+    "rename, same directory": 4,  # (6)
+    "rename, across directories": 10,  # (14)
+    "setattr policy": 1,  # (2)
+    "update session": 3,
+    "create, adding a table block": 11,  # (14)
+    "setattr policy, outgrowing its run": 2,  # (3)
+    "resolver-merge install": 5,  # (11)
     "tombstone GC, phase 1": 1,  # (1)
     "tombstone GC, purge": 1,  # (1)
-    "grouped pass": 13,  # (24)
-    "directory reconcile": 8,  # (8)
-    "install that changes block count": 8,  # (10)
-    "install into a hard-linked file": 4,  # (9)
+    "grouped pass": 11,  # (24)
+    "directory reconcile": 5,  # (8)
+    "install that changes block count": 7,  # (10)
+    "install into a hard-linked file": 2,  # (9)
 }
 
 

@@ -20,6 +20,8 @@ what the protocol needs; ``WARM_OP_BUDGETS`` gates those counts exactly.
 (measured RPC counts plus the net.* counters) that report_all.py writes.
 """
 
+from pathlib import Path
+
 from repro.sim import DaemonConfig, FicusSystem
 from repro.telemetry import Telemetry
 
@@ -48,26 +50,28 @@ def _selection_rpcs(system: FicusSystem, host: str) -> int:
 
 
 #: RPCs one facade call may send from a diskless client over three
-#: replicas, everything warm: a read is ``session_open`` + ``read`` +
-#: ``session_close``; a stat (inside the NFS attribute TTL) and a listdir
-#: send nothing; a missing name costs the one directory re-read that
-#: verifies it.  ``after_write.*`` is the first such call in a directory
-#: after the client's own ``write_file`` there dropped the batch of the
-#: one replica it changed (the session sends one notification, at close,
-#: and the client's replicas are all remote, so nothing is written
-#: through; the other two replicas' batches stay): one batched fetch and
-#: one directory read on top.  A namespace op on a warm directory is the
-#: update replica's directory read plus one ``insert`` or ``remove_entry``
-#: (the insert's reply is the entry: nothing is read back); ``write_file``
-#: of a new name adds the one batch refetch of the replica the create
-#: changed, on the open's selection, and a write session behind one
-#: ``lookup_fh``.
+#: replicas, everything warm: a read is the one ``read`` (a read-only open
+#: and its close send nothing: a read has no update session); a stat
+#: (inside the NFS attribute TTL) and a listdir send nothing; a missing
+#: name costs the one directory re-read that verifies it.
+#: ``after_write.*`` is the first such call in a directory after the
+#: client's own ``write_file`` there dropped the batch of the one replica
+#: it changed (the session sends one notification, at close, and the
+#: client's replicas are all remote, so nothing is written through; the
+#: other two replicas' batches stay): one batched fetch and one directory
+#: read on top.  A namespace op on a warm directory is the update
+#: replica's directory read plus one ``insert`` or ``remove_entry`` (the
+#: insert's reply is the entry: nothing is read back); ``write_file`` of a
+#: new name adds the one batch refetch of the replica the create changed,
+#: on the open's selection, and a write session behind one ``lookup_fh``:
+#: the ``write`` that opens it, the size ``setattr`` and
+#: ``session_close``.  ARCHITECTURE.md tables these counts.
 WARM_OP_BUDGETS = {
-    "read_file": 3,
+    "read_file": 1,
     "stat": 0,
     "listdir": 0,
     "exists_missing": 1,
-    "after_write.read_file": 5,
+    "after_write.read_file": 3,
     "after_write.stat": 2,
     "after_write.listdir": 2,
     "after_write.exists_missing": 2,
@@ -75,7 +79,7 @@ WARM_OP_BUDGETS = {
     "unlink": 2,
     "rename": 4,
     "link": 2,
-    "write_file_new": 10,
+    "write_file_new": 9,
 }
 
 
@@ -202,6 +206,15 @@ class TestShape:
 
     def test_warm_ops_send_exactly_their_budget(self):
         assert warm_op_rpcs() == WARM_OP_BUDGETS
+
+    def test_the_architecture_table_states_the_budgets(self):
+        """ARCHITECTURE.md's "What a warm remote op sends" table has one row
+        per budget, keyed by its first backquoted name, with the budget in
+        its RPC column."""
+        text = (Path(__file__).parent.parent / "ARCHITECTURE.md").read_text()
+        table = text.split("| op (`WARM_OP_BUDGETS` key) | RPCs | which |\n|---|---:|---|\n")[1]
+        rows = [row.split("|")[1:3] for row in table.split("\n\n")[0].splitlines()]
+        assert {op.split("`")[1]: int(rpcs) for op, rpcs in rows} == WARM_OP_BUDGETS
 
 
 def test_bench_warm_selection(benchmark):

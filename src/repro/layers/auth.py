@@ -10,7 +10,7 @@ which is why every request is an operation and none is a name.  Of the
 Ficus extensions, ``insert`` and ``remove_entry`` are checked as mutations
 (a merge-policy tag is a ``setattr`` field, so it is one too).  The rest
 are checked as reads: ``lookup_fh``, the attribute and sync planes, and
-the session brackets, which a read-only open issues as well.  Only the
+``session_close``, which ends a session and changes nothing.  Only the
 operations that never reach a replica's data pass unchecked.
 """
 
@@ -26,7 +26,7 @@ from repro.vnode.passthrough import NullLayer, PassthroughVnode
 
 #: operations checked as reads: a read-only uid may issue them
 READS = ("read", "getattr", "readdir", "lookup", "lookup_fh", "readlink", "access")
-READS += ("session_open", "session_close", "getattrs_batch", "sync_probe", "block_digests", "read_blocks")
+READS += ("session_close", "getattrs_batch", "sync_probe", "block_digests", "read_blocks")
 
 #: operations checked as mutations: a read-only uid is refused them
 MUTATIONS = ("write", "setattr", "create", "mkdir", "remove", "rmdir", "rename", "link", "symlink")

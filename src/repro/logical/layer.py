@@ -87,10 +87,13 @@ class FileReplicaView(ReplicaView):
 class SessionPin:
     """One file's update session on this host: the replica taking it, how
     many logical opens share it (the physical session is bracketed once
-    per host and file), and whether an update inside it went unannounced."""
+    per host and file), whether an update carried the session to the
+    replica (so the close must end it there), and whether an update inside
+    it went unannounced."""
 
     view: ReplicaView
     opens: int = 1
+    session: bool = False
     updated: bool = False
 
 
@@ -637,20 +640,16 @@ class FicusLogicalLayer(FileSystemLayer):
         fh: FicusFileHandle,
         ctx: OpContext = ROOT_CTX,
     ) -> None:
-        """Open = pin a replica and start an update session on it — once
-        per host and file: a second open of an open file joins the pin."""
+        """Open = pin a replica for the session, once per host and file: a
+        second open of an open file joins the pin.  It sends no session
+        call: a read has no update session, and the first update through
+        the pin opens the physical one (:meth:`LogicalFileVnode._update`)."""
         fh = fh.logical
         pin = self._session_pins.get(fh)
         if pin is not None:
             pin.opens += 1
             return
-
-        def attempt() -> ReplicaView:
-            view = self.select_update_replica(volume, parent_fh, fh, ctx)
-            view.dir_vnode.session_open(fh, ctx)
-            return view
-
-        self._session_pins[fh] = SessionPin(self.retry_stale(volume, parent_fh, attempt, fh, ctx))
+        self._session_pins[fh] = SessionPin(self.select_update_replica(volume, parent_fh, fh, ctx))
 
     def close_file(
         self,
@@ -659,7 +658,8 @@ class FicusLogicalLayer(FileSystemLayer):
         fh: FicusFileHandle,
         ctx: OpContext = ROOT_CTX,
     ) -> None:
-        """Close one open; the last one closes the physical session.
+        """Close one open; the last one closes the physical session, if an
+        update opened one — a read-only close sends nothing.
 
         A session that updated its replica sends the session's one update
         notification here: when ``session_close`` reports it dirty (and
@@ -677,6 +677,9 @@ class FicusLogicalLayer(FileSystemLayer):
             return
         if pin.opens > 1:
             pin.opens -= 1
+            return
+        if not pin.session:
+            del self._session_pins[fh]
             return
         try:
             updated = self.retry_stale(

@@ -344,25 +344,33 @@ class LogicalFileVnode(Vnode):
         """Apply one update to the file's vnode at the update replica, and
         notify unless it landed inside this host's open session.
 
-        An update session counts as one update (paper Section 2.3): the
-        physical layer bumps the vector once, at close, and
-        :meth:`~repro.logical.layer.FicusLogicalLayer.close_file` sends the
-        session's one notification then.  Notifications sent before it
-        would only repeat that one — a peer queues the note and pulls at
+        An update session counts as one update (paper Section 2.3).  An
+        update sent through the session's pinned replica carries
+        ``ctx.session``; the first one opens the physical session there,
+        which advances the vector once, before that first write, and every
+        later one lands inside it.
+        :meth:`~repro.logical.layer.FicusLogicalLayer.close_file` ends the
+        session and sends its one notification.  Notifications sent before
+        it would only repeat that one — a peer queues the note and pulls at
         its next daemon tick — so the update is marked on the pin instead.
         The cost is redundancy: a lost close datagram leaves the session
-        unannounced until reconciliation.  An update outside any session — or
-        one that fell over to another replica because the pinned one is
-        unreachable — bumps the vector at once and is announced at once."""
+        unannounced until reconciliation.  An update outside any session —
+        or one that fell over to another replica because the pinned one is
+        unreachable — carries no session, bumps the vector at once and is
+        announced at once."""
 
         def attempt():
             view = self._update_view(ctx)
-            result = apply(view.child(self.fh, ctx))
             pin = self.layer._session_pins.get(self.fh)
-            if pin is not None and pin.view is view:
-                pin.updated = True
-            else:
+            if pin is None or pin.view is not view:
+                result = apply(view.child(self.fh, ctx), ctx)
                 self.layer.notify_update(self.volume, view.location, self.parent_fh, self.fh)
+                return result
+            # marked before it is sent: a reply lost after the replica
+            # opened the session still leaves the close to end it there
+            pin.session = True
+            result = apply(view.child(self.fh, ctx), ctx.with_session())
+            pin.updated = True
             return result
 
         return self._retry_stale(attempt, ctx)
@@ -392,7 +400,7 @@ class LogicalFileVnode(Vnode):
     @_spanned("logical.write", tags=lambda self, offset, data, *a, **k: {"bytes": len(data)})
     def write(self, offset: int, data: bytes, ctx: OpContext = ROOT_CTX) -> int:
         self.layer.health.record_op("file.write", self.fh, ctx)
-        return self._update(lambda child: child.write(offset, data, ctx), ctx)
+        return self._update(lambda child, ctx: child.write(offset, data, ctx), ctx)
 
     def fsync(self, ctx: OpContext = ROOT_CTX) -> None:
         self._retry_stale(lambda: self._update_view(ctx).child(self.fh, ctx).fsync(ctx), ctx)
@@ -406,7 +414,7 @@ class LogicalFileVnode(Vnode):
     def setattr(self, attrs: SetAttrs, ctx: OpContext = ROOT_CTX) -> None:
         if attrs.size is not None:
             self.layer.health.record_op("file.truncate", self.fh, ctx)
-        self._update(lambda child: child.setattr(attrs, ctx), ctx)
+        self._update(lambda child, ctx: child.setattr(attrs, ctx), ctx)
 
     def access(self, mode: int, ctx: OpContext = ROOT_CTX) -> bool:
         return self._retry_stale(lambda: self._read_child(ctx).access(mode, ctx), ctx)

@@ -312,9 +312,6 @@ class NfsClientVnode(Vnode):
 
     # -- Ficus extensions: forwarded explicitly (unlike open/close) --
 
-    def session_open(self, fh, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.call_h(self.handle, "session_open", fh, ctx=ctx)
-
     def session_close(self, fh, ctx: OpContext = ROOT_CTX) -> bool:
         return self.layer.call_h(self.handle, "session_close", fh, ctx=ctx)
 

@@ -21,9 +21,10 @@ from repro.ufs.inode import FileAttributes
 from repro.vnode.interface import Vnode
 
 #: Vnode operations that the NFS protocol has no call for.  The client
-#: accepts them and drops them on the floor — which is why the protocol
-#: grew explicit ``session_open``/``session_close`` calls instead (the
-#: original Ficus smuggled them through ``lookup``, paper Section 2.3).
+#: accepts them and drops them on the floor — which is why an update
+#: session opens with its first write (``OpContext.session``) and the
+#: protocol grew an explicit ``session_close`` call (the original Ficus
+#: smuggled open and close through ``lookup``, paper Section 2.3).
 DROPPED_OPERATIONS = ("open", "close")
 
 #: Vnode operations that never leave a host: the client answers them

@@ -109,8 +109,8 @@ class FicusPhysicalLayer(FileSystemLayer):
         self.telemetry = telemetry or NULL_TELEMETRY
         self.stores: dict[VolumeReplicaId, ReplicaStore] = {}
         self._policies: dict[VolumeReplicaId, StoragePolicy] = {}
-        #: open update sessions: (store, file) -> has the session updated it?
-        self._sessions: dict[tuple[int, FicusFileHandle], bool] = {}
+        #: open update sessions, (store, file), each opened by its first update
+        self._sessions: set[tuple[int, FicusFileHandle]] = set()
         self._new_versions: dict[NewVersionKey, NewVersionNote] = {}
         self._registry: dict[int, Vnode] = {}
         #: count of updates made inside sessions, each session bumping once
@@ -192,58 +192,53 @@ class FicusPhysicalLayer(FileSystemLayer):
             raise StaleFileHandle(f"physical layer has no vnode for fileid {fileid}")
         return vnode
 
-    # -- update sessions (open/close locally, session_open/close over NFS) ------
+    # -- update sessions (opened by their first update, closed by session_close) --
 
     def _session_key(self, store: ReplicaStore, fh: FicusFileHandle) -> tuple[int, FicusFileHandle]:
         return (id(store), fh.logical)
 
-    def session_open(self, store: ReplicaStore, fh: FicusFileHandle) -> None:
-        """Open the file's update session; a session is open or not, so a
-        replayed open is a no-op (the logical layer counts its own opens
-        and brackets once per host and file)."""
-        self._sessions.setdefault(self._session_key(store, fh), False)
-
     def session_close(self, store: ReplicaStore, fh: FicusFileHandle) -> bool:
-        """End the session; True when it updated the replica (the caller
-        should notify).  It writes nothing: the session's one vector bump
-        landed before its first write.  Closing no open session answers
-        False."""
-        return self._sessions.pop(self._session_key(store, fh), False)
-
-    def has_open_session(self, store: ReplicaStore, fh: FicusFileHandle) -> bool:
-        return self._session_key(store, fh) in self._sessions
+        """End the session; True when one was open, so it updated the
+        replica (the caller should notify).  It writes nothing: the
+        session's one vector bump landed before its first write.  Closing
+        no open session answers False."""
+        key = self._session_key(store, fh)
+        was_open = key in self._sessions
+        self._sessions.discard(key)
+        return was_open
 
     def written_sessions(self, store: ReplicaStore) -> frozenset[FicusFileHandle]:
-        """The files of ``store`` whose open session has written: their
-        vector is the session's, their contents are not final."""
-        return frozenset(fh for (sid, fh), written in self._sessions.items() if written and sid == id(store))
+        """The files of ``store`` with an open session: their vector is the
+        session's, their contents are not final."""
+        return frozenset(fh for sid, fh in self._sessions if sid == id(store))
 
-    def note_update(self, store: ReplicaStore, fh: FicusFileHandle) -> None:
+    def note_update(self, store: ReplicaStore, fh: FicusFileHandle, session: bool) -> None:
         """A write or a size setattr is about to change the contents:
         advance the version vector first, in an operation of its own, so a
         crash between the two leaves the old contents under the new vector,
         never the reverse.
 
-        Inside an open/close session only the first update advances it, so
-        one whole update session counts as a single update — this is what
-        forwarding the open/close information buys (paper Section 2.3:
-        "Ficus is able to use effectively the open/close information that
-        NFS intercepts and ignores"; our NFS forwards it as the explicit
-        ``session_open``/``session_close`` operations).  Until the close the
-        new vector names contents still being written, so
-        ``getattrs_batch`` names the file as written and no peer copies it
-        (:func:`repro.recon.pull_file` defers); a crash mid-session leaves
-        the advanced vector over whatever landed, which no peer copied, and
-        nothing to recover.  The logical layer announces such a session
-        once, at its close, when the new version is whole.
+        The first update that carries ``session`` (``OpContext.session``,
+        which the logical layer sets on an open file's updates) opens the
+        file's update session after that bump; every later update lands
+        inside it without a bump, so one whole session counts as a single
+        update (paper Section 2.3: "Ficus is able to use effectively the
+        open/close information that NFS intercepts and ignores").  A read
+        opens no session.  Until ``session_close`` the new vector names
+        contents still being written, so ``getattrs_batch`` names the file
+        as written and no peer copies it (:func:`repro.recon.pull_file`
+        defers); a crash mid-session leaves the advanced vector over
+        whatever landed, which no peer copied, and nothing to recover.
+        The logical layer announces such a session once, at its close,
+        when the new version is whole.
         """
         key = self._session_key(store, fh)
-        written = self._sessions.get(key)  # None: no session open
-        if not written:
+        if key not in self._sessions:
             self._bump_file_vv(store, fh)
-        if written is not None:
-            self._sessions[key] = True
-            self.session_coalesced_updates += 1
+            if not session:
+                return
+            self._sessions.add(key)
+        self.session_coalesced_updates += 1
 
     def _bump_file_vv(self, store: ReplicaStore, fh: FicusFileHandle) -> None:
         with store.operation():

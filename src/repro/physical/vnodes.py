@@ -8,7 +8,7 @@ Section 2.6).  Its vnodes are:
   point).  ``lookup`` takes names and performs the dual mapping (name ->
   Ficus file handle via the directory file, handle -> inode via the
   hex-encoded UFS name).  Everything else a caller may ask of a replica is
-  a vnode operation our NFS forwards: update-session brackets, the
+  a vnode operation our NFS forwards: an update session's close, the
   attribute and sync planes, access by handle (``lookup_fh``, for a child
   file or any directory of the volume replica) and entry
   ``insert``/``remove_entry``.
@@ -248,16 +248,10 @@ class PhysicalDirVnode(Vnode):
 
     # -- update sessions and the attribute plane (first-class Ficus ops) --------
 
-    def session_open(self, fh: FicusFileHandle, ctx: OpContext = ROOT_CTX) -> None:
-        """Begin an update session on the child file ``fh``."""
-        if self.find_live_by_fh(fh) is None:
-            raise FileNotFound(f"no live entry for {fh} in directory {self.fh}")
-        self.layer.session_open(self.store, fh.logical)
-
     def session_close(self, fh: FicusFileHandle, ctx: OpContext = ROOT_CTX) -> bool:
-        """End an update session, writing nothing: its one version bump
-        landed before its first write.  Returns True when the closing
-        session had updated the replica."""
+        """End an update session, writing nothing: it opened with its first
+        write, whose one version bump landed before the write.  Returns
+        True when a session was open, so it updated the replica."""
         return self.layer.session_close(self.store, fh.logical)
 
     def getattrs_batch(
@@ -561,13 +555,12 @@ class PhysicalFileVnode(Vnode):
     # -- lifetime --
 
     def open(self, ctx: OpContext = ROOT_CTX) -> None:
-        """Works when the physical layer is local; when an NFS hop is in
-        between this never arrives — remote callers bracket updates with
-        ``session_open`` on the parent directory vnode instead."""
-        self.layer.session_open(self.store, self.fh)
+        """Accepted: an update session begins with the first update that
+        carries ``ctx.session``, local or over NFS (which drops this call)."""
 
     def close(self, ctx: OpContext = ROOT_CTX) -> None:
-        self.layer.session_close(self.store, self.fh)
+        """Accepted: ``session_close`` on the parent directory vnode ends
+        the session."""
 
     def inactive(self) -> None:
         """No per-vnode state to tear down."""
@@ -580,7 +573,7 @@ class PhysicalFileVnode(Vnode):
 
     @_spanned("physical.write", tags=lambda self, offset, data, *a, **k: {"bytes": len(data)})
     def write(self, offset: int, data: bytes, ctx: OpContext = ROOT_CTX) -> int:
-        self.layer.note_update(self.store, self.fh)
+        self.layer.note_update(self.store, self.fh, ctx.session)
         return self._contents().write(offset, data, ctx)
 
     def fsync(self, ctx: OpContext = ROOT_CTX) -> None:
@@ -607,7 +600,7 @@ class PhysicalFileVnode(Vnode):
             self.layer.health.record_version("write", self.fh, aux.vv, parents=(prior,), detail="setpolicy")
             attrs = dataclasses.replace(attrs, policy=None)
         if attrs.size is not None:
-            self.layer.note_update(self.store, self.fh)
+            self.layer.note_update(self.store, self.fh, ctx.session)
         self._contents().setattr(attrs, ctx)
 
     def access(self, mode: int, ctx: OpContext = ROOT_CTX) -> bool:

@@ -10,7 +10,9 @@ first), every operation now takes one :class:`OpContext` that aggregates:
 * ``cred`` — the classic identity (uid + groups);
 * ``trace`` — distributed-trace parentage, propagated across the NFS hop;
 * ``replica_hint`` — a preferred host for replica selection;
-* ``no_cache`` — bypass the logical layer's version-vector cache.
+* ``no_cache`` — bypass the logical layer's version-vector cache;
+* ``session`` — an update of an open file: the first one opens the
+  physical layer's update session.
 
 The context is immutable (``with_*`` constructors derive variants), so it
 crosses the NFS hop as it is: the client passes it as the call's ``ctx``
@@ -45,6 +47,7 @@ class OpContext:
     trace: TraceContext | None = None
     replica_hint: str | None = None
     no_cache: bool = False
+    session: bool = False
 
     # -- derivation (immutability means "modify" = "derive") ----------------
 
@@ -53,6 +56,9 @@ class OpContext:
 
     def with_no_cache(self, no_cache: bool = True) -> "OpContext":
         return replace(self, no_cache=no_cache)
+
+    def with_session(self) -> "OpContext":
+        return replace(self, session=True)
 
 
 #: The default context: root identity, no trace, no hints.

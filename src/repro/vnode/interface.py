@@ -14,16 +14,18 @@ Every operation takes an :class:`~repro.vnode.context.OpContext` carrying
 identity, trace parentage, and cache-control flags; see that module.  An
 operation's arguments are data; ``lookup`` takes names and nothing else.
 
-Twenty-two classic operations are joined by nine that the original SunOS
-set lacked but Ficus needs (the paper smuggled its two through ``lookup``
-names; our NFS forwards them).  A Ficus need that an existing operation
-can carry rides it instead: truncation and a file's merge-policy tag are
-``setattr`` fields, and a directory handle is looked up by ``lookup_fh``.
-Each of the nine stays because nothing classic can say it:
+Twenty-two classic operations are joined by eight that the original
+SunOS set lacked but Ficus needs (the paper smuggled its open and close
+through ``lookup`` names; our NFS forwards the close).  A Ficus need that
+an existing operation can carry rides it instead: truncation and a file's
+merge-policy tag are ``setattr`` fields, a directory handle is looked up
+by ``lookup_fh``, and an update session opens with its first update,
+which carries ``OpContext.session``.  Each of the eight stays because
+nothing classic can say it:
 
-* ``session_open``/``session_close``: the NFS hop drops ``open``/``close``
-  on purpose (paper Sections 2.2-2.3), so the update session needs calls
-  of its own.
+* ``session_close``: the NFS hop drops ``close`` on purpose (paper
+  Sections 2.2-2.3), so the end of an update session needs a call of its
+  own.
 * ``getattrs_batch``: no classic operation returns N attribute records in
   one reply.
 * ``sync_probe``: it is addressed by handle from the volume root, so a
@@ -130,7 +132,6 @@ class Vnode(abc.ABC):
         "fsync",
         "inactive",
         "bmap",
-        "session_open",
         "session_close",
         "getattrs_batch",
         "sync_probe",
@@ -227,18 +228,11 @@ class Vnode(abc.ABC):
 
     # -- Ficus extensions ----------------------------------------------------
 
-    def session_open(self, fh: "EntryId", ctx: OpContext = ROOT_CTX) -> None:
-        """Begin an update session on the replica holding ``fh``.
-
-        Directory vnodes implement this for their children; the physical
-        layer coalesces version-vector bumps per open session (one bump at
-        session close instead of one per write).
-        """
-        raise NotSupported("session_open")
-
     def session_close(self, fh: "EntryId", ctx: OpContext = ROOT_CTX) -> bool:
-        """End an update session; flushes the coalesced version bump.
-        Returns True when the closing session updated the object."""
+        """End the update session on the replica holding ``fh``, which its
+        first update opened (``OpContext.session``).  Directory vnodes
+        implement this for their children.  Returns True when a session was
+        open, so it updated the object."""
         raise NotSupported("session_close")
 
     def getattrs_batch(

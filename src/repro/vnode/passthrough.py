@@ -123,9 +123,6 @@ class PassthroughVnode(Vnode):
 
     # -- Ficus extensions --
 
-    def session_open(self, fh: "EntryId", ctx: OpContext = ROOT_CTX) -> None:
-        self.lower.session_open(fh, ctx)
-
     def session_close(self, fh: "EntryId", ctx: OpContext = ROOT_CTX) -> bool:
         return self.lower.session_close(fh, ctx)
 

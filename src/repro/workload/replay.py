@@ -115,8 +115,9 @@ def decode_trace(text: str) -> list[TraceOp]:
 #: an old file is refused rather than misread.  (2: an install keeps the
 #: file's inode, so fewer stale handles are retried and a run draws its
 #: faults for other RPCs.  3: a pull looks a file up again after ESTALE,
-#: which moves seed 1990's fault draws.)
-SCHEDULE_HEADER = "schedule=3"
+#: which moves seed 1990's fault draws.
+#: 4: a read opens no session, so fewer RPCs draw faults.)
+SCHEDULE_HEADER = "schedule=4"
 
 
 def encode_schedule(steps: list[TraceOp]) -> str:

@@ -177,7 +177,7 @@ class TestAuthLayer:
             except NotSupported:
                 pass  # select: the pass-through layer does not forward it
         reads = {"read", "getattr", "readdir", "lookup", "lookup_fh", "readlink", "access"}
-        reads |= {"session_open", "session_close", "getattrs_batch", "sync_probe", "block_digests", "read_blocks"}
+        reads |= {"session_close", "getattrs_batch", "sync_probe", "block_digests", "read_blocks"}
         mutations = {"write", "setattr", "create", "mkdir", "remove", "rmdir", "rename"}
         mutations |= {"link", "symlink", "insert", "remove_entry"}
         checked = reads | mutations
@@ -215,8 +215,7 @@ class TestAuthLayer:
     def test_the_sync_plane_is_admitted_like_a_read(self, ufs_layer):
         """A uid the layer does not admit gets none of a replica's bytes or
         records through the attribute and sync planes or the session
-        brackets, while a read-only uid (whose open brackets a session)
-        gets all of them."""
+        close, while a read-only uid gets all of them."""
         from repro.physical import EntryType, FicusPhysicalLayer
         from repro.util import VolumeId, VolumeReplicaId
 
@@ -233,12 +232,11 @@ class TestAuthLayer:
             "block_digests": lambda ctx: root.block_digests(fh, ctx).vv,
             "getattrs_batch": lambda ctx: root.getattrs_batch(None, ctx).child(fh).vv,
             "sync_probe": lambda ctx: root.sync_probe(None, ctx).digest != "",
-            "session_open": lambda ctx: root.session_open(fh, ctx),
             "session_close": lambda ctx: root.session_close(fh, ctx),
         }
         reader = OpContext(cred=Credential(uid=2))
         answers = [op(reader) for op in sync_plane.values()]
-        assert answers == [{0: b"top secret bytes"}, VersionVector({1: 1}), VersionVector({1: 1}), True, None, False]
+        assert answers == [{0: b"top secret bytes"}, VersionVector({1: 1}), VersionVector({1: 1}), True, False]
         intruder = OpContext(cred=Credential(uid=7))
         for op in sync_plane.values():
             with pytest.raises(PermissionDenied):

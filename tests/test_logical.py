@@ -231,7 +231,7 @@ class TestOpenCloseSessions:
             fh = next(e.fh for e in store.read_entries(parent) if e.live and e.name == "f")
             aux = store.read_record(fh)
             states.append((store.file_vnode(parent, fh).read_all(), aux.vv.total_updates))
-            sessions.append(host.physical.has_open_session(store, fh))
+            sessions.append(fh in host.physical.written_sessions(store))
         assert states == [(b"v3", 3), (b"v3", 3)]
         assert sessions == [False, False]
 
@@ -288,7 +288,7 @@ class TestOneNotificationPerSession:
         a = world.host("a")
         fs = a.fs()
         fh = fs.resolve("/f").fh
-        bump, session_open = FicusPhysicalLayer._bump_file_vv, FicusPhysicalLayer.session_open
+        bump, note_update = FicusPhysicalLayer._bump_file_vv, FicusPhysicalLayer.note_update
         failures = [IOError_("injected: the vector-bump write failed")]
         opened = []
 
@@ -297,12 +297,14 @@ class TestOneNotificationPerSession:
                 raise failures.pop()
             return bump(self, *args)
 
-        def counting_open(self, store, fh):
-            opened.append(fh)
-            return session_open(self, store, fh)
+        def counting_open(self, store, fh, session):
+            was_open = fh in self.written_sessions(store)
+            note_update(self, store, fh, session)
+            if session and not was_open:
+                opened.append(fh)
 
         monkeypatch.setattr(FicusPhysicalLayer, "_bump_file_vv", failing_bump)
-        monkeypatch.setattr(FicusPhysicalLayer, "session_open", counting_open)
+        monkeypatch.setattr(FicusPhysicalLayer, "note_update", counting_open)
         with pytest.raises(IOError_):
             fs.write_file("/f", b"v2")
         assert fh not in a.logical._session_pins
@@ -312,6 +314,78 @@ class TestOneNotificationPerSession:
         assert opened == [fh]  # a new physical session, not the dead pin
         assert self.sent(world, "a")[0] - notes_before == 1
         assert world.host("b").fs().read_file("/f") == b"v3"
+
+
+class TestSessionsBeginWithTheirFirstUpdate:
+    """A read has no update session (paper Section 2.3): an open pins a
+    replica and sends nothing, and the first write through the pin carries
+    the session to the replica.  The client is diskless and updates a's
+    replica over NFS."""
+
+    @pytest.fixture
+    def world(self):
+        return replicas_and_a_client()
+
+    @staticmethod
+    def a_replica(system):
+        """a's physical layer, its store, and ``/f``'s record there."""
+        physical = system.host("a").physical
+        store = physical.store_for(system.root_locations[0].volrep)
+        fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.live and e.name == "f")
+        return physical, store, fh
+
+    @staticmethod
+    def recording(system):
+        """The services of every RPC sent from now on."""
+        services, real = [], system.network.rpc
+
+        def rpc(src, dst, service, *args, **kwargs):
+            services.append(service.split(".", 1)[1])
+            return real(src, dst, service, *args, **kwargs)
+
+        system.network.rpc = rpc
+        return services
+
+    def test_a_warm_read_only_open_sends_one_rpc(self, world):
+        fs = world.host("cl").fs()
+        assert fs.read_file("/f") == b"v1"  # warm every cache
+        services = self.recording(world)
+        with fs.open("/f", "r") as f:
+            assert f.read() == b"v1"
+        assert services == ["read"]
+        for location in world.root_locations:
+            physical = world.host(location.host).physical
+            assert physical.written_sessions(physical.store_for(location.volrep)) == frozenset()
+
+    def test_a_read_only_session_notifies_nobody(self, world):
+        notes, datagrams = world.host("cl").logical.notifications_sent, world.network.stats.datagrams_sent
+        with world.host("cl").fs().open("/f", "r") as f:
+            f.read()
+        assert world.host("cl").logical.notifications_sent == notes
+        assert world.network.stats.datagrams_sent == datagrams
+
+    def test_three_remote_writes_advance_the_vector_once(self, world):
+        physical, store, fh = self.a_replica(world)
+        settled = store.read_record(fh).vv
+        services = self.recording(world)
+        with world.host("cl").fs().open("/f", "r+") as f:
+            for data in (b"x", b"y", b"z"):
+                f.write(data)
+        assert store.read_record(fh).vv == settled.bump(store.replica_id)
+        assert services.count("write") == 3 and services.count("session_close") == 1
+        assert physical.written_sessions(store) == frozenset()
+
+    def test_an_open_written_session_is_named_writing_and_copied_by_no_peer(self, world):
+        physical, store, fh = self.a_replica(world)
+        b_store = world.host("b").physical.store_for(world.root_locations[1].volrep)
+        with world.host("cl").fs().open("/f", "r+") as f:
+            f.write(b"v2")
+            assert fh in physical.dir_vnode(store, store.root_handle()).getattrs_batch().writing
+            world.reconcile_everything()
+            assert b_store.file_vnode(b_store.root_handle(), fh).read_all() == b"v1"
+        assert fh not in physical.dir_vnode(store, store.root_handle()).getattrs_batch().writing
+        world.reconcile_everything()
+        assert b_store.file_vnode(b_store.root_handle(), fh).read_all() == b"v2"
 
 
 class TestTheWriterKeepsWhatItDidNotChange:
@@ -483,11 +557,11 @@ class TestStaleHandles:
 
     @pytest.mark.parametrize("handle_goes_stale", [True, False], ids=["estale", "no-estale"])
     def test_a_session_the_reboot_forgot_still_notifies_once(self, world, handle_goes_stale):
-        """The rebooted server lost the session, so the write lands outside
-        one and the close finds nothing to report; the pin remembers the
-        unannounced write and the close announces it.  Without ESTALE the
-        handle resolves again because the pinned host itself read the
-        file's attributes after its restart."""
+        """The reboot comes before the session's first write, which carries
+        the session: the rebooted server opens a fresh one at that write,
+        and the close ends it there and sends the one notification.
+        Without ESTALE the handle resolves again because the pinned host
+        itself read the file's attributes after its restart."""
         system, fs = world
         logical = system.host("cl").logical
         with fs.open("/d/f", "r+") as f:

@@ -290,9 +290,9 @@ def drive_ficus_ops(root, name: str):
         entry = sub.insert(name, EntryType.FILE, merge_policy="lww")
     except NameTooLong:
         return "name too long"
-    sub.session_open(entry.fh)
-    sub.session_open(entry.fh)  # replayed: a session is open or not
-    sub.lookup_fh(entry.fh).write(0, name.encode())
+    in_session = ROOT_CTX.with_session()
+    sub.lookup_fh(entry.fh).write(0, name.encode(), in_session)
+    sub.lookup_fh(entry.fh).write(0, name.encode(), in_session)  # replayed: a session is open or not
     seen = [entry, sub.session_close(entry.fh), sub.session_close(entry.fh)]
     seen.append(sub.lookup(name).read_all())
     sub.lookup_fh(entry.fh).setattr(SetAttrs(policy="append-log"))
@@ -382,9 +382,10 @@ class TestFicusOpsOverNfs:
         assert again.dir_aux.refs == 1
 
     def test_a_retransmitted_session_open_leaves_no_session_open(self):
-        """From a diskless client, a lost reply to ``session_open`` is
-        retransmitted: the replayed open is a no-op, so the close ends the
-        session and every later write still advances the version vector."""
+        """From a diskless client, a lost reply to the write that opens a
+        session is retransmitted: the replayed write lands inside the
+        session it opened, so the close ends the session and every later
+        write still advances the version vector."""
         quiet = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
         system = FicusSystem(["server", "client"], root_volume_hosts=["server"], daemon_config=quiet)
         fs = system.host("client").fs()
@@ -392,7 +393,7 @@ class TestFicusOpsOverNfs:
         real, lost = system.network.rpc, []
 
         def rpc(src, dst, service, *args, **kwargs):
-            if service.endswith(".session_open") and not lost:
+            if service.endswith(".write") and kwargs["ctx"].session and not lost:
                 lost.append(service)
                 system.network.faults.schedule_rpc(src, dst, ["reply_lost"])
             return real(src, dst, service, *args, **kwargs)
@@ -406,7 +407,7 @@ class TestFicusOpsOverNfs:
         store = physical.store_for(system.root_locations[0].volrep)
         fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "f")
         assert store.read_record(fh).vv.total_updates == 3
-        assert not physical.has_open_session(store, fh)
+        assert physical.written_sessions(store) == frozenset()
 
     def test_handle_lookups_ride_the_name_cache(self):
         """``lookup`` and ``lookup_fh`` share one name cache and its rules."""

@@ -39,7 +39,7 @@ from repro.storage import BlockDevice
 from repro.ufs import FileType, Ufs, fsck
 from repro.util import FicusFileHandle, VolumeId, VolumeReplicaId
 from repro.vnode import SetAttrs, UfsLayer
-from repro.vnode.interface import read_whole
+from repro.vnode.interface import ROOT_CTX, read_whole
 from repro.vv import VersionVector
 
 VOL = VolumeId(1, 1)
@@ -60,6 +60,10 @@ def make_world(disk_blocks: int = 8192):
 @pytest.fixture
 def world():
     return make_world()
+
+
+#: what the logical layer sends on the updates of an open file
+IN_SESSION = ROOT_CTX.with_session()
 
 
 def insert_file(store, root, name, contents=b""):
@@ -292,43 +296,48 @@ class TestSessionOps:
         writes happen inside (the information NFS drops, recovered)."""
         _, _, phys, store, root = world
         fh, vnode = insert_file(store, root, "f")
-        root.session_open(fh)
-        vnode.write(0, b"a")
-        vnode.write(1, b"b")
-        vnode.write(2, b"c")
+        vnode.write(0, b"a", IN_SESSION)
+        vnode.write(1, b"b", IN_SESSION)
+        vnode.write(2, b"c", IN_SESSION)
         root.session_close(fh)
         assert store.read_record(fh).vv == VersionVector({1: 1})
         assert phys.session_coalesced_updates == 3
 
     def test_nested_sessions_bump_once(self, world):
-        """A session is open or not: a replayed open is a no-op and the
-        first close ends the session (the logical layer counts its own
-        opens and brackets once); a replayed close answers False."""
+        """A session is open or not: a replayed first write lands inside
+        the session it opened and the first close ends the session (the
+        logical layer counts its own opens and brackets once); a replayed
+        close answers False."""
         _, _, phys, store, root = world
         fh, vnode = insert_file(store, root, "f")
-        root.session_open(fh)
-        root.session_open(fh)
-        vnode.write(0, b"x")
+        vnode.write(0, b"x", IN_SESSION)
+        vnode.write(0, b"x", IN_SESSION)
         assert root.session_close(fh) is True
-        assert not phys.has_open_session(store, fh)
+        assert fh not in phys.written_sessions(store)
         assert root.session_close(fh) is False
         assert store.read_record(fh).vv == VersionVector({1: 1})
 
     def test_clean_session_no_bump(self, world):
-        _, _, _, store, root = world
-        fh, _ = insert_file(store, root, "f")
-        root.session_open(fh)
-        root.session_close(fh)
+        """A session no update opened has nothing to close."""
+        _, _, phys, store, root = world
+        fh, vnode = insert_file(store, root, "f")
+        assert vnode.read(0, 8) == b""
+        assert root.session_close(fh) is False
         assert store.read_record(fh).vv == VersionVector()
+        assert phys.written_sessions(store) == frozenset()
 
     def test_local_open_close_vnode_calls_also_work(self, world):
-        """When no NFS hop intervenes the plain vnode open/close arrive."""
-        _, _, _, store, root = world
+        """With no NFS hop in between the plain vnode open/close arrive, and
+        are accepted: they bracket nothing, as over NFS, so the session is
+        the one its first write opened and ``session_close`` ends."""
+        _, _, phys, store, root = world
         fh, vnode = insert_file(store, root, "f")
         vnode.open()
-        vnode.write(0, b"xyz")
-        vnode.write(3, b"pqr")
+        vnode.write(0, b"xyz", IN_SESSION)
+        vnode.write(3, b"pqr", IN_SESSION)
         vnode.close()
+        assert fh in phys.written_sessions(store)
+        assert root.session_close(fh) is True
         assert store.read_record(fh).vv == VersionVector({1: 1})
 
 
@@ -809,15 +818,15 @@ class TestPhysicalOverNfs:
         assert root.lookup("remote").read_all() == b"via nfs"
 
     def test_session_ops_survive_nfs(self, remote_root):
-        """E10: open/close session boundaries travel as first-class vnode
-        operations over the NFS hop (no lookup-name smuggling)."""
+        """E10: session boundaries travel over the NFS hop with no
+        lookup-name smuggling: the first write carries the session in its
+        context, and the close is a first-class vnode operation."""
         store, root = remote_root
         fh = root.insert("f", EntryType.FILE).fh
         f = root.lookup_fh(fh)
-        root.session_open(fh)
-        f.write(0, b"a")
-        f.write(1, b"b")
-        root.session_close(fh)
+        f.write(0, b"a", IN_SESSION)
+        f.write(1, b"b", IN_SESSION)
+        assert root.session_close(fh) is True
         assert store.read_record(fh).vv == VersionVector({1: 1})
 
     def test_a_directory_read_over_nfs_carries_no_padding(self, remote_root):

@@ -182,12 +182,13 @@ class TestVnodeDefaults:
 
     def test_operations_list_is_about_two_dozen(self):
         """Paper: 'a set of about two dozen services' — 22 classic ones plus
-        the nine Ficus extensions (sessions, attribute batches, the sync
-        plane's probe/delta operations, and the three replica-addressed
-        directory operations), each of which no classic operation can
-        carry; the interface docstring says why, one sentence per op."""
-        FICUS_EXTENSIONS = 9
-        assert len(Vnode.OPERATIONS) == 31
+        the eight Ficus extensions (the session close, attribute batches,
+        the sync plane's probe/delta operations, and the three
+        replica-addressed directory operations), each of which no classic
+        operation can carry; the interface docstring says why, one
+        sentence per op."""
+        FICUS_EXTENSIONS = 8
+        assert len(Vnode.OPERATIONS) == 30
         assert len(Vnode.OPERATIONS) - FICUS_EXTENSIONS == 22
         ficus = Vnode.OPERATIONS[-FICUS_EXTENSIONS:]
         assert all(f"``{op}``" in interface.__doc__ for op in ficus)

@@ -194,13 +194,20 @@ class FicusFileSystem:
         """
         return self._resolve_parts(_split(path), follow=follow, budget=self.MAX_SYMLINKS)
 
-    def _resolve_parts(self, parts: list[str], follow: bool, budget: int) -> Vnode:
+    def _resolve_parts(
+        self, parts: list[str], follow: bool, budget: int, chain: list[Vnode] | None = None
+    ) -> Vnode:
+        """``chain`` (when given) gets every directory the last walk, the
+        one after every symlink is expanded, steps out of: the ancestry of
+        the node returned."""
         from repro.logical.vnodes import LogicalFileVnode
         from repro.physical import EntryType
         from repro.ufs import FileType
 
         node: Vnode = self.logical.root()
         for index, part in enumerate(parts):
+            if chain is not None:
+                chain.append(node)
             node = node.lookup(part, self.ctx)
             last = index == len(parts) - 1
             is_symlink = (
@@ -215,8 +222,10 @@ class FicusFileSystem:
                 if not target.startswith("/"):
                     # relative link: resolve from the link's directory
                     target_parts = parts[:index] + target_parts
+                if chain is not None:
+                    chain.clear()
                 return self._resolve_parts(
-                    target_parts + remainder, follow=follow, budget=budget - 1
+                    target_parts + remainder, follow=follow, budget=budget - 1, chain=chain
                 )
         return node
 
@@ -226,14 +235,14 @@ class FicusFileSystem:
             raise NotADirectory(f"{path!r} is not a directory")
         return node
 
-    def _resolve_parent(self, path: str) -> tuple[LogicalDirVnode, str]:
+    def _resolve_parent(self, path: str, chain: list[Vnode] | None = None) -> tuple[LogicalDirVnode, str]:
         parts = _split(path)
         if not parts:
             raise InvalidArgument("path names the root")
         if len(parts) == 1:
             node: Vnode = self.logical.root()
         else:
-            node = self._resolve_parts(parts[:-1], follow=True, budget=self.MAX_SYMLINKS)
+            node = self._resolve_parts(parts[:-1], follow=True, budget=self.MAX_SYMLINKS, chain=chain)
         if not isinstance(node, LogicalDirVnode):
             raise NotADirectory(f"parent of {path!r} is not a directory")
         return node, parts[-1]
@@ -342,7 +351,14 @@ class FicusFileSystem:
 
     def rename(self, src: str, dst: str) -> None:
         src_parent, src_name = self._resolve_parent(src)
-        dst_parent, dst_name = self._resolve_parent(dst)
+        ancestry: list[Vnode] = []
+        dst_parent, dst_name = self._resolve_parent(dst, ancestry)
+        ancestry.append(dst_parent)
+        # a directory moved under itself would leave its subtree named by
+        # nothing; only a walk that stepped out of the source's parent can
+        # reach it
+        if src_parent in ancestry[:-1] and src_parent.lookup(src_name, self.ctx) in ancestry:
+            raise InvalidArgument(f"cannot move {src!r} into its own subtree {dst!r}")
         src_parent.rename(src_name, dst_parent, dst_name, self.ctx)
 
     def link(self, existing: str, new: str) -> None:

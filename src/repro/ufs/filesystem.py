@@ -27,10 +27,9 @@ each block once: file data and blocks allocated in the scope, then the
 bitmap blocks, then existing indirect blocks, then the inode-table blocks,
 then the data blocks of directories that existed before the scope, in
 first-dirtied order; then the frees are applied and written, every inode
-slot before any bitmap bit.  A directory already on the device that
-changes its block count lands in between (see
-:meth:`Ufs._write_dir_entries`), so every block a name can reach from the
-device holds names.  So a block is named on the device only after it holds
+slot before any bitmap bit.  A directory already on the device lands a
+block it grows by blank, with its inode, before a name goes in (see
+:meth:`Ufs._put_entry`).  So a block is named on the device only after it holds
 its data and its bitmap bit is set, an inode only after it is written, and
 nothing is freed while a name still reaches it.  Nothing is kept across
 operations: no write-behind, no journal.  A call that runs out of space
@@ -38,9 +37,16 @@ operations: no write-behind, no journal.  A call that runs out of space
 it held since the last landing is dropped, never written, so the device
 keeps what it held before — never a file or directory half resized.
 
+Directories are laid out the FFS way: an entry is one line in one block
+and keeps that block for life.  A removal takes its line out, an addition
+goes into the first block with room or one fresh block, and a
+same-directory rename stays in the old name's block if the line fits, so
+every change of a name is one block write and no other entry moves.  Only
+trailing blocks left empty are freed, after the inode stops naming them.
+
 Inode times are lazy (Linux's ``lazytime``).  A change that moves only
 a slot's times — an in-place write that keeps a file's size, a directory
-rewritten in its own blocks — holds no block: ``_put_inode`` records the packed times in
+edited within its blocks — holds no block: ``_put_inode`` records the packed times in
 :attr:`Ufs._lazy`, keyed by table block, every decode of an inode lays
 them over what its block holds, and the next real change to that block
 (a size, a pointer, a link count, a mode, a generation, any slot's)
@@ -97,18 +103,9 @@ from repro.util import VirtualClock
 from repro.util.codec import escape_value, unescape_value
 
 
-#: Encoded directory entries kept by :func:`_encode_dirent`.  A rewrite
-#: encodes every entry of the directory, so the memo must hold the entries
-#: of the directories being rewritten on every UFS of the process at once.
-#: A ``replicated_churn`` run of the repo benchmark (three hosts creating,
-#: renaming and unlinking) encodes under 3000 distinct (name, ino) pairs;
-#: an entry is one short string.
-DIRENT_MEMO_SIZE = 8192
-
-
-@functools.lru_cache(maxsize=DIRENT_MEMO_SIZE)
-def _encode_dirent(name: str, ino: int) -> str:
-    return f"{escape_value(name)} {ino}"
+def _dirent_line(name: str, ino: int) -> bytes:
+    """One directory entry as it is stored: a line of its own."""
+    return f"{escape_value(name)} {ino}\n".encode("utf-8")
 
 
 def _decode_dirent(line: str) -> tuple[str, int]:
@@ -186,12 +183,11 @@ class Ufs:
         # blocks, so an invalidated buffer cache also means cold decoded
         # inodes (E3/E4 accounting).
         self._icache: dict[int, Inode] = self.cache.decoded_map()
-        # Decoded-directory cache: ino -> entries in on-disk order.  Lives
-        # by _icache's rules: never filled at capacity 0, readers get a
-        # copy, dropped before anything writes or frees the inode's data
-        # (the write may raise half-way) and refreshed by
-        # _write_dir_entries once its inode write has landed.
-        self._dcache: dict[int, dict[str, int]] = self.cache.decoded_map()
+        # Decoded-directory cache: ino -> its blocks' entries, each in line
+        # order.  Lives by _icache's rules (never filled at capacity 0,
+        # readers get a copy); an edit changes a block's entries with the
+        # block it holds, and a failed landing drops both.
+        self._dcache: dict[int, list[dict[str, int]]] = self.cache.decoded_map()
         # Lazy times: table block -> {slot offset: packed times} changed
         # since the block last landed and not yet in any image of it (see
         # the module docstring).  Not a decoded map: it is the only copy,
@@ -245,7 +241,8 @@ class Ufs:
         with fs.operation():
             root = fs._alloc_inode(FileType.DIRECTORY, perm=0o755)
             assert root.ino == ROOT_INO, f"root allocated as {root.ino}"
-            fs._write_dir_entries(root, {".": root.ino, "..": root.ino})
+            fs._put_entry(root, ".", root.ino)
+            fs._put_entry(root, "..", root.ino)
             root.nlink = 2
             fs._put_inode(root)
         return fs
@@ -631,8 +628,7 @@ class Ufs:
     def _write_inode_data(self, inode: Inode, offset: int, data: bytes) -> None:
         if offset < 0:
             raise InvalidArgument("negative offset")
-        # the write may stop half-way: a decoded directory is untrusted
-        # until _write_dir_entries has seen it through
+        # the write may stop half-way: a directory is decoded again
         self._dcache.pop(inode.ino, None)
         bs = self.sb.block_size
         pos = offset
@@ -709,79 +705,102 @@ class Ufs:
 
     # -- directories ------------------------------------------------------------
 
-    def _read_dir_entries(self, inode: Inode) -> dict[str, int]:
+    def _dir_blocks(self, inode: Inode) -> list[dict[str, int]]:
+        """A directory's entries block by block, each in line order: the
+        decoded master, which every edit of a block changes with it."""
         if not inode.is_dir:
             raise NotADirectory(f"inode {inode.ino} is not a directory")
-        cached = self._dcache.get(inode.ino)
-        if cached is not None:
-            return dict(cached)
-        raw = self._read_inode_data(inode)
-        entries: dict[str, int] = {}
-        if raw:
-            for line in raw.decode("utf-8").split("\n"):
-                if line:
-                    name, ino = _decode_dirent(line)
-                    entries[name] = ino
-        self._dcache[inode.ino] = dict(entries)
-        return entries
+        blocks = self._dcache.get(inode.ino)
+        if blocks is None:
+            blocks = []
+            for blk in self._file_blocks(inode):
+                lines = self.cache.read(blk).decode("utf-8").split("\n")
+                blocks.append(dict(_decode_dirent(line) for line in lines if line))
+            self._dcache[inode.ino] = blocks
+        return blocks
 
-    def _write_dir_entries(self, inode: Inode, entries: dict[str, int]) -> None:
-        """Rewrite a directory's entry records, in place where possible.
+    def _read_dir_entries(self, inode: Inode) -> dict[str, int]:
+        return {name: ino for block in self._dir_blocks(inode) for name, ino in block.items()}
 
-        Directory data is padded to whole blocks (the decoder skips blank
-        lines), so an update that keeps the block count rewrites existing
-        blocks in place with no inode change — a one-block directory is
-        then updated by a SINGLE block write, so a same-directory rename is
-        atomic.  No entry straddles two blocks, so any mix of old and new
-        blocks reads as whole entries.
+    @staticmethod
+    def _entry_block(blocks: list[dict[str, int]], name: str) -> int | None:
+        return next((index for index, block in enumerate(blocks) if name in block), None)
 
-        A directory already named on the device changes its block count in
-        a landing of its own: it grows by blank blocks, landed with the
-        inode that names them before any entry goes into them, and it
-        shrinks once its entries have landed, so every name stays reachable
-        at every crash point.  A directory born since the last landing is
-        reached only by a name that lands after it, and needs neither.
-        """
-        ordered = sorted(entries.items())
-        bs = self.sb.block_size
-        data = "\n".join(_encode_dirent(name, ino) for name, ino in ordered).encode("utf-8")
-        if len(data) > bs:
-            data = self._pack_dirents(ordered)
-        new_size = max(bs, ((len(data) + bs - 1) // bs) * bs)
-        padded = data.ljust(new_size, b"\n")
-        old_size = inode.size
-        settled = inode.ino not in self._born
-        if settled and new_size > old_size:
-            self._write_inode_data(inode, old_size, b"\n" * (new_size - old_size))
-            self._put_inode(inode)
-            self._land()
-        self._write_inode_data(inode, 0, padded)
-        if new_size < old_size:
-            if settled:
-                self._land()
-            # the inode write is the commit point; the blocks it stops
-            # naming are freed after it
-            self._truncate_blocks(inode, new_size)
-            inode.size = new_size
-        now = self.clock.now()
-        inode.mtime = now
-        inode.ctime = now
-        self._put_inode(inode)
-        self._dcache[inode.ino] = dict(ordered)
+    def _edit_dir_block(self, inode: Inode, blocks: list, index: int, old=(), new=()) -> bool:
+        """Rewrite one block of a directory: take the lines of the names
+        ``old`` out, add ``new``'s after the rest (encoding only those), or
+        return False, changing nothing, when the block has no room."""
+        block = blocks[index]
+        blk = self._bmap(inode, index, allocate=False)
+        text = b"\n" + self.cache.read(blk).rstrip(b"\n") + b"\n"  # every line between two newlines
+        for name in old:
+            text = text.replace(b"\n" + _dirent_line(name, block[name]), b"\n", 1)
+        text = text.lstrip(b"\n") + (_dirent_line(*new) if new else b"")
+        if len(text) > self.sb.block_size:
+            return False
+        self._hold(blk, text.ljust(self.sb.block_size, b"\n"))
+        if blk not in self._fresh:
+            self._dir_data.add(blk)
+        for name in old:
+            del block[name]
+        if new:
+            block[new[0]] = new[1]
+        return True
 
-    def _pack_dirents(self, ordered: list[tuple[str, int]]) -> bytes:
-        """Entry lines of a directory longer than a block, each block padded
-        ahead of a line that would straddle its end."""
-        bs = self.sb.block_size
-        blocks, block = [], b""
-        for name, ino in ordered:
-            line = _encode_dirent(name, ino).encode("utf-8") + b"\n"
-            if block and len(block) + len(line) > bs:
-                blocks.append(block.ljust(bs, b"\n"))
-                block = b""
-            block += line
-        blocks.append(block)
-        return b"".join(blocks)
+    def _put_entry(self, dir_inode: Inode, name: str, ino: int) -> None:
+        """Point ``name`` at ``ino`` with one block write: in the block that
+        holds the name if the line fits there (a longer line that does not
+        is taken out first), else the first block with room, else a fresh one."""
+        blocks, entry = self._dir_blocks(dir_inode), (name, ino)
+        home = self._entry_block(blocks, name)
+        if home is None or not self._edit_dir_block(dir_inode, blocks, home, (name,), entry):
+            if home is not None:
+                self._edit_dir_block(dir_inode, blocks, home, (name,))
+            if not any(self._edit_dir_block(dir_inode, blocks, i, new=entry) for i in range(len(blocks))):
+                if len(_dirent_line(name, ino)) > self.sb.block_size:
+                    raise NameTooLong(f"entry {name!r} does not fit a directory block")
+                blk = self._bmap(dir_inode, len(blocks), allocate=True)
+                dir_inode.size += self.sb.block_size
+                self._hold(blk, b"\n" * self.sb.block_size)
+                blocks.append({})
+                if dir_inode.ino not in self._born:
+                    # a fresh block lands ahead of the table, which may hold
+                    # the inode the line names: land it blank, with all held
+                    # so far, and the line goes in after the table
+                    self._put_inode(dir_inode)
+                    self._land()
+                self._edit_dir_block(dir_inode, blocks, len(blocks) - 1, new=entry)
+        dir_inode.mtime = dir_inode.ctime = self.clock.now()
+        self._put_inode(dir_inode)
+        self.namecache.enter(dir_inode.ino, name, ino)
+
+    def _add_entry(self, dir_inode: Inode, name: str, ino: int) -> None:
+        if any(name in block for block in self._dir_blocks(dir_inode)):
+            raise FileExists(f"{name!r} already exists in directory {dir_inode.ino}")
+        self._put_entry(dir_inode, name, ino)
+
+    def _remove_entry(self, dir_inode: Inode, name: str) -> int:
+        """Take a name's line out of its block: one block write, or none
+        when the last blocks are left empty — the inode that stops naming
+        them commits the removal, and they are freed after it."""
+        blocks = self._dir_blocks(dir_inode)
+        home = self._entry_block(blocks, name)
+        if home is None:
+            raise FileNotFound(f"{name!r} not found in directory {dir_inode.ino}")
+        ino = blocks[home][name]
+        keep = len(blocks)
+        while keep > 1 and all(entry == name for entry in blocks[keep - 1]):
+            keep -= 1
+        if home < keep:
+            self._edit_dir_block(dir_inode, blocks, home, (name,))
+        if keep < len(blocks):
+            self._truncate_blocks(dir_inode, keep * self.sb.block_size)
+            dir_inode.size = keep * self.sb.block_size
+            self._dcache[dir_inode.ino] = blocks[:keep]
+        dir_inode.mtime = dir_inode.ctime = self.clock.now()
+        self._put_inode(dir_inode)
+        self.namecache.remove(dir_inode.ino, name)
+        return ino
 
     def readdir(self, dir_ino: int) -> dict[str, int]:
         """Return all entries of a directory, including ``.`` and ``..``."""
@@ -809,23 +828,6 @@ class Ufs:
         if len(name) > MAX_NAME_LEN:
             raise NameTooLong(f"name of {len(name)} chars exceeds {MAX_NAME_LEN}")
 
-    def _add_entry(self, dir_inode: Inode, name: str, ino: int) -> None:
-        entries = self._read_dir_entries(dir_inode)
-        if name in entries:
-            raise FileExists(f"{name!r} already exists in directory {dir_inode.ino}")
-        entries[name] = ino
-        self._write_dir_entries(dir_inode, entries)
-        self.namecache.enter(dir_inode.ino, name, ino)
-
-    def _remove_entry(self, dir_inode: Inode, name: str) -> int:
-        entries = self._read_dir_entries(dir_inode)
-        if name not in entries:
-            raise FileNotFound(f"{name!r} not found in directory {dir_inode.ino}")
-        ino = entries.pop(name)
-        self._write_dir_entries(dir_inode, entries)
-        self.namecache.remove(dir_inode.ino, name)
-        return ino
-
     # -- namespace operations -------------------------------------------------
 
     @_scoped
@@ -849,8 +851,8 @@ class Ufs:
         if not parent.is_dir:
             raise NotADirectory(f"inode {dir_ino} is not a directory")
         inode = self._alloc_inode(FileType.DIRECTORY, perm=perm, uid=uid)
-        self._write_dir_entries(inode, {".": inode.ino, "..": dir_ino})
-        inode = self.get_inode(inode.ino)
+        self._put_entry(inode, ".", inode.ino)
+        self._put_entry(inode, "..", dir_ino)
         inode.nlink = 2
         self._put_inode(inode)
         try:
@@ -938,51 +940,46 @@ class Ufs:
     def rename(self, src_dir: int, src_name: str, dst_dir: int, dst_name: str) -> None:
         """Rename within the file system; replaces a non-directory target.
 
-        A same-directory rename is applied as ONE directory rewrite (for a
-        one-block directory, one block write), so it is atomic.  Any
-        replaced target's inode is released only after the new directory
-        state is on the device (a queued free).
+        A same-directory rename whose line fits the old name's block is ONE
+        block write, so it is atomic.  Otherwise the new name is written
+        first (directory blocks land in first-dirtied order): a crash
+        between the two writes shows both names, never neither.  A replaced
+        target's inode is released after the new names land (a queued free).
         """
+        if {src_name, dst_name} & {".", ".."}:
+            raise InvalidArgument(f"cannot rename {src_name!r} to {dst_name!r}")
         self._check_name(dst_name)
         src_ino = self.lookup(src_dir, src_name)
         src_inode = self.get_inode(src_ino)
-        replaced_ino: int | None = None
         dst_dinode = self.get_inode(dst_dir)
-        dst_entries = self._read_dir_entries(dst_dinode)
-        if dst_name in dst_entries and dst_entries[dst_name] != src_ino:
-            existing = self.get_inode(dst_entries[dst_name])
-            if existing.is_dir:
-                raise IsADirectory(f"rename target {dst_name!r} is a directory")
-            replaced_ino = existing.ino
-
-        if src_dir == dst_dir:
-            entries = self._read_dir_entries(self.get_inode(src_dir))
-            del entries[src_name]
-            entries[dst_name] = src_ino
-            self._write_dir_entries(self.get_inode(src_dir), entries)
+        blocks = self._dir_blocks(dst_dinode)
+        at = self._entry_block(blocks, dst_name)
+        replaced = None if at is None else blocks[at][dst_name]
+        if replaced == src_ino:
+            return  # two names of one file: POSIX leaves both
+        if replaced is not None and self.get_inode(replaced).is_dir:
+            raise IsADirectory(f"rename target {dst_name!r} is a directory")
+        moves_dir = src_inode.is_dir and src_dir != dst_dir
+        ancestor = dst_dir
+        while moves_dir and ancestor != ROOT_INO:
+            if ancestor == src_ino:
+                raise InvalidArgument(f"cannot move directory {src_name!r} into itself")
+            ancestor = self.lookup(ancestor, "..")
+        home = self._entry_block(blocks, src_name) if src_dir == dst_dir else None
+        old = (src_name,) if at is None else (src_name, dst_name)  # a target in the same block goes too
+        one_write = home is not None and at in (None, home)
+        if one_write and self._edit_dir_block(dst_dinode, blocks, home, old, (dst_name, src_ino)):
+            dst_dinode.mtime = dst_dinode.ctime = self.clock.now()
+            self._put_inode(dst_dinode)
             self.namecache.remove(src_dir, src_name)
-            self.namecache.enter(src_dir, dst_name, src_ino)
+            self.namecache.enter(dst_dir, dst_name, src_ino)
         else:
-            # cross-directory: add the new name first (directory blocks go
-            # out in first-dirtied order) so a crash between the two writes
-            # leaves the file reachable (never lost)
-            if dst_name in dst_entries:
-                entries = dict(dst_entries)
-                entries[dst_name] = src_ino
-                self._write_dir_entries(self.get_inode(dst_dir), entries)
-                self.namecache.enter(dst_dir, dst_name, src_ino)
-            else:
-                self._add_entry(self.get_inode(dst_dir), dst_name, src_ino)
+            self._put_entry(dst_dinode, dst_name, src_ino)
             self._remove_entry(self.get_inode(src_dir), src_name)
-
-        if replaced_ino is not None:
-            self._unref(replaced_ino)
-        if src_inode.is_dir and src_dir != dst_dir:
-            # fix .. and parent link counts
-            entries = self._read_dir_entries(self.get_inode(src_ino))
-            entries[".."] = dst_dir
-            self._write_dir_entries(self.get_inode(src_ino), entries)
-            self.namecache.remove(src_ino, "..")
+        if replaced is not None:
+            self._unref(replaced)
+        if moves_dir:
+            self._put_entry(self.get_inode(src_ino), "..", dst_dir)
             self._unref(src_dir)
             new_parent = self.get_inode(dst_dir)
             new_parent.nlink += 1

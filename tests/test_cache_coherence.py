@@ -124,11 +124,12 @@ def test_uncached_reference_and_cached_cluster_agree():
     assert writes == {name: host.ufs.device.counters.writes for name, host in reference.hosts.items()}
 
     # every decoded directory a host still holds is what a cold mount of
-    # the same device parses, entry order included
+    # the same device parses, block by block, entry order included
     for host in cached.hosts.values():
         cold = Ufs.mount(host.ufs.device)
-        for ino, entries in host.ufs._dcache.items():
-            assert list(entries.items()) == list(cold.readdir(ino).items())
+        for ino, blocks in host.ufs._dcache.items():
+            cold.readdir(ino)
+            assert [list(block.items()) for block in blocks] == [list(block.items()) for block in cold._dcache[ino]]
 
 
 def test_logical_name_views_and_held_handles_never_change_an_answer():
@@ -165,7 +166,7 @@ def test_logical_name_views_and_held_handles_never_change_an_answer():
 def test_decoded_directory_follows_every_rewrite():
     """One scripted namespace history on a cached ``Ufs`` and on the
     capacity-0 reference: equal listings after every step, the cached side
-    answering from the copy ``_write_dir_entries`` refreshed (no buffer
+    answering from the blocks its edits kept decoded (no buffer
     cache lookup at all), the reference never holding one."""
     cached = Ufs.mkfs(BlockDevice(256), num_inodes=64)
     reference = Ufs.mkfs(BlockDevice(256), num_inodes=64, cache_blocks=0, name_cache_size=0)

@@ -119,6 +119,22 @@ class TestNamespace:
         assert fs.read_file("/new") == b"content"
         assert not fs.exists("/old")
 
+    def test_a_directory_never_moves_into_its_own_subtree(self, system, fs):
+        fs.mkdir("/p")
+        fs.mkdir("/p/q")
+        fs.write_file("/p/q/f", b"data")
+        fs.symlink("/p/q", "/lnk")
+        # the walk to the destination expands the symlink first
+        for dst in ("/p/q/p", "/p/x", "/lnk/p"):
+            with pytest.raises(InvalidArgument):
+                fs.rename("/p", dst)
+        assert fs.listdir("/") == ["lnk", "p"] and fs.read_file("/p/q/f") == b"data"
+        fs.rename("/p/q/f", "/p/f")  # anything else still moves
+        fs.rename("/p/q", "/q")
+        system.reconcile_everything()
+        other = system.host("beta").fs()
+        assert other.listdir("/") == ["lnk", "p", "q"] and other.read_file("/p/f") == b"data"
+
     def test_link(self, fs):
         fs.write_file("/orig", b"shared")
         fs.link("/orig", "/alias")

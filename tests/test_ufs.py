@@ -253,6 +253,32 @@ class TestRename:
         with pytest.raises(IsADirectory):
             fs.rename(ROOT_INO, "f", ROOT_INO, "d")
 
+    def test_a_directory_never_moves_into_its_own_subtree(self, fs):
+        d = fs.mkdir(ROOT_INO, "d")
+        sub = fs.mkdir(d, "sub")
+        for into in (d, sub):
+            with pytest.raises(InvalidArgument):
+                fs.rename(ROOT_INO, "d", into, "x")
+        assert fs.readdir(ROOT_INO)["d"] == d and fs.readdir(sub)[".."] == d
+        fs.rename(d, "sub", ROOT_INO, "up")  # out of it is fine
+        assert fs.readdir(sub)[".."] == ROOT_INO and fsck(fs).clean
+
+    def test_dot_and_dotdot_are_never_renamed(self, fs):
+        d = fs.mkdir(ROOT_INO, "d")
+        fs.create(d, "f")
+        for args in ((d, ".", d, "x"), (d, "..", d, "y"), (d, "f", d, "."), (d, "f", ROOT_INO, "..")):
+            with pytest.raises(InvalidArgument):
+                fs.rename(*args)
+        assert sorted(fs.readdir(d)) == [".", "..", "f"] and fsck(fs).clean
+
+    def test_a_rename_onto_another_name_of_the_same_file_changes_nothing(self, fs):
+        ino = fs.create(ROOT_INO, "a")
+        fs.link(ino, ROOT_INO, "b")
+        for dst in ("b", "a"):
+            fs.rename(ROOT_INO, "a", ROOT_INO, dst)
+            assert fs.readdir(ROOT_INO)["a"] == fs.readdir(ROOT_INO)["b"] == ino
+        assert fsck(fs).clean
+
 
 class TestPersistence:
     def test_remount_preserves_everything(self, fs):
@@ -467,10 +493,113 @@ def only_leaks(fs: Ufs) -> bool:
     return all(any(leak in p for leak in ("unreachable", "unreferenced", "nlink")) for p in fsck(fs).problems)
 
 
+def link_names(fs: Ufs, count: int) -> tuple[int, list[str]]:
+    """A directory ``/d`` of ``count`` 197-byte lines, 20 to a 4 KiB block
+    (hard links to one file)."""
+    d = fs.mkdir(ROOT_INO, "d")
+    target = fs.create(ROOT_INO, "target")
+    names = [f"m{i:02d}" + "m" * 190 for i in range(count)]
+    for name in names:
+        fs.link(target, d, name)
+    return d, names
+
+
+def names_by_block(fs: Ufs, directory: int) -> list[set[str]]:
+    """The names each block of a directory holds on the device."""
+    return [
+        {line.rpartition(" ")[0] for line in fs.device.raw_block(blk).decode().split("\n") if line}
+        for blk in fs._file_blocks(fs.get_inode(directory))
+    ]
+
+
+class TestDirectoryBlocks:
+    """An entry keeps its block for life: a change of a name writes the one
+    block holding it, and every other name stays in its block."""
+
+    def test_an_add_a_remove_and_a_rename_each_write_one_directory_block(self, fs):
+        d, names = link_names(fs, 50)
+        assert fs.get_inode(d).size == 3 * fs.sb.block_size
+        written = TestOperationScope.recording(fs.device)
+        steps = [
+            lambda: fs.create(d, "new"),
+            lambda: fs.unlink(d, names[30]),
+            lambda: fs.rename(d, names[45], d, "r" + names[45][1:]),
+            lambda: fs.rename(d, "new", d, "renamed"),
+        ]
+        for step in steps:
+            before = names_by_block(fs, d)
+            written.clear()
+            step()
+            blocks = fs._file_blocks(fs.get_inode(d))
+            assert len([blk for blk in written if blk in blocks]) == 1
+            after = names_by_block(fs, d)
+            assert sum(old != new for old, new in zip(before, after)) == 1
+        assert names_by_block(fs, d)[0] >= {".", "..", "renamed"} and fsck(fs).clean
+
+    def test_only_trailing_empty_blocks_are_freed(self, fs):
+        d, names = link_names(fs, 50)
+        for name in names[20:40]:  # the middle block goes blank and stays
+            fs.unlink(d, name)
+        assert fs.get_inode(d).size == 3 * fs.sb.block_size and not names_by_block(fs, d)[1]
+        for name in names[40:]:  # the last one empties: both trailing blocks go
+            fs.unlink(d, name)
+        assert fs.get_inode(d).size == fs.sb.block_size
+        assert set(fs.readdir(d)) == {".", ".."} | set(names[:20]) and fsck(fs).clean
+        fs.create(d, "n" * 200)  # block 0 is full: a fresh block again
+        assert fs.get_inode(d).size == 2 * fs.sb.block_size and fsck(fs).clean
+
+
 class TestCrashOrdering:
+    def test_an_add_into_a_two_block_directory_keeps_every_other_name(self):
+        """25 names over two blocks gain one long name that sorts before all
+        of them: at every crash point every other name is still there (a
+        sorted rewrite pushed a name into the next block, and a crash
+        between the two block writes lost it)."""
+
+        def prepare(fs):
+            d, names = link_names(fs, 25)
+            assert fs.get_inode(d).size == 2 * fs.sb.block_size
+            return d, names
+
+        points = 0
+        for fs, (d, names), completed in crash_sweep(prepare, lambda fs, state: fs.create(state[0], "a" * 250)):
+            entries = fs.readdir(d)
+            assert set(names) <= set(entries), points
+            assert only_leaks(fs), points
+            points += 1
+        assert "a" * 250 in entries and fsck(fs).clean and points > 1
+
+    def test_a_rename_moving_a_line_to_another_block_shows_one_name_or_both(self):
+        """A same-directory rename whose longer line no longer fits the full
+        block of the old name: the new name's block is written first, so
+        at every crash point the file has one name or both, never neither."""
+        long_name = "g" * 200
+
+        def prepare(fs):
+            d = fs.mkdir(ROOT_INO, "d")
+            moved = fs.create(d, "f")
+            target = fs.create(ROOT_INO, "target")
+            for i in range(25):
+                fs.link(target, d, f"m{i:02d}" + "m" * 190)
+            assert "f" in names_by_block(fs, d)[0] and fs.get_inode(d).size == 2 * fs.sb.block_size
+            return d, moved
+
+        points, seen = 0, set()
+        for fs, (d, moved), completed in crash_sweep(prepare, lambda fs, state: fs.rename(state[0], "f", state[0], long_name)):
+            entries = fs.readdir(d)
+            names = {name for name in ("f", long_name) if entries.get(name) == moved}
+            assert names, points
+            seen.add(frozenset(names))
+            assert len(entries) - len(names) == 27, points
+            assert only_leaks(fs), points
+            points += 1
+        assert names == {long_name} and names_by_block(fs, d)[1] >= {long_name} and fsck(fs).clean
+        assert {"f", long_name} in seen
+
     def test_an_unlink_shrinking_a_directory_keeps_every_other_name(self):
-        """A directory of two blocks goes back to one: its rewritten block
-        reaches the device before the inode that stops naming the other."""
+        """A directory of two blocks goes back to one: the last name of its
+        trailing block goes with the inode that stops naming the block, and
+        every other name stays where it is at every crash point."""
 
         def prepare(fs):
             d = fs.mkdir(ROOT_INO, "d")
@@ -482,12 +611,12 @@ class TestCrashOrdering:
             return d, names
 
         points = 0
-        for fs, (d, names), completed in crash_sweep(prepare, lambda fs, state: fs.unlink(state[0], state[1][0])):
+        for fs, (d, names), completed in crash_sweep(prepare, lambda fs, state: fs.unlink(state[0], state[1][-1])):
             entries = fs.readdir(d)
-            assert set(entries) - {".", "..", names[0]} == set(names[1:]), points
+            assert set(entries) - {".", "..", names[-1]} == set(names[:-1]), points
             assert only_leaks(fs), points
             points += 1
-        assert names[0] not in entries and fs.get_inode(d).size == fs.sb.block_size and fsck(fs).clean
+        assert names[-1] not in entries and fs.get_inode(d).size == fs.sb.block_size and fsck(fs).clean
         assert points > 3
 
     def test_an_append_past_an_indirect_block_never_reuses_a_free_block(self):

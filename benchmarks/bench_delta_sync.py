@@ -9,15 +9,17 @@ Two claims, both about making sync cost O(what changed):
   RPCs — one volume-root fetch, at most one replica-name lookup, and one
   probe — regardless of how many directories the volume holds.
 
-* **Block deltas.**  ``block_digests``/``read_blocks`` let ``pull_file``
-  fetch only the blocks that differ; a one-block change to a large file
-  re-propagates about one block of bytes instead of the whole file.
+* **Block deltas.**  ``pull_file`` is one ``read_blocks`` call: it sends
+  the digests of the blocks it stores and gets back only the blocks that
+  differ, with the version they were read at; a one-block change to a
+  large file re-propagates about one block of bytes instead of the whole
+  file.
 
 * **Directory batching.**  The propagation daemon services a (source,
   directory) group of notes with one resolve of the remote directory and
   one attribute batch, and decides per child from that batch; only the
   files that really changed pay for a transfer.  A tick over a diverged
-  directory costs a constant plus two RPCs per changed file, whatever the
+  directory costs a constant plus one RPC per changed file, whatever the
   directory holds.
 
 ``delta_sync_snapshot()`` produces the BENCH_delta_sync.json payload that
@@ -39,10 +41,10 @@ QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_per
 # RPCs per peer; a one-block change copies at most DELTA_BLOCK_BOUND blocks
 NO_CHANGE_RPC_BOUND = 3
 DELTA_BLOCK_BOUND = 2
-# a propagation tick over one diverged directory: resolve + batch, then a
-# signature fetch and a block/contents fetch per changed file — per source
+# a propagation tick over one diverged directory: resolve + batch, then one
+# ``read_blocks`` per changed file — per source
 DIR_TICK_CHANGED_FILES = 4
-DIR_TICK_RPC_BOUND = 3 + 2 * DIR_TICK_CHANGED_FILES
+DIR_TICK_RPC_BOUND = 3 + 1 * DIR_TICK_CHANGED_FILES
 
 
 def build_volume(dirs: int, files_per_dir: int = 2) -> FicusSystem:

@@ -12,6 +12,7 @@ from functools import partial
 
 from repro.errors import FileNotFound, InvalidArgument, IsADirectory, NotADirectory
 from repro.logical import FicusLogicalLayer, LogicalDirVnode, LogicalFileVnode
+from repro.recon.propagate import fetch_file
 from repro.telemetry import spanned
 from repro.ufs.inode import FileAttributes, FileType
 from repro.vnode.interface import ROOT_CTX, OpContext, SetAttrs, Vnode, read_whole
@@ -448,7 +449,9 @@ class FicusFileSystem:
         for view in self.logical.file_replicas(
             report.volume, report.parent_fh, report.fh
         ):
-            versions[view.location.host] = read_whole(view.dir_vnode.lookup_fh(report.fh))
+            fetched = fetch_file(view.dir_vnode, report.fh)
+            if fetched is not None:  # else a block failed its digest in flight
+                versions[view.location.host] = fetched.contents
         return versions
 
     def resolve_conflict(self, report, chosen: bytes, conflict_log=None) -> None:

@@ -26,7 +26,7 @@ from repro.vnode.passthrough import NullLayer, PassthroughVnode
 
 #: operations checked as reads: a read-only uid may issue them
 READS = ("read", "getattr", "readdir", "lookup", "lookup_fh", "readlink", "access")
-READS += ("session_close", "getattrs_batch", "sync_probe", "block_digests", "read_blocks")
+READS += ("session_close", "getattrs_batch", "sync_probe", "read_blocks")
 
 #: operations checked as mutations: a read-only uid is refused them
 MUTATIONS = ("write", "setattr", "create", "mkdir", "remove", "rmdir", "rename", "link", "symlink")

@@ -25,12 +25,12 @@ design reacts to them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.errors import HostUnreachable, RpcTimeout, StaleFileHandle
 from repro.net import Network
 from repro.nfs.protocol import LookupReply, NfsHandle
-from repro.physical.wire import AttrBatch, BlockDigests, SyncProbe
+from repro.physical.wire import AttrBatch, FileBlocks, SyncProbe
 from repro.telemetry import NULL_TELEMETRY, HealthPlane, Telemetry, spanned
 from repro.ufs.inode import FileAttributes
 from repro.util import VirtualClock
@@ -321,22 +321,22 @@ class NfsClientVnode(Vnode):
     def sync_probe(self, fh=None, ctx: OpContext = ROOT_CTX) -> SyncProbe:
         return self.layer.call_h(self.handle, "sync_probe", fh, ctx=ctx)
 
-    def block_digests(self, fh, ctx: OpContext = ROOT_CTX) -> BlockDigests:
-        return self.layer.call_h(self.handle, "block_digests", fh, ctx=ctx)
-
-    def read_blocks(self, fh, indices: list[int], ctx: OpContext = ROOT_CTX) -> dict[int, bytes]:
-        blocks = self.layer.call_h(self.handle, "read_blocks", fh, indices, ctx=ctx)
+    def read_blocks(self, fh, have: list[str], ctx: OpContext = ROOT_CTX) -> FileBlocks:
+        reply = self.layer.call_h(self.handle, "read_blocks", fh, have, ctx=ctx)
         faults = self.layer.network.faults
         if faults.active:
-            # block payloads can be corrupted in flight; the digest check
-            # in the delta pull detects this and replays as a whole file
-            blocks = {
-                index: faults.maybe_corrupt_block(
-                    self.layer.client_addr, self.layer.server_addr, data
-                )
-                for index, data in blocks.items()
-            }
-        return blocks
+            # block payloads can be corrupted in flight; the puller checks
+            # each against the digest sent with it
+            corrupt = faults.maybe_corrupt_block
+            client, server = self.layer.client_addr, self.layer.server_addr
+            reply = replace(
+                reply,
+                blocks={
+                    index: (digest, corrupt(client, server, data))
+                    for index, (digest, data) in reply.blocks.items()
+                },
+            )
+        return reply
 
     # -- attributes --
 

@@ -110,16 +110,15 @@ from repro.errors import FileNotFound, InvalidArgument, NoSpace
 from repro.physical.table import AttrTable
 from repro.physical.wire import (
     ATTR_NAME,
-    DELTA_BLOCK_SIZE,
     EMPTY_DIGEST,
     FDIR_NAME,
     META_NAME,
     STORE_BLOCK_SIZE,
     AuxAttributes,
-    BlockDigests,
     DirectoryEntry,
     EntryId,
     EntryType,
+    FileBlocks,
     content_digest,
     decode_directory,
     encode_directory,
@@ -1195,29 +1194,20 @@ class ReplicaStore:
             key=lambda child: child.to_hex(),
         )
 
-    # -- block signatures (rsync-style delta propagation) ------------------------
-
-    def file_block_digests(self, parent: FicusFileHandle, fh: FicusFileHandle) -> BlockDigests:
-        """Content hashes of one file replica's fixed-size blocks."""
-        contents = self.file_vnode(parent, fh).read_all()
-        return BlockDigests(
-            block_size=DELTA_BLOCK_SIZE,
-            size=len(contents),
-            vv=self._peek(fh.logical).vv,
-            digests=[content_digest(block) for block in split_blocks(contents)],
-        )
+    # -- block transfer (rsync-style delta propagation) ------------------------
 
     def read_file_blocks(
-        self, parent: FicusFileHandle, fh: FicusFileHandle, indices: list[int]
-    ) -> dict[int, bytes]:
-        """Fetch selected fixed-size blocks of one file replica."""
-        vnode = self.file_vnode(parent, fh)
-        out: dict[int, bytes] = {}
-        for index in sorted({int(i) for i in indices}):
-            data = vnode.read(index * DELTA_BLOCK_SIZE, DELTA_BLOCK_SIZE)
-            if data:
-                out[index] = data
-        return out
+        self, parent: FicusFileHandle, fh: FicusFileHandle, have: list[str]
+    ) -> FileBlocks:
+        """One file replica's version, size and every fixed-size block
+        whose digest is not ``have[i]``, each with its digest."""
+        contents = self.file_vnode(parent, fh).read_all()
+        blocks = {}
+        for index, block in enumerate(split_blocks(contents)):
+            digest = content_digest(block)
+            if index >= len(have) or have[index] != digest:
+                blocks[index] = (digest, block)
+        return FileBlocks(vv=self._peek(fh.logical).vv, size=len(contents), blocks=blocks)
 
     # -- directory enumeration (for reconciliation sweeps) -----------------------
 

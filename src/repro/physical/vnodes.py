@@ -42,10 +42,10 @@ from repro.physical.store import ReplicaStore
 from repro.physical.wire import (
     AttrBatch,
     AuxAttributes,
-    BlockDigests,
     DirectoryEntry,
     EntryId,
     EntryType,
+    FileBlocks,
     SyncProbe,
 )
 from repro.telemetry import spanned
@@ -311,24 +311,18 @@ class PhysicalDirVnode(Vnode):
             },
         )
 
-    def block_digests(self, fh: FicusFileHandle, ctx: OpContext = ROOT_CTX) -> BlockDigests:
-        """Block signatures of the stored child file ``fh`` (rsync-style)."""
-        fh = fh.logical
-        if not self.store.has_file(self.fh, fh):
-            raise ReplicaNotStored(f"file {fh} contents not stored in this volume replica")
-        return self.store.file_block_digests(self.fh, fh)
-
     def read_blocks(
         self,
         fh: FicusFileHandle,
-        indices: list[int],
+        have: list[str],
         ctx: OpContext = ROOT_CTX,
-    ) -> dict[int, bytes]:
-        """Fetch selected blocks of the stored child file ``fh`` in one call."""
+    ) -> FileBlocks:
+        """The stored child file ``fh`` in one call: its version vector,
+        size, and the blocks whose digests differ from ``have``."""
         fh = fh.logical
         if not self.store.has_file(self.fh, fh):
             raise ReplicaNotStored(f"file {fh} contents not stored in this volume replica")
-        return self.store.read_file_blocks(self.fh, fh, indices)
+        return self.store.read_file_blocks(self.fh, fh, have)
 
     # -- namespace ---------------------------------------------------------------
 

@@ -375,19 +375,18 @@ class SyncProbe:
 
 
 @dataclass
-class BlockDigests:
-    """The reply of the ``block_digests`` vnode operation.
+class FileBlocks:
+    """The reply of the ``read_blocks`` vnode operation.
 
-    Content hashes of one file replica's fixed-size blocks, plus the
-    version vector the contents carried when they were hashed, so a puller
-    can detect an out-of-band change between its attribute fetch and its
-    digest fetch (and fall back to a whole-file copy).
+    One stored file read once: the version vector its contents carried,
+    their size, and each fixed-size block the asker's digests did not
+    name, keyed by index and sent with its own digest so the asker can
+    check the payload.  A block the asker already holds crosses as nothing.
     """
 
-    block_size: int
-    size: int
     vv: VersionVector
-    digests: list[str] = field(default_factory=list)
+    size: int
+    blocks: dict[int, tuple[str, bytes]] = field(default_factory=dict)
 
 
 def split_blocks(data: bytes, block_size: int = DELTA_BLOCK_SIZE) -> list[bytes]:

@@ -23,13 +23,17 @@ notification asks again.  A remote that is not older than a *local*
 session that has written is concurrent with it, and defers too: a merge
 installed now would sit under the session's next write.
 
-When both sides store the file, the pull is a *block delta* (rsync-style):
-fetch the remote's block signatures, pull only the blocks whose content
-hashes differ, splice them with the local copy's other blocks in memory,
-and install the result exactly as the whole-file path does.  The whole-file
-copy remains as the fallback — the remote changed out-of-band between
-the attribute fetch and the digest fetch (the pull then restarts from a
-fresh record), or the delta would be no smaller than the file itself.
+A pull is one transfer, ``read_blocks``, whether the file is new here or
+not: the puller sends the digests of the blocks it stores (none for a new
+file), and the remote reads the file once and answers with the version
+vector it read, the size and every block whose digest differs, each with
+its digest (rsync-style).  The puller checks each block that crossed,
+splices in its own others and installs the result.  The install happens
+only when the reply's vector is the one the pull decided on, so the
+(contents, vector) pair installed is one the remote held.  A reply at
+another version, or with a block that fails its digest, installs nothing
+and the pull is ``UNREACHABLE``: the note or pass that asked stays
+unsettled and asks again from a fresh record.
 
 The directory is the unit of work: :func:`pull_children` decides every
 file of a directory from the one ``getattrs_batch`` its directory pass
@@ -45,10 +49,10 @@ from dataclasses import dataclass
 from repro.errors import FileNotFound, HostUnreachable, StaleFileHandle
 from repro.physical import FicusPhysicalLayer, ReplicaStore
 from repro.physical.policy import StoragePolicy
-from repro.physical.wire import AttrBatch, AuxAttributes, content_digest, split_blocks
+from repro.physical.wire import DELTA_BLOCK_SIZE, AttrBatch, content_digest, split_blocks
 from repro.recon.directory import reconcile_directory
 from repro.util import FicusFileHandle
-from repro.vnode.interface import Vnode, read_whole
+from repro.vnode.interface import Vnode
 from repro.vv import Ordering, VersionVector
 
 
@@ -68,7 +72,7 @@ class PullResult:
     local_vv: VersionVector
     remote_vv: VersionVector
     bytes_copied: int = 0
-    #: bytes the block-delta path did NOT copy (file size minus delta)
+    #: bytes the pull did NOT copy: the local blocks the remote's matched
     bytes_saved: int = 0
     #: the remote aux record already fetched for the vv comparison; a
     #: CONFLICT result carries it so the resolver subsystem can read the
@@ -85,7 +89,6 @@ def pull_file(
     origin: str = "",
     batch: AttrBatch | None = None,
     live: bool = False,
-    delta: bool = True,
     writing: frozenset[FicusFileHandle] = frozenset(),
 ) -> PullResult:
     """Bring the local replica of one file up to the remote version.
@@ -95,15 +98,14 @@ def pull_file(
     single-file atomic commit (:meth:`ReplicaStore.install`).  ``health``
     (optional) is the pulling host's HealthPlane: a fetched block that
     fails digest verification fires its ``pull_digest_mismatch`` anomaly
-    before the pull falls back to the whole-file copy, and an installed
-    version is appended to its provenance ledger — parent: the local
-    version it superseded — with ``origin`` (the host pulled from) as the
-    sync-origin annotation.
+    (the pull installs nothing), and an installed version is appended to
+    its provenance ledger — parent: the local version it superseded — with
+    ``origin`` (the host pulled from) as the sync-origin annotation.
 
     ``batch`` is the remote directory's attribute batch when the caller
     already holds one (:func:`pull_children`); without it the file's own
     record is fetched here.  ``live`` says the caller took ``fh`` from a
-    live local entry; ``delta=False`` goes straight to the whole-file copy.
+    live local entry.
     ``writing`` names the local files an open update session has written
     (:meth:`FicusPhysicalLayer.written_sessions`): none of them takes a
     pull or a merge until its session closes.
@@ -157,130 +159,66 @@ def pull_file(
     if order is Ordering.CONCURRENT:
         return PullResult(PullOutcome.CONFLICT, local_vv, remote_vv, remote_aux=remote_aux)
 
-    # remote strictly dominates: install it by the atomic commit.  With a
-    # local copy to diff against, try the block-delta path first.
-    if local_stored and delta:
-        result = _delta_pull(store, parent_fh, fh, remote_dir, local_vv, remote_aux, health, origin)
-        if result is _REMOTE_MOVED:
-            # the record that chose ``remote_vv`` is stale (a directory-wide
-            # batch can be many transfers old): start over from a fresh one
-            # and copy the whole file, so the (contents, vv) pair installed
-            # is one the remote actually held
-            return pull_file(
-                store, parent_fh, fh, remote_dir, health, origin, live=True, delta=False, writing=writing
-            )
-        if result is not None:
-            return result
-
+    # remote strictly dominates: one transfer, installed by the atomic
+    # commit only if it is the version just decided on
+    local = store.file_vnode(parent_fh, fh).read_all() if local_stored else b""
     try:
-        try:
-            contents = read_whole(remote_dir.lookup_fh(fh))
-        except StaleFileHandle:
-            # a lookup cached before the remote rebooted names a vnode it no
-            # longer knows; the ESTALE purged it, so look the file up again
-            contents = read_whole(remote_dir.lookup_fh(fh))
+        fetched = fetch_file(remote_dir, fh, local, health)
     except (HostUnreachable, StaleFileHandle):
         return PullResult(PullOutcome.UNREACHABLE, local_vv, remote_vv)
     except FileNotFound:
         return PullResult(PullOutcome.REMOTE_MISSING, local_vv, remote_vv)
+    if fetched is None or fetched.vv != remote_vv:
+        # a block failed its digest, or the remote moved past the record
+        # that chose ``remote_vv`` (a directory-wide batch can be many
+        # transfers old): install nothing, and the note or pass that
+        # asked stays unsettled until a fresh record asks again
+        return PullResult(PullOutcome.UNREACHABLE, local_vv, remote_vv)
 
     # a strictly dominating remote has seen every local policy change (one
     # bumps the vector), so its tag is installed with its version
-    store.install(parent_fh, fh, contents, remote_vv, remote_aux.merge_policy, remote_aux.etype)
+    store.install(parent_fh, fh, fetched.contents, remote_vv, remote_aux.merge_policy, remote_aux.etype)
     if health is not None:
         health.record_version("pull", fh, remote_vv, parents=(local_vv,), origin=origin)
-    return PullResult(PullOutcome.PULLED, remote_vv, remote_vv, bytes_copied=len(contents))
-
-
-#: :func:`_delta_pull`'s "the remote is no longer at the version the
-#: attribute record promised" reply
-_REMOTE_MOVED = object()
-
-
-def _delta_pull(
-    store: ReplicaStore,
-    parent_fh: FicusFileHandle,
-    fh: FicusFileHandle,
-    remote_dir: Vnode,
-    local_vv: VersionVector,
-    remote_aux: AuxAttributes,
-    health=None,
-    origin: str = "",
-) -> PullResult | object | None:
-    """Try to install the remote version ``remote_aux`` describes by
-    copying only changed blocks.
-
-    Returns ``None`` to fall back to the whole-file copy (the delta would
-    not be smaller than the file), ``_REMOTE_MOVED`` when the remote
-    replica is no longer at ``remote_vv`` (the signatures describe another
-    version, or a fetched block failed verification), or a final
-    :class:`PullResult` when the delta path settled the pull itself.
-    """
-    remote_vv = remote_aux.vv
-    try:
-        sig = remote_dir.block_digests(fh)
-    except (HostUnreachable, StaleFileHandle):
-        return PullResult(PullOutcome.UNREACHABLE, local_vv, remote_vv)
-    except FileNotFound:
-        return PullResult(PullOutcome.REMOTE_MISSING, local_vv, remote_vv)
-    if sig.vv != remote_vv:
-        # out-of-band change (e.g. another reconciler updated the remote
-        # between our attribute fetch and this call): the signatures no
-        # longer describe the version we decided to install
-        return _REMOTE_MOVED
-
-    local_blocks = split_blocks(store.file_vnode(parent_fh, fh).read_all(), sig.block_size)
-    local_digests = [content_digest(block) for block in local_blocks]
-    changed = {
-        index
-        for index, digest in enumerate(sig.digests)
-        if index >= len(local_digests) or local_digests[index] != digest
-    }
-    if changed and len(changed) * sig.block_size >= sig.size:
-        return None  # the delta is no smaller than the file itself
-
-    fetched: dict[int, bytes] = {}
-    if changed:
-        try:
-            fetched = remote_dir.read_blocks(fh, sorted(changed))
-        except FileNotFound:
-            return None
-        except (HostUnreachable, StaleFileHandle):
-            return PullResult(PullOutcome.UNREACHABLE, local_vv, remote_vv)
-
-    pieces: list[bytes] = []
-    for index, digest in enumerate(sig.digests):
-        if index in changed:
-            block = fetched.get(index)
-            if block is None or content_digest(block) != digest:
-                # the remote moved on mid-pull, or the payload was
-                # corrupted in flight; replay as a whole file
-                if health is not None:
-                    health.anomaly(
-                        "pull_digest_mismatch",
-                        fh=fh.to_hex(),
-                        block=index,
-                        expected=digest,
-                    )
-                return _REMOTE_MOVED
-            pieces.append(block)
-        else:
-            pieces.append(local_blocks[index])
-    contents = b"".join(pieces)[: sig.size]
-    if len(contents) != sig.size:
-        return None
-
-    store.install(parent_fh, fh, contents, remote_vv, remote_aux.merge_policy)
-    if health is not None:
-        health.record_version("pull", fh, remote_vv, parents=(local_vv,), origin=origin)
-    delta_bytes = sum(len(block) for block in fetched.values())
     return PullResult(
         PullOutcome.PULLED,
         remote_vv,
         remote_vv,
-        bytes_copied=delta_bytes,
-        bytes_saved=max(0, sig.size - delta_bytes),
+        bytes_copied=fetched.copied,
+        bytes_saved=len(fetched.contents) - fetched.copied,
     )
+
+
+@dataclass
+class Fetched:
+    """A remote file's contents as one ``read_blocks`` reply rebuilt them."""
+
+    vv: VersionVector
+    contents: bytes
+    #: payload bytes that crossed (the rest were the asker's own blocks)
+    copied: int
+
+
+def fetch_file(remote_dir: Vnode, fh: FicusFileHandle, local: bytes = b"", health=None) -> Fetched | None:
+    """Read the remote replica of ``fh`` in one ``read_blocks`` call.
+
+    ``local`` is the asker's copy: its blocks go as digests, and only the
+    remote's other blocks come back.  Every block that crossed is checked
+    against its digest; ``None`` means one failed (``health``'s
+    ``pull_digest_mismatch`` anomaly fires).  The caller compares the
+    reply's vector with the version it asked for.  RPC errors propagate.
+    """
+    mine = split_blocks(local)
+    reply = remote_dir.read_blocks(fh, [content_digest(block) for block in mine])
+    for index, (digest, data) in reply.blocks.items():
+        if content_digest(data) != digest:
+            if health is not None:
+                health.anomaly("pull_digest_mismatch", fh=fh.to_hex(), block=index, expected=digest)
+            return None
+    count = -(-reply.size // DELTA_BLOCK_SIZE)
+    contents = b"".join(reply.blocks[i][1] if i in reply.blocks else mine[i] for i in range(count))
+    copied = sum(len(data) for _, data in reply.blocks.values())
+    return Fetched(reply.vv, contents, copied)
 
 
 def pull_children(

@@ -27,7 +27,7 @@ from repro.physical import ReplicaStore
 from repro.resolvers.base import ConflictPair, ResolverError
 from repro.resolvers.registry import ResolverRegistry
 from repro.util import FicusFileHandle
-from repro.vnode.interface import Vnode, read_whole
+from repro.vnode.interface import Vnode
 
 
 class ResolveOutcome(enum.Enum):
@@ -77,17 +77,20 @@ def auto_resolve_conflict(
         _note_fallback(health, name, f"no resolver registered for {tag!r}")
         return ResolveOutcome.FALLBACK
 
-    try:
-        remote_contents = read_whole(remote_dir.lookup_fh(fh))
-    except (HostUnreachable, StaleFileHandle):
-        return ResolveOutcome.UNREACHABLE
-    except FileNotFound:
-        return ResolveOutcome.UNREACHABLE  # remote entry raced away; retry
+    from repro.recon.propagate import fetch_file  # repro.recon imports this module
+
     local_contents = store.file_vnode(parent_fh, fh).read_all()
+    try:
+        fetched = fetch_file(remote_dir, fh, local_contents, health)
+    except (HostUnreachable, StaleFileHandle, FileNotFound):
+        return ResolveOutcome.UNREACHABLE  # partitioned, or the entry raced away; retry
+    if fetched is None or fetched.vv != pull.remote_vv:
+        # merge exactly the version the conflict named, or nothing
+        return ResolveOutcome.UNREACHABLE
 
     pair = ConflictPair(
         local=local_contents,
-        remote=remote_contents,
+        remote=fetched.contents,
         local_vv=pull.local_vv,
         remote_vv=pull.remote_vv,
         local_ancestor=local_aux.ancestor_digests(),

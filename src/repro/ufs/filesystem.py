@@ -108,6 +108,17 @@ def _dirent_line(name: str, ino: int) -> bytes:
     return f"{escape_value(name)} {ino}\n".encode("utf-8")
 
 
+class _DirBlock(dict):
+    """One directory block's entries in line order, and ``used``: the bytes
+    its lines take, so finding room for a line reads no block."""
+
+    __slots__ = ("used",)
+
+    def __init__(self, entries=(), used: int = 0):
+        super().__init__(entries)
+        self.used = used
+
+
 def _decode_dirent(line: str) -> tuple[str, int]:
     raw, _, ino = line.rpartition(" ")
     return unescape_value(raw), int(ino)
@@ -705,7 +716,7 @@ class Ufs:
 
     # -- directories ------------------------------------------------------------
 
-    def _dir_blocks(self, inode: Inode) -> list[dict[str, int]]:
+    def _dir_blocks(self, inode: Inode) -> list[_DirBlock]:
         """A directory's entries block by block, each in line order: the
         decoded master, which every edit of a block changes with it."""
         if not inode.is_dir:
@@ -714,8 +725,9 @@ class Ufs:
         if blocks is None:
             blocks = []
             for blk in self._file_blocks(inode):
-                lines = self.cache.read(blk).decode("utf-8").split("\n")
-                blocks.append(dict(_decode_dirent(line) for line in lines if line))
+                text = self.cache.read(blk).strip(b"\n")
+                entries = (_decode_dirent(line) for line in text.decode("utf-8").split("\n") if line)
+                blocks.append(_DirBlock(entries, len(text) + 1 if text else 0))
             self._dcache[inode.ino] = blocks
         return blocks
 
@@ -723,7 +735,7 @@ class Ufs:
         return {name: ino for block in self._dir_blocks(inode) for name, ino in block.items()}
 
     @staticmethod
-    def _entry_block(blocks: list[dict[str, int]], name: str) -> int | None:
+    def _entry_block(blocks: list[_DirBlock], name: str) -> int | None:
         return next((index for index, block in enumerate(blocks) if name in block), None)
 
     def _edit_dir_block(self, inode: Inode, blocks: list, index: int, old=(), new=()) -> bool:
@@ -741,6 +753,7 @@ class Ufs:
         self._hold(blk, text.ljust(self.sb.block_size, b"\n"))
         if blk not in self._fresh:
             self._dir_data.add(blk)
+        block.used = len(text)
         for name in old:
             del block[name]
         if new:
@@ -756,13 +769,17 @@ class Ufs:
         if home is None or not self._edit_dir_block(dir_inode, blocks, home, (name,), entry):
             if home is not None:
                 self._edit_dir_block(dir_inode, blocks, home, (name,))
-            if not any(self._edit_dir_block(dir_inode, blocks, i, new=entry) for i in range(len(blocks))):
-                if len(_dirent_line(name, ino)) > self.sb.block_size:
-                    raise NameTooLong(f"entry {name!r} does not fit a directory block")
+            need = self.sb.block_size - len(_dirent_line(name, ino))
+            room = next((i for i, block in enumerate(blocks) if block.used <= need), None)
+            if room is not None:
+                self._edit_dir_block(dir_inode, blocks, room, new=entry)
+            elif need < 0:
+                raise NameTooLong(f"entry {name!r} does not fit a directory block")
+            else:
                 blk = self._bmap(dir_inode, len(blocks), allocate=True)
                 dir_inode.size += self.sb.block_size
                 self._hold(blk, b"\n" * self.sb.block_size)
-                blocks.append({})
+                blocks.append(_DirBlock())
                 if dir_inode.ino not in self._born:
                     # a fresh block lands ahead of the table, which may hold
                     # the inode the line names: land it blank, with all held

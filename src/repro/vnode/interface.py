@@ -14,13 +14,13 @@ Every operation takes an :class:`~repro.vnode.context.OpContext` carrying
 identity, trace parentage, and cache-control flags; see that module.  An
 operation's arguments are data; ``lookup`` takes names and nothing else.
 
-Twenty-two classic operations are joined by eight that the original
+Twenty-two classic operations are joined by seven that the original
 SunOS set lacked but Ficus needs (the paper smuggled its open and close
 through ``lookup`` names; our NFS forwards the close).  A Ficus need that
 an existing operation can carry rides it instead: truncation and a file's
 merge-policy tag are ``setattr`` fields, a directory handle is looked up
 by ``lookup_fh``, and an update session opens with its first update,
-which carries ``OpContext.session``.  Each of the eight stays because
+which carries ``OpContext.session``.  Each of the seven stays because
 nothing classic can say it:
 
 * ``session_close``: the NFS hop drops ``close`` on purpose (paper
@@ -31,8 +31,11 @@ nothing classic can say it:
 * ``sync_probe``: it is addressed by handle from the volume root, so a
   probe costs no lookup RPC; folded into ``getattrs_batch`` it would cost
   one per probed directory.
-* ``block_digests``/``read_blocks``: a classic ``read`` would need a
-  ``lookup_fh`` first, and one RPC per changed range.
+* ``read_blocks``: a file pull is one call.  The puller sends the digests
+  of the blocks it holds, and the reply carries the version vector the
+  contents were read at, their size and every other block.  A classic
+  ``read`` would need a ``lookup_fh`` first, an attribute fetch to learn
+  the version it read, and the whole file.
 * ``lookup_fh``: ``lookup`` takes names only.
 * ``remove_entry``: a remove by name is unsafe to retransmit — after a
   collision repair ``name#<eid>`` becomes ``name``, so a replayed remove
@@ -54,10 +57,10 @@ from repro.vnode.context import ROOT_CRED, ROOT_CTX, Credential, OpContext
 if TYPE_CHECKING:
     from repro.physical.wire import (
         AttrBatch,
-        BlockDigests,
         DirectoryEntry,
         EntryId,
         EntryType,
+        FileBlocks,
         SyncProbe,
     )
     from repro.util import FicusFileHandle
@@ -108,7 +111,7 @@ class Vnode(abc.ABC):
     """
 
     #: Operations comprising the interface ("about two dozen services"):
-    #: 22 classic, then the nine Ficus extensions (see the module docstring).
+    #: 22 classic, then the seven Ficus extensions (see the module docstring).
     OPERATIONS = (
         "open",
         "close",
@@ -135,7 +138,6 @@ class Vnode(abc.ABC):
         "session_close",
         "getattrs_batch",
         "sync_probe",
-        "block_digests",
         "read_blocks",
         "lookup_fh",
         "insert",
@@ -260,19 +262,13 @@ class Vnode(abc.ABC):
         """
         raise NotSupported("sync_probe")
 
-    def block_digests(self, fh: "EntryId", ctx: OpContext = ROOT_CTX) -> "BlockDigests":
-        """Content hashes of a stored file's fixed-size blocks.
-
-        The reply carries the replica's version vector so the puller can
-        detect an out-of-band change between its attribute fetch and this
-        call and fall back to a whole-file copy.
-        """
-        raise NotSupported("block_digests")
-
     def read_blocks(
-        self, fh: "EntryId", indices: list[int], ctx: OpContext = ROOT_CTX
-    ) -> dict[int, bytes]:
-        """Fetch selected fixed-size blocks of a stored file in one call."""
+        self, fh: "EntryId", have: list[str], ctx: OpContext = ROOT_CTX
+    ) -> "FileBlocks":
+        """A stored file in one call: its version vector, its size, and
+        each fixed-size block whose digest differs from ``have[i]`` (or
+        lies past its end), sent with its digest.  ``have`` lists the
+        asker's own block digests, ``[]`` when it stores nothing."""
         raise NotSupported("read_blocks")
 
     def lookup_fh(self, fh: "FicusFileHandle", ctx: OpContext = ROOT_CTX) -> "Vnode":
@@ -335,7 +331,7 @@ def read_whole(
     ``read_all`` can truncate or over-read a file that just changed.
     Reading fixed-size chunks until a short read sidesteps the attribute
     cache entirely.  Use this for anything mutable read across layers —
-    Ficus directory files, auxiliary attributes, file pulls.
+    Ficus directory files, and the facade's reads to EOF.
     """
     pieces = []
     while True:

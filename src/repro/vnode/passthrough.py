@@ -25,7 +25,7 @@ from repro.vnode.interface import (
 )
 
 if TYPE_CHECKING:
-    from repro.physical.wire import AttrBatch, BlockDigests, EntryId, SyncProbe
+    from repro.physical.wire import AttrBatch, EntryId, FileBlocks, SyncProbe
 
 
 class PassthroughVnode(Vnode):
@@ -136,13 +136,8 @@ class PassthroughVnode(Vnode):
     def sync_probe(self, fh: "EntryId | None" = None, ctx: OpContext = ROOT_CTX) -> "SyncProbe":
         return self.lower.sync_probe(fh, ctx)
 
-    def block_digests(self, fh: "EntryId", ctx: OpContext = ROOT_CTX) -> "BlockDigests":
-        return self.lower.block_digests(fh, ctx)
-
-    def read_blocks(
-        self, fh: "EntryId", indices: list[int], ctx: OpContext = ROOT_CTX
-    ) -> dict[int, bytes]:
-        return self.lower.read_blocks(fh, indices, ctx)
+    def read_blocks(self, fh: "EntryId", have: list[str], ctx: OpContext = ROOT_CTX) -> "FileBlocks":
+        return self.lower.read_blocks(fh, have, ctx)
 
     def lookup_fh(self, fh, ctx: OpContext = ROOT_CTX) -> Vnode:
         return self._wrap(self.lower.lookup_fh(fh, ctx))

@@ -116,8 +116,9 @@ def decode_trace(text: str) -> list[TraceOp]:
 #: file's inode, so fewer stale handles are retried and a run draws its
 #: faults for other RPCs.  3: a pull looks a file up again after ESTALE,
 #: which moves seed 1990's fault draws.
-#: 4: a read opens no session, so fewer RPCs draw faults.)
-SCHEDULE_HEADER = "schedule=4"
+#: 4: a read opens no session, so fewer RPCs draw faults.  5: a pull is
+#: one RPC, so fewer RPCs draw faults.)
+SCHEDULE_HEADER = "schedule=5"
 
 
 def encode_schedule(steps: list[TraceOp]) -> str:

@@ -7,12 +7,15 @@ change) or a safety property (fallbacks, mid-pull partition atomicity,
 notification loop guard).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.errors import HostUnreachable
 from repro.physical import PhysicalDirVnode, ReplicaStore
 from repro.physical.wire import DELTA_BLOCK_SIZE
 from repro.recon import PullOutcome, pull_file, reconcile_directory, reconcile_subtree
+from repro.resolvers import ResolveOutcome, auto_resolve_conflict
 from repro.sim import DaemonConfig, FicusSystem
 from repro.vnode import SetAttrs
 
@@ -115,41 +118,47 @@ class TestBlockDeltaPull:
         assert result.bytes_copied == len(b"version one")
         assert result.bytes_saved == 0
 
-    def test_out_of_band_change_falls_back_to_whole_file(self, system):
-        """Signatures describing a different version than the attribute
-        fetch promised (out-of-band recon between the two calls) must not
-        be spliced — the pull replays as a whole-file copy."""
+    def test_out_of_band_change_installs_nothing(self, system):
+        """A transfer read at a different version than the attribute fetch
+        promised (out-of-band recon between the two calls) is not
+        installed: the pull is UNREACHABLE, the local copy untouched, and
+        the next pull installs the remote's version."""
         fh, contents = seeded_file(system)
         mutated = bytearray(contents)
         mutated[0] ^= 0xFF
         system.host("alpha").root().lookup("big").write(0, bytes(mutated))
 
         class OutOfBand(_RemoteDirProxy):
-            def block_digests(self, fh, ctx=None):
-                reply = self._inner.block_digests(fh)
-                reply.vv = reply.vv.bump(99)  # a version we did not fetch attrs for
-                return reply
+            def read_blocks(self, fh, have, ctx=None):
+                reply = self._inner.read_blocks(fh, have)
+                # a version we did not fetch attrs for
+                return dataclasses.replace(reply, vv=reply.vv.bump(99))
 
         beta_store = store_of(system, "beta")
         root_fh = beta_store.root_handle()
-        result = pull_file(
-            beta_store, root_fh, fh, OutOfBand(remote_root_vnode(system, "beta", "alpha"))
-        )
+        local_vv = beta_store.read_record(fh).vv
+        remote = remote_root_vnode(system, "beta", "alpha")
+        result = pull_file(beta_store, root_fh, fh, OutOfBand(remote))
+        assert result.outcome is PullOutcome.UNREACHABLE
+        assert beta_store.file_vnode(root_fh, fh).read_all() == contents
+        assert beta_store.read_record(fh).vv == local_vv
+
+        result = pull_file(beta_store, root_fh, fh, remote)
         assert result.outcome is PullOutcome.PULLED
-        assert result.bytes_copied == len(mutated)  # fell back to the whole file
+        assert result.bytes_copied == DELTA_BLOCK_SIZE
         assert beta_store.file_vnode(root_fh, fh).read_all() == bytes(mutated)
 
     def test_mid_pull_partition_leaves_old_contents_intact(self, system):
         """The delta is installed only once every block has arrived, in one
-        commit: a partition after the signature fetch but before the block
-        fetch leaves the local replica exactly as it was."""
+        commit: a partition that cuts the transfer leaves the local replica
+        exactly as it was."""
         fh, contents = seeded_file(system)
         mutated = bytearray(contents)
         mutated[2 * DELTA_BLOCK_SIZE] ^= 0xFF
         system.host("alpha").root().lookup("big").write(0, bytes(mutated))
 
         class PartitionsMidPull(_RemoteDirProxy):
-            def read_blocks(self, fh, indices, ctx=None):
+            def read_blocks(self, fh, have, ctx=None):
                 raise HostUnreachable("partitioned mid-pull")
 
         beta_store = store_of(system, "beta")
@@ -170,6 +179,83 @@ class TestBlockDeltaPull:
         assert result.outcome is PullOutcome.PULLED
         assert result.bytes_copied == DELTA_BLOCK_SIZE
         assert beta_store.file_vnode(root_fh, fh).read_all() == bytes(mutated)
+
+
+def rpcs_during(system, call):
+    """``call()``'s result and the RPCs the network carried meanwhile."""
+    before = system.network.stats.rpcs_sent
+    result = call()
+    return result, system.network.stats.rpcs_sent - before
+
+
+class TestOneTransfer:
+    """A pull or a resolver's fetch is one ``read_blocks`` RPC, installed
+    only when its vector is the one the caller decided on."""
+
+    def decided(self, system, name):
+        """beta's store, root, the remote root at alpha and alpha's record
+        of ``name`` — everything a pull decides from — fetched up front."""
+        beta_store = store_of(system, "beta")
+        remote = remote_root_vnode(system, "beta", "alpha")
+        fh = system.host("alpha").root().lookup(name).fh
+        return beta_store, beta_store.root_handle(), remote, fh, remote.getattrs_batch([fh])
+
+    def test_a_first_pull_is_one_rpc(self, system):
+        system.host("alpha").fs().write_file("/f", b"version one" * 1000)
+        beta_store = store_of(system, "beta")
+        remote = remote_root_vnode(system, "beta", "alpha")
+        reconcile_directory(system.host("beta").physical, beta_store, beta_store.root_handle(), remote)
+        store, root_fh, remote, fh, batch = self.decided(system, "f")
+        assert not store.has_file(root_fh, fh)
+        pull, rpcs = rpcs_during(
+            system, lambda: pull_file(store, root_fh, fh, remote, batch=batch, live=True)
+        )
+        assert (pull.outcome, rpcs) == (PullOutcome.PULLED, 1)
+        assert store.file_vnode(root_fh, fh).read_all() == b"version one" * 1000
+
+    def test_a_one_block_delta_of_a_16_block_file_is_one_rpc(self, system):
+        fh, contents = seeded_file(system, size=16 * DELTA_BLOCK_SIZE)
+        mutated = bytearray(contents)
+        mutated[9 * DELTA_BLOCK_SIZE] ^= 0xFF
+        system.host("alpha").root().lookup("big").write(0, bytes(mutated))
+        store, root_fh, remote, fh, batch = self.decided(system, "big")
+        pull, rpcs = rpcs_during(system, lambda: pull_file(store, root_fh, fh, remote, batch=batch))
+        assert (pull.outcome, rpcs, pull.bytes_copied) == (PullOutcome.PULLED, 1, DELTA_BLOCK_SIZE)
+        assert store.file_vnode(root_fh, fh).read_all() == bytes(mutated)
+
+    def conflicted(self):
+        """A two-host resolver system whose append log took a write on each
+        side of a partition, and beta's CONFLICT pull of it from alpha."""
+        system = FicusSystem(["alpha", "beta"], daemon_config=QUIET)
+        system.enable_resolvers()
+        system.host("alpha").fs().write_file("/inbox.log", b"seed\n")
+        system.reconcile_everything()
+        system.partition([{"alpha"}, {"beta"}])
+        system.host("alpha").fs().write_file("/inbox.log", b"seed\nalpha\n")
+        system.host("beta").fs().write_file("/inbox.log", b"seed\nbravo\n")
+        system.heal()
+        system.run_for(3.5)  # past the NFS name cache, as any recon pass is
+        store, root_fh, remote, fh, batch = self.decided(system, "inbox.log")
+        pull = pull_file(store, root_fh, fh, remote, batch=batch)
+        assert pull.outcome is PullOutcome.CONFLICT
+        return system, store, root_fh, remote, fh, pull
+
+    def test_a_resolver_merges_fetch_is_one_rpc(self):
+        system, store, root_fh, remote, fh, pull = self.conflicted()
+        outcome, rpcs = rpcs_during(
+            system,
+            lambda: auto_resolve_conflict(store, root_fh, fh, "inbox.log", remote, pull, system.resolvers),
+        )
+        assert (outcome, rpcs) == (ResolveOutcome.RESOLVED, 1)
+        assert store.file_vnode(root_fh, fh).read_all() == b"alpha\nbravo\nseed\n"
+
+    def test_a_resolver_merges_only_the_version_its_conflict_named(self):
+        system, store, root_fh, remote, fh, pull = self.conflicted()
+        system.host("alpha").fs().write_file("/inbox.log", b"seed\nalpha\nagain\n")
+        before = (store.file_vnode(root_fh, fh).read_all(), store.read_record(fh).vv)
+        outcome = auto_resolve_conflict(store, root_fh, fh, "inbox.log", remote, pull, system.resolvers)
+        assert outcome is ResolveOutcome.UNREACHABLE
+        assert (store.file_vnode(root_fh, fh).read_all(), store.read_record(fh).vv) == before
 
 
 def build_tree(system, dirs=6, files_per_dir=2):
@@ -391,10 +477,10 @@ class TestDirectoryAtATime:
 
     def test_stale_batch_falls_back_to_a_version_the_remote_held(self, system):
         """The remote file really changes between the directory's batch
-        and the block-digest fetch: the pull restarts from a fresh record
-        and copies the whole file, so what it installs is a (contents, vv)
-        pair the remote actually held — never new bytes under the batch's
-        older version vector."""
+        and the transfer: the reply is at a newer vector than the batch's,
+        so the pull installs nothing — never new bytes under the batch's
+        older version vector — and the next pull, from a fresh record,
+        installs a (contents, vv) pair the remote actually held."""
         from repro.recon import pull_children
 
         fh, contents = seeded_file(system)
@@ -422,8 +508,12 @@ class TestDirectoryAtATime:
             )
             if e.fh.logical == fh.logical
         ]
+        assert pull.outcome is PullOutcome.UNREACHABLE
+        assert beta_store.file_vnode(root_fh, fh).read_all() == contents
+        assert beta_store.read_record(fh).vv == pull.local_vv
+
+        pull = pull_file(beta_store, root_fh, fh, remote, live=True)
         assert pull.outcome is PullOutcome.PULLED
-        assert pull.bytes_copied == len(third)  # the whole file, no delta
         assert beta_store.file_vnode(root_fh, fh).read_all() == third
         assert beta_store.read_record(fh).vv == third_vv
 
@@ -473,12 +563,12 @@ class TestDirectoryAtATime:
         system = diverged_directory(["alpha", "beta"], files=4, overwritten=3, create=False)
         beta = system.host("beta")
         real = system.network.rpc
-        digest_calls = []
+        transfers = []
 
         def rpc(src, dst, service, *args, **kwargs):
-            if service.endswith(".block_digests"):
-                digest_calls.append(args)
-                if len(digest_calls) == 2:  # the group's second file
+            if service.endswith(".read_blocks"):
+                transfers.append(args)
+                if len(transfers) == 2:  # the group's second file
                     system.partition([{"alpha"}, {"beta"}])
             return real(src, dst, service, *args, **kwargs)
 

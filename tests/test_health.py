@@ -244,23 +244,29 @@ class TestBlockCorruptionFallback:
         entry = next(e for e in beta_store.read_entries(root_fh) if e.name == "big")
         return system, beta_store, remote, root_fh, entry, bytes(mutated)
 
-    def test_corrupted_block_payload_falls_back_to_whole_file(self, tmp_path):
-        """Satellite: a corrupted block-delta payload is caught by digest
-        verification, fires the anomaly, and the whole-file path still
-        installs the correct version."""
+    def test_corrupted_block_payload_installs_nothing(self, tmp_path):
+        """A block payload corrupted in flight is caught by digest
+        verification and fires the anomaly; the pull installs nothing (the
+        wrong bytes never land, the local copy is untouched), and the next
+        pull installs the correct version."""
         system, store, remote, root_fh, entry, expected = self._multi_block_setup()
+        before = store.file_vnode(root_fh, entry.fh).read_all()
         plane = system.host("beta").health_plane
         plane.recorder.dump_dir = str(tmp_path)
         system.network.faults.schedule_block_corruption("beta", "alpha")
         result = pull_file(store, root_fh, entry.fh, remote, health=plane)
-        assert result.outcome is PullOutcome.PULLED
-        assert store.file_vnode(root_fh, entry.fh).read_all() == expected
+        assert result.outcome is PullOutcome.UNREACHABLE
+        assert store.file_vnode(root_fh, entry.fh).read_all() == before != expected
         assert system.network.faults.injected.get("block_corrupt") == 1
         assert plane.anomaly_counts.get("pull_digest_mismatch") == 1
         # the anomaly left an offline-renderable evidence bundle behind
         from repro.tools.ficus_top import render_dump
 
         assert "pull_digest_mismatch" in render_dump(plane.recorder.dump_paths[-1])
+        result = pull_file(store, root_fh, entry.fh, remote, health=plane)
+        assert result.outcome is PullOutcome.PULLED
+        assert store.file_vnode(root_fh, entry.fh).read_all() == expected
+        assert plane.anomaly_counts.get("pull_digest_mismatch") == 1
 
     def test_clean_link_keeps_the_delta_path(self):
         system, store, remote, root_fh, entry, expected = self._multi_block_setup()
@@ -381,7 +387,7 @@ class TestCrashChaos:
         # the schedule left beside the dumps, under its format version,
         # reproduces the failed run
         text = (dump_dir / "chaos_11.schedule").read_text()
-        assert text.splitlines()[0] == SCHEDULE_HEADER == "schedule=4"
+        assert text.splitlines()[0] == SCHEDULE_HEADER == "schedule=5"
         schedule = decode_schedule(text)
         assert schedule == report.schedule
         system, host_names = chaos_module.build_cluster(11, config)

@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import FileNotFound, NotSupported, PermissionDenied
 from repro.layers import AccessPolicy, AuthLayer, CryptLayer, Keystream, MonitorLayer
+from repro.physical.wire import FileBlocks, content_digest
 from repro.storage import BlockDevice
 from repro.ufs import Ufs, fsck
 from repro.vv import VersionVector
@@ -177,7 +178,7 @@ class TestAuthLayer:
             except NotSupported:
                 pass  # select: the pass-through layer does not forward it
         reads = {"read", "getattr", "readdir", "lookup", "lookup_fh", "readlink", "access"}
-        reads |= {"session_close", "getattrs_batch", "sync_probe", "block_digests", "read_blocks"}
+        reads |= {"session_close", "getattrs_batch", "sync_probe", "read_blocks"}
         mutations = {"write", "setattr", "create", "mkdir", "remove", "rmdir", "rename"}
         mutations |= {"link", "symlink", "insert", "remove_entry"}
         checked = reads | mutations
@@ -224,19 +225,24 @@ class TestAuthLayer:
         phys.create_volume_replica(vr)
         below = phys.root().lookup(vr.to_hex())
         fh = below.insert("secret", EntryType.FILE).fh
-        below.lookup_fh(fh).write(0, b"top secret bytes")
+        secret = b"top secret bytes"
+        below.lookup_fh(fh).write(0, secret)
         auth = AuthLayer(phys, AccessPolicy(allowed_uids={1, 2}, read_only_uids={2}))
         root = auth.root().lookup(vr.to_hex())
         sync_plane = {
-            "read_blocks": lambda ctx: root.read_blocks(fh, [0], ctx),
-            "block_digests": lambda ctx: root.block_digests(fh, ctx).vv,
+            "read_blocks": lambda ctx: root.read_blocks(fh, [], ctx),
             "getattrs_batch": lambda ctx: root.getattrs_batch(None, ctx).child(fh).vv,
             "sync_probe": lambda ctx: root.sync_probe(None, ctx).digest != "",
             "session_close": lambda ctx: root.session_close(fh, ctx),
         }
         reader = OpContext(cred=Credential(uid=2))
         answers = [op(reader) for op in sync_plane.values()]
-        assert answers == [{0: b"top secret bytes"}, VersionVector({1: 1}), VersionVector({1: 1}), True, False]
+        assert answers == [
+            FileBlocks(VersionVector({1: 1}), 16, {0: (content_digest(secret), secret)}),
+            VersionVector({1: 1}),
+            True,
+            False,
+        ]
         intruder = OpContext(cred=Credential(uid=7))
         for op in sync_plane.values():
             with pytest.raises(PermissionDenied):

@@ -7,6 +7,7 @@ from repro.layers import MonitorLayer
 from repro.net import Network
 from repro.nfs import NfsClientConfig, NfsClientLayer, NfsServer
 from repro.physical import EntryType, FicusPhysicalLayer, volume_root_handle
+from repro.physical.wire import FileBlocks, content_digest
 from repro.sim import DaemonConfig, FicusSystem
 from repro.storage import BlockDevice
 from repro.telemetry import TraceContext
@@ -299,7 +300,8 @@ def drive_ficus_ops(root, name: str):
     aux = sub.getattrs_batch([entry.fh]).child(entry.fh)
     seen += [aux.merge_policy, aux.vv, [row.name for row in sub.readdir()]]
     seen += [sub.getattrs_batch(), root.sync_probe(), root.sync_probe(d.fh)]
-    seen += [sub.block_digests(entry.fh), sub.read_blocks(entry.fh, [0, 1]), sub.readdir()]
+    seen += [sub.read_blocks(entry.fh, []), sub.read_blocks(entry.fh, [content_digest(name.encode())])]
+    seen.append(sub.readdir())
     sub.remove_entry(entry.eid)
     sub.remove_entry(entry.eid)  # idempotent on the entry id
     for lookup in (lambda: sub.lookup(name), lambda: sub.lookup_fh(entry.fh)):
@@ -344,9 +346,11 @@ class TestFicusOpsOverNfs:
             assert (entry.name, contents, names, after) == (name, name.encode(), [name], [])
             assert (closed, replayed) == (True, False)
             assert policy == "append-log" and vv.total_updates == 2  # the session, the policy
-            batch, probe, sub_probe, digests, blocks, rows = replies
+            batch, probe, sub_probe, whole, held, rows = replies
             assert batch.child(entry.fh).vv == vv and list(probe.children.values()) == [sub_probe.digest]
-            assert digests.vv == vv and blocks == {0: name.encode()}
+            data = name.encode()
+            assert whole == FileBlocks(vv, len(data), {0: (content_digest(data), data)})
+            assert held == FileBlocks(vv, len(data), {})
             assert [(row.name, row.ftype) for row in rows] == [(name, FileType.REGULAR)]
 
     def test_the_operation_context_reaches_the_exported_layer_equal(self):

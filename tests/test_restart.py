@@ -234,7 +234,8 @@ class TestClusterWithRestarts:
     def test_a_lookup_cached_before_a_reboot_does_not_hold_back_the_pull(self):
         # beta's NFS client cached its lookup of /d/f at alpha; after alpha
         # reboots that lookup names a vnode alpha no longer knows, and the
-        # pull looks the file up once more
+        # pull never uses it: it reads the file by handle through the
+        # directory, in one read_blocks
         system = FicusSystem(["alpha", "beta"], daemon_config=QUIET)
         alpha = system.host("alpha")
         alpha.fs().mkdir("/d")

@@ -536,6 +536,19 @@ class TestDirectoryBlocks:
             assert sum(old != new for old, new in zip(before, after)) == 1
         assert names_by_block(fs, d)[0] >= {".", "..", "renamed"} and fsck(fs).clean
 
+    def test_an_add_reads_only_the_block_it_writes(self, fs):
+        """Room is found from the decoded blocks: an add to a 12-block
+        directory whose only room is its last block reads that block and
+        no other directory block."""
+        d, names = link_names(fs, 225)
+        blocks = fs._file_blocks(fs.get_inode(d))
+        assert len(blocks) == 12 and len(names_by_block(fs, d)[-1]) == 5
+        read, real = [], fs.cache.read
+        fs.cache.read = lambda blockno: read.append(blockno) or real(blockno)
+        fs.create(d, "n" * 193)
+        assert [blk for blk in read if blk in blocks] == [blocks[-1]]
+        assert "n" * 193 in names_by_block(fs, d)[-1] and fsck(fs).clean
+
     def test_only_trailing_empty_blocks_are_freed(self, fs):
         d, names = link_names(fs, 50)
         for name in names[20:40]:  # the middle block goes blank and stays

@@ -182,13 +182,13 @@ class TestVnodeDefaults:
 
     def test_operations_list_is_about_two_dozen(self):
         """Paper: 'a set of about two dozen services' — 22 classic ones plus
-        the eight Ficus extensions (the session close, attribute batches,
-        the sync plane's probe/delta operations, and the three
+        the seven Ficus extensions (the session close, attribute batches,
+        the sync plane's probe and block transfer, and the three
         replica-addressed directory operations), each of which no classic
         operation can carry; the interface docstring says why, one
         sentence per op."""
-        FICUS_EXTENSIONS = 8
-        assert len(Vnode.OPERATIONS) == 30
+        FICUS_EXTENSIONS = 7
+        assert len(Vnode.OPERATIONS) == 29
         assert len(Vnode.OPERATIONS) - FICUS_EXTENSIONS == 22
         ficus = Vnode.OPERATIONS[-FICUS_EXTENSIONS:]
         assert all(f"``{op}``" in interface.__doc__ for op in ficus)

@@ -39,12 +39,13 @@ QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_per
 
 # the acceptance bounds: a no-change round is at most NO_CHANGE_RPC_BOUND
 # RPCs per peer; a one-block change copies at most DELTA_BLOCK_BOUND blocks
-NO_CHANGE_RPC_BOUND = 3
+NO_CHANGE_RPC_BOUND = 1
 DELTA_BLOCK_BOUND = 2
-# a propagation tick over one diverged directory: resolve + batch, then one
-# ``read_blocks`` per changed file — per source
+# a propagation tick over one diverged directory: a ``lookup_fh`` from the
+# source's kept volume root + batch, then one ``read_blocks`` per changed
+# file — per source
 DIR_TICK_CHANGED_FILES = 4
-DIR_TICK_RPC_BOUND = 3 + 1 * DIR_TICK_CHANGED_FILES
+DIR_TICK_RPC_BOUND = 2 + 1 * DIR_TICK_CHANGED_FILES
 
 
 def build_volume(dirs: int, files_per_dir: int = 2) -> FicusSystem:

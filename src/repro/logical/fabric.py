@@ -6,11 +6,19 @@ remote layers" and "the NFS layer is omitted when both layers are
 co-resident" (paper Figure 1 and Section 2.2).  The fabric implements
 exactly that choice: a local physical layer is called directly; a remote
 one is reached through a cached NFS client mount.
+
+Like an NFS client that gets its root handle at mount time, the fabric
+fetches each volume replica's root once and keeps it.  It is the one
+place that reaches a replica: every caller runs its work through
+:meth:`Fabric.at_replica`, which also owns the one recovery from a server
+reboot (a stale handle drops the kept root and fetches it again).
 """
 
 from __future__ import annotations
 
-from repro.errors import HostUnreachable
+from typing import Callable, TypeVar
+
+from repro.errors import HostUnreachable, StaleFileHandle
 from repro.net import Network
 from repro.nfs import NfsClientLayer
 from repro.physical import FicusPhysicalLayer
@@ -20,6 +28,8 @@ from repro.vnode.interface import Vnode
 
 #: RPC service name under which every host exports its physical layer.
 PHYSICAL_SERVICE = "ficus-physical"
+
+T = TypeVar("T")
 
 
 class Fabric:
@@ -40,6 +50,8 @@ class Fabric:
         #: to the logical layer and to every NFS client mount
         self.health: HealthPlane = local_physical.health
         self._mounts: dict[str, NfsClientLayer] = {}
+        #: the kept root directory vnode of each volume replica reached
+        self._roots: dict[tuple[str, VolumeReplicaId], Vnode] = {}
 
     def is_local(self, host: str) -> bool:
         return host == self.host_addr
@@ -59,28 +71,38 @@ class Fabric:
             self._mounts[host] = mount
         return mount
 
-    def physical_root(self, host: str) -> Vnode:
-        """The physical layer's root vnode at ``host`` (NFS if remote)."""
-        if self.is_local(host):
-            return self.local_physical.root()
-        if not self.network.reachable(self.host_addr, host):
-            raise HostUnreachable(f"{self.host_addr} -> {host}")
-        return self.nfs_mount(host).root()
-
     def volume_root(self, host: str, volrep: VolumeReplicaId) -> Vnode:
-        """The root directory vnode of one volume replica."""
-        return self.physical_root(host).lookup(volrep.to_hex())
+        """The root directory vnode of one volume replica, fetched on first
+        use and kept.  A partitioned peer raises ``HostUnreachable`` here,
+        before any RPC, kept root or not."""
+        local = self.is_local(host)
+        if not local and not self.network.reachable(self.host_addr, host):
+            raise HostUnreachable(f"{self.host_addr} -> {host}")
+        root = self._roots.get((host, volrep))
+        if root is None:
+            physical_root = self.local_physical.root() if local else self.nfs_mount(host).root()
+            root = self._roots[host, volrep] = physical_root.lookup(volrep.to_hex())
+        return root
+
+    def at_replica(self, host: str, volrep: VolumeReplicaId, call: Callable[[Vnode], T]) -> T:
+        """``call(root)`` on the volume replica's root directory vnode.
+
+        A server reboot invalidates every handle a client holds.  On
+        ``StaleFileHandle`` the kept root is dropped, the NFS client forgets
+        the cached lookups that resolved to it (else the refetch would be
+        answered with the same dead handle), and ``call`` runs once more on
+        a freshly fetched root.  A ``call`` that fails stale must have
+        changed nothing, so that running it again is safe.
+        """
+        root = self.volume_root(host, volrep)
+        try:
+            return call(root)
+        except StaleFileHandle:
+            self._roots.pop((host, volrep), None)
+            if not self.is_local(host):
+                self.nfs_mount(host).note_stale(root.handle)
+            return call(self.volume_root(host, volrep))
 
     def dir_by_handle(self, host: str, volrep: VolumeReplicaId, fh: FicusFileHandle) -> Vnode:
-        """Any directory of one volume replica, addressed by handle.
-
-        Retries once on a stale NFS handle: a server reboot invalidates
-        cached handles, the first failure scrubs the client caches, and a
-        fresh root + lookup chain recovers.
-        """
-        from repro.errors import StaleFileHandle
-
-        try:
-            return self.volume_root(host, volrep).lookup_fh(fh)
-        except StaleFileHandle:
-            return self.volume_root(host, volrep).lookup_fh(fh)
+        """Any directory of one volume replica, addressed by handle."""
+        return self.at_replica(host, volrep, lambda root: root.lookup_fh(fh))

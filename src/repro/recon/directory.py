@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import FileNotFound, HostUnreachable, StaleFileHandle
 from repro.physical import (
     FicusPhysicalLayer,
     PhysicalDirVnode,
@@ -60,7 +59,6 @@ class DirReconResult:
     collisions_repaired: int = 0
     #: the two replicas had concurrently diverged (auto-repaired)
     was_concurrent: bool = False
-    unreachable: bool = False
     #: handles of live subdirectory/graft-point entries after the merge
     child_directories: list[FicusFileHandle] = field(default_factory=list)
     #: live file/symlink entries after the merge (full records, so
@@ -94,21 +92,20 @@ def reconcile_directory(
     when known) lets the merge skip re-learning tombstones that are
     already fully acknowledged everywhere — i.e. ones we may have
     garbage-collected.
+
+    Both remote reads come before anything is changed here, so an RPC
+    error propagates with the local replica untouched (and the caller may
+    simply ask again, as :meth:`repro.logical.Fabric.at_replica` does
+    after a stale handle).
     """
     result = DirReconResult()
     dir_fh = dir_fh.logical
 
-    try:
-        remote_entries = decode_directory(read_whole(remote_dir))
-        # the whole-directory batch: the directory's own aux record for
-        # the merge below, the children's for the per-file pulls after it
-        result.remote_attrs = remote_dir.getattrs_batch(None)
-        remote_aux = result.remote_attrs.dir_aux
-    except (HostUnreachable, FileNotFound, StaleFileHandle):
-        # StaleFileHandle: the remote rebooted and client caches were
-        # scrubbed by the failure itself; the next periodic run succeeds
-        result.unreachable = True
-        return result
+    remote_entries = decode_directory(read_whole(remote_dir))
+    # the whole-directory batch: the directory's own aux record for the
+    # merge below, the children's for the per-file pulls after it
+    result.remote_attrs = remote_dir.getattrs_batch(None)
+    remote_aux = result.remote_attrs.dir_aux
 
     with store.operation():
         _replay(physical, store, dir_fh, remote_entries, remote_aux, all_replicas, result)

@@ -277,8 +277,6 @@ def push_notify_pull(
     with store.operation():
         if any(note.objkind == "dir" for note in notes):
             merged = reconcile_directory(physical, store, dir_fh, remote_dir)
-            if merged.unreachable:
-                raise HostUnreachable(first.src_addr)
             batch, entries, changed = merged.remote_attrs, merged.child_files, merged.changed
         else:
             wanted = dict.fromkeys(note.key.fh.logical for note in notes)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import FileNotFound, HostUnreachable, StaleFileHandle
+from repro.logical import Fabric
 from repro.physical import FicusPhysicalLayer
 from repro.physical.policy import StoragePolicy
 from repro.recon.conflicts import ConflictKind, ConflictLog, ConflictReport
@@ -36,6 +37,7 @@ from repro.recon.propagate import PullOutcome, pull_children
 from repro.resolvers import ResolveOutcome, ResolverRegistry, auto_resolve_conflict
 from repro.util import FicusFileHandle, VolumeReplicaId
 from repro.vnode.interface import Vnode
+from repro.volume import ReplicaLocation
 
 
 @dataclass
@@ -76,48 +78,32 @@ class SubtreeReconResult:
 def reconcile_subtree(
     physical: FicusPhysicalLayer,
     volrep: VolumeReplicaId,
-    remote_volume_root: Vnode,
-    remote_host: str,
+    fabric: Fabric,
+    peer: ReplicaLocation,
     conflict_log: ConflictLog | None = None,
     root_fh: FicusFileHandle | None = None,
     all_replicas: frozenset[int] = frozenset(),
     policy: StoragePolicy | None = None,
     on_directory_changed: Callable[[FicusFileHandle], None] | None = None,
     resolvers: ResolverRegistry | None = None,
-    fetch_root: Callable[[], Vnode] | None = None,
 ) -> SubtreeReconResult:
     """Reconcile the local volume replica against one remote replica.
 
-    ``remote_volume_root`` is the remote replica's root directory vnode
-    (physical, possibly via NFS).  The walk covers every directory
-    reachable from ``root_fh`` (default: the volume root), minus any
-    subtree whose remote recon digest matches ours (nothing below it can
-    differ).  ``on_directory_changed`` is invoked once per directory this
-    run changed — entries merged or file contents installed — so the
-    caller can route the install through the update-notification path.
+    ``peer`` is the remote replica, reached only through ``fabric``: a
+    partitioned peer costs no RPC, and a peer that rebooted since its
+    root was fetched is met by the fabric's one refetch.  The walk covers
+    every directory reachable from ``root_fh`` (default: the volume root),
+    minus any subtree whose remote recon digest matches ours (nothing
+    below it can differ).  ``on_directory_changed`` is invoked once per
+    directory this run changed — entries merged or file contents
+    installed — so the caller can route the install through the
+    update-notification path.
 
     ``resolvers`` (optional) enables automatic conflict resolution: a
     concurrent-update conflict on a resolver-covered file is merged and
     committed on the spot instead of being reported; the manual conflict
     log only receives conflicts no resolver handles.
-
-    ``fetch_root`` (optional) fetches the remote volume root afresh.  A
-    remote that rebooted since ``remote_volume_root`` was fetched answers
-    its handle with ``StaleFileHandle``; the run then fetches the root
-    once more and goes on, as :meth:`repro.logical.Fabric.dir_by_handle`
-    does, instead of giving up the pass.
     """
-
-    def ask(call: Callable[[Vnode], object]) -> object:
-        nonlocal remote_volume_root, fetch_root
-        try:
-            return call(remote_volume_root)
-        except StaleFileHandle:
-            if fetch_root is None:
-                raise
-            remote_volume_root, fetch_root = fetch_root(), None
-            return call(remote_volume_root)
-
     store = physical.store_for(volrep)
     result = SubtreeReconResult()
     start = (root_fh or store.root_handle()).logical
@@ -145,7 +131,7 @@ def reconcile_subtree(
         probe = None
         if local_digest is not None:
             try:
-                probe = ask(lambda root: root.sync_probe(dir_fh))
+                probe = fabric.at_replica(peer.host, peer.volrep, lambda root: root.sync_probe(dir_fh))
                 result.probe_rpcs += 1
             except FileNotFound:
                 continue  # remote replica does not store this directory
@@ -158,22 +144,20 @@ def reconcile_subtree(
                 store.note_subtree_synced(dir_fh)
                 continue
 
-        try:
-            remote_dir = ask(lambda root: root.lookup_fh(dir_fh))
-        except FileNotFound:
-            continue  # remote replica does not store this directory
-        except (HostUnreachable, StaleFileHandle):
-            result.aborted_by_partition = True
-            result.directories_unreachable += 1
-            continue
+        def merge(root: Vnode) -> tuple[Vnode, DirReconResult]:
+            remote_dir = root.lookup_fh(dir_fh)
+            return remote_dir, reconcile_directory(
+                physical, store, dir_fh, remote_dir, all_replicas=all_replicas
+            )
 
         # one store operation per directory — the merge, its pulls and the
         # resolver installs — closed (flushed) before anyone is told
         with store.operation():
-            dir_result = reconcile_directory(
-                physical, store, dir_fh, remote_dir, all_replicas=all_replicas
-            )
-            if dir_result.unreachable:
+            try:
+                remote_dir, dir_result = fabric.at_replica(peer.host, peer.volrep, merge)
+            except FileNotFound:
+                continue  # remote replica does not store this directory
+            except (HostUnreachable, StaleFileHandle):
                 result.aborted_by_partition = True
                 result.directories_unreachable += 1
                 continue
@@ -183,7 +167,7 @@ def reconcile_subtree(
             batch, files = dir_result.remote_attrs, dir_result.child_files
             writing = physical.written_sessions(store)
             for file_entry, pull in pull_children(
-                store, dir_fh, remote_dir, batch, files, policy, physical.health, remote_host, writing
+                store, dir_fh, remote_dir, batch, files, policy, physical.health, peer.host, writing
             ):
                 file_fh = file_entry.fh
                 if pull is None:
@@ -238,7 +222,7 @@ def reconcile_subtree(
                             name=file_entry.name,
                             local_vv=pull.local_vv,
                             remote_vv=pull.remote_vv,
-                            remote_host=remote_host,
+                            remote_host=peer.host,
                             detected_at=physical.clock.now(),
                         )
                     ):
@@ -250,7 +234,7 @@ def reconcile_subtree(
                             conflict_kind=ConflictKind.FILE_UPDATE.value,
                             name=file_entry.name,
                             fh=file_fh.logical.to_hex(),
-                            remote_host=remote_host,
+                            remote_host=peer.host,
                         )
                 elif pull.outcome is PullOutcome.UNREACHABLE:
                     result.aborted_by_partition = True

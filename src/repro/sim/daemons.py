@@ -9,9 +9,10 @@
   may reduce the overall propagation cost when updates are bursty").
   Updates cluster by directory (Section 6), so the directory is the unit
   of work: a tick gates the pending notes one by one, groups the rest by
-  (source replica, directory), and services a group with ``root`` +
-  ``lookup`` + directory ``read`` + one ``getattrs_batch``, plus two RPCs
-  per file that really changed — however many notes the group holds.
+  (source replica, directory), and services a group with a ``lookup_fh``
+  of the directory from the source's kept volume root, a directory
+  ``read`` and one ``getattrs_batch``, plus one ``read_blocks`` per file
+  that really changed — however many notes the group holds.
 
 * :class:`ReconciliationDaemon` — periodically reconciles each hosted
   volume replica against one remote peer, rotating around the replica
@@ -41,7 +42,6 @@ from repro.recon import (
 )
 from repro.sim.topology import Topology
 from repro.util import FicusFileHandle, VolumeReplicaId
-from repro.vnode.interface import Vnode
 from repro.volume import ReplicaLocation
 
 
@@ -252,12 +252,11 @@ class PropagationDaemon:
                 continue
             key = (note.src_addr, note.src_volrep, note.key.volrep, note.key.parent_fh.logical)
             groups.setdefault(key, []).append(note)
-        roots: dict[tuple, Vnode] = {}  # remote volume roots resolved this tick
-        pulled = sum(self._service_group(group, roots) for group in groups.values())
+        pulled = sum(self._service_group(group) for group in groups.values())
         physical.health.notes_pending = physical.new_version_cache_size
         return pulled
 
-    def _service_group(self, group: list[NewVersionNote], roots: dict) -> int:
+    def _service_group(self, group: list[NewVersionNote]) -> int:
         """Service one (source, directory) group.  Each note keeps its own
         ``propagation.pull`` span, event and counters; the peer-health
         verdict is the group's, so one unreachable directory costs its
@@ -278,7 +277,7 @@ class PropagationDaemon:
                 )
                 for note in group
             ]
-            outcomes, pulled = self._attempt(group, roots)
+            outcomes, pulled = self._attempt(group)
             for span, note, outcome in zip(spans, group, outcomes):
                 span.set_tag("objkind", note.objkind)
                 span.set_tag("src", src)
@@ -299,7 +298,7 @@ class PropagationDaemon:
                     physical.clear_new_version(note.key)
         return pulled
 
-    def _attempt(self, group: list[NewVersionNote], roots: dict) -> tuple[list[str], int]:
+    def _attempt(self, group: list[NewVersionNote]) -> tuple[list[str], int]:
         """One pass over the group's directory: each note's outcome, in
         group order, and the number of file versions installed."""
         first = group[0]
@@ -308,13 +307,12 @@ class PropagationDaemon:
         if not self.physical.store_for(volrep).has_directory(dir_fh):
             # directory itself unknown yet: wait for subtree reconciliation
             return ["deferred"] * len(group), 0
-        source = (first.src_addr, first.src_volrep)
         try:
-            remote_root = roots.get(source)
-            if remote_root is None:
-                remote_root = roots[source] = self.fabric.volume_root(*source)
-            remote_dir = remote_root.lookup_fh(dir_fh)
-            pulls, dir_changed = push_notify_pull(self.physical, group, remote_dir)
+            pulls, dir_changed = self.fabric.at_replica(
+                first.src_addr,
+                first.src_volrep,
+                lambda root: push_notify_pull(self.physical, group, root.lookup_fh(dir_fh)),
+            )
         except FicusError:
             return ["unreachable"] * len(group), 0  # nothing in the group is settled
         pulled = 0
@@ -532,26 +530,17 @@ class ReconciliationDaemon:
     def _reconcile_with(
         self, volrep: VolumeReplicaId, peer: ReplicaLocation, span
     ) -> SubtreeReconResult:
-        try:
-            remote_root = self.fabric.volume_root(peer.host, peer.volrep)
-        except FicusError:
-            result = SubtreeReconResult(aborted_by_partition=True)
-            self.stats.runs += 1
-            self.stats.results.append(result)
-            span.set_tag("aborted", True)
-            return result
         all_replicas = self.volume_replica_ids(volrep)
         result = reconcile_subtree(
             self.physical,
             volrep,
-            remote_root,
-            peer.host,
+            self.fabric,
+            peer,
             conflict_log=self.conflict_log,
             all_replicas=all_replicas,
             policy=self.physical.policy_for(volrep),
             on_directory_changed=partial(announce_sync_install, self.logical, volrep),
             resolvers=self.resolvers,
-            fetch_root=partial(self.fabric.volume_root, peer.host, peer.volrep),
         )
         # tombstone garbage collection: purge fully-acknowledged deletes
         from repro.recon.gc import collect_volume_replica

@@ -117,8 +117,9 @@ def decode_trace(text: str) -> list[TraceOp]:
 #: faults for other RPCs.  3: a pull looks a file up again after ESTALE,
 #: which moves seed 1990's fault draws.
 #: 4: a read opens no session, so fewer RPCs draw faults.  5: a pull is
-#: one RPC, so fewer RPCs draw faults.)
-SCHEDULE_HEADER = "schedule=5"
+#: one RPC, so fewer RPCs draw faults.  6: a replica's root is fetched
+#: once and kept, so fewer RPCs draw faults.)
+SCHEDULE_HEADER = "schedule=6"
 
 
 def encode_schedule(steps: list[TraceOp]) -> str:

@@ -487,9 +487,7 @@ class TestNameViews:
         system.heal()
         alpha = system.host("alpha")
         here, there = sorted(system.root_locations, key=lambda loc: loc.host != "alpha")
-        reconcile_subtree(
-            alpha.physical, here.volrep, alpha.fabric.volume_root("beta", there.volrep), "beta"
-        )
+        reconcile_subtree(alpha.physical, here.volrep, alpha.fabric, there)
         assert fs_a.listdir("/") == ["f"]  # still the cached view...
         assert fs_a.read_file("/g") == b"made at beta"  # ...but a miss is re-read
         assert fs_a.listdir("/") == ["f", "g"]

@@ -533,8 +533,8 @@ class TestDirectoryAtATime:
         reconcile_subtree(
             system.host("cache").physical,
             volrep_of(system, "cache"),
-            remote_root_vnode(system, "cache", "full"),
-            "full",
+            system.host("cache").fabric,
+            next(loc for loc in system.root_locations if loc.host == "full"),
             policy=system.host("cache").physical.policy_for(volrep_of(system, "cache")),
         )
         names = {e.name: e for e in cache_store.read_entries(cache_store.root_handle()) if e.live}

@@ -387,7 +387,7 @@ class TestCrashChaos:
         # the schedule left beside the dumps, under its format version,
         # reproduces the failed run
         text = (dump_dir / "chaos_11.schedule").read_text()
-        assert text.splitlines()[0] == SCHEDULE_HEADER == "schedule=5"
+        assert text.splitlines()[0] == SCHEDULE_HEADER == "schedule=6"
         schedule = decode_schedule(text)
         assert schedule == report.schedule
         system, host_names = chaos_module.build_cluster(11, config)

@@ -197,8 +197,7 @@ class TestVolumeScenarios:
         c_loc = next(l for l in locations if l.host == "c")
         from repro.recon import reconcile_subtree
 
-        remote = system.host("c").fabric.volume_root(b_loc.host, b_loc.volrep)
-        reconcile_subtree(system.host("c").physical, c_loc.volrep, remote, "b")
+        reconcile_subtree(system.host("c").physical, c_loc.volrep, system.host("c").fabric, b_loc)
         system.network.set_host_up("b", False)
         a.logical.grafter.ungraft(volume)
         assert fs_a.read_file("/proj/f") == b"both replicas up"

@@ -8,6 +8,7 @@ from repro.errors import (
     DirectoryNotEmpty,
     FileExists,
     FileNotFound,
+    HostUnreachable,
     IOError_,
     IsADirectory,
     NotADirectory,
@@ -582,3 +583,64 @@ class TestStaleHandles:
         assert logical.notifications_sent == sent + 1
         system.reconcile_everything()
         assert system.host("b").fs().read_file("/d/f") == b"version 1.5"
+
+
+class TestKeptRoots:
+    """The fabric fetches each volume replica's root once and keeps it;
+    every way of reaching a replica goes through it."""
+
+    @pytest.fixture
+    def world(self):
+        system = FicusSystem(["alpha", "beta"], daemon_config=QUIET)
+        alpha = system.host("alpha")
+        alpha.fs().mkdir("/d")
+        system.reconcile_everything()
+        beta_volrep = next(loc.volrep for loc in system.root_locations if loc.host == "beta")
+        return system, alpha, beta_volrep, alpha.root().lookup("d").fh
+
+    @staticmethod
+    def record_rpcs(system, monkeypatch) -> list[str]:
+        sent = []
+        rpc = system.network.rpc
+
+        def recording(src, dst, service, *args, **kwargs):
+            sent.append(service.split(".", 1)[1])
+            return rpc(src, dst, service, *args, **kwargs)
+
+        monkeypatch.setattr(system.network, "rpc", recording)
+        return sent
+
+    def test_a_cold_selection_through_a_kept_root_sends_no_root(self, world, monkeypatch):
+        system, alpha, beta_volrep, d_fh = world
+        alpha.fabric.volume_root("beta", beta_volrep)
+        sent = self.record_rpcs(system, monkeypatch)
+        alpha.fs().write_file("/d/f", b"x")  # selects /d on both replicas
+        assert "lookup_fh" in sent
+        assert "root" not in sent and "lookup" not in sent
+
+    def test_a_partitioned_peer_costs_no_rpc_and_no_time(self, world):
+        system, alpha, beta_volrep, d_fh = world
+        alpha.fabric.volume_root("beta", beta_volrep)
+        system.partition([{"alpha"}, {"beta"}])
+        rpcs, now = system.network.stats.rpcs_sent, system.clock.now()
+        with pytest.raises(HostUnreachable):
+            alpha.fabric.dir_by_handle("beta", beta_volrep, d_fh)
+        assert system.network.stats.rpcs_sent == rpcs
+        assert system.clock.now() == now
+
+    def test_a_peer_reboot_costs_one_fresh_root(self, world, monkeypatch):
+        system, alpha, beta_volrep, d_fh = world
+
+        def read_d(root):
+            return root.lookup_fh(d_fh).getattrs_batch()
+
+        alpha.fabric.at_replica("beta", beta_volrep, read_d)
+        beta = system.host("beta")
+        beta.crash()
+        beta.restart(system)
+        sent = self.record_rpcs(system, monkeypatch)
+        # the held handles of /d and of the root are stale at beta now,
+        # and so are the lookups alpha's NFS client cached: one failure,
+        # one fresh root, and the call goes through
+        assert alpha.fabric.at_replica("beta", beta_volrep, read_d).dir_aux is not None
+        assert sent == ["getattrs_batch", "root", "lookup", "lookup_fh", "getattrs_batch"]

@@ -28,6 +28,10 @@ def store_of(system, host_name):
     return system.host(host_name).physical.store_for(volrep_of(system, host_name))
 
 
+def location_of(system, host_name):
+    return next(loc for loc in system.root_locations if loc.host == host_name)
+
+
 def remote_root_vnode(system, at_host, of_host):
     """Access ``of_host``'s volume-root physical vnode from ``at_host``."""
     host = system.host(at_host)
@@ -380,8 +384,8 @@ class TestSubtreeRecon:
         result = reconcile_subtree(
             beta.physical,
             volrep_of(system, "beta"),
-            remote_root_vnode(system, "beta", "alpha"),
-            "alpha",
+            beta.fabric,
+            location_of(system, "alpha"),
             conflict_log=beta.conflict_log,
         )
         assert result.directories_reconciled == 3
@@ -399,8 +403,8 @@ class TestSubtreeRecon:
         result = reconcile_subtree(
             beta.physical,
             volrep_of(system, "beta"),
-            remote_root_vnode(system, "beta", "alpha"),
-            "alpha",
+            beta.fabric,
+            location_of(system, "alpha"),
             conflict_log=beta.conflict_log,
         )
         assert result.file_conflicts == 1
@@ -412,19 +416,16 @@ class TestSubtreeRecon:
     def test_subtree_aborts_cleanly_on_partition(self, system):
         alpha, beta = system.host("alpha"), system.host("beta")
         alpha.root().mkdir("d").create("f")
-        # grab the remote root while reachable, then partition mid-run
-        remote = remote_root_vnode(system, "beta", "alpha")
+        # keep the remote root while reachable, then partition mid-run
+        alpha_loc = location_of(system, "alpha")
+        beta.fabric.volume_root(alpha_loc.host, alpha_loc.volrep)
         system.partition([{"alpha"}, {"beta"}])
-        result = reconcile_subtree(
-            beta.physical, volrep_of(system, "beta"), remote, "alpha"
-        )
+        result = reconcile_subtree(beta.physical, volrep_of(system, "beta"), beta.fabric, alpha_loc)
         assert result.aborted_by_partition
         assert result.directories_reconciled == 0
         # healing lets the next periodic run finish the job
         system.heal()
-        result = reconcile_subtree(
-            beta.physical, volrep_of(system, "beta"), remote, "alpha"
-        )
+        result = reconcile_subtree(beta.physical, volrep_of(system, "beta"), beta.fabric, alpha_loc)
         assert result.directories_reconciled >= 2
         assert beta.root().walk("d").readdir()
 
@@ -459,8 +460,8 @@ class TestConflictResolution:
         reconcile_subtree(
             beta.physical,
             volrep_of(system, "beta"),
-            remote_root_vnode(system, "beta", "alpha"),
-            "alpha",
+            beta.fabric,
+            location_of(system, "alpha"),
             conflict_log=beta.conflict_log,
         )
         report = beta.conflict_log.unresolved()[0]
@@ -491,8 +492,8 @@ class TestConflictResolution:
             reconcile_subtree(
                 beta.physical,
                 volrep_of(system, "beta"),
-                remote_root_vnode(system, "beta", "alpha"),
-                "alpha",
+                beta.fabric,
+                location_of(system, "alpha"),
                 conflict_log=beta.conflict_log,
             )
         assert len(beta.conflict_log.unresolved()) == 1

@@ -268,6 +268,42 @@ class TestClusterWithRestarts:
         system.partition([{"alpha"}, {"beta"}])
         assert beta.fs().read_file("/f") == b"two"
 
+    @pytest.mark.parametrize("first", ["tick", "reconcile", "read"])
+    def test_a_peer_reboot_is_not_a_flap(self, first):
+        # beta's NFS client holds alpha's handles from before alpha's
+        # reboot, and cached lookups that resolve to them: the first tick,
+        # recon pass or read against alpha meets them stale, fetches
+        # alpha's root again and goes on, and charges alpha no failure
+        system = FicusSystem(["alpha", "beta"], daemon_config=QUIET)
+        alpha, beta = system.host("alpha"), system.host("beta")
+        alpha.fs().mkdir("/d")
+        alpha.fs().write_file("/d/f", b"one")
+        system.reconcile_everything()
+        alpha.fs().write_file("/d/f", b"two")
+        assert beta.propagation_daemon.tick() == 1
+        alpha.crash()
+        alpha.restart(system)
+        alpha.fs().write_file("/d/f", b"three")
+        if first == "tick":
+            daemon = beta.propagation_daemon
+            assert daemon.tick() == 1
+            assert daemon.stats.unreachable == 0
+        elif first == "reconcile":
+            daemon = beta.recon_daemon
+            beta_volrep = next(loc.volrep for loc in system.root_locations if loc.host == "beta")
+            alpha_loc = next(loc for loc in system.root_locations if loc.host == "alpha")
+            result = daemon.reconcile_with(beta_volrep, alpha_loc)
+            assert not result.aborted_by_partition
+            assert result.files_pulled == 1
+        else:
+            daemon = beta.propagation_daemon
+            assert beta.fs().read_file("/d/f") == b"three"
+        assert not daemon.peer_health.is_degraded("alpha")
+        assert "alpha" not in beta.health().degraded_peers
+        system.partition([{"alpha"}, {"beta"}])
+        if first != "read":
+            assert beta.fs().read_file("/d/f") == b"three"
+
     def test_open_session_dies_with_crash_without_corruption(self):
         system = FicusSystem(["server", "client"], root_volume_hosts=["server"], daemon_config=QUIET)
         fs = system.host("client").fs()

@@ -636,8 +636,8 @@ class ReplicaStore:
     def _peek(self, fh: FicusFileHandle) -> AuxAttributes:
         """One record as the open operation leaves it: the object the stage
         or the decoded map holds, which the caller must not change."""
-        # an empty dict's get still hashes its key, and a handle's hash is
-        # a Python call: most reads happen with nothing staged
+        # an empty dict's get still hashes its key, a nested tuple: most
+        # reads happen with nothing staged
         staged = self._records.get(fh) if self._records else None
         if staged is not None:
             if staged.aux is None:
@@ -982,12 +982,11 @@ class ReplicaStore:
         entries); none unless its record counts a name outside ``parent``."""
         if not self.has_record(fh) or self._peek(fh).refs <= self.has_file(parent, fh):
             return []
-        key = hash(fh)  # handles compare by their cached hash first: a full comparison is a nested one
         return [
             dir_fh
             for dir_fh in self.all_directory_handles()
             if dir_fh != parent
-            and any(hash(entry.fh) == key and entry.fh == fh for entry in self.read_entries(dir_fh))
+            and any(entry.fh == fh for entry in self.read_entries(dir_fh))
             and self.has_file(dir_fh, fh)
         ]
 

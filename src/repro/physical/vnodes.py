@@ -193,12 +193,10 @@ class PhysicalDirVnode(Vnode):
         return self.layer.file_vnode(self.store, self.fh, entry.fh, entry.etype)
 
     def find_live_by_fh(self, fh: FicusFileHandle) -> DirectoryEntry | None:
-        """The live entry naming ``fh`` here, if any.  Handles compare by
-        their cached hash first: a full comparison is a nested one."""
+        """The live entry naming ``fh`` here, if any."""
         logical = fh.logical
-        key = hash(logical)
         for entry in self.entries():
-            if hash(entry.fh) == key and entry.fh == logical and entry.live:
+            if entry.fh == logical and entry.live:
                 return entry
         return None
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import functools
 import hashlib
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from repro.errors import InvalidArgument
@@ -108,23 +109,19 @@ class EntryType(enum.Enum):
     LOCATION = "loc"
 
 
-@dataclass(frozen=True, order=True)
-class EntryId:
+class EntryId(namedtuple("EntryId", "replica_id seq")):
     """Globally unique id of one directory-entry *insertion event*.
 
     Reinserting a deleted name is a new event with a new id, which is what
-    lets insert/delete reconciliation converge without clocks.
+    lets insert/delete reconciliation converge without clocks.  A tuple,
+    like the ids of :mod:`repro.util.ids`: it hashes and orders in C.
     """
-
-    replica_id: int
-    seq: int
 
     def encode(self) -> str:
         # Frozen value object: encode once (hot in directory folds).
         cached = self.__dict__.get("_enc")
         if cached is None:
-            cached = f"{self.replica_id:x}:{self.seq:x}"
-            object.__setattr__(self, "_enc", cached)
+            cached = self._enc = f"{self.replica_id:x}:{self.seq:x}"
         return cached
 
     @classmethod

@@ -170,10 +170,11 @@ class FlightRecorder:
 
 def _label(target) -> str:
     """A ring target as a dump shows it: a handle as its hex form, a
-    ``(src, handle)`` pair as ``"<src>:<hex>"``."""
+    ``(src, handle)`` pair (a plain tuple; a handle is a named one) as
+    ``"<src>:<hex>"``."""
     if isinstance(target, str):
         return target
-    if isinstance(target, tuple):
+    if type(target) is tuple:
         src, fh = target
         return f"{src}:{fh.to_hex()}"
     return target.to_hex()

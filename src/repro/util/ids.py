@@ -12,11 +12,19 @@ replica's id guarantees global uniqueness with zero coordination.
 
 The paper notes a current limit of 2^32 replicas of a given file and 2^32
 logical layers; we enforce the same bound.
+
+Every identifier is a named tuple that validates in ``__new__``.  Ids are
+dict keys and set members in every layer, and a tuple hashes and compares
+in C; its hash is the one a frozen dataclass of the same fields would
+generate, and its order is field order.  Equality ignores the class
+(``VolumeId(1, 2) == FileId(1, 2)``), so no dict mixes id kinds.  The
+instance ``__dict__`` holds only memos of derived forms.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from repro.errors import InvalidArgument
@@ -32,23 +40,19 @@ def _check_u32(value: int, what: str) -> int:
     return value
 
 
-@dataclass(frozen=True, order=True)
-class VolumeId:
+class VolumeId(namedtuple("VolumeId", "allocator_id volume_num")):
     """Globally unique volume name: ⟨allocator-id, volume-num⟩."""
 
-    allocator_id: int
-    volume_num: int
-
-    def __post_init__(self) -> None:
-        _check_u32(self.allocator_id, "allocator-id")
-        _check_u32(self.volume_num, "volume-num")
+    def __new__(cls, allocator_id: int, volume_num: int) -> "VolumeId":
+        _check_u32(allocator_id, "allocator-id")
+        _check_u32(volume_num, "volume-num")
+        return tuple.__new__(cls, (allocator_id, volume_num))
 
     def to_hex(self) -> str:
         # Frozen value object: encode once, reuse on every store lookup.
         cached = self.__dict__.get("_hex")
         if cached is None:
-            cached = f"{self.allocator_id:08x}.{self.volume_num:08x}"
-            object.__setattr__(self, "_hex", cached)
+            cached = self._hex = f"{self.allocator_id:08x}.{self.volume_num:08x}"
         return cached
 
     @classmethod
@@ -63,22 +67,18 @@ class VolumeId:
         return f"vol<{self.allocator_id}:{self.volume_num}>"
 
 
-@dataclass(frozen=True, order=True)
-class FileId:
+class FileId(namedtuple("FileId", "issuing_replica unique")):
     """Volume-relative logical file name: ⟨issuing-replica-id, unique-id⟩."""
 
-    issuing_replica: int
-    unique: int
-
-    def __post_init__(self) -> None:
-        _check_u32(self.issuing_replica, "issuing-replica-id")
-        _check_u32(self.unique, "unique-id")
+    def __new__(cls, issuing_replica: int, unique: int) -> "FileId":
+        _check_u32(issuing_replica, "issuing-replica-id")
+        _check_u32(unique, "unique-id")
+        return tuple.__new__(cls, (issuing_replica, unique))
 
     def to_hex(self) -> str:
         cached = self.__dict__.get("_hex")
         if cached is None:
-            cached = f"{self.issuing_replica:08x}.{self.unique:08x}"
-            object.__setattr__(self, "_hex", cached)
+            cached = self._hex = f"{self.issuing_replica:08x}.{self.unique:08x}"
         return cached
 
     @classmethod
@@ -93,21 +93,17 @@ class FileId:
         return f"file<{self.issuing_replica}:{self.unique}>"
 
 
-@dataclass(frozen=True, order=True)
-class VolumeReplicaId:
+class VolumeReplicaId(namedtuple("VolumeReplicaId", "volume replica_id")):
     """Globally unique volume replica: ⟨allocator, volume, replica⟩."""
 
-    volume: VolumeId
-    replica_id: int
-
-    def __post_init__(self) -> None:
-        _check_u32(self.replica_id, "replica-id")
+    def __new__(cls, volume: VolumeId, replica_id: int) -> "VolumeReplicaId":
+        _check_u32(replica_id, "replica-id")
+        return tuple.__new__(cls, (volume, replica_id))
 
     def to_hex(self) -> str:
         cached = self.__dict__.get("_hex")
         if cached is None:
-            cached = f"{self.volume.to_hex()}.{self.replica_id:08x}"
-            object.__setattr__(self, "_hex", cached)
+            cached = self._hex = f"{self.volume.to_hex()}.{self.replica_id:08x}"
         return cached
 
     @classmethod
@@ -121,8 +117,7 @@ class VolumeReplicaId:
         return f"{self.volume}r{self.replica_id}"
 
 
-@dataclass(frozen=True, order=True)
-class FicusFileHandle:
+class FicusFileHandle(namedtuple("FicusFileHandle", "volume file_id replica_id")):
     """The handle the logical layer uses to talk to physical layers.
 
     The paper (Section 2.5): "The logical layer maps a client-supplied name
@@ -135,17 +130,14 @@ class FicusFileHandle:
     #: Reserved replica-id encoding "no specific replica" in the hex form.
     LOGICAL_SENTINEL = MAX_ID - 1
 
-    volume: VolumeId
-    file_id: FileId
-    replica_id: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.replica_id is not None:
-            _check_u32(self.replica_id, "replica-id")
-            if self.replica_id == self.LOGICAL_SENTINEL:
+    def __new__(cls, volume: VolumeId, file_id: FileId, replica_id: int | None = None) -> "FicusFileHandle":
+        if replica_id is not None:
+            _check_u32(replica_id, "replica-id")
+            if replica_id == cls.LOGICAL_SENTINEL:
                 raise InvalidArgument(
-                    f"replica-id {self.LOGICAL_SENTINEL:#x} is reserved for logical handles"
+                    f"replica-id {cls.LOGICAL_SENTINEL:#x} is reserved for logical handles"
                 )
+        return tuple.__new__(cls, (volume, file_id, replica_id))
 
     @property
     def logical(self) -> "FicusFileHandle":
@@ -154,17 +146,7 @@ class FicusFileHandle:
             return self
         cached = self.__dict__.get("_logical")
         if cached is None:
-            cached = FicusFileHandle(self.volume, self.file_id, None)
-            object.__setattr__(self, "_logical", cached)
-        return cached
-
-    def __hash__(self) -> int:
-        # Hashed on every dict and set probe: hash once.  The value is the
-        # one the dataclass would generate, so iteration orders hold.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.volume, self.file_id, self.replica_id))
-            object.__setattr__(self, "_hash", cached)
+            cached = self._logical = FicusFileHandle(self.volume, self.file_id, None)
         return cached
 
     def at_replica(self, replica_id: int) -> "FicusFileHandle":
@@ -180,8 +162,7 @@ class FicusFileHandle:
         cached = self.__dict__.get("_hex")
         if cached is None:
             rep = "ffffffff" if self.replica_id is None else f"{self.replica_id:08x}"
-            cached = f"{self.volume.to_hex()}.{self.file_id.to_hex()}.{rep}"
-            object.__setattr__(self, "_hex", cached)
+            cached = self._hex = f"{self.volume.to_hex()}.{self.file_id.to_hex()}.{rep}"
         return cached
 
     @classmethod

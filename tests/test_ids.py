@@ -1,10 +1,14 @@
 """Unit tests for Ficus identifiers (paper Section 4.2)."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import InvalidArgument
+from repro.physical.wire import EntryId
 from repro.util import (
     MAX_ID,
     FicusFileHandle,
@@ -139,3 +143,74 @@ class TestVolumeReplicaId:
     def test_str_contains_components(self):
         vr = VolumeReplicaId(VolumeId(8, 9), 2)
         assert "8" in str(vr) and "9" in str(vr) and "2" in str(vr)
+
+
+class TestTupleForm:
+    """Ids are named tuples; these are the properties the layers rely on."""
+
+    @given(u32, u32, u32, u32, st.one_of(st.none(), st.integers(min_value=0, max_value=MAX_ID - 2)))
+    def test_hash_is_the_plain_tuple_hash(self, a, b, c, d, r):
+        # The value a frozen dataclass of the same fields generated, so dict
+        # and set iteration orders do not depend on the representation.
+        fh = FicusFileHandle(VolumeId(a, b), FileId(c, d), r)
+        assert hash(fh) == hash(((a, b), (c, d), r))
+        assert hash(VolumeId(a, b)) == hash((a, b))
+        assert hash(VolumeReplicaId(VolumeId(a, b), c)) == hash(((a, b), c))
+
+    def test_fields_cannot_be_assigned(self):
+        fh = FicusFileHandle(VolumeId(1, 2), FileId(3, 4), 5)
+        fields = [(fh, "replica_id"), (fh, "volume"), (VolumeId(1, 2), "volume_num")]
+        fields += [(FileId(1, 2), "unique"), (EntryId(1, 2), "seq")]
+        for obj, name in fields:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 1)
+
+    def test_construction_still_validates(self):
+        # Beside the range and sentinel checks of the classes above.
+        with pytest.raises(InvalidArgument):
+            VolumeReplicaId(VolumeId(1, 2), MAX_ID)
+        with pytest.raises(InvalidArgument):
+            FicusFileHandle(VolumeId(1, 2), FileId(3, 4), -1)
+        with pytest.raises(InvalidArgument):
+            FileId(-1, 0)
+
+    @pytest.mark.parametrize("value", [
+        VolumeId(1, 2),
+        FileId(3, 4),
+        VolumeReplicaId(VolumeId(1, 2), 5),
+        FicusFileHandle(VolumeId(1, 2), FileId(3, 4), 5),
+        FicusFileHandle(VolumeId(1, 2), FileId(3, 4)),
+        EntryId(6, 7),
+    ], ids=repr)
+    def test_copy_and_pickle_keep_class_and_value(self, value):
+        (value.encode if isinstance(value, EntryId) else value.to_hex)()  # fill the memo
+        for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(clone) is type(value)
+            assert clone == value and hash(clone) == hash(value)
+            assert repr(clone) == repr(value)
+
+    def test_logical_is_memoized(self):
+        fh = FicusFileHandle(VolumeId(1, 2), FileId(3, 4), 5)
+        assert fh.logical is fh.logical
+        assert fh.logical.logical is fh.logical
+        assert fh.logical.replica_id is None
+
+    def test_repr_names_the_fields(self):
+        fh = FicusFileHandle(VolumeId(1, 2), FileId(3, 4))
+        assert repr(fh) == (
+            "FicusFileHandle(volume=VolumeId(allocator_id=1, volume_num=2), "
+            "file_id=FileId(issuing_replica=3, unique=4), replica_id=None)"
+        )
+        assert str(fh) == "fh<1:2:3:4:*>"
+
+    def test_equality_ignores_the_id_kind(self):
+        """A documented property, not a wish: no dict may mix id kinds."""
+        assert VolumeId(1, 2) == FileId(1, 2) == EntryId(1, 2) == (1, 2)
+        assert len({VolumeId(1, 2), FileId(1, 2)}) == 1
+
+    def test_order_is_field_order(self):
+        # The "lowest entry id keeps the name" rule sorts on this.
+        assert sorted([EntryId(2, 0), EntryId(1, 9), EntryId(1, 3)]) == [(1, 3), (1, 9), (2, 0)]
+        a = FicusFileHandle(VolumeId(1, 2), FileId(3, 4), 1)
+        with pytest.raises(TypeError):
+            a < a.logical

@@ -3,11 +3,13 @@
 "One-copy availability provides strictly greater availability than
 primary copy, voting, weighted voting, and quorum consensus."
 
-Every policy runs as a working replicated register over the same network
-against identical partition traces; the table printed here is the
-measured analogue of the paper's claim, and the assertions pin the shape:
-one-copy >= everyone, everywhere, with the conflict count shown as the
-price.
+The one-copy column is a real five-host ``FicusSystem`` — each operation
+a ``write_file``/``read_file`` from the requester's own host — and every
+other policy runs as a working replicated register on that system's
+network, all against identical partition traces; the table printed here
+is the measured analogue of the paper's claim, and the assertions pin the
+shape: one-copy >= everyone, everywhere, with the conflicts the cluster's
+reconciliation resolved shown as the price.
 """
 
 import pytest

@@ -12,12 +12,16 @@ their call counts), self time per ``repro`` subpackage (``repro/ufs/...``
 is ``ufs``; code outside ``repro`` is ``other``), and how many
 ``DirectoryEntry`` objects are still alive once the pass has returned —
 what the process's memos keep.  The engine's calibration kernel
-(``Kernel.sample`` and everything it calls) is reported once, as the
-``harness`` package: its time is taken out of the shares and the calls of
-the functions it calls (``dataclasses.replace`` among them), by each
-function's share of its calls that came from the kernel.  cProfile slows every call, so compare
-the shares and counts between checkouts, not the seconds with a timed run;
-set ``PYTHONHASHSEED=0``, as the benchmark does, for counts that repeat.
+(``Kernel.sample`` and everything it calls) runs as often as measured time
+asks, so it is reported once, as the ``harness`` package: its calls are
+taken out of every count exactly (how often it ran, times what one run
+calls), and its time out of the shares by each function's share of its
+calls that came from the kernel.  A ``generated:<string>`` row is one
+dataclass-generated method (``__init__``, ``__eq__``, ...) summed over
+every dataclass: they share one code location, and one row.  cProfile slows
+every call, so compare the shares and counts between checkouts, not the
+seconds with a timed run; set ``PYTHONHASHSEED=0``, as the benchmark does,
+for counts that repeat.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import collections
 import gc
 import json
 import os
-import pstats
 import sys
 from pathlib import Path
 
@@ -41,52 +44,93 @@ def package_of(filename: str) -> str:
     return below[0].removesuffix(".py")
 
 
-def kernel_parts(stats: dict) -> dict:
-    """The share of each function's calls made on behalf of the engine's
-    calibration kernel (``Kernel.sample``), from cProfile's caller records:
-    a function ``Kernel.sample`` calls has the calls it made; one those
-    call, their kernel share of its calls from them; and so on down."""
-    root = next((key for key in stats if key[0].endswith("calibrate.py") and key[2] == "sample"), None)
-    if root is None:
-        return {}
-    callees: dict = collections.defaultdict(list)
-    for func, (_, _, _, _, callers) in stats.items():
-        for caller, entry in callers.items():
-            callees[caller].append((func, entry[1]))
-    share = {root: 1.0}
-    pending = [root]
-    while pending:
-        caller = pending.pop()
-        for func, calls in callees[caller]:
-            if func in share or func == caller:
-                continue
-            callers = stats[func][4]
-            from_kernel = sum(entry[1] * share.get(by, 0.0) for by, entry in callers.items())
-            share[func] = min(1.0, from_kernel / max(1, stats[func][1]))
-            pending.append(func)
-    return share
+def is_kernel(func: tuple) -> bool:
+    """Is this pstats key the calibration kernel's ``Kernel.sample``?"""
+    return func[0].endswith("calibrate.py") and func[2] == "sample"
+
+
+def merged_stats(profiler: cProfile.Profile) -> dict:
+    """The profile in pstats' shape — per ``(file, line, name)`` key: calls
+    without recursion, calls, self time, cumulative time and the callers'
+    keys — with the code objects that share a key summed.  pstats keeps
+    only the last of them, and ``dataclasses`` compiles every generated
+    method of one name at one key (``("<string>", 2, "__init__")``)."""
+    stats: dict = {}
+    callers: dict = collections.defaultdict(set)
+    for entry in profiler.getstats():
+        func = cProfile.label(entry.code)
+        cc, nc, tt, ct = stats.get(func, (0, 0, 0.0, 0.0))
+        stats[func] = (
+            cc + entry.callcount - entry.reccallcount,
+            nc + entry.callcount,
+            tt + entry.inlinetime,
+            ct + entry.totaltime,
+        )
+        for sub in entry.calls or ():
+            callers[cProfile.label(sub.code)].add(func)
+    return {func: (*row, callers[func]) for func, row in stats.items()}
+
+
+def label(func: tuple) -> str:
+    """A row's name; a generated method's row sums it over every dataclass."""
+    filename, line, name = func
+    if filename == "<string>":
+        return f"generated:<string>:{name} (all dataclasses)"
+    return f"{package_of(filename)}:{Path(filename).name}:{line}:{name}"
+
+
+def one_kernel_run() -> dict:
+    """The calls one ``Kernel.sample`` run makes, by function (its own
+    call included, the profiler's callerless ``disable`` not): every run
+    makes the same ones."""
+    from e2e.calibrate import Kernel
+
+    kernel = Kernel()
+    profiler = cProfile.Profile()
+    profiler.runcall(kernel.sample)
+    return {
+        func: calls
+        for func, (_, calls, _, _, callers) in merged_stats(profiler).items()
+        if callers or is_kernel(func)
+    }
+
+
+def tabulate(stats: dict, per_run: dict) -> tuple[collections.Counter, list]:
+    """Self time by package, and one ``(function, calls, self time)`` row
+    per function, with the calibration kernel taken out.
+
+    ``per_run`` is what one kernel run calls (:func:`one_kernel_run`).
+    How many times the kernel ran depends on measured time, so its calls
+    are subtracted exactly — runs times ``per_run`` — and the counts left
+    repeat from run to run.  The kernel's self time is each function's
+    time times its share of the calls that came from the kernel, and is
+    reported as the ``harness`` package."""
+    runs = sum(calls for func, (_, calls, _, _, _) in stats.items() if is_kernel(func))
+    by_package: collections.Counter = collections.Counter()
+    rows = []
+    for func, (_, calls, tt, _, _) in stats.items():
+        kernel_calls = min(calls, runs * per_run.get(func, 0))
+        part = kernel_calls / calls if calls else 0.0
+        by_package["harness"] += tt * part
+        by_package[package_of(func[0])] += tt * (1.0 - part)
+        rows.append((func, calls - kernel_calls, tt * (1.0 - part)))
+    return by_package, rows
 
 
 def profile(workload: str, seed: int, seconds: float, top: int) -> dict:
     from e2e import engine
     from repro.physical.wire import DirectoryEntry
 
+    per_run = one_kernel_run()
     profiler = cProfile.Profile()
     result = profiler.runcall(
         engine.run_pass, workload, seed, seconds / 30.0, False, os.path.join(".bench_out", "cpu_profile")
     )
     gc.collect()
     live_entries = sum(isinstance(obj, DirectoryEntry) for obj in gc.get_objects())
-    stats = pstats.Stats(profiler).stats
+    stats = merged_stats(profiler)
     total = sum(tt for _, _, tt, _, _ in stats.values())
-    kernel = kernel_parts(stats)
-    by_package: collections.Counter = collections.Counter()
-    rows = []
-    for func, (_, calls, tt, _, _) in stats.items():
-        part = kernel.get(func, 0.0)
-        by_package["harness"] += tt * part
-        by_package[package_of(func[0])] += tt * (1.0 - part)
-        rows.append((func, round(calls * (1.0 - part)), tt * (1.0 - part)))
+    by_package, rows = tabulate(stats, per_run)
     rows = sorted(rows, key=lambda row: row[2], reverse=True)[:top]
     return {
         "workload": workload,
@@ -96,12 +140,8 @@ def profile(workload: str, seed: int, seconds: float, top: int) -> dict:
         "self_s": round(total, 3),
         "by_package": {name: round(tt / total, 4) for name, tt in by_package.most_common()},
         "top": [
-            {
-                "function": f"{package_of(filename)}:{Path(filename).name}:{line}:{name}",
-                "calls": calls,
-                "self_share": round(tt / total, 4),
-            }
-            for (filename, line, name), calls, tt in rows
+            {"function": label(func), "calls": calls, "self_share": round(tt / total, 4)}
+            for func, calls, tt in rows
         ],
         "live_directory_entries": live_entries,
     }

@@ -2,7 +2,6 @@
 
 from repro.baselines.registers import (
     MajorityVotingRegister,
-    OneCopyRegister,
     PrimaryCopyRegister,
     QuorumConsensusRegister,
     ReplicatedRegister,
@@ -12,7 +11,6 @@ from repro.baselines.registers import (
 
 __all__ = [
     "MajorityVotingRegister",
-    "OneCopyRegister",
     "PrimaryCopyRegister",
     "QuorumConsensusRegister",
     "ReplicatedRegister",

@@ -8,26 +8,27 @@ simulated network Ficus runs on: writes assemble their quorums with RPCs,
 version numbers resolve staleness, and partitions make calls fail exactly
 as they would for Ficus.
 
-All five policies expose the same interface (:class:`ReplicatedRegister`):
+All four policies expose the same interface (:class:`ReplicatedRegister`):
 
 * :class:`PrimaryCopyRegister` — Alsberg & Day: all updates at a primary.
 * :class:`MajorityVotingRegister` — Thomas: majority for read and write.
 * :class:`WeightedVotingRegister` — Gifford: per-site weights, r + w > N.
 * :class:`QuorumConsensusRegister` — Herlihy: configurable quorum sizes.
-* :class:`OneCopyRegister` — the Ficus policy: any single reachable
-  replica suffices for both reads and writes.  Its price is visible too:
-  reads may be stale and concurrent writes conflict (counted via version
-  vectors), which is exactly the trade the paper makes.
+
+The fifth column of the comparison is Ficus itself: the availability
+harness (:mod:`repro.workload.availability`) reads and writes a file of a
+real :class:`~repro.sim.FicusSystem` on the same network, so one-copy
+availability and its price — concurrent writes that reconciliation must
+resolve — are measured on the system, not on a model of it.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import HostUnreachable, InvalidArgument, QuorumNotAvailable
 from repro.net import Network
-from repro.vv import VersionVector
 
 
 @dataclass
@@ -36,8 +37,6 @@ class SiteState:
 
     value: bytes = b""
     version: int = 0
-    #: used only by the one-copy policy
-    vv: VersionVector = field(default_factory=VersionVector)
 
 
 class ReplicatedRegister(abc.ABC):
@@ -57,37 +56,29 @@ class ReplicatedRegister(abc.ABC):
             network.register_rpc(site, f"{register_id}.write", self._make_write(site))
 
     def _make_read(self, site: str):
-        def handler() -> tuple[bytes, int, str]:
+        def handler() -> tuple[bytes, int]:
             st = self.state[site]
-            return (st.value, st.version, st.vv.encode())
+            return (st.value, st.version)
 
         return handler
 
     def _make_write(self, site: str):
-        def handler(value: bytes, version: int, vv_text: str) -> None:
+        def handler(value: bytes, version: int) -> None:
             st = self.state[site]
             st.value = value
             st.version = version
-            st.vv = VersionVector.decode(vv_text)
 
         return handler
 
     # -- per-site RPC helpers --
 
-    def _read_site(self, requester: str, site: str) -> tuple[bytes, int, VersionVector]:
-        value, version, vv_text = self.network.rpc(
-            requester, site, f"{self.register_id}.read"
-        )
-        return value, version, VersionVector.decode(vv_text)
+    def _read_site(self, requester: str, site: str) -> tuple[bytes, int]:
+        return self.network.rpc(requester, site, f"{self.register_id}.read")
 
-    def _write_site(
-        self, requester: str, site: str, value: bytes, version: int, vv: VersionVector
-    ) -> None:
-        self.network.rpc(
-            requester, site, f"{self.register_id}.write", value, version, vv.encode()
-        )
+    def _write_site(self, requester: str, site: str, value: bytes, version: int) -> None:
+        self.network.rpc(requester, site, f"{self.register_id}.write", value, version)
 
-    def _poll_sites(self, requester: str) -> dict[str, tuple[bytes, int, VersionVector]]:
+    def _poll_sites(self, requester: str) -> dict[str, tuple[bytes, int]]:
         """Read every reachable site; unreachable ones are skipped."""
         replies = {}
         for site in self.sites:
@@ -127,7 +118,7 @@ class PrimaryCopyRegister(ReplicatedRegister):
     def read(self, requester: str) -> bytes:
         for site in self.sites:
             try:
-                value, _, _ = self._read_site(requester, site)
+                value, _ = self._read_site(requester, site)
                 return value
             except HostUnreachable:
                 continue
@@ -135,8 +126,8 @@ class PrimaryCopyRegister(ReplicatedRegister):
 
     def write(self, requester: str, value: bytes) -> None:
         try:
-            _, version, _ = self._read_site(requester, self.primary)
-            self._write_site(requester, self.primary, value, version + 1, VersionVector())
+            _, version = self._read_site(requester, self.primary)
+            self._write_site(requester, self.primary, value, version + 1)
         except HostUnreachable as exc:
             raise QuorumNotAvailable("primary unreachable") from exc
         # asynchronous best-effort propagation to the secondaries
@@ -144,9 +135,7 @@ class PrimaryCopyRegister(ReplicatedRegister):
             if site == self.primary:
                 continue
             try:
-                self._write_site(
-                    requester, site, value, self.state[self.primary].version, VersionVector()
-                )
+                self._write_site(requester, site, value, self.state[self.primary].version)
             except HostUnreachable:
                 continue
 
@@ -176,7 +165,7 @@ class MajorityVotingRegister(ReplicatedRegister):
             )
         version = max(r[1] for r in replies.values()) + 1
         for site in replies:
-            self._write_site(requester, site, value, version, VersionVector())
+            self._write_site(requester, site, value, version)
 
 
 class WeightedVotingRegister(ReplicatedRegister):
@@ -218,7 +207,7 @@ class WeightedVotingRegister(ReplicatedRegister):
             raise QuorumNotAvailable("write quorum votes not met")
         version = max(r[1] for r in replies.values()) + 1
         for site in replies:
-            self._write_site(requester, site, value, version, VersionVector())
+            self._write_site(requester, site, value, version)
 
 
 class QuorumConsensusRegister(ReplicatedRegister):
@@ -253,101 +242,5 @@ class QuorumConsensusRegister(ReplicatedRegister):
             raise QuorumNotAvailable("write quorum not met")
         version = max(r[1] for r in replies.values()) + 1
         for site in replies:
-            self._write_site(requester, site, value, version, VersionVector())
+            self._write_site(requester, site, value, version)
 
-
-class OneCopyRegister(ReplicatedRegister):
-    """The Ficus policy: any single reachable copy permits read AND write.
-
-    Writes land on one replica and bump its version vector; a best-effort
-    push propagates to whoever is reachable (standing in for notification
-    plus propagation).  Concurrent partitioned writes create version-vector
-    conflicts, counted in :attr:`conflicts_detected` — the cost side of
-    the availability trade, reported honestly.
-    """
-
-    policy_name = "one-copy"
-
-    def __init__(self, network: Network, sites: list[str], register_id: str = "reg"):
-        super().__init__(network, sites, register_id)
-        self._site_index = {site: i + 1 for i, site in enumerate(sites)}
-        self.conflicts_detected = 0
-        self.stale_reads = 0
-        self._write_counter = 0
-
-    def read(self, requester: str) -> bytes:
-        replies = self._poll_sites(requester)
-        if not replies:
-            raise QuorumNotAvailable("no reachable copy")
-        # most recent available: maximal version vector among reachable
-        items = list(replies.items())
-        best_site, best = items[0]
-        for site, reply in items[1:]:
-            if reply[2].strictly_dominates(best[2]) or (
-                reply[2].concurrent_with(best[2]) and reply[1] > best[1]
-            ):
-                best_site, best = site, reply
-        # staleness accounting: a strictly newer version exists somewhere
-        for site in self.sites:
-            if site in replies:
-                continue
-            if self.state[site].vv.strictly_dominates(best[2]):
-                self.stale_reads += 1
-                break
-        return best[0]
-
-    def write(self, requester: str, value: bytes) -> None:
-        target_reply = None
-        target_site = None
-        for site in self.sites:
-            try:
-                target_reply = self._read_site(requester, site)
-                target_site = site
-                break
-            except HostUnreachable:
-                continue
-        if target_site is None:
-            raise QuorumNotAvailable("no reachable copy")
-        self._write_counter += 1
-        new_vv = target_reply[2].bump(self._site_index[target_site])
-        self._write_site(requester, target_site, value, self._write_counter, new_vv)
-        # best-effort propagation; detect conflicts where it cannot win
-        for site in self.sites:
-            if site == target_site:
-                continue
-            try:
-                _, _, site_vv = self._read_site(requester, site)
-            except HostUnreachable:
-                continue
-            if new_vv.strictly_dominates(site_vv):
-                self._write_site(requester, site, value, self._write_counter, new_vv)
-            elif new_vv.concurrent_with(site_vv):
-                self.conflicts_detected += 1
-
-    def reconcile(self, requester: str) -> int:
-        """Merge all reachable replicas (post-partition healing).
-
-        Conflicting values merge deterministically (lexicographically
-        largest wins) under the merged version vector — a stand-in for
-        owner resolution so long experiments can proceed.  Returns the
-        number of conflicts resolved.
-        """
-        replies = self._poll_sites(requester)
-        if not replies:
-            return 0
-        merged_vv = VersionVector()
-        conflicts = 0
-        values = []
-        for value, version, vv in replies.values():
-            merged_vv = merged_vv.merge(vv)
-            values.append((value, version, vv))
-        maximal = [v for v in values if not any(o[2].strictly_dominates(v[2]) for o in values)]
-        distinct = {v[0] for v in maximal}
-        if len(distinct) > 1:
-            conflicts = len(distinct) - 1
-            self.conflicts_detected += conflicts
-        winner = max(maximal, key=lambda v: (v[0], v[1]))
-        self._write_counter += 1
-        for site in replies:
-            self._write_site(requester, site, winner[0], self._write_counter, merged_vv)
-        return conflicts

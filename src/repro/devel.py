@@ -32,7 +32,6 @@ def externalize(
     layer: FileSystemLayer,
     network: Network,
     name: str = "devlayer",
-    nfs_config: NfsClientConfig | None = None,
 ) -> NfsClientLayer:
     """Run ``layer`` at "application level": export it through an NFS
     server in its own simulated address space and return an equivalent
@@ -53,7 +52,7 @@ def externalize(
         client_addr,
         server_addr,
         service=f"devel.{name}",
-        config=nfs_config or NfsClientConfig(attr_cache_ttl=0, name_cache_ttl=0),
+        config=NfsClientConfig(attr_cache_ttl=0, name_cache_ttl=0),
     )
 
 

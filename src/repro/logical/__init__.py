@@ -3,8 +3,6 @@
 from repro.logical.attr_cache import CacheStats, VersionVectorCache
 from repro.logical.fabric import PHYSICAL_SERVICE, Fabric
 from repro.logical.layer import (
-    READ_ANY,
-    READ_LATEST,
     FicusLogicalLayer,
     FileReplicaView,
     ReplicaView,
@@ -21,8 +19,6 @@ __all__ = [
     "LogicalDirVnode",
     "LogicalFileVnode",
     "PHYSICAL_SERVICE",
-    "READ_ANY",
-    "READ_LATEST",
     "ReplicaView",
     "VersionVectorCache",
 ]

@@ -36,10 +36,9 @@ from repro.errors import (
     AllReplicasUnavailable,
     FileNotFound,
     HostUnreachable,
-    InvalidArgument,
     StaleFileHandle,
 )
-from repro.logical.attr_cache import DEFAULT_TTL, CacheEntry, VersionVectorCache
+from repro.logical.attr_cache import CacheEntry, VersionVectorCache
 from repro.logical.fabric import Fabric
 from repro.logical.locks import LockManager
 from repro.net import Network
@@ -50,11 +49,6 @@ from repro.util import FicusFileHandle, VolumeId
 from repro.vnode.interface import ROOT_CTX, FileSystemLayer, OpContext, Vnode
 from repro.volume import GraftTable, Grafter, ReplicaLocation
 from repro.vv import VersionVector
-
-#: Replica-selection policies for reads.
-READ_LATEST = "latest"  # the paper's default: most recent copy available
-READ_ANY = "any"  # first reachable copy (cheaper, weaker)
-
 
 @dataclass
 class ReplicaView:
@@ -121,18 +115,13 @@ class FicusLogicalLayer(FileSystemLayer):
         fabric: Fabric,
         graft_table: GraftTable,
         root_volume: VolumeId,
-        read_policy: str = READ_LATEST,
         telemetry: Telemetry | None = None,
-        attr_cache_ttl: float = DEFAULT_TTL,
     ):
-        if read_policy not in (READ_LATEST, READ_ANY):
-            raise InvalidArgument(f"unknown read policy {read_policy!r}")
         self.network = network
         self.host_addr = host_addr
         self.fabric = fabric
         self.graft_table = graft_table
         self.root_volume = root_volume
-        self.read_policy = read_policy
         self.telemetry = telemetry or NULL_TELEMETRY
         self.grafter = Grafter(network, host_addr, telemetry=self.telemetry)
         self.locks = LockManager()
@@ -142,13 +131,13 @@ class FicusLogicalLayer(FileSystemLayer):
         #: open-session pins: logical fh -> the replica taking this session
         self._session_pins: dict[FicusFileHandle, SessionPin] = {}
         #: per-replica attribute batches, kept coherent by notification
-        self.attr_cache = VersionVectorCache(network.clock, ttl=attr_cache_ttl)
+        self.attr_cache = VersionVectorCache(network.clock)
         self.notifications_sent = 0
         #: this host's HealthPlane, shared with the fabric's mounts
         self.health = fabric.health
         #: callable peer_host -> bool: is the peer degraded (flapping)?
-        #: Wired from the daemons' PeerHealth so READ_LATEST selection
-        #: stops probing flapping replicas first.
+        #: Wired from the daemons' PeerHealth so replica selection stops
+        #: probing flapping replicas first.
         self.degraded_probe = None
         #: replica probes deferred because the peer was degraded
         self.degraded_skips = 0
@@ -187,17 +176,11 @@ class FicusLogicalLayer(FileSystemLayer):
                 locations, key=lambda loc: loc.volrep.replica_id
             )
 
-    def _candidate_order(
-        self, volume: VolumeId, ctx: OpContext = ROOT_CTX
-    ) -> list[ReplicaLocation]:
+    def _candidate_order(self, volume: VolumeId) -> list[ReplicaLocation]:
         locations = self.locations_for(volume)
         local = [loc for loc in locations if loc.host == self.host_addr]
         remote = [loc for loc in locations if loc.host != self.host_addr]
-        ordered = local + remote
-        if ctx.replica_hint is not None:
-            hinted = [loc for loc in ordered if loc.host == ctx.replica_hint]
-            ordered = hinted + [loc for loc in ordered if loc.host != ctx.replica_hint]
-        return ordered
+        return local + remote
 
     # -- replica iteration ----------------------------------------------------
 
@@ -261,7 +244,7 @@ class FicusLogicalLayer(FileSystemLayer):
         """
         deferred: list[ReplicaLocation] = []
         yielded = False
-        for location in self._candidate_order(volume, ctx):
+        for location in self._candidate_order(volume):
             if self._skip_degraded(location):
                 deferred.append(location)
                 continue
@@ -306,11 +289,10 @@ class FicusLogicalLayer(FileSystemLayer):
     ) -> dict[str, DirectoryEntry]:
         """The live entries of a directory by name, from the selected replica.
 
-        Under the default ``latest`` policy this is the directory replica
-        with a maximal version vector among those reachable — "select the
-        most recent copy available" applies to directories too, so a host
-        whose own replica has not yet reconciled still sees names created
-        elsewhere.  Under ``any``, the first reachable replica serves.
+        This is the directory replica with a maximal version vector among
+        those reachable — "select the most recent copy available" applies
+        to directories too, so a host whose own replica has not yet
+        reconciled still sees names created elsewhere.
 
         The decoded view is kept beside the batch selection just compared
         and is served again while that batch lives.  Reconciliation installs
@@ -361,14 +343,12 @@ class FicusLogicalLayer(FileSystemLayer):
     def select_dir_replica(
         self, volume: VolumeId, fh: FicusFileHandle, ctx: OpContext = ROOT_CTX
     ) -> ReplicaView:
-        """Pick the directory replica the read policy dictates.
+        """Pick the most recent reachable directory replica.
 
         Version vectors come from the cached attribute batches: selecting
         among N replicas costs at most N batched fetches cold, none warm —
         never a per-replica probe on top of resolution.
         """
-        if self.read_policy == READ_ANY:
-            return self.first_dir(volume, fh, ctx)
         candidates = [(view, batch.dir_aux.vv) for view, batch in self.replica_batches(volume, fh, ctx)]
         if not candidates:
             raise AllReplicasUnavailable(f"no reachable replica stores directory {fh}")
@@ -447,10 +427,8 @@ class FicusLogicalLayer(FileSystemLayer):
         """Pick the replica to read: "select the most recent copy available".
 
         Inside an open session the pinned replica serves while it is
-        reachable, through the handles the open resolved.  Otherwise, with
-        the ``latest`` policy the replicas' version vectors are compared
-        (:func:`most_recent`).  With ``any``, the first reachable stored
-        copy wins.
+        reachable, through the handles the open resolved.  Otherwise the
+        replicas' version vectors are compared (:func:`most_recent`).
         """
         # the paper's one-copy availability serves the best *reachable*
         # copy; under a partition (or with divergence already suspected
@@ -465,8 +443,6 @@ class FicusLogicalLayer(FileSystemLayer):
         candidates = self.file_replicas(volume, parent_fh, fh, ctx)
         if not candidates:
             raise AllReplicasUnavailable(f"no reachable replica stores file {fh}")
-        if self.read_policy == READ_ANY:
-            return candidates[0]
         return self._most_recent(volume, parent_fh, fh.logical, [(c, c.vv) for c in candidates])
 
     def _partition_suspected(self, volume: VolumeId) -> bool:

@@ -53,12 +53,14 @@ class NfsClientConfig:
     attr_cache_ttl: float = 3.0
     #: Name cache lifetime in (virtual) seconds; 0 disables.
     name_cache_ttl: float = 3.0
-    #: RPC retransmissions before giving up with ETIMEDOUT.
-    retries: int = 2
-    #: First retransmission delay (virtual seconds); doubles per attempt.
-    backoff_base: float = 0.05
-    #: Ceiling on any single retransmission delay.
-    backoff_max: float = 1.0
+
+
+#: RPC retransmissions before giving up with ETIMEDOUT.
+RETRIES = 2
+#: First retransmission delay (virtual seconds); doubles per attempt.
+BACKOFF_BASE = 0.05
+#: Ceiling on any single retransmission delay.
+BACKOFF_MAX = 1.0
 
 
 #: Operations whose replay after an ambiguous failure is NOT safe: the
@@ -162,12 +164,10 @@ class NfsClientLayer(FileSystemLayer):
         """
         may_replay_ambiguous = op not in NON_IDEMPOTENT_OPS
         last_error: Exception | None = None
-        for attempt in range(self.config.retries + 1):
+        for attempt in range(RETRIES + 1):
             if attempt:
                 # bounded exponential backoff between retransmissions
-                self.clock.advance(
-                    min(self.config.backoff_max, self.config.backoff_base * 2 ** (attempt - 1))
-                )
+                self.clock.advance(min(BACKOFF_MAX, BACKOFF_BASE * 2 ** (attempt - 1)))
                 self.retries += 1
                 self._tracer.tag_current("retries", attempt)
             try:

@@ -13,7 +13,7 @@ import zlib
 from dataclasses import dataclass
 
 from repro.errors import InvalidArgument
-from repro.logical import Fabric, FicusLogicalLayer, PHYSICAL_SERVICE, READ_LATEST
+from repro.logical import Fabric, FicusLogicalLayer, PHYSICAL_SERVICE
 from repro.net import Network
 from repro.nfs import NfsServer
 from repro.physical import FicusPhysicalLayer
@@ -170,7 +170,6 @@ class FicusHost:
             self.fabric,
             self.graft_table,
             self.logical.root_volume,
-            read_policy=self.logical.read_policy,
             telemetry=self.telemetry,
         )
         self.logical.degraded_probe = self._degraded_probe
@@ -201,7 +200,6 @@ class FicusSystem:
         root_volume_hosts: list[str] | None = None,
         host_config: HostConfig | None = None,
         daemon_config: DaemonConfig | None = None,
-        read_policy: str = READ_LATEST,
         telemetry: Telemetry | None = None,
         resolvers=None,
         topology: str | Topology | None = None,
@@ -249,7 +247,6 @@ class FicusSystem:
                 host.fabric,
                 host.graft_table,
                 self.root_volume,
-                read_policy=read_policy,
                 telemetry=self.telemetry,
             )
             self._wire_daemons(host)

@@ -42,7 +42,7 @@ class EventLoop:
         heapq.heappush(self._heap, event)
         return event
 
-    def schedule_every(self, period: float, action: Callable[[], None], jitter_offset: float = 0.0) -> Callable[[], None]:
+    def schedule_every(self, period: float, action: Callable[[], None]) -> Callable[[], None]:
         """Run ``action`` every ``period`` seconds until cancelled.
 
         Returns a cancel function.
@@ -58,7 +58,7 @@ class EventLoop:
             if not state["stop"]:
                 self.schedule(period, fire)
 
-        self.schedule(jitter_offset if jitter_offset > 0 else period, fire)
+        self.schedule(period, fire)
 
         def cancel() -> None:
             state["stop"] = True

@@ -2,14 +2,13 @@
 
 The paper's vnode interface passes a bare SunOS ``cred`` with each call.
 That worked until layers needed to carry *more* than identity across the
-stack — trace context for the telemetry subsystem, replica preferences for
-the logical layer, cache-control flags for the attribute plane.  Rather
-than growing N ad-hoc side channels (a dedicated trace RPC kwarg was the
-first), every operation now takes one :class:`OpContext` that aggregates:
+stack — trace context for the telemetry subsystem, cache-control flags for
+the attribute plane, the update-session mark.  Rather than growing N ad-hoc
+side channels (a dedicated trace RPC kwarg was the first), every operation
+now takes one :class:`OpContext` that aggregates:
 
 * ``cred`` — the classic identity (uid + groups);
 * ``trace`` — distributed-trace parentage, propagated across the NFS hop;
-* ``replica_hint`` — a preferred host for replica selection;
 * ``no_cache`` — bypass the logical layer's version-vector cache;
 * ``session`` — an update of an open file: the first one opens the
   physical layer's update session.
@@ -45,7 +44,6 @@ class OpContext:
 
     cred: Credential = ROOT_CRED
     trace: TraceContext | None = None
-    replica_hint: str | None = None
     no_cache: bool = False
     session: bool = False
 
@@ -61,5 +59,5 @@ class OpContext:
         return replace(self, session=True)
 
 
-#: The default context: root identity, no trace, no hints.
+#: The default context: root identity, no trace, no flags.
 ROOT_CTX = OpContext()

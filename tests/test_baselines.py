@@ -4,13 +4,14 @@ import pytest
 
 from repro.baselines import (
     MajorityVotingRegister,
-    OneCopyRegister,
     PrimaryCopyRegister,
     QuorumConsensusRegister,
     WeightedVotingRegister,
 )
-from repro.errors import InvalidArgument, QuorumNotAvailable
+from repro.errors import FicusError, InvalidArgument, QuorumNotAvailable
 from repro.net import Network
+from repro.sim import FicusSystem
+from repro.workload.availability import QUIET, REGISTER_PATH, reconciled_conflicts
 
 HOSTS = ["h0", "h1", "h2", "h3", "h4"]
 
@@ -21,6 +22,24 @@ def net():
     for host in HOSTS:
         network.add_host(host)
     return network
+
+
+@pytest.fixture
+def ficus():
+    """Five replicas of a root volume holding one reconciled register file."""
+    system = FicusSystem(HOSTS, daemon_config=QUIET)
+    system.enable_resolvers()
+    system.host("h0").fs().write_file(REGISTER_PATH, b"base")
+    system.reconcile_everything()
+    return system
+
+
+def stored(system, host):
+    """The register's contents and version vector in ``host``'s own replica."""
+    store = next(iter(system.host(host).physical.stores.values()))
+    root = store.root_handle()
+    fh = next(e.fh for e in store.read_entries(root) if e.live and e.name == REGISTER_PATH[1:])
+    return store.file_vnode(root, fh).read_all(), store.read_record(fh).vv
 
 
 class TestPrimaryCopy:
@@ -103,41 +122,41 @@ class TestQuorumConsensus:
 
 
 class TestOneCopy:
-    def test_single_reachable_replica_suffices(self, net):
-        reg = OneCopyRegister(net, HOSTS, "r")
-        net.partition([{h} for h in HOSTS])  # total fragmentation
+    """The Ficus policy, measured on the system itself: any single
+    reachable replica permits both reads and writes, and reconciliation
+    pays for it after the heal."""
+
+    def test_single_reachable_replica_suffices(self, ficus):
+        ficus.partition([{h} for h in HOSTS])  # total fragmentation
         for host in HOSTS:
-            reg.write(host, f"local-{host}".encode())  # every host can write!
-            assert reg.read(host) == f"local-{host}".encode()
+            fs = ficus.host(host).fs()
+            fs.write_file(REGISTER_PATH, f"local-{host}".encode())  # every host can write!
+            assert fs.read_file(REGISTER_PATH) == f"local-{host}".encode()
 
-    def test_conflicts_detected_on_heal(self, net):
-        reg = OneCopyRegister(net, HOSTS, "r")
-        reg.write("h0", b"base")
-        net.partition([{"h0", "h1"}, {"h2", "h3", "h4"}])
-        reg.write("h0", b"left")
-        reg.write("h2", b"right")
-        net.heal()
-        conflicts = reg.reconcile("h0")
-        assert conflicts >= 1
-        assert reg.conflicts_detected >= 1
-        # after reconciliation all sites agree
-        assert len({reg.state[h].value for h in HOSTS}) == 1
+    def test_conflicts_detected_on_heal(self, ficus):
+        ficus.partition([{"h0", "h1"}, {"h2", "h3", "h4"}])
+        ficus.host("h0").fs().write_file(REGISTER_PATH, b"left")
+        ficus.host("h2").fs().write_file(REGISTER_PATH, b"right")
+        ficus.heal()
+        ficus.reconcile_everything()
+        assert reconciled_conflicts(ficus) == 1
+        assert ficus.total_conflicts() == 0
+        # after reconciliation every replica holds the same winner
+        assert {stored(ficus, h)[0] for h in HOSTS} in ({b"left"}, {b"right"})
 
-    def test_reconcile_converges_version_vectors(self, net):
-        reg = OneCopyRegister(net, HOSTS, "r")
-        net.partition([{"h0"}, {"h1", "h2", "h3", "h4"}])
-        reg.write("h0", b"a")
-        reg.write("h1", b"b")
-        net.heal()
-        reg.reconcile("h0")
-        vvs = {reg.state[h].vv for h in HOSTS}
-        assert len(vvs) == 1
+    def test_reconcile_converges_version_vectors(self, ficus):
+        ficus.partition([{"h0"}, {"h1", "h2", "h3", "h4"}])
+        ficus.host("h0").fs().write_file(REGISTER_PATH, b"a")
+        ficus.host("h1").fs().write_file(REGISTER_PATH, b"b")
+        ficus.heal()
+        ficus.reconcile_everything()
+        assert len({stored(ficus, h)[1] for h in HOSTS}) == 1
 
-    def test_strictly_greater_availability(self, net):
+    def test_strictly_greater_availability(self, ficus):
         """The paper's headline claim, checked exhaustively: in every
         partition configuration, one-copy permits an operation whenever
         ANY other policy does (and sometimes when none do)."""
-        one = OneCopyRegister(net, HOSTS, "one")
+        net = ficus.network
         others = [
             PrimaryCopyRegister(net, HOSTS, "pri"),
             MajorityVotingRegister(net, HOSTS, "maj"),
@@ -153,9 +172,9 @@ class TestOneCopy:
             net.partition([set(g) for g in groups])
             for requester in HOSTS:
                 try:
-                    one.write(requester, b"w")
+                    ficus.host(requester).fs().write_file(REGISTER_PATH, b"w")
                     one_ok = True
-                except QuorumNotAvailable:
+                except FicusError:
                     one_ok = False
                 assert one_ok, "one-copy must always succeed with self reachable"
                 for other in others:

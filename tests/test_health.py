@@ -279,7 +279,7 @@ class TestBlockCorruptionFallback:
 
 class TestDegradedReadRouting:
     def test_reads_route_around_flapping_peer(self):
-        """Satellite: READ_LATEST stops tail-probing a degraded peer when a
+        """Replica selection stops tail-probing a degraded peer when a
         healthy replica can answer, and counts every spared probe."""
         from repro.core import FicusFileSystem
 

@@ -13,7 +13,6 @@ from repro.errors import (
     IsADirectory,
     NotADirectory,
 )
-from repro.logical import READ_ANY
 from repro.nfs import NfsClientLayer
 from repro.physical import FicusPhysicalLayer
 from repro.sim import DaemonConfig, FicusSystem
@@ -140,15 +139,6 @@ class TestReplicaSelection:
         beta.root().lookup("f").write(0, b"v2 fresher")
         # alpha's local copy is v1; the latest policy must detect beta's
         assert alpha.root().lookup("f").read_all() == b"v2 fresher"
-
-    def test_any_policy_settles_for_first_reachable(self):
-        system = FicusSystem(["alpha", "beta"], daemon_config=QUIET, read_policy=READ_ANY)
-        alpha, beta = system.host("alpha"), system.host("beta")
-        alpha.root().create("f").write(0, b"v1")
-        system.reconcile_everything()
-        beta.root().lookup("f").write(0, b"v2")
-        # alpha reads its own (stale) replica under the weak policy
-        assert alpha.root().lookup("f").read_all() == b"v1"
 
     def test_read_fails_only_when_no_replica_reachable(self, system):
         alpha = system.host("alpha")

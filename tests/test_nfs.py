@@ -364,7 +364,6 @@ class TestFicusOpsOverNfs:
         ctx = OpContext(
             cred=Credential(uid=7, gids=(3, 5)),
             trace=TraceContext(trace_id=11, span_id=13),
-            replica_hint="b",
             no_cache=True,
         )
         assert f.read(0, 1, ctx) == b"x"

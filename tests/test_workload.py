@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import InvalidArgument
 from repro.net import Network
+from repro.sim import FicusSystem
 from repro.workload import (
     AvailabilityExperiment,
     BurstyUpdateGenerator,
@@ -11,6 +12,7 @@ from repro.workload import (
     SteadyUpdateGenerator,
     ZipfReferenceGenerator,
     apply_epoch,
+    availability,
     expected_availability_one_copy,
     hit_ratio_estimate,
 )
@@ -149,6 +151,31 @@ class TestAvailabilityExperiment:
         ).run()
         assert results["one-copy"].conflicts > 0
         assert results["majority-voting"].conflicts == 0
+
+    def test_one_copy_conflicts_are_the_merges_the_cluster_recorded(self, monkeypatch):
+        """The harness counts no conflict itself: the one-copy column is
+        what the cluster's reconciliation recorded, one ledger merge per
+        conflict its resolver settled."""
+        built = []
+
+        class Recorded(FicusSystem):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(availability, "FicusSystem", Recorded)
+        results = AvailabilityExperiment(
+            num_hosts=5, link_failure_prob=0.5, epochs=60, seed=4
+        ).run()
+        (system,) = built
+        merges = [
+            event
+            for host in system.hosts.values()
+            for event in host.health_plane.provenance.events()
+            if event.kind == "merge"
+        ]
+        assert results["one-copy"].conflicts == len(merges) > 0
+        assert system.total_conflicts() == 0
 
     def test_no_failures_means_everyone_available(self):
         results = AvailabilityExperiment(

@@ -76,7 +76,7 @@ def build_cluster(
         topology=make_topology(topology, seed=seed),
     )
     volumes = system.place_volumes(sharded_volumes, replicas_per_volume=replicas_per_volume)
-    volumes.append(system.create_volume(names[:wide_replicas], learn_locations=True))
+    volumes.append(system.create_volume(names[:wide_replicas]))
     return system, volumes
 
 

@@ -291,18 +291,18 @@ class FicusFileSystem:
 
         One-copy availability keeps reads working through a partition, at
         the price of possibly serving stale data (paper Section 2.4).
-        ``divergence_suspected`` is True when the replica selection for
-        this read could not see every replica, or when this host's health
-        plane suspects the volume has diverged — the caller can then
-        decide whether the answer is good enough.
+        ``divergence_suspected`` is True when some replica host of the
+        file's volume is unreachable, so the read could not see every
+        replica, or when this host's health plane suspects the volume has
+        diverged — the caller can then decide whether the answer is good
+        enough.
         """
         node = self.resolve(path, follow=True)
         if isinstance(node, LogicalDirVnode):
             raise IsADirectory(f"{path!r} is a directory")
         data = self.read_file(path)
-        suspected = bool(self.logical.last_read_divergence_suspected)
-        if isinstance(node, LogicalFileVnode):
-            suspected = suspected or self.logical.health.divergence_suspected(node.volume)
+        logical, volume = self.logical, node.volume
+        suspected = logical.partition_suspected(volume) or logical.health.divergence_suspected(volume)
         return CheckedRead(data=data, divergence_suspected=suspected)
 
     # the whole open -> write -> close(update notify) session becomes one

@@ -52,7 +52,7 @@ def externalize(
         client_addr,
         server_addr,
         service=f"devel.{name}",
-        config=NfsClientConfig(attr_cache_ttl=0, name_cache_ttl=0),
+        config=NfsClientConfig(cache_ttl=0),
     )
 
 

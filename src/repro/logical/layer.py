@@ -123,27 +123,18 @@ class FicusLogicalLayer(FileSystemLayer):
         self.graft_table = graft_table
         self.root_volume = root_volume
         self.telemetry = telemetry or NULL_TELEMETRY
-        self.grafter = Grafter(network, host_addr, telemetry=self.telemetry)
+        self.grafter = Grafter(network, graft_table, telemetry=self.telemetry)
         self.locks = LockManager()
-        #: volume -> known replica locations (root volume seeded from the
-        #: graft table; others learned by autografting).
-        self._locations: dict[VolumeId, list[ReplicaLocation]] = {}
         #: open-session pins: logical fh -> the replica taking this session
         self._session_pins: dict[FicusFileHandle, SessionPin] = {}
         #: per-replica attribute batches, kept coherent by notification
         self.attr_cache = VersionVectorCache(network.clock)
         self.notifications_sent = 0
-        #: this host's HealthPlane, shared with the fabric's mounts
+        #: this host's HealthPlane, shared with the fabric's mounts; its
+        #: peer health is the daemons' too
         self.health = fabric.health
-        #: callable peer_host -> bool: is the peer degraded (flapping)?
-        #: Wired from the daemons' PeerHealth so replica selection stops
-        #: probing flapping replicas first.
-        self.degraded_probe = None
         #: replica probes deferred because the peer was degraded
         self.degraded_skips = 0
-        #: did the last read-replica selection run under a partition (or
-        #: with divergence already suspected for the volume)?
-        self.last_read_divergence_suspected = False
         # invalidation rides the same update-notification datagrams the
         # physical layer's new-version cache listens to
         if network.has_host(host_addr):
@@ -160,27 +151,12 @@ class FicusLogicalLayer(FileSystemLayer):
 
     # -- locations ----------------------------------------------------------
 
-    def locations_for(self, volume: VolumeId) -> list[ReplicaLocation]:
-        cached = self._locations.get(volume)
-        if cached:
-            return cached
-        from_table = self.graft_table.locations(volume)
-        if from_table:
-            self._locations[volume] = from_table
-            return from_table
-        raise AllReplicasUnavailable(f"no known replica locations for {volume}")
-
-    def learn_locations(self, volume: VolumeId, locations: list[ReplicaLocation]) -> None:
+    def locations_for(self, volume: VolumeId) -> tuple[ReplicaLocation, ...]:
+        """The graft table's replicas of ``volume``, by replica id."""
+        locations = self.graft_table.locations(volume)
         if locations:
-            self._locations[volume] = sorted(
-                locations, key=lambda loc: loc.volrep.replica_id
-            )
-
-    def _candidate_order(self, volume: VolumeId) -> list[ReplicaLocation]:
-        locations = self.locations_for(volume)
-        local = [loc for loc in locations if loc.host == self.host_addr]
-        remote = [loc for loc in locations if loc.host != self.host_addr]
-        return local + remote
+            return locations
+        raise AllReplicasUnavailable(f"no known replica locations for {volume}")
 
     # -- replica iteration ----------------------------------------------------
 
@@ -220,14 +196,6 @@ class FicusLogicalLayer(FileSystemLayer):
         entry = self.attr_cache.store(location.volrep, fh, dir_vnode, batch)
         return ReplicaView(location, entry), batch
 
-    def _skip_degraded(self, location: ReplicaLocation) -> bool:
-        probe = self.degraded_probe
-        return (
-            probe is not None
-            and location.host != self.host_addr
-            and probe(location.host)
-        )
-
     def replica_batches(
         self, volume: VolumeId, fh: FicusFileHandle, ctx: OpContext = ROOT_CTX
     ):
@@ -236,16 +204,21 @@ class FicusLogicalLayer(FileSystemLayer):
         Replicas that are unreachable, or that do not (yet) store the
         directory, are silently skipped — partial operation is normal.
 
-        Replicas on *degraded* peers (the daemons' PeerHealth says they
-        keep failing while reachable) are deferred: they are probed only
-        if no healthy replica answers, so a read never burns a full NFS
+        Replicas are tried in the graft table's order, this host's first.
+        Replicas on *degraded* peers (the host's PeerHealth says they keep
+        failing while reachable) are deferred: they are probed only if no
+        healthy replica answers, so a read never burns a full NFS
         retransmission cycle against a flapping host that a healthy copy
         could serve instead.
         """
+        candidates = self.graft_table.candidates(volume)
+        if not candidates:
+            raise AllReplicasUnavailable(f"no known replica locations for {volume}")
+        peer_health = self.health.peer_health
         deferred: list[ReplicaLocation] = []
         yielded = False
-        for location in self._candidate_order(volume):
-            if self._skip_degraded(location):
+        for location in candidates:
+            if location.host != self.host_addr and peer_health.is_degraded(location.host):
                 deferred.append(location)
                 continue
             state = self._replica_batch(location, fh, ctx)
@@ -430,13 +403,6 @@ class FicusLogicalLayer(FileSystemLayer):
         reachable, through the handles the open resolved.  Otherwise the
         replicas' version vectors are compared (:func:`most_recent`).
         """
-        # the paper's one-copy availability serves the best *reachable*
-        # copy; under a partition (or with divergence already suspected
-        # for the volume) the result may be stale, and the caller can
-        # see that through this flag
-        self.last_read_divergence_suspected = self._partition_suspected(
-            volume
-        ) or self.health.divergence_suspected(volume)
         pin = self._session_pins.get(fh.logical)
         if pin is not None and self.network.reachable(self.host_addr, pin.view.location.host):
             return pin.view
@@ -445,18 +411,13 @@ class FicusLogicalLayer(FileSystemLayer):
             raise AllReplicasUnavailable(f"no reachable replica stores file {fh}")
         return self._most_recent(volume, parent_fh, fh.logical, [(c, c.vv) for c in candidates])
 
-    def _partition_suspected(self, volume: VolumeId) -> bool:
+    def partition_suspected(self, volume: VolumeId) -> bool:
         """Is some known replica host of ``volume`` currently unreachable?"""
-        try:
-            locations = self.locations_for(volume)
-        except AllReplicasUnavailable:
-            return False
-        for location in locations:
-            if location.host != self.host_addr and not self.network.reachable(
-                self.host_addr, location.host
-            ):
-                return True
-        return False
+        return any(
+            location.host != self.host_addr
+            and not self.network.reachable(self.host_addr, location.host)
+            for location in self.graft_table.locations(volume)
+        )
 
     def select_update_replica(
         self,
@@ -543,15 +504,7 @@ class FicusLogicalLayer(FileSystemLayer):
                 self.attr_cache.invalidate_batch(acting.volrep, parent_fh)
         else:
             self.attr_cache.invalidate_batch(acting.volrep, parent_fh)
-        try:
-            others = {loc.host for loc in self.locations_for(volume)}
-        except AllReplicasUnavailable:
-            # a host can store a replica of a grafted volume its own logical
-            # layer has never resolved; the sync notification is only an
-            # optimisation (peers' attribute TTL covers it), so skip it
-            if origin != "sync":
-                raise
-            return 0
+        others = {loc.host for loc in self.locations_for(volume)}
         if self.fabric.is_local(acting.host):
             # this host applied the update itself: its physical layer needs
             # no pull-note and its cache was already adjusted above
@@ -693,6 +646,7 @@ class FicusLogicalLayer(FileSystemLayer):
         from repro.physical.wire import EntryType
         from repro.volume import location_entry_name
 
+        self.graft_table.learn(target_volume, locations)
         replica = self.select_update_replica(parent.volume, parent.fh)
         entry = replica.dir_vnode.insert(name, EntryType.GRAFT_POINT, data=target_volume.to_hex())
         graft_dir = replica.dir_vnode.lookup_fh(entry.fh)
@@ -701,7 +655,6 @@ class FicusLogicalLayer(FileSystemLayer):
                 location_entry_name(location.volrep.replica_id), EntryType.LOCATION, data=location.host
             )
         self.notify_update(parent.volume, replica.location, parent.fh, entry.fh, objkind="dir")
-        self.learn_locations(target_volume, locations)
 
     def add_graft_location(
         self,
@@ -724,10 +677,7 @@ class FicusLogicalLayer(FileSystemLayer):
             location_entry_name(location.volrep.replica_id), EntryType.LOCATION, data=location.host
         )
         self.notify_update(parent.volume, replica.location, parent.fh, entry.fh, objkind="dir")
-        target = VolumeId.from_hex(entry.data)
-        known = {loc.volrep: loc for loc in self._locations.get(target, [])}
-        known[location.volrep] = location
-        self.learn_locations(target, list(known.values()))
+        self.graft_table.learn(VolumeId.from_hex(entry.data), [location])
 
     # -- the root of the logical name space --------------------------------------------
 

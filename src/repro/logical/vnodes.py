@@ -69,8 +69,9 @@ class LogicalDirVnode(Vnode):
         target_volume = VolumeId.from_hex(entry.data)
         graft_entries = self.layer.dir_view(self.volume, entry.fh, ctx, fresh=True)
         locations = locations_from_entries(target_volume, graft_entries.values())
-        state = self.layer.grafter.graft(target_volume, locations)
-        self.layer.learn_locations(target_volume, state.locations)
+        if locations:
+            self.layer.graft_table.learn(target_volume, locations)
+        self.layer.grafter.graft(target_volume)
         return LogicalDirVnode(self.layer, target_volume, volume_root_handle(target_volume))
 
     def _child(self, entry, ctx: OpContext = ROOT_CTX) -> Vnode:

@@ -49,10 +49,9 @@ from repro.vnode.interface import (
 class NfsClientConfig:
     """Client tunables (matching SunOS defaults in spirit)."""
 
-    #: Attribute cache lifetime in (virtual) seconds; 0 disables.
-    attr_cache_ttl: float = 3.0
-    #: Name cache lifetime in (virtual) seconds; 0 disables.
-    name_cache_ttl: float = 3.0
+    #: Attribute and name cache lifetime in (virtual) seconds; 0 disables
+    #: both.
+    cache_ttl: float = 3.0
 
 
 #: RPC retransmissions before giving up with ETIMEDOUT.
@@ -198,7 +197,7 @@ class NfsClientLayer(FileSystemLayer):
     # -- caches ------------------------------------------------------------------
 
     def _cache_attrs(self, handle: NfsHandle, attrs: FileAttributes) -> None:
-        if self.config.attr_cache_ttl > 0:
+        if self.config.cache_ttl > 0:
             self._attr_cache[handle] = (self.clock.now(), attrs)
 
     def _cached_attrs(self, handle: NfsHandle) -> FileAttributes | None:
@@ -206,13 +205,13 @@ class NfsClientLayer(FileSystemLayer):
         if entry is None:
             return None
         when, attrs = entry
-        if self.clock.now() - when > self.config.attr_cache_ttl:
+        if self.clock.now() - when > self.config.cache_ttl:
             del self._attr_cache[handle]
             return None
         return attrs
 
     def _cache_name(self, handle: NfsHandle, name, reply: LookupReply, op: str = "lookup") -> None:
-        if self.config.name_cache_ttl > 0:
+        if self.config.cache_ttl > 0:
             self._name_cache[(handle, op, name)] = (self.clock.now(), reply)
 
     def _cached_name(self, handle: NfsHandle, name, op: str = "lookup") -> LookupReply | None:
@@ -220,7 +219,7 @@ class NfsClientLayer(FileSystemLayer):
         if entry is None:
             return None
         when, reply = entry
-        if self.clock.now() - when > self.config.name_cache_ttl:
+        if self.clock.now() - when > self.config.cache_ttl:
             del self._name_cache[(handle, op, name)]
             return None
         return reply

@@ -89,7 +89,7 @@ class FicusHost:
         self.nfs_server = NfsServer(
             network, name, self.physical, service=PHYSICAL_SERVICE, telemetry=self.telemetry
         )
-        self.graft_table = GraftTable()
+        self.graft_table = GraftTable(name)
         self.fabric = Fabric(network, name, self.physical, telemetry=self.telemetry)
         self.logical: FicusLogicalLayer | None = None  # wired by FicusSystem
         self.conflict_log = ConflictLog(telemetry=self.telemetry)
@@ -109,22 +109,10 @@ class FicusHost:
 
     def health(self) -> HostHealth:
         """This host's consistency health as one structured record."""
-        recon = self.recon_daemon
         return self.health_plane.host_health(
             up=self.network.host_is_up(self.name),
             notes_pending=self.physical.new_version_cache_size,
-            degraded_peers={
-                *self.propagation_daemon.peer_health.degraded_hosts(),
-                *recon.peer_health.degraded_hosts(),
-            },
-            topology=recon.topology.name,
-            fanout=recon.topology.fanout(recon.max_peer_count()),
         )
-
-    def _degraded_probe(self, peer: str) -> bool:
-        """Is ``peer`` currently being routed around by either daemon?"""
-        propagation, recon = self.propagation_daemon, self.recon_daemon
-        return propagation.peer_health.is_degraded(peer) or recon.peer_health.is_degraded(peer)
 
     def crash(self) -> None:
         """Crash this host: unreachable, volatile state gone on restart."""
@@ -134,9 +122,9 @@ class FicusHost:
         """Reboot: remount the (surviving) disk, rebuild every layer.
 
         Everything volatile — buffer cache, DNLC, NFS handle cache, new-
-        version cache, open sessions, grafts — is lost; everything on the
-        simulated disk (files, directories, version vectors, tombstone
-        state, id-mint counters) survives.  Persisted volume replicas are
+        version cache, open sessions, grafts, peer health — is lost;
+        everything on the simulated disk (files, directories, version
+        vectors, tombstone state, id-mint counters) survives.  Persisted volume replicas are
         re-attached by scanning the disk and recovered
         (:meth:`ReplicaStore.recover`): half-made directories and files
         dropped, and frees the crash cut short finished.
@@ -172,16 +160,16 @@ class FicusHost:
             self.logical.root_volume,
             telemetry=self.telemetry,
         )
-        self.logical.degraded_probe = self._degraded_probe
         self.propagation_daemon.physical = self.physical
         self.propagation_daemon.fabric = self.fabric
         self.propagation_daemon.logical = self.logical
         self.recon_daemon.physical = self.physical
         self.recon_daemon.fabric = self.fabric
         self.recon_daemon.logical = self.logical
-        # volatile daemon policy state dies with the host: a rebooted host
-        # must not keep routing around peers on pre-crash skip credits or
-        # resume a pre-crash ring/gossip schedule
+        # volatile policy state dies with the host: a rebooted host must not
+        # keep routing around peers on pre-crash skip credits or resume a
+        # pre-crash ring/gossip schedule
+        self.health_plane.peer_health.reset()
         self.propagation_daemon.reboot()
         self.recon_daemon.reboot()
         self.graft_prune_daemon.logical = self.logical
@@ -233,11 +221,12 @@ class FicusSystem:
                 telemetry=self.telemetry,
             )
 
-        # the root volume, replicated where asked (default: everywhere)
+        # the root volume, replicated where asked (default: everywhere);
+        # its locations are the one thing every host is seeded with
         placements = root_volume_hosts or host_names
         first = self.hosts[host_names[0]]
         self.root_volume: VolumeId = first.allocator.new_volume_id()
-        self.root_locations = self._place_volume(self.root_volume, placements)
+        self.root_locations = self._place_replicas(self.root_volume, [], placements)
 
         for name, host in self.hosts.items():
             host.graft_table.learn(self.root_volume, self.root_locations)
@@ -253,34 +242,37 @@ class FicusSystem:
 
     # -- volume management -----------------------------------------------
 
-    def _place_volume(self, volume: VolumeId, placements: list[str]) -> list[ReplicaLocation]:
-        locations = []
-        for replica_id, host_name in enumerate(placements, start=1):
-            host = self.hosts[host_name]
-            volrep = VolumeReplicaId(volume, replica_id)
-            host.physical.create_volume_replica(volrep)
-            locations.append(ReplicaLocation(volrep, host_name))
+    def _place_replicas(
+        self, volume: VolumeId, known: list[ReplicaLocation], placements: list[str]
+    ) -> list[ReplicaLocation]:
+        """Create replicas of ``volume`` on ``placements``, numbered after
+        the ``known`` ones; returns the whole set by replica id.  Every
+        host storing a replica learns the whole set as the replicas are
+        placed."""
+        first = max((loc.volrep.replica_id for loc in known), default=0) + 1
+        placed = [
+            ReplicaLocation(VolumeReplicaId(volume, replica_id), host_name)
+            for replica_id, host_name in enumerate(placements, start=first)
+        ]
+        for location in placed:
+            self.hosts[location.host].physical.create_volume_replica(location.volrep)
+        locations = sorted([*known, *placed], key=lambda loc: loc.volrep.replica_id)
+        for location in locations:
+            self.hosts[location.host].graft_table.learn(volume, locations)
         return locations
 
-    def create_volume(
-        self, placements: list[str], learn_locations: bool = False
-    ) -> tuple[VolumeId, list[ReplicaLocation]]:
+    def create_volume(self, placements: list[str]) -> tuple[VolumeId, list[ReplicaLocation]]:
         """Mint a new volume and create its replicas on ``placements``.
 
-        With ``learn_locations`` every replica host's graft table learns
-        the replica set immediately, so reconciliation can send update
-        notifications without the volume ever being grafted into a
-        namespace — what a fleet-scale benchmark wants.  The default
-        leaves discovery to grafting, the paper's path.
+        Each replica host's graft table learns the replica set as its
+        replica is placed, so its reads, notifications and reconciliation
+        see the whole set before the volume is grafted anywhere.  A host
+        that stores no replica discovers the volume through a graft point,
+        the paper's path.
         """
         minting_host = self.hosts[placements[0]]
         volume = minting_host.allocator.new_volume_id()
-        locations = self._place_volume(volume, placements)
-        for location in locations:
-            self.hosts[location.host].recon_daemon.set_peers(location.volrep, locations)
-            if learn_locations:
-                self.hosts[location.host].graft_table.learn(volume, locations)
-        return volume, locations
+        return volume, self._place_replicas(volume, [], placements)
 
     def place_volumes(
         self, count: int, replicas_per_volume: int = 2
@@ -311,7 +303,7 @@ class FicusSystem:
                 names[(start + offset) % len(names)]
                 for offset in range(replicas_per_volume)
             ]
-            placed.append(self.create_volume(placements, learn_locations=True))
+            placed.append(self.create_volume(placements))
         return placed
 
     # -- daemons ------------------------------------------------------------
@@ -325,16 +317,10 @@ class FicusSystem:
             self.topology,
             min_age=cfg.propagation_min_age,
         )
-        peers = {
-            loc.volrep: [o for o in self.root_locations if o.volrep != loc.volrep]
-            for loc in self.root_locations
-            if loc.host == host.name
-        }
         host.recon_daemon = ReconciliationDaemon(
             host.physical,
             host.fabric,
             host.conflict_log,
-            peers,
             host.logical,
             self.topology,
             resolvers=self.resolvers,
@@ -343,7 +329,6 @@ class FicusSystem:
             host.logical, idle_timeout=cfg.graft_idle_timeout
         )
         host.health_plane.topology = self.topology.name
-        host.logical.degraded_probe = host._degraded_probe
         if cfg.propagation_period is not None:
             self.loop.schedule_every(cfg.propagation_period, host.propagation_daemon.tick)
         if cfg.recon_period is not None:
@@ -373,51 +358,33 @@ class FicusSystem:
         Paper Section 3.1: "A client may change the location and quantity
         of file replicas whenever a file replica is available."  The new
         replica starts empty and catches up through normal
-        reconciliation; every host learns the new location.
+        reconciliation; every host learns the new location, as every host
+        knows the root volume's.
         """
-        host = self.hosts[host_name]
-        next_id = max(loc.volrep.replica_id for loc in self.root_locations) + 1
-        volrep = VolumeReplicaId(self.root_volume, next_id)
-        host.physical.create_volume_replica(volrep)
-        location = ReplicaLocation(volrep, host_name)
-        self.root_locations = sorted(
-            [*self.root_locations, location], key=lambda loc: loc.volrep.replica_id
-        )
+        location = self.add_volume_replica(self.root_volume, self.root_locations, host_name)
+        self.root_locations = [*self.root_locations, location]
         for other in self.hosts.values():
-            other.graft_table.learn(self.root_volume, self.root_locations)
-            other.logical.learn_locations(self.root_volume, self.root_locations)
-            for loc in self.root_locations:
-                if loc.host == other.name:
-                    other.recon_daemon.set_peers(loc.volrep, self.root_locations)
-        # seed the new replica by one reconciliation pass against a peer
-        peers = [loc for loc in self.root_locations if loc.volrep != volrep]
-        if peers:
-            host.recon_daemon.reconcile_with(volrep, peers[0])
+            other.graft_table.learn(self.root_volume, [location])
         return location
 
     def add_volume_replica(
         self, volume: VolumeId, locations: list[ReplicaLocation], host_name: str
     ) -> ReplicaLocation:
-        """Place an additional replica of a non-root volume.
+        """Place an additional replica of ``volume`` on ``host_name``.
 
         The caller supplies the currently known locations (e.g. from the
-        graft point); the new location must still be registered in each
-        graft point naming the volume (``add_graft_location``).
+        graft point); every replica host, the new one included, learns the
+        new set.  Other hosts learn it from the graft points naming the
+        volume, where the new location must still be registered
+        (``add_graft_location``).  The new replica starts empty and is
+        seeded by one reconciliation pass against a peer.
         """
         host = self.hosts[host_name]
-        next_id = max(loc.volrep.replica_id for loc in locations) + 1
-        volrep = VolumeReplicaId(volume, next_id)
-        host.physical.create_volume_replica(volrep)
-        location = ReplicaLocation(volrep, host_name)
-        updated = sorted([*locations, location], key=lambda loc: loc.volrep.replica_id)
-        for other in self.hosts.values():
-            other.logical.learn_locations(volume, updated)
-            for loc in updated:
-                if loc.host == other.name:
-                    other.recon_daemon.set_peers(loc.volrep, updated)
-        peers = [loc for loc in updated if loc.volrep != volrep]
+        updated = self._place_replicas(volume, locations, [host_name])
+        location = updated[-1]  # numbered after every known replica
+        peers = host.graft_table.peers(location.volrep)
         if peers:
-            host.recon_daemon.reconcile_with(volrep, peers[0])
+            host.recon_daemon.reconcile_with(location.volrep, peers[0])
         return location
 
     # -- convenience -----------------------------------------------------------

@@ -17,9 +17,17 @@
 * :class:`ReconciliationDaemon` — periodically reconciles each hosted
   volume replica against one remote peer, rotating around the replica
   ring, "concurrently with respect to normal file activity" (Section 3.3).
+  The ring is read from the host's graft table on every tick: a hosted
+  replica's peers are the other replicas it knows for the volume, sorted
+  by replica id.
 
 * :class:`GraftPruneDaemon` — "a graft that is no longer needed is quietly
   pruned at a later time" (Section 4.4).
+
+Neither the propagation nor the reconciliation daemon keeps its own record
+of which peers are flapping: both consult, and feed, the host's one
+``PeerHealth`` on its health plane, which replica selection also routes
+around.
 """
 
 from __future__ import annotations
@@ -27,7 +35,6 @@ from __future__ import annotations
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
-from types import MappingProxyType
 
 from repro.errors import FicusError
 from repro.logical import Fabric, FicusLogicalLayer
@@ -43,57 +50,6 @@ from repro.recon import (
 from repro.sim.topology import Topology
 from repro.util import FicusFileHandle, VolumeReplicaId
 from repro.volume import ReplicaLocation
-
-
-#: the most consecutive considerations a degraded peer is skipped for
-MAX_SKIPS = 4
-
-
-class PeerHealth:
-    """Consecutive-failure tracking for flapping peers.
-
-    A peer that keeps failing *while reachable* (transient RPC faults, a
-    lossy link) is marked degraded: the next ``min(2^(failures-1),
-    MAX_SKIPS)`` considerations of that peer are skipped, so a periodic
-    round routes around it instead of stalling on retries every tick.
-    Partitioned or crashed peers are NOT penalized — unreachability is
-    detected for free and is the normal state reconciliation exists for.
-    The skip budget is tick-based, not wall-clock-based, so a quiescent
-    system converges after a bounded number of rounds regardless of how
-    virtual time advances.
-    """
-
-    def __init__(self):
-        self._failures: dict[str, int] = {}
-        self._skips_left: dict[str, int] = {}
-
-    def record_failure(self, host: str) -> None:
-        failures = self._failures.get(host, 0) + 1
-        self._failures[host] = failures
-        self._skips_left[host] = min(MAX_SKIPS, 2 ** (failures - 1))
-
-    def record_success(self, host: str) -> None:
-        self._failures.pop(host, None)
-        self._skips_left.pop(host, None)
-
-    def should_skip(self, host: str) -> bool:
-        """Consume one skip credit for ``host`` if any remain."""
-        left = self._skips_left.get(host, 0)
-        if left <= 0:
-            return False
-        self._skips_left[host] = left - 1
-        return True
-
-    def is_degraded(self, host: str) -> bool:
-        return self._skips_left.get(host, 0) > 0
-
-    def degraded_hosts(self) -> list[str]:
-        return [host for host, left in self._skips_left.items() if left > 0]
-
-    def reset(self) -> None:
-        """Forget all history (e.g. after faults are known to have ceased)."""
-        self._failures.clear()
-        self._skips_left.clear()
 
 
 @dataclass
@@ -191,7 +147,6 @@ class PropagationDaemon:
         self.logical = logical
         self.topology = topology
         self.stats = PropagationStats()
-        self.peer_health = PeerHealth()
         self._tick_index = 0
         physical.telemetry.metrics.add_source("propagation", self.stats)
 
@@ -201,13 +156,8 @@ class PropagationDaemon:
         return self._tick_index
 
     def reboot(self) -> None:
-        """Forget all volatile state (crash recovery).
-
-        Skip credits and the topology tick schedule are in-memory policy
-        state; a rebooted host must not route around peers based on
-        pre-crash failure history.
-        """
-        self.peer_health = PeerHealth()
+        """Forget all volatile state (crash recovery): the topology tick
+        schedule is in-memory policy state."""
         self._tick_index = 0
 
     def tick(self) -> int:
@@ -240,6 +190,7 @@ class PropagationDaemon:
             )
             allowed = {sources[i] for i in selected}
         self._tick_index += 1
+        peer_health = physical.health.peer_health
         groups: dict[tuple, list[NewVersionNote]] = {}
         for note in notes:
             if now - note.noted_at < self.min_age:
@@ -247,7 +198,7 @@ class PropagationDaemon:
             if allowed is not None and note.src_addr not in allowed:
                 self.stats.notes_gated += 1
                 continue
-            if self.peer_health.should_skip(note.src_addr):
+            if peer_health.should_skip(note.src_addr):
                 self.stats.notes_deferred += 1
                 continue
             key = (note.src_addr, note.src_volrep, note.key.volrep, note.key.parent_fh.logical)
@@ -286,9 +237,9 @@ class PropagationDaemon:
             # failing while the network says the peer is fine = flapping;
             # a genuine partition/crash is normal and carries no penalty
             if self.fabric.network.reachable(physical.host_addr, src):
-                self.peer_health.record_failure(src)
+                physical.health.peer_health.record_failure(src)
         elif "pulled" in outcomes or "up_to_date" in outcomes:
-            self.peer_health.record_success(src)
+            physical.health.peer_health.record_success(src)
         for note, outcome in zip(group, outcomes):
             stats.pulls_attempted += 1
             counter = _COUNTER.get(outcome)
@@ -363,7 +314,6 @@ class ReconciliationDaemon:
         physical: FicusPhysicalLayer,
         fabric: Fabric,
         conflict_log: ConflictLog,
-        peers: dict[VolumeReplicaId, list[ReplicaLocation]],
         logical: FicusLogicalLayer,
         topology: Topology,
         resolvers=None,
@@ -371,19 +321,8 @@ class ReconciliationDaemon:
         self.physical = physical
         self.fabric = fabric
         self.conflict_log = conflict_log
-        #: per hosted volume replica: the other replicas of the volume,
-        #: stored as tuples behind a read-only view — all mutation goes
-        #: through :meth:`set_peers`, which keeps the host-name memo
-        #: coherent (a same-length in-place swap used to defeat the old
-        #: length-based staleness heuristic and serve stale hosts to the
-        #: health plane)
-        self._peers: dict[VolumeReplicaId, tuple[ReplicaLocation, ...]] = {}
-        #: peer host names per replica, precomputed so the per-tick health
-        #: aging pass does not rebuild the same list every round
-        self._peer_hosts: dict[VolumeReplicaId, list[str]] = {}
-        for volrep, locations in peers.items():
-            self._peers[volrep] = tuple(locations)
-            self._peer_hosts[volrep] = [loc.host for loc in locations]
+        #: a hosted replica's peers are the other replicas the logical
+        #: layer's graft table knows for its volume
         self.logical = logical
         #: optional ResolverRegistry enabling automatic conflict resolution
         self.resolvers = resolvers
@@ -391,7 +330,6 @@ class ReconciliationDaemon:
         self._ring_position: dict[VolumeReplicaId, int] = {}
         self._tick_index = 0
         self.stats = ReconStats()
-        self.peer_health = PeerHealth()
         self.tombstones_purged = 0
         physical.telemetry.metrics.add_source("recon", self.stats.totals)
 
@@ -400,33 +338,17 @@ class ReconciliationDaemon:
         """Ticks since boot."""
         return self._tick_index
 
-    @property
-    def peers(self) -> MappingProxyType:
-        """Read-only view of the per-replica peer sets.
-
-        Mutate via :meth:`set_peers` only; direct assignment or in-place
-        edits would desynchronize the precomputed host-name memo.
-        """
-        return MappingProxyType(self._peers)
-
-    def set_peers(self, volrep: VolumeReplicaId, locations: list[ReplicaLocation]) -> None:
-        peers = tuple(loc for loc in locations if loc.volrep != volrep)
-        self._peers[volrep] = peers
-        self._peer_hosts[volrep] = [loc.host for loc in peers]
-
     def max_peer_count(self) -> int:
         """The widest peer set across hosted replicas (0 when peerless)."""
-        return max((len(p) for p in self._peers.values()), default=0)
+        table = self.logical.graft_table
+        return max((len(table.peers(volrep)) for volrep in self.physical.stores), default=0)
 
     def reboot(self) -> None:
         """Forget all volatile state (crash recovery).
 
-        Skip credits, ring cursors, and the topology tick schedule are
-        in-memory policy state the docstring of ``FicusHost.restart``
-        declares lost; carrying them across a reboot would let a host
-        route around peers based on pre-crash history.
+        Ring cursors and the topology tick schedule are in-memory policy
+        state the docstring of ``FicusHost.restart`` declares lost.
         """
-        self.peer_health = PeerHealth()
         self._ring_position.clear()
         self._tick_index = 0
 
@@ -445,14 +367,16 @@ class ReconciliationDaemon:
         """
         outcomes = []
         health = self.physical.health
+        peer_health = health.peer_health
+        table = self.logical.graft_table
         topology = self.topology
         tick_index = self._tick_index
         self._tick_index += 1
         for volrep in list(self.physical.stores):
-            peers = self._peers.get(volrep)
+            peers = table.peers(volrep)
             if not peers:
                 continue
-            hosts = self._peer_hosts[volrep]
+            hosts = [peer.host for peer in peers]
             # every ring peer ages one tick; a completed round resets it
             health.recon_tick(volrep.volume, hosts)
             if topology.is_full_mesh:
@@ -471,7 +395,7 @@ class ReconciliationDaemon:
                     saw_unreachable = True
                     unreachable_hosts.append(peer.host)
                     continue
-                if self.peer_health.should_skip(peer.host):
+                if peer_health.should_skip(peer.host):
                     self.stats.peers_skipped += 1
                     continue
                 if topology.is_full_mesh:
@@ -480,9 +404,9 @@ class ReconciliationDaemon:
                 if result.aborted_by_partition:
                     # it was reachable when chosen, so the failure was a
                     # transient fault, not a partition: degrade the peer
-                    self.peer_health.record_failure(peer.host)
+                    peer_health.record_failure(peer.host)
                 else:
-                    self.peer_health.record_success(peer.host)
+                    peer_health.record_success(peer.host)
                 outcomes.append(result)
                 reconciled = True
                 if not topology.reconcile_selected:
@@ -505,10 +429,8 @@ class ReconciliationDaemon:
 
     def volume_replica_ids(self, volrep: VolumeReplicaId) -> frozenset[int]:
         """The full replica-id set of a volume (self + known peers)."""
-        ids = {volrep.replica_id}
-        for peer in self._peers.get(volrep, ()):
-            ids.add(peer.volrep.replica_id)
-        return frozenset(ids)
+        known = self.logical.graft_table.locations(volrep.volume)
+        return frozenset([volrep.replica_id, *(loc.volrep.replica_id for loc in known)])
 
     def reconcile_with(
         self, volrep: VolumeReplicaId, peer: ReplicaLocation

@@ -18,6 +18,9 @@ module maintains that answer per host:
   zero on the first successful round after heal.
 * **Notes pending** — the new-version cache depth: updates heard about
   but not yet pulled.
+* **Peer health** — one :class:`PeerHealth` per host: the peers that
+  keep failing while reachable, which both daemons and replica selection
+  route around, and which every rendering of the host's health names.
 
 All state lives in plain Python (the plane works with telemetry
 disabled); the deployment's :class:`~repro.telemetry.Telemetry` hub views
@@ -51,6 +54,8 @@ FLIGHT_RING_CAPACITY = 256
 MAX_RETAINED_DUMPS = 8
 #: recon outcomes retained for dumps and the facade
 MAX_RECON_OUTCOMES = 8
+#: the most consecutive considerations a degraded peer is skipped for
+MAX_SKIPS = 4
 
 
 @dataclass
@@ -61,8 +66,6 @@ class HostHealth:
     up: bool = True
     #: the peer-selection strategy this host's daemons run
     topology: str = "full_mesh"
-    #: peers one reconciliation tick considers under that strategy
-    fanout: int = 0
     #: new-version cache depth: updates heard about but not yet pulled
     notes_pending: int = 0
     #: peer -> recon ticks since the last completed round with it
@@ -73,7 +76,8 @@ class HostHealth:
     staleness_seconds: dict[str, float] = field(default_factory=dict)
     #: volume (hex) -> peers suspected of holding diverged state
     suspected: dict[str, list[str]] = field(default_factory=dict)
-    #: peers the daemons currently route around (flapping)
+    #: peers the daemons and replica selection currently route around
+    #: (flapping)
     degraded_peers: list[str] = field(default_factory=list)
     #: anomaly kind -> times fired since boot
     anomalies: dict[str, int] = field(default_factory=dict)
@@ -98,6 +102,54 @@ class HostHealth:
     @property
     def max_staleness_seconds(self) -> float:
         return max(self.staleness_seconds.values(), default=0.0)
+
+
+class PeerHealth:
+    """Consecutive-failure tracking for flapping peers: one per host, on
+    its :class:`HealthPlane`, shared by both daemons and replica selection.
+
+    A peer that keeps failing *while reachable* (transient RPC faults, a
+    lossy link) is marked degraded: the next ``min(2^(failures-1),
+    MAX_SKIPS)`` considerations of that peer are skipped, so a periodic
+    round routes around it instead of stalling on retries every tick.
+    Partitioned or crashed peers are NOT penalized — unreachability is
+    detected for free and is the normal state reconciliation exists for.
+    The skip budget is tick-based, not wall-clock-based, so a quiescent
+    system converges after a bounded number of rounds regardless of how
+    virtual time advances.
+    """
+
+    def __init__(self):
+        self._failures: dict[str, int] = {}
+        self._skips_left: dict[str, int] = {}
+
+    def record_failure(self, host: str) -> None:
+        failures = self._failures.get(host, 0) + 1
+        self._failures[host] = failures
+        self._skips_left[host] = min(MAX_SKIPS, 2 ** (failures - 1))
+
+    def record_success(self, host: str) -> None:
+        self._failures.pop(host, None)
+        self._skips_left.pop(host, None)
+
+    def should_skip(self, host: str) -> bool:
+        """Consume one skip credit for ``host`` if any remain."""
+        left = self._skips_left.get(host, 0)
+        if left <= 0:
+            return False
+        self._skips_left[host] = left - 1
+        return True
+
+    def is_degraded(self, host: str) -> bool:
+        return self._skips_left.get(host, 0) > 0
+
+    def degraded_hosts(self) -> list[str]:
+        return [host for host, left in self._skips_left.items() if left > 0]
+
+    def reset(self) -> None:
+        """Forget all history (e.g. after faults are known to have ceased)."""
+        self._failures.clear()
+        self._skips_left.clear()
 
 
 class FlightRecorder:
@@ -262,6 +314,9 @@ class HealthPlane:
         #: staleness SLO is ``now - this``
         self._fresh_since: dict[str, float] = {}
         self.notes_pending = 0
+        #: the host's one record of flapping peers; like the plane it
+        #: outlives a crash, so a reboot resets it
+        self.peer_health = PeerHealth()
         #: the always-on per-host version-provenance ledger (see
         #: :mod:`repro.telemetry.provenance`); like the flight recorder it
         #: survives crashes — the plane plays the black box
@@ -416,26 +471,18 @@ class HealthPlane:
 
     # -- rendering ---------------------------------------------------------
 
-    def host_health(
-        self,
-        up: bool = True,
-        notes_pending: int | None = None,
-        degraded_peers: Iterable[str] = (),
-        topology: str | None = None,
-        fanout: int = 0,
-    ) -> HostHealth:
+    def host_health(self, up: bool = True, notes_pending: int | None = None) -> HostHealth:
         if notes_pending is not None:
             self.notes_pending = notes_pending
         return HostHealth(
             host=self.host,
             up=up,
-            topology=topology if topology is not None else self.topology,
-            fanout=fanout,
+            topology=self.topology,
             notes_pending=self.notes_pending,
             staleness_ticks=dict(self._staleness),
             staleness_seconds=self.staleness_seconds(),
             suspected=self.suspected_by_volume(),
-            degraded_peers=sorted(degraded_peers),
+            degraded_peers=sorted(self.peer_health.degraded_hosts()),
             anomalies=dict(self.anomaly_counts),
             last_recon=list(self.last_recon),
             resolver_auto_resolved=self.resolver_auto_resolved,

@@ -28,7 +28,6 @@ _COLUMNS = [
     "host",
     "up",
     "topo",
-    "fanout",
     "notes",
     "stale",
     "stale_s",
@@ -61,7 +60,6 @@ def _row(health: HostHealth) -> list[str]:
         health.host,
         "up" if health.up else "DOWN",
         health.topology,
-        str(health.fanout),
         str(health.notes_pending),
         str(health.max_staleness),
         f"{health.max_staleness_seconds:g}",

@@ -287,9 +287,7 @@ def quiesce(system: FicusSystem, host_names: list[str]) -> None:
     system.network.faults.clear()
     system.network.flush_deferred_datagrams()
     for host_name in host_names:
-        host = system.host(host_name)
-        host.propagation_daemon.peer_health.reset()
-        host.recon_daemon.peer_health.reset()
+        system.host(host_name).health_plane.peer_health.reset()
     system.reconcile_everything(rounds=len(host_names) + 2)
     for _ in range(2):
         for host_name in host_names:

@@ -574,12 +574,12 @@ class TestDirectoryAtATime:
 
         system.network.rpc = rpc
         stats = beta.propagation_daemon.stats
-        failures_before = dict(beta.propagation_daemon.peer_health._failures)
+        failures_before = dict(beta.health_plane.peer_health._failures)
         assert beta.propagation_daemon.tick() == 1
         assert beta.physical.new_version_cache_size == 2  # the unsettled notes
         assert stats.unreachable == 2
         # a partition is not flapping: no strike against the peer
-        assert beta.propagation_daemon.peer_health._failures == failures_before
+        assert beta.health_plane.peer_health._failures == failures_before
         beta_store = store_of(system, "beta")
         d_fh = system.host("alpha").root().lookup("d").fh
         old_and_new = sorted(
@@ -612,5 +612,5 @@ class TestDirectoryAtATime:
         system.network.rpc = rpc
         beta.propagation_daemon.tick()
         assert beta.propagation_daemon.stats.unreachable == 3
-        assert beta.propagation_daemon.peer_health._failures == {"alpha": 1}
+        assert beta.health_plane.peer_health._failures == {"alpha": 1}
         assert beta.physical.new_version_cache_size == 3

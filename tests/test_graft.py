@@ -24,19 +24,19 @@ def system():
 
 class TestGraftTable:
     def test_learn_and_lookup(self):
-        table = GraftTable()
+        table = GraftTable("h1")
         vol = VolumeId(1, 5)
         locs = [ReplicaLocation(VolumeReplicaId(vol, 1), "h1")]
         table.learn(vol, locs)
         assert table.knows(vol)
-        assert table.locations(vol) == locs
+        assert table.locations(vol) == tuple(locs)
 
     def test_empty_locations_rejected(self):
         with pytest.raises(InvalidArgument):
-            GraftTable().learn(VolumeId(1, 1), [])
+            GraftTable("h1").learn(VolumeId(1, 1), [])
 
     def test_locations_sorted_by_replica(self):
-        table = GraftTable()
+        table = GraftTable("h1")
         vol = VolumeId(1, 1)
         table.learn(
             vol,
@@ -217,19 +217,60 @@ class TestPropagationIntoAnUnresolvedVolume:
     def test_tick_on_a_host_that_never_resolved_the_grafted_volume(self):
         # examples/volume_grafting.py's sequence: lab2 stores a replica of
         # the projects volume, but only lab1's logical layer has ever
-        # walked through the graft point, so lab2 knows no locations for
-        # it.  lab2's propagation daemon installs lab1's update and then
-        # announces the install — an optimisation (peers' attribute TTL
-        # covers it) that must be skipped, not raised out of the event loop.
-        system = FicusSystem(["lab1", "lab2", "vault"])
+        # walked through the graft point.  lab2 learnt the replica set when
+        # its replica was placed, so its propagation daemon installs
+        # lab1's update and announces the install to lab1.
+        system = FicusSystem(["lab1", "lab2", "vault"], daemon_config=QUIET)
         lab1, lab2 = system.host("lab1"), system.host("lab2")
         projects_vol, projects_locs = system.create_volume(["lab1", "lab2"])
         lab1.logical.create_graft_point(lab1.root(), "projects", projects_vol, projects_locs)
         lab1.fs().makedirs("/projects/ficus")
         lab1.fs().write_file("/projects/ficus/README", b"a replicated file system")
-        with pytest.raises(AllReplicasUnavailable):
-            lab2.logical.locations_for(projects_vol)
-        system.run_for(120.0)
+        assert lab2.logical.locations_for(projects_vol) == tuple(projects_locs)
+        assert not lab2.logical.grafter.current(projects_vol)
+        system.reconcile_everything()  # lab2 stores /ficus, where the note lands
+        lab1.fs().write_file("/projects/ficus/README", b"version two")
+        sent = lab2.logical.notifications_sent
+        lab2.propagation_daemon.tick()
         assert lab2.propagation_daemon.stats.pulls_succeeded > 0
+        assert lab2.logical.notifications_sent > sent  # the install's announcement
+        assert lab2.fs().read_file("/projects/ficus/README") == b"version two"
+
+
+class TestOneHomeForReplicaLocations:
+    """A host's graft table is its one record of a volume's replicas."""
+
+    def test_a_replica_host_knows_the_replica_set_when_create_volume_returns(self):
+        system = FicusSystem(["a", "b", "c"], daemon_config=QUIET)
+        volume, locations = system.create_volume(["b", "c"])
+        for name in ("b", "c"):
+            host = system.host(name)
+            assert host.graft_table.locations(volume) == tuple(locations)
+            assert [loc.host for loc in host.logical.locations_for(volume)] == ["b", "c"]
+        # a host storing no replica learns the volume only from a graft point
+        assert not system.host("a").graft_table.knows(volume)
+
+    def test_a_restarted_replica_host_still_knows_an_added_replica(self):
+        system = FicusSystem(["a", "b", "c"], daemon_config=QUIET)
+        volume, locations = system.create_volume(["b"])
+        system.add_volume_replica(volume, locations, "c")
+        b = system.host("b")
+        b.crash()
+        b.restart(system)
+        assert [loc.host for loc in b.logical.locations_for(volume)] == ["b", "c"]
+        # replica selection, notification and reconciliation read that one entry
+        b_volrep = locations[0].volrep
+        assert [loc.host for loc in b.graft_table.peers(b_volrep)] == ["c"]
+        assert b.recon_daemon.volume_replica_ids(b_volrep) == frozenset({1, 2})
+
+    def test_an_autograft_records_the_graft_point_locations(self, system):
+        volume, locations = system.create_volume(["gamma"])
+        alpha, beta = system.host("alpha"), system.host("beta")
+        alpha.logical.create_graft_point(alpha.root(), "p", volume, locations)
         system.reconcile_everything()
-        assert lab2.fs().read_file("/projects/ficus/README") == b"a replicated file system"
+        # beta stores no replica and did not make the graft point: it
+        # learns the volume by crossing the graft point
+        assert not beta.graft_table.knows(volume)
+        beta.fs().write_file("/p/f", b"x")
+        assert beta.graft_table.locations(volume) == tuple(locations)
+        assert beta.logical.grafter.current(volume).bound.host == "gamma"

@@ -171,6 +171,18 @@ class TestFlightRecorder:
         assert rebuilt == plane.host_health()
         assert rebuilt.last_recon and rebuilt.suspected and rebuilt.staleness_ticks
 
+    def test_dump_names_the_peers_the_host_routes_around(self):
+        """The one peer-health record a host keeps is what both its live
+        health and an anomaly dump report: a peer the recon daemon marked
+        flapping shows in both, and both daemons and replica selection
+        route around it."""
+        system, _ = converged_cluster()
+        a = system.host("a")
+        a.health_plane.peer_health.record_failure("b")
+        dumped = a.health_plane.anomaly("probe")["health"]
+        assert dumped["degraded_peers"] == a.health().degraded_peers == ["b"]
+        assert a.health_plane.peer_health is a.logical.health.peer_health
+
     def test_dump_labels_file_ops_by_handle_and_notifications_by_sender(self, tmp_path):
         """A dump names a file op's target by the file's hex handle and a
         heard update notification as ``"<src>:<hex>"``."""
@@ -294,8 +306,8 @@ class TestDegradedReadRouting:
         healthy_rpcs = system.network.stats.rpcs_sent - before
 
         for _ in range(4):  # mark b as flapping: failing while reachable
-            alpha.propagation_daemon.peer_health.record_failure("b")
-        assert alpha._degraded_probe("b")
+            alpha.health_plane.peer_health.record_failure("b")
+        assert alpha.health_plane.peer_health.is_degraded("b")
         skips_before = alpha.logical.degraded_skips
         before = system.network.stats.rpcs_sent
         assert fs.read_file("/doc") == b"agreed"
@@ -311,7 +323,7 @@ class TestDegradedReadRouting:
         system.reconcile_everything()
         b = system.host("b")
         for _ in range(4):
-            b.propagation_daemon.peer_health.record_failure("a")
+            b.health_plane.peer_health.record_failure("a")
         # b's own replica answers, and when we force remote-only coverage
         # (degrade the only peer) availability still wins over routing
         fs = FicusFileSystem(b.logical, ctx=ROOT_CTX.with_no_cache())
@@ -387,7 +399,7 @@ class TestCrashChaos:
         # the schedule left beside the dumps, under its format version,
         # reproduces the failed run
         text = (dump_dir / "chaos_11.schedule").read_text()
-        assert text.splitlines()[0] == SCHEDULE_HEADER == "schedule=6"
+        assert text.splitlines()[0] == SCHEDULE_HEADER == "schedule=7"
         schedule = decode_schedule(text)
         assert schedule == report.schedule
         system, host_names = chaos_module.build_cluster(11, config)

@@ -253,7 +253,7 @@ class TestClientCaching:
         layer = UfsLayer(Ufs.mkfs(BlockDevice(2048), num_inodes=64, clock=net.clock))
         NfsServer(net, "s", layer)
         client = NfsClientLayer(
-            net, "c", "s", config=NfsClientConfig(attr_cache_ttl=0, name_cache_ttl=0)
+            net, "c", "s", config=NfsClientConfig(cache_ttl=0)
         )
         root = client.root()
         root.create("f")

@@ -481,7 +481,7 @@ class TestManualResolvePrimitive:
         # the operator playbook (and the chaos harness) does
         host.fs().resolve_conflict(report, b"A + B merged", host.conflict_log)
         for name in system.hosts:
-            system.host(name).recon_daemon.peer_health.reset()
+            system.host(name).health_plane.peer_health.reset()
         system.reconcile_everything(rounds=4)
         assert store_bytes(system, "b", "f") == [b"A + B merged"]
 

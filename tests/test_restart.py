@@ -296,9 +296,8 @@ class TestClusterWithRestarts:
             assert not result.aborted_by_partition
             assert result.files_pulled == 1
         else:
-            daemon = beta.propagation_daemon
             assert beta.fs().read_file("/d/f") == b"three"
-        assert not daemon.peer_health.is_degraded("alpha")
+        assert not beta.health_plane.peer_health.is_degraded("alpha")
         assert "alpha" not in beta.health().degraded_peers
         system.partition([{"alpha"}, {"beta"}])
         if first != "read":

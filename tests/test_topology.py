@@ -7,10 +7,9 @@ Three groups:
 * convergence parity — full mesh, ring, and gossip drive the same
   divergent cluster to the *same* converged tree, and chaos stays green
   under gossip;
-* regression tests for the three daemon health-accounting bugs fixed
+* regression tests for the daemon health-accounting bugs fixed
   alongside (unreachable rings skipping the health plane, restart
-  carrying policy state across a crash, and the stale peer-memo
-  heuristic).
+  carrying policy state across a crash).
 """
 
 import pytest
@@ -25,7 +24,6 @@ from repro.sim import (
     make_topology,
 )
 from repro.sim.topology import log_fanout
-from repro.volume import ReplicaLocation
 from repro.workload import ChaosConfig, run_chaos
 
 QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
@@ -207,17 +205,17 @@ class TestRestartResetsPolicyState:
 
     def test_skip_credits_do_not_survive_reboot(self):
         system = FicusSystem(["a", "b", "c"], daemon_config=QUIET)
-        daemon = system.host("a").recon_daemon
-        daemon.peer_health.record_failure("b")
-        daemon.peer_health.record_failure("b")
-        system.host("a").propagation_daemon.peer_health.record_failure("b")
-        assert daemon.peer_health.is_degraded("b")
-
         host = system.host("a")
+        peer_health = host.health_plane.peer_health
+        peer_health.record_failure("b")
+        peer_health.record_failure("b")
+        peer_health.record_failure("b")
+        assert peer_health.is_degraded("b")
+
         host.crash()
         host.restart(system)
-        assert not host.recon_daemon.peer_health.is_degraded("b")
-        assert not host.propagation_daemon.peer_health.is_degraded("b")
+        assert not host.health_plane.peer_health.is_degraded("b")
+        assert "b" not in host.health().degraded_peers
 
     def test_ring_cursor_and_tick_schedule_reset(self):
         system = FicusSystem(["a", "b", "c"], daemon_config=QUIET)
@@ -232,52 +230,6 @@ class TestRestartResetsPolicyState:
         daemon = system.host("a").recon_daemon
         assert not daemon._ring_position
         assert daemon.ticks == 0
-
-
-class TestPeerMemoConsistency:
-    """Regression: ``peers`` was a bare public dict, and the per-tick
-    staleness pass "repaired" direct mutations with a length heuristic —
-    a same-length replica move (b out, c in) slipped past it and the
-    health plane kept aging the departed host forever.  Mutation is now
-    impossible outside ``set_peers`` (which keeps the memo in sync), and
-    the heuristic is gone."""
-
-    def test_same_length_swap_retargets_reconciliation(self):
-        system = FicusSystem(["a", "b", "c"], daemon_config=QUIET)
-        volume, locations = system.create_volume(["a", "b"], learn_locations=True)
-        daemon = system.host("a").recon_daemon
-        volrep = locations[0].volrep
-
-        moved_volrep = locations[1].volrep
-        system.host("c").physical.create_volume_replica(moved_volrep)
-        daemon.set_peers(volrep, [locations[0], ReplicaLocation(moved_volrep, "c")])
-        assert [loc.host for loc in daemon.peers[volrep]] == ["c"]
-
-        # the staleness accounting must age the *new* ring, not the old
-        # one the stale memo remembered
-        plane = system.host("a").health_plane
-        aged = []
-        original = plane.recon_tick
-
-        def spying_recon_tick(vol, hosts):
-            aged.append((vol, list(hosts)))
-            original(vol, hosts)
-
-        plane.recon_tick = spying_recon_tick
-        daemon.tick()
-        assert [hosts for vol, hosts in aged if vol == volume] == [["c"]]
-        outcome = plane.last_recon[-1]
-        assert outcome["peer"] == "c"
-
-    def test_peers_view_is_read_only(self):
-        system = FicusSystem(["a", "b"], daemon_config=QUIET)
-        daemon = system.host("a").recon_daemon
-        volrep = next(iter(daemon.peers))
-        with pytest.raises(TypeError):
-            daemon.peers[volrep] = ()
-        # and the per-entry tuples resist in-place edits too
-        with pytest.raises((TypeError, AttributeError)):
-            daemon.peers[volrep].append(None)
 
 
 class TestShardedPlacement:

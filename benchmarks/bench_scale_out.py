@@ -1,4 +1,4 @@
-"""E20: gossip/ring anti-entropy at 500 simulated hosts.
+"""E20: gossip anti-entropy at 500 simulated hosts.
 
 The paper runs Ficus on a handful of hosts; its reconciliation design is
 pairwise ("one remote peer, rotating around the replica ring", Section
@@ -122,7 +122,7 @@ def drive_to_convergence(system: FicusSystem, volumes, max_rounds: int) -> dict:
     """Run topology rounds until every volume converges; account per host.
 
     One round = one topology sweep per host (full mesh: a tick per peer,
-    the historical behavior; ring/gossip: one tick).  Per-host RPC and
+    the historical behavior; gossip: one tick).  Per-host RPC and
     byte loads come from ``NetworkStats``'s per-peer ledger, folded by
     source host each round.
     """
@@ -279,10 +279,6 @@ class TestShape:
         result = self._measure("gossip", max_rounds=3 * math.ceil(math.log2(49)) + 4)
         assert result["converged"]
         assert result["rounds_to_converge"] <= 3 * math.ceil(math.log2(49))
-
-    def test_ring_converges(self):
-        result = self._measure("ring", max_rounds=2 * 48)
-        assert result["converged"]
 
     def test_gossip_per_host_load_beats_full_mesh(self):
         gossip = self._measure("gossip", max_rounds=30)

@@ -10,8 +10,8 @@ one is reached through a cached NFS client mount.
 Like an NFS client that gets its root handle at mount time, the fabric
 fetches each volume replica's root once and keeps it.  It is the one
 place that reaches a replica: every caller runs its work through
-:meth:`Fabric.at_replica`, which also owns the one recovery from a server
-reboot (a stale handle drops the kept root and fetches it again).
+:meth:`Fabric.at_replica`.  A kept root never goes stale: its handle
+names the volume replica, which outlives a reboot of the host storing it.
 """
 
 from __future__ import annotations
@@ -87,21 +87,18 @@ class Fabric:
     def at_replica(self, host: str, volrep: VolumeReplicaId, call: Callable[[Vnode], T]) -> T:
         """``call(root)`` on the volume replica's root directory vnode.
 
-        A server reboot invalidates every handle a client holds.  On
-        ``StaleFileHandle`` the kept root is dropped, the NFS client forgets
-        the cached lookups that resolved to it (else the refetch would be
-        answered with the same dead handle), and ``call`` runs once more on
-        a freshly fetched root.  A ``call`` that fails stale must have
-        changed nothing, so that running it again is safe.
+        A ``call`` can still meet ``StaleFileHandle`` through a lookup the
+        NFS client cached before the object it named was removed at the
+        server.  The client has scrubbed that lookup by the time the error
+        surfaces, so ``call`` runs once more and looks the object up
+        afresh.  A ``call`` that fails stale must have changed nothing, so
+        that running it again is safe.
         """
         root = self.volume_root(host, volrep)
         try:
             return call(root)
         except StaleFileHandle:
-            self._roots.pop((host, volrep), None)
-            if not self.is_local(host):
-                self.nfs_mount(host).note_stale(root.handle)
-            return call(self.volume_root(host, volrep))
+            return call(root)
 
     def dir_by_handle(self, host: str, volrep: VolumeReplicaId, fh: FicusFileHandle) -> Vnode:
         """Any directory of one volume replica, addressed by handle."""

@@ -184,13 +184,10 @@ class FicusLogicalLayer(FileSystemLayer):
                 dir_vnode = self.fabric.dir_by_handle(location.host, location.volrep, fh)
             batch = dir_vnode.getattrs_batch(None, ctx)
         except StaleFileHandle:
-            # a cached handle died with a server reboot: resolve afresh once
+            # the held handle outlived the directory at that replica:
+            # resolving it afresh could only say the same
             self.attr_cache.invalidate(location.volrep, fh)
-            try:
-                dir_vnode = self.fabric.dir_by_handle(location.host, location.volrep, fh)
-                batch = dir_vnode.getattrs_batch(None, ctx)
-            except (HostUnreachable, FileNotFound, StaleFileHandle):
-                return None
+            return None
         except (HostUnreachable, FileNotFound):
             return None
         entry = self.attr_cache.store(location.volrep, fh, dir_vnode, batch)
@@ -292,14 +289,14 @@ class FicusLogicalLayer(FileSystemLayer):
     ):
         """Run a replica operation issued on held handles, retrying once on ESTALE.
 
-        A server reboot kills every handle it issued, and a file removed
-        there takes its handle with it (an install keeps the file's inode),
-        so a held handle can go stale mid-use; the
-        NFS client scrubs its own caches before the error surfaces.  Here
-        the directory's handles, child handles and views are dropped on
-        every replica and the open session's pin (``fh``) is resolved
-        afresh, so the retry's selection and lookups start from the volume
-        root (real NFS clients do exactly this dance on ESTALE).
+        A handle outlives a reboot of the server and an install there, but
+        an object removed there (a file moved to another directory
+        included) takes its handle with it, so a held handle can go stale
+        mid-use; the NFS client scrubs its own caches before the error
+        surfaces.  Here the directory's handles, child handles and views
+        are dropped on every replica and the open session's pin (``fh``)
+        is resolved afresh, so the retry's selection and lookups start from
+        the volume root (real NFS clients do exactly this dance on ESTALE).
         """
         try:
             return operation()

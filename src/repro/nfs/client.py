@@ -235,8 +235,7 @@ class NfsClientLayer(FileSystemLayer):
 
         This covers both directions: attributes OF the handle, names
         looked up THROUGH it, and cached lookup replies that RESOLVED to
-        it (e.g. a file removed at the server, or every handle after its
-        reboot).
+        it (an object removed at the server: a handle outlives a reboot).
         """
         self.invalidate_handle(handle)
         resolved_to = [
@@ -456,4 +455,4 @@ class NfsClientVnode(Vnode):
         return text
 
     def __repr__(self) -> str:
-        return f"NfsClientVnode({self.layer.server_addr}, fileid={self.handle.fileid})"
+        return f"NfsClientVnode({self.layer.server_addr}, {self.handle.key})"

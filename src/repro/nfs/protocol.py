@@ -2,10 +2,10 @@
 
 NFS "is essentially a host-to-host transport service with a vnode
 interface" (paper Section 2.2) — but a *stateless* one.  The protocol
-identifies files by opaque handles (fileid + generation) and defines no
-open/close calls at all; those vnode operations simply vanish at the
-client ("a layer intending to receive an open will never get it if NFS is
-in between").
+identifies files by opaque handles, each the exported layer's own name for
+the object, and defines no open/close calls at all; those vnode operations
+simply vanish at the client ("a layer intending to receive an open will
+never get it if NFS is in between").
 
 These are the protocol's own types.  Everything else a call carries — the
 operation context, Ficus file handles, entry ids, attribute batches,
@@ -16,6 +16,7 @@ is; nothing is encoded for the hop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.ufs.inode import FileAttributes
 from repro.vnode.interface import Vnode
@@ -38,17 +39,18 @@ CARRIED_OPERATIONS = tuple(
 )
 
 
-@dataclass(frozen=True)
-class NfsHandle:
-    """Opaque stateless file handle: survives server reboot, detects reuse.
+class NfsHandle(NamedTuple):
+    """Opaque stateless file handle: what the exported layer's
+    ``handle_for`` named the object by, handed back to its ``vnode_for``
+    unread (:class:`~repro.vnode.interface.FileSystemLayer`).
 
-    ``generation`` guards against the classic stale-handle problem: if the
-    object is deleted and its fileid reused, the old handle must fail with
-    ESTALE rather than address the new object.
+    The key names the object, never a server-side table slot, so a handle
+    outlives a server reboot; the layer refuses a key whose object is gone
+    with ESTALE — UFS by the inode generation its key carries, so a
+    deleted file's handle never addresses the file that reuses its inode.
     """
 
-    fileid: int
-    generation: int
+    key: tuple
 
 
 @dataclass(frozen=True)

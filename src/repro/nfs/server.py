@@ -1,9 +1,11 @@
 """The NFS server: exports any vnode layer over the simulated network.
 
 The server is stateless in the NFS sense: it holds no per-client open
-state, every call is self-contained, and file handles remain valid across
-"reboots" of the server process (handles embed fileid + generation and are
-re-validated on every call).
+state and no handle table, and every call is self-contained.  A handle is
+the exported layer's own name for the object (``handle_for``), and each
+call hands it back to that layer (``vnode_for``), which rebuilds the vnode
+or answers ESTALE when the object is gone.  Nothing maps a handle to a
+vnode, so a handle stays valid across a reboot of the server host.
 
 Ficus uses this to place its logical and physical layers on different
 hosts: "The Ficus replication service layers are able to use NFS for
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import inspect
 
-from repro.errors import StaleFileHandle
 from repro.net import Network
 from repro.nfs.protocol import CARRIED_OPERATIONS, LookupReply, NfsHandle
 from repro.telemetry import NULL_TELEMETRY, Telemetry
@@ -37,9 +38,9 @@ from repro.vnode.interface import ROOT_CTX, FileSystemLayer, OpContext, Vnode
 class NfsServer:
     """Exports one vnode layer as an RPC service.
 
-    The exported layer should provide ``vnode_for(fileid)`` so that handles
-    can be re-materialized statelessly; a small handle table is kept purely
-    as a cache and can be dropped at any time (see :meth:`reboot`).
+    The exported layer makes and resolves the handles
+    (:meth:`FileSystemLayer.handle_for`, :meth:`FileSystemLayer.vnode_for`);
+    the server keeps none of them.
     """
 
     def __init__(
@@ -55,7 +56,6 @@ class NfsServer:
         self.exported = exported
         self.service = service
         self.telemetry = telemetry or NULL_TELEMETRY
-        self._vnode_cache: dict[int, Vnode] = {}
         network.register_rpc(addr, f"{service}.root", self._traced("root", self._serve_root))
         for op in CARRIED_OPERATIONS:
             network.register_rpc(addr, f"{service}.{op}", self._traced(op, self._carry(op)))
@@ -78,46 +78,11 @@ class NfsServer:
 
         return handler
 
-    # -- handle management -----------------------------------------------
-
-    def _handle_for(self, vnode: Vnode) -> NfsHandle:
-        attrs = vnode.getattr()
-        self._vnode_cache[attrs.fileid] = vnode
-        return NfsHandle(fileid=attrs.fileid, generation=attrs.generation)
-
-    def _resolve(self, handle: NfsHandle) -> Vnode:
-        """Re-materialize a vnode from a handle; ESTALE when it is gone."""
-        vnode = self._vnode_cache.get(handle.fileid)
-        if vnode is None:
-            rematerialize = getattr(self.exported, "vnode_for", None)
-            if rematerialize is None:
-                raise StaleFileHandle(f"no vnode for fileid {handle.fileid}")
-            try:
-                vnode = rematerialize(handle.fileid)
-            except Exception as exc:
-                raise StaleFileHandle(str(exc)) from exc
-            self._vnode_cache[handle.fileid] = vnode
-        attrs = vnode.getattr()
-        if attrs.generation != handle.generation:
-            self._vnode_cache.pop(handle.fileid, None)
-            raise StaleFileHandle(
-                f"fileid {handle.fileid}: generation {handle.generation} superseded by {attrs.generation}"
-            )
-        return vnode
-
-    def reboot(self) -> None:
-        """Simulate a server restart: the handle cache vanishes.
-
-        Statelessness means clients must not notice (their handles are
-        re-materialized via ``vnode_for`` on the next call).
-        """
-        self._vnode_cache.clear()
-
     # -- RPC operation handlers ----------------------------------------------
 
     def _reply(self, child: Vnode, ctx: OpContext) -> LookupReply:
         """A vnode-valued reply: the child's handle plus its attributes."""
-        return LookupReply(self._handle_for(child), child.getattr(ctx))
+        return LookupReply(NfsHandle(self.exported.handle_for(child)), child.getattr(ctx))
 
     def _serve_root(self, ctx: OpContext = ROOT_CTX) -> LookupReply:
         return self._reply(self.exported.root(), ctx)
@@ -139,11 +104,12 @@ class NfsServer:
         replies_vnode = _names_vnode(signature.return_annotation)
 
         def serve(handle: NfsHandle, *args: object, ctx: OpContext = ROOT_CTX, **kwargs: object):
-            vnode = self._resolve(handle)
+            vnode_for = self.exported.vnode_for
+            vnode = vnode_for(handle.key)
             if handles_at:
                 args = list(args)
                 for i in handles_at:
-                    args[i] = self._resolve(args[i])
+                    args[i] = vnode_for(args[i].key)
             reply = getattr(vnode, op)(*args, ctx=ctx, **kwargs)
             if replies_vnode:
                 return self._reply(reply, ctx)

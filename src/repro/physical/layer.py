@@ -14,6 +14,12 @@ A notification is one frozen :class:`UpdateNotification` and crosses the
 network as that value; a datagram of any other shape is not one and is
 ignored.  An update session is open or not: the logical layer counts its
 own opens of a file and brackets the physical session once.
+
+Exported over NFS, the layer names each vnode by what the dual mapping
+finds its storage by (:meth:`FicusPhysicalLayer.handle_for`) and rebuilds
+the vnode from the store on every call (:meth:`FicusPhysicalLayer.vnode_for`),
+so it keeps no table of the vnodes it handed out and a handle outlives a
+reboot of the host.
 """
 
 from __future__ import annotations
@@ -112,7 +118,6 @@ class FicusPhysicalLayer(FileSystemLayer):
         #: open update sessions, (store, file), each opened by its first update
         self._sessions: set[tuple[int, FicusFileHandle]] = set()
         self._new_versions: dict[NewVersionKey, NewVersionNote] = {}
-        self._registry: dict[int, Vnode] = {}
         #: count of updates made inside sessions, each session bumping once
         self.session_coalesced_updates = 0
         #: update notifications that made or refreshed a new-version note
@@ -165,7 +170,7 @@ class FicusPhysicalLayer(FileSystemLayer):
     def policy_for(self, volrep: VolumeReplicaId) -> StoragePolicy:
         return self._policies.get(volrep) or _FULL_POLICY
 
-    # -- vnode minting & NFS handle support -----------------------------------
+    # -- vnodes and their handles ---------------------------------------------
 
     def root(self) -> PhysicalRootVnode:
         return PhysicalRootVnode(self)
@@ -182,15 +187,30 @@ class FicusPhysicalLayer(FileSystemLayer):
     ) -> PhysicalFileVnode:
         return PhysicalFileVnode(self, store, parent_fh, fh, etype)
 
-    def register_vnode(self, fileid: int, vnode: Vnode) -> None:
-        """Remember fileid -> vnode so NFS handles can be re-resolved."""
-        self._registry[fileid] = vnode
+    def handle_for(self, vnode: Vnode) -> tuple:
+        """A directory's handle is (volume replica, its Ficus handle), a
+        file's (volume replica, its directory's handle, its handle, entry
+        type), the root's ``()``: what the dual mapping finds storage by,
+        so a handle outlives this instance.  Ficus ids are never reused, so
+        no generation is needed."""
+        if isinstance(vnode, PhysicalFileVnode):
+            return (vnode.store.volrep, vnode.parent_fh, vnode.fh, vnode.etype.value)
+        if isinstance(vnode, PhysicalDirVnode):
+            return (vnode.store.volrep, vnode.fh)
+        return ()
 
-    def vnode_for(self, fileid: int) -> Vnode:
-        vnode = self._registry.get(fileid)
-        if vnode is None:
-            raise StaleFileHandle(f"physical layer has no vnode for fileid {fileid}")
-        return vnode
+    def vnode_for(self, handle: tuple) -> Vnode:
+        """The vnode ``handle`` names, rebuilt from what the store holds
+        now; ``StaleFileHandle`` once the store no longer holds it."""
+        if not handle:
+            return self.root()
+        store = self.stores.get(handle[0])
+        if len(handle) == 2:
+            if store is not None and store.has_directory(handle[1]):
+                return self.dir_vnode(store, handle[1])
+        elif store is not None and store.has_file(handle[1], handle[2]):
+            return self.file_vnode(store, handle[1], handle[2], EntryType(handle[3]))
+        raise StaleFileHandle(f"{self.host_addr} no longer stores {handle}")
 
     # -- update sessions (opened by their first update, closed by session_close) --
 

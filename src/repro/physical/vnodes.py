@@ -205,9 +205,7 @@ class PhysicalDirVnode(Vnode):
     def getattr(self, ctx: OpContext = ROOT_CTX) -> FileAttributes:
         assert self.store.flushed(self.fh), "getattr of a directory with staged records"
         attrs = self._fdir_vnode().getattr(ctx)
-        attrs = dataclasses.replace(attrs, ftype=FileType.DIRECTORY)
-        self.layer.register_vnode(attrs.fileid, self)
-        return attrs
+        return dataclasses.replace(attrs, ftype=FileType.DIRECTORY)
 
     def setattr(self, attrs: SetAttrs, ctx: OpContext = ROOT_CTX) -> None:
         if attrs.size is not None:
@@ -577,7 +575,6 @@ class PhysicalFileVnode(Vnode):
         attrs = self._contents().getattr(ctx)
         if self.etype == EntryType.SYMLINK:
             attrs = dataclasses.replace(attrs, ftype=FileType.SYMLINK)
-        self.layer.register_vnode(attrs.fileid, self)
         return attrs
 
     @_spanned("physical.setattr")

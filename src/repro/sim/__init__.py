@@ -13,7 +13,6 @@ from repro.sim.topology import (
     TOPOLOGIES,
     FullMeshTopology,
     GossipTopology,
-    RingTopology,
     Topology,
     make_topology,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "PropagationStats",
     "ReconStats",
     "ReconciliationDaemon",
-    "RingTopology",
     "TOPOLOGIES",
     "Topology",
     "make_topology",

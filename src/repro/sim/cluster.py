@@ -86,6 +86,7 @@ class FicusHost:
         #: the consistency observability plane the first physical layer
         #: built; it survives crashes — it plays the flight recorder
         self.health_plane: HealthPlane = self.physical.health
+        self.health_plane.physical = self.physical
         self.nfs_server = NfsServer(
             network, name, self.physical, service=PHYSICAL_SERVICE, telemetry=self.telemetry
         )
@@ -109,10 +110,7 @@ class FicusHost:
 
     def health(self) -> HostHealth:
         """This host's consistency health as one structured record."""
-        return self.health_plane.host_health(
-            up=self.network.host_is_up(self.name),
-            notes_pending=self.physical.new_version_cache_size,
-        )
+        return self.health_plane.host_health()
 
     def crash(self) -> None:
         """Crash this host: unreachable, volatile state gone on restart."""
@@ -121,11 +119,12 @@ class FicusHost:
     def restart(self, system: "FicusSystem") -> None:
         """Reboot: remount the (surviving) disk, rebuild every layer.
 
-        Everything volatile — buffer cache, DNLC, NFS handle cache, new-
-        version cache, open sessions, grafts, peer health — is lost;
-        everything on the simulated disk (files, directories, version
-        vectors, tombstone state, id-mint counters) survives.  Persisted volume replicas are
-        re-attached by scanning the disk and recovered
+        Everything volatile — buffer cache, DNLC, new-version cache, open
+        sessions, grafts, peer health — is lost; everything on the
+        simulated disk (files, directories, version vectors, tombstone
+        state, id-mint counters) survives, and so does every NFS handle a
+        client holds, since it names what it addresses.  Persisted volume
+        replicas are re-attached by scanning the disk and recovered
         (:meth:`ReplicaStore.recover`): half-made directories and files
         dropped, and frees the crash cut short finished.
         """
@@ -147,10 +146,10 @@ class FicusHost:
             telemetry=self.telemetry,
         )
         self.physical.health = self.health_plane
+        self.health_plane.physical = self.physical
         for volrep in hosted:
             self.physical.attach_volume_replica(volrep).recover()
         self.nfs_server.exported = self.physical
-        self.nfs_server.reboot()
         self.fabric = Fabric(self.network, self.name, self.physical, telemetry=self.telemetry)
         self.logical = FicusLogicalLayer(
             self.network,
@@ -168,7 +167,7 @@ class FicusHost:
         self.recon_daemon.logical = self.logical
         # volatile policy state dies with the host: a rebooted host must not
         # keep routing around peers on pre-crash skip credits or resume a
-        # pre-crash ring/gossip schedule
+        # pre-crash gossip schedule
         self.health_plane.peer_health.reset()
         self.propagation_daemon.reboot()
         self.recon_daemon.reboot()
@@ -408,10 +407,9 @@ class FicusSystem:
         Runs topology rounds: each round gives every host's daemon enough
         ticks for one sweep of its strategy — under the default full mesh
         that is one tick per peer (the historical O(hosts x peers)
-        behavior, byte-identical), under ring/gossip a single tick whose
+        behavior, byte-identical), under gossip a single tick whose
         fanout the strategy chooses.  The default round count is the
-        topology's convergence bound: O(n) full-mesh/ring, O(log n)
-        gossip.
+        topology's convergence bound: O(n) full mesh, O(log n) gossip.
         """
         topology = self.topology
         if rounds is None:

@@ -76,7 +76,7 @@ class PropagationStats:
     #: notes left pending this tick because their source is degraded
     notes_deferred: int = 0
     #: notes left pending because their source was outside the topology's
-    #: fanout this tick (ring/gossip only; full mesh never gates)
+    #: fanout this tick (gossip only; full mesh never gates)
     notes_gated: int = 0
     #: ``file`` notes dropped because no live, wanted entry names the file
     #: any more (it was unlinked here while the note sat queued)
@@ -168,7 +168,7 @@ class PropagationDaemon:
         Notes from a degraded source (one that kept failing while
         reachable) stay pending for a few ticks instead of burning a full
         retry cycle each round; reconciliation covers the gap regardless.
-        Under a ring/gossip topology only notes whose source falls inside
+        Under a gossip topology only notes whose source falls inside
         this tick's fanout are serviced — the rest stay pending for a
         tick where their source is selected, bounding the number of
         distinct peers one round contacts.
@@ -178,7 +178,6 @@ class PropagationDaemon:
             # idle fast path: an empty cache means no note can be aged,
             # skipped, or serviced — one length check and out (this is
             # the common case for every quiescent host in a large sim)
-            physical.health.notes_pending = 0
             return 0
         now = physical.clock.now()
         notes = physical.pending_new_versions()
@@ -203,9 +202,7 @@ class PropagationDaemon:
                 continue
             key = (note.src_addr, note.src_volrep, note.key.volrep, note.key.parent_fh.logical)
             groups.setdefault(key, []).append(note)
-        pulled = sum(self._service_group(group) for group in groups.values())
-        physical.health.notes_pending = physical.new_version_cache_size
-        return pulled
+        return sum(self._service_group(group) for group in groups.values())
 
     def _service_group(self, group: list[NewVersionNote]) -> int:
         """Service one (source, directory) group.  Each note keeps its own
@@ -280,7 +277,7 @@ class PropagationDaemon:
 @dataclass
 class ReconStats:
     runs: int = 0
-    #: peers the ring/gossip topology put inside a tick's fanout
+    #: peers the gossip topology put inside a tick's fanout
     peers_selected: int = 0
     #: ring peers passed over this-and-previous ticks because they kept
     #: failing while reachable (degraded), letting the round do useful
@@ -357,8 +354,8 @@ class ReconciliationDaemon:
 
         Under the default full mesh every peer is a candidate and the
         rotating ring cursor picks one, exactly the historical behavior.
-        Under ring/gossip the topology names this tick's fanout — one
-        successor, or an O(log n) deterministic sample — and the daemon
+        Under gossip the topology names this tick's fanout — an O(log n)
+        deterministic sample — and the daemon
         reconciles with every usable peer in it.  Degraded peers (failing
         while reachable) are passed over for a few ticks so the round
         does useful work against someone else instead of stalling on

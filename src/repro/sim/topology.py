@@ -1,4 +1,4 @@
-"""Peer-selection topologies: full-mesh, ring, and gossip anti-entropy.
+"""Peer-selection topologies: full-mesh and gossip anti-entropy.
 
 The paper's reconciliation daemon "periodically reconciles each hosted
 volume replica against one remote peer, rotating around the replica
@@ -12,9 +12,6 @@ consider this tick?" for both background daemons:
   the daemon picks one by rotating its ring cursor.  This is the
   historical behavior, byte-identical, and remains the default; at n
   hosts a convergence sweep costs O(n) pairwise rounds per host.
-* :class:`RingTopology` — one peer per tick, starting from this host's
-  successor in the sorted host ring and rotating from there.  Constant
-  per-round load; information crosses the ring in O(n) rounds.
 * :class:`GossipTopology` — a deterministic per-``(seed, host, tick)``
   sample of ``O(log n)`` peers per tick.  Rumor-style doubling converges
   a divergent replica set in O(log n) rounds at O(log n) per-host load
@@ -36,7 +33,6 @@ from collections.abc import Sequence
 __all__ = [
     "FullMeshTopology",
     "GossipTopology",
-    "RingTopology",
     "TOPOLOGIES",
     "Topology",
     "make_topology",
@@ -67,7 +63,7 @@ class Topology:
     ``select`` returns *indices* into the caller's peer list, in the
     order the daemon should try them.  ``reconcile_selected`` says what
     the reconciliation daemon does with the selection: reconcile every
-    usable selected peer (ring/gossip — the selection *is* the round's
+    usable selected peer (gossip — the selection *is* the round's
     fanout) or only the first usable one (full mesh, where the selection
     is "everyone" and the daemon's rotating cursor provides fairness).
     """
@@ -126,36 +122,6 @@ class FullMeshTopology(Topology):
         return max(2, host_count)
 
 
-class RingTopology(Topology):
-    """One peer per tick, rotating from this host's ring successor.
-
-    Deterministic and coordination-free: every host sorts the peer set
-    the same way, starts at its own successor, and advances one position
-    per tick, so a quiescent ring carries an update all the way around
-    in at most n rounds at constant per-host load.
-    """
-
-    name = "ring"
-
-    def fanout(self, peer_count: int) -> int:
-        return 1 if peer_count else 0
-
-    def select(self, host: str, peer_hosts: Sequence[str], tick: int) -> list[int]:
-        n = len(peer_hosts)
-        if not n:
-            return []
-        ordered = sorted(range(n), key=lambda i: peer_hosts[i])
-        successor = next(
-            (pos for pos, i in enumerate(ordered) if peer_hosts[i] > host), 0
-        )
-        return [ordered[(successor + tick) % n]]
-
-    def default_rounds(self, host_count: int) -> int:
-        # information moves one ring hop per round; double for the pulls
-        # the first lap itself reveals
-        return max(2, 2 * host_count)
-
-
 class GossipTopology(Topology):
     """O(log n) peers per tick, sampled deterministically per host/tick.
 
@@ -185,7 +151,6 @@ class GossipTopology(Topology):
 
 TOPOLOGIES: dict[str, type[Topology]] = {
     FullMeshTopology.name: FullMeshTopology,
-    RingTopology.name: RingTopology,
     GossipTopology.name: GossipTopology,
 }
 

@@ -313,7 +313,11 @@ class HealthPlane:
         #: moment we first started tracking the peer): the wall-clock
         #: staleness SLO is ``now - this``
         self._fresh_since: dict[str, float] = {}
-        self.notes_pending = 0
+        #: the host's live physical layer, whose new-version cache is
+        #: ``notes_pending`` and whose network says whether the host is up
+        #: (set by the host, and pointed at the rebuilt layer by a reboot;
+        #: a plane without one reports a host that is up, nothing pending)
+        self.physical = None
         #: the host's one record of flapping peers; like the plane it
         #: outlives a crash, so a reboot resets it
         self.peer_health = PeerHealth()
@@ -334,7 +338,7 @@ class HealthPlane:
     def _gauges(self) -> dict[str, int]:
         gauges = {
             f"divergence_suspected.{self.host}": len(self._suspected),
-            f"notes_pending.{self.host}": self.notes_pending,
+            f"notes_pending.{self.host}": self._notes_pending(),
         }
         for peer, ticks in self._staleness.items():
             gauges[f"staleness_ticks.{self.host}.{peer}"] = ticks
@@ -471,14 +475,17 @@ class HealthPlane:
 
     # -- rendering ---------------------------------------------------------
 
-    def host_health(self, up: bool = True, notes_pending: int | None = None) -> HostHealth:
-        if notes_pending is not None:
-            self.notes_pending = notes_pending
+    def _notes_pending(self) -> int:
+        return 0 if self.physical is None else self.physical.new_version_cache_size
+
+    def host_health(self) -> HostHealth:
+        """The host's health as it is now: every field read live."""
+        network = None if self.physical is None else self.physical.network
         return HostHealth(
             host=self.host,
-            up=up,
+            up=network is None or network.host_is_up(self.host),
             topology=self.topology,
-            notes_pending=self.notes_pending,
+            notes_pending=self._notes_pending(),
             staleness_ticks=dict(self._staleness),
             staleness_seconds=self.staleness_seconds(),
             suspected=self.suspected_by_volume(),

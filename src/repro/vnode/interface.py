@@ -361,6 +361,12 @@ class FileSystemLayer(abc.ABC):
     A layer exposes a root vnode; everything else is reached via lookup.
     A layer does not count its own operations: stack a
     :class:`~repro.layers.monitor.MonitorLayer` where the counts are wanted.
+
+    A layer an NFS server exports also names its vnodes: ``handle_for``
+    gives a vnode's handle, a tuple the layer alone reads, and
+    ``vnode_for`` rebuilds the vnode from it.  A handle names the object,
+    not anything the layer keeps in memory, so it outlives the layer's
+    instance; the two are layer methods, never vnode operations.
     """
 
     layer_name = "layer"
@@ -368,6 +374,15 @@ class FileSystemLayer(abc.ABC):
     @abc.abstractmethod
     def root(self) -> Vnode:
         """The root vnode of this layer."""
+
+    def handle_for(self, vnode: Vnode) -> tuple:
+        """The handle naming ``vnode``, one of this layer's."""
+        raise NotSupported(f"{self.layer_name} cannot be exported")
+
+    def vnode_for(self, handle: tuple) -> Vnode:
+        """The vnode ``handle`` names; ``StaleFileHandle`` when its object
+        is gone."""
+        raise NotSupported(f"{self.layer_name} cannot be exported")
 
     def unmount(self) -> None:
         """Release resources (default: nothing to do)."""

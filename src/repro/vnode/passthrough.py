@@ -172,6 +172,12 @@ class NullLayer(FileSystemLayer):
     def root(self) -> PassthroughVnode:
         return self.wrap(self.lower_layer.root())
 
+    def handle_for(self, vnode: PassthroughVnode) -> tuple:
+        return self.lower_layer.handle_for(vnode.lower)
+
+    def vnode_for(self, handle: tuple) -> PassthroughVnode:
+        return self.wrap(self.lower_layer.vnode_for(handle))
+
 
 def build_null_stack(base: FileSystemLayer, depth: int) -> FileSystemLayer:
     """Stack ``depth`` null layers over ``base`` and return the top layer."""

@@ -7,7 +7,7 @@ vnode interface, making it a drop-in bottom layer.
 
 from __future__ import annotations
 
-from repro.errors import FicusError, InvalidArgument, PermissionDenied
+from repro.errors import FicusError, FileNotFound, InvalidArgument, PermissionDenied, StaleFileHandle
 from repro.ufs import ROOT_INO, FileType, Ufs
 from repro.ufs.inode import FileAttributes
 from repro.vnode.interface import (
@@ -160,7 +160,18 @@ class UfsLayer(FileSystemLayer):
     def root(self) -> UfsVnode:
         return UfsVnode(self, ROOT_INO)
 
-    def vnode_for(self, ino: int) -> UfsVnode:
-        """Re-materialize a vnode from a stable inode number (NFS server use)."""
-        self.fs.get_inode(ino)  # validates liveness
+    def handle_for(self, vnode: UfsVnode) -> tuple[int, int]:
+        """(ino, generation): a freed inode keeps its generation and the
+        next file in its slot gets a larger one, so a deleted file's
+        handle never names its successor."""
+        return (vnode.ino, self.fs.get_inode(vnode.ino).generation)
+
+    def vnode_for(self, handle: tuple[int, int]) -> UfsVnode:
+        ino, generation = handle
+        try:
+            alive = self.fs.get_inode(ino).generation == generation
+        except FileNotFound:
+            alive = False
+        if not alive:
+            raise StaleFileHandle(f"inode {ino} generation {generation} is gone")
         return UfsVnode(self, ino)

@@ -84,8 +84,8 @@ class ChaosConfig:
     #: append-log operations into the schedule (False keeps the rng
     #: schedule of resolver-free seeds byte-identical)
     resolvers: bool = False
-    #: peer-selection strategy both daemons run ("full_mesh", "ring",
-    #: "gossip"); full_mesh replays historical schedules byte-identically,
+    #: peer-selection strategy both daemons run ("full_mesh" or "gossip");
+    #: full_mesh replays historical schedules byte-identically,
     #: and the gossip schedule is seeded from the chaos seed so a failing
     #: run replays its peer selections exactly
     topology: str = "full_mesh"

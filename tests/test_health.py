@@ -183,6 +183,27 @@ class TestFlightRecorder:
         assert dumped["degraded_peers"] == a.health().degraded_peers == ["b"]
         assert a.health_plane.peer_health is a.logical.health.peer_health
 
+    def test_dump_reads_the_live_notes_and_up(self):
+        """A dump's health line is the host's live health: its pending
+        notes are the new-version cache as it is, and a crashed host is
+        down, whatever was last rendered or ticked."""
+        system = FicusSystem(["a", "b"], daemon_config=QUIET, telemetry=Telemetry())
+        a_fs, b = system.host("a").fs(), system.host("b")
+        a_fs.write_file("/one", b"1")
+        assert b.health().notes_pending == 1
+        a_fs.write_file("/two", b"2")
+        dumped = b.health_plane.anomaly("probe")["health"]
+        gauge = system.telemetry.metrics.get("health.notes_pending.b").value
+        assert dumped["notes_pending"] == b.health().notes_pending == gauge == 2
+        assert b.physical.new_version_cache_size == 2
+        b.crash()
+        assert b.health_plane.anomaly("probe")["health"]["up"] is b.health().up is False
+        b.restart(system)  # the new-version cache is volatile
+        a_fs.write_file("/three", b"3")
+        dumped = b.health_plane.anomaly("probe")["health"]
+        gauge = system.telemetry.metrics.get("health.notes_pending.b").value
+        assert (dumped["up"], dumped["notes_pending"], gauge) == (True, 1, 1)
+
     def test_dump_labels_file_ops_by_handle_and_notifications_by_sender(self, tmp_path):
         """A dump names a file op's target by the file's hex handle and a
         heard update notification as ``"<src>:<hex>"``."""

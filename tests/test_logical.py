@@ -12,6 +12,7 @@ from repro.errors import (
     IOError_,
     IsADirectory,
     NotADirectory,
+    StaleFileHandle,
 )
 from repro.nfs import NfsClientLayer
 from repro.physical import FicusPhysicalLayer
@@ -432,10 +433,25 @@ class TestCrossVolumeRestrictions:
             other.link(f, "bad")
 
 
+def record_rpcs(system, monkeypatch) -> list[str]:
+    """The operation of every RPC sent from now on, in order."""
+    sent = []
+    rpc = system.network.rpc
+
+    def recording(src, dst, service, *args, **kwargs):
+        sent.append(service.split(".", 1)[1])
+        return rpc(src, dst, service, *args, **kwargs)
+
+    monkeypatch.setattr(system.network, "rpc", recording)
+    return sent
+
+
 class TestStaleHandles:
-    """One rule for a held handle that went stale: drop the directory's
-    handles on every replica, resolve the session's pin afresh, retry once.
-    The client is diskless, so every handle it holds is an NFS handle."""
+    """A held handle names what it addresses, so it outlives a reboot of
+    the server; it goes stale only when its object is removed there.  One
+    rule for that: drop the directory's handles on every replica, resolve
+    the session's pin afresh, retry once.  The client is diskless, so
+    every handle it holds is an NFS handle."""
 
     @pytest.fixture
     def world(self):
@@ -490,15 +506,68 @@ class TestStaleHandles:
         node.setattr(SetAttrs(size=4))
         assert fs.read_file("/d/f") == b"vers"
 
-    def test_server_reboot_between_two_warm_reads(self, world):
+    def test_server_reboot_between_two_warm_reads(self, world, monkeypatch):
         system, fs = world
-        assert fs.read_file("/d/f") == b"version one"
-        self.reboot_servers(system)
         stats = system.host("cl").logical.attr_cache.stats
-        before = stats.invalidations
         assert fs.read_file("/d/f") == b"version one"
-        # the warm path really did run into the dead handles and drop them
-        assert stats.invalidations > before
+        sent = record_rpcs(system, monkeypatch)
+        assert fs.read_file("/d/f") == b"version one"
+        warm, before = list(sent), stats.invalidations
+        self.reboot_servers(system)
+        sent.clear()
+        assert fs.read_file("/d/f") == b"version one"
+        # the held handles still name the file and its directory
+        assert sent == warm == ["read"]
+        assert stats.invalidations == before
+
+    def test_held_handles_outlive_a_server_restart(self, world, monkeypatch):
+        """A held file handle (an open session's) and held directory
+        handles (the directory an update reads, then inserts into) cost
+        after both servers restart exactly what they cost before."""
+        system, fs = world
+        stats = system.host("cl").logical.attr_cache.stats
+        sent = record_rpcs(system, monkeypatch)
+        costs = []
+        with fs.open("/d/f", "r") as session:
+            for name in ("warm", "before", "after"):
+                if name == "after":
+                    self.reboot_servers(system)
+                sent.clear()
+                before = stats.invalidations
+                session.seek(0)
+                assert session.read(64) == b"version one"
+                fs.mkdir(f"/d/{name}")
+                costs.append((list(sent), stats.invalidations - before))
+        assert costs[1] == costs[2]
+        assert costs[2][0] == ["read", "getattrs_batch", "read", "insert"]
+
+    def test_a_file_removed_at_the_server_is_resolved_afresh(self, world):
+        """Removed at the replica a client read it from, a file's physical
+        handle is refused with ESTALE; the logical read re-resolves under
+        the stale-handle rule and is served by the replica still storing
+        it."""
+        system, fs = world
+        node = fs.resolve("/d/f")  # read outside a session: no replica is pinned
+        assert node.read(0, 64) == b"version one"  # cl holds f's handles
+        stats = system.network.stats
+        before = {name: stats.peer("cl", name).rpcs for name in ("a", "b")}
+        assert node.read(0, 64) == b"version one"
+        held = next(name for name in ("a", "b") if stats.peer("cl", name).rpcs > before[name])
+        other = "b" if held == "a" else "a"
+        # removed behind the client's back: the physical layer sends no
+        # notification, so every cache at cl still holds the old handles
+        server = system.host(held)
+        d_fh = server.fs().resolve("/d").fh
+        volrep = next(loc.volrep for loc in system.root_locations if loc.host == held)
+        directory = server.physical.dir_vnode(server.physical.store_for(volrep), d_fh)
+        entry = next(e for e in directory.entries() if e.name == "f")
+        remote = system.host("cl").fabric.volume_root(held, volrep).lookup_fh(d_fh).lookup_fh(entry.fh)
+        directory.apply_remove(entry.eid)
+        with pytest.raises(StaleFileHandle):
+            remote.read(0, 1)
+        served = stats.peer("cl", other).rpcs
+        assert node.read(0, 64) == b"version one"
+        assert stats.peer("cl", other).rpcs > served
 
     def test_server_reboot_before_a_warm_stat(self, world):
         system, fs = world
@@ -526,8 +595,8 @@ class TestStaleHandles:
              "rmdir", "rename"],
     )
     def test_server_reboot_before_a_directory_operation(self, world, operation):
-        """A held *directory* handle goes stale like a file's; every
-        directory operation re-resolves it under the same rule."""
+        """A held *directory* handle outlives a reboot like a file's: every
+        directory operation goes through on it."""
         system, fs = world
         system.host("a").fs().mkdir("/d/e")
         system.reconcile_everything()
@@ -546,30 +615,24 @@ class TestStaleHandles:
             f.write(b" 1.5")
         assert fs.read_file("/d/f") == b"version 1.5"
 
-    @pytest.mark.parametrize("handle_goes_stale", [True, False], ids=["estale", "no-estale"])
-    def test_a_session_the_reboot_forgot_still_notifies_once(self, world, handle_goes_stale):
+    @pytest.mark.parametrize("rebooted", [("a", "b"), ("a",)], ids=["every-server", "pinned-server"])
+    def test_a_session_the_reboot_forgot_still_notifies_once(self, world, rebooted):
         """The reboot comes before the session's first write, which carries
         the session: the rebooted server opens a fresh one at that write,
-        and the close ends it there and sends the one notification.
-        Without ESTALE the handle resolves again because the pinned host
-        itself read the file's attributes after its restart."""
+        and the close ends it there and sends the one notification.  The
+        pinned handles outlive the reboot, so nothing is resolved again."""
         system, fs = world
         logical = system.host("cl").logical
         with fs.open("/d/f", "r+") as f:
             f.read(7)
-            if handle_goes_stale:
-                self.reboot_servers(system)
-            else:
-                a = system.host("a")
-                a.crash()
-                a.restart(system)
-                assert a.fs().stat("/d/f").size == 11
+            for name in rebooted:
+                system.host(name).crash()
+                system.host(name).restart(system)
             invalidations = logical.attr_cache.stats.invalidations
             sent = logical.notifications_sent
             f.write(b" 1.5")
             assert logical.notifications_sent == sent
-            went_stale = logical.attr_cache.stats.invalidations > invalidations
-            assert went_stale == handle_goes_stale
+            assert logical.attr_cache.stats.invalidations == invalidations
         assert logical.notifications_sent == sent + 1
         system.reconcile_everything()
         assert system.host("b").fs().read_file("/d/f") == b"version 1.5"
@@ -588,22 +651,10 @@ class TestKeptRoots:
         beta_volrep = next(loc.volrep for loc in system.root_locations if loc.host == "beta")
         return system, alpha, beta_volrep, alpha.root().lookup("d").fh
 
-    @staticmethod
-    def record_rpcs(system, monkeypatch) -> list[str]:
-        sent = []
-        rpc = system.network.rpc
-
-        def recording(src, dst, service, *args, **kwargs):
-            sent.append(service.split(".", 1)[1])
-            return rpc(src, dst, service, *args, **kwargs)
-
-        monkeypatch.setattr(system.network, "rpc", recording)
-        return sent
-
     def test_a_cold_selection_through_a_kept_root_sends_no_root(self, world, monkeypatch):
         system, alpha, beta_volrep, d_fh = world
         alpha.fabric.volume_root("beta", beta_volrep)
-        sent = self.record_rpcs(system, monkeypatch)
+        sent = record_rpcs(system, monkeypatch)
         alpha.fs().write_file("/d/f", b"x")  # selects /d on both replicas
         assert "lookup_fh" in sent
         assert "root" not in sent and "lookup" not in sent
@@ -618,7 +669,7 @@ class TestKeptRoots:
         assert system.network.stats.rpcs_sent == rpcs
         assert system.clock.now() == now
 
-    def test_a_peer_reboot_costs_one_fresh_root(self, world, monkeypatch):
+    def test_a_peer_reboot_costs_nothing(self, world, monkeypatch):
         system, alpha, beta_volrep, d_fh = world
 
         def read_d(root):
@@ -628,9 +679,8 @@ class TestKeptRoots:
         beta = system.host("beta")
         beta.crash()
         beta.restart(system)
-        sent = self.record_rpcs(system, monkeypatch)
-        # the held handles of /d and of the root are stale at beta now,
-        # and so are the lookups alpha's NFS client cached: one failure,
-        # one fresh root, and the call goes through
+        sent = record_rpcs(system, monkeypatch)
+        # the kept root, and the lookup of /d alpha's NFS client cached,
+        # name what they did before the reboot: the call is its one RPC
         assert alpha.fabric.at_replica("beta", beta_volrep, read_d).dir_aux is not None
-        assert sent == ["getattrs_batch", "root", "lookup", "lookup_fh", "getattrs_batch"]
+        assert sent == ["getattrs_batch"]

@@ -123,38 +123,46 @@ class TestDroppedOpenClose:
         assert net.stats.rpcs_sent == rpcs
 
 
+def reboot_export(net, layer):
+    """A server reboot: a fresh NfsServer over the exported layer takes the
+    first one's place, so nothing the first one held is left."""
+    NfsServer(net, "server", layer)
+
+
 class TestStatelessness:
     def test_handles_survive_server_reboot(self, world):
-        _, _, server, client = world
+        net, ufs_layer, _, client = world
         f = client.root().create("f")
         f.write(0, b"before reboot")
-        server.reboot()
+        reboot_export(net, ufs_layer)
+        rpcs = net.stats.rpcs_sent
         assert f.read(0, 100) == b"before reboot"
+        assert net.stats.rpcs_sent == rpcs + 1
 
     def test_stale_handle_after_delete_and_reuse(self, world):
         """A handle to a deleted file must fail ESTALE even if the fileid
         is recycled for a new file (generation check)."""
-        _, ufs_layer, server, client = world
+        net, ufs_layer, _, client = world
         root = client.root()
         f = root.create("victim")
         root.remove("victim")
-        server.reboot()
+        reboot_export(net, ufs_layer)
         client.flush_caches()
         # recycle the same ino for a fresh file
-        root.create("newcomer")
+        assert root.create("newcomer").handle.key[0] == f.handle.key[0]
         with pytest.raises(StaleFileHandle):
             f.read(0, 1)
 
     def test_stale_link_target_is_refused(self, world):
         """The second handle of a call is checked like the first: a link
         to a deleted file fails ESTALE even after its fileid is reused."""
-        _, _, server, client = world
+        net, ufs_layer, _, client = world
         root = client.root()
         victim = root.create("victim")
         root.remove("victim")
-        server.reboot()
+        reboot_export(net, ufs_layer)
         client.flush_caches()
-        assert root.create("newcomer").handle.fileid == victim.handle.fileid
+        assert root.create("newcomer").handle.key[0] == victim.handle.key[0]
         with pytest.raises(StaleFileHandle):
             root.link(victim, "alias")
         assert root.lookup("newcomer").getattr().nlink == 1
@@ -162,19 +170,53 @@ class TestStatelessness:
             root.lookup("alias")
 
     def test_stale_rename_destination_is_refused(self, world):
-        _, _, server, client = world
+        net, ufs_layer, _, client = world
         root = client.root()
         root.create("f")
         gone = root.mkdir("d")
         root.rmdir("d")
-        server.reboot()
+        reboot_export(net, ufs_layer)
         client.flush_caches()
         newcomer = root.mkdir("e")
-        assert newcomer.handle.fileid == gone.handle.fileid
+        assert newcomer.handle.key[0] == gone.handle.key[0]
         with pytest.raises(StaleFileHandle):
             root.rename("f", gone, "g")
         assert [e.name for e in root.readdir() if e.name in ("f", "g")] == ["f"]
         assert "g" not in [e.name for e in newcomer.readdir()]
+
+    def test_a_stacked_export_keeps_its_handles_across_a_reboot(self, world):
+        """A layer stacked on UFS names its vnodes by the handles of the
+        layer below, so its export outlives a reboot just the same, and
+        refuses a deleted file's handle just the same."""
+        net, ufs_layer, _, _ = world
+        monitor = MonitorLayer(ufs_layer)
+        reboot_export(net, monitor)
+        client = NfsClientLayer(net, "client", "server")
+        root = client.root()
+        f = root.create("f")
+        f.write(0, b"kept")
+        victim = root.create("victim")
+        root.remove("victim")
+        reboot_export(net, MonitorLayer(ufs_layer))
+        assert f.read(0, 10) == b"kept"
+        newcomer = root.create("newcomer").handle
+        assert newcomer.key[0] == victim.handle.key[0] and newcomer != victim.handle
+        with pytest.raises(StaleFileHandle):
+            victim.read(0, 1)
+
+    def test_a_call_reaches_the_exported_layer_as_itself_alone(self, world):
+        """The server resolves a handle without asking the layer anything:
+        a read is one ``read`` at the layer, never a ``getattr`` beside it."""
+        net, ufs_layer, _, _ = world
+        monitor = MonitorLayer(ufs_layer)
+        reboot_export(net, monitor)
+        f = NfsClientLayer(net, "client", "server").root().create("f")
+        f.write(0, b"x")
+        getattrs = monitor.profile["getattr"].calls
+        for _ in range(3):
+            assert f.read(0, 1) == b"x"
+        assert monitor.profile["read"].calls == 3
+        assert monitor.profile["getattr"].calls == getattrs
 
     def test_write_retry_is_idempotent(self, world):
         """Stateless ops can be retransmitted without harm."""

@@ -292,7 +292,7 @@ def _health_gauges(system: FicusSystem) -> dict[str, int]:
     for name, host in system.hosts.items():
         health = host.health()
         out[f"divergence_suspected.{name}"] = sum(len(p) for p in health.suspected.values())
-        out[f"notes_pending.{name}"] = host.health_plane.notes_pending
+        out[f"notes_pending.{name}"] = health.notes_pending
         for peer, ticks in health.staleness_ticks.items():
             out[f"staleness_ticks.{name}.{peer}"] = ticks
     return out

@@ -3,8 +3,8 @@
 Three groups:
 
 * the strategy layer itself — deterministic peer sampling, O(log n)
-  fanout, ring rotation, the factory;
-* convergence parity — full mesh, ring, and gossip drive the same
+  fanout, the factory;
+* convergence parity — full mesh and gossip drive the same
   divergent cluster to the *same* converged tree, and chaos stays green
   under gossip;
 * regression tests for the daemon health-accounting bugs fixed
@@ -19,7 +19,6 @@ from repro.sim import (
     FicusSystem,
     FullMeshTopology,
     GossipTopology,
-    RingTopology,
     Topology,
     make_topology,
 )
@@ -39,8 +38,8 @@ class TestFactory:
         assert topology.seed == 7
 
     def test_instance_passes_through(self):
-        ring = RingTopology()
-        assert make_topology(ring) is ring
+        gossip = GossipTopology(seed=2)
+        assert make_topology(gossip) is gossip
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
@@ -86,19 +85,6 @@ class TestGossipSampling:
         assert all(0 <= index < len(peers) for index in chosen)
 
 
-class TestRingSelection:
-    def test_rotating_successor_covers_every_peer(self):
-        peers = ["b", "c", "d", "e"]
-        topology = RingTopology()
-        visited = [topology.select("a", peers, tick)[0] for tick in range(len(peers))]
-        assert sorted(visited) == list(range(len(peers)))
-
-    def test_one_partner_per_tick(self):
-        topology = RingTopology()
-        assert topology.fanout(17) == 1
-        assert len(topology.select("m", [f"h{i}" for i in range(17)], 4)) == 1
-
-
 class TestFullMeshCompatibility:
     def test_selects_every_peer_every_tick(self):
         topology = FullMeshTopology()
@@ -142,7 +128,7 @@ def _diverge_and_reconcile(topology_name: str):
 
 
 class TestConvergenceParity:
-    @pytest.mark.parametrize("topology", ["full_mesh", "ring", "gossip"])
+    @pytest.mark.parametrize("topology", ["full_mesh", "gossip"])
     def test_partition_era_updates_converge(self, topology):
         views = _diverge_and_reconcile(topology)
         assert all(view == views[0] for view in views[1:])
@@ -152,8 +138,7 @@ class TestConvergenceParity:
     def test_every_topology_reaches_the_same_tree(self):
         """Same writes, same seeds: the converged tree must not depend on
         which anti-entropy schedule carried the updates."""
-        results = {name: _diverge_and_reconcile(name) for name in ("full_mesh", "ring", "gossip")}
-        assert results["ring"][0] == results["full_mesh"][0]
+        results = {name: _diverge_and_reconcile(name) for name in ("full_mesh", "gossip")}
         assert results["gossip"][0] == results["full_mesh"][0]
 
     @pytest.mark.parametrize("seed", [11, 17])

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.errors import FileNotFound, NotSupported, PermissionDenied
+from repro.errors import FileNotFound, NotSupported, PermissionDenied, StaleFileHandle
 from repro.layers import AccessPolicy, AuthLayer, MonitorLayer
 from repro.net import Network
 from repro.nfs import NfsServer
@@ -110,10 +110,15 @@ class TestUfsLayer:
 
     def test_vnode_for_rejects_dead_ino(self, ufs_layer, root):
         f = root.create("f")
-        ino = f.getattr().fileid
+        handle = ufs_layer.handle_for(f)
+        assert ufs_layer.vnode_for(handle) == f
         root.remove("f")
-        with pytest.raises(FileNotFound):
-            ufs_layer.vnode_for(ino)
+        with pytest.raises(StaleFileHandle):
+            ufs_layer.vnode_for(handle)
+        # the next file in the slot has a larger generation: still refused
+        assert ufs_layer.handle_for(root.create("g"))[0] == handle[0]
+        with pytest.raises(StaleFileHandle):
+            ufs_layer.vnode_for(handle)
 
     def test_counters_track_operations(self, ufs_layer):
         """A layer does not count itself; a monitor stacked on it counts

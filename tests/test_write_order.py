@@ -1033,7 +1033,7 @@ SWEEP = {
     ),
     # the entry replay outside a propagation group: the new entry, the
     # tombstone (and the storage it frees) and the merged vector in one
-    # flush; the files follow in the settling sweeps
+    # flush; the files follow in the settling sweep
     "directory reconcile": (
         "beta",
         three_updates_unheard_at_beta,
@@ -1179,8 +1179,7 @@ def test_crash_after_every_write_of_an_operation(scenario):
         # storage whose entry was never published is all ficus_fsck may find
         assert all("stray object" in problem for problem in ficus), (where, ficus)
 
-        for _ in range(2):
-            system.reconcile_everything()
+        system.reconcile_everything()
         alpha, beta = (system.host(name) for name in ("alpha", "beta"))
         (a,), (b,) = alpha.physical.stores.values(), beta.physical.stores.values()
         divergence = diff_replicas(a, b)

@@ -54,32 +54,35 @@ def _selection_rpcs(system: FicusSystem, host: str) -> int:
 #: and its close send nothing: a read has no update session); a stat
 #: (inside the NFS attribute TTL) and a listdir send nothing; a missing
 #: name costs the one directory re-read that verifies it.
-#: ``after_write.*`` is the first such call in a directory after the
-#: client's own ``write_file`` there dropped the batch of the one replica
-#: it changed (the session sends one notification, at close, and the
-#: client's replicas are all remote, so nothing is written through; the
-#: other two replicas' batches stay): one batched fetch and one directory
-#: read on top.  A namespace op on a warm directory is the update
+#: An ``overwrite`` (``write_file`` of a warm file, as long as before) is
+#: the ``write`` that opens the session and ``session_close``: the write's
+#: reply carries the file's attributes, so no trim is sent for a length
+#: that did not grow shorter, and the close's reply carries the file's
+#: record, which the client merges into the batch of the replica it
+#: changed.  So ``after_write.*``, the first such call in a directory
+#: after the client's own ``write_file`` there, costs what it costs with
+#: no write before it.  A namespace op on a warm directory is the update
 #: replica's directory read plus one ``insert`` or ``remove_entry`` (the
 #: insert's reply is the entry: nothing is read back); ``write_file`` of a
 #: new name adds the one batch refetch of the replica the create changed,
 #: on the open's selection, and a write session behind one ``lookup_fh``:
-#: the ``write`` that opens it, the size ``setattr`` and
-#: ``session_close``.  ARCHITECTURE.md tables these counts.
+#: the ``write`` that opens it and ``session_close`` (a new file is empty,
+#: so nothing is trimmed).  ARCHITECTURE.md tables these counts.
 WARM_OP_BUDGETS = {
     "read_file": 1,
     "stat": 0,
     "listdir": 0,
     "exists_missing": 1,
-    "after_write.read_file": 3,
-    "after_write.stat": 2,
-    "after_write.listdir": 2,
-    "after_write.exists_missing": 2,
+    "overwrite": 2,
+    "after_write.read_file": 1,
+    "after_write.stat": 0,
+    "after_write.listdir": 0,
+    "after_write.exists_missing": 1,
     "mkdir": 2,
     "unlink": 2,
     "rename": 4,
     "link": 2,
-    "write_file_new": 9,
+    "write_file_new": 8,
 }
 
 
@@ -108,6 +111,9 @@ def warm_op_rpcs() -> dict[str, int]:
             before = system.network.stats.rpcs_sent
             op()
             out[prefix + name] = system.network.stats.rpcs_sent - before
+    before = system.network.stats.rpcs_sent
+    client.write_file("/d/f2", b"rewritten")
+    out["overwrite"] = system.network.stats.rpcs_sent - before
     namespace_ops = {
         "mkdir": lambda: client.mkdir("/d/sub"),
         "unlink": lambda: client.unlink("/d/f3"),

@@ -135,6 +135,12 @@ class FicusFile:
     def tell(self) -> int:
         return self._offset
 
+    def size(self) -> int:
+        """The open file's length, from ``getattr`` through it: over NFS,
+        the attributes the client holds while they are fresh."""
+        self._check_open()
+        return self._vnode.getattr(self._ctx).size
+
     def truncate(self, size: int) -> None:
         self._check_open()
         if not self._writable:
@@ -313,14 +319,21 @@ class FicusFileSystem:
 
         Writes over the old bytes and then trims to the new length, rather
         than truncating first: the blocks about to be filled are not freed
-        and taken back, and the trim costs nothing when the length is
-        unchanged.  A failure between the two steps leaves new bytes over
-        an old tail (``open(path, "w")`` leaves a truncated file).
+        and taken back.  The trim is sent only when the open file's size,
+        read right after the write, is longer than the new contents; over
+        NFS that size comes from the attributes the write's reply carried,
+        so a same-size or longer overwrite is one ``write`` and the close.
+        An NFS client that caches no attributes (``cache_ttl=0``) asks the
+        server instead: its overwrite costs a ``getattr`` where it cost the
+        trim, and a shorter one costs both.  A failure between the two
+        steps leaves new bytes over an old tail (``open(path, "w")`` leaves
+        a truncated file).
         """
         # "r+" opens without truncating and, like "w", creates when absent
         with self.open(path, "r+") as f:
             f.write(data)
-            f.truncate(len(data))
+            if f.size() > len(data):
+                f.truncate(len(data))
 
     @_spanned("fs.append_file", tags=_path_tag)
     def append_file(self, path: str, data: bytes) -> None:

@@ -20,11 +20,15 @@ Coherence is notification-driven, matching the paper's update model:
   may be obtained...", Section 2.5) invalidates the affected directory's
   cached batches on every host that receives it, and so does a sync
   install on the host that made it;
-* the updating host itself drops only what its update changed: the
-  acting replica's batch, written through when that replica is local
-  (:meth:`VersionVectorCache.write_through`, from
-  :meth:`~repro.logical.layer.FicusLogicalLayer.notify_update`), and the
-  batch of each replica whose host the notification did not reach;
+* the updating host itself drops only what its update changed: for an
+  update session, the file's record in the acting replica's batch is
+  replaced by the one ``session_close`` answered
+  (:meth:`VersionVectorCache.merge_record`); for any other update the
+  acting replica's batch is written through when that replica is local
+  (:meth:`VersionVectorCache.write_through`) and dropped when it is not
+  (both from :meth:`~repro.logical.layer.FicusLogicalLayer.notify_update`);
+  and the batch of each replica whose host the notification did not
+  reach goes too;
 * because datagrams are best-effort and partitions eat them, every batch
   also carries a TTL — a lost invalidation delays freshness by at most
   ``ttl`` seconds of virtual time rather than forever.
@@ -40,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.physical import decode_directory, effective_entries
-from repro.physical.wire import AttrBatch, DirectoryEntry
+from repro.physical.wire import AttrBatch, AuxAttributes, DirectoryEntry
 from repro.util import FicusFileHandle, VirtualClock, VolumeId, VolumeReplicaId
 from repro.vnode.interface import ROOT_CTX, OpContext, Vnode, read_whole
 
@@ -58,8 +62,9 @@ class CacheEntry:
     fetched_at: float = 0.0
     #: the replica's ``effective_entries`` view, decoded once per batch: it
     #: is only ever read beside a live ``batch`` and is dropped with it
-    #: (a write-through keeps it: as is for a file update, which changed
-    #: no entry, and decoded again for a namespace update)
+    #: (a write-through or a session's merged record keeps it: as is for a
+    #: file update, which changed no entry, and decoded again for a
+    #: namespace update)
     names: dict[str, DirectoryEntry] | None = None
     #: file vnodes resolved through ``dir_vnode``, by logical handle; like
     #: it they survive attribute changes and die on ESTALE
@@ -224,6 +229,14 @@ class VersionVectorCache:
             del entry.children[fh]
         return entry
 
+    def _held(self, volrep: VolumeReplicaId, dir_fh: FicusFileHandle) -> CacheEntry | None:
+        """One directory replica's entry while it holds a live batch."""
+        record = self._record(volrep.volume, dir_fh)
+        entry = None if record is None else record.replicas.get(volrep)
+        if entry is None or entry.batch is None or self.clock.now() - entry.fetched_at > self.ttl:
+            return None
+        return entry
+
     def write_through(
         self,
         volrep: VolumeReplicaId,
@@ -238,30 +251,31 @@ class VersionVectorCache:
         The update changed this replica alone, so every other replica's
         batch still describes its replica as well as it did before.  The
         local one is rebuilt from what the update changed when a live
-        batch was held: the reply of ``getattrs_batch([fh])`` (the
-        directory's record and that one child's) is merged over it, and a
-        child the reply lacks is gone.
-        The merge keeps the held ``fetched_at``, since the siblings it did
-        not re-read are no fresher, and keeps the name view for a file
-        update (``objkind="file"``: no entry changed).  A namespace update
-        changed the entries, so a held name view is decoded again from the
-        local replica: a view that was warm stays warm, and the
-        directory's next lookup does not decode it instead.  With nothing
-        held, the whole batch is fetched.
+        batch was held: the reply of ``getattrs_batch([fh])``.  A file
+        update (``objkind="file"``) changed that file's record alone, so
+        the record is merged as a session's is (:meth:`merge_record`).  A
+        namespace update changed the directory's record and entries: the
+        reply's directory record and child are merged over the held batch
+        (a child the reply lacks is gone), and a held name view is decoded
+        again from the local replica, so a view that was warm stays warm
+        and the directory's next lookup does not decode it instead.  Both
+        keep the held ``fetched_at``, since the siblings not re-read are
+        no fresher.  With nothing held, the whole batch is fetched.
         """
-        record = self._record(volrep.volume, dir_fh)
-        entry = None if record is None else record.replicas.get(volrep)
-        held = None
-        if entry is not None and entry.batch is not None and (
-            self.clock.now() - entry.fetched_at <= self.ttl
-        ):
-            held, fetched_at, names = entry.batch, entry.fetched_at, entry.names
-        reply = dir_vnode.getattrs_batch(None if held is None else [fh])
-        self.invalidate_batch(volrep, dir_fh)
-        self.stats.refreshes += 1
-        if held is None:
+        entry = self._held(volrep, dir_fh)
+        if entry is not None and objkind == "file":
+            self.merge_record(volrep, dir_fh, fh, dir_vnode.getattrs_batch([fh]).child(fh))
+            return
+        if entry is None:
+            reply = dir_vnode.getattrs_batch()
+            self.invalidate_batch(volrep, dir_fh)
+            self.stats.refreshes += 1
             self.store(volrep, dir_fh, dir_vnode, reply)
             return
+        held, fetched_at, names = entry.batch, entry.fetched_at, entry.names
+        reply = dir_vnode.getattrs_batch([fh])
+        self.invalidate_batch(volrep, dir_fh)
+        self.stats.refreshes += 1
         children = dict(held.children)
         aux = reply.child(fh)
         if aux is None:
@@ -270,10 +284,42 @@ class VersionVectorCache:
             children[fh.logical] = aux
         entry = self.store(volrep, dir_fh, dir_vnode, AttrBatch(reply.dir_aux, children))
         entry.fetched_at = fetched_at
-        if objkind == "file":
-            entry.names = names
-        elif names is not None:
+        if names is not None:
             entry.read_names()
+
+    def merge_record(
+        self,
+        volrep: VolumeReplicaId,
+        dir_fh: FicusFileHandle,
+        fh: FicusFileHandle,
+        aux: AuxAttributes | None,
+    ) -> None:
+        """This host's update of file ``fh`` at replica ``volrep`` of a
+        directory left the file's record ``aux`` (``None``: the file is
+        gone): put it in that replica's held batch, local or remote alike.
+        An update session's close answers the record itself; a local
+        update outside a session re-reads it (:meth:`write_through`).
+
+        A file update changes the file's record and nothing else of the
+        directory, neither its record nor its entries, so the held
+        ``dir_aux``, the name view, the other child vnodes and
+        ``fetched_at`` stay; the file leaves ``writing``; every other
+        replica's batch is untouched.  With no live batch held there is
+        nothing to correct, and the next selection fetches one.
+        """
+        entry = self._held(volrep, dir_fh)
+        if entry is None:
+            return
+        held, key = entry.batch, fh.logical
+        children = dict(held.children)
+        if aux is None:
+            children.pop(key, None)
+            entry.children.pop(key, None)
+        else:
+            children[key] = aux
+        entry.batch = AttrBatch(held.dir_aux, children, held.writing - {key})
+        self._dirs[(volrep.volume, dir_fh.logical)].winners.clear()
+        self.stats.refreshes += 1
 
     # -- invalidation ----------------------------------------------------------
 

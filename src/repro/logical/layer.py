@@ -43,7 +43,7 @@ from repro.logical.fabric import Fabric
 from repro.logical.locks import LockManager
 from repro.net import Network
 from repro.physical import DirectoryEntry, UpdateNotification, volume_root_handle
-from repro.physical.wire import AttrBatch
+from repro.physical.wire import AttrBatch, AuxAttributes
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.util import FicusFileHandle, VolumeId
 from repro.vnode.interface import ROOT_CTX, FileSystemLayer, OpContext, Vnode
@@ -443,6 +443,7 @@ class FicusLogicalLayer(FileSystemLayer):
         fh: FicusFileHandle,
         objkind: str = "file",
         origin: str = "update",
+        record: AuxAttributes | None = None,
     ) -> int:
         """Send the asynchronous multicast update notification.
 
@@ -464,10 +465,17 @@ class FicusLogicalLayer(FileSystemLayer):
         Updates apply to one replica (Section 2.5), so every other
         replica's batch still describes a state this update did not touch;
         this host's staleness about them is bounded as any reader's is, by
-        the TTL and by the notifications it hears.  The acting replica's
-        batch — when it is local, so re-reading costs no RPC — is written
-        through: only the updated object's record is re-read
-        (:meth:`~repro.logical.attr_cache.VersionVectorCache.write_through`).
+        the TTL and by the notifications it hears.  An update session's
+        close passes ``record``, the file's record that ``session_close``
+        answered: a file session changed nothing else of the directory, so
+        the record is merged into the acting replica's held batch, local or
+        remote, and nothing is re-read
+        (:meth:`~repro.logical.attr_cache.VersionVectorCache.merge_record`).
+        Any other update is written through when the acting replica is
+        local, so re-reading costs no RPC — only the updated object's
+        record is re-read
+        (:meth:`~repro.logical.attr_cache.VersionVectorCache.write_through`)
+        — and drops the acting replica's batch when it is remote.
 
         Two events still drop every replica's batch.  A sync install does,
         here: the installer may hold a batch of the very replica it pulled
@@ -493,7 +501,9 @@ class FicusLogicalLayer(FileSystemLayer):
                 child.inactive()
         elif objkind == "dir":
             self.attr_cache.invalidate_batch(acting.volrep, fh)
-        if self.fabric.is_local(acting.host):
+        if record is not None:
+            self.attr_cache.merge_record(acting.volrep, parent_fh, fh, record)
+        elif self.fabric.is_local(acting.host):
             try:
                 vnode = self.fabric.dir_by_handle(acting.host, acting.volrep, parent_fh)
                 self.attr_cache.write_through(acting.volrep, parent_fh, vnode, fh, objkind)
@@ -588,8 +598,9 @@ class FicusLogicalLayer(FileSystemLayer):
         update opened one — a read-only close sends nothing.
 
         A session that updated its replica sends the session's one update
-        notification here: when ``session_close`` reports it dirty (and
-        bumped the vector), or when an update went through the pin
+        notification here: when ``session_close`` answers the file's record
+        (a session was open, and bumped the vector), which this host's
+        attribute cache keeps, or when an update went through the pin
         unannounced.  The second covers a replica host that rebooted and
         forgot the session without a stale handle to show for it — its
         writes then bumped the vector one by one, and the close finds no
@@ -608,20 +619,20 @@ class FicusLogicalLayer(FileSystemLayer):
             del self._session_pins[fh]
             return
         try:
-            updated = self.retry_stale(
+            record = self.retry_stale(
                 volume, parent_fh, lambda: pin.view.dir_vnode.session_close(fh, ctx), fh, ctx
             )
         except (HostUnreachable, FileNotFound, StaleFileHandle):
             # the session dies with the partition or crash; recon cleans
             # up.  (The old lookup-smuggled close could not even see the
             # crash: a cached lookup reply swallowed the RPC entirely.)
-            updated = False
+            record = None
         finally:
             del self._session_pins[fh]
-        if updated or pin.updated:
+        if record is not None or pin.updated:
             # read-only sessions notify nobody: no version changed, so
             # peers' cached attribute batches stay valid
-            self.notify_update(volume, pin.view.location, parent_fh, fh)
+            self.notify_update(volume, pin.view.location, parent_fh, fh, record=record)
 
     # -- graft point administration ---------------------------------------------------
 

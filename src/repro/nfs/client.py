@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from repro.errors import HostUnreachable, RpcTimeout, StaleFileHandle
 from repro.net import Network
 from repro.nfs.protocol import LookupReply, NfsHandle
-from repro.physical.wire import AttrBatch, FileBlocks, SyncProbe
+from repro.physical.wire import AttrBatch, AuxAttributes, FileBlocks, SyncProbe
 from repro.telemetry import NULL_TELEMETRY, HealthPlane, Telemetry, spanned
 from repro.ufs.inode import FileAttributes
 from repro.util import VirtualClock
@@ -310,7 +310,7 @@ class NfsClientVnode(Vnode):
 
     # -- Ficus extensions: forwarded explicitly (unlike open/close) --
 
-    def session_close(self, fh, ctx: OpContext = ROOT_CTX) -> bool:
+    def session_close(self, fh, ctx: OpContext = ROOT_CTX) -> AuxAttributes | None:
         return self.layer.call_h(self.handle, "session_close", fh, ctx=ctx)
 
     def getattrs_batch(self, fhs=None, ctx: OpContext = ROOT_CTX) -> AttrBatch:
@@ -363,9 +363,12 @@ class NfsClientVnode(Vnode):
         return data
 
     def write(self, offset: int, data: bytes, ctx: OpContext = ROOT_CTX) -> int:
-        written = self.layer.call_h(self.handle, "write", offset, data, ctx=ctx)
-        self.layer.invalidate_handle(self.handle)
-        assert isinstance(written, int)
+        """The reply carries the attributes the write left (NFSv3's post-op
+        attributes), which replace the cached ones: a ``getattr`` after a
+        write sends nothing."""
+        written, attrs = self.layer.call_h(self.handle, "write", offset, data, ctx=ctx)
+        assert isinstance(written, int) and isinstance(attrs, FileAttributes)
+        self.layer._cache_attrs(self.handle, attrs)
         return written
 
     def fsync(self, ctx: OpContext = ROOT_CTX) -> None:

@@ -95,8 +95,9 @@ class NfsServer:
         argument the interface types as a vnode (the ``link`` target, the
         ``rename`` destination) arrives as a handle and is resolved in
         place, and a vnode reply goes back as a :class:`LookupReply`.
-        ``setattr`` answers with the fresh attributes, so the client's
-        attribute cache is refreshed in the same round trip.
+        ``setattr`` answers with the fresh attributes and ``write`` with
+        ``(written, attributes)`` (NFSv3's post-op attributes), so the
+        client's attribute cache is refreshed in the same round trip.
         """
         signature = inspect.signature(getattr(Vnode, op))
         params = list(signature.parameters.values())[1:]  # after self
@@ -115,6 +116,8 @@ class NfsServer:
                 return self._reply(reply, ctx)
             if op == "setattr":
                 return vnode.getattr(ctx)
+            if op == "write":
+                return reply, vnode.getattr(ctx)
             return reply
 
         return serve

@@ -35,7 +35,7 @@ from repro.physical.vnodes import (
     PhysicalFileVnode,
     PhysicalRootVnode,
 )
-from repro.physical.wire import EntryType
+from repro.physical.wire import AuxAttributes, EntryType
 from repro.telemetry import NULL_TELEMETRY, HealthPlane, Telemetry, TraceContext
 from repro.util import FicusFileHandle, VirtualClock, VolumeReplicaId
 from repro.vnode.interface import FileSystemLayer, Vnode
@@ -106,6 +106,7 @@ class FicusPhysicalLayer(FileSystemLayer):
         network: Network | None = None,
         clock: VirtualClock | None = None,
         telemetry: Telemetry | None = None,
+        health: HealthPlane | None = None,
     ):
         self.lower_layer = lower
         self.lower_root = lower.root()
@@ -126,8 +127,9 @@ class FicusPhysicalLayer(FileSystemLayer):
             "physical", lambda: {"notifications_received": self.notifications_received}
         )
         #: this host's HealthPlane; a host that reboots hands the rebuilt
-        #: layer the plane its first one made (the flight recorder survives)
-        self.health = HealthPlane(host_addr, clock=self.clock.now, telemetry=self.telemetry)
+        #: layer the plane its first one made (the flight recorder survives,
+        #: and no second plane registers its metric sources)
+        self.health = health or HealthPlane(host_addr, clock=self.clock.now, telemetry=self.telemetry)
         if network is not None:
             network.register_datagram_handler(host_addr, self._on_datagram)
 
@@ -217,15 +219,18 @@ class FicusPhysicalLayer(FileSystemLayer):
     def _session_key(self, store: ReplicaStore, fh: FicusFileHandle) -> tuple[int, FicusFileHandle]:
         return (id(store), fh.logical)
 
-    def session_close(self, store: ReplicaStore, fh: FicusFileHandle) -> bool:
-        """End the session; True when one was open, so it updated the
-        replica (the caller should notify).  It writes nothing: the
-        session's one vector bump landed before its first write.  Closing
-        no open session answers False."""
+    def session_close(self, store: ReplicaStore, fh: FicusFileHandle) -> AuxAttributes | None:
+        """End the session.  When one was open, so it updated the replica
+        (the caller should notify), answer the file's record as it now
+        stands: a copy, the very value ``getattrs_batch([fh])`` would list,
+        so the caller can keep it instead of asking again.  It writes
+        nothing: the session's one vector bump landed before its first
+        write.  Closing no open session answers ``None``."""
         key = self._session_key(store, fh)
-        was_open = key in self._sessions
-        self._sessions.discard(key)
-        return was_open
+        if key not in self._sessions:
+            return None
+        self._sessions.remove(key)
+        return store.read_record(fh)
 
     def written_sessions(self, store: ReplicaStore) -> frozenset[FicusFileHandle]:
         """The files of ``store`` with an open session: their vector is the

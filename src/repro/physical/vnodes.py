@@ -167,9 +167,7 @@ class PhysicalDirVnode(Vnode):
     # -- helpers -----------------------------------------------------------
 
     def _fdir_vnode(self) -> Vnode:
-        from repro.physical.wire import FDIR_NAME
-
-        return self.store.dir_unix_vnode(self.fh).lookup(FDIR_NAME)
+        return self.store.fdir_vnode(self.fh)
 
     def entries(self) -> list[DirectoryEntry]:
         """All entries including tombstones (reconciliation reads these)."""
@@ -244,10 +242,11 @@ class PhysicalDirVnode(Vnode):
 
     # -- update sessions and the attribute plane (first-class Ficus ops) --------
 
-    def session_close(self, fh: FicusFileHandle, ctx: OpContext = ROOT_CTX) -> bool:
+    def session_close(self, fh: FicusFileHandle, ctx: OpContext = ROOT_CTX) -> AuxAttributes | None:
         """End an update session, writing nothing: it opened with its first
-        write, whose one version bump landed before the write.  Returns
-        True when a session was open, so it updated the replica."""
+        write, whose one version bump landed before the write.  Answers the
+        file's record when a session was open, so it updated the replica,
+        and ``None`` otherwise."""
         return self.layer.session_close(self.store, fh.logical)
 
     def getattrs_batch(

@@ -144,8 +144,8 @@ class FicusHost:
             network=self.network,
             clock=self.clock,
             telemetry=self.telemetry,
+            health=self.health_plane,
         )
-        self.physical.health = self.health_plane
         self.health_plane.physical = self.physical
         for volrep in hosted:
             self.physical.attach_volume_replica(volrep).recover()

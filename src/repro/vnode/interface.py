@@ -25,7 +25,7 @@ nothing classic can say it:
 
 * ``session_close``: the NFS hop drops ``close`` on purpose (paper
   Sections 2.2-2.3), so the end of an update session needs a call of its
-  own.
+  own; its reply is the file's record, so the writer re-reads nothing.
 * ``getattrs_batch``: no classic operation returns N attribute records in
   one reply.
 * ``sync_probe``: it is addressed by handle from the volume root, so a
@@ -57,6 +57,7 @@ from repro.vnode.context import ROOT_CRED, ROOT_CTX, Credential, OpContext
 if TYPE_CHECKING:
     from repro.physical.wire import (
         AttrBatch,
+        AuxAttributes,
         DirectoryEntry,
         EntryId,
         EntryType,
@@ -230,11 +231,13 @@ class Vnode(abc.ABC):
 
     # -- Ficus extensions ----------------------------------------------------
 
-    def session_close(self, fh: "EntryId", ctx: OpContext = ROOT_CTX) -> bool:
+    def session_close(self, fh: "EntryId", ctx: OpContext = ROOT_CTX) -> "AuxAttributes | None":
         """End the update session on the replica holding ``fh``, which its
         first update opened (``OpContext.session``).  Directory vnodes
-        implement this for their children.  Returns True when a session was
-        open, so it updated the object."""
+        implement this for their children.  When a session was open, so it
+        updated the object, the reply is the file's record as the session
+        left it (the one ``getattrs_batch([fh])`` would list), and the
+        writer keeps it in place of re-reading; otherwise ``None``."""
         raise NotSupported("session_close")
 
     def getattrs_batch(

@@ -25,7 +25,7 @@ from repro.vnode.interface import (
 )
 
 if TYPE_CHECKING:
-    from repro.physical.wire import AttrBatch, EntryId, FileBlocks, SyncProbe
+    from repro.physical.wire import AttrBatch, AuxAttributes, EntryId, FileBlocks, SyncProbe
 
 
 class PassthroughVnode(Vnode):
@@ -123,7 +123,7 @@ class PassthroughVnode(Vnode):
 
     # -- Ficus extensions --
 
-    def session_close(self, fh: "EntryId", ctx: OpContext = ROOT_CTX) -> bool:
+    def session_close(self, fh: "EntryId", ctx: OpContext = ROOT_CTX) -> "AuxAttributes | None":
         return self.lower.session_close(fh, ctx)
 
     def getattrs_batch(

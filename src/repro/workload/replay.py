@@ -120,8 +120,10 @@ def decode_trace(text: str) -> list[TraceOp]:
 #: one RPC, so fewer RPCs draw faults.  6: a replica's root is fetched
 #: once and kept, so fewer RPCs draw faults.  7: a host keeps one record
 #: of flapping peers, so a strike one daemon records makes the other skip
-#: the peer too, which moves seeds 11 and 17's fault draws.)
-SCHEDULE_HEADER = "schedule=7"
+#: the peer too, which moves seeds 11 and 17's fault draws.  8: an
+#: overwrite sends no trim that changes nothing, and a writer keeps its
+#: batch of the replica it wrote, so fewer RPCs draw faults.)
+SCHEDULE_HEADER = "schedule=8"
 
 
 def encode_schedule(steps: list[TraceOp]) -> str:

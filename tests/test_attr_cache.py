@@ -223,6 +223,27 @@ class TestNotificationCoherence:
         assert written_through() and names_written_through()
         assert fs_a.listdir("/") == ["f"]
 
+    def test_an_update_outside_a_session_merges_as_a_close_does(self):
+        """A local file update outside any session re-reads the file's
+        record and merges it as a session's close merges the record it is
+        answered: alpha's batch equals a fresh fetch, yet the directory's
+        record, the name view and ``fetched_at`` are the ones it held."""
+        system, fs_a, fs_b = two_host_world()
+        alpha = system.host("alpha")
+        cache, root_fh = alpha.logical.attr_cache, alpha.logical.root().fh
+        here = next(loc for loc in system.root_locations if loc.host == "alpha")
+        local_dir = alpha.fabric.dir_by_handle("alpha", here.volrep, root_fh)
+        assert fs_a.listdir("/") == ["f"]  # warm: alpha selects its own replica
+        entry = cache.lookup(here.volrep, root_fh)
+        held, names, fetched_at = entry.batch, entry.names, entry.fetched_at
+        system.run_for(1.0)  # a full refetch would stamp a later time
+        vnode = fs_a.resolve("/f")
+        vnode.write(0, b"outside")  # nothing opened it, so no session
+        assert entry.batch == local_dir.getattrs_batch() and entry.batch.dir_aux is held.dir_aux
+        assert entry.batch.child(vnode.fh).vv != held.child(vnode.fh).vv
+        assert entry.names is names and entry.fetched_at == fetched_at
+        assert fs_a.read_file("/f") == b"outside"
+
     def test_a_heard_notification_refreshes_stat_as_well_as_read(self):
         """beta reads alpha's copy over NFS (the lowest replica id wins the
         tie).  The notification of alpha's next write must also drop the
@@ -321,6 +342,83 @@ class TestTheWriterDropsOnlyWhatItChanged:
         system.host("beta").recon_daemon.tick()
         assert fs_b.stat("/f").size == len(old) + 4
         assert fs_b.read_file("/f") == old + b"tail"
+
+
+class TestTheWriterKeepsWhatItWrote:
+    """An update session's close answers the file's record, and the writer
+    merges it into its batch of the replica it wrote, local or remote; the
+    write's reply carries the file's attributes, so ``write_file`` trims
+    only a file that the write left longer than the new contents."""
+
+    @staticmethod
+    def client_world():
+        """A diskless client ``cl`` over three converged replicas, warm."""
+        hosts = ["alpha", "beta", "gamma"]
+        system = FicusSystem(hosts + ["cl"], root_volume_hosts=hosts, daemon_config=QUIET)
+        system.host("alpha").fs().write_file("/f", b"v1")
+        system.host("alpha").fs().write_file("/g", b"sibling")
+        system.reconcile_everything()
+        client = system.host("cl").fs()
+        assert client.read_file("/f") == b"v1" and client.listdir("/") == ["f", "g"]
+        return system, client
+
+    def test_a_remote_overwrite_keeps_the_acting_replicas_batch(self):
+        """The acting replica's batch stays held and equals what a fresh
+        ``getattrs_batch`` of that replica answers (the file's new vector,
+        the directory's record, nothing ``writing``), with its name view
+        and ``fetched_at``; every other replica's batch is the very same
+        object.  The next read of the file is its one ``read``."""
+        system, client = self.client_world()
+        logical = system.host("cl").logical
+        root_fh = logical.root().fh
+        record = logical.attr_cache._record(logical.root_volume, root_fh)
+        held = {volrep: (e.batch, e.names, e.fetched_at) for volrep, e in record.replicas.items()}
+        assert len(held) == 3 and all(batch is not None for batch, _, _ in held.values())
+        system.run_for(1.0)  # a refetch would stamp a later time
+        client.write_file("/f", b"v2")
+        acting = [volrep for volrep, e in record.replicas.items() if e.batch is not held[volrep][0]]
+        assert len(acting) == 1
+        entry = record.replicas[acting[0]]
+        host = next(loc.host for loc in system.root_locations if loc.volrep == acting[0])
+        fresh = system.host(host).fabric.dir_by_handle(host, acting[0], root_fh).getattrs_batch()
+        fh = client.resolve("/f").fh
+        assert entry.batch == fresh and not entry.batch.writing
+        assert entry.batch.child(fh).vv != held[acting[0]][0].child(fh).vv
+        assert entry.names is held[acting[0]][1] and entry.fetched_at == held[acting[0]][2]
+        before = system.network.stats.rpcs_sent
+        assert client.read_file("/f") == b"v2" and client.listdir("/") == ["f", "g"]
+        assert system.network.stats.rpcs_sent - before == 1
+
+    @pytest.mark.parametrize("writer", ["alpha", "cl"], ids=["local", "over-nfs"])
+    def test_only_a_shorter_overwrite_trims(self, writer, monkeypatch):
+        """A shorter overwrite still sends its size ``setattr`` and reads
+        back exact, here and at every replica after reconciliation; a
+        same-size or longer one sends none."""
+        from repro.physical.vnodes import PhysicalFileVnode
+
+        system, _ = self.client_world()
+        fs = system.host(writer).fs()
+        trims = []
+        real = PhysicalFileVnode.setattr
+        monkeypatch.setattr(
+            PhysicalFileVnode,
+            "setattr",
+            lambda self, attrs, *a, **k: (trims.append(attrs.size), real(self, attrs, *a, **k))[1],
+        )
+        for data, sent in (
+            (b"v2", []),
+            (b"longer than before", []),
+            (b"longer than before", []),
+            (b"short", [5]),
+            (b"", [0]),
+        ):
+            trims.clear()
+            fs.write_file("/f", data)
+            assert trims == sent
+            assert fs.read_file("/f") == data and fs.stat("/f").size == len(data)
+        system.reconcile_everything()
+        for host in ("alpha", "beta", "gamma", "cl"):
+            assert system.host(host).fs().read_file("/f") == b""
 
 
 class TestSelectionMemo:

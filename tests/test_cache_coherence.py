@@ -101,6 +101,12 @@ def run_history(host_config: HostConfig | None, ctx: OpContext = ROOT_CTX):
     beta.restart(system)
     system.reconcile_everything()
     observe("/d/a", "/d/sub/late", "/d/sub/x")
+
+    # the rebooted host's store resolves each name once, into its decoded
+    # map; a cold buffer cache takes the map, and the DNLC answers again
+    beta.ufs.cache.invalidate_all()
+    system.reconcile_everything()
+    observe("/d/a", "/d/sub/late")
     return system, results
 
 

@@ -241,7 +241,7 @@ class TestAuthLayer:
             FileBlocks(VersionVector({1: 1}), 16, {0: (content_digest(secret), secret)}),
             VersionVector({1: 1}),
             True,
-            False,
+            None,  # no session open: a close answers no record
         ]
         intruder = OpContext(cred=Credential(uid=7))
         for op in sync_plane.values():

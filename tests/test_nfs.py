@@ -373,6 +373,24 @@ class TestFicusOpsOverNfs:
     """Every Ficus vnode operation is one the hop carries: its arguments and
     reply cross as the values they are, whatever they spell."""
 
+    @pytest.mark.parametrize("hop", [False, True], ids=["local", "through-the-hop"])
+    def test_session_close_answers_the_record_a_batch_lists(self, hop):
+        """The close of a written session answers the file's record as the
+        session left it, the value ``getattrs_batch([fh])`` lists, locally
+        and through the hop alike; a write's reply refreshes the client's
+        attributes, so the size it reports needs no ``getattr``."""
+        net, root = ficus_root(hop)
+        entry = root.insert("f", EntryType.FILE)
+        child = root.lookup_fh(entry.fh)
+        child.write(0, b"written", ROOT_CTX.with_session())
+        sent = net.stats.rpcs_sent
+        assert child.getattr().size == 7
+        assert net.stats.rpcs_sent == sent  # local, or the write's post-op attributes
+        closed = root.session_close(entry.fh)
+        assert closed == root.getattrs_batch([entry.fh]).child(entry.fh)
+        assert closed.vv == VersionVector({1: 1})
+        assert root.session_close(entry.fh) is None
+
     @pytest.mark.parametrize(
         "name",
         ["with space", "eq=uals", "pi|pe", "back\\slash", "@@dir|deadbeef", "n" * 255, "n" * 256],
@@ -386,7 +404,11 @@ class TestFicusOpsOverNfs:
         else:
             entry, closed, replayed, contents, policy, vv, names, *replies, after = local
             assert (entry.name, contents, names, after) == (name, name.encode(), [name], [])
-            assert (closed, replayed) == (True, False)
+            # the close answers the file's record as the session left it
+            # (the first write's one bump); a replayed close, no session
+            assert (closed.fh, closed.vv, closed.merge_policy, replayed) == (
+                entry.fh, VersionVector({1: 1}), "lww", None
+            )
             assert policy == "append-log" and vv.total_updates == 2  # the session, the policy
             batch, probe, sub_probe, whole, held, rows = replies
             assert batch.child(entry.fh).vv == vv and list(probe.children.values()) == [sub_probe.digest]

@@ -203,6 +203,19 @@ class TestBasicOperations:
         names = [e.name for e in root.readdir()]
         assert names == ["keep"]
 
+    def test_a_warm_directory_read_or_getattr_makes_no_ufs_lookup(self, world, monkeypatch):
+        """``.fdir`` is found through the store's decoded map, not by name
+        in the directory's Unix directory on every call."""
+        _, ufs, _, store, root = world
+        insert_file(store, root, "f", b"data")
+        read_whole(root), root.getattr(), root.access(4)  # warm
+        lookups = []
+        real = ufs.fs.lookup
+        monkeypatch.setattr(ufs.fs, "lookup", lambda *a: lookups.append(a) or real(*a))
+        assert decode_directory(read_whole(root)) == store.read_entries(store.root_handle())
+        assert root.getattr().ftype == FileType.DIRECTORY and root.access(4)
+        assert lookups == []
+
 
 class TestMultipleNames:
     def test_hard_link_within_directory(self, world):
@@ -306,15 +319,15 @@ class TestSessionOps:
     def test_nested_sessions_bump_once(self, world):
         """A session is open or not: a replayed first write lands inside
         the session it opened and the first close ends the session (the
-        logical layer counts its own opens and brackets once); a replayed
-        close answers False."""
+        logical layer counts its own opens and brackets once), answering
+        the file's record; a replayed close answers None."""
         _, _, phys, store, root = world
         fh, vnode = insert_file(store, root, "f")
         vnode.write(0, b"x", IN_SESSION)
         vnode.write(0, b"x", IN_SESSION)
-        assert root.session_close(fh) is True
+        assert root.session_close(fh) == store.read_record(fh)
         assert fh not in phys.written_sessions(store)
-        assert root.session_close(fh) is False
+        assert root.session_close(fh) is None
         assert store.read_record(fh).vv == VersionVector({1: 1})
 
     def test_clean_session_no_bump(self, world):
@@ -322,7 +335,7 @@ class TestSessionOps:
         _, _, phys, store, root = world
         fh, vnode = insert_file(store, root, "f")
         assert vnode.read(0, 8) == b""
-        assert root.session_close(fh) is False
+        assert root.session_close(fh) is None
         assert store.read_record(fh).vv == VersionVector()
         assert phys.written_sessions(store) == frozenset()
 
@@ -337,7 +350,7 @@ class TestSessionOps:
         vnode.write(3, b"pqr", IN_SESSION)
         vnode.close()
         assert fh in phys.written_sessions(store)
-        assert root.session_close(fh) is True
+        assert root.session_close(fh).vv == VersionVector({1: 1})
         assert store.read_record(fh).vv == VersionVector({1: 1})
 
 
@@ -826,7 +839,7 @@ class TestPhysicalOverNfs:
         f = root.lookup_fh(fh)
         f.write(0, b"a", IN_SESSION)
         f.write(1, b"b", IN_SESSION)
-        assert root.session_close(fh) is True
+        assert root.session_close(fh).vv == VersionVector({1: 1})
         assert store.read_record(fh).vv == VersionVector({1: 1})
 
     def test_a_directory_read_over_nfs_carries_no_padding(self, remote_root):

@@ -85,10 +85,10 @@ class TestTraceFormat:
     def test_a_schedule_states_its_format_version(self):
         steps = [TraceOp(op="tick", host="a"), TraceOp(op="advance", seconds=2.5)]
         text = encode_schedule(steps)
-        assert text.splitlines()[0] == "schedule=7"
+        assert text.splitlines()[0] == "schedule=8"
         assert decode_schedule(text) == steps
         body = encode_trace(steps)
-        for unversioned in (body, "", "schedule=6\n" + body, "schedule=8\n" + body):
+        for unversioned in (body, "", "schedule=7\n" + body, "schedule=9\n" + body):
             with pytest.raises(InvalidArgument):
                 decode_schedule(unversioned)
 

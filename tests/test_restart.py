@@ -9,6 +9,7 @@ from repro.physical.check import ficus_fsck
 from repro.physical.store import ID_RANGE
 from repro.physical.wire import AuxAttributes, EntryType
 from repro.sim import DaemonConfig, FicusSystem
+from repro.telemetry import Telemetry
 from repro.util import FicusFileHandle
 
 QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
@@ -193,6 +194,24 @@ class TestSingleHostRestart:
         assert store.read_record(fh).merge_policy == "a\0b"
         assert host.fs().read_file("/f") == b"kept"
         assert ficus_fsck(store).clean
+
+    def test_a_restart_registers_no_second_health_plane(self):
+        """The rebuilt physical layer takes the host's one health plane, so
+        no plane is built only to be dropped, leaving its metric sources
+        behind.  (The dead layers' own counter sources stay.)"""
+        system = FicusSystem(["a", "b"], daemon_config=QUIET, telemetry=Telemetry())
+        host = system.host("b")
+        plane_prefixes = ("health", "health.anomaly", "resolver")
+
+        def plane_sources():
+            return [src for src in system.telemetry.metrics._sources if src[0] in plane_prefixes]
+
+        before = plane_sources()
+        for _ in range(2):
+            host.crash()
+            host.restart(system)
+            assert host.physical.health is host.health_plane
+        assert plane_sources() == before
 
 
 class TestClusterWithRestarts:

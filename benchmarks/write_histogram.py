@@ -13,8 +13,9 @@ truncate of ``.fdir`` is ``.fdir``'s, and what ``Ufs.create`` writes of the
 inode it is making is the allocation's.  A write made outside every one of
 those calls — a checkout that holds an operation's blocks and writes them
 at its end — is labelled by the block: a data block by the record of the
-inode that last mapped it (``Ufs._bmap``), an inode-table or bitmap block
-by its kind.  By *operation*: the outermost of ``push_notify_pull`` /
+inode that last mapped it (``Ufs._bmap``, or ``_bmap_allocate`` for a
+block it allocated), an inode-table or bitmap block by its kind.  By
+*operation*: the outermost of ``push_notify_pull`` /
 ``reconcile_subtree``, else the foreground.
 
 ``by_kind`` counts every write by block kind — data, inode table, bitmap,
@@ -131,11 +132,15 @@ def histogram(workload: str, seed: int, seconds: float) -> dict:
         return roles.get((id(fs.device), inode.ino), "contents")
 
     def mapping(original):
+        """``_bmap`` answers a block; ``_bmap_allocate`` (where inodes are
+        values) the inode that maps the block, and the block."""
+
         def bmap(self, inode, *args, **kwargs):
-            blk = original(self, inode, *args, **kwargs)
+            mapped = original(self, inode, *args, **kwargs)
+            blk = mapped if isinstance(mapped, int) else mapped[1]
             if blk:
                 owners[id(self.device), blk] = (inode.is_dir, record_of_inode(self, inode))
-            return blk
+            return mapped
 
         return bmap
 
@@ -206,6 +211,8 @@ def histogram(workload: str, seed: int, seconds: float) -> dict:
     BlockDevice.write_block = counting(BlockDevice.write_block)
     Ufs.__init__ = mounting(Ufs.__init__)
     Ufs._bmap = mapping(Ufs._bmap)
+    if hasattr(Ufs, "_bmap_allocate"):
+        Ufs._bmap_allocate = mapping(Ufs._bmap_allocate)
     scope = store._OperationScope
     scope.__enter__, scope.__exit__ = scoping(scope.__enter__, scope.__exit__)
     for method in ("_put_inode", "_write_inode_data", "_truncate_blocks"):

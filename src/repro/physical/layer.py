@@ -222,7 +222,7 @@ class FicusPhysicalLayer(FileSystemLayer):
     def session_close(self, store: ReplicaStore, fh: FicusFileHandle) -> AuxAttributes | None:
         """End the session.  When one was open, so it updated the replica
         (the caller should notify), answer the file's record as it now
-        stands: a copy, the very value ``getattrs_batch([fh])`` would list,
+        stands: the very value ``getattrs_batch([fh])`` would list,
         so the caller can keep it instead of asking again.  It writes
         nothing: the session's one vector bump landed before its first
         write.  Closing no open session answers ``None``."""
@@ -267,10 +267,10 @@ class FicusPhysicalLayer(FileSystemLayer):
 
     def _bump_file_vv(self, store: ReplicaStore, fh: FicusFileHandle) -> None:
         with store.operation():
-            aux = store.staged_record(fh)
-            prior = aux.vv
-            aux.vv = aux.vv.bump(store.replica_id)
-        self.health.record_version("write", fh, aux.vv, parents=(prior,))
+            prior = store.read_record(fh)
+            aux = prior._replace(vv=prior.vv.bump(store.replica_id))
+            store.write_record(fh, aux)
+        self.health.record_version("write", fh, aux.vv, parents=(prior.vv,))
 
     # -- new-version cache (update notification receive side) ------------------
 

@@ -265,11 +265,12 @@ class _DirUpdate:
 
 
 class _Staged:
-    """One table record as the open operation will leave it: ``aux`` is the
-    live object, edited in place (``None``: cleared), ``stored`` the record
-    the operation first read (``None``: it had none; equal records encode
-    equally, so the comparison needs no encoding), and ``near`` the handle
-    whose record's block a new record would share."""
+    """One table record as the open operation will leave it: ``aux`` the
+    record last staged (``None``: cleared), ``stored`` the record the
+    operation first read (``None``: it had none).  Both are values, so a
+    record staged and not yet changed is one object twice, and equal
+    records encode equally: the comparison needs no encoding.  ``near`` is
+    the handle whose record's block a new record would share."""
 
     __slots__ = ("aux", "stored", "near")
 
@@ -616,26 +617,11 @@ class ReplicaStore:
     # -- the attribute table's records ---------------------------------------------
 
     def read_record(self, fh: FicusFileHandle) -> AuxAttributes:
-        """A copy of a file's or directory's record as the open operation
-        leaves it.  Keyed by the object alone: a hard-linked file has one
-        record, so a write through any of its names is seen through every
-        other."""
-        return self._peek(fh.logical).clone()
-
-    def write_record(self, fh: FicusFileHandle, aux: AuxAttributes) -> None:
-        """Stage a file's or directory's whole record."""
-        with self._scope:
-            self._stage(fh.logical).aux = aux.clone()
-
-    def staged_record(self, fh: FicusFileHandle) -> AuxAttributes:
-        """A record as the open operation will leave it — the live object,
-        so a change made to it is staged.  Only inside :meth:`operation`."""
-        assert self._scope.depth, "records are staged inside an operation"
-        return self._stage(fh.logical).aux
-
-    def _peek(self, fh: FicusFileHandle) -> AuxAttributes:
-        """One record as the open operation leaves it: the object the stage
-        or the decoded map holds, which the caller must not change."""
+        """A file's or directory's record as the open operation leaves it:
+        the value the stage or the decoded map holds.  Keyed by the object
+        alone: a hard-linked file has one record, so a write through any of
+        its names is seen through every other."""
+        fh = fh.logical
         # an empty dict's get still hashes its key, a nested tuple: most
         # reads happen with nothing staged
         staged = self._records.get(fh) if self._records else None
@@ -649,6 +635,12 @@ class ReplicaStore:
             self._learn(fh).record = aux
         return aux
 
+    def write_record(self, fh: FicusFileHandle, aux: AuxAttributes) -> None:
+        """Stage a file's or directory's whole record: a change is a
+        :meth:`read_record`, ``_replace`` and this, in one operation."""
+        with self._scope:
+            self._stage(fh.logical).aux = aux
+
     def has_record(self, fh: FicusFileHandle) -> bool:
         """Does the table (as the open operation leaves it) hold ``fh``?"""
         staged = self._records.get(fh.logical) if self._records else None
@@ -659,11 +651,11 @@ class ReplicaStore:
         return self._attr.handles()
 
     def _stage(self, fh: FicusFileHandle) -> _Staged:
-        """The staged copy of an existing record, staged on first use."""
+        """The stage of an existing record, staged on first use."""
         staged = self._records.get(fh)
         if staged is None:
-            stored = self._peek(fh)
-            staged = self._records[fh] = _Staged(stored.clone(), stored)
+            stored = self.read_record(fh)
+            staged = self._records[fh] = _Staged(stored, stored)
         elif staged.aux is None:
             raise FileNotFound(f"the attribute record of {fh} is being cleared")
         self._staged_calls += 1
@@ -689,9 +681,8 @@ class ReplicaStore:
         if not self.has_record(fh):
             return
         staged = self._stage(fh)
-        staged.aux.refs -= 1
-        if staged.aux.refs <= 0:
-            staged.aux = None
+        refs = staged.aux.refs - 1
+        staged.aux = staged.aux._replace(refs=refs) if refs > 0 else None
 
     # -- the operation scope ------------------------------------------------------
 
@@ -810,7 +801,7 @@ class ReplicaStore:
                 if (
                     child not in dirs
                     and self.has_directory(child)
-                    and self._peek(child).refs <= 0
+                    and self.read_record(child).refs <= 0
                     and not any(entry.live for entry in self.read_entries(child))
                 ):
                     dirs.append(child)
@@ -885,7 +876,8 @@ class ReplicaStore:
         key = fh.to_hex()
         self.dir_unix_vnode(dst_parent).link(self.dir_unix_vnode(src_parent).lookup(key), key)
         with self._scope:
-            self._stage(fh).aux.refs += 1
+            staged = self._stage(fh)
+            staged.aux = staged.aux._replace(refs=staged.aux.refs + 1)
 
     def unlink_file_storage(self, parent: FicusFileHandle, fh: FicusFileHandle) -> None:
         """Ask for one directory's name for a file to be dropped: it goes
@@ -973,14 +965,14 @@ class ReplicaStore:
                 self._stage_new(fh, aux, parent)
                 self._learn(fh).synced = (vv, ancestor)
                 return
-            aux = self._stage(fh).aux
-            aux.vv, aux.merge_policy, aux.ancestor = vv, merge_policy, ancestor
+            staged = self._stage(fh)
+            staged.aux = staged.aux._replace(vv=vv, merge_policy=merge_policy, ancestor=ancestor)
             self._learn(fh).synced = (vv, ancestor)
 
     def _stored_elsewhere(self, parent: FicusFileHandle, fh: FicusFileHandle) -> list[FicusFileHandle]:
         """The other directories storing ``fh`` (each names it in its
         entries); none unless its record counts a name outside ``parent``."""
-        if not self.has_record(fh) or self._peek(fh).refs <= self.has_file(parent, fh):
+        if not self.has_record(fh) or self.read_record(fh).refs <= self.has_file(parent, fh):
             return []
         return [
             dir_fh
@@ -1009,13 +1001,12 @@ class ReplicaStore:
         here — no peer copies that vector until the session closes.
         """
         fh = fh.logical
-        aux = self._peek(fh)
+        aux = self.read_record(fh)
         if self._known.get(fh, _UNKNOWN).synced == (aux.vv, aux.ancestor):
             return
         record = _ancestor_of(self.file_vnode(parent, fh).read_all())
         if aux.ancestor != record:
-            with self._scope:
-                self._stage(fh).aux.ancestor = record
+            self.write_record(fh, aux._replace(ancestor=record))
         self._learn(fh).synced = (aux.vv, record)
 
     def note_subtree_synced(self, fh: FicusFileHandle) -> None:
@@ -1078,14 +1069,14 @@ class ReplicaStore:
             for fh in self.record_handles():
                 if not self.has_record(fh):
                     continue
-                aux = self._peek(fh)
+                aux = self.read_record(fh)
                 if aux.etype in DIR_TYPES:
                     if not self.has_directory(fh):
                         self._stage_clear(fh)
                 elif not names.get(fh):
                     self._stage_clear(fh)
                 elif aux.refs != names[fh]:
-                    self._stage(fh).aux.refs = names[fh]
+                    self.write_record(fh, aux._replace(refs=names[fh]))
 
     def recover_directory(self, fh: FicusFileHandle) -> list[FicusFileHandle]:
         """Crash recovery for one directory, in the order a reboot needs;
@@ -1144,9 +1135,9 @@ class ReplicaStore:
                 and self.has_file(fh, child)
             ):
                 seen.add(child)
-                files = xor_fold(files, file_component(child, self._peek(child).vv))
+                files = xor_fold(files, file_component(child, self.read_record(child).vv))
         return content_digest(
-            self._peek(fh).vv.encode(),
+            self.read_record(fh).vv.encode(),
             entries_fold(entries) or EMPTY_DIGEST,
             files or EMPTY_DIGEST,
         )
@@ -1206,7 +1197,7 @@ class ReplicaStore:
             digest = content_digest(block)
             if index >= len(have) or have[index] != digest:
                 blocks[index] = (digest, block)
-        return FileBlocks(vv=self._peek(fh.logical).vv, size=len(contents), blocks=blocks)
+        return FileBlocks(vv=self.read_record(fh).vv, size=len(contents), blocks=blocks)
 
     # -- directory enumeration (for reconciliation sweeps) -----------------------
 

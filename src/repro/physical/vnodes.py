@@ -342,8 +342,8 @@ class PhysicalDirVnode(Vnode):
         raise FileNotFound(f"no live entry or directory {fh} in {self.fh}")
 
     def _bump_dir_vv(self) -> None:
-        aux = self.store.staged_record(self.fh)
-        aux.vv = aux.vv.bump(self.store.replica_id)
+        aux = self.store.read_record(self.fh)
+        self.store.write_record(self.fh, aux._replace(vv=aux.vv.bump(self.store.replica_id)))
 
     @_spanned("physical.insert")
     def insert(
@@ -403,7 +403,8 @@ class PhysicalDirVnode(Vnode):
                     self.layer.health.record_version("create", fh, VersionVector(), detail=name)
         else:
             if self.store.has_directory(fh):
-                self.store.staged_record(fh).refs += 1
+                aux = self.store.read_record(fh)
+                self.store.write_record(fh, aux._replace(refs=aux.refs + 1))
             else:
                 self.store.create_directory_storage(fh, etype, graft_volume=data, parent=self.fh)
         entries.append(entry)
@@ -479,9 +480,10 @@ class PhysicalDirVnode(Vnode):
             return
         if not self.store.has_directory(dead.fh):
             return
-        daux = self.store.staged_record(dead.fh)
-        daux.refs -= 1
-        if daux.refs <= 0:
+        aux = self.store.read_record(dead.fh)
+        aux = aux._replace(refs=aux.refs - 1)
+        self.store.write_record(dead.fh, aux)
+        if aux.refs <= 0:
             # last name gone: reclaim, but only when the directory is empty
             # of live entries (the logical layer enforces rmdir-on-empty;
             # entries arriving later via reconciliation leave an orphan for
@@ -582,10 +584,12 @@ class PhysicalFileVnode(Vnode):
             # a policy change is an update, bumped at once (not coalesced
             # into a session): the tag propagates, and wins, through recon
             with self.store.operation():
-                aux = self.aux()
-                prior, aux.merge_policy, aux.vv = aux.vv, attrs.policy, aux.vv.bump(self.store.replica_id)
+                prior = self.aux()
+                aux = prior._replace(merge_policy=attrs.policy, vv=prior.vv.bump(self.store.replica_id))
                 self.store.write_record(self.fh, aux)
-            self.layer.health.record_version("write", self.fh, aux.vv, parents=(prior,), detail="setpolicy")
+            self.layer.health.record_version(
+                "write", self.fh, aux.vv, parents=(prior.vv,), detail="setpolicy"
+            )
             attrs = dataclasses.replace(attrs, policy=None)
         if attrs.size is not None:
             self.layer.note_update(self.store, self.fh, ctx.session)

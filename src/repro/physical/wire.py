@@ -24,6 +24,7 @@ import functools
 import hashlib
 from collections import namedtuple
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.errors import InvalidArgument
 from repro.util import FicusFileHandle, decode_record, encode_record
@@ -238,18 +239,19 @@ class DirectoryEntry:
             raise InvalidArgument(f"directory entry missing field {exc}") from exc
 
 
-@dataclass
-class AuxAttributes:
+class AuxAttributes(NamedTuple):
     """Replication attributes of one file or directory replica: its record
     in the attribute table.
 
     "These attributes would be placed in the inode if we were to modify
-    the UFS" (paper Section 2.6).
+    the UFS" (paper Section 2.6).  A value, like :class:`repro.ufs.Inode`:
+    a change is ``_replace``, staged with ``ReplicaStore.write_record``, so
+    the store, a reader and the far end of an NFS hop can share one.
     """
 
     fh: FicusFileHandle
     etype: EntryType
-    vv: VersionVector = field(default_factory=VersionVector)
+    vv: VersionVector = VersionVector()
     #: a directory's: the live entries naming it in this volume replica,
     #: which drives its storage's garbage collection; a file's: the
     #: underlying Unix directories storing its contents under its name, so
@@ -269,18 +271,6 @@ class AuxAttributes:
     #: but both ends of a conflict converge on the same record because
     #: each refresh captures contents the replicas demonstrably shared.
     ancestor: str = ""
-
-    def clone(self) -> "AuxAttributes":
-        """A copy callers may mutate (every field is an immutable value)."""
-        return AuxAttributes(
-            self.fh,
-            self.etype,
-            self.vv,
-            self.refs,
-            self.graft_volume,
-            self.merge_policy,
-            self.ancestor,
-        )
 
     def to_record(self) -> dict[str, str]:
         """The record's fields, its handle first: the attribute table finds

@@ -198,8 +198,8 @@ def _replay(physical, store, dir_fh, remote_entries, remote_aux, all_replicas, r
 
     # Converged up to the remote's history: merge the version vectors so a
     # third party can tell this replica now includes the remote's updates.
-    local_aux = store.staged_record(dir_fh)
-    local_aux.vv = local_aux.vv.merge(remote_aux.vv)
+    local_aux = store.read_record(dir_fh)
+    store.write_record(dir_fh, local_aux._replace(vv=local_aux.vv.merge(remote_aux.vv)))
 
     merged = store.read_entries(dir_fh)
     result.collisions_repaired = count_name_collisions(merged)

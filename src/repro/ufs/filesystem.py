@@ -10,8 +10,9 @@ and name cache the paper's performance notes rely on.
 
 Metadata costs O(1) in the size of the tables.  Allocation searches from
 an in-memory lower bound (see :class:`Ufs`), peeking at raw table bytes
-one block at a time; decoded inodes and decoded directories are handed
-out as copies of a master kept in a map the buffer cache empties.  None
+one block at a time; decoded inodes and decoded directories are kept in a
+map the buffer cache empties.  An inode is a value (:class:`Inode`): every
+reader shares the one decoded, and a change is a new inode written back.  None
 of it changes what reaches the device: every allocation is still the
 lowest free slot, so the write sequence is the one a scan from the first
 slot would produce.
@@ -188,11 +189,11 @@ class Ufs:
         self.cache = BufferCache(device, capacity=cache_blocks)
         self.namecache = NameCache(capacity=name_cache_size)
         self._next_generation = 1
-        # Decoded-inode cache: ino -> master Inode.  Avoids re-unpacking
-        # the same inode block on every crossing; all reads hand out CLONES
-        # (Inode is mutable), and the buffer cache empties it with its
-        # blocks, so an invalidated buffer cache also means cold decoded
-        # inodes (E3/E4 accounting).
+        # Decoded-inode cache: ino -> its Inode.  Avoids re-unpacking the
+        # same inode block on every crossing; every read hands out the one
+        # value it holds, and the buffer cache empties it with its blocks,
+        # so an invalidated buffer cache also means cold decoded inodes
+        # (E3/E4 accounting).
         self._icache: dict[int, Inode] = self.cache.decoded_map()
         # Decoded-directory cache: ino -> its blocks' entries, each in line
         # order.  Lives by _icache's rules (never filled at capacity 0,
@@ -252,10 +253,9 @@ class Ufs:
         with fs.operation():
             root = fs._alloc_inode(FileType.DIRECTORY, perm=0o755)
             assert root.ino == ROOT_INO, f"root allocated as {root.ino}"
-            fs._put_entry(root, ".", root.ino)
-            fs._put_entry(root, "..", root.ino)
-            root.nlink = 2
-            fs._put_inode(root)
+            root = fs._put_entry(root, ".", root.ino)
+            root = fs._put_entry(root, "..", root.ino)
+            fs._put_inode(root._replace(nlink=2))
         return fs
 
     @classmethod
@@ -393,14 +393,13 @@ class Ufs:
     def _get_inode_raw(self, ino: int) -> Inode:
         cached = self._icache.get(ino)
         if cached is not None:
-            return cached.clone()
+            return cached
         block, offset = self.sb.inode_location(ino)
         raw = self.cache.read(block)[offset : offset + INODE_SIZE]
         lazy = self._lazy.get(block)
         if lazy and offset in lazy:
             raw = raw[: SLOT_TIMES.start] + lazy[offset] + raw[SLOT_TIMES.stop :]
-        inode = Inode.unpack(ino, raw)
-        self._icache[ino] = inode.clone()
+        inode = self._icache[ino] = Inode.unpack(ino, raw)
         return inode
 
     def get_inode(self, ino: int) -> Inode:
@@ -437,7 +436,7 @@ class Ufs:
                     image[at + SLOT_TIMES.start : at + SLOT_TIMES.stop] = times
                 image[offset:end] = packed
                 self._hold(block, bytes(image))
-        self._icache[inode.ino] = inode.clone()
+        self._icache[inode.ino] = inode
 
     def _alloc_inode(
         self, ftype: FileType, perm: int = 0o644, uid: int = 0, nlink: int = 0
@@ -480,10 +479,9 @@ class Ufs:
         inode = self._get_inode_raw(ino)
         if inode.is_free:
             return
-        inode.nlink = 0 if outright else inode.nlink - 1
-        inode.ctime = self.clock.now()
-        if inode.nlink > 0:
-            self._put_inode(inode)
+        nlink = 0 if outright else inode.nlink - 1
+        if nlink > 0:
+            self._put_inode(inode._replace(nlink=nlink, ctime=self.clock.now()))
             return
         # every path here has already dropped the inode's names from the
         # name cache (removed, overwritten, or never entered)
@@ -560,33 +558,39 @@ class Ufs:
         data = self.cache.read(inode.indirect)
         return list(struct.unpack_from(f"<{self.sb.pointers_per_block}I", data))
 
-    def _write_indirect(self, inode: Inode, ptrs: list[int]) -> None:
+    def _write_indirect(self, inode: Inode, ptrs: list[int]) -> Inode:
+        """Hold an inode's indirect block as ``ptrs``; the inode that names
+        it (a new one when the block is allocated here)."""
         if inode.indirect == 0:
-            inode.indirect = self._alloc_block()
+            inode = inode._replace(indirect=self._alloc_block())
         elif inode.indirect not in self._fresh:
             # a pointer it gains names a block whose bit lands before it
             self._pointers.add(inode.indirect)
         raw = struct.pack(f"<{len(ptrs)}I", *ptrs)
         self._hold(inode.indirect, raw.ljust(self.sb.block_size, b"\x00"))
+        return inode
 
-    def _bmap(self, inode: Inode, file_block: int, allocate: bool) -> int:
+    def _bmap(self, inode: Inode, file_block: int) -> int:
         """Map a file-relative block index to a device block (0 = hole)."""
         if file_block >= self._max_file_blocks():
             raise self._no_space(f"file block {file_block} exceeds max file size")
         if file_block < NDIRECT:
-            blk = inode.direct[file_block]
-            if blk == 0 and allocate:
-                blk = self._alloc_block()
-                inode.direct[file_block] = blk
-            return blk
-        ptrs = self._read_indirect(inode)
-        idx = file_block - NDIRECT
-        blk = ptrs[idx]
-        if blk == 0 and allocate:
+            return inode.direct[file_block]
+        return self._read_indirect(inode)[file_block - NDIRECT]
+
+    def _bmap_allocate(self, inode: Inode, file_block: int) -> tuple[Inode, int]:
+        """Map a hole to a fresh device block: the inode that maps it, and
+        the block."""
+        if file_block >= self._max_file_blocks():
+            raise self._no_space(f"file block {file_block} exceeds max file size")
+        if file_block < NDIRECT:
             blk = self._alloc_block()
-            ptrs[idx] = blk
-            self._write_indirect(inode, ptrs)
-        return blk
+            direct = list(inode.direct)
+            direct[file_block] = blk
+            return inode._replace(direct=tuple(direct)), blk
+        ptrs = self._read_indirect(inode)
+        blk = ptrs[file_block - NDIRECT] = self._alloc_block()
+        return self._write_indirect(inode, ptrs), blk
 
     def _file_blocks(self, inode: Inode) -> list[int]:
         """All allocated device blocks of a file, in file order."""
@@ -620,7 +624,7 @@ class Ufs:
         pos = offset
         while pos < end:
             fblock, in_off = divmod(pos, bs)
-            blk = self._bmap(inode, fblock, allocate=False)
+            blk = self._bmap(inode, fblock)
             take = min(bs - in_off, end - pos)
             if blk == 0:
                 chunks.append(bytes(take))
@@ -632,11 +636,11 @@ class Ufs:
     @_scoped
     def write_file(self, ino: int, offset: int, data: bytes) -> None:
         """Write ``data`` at ``offset``, extending the file as needed."""
-        inode = self.get_inode(ino)
-        self._write_inode_data(inode, offset, data)
-        self._put_inode(inode)
+        self._put_inode(self._write_inode_data(self.get_inode(ino), offset, data))
 
-    def _write_inode_data(self, inode: Inode, offset: int, data: bytes) -> None:
+    def _write_inode_data(self, inode: Inode, offset: int, data: bytes) -> Inode:
+        """Hold ``data`` at ``offset`` of an inode's file; the inode that
+        maps it, for the caller to put."""
         if offset < 0:
             raise InvalidArgument("negative offset")
         # the write may stop half-way: a directory is decoded again
@@ -647,10 +651,10 @@ class Ufs:
         while remaining:
             fblock, in_off = divmod(pos, bs)
             take = min(bs - in_off, len(remaining))
-            blk = self._bmap(inode, fblock, allocate=False)
+            blk = self._bmap(inode, fblock)
             fresh = not blk
             if fresh:
-                blk = self._bmap(inode, fblock, allocate=True)
+                inode, blk = self._bmap_allocate(inode, fblock)
             if in_off == 0 and take == bs:
                 block_data = bytes(remaining[:take])
             else:
@@ -664,10 +668,8 @@ class Ufs:
                 self._dir_data.add(blk)
             pos += take
             remaining = remaining[take:]
-        inode.size = max(inode.size, offset + len(data))
         now = self.clock.now()
-        inode.mtime = now
-        inode.ctime = now
+        return inode._replace(size=max(inode.size, offset + len(data)), mtime=now, ctime=now)
 
     @_scoped
     def truncate_file(self, ino: int, size: int) -> None:
@@ -679,40 +681,43 @@ class Ufs:
         inode = self.get_inode(ino)
         if inode.size == size:
             return
-        self._truncate_blocks(inode, size)
-        inode.size = size
         now = self.clock.now()
-        inode.mtime = now
-        inode.ctime = now
-        self._put_inode(inode)
+        self._put_inode(self._truncate_blocks(inode, size)._replace(mtime=now, ctime=now))
 
-    def _truncate_blocks(self, inode: Inode, size: int) -> None:
+    def _truncate_blocks(self, inode: Inode, size: int) -> Inode:
+        """Queue the frees of an inode's blocks past ``size`` and zero the
+        tail of the last one kept; the inode at ``size``, for the caller
+        to put."""
         self._dcache.pop(inode.ino, None)
         bs = self.sb.block_size
         keep = (size + bs - 1) // bs
         ptrs = self._read_indirect(inode) if inode.indirect else None
         nblocks = (inode.size + bs - 1) // bs
+        direct = list(inode.direct)
         for i in range(keep, nblocks):
             if i < NDIRECT:
-                if inode.direct[i]:
-                    self._free_block(inode.direct[i])
-                    inode.direct[i] = 0
+                if direct[i]:
+                    self._free_block(direct[i])
+                    direct[i] = 0
             elif ptrs is not None and ptrs[i - NDIRECT]:
                 self._free_block(ptrs[i - NDIRECT])
                 ptrs[i - NDIRECT] = 0
+        indirect = inode.indirect
         if ptrs is not None:
-            if keep <= NDIRECT and inode.indirect:
-                self._free_block(inode.indirect)
-                inode.indirect = 0
+            if keep <= NDIRECT:
+                self._free_block(indirect)
+                indirect = 0
             else:
-                self._write_indirect(inode, ptrs)
+                self._write_indirect(inode, ptrs)  # an existing block: the inode keeps it
+        inode = inode._replace(size=size, direct=tuple(direct), indirect=indirect)
         # Zero the tail of the final kept block so old bytes never resurface.
         if size % bs and keep <= nblocks:
-            last = self._bmap(inode, keep - 1, allocate=False)
+            last = self._bmap(inode, keep - 1)
             if last:
                 buf = bytearray(self.cache.read(last))
                 buf[size % bs :] = bytes(bs - size % bs)
                 self._hold(last, bytes(buf))
+        return inode
 
     # -- directories ------------------------------------------------------------
 
@@ -743,7 +748,7 @@ class Ufs:
         ``old`` out, add ``new``'s after the rest (encoding only those), or
         return False, changing nothing, when the block has no room."""
         block = blocks[index]
-        blk = self._bmap(inode, index, allocate=False)
+        blk = self._bmap(inode, index)
         text = b"\n" + self.cache.read(blk).rstrip(b"\n") + b"\n"  # every line between two newlines
         for name in old:
             text = text.replace(b"\n" + _dirent_line(name, block[name]), b"\n", 1)
@@ -760,10 +765,11 @@ class Ufs:
             block[new[0]] = new[1]
         return True
 
-    def _put_entry(self, dir_inode: Inode, name: str, ino: int) -> None:
+    def _put_entry(self, dir_inode: Inode, name: str, ino: int) -> Inode:
         """Point ``name`` at ``ino`` with one block write: in the block that
         holds the name if the line fits there (a longer line that does not
-        is taken out first), else the first block with room, else a fresh one."""
+        is taken out first), else the first block with room, else a fresh
+        one.  Returns the directory's inode as it put it."""
         blocks, entry = self._dir_blocks(dir_inode), (name, ino)
         home = self._entry_block(blocks, name)
         if home is None or not self._edit_dir_block(dir_inode, blocks, home, (name,), entry):
@@ -776,8 +782,8 @@ class Ufs:
             elif need < 0:
                 raise NameTooLong(f"entry {name!r} does not fit a directory block")
             else:
-                blk = self._bmap(dir_inode, len(blocks), allocate=True)
-                dir_inode.size += self.sb.block_size
+                dir_inode, blk = self._bmap_allocate(dir_inode, len(blocks))
+                dir_inode = dir_inode._replace(size=dir_inode.size + self.sb.block_size)
                 self._hold(blk, b"\n" * self.sb.block_size)
                 blocks.append(_DirBlock())
                 if dir_inode.ino not in self._born:
@@ -787,37 +793,39 @@ class Ufs:
                     self._put_inode(dir_inode)
                     self._land()
                 self._edit_dir_block(dir_inode, blocks, len(blocks) - 1, new=entry)
-        dir_inode.mtime = dir_inode.ctime = self.clock.now()
+        now = self.clock.now()
+        dir_inode = dir_inode._replace(mtime=now, ctime=now)
         self._put_inode(dir_inode)
         self.namecache.enter(dir_inode.ino, name, ino)
+        return dir_inode
 
-    def _add_entry(self, dir_inode: Inode, name: str, ino: int) -> None:
+    def _add_entry(self, dir_inode: Inode, name: str, ino: int) -> Inode:
         if any(name in block for block in self._dir_blocks(dir_inode)):
             raise FileExists(f"{name!r} already exists in directory {dir_inode.ino}")
-        self._put_entry(dir_inode, name, ino)
+        return self._put_entry(dir_inode, name, ino)
 
-    def _remove_entry(self, dir_inode: Inode, name: str) -> int:
+    def _remove_entry(self, dir_inode: Inode, name: str) -> Inode:
         """Take a name's line out of its block: one block write, or none
         when the last blocks are left empty — the inode that stops naming
-        them commits the removal, and they are freed after it."""
+        them commits the removal, and they are freed after it.  Returns the
+        directory's inode as it put it."""
         blocks = self._dir_blocks(dir_inode)
         home = self._entry_block(blocks, name)
         if home is None:
             raise FileNotFound(f"{name!r} not found in directory {dir_inode.ino}")
-        ino = blocks[home][name]
         keep = len(blocks)
         while keep > 1 and all(entry == name for entry in blocks[keep - 1]):
             keep -= 1
         if home < keep:
             self._edit_dir_block(dir_inode, blocks, home, (name,))
         if keep < len(blocks):
-            self._truncate_blocks(dir_inode, keep * self.sb.block_size)
-            dir_inode.size = keep * self.sb.block_size
+            dir_inode = self._truncate_blocks(dir_inode, keep * self.sb.block_size)
             self._dcache[dir_inode.ino] = blocks[:keep]
-        dir_inode.mtime = dir_inode.ctime = self.clock.now()
+        now = self.clock.now()
+        dir_inode = dir_inode._replace(mtime=now, ctime=now)
         self._put_inode(dir_inode)
         self.namecache.remove(dir_inode.ino, name)
-        return ino
+        return dir_inode
 
     def readdir(self, dir_ino: int) -> dict[str, int]:
         """Return all entries of a directory, including ``.`` and ``..``."""
@@ -868,18 +876,15 @@ class Ufs:
         if not parent.is_dir:
             raise NotADirectory(f"inode {dir_ino} is not a directory")
         inode = self._alloc_inode(FileType.DIRECTORY, perm=perm, uid=uid)
-        self._put_entry(inode, ".", inode.ino)
-        self._put_entry(inode, "..", dir_ino)
-        inode.nlink = 2
-        self._put_inode(inode)
+        inode = self._put_entry(inode, ".", inode.ino)
+        inode = self._put_entry(inode, "..", dir_ino)
+        self._put_inode(inode._replace(nlink=2))
         try:
-            self._add_entry(parent, name, inode.ino)
+            parent = self._add_entry(parent, name, inode.ino)
         except FileExists:
             self._unref(inode.ino, outright=True)
             raise
-        parent = self.get_inode(dir_ino)
-        parent.nlink += 1
-        self._put_inode(parent)
+        self._put_inode(parent._replace(nlink=parent.nlink + 1))
         return inode.ino
 
     @_scoped
@@ -888,8 +893,7 @@ class Ufs:
         self._check_name(name)
         dir_inode = self.get_inode(dir_ino)
         inode = self._alloc_inode(FileType.SYMLINK, perm=0o777, uid=uid, nlink=1)
-        self._write_inode_data(inode, 0, target.encode("utf-8"))
-        self._put_inode(inode)
+        self._put_inode(self._write_inode_data(inode, 0, target.encode("utf-8")))
         try:
             self._add_entry(dir_inode, name, inode.ino)
         except FileExists:
@@ -917,9 +921,7 @@ class Ufs:
         # directory block): a crash between the two leaves a count one too
         # high (a leak ``fsck`` reports), never a second name whose inode an
         # unlink of the first one frees
-        inode.nlink += 1
-        inode.ctime = self.clock.now()
-        self._put_inode(inode)
+        self._put_inode(inode._replace(nlink=inode.nlink + 1, ctime=self.clock.now()))
         self._add_entry(dir_inode, name, ino)
 
     @_scoped
@@ -986,8 +988,8 @@ class Ufs:
         old = (src_name,) if at is None else (src_name, dst_name)  # a target in the same block goes too
         one_write = home is not None and at in (None, home)
         if one_write and self._edit_dir_block(dst_dinode, blocks, home, old, (dst_name, src_ino)):
-            dst_dinode.mtime = dst_dinode.ctime = self.clock.now()
-            self._put_inode(dst_dinode)
+            now = self.clock.now()
+            self._put_inode(dst_dinode._replace(mtime=now, ctime=now))
             self.namecache.remove(src_dir, src_name)
             self.namecache.enter(dst_dir, dst_name, src_ino)
         else:
@@ -999,8 +1001,7 @@ class Ufs:
             self._put_entry(self.get_inode(src_ino), "..", dst_dir)
             self._unref(src_dir)
             new_parent = self.get_inode(dst_dir)
-            new_parent.nlink += 1
-            self._put_inode(new_parent)
+            self._put_inode(new_parent._replace(nlink=new_parent.nlink + 1))
 
     # -- attributes & paths ---------------------------------------------------
 
@@ -1010,12 +1011,13 @@ class Ufs:
     @_scoped
     def setattr(self, ino: int, perm: int | None = None, uid: int | None = None) -> None:
         inode = self.get_inode(ino)
-        if perm is not None:
-            inode.perm = perm & 0o7777
-        if uid is not None:
-            inode.uid = uid
-        inode.ctime = self.clock.now()
-        self._put_inode(inode)
+        self._put_inode(
+            inode._replace(
+                perm=inode.perm if perm is None else perm & 0o7777,
+                uid=inode.uid if uid is None else uid,
+                ctime=self.clock.now(),
+            )
+        )
 
     def path_lookup(self, path: str, base: int = ROOT_INO) -> int:
         """Resolve a slash-separated path to an inode number."""

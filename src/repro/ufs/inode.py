@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.ufs.layout import NDIRECT, pack_inode_slot, peek_slot_mode, unpack_inode_slot
 
@@ -27,9 +28,11 @@ def slot_is_free(block: bytes, offset: int) -> bool:
     return peek_slot_mode(block, offset) >> _TYPE_SHIFT == FileType.NONE
 
 
-@dataclass
-class Inode:
-    """One in-memory inode.  Mirrors the 128-byte on-disk slot exactly."""
+class Inode(NamedTuple):
+    """One in-memory inode.  Mirrors the 128-byte on-disk slot exactly.
+
+    A value: a change is ``_replace``, written back with ``Ufs._put_inode``,
+    so the inode a reader holds is never changed under it."""
 
     ino: int
     ftype: FileType = FileType.NONE
@@ -40,7 +43,7 @@ class Inode:
     atime: float = 0.0
     mtime: float = 0.0
     ctime: float = 0.0
-    direct: list[int] = field(default_factory=lambda: [0] * NDIRECT)
+    direct: tuple[int, ...] = (0,) * NDIRECT
     indirect: int = 0
     generation: int = 0
 
@@ -59,23 +62,6 @@ class Inode:
     @property
     def is_free(self) -> bool:
         return self.ftype == FileType.NONE
-
-    def clone(self) -> "Inode":
-        """An independent copy (its own ``direct`` list)."""
-        return Inode(
-            self.ino,
-            self.ftype,
-            self.perm,
-            self.nlink,
-            self.uid,
-            self.size,
-            self.atime,
-            self.mtime,
-            self.ctime,
-            self.direct[:],
-            self.indirect,
-            self.generation,
-        )
 
     def pack(self) -> bytes:
         fields = (
@@ -96,7 +82,7 @@ class Inode:
     def unpack(cls, ino: int, data: bytes) -> "Inode":
         fields = unpack_inode_slot(data)
         mode, nlink, uid, size, atime, mtime, ctime = fields[:7]
-        direct = list(fields[7 : 7 + NDIRECT])
+        direct = fields[7 : 7 + NDIRECT]
         indirect, generation = fields[7 + NDIRECT :]
         return cls(
             ino=ino,

@@ -269,7 +269,7 @@ def test_a_cold_buffer_cache_inside_an_operation_keeps_what_is_staged():
     host, store, root, fh = one_file_replica()
     entries = [entry.killed() if entry.fh == fh else entry for entry in store.read_entries(root)]
     record = store.read_record(fh)
-    record.vv = record.vv.merge(VersionVector({7: 1}))
+    record = record._replace(vv=record.vv.merge(VersionVector({7: 1})))
     with store.operation():
         store.write_entries(root, entries)
         store.write_record(fh, record)

@@ -135,8 +135,7 @@ class TestDetectsCorruption:
         store = host.physical.store_for(system.root_locations[0].volrep)
         entries = store.read_entries(store.root_handle())
         dfh = next(e.fh for e in entries if e.name == "d")
-        aux = store.read_record(dfh)
-        aux.refs = 5
+        aux = store.read_record(dfh)._replace(refs=5)
         store.write_record(dfh, aux)
         report = ficus_fsck(store)
         assert any("refs=5" in p for p in report.problems)
@@ -172,8 +171,7 @@ class TestDetectsCorruption:
         store = host.physical.store_for(system.root_locations[0].volrep)
         fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "f")
         assert store.read_record(fh).refs == 2 and ficus_fsck(store).clean
-        aux = store.read_record(fh)
-        aux.refs = 1
+        aux = store.read_record(fh)._replace(refs=1)
         store.write_record(fh, aux)
         assert f"file {fh}: record refs=1 but 2 stored names" in ficus_fsck(store).problems
 

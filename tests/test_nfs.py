@@ -11,7 +11,7 @@ from repro.physical.wire import FileBlocks, content_digest
 from repro.sim import DaemonConfig, FicusSystem
 from repro.storage import BlockDevice
 from repro.telemetry import TraceContext
-from repro.ufs import MAX_NAME_LEN, FileType, Ufs
+from repro.ufs import MAX_NAME_LEN, ROOT_INO, FileType, Ufs
 from repro.util import FicusFileHandle, FileId, VolumeId, VolumeReplicaId
 from repro.vnode import SetAttrs, UfsLayer
 from repro.vnode.context import ROOT_CTX, Credential, OpContext
@@ -310,7 +310,8 @@ VR = VolumeReplicaId(VolumeId(1, 1), 1)
 
 def ficus_root(hop: bool):
     """The root directory of a fresh one-replica physical layer: the local
-    vnode, or the same vnode reached through an NFS client."""
+    vnode, or the same vnode reached through an NFS client; with the
+    network and the physical layer."""
     net = Network()
     net.add_host("server")
     net.add_host("client")
@@ -320,7 +321,7 @@ def ficus_root(hop: bool):
     phys.create_volume_replica(VR)
     NfsServer(net, "server", phys)
     layer = NfsClientLayer(net, "client", "server") if hop else phys
-    return net, layer.root().lookup(VR.to_hex())
+    return net, layer.root().lookup(VR.to_hex()), phys
 
 
 def drive_ficus_ops(root, name: str):
@@ -379,7 +380,7 @@ class TestFicusOpsOverNfs:
         session left it, the value ``getattrs_batch([fh])`` lists, locally
         and through the hop alike; a write's reply refreshes the client's
         attributes, so the size it reports needs no ``getattr``."""
-        net, root = ficus_root(hop)
+        net, root, _ = ficus_root(hop)
         entry = root.insert("f", EntryType.FILE)
         child = root.lookup_fh(entry.fh)
         child.write(0, b"written", ROOT_CTX.with_session())
@@ -435,15 +436,25 @@ class TestFicusOpsOverNfs:
 
     @pytest.mark.parametrize("hop", [False, True], ids=["local", "through the hop"])
     def test_a_received_batch_is_the_receivers_own(self, hop):
-        """A layer replies only with objects it does not keep: changing a
-        received batch changes nothing the replica answers next."""
-        _, root = ficus_root(hop)
+        """Records are values: no field of a received batch's records, of
+        the record the store reads or of the inode UFS reads can be
+        assigned, so a layer may reply with the records it keeps and the
+        replica answers the same the next time."""
+        _, root, phys = ficus_root(hop)
         entry = root.insert("f", EntryType.FILE)
         first = root.getattrs_batch()
-        child = first.child(entry.fh)
-        child.vv = child.vv.bump(9)
-        child.refs = 99
-        first.dir_aux.refs = 42
+        store = phys.store_for(VR)
+        assert first.child(entry.fh) is store.read_record(entry.fh)
+        for record in (first.child(entry.fh), first.dir_aux, store.read_record(entry.fh)):
+            with pytest.raises(AttributeError):
+                record.vv = record.vv.bump(9)
+            with pytest.raises(AttributeError):
+                record.refs = 99
+        inode = phys.lower_layer.fs.get_inode(ROOT_INO)
+        with pytest.raises(AttributeError):
+            inode.nlink = 99
+        with pytest.raises(TypeError):
+            inode.direct[0] = 0
         again = root.getattrs_batch()
         assert (again.child(entry.fh).vv.total_updates, again.child(entry.fh).refs) == (0, 1)
         assert again.dir_aux.refs == 1
@@ -478,7 +489,7 @@ class TestFicusOpsOverNfs:
 
     def test_handle_lookups_ride_the_name_cache(self):
         """``lookup`` and ``lookup_fh`` share one name cache and its rules."""
-        net, root = ficus_root(hop=True)
+        net, root, _ = ficus_root(hop=True)
         d, f = root.insert("d", EntryType.DIRECTORY), root.insert("f", EntryType.FILE)
         sub, child = root.lookup("d"), root.lookup_fh(f.fh)
         sent = net.stats.rpcs_sent
@@ -495,7 +506,7 @@ class TestFicusOpsOverNfs:
     def test_lookup_fh_reaches_a_directory_the_addressed_one_does_not_name(self, hop):
         """What a walk would reach, one ``lookup_fh`` reaches from any
         directory of the volume replica: a grandchild, or the root."""
-        _, root = ficus_root(hop)
+        _, root, _ = ficus_root(hop)
         d = root.insert("d", EntryType.DIRECTORY)
         sub = root.lookup_fh(d.fh)
         e = sub.insert("e", EntryType.DIRECTORY)
@@ -509,7 +520,7 @@ class TestFicusOpsOverNfs:
         f = client.root().create("f")
         with pytest.raises(InvalidArgument):
             f.setattr(SetAttrs(policy="lww"))
-        _, root = ficus_root(hop=True)
+        _, root, _ = ficus_root(hop=True)
         with pytest.raises(InvalidArgument):
             root.setattr(SetAttrs(policy="lww"))
 

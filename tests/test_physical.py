@@ -454,8 +454,7 @@ class TestShadowCommit:
         _, _, _, store, root = world
         fh, vnode = insert_file(store, root, "f", b"x")
         vv = VersionVector({1: 5, 2: 5})
-        aux = store.read_record(fh)
-        aux.vv = vv
+        aux = store.read_record(fh)._replace(vv=vv)
         store.write_record(fh, aux)
         assert store.read_record(fh).vv == vv
 
@@ -463,7 +462,7 @@ class TestShadowCommit:
         _, _, _, store, root = world
         insert_file(store, root, "f")  # bumps dir vv to {1:1}
         aux = store.read_record(store.root_handle())
-        aux.vv = aux.vv.merge(VersionVector({7: 3}))
+        aux = aux._replace(vv=aux.vv.merge(VersionVector({7: 3})))
         store.write_record(store.root_handle(), aux)
         assert store.read_record(store.root_handle()).vv == VersionVector({1: 1, 7: 3})
 
@@ -539,7 +538,7 @@ class TestOperationScope:
     @staticmethod
     def grow_dir_vv(store, replica):
         aux = store.read_record(store.root_handle())
-        aux.vv = aux.vv.merge(VersionVector({replica: 1}))
+        aux = aux._replace(vv=aux.vv.merge(VersionVector({replica: 1})))
         store.write_record(store.root_handle(), aux)
 
     def test_nesting_flushes_once_at_the_outermost_exit(self, world):
@@ -783,8 +782,7 @@ class TestAttributeTable:
         device, _, _, store, root = world
         fh, _ = insert_file(store, root, "f", b"x")
         old = store.read_record(fh)
-        new = old.clone()
-        new.merge_policy = "newer"
+        new = old._replace(merge_policy="newer")
         attr = store._attr_vnode
         # a crash between a record's fresh run and its old run's clear
         # leaves two copies; a torn run (no newline) is no record at all

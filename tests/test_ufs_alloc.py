@@ -16,7 +16,6 @@ from-slot-0 scan it replaced, both reading the device directly
 """
 
 import copy
-import dataclasses
 import hashlib
 
 import pytest
@@ -31,10 +30,8 @@ from hypothesis.stateful import (
 )
 
 from repro.errors import CrashInjected, FicusError, NoSpace
-from repro.physical.wire import AuxAttributes
 from repro.storage import BlockDevice
 from repro.ufs import ROOT_INO, Ufs, fsck
-from repro.ufs.inode import Inode
 from repro.ufs.layout import unpack_inode_slot
 from repro.util import VirtualClock
 
@@ -451,20 +448,3 @@ def test_mount_decodes_no_inode(golden):
     fs = golden.remount()
     assert fs._icache == {}
     assert fs._next_generation == golden._next_generation
-
-
-@pytest.mark.parametrize(
-    "record",
-    [Inode(ino=7), AuxAttributes(fh=None, etype=None)],
-    ids=["Inode", "AuxAttributes"],
-)
-def test_clone_carries_every_field(record):
-    """``clone`` spells the fields out positionally (that is what makes it
-    cheap), so a field added later must be added there too."""
-    for spec in dataclasses.fields(record):
-        setattr(record, spec.name, [spec.name])
-    clone = record.clone()
-    assert clone == record
-    assert all(getattr(clone, spec.name) == [spec.name] for spec in dataclasses.fields(record))
-    if isinstance(record, Inode):
-        assert clone.direct is not record.direct

@@ -419,8 +419,7 @@ def use_up_entry_ids_through(last):
 
 def set_merge_policy(tag):
     def replace(store, fh):
-        aux = store.read_record(fh)
-        aux.merge_policy = tag
+        aux = store.read_record(fh)._replace(merge_policy=tag)
         store.write_record(fh, aux)
 
     return replace
@@ -431,8 +430,7 @@ def set_merge_policy_to_fill(length):
     bytes long, before its padding to whole slots."""
 
     def replace(store, fh):
-        aux = store.read_record(fh)
-        aux.merge_policy = "p"
+        aux = store.read_record(fh)._replace(merge_policy="p")
         unpadded = len(encode_run(aux, store._attr.runs[fh].stamp).rstrip(b"\0"))
         set_merge_policy("p" * (1 + length - unpadded))(store, fh)
 
@@ -485,7 +483,7 @@ def tombstone_the_entry(store, fh):
 def merge_dir_vv(remote):
     def replace(store, fh):
         aux = store.read_record(store.root_handle())
-        aux.vv = aux.vv.merge(VersionVector(remote))
+        aux = aux._replace(vv=aux.vv.merge(VersionVector(remote)))
         store.write_record(store.root_handle(), aux)
 
     return replace

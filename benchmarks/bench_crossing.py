@@ -58,19 +58,26 @@ class TestShape:
 
     def test_per_crossing_overhead_is_small_and_linear(self, capsys):
         """Measure wall time per getattr at each depth; the fitted
-        per-crossing increment should be a fraction of the base op cost."""
-        samples = {}
-        for depth in DEPTHS:
-            _, root = make_stack(depth)
-            probe = root.lookup("probe")
-            n = 2000
-            best = float("inf")
-            for _ in range(3):  # best-of-3 damps scheduler jitter
-                start = time.perf_counter()
-                for _ in range(n):
-                    probe.getattr()
-                best = min(best, (time.perf_counter() - start) / n)
-            samples[depth] = best
+        per-crossing increment should be a fraction of the base op cost.
+
+        One warm-up pass first, then every repeat times the depths round
+        robin, and each depth keeps its best: a slow spell of the machine
+        lands on all depths alike instead of on whichever ran first."""
+        probes = {depth: make_stack(depth)[1].lookup("probe") for depth in DEPTHS}
+        n = 2000
+
+        def per_call(probe) -> float:
+            start = time.perf_counter()
+            for _ in range(n):
+                probe.getattr()
+            return (time.perf_counter() - start) / n
+
+        for probe in probes.values():
+            per_call(probe)  # warm-up
+        samples = dict.fromkeys(DEPTHS, float("inf"))
+        for _ in range(5):
+            for depth, probe in probes.items():
+                samples[depth] = min(samples[depth], per_call(probe))
         base_cost = samples[0]
         per_crossing = (samples[16] - samples[0]) / 16
         with capsys.disabled():

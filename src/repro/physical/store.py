@@ -21,11 +21,13 @@ Layout under the lower layer's root::
 Regular files live inside their directory's UFS directory — the "on-disk
 file organization closely parallels the logical Ficus name space topology"
 (Section 2.6), which is what lets the UFS caches exploit directory
-locality.  A file with several names has its contents hard-linked into each
-naming directory's UFS directory and one record, whose ``refs`` counts
-those stored names.  Ficus *directories* are keyed flat in ``nodes/`` so
-that the directory DAG (multiple names for one directory, a consequence of
-concurrent renames) needs no extra mechanism.
+locality.  A file's contents are found by name in that directory, and the
+UFS name cache answers the lookup, a miss as well as a hit: it is the one
+cache of the names the store resolves.  A file with several names has its
+contents hard-linked into each naming directory's UFS directory and one
+record, whose ``refs`` counts those stored names.  Ficus *directories* are
+keyed flat in ``nodes/`` so that the directory DAG (multiple names for one
+directory, a consequence of concurrent renames) needs no extra mechanism.
 
 The paper's "auxiliary attribute file" (Section 2.6) is one run of 256-byte
 slots in ``.attr`` (:mod:`repro.physical.table`): a record never straddles
@@ -227,8 +229,9 @@ DIR_TYPES = (EntryType.DIRECTORY, EntryType.GRAFT_POINT)
 class _Known:
     """What the store has decoded about one object, by logical handle:
     its record, and for a directory its Unix directory's vnode, its
-    ``.fdir``'s vnode, its entry list and the contents vnodes of the files
-    stored in it, by handle (``None``: not decoded yet).
+    ``.fdir``'s vnode and its entry list (``None``: not decoded yet).  A
+    file stored in a directory is found by name (:meth:`file_vnode`),
+    which the UFS name cache answers.
 
     And what reconciliation has learnt of it: a directory's ``subtree``
     digest; ``readers``, the directories whose digest read this object,
@@ -236,10 +239,10 @@ class _Known:
     the (vector, merge ancestor) pair its contents were last digested at.
     """
 
-    __slots__ = ("record", "unix_dir", "fdir", "entries", "files", "subtree", "readers", "synced")
+    __slots__ = ("record", "unix_dir", "fdir", "entries", "subtree", "readers", "synced")
 
     def __init__(self):
-        self.record = self.unix_dir = self.fdir = self.entries = self.files = None
+        self.record = self.unix_dir = self.fdir = self.entries = None
         self.subtree = self.readers = self.synced = None
 
 
@@ -811,24 +814,9 @@ class ReplicaStore:
     # -- regular-file storage (lives inside the parent's Unix directory) --------
 
     def file_vnode(self, parent: FicusFileHandle, fh: FicusFileHandle) -> Vnode:
-        """The contents vnode of a regular-file replica."""
-        parent, fh = parent.logical, fh.logical
-        files = self._known.get(parent, _UNKNOWN).files
-        vnode = files.get(fh) if files else None
-        if vnode is None:
-            vnode = self.dir_unix_vnode(parent).lookup(fh.to_hex())
-            self._keep_file(parent, fh, vnode)
-        return vnode
-
-    def _keep_file(self, parent: FicusFileHandle, fh: FicusFileHandle, vnode: Vnode) -> None:
-        known = self._learn(parent)
-        known.files = known.files or {}
-        known.files[fh] = vnode
-
-    def _forget_file(self, parent: FicusFileHandle, fh: FicusFileHandle | None) -> None:
-        files = self._known.get(parent, _UNKNOWN).files
-        if files:
-            files.pop(fh, None)
+        """The contents vnode of a regular-file replica, by name in the
+        parent's Unix directory: the UFS name cache answers, misses too."""
+        return self.dir_unix_vnode(parent).lookup(fh.logical.to_hex())
 
     def create_file_storage(
         self,
@@ -853,7 +841,6 @@ class ReplicaStore:
             merge_policy=merge_policy,
             ancestor=AuxAttributes.encode_ancestor([]),
         )
-        self._keep_file(parent, fh, contents)
         with self._scope:
             self._stage_new(fh, aux, parent)
         self._learn(fh).synced = (aux.vv, aux.ancestor)
@@ -898,7 +885,6 @@ class ReplicaStore:
 
     def _unlink_file_storage(self, parent: FicusFileHandle, fh: FicusFileHandle) -> None:
         self.dir_unix_vnode(parent).remove(fh.to_hex())
-        self._forget_file(parent, fh)
         self._changed(parent)
 
     def has_file(self, parent: FicusFileHandle, fh: FicusFileHandle) -> bool:
@@ -958,7 +944,6 @@ class ReplicaStore:
                     self._replace_record(vnode, contents)
             else:
                 vnode = self.dir_unix_vnode(parent).create(fh.to_hex())
-                self._keep_file(parent, fh, vnode)
                 if contents:
                     vnode.write(0, contents)
                 aux = AuxAttributes(fh=fh, etype=etype, vv=vv, merge_policy=merge_policy, ancestor=ancestor)
@@ -1102,7 +1087,6 @@ class ReplicaStore:
                 kept.append(child)
                 continue  # served, or waiting for the entry only this host could publish
             unix_dir.remove(name)
-            self._forget_file(fh, child)
             self._changed(fh)
         return kept
 

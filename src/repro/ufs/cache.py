@@ -12,8 +12,9 @@ Both caches here are the mechanisms that argument depends on:
   "opening a recently accessed file or directory involves no overhead not
   already incurred by the normal Unix file system".
 * :class:`NameCache` — the directory name lookup cache (DNLC): maps
-  ``(directory inode, component name)`` to an inode number so warm lookups
-  skip the directory scan entirely.
+  ``(directory inode, component name)`` to an inode number, or to
+  :data:`NEGATIVE` for a name it lacks, so a warm lookup, hit or miss,
+  skips the directory scan; the replica store resolves its files here too.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from dataclasses import dataclass
 
 from repro.errors import InvalidArgument
 from repro.storage import BlockDevice
+
+NEGATIVE = 0  #: the DNLC's entry for a name a directory lacks (no inode is 0)
 
 
 @dataclass
@@ -154,8 +157,8 @@ class BufferCache:
 class NameCache:
     """Directory name lookup cache: ``(dir ino, name) -> ino`` with LRU.
 
-    Negative entries are not cached (matching the simple SunOS DNLC), and
-    any directory modification must invalidate the affected names.
+    A miss is cached too, as :data:`NEGATIVE`, and any directory
+    modification must enter or remove the names it changes.
     """
 
     def __init__(self, capacity: int = 512):
@@ -167,12 +170,13 @@ class NameCache:
 
     def lookup(self, dir_ino: int, name: str) -> int | None:
         key = (dir_ino, name)
-        if key in self._lru:
-            self.stats.hits += 1
-            self._lru.move_to_end(key)
-            return self._lru[key]
-        self.stats.misses += 1
-        return None
+        ino = self._lru.get(key)
+        if ino is None:
+            self.stats.misses += 1
+            return None
+        self.stats.hits += 1
+        self._lru.move_to_end(key)
+        return ino
 
     def enter(self, dir_ino: int, name: str, ino: int) -> None:
         if self.capacity == 0:

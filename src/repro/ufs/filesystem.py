@@ -89,7 +89,7 @@ from repro.errors import (
     NotADirectory,
 )
 from repro.storage import BlockDevice
-from repro.ufs.cache import BufferCache, NameCache
+from repro.ufs.cache import NEGATIVE, BufferCache, NameCache
 from repro.ufs.inode import FileAttributes, FileType, Inode, slot_is_free
 from repro.ufs.layout import (
     INODE_SIZE,
@@ -832,16 +832,18 @@ class Ufs:
         return self._read_dir_entries(self.get_inode(dir_ino))
 
     def lookup(self, dir_ino: int, name: str) -> int:
-        """Resolve one name component (through the DNLC)."""
-        self._check_name(name)
-        cached = self.namecache.lookup(dir_ino, name)
-        if cached is not None:
-            return cached
-        entries = self._read_dir_entries(self.get_inode(dir_ino))
-        if name not in entries:
+        """Resolve one name component through the DNLC, which holds checked
+        names only and remembers misses: every path that makes a name
+        enters it there, so a remembered miss never hides one."""
+        ino = self.namecache.lookup(dir_ino, name)
+        if ino is None:
+            self._check_name(name)
+            blocks = self._dir_blocks(self.get_inode(dir_ino))
+            home = self._entry_block(blocks, name)
+            ino = NEGATIVE if home is None else blocks[home][name]
+            self.namecache.enter(dir_ino, name, ino)
+        if ino == NEGATIVE:
             raise FileNotFound(f"{name!r} not found in directory {dir_ino}")
-        ino = entries[name]
-        self.namecache.enter(dir_ino, name, ino)
         return ino
 
     @staticmethod
@@ -915,7 +917,7 @@ class Ufs:
         if inode.is_dir:
             raise IsADirectory("hard links to directories are not allowed")
         dir_inode = self.get_inode(dir_ino)
-        if name in self._read_dir_entries(dir_inode):
+        if any(name in block for block in self._dir_blocks(dir_inode)):
             raise FileExists(f"{name!r} already exists in directory {dir_ino}")
         # the count before the name (the inode table goes out before the
         # directory block): a crash between the two leaves a count one too
@@ -927,14 +929,10 @@ class Ufs:
     @_scoped
     def unlink(self, dir_ino: int, name: str) -> None:
         """Remove a name; frees the inode when the last link goes."""
-        dir_inode = self.get_inode(dir_ino)
-        entries = self._read_dir_entries(dir_inode)
-        if name not in entries:
-            raise FileNotFound(f"{name!r} not found in directory {dir_ino}")
-        inode = self.get_inode(entries[name])
+        inode = self.get_inode(self.lookup(dir_ino, name))
         if inode.is_dir:
             raise IsADirectory(f"{name!r} is a directory; use rmdir")
-        self._remove_entry(dir_inode, name)
+        self._remove_entry(self.get_inode(dir_ino), name)
         self._unref(inode.ino)
 
     @_scoped

@@ -99,7 +99,7 @@ class UfsVnode(Vnode):
     # -- namespace --
 
     def lookup(self, name: str, ctx: OpContext = ROOT_CTX) -> Vnode:
-        return self._node(self.fs.lookup(self.ino, name))
+        return UfsVnode(self.layer, self.layer.fs.lookup(self.ino, name))
 
     def create(self, name: str, perm: int = 0o644, ctx: OpContext = ROOT_CTX) -> Vnode:
         return self._node(self.fs.create(self.ino, name, perm=perm, uid=ctx.cred.uid))

@@ -102,8 +102,9 @@ def run_history(host_config: HostConfig | None, ctx: OpContext = ROOT_CTX):
     system.reconcile_everything()
     observe("/d/a", "/d/sub/late", "/d/sub/x")
 
-    # the rebooted host's store resolves each name once, into its decoded
-    # map; a cold buffer cache takes the map, and the DNLC answers again
+    # the rebooted host's store resolves each file's name through the DNLC,
+    # which keeps hits and misses alike; a cold buffer cache takes the
+    # store's map and the decoded directories, and the DNLC answers again
     beta.ufs.cache.invalidate_all()
     system.reconcile_everything()
     observe("/d/a", "/d/sub/late")
@@ -241,8 +242,9 @@ def one_file_replica():
 
 def test_a_cold_buffer_cache_empties_the_store_map():
     """Cold as E3/E4 make it — the buffer cache and the name cache emptied
-    — means every entry list, record and contents vnode the store decoded
-    is read from the device again, once."""
+    — means every entry list and record the store decoded, and every file
+    name it resolved through the name cache, is read from the device
+    again, once."""
     host, store, root, fh = one_file_replica()
     device = host.ufs.device
     probes = {

@@ -3,11 +3,20 @@ hash a file handle caches for every dict and set it keys."""
 
 import pytest
 
-from repro.errors import FileExists, InvalidArgument
+from repro.errors import FileExists, FileNotFound, InvalidArgument
+from repro.net import Network
+from repro.nfs import NfsClientLayer, NfsServer
+from repro.physical import EntryType, FicusPhysicalLayer
+from repro.physical.store import ReplicaStore
 from repro.storage import BlockDevice
 from repro.ufs import ROOT_INO, BufferCache, NameCache, Ufs
-from repro.util import FicusFileHandle, VolumeId
+from repro.ufs.cache import NEGATIVE
+from repro.util import FicusFileHandle, VolumeId, VolumeReplicaId
 from repro.util.ids import FileId
+from repro.vnode import UfsLayer
+from repro.vv import VersionVector
+
+VR = VolumeReplicaId(VolumeId(1, 1), 1)
 
 
 @pytest.fixture
@@ -97,6 +106,12 @@ class TestNameCache:
         dnlc.enter(1, "a", 10)
         assert dnlc.lookup(1, "a") is None
 
+    def test_a_miss_is_an_entry_and_a_hit(self):
+        dnlc = NameCache()
+        dnlc.enter(1, "gone", NEGATIVE)
+        assert dnlc.lookup(1, "gone") == NEGATIVE
+        assert dnlc.stats.hits == 1 and dnlc.stats.misses == 0
+
 
 class TestFreedInodeLeavesNoName:
     """No inode is freed while the name cache still resolves a name to it:
@@ -175,6 +190,116 @@ class TestFreedInodeLeavesNoName:
         # the ino the failed create claimed and freed
         assert fs._ino_floor == floor
         assert self.names_of(fs, floor) == []
+
+
+def count_scans(monkeypatch) -> list:
+    """Count every decode-or-walk of a directory's blocks, the scan a name
+    lookup the DNLC cannot answer makes."""
+    scans = []
+    real = Ufs._dir_blocks
+
+    def counted(self, inode):
+        scans.append(inode.ino)
+        return real(self, inode)
+
+    monkeypatch.setattr(Ufs, "_dir_blocks", counted)
+    return scans
+
+
+def new_store() -> ReplicaStore:
+    return ReplicaStore.create(UfsLayer(Ufs.mkfs(BlockDevice(1024), num_inodes=64)).root(), VR)
+
+
+class TestMissRemembered:
+    """A name looked for and not found is scanned for once: the DNLC keeps
+    the miss, and the replica store asks the DNLC."""
+
+    def test_a_second_has_file_for_a_missing_file_makes_no_scan(self, monkeypatch):
+        store = new_store()
+        root = store.root_handle()
+        missing = FicusFileHandle(VR.volume, store.new_file_id())
+        scans = count_scans(monkeypatch)
+        assert not store.has_file(root, missing)
+        assert scans, "the first look scans the directory"
+        scans.clear()
+        assert not store.has_file(root, missing)
+        assert scans == []
+
+    def test_a_second_lookup_fh_of_an_unstored_directory_over_nfs_makes_no_scan(self, monkeypatch):
+        net = Network()
+        net.add_host("server")
+        net.add_host("client")
+        phys = FicusPhysicalLayer(UfsLayer(Ufs.mkfs(BlockDevice(4096), num_inodes=256, clock=net.clock)), "server")
+        store = phys.create_volume_replica(VR)
+        NfsServer(net, "server", phys)
+        root = NfsClientLayer(net, "client", "server").root().lookup(VR.to_hex())
+        elsewhere = FicusFileHandle(VR.volume, FileId(9, 9))  # a directory another replica stores
+        assert not store.has_directory(elsewhere)
+        with pytest.raises(FileNotFound):
+            root.lookup_fh(elsewhere)
+        scans = count_scans(monkeypatch)
+        sent = net.stats.rpcs_sent
+        with pytest.raises(FileNotFound):
+            root.lookup_fh(elsewhere)
+        assert net.stats.rpcs_sent == sent + 1  # the RPC still goes
+        assert scans == []
+
+
+#: each makes the name ``n`` in directory ``d`` (prepared by ``TestMissNeverHidesAName.fs``)
+MAKE_A_NAME = {
+    "create": lambda fs, d, src: fs.create(d, "n"),
+    "mkdir": lambda fs, d, src: fs.mkdir(d, "n"),
+    "symlink": lambda fs, d, src: fs.symlink(d, "n", "target"),
+    "link": lambda fs, d, src: fs.link(fs.lookup(src, "f"), d, "n"),
+    "rename in one block": lambda fs, d, src: fs.rename(d, "old", d, "n"),
+    "rename across directories": lambda fs, d, src: fs.rename(src, "f", d, "n"),
+}
+
+def link_from_elsewhere(store: ReplicaStore, root: FicusFileHandle, fh: FicusFileHandle) -> None:
+    sub = FicusFileHandle(VR.volume, store.new_file_id())
+    store.create_directory_storage(sub, EntryType.DIRECTORY, parent=root)
+    store.create_file_storage(sub, fh)
+    store.link_file_storage(sub, root, fh)
+
+
+#: each gives the store the file ``fh`` in directory ``root``
+STORE_A_FILE = {
+    "create_file_storage": lambda store, root, fh: store.create_file_storage(root, fh),
+    "link_file_storage": link_from_elsewhere,
+    "install": lambda store, root, fh: store.install(root, fh, b"pulled", VersionVector({2: 1}), ""),
+}
+
+
+class TestMissNeverHidesAName:
+    """A remembered miss is entered over, never around: every path that
+    makes a name puts it in the DNLC, so the next lookup finds it."""
+
+    @pytest.fixture
+    def fs(self):
+        fs = Ufs.mkfs(BlockDevice(4096), num_inodes=256)
+        fs.create(fs.mkdir(ROOT_INO, "src"), "f")
+        fs.create(fs.mkdir(ROOT_INO, "d"), "old")
+        return fs
+
+    @pytest.mark.parametrize("make", MAKE_A_NAME.values(), ids=MAKE_A_NAME.keys())
+    def test_ufs(self, fs, make):
+        d, src = fs.lookup(ROOT_INO, "d"), fs.lookup(ROOT_INO, "src")
+        with pytest.raises(FileNotFound):
+            fs.lookup(d, "n")
+        assert fs.namecache._lru[(d, "n")] == NEGATIVE
+        make(fs, d, src)
+        assert fs.lookup(d, "n") == fs.readdir(d)["n"] == Ufs.mount(fs.device).lookup(d, "n")
+
+    @pytest.mark.parametrize("store_it", STORE_A_FILE.values(), ids=STORE_A_FILE.keys())
+    def test_store(self, store_it):
+        store = new_store()
+        root = store.root_handle()
+        fh = FicusFileHandle(VR.volume, store.new_file_id())
+        assert not store.has_file(root, fh)
+        store_it(store, root, fh)
+        assert store.has_file(root, fh)
+        cold = ReplicaStore.attach(UfsLayer(Ufs.mount(store.lower_root.fs.device)).root(), VR)
+        assert store.file_vnode(root, fh).ino == cold.file_vnode(root, fh).ino
 
 
 class TestFileHandleHash:

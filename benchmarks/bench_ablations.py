@@ -102,7 +102,7 @@ class TestA3NotificationValue:
         volrep = next(l.volrep for l in system.root_locations if l.host == "r")
         store = reader.physical.store_for(volrep)
         fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "f")
-        while store.file_vnode(store.root_handle(), fh).read_all() != b"v1":
+        while store.stored_file(store.root_handle(), fh).read_all() != b"v1":
             system.run_for(1.0)
         return system.clock.now() - written_at
 
@@ -140,7 +140,7 @@ class TestA3NotificationValue:
             data = b"v%d" % i
             writer.write_file("/f", data)
             written_at = system.clock.now()
-            while store.file_vnode(store.root_handle(), fh).read_all() != data:
+            while store.stored_file(store.root_handle(), fh).read_all() != data:
                 system.run_for(0.25)
             times.append(system.clock.now() - written_at)
         return times

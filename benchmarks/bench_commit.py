@@ -51,6 +51,12 @@ def insert_file(store, root, name, size):
     return fh, vnode
 
 
+def install_at_root(store, fh, contents: bytes, vv: VersionVector) -> None:
+    """Install a version of ``fh`` in the volume root, no policy tag."""
+    root = store.root_handle()
+    store.install(root, fh, contents, vv, "", stored=store.stored_file(root, fh))
+
+
 def point_update_via_install(store, root, fh, contents: bytes) -> int:
     """Propagation-style point update: the whole file installed as a new
     version.
@@ -60,7 +66,7 @@ def point_update_via_install(store, root, fh, contents: bytes) -> int:
     device = store.lower_root.layer.fs.device
     snap = device.counters.snapshot()
     patched = contents[:100] + b"PATCHED!" + contents[108:]
-    store.install(store.root_handle(), fh, patched, VersionVector({1: 2}), "")
+    install_at_root(store, fh, patched, VersionVector({1: 2}))
     return device.counters.delta_since(snap).writes
 
 
@@ -92,7 +98,7 @@ class TestShape:
             fh, _ = insert_file(store, root, "f", 4096)
             device.plan_crash_after_writes(crash_point)
             try:
-                store.install(store.root_handle(), fh, b"b" * 4096, VersionVector({1: 2}), "")
+                install_at_root(store, fh, b"b" * 4096, VersionVector({1: 2}))
                 break
             except CrashInjected:
                 device.recover()
@@ -113,15 +119,15 @@ class TestShape:
         while True:
             device, ufs_layer, store, root = make_world()
             fh, _ = insert_file(store, root, "f", 0)
-            store.file_vnode(store.root_handle(), fh).write(0, old)
+            store.stored_file(store.root_handle(), fh).write(0, old)
             device.plan_crash_after_writes(crash_point)
             try:
-                store.install(store.root_handle(), fh, new, VersionVector({1: 2}), "")
+                install_at_root(store, fh, new, VersionVector({1: 2}))
                 completed = True
             except CrashInjected:
                 completed = False
             device.recover()
-            data = store.file_vnode(store.root_handle(), fh).read_all()
+            data = store.stored_file(store.root_handle(), fh).read_all()
             assert data in (old, new), f"mixed state at crash point {crash_point}"
             if data == new:
                 seen_new = True
@@ -139,7 +145,7 @@ def test_bench_install(benchmark, size):
     contents = vnode.read_all()
 
     def run():
-        store.install(store.root_handle(), fh, contents, VersionVector({1: 2}), "")
+        install_at_root(store, fh, contents, VersionVector({1: 2}))
 
     benchmark(run)
 

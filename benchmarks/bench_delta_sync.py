@@ -106,7 +106,7 @@ def measure_delta_propagation(blocks: int) -> dict:
     remote = system.host("b").fabric.volume_root("a", _volrep(system, "a"))
     result = pull_file(store_b, root_fh, big.fh, remote)
     assert result.outcome is PullOutcome.PULLED
-    assert store_b.file_vnode(root_fh, big.fh).read_all() == bytes(mutated)
+    assert store_b.stored_file(root_fh, big.fh).read_all() == bytes(mutated)
 
     return {
         "file_bytes": size,

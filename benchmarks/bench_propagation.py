@@ -100,7 +100,7 @@ def test_staleness_side_of_the_trade(capsys):
         volrep = next(l.volrep for l in system.root_locations if l.host == "reader")
         store = reader_host.physical.store_for(volrep)
         fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "f")
-        while store.file_vnode(store.root_handle(), fh).read_all() != b"v1":
+        while store.stored_file(store.root_handle(), fh).read_all() != b"v1":
             system.run_for(1.0)
         windows[delay] = system.clock.now() - written_at
     with capsys.disabled():

@@ -69,7 +69,7 @@ def covered_logs_identical(system: FicusSystem) -> bool:
                         and store.has_file(dir_fh, entry.fh)
                     ):
                         per_name.setdefault(entry.name, set()).add(
-                            store.file_vnode(dir_fh, entry.fh).read_all()
+                            store.stored_file(dir_fh, entry.fh).read_all()
                         )
     return bool(per_name) and all(len(v) == 1 for v in per_name.values())
 

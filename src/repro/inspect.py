@@ -48,9 +48,10 @@ def dump_replica(store: ReplicaStore, show_tombstones: bool = True) -> str:
             elif entry.etype == EntryType.LOCATION:
                 lines.append(f"{indent}  @ {entry.name} -> {entry.data}")
             else:
-                if store.has_file(dir_fh, entry.fh):
+                stored = store.stored_file(dir_fh, entry.fh)
+                if stored is not None:
                     file_aux = store.read_record(entry.fh)
-                    size = store.file_vnode(dir_fh, entry.fh).getattr().size
+                    size = stored.getattr().size
                     lines.append(
                         f"{indent}  - {entry.name} ({size}B, vv={file_aux.vv})"
                     )

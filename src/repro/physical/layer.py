@@ -210,7 +210,7 @@ class FicusPhysicalLayer(FileSystemLayer):
         if len(handle) == 2:
             if store is not None and store.has_directory(handle[1]):
                 return self.dir_vnode(store, handle[1])
-        elif store is not None and store.has_file(handle[1], handle[2]):
+        elif store is not None and store.stored_file(handle[1], handle[2]) is not None:
             return self.file_vnode(store, handle[1], handle[2], EntryType(handle[3]))
         raise StaleFileHandle(f"{self.host_addr} no longer stores {handle}")
 

@@ -112,7 +112,6 @@ from repro.errors import FileNotFound, InvalidArgument, NoSpace
 from repro.physical.table import AttrTable
 from repro.physical.wire import (
     ATTR_NAME,
-    EMPTY_DIGEST,
     FDIR_NAME,
     META_NAME,
     STORE_BLOCK_SIZE,
@@ -124,8 +123,8 @@ from repro.physical.wire import (
     content_digest,
     decode_directory,
     encode_directory,
+    fold_digest,
     split_blocks,
-    xor_fold,
 )
 from repro.util import (
     FicusFileHandle,
@@ -158,11 +157,11 @@ def volume_root_handle(volume: VolumeId) -> FicusFileHandle:
     return FicusFileHandle(volume, ROOT_FILE_ID)
 
 
-def entries_fold(entries: list[DirectoryEntry]) -> str:
+def entries_fold(entries: list[DirectoryEntry]) -> int:
     """Order-independent fold of a directory's entry records."""
-    fold = ""
+    fold = 0
     for entry in entries:
-        fold = xor_fold(fold, entry.fold_component())
+        fold ^= entry.fold_component()
     return fold
 
 
@@ -198,9 +197,9 @@ def handle_of(name: str) -> FicusFileHandle | None:
         return None
 
 
-def file_component(fh: FicusFileHandle, vv: VersionVector) -> str:
-    """One stored child file's contribution to its directory's digest."""
-    return content_digest(fh.logical.to_hex(), vv.encode())
+def file_component(fh: FicusFileHandle, vv: VersionVector) -> int:
+    """One stored child file's contribution to its directory's file fold."""
+    return int(content_digest(fh.logical.to_hex(), vv.encode()), 16)
 
 
 @dataclass
@@ -224,26 +223,33 @@ class StoreStats:
 
 #: Entry types whose object is a Ficus directory with storage in ``nodes/``.
 DIR_TYPES = (EntryType.DIRECTORY, EntryType.GRAFT_POINT)
+#: Entry types whose object's contents are stored in its directory.
+FILE_TYPES = (EntryType.FILE, EntryType.SYMLINK)
 
 
 class _Known:
     """What the store has decoded about one object, by logical handle:
     its record, and for a directory its Unix directory's vnode, its
     ``.fdir``'s vnode and its entry list (``None``: not decoded yet).  A
-    file stored in a directory is found by name (:meth:`file_vnode`),
+    file stored in a directory is found by name (:meth:`stored_file`),
     which the UFS name cache answers.
 
     And what reconciliation has learnt of it: a directory's ``subtree``
-    digest; ``readers``, the directories whose digest read this object,
+    digest and ``children``, its :meth:`stored_children` view;
+    ``readers``, the directories whose view or digest read this object,
     each of which a change to it makes stale; and for a file ``synced``,
-    the (vector, merge ancestor) pair its contents were last digested at.
+    the (vector, merge ancestor) pair its contents were last digested at,
+    and ``component``, the (vector, :func:`file_component`) pair it last
+    folded into a directory digest as.
     """
 
-    __slots__ = ("record", "unix_dir", "fdir", "entries", "subtree", "readers", "synced")
+    __slots__ = (
+        "record", "unix_dir", "fdir", "entries", "subtree", "children", "readers", "synced", "component"
+    )
 
     def __init__(self):
         self.record = self.unix_dir = self.fdir = self.entries = None
-        self.subtree = self.readers = self.synced = None
+        self.subtree = self.children = self.readers = self.synced = self.component = None
 
 
 #: what the decoded map answers for a handle it holds no entry for
@@ -367,17 +373,17 @@ class ReplicaStore:
         return known
 
     def _changed(self, fh: FicusFileHandle) -> None:
-        """``fh`` changed: drop the subtree digests that read it — its own
-        and every directory's above it, along the edges
-        :meth:`directory_digest` recorded.  Each edge is followed once and
-        forgotten (the directory records it again when it next digests),
-        so a walk stops at a directory already visited and costs the
-        depth of the change, not the size of the volume."""
+        """``fh`` changed: drop the subtree digests and stored-children
+        views that read it — its own and every directory's above it, along
+        the edges :meth:`stored_children` recorded.  Each edge is followed
+        once and forgotten (the directory records it again when it next
+        scans), so a walk stops at a directory already visited and costs
+        the depth of the change, not the size of the volume."""
         stack = [self._known.get(fh)]
         while stack:
             known = stack.pop()
             if known is not None:
-                known.subtree = None
+                known.subtree = known.children = None
                 readers, known.readers = known.readers, None
                 stack.extend(map(self._known.get, readers or ()))
 
@@ -797,7 +803,7 @@ class ReplicaStore:
                 named = {entry.fh for entry in self.read_entries(fh) if entry.live}
                 doomed = [child for child in doomed if child not in named]
             for child in doomed:
-                if self.has_file(fh, child):
+                if self.stored_file(fh, child) is not None:
                     files.append((fh, child))
                     self._drop_name(child)
             for child in update.free_dirs:
@@ -813,10 +819,16 @@ class ReplicaStore:
 
     # -- regular-file storage (lives inside the parent's Unix directory) --------
 
-    def file_vnode(self, parent: FicusFileHandle, fh: FicusFileHandle) -> Vnode:
+    def stored_file(self, parent: FicusFileHandle, fh: FicusFileHandle) -> Vnode | None:
         """The contents vnode of a regular-file replica, by name in the
-        parent's Unix directory: the UFS name cache answers, misses too."""
-        return self.dir_unix_vnode(parent).lookup(fh.logical.to_hex())
+        parent's Unix directory, or ``None`` when ``parent`` stores no
+        contents of ``fh``: the UFS name cache answers, misses too.  The
+        one way to ask whether and where a file is stored, so a caller
+        asks once and keeps the vnode."""
+        try:
+            return self.dir_unix_vnode(parent).lookup(fh.logical.to_hex())
+        except FileNotFound:
+            return None
 
     def create_file_storage(
         self,
@@ -846,13 +858,9 @@ class ReplicaStore:
         self._learn(fh).synced = (aux.vv, aux.ancestor)
         return contents
 
-    def link_file_storage(
-        self,
-        src_parent: FicusFileHandle,
-        dst_parent: FicusFileHandle,
-        fh: FicusFileHandle,
-    ) -> None:
-        """Hard-link a file's contents into another directory.
+    def link_file_storage(self, contents: Vnode, dst_parent: FicusFileHandle, fh: FicusFileHandle) -> None:
+        """Hard-link a file's stored ``contents`` (a :meth:`stored_file`
+        vnode) into another directory.
 
         Gives the file a second name without copying: both Unix names share
         one inode, and the file keeps its one record, which counts the new
@@ -860,8 +868,7 @@ class ReplicaStore:
         every name.
         """
         fh = fh.logical
-        key = fh.to_hex()
-        self.dir_unix_vnode(dst_parent).link(self.dir_unix_vnode(src_parent).lookup(key), key)
+        self.dir_unix_vnode(dst_parent).link(contents, fh.to_hex())
         with self._scope:
             staged = self._stage(fh)
             staged.aux = staged.aux._replace(refs=staged.aux.refs + 1)
@@ -875,7 +882,7 @@ class ReplicaStore:
         the record, before the name goes."""
         fh = fh.logical
         with self._scope:
-            if not self.has_file(parent, fh) or any(
+            if self.stored_file(parent, fh) is None or any(
                 entry.live and entry.fh == fh for entry in self.read_entries(parent)
             ):
                 return
@@ -888,11 +895,9 @@ class ReplicaStore:
         self._changed(parent)
 
     def has_file(self, parent: FicusFileHandle, fh: FicusFileHandle) -> bool:
-        try:
-            self.file_vnode(parent, fh)
-            return True
-        except FileNotFound:
-            return False
+        """Does ``parent`` store contents of ``fh``?  (For tools and tests:
+        the store's own callers keep what :meth:`stored_file` answers.)"""
+        return self.stored_file(parent, fh) is not None
 
     # -- installing a version (single-file atomic commit, paper Section 3.2) ---
 
@@ -904,9 +909,12 @@ class ReplicaStore:
         vv: VersionVector,
         merge_policy: str,
         etype: EntryType = EntryType.FILE,
+        *,
+        stored: Vnode | None,
     ) -> None:
         """Install a version of a regular file — pulled, or a resolution —
-        as ``contents`` with vector ``vv`` and policy tag ``merge_policy``.
+        as ``contents`` with vector ``vv`` and policy tag ``merge_policy``;
+        ``stored`` is what :meth:`stored_file` answered the caller for it.
 
         "a shadow file replica is used to hold the new version until it is
         completely propagated, and then the shadow atomically replaces the
@@ -935,13 +943,13 @@ class ReplicaStore:
         parent, fh = parent.logical, fh.logical
         ancestor = _ancestor_of(contents)
         with self._scope:
-            if self.has_file(parent, fh):
-                self._replace_record(self.file_vnode(parent, fh), contents)
-            elif elsewhere := self._stored_elsewhere(parent, fh):
-                self.link_file_storage(elsewhere[0], parent, fh)
-                vnode = self.file_vnode(parent, fh)
-                if vnode.read_all() != contents:  # a rename replayed: often the very bytes
-                    self._replace_record(vnode, contents)
+            if stored is not None:
+                self._replace_record(stored, contents)
+            elif (elsewhere := self._stored_elsewhere(parent, fh)) is not None:
+                # one inode under both names: write it through either
+                self.link_file_storage(elsewhere, parent, fh)
+                if elsewhere.read_all() != contents:  # a rename replayed: often the very bytes
+                    self._replace_record(elsewhere, contents)
             else:
                 vnode = self.dir_unix_vnode(parent).create(fh.to_hex())
                 if contents:
@@ -954,18 +962,18 @@ class ReplicaStore:
             staged.aux = staged.aux._replace(vv=vv, merge_policy=merge_policy, ancestor=ancestor)
             self._learn(fh).synced = (vv, ancestor)
 
-    def _stored_elsewhere(self, parent: FicusFileHandle, fh: FicusFileHandle) -> list[FicusFileHandle]:
-        """The other directories storing ``fh`` (each names it in its
-        entries); none unless its record counts a name outside ``parent``."""
-        if not self.has_record(fh) or self.read_record(fh).refs <= self.has_file(parent, fh):
-            return []
-        return [
-            dir_fh
-            for dir_fh in self.all_directory_handles()
-            if dir_fh != parent
-            and any(entry.fh == fh for entry in self.read_entries(dir_fh))
-            and self.has_file(dir_fh, fh)
-        ]
+    def _stored_elsewhere(self, parent: FicusFileHandle, fh: FicusFileHandle) -> Vnode | None:
+        """The contents of ``fh``, which ``parent`` does not store, under
+        the first other directory's name that names and stores it; none
+        unless its record counts a stored name."""
+        if not self.has_record(fh) or self.read_record(fh).refs <= 0:
+            return None
+        for dir_fh in self.all_directory_handles():
+            if dir_fh != parent and any(entry.fh == fh for entry in self.read_entries(dir_fh)):
+                vnode = self.stored_file(dir_fh, fh)
+                if vnode is not None:
+                    return vnode
+        return None
 
     # -- merge-ancestor retention (three-way conflict resolution) ---------------
 
@@ -989,7 +997,7 @@ class ReplicaStore:
         aux = self.read_record(fh)
         if self._known.get(fh, _UNKNOWN).synced == (aux.vv, aux.ancestor):
             return
-        record = _ancestor_of(self.file_vnode(parent, fh).read_all())
+        record = _ancestor_of(self.stored_file(parent, fh).read_all())
         if aux.ancestor != record:
             self.write_record(fh, aux._replace(ancestor=record))
         self._learn(fh).synced = (aux.vv, record)
@@ -1013,13 +1021,14 @@ class ReplicaStore:
         if fh in visiting:
             return
         visiting.add(fh)
+        stored = self.stored_children(fh)
         for entry in self.read_entries(fh):
             if not entry.live:
                 continue
-            if entry.etype in (EntryType.DIRECTORY, EntryType.GRAFT_POINT):
+            if entry.etype in DIR_TYPES:
                 if self.has_directory(entry.fh):
                     self._note_subtree_synced(entry.fh.logical, visiting)
-            elif entry.etype == EntryType.FILE and self.has_file(fh, entry.fh):
+            elif entry.etype == EntryType.FILE and entry.fh.logical in stored:
                 self.note_file_synced(fh, entry.fh)
 
     def recover(self) -> None:
@@ -1092,18 +1101,22 @@ class ReplicaStore:
 
     # -- recon digests (subtree pruning, Merkle-style) ---------------------------
 
-    def directory_digest(self, fh: FicusFileHandle) -> str:
-        """This directory's own recon digest, computed from what the replica
-        stores: its vector, the fold of its entry records, and the fold of
-        each live child file stored in it with that file's vector — through
-        whichever name the file was last written.  Each live entry's object
-        records this directory as a reader, so a change to it drops exactly
-        the subtree digests above it (:meth:`_changed`)."""
+    def stored_children(self, fh: FicusFileHandle) -> dict[FicusFileHandle, AuxAttributes]:
+        """The live child files and symlinks ``fh`` stores and has a record
+        of, each with its record: the one scan of a directory's stored
+        files, which its digest and its attribute batch both read.
+
+        Memoized in the decoded map until something it read changes: each
+        live entry's object records this directory as a reader, so a
+        change to it drops exactly the views and subtree digests above it
+        (:meth:`_changed`).  The memo is the store's: a caller that hands
+        it on copies it."""
         fh = fh.logical
-        entries = self.read_entries(fh)
-        files = ""
-        seen: set[FicusFileHandle] = set()
-        for entry in entries:
+        view = self._known.get(fh, _UNKNOWN).children
+        if view is not None:
+            return view
+        view = {}
+        for entry in self.read_entries(fh):
             if not entry.live or entry.etype is EntryType.LOCATION:
                 continue
             child = entry.fh.logical
@@ -1112,18 +1125,39 @@ class ReplicaStore:
                 known.readers = {fh}
             else:
                 known.readers.add(fh)
+            # a file with no record is stored nowhere, which costs no Unix
+            # lookup to learn
             if (
-                entry.etype in (EntryType.FILE, EntryType.SYMLINK)
-                and child not in seen
+                entry.etype in FILE_TYPES
+                and child not in view
                 and self.has_record(child)
-                and self.has_file(fh, child)
+                and self.stored_file(fh, child) is not None
             ):
-                seen.add(child)
-                files = xor_fold(files, file_component(child, self.read_record(child).vv))
+                view[child] = self.read_record(child)
+        self._learn(fh).children = view
+        return view
+
+    def _file_component(self, fh: FicusFileHandle, vv: VersionVector) -> int:
+        """:func:`file_component`, computed once per vector of the file."""
+        known = self._learn(fh)
+        memo = known.component
+        if memo is None or memo[0] != vv:
+            memo = known.component = (vv, file_component(fh, vv))
+        return memo[1]
+
+    def directory_digest(self, fh: FicusFileHandle) -> str:
+        """This directory's own recon digest, computed from what the replica
+        stores: its vector, the fold of its entry records, and the fold of
+        each child file it stores (:meth:`stored_children`) with that
+        file's vector — through whichever name the file was last written."""
+        fh = fh.logical
+        files = 0
+        for child, aux in self.stored_children(fh).items():
+            files ^= self._file_component(child, aux.vv)
         return content_digest(
             self.read_record(fh).vv.encode(),
-            entries_fold(entries) or EMPTY_DIGEST,
-            files or EMPTY_DIGEST,
+            fold_digest(entries_fold(self.read_entries(fh))),
+            fold_digest(files),
         )
 
     def subtree_digest(self, fh: FicusFileHandle) -> str:
@@ -1170,12 +1204,11 @@ class ReplicaStore:
 
     # -- block transfer (rsync-style delta propagation) ------------------------
 
-    def read_file_blocks(
-        self, parent: FicusFileHandle, fh: FicusFileHandle, have: list[str]
-    ) -> FileBlocks:
+    def read_file_blocks(self, stored: Vnode, fh: FicusFileHandle, have: list[str]) -> FileBlocks:
         """One file replica's version, size and every fixed-size block
-        whose digest is not ``have[i]``, each with its digest."""
-        contents = self.file_vnode(parent, fh).read_all()
+        whose digest is not ``have[i]``, each with its digest; ``stored``
+        is the file's :meth:`stored_file` vnode."""
+        contents = stored.read_all()
         blocks = {}
         for index, block in enumerate(split_blocks(contents)):
             digest = content_digest(block)

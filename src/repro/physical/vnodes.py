@@ -183,7 +183,7 @@ class PhysicalDirVnode(Vnode):
             if not self.store.has_directory(entry.fh):
                 raise FileNotFound(f"directory {entry.fh} not stored in this volume replica")
             return self.layer.dir_vnode(self.store, entry.fh)
-        if not self.store.has_file(self.fh, entry.fh):
+        if self.store.stored_file(self.fh, entry.fh) is None:
             raise ReplicaNotStored(
                 f"file {entry.fh} has an entry here but its contents are not "
                 "stored in this volume replica yet"
@@ -258,25 +258,22 @@ class PhysicalDirVnode(Vnode):
 
         Replica selection needs the version vector of every candidate
         anyway; returning them in one reply collapses the logical layer's
-        per-replica, per-file probes into a single RPC.  The records share
-        the attribute table's blocks — a child's record is placed beside
-        its directory's — so a cold batch reads a block or a few, not a
-        file per child.  A child whose open update session has written is
-        named in ``writing``, read off the physical layer's sessions.
+        per-replica, per-file probes into a single RPC.  The children are
+        the store's :meth:`~ReplicaStore.stored_children` view — the scan
+        the directory's recon digest reads too, made once until something
+        in it changes — copied into a fresh dict, or looked up in it for
+        ``fhs``.  The records share the attribute table's blocks — a
+        child's record is placed beside its directory's — so a cold batch
+        reads a block or a few, not a file per child.  A child whose open
+        update session has written is named in ``writing``, read off the
+        physical layer's sessions.
         """
         assert self.store.flushed(self.fh), "getattrs_batch of a directory with staged records"
-        wanted = None if fhs is None else {fh.logical for fh in fhs}
-        children: dict[FicusFileHandle, AuxAttributes] = {}
-        for entry in self.entries():
-            if not entry.live or entry.etype not in (EntryType.FILE, EntryType.SYMLINK):
-                continue
-            if wanted is not None and entry.fh not in wanted:
-                continue
-            # entry known but contents not stored here: a file with no
-            # record is stored nowhere, which costs no Unix lookup to learn
-            if not self.store.has_record(entry.fh) or not self.store.has_file(self.fh, entry.fh):
-                continue
-            children[entry.fh] = self.store.read_record(entry.fh)
+        stored = self.store.stored_children(self.fh)
+        if fhs is None:
+            children = dict(stored)
+        else:
+            children = {fh.logical: stored[fh.logical] for fh in fhs if fh.logical in stored}
         writing = self.layer.written_sessions(self.store).intersection(children)
         return AttrBatch(dir_aux=self.aux(), children=children, writing=writing)
 
@@ -315,9 +312,10 @@ class PhysicalDirVnode(Vnode):
         """The stored child file ``fh`` in one call: its version vector,
         size, and the blocks whose digests differ from ``have``."""
         fh = fh.logical
-        if not self.store.has_file(self.fh, fh):
+        stored = self.store.stored_file(self.fh, fh)
+        if stored is None:
             raise ReplicaNotStored(f"file {fh} contents not stored in this volume replica")
-        return self.store.read_file_blocks(self.fh, fh, have)
+        return self.store.read_file_blocks(stored, fh, have)
 
     # -- namespace ---------------------------------------------------------------
 
@@ -389,9 +387,10 @@ class PhysicalDirVnode(Vnode):
         if etype == EntryType.LOCATION:
             pass  # pure metadata: a graft point's volume-replica record
         elif etype in (EntryType.FILE, EntryType.SYMLINK):
-            if not self.store.has_file(self.fh, fh):
-                if link_from is not None and self.store.has_file(link_from, fh):
-                    self.store.link_file_storage(link_from, self.fh, fh)
+            if self.store.stored_file(self.fh, fh) is None:
+                source = self.store.stored_file(link_from, fh) if link_from is not None else None
+                if source is not None:
+                    self.store.link_file_storage(source, self.fh, fh)
                 elif from_recon:
                     # Entry learned via reconciliation: contents arrive
                     # later by update propagation; publish the entry only.
@@ -527,7 +526,10 @@ class PhysicalFileVnode(Vnode):
         self._tracer = layer.telemetry.tracer
 
     def _contents(self) -> Vnode:
-        return self.store.file_vnode(self.parent_fh, self.fh)
+        contents = self.store.stored_file(self.parent_fh, self.fh)
+        if contents is None:
+            raise FileNotFound(f"file {self.fh} contents not stored in {self.parent_fh}")
+        return contents
 
     def aux(self) -> AuxAttributes:
         return self.store.read_record(self.fh)

@@ -74,17 +74,15 @@ def content_digest(*parts: bytes | str) -> str:
     return h.hexdigest()[:DIGEST_HEX_LEN]
 
 
-def xor_fold(accumulated: str, part: str) -> str:
-    """Fold one digest into an accumulator, order-independently.
+def fold_digest(fold: int) -> str:
+    """An XOR fold of digests as a digest.
 
-    XOR makes the fold commutative, so a set's digest does not depend on
-    the order its members are read in.
+    A set is folded as the XOR of its members' digests read as integers:
+    XOR makes the fold commutative, so the set's digest does not depend on
+    the order its members are read in, and the empty set folds to
+    :data:`EMPTY_DIGEST`.
     """
-    if not accumulated:
-        accumulated = EMPTY_DIGEST
-    if not part:
-        part = EMPTY_DIGEST
-    return format(int(accumulated, 16) ^ int(part, 16), f"0{DIGEST_HEX_LEN}x")
+    return format(fold, f"0{DIGEST_HEX_LEN}x")
 
 
 def pad(data: bytes, unit: int) -> bytes:
@@ -214,11 +212,12 @@ class DirectoryEntry:
             object.__setattr__(self, "_line", cached)
         return cached
 
-    def fold_component(self) -> str:
-        """This entry's contribution to the directory entry fold."""
+    def fold_component(self) -> int:
+        """This entry's contribution to the directory entry fold: its
+        record line's digest as an integer (:func:`fold_digest`)."""
         cached = self.__dict__.get("_fold")
         if cached is None:
-            cached = content_digest(self.encoded_line())
+            cached = int(content_digest(self.encoded_line()), 16)
             object.__setattr__(self, "_fold", cached)
         return cached
 

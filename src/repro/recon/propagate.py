@@ -114,8 +114,10 @@ def pull_file(
     fh = fh.logical
 
     # local state: the file may have an entry here but no storage yet
-    # (the entry arrived by directory reconciliation).
-    local_stored = store.has_file(parent_fh, fh)
+    # (the entry arrived by directory reconciliation).  Asked once: the
+    # vnode serves the read and the install below.
+    stored = store.stored_file(parent_fh, fh)
+    local_stored = stored is not None
     local_vv = store.read_record(fh).vv if local_stored else VersionVector()
     if not local_stored and not live:
         # A delete can land between a new-version note being queued and
@@ -161,7 +163,7 @@ def pull_file(
 
     # remote strictly dominates: one transfer, installed by the atomic
     # commit only if it is the version just decided on
-    local = store.file_vnode(parent_fh, fh).read_all() if local_stored else b""
+    local = stored.read_all() if local_stored else b""
     try:
         fetched = fetch_file(remote_dir, fh, local, health)
     except (HostUnreachable, StaleFileHandle):
@@ -177,7 +179,9 @@ def pull_file(
 
     # a strictly dominating remote has seen every local policy change (one
     # bumps the vector), so its tag is installed with its version
-    store.install(parent_fh, fh, fetched.contents, remote_vv, remote_aux.merge_policy, remote_aux.etype)
+    store.install(
+        parent_fh, fh, fetched.contents, remote_vv, remote_aux.merge_policy, remote_aux.etype, stored=stored
+    )
     if health is not None:
         health.record_version("pull", fh, remote_vv, parents=(local_vv,), origin=origin)
     return PullResult(
@@ -243,7 +247,7 @@ def pull_children(
     ``writing`` is :func:`pull_file`'s: the local files mid-session.
     """
     for entry in entries:
-        if policy is not None and not policy.wants(entry) and not store.has_file(dir_fh, entry.fh):
+        if policy is not None and not policy.wants(entry) and store.stored_file(dir_fh, entry.fh) is None:
             yield entry, None
         else:
             yield entry, pull_file(

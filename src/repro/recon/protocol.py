@@ -188,9 +188,11 @@ def reconcile_subtree(
                 elif pull.outcome is PullOutcome.UP_TO_DATE:
                     if conflict_log is not None and pull.local_vv.strictly_dominates(pull.remote_vv):
                         conflict_log.mark_resolved(file_fh, pull.local_vv)
-                    if pull.local_vv == pull.remote_vv and store.has_file(dir_fh, file_fh):
-                        # both replicas demonstrably hold these contents: a
-                        # sync point — retain them as the merge ancestor
+                    if pull.local_vv == pull.remote_vv:
+                        # both replicas demonstrably hold these contents (an
+                        # EQUAL pull is up to date only where the file is
+                        # stored): a sync point — retain them as the merge
+                        # ancestor
                         store.note_file_synced(dir_fh, file_fh)
                 elif pull.outcome is PullOutcome.CONFLICT:
                     resolved = ResolveOutcome.NOT_COVERED

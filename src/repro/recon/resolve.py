@@ -41,7 +41,8 @@ def resolve_file_conflict(
     for vv in observed_vvs:
         merged = merged.merge(vv)
     resolved_vv = merged.bump(store.replica_id)
-    store.install(parent_fh, fh, chosen_contents, resolved_vv, local_aux.merge_policy)
+    stored = store.stored_file(parent_fh, fh)
+    store.install(parent_fh, fh, chosen_contents, resolved_vv, local_aux.merge_policy, stored=stored)
 
     if conflict_log is not None:
         conflict_log.mark_resolved(fh, resolved_vv)

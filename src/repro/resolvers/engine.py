@@ -59,7 +59,8 @@ def auto_resolve_conflict(
     """
     parent_fh = parent_fh.logical
     fh = fh.logical
-    if not store.has_file(parent_fh, fh):
+    stored = store.stored_file(parent_fh, fh)
+    if stored is None:
         return ResolveOutcome.NOT_COVERED  # entry-only replica; nothing to merge
     local_aux = store.read_record(fh)
     remote_aux = getattr(pull, "remote_aux", None)
@@ -79,7 +80,7 @@ def auto_resolve_conflict(
 
     from repro.recon.propagate import fetch_file  # repro.recon imports this module
 
-    local_contents = store.file_vnode(parent_fh, fh).read_all()
+    local_contents = stored.read_all()
     try:
         fetched = fetch_file(remote_dir, fh, local_contents, health)
     except (HostUnreachable, StaleFileHandle, FileNotFound):
@@ -106,7 +107,7 @@ def auto_resolve_conflict(
     # the governing tag (declared remotely or sniffed) is installed with the
     # merge, so later conflicts need no sniff; no vv bump — the tag is
     # determined by the same inputs on every host, so this cannot diverge
-    store.install(parent_fh, fh, merged, resolved_vv, tag)
+    store.install(parent_fh, fh, merged, resolved_vv, tag, stored=stored)
     if conflict_log is not None:
         conflict_log.mark_resolved(fh, resolved_vv)
     if health is not None:

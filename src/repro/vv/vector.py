@@ -99,10 +99,12 @@ class VersionVector(Mapping[int, int]):
 
     def compare(self, other: "VersionVector") -> Ordering:
         """Classify the relationship of two update histories."""
+        # zero counts are normalized away, so equal histories are equal
+        # dicts: the common case, answered by one comparison
+        if self._counts == other._counts:
+            return Ordering.EQUAL
         self_ge = all(self[rid] >= count for rid, count in other._counts.items())
         other_ge = all(other[rid] >= count for rid, count in self._counts.items())
-        if self_ge and other_ge:
-            return Ordering.EQUAL
         if self_ge:
             return Ordering.DOMINATES
         if other_ge:

@@ -50,10 +50,11 @@ def state_fingerprint(system, host_names: list[str] | None = None) -> dict:
                         (dir_fh.to_hex(), entry.name, entry.fh.to_hex(), entry.status)
                     )
                     fh = entry.fh.logical
-                    if entry.live and store.has_file(dir_fh, fh):
+                    stored = store.stored_file(dir_fh, fh) if entry.live else None
+                    if stored is not None:
                         aux = store.read_record(fh)
                         files[fh.to_hex()] = (
-                            store.file_vnode(dir_fh, fh).read_all(),
+                            stored.read_all(),
                             aux.vv.encode(),
                         )
             stores[str(volrep)] = {"entries": sorted(entries), "files": files}

@@ -39,7 +39,7 @@ def stored(system, host):
     store = next(iter(system.host(host).physical.stores.values()))
     root = store.root_handle()
     fh = next(e.fh for e in store.read_entries(root) if e.live and e.name == REGISTER_PATH[1:])
-    return store.file_vnode(root, fh).read_all(), store.read_record(fh).vv
+    return store.stored_file(root, fh).read_all(), store.read_record(fh).vv
 
 
 class TestPrimaryCopy:

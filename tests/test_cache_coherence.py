@@ -250,7 +250,7 @@ def test_a_cold_buffer_cache_empties_the_store_map():
     probes = {
         "read_entries": lambda: store.read_entries(root),
         "read_record": lambda: store.read_record(fh),
-        "file_vnode": lambda: store.file_vnode(root, fh),
+        "stored_file": lambda: store.stored_file(root, fh),
     }
     for name, probe in probes.items():
         probe()

@@ -259,14 +259,16 @@ def link_from_elsewhere(store: ReplicaStore, root: FicusFileHandle, fh: FicusFil
     sub = FicusFileHandle(VR.volume, store.new_file_id())
     store.create_directory_storage(sub, EntryType.DIRECTORY, parent=root)
     store.create_file_storage(sub, fh)
-    store.link_file_storage(sub, root, fh)
+    store.link_file_storage(store.stored_file(sub, fh), root, fh)
 
 
 #: each gives the store the file ``fh`` in directory ``root``
 STORE_A_FILE = {
     "create_file_storage": lambda store, root, fh: store.create_file_storage(root, fh),
     "link_file_storage": link_from_elsewhere,
-    "install": lambda store, root, fh: store.install(root, fh, b"pulled", VersionVector({2: 1}), ""),
+    "install": lambda store, root, fh: store.install(
+        root, fh, b"pulled", VersionVector({2: 1}), "", stored=store.stored_file(root, fh)
+    ),
 }
 
 
@@ -299,7 +301,7 @@ class TestMissNeverHidesAName:
         store_it(store, root, fh)
         assert store.has_file(root, fh)
         cold = ReplicaStore.attach(UfsLayer(Ufs.mount(store.lower_root.fs.device)).root(), VR)
-        assert store.file_vnode(root, fh).ino == cold.file_vnode(root, fh).ino
+        assert store.stored_file(root, fh).ino == cold.stored_file(root, fh).ino
 
 
 class TestFileHandleHash:

@@ -13,10 +13,12 @@ import pytest
 
 from repro.errors import HostUnreachable
 from repro.physical import PhysicalDirVnode, ReplicaStore
+from repro.physical import store as store_module
 from repro.physical.wire import DELTA_BLOCK_SIZE
-from repro.recon import PullOutcome, pull_file, reconcile_directory, reconcile_subtree
+from repro.recon import PullOutcome, protocol, pull_file, reconcile_directory, reconcile_subtree
 from repro.resolvers import ResolveOutcome, auto_resolve_conflict
 from repro.sim import DaemonConfig, FicusSystem
+from repro.ufs import Ufs
 from repro.vnode import SetAttrs
 
 QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
@@ -73,7 +75,7 @@ class TestBlockDeltaPull:
         assert result.outcome is PullOutcome.PULLED
         assert result.bytes_copied == DELTA_BLOCK_SIZE
         assert result.bytes_saved == len(contents) - DELTA_BLOCK_SIZE
-        assert beta_store.file_vnode(root_fh, fh).read_all() == bytes(mutated)
+        assert beta_store.stored_file(root_fh, fh).read_all() == bytes(mutated)
 
     def test_append_copies_only_new_blocks(self, system):
         fh, contents = seeded_file(system)
@@ -87,7 +89,7 @@ class TestBlockDeltaPull:
         )
         assert result.outcome is PullOutcome.PULLED
         assert result.bytes_copied == len(grown) - len(contents)
-        assert beta_store.file_vnode(root_fh, fh).read_all() == grown
+        assert beta_store.stored_file(root_fh, fh).read_all() == grown
 
     def test_truncation_propagates_without_refetch(self, system):
         fh, contents = seeded_file(system)
@@ -102,7 +104,7 @@ class TestBlockDeltaPull:
         )
         assert result.outcome is PullOutcome.PULLED
         assert result.bytes_copied == 0  # every surviving block matched locally
-        assert beta_store.file_vnode(root_fh, fh).read_all() == shrunk
+        assert beta_store.stored_file(root_fh, fh).read_all() == shrunk
 
     def test_first_pull_is_whole_file(self, system):
         """A replica with no local copy has nothing to diff against."""
@@ -140,13 +142,13 @@ class TestBlockDeltaPull:
         remote = remote_root_vnode(system, "beta", "alpha")
         result = pull_file(beta_store, root_fh, fh, OutOfBand(remote))
         assert result.outcome is PullOutcome.UNREACHABLE
-        assert beta_store.file_vnode(root_fh, fh).read_all() == contents
+        assert beta_store.stored_file(root_fh, fh).read_all() == contents
         assert beta_store.read_record(fh).vv == local_vv
 
         result = pull_file(beta_store, root_fh, fh, remote)
         assert result.outcome is PullOutcome.PULLED
         assert result.bytes_copied == DELTA_BLOCK_SIZE
-        assert beta_store.file_vnode(root_fh, fh).read_all() == bytes(mutated)
+        assert beta_store.stored_file(root_fh, fh).read_all() == bytes(mutated)
 
     def test_mid_pull_partition_leaves_old_contents_intact(self, system):
         """The delta is installed only once every block has arrived, in one
@@ -170,7 +172,7 @@ class TestBlockDeltaPull:
             PartitionsMidPull(remote_root_vnode(system, "beta", "alpha")),
         )
         assert result.outcome is PullOutcome.UNREACHABLE
-        assert beta_store.file_vnode(root_fh, fh).read_all() == contents  # untouched
+        assert beta_store.stored_file(root_fh, fh).read_all() == contents  # untouched
 
         # and the next (healed) pull still succeeds as a delta
         result = pull_file(
@@ -178,7 +180,7 @@ class TestBlockDeltaPull:
         )
         assert result.outcome is PullOutcome.PULLED
         assert result.bytes_copied == DELTA_BLOCK_SIZE
-        assert beta_store.file_vnode(root_fh, fh).read_all() == bytes(mutated)
+        assert beta_store.stored_file(root_fh, fh).read_all() == bytes(mutated)
 
 
 def rpcs_during(system, call):
@@ -211,7 +213,7 @@ class TestOneTransfer:
             system, lambda: pull_file(store, root_fh, fh, remote, batch=batch, live=True)
         )
         assert (pull.outcome, rpcs) == (PullOutcome.PULLED, 1)
-        assert store.file_vnode(root_fh, fh).read_all() == b"version one" * 1000
+        assert store.stored_file(root_fh, fh).read_all() == b"version one" * 1000
 
     def test_a_one_block_delta_of_a_16_block_file_is_one_rpc(self, system):
         fh, contents = seeded_file(system, size=16 * DELTA_BLOCK_SIZE)
@@ -221,7 +223,7 @@ class TestOneTransfer:
         store, root_fh, remote, fh, batch = self.decided(system, "big")
         pull, rpcs = rpcs_during(system, lambda: pull_file(store, root_fh, fh, remote, batch=batch))
         assert (pull.outcome, rpcs, pull.bytes_copied) == (PullOutcome.PULLED, 1, DELTA_BLOCK_SIZE)
-        assert store.file_vnode(root_fh, fh).read_all() == bytes(mutated)
+        assert store.stored_file(root_fh, fh).read_all() == bytes(mutated)
 
     def conflicted(self):
         """A two-host resolver system whose append log took a write on each
@@ -247,15 +249,15 @@ class TestOneTransfer:
             lambda: auto_resolve_conflict(store, root_fh, fh, "inbox.log", remote, pull, system.resolvers),
         )
         assert (outcome, rpcs) == (ResolveOutcome.RESOLVED, 1)
-        assert store.file_vnode(root_fh, fh).read_all() == b"alpha\nbravo\nseed\n"
+        assert store.stored_file(root_fh, fh).read_all() == b"alpha\nbravo\nseed\n"
 
     def test_a_resolver_merges_only_the_version_its_conflict_named(self):
         system, store, root_fh, remote, fh, pull = self.conflicted()
         system.host("alpha").fs().write_file("/inbox.log", b"seed\nalpha\nagain\n")
-        before = (store.file_vnode(root_fh, fh).read_all(), store.read_record(fh).vv)
+        before = (store.stored_file(root_fh, fh).read_all(), store.read_record(fh).vv)
         outcome = auto_resolve_conflict(store, root_fh, fh, "inbox.log", remote, pull, system.resolvers)
         assert outcome is ResolveOutcome.UNREACHABLE
-        assert (store.file_vnode(root_fh, fh).read_all(), store.read_record(fh).vv) == before
+        assert (store.stored_file(root_fh, fh).read_all(), store.read_record(fh).vv) == before
 
 
 def build_tree(system, dirs=6, files_per_dir=2):
@@ -353,6 +355,87 @@ class TestSubtreePruning:
         assert digested == []
         monkeypatch.undo()
         assert ReplicaStore.attach(store.lower_root, store.volrep).subtree_digest(root) == refolded
+
+    def test_a_write_rehashes_only_its_file(self, system, monkeypatch):
+        """A directory's file fold reads each file's component memoized at
+        its vector: after one write in a 16-file directory the refold
+        hashes the written file alone, not all 16."""
+        fs = system.host("alpha").fs()
+        fs.mkdir("/d")
+        for i in range(16):
+            fs.write_file(f"/d/f{i}", bytes([i]) * 10)
+        store = store_of(system, "alpha")
+        root = store.root_handle()
+        store.subtree_digest(root)
+        fs.write_file("/d/f7", b"rewritten")
+
+        hashed = []
+        component = store_module.file_component
+
+        def counted_component(fh, vv):
+            hashed.append(fh)
+            return component(fh, vv)
+
+        monkeypatch.setattr(store_module, "file_component", counted_component)
+        refolded = store.subtree_digest(root)
+        assert len(hashed) == 1
+        monkeypatch.undo()
+        assert ReplicaStore.attach(store.lower_root, store.volrep).subtree_digest(root) == refolded
+
+    def test_an_attribute_batch_after_a_probe_looks_up_no_name(self, system, monkeypatch):
+        """The digest and the attribute batch read one memoized scan of a
+        directory's stored files: a batch right after a probe of the same
+        directory resolves no name, and still lists every stored file."""
+        build_tree(system, dirs=2, files_per_dir=5)
+        root = system.host("alpha").physical.root().lookup(volrep_of(system, "alpha").to_hex())
+        d1 = root.lookup("d1")
+        d1.sync_probe()
+        lookups = []
+        lookup = Ufs.lookup
+
+        def counted_lookup(ufs, dir_ino, name):
+            lookups.append(name)
+            return lookup(ufs, dir_ino, name)
+
+        monkeypatch.setattr(Ufs, "lookup", counted_lookup)
+        batch = d1.getattrs_batch()
+        assert lookups == []
+        assert len(batch.children) == 5
+
+    def test_up_to_date_children_cost_one_name_probe_each(self, system, monkeypatch):
+        """A directory reconciled over N children already up to date probes
+        each child's stored name once on the puller while it settles them:
+        the pull's probe decides the file is stored, and the EQUAL sync
+        point after it asks no more."""
+        build_tree(system, dirs=1, files_per_dir=8)
+        system.host("alpha").fs().mkdir("/d0/sub")  # the directory diverges; its files do not
+        beta = system.host("beta")
+        store = store_of(system, "beta")
+        d0 = next(entry.fh for entry in store.read_entries(store.root_handle()) if entry.name == "d0")
+        names = {entry.fh.logical.to_hex() for entry in store.read_entries(d0) if entry.name.startswith("f")}
+        assert len(names) == 8
+        probes, settling = [], []
+        lookup, children = Ufs.lookup, protocol.pull_children
+
+        def counted_lookup(ufs, dir_ino, name):
+            if settling and ufs is beta.ufs and name in names:
+                probes.append(name)
+            return lookup(ufs, dir_ino, name)
+
+        def settled_children(*args, **kwargs):
+            # the pulls and the walk's handling of each, between the yields
+            settling.append(True)
+            try:
+                yield from children(*args, **kwargs)
+            finally:
+                settling.pop()
+
+        monkeypatch.setattr(Ufs, "lookup", counted_lookup)
+        monkeypatch.setattr(protocol, "pull_children", settled_children)
+        alpha_loc = next(loc for loc in system.root_locations if loc.host == "alpha")
+        result = beta.recon_daemon.reconcile_with(volrep_of(system, "beta"), alpha_loc)
+        assert result.files_checked == 8 and result.files_pulled == 0
+        assert len(probes) <= len(names)
 
 
 class TestSyncNotifications:
@@ -509,12 +592,12 @@ class TestDirectoryAtATime:
             if e.fh.logical == fh.logical
         ]
         assert pull.outcome is PullOutcome.UNREACHABLE
-        assert beta_store.file_vnode(root_fh, fh).read_all() == contents
+        assert beta_store.stored_file(root_fh, fh).read_all() == contents
         assert beta_store.read_record(fh).vv == pull.local_vv
 
         pull = pull_file(beta_store, root_fh, fh, remote, live=True)
         assert pull.outcome is PullOutcome.PULLED
-        assert beta_store.file_vnode(root_fh, fh).read_all() == third
+        assert beta_store.stored_file(root_fh, fh).read_all() == third
         assert beta_store.read_record(fh).vv == third_vv
 
     def test_entry_only_remote_child_is_missing_not_materialised(self):
@@ -583,7 +666,7 @@ class TestDirectoryAtATime:
         beta_store = store_of(system, "beta")
         d_fh = system.host("alpha").root().lookup("d").fh
         old_and_new = sorted(
-            beta_store.file_vnode(d_fh, e.fh).read_all()[:1]
+            beta_store.stored_file(d_fh, e.fh).read_all()[:1]
             for e in beta_store.read_entries(d_fh)
             if e.live
         )

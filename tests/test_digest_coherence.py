@@ -1,15 +1,19 @@
 """The replica store's recon bookkeeping never answers stale.
 
-A store memoizes each directory's subtree digest and drops it along the
-edges its digests read (``ReplicaStore._changed``), and it re-reads a
-file for its merge ancestor only when the record's (vector, ancestor)
-pair moved (``ReplicaStore.note_file_synced``).  Both are caches of what
-the store would compute from scratch, so the oracle is a fresh
+A store memoizes each directory's subtree digest and its stored-children
+view (the one scan of its stored files, which its digest and its
+attribute batch read) and drops both along the edges the views read
+(``ReplicaStore._changed``); it memoizes each file's digest component at
+the vector it was computed for; and it re-reads a file for its merge
+ancestor only when the record's (vector, ancestor) pair moved
+(``ReplicaStore.note_file_synced``).  All are caches of what the store
+would compute from scratch, so the oracle is a fresh
 ``ReplicaStore.attach`` of the same storage: a seeded mix of namespace
 and update operations runs through a three-host cluster, and after every
 step and every reconciliation pass each stored directory of each live
-store must digest the same through its memo as from nothing.  At every
-EQUAL sync point the record's ancestor must be the one its contents give.
+store must digest the same through its memo as from nothing, and every
+view and component it holds must be the fresh store's.  At every EQUAL
+sync point the record's ancestor must be the one its contents give.
 """
 
 import random
@@ -18,11 +22,13 @@ import pytest
 
 from repro.errors import FicusError
 from repro.physical import ReplicaStore
-from repro.physical.store import _ancestor_of
-from repro.sim import DaemonConfig, FicusSystem
+from repro.physical.store import _ancestor_of, file_component
+from repro.sim import DaemonConfig, FicusSystem, HostConfig
 from repro.sim.daemons import ReconciliationDaemon
 
 QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
+#: the A2 "no caches" ablation: the store's decoded map keeps nothing
+UNCACHED = HostConfig(cache_blocks=0, name_cache_size=0)
 HOSTS = ("a", "b", "c")
 DIRS = ("/d0", "/d1", "/d1/deep")
 NAMES = ("f0", "f1", "f2", "f3")
@@ -37,13 +43,27 @@ def outcome(digest, fh):
 
 def check_digests(system, where: str) -> None:
     """Every stored directory of every live store digests through its memo
-    as it does from a fresh attach of the same storage."""
+    as it does from a fresh attach of the same storage, and every
+    stored-children view and file component the store holds memoized is
+    the one the fresh store computes."""
     for loc in system.root_locations:
         if not system.network.host_is_up(loc.host):
             continue
         store = system.host(loc.host).physical.store_for(loc.volrep)
         fresh = ReplicaStore.attach(store.lower_root, store.volrep)
         for fh in store.all_directory_handles():
+            known = store._known.get(fh)
+            view = known.children if known is not None else None
+            if view is not None:
+                assert view == outcome(fresh.stored_children, fh), (
+                    f"{loc.host}: stale stored-children view of {fh} after {where}"
+                )
+                for child, aux in view.items():
+                    memo = store._known.get(child)
+                    if memo is not None and memo.component is not None and memo.component[0] == aux.vv:
+                        assert memo.component[1] == file_component(child, aux.vv), (
+                            f"{loc.host}: wrong digest component of {child} after {where}"
+                        )
             assert outcome(store.subtree_digest, fh) == outcome(fresh.subtree_digest, fh), (
                 f"{loc.host}: stale subtree digest of {fh} after {where}"
             )
@@ -53,9 +73,9 @@ class Oracle:
     """A cluster whose every recon pass and sync point is checked, and the
     counts that show each kind of event really happened."""
 
-    def __init__(self, monkeypatch, seed: int):
+    def __init__(self, monkeypatch, seed: int, host_config: HostConfig | None = None):
         self.rng = random.Random(seed)
-        self.system = FicusSystem(list(HOSTS), daemon_config=QUIET)
+        self.system = FicusSystem(list(HOSTS), daemon_config=QUIET, host_config=host_config)
         self.system.enable_resolvers()
         self.sync_points = self.passes = self.purged = self.merged = self.sessions = 0
         reconcile_with = ReconciliationDaemon.reconcile_with
@@ -73,7 +93,7 @@ class Oracle:
         def checked_sync(store, parent, fh):
             note_file_synced(store, parent, fh)
             self.sync_points += 1
-            contents = store.file_vnode(parent, fh).read_all()
+            contents = store.stored_file(parent, fh).read_all()
             assert store.read_record(fh).ancestor == _ancestor_of(contents), f"stale ancestor of {fh}"
 
         monkeypatch.setattr(ReconciliationDaemon, "reconcile_with", checked_pass)
@@ -213,6 +233,18 @@ def test_the_memoized_bookkeeping_never_answers_stale(monkeypatch, seed):
     assert oracle.passes and oracle.sync_points
     assert oracle.purged, "no tombstone was collected"
     assert oracle.merged, "no resolver merge ran"
+
+
+def test_the_uncached_store_memoizes_nothing_and_agrees(monkeypatch):
+    """At capacity 0 the decoded map keeps nothing, so every view, digest
+    and component is computed afresh through the same code — which must
+    hold nothing back between calls."""
+    oracle = Oracle(monkeypatch, seed=4, host_config=UNCACHED)
+    oracle.run(extra=8)
+    assert oracle.passes and oracle.sync_points
+    for host in oracle.system.hosts.values():
+        for store in host.physical.stores.values():
+            assert not store._known
 
 
 def test_an_entry_list_written_alone_drops_the_digests_above_it():

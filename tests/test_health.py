@@ -284,13 +284,13 @@ class TestBlockCorruptionFallback:
         wrong bytes never land, the local copy is untouched), and the next
         pull installs the correct version."""
         system, store, remote, root_fh, entry, expected = self._multi_block_setup()
-        before = store.file_vnode(root_fh, entry.fh).read_all()
+        before = store.stored_file(root_fh, entry.fh).read_all()
         plane = system.host("beta").health_plane
         plane.recorder.dump_dir = str(tmp_path)
         system.network.faults.schedule_block_corruption("beta", "alpha")
         result = pull_file(store, root_fh, entry.fh, remote, health=plane)
         assert result.outcome is PullOutcome.UNREACHABLE
-        assert store.file_vnode(root_fh, entry.fh).read_all() == before != expected
+        assert store.stored_file(root_fh, entry.fh).read_all() == before != expected
         assert system.network.faults.injected.get("block_corrupt") == 1
         assert plane.anomaly_counts.get("pull_digest_mismatch") == 1
         # the anomaly left an offline-renderable evidence bundle behind
@@ -299,7 +299,7 @@ class TestBlockCorruptionFallback:
         assert "pull_digest_mismatch" in render_dump(plane.recorder.dump_paths[-1])
         result = pull_file(store, root_fh, entry.fh, remote, health=plane)
         assert result.outcome is PullOutcome.PULLED
-        assert store.file_vnode(root_fh, entry.fh).read_all() == expected
+        assert store.stored_file(root_fh, entry.fh).read_all() == expected
         assert plane.anomaly_counts.get("pull_digest_mismatch") == 1
 
     def test_clean_link_keeps_the_delta_path(self):

@@ -102,7 +102,7 @@ class TestConvergence:
                 )
                 store = host.physical.store_for(volrep)
                 try:
-                    contents = store.file_vnode(report.parent_fh, report.fh).read_all()
+                    contents = store.stored_file(report.parent_fh, report.fh).read_all()
                 except Exception:
                     continue
                 resolve_file_conflict(
@@ -136,7 +136,7 @@ class TestConvergence:
             fh = next(
                 e.fh for e in store.read_entries(store.root_handle()) if e.name == "f"
             )
-            stored.add(store.file_vnode(store.root_handle(), fh).read_all())
+            stored.add(store.stored_file(store.root_handle(), fh).read_all())
         assert stored == {b"alpha version", b"beta version"}
         assert system.total_conflicts() > 0
         # both hosts present the SAME deterministic logical view

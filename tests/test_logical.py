@@ -222,7 +222,7 @@ class TestOpenCloseSessions:
             parent = store.root_handle()
             fh = next(e.fh for e in store.read_entries(parent) if e.live and e.name == "f")
             aux = store.read_record(fh)
-            states.append((store.file_vnode(parent, fh).read_all(), aux.vv.total_updates))
+            states.append((store.stored_file(parent, fh).read_all(), aux.vv.total_updates))
             sessions.append(fh in host.physical.written_sessions(store))
         assert states == [(b"v3", 3), (b"v3", 3)]
         assert sessions == [False, False]
@@ -374,10 +374,10 @@ class TestSessionsBeginWithTheirFirstUpdate:
             f.write(b"v2")
             assert fh in physical.dir_vnode(store, store.root_handle()).getattrs_batch().writing
             world.reconcile_everything()
-            assert b_store.file_vnode(b_store.root_handle(), fh).read_all() == b"v1"
+            assert b_store.stored_file(b_store.root_handle(), fh).read_all() == b"v1"
         assert fh not in physical.dir_vnode(store, store.root_handle()).getattrs_batch().writing
         world.reconcile_everything()
-        assert b_store.file_vnode(b_store.root_handle(), fh).read_all() == b"v2"
+        assert b_store.stored_file(b_store.root_handle(), fh).read_all() == b"v2"
 
 
 class TestTheWriterKeepsWhatItDidNotChange:

@@ -535,7 +535,7 @@ class TestFicusOpsOverNfs:
             fs.write_file("/f", data)
         store = system.host("server").physical.store_for(system.root_locations[0].volrep)
         fh = next(e.fh for e in store.read_entries(store.root_handle()) if e.name == "f")
-        assert store.file_vnode(store.root_handle(), fh).read_all() == b""
+        assert store.stored_file(store.root_handle(), fh).read_all() == b""
         assert store.read_record(fh).vv == VersionVector({1: 4})
         fs.write_file("/f", b"back")
         assert (fs.read_file("/f"), fs.stat("/f").size) == (b"back", 4)

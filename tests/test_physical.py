@@ -33,6 +33,7 @@ from repro.physical.wire import (
     content_digest,
     decode_directory,
     encode_directory,
+    fold_digest,
 )
 from repro.sim import DaemonConfig, FicusSystem
 from repro.storage import BlockDevice
@@ -72,6 +73,12 @@ def insert_file(store, root, name, contents=b""):
     if contents:
         vnode.write(0, contents)
     return fh, vnode
+
+
+def install_at_root(store, fh, contents: bytes, vv: VersionVector) -> None:
+    """Install a version of ``fh`` in the volume root, no policy tag."""
+    root = store.root_handle()
+    store.install(root, fh, contents, vv, "", stored=store.stored_file(root, fh))
 
 
 def full_disk_with_a_file(contents: bytes):
@@ -397,11 +404,11 @@ class TestShadowCommit:
         fh, vnode = insert_file(store, root, "f", b"old version")
         ino = vnode.getattr().fileid
         vv = VersionVector({2: 9})
-        store.install(store.root_handle(), fh, b"new version", vv, "")
+        install_at_root(store, fh, b"new version", vv)
         assert root.lookup("f").read_all() == b"new version"
         assert store.read_record(fh).vv == vv
         # the file's own inode, and no other name made beside it
-        assert store.file_vnode(store.root_handle(), fh).getattr().fileid == ino
+        assert store.stored_file(store.root_handle(), fh).getattr().fileid == ino
         assert store._unix_names(store.root_handle()) == [fh.logical.to_hex()]
 
     def test_abort_discards_shadow(self):
@@ -412,11 +419,11 @@ class TestShadowCommit:
         vv = store.read_record(fh).vv
         grown = PAYLOAD * 5  # three blocks where the original has one
         with pytest.raises(NoSpace):
-            store.install(store.root_handle(), fh, grown, VersionVector({2: 9}), "")
+            install_at_root(store, fh, grown, VersionVector({2: 9}))
         assert root.lookup("f").read_all() == PAYLOAD and store.read_record(fh).vv == vv
         assert fsck(ufs.fs).clean
         root.lookup("filler").setattr(SetAttrs(size=0))
-        store.install(store.root_handle(), fh, grown, VersionVector({2: 9}), "")
+        install_at_root(store, fh, grown, VersionVector({2: 9}))
         assert root.lookup("f").read_all() == grown and store.read_record(fh).vv == VersionVector({2: 9})
 
     def test_crash_before_commit_preserves_original(self):
@@ -436,7 +443,7 @@ class TestShadowCommit:
             fh, _ = insert_file(store, root, "f", original)
             device.plan_crash_after_writes(crash_point)
             try:
-                store.install(store.root_handle(), fh, new, VersionVector({1: 9}), "")
+                install_at_root(store, fh, new, VersionVector({1: 9}))
                 break
             except CrashInjected:
                 device.recover()
@@ -500,9 +507,9 @@ class TestOutOfSpace:
         device, _, store, _, fh = full_disk_with_a_file(PAYLOAD)
         vv = store.read_record(fh).vv
         with pytest.raises(NoSpace):
-            store.install(store.root_handle(), fh, PAYLOAD * 5, VersionVector({2: 9}), "")
+            install_at_root(store, fh, PAYLOAD * 5, VersionVector({2: 9}))
         store, ufs = self.reattached(device)
-        assert store.file_vnode(store.root_handle(), fh).read_all() == PAYLOAD
+        assert store.stored_file(store.root_handle(), fh).read_all() == PAYLOAD
         assert store.read_record(fh).vv == vv
         assert fsck(ufs).clean
 
@@ -515,17 +522,17 @@ class TestOutOfSpace:
         g = FicusFileHandle(VOL, store.new_file_id())
         with pytest.raises(NoSpace):
             with store.operation():
-                store.install(store.root_handle(), f, PAYLOAD[::-1], VersionVector({2: 9}), "")
-                store.install(store.root_handle(), g, PAYLOAD, VersionVector({2: 1}), "")
+                install_at_root(store, f, PAYLOAD[::-1], VersionVector({2: 9}))
+                install_at_root(store, g, PAYLOAD, VersionVector({2: 1}))
         store, _ = self.reattached(device)
-        assert store.file_vnode(store.root_handle(), f).read_all() == PAYLOAD
+        assert store.stored_file(store.root_handle(), f).read_all() == PAYLOAD
         assert store.read_record(f).vv == vv and not store.has_record(g)
 
     def test_an_install_of_a_file_new_here_leaves_nothing(self):
         device, _, store, _, _ = full_disk_with_a_file(PAYLOAD)
         fh = FicusFileHandle(VOL, store.new_file_id())
         with pytest.raises(NoSpace):
-            store.install(store.root_handle(), fh, PAYLOAD, VersionVector({2: 1}), "")
+            install_at_root(store, fh, PAYLOAD, VersionVector({2: 1}))
         store, ufs = self.reattached(device)
         assert not store.has_file(store.root_handle(), fh) and not store.has_record(fh)
         assert fsck(ufs).clean
@@ -599,7 +606,7 @@ class TestOperationScope:
             # the digest is the staged list's, and computing it writes nothing
             vv = store.read_record(store.root_handle()).vv
             assert store.directory_digest(store.root_handle()) == content_digest(
-                vv.encode(), entry.killed().fold_component(), EMPTY_DIGEST
+                vv.encode(), fold_digest(entry.killed().fold_component()), EMPTY_DIGEST
             )
             assert device.counters.writes == before
         assert device.counters.writes > before
@@ -630,8 +637,8 @@ class TestOperationScope:
         root_fh = store.root_handle()
         assert store.directory_digest(root_fh) == content_digest(
             store.read_record(root_fh).vv.encode(),
-            entries_fold(store.read_entries(root_fh)),
-            file_component(fh, store.read_record(fh).vv),
+            fold_digest(entries_fold(store.read_entries(root_fh))),
+            fold_digest(file_component(fh, store.read_record(fh).vv)),
         )
 
     def test_a_digest_follows_every_name_of_a_hard_linked_file(self):
@@ -733,7 +740,7 @@ class TestAttributeTable:
         fh = next(e.fh for e in store.read_entries(dirs["d"]) if e.name == "f")
         assert store.read_record(fh).refs == 2
         # the one record's vector describes both stored names
-        assert store.file_vnode(dirs["d"], fh).read_all() == store.file_vnode(dirs["e"], fh).read_all() == b"two!"
+        assert store.stored_file(dirs["d"], fh).read_all() == store.stored_file(dirs["e"], fh).read_all() == b"two!"
         assert ficus_fsck(store).clean
 
     def test_a_pulled_rename_links_contents_it_already_stores(self):
@@ -746,15 +753,15 @@ class TestAttributeTable:
         (store,) = system.host("beta").physical.stores.values()
         dirs = {e.name: e.fh for e in store.read_entries(store.root_handle())}
         fh = next(e.fh for e in store.read_entries(dirs["d"]) if e.name == "f")
-        stored = store.file_vnode(dirs["d"], fh).getattr()
+        stored = store.stored_file(dirs["d"], fh).getattr()
         system.run_for(1.0)
         fs.rename("/d/f", "/e/g")
         system.reconcile_everything()
         # the new name is linked to the contents the old one stored: the
         # same inode, its data not rewritten
-        linked = store.file_vnode(dirs["e"], fh).getattr()
+        linked = store.stored_file(dirs["e"], fh).getattr()
         assert (linked.fileid, linked.mtime) == (stored.fileid, stored.mtime)
-        assert store.file_vnode(dirs["e"], fh).read_all() == PAYLOAD
+        assert store.stored_file(dirs["e"], fh).read_all() == PAYLOAD
         assert not store.has_file(dirs["d"], fh) and store.read_record(fh).refs == 1
         assert ficus_fsck(store).clean
 

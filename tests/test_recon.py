@@ -52,7 +52,7 @@ class TestPullFile:
         result = pull_file(beta_store, beta_store.root_handle(), f.fh, remote)
         assert result.outcome is PullOutcome.PULLED
         assert result.bytes_copied == len(b"version one")
-        assert beta_store.file_vnode(beta_store.root_handle(), f.fh).read_all() == b"version one"
+        assert beta_store.stored_file(beta_store.root_handle(), f.fh).read_all() == b"version one"
 
     def test_pull_is_idempotent(self, system):
         alpha = system.host("alpha")
@@ -80,7 +80,7 @@ class TestPullFile:
         result = pull_file(beta_store, beta_store.root_handle(), f.fh, remote)
         assert result.outcome is PullOutcome.CONFLICT
         # neither side's data was clobbered
-        assert beta_store.file_vnode(beta_store.root_handle(), f.fh).read_all() == b"beta side"
+        assert beta_store.stored_file(beta_store.root_handle(), f.fh).read_all() == b"beta side"
 
     def test_a_file_created_empty_reaches_the_other_replica(self, system):
         # never written, its vector is the empty one an unstored replica's
@@ -125,7 +125,7 @@ class TestPullFile:
         system.reconcile_everything()
         # mid-session the peer's stored replica is still the settled one
         assert stores[peer].read_record(fh).vv == settled
-        assert stores[peer].file_vnode(root, fh).read_all() == b"settled!"
+        assert stores[peer].stored_file(root, fh).read_all() == b"settled!"
 
         session.seek(0)
         session.write(b"BB")
@@ -133,7 +133,7 @@ class TestPullFile:
         system.run_for(1.0)
         system.reconcile_everything()
         for store in stores.values():
-            assert store.file_vnode(root, fh).read_all() == b"BBAAAAAA"
+            assert store.stored_file(root, fh).read_all() == b"BBAAAAAA"
             assert store.read_record(fh).vv == advanced  # advanced exactly once
 
     def test_a_pull_never_lands_on_an_open_written_session(self):
@@ -159,7 +159,7 @@ class TestPullFile:
         assert system.total_conflicts() > 0
         alpha_store = store_of(system, "alpha")
         fh = next(e.fh for e in alpha_store.read_entries(alpha_store.root_handle()) if e.name == "f")
-        assert alpha_store.file_vnode(alpha_store.root_handle(), fh).read_all() == b"alpha's!"
+        assert alpha_store.stored_file(alpha_store.root_handle(), fh).read_all() == b"alpha's!"
 
     def test_pull_unreachable(self, system):
         alpha = system.host("alpha")

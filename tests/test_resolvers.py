@@ -53,7 +53,7 @@ def store_bytes(system, host_name: str, name: str) -> list[bytes]:
         for dir_fh in store.all_directory_handles():
             for entry in store.read_entries(dir_fh):
                 if entry.live and entry.name == name and store.has_file(dir_fh, entry.fh):
-                    out.append(store.file_vnode(dir_fh, entry.fh).read_all())
+                    out.append(store.stored_file(dir_fh, entry.fh).read_all())
     return out
 
 
@@ -474,7 +474,7 @@ class TestManualResolvePrimitive:
         host.ufs.device.recover()
         host.restart(system)
         store = next(iter(host.physical.stores.values()))
-        assert store.file_vnode(dir_fh, fh).read_all() == b"version A"
+        assert store.stored_file(dir_fh, fh).read_all() == b"version A"
         assert host.conflict_log.unresolved() == [report]
         # the retry goes through cleanly after the heal; the crash left
         # the peer-health tracker suspicious of `a`, so reset it the way

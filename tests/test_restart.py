@@ -114,7 +114,7 @@ class TestSingleHostRestart:
         # bitmap bit landed, the inode write that commits them did not
         host.ufs.device.plan_crash_after_writes(2)
         with pytest.raises(CrashInjected):
-            store.install(root, fh, b"half-pulled new", vv.bump(2), "")
+            store.install(root, fh, b"half-pulled new", vv.bump(2), "", stored=store.stored_file(root, fh))
         host.crash()
         host.ufs.device.recover()
         host.restart(system)

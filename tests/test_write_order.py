@@ -615,7 +615,7 @@ def test_a_clear_beside_a_fresh_record_waits_for_the_list():
         store.recover()
         root = store.root_handle()
         live = {entry.name: entry.fh for entry in store.read_entries(root) if entry.live}
-        if list(live) == ["f"] and store.has_file(root, fh) and store.file_vnode(root, fh).read_all() == b"x":
+        if list(live) == ["f"] and store.has_file(root, fh) and store.stored_file(root, fh).read_all() == b"x":
             outcomes.append("old")
         elif list(live) == ["g"] and store.has_file(root, live["g"]) and fh not in store.record_handles():
             outcomes.append("new")
@@ -1125,7 +1125,7 @@ def stored_files(store: ReplicaStore) -> dict:
         for entry in store.read_entries(dir_fh):
             if entry.live and entry.etype == EntryType.FILE and store.has_file(dir_fh, entry.fh):
                 aux = store.read_record(entry.fh)
-                held[entry.fh] = (aux.vv, aux.merge_policy, store.file_vnode(dir_fh, entry.fh).read_all())
+                held[entry.fh] = (aux.vv, aux.merge_policy, store.stored_file(dir_fh, entry.fh).read_all())
     return held
 
 

@@ -6,14 +6,19 @@ the issuing volume replica's replica-id."  Plus the stated limits: 2^32
 replicas of a file and 2^32 logical layers.
 
 Shape tests: ids minted concurrently at partitioned replicas never
-collide (zero messages exchanged); the bench measures mint throughput,
-including the persistence write each mint performs.
+collide (zero messages exchanged); the bench measures the one file-id
+mint, ``ReplicaStore.new_file_id``, whose mints inside a reserved range
+are in memory and whose range reservations rewrite ``.meta``.
 """
 
 import pytest
 
+from repro.physical.store import ReplicaStore
 from repro.sim import DaemonConfig, FicusSystem
-from repro.util import MAX_ID, FileIdAllocator, IdAllocator
+from repro.storage import BlockDevice
+from repro.ufs import Ufs
+from repro.util import MAX_ID, FileId, IdAllocator, VolumeId, VolumeReplicaId
+from repro.vnode import UfsLayer
 
 QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
 
@@ -37,9 +42,11 @@ class TestShape:
         assert len({e.eid for e in entries}) == 30
 
     def test_ids_without_communication(self):
-        """Minting happens with zero datagrams/RPCs between replicas."""
-        mints = [FileIdAllocator(replica_id=r) for r in range(1, 6)]
-        ids = {mint.new_file_id() for mint in mints for _ in range(1000)}
+        """Minting happens with zero datagrams/RPCs between replicas: five
+        replica stores of one volume, sharing nothing but a disk."""
+        root = UfsLayer(Ufs.mkfs(BlockDevice(1024), num_inodes=64)).root()
+        stores = [ReplicaStore.create(root, VolumeReplicaId(VolumeId(1, 1), r)) for r in range(1, 6)]
+        ids = {store.new_file_id() for store in stores for _ in range(1000)}
         assert len(ids) == 5000
 
     def test_allocator_spaces_disjoint(self):
@@ -49,9 +56,12 @@ class TestShape:
 
     def test_limits_are_two_to_the_thirty_two(self):
         assert MAX_ID == 2**32
-        FileIdAllocator(replica_id=MAX_ID - 1)  # the largest legal replica
+        FileId(MAX_ID - 1, 1)  # the largest legal issuing replica
+        VolumeReplicaId(VolumeId(1, 1), MAX_ID - 1)
         with pytest.raises(Exception):
-            FileIdAllocator(replica_id=MAX_ID)
+            FileId(MAX_ID, 1)
+        with pytest.raises(Exception):
+            VolumeReplicaId(VolumeId(1, 1), MAX_ID)
 
     def test_persisted_mint_state_survives_restart(self):
         """A host restart must not re-issue ids (they are persisted in the
@@ -73,13 +83,9 @@ class TestShape:
         assert all(fresh != fh.file_id for fh in issued_before)
 
 
-def test_bench_file_id_mint_in_memory(benchmark):
-    mint = FileIdAllocator(replica_id=1)
-    benchmark(mint.new_file_id)
-
-
 def test_bench_file_id_mint_persistent(benchmark):
-    """A real mint includes the .meta read-modify-write."""
+    """Mints through the store: in memory inside a reserved range, a
+    .meta read-modify-write at each range's end."""
     system = FicusSystem(["solo"], daemon_config=QUIET)
     store = system.host("solo").physical.store_for(system.root_locations[0].volrep)
     benchmark(store.new_file_id)

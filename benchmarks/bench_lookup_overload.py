@@ -31,7 +31,7 @@ def paper_encoded_name(request: str, fh: FicusFileHandle, name: str) -> str:
 
 def paper_name_budget() -> int:
     """Footnote 2: what that encoding leaves of a name component."""
-    widest = FicusFileHandle.from_hex("ffffffff.ffffffff.ffffffff.ffffffff.fffffffe")
+    widest = FicusFileHandle.from_hex("ffffffff.ffffffff.ffffffff.ffffffff.ffffffff")
     return MAX_NAME_LEN - len(paper_encoded_name("close", widest, ""))
 
 

@@ -66,7 +66,7 @@ class CacheEntry:
     #: file update, which changed no entry, and decoded again for a
     #: namespace update)
     names: dict[str, DirectoryEntry] | None = None
-    #: file vnodes resolved through ``dir_vnode``, by logical handle; like
+    #: file vnodes resolved through ``dir_vnode``, by handle; like
     #: it they survive attribute changes and die on ESTALE
     children: dict[FicusFileHandle, Vnode] = field(default_factory=dict)
 
@@ -86,7 +86,7 @@ class DirRecord:
 
     replicas: dict[VolumeReplicaId, CacheEntry] = field(default_factory=dict)
     #: ``most_recent``'s winner per selection — the directory's own under
-    #: ``None``, each file's under its logical handle — beside the batches
+    #: ``None``, each file's under its handle — beside the batches
     #: it was chosen from; dropped whenever any replica's batch changes
     winners: dict[FicusFileHandle | None, tuple[tuple[AttrBatch, ...], Any]] = field(
         default_factory=dict
@@ -116,7 +116,7 @@ class CacheStats:
 class VersionVectorCache:
     """Maps (volume replica, directory handle) to its last attribute batch.
 
-    Keyed by volume and *logical* (replica-independent) directory handle,
+    Keyed by volume and directory handle (the same on every replica),
     then by replica: one directory cached through three replicas occupies
     three entries that age and invalidate separately, and a notification
     naming the directory finds all of them without scanning the cache.
@@ -132,7 +132,7 @@ class VersionVectorCache:
         return sum(len(record.replicas) for record in self._dirs.values())
 
     def _record(self, volume: VolumeId, dir_fh: FicusFileHandle) -> DirRecord | None:
-        return self._dirs.get((volume, dir_fh.logical))
+        return self._dirs.get((volume, dir_fh))
 
     # -- reads --------------------------------------------------------------
 
@@ -169,14 +169,14 @@ class VersionVectorCache:
         """The winner ``choose`` picks from exactly ``batches``, chosen once.
 
         ``key`` is ``None`` for the directory's own replica selection and a
-        file's logical handle for that file's.  A remembered winner is
+        file's handle for that file's.  A remembered winner is
         served only while the candidates' batches are the very objects it
         was chosen from: a replica partitioned away or deferred as degraded
         changes the candidate set and misses it, and every batch the
         directory's record refetches, expires or drops takes the record's
         winners with it.
         """
-        record = self._dirs[(volume, dir_fh.logical)]
+        record = self._dirs[(volume, dir_fh)]
         memo = record.winners.get(key)
         if memo is not None:
             chosen_from, winner = memo
@@ -218,7 +218,7 @@ class VersionVectorCache:
         keeps sharing its handles; the name view belonged to the old batch
         and goes, and child vnodes the new batch no longer lists are pruned.
         """
-        record = self._dirs.setdefault((volrep.volume, dir_fh.logical), DirRecord())
+        record = self._dirs.setdefault((volrep.volume, dir_fh), DirRecord())
         record.winners.clear()
         entry = record.replicas.get(volrep)
         if entry is None:
@@ -279,9 +279,9 @@ class VersionVectorCache:
         children = dict(held.children)
         aux = reply.child(fh)
         if aux is None:
-            children.pop(fh.logical, None)
+            children.pop(fh, None)
         else:
-            children[fh.logical] = aux
+            children[fh] = aux
         entry = self.store(volrep, dir_fh, dir_vnode, AttrBatch(reply.dir_aux, children))
         entry.fetched_at = fetched_at
         if names is not None:
@@ -310,15 +310,15 @@ class VersionVectorCache:
         entry = self._held(volrep, dir_fh)
         if entry is None:
             return
-        held, key = entry.batch, fh.logical
+        held = entry.batch
         children = dict(held.children)
         if aux is None:
-            children.pop(key, None)
-            entry.children.pop(key, None)
+            children.pop(fh, None)
+            entry.children.pop(fh, None)
         else:
-            children[key] = aux
-        entry.batch = AttrBatch(held.dir_aux, children, held.writing - {key})
-        self._dirs[(volrep.volume, dir_fh.logical)].winners.clear()
+            children[fh] = aux
+        entry.batch = AttrBatch(held.dir_aux, children, held.writing - {fh})
+        self._dirs[(volrep.volume, dir_fh)].winners.clear()
         self.stats.refreshes += 1
 
     # -- invalidation ----------------------------------------------------------

@@ -171,7 +171,6 @@ class FicusLogicalLayer(FileSystemLayer):
         attribute fetch.  ``ctx.no_cache`` forces the fetch but still
         refreshes the cache with the result.
         """
-        fh = fh.logical
         if not self.network.reachable(self.host_addr, location.host):
             # a cached vnode must never serve for a partitioned-away host
             return None
@@ -400,13 +399,13 @@ class FicusLogicalLayer(FileSystemLayer):
         reachable, through the handles the open resolved.  Otherwise the
         replicas' version vectors are compared (:func:`most_recent`).
         """
-        pin = self._session_pins.get(fh.logical)
+        pin = self._session_pins.get(fh)
         if pin is not None and self.network.reachable(self.host_addr, pin.view.location.host):
             return pin.view
         candidates = self.file_replicas(volume, parent_fh, fh, ctx)
         if not candidates:
             raise AllReplicasUnavailable(f"no reachable replica stores file {fh}")
-        return self._most_recent(volume, parent_fh, fh.logical, [(c, c.vv) for c in candidates])
+        return self._most_recent(volume, parent_fh, fh, [(c, c.vv) for c in candidates])
 
     def partition_suspected(self, volume: VolumeId) -> bool:
         """Is some known replica host of ``volume`` currently unreachable?"""
@@ -522,8 +521,8 @@ class FicusLogicalLayer(FileSystemLayer):
         # host's eventual daemon pull joins this update's trace tree
         note = UpdateNotification(
             acting.volrep,
-            parent_fh.logical,
-            fh.logical,
+            parent_fh,
+            fh,
             acting.host,
             objkind,
             trace=self.telemetry.tracer.current_context(),
@@ -580,7 +579,6 @@ class FicusLogicalLayer(FileSystemLayer):
         second open of an open file joins the pin.  It sends no session
         call: a read has no update session, and the first update through
         the pin opens the physical one (:meth:`LogicalFileVnode._update`)."""
-        fh = fh.logical
         pin = self._session_pins.get(fh)
         if pin is not None:
             pin.opens += 1
@@ -608,7 +606,6 @@ class FicusLogicalLayer(FileSystemLayer):
         left behind would be joined by every later open, pinning reads to
         its replica and silencing that file's notifications for good.
         """
-        fh = fh.logical
         pin = self._session_pins.get(fh)
         if pin is None:
             return

@@ -23,13 +23,13 @@ class _LockState:
 
 
 class LockManager:
-    """Shared/exclusive advisory locks keyed by logical file handle."""
+    """Shared/exclusive advisory locks keyed by file handle."""
 
     def __init__(self) -> None:
         self._locks: dict[FicusFileHandle, _LockState] = {}
 
     def acquire_shared(self, fh: FicusFileHandle, owner: str) -> None:
-        state = self._locks.setdefault(fh.logical, _LockState())
+        state = self._locks.setdefault(fh, _LockState())
         if state.exclusive_owner is not None and state.exclusive_owner != owner:
             raise PermissionDenied(
                 f"{fh} is exclusively locked by {state.exclusive_owner}"
@@ -37,7 +37,7 @@ class LockManager:
         state.shared_owners[owner] = state.shared_owners.get(owner, 0) + 1
 
     def acquire_exclusive(self, fh: FicusFileHandle, owner: str) -> None:
-        state = self._locks.setdefault(fh.logical, _LockState())
+        state = self._locks.setdefault(fh, _LockState())
         others_shared = [o for o in state.shared_owners if o != owner]
         if others_shared:
             raise PermissionDenied(f"{fh} is share-locked by {others_shared}")
@@ -49,27 +49,27 @@ class LockManager:
         state.exclusive_depth += 1
 
     def release_shared(self, fh: FicusFileHandle, owner: str) -> None:
-        state = self._locks.get(fh.logical)
+        state = self._locks.get(fh)
         if state is None or owner not in state.shared_owners:
             return
         state.shared_owners[owner] -= 1
         if state.shared_owners[owner] <= 0:
             del state.shared_owners[owner]
-        self._maybe_drop(fh.logical, state)
+        self._maybe_drop(fh, state)
 
     def release_exclusive(self, fh: FicusFileHandle, owner: str) -> None:
-        state = self._locks.get(fh.logical)
+        state = self._locks.get(fh)
         if state is None or state.exclusive_owner != owner:
             return
         state.exclusive_depth -= 1
         if state.exclusive_depth <= 0:
             state.exclusive_owner = None
             state.exclusive_depth = 0
-        self._maybe_drop(fh.logical, state)
+        self._maybe_drop(fh, state)
 
     def _maybe_drop(self, fh: FicusFileHandle, state: _LockState) -> None:
         if state.exclusive_owner is None and not state.shared_owners:
             self._locks.pop(fh, None)
 
     def is_locked(self, fh: FicusFileHandle) -> bool:
-        return fh.logical in self._locks
+        return fh in self._locks

@@ -44,7 +44,7 @@ class LogicalDirVnode(Vnode):
     def __init__(self, layer: "FicusLogicalLayer", volume: VolumeId, fh: FicusFileHandle):  # noqa: F821
         self.layer = layer
         self.volume = volume
-        self.fh = fh.logical
+        self.fh = fh
         # the tracer is created once per Telemetry hub and never replaced,
         # so binding it here saves two attribute hops on every operation
         self._tracer = layer.telemetry.tracer
@@ -311,8 +311,8 @@ class LogicalFileVnode(Vnode):
     ):
         self.layer = layer
         self.volume = volume
-        self.parent_fh = parent_fh.logical
-        self.fh = fh.logical
+        self.parent_fh = parent_fh
+        self.fh = fh
         self.etype = etype
         self._tracer = layer.telemetry.tracer
 

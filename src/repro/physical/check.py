@@ -78,7 +78,7 @@ def ficus_fsck(store: ReplicaStore, conflict_log=None, resolvers=None) -> FicusC
         report.complain(f"cannot enumerate directories: {exc}")
         return report
 
-    dir_set = {fh.logical for fh in all_dirs}
+    dir_set = set(all_dirs)
     if root_fh not in dir_set:
         report.complain("volume root directory storage missing")
         return report
@@ -102,7 +102,7 @@ def ficus_fsck(store: ReplicaStore, conflict_log=None, resolvers=None) -> FicusC
         except FicusError as exc:
             report.complain(f"dir {dir_fh}: unreadable aux ({exc})")
             continue
-        if dir_aux.fh != dir_fh.logical:
+        if dir_aux.fh != dir_fh:
             report.complain(f"dir {dir_fh}: aux names {dir_aux.fh}")
         is_graft = dir_aux.etype == EntryType.GRAFT_POINT
 
@@ -118,7 +118,7 @@ def ficus_fsck(store: ReplicaStore, conflict_log=None, resolvers=None) -> FicusC
                 # two live entries with the same (name, fh) are one
                 # user-level object named twice — a merge artifact that
                 # reconciliation must resolve, never persist
-                key = (entry.name, entry.fh.logical)
+                key = (entry.name, entry.fh)
                 if key in live_name_fh:
                     report.complain(
                         f"dir {dir_fh}: duplicate live entry {entry.name!r} -> {entry.fh}"
@@ -137,15 +137,15 @@ def ficus_fsck(store: ReplicaStore, conflict_log=None, resolvers=None) -> FicusC
             if not entry.live:
                 continue
             if entry.etype in (EntryType.DIRECTORY, EntryType.GRAFT_POINT):
-                if entry.fh.logical not in dir_set:
+                if entry.fh not in dir_set:
                     report.complain(
                         f"dir {dir_fh}: live entry {entry.name!r} -> missing directory {entry.fh}"
                     )
                 else:
-                    dir_refs[entry.fh.logical] += 1
+                    dir_refs[entry.fh] += 1
                 continue
             # FILE / SYMLINK
-            key = entry.fh.logical.to_hex()
+            key = entry.fh.to_hex()
             if store.has_file(dir_fh, entry.fh) and store.has_record(entry.fh):
                 expected_names.add(key)
                 try:
@@ -153,7 +153,7 @@ def ficus_fsck(store: ReplicaStore, conflict_log=None, resolvers=None) -> FicusC
                 except FicusError as exc:
                     report.complain(f"dir {dir_fh}: {entry.name!r} unreadable aux ({exc})")
                     continue
-                if aux.fh != entry.fh.logical:
+                if aux.fh != entry.fh:
                     report.complain(
                         f"dir {dir_fh}: {entry.name!r} aux names {aux.fh}, entry names {entry.fh}"
                     )

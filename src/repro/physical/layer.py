@@ -70,7 +70,7 @@ class UpdateNotification:
     """The update-notification datagram, crossing as the value it is.
 
     ``volrep`` is the replica the update was applied to and ``src`` the
-    host storing it; ``parent_fh`` and ``fh`` are logical handles.
+    host storing it; ``parent_fh`` and ``fh`` are handles.
     ``objkind`` distinguishes file-content updates (propagated by atomic
     copy) from directory updates (propagated by replaying entry operations
     through directory reconciliation — "simply copying directory contents
@@ -217,7 +217,7 @@ class FicusPhysicalLayer(FileSystemLayer):
     # -- update sessions (opened by their first update, closed by session_close) --
 
     def _session_key(self, store: ReplicaStore, fh: FicusFileHandle) -> tuple[int, FicusFileHandle]:
-        return (id(store), fh.logical)
+        return (id(store), fh)
 
     def session_close(self, store: ReplicaStore, fh: FicusFileHandle) -> AuxAttributes | None:
         """End the session.  When one was open, so it updated the replica

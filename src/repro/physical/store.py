@@ -10,11 +10,11 @@ Layout under the lower layer's root::
     <volrep-hex>/            one UFS directory per hosted volume replica
       .meta                  identity + id-mint counters
       .attr                  the attribute table: one record per Ficus
-                             file and directory, keyed by logical handle
+                             file and directory, keyed by handle
       nodes/
         <dirfh-hex>/         the "underlying Unix directory" of one Ficus
-                             directory (keyed by the *logical* handle so
-                             every replica uses the same key)
+                             directory (keyed by its handle, which
+                             every replica shares)
           .fdir              the Ficus directory file (entry records)
           <filefh-hex>       a regular file replica's contents
 
@@ -153,7 +153,7 @@ def _mark(value: int) -> str:
 
 
 def volume_root_handle(volume: VolumeId) -> FicusFileHandle:
-    """The logical handle of a volume's root directory."""
+    """The handle of a volume's root directory."""
     return FicusFileHandle(volume, ROOT_FILE_ID)
 
 
@@ -193,13 +193,13 @@ def handle_of(name: str) -> FicusFileHandle | None:
     encodes, or ``None`` for any other name."""
     try:
         return FicusFileHandle.from_hex(name)
-    except (InvalidArgument, ValueError):
+    except InvalidArgument:
         return None
 
 
 def file_component(fh: FicusFileHandle, vv: VersionVector) -> int:
     """One stored child file's contribution to its directory's file fold."""
-    return int(content_digest(fh.logical.to_hex(), vv.encode()), 16)
+    return int(content_digest(fh.to_hex(), vv.encode()), 16)
 
 
 @dataclass
@@ -228,7 +228,7 @@ FILE_TYPES = (EntryType.FILE, EntryType.SYMLINK)
 
 
 class _Known:
-    """What the store has decoded about one object, by logical handle:
+    """What the store has decoded about one object, by handle:
     its record, and for a directory its Unix directory's vnode, its
     ``.fdir``'s vnode and its entry list (``None``: not decoded yet).  A
     file stored in a directory is found by name (:meth:`stored_file`),
@@ -333,7 +333,7 @@ class ReplicaStore:
         self.stats = StoreStats()
         self._base = lower_root.lookup(volrep.to_hex())
         self._nodes = self._base.lookup("nodes")
-        # -- what the store has decoded, by logical handle, in a map the
+        # -- what the store has decoded, by handle, in a map the
         # bottom's buffer cache empties when it goes cold (invalidate_all,
         # fault injection: E3/E4's disk I/Os stay byte-for-byte intact) —
         # at any time, inside an operation too, whose staged set is not in
@@ -525,7 +525,6 @@ class ReplicaStore:
 
     def dir_unix_vnode(self, fh: FicusFileHandle) -> Vnode:
         """The underlying Unix directory of a Ficus directory."""
-        fh = fh.logical
         vnode = self._known.get(fh, _UNKNOWN).unix_dir
         if vnode is None:
             vnode = self._nodes.lookup(fh.to_hex())
@@ -534,7 +533,6 @@ class ReplicaStore:
 
     def fdir_vnode(self, fh: FicusFileHandle) -> Vnode:
         """The ``.fdir`` of a Ficus directory: the file of its entry records."""
-        fh = fh.logical
         vnode = self._known.get(fh, _UNKNOWN).fdir
         if vnode is None:
             vnode = self.dir_unix_vnode(fh).lookup(FDIR_NAME)
@@ -551,7 +549,6 @@ class ReplicaStore:
         """Materialize storage for a new Ficus directory (or graft point):
         its Unix directory and empty ``.fdir`` now, its record — beside
         ``parent``'s when that block has room — with the operation."""
-        fh = fh.logical
         unix_dir = self._nodes.mkdir(fh.to_hex())
         fdir = unix_dir.create(FDIR_NAME)
         aux = AuxAttributes(fh=fh, etype=etype, refs=1, graft_volume=graft_volume)
@@ -567,7 +564,7 @@ class ReplicaStore:
         last name), and only if the directory then still has no reference
         and no live entry."""
         with self._scope:
-            self._update(named_in).free_dirs.append(fh.logical)
+            self._update(named_in).free_dirs.append(fh)
 
     def _unix_names(self, fh: FicusFileHandle) -> list[str]:
         """The names in a directory's Unix directory, ``.fdir`` aside."""
@@ -602,7 +599,6 @@ class ReplicaStore:
 
     def read_entries(self, fh: FicusFileHandle) -> list[DirectoryEntry]:
         """All entries of a Ficus directory, tombstones included."""
-        fh = fh.logical
         update = self._pending.get(fh)
         if update is not None and update.entries is not None:
             return list(update.entries)
@@ -630,7 +626,6 @@ class ReplicaStore:
         the value the stage or the decoded map holds.  Keyed by the object
         alone: a hard-linked file has one record, so a write through any of
         its names is seen through every other."""
-        fh = fh.logical
         # an empty dict's get still hashes its key, a nested tuple: most
         # reads happen with nothing staged
         staged = self._records.get(fh) if self._records else None
@@ -648,12 +643,12 @@ class ReplicaStore:
         """Stage a file's or directory's whole record: a change is a
         :meth:`read_record`, ``_replace`` and this, in one operation."""
         with self._scope:
-            self._stage(fh.logical).aux = aux
+            self._stage(fh).aux = aux
 
     def has_record(self, fh: FicusFileHandle) -> bool:
         """Does the table (as the open operation leaves it) hold ``fh``?"""
-        staged = self._records.get(fh.logical) if self._records else None
-        return staged.aux is not None if staged is not None else fh.logical in self._attr
+        staged = self._records.get(fh) if self._records else None
+        return staged.aux is not None if staged is not None else fh in self._attr
 
     def record_handles(self) -> list[FicusFileHandle]:
         """Every handle with a record in the table."""
@@ -705,11 +700,9 @@ class ReplicaStore:
         the host must describe durable state."""
         if fh is None:
             return not self._pending and not self._records
-        fh = fh.logical
         return fh not in self._pending and (not self._records or fh not in self._records)
 
     def _update(self, fh: FicusFileHandle) -> _DirUpdate:
-        fh = fh.logical
         update = self._pending.get(fh)
         if update is None:
             update = self._pending[fh] = _DirUpdate(fh)
@@ -826,7 +819,7 @@ class ReplicaStore:
         one way to ask whether and where a file is stored, so a caller
         asks once and keeps the vnode."""
         try:
-            return self.dir_unix_vnode(parent).lookup(fh.logical.to_hex())
+            return self.dir_unix_vnode(parent).lookup(fh.to_hex())
         except FileNotFound:
             return None
 
@@ -844,7 +837,6 @@ class ReplicaStore:
         creation is the first sync point (every replica starts from the
         same nothing).
         """
-        parent, fh = parent.logical, fh.logical
         contents = self.dir_unix_vnode(parent).create(fh.to_hex())
         aux = AuxAttributes(
             fh=fh,
@@ -867,7 +859,6 @@ class ReplicaStore:
         name — so updates and version-vector changes are seen through
         every name.
         """
-        fh = fh.logical
         self.dir_unix_vnode(dst_parent).link(contents, fh.to_hex())
         with self._scope:
             staged = self._stage(fh)
@@ -880,7 +871,6 @@ class ReplicaStore:
         tombstone + insert in one operation keeps the storage it would
         otherwise pull again.  The flush that drops the last name clears
         the record, before the name goes."""
-        fh = fh.logical
         with self._scope:
             if self.stored_file(parent, fh) is None or any(
                 entry.live and entry.fh == fh for entry in self.read_entries(parent)
@@ -940,7 +930,6 @@ class ReplicaStore:
         so they become the retained merge ancestor, digested from
         ``contents`` without reading anything back.
         """
-        parent, fh = parent.logical, fh.logical
         ancestor = _ancestor_of(contents)
         with self._scope:
             if stored is not None:
@@ -993,7 +982,6 @@ class ReplicaStore:
         session that has written under its advanced vector, never reaches
         here — no peer copies that vector until the session closes.
         """
-        fh = fh.logical
         aux = self.read_record(fh)
         if self._known.get(fh, _UNKNOWN).synced == (aux.vv, aux.ancestor):
             return
@@ -1015,7 +1003,7 @@ class ReplicaStore:
         read (:meth:`note_file_synced`).
         """
         with self._scope:
-            self._note_subtree_synced(fh.logical, set())
+            self._note_subtree_synced(fh, set())
 
     def _note_subtree_synced(self, fh: FicusFileHandle, visiting: set[FicusFileHandle]) -> None:
         if fh in visiting:
@@ -1027,8 +1015,8 @@ class ReplicaStore:
                 continue
             if entry.etype in DIR_TYPES:
                 if self.has_directory(entry.fh):
-                    self._note_subtree_synced(entry.fh.logical, visiting)
-            elif entry.etype == EntryType.FILE and entry.fh.logical in stored:
+                    self._note_subtree_synced(entry.fh, visiting)
+            elif entry.etype == EntryType.FILE and entry.fh in stored:
                 self.note_file_synced(fh, entry.fh)
 
     def recover(self) -> None:
@@ -1049,7 +1037,7 @@ class ReplicaStore:
             dirs = self.all_directory_handles()
             whole = [fh for fh in dirs if FDIR_NAME in {e.name for e in self.dir_unix_vnode(fh).readdir()}]
             named = {self.root_handle()} | {
-                entry.fh.logical for fh in whole for entry in self.read_entries(fh) if entry.live
+                entry.fh for fh in whole for entry in self.read_entries(fh) if entry.live
             }
             names: dict[FicusFileHandle, int] = {}
             for fh in dirs:
@@ -1084,11 +1072,10 @@ class ReplicaStore:
         names whose record exists stay, waiting for the entry only this
         host could publish.
         """
-        fh = fh.logical
         unix_dir = self.dir_unix_vnode(fh)
         entries = self.read_entries(fh)
-        live = {entry.fh.logical for entry in entries if entry.live}
-        dead = {entry.fh.logical for entry in entries} - live
+        live = {entry.fh for entry in entries if entry.live}
+        dead = {entry.fh for entry in entries} - live
         kept = []
         for name in sorted(self._unix_names(fh)):
             child = handle_of(name)
@@ -1111,7 +1098,6 @@ class ReplicaStore:
         change to it drops exactly the views and subtree digests above it
         (:meth:`_changed`).  The memo is the store's: a caller that hands
         it on copies it."""
-        fh = fh.logical
         view = self._known.get(fh, _UNKNOWN).children
         if view is not None:
             return view
@@ -1119,7 +1105,7 @@ class ReplicaStore:
         for entry in self.read_entries(fh):
             if not entry.live or entry.etype is EntryType.LOCATION:
                 continue
-            child = entry.fh.logical
+            child = entry.fh
             known = self._learn(child)
             if known.readers is None:
                 known.readers = {fh}
@@ -1150,7 +1136,6 @@ class ReplicaStore:
         stores: its vector, the fold of its entry records, and the fold of
         each child file it stores (:meth:`stored_children`) with that
         file's vector — through whichever name the file was last written."""
-        fh = fh.logical
         files = 0
         for child, aux in self.stored_children(fh).items():
             files ^= self._file_component(child, aux.vv)
@@ -1170,7 +1155,7 @@ class ReplicaStore:
         probe refolds only the path to the change, and a converged replica
         answers repeated probes without touching disk.
         """
-        return self._subtree_digest(fh.logical, set())
+        return self._subtree_digest(fh, set())
 
     def _subtree_digest(self, fh: FicusFileHandle, visiting: set[FicusFileHandle]) -> str:
         cached = self._known.get(fh, _UNKNOWN).subtree
@@ -1193,7 +1178,7 @@ class ReplicaStore:
         """Live child directories (and graft points) with storage here."""
         return sorted(
             {
-                entry.fh.logical
+                entry.fh
                 for entry in self.read_entries(fh)
                 if entry.live
                 and entry.etype in (EntryType.DIRECTORY, EntryType.GRAFT_POINT)

@@ -2,7 +2,7 @@
 
 The paper keeps each replica's version vector in an "auxiliary attribute
 file" (Section 2.6); here every Ficus file and directory of a volume
-replica has one record in one UFS file, keyed by its logical handle:
+replica has one record in one UFS file, keyed by its handle:
 
 * The table is a sequence of :data:`STORE_BLOCK_SIZE` blocks of
   :data:`AUX_SLOT_SIZE`-byte slots.  A record takes a run of whole slots

@@ -150,7 +150,7 @@ class PhysicalDirVnode(Vnode):
     ):
         self.layer = layer
         self.store = store
-        self.fh = fh.logical
+        self.fh = fh
         # stable per Telemetry hub — bound once to shorten the per-op path
         self._tracer = layer.telemetry.tracer
 
@@ -192,9 +192,8 @@ class PhysicalDirVnode(Vnode):
 
     def find_live_by_fh(self, fh: FicusFileHandle) -> DirectoryEntry | None:
         """The live entry naming ``fh`` here, if any."""
-        logical = fh.logical
         for entry in self.entries():
-            if entry.fh == logical and entry.live:
+            if entry.fh == fh and entry.live:
                 return entry
         return None
 
@@ -247,7 +246,7 @@ class PhysicalDirVnode(Vnode):
         write, whose one version bump landed before the write.  Answers the
         file's record when a session was open, so it updated the replica,
         and ``None`` otherwise."""
-        return self.layer.session_close(self.store, fh.logical)
+        return self.layer.session_close(self.store, fh)
 
     def getattrs_batch(
         self,
@@ -273,7 +272,7 @@ class PhysicalDirVnode(Vnode):
         if fhs is None:
             children = dict(stored)
         else:
-            children = {fh.logical: stored[fh.logical] for fh in fhs if fh.logical in stored}
+            children = {fh: stored[fh] for fh in fhs if fh in stored}
         writing = self.layer.written_sessions(self.store).intersection(children)
         return AttrBatch(dir_aux=self.aux(), children=children, writing=writing)
 
@@ -292,7 +291,7 @@ class PhysicalDirVnode(Vnode):
         subtrees without issuing one probe per child.
         """
         assert self.store.flushed(), "sync_probe of a replica with staged records"
-        target = self.fh if fh is None else fh.logical
+        target = self.fh if fh is None else fh
         if not self.store.has_directory(target):
             raise FileNotFound(f"directory {target} not stored in this volume replica")
         return SyncProbe(
@@ -311,7 +310,6 @@ class PhysicalDirVnode(Vnode):
     ) -> FileBlocks:
         """The stored child file ``fh`` in one call: its version vector,
         size, and the blocks whose digests differ from ``have``."""
-        fh = fh.logical
         stored = self.store.stored_file(self.fh, fh)
         if stored is None:
             raise ReplicaNotStored(f"file {fh} contents not stored in this volume replica")
@@ -381,7 +379,6 @@ class PhysicalDirVnode(Vnode):
         for existing in entries:
             if existing.eid == eid:
                 return existing
-        fh = fh.logical
         entry = DirectoryEntry(eid=eid, name=name, fh=fh, etype=etype, data=data)
         # materialize storage before publishing the entry
         if etype == EntryType.LOCATION:
@@ -520,8 +517,8 @@ class PhysicalFileVnode(Vnode):
     ):
         self.layer = layer
         self.store = store
-        self.parent_fh = parent_fh.logical
-        self.fh = fh.logical
+        self.parent_fh = parent_fh
+        self.fh = fh
         self.etype = etype
         self._tracer = layer.telemetry.tracer
 

@@ -325,10 +325,10 @@ class AttrBatch:
 
     The reply of the ``getattrs_batch`` vnode operation: the directory's
     own aux record plus the aux records of the children stored at this
-    replica, keyed by the logical half of their file handle (stable across
-    replicas, unlike the physical half).  This is the attribute plane —
-    replica selection needs every version vector of a directory anyway, so
-    shipping them together turns O(children) per-file RPCs into one.
+    replica, keyed by their file handle (the same on every replica).  This
+    is the attribute plane — replica selection needs every version vector
+    of a directory anyway, so shipping them together turns O(children)
+    per-file RPCs into one.
 
     ``writing`` names the children an open update session has written at
     this replica: their record already holds the session's vector, their
@@ -340,7 +340,7 @@ class AttrBatch:
     writing: frozenset[FicusFileHandle] = frozenset()
 
     def child(self, fh: FicusFileHandle) -> AuxAttributes | None:
-        return self.children.get(fh.logical)
+        return self.children.get(fh)
 
 
 @dataclass
@@ -352,7 +352,7 @@ class SyncProbe:
     its subdirectories.  Two replicas whose probes match are converged
     below that directory, so reconciliation can skip the subtree without
     reading a single remote directory.  ``children`` carries the subtree
-    digest of each stored child directory (keyed by logical handle) so one
+    digest of each stored child directory (keyed by handle) so one
     probe prunes or descends per child without further probe RPCs.
     """
 

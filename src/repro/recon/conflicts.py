@@ -84,10 +84,9 @@ class ConflictLog:
         resolution lands.  Without a vv every report is marked (an
         operator override).
         """
-        logical = fh.logical
         count = 0
         for report in self._reports:
-            if report.resolved or report.fh != logical:
+            if report.resolved or report.fh != fh:
                 continue
             if superseding_vv is not None and not (
                 superseding_vv.strictly_dominates(report.local_vv)

@@ -99,7 +99,6 @@ def reconcile_directory(
     after a stale handle).
     """
     result = DirReconResult()
-    dir_fh = dir_fh.logical
 
     remote_entries = decode_directory(read_whole(remote_dir))
     # the whole-directory batch: the directory's own aux record for the
@@ -168,7 +167,7 @@ def _replay(physical, store, dir_fh, remote_entries, remote_aux, all_replicas, r
     by_name_fh: dict[tuple, list] = {}
     for entry in store.read_entries(dir_fh):
         if entry.live:
-            by_name_fh.setdefault((entry.name, entry.fh.logical), []).append(entry)
+            by_name_fh.setdefault((entry.name, entry.fh), []).append(entry)
     for group in by_name_fh.values():
         if len(group) < 2:
             continue

@@ -110,8 +110,6 @@ def pull_file(
     (:meth:`FicusPhysicalLayer.written_sessions`): none of them takes a
     pull or a merge until its session closes.
     """
-    parent_fh = parent_fh.logical
-    fh = fh.logical
 
     # local state: the file may have an entry here but no storage yet
     # (the entry arrived by directory reconciliation).  Asked once: the
@@ -125,7 +123,7 @@ def pull_file(
         # entry would leak it forever — the GC only runs on the live→dead
         # transition — so refuse unless a live entry names the file.
         live_here = any(
-            e.live and e.fh.logical == fh for e in store.read_entries(parent_fh)
+            e.live and e.fh == fh for e in store.read_entries(parent_fh)
         )
         if not live_here:
             return PullResult(PullOutcome.LOCAL_DEAD, local_vv, VersionVector())
@@ -267,14 +265,14 @@ def push_notify_pull(
     directory reconciliation algorithm against the notifying replica —
     once — and pulls the files the merge reveals; ``file`` notes alone
     need one batch naming just the noted files.  Returns the results by
-    logical handle (a noted file absent from them has no live, wanted
+    handle (a noted file absent from them has no live, wanted
     entry here) and whether the merge changed the directory; raises
     :class:`~repro.errors.FicusError` when the remote cannot be read.
     """
     first = notes[0]
     volrep = first.key.volrep
     store = physical.store_for(volrep)
-    dir_fh = first.key.parent_fh.logical
+    dir_fh = first.key.parent_fh
     changed = False
     # one store operation for the group: however many notes it holds, the
     # directory's records are flushed once, before the caller announces it
@@ -283,11 +281,11 @@ def push_notify_pull(
             merged = reconcile_directory(physical, store, dir_fh, remote_dir)
             batch, entries, changed = merged.remote_attrs, merged.child_files, merged.changed
         else:
-            wanted = dict.fromkeys(note.key.fh.logical for note in notes)
+            wanted = dict.fromkeys(note.key.fh for note in notes)
             batch = remote_dir.getattrs_batch(list(wanted))
-            entries = [e for e in store.read_entries(dir_fh) if e.live and e.fh.logical in wanted]
+            entries = [e for e in store.read_entries(dir_fh) if e.live and e.fh in wanted]
         policy, writing = physical.policy_for(volrep), physical.written_sessions(store)
         children = pull_children(
             store, dir_fh, remote_dir, batch, entries, policy, physical.health, first.src_addr, writing
         )
-        return {entry.fh.logical: pull for entry, pull in children if pull is not None}, changed
+        return {entry.fh: pull for entry, pull in children if pull is not None}, changed

@@ -106,7 +106,7 @@ def reconcile_subtree(
     """
     store = physical.store_for(volrep)
     result = SubtreeReconResult()
-    start = (root_fh or store.root_handle()).logical
+    start = root_fh or store.root_handle()
 
     seen: set[FicusFileHandle] = set()
     #: (directory, remote subtree digest if the parent's probe supplied one)
@@ -235,7 +235,7 @@ def reconcile_subtree(
                             "conflict_detected",
                             conflict_kind=ConflictKind.FILE_UPDATE.value,
                             name=file_entry.name,
-                            fh=file_fh.logical.to_hex(),
+                            fh=file_fh.to_hex(),
                             remote_host=peer.host,
                         )
                 elif pull.outcome is PullOutcome.UNREACHABLE:
@@ -246,7 +246,7 @@ def reconcile_subtree(
 
         for child_fh in dir_result.child_directories:
             queue.append(
-                (child_fh, probe.children.get(child_fh.logical) if probe is not None else None)
+                (child_fh, probe.children.get(child_fh) if probe is not None else None)
             )
 
     return result

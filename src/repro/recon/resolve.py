@@ -33,8 +33,6 @@ def resolve_file_conflict(
     resolution as a merge-kind provenance node whose parents are every
     observed conflicting version.
     """
-    parent_fh = parent_fh.logical
-    fh = fh.logical
     local_aux = store.read_record(fh)
     local_vv = local_aux.vv
     merged = local_vv

@@ -57,8 +57,6 @@ def auto_resolve_conflict(
     mirror-image conflict to the same bytes and the same vector, the two
     commits reconcile as EQUAL.
     """
-    parent_fh = parent_fh.logical
-    fh = fh.logical
     stored = store.stored_file(parent_fh, fh)
     if stored is None:
         return ResolveOutcome.NOT_COVERED  # entry-only replica; nothing to merge

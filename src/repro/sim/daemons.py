@@ -200,7 +200,7 @@ class PropagationDaemon:
             if peer_health.should_skip(note.src_addr):
                 self.stats.notes_deferred += 1
                 continue
-            key = (note.src_addr, note.src_volrep, note.key.volrep, note.key.parent_fh.logical)
+            key = (note.src_addr, note.src_volrep, note.key.volrep, note.key.parent_fh)
             groups.setdefault(key, []).append(note)
         return sum(self._service_group(group) for group in groups.values())
 
@@ -251,7 +251,7 @@ class PropagationDaemon:
         group order, and the number of file versions installed."""
         first = group[0]
         volrep = first.key.volrep
-        dir_fh = first.key.parent_fh.logical
+        dir_fh = first.key.parent_fh
         if not self.physical.store_for(volrep).has_directory(dir_fh):
             # directory itself unknown yet: wait for subtree reconciliation
             return ["deferred"] * len(group), 0
@@ -271,7 +271,7 @@ class PropagationDaemon:
                 self.stats.bytes_saved += pull.bytes_saved
         if pulled or dir_changed:
             announce_sync_install(self.logical, volrep, dir_fh)
-        return [_note_outcome(note, pulls.get(note.key.fh.logical), dir_changed) for note in group], pulled
+        return [_note_outcome(note, pulls.get(note.key.fh), dir_changed) for note in group], pulled
 
 
 @dataclass

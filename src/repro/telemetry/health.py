@@ -374,7 +374,7 @@ class HealthPlane:
         """
         tc = self.telemetry.tracer.current_context()
         trace = tc.label() if tc is not None else ""
-        self.provenance.record(kind, fh.logical, vv, parents, origin, detail, trace)
+        self.provenance.record(kind, fh, vv, parents, origin, detail, trace)
 
     # -- divergence suspicion ---------------------------------------------
 

@@ -13,7 +13,6 @@ from repro.util.ids import (
     MAX_ID,
     FicusFileHandle,
     FileId,
-    FileIdAllocator,
     IdAllocator,
     VolumeId,
     VolumeReplicaId,
@@ -23,7 +22,6 @@ __all__ = [
     "MAX_ID",
     "FicusFileHandle",
     "FileId",
-    "FileIdAllocator",
     "IdAllocator",
     "VirtualClock",
     "VolumeId",

@@ -6,9 +6,18 @@ paper suggests an Internet address) and the volume-id is issued by that
 allocator.  A volume *replica* adds a replica-id; a file replica is fully
 specified by ``⟨allocator-id, volume-id, file-id, replica-id⟩``.
 
+Here that four-part name is always a pair: a :class:`FicusFileHandle`
+``⟨volume, file-id⟩`` names the logical file, and the replica-id lives in
+the :class:`VolumeReplicaId` that every structure addressing one replica
+holds beside the handle — the replica store itself, the physical layer's
+NFS handle ``(volrep, parent, fh, etype)`` and a notification's key.  So
+one handle keys a file in every layer and on every host.
+
 To let every volume replica assign file identifiers independently, a file-id
 is the tuple ``⟨issuing-replica-id, unique-id⟩`` — prefixing with the issuing
-replica's id guarantees global uniqueness with zero coordination.
+replica's id guarantees global uniqueness with zero coordination.  The one
+mint is :meth:`repro.physical.store.ReplicaStore.new_file_id`, whose
+high-water mark the replica's ``.meta`` record keeps.
 
 The paper notes a current limit of 2^32 replicas of a given file and 2^32
 logical layers; we enforce the same bound.
@@ -32,6 +41,10 @@ from repro.errors import InvalidArgument
 #: Paper Section 3.1: "a current limit of 2^32 replicas of a given file,
 #: and 2^32 logical layers".
 MAX_ID = 2**32
+
+#: The fifth field of a stored file name, where a replica-id would go: no
+#: handle names a replica, so every name carries this constant.
+_NO_REPLICA = "ffffffff"
 
 
 def _check_u32(value: int, what: str) -> int:
@@ -117,67 +130,45 @@ class VolumeReplicaId(namedtuple("VolumeReplicaId", "volume replica_id")):
         return f"{self.volume}r{self.replica_id}"
 
 
-class FicusFileHandle(namedtuple("FicusFileHandle", "volume file_id replica_id")):
+class FicusFileHandle(namedtuple("FicusFileHandle", "volume file_id")):
     """The handle the logical layer uses to talk to physical layers.
 
     The paper (Section 2.5): "The logical layer maps a client-supplied name
     into a Ficus file handle, which contains a set of fields that uniquely
-    identify the file across all Ficus systems."  A handle that names a
-    specific replica additionally carries the replica-id of the containing
-    volume replica; a handle with ``replica_id=None`` names the logical file.
+    identify the file across all Ficus systems."  The handle names the
+    logical file; the replica-id that completes a file replica's name is the
+    :class:`VolumeReplicaId` every replica-addressing structure pairs with
+    it (see the module docstring).  Its two fields validate themselves.
     """
-
-    #: Reserved replica-id encoding "no specific replica" in the hex form.
-    LOGICAL_SENTINEL = MAX_ID - 1
-
-    def __new__(cls, volume: VolumeId, file_id: FileId, replica_id: int | None = None) -> "FicusFileHandle":
-        if replica_id is not None:
-            _check_u32(replica_id, "replica-id")
-            if replica_id == cls.LOGICAL_SENTINEL:
-                raise InvalidArgument(
-                    f"replica-id {cls.LOGICAL_SENTINEL:#x} is reserved for logical handles"
-                )
-        return tuple.__new__(cls, (volume, file_id, replica_id))
-
-    @property
-    def logical(self) -> "FicusFileHandle":
-        """The replica-independent handle for the same logical file."""
-        if self.replica_id is None:
-            return self
-        cached = self.__dict__.get("_logical")
-        if cached is None:
-            cached = self._logical = FicusFileHandle(self.volume, self.file_id, None)
-        return cached
-
-    def at_replica(self, replica_id: int) -> "FicusFileHandle":
-        """Bind this handle to a specific volume replica."""
-        return FicusFileHandle(self.volume, self.file_id, replica_id)
 
     def to_hex(self) -> str:
         """Encode for use as a UFS pathname component (paper Section 2.6).
 
         "This second mapping is implemented by encoding the Ficus file
         handle into a hexadecimal string used by the UFS as a pathname."
+        The fifth field is the constant ``ffffffff`` every stored name
+        carries where a replica-id would go.
         """
         cached = self.__dict__.get("_hex")
         if cached is None:
-            rep = "ffffffff" if self.replica_id is None else f"{self.replica_id:08x}"
-            cached = self._hex = f"{self.volume.to_hex()}.{self.file_id.to_hex()}.{rep}"
+            cached = self._hex = f"{self.volume.to_hex()}.{self.file_id.to_hex()}.{_NO_REPLICA}"
         return cached
 
     @classmethod
     def from_hex(cls, text: str) -> "FicusFileHandle":
         parts = text.split(".")
-        if len(parts) != 5:
+        if len(parts) != 5 or parts[4] != _NO_REPLICA:
             raise InvalidArgument(f"bad file handle {text!r}")
-        volume = VolumeId(int(parts[0], 16), int(parts[1], 16))
-        file_id = FileId(int(parts[2], 16), int(parts[3], 16))
-        rep = None if parts[4] == "ffffffff" else int(parts[4], 16)
-        return cls(volume, file_id, rep)
+        try:
+            volume = VolumeId(int(parts[0], 16), int(parts[1], 16))
+            file_id = FileId(int(parts[2], 16), int(parts[3], 16))
+        except ValueError as exc:
+            raise InvalidArgument(f"bad file handle {text!r}") from exc
+        return cls(volume, file_id)
 
     def __str__(self) -> str:
-        rep = "*" if self.replica_id is None else str(self.replica_id)
-        return f"fh<{self.volume.allocator_id}:{self.volume.volume_num}:{self.file_id.issuing_replica}:{self.file_id.unique}:{rep}>"
+        volume, file_id = self
+        return f"fh<{volume.allocator_id}:{volume.volume_num}:{file_id.issuing_replica}:{file_id.unique}>"
 
 
 @dataclass
@@ -186,7 +177,7 @@ class IdAllocator:
 
     Each host was "issued a unique value as its allocator-id" prior to
     installation; from then on it can mint volume ids with no communication.
-    Likewise each volume replica mints file unique-ids independently.
+    Each volume replica mints file-ids independently in its store.
     """
 
     allocator_id: int
@@ -197,26 +188,3 @@ class IdAllocator:
 
     def new_volume_id(self) -> VolumeId:
         return VolumeId(self.allocator_id, next(self._next_volume))
-
-
-@dataclass
-class FileIdAllocator:
-    """Per-volume-replica file-id mint (paper Section 4.2).
-
-    "Each volume replica assigns file identifiers to new files independently.
-    To ensure that file-ids are uniquely issued, a file-id is prefixed with
-    the issuing volume replica's replica-id."
-    """
-
-    replica_id: int
-    _next_unique: itertools.count = field(default_factory=lambda: itertools.count(1))
-
-    def __post_init__(self) -> None:
-        _check_u32(self.replica_id, "replica-id")
-
-    def new_file_id(self) -> FileId:
-        return FileId(self.replica_id, next(self._next_unique))
-
-    def restore(self, highest_seen: int) -> None:
-        """Resume issuance after restart, skipping already-issued uniques."""
-        self._next_unique = itertools.count(highest_seen + 1)

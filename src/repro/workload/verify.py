@@ -49,7 +49,7 @@ def state_fingerprint(system, host_names: list[str] | None = None) -> dict:
                     entries.append(
                         (dir_fh.to_hex(), entry.name, entry.fh.to_hex(), entry.status)
                     )
-                    fh = entry.fh.logical
+                    fh = entry.fh
                     stored = store.stored_file(dir_fh, fh) if entry.live else None
                     if stored is not None:
                         aux = store.read_record(fh)

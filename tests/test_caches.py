@@ -306,15 +306,13 @@ class TestMissNeverHidesAName:
 
 class TestFileHandleHash:
     def test_hash_is_the_generated_one(self):
-        fh = FicusFileHandle(VolumeId(1, 2), FileId(3, 4), 5)
-        assert hash(fh) == hash((fh.volume, fh.file_id, fh.replica_id))
-        assert hash(fh.logical) == hash((fh.volume, fh.file_id, None))
+        fh = FicusFileHandle(VolumeId(1, 2), FileId(3, 4))
+        assert hash(fh) == hash((fh.volume, fh.file_id))
 
     def test_equal_handles_built_apart_hash_equal(self):
-        fh = FicusFileHandle(VolumeId(1, 2), FileId(3, 4), 5)
+        fh = FicusFileHandle(VolumeId(1, 2), FileId(3, 4))
         hash(fh)
         apart = FicusFileHandle.from_hex(fh.to_hex())
         assert apart == fh and apart is not fh
         assert hash(apart) == hash(fh)
-        assert hash(fh.at_replica(6).logical) == hash(fh.logical)
         assert {fh: 1}[apart] == 1

@@ -412,7 +412,7 @@ class TestSubtreePruning:
         beta = system.host("beta")
         store = store_of(system, "beta")
         d0 = next(entry.fh for entry in store.read_entries(store.root_handle()) if entry.name == "d0")
-        names = {entry.fh.logical.to_hex() for entry in store.read_entries(d0) if entry.name.startswith("f")}
+        names = {entry.fh.to_hex() for entry in store.read_entries(d0) if entry.name.startswith("f")}
         assert len(names) == 8
         probes, settling = [], []
         lookup, children = Ufs.lookup, protocol.pull_children
@@ -589,7 +589,7 @@ class TestDirectoryAtATime:
             for e, p in pull_children(
                 beta_store, root_fh, remote, merged.remote_attrs, merged.child_files
             )
-            if e.fh.logical == fh.logical
+            if e.fh == fh
         ]
         assert pull.outcome is PullOutcome.UNREACHABLE
         assert beta_store.stored_file(root_fh, fh).read_all() == contents

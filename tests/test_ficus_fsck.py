@@ -92,6 +92,22 @@ class TestDetectsCorruption:
         assert not report.clean
         assert any("unrecognized" in p for p in report.problems)
 
+    def test_a_name_with_a_replica_id_is_no_files_name(self):
+        """A stored name is a handle's only with the constant fifth field:
+        a copy of a file's name carrying a replica-id there is not that
+        file's storage, so it neither counts as a stored name nor hides as
+        a stray copy of the file."""
+        system = FicusSystem(["solo"], daemon_config=QUIET)
+        host = system.host("solo")
+        host.fs().write_file("/f", b"x")
+        store = host.physical.store_for(system.root_locations[0].volrep)
+        root = store.root_handle()
+        (entry,) = [e for e in store.read_entries(root) if e.live and e.name == "f"]
+        bound = entry.fh.to_hex()[: -len("ffffffff")] + "00000005"
+        store.dir_unix_vnode(root).create(bound)
+        report = ficus_fsck(store)
+        assert report.problems == [f"dir {root}: unrecognized name {bound!r}"]
+
     def test_mint_regression_detected(self):
         system = FicusSystem(["solo"], daemon_config=QUIET)
         host = system.host("solo")

@@ -8,18 +8,29 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import InvalidArgument
+from repro.physical.store import ReplicaStore, handle_of
 from repro.physical.wire import EntryId
+from repro.storage import BlockDevice
+from repro.ufs import Ufs
 from repro.util import (
     MAX_ID,
     FicusFileHandle,
     FileId,
-    FileIdAllocator,
     IdAllocator,
     VolumeId,
     VolumeReplicaId,
 )
+from repro.vnode import UfsLayer
 
 u32 = st.integers(min_value=0, max_value=MAX_ID - 1)
+
+
+def replica_stores(count: int) -> list[ReplicaStore]:
+    """``count`` replicas of one volume, replica-ids 1.., each minting in its
+    own store; they share a disk and nothing else."""
+    root = UfsLayer(Ufs.mkfs(BlockDevice(1024), num_inodes=64)).root()
+    volume = VolumeId(1, 1)
+    return [ReplicaStore.create(root, VolumeReplicaId(volume, r)) for r in range(1, count + 1)]
 
 
 class TestVolumeId:
@@ -62,24 +73,15 @@ class TestFileId:
 
 
 class TestFileHandle:
-    def test_logical_strips_replica(self):
-        fh = FicusFileHandle(VolumeId(1, 1), FileId(0, 5), replica_id=3)
-        assert fh.logical.replica_id is None
-        assert fh.logical.file_id == fh.file_id
-
-    def test_at_replica_binds(self):
-        fh = FicusFileHandle(VolumeId(1, 1), FileId(0, 5))
-        assert fh.at_replica(9).replica_id == 9
-
-    def test_hex_round_trip_with_and_without_replica(self):
-        fh = FicusFileHandle(VolumeId(1, 2), FileId(3, 4), replica_id=5)
+    def test_hex_round_trip(self):
+        fh = FicusFileHandle(VolumeId(1, 2), FileId(3, 4))
+        # the stored name's five fields, the last the constant every name carries
+        assert fh.to_hex() == "00000001.00000002.00000003.00000004.ffffffff"
         assert FicusFileHandle.from_hex(fh.to_hex()) == fh
-        logical = fh.logical
-        assert FicusFileHandle.from_hex(logical.to_hex()) == logical
 
     def test_hex_is_valid_ufs_name(self):
         """The handle encoding is used as a UFS pathname component."""
-        fh = FicusFileHandle(VolumeId(1, 2), FileId(3, 4), replica_id=5)
+        fh = FicusFileHandle(VolumeId(1, 2), FileId(3, 4))
         text = fh.to_hex()
         assert "/" not in text and "\x00" not in text
         assert len(text) < 255
@@ -87,17 +89,22 @@ class TestFileHandle:
     def test_bad_handle_rejected(self):
         with pytest.raises(InvalidArgument):
             FicusFileHandle.from_hex("0.1.2")
-
-    replica_ids = st.one_of(st.none(), st.integers(min_value=0, max_value=MAX_ID - 2))
-
-    @given(u32, u32, u32, u32, replica_ids)
-    def test_round_trip_property(self, a, v, i, u, r):
-        fh = FicusFileHandle(VolumeId(a, v), FileId(i, u), replica_id=r)
-        assert FicusFileHandle.from_hex(fh.to_hex()) == fh
-
-    def test_sentinel_replica_id_rejected(self):
         with pytest.raises(InvalidArgument):
-            FicusFileHandle(VolumeId(0, 0), FileId(0, 0), replica_id=MAX_ID - 1)
+            FicusFileHandle.from_hex("1.2.3.zz.ffffffff")
+
+    def test_a_name_with_a_replica_id_is_not_a_handle(self):
+        """No handle names a replica, so a stored name whose fifth field is
+        anything but ``ffffffff`` is no file's name."""
+        name = "00000001.00000002.00000003.00000004.00000005"
+        with pytest.raises(InvalidArgument):
+            FicusFileHandle.from_hex(name)
+        assert handle_of(name) is None
+        assert handle_of(name[:-8] + "ffffffff") == FicusFileHandle(VolumeId(1, 2), FileId(3, 4))
+
+    @given(u32, u32, u32, u32)
+    def test_round_trip_property(self, a, v, i, u):
+        fh = FicusFileHandle(VolumeId(a, v), FileId(i, u))
+        assert FicusFileHandle.from_hex(fh.to_hex()) == fh
 
 
 class TestAllocators:
@@ -116,23 +123,23 @@ class TestAllocators:
         assert not ids_a & ids_b
 
     def test_file_ids_prefixed_by_replica(self):
-        mint = FileIdAllocator(replica_id=4)
-        fid = mint.new_file_id()
-        assert fid.issuing_replica == 4
+        for store in replica_stores(5):
+            assert store.new_file_id().issuing_replica == store.replica_id
 
     def test_two_replica_mints_never_collide(self):
-        m1, m2 = FileIdAllocator(1), FileIdAllocator(2)
-        ids = {m1.new_file_id() for _ in range(50)} | {m2.new_file_id() for _ in range(50)}
-        assert len(ids) == 100
+        """Any two of five replica mints: no id is issued by both."""
+        stores = replica_stores(5)
+        ids = {store.new_file_id() for store in stores for _ in range(50)}
+        assert len(ids) == 250
 
     def test_restore_skips_issued_ids(self):
-        mint = FileIdAllocator(replica_id=1)
-        first = [mint.new_file_id() for _ in range(5)]
-        recovered = FileIdAllocator(replica_id=1)
-        recovered.restore(highest_seen=5)
+        """A store attached again resumes past every id it issued."""
+        store = replica_stores(5)[3]
+        first = [store.new_file_id() for _ in range(5)]
+        recovered = ReplicaStore.attach(store.lower_root, store.volrep)
         fresh = recovered.new_file_id()
-        assert fresh not in first
-        assert fresh.unique == 6
+        assert fresh.issuing_replica == 4
+        assert fresh.unique > max(fid.unique for fid in first)
 
 
 class TestVolumeReplicaId:
@@ -148,29 +155,27 @@ class TestVolumeReplicaId:
 class TestTupleForm:
     """Ids are named tuples; these are the properties the layers rely on."""
 
-    @given(u32, u32, u32, u32, st.one_of(st.none(), st.integers(min_value=0, max_value=MAX_ID - 2)))
-    def test_hash_is_the_plain_tuple_hash(self, a, b, c, d, r):
+    @given(u32, u32, u32, u32)
+    def test_hash_is_the_plain_tuple_hash(self, a, b, c, d):
         # The value a frozen dataclass of the same fields generated, so dict
         # and set iteration orders do not depend on the representation.
-        fh = FicusFileHandle(VolumeId(a, b), FileId(c, d), r)
-        assert hash(fh) == hash(((a, b), (c, d), r))
+        fh = FicusFileHandle(VolumeId(a, b), FileId(c, d))
+        assert hash(fh) == hash(((a, b), (c, d)))
         assert hash(VolumeId(a, b)) == hash((a, b))
         assert hash(VolumeReplicaId(VolumeId(a, b), c)) == hash(((a, b), c))
 
     def test_fields_cannot_be_assigned(self):
-        fh = FicusFileHandle(VolumeId(1, 2), FileId(3, 4), 5)
-        fields = [(fh, "replica_id"), (fh, "volume"), (VolumeId(1, 2), "volume_num")]
+        fh = FicusFileHandle(VolumeId(1, 2), FileId(3, 4))
+        fields = [(fh, "file_id"), (fh, "volume"), (VolumeId(1, 2), "volume_num")]
         fields += [(FileId(1, 2), "unique"), (EntryId(1, 2), "seq")]
         for obj, name in fields:
             with pytest.raises(AttributeError):
                 setattr(obj, name, 1)
 
     def test_construction_still_validates(self):
-        # Beside the range and sentinel checks of the classes above.
+        # Beside the range checks of the classes above.
         with pytest.raises(InvalidArgument):
             VolumeReplicaId(VolumeId(1, 2), MAX_ID)
-        with pytest.raises(InvalidArgument):
-            FicusFileHandle(VolumeId(1, 2), FileId(3, 4), -1)
         with pytest.raises(InvalidArgument):
             FileId(-1, 0)
 
@@ -178,7 +183,6 @@ class TestTupleForm:
         VolumeId(1, 2),
         FileId(3, 4),
         VolumeReplicaId(VolumeId(1, 2), 5),
-        FicusFileHandle(VolumeId(1, 2), FileId(3, 4), 5),
         FicusFileHandle(VolumeId(1, 2), FileId(3, 4)),
         EntryId(6, 7),
     ], ids=repr)
@@ -189,19 +193,13 @@ class TestTupleForm:
             assert clone == value and hash(clone) == hash(value)
             assert repr(clone) == repr(value)
 
-    def test_logical_is_memoized(self):
-        fh = FicusFileHandle(VolumeId(1, 2), FileId(3, 4), 5)
-        assert fh.logical is fh.logical
-        assert fh.logical.logical is fh.logical
-        assert fh.logical.replica_id is None
-
     def test_repr_names_the_fields(self):
         fh = FicusFileHandle(VolumeId(1, 2), FileId(3, 4))
         assert repr(fh) == (
             "FicusFileHandle(volume=VolumeId(allocator_id=1, volume_num=2), "
-            "file_id=FileId(issuing_replica=3, unique=4), replica_id=None)"
+            "file_id=FileId(issuing_replica=3, unique=4))"
         )
-        assert str(fh) == "fh<1:2:3:4:*>"
+        assert str(fh) == "fh<1:2:3:4>"
 
     def test_equality_ignores_the_id_kind(self):
         """A documented property, not a wish: no dict may mix id kinds."""
@@ -211,6 +209,5 @@ class TestTupleForm:
     def test_order_is_field_order(self):
         # The "lowest entry id keeps the name" rule sorts on this.
         assert sorted([EntryId(2, 0), EntryId(1, 9), EntryId(1, 3)]) == [(1, 3), (1, 9), (2, 0)]
-        a = FicusFileHandle(VolumeId(1, 2), FileId(3, 4), 1)
-        with pytest.raises(TypeError):
-            a < a.logical
+        handles = [FicusFileHandle(VolumeId(1, v), FileId(3, u)) for v, u in ((3, 0), (2, 5), (2, 4))]
+        assert sorted(handles) == handles[::-1]

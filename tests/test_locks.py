@@ -69,10 +69,3 @@ class TestExclusiveLocks:
     def test_independent_files_independent_locks(self, locks):
         locks.acquire_exclusive(FH, "w1")
         locks.acquire_exclusive(FH2, "w2")  # no interference
-
-    def test_replica_bound_handles_share_the_lock(self, locks):
-        """Locks key on the LOGICAL file: two handles differing only in
-        replica id contend for the same lock."""
-        locks.acquire_exclusive(FH.at_replica(1), "w1")
-        with pytest.raises(PermissionDenied):
-            locks.acquire_exclusive(FH.at_replica(2), "w2")

@@ -409,7 +409,7 @@ class TestShadowCommit:
         assert store.read_record(fh).vv == vv
         # the file's own inode, and no other name made beside it
         assert store.stored_file(store.root_handle(), fh).getattr().fileid == ino
-        assert store._unix_names(store.root_handle()) == [fh.logical.to_hex()]
+        assert store._unix_names(store.root_handle()) == [fh.to_hex()]
 
     def test_abort_discards_shadow(self):
         """A version whose install runs out of space is discarded whole:

@@ -213,7 +213,7 @@ class TestDagComposition:
             for store in host.physical.stores.values():
                 for dir_fh in store.all_directory_handles():
                     for entry in store.read_entries(dir_fh):
-                        fh = entry.fh.logical
+                        fh = entry.fh
                         if not entry.live or not store.has_file(dir_fh, fh):
                             continue
                         vv = store.read_record(fh).vv

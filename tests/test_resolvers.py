@@ -500,7 +500,7 @@ class TestFsckResolutionAudit:
             kind=ConflictKind.FILE_UPDATE,
             volume=store.volume,
             parent_fh=dir_fh,
-            fh=fh.logical,
+            fh=fh,
             name="inbox.log",
             local_vv=VersionVector({1: 99}),
             remote_vv=VersionVector({2: 99}),

@@ -122,7 +122,7 @@ class TestSingleHostRestart:
         assert host.fs().read_file("/f") == b"original"
         assert store2.read_record(fh).vv == vv
         # nothing for recovery to drop: the one name is the file's own
-        assert store2._unix_names(root) == [fh.logical.to_hex()]
+        assert store2._unix_names(root) == [fh.to_hex()]
 
     def test_contents_without_a_record_dropped_on_restart(self):
         system = FicusSystem(["solo"], daemon_config=QUIET)

@@ -12,6 +12,7 @@ from functools import partial
 
 from repro.errors import FileNotFound, InvalidArgument, IsADirectory, NotADirectory
 from repro.logical import FicusLogicalLayer, LogicalDirVnode, LogicalFileVnode
+from repro.physical import EntryType
 from repro.recon.propagate import fetch_file
 from repro.telemetry import spanned
 from repro.ufs.inode import FileAttributes, FileType
@@ -207,10 +208,6 @@ class FicusFileSystem:
         """``chain`` (when given) gets every directory the last walk, the
         one after every symlink is expanded, steps out of: the ancestry of
         the node returned."""
-        from repro.logical.vnodes import LogicalFileVnode
-        from repro.physical import EntryType
-        from repro.ufs import FileType
-
         node: Vnode = self.logical.root()
         for index, part in enumerate(parts):
             if chain is not None:

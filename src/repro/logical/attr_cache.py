@@ -11,8 +11,13 @@ the resolved directory vnode, so a warm selection needs no RPCs at all.
 Two more things ride each entry: the replica's decoded name -> entry view,
 valid as long as the directory's entries are, and the file vnodes resolved
 through the directory vnode, valid exactly as long as it is.  Beside a
-directory's entries sits the replica selection made from their batches,
-so a warm selection also compares no vectors.
+directory's entries sits each replica selection made from their batches
+(:meth:`VersionVectorCache.winner`), kept under a stamp of what else
+decides the candidates — the network's reachability epoch, the host's
+peer-health epoch and the graft table's candidate tuple — and served
+while that stamp holds and none of its batches has outlived the TTL, so a
+warm selection is one memo probe: it enumerates no replica and compares
+no vectors.
 
 Coherence is notification-driven, matching the paper's update model:
 
@@ -41,7 +46,7 @@ a stale NFS handle announces itself with ESTALE on use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.physical import decode_directory, effective_entries
 from repro.physical.wire import AttrBatch, AuxAttributes, DirectoryEntry
@@ -86,9 +91,12 @@ class DirRecord:
 
     replicas: dict[VolumeReplicaId, CacheEntry] = field(default_factory=dict)
     #: ``most_recent``'s winner per selection — the directory's own under
-    #: ``None``, each file's under its handle — beside the batches
-    #: it was chosen from; dropped whenever any replica's batch changes
-    winners: dict[FicusFileHandle | None, tuple[tuple[AttrBatch, ...], Any]] = field(
+    #: ``None``, each file's under its handle — as ``(stamp, oldest,
+    #: batches, winner)``: the stamp it was made under, the oldest
+    #: ``fetched_at`` and the number of the batches it was chosen from;
+    #: dropped whenever a batch changes (a file's merged record drops only
+    #: that file's)
+    winners: dict[FicusFileHandle | None, tuple[tuple, float, int, Any]] = field(
         default_factory=dict
     )
 
@@ -158,35 +166,40 @@ class VersionVectorCache:
             self.stats.hits += 1
         return entry
 
-    def selection(
+    def winner(
+        self, volume: VolumeId, dir_fh: FicusFileHandle, key: FicusFileHandle | None, stamp: tuple
+    ) -> Any:
+        """The remembered winner of a selection in a directory, or ``None``.
+
+        ``key`` is ``None`` for the directory's own replica selection and a
+        file's handle for that file's.  A winner is served while ``stamp``
+        (what decides the candidates: reachability, peer health, the known
+        replicas) equals the one it was made under and none of the batches
+        it was chosen from has outlived the TTL — exactly while a fresh
+        selection would find the same candidates answering from the same
+        live batches.  Each of those batches counts as the hit its lookup
+        would have been.
+        """
+        record = self._dirs.get((volume, dir_fh))
+        memo = None if record is None else record.winners.get(key)
+        if memo is None or memo[0] != stamp or self.clock.now() - memo[1] > self.ttl:
+            return None
+        self.stats.hits += memo[2]
+        return memo[3]
+
+    def remember(
         self,
         volume: VolumeId,
         dir_fh: FicusFileHandle,
         key: FicusFileHandle | None,
-        batches: tuple[AttrBatch, ...],
-        choose: Callable[[], Any],
-    ) -> Any:
-        """The winner ``choose`` picks from exactly ``batches``, chosen once.
-
-        ``key`` is ``None`` for the directory's own replica selection and a
-        file's handle for that file's.  A remembered winner is
-        served only while the candidates' batches are the very objects it
-        was chosen from: a replica partitioned away or deferred as degraded
-        changes the candidate set and misses it, and every batch the
-        directory's record refetches, expires or drops takes the record's
-        winners with it.
-        """
-        record = self._dirs[(volume, dir_fh)]
-        memo = record.winners.get(key)
-        if memo is not None:
-            chosen_from, winner = memo
-            if len(chosen_from) == len(batches) and all(
-                a is b for a, b in zip(chosen_from, batches)
-            ):
-                return winner
-        winner = choose()
-        record.winners[key] = (batches, winner)
-        return winner
+        stamp: tuple,
+        entries: list[CacheEntry],
+        winner: Any,
+    ) -> None:
+        """Keep ``winner``, chosen under ``stamp`` from the batches of
+        ``entries``, for :meth:`winner` to serve."""
+        oldest = min(entry.fetched_at for entry in entries)
+        self._dirs[(volume, dir_fh)].winners[key] = (stamp, oldest, len(entries), winner)
 
     def held_children(
         self, volume: VolumeId, dir_fh: FicusFileHandle, fh: FicusFileHandle | None = None
@@ -318,7 +331,8 @@ class VersionVectorCache:
         else:
             children[fh] = aux
         entry.batch = AttrBatch(held.dir_aux, children, held.writing - {fh})
-        self._dirs[(volrep.volume, dir_fh)].winners.clear()
+        # the directory's record and every sibling's are as they were
+        self._dirs[(volrep.volume, dir_fh)].winners.pop(fh, None)
         self.stats.refreshes += 1
 
     # -- invalidation ----------------------------------------------------------

@@ -41,13 +41,14 @@ from repro.errors import (
 from repro.logical.attr_cache import CacheEntry, VersionVectorCache
 from repro.logical.fabric import Fabric
 from repro.logical.locks import LockManager
+from repro.logical.vnodes import LogicalDirVnode
 from repro.net import Network
-from repro.physical import DirectoryEntry, UpdateNotification, volume_root_handle
+from repro.physical import DirectoryEntry, EntryType, UpdateNotification, volume_root_handle
 from repro.physical.wire import AttrBatch, AuxAttributes
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.util import FicusFileHandle, VolumeId
 from repro.vnode.interface import ROOT_CTX, FileSystemLayer, OpContext, Vnode
-from repro.volume import GraftTable, Grafter, ReplicaLocation
+from repro.volume import GraftTable, Grafter, ReplicaLocation, location_entry_name
 from repro.vv import VersionVector
 
 @dataclass
@@ -318,31 +319,55 @@ class FicusLogicalLayer(FileSystemLayer):
         among N replicas costs at most N batched fetches cold, none warm —
         never a per-replica probe on top of resolution.
         """
+        stamp = self._stamp(volume)
+        if stamp is not None and not ctx.no_cache:
+            winner = self.attr_cache.winner(volume, fh, None, stamp)
+            if winner is not None:
+                return winner
         candidates = [(view, batch.dir_aux.vv) for view, batch in self.replica_batches(volume, fh, ctx)]
         if not candidates:
             raise AllReplicasUnavailable(f"no reachable replica stores directory {fh}")
-        return self._most_recent(volume, fh, None, candidates)
+        return self._most_recent(volume, fh, None, stamp, candidates)
+
+    def _stamp(self, volume: VolumeId) -> tuple | None:
+        """What decides a selection's candidates in ``volume`` besides their
+        batches: who is reachable, which peers are degraded, and the known
+        replicas (``learn`` builds a new tuple).  ``None`` when the volume
+        has one known replica: its selection is no choice, and a memo would
+        cost more than it saves."""
+        candidates = self.graft_table.candidates(volume)
+        if len(candidates) < 2:
+            return None
+        return (self.network.epoch, self.health.peer_health.epoch, candidates)
 
     def _most_recent(
         self,
         volume: VolumeId,
         dir_fh: FicusFileHandle,
         key: FicusFileHandle | None,
+        stamp: tuple | None,
         candidates: list[tuple[ReplicaView, VersionVector]],
     ) -> ReplicaView:
-        """:func:`most_recent`, compared once per set of candidate batches.
+        """:func:`most_recent`, remembered under ``stamp`` when every
+        reachable known replica was a candidate.
 
-        The winner is remembered in the directory's cache record beside the
-        batches it came from (each candidate's ``entry.batch``) and dies
-        with them.  A lone candidate wins outright and is not remembered:
-        on a one-replica host a memo costs more than it saves.
+        Only then would a fresh selection under the same stamp make no RPC
+        and count no skip that this one did not: a replica that answered
+        ``FileNotFound`` or ESTALE is asked again, and a degraded one is
+        deferred again; a batch lacking the file is left out too.  An
+        unreachable replica is no candidate at all while the stamp holds.
+        A lone candidate wins outright and is not remembered.
         """
         if len(candidates) == 1:
             return candidates[0][0]  # the only reachable copy is the most recent available
-        batches = tuple(view.entry.batch for view, _ in candidates)
-        return self.attr_cache.selection(
-            volume, dir_fh, key, batches, lambda: most_recent(candidates)
-        )
+        winner = most_recent(candidates)
+        known = stamp[2]
+        if len(candidates) == len(known) or len(candidates) == sum(
+            self.network.reachable(self.host_addr, location.host) for location in known
+        ):
+            entries = [view.entry for view, _ in candidates]
+            self.attr_cache.remember(volume, dir_fh, key, stamp, entries, winner)
+        return winner
 
     # -- file replica selection -------------------------------------------------
 
@@ -402,10 +427,15 @@ class FicusLogicalLayer(FileSystemLayer):
         pin = self._session_pins.get(fh)
         if pin is not None and self.network.reachable(self.host_addr, pin.view.location.host):
             return pin.view
+        stamp = self._stamp(volume)
+        if stamp is not None and not ctx.no_cache:
+            winner = self.attr_cache.winner(volume, parent_fh, fh, stamp)
+            if winner is not None:
+                return winner
         candidates = self.file_replicas(volume, parent_fh, fh, ctx)
         if not candidates:
             raise AllReplicasUnavailable(f"no reachable replica stores file {fh}")
-        return self._most_recent(volume, parent_fh, fh, [(c, c.vv) for c in candidates])
+        return self._most_recent(volume, parent_fh, fh, stamp, [(c, c.vv) for c in candidates])
 
     def partition_suspected(self, volume: VolumeId) -> bool:
         """Is some known replica host of ``volume`` currently unreachable?"""
@@ -635,7 +665,7 @@ class FicusLogicalLayer(FileSystemLayer):
 
     def create_graft_point(
         self,
-        parent: "LogicalDirVnode",
+        parent: LogicalDirVnode,
         name: str,
         target_volume: VolumeId,
         locations: list[ReplicaLocation],
@@ -648,9 +678,6 @@ class FicusLogicalLayer(FileSystemLayer):
         inside the graft point, replicated and reconciled like any other
         directory contents.
         """
-        from repro.physical.wire import EntryType
-        from repro.volume import location_entry_name
-
         self.graft_table.learn(target_volume, locations)
         replica = self.select_update_replica(parent.volume, parent.fh)
         entry = replica.dir_vnode.insert(name, EntryType.GRAFT_POINT, data=target_volume.to_hex())
@@ -663,7 +690,7 @@ class FicusLogicalLayer(FileSystemLayer):
 
     def add_graft_location(
         self,
-        parent: "LogicalDirVnode",
+        parent: LogicalDirVnode,
         graft_name: str,
         location: ReplicaLocation,
     ) -> None:
@@ -672,9 +699,6 @@ class FicusLogicalLayer(FileSystemLayer):
         "the number and placement of volume replicas may be dynamically
         changed" (Section 4.3).
         """
-        from repro.physical.wire import EntryType
-        from repro.volume import location_entry_name
-
         replica = self.select_update_replica(parent.volume, parent.fh)
         entry = parent._find_entry_at(replica, graft_name)
         graft_dir = replica.dir_vnode.lookup_fh(entry.fh)
@@ -686,7 +710,5 @@ class FicusLogicalLayer(FileSystemLayer):
 
     # -- the root of the logical name space --------------------------------------------
 
-    def root(self) -> "LogicalDirVnode":
-        from repro.logical.vnodes import LogicalDirVnode
-
+    def root(self) -> LogicalDirVnode:
         return LogicalDirVnode(self, self.root_volume, volume_root_handle(self.root_volume))

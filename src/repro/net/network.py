@@ -359,6 +359,10 @@ class Network:
         #: Current partition: list of disjoint host groups.  Empty list
         #: means fully connected.
         self._groups: list[frozenset[str]] = []
+        #: bumped by every change to who can reach whom (a partition, a
+        #: heal, a host going down or up): a memo of anything that read
+        #: :meth:`reachable` is good while the epoch it was made at holds
+        self.epoch = 0
 
     # -- host management --------------------------------------------------
 
@@ -383,6 +387,7 @@ class Network:
     def set_host_up(self, addr: str, up: bool) -> None:
         """Crash (``up=False``) or restart a host."""
         self._host(addr).up = up
+        self.epoch += 1
 
     def host_is_up(self, addr: str) -> bool:
         return self._host(addr).up
@@ -405,10 +410,12 @@ class Network:
                 seen.add(host)
             frozen.append(fz)
         self._groups = frozen
+        self.epoch += 1
 
     def heal(self) -> None:
         """Remove all partitions: everyone can talk again."""
         self._groups = []
+        self.epoch += 1
 
     @property
     def partitioned(self) -> bool:

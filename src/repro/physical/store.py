@@ -641,7 +641,11 @@ class ReplicaStore:
 
     def write_record(self, fh: FicusFileHandle, aux: AuxAttributes) -> None:
         """Stage a file's or directory's whole record: a change is a
-        :meth:`read_record`, ``_replace`` and this, in one operation."""
+        :meth:`read_record`, ``_replace`` and this, in one operation.  A
+        record equal to the one held is no change: nothing is staged, and
+        no digest or view that read the record is dropped."""
+        if aux == self.read_record(fh):
+            return
         with self._scope:
             self._stage(fh).aux = aux
 

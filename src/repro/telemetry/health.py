@@ -122,15 +122,20 @@ class PeerHealth:
     def __init__(self):
         self._failures: dict[str, int] = {}
         self._skips_left: dict[str, int] = {}
+        #: bumped wherever :meth:`is_degraded` may flip for some host, so a
+        #: replica selection made at one epoch holds while it does
+        self.epoch = 0
 
     def record_failure(self, host: str) -> None:
         failures = self._failures.get(host, 0) + 1
         self._failures[host] = failures
         self._skips_left[host] = min(MAX_SKIPS, 2 ** (failures - 1))
+        self.epoch += 1
 
     def record_success(self, host: str) -> None:
         self._failures.pop(host, None)
-        self._skips_left.pop(host, None)
+        if self._skips_left.pop(host, 0) > 0:
+            self.epoch += 1
 
     def should_skip(self, host: str) -> bool:
         """Consume one skip credit for ``host`` if any remain."""
@@ -138,6 +143,8 @@ class PeerHealth:
         if left <= 0:
             return False
         self._skips_left[host] = left - 1
+        if left == 1:
+            self.epoch += 1
         return True
 
     def is_degraded(self, host: str) -> bool:
@@ -150,6 +157,7 @@ class PeerHealth:
         """Forget all history (e.g. after faults are known to have ceased)."""
         self._failures.clear()
         self._skips_left.clear()
+        self.epoch += 1
 
 
 class FlightRecorder:

@@ -23,12 +23,13 @@ import pytest
 
 from repro.errors import InvalidArgument
 from repro.logical.attr_cache import DEFAULT_TTL, VersionVectorCache
+from repro.net import LinkFaults
 from repro.physical import AuxAttributes, EntryType, decode_directory, effective_entries
 from repro.physical.wire import AttrBatch
 from repro.recon import reconcile_subtree
 from repro.sim import DaemonConfig, FicusSystem
 from repro.util import FicusFileHandle, FileId, VirtualClock, VolumeId, VolumeReplicaId
-from repro.vnode.interface import read_whole
+from repro.vnode.interface import ROOT_CTX, read_whole
 from repro.vv import VersionVector
 
 QUIET = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
@@ -105,30 +106,40 @@ class TestCacheUnit:
         self.cache.invalidate(self.vr1, FH)
         assert self.cache.lookup(self.vr1, FH) is None
 
-    def test_a_selection_is_served_only_from_the_very_batches_it_came_from(self):
-        one, two = batch(VersionVector({1: 1})), batch(VersionVector({2: 1}))
-        chosen = []
-
-        def select(*batches):
-            return self.cache.selection(VOL, FH, None, batches, lambda: chosen.append(1) or "winner")
-
-        self.cache.store(self.vr1, FH, "v1", one)
-        self.cache.store(self.vr2, FH, "v2", two)
-        assert select(one, two) == select(one, two) == "winner" and len(chosen) == 1
-        select(one)  # a replica left the candidate set
-        select(one, batch(VersionVector({2: 1})))  # an equal batch is not the same batch
-        assert len(chosen) == 3
+    def test_a_selection_is_served_only_under_its_stamp_and_ttl(self):
+        stamp = (0, 0, ("alpha", "beta"))
+        self.cache.store(self.vr1, FH, "v1", batch(VersionVector({1: 1})))
+        self.clock.advance(4.0)
+        self.cache.store(self.vr2, FH, "v2", batch(VersionVector({2: 1})))
+        entries = [self.cache.lookup(vr, FH) for vr in (self.vr1, self.vr2)]
+        assert self.cache.winner(VOL, FH, None, stamp) is None
+        self.cache.remember(VOL, FH, None, stamp, entries, "winner")
+        hits = self.cache.stats.hits
+        assert self.cache.winner(VOL, FH, None, stamp) == "winner"
+        assert self.cache.stats.hits == hits + 2  # one per batch it was chosen from
+        assert self.cache.winner(VOL, FH, FH, stamp) is None  # a file's is its own
+        assert self.cache.winner(VOL, FH, None, (1, 0, stamp[2])) is None
+        assert self.cache.winner(VOL, FH, None, (0, 1, stamp[2])) is None
+        assert self.cache.winner(VOL, FH, None, (0, 0, ("alpha",))) is None
+        # the TTL runs from the oldest batch, as its lookup's does
+        self.clock.advance(6.0)
+        assert self.cache.winner(VOL, FH, None, stamp) == "winner"
+        self.clock.advance(0.5)
+        assert self.cache.winner(VOL, FH, None, stamp) is None
+        assert self.cache.stats.hits == hits + 4
 
     def test_a_selection_dies_with_any_batch_of_its_directory(self):
+        stamp = (0, 0, ())
+
         def remembered() -> bool:
             return bool(self.cache._record(VOL, FH).winners)
 
         def warm():
             self.cache.store(self.vr1, FH, "v1", batch(VersionVector({1: 1})))
             self.cache.store(self.vr2, FH, "v2", batch(VersionVector({2: 1})))
-            batches = tuple(self.cache.lookup(vr, FH).batch for vr in (self.vr1, self.vr2))
-            self.cache.selection(VOL, FH, None, batches, lambda: "winner")
-            self.cache.selection(VOL, FH, FH, batches, lambda: "file winner")
+            entries = [self.cache.lookup(vr, FH) for vr in (self.vr1, self.vr2)]
+            self.cache.remember(VOL, FH, None, stamp, entries, "winner")
+            self.cache.remember(VOL, FH, FH, stamp, entries, "file winner")
             assert remembered()
 
         for drop in (
@@ -389,6 +400,29 @@ class TestTheWriterKeepsWhatItWrote:
         assert client.read_file("/f") == b"v2" and client.listdir("/") == ["f", "g"]
         assert system.network.stats.rpcs_sent - before == 1
 
+    def test_a_remote_overwrite_keeps_the_other_selections(self, monkeypatch):
+        """The record a session's close merges changes one file's vector
+        only: the directory's own selection and a sibling's stay
+        remembered, and the next of each compares no vectors."""
+        system, client = self.client_world()
+        logical = system.host("cl").logical
+        root_fh = logical.root().fh
+        sibling = client.resolve("/g")
+        client.read_file("/g")
+        compares = []
+        real = VersionVector.compare
+        monkeypatch.setattr(
+            VersionVector, "compare", lambda self, other: (compares.append(1), real(self, other))[1]
+        )
+        client.write_file("/f", b"v2")
+        winners = logical.attr_cache._record(logical.root_volume, root_fh).winners
+        assert None in winners and sibling.fh in winners
+        assert client.resolve("/f").fh not in winners
+        compares.clear()
+        logical.select_dir_replica(logical.root_volume, root_fh)
+        logical.select_read_replica(sibling.volume, sibling.parent_fh, sibling.fh)
+        assert compares == []
+
     @pytest.mark.parametrize("writer", ["alpha", "cl"], ids=["local", "over-nfs"])
     def test_only_a_shorter_overwrite_trims(self, writer, monkeypatch):
         """A shorter overwrite still sends its size ``setattr`` and reads
@@ -481,6 +515,166 @@ class TestSelectionMemo:
             logical.select_dir_replica(logical.root_volume, root_fh)
             logical.select_read_replica(node.volume, node.parent_fh, node.fh)
         assert not logical.attr_cache._record(logical.root_volume, root_fh).winners
+
+
+def _file_selection(host, path="/f"):
+    logical, node = host.logical, host.fs().resolve(path)
+    return lambda ctx=ROOT_CTX: logical.select_read_replica(node.volume, node.parent_fh, node.fh, ctx)
+
+
+def _stale_at_gamma():
+    """Three converged replicas whose batches gamma holds; then beta, cut
+    off with every datagram lost, updates ``/f`` in its own replica and
+    the network heals.  gamma's batch of beta is stale, so its selection
+    of ``/f`` keeps picking another replica until it refetches."""
+    system = FicusSystem(["alpha", "beta", "gamma"], daemon_config=QUIET)
+    system.host("alpha").fs().write_file("/f", b"v1")
+    system.reconcile_everything()
+    gamma = system.host("gamma")
+    gamma.fs().read_file("/f")
+    system.network.faults.set_default(LinkFaults(drop=1.0))
+    system.partition([{"alpha", "gamma"}, {"beta"}])
+    system.host("beta").fs().write_file("/f", b"v2 at beta")
+    system.heal()
+    return system, gamma, _file_selection(gamma)
+
+
+def _beta_ahead(*prepare):
+    system, gamma = TestSelectionMemo.beta_ahead()
+    select = _file_selection(gamma)
+    for step in prepare:
+        step(system)
+    return system, gamma, select
+
+
+def _cut_off_beta(system):
+    system.partition([{"alpha", "gamma"}, {"beta"}])
+
+
+def _crash_beta(system):
+    system.host("beta").crash()
+
+
+def _beta_degraded(system):
+    system.host("gamma").health_plane.peer_health.record_failure("beta")
+
+
+def _case_partition():
+    system, gamma, select = _beta_ahead()
+    return system, gamma, select, lambda: _cut_off_beta(system)
+
+
+def _case_heal():
+    system, gamma, select = _beta_ahead(_cut_off_beta)
+    return system, gamma, select, system.heal
+
+
+def _case_crash():
+    system, gamma, select = _beta_ahead()
+    return system, gamma, select, lambda: _crash_beta(system)
+
+
+def _case_restart():
+    system, gamma, select = _beta_ahead(_crash_beta)
+    return system, gamma, select, lambda: system.host("beta").restart(system)
+
+
+def _case_degraded():
+    system, gamma, select = _beta_ahead()
+    return system, gamma, select, lambda: _beta_degraded(system)
+
+
+def _case_recovered():
+    system, gamma, select = _beta_ahead(_beta_degraded)
+    return system, gamma, select, lambda: gamma.health_plane.peer_health.record_success("beta")
+
+
+def _case_ttl():
+    system, gamma, select = _stale_at_gamma()
+    return system, gamma, select, lambda: system.clock.advance(DEFAULT_TTL + 1)
+
+
+def _case_no_cache():
+    system, gamma, select = _stale_at_gamma()
+    return system, gamma, select, lambda: None
+
+
+def _case_learn():
+    """gamma knows the root volume's replicas at alpha and beta; delta's
+    replica, cut off and updated, is one gamma has not learnt of."""
+    system = FicusSystem(
+        ["alpha", "beta", "gamma", "delta"], root_volume_hosts=["alpha", "beta"], daemon_config=QUIET
+    )
+    system.host("alpha").fs().write_file("/f", b"v1")
+    system.reconcile_everything()
+    added = system.add_volume_replica(system.root_volume, system.root_locations, "delta")
+    system.partition([{"alpha", "beta", "gamma"}, {"delta"}])
+    system.host("delta").fs().write_file("/f", b"v2 at delta")
+    system.heal()
+    gamma = system.host("gamma")
+    return system, gamma, _file_selection(gamma), lambda: gamma.graft_table.learn(system.root_volume, [added])
+
+
+def _case_unstored():
+    """``/d`` is made at alpha and reconciled to gamma only: beta answers
+    ``FileNotFound``.  Then beta, every datagram lost, takes ``/d`` by
+    reconciliation and adds a name to it, so its replica dominates."""
+    system = FicusSystem(["alpha", "beta", "gamma"], daemon_config=QUIET)
+    alpha, beta, gamma = (system.host(name) for name in ("alpha", "beta", "gamma"))
+    _cut_off_beta(system)
+    alpha.fs().mkdir("/d")
+    system.heal()
+    by_host = {loc.host: loc for loc in system.root_locations}
+    gamma.recon_daemon.reconcile_with(by_host["gamma"].volrep, by_host["alpha"])
+    logical, node = gamma.logical, gamma.fs().resolve("/d")
+
+    def event():
+        system.network.faults.set_default(LinkFaults(drop=1.0))
+        beta.recon_daemon.reconcile_with(by_host["beta"].volrep, by_host["alpha"])
+        beta.fs().write_file("/d/y", b"made at beta")
+
+    return system, gamma, lambda ctx=ROOT_CTX: logical.select_dir_replica(node.volume, node.fh, ctx), event
+
+
+#: case -> (its builder, returning (system, observer, select, event); the
+#: selection's context after the event; the host of the winner after it;
+#: whether the observer serves a remembered winner before it)
+MEMO_CASES = {
+    "partition": (_case_partition, ROOT_CTX, "alpha", True),
+    "heal": (_case_heal, ROOT_CTX, "beta", True),
+    "crash": (_case_crash, ROOT_CTX, "alpha", True),
+    "restart": (_case_restart, ROOT_CTX, "beta", True),
+    "degraded": (_case_degraded, ROOT_CTX, "alpha", True),
+    # no winner is remembered while beta is deferred, so this case holds by
+    # the every-candidate-answered check alone
+    "recovered": (_case_recovered, ROOT_CTX, "beta", False),
+    "ttl": (_case_ttl, ROOT_CTX, "beta", True),
+    "learn": (_case_learn, ROOT_CTX, "delta", True),
+    "unstored": (_case_unstored, ROOT_CTX, "beta", False),
+    "no_cache": (_case_no_cache, ROOT_CTX.with_no_cache(), "beta", True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEMO_CASES))
+def test_a_remembered_winner_is_the_winner_of_a_fresh_selection(case):
+    """For each input of the memo's stamp (reachability, peer health, the
+    known replicas), for the TTL and the every-candidate-answered checks
+    beside it, and for ``no_cache``: an event that changes the right
+    winner without touching a held batch, after which the winner served
+    is the one a selection with every memo dropped picks."""
+    build, ctx, host_after, remembered = MEMO_CASES[case]
+    system, observer, select, event = build()
+    logical = observer.logical
+    before = select()
+    assert select() is before or not remembered
+    assert any(record.winners for record in logical.attr_cache._dirs.values()) or not remembered
+    event()
+    served = select(ctx)
+    for record in logical.attr_cache._dirs.values():
+        record.winners.clear()
+    fresh = select(ctx)
+    assert served.location == fresh.location
+    assert served.location.host == host_after != before.location.host
 
 
 class TestLostDatagramTtl:

@@ -1215,8 +1215,12 @@ def test_a_repeated_directory_reconcile_writes_nothing():
 
     with DeviceWrites(beta) as first:
         assert reconcile_directory(beta.physical, store, dir_fh, remote_dir).changed
+    digest = store.subtree_digest(dir_fh)
     with DeviceWrites(beta) as second:
         assert not reconcile_directory(beta.physical, store, dir_fh, remote_dir).changed
     # the merge, once: the entry file, the records' table block, then the free
     assert first.labels.count("data[fdir]") == first.labels.count("data[attr]") == 1
     assert second.labels == []
+    # a merge that changes no record stages none, so the directory's
+    # digest memo survives it
+    assert store._known[dir_fh].subtree == digest

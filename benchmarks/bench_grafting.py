@@ -5,9 +5,12 @@ needed, without global searching or broadcasting...  A graft is
 implicitly maintained as long as a file within the grafted volume replica
 is being used.  A graft that is no longer needed is quietly pruned."
 
-The shape tests show grafting is lazy (only volumes actually touched get
-grafted), demand-driven after pruning, and requires no global tables —
-locating a volume costs reading one graft point, not a broadcast.
+A graft is the root of a volume replica that a host's fabric keeps:
+fetched by the first access that needs the replica, dropped by
+``Fabric.prune`` when idle.  The shape tests show grafting is lazy (only
+volumes actually touched get grafted), demand-driven after pruning, and
+requires no global tables — locating a volume costs reading one graft
+point, not a broadcast.
 """
 
 
@@ -18,26 +21,38 @@ NUM_VOLUMES = 8
 
 
 def build_forest(num_volumes: int = NUM_VOLUMES):
-    """A root volume with ``num_volumes`` grafted project volumes."""
+    """A root volume with ``num_volumes`` grafted project volumes, none of
+    them grafted on the hub when it returns."""
     system = FicusSystem(["hub", "spoke1", "spoke2"], daemon_config=QUIET)
     hub = system.host("hub")
     for i in range(num_volumes):
         volume, locations = system.create_volume(["spoke1", "spoke2"])
         hub.logical.create_graft_point(hub.root(), f"vol{i}", volume, locations)
         hub.root().lookup(f"vol{i}").create("data").write(0, f"volume {i}".encode())
-        hub.logical.grafter.ungraft(volume)
+    ungraft_all(hub)
     return system, hub
+
+
+def ungraft_all(hub) -> None:
+    """Prune every graft and drop the directories the attribute cache
+    holds, so the next access resolves from the volume roots."""
+    hub.fabric.prune(idle_timeout=0.0)
+    hub.logical.attr_cache.clear()
+
+
+def grafted_volumes(hub) -> set:
+    """The volumes other than the root volume that the hub holds grafts of."""
+    return {volrep.volume for _, volrep in hub.fabric._roots} - {hub.logical.root_volume}
 
 
 class TestShape:
     def test_grafting_is_lazy(self):
         """Touching 2 of 8 volumes grafts exactly 2."""
         system, hub = build_forest()
-        start = hub.logical.grafter.active_grafts
-        assert start == 0
+        assert not grafted_volumes(hub)
         hub.fs().read_file("/vol0/data")
         hub.fs().read_file("/vol5/data")
-        assert hub.logical.grafter.active_grafts == 2
+        assert len(grafted_volumes(hub)) == 2
 
     def test_no_global_search_on_graft(self):
         """Locating a volume reads its graft point — RPC traffic must not
@@ -55,32 +70,32 @@ class TestShape:
         fs = hub.fs()
         fs.read_file("/vol1/data")
         system.clock.advance(10_000.0)
-        assert hub.logical.grafter.prune(idle_timeout=1800.0) >= 1
+        assert hub.fabric.prune(idle_timeout=1800.0) >= 1
+        hub.logical.attr_cache.clear()
         assert fs.read_file("/vol1/data") == b"volume 1"
+        assert len(grafted_volumes(hub)) == 1
 
     def test_graft_survives_replica_failure(self):
         system, hub = build_forest()
         fs = hub.fs()
         fs.read_file("/vol2/data")
-        bound = None
-        for vol, state in list(hub.logical.grafter._grafts.items()):
-            if state.uses:
-                bound = state
-        system.network.set_host_up(bound.bound.host, False)
-        # the data was written at the first-bound replica and has not
-        # propagated yet; regrafting still gives a working directory
+        system.network.set_host_up("spoke1", False)
+        # the data was written at the first replica and has not propagated
+        # yet; the other replica still gives a working directory
         hub.fs().listdir("/vol2")
 
     def test_report(self, capsys):
         system, hub = build_forest()
+        performed, pruned = hub.fabric.grafts_performed, hub.fabric.grafts_pruned
         fs = hub.fs()
         for i in range(NUM_VOLUMES):
             fs.read_file(f"/vol{i}/data")
         with capsys.disabled():
             print(
-                f"\n[E9] grafts performed={hub.logical.grafter.grafts_performed} "
-                f"active={hub.logical.grafter.active_grafts} "
-                f"pruned={hub.logical.grafter.grafts_pruned} for {NUM_VOLUMES} volumes"
+                f"\n[E9] grafts performed={hub.fabric.grafts_performed - performed} "
+                f"kept={len(hub.fabric._roots)} "
+                f"volumes={len(grafted_volumes(hub))} of {NUM_VOLUMES} "
+                f"(building the forest performed {performed}, pruned {pruned})"
             )
 
 
@@ -89,8 +104,7 @@ def test_bench_first_access_grafts(benchmark):
     fs = hub.fs()
 
     def run():
-        for vol in list(hub.logical.grafter._grafts):
-            hub.logical.grafter.ungraft(vol)
+        ungraft_all(hub)
         return fs.read_file("/vol0/data")
 
     benchmark(run)

@@ -118,15 +118,16 @@ def e8_reconciliation() -> None:
 
 
 def e9_grafting() -> None:
-    from bench_grafting import NUM_VOLUMES, build_forest
+    from bench_grafting import NUM_VOLUMES, build_forest, grafted_volumes
 
     system, hub = build_forest()
+    performed = hub.fabric.grafts_performed
     fs = hub.fs()
     for i in range(NUM_VOLUMES):
         fs.read_file(f"/vol{i}/data")
     print(
-        f"[E9] autografting: {hub.logical.grafter.grafts_performed} grafts for "
-        f"{NUM_VOLUMES} volumes, {hub.logical.grafter.active_grafts} active"
+        f"[E9] autografting: {hub.fabric.grafts_performed - performed} grafts (kept volume-replica "
+        f"roots) for {len(grafted_volumes(hub))} of {NUM_VOLUMES} volumes, {len(hub.fabric._roots)} kept"
     )
 
 

@@ -303,7 +303,8 @@ class FicusFileSystem:
         node = self.resolve(path, follow=True)
         if isinstance(node, LogicalDirVnode):
             raise IsADirectory(f"{path!r} is a directory")
-        data = self.read_file(path)
+        with FicusFile(self, node, "r", self.ctx) as f:
+            data = f.read()
         logical, volume = self.logical, node.volume
         suspected = logical.partition_suspected(volume) or logical.health.divergence_suspected(volume)
         return CheckedRead(data=data, divergence_suspected=suspected)

@@ -12,6 +12,9 @@ fetches each volume replica's root once and keeps it.  It is the one
 place that reaches a replica: every caller runs its work through
 :meth:`Fabric.at_replica`.  A kept root never goes stale: its handle
 names the volume replica, which outlives a reboot of the host storing it.
+
+A kept root is a graft (paper Section 4.4): :meth:`Fabric.prune` drops
+the roots nobody asked for lately, and the next access grafts one again.
 """
 
 from __future__ import annotations
@@ -33,7 +36,13 @@ T = TypeVar("T")
 
 
 class Fabric:
-    """Resolves (host, volume replica) to a physical-layer vnode."""
+    """Resolves (host, volume replica) to a physical-layer vnode.
+
+    A kept root counts as used each time :meth:`volume_root` is asked for
+    it.  Warm replica selections reach a replica through the directory
+    vnodes the attribute cache holds, not through its root, so they leave
+    no use behind and a prune never disturbs them.
+    """
 
     def __init__(
         self,
@@ -50,8 +59,17 @@ class Fabric:
         #: to the logical layer and to every NFS client mount
         self.health: HealthPlane = local_physical.health
         self._mounts: dict[str, NfsClientLayer] = {}
-        #: the kept root directory vnode of each volume replica reached
+        #: the kept root directory vnode of each volume replica reached:
+        #: this host's grafts
         self._roots: dict[tuple[str, VolumeReplicaId], Vnode] = {}
+        #: the virtual time each kept root was last asked for
+        self._used: dict[tuple[str, VolumeReplicaId], float] = {}
+        self.grafts_performed = 0
+        self.grafts_pruned = 0
+        self.telemetry.metrics.add_source(
+            "graft",
+            lambda: {"performed": self.grafts_performed, "pruned": self.grafts_pruned},
+        )
 
     def is_local(self, host: str) -> bool:
         return host == self.host_addr
@@ -73,16 +91,29 @@ class Fabric:
 
     def volume_root(self, host: str, volrep: VolumeReplicaId) -> Vnode:
         """The root directory vnode of one volume replica, fetched on first
-        use and kept.  A partitioned peer raises ``HostUnreachable`` here,
-        before any RPC, kept root or not."""
+        use and kept until :meth:`prune` drops it.  A partitioned peer
+        raises ``HostUnreachable`` here, before any RPC, kept root or not."""
         local = self.is_local(host)
         if not local and not self.network.reachable(self.host_addr, host):
             raise HostUnreachable(f"{self.host_addr} -> {host}")
-        root = self._roots.get((host, volrep))
+        key = (host, volrep)
+        root = self._roots.get(key)
         if root is None:
             physical_root = self.local_physical.root() if local else self.nfs_mount(host).root()
-            root = self._roots[host, volrep] = physical_root.lookup(volrep.to_hex())
+            root = self._roots[key] = physical_root.lookup(volrep.to_hex())
+            self.grafts_performed += 1
+        self._used[key] = self.network.clock.now()
         return root
+
+    def prune(self, idle_timeout: float) -> int:
+        """Quietly drop the kept roots unused for ``idle_timeout`` seconds;
+        returns how many went."""
+        now = self.network.clock.now()
+        idle = [key for key, used in self._used.items() if now - used >= idle_timeout]
+        for key in idle:
+            del self._roots[key], self._used[key]
+        self.grafts_pruned += len(idle)
+        return len(idle)
 
     def at_replica(self, host: str, volrep: VolumeReplicaId, call: Callable[[Vnode], T]) -> T:
         """``call(root)`` on the volume replica's root directory vnode.

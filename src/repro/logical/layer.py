@@ -48,7 +48,7 @@ from repro.physical.wire import AttrBatch, AuxAttributes
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.util import FicusFileHandle, VolumeId
 from repro.vnode.interface import ROOT_CTX, FileSystemLayer, OpContext, Vnode
-from repro.volume import GraftTable, Grafter, ReplicaLocation, location_entry_name
+from repro.volume import GraftTable, ReplicaLocation, location_entry_name
 from repro.vv import VersionVector
 
 @dataclass
@@ -124,7 +124,6 @@ class FicusLogicalLayer(FileSystemLayer):
         self.graft_table = graft_table
         self.root_volume = root_volume
         self.telemetry = telemetry or NULL_TELEMETRY
-        self.grafter = Grafter(network, graft_table, telemetry=self.telemetry)
         self.locks = LockManager()
         #: open-session pins: logical fh -> the replica taking this session
         self._session_pins: dict[FicusFileHandle, SessionPin] = {}

@@ -20,7 +20,7 @@ from repro.errors import (
     IsADirectory,
     NotADirectory,
 )
-from repro.physical import EntryType, decode_directory, effective_entries
+from repro.physical import EntryType, decode_directory, effective_entries, volume_root_handle
 from repro.physical.vnodes import ENTRY_FILE_TYPES
 from repro.telemetry import spanned
 from repro.ufs.inode import FileAttributes
@@ -63,16 +63,22 @@ class LogicalDirVnode(Vnode):
     # -- helpers ----------------------------------------------------------
 
     def _autograft(self, entry, ctx: OpContext = ROOT_CTX) -> "LogicalDirVnode":
-        """Cross into the volume a graft point names (paper Section 4.4)."""
-        from repro.physical import volume_root_handle
+        """Cross into the volume a graft point names (paper Section 4.4).
 
+        The graft point's location entries teach the graft table; the
+        fabric grafts a replica when an access first needs one."""
+        layer = self.layer
         target_volume = VolumeId.from_hex(entry.data)
-        graft_entries = self.layer.dir_view(self.volume, entry.fh, ctx, fresh=True)
+        graft_entries = layer.dir_view(self.volume, entry.fh, ctx, fresh=True)
         locations = locations_from_entries(target_volume, graft_entries.values())
         if locations:
-            self.layer.graft_table.learn(target_volume, locations)
-        self.layer.grafter.graft(target_volume)
-        return LogicalDirVnode(self.layer, target_volume, volume_root_handle(target_volume))
+            layer.graft_table.learn(target_volume, locations)
+        if not any(
+            layer.network.reachable(layer.host_addr, loc.host)
+            for loc in layer.graft_table.candidates(target_volume)
+        ):
+            raise AllReplicasUnavailable(f"no reachable replica of {target_volume}")
+        return LogicalDirVnode(layer, target_volume, volume_root_handle(target_volume))
 
     def _child(self, entry, ctx: OpContext = ROOT_CTX) -> Vnode:
         if entry.etype == EntryType.GRAFT_POINT:

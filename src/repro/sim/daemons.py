@@ -44,6 +44,7 @@ from repro.recon import (
     PullOutcome,
     PullResult,
     SubtreeReconResult,
+    collect_volume_replica,
     push_notify_pull,
     reconcile_subtree,
 )
@@ -462,8 +463,6 @@ class ReconciliationDaemon:
             resolvers=self.resolvers,
         )
         # tombstone garbage collection: purge fully-acknowledged deletes
-        from repro.recon.gc import collect_volume_replica
-
         gc = collect_volume_replica(
             self.physical, self.physical.store_for(volrep), all_replicas
         )
@@ -475,16 +474,12 @@ class ReconciliationDaemon:
 
 
 class GraftPruneDaemon:
-    """Quietly drops grafts idle longer than ``idle_timeout``."""
+    """Quietly drops grafts idle longer than ``idle_timeout``: the kept
+    volume-replica roots of the host's current fabric."""
 
     def __init__(self, logical: FicusLogicalLayer, idle_timeout: float = 300.0):
         self.logical = logical
         self.idle_timeout = idle_timeout
-        self.pruned_total = 0
 
     def tick(self) -> int:
-        if not self.logical.grafter.active_grafts:
-            return 0  # idle fast path: nothing mounted, nothing to age
-        pruned = self.logical.grafter.prune(self.idle_timeout)
-        self.pruned_total += pruned
-        return pruned
+        return self.logical.fabric.prune(self.idle_timeout)

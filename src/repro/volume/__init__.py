@@ -2,18 +2,14 @@
 
 from repro.volume.graft import (
     LOCATION_PREFIX,
-    GraftState,
     GraftTable,
-    Grafter,
     ReplicaLocation,
     location_entry_name,
     locations_from_entries,
 )
 
 __all__ = [
-    "GraftState",
     "GraftTable",
-    "Grafter",
     "LOCATION_PREFIX",
     "ReplicaLocation",
     "location_entry_name",

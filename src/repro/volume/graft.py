@@ -8,27 +8,28 @@ entries, "implicit use of the Ficus directory reconciliation mechanism"
 keeps them consistent — no special code.
 
 Autografting (Section 4.4): when pathname translation hits a graft point,
-the logical layer checks whether a suitable volume replica is already
-grafted; if not it uses the graft point's location entries to find and
-graft one.  Grafts are dynamic — "a graft that is no longer needed is
-quietly pruned at a later time."
+the logical layer reads the graft point's location entries into the
+host's graft table, and the first access that needs a replica of the
+volume grafts it.  A graft is the root of a volume replica that the
+host's :class:`~repro.logical.fabric.Fabric` keeps.  Grafts are dynamic —
+"a graft that is no longer needed is quietly pruned at a later time":
+the fabric drops a root nobody asked for lately and fetches it again on
+demand.
 
 What a host knows of a volume's replicas lives in one place, its
 :class:`GraftTable`: seeded with the root volume, taught every volume the
 host stores a replica of when the replica is placed, and every volume
-whose graft point it crosses.  The grafter binds from it; the logical
-layer's replica selection and update notification and the reconciliation
-daemon's peer set read it, and none keeps a copy.
+whose graft point it crosses.  The logical layer's replica selection and
+update notification and the reconciliation daemon's peer set read it,
+and none keeps a copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import AllReplicasUnavailable, InvalidArgument
-from repro.net import Network
+from repro.errors import InvalidArgument
 from repro.physical.wire import DirectoryEntry, EntryType
-from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.util import VolumeId, VolumeReplicaId
 
 #: Name prefix of a location entry inside a graft point.
@@ -69,21 +70,6 @@ def locations_from_entries(
     return sorted(out, key=_replica_order)
 
 
-@dataclass
-class GraftState:
-    """One grafted volume: which replica is bound, and usage for pruning."""
-
-    volume: VolumeId
-    bound: ReplicaLocation
-    grafted_at: float
-    last_used: float
-    uses: int = 0
-
-    def touch(self, now: float) -> None:
-        self.last_used = now
-        self.uses += 1
-
-
 class GraftTable:
     """Per-host volume location knowledge: the host's one record of which
     replicas each volume has.
@@ -92,7 +78,7 @@ class GraftTable:
     volume location database" — only the root volume's locations need
     seeding).  A host learns every other volume it stores a replica of
     when the replica is placed, and any volume by crossing its graft
-    point.  Replica selection, update notification, grafting and the
+    point.  Replica selection, update notification, autografting and the
     reconciliation daemon's peer set all read this record.
 
     Each volume's locations are kept as a tuple sorted by replica id and
@@ -138,64 +124,3 @@ class GraftTable:
 
     def volumes(self) -> list[VolumeId]:
         return sorted(self._locations)
-
-
-class Grafter:
-    """The autograft cache of one logical layer."""
-
-    def __init__(self, network: Network, table: GraftTable, telemetry: Telemetry | None = None):
-        self.network = network
-        self.host_addr = table.host_addr
-        self.table = table
-        self._grafts: dict[VolumeId, GraftState] = {}
-        self.grafts_performed = 0
-        self.grafts_pruned = 0
-        (telemetry or NULL_TELEMETRY).metrics.add_source(
-            "graft",
-            lambda: {"performed": self.grafts_performed, "pruned": self.grafts_pruned},
-        )
-
-    def current(self, volume: VolumeId) -> GraftState | None:
-        return self._grafts.get(volume)
-
-    def graft(self, volume: VolumeId) -> GraftState:
-        """Bind a reachable replica of ``volume``, reusing a live graft.
-
-        An existing graft is kept while its bound replica stays reachable;
-        otherwise the graft is re-bound (the paper's dynamic regrafting)
-        to the first reachable replica the graft table offers.
-        """
-        now = self.network.clock.now()
-        state = self._grafts.get(volume)
-        if state is not None and self.network.reachable(self.host_addr, state.bound.host):
-            state.touch(now)
-            return state
-        for candidate in self.table.candidates(volume):
-            if self.network.reachable(self.host_addr, candidate.host):
-                state = GraftState(volume=volume, bound=candidate, grafted_at=now, last_used=now)
-                state.touch(now)
-                self._grafts[volume] = state
-                self.grafts_performed += 1
-                return state
-        raise AllReplicasUnavailable(f"no reachable replica of {volume}")
-
-    def ungraft(self, volume: VolumeId) -> None:
-        if self._grafts.pop(volume, None) is not None:
-            self.grafts_pruned += 1
-
-    def prune(self, idle_timeout: float) -> int:
-        """Quietly drop grafts unused for ``idle_timeout`` seconds."""
-        now = self.network.clock.now()
-        stale = [
-            volume
-            for volume, state in self._grafts.items()
-            if now - state.last_used >= idle_timeout
-        ]
-        for volume in stale:
-            del self._grafts[volume]
-        self.grafts_pruned += len(stale)
-        return len(stale)
-
-    @property
-    def active_grafts(self) -> int:
-        return len(self._grafts)

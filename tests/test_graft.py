@@ -1,5 +1,7 @@
 """Tests for volumes, graft points, and autografting (paper Section 4)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import AllReplicasUnavailable, InvalidArgument
@@ -85,6 +87,28 @@ class TestLocationEntries:
         assert locations_from_entries(vol, entries) == []
 
 
+def grafted(host) -> dict:
+    """Volume -> the hosts whose replica of it ``host``'s fabric keeps a
+    root of: the host's grafts."""
+    out: dict = {}
+    for at, volrep in host.fabric._roots:
+        out.setdefault(volrep.volume, set()).add(at)
+    return out
+
+
+def record_rpcs(system, monkeypatch) -> Counter:
+    """How many RPCs of each operation are sent from now on."""
+    sent = Counter()
+    rpc = system.network.rpc
+
+    def recording(src, dst, service, *args, **kwargs):
+        sent[service.split(".", 1)[1]] += 1
+        return rpc(src, dst, service, *args, **kwargs)
+
+    monkeypatch.setattr(system.network, "rpc", recording)
+    return sent
+
+
 class TestAutografting:
     def test_graft_point_crossed_transparently(self, system):
         """A path lookup walks through a graft point into the target
@@ -96,7 +120,7 @@ class TestAutografting:
         projects = root.lookup("projects")
         projects.create("readme").write(0, b"inside the grafted volume")
         assert root.walk("projects/readme").read_all() == b"inside the grafted volume"
-        assert alpha.logical.grafter.active_grafts == 1
+        assert volume in grafted(alpha)
 
     def test_graft_binds_reachable_replica(self, system):
         volume, locations = system.create_volume(["beta", "gamma"])
@@ -104,10 +128,9 @@ class TestAutografting:
         root = alpha.root()
         alpha.logical.create_graft_point(root, "p", volume, locations)
         system.partition([{"alpha", "gamma"}, {"beta"}])
-        p = root.lookup("p")  # must bind gamma's replica
-        state = alpha.logical.grafter.current(volume)
-        assert state.bound.host == "gamma"
+        p = root.lookup("p")  # must reach gamma's replica
         p.create("f").write(0, b"written at gamma")
+        assert grafted(alpha)[volume] == {"gamma"}
 
     def test_graft_fails_when_no_replica_reachable(self, system):
         volume, locations = system.create_volume(["beta", "gamma"])
@@ -123,12 +146,13 @@ class TestAutografting:
         alpha = system.host("alpha")
         root = alpha.root()
         alpha.logical.create_graft_point(root, "p", volume, locations)
-        root.lookup("p")  # binds beta (first in replica order)
-        first = alpha.logical.grafter.current(volume).bound.host
-        system.partition([{"alpha", "gamma"}, {"beta"}] if first == "beta" else [{"alpha", "beta"}, {"gamma"}])
-        root.lookup("p")  # must re-bind to the reachable replica
-        second = alpha.logical.grafter.current(volume).bound.host
-        assert second != first
+        fs = alpha.fs()
+        fs.listdir("/p")  # grafts both replicas
+        assert grafted(alpha)[volume] == {"beta", "gamma"}
+        system.partition([{"alpha", "gamma"}, {"beta"}])
+        fs.write_file("/p/f", b"written with beta cut off")
+        assert fs.read_file("/p/f") == b"written with beta cut off"
+        assert system.host("gamma").fs().read_file("/p/f") == b"written with beta cut off"
 
     def test_graft_point_replicated_with_parent_volume(self, system):
         """Graft points reconcile like any directory, so a graft point
@@ -153,9 +177,8 @@ class TestAutografting:
             root, "p", ReplicaLocation(new_volrep, "gamma")
         )
         system.partition([{"alpha", "gamma"}, {"beta"}])
-        alpha.logical.grafter.ungraft(volume)
-        root.lookup("p")  # must find gamma through the new entry
-        assert alpha.logical.grafter.current(volume).bound.host == "gamma"
+        root.lookup("p").create("g")  # must find gamma through the new entry
+        assert ("gamma", new_volrep) in alpha.fabric._roots
 
     def test_nested_volumes_form_a_dag(self, system):
         vol1, locs1 = system.create_volume(["beta"])
@@ -168,49 +191,99 @@ class TestAutografting:
         deep = root.walk("v1/v2")
         deep.create("bottom").write(0, b"three volumes deep")
         assert root.walk("v1/v2/bottom").read_all() == b"three volumes deep"
-        assert alpha.logical.grafter.active_grafts == 2
+        assert grafted(alpha)[vol1] == {"beta"}
+        assert grafted(alpha)[vol2] == {"gamma"}
 
 
 class TestGraftPruning:
-    def test_idle_grafts_pruned(self, system):
-        volume, locations = system.create_volume(["beta"])
+    """A graft is a kept volume-replica root of the host's fabric."""
+
+    def grafted_file(self, system):
+        volume, locations = system.create_volume(["beta", "gamma"])
         alpha = system.host("alpha")
-        root = alpha.root()
-        alpha.logical.create_graft_point(root, "p", volume, locations)
-        root.lookup("p")
-        assert alpha.logical.grafter.active_grafts == 1
+        alpha.logical.create_graft_point(alpha.root(), "p", volume, locations)
+        alpha.fs().write_file("/p/f", b"persistent")
+        return alpha, volume
+
+    def cold_read(self, host) -> bytes:
+        """Read ``/p/f`` with the attribute cache empty, so every replica
+        selection on the way reaches its replicas through their roots."""
+        host.logical.attr_cache.clear()
+        return host.fs().read_file("/p/f")
+
+    def test_a_kept_root_is_fetched_once_and_reused(self, system, monkeypatch):
+        alpha, _ = self.grafted_file(system)
+        performed = alpha.fabric.grafts_performed
+        sent = record_rpcs(system, monkeypatch)
+        system.clock.advance(100)
+        assert self.cold_read(alpha) == b"persistent"
+        assert alpha.fabric.grafts_performed == performed
+        assert sent["root"] == 0 and sent["lookup"] == 0
+        # alpha's local root-volume replica and four remote roots
+        assert performed == len(alpha.fabric._roots) == 5
+
+    def test_idle_grafts_pruned(self, system):
+        alpha, _ = self.grafted_file(system)
+        kept = len(alpha.fabric._roots)
         system.clock.advance(10_000)
-        pruned = alpha.logical.grafter.prune(idle_timeout=1800)
-        assert pruned == 1
-        assert alpha.logical.grafter.active_grafts == 0
+        assert alpha.fabric.prune(idle_timeout=1800) == kept
+        assert alpha.fabric._roots == {}
+        assert alpha.fabric.grafts_pruned == kept
 
     def test_active_grafts_survive_pruning(self, system):
-        volume, locations = system.create_volume(["beta"])
-        alpha = system.host("alpha")
-        root = alpha.root()
-        alpha.logical.create_graft_point(root, "p", volume, locations)
-        root.lookup("p")
+        alpha, _ = self.grafted_file(system)
         system.clock.advance(100)
-        assert alpha.logical.grafter.prune(idle_timeout=1800) == 0
+        assert alpha.fabric.prune(idle_timeout=1800) == 0
 
-    def test_pruned_graft_regrafts_on_demand(self, system):
-        volume, locations = system.create_volume(["beta"])
-        alpha = system.host("alpha")
-        root = alpha.root()
-        alpha.logical.create_graft_point(root, "p", volume, locations)
-        root.lookup("p").create("f").write(0, b"persistent")
+    def test_a_root_used_within_the_timeout_survives_a_tick(self, system):
+        alpha, volume = self.grafted_file(system)
+        system.clock.advance(1000)
+        # only the project volume's roots are asked for again
+        alpha.fabric.volume_root("beta", alpha.graft_table.locations(volume)[0].volrep)
+        system.clock.advance(1000)
+        assert alpha.graft_prune_daemon.tick() == 4
+        assert grafted(alpha) == {volume: {"beta"}}
+
+    def test_pruned_graft_regrafts_on_demand(self, system, monkeypatch):
+        """A pruned root is fetched again by the next access that needs
+        it: one ``root`` and one ``lookup`` per remote replica, free for a
+        local one, and the access reads what it read with the roots kept."""
+        alpha, _ = self.grafted_file(system)
+        sent = record_rpcs(system, monkeypatch)
+        system.clock.advance(10_000)  # past every NFS client cache
+        assert self.cold_read(alpha) == b"persistent"
+        kept = dict(sent)
+        sent.clear()
         system.clock.advance(10_000)
-        alpha.logical.grafter.prune(idle_timeout=1800)
-        assert root.walk("p/f").read_all() == b"persistent"
-        assert alpha.logical.grafter.grafts_performed == 2
+        performed = alpha.fabric.grafts_performed
+        assert alpha.graft_prune_daemon.tick() == 5
+        assert self.cold_read(alpha) == b"persistent"
+        assert alpha.fabric.grafts_performed == performed + 5
+        extra = {op: sent[op] - kept.get(op, 0) for op in sent}
+        assert {op: n for op, n in extra.items() if n} == {"root": 4, "lookup": 4}
 
     def test_prune_daemon_wired(self, system):
         volume, locations = system.create_volume(["beta"])
         alpha = system.host("alpha")
         alpha.logical.create_graft_point(alpha.root(), "p", volume, locations)
-        alpha.root().lookup("p")
+        alpha.fs().listdir("/p")
+        kept = len(alpha.fabric._roots)
         system.clock.advance(10_000)
-        assert alpha.graft_prune_daemon.tick() == 1
+        assert alpha.graft_prune_daemon.tick() == kept == 4
+        assert alpha.fabric._roots == {}
+
+    def test_the_daemon_prunes_the_fabric_a_restart_builds(self, system):
+        alpha, _ = self.grafted_file(system)
+        old = alpha.fabric
+        alpha.crash()
+        alpha.restart(system)
+        assert alpha.fabric is not old and alpha.fabric._roots == {}
+        assert self.cold_read(alpha) == b"persistent"
+        kept = len(alpha.fabric._roots)
+        system.clock.advance(10_000)
+        assert alpha.graft_prune_daemon.tick() == kept > 0
+        assert alpha.fabric._roots == {}
+        assert len(old._roots) == 5  # the tick pruned the rebuilt fabric only
 
 
 class TestPropagationIntoAnUnresolvedVolume:
@@ -227,7 +300,7 @@ class TestPropagationIntoAnUnresolvedVolume:
         lab1.fs().makedirs("/projects/ficus")
         lab1.fs().write_file("/projects/ficus/README", b"a replicated file system")
         assert lab2.logical.locations_for(projects_vol) == tuple(projects_locs)
-        assert not lab2.logical.grafter.current(projects_vol)
+        assert projects_vol not in grafted(lab2)
         system.reconcile_everything()  # lab2 stores /ficus, where the note lands
         lab1.fs().write_file("/projects/ficus/README", b"version two")
         sent = lab2.logical.notifications_sent
@@ -273,4 +346,4 @@ class TestOneHomeForReplicaLocations:
         assert not beta.graft_table.knows(volume)
         beta.fs().write_file("/p/f", b"x")
         assert beta.graft_table.locations(volume) == tuple(locations)
-        assert beta.logical.grafter.current(volume).bound.host == "gamma"
+        assert grafted(beta)[volume] == {"gamma"}

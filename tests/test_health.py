@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.filesystem import FicusFileSystem
 from repro.errors import RpcTimeout
+from repro.logical import LogicalDirVnode
 from repro.net import Network
 from repro.nfs import NfsClientLayer, NfsServer
 from repro.physical import EntryType, FicusPhysicalLayer
@@ -110,6 +111,25 @@ class TestDivergenceGauges:
         system.heal()
         system.reconcile_everything()
         assert fs.read_file_checked("/doc").divergence_suspected is False
+
+    def test_checked_read_resolves_its_path_once(self, monkeypatch):
+        system = FicusSystem(["a", "b"], daemon_config=QUIET)
+        fs = system.host("a").fs()
+        fs.makedirs("/x/y")
+        fs.write_file("/x/y/f", b"once")
+        lookups = []
+        lookup = LogicalDirVnode.lookup
+
+        def counting(self, name, *args, **kwargs):
+            lookups.append(name)
+            return lookup(self, name, *args, **kwargs)
+
+        monkeypatch.setattr(LogicalDirVnode, "lookup", counting)
+        assert fs.read_file("/x/y/f") == b"once"
+        plain = list(lookups)
+        lookups.clear()
+        assert fs.read_file_checked("/x/y/f").data == b"once"
+        assert lookups == plain == ["x", "y", "f"]
 
 
 class TestFlightRecorder:

@@ -199,7 +199,6 @@ class TestVolumeScenarios:
 
         reconcile_subtree(system.host("c").physical, c_loc.volrep, system.host("c").fabric, b_loc)
         system.network.set_host_up("b", False)
-        a.logical.grafter.ungraft(volume)
         assert fs_a.read_file("/proj/f") == b"both replicas up"
         fs_a.write_file("/proj/g", b"written with b down")
         assert fs_a.read_file("/proj/g") == b"written with b down"

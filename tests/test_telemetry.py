@@ -313,8 +313,8 @@ VIEWED = {
     },
     "logical.attr_cache": lambda s: _total(h.logical.attr_cache.stats for h in s.hosts.values()),
     "graft": lambda s: {
-        "performed": sum(h.logical.grafter.grafts_performed for h in s.hosts.values()),
-        "pruned": sum(h.logical.grafter.grafts_pruned for h in s.hosts.values()),
+        "performed": sum(h.fabric.grafts_performed for h in s.hosts.values()),
+        "pruned": sum(h.fabric.grafts_pruned for h in s.hosts.values()),
     },
     "propagation": lambda s: _total(h.propagation_daemon.stats for h in s.hosts.values()),
     "recon": lambda s: {

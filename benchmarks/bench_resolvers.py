@@ -63,14 +63,11 @@ def covered_logs_identical(system: FicusSystem) -> bool:
         for store in system.host(host_name).physical.stores.values():
             for dir_fh in store.all_directory_handles():
                 for entry in store.read_entries(dir_fh):
-                    if (
-                        entry.live
-                        and entry.name.endswith(".log")
-                        and store.has_file(dir_fh, entry.fh)
-                    ):
-                        per_name.setdefault(entry.name, set()).add(
-                            store.stored_file(dir_fh, entry.fh).read_all()
-                        )
+                    if not entry.live or not entry.name.endswith(".log"):
+                        continue
+                    stored = store.stored_file(dir_fh, entry.fh)
+                    if stored is not None:
+                        per_name.setdefault(entry.name, set()).add(stored.read_all())
     return bool(per_name) and all(len(v) == 1 for v in per_name.values())
 
 

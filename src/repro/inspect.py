@@ -92,11 +92,8 @@ def _collect(store: ReplicaStore) -> dict[str, tuple]:
                 if entry.etype == EntryType.DIRECTORY and store.has_directory(entry.fh):
                     recurse(entry.fh, path, seen)
             else:
-                vv = (
-                    store.read_record(entry.fh).vv
-                    if store.has_file(dir_fh, entry.fh)
-                    else None
-                )
+                stored = store.stored_file(dir_fh, entry.fh) is not None
+                vv = store.read_record(entry.fh).vv if stored else None
                 out[path] = (entry.fh, vv)
 
     recurse(store.root_handle(), "", set())

@@ -25,15 +25,16 @@ Coherence is notification-driven, matching the paper's update model:
   may be obtained...", Section 2.5) invalidates the affected directory's
   cached batches on every host that receives it, and so does a sync
   install on the host that made it;
-* the updating host itself drops only what its update changed: for an
-  update session, the file's record in the acting replica's batch is
-  replaced by the one ``session_close`` answered
-  (:meth:`VersionVectorCache.merge_record`); for any other update the
-  acting replica's batch is written through when that replica is local
-  (:meth:`VersionVectorCache.write_through`) and dropped when it is not
-  (both from :meth:`~repro.logical.layer.FicusLogicalLayer.notify_update`);
-  and the batch of each replica whose host the notification did not
-  reach goes too;
+* the updating host itself corrects only what its update changed, by one
+  rule (:meth:`VersionVectorCache.correct`): the acting replica's held
+  batch takes the file's new record — the one ``session_close`` answered
+  for an update session, else one ``getattrs_batch([fh])`` re-read when
+  the acting replica is local — and whether the update changed the
+  namespace is read from the directory's record.  A remote acting
+  replica's batch outside a session is dropped, and so is the batch of
+  each replica whose host the notification did not reach (all from
+  :meth:`~repro.logical.layer.FicusLogicalLayer.notify_update`).  Nothing
+  held, nothing is fetched: the next selection fetches the batch;
 * because datagrams are best-effort and partitions eat them, every batch
   also carries a TTL — a lost invalidation delays freshness by at most
   ``ttl`` seconds of virtual time rather than forever.
@@ -67,9 +68,8 @@ class CacheEntry:
     fetched_at: float = 0.0
     #: the replica's ``effective_entries`` view, decoded once per batch: it
     #: is only ever read beside a live ``batch`` and is dropped with it
-    #: (a write-through or a session's merged record keeps it: as is for a
-    #: file update, which changed no entry, and decoded again for a
-    #: namespace update)
+    #: (a corrected batch keeps it: as is for a file update, which changed
+    #: no entry, and decoded again for a namespace update)
     names: dict[str, DirectoryEntry] | None = None
     #: file vnodes resolved through ``dir_vnode``, by handle; like
     #: it they survive attribute changes and die on ESTALE
@@ -94,8 +94,8 @@ class DirRecord:
     #: ``None``, each file's under its handle — as ``(stamp, oldest,
     #: batches, winner)``: the stamp it was made under, the oldest
     #: ``fetched_at`` and the number of the batches it was chosen from;
-    #: dropped whenever a batch changes (a file's merged record drops only
-    #: that file's)
+    #: dropped whenever a batch changes (a corrected file record that left
+    #: the directory's record as it was drops only that file's)
     winners: dict[FicusFileHandle | None, tuple[tuple, float, int, Any]] = field(
         default_factory=dict
     )
@@ -202,16 +202,21 @@ class VersionVectorCache:
         self._dirs[(volume, dir_fh)].winners[key] = (stamp, oldest, len(entries), winner)
 
     def held_children(
-        self, volume: VolumeId, dir_fh: FicusFileHandle, fh: FicusFileHandle | None = None
+        self,
+        volume: VolumeId,
+        dir_fh: FicusFileHandle,
+        fh: FicusFileHandle | None = None,
+        volrep: VolumeReplicaId | None = None,
     ) -> list[Vnode]:
         """The vnodes of file ``fh`` (``None``: of every file) held through
-        any replica of a directory."""
+        replica ``volrep`` (``None``: any replica) of a directory."""
         record = self._record(volume, dir_fh)
         if record is None:
             return []
         return [
             child
-            for entry in record.replicas.values()
+            for replica, entry in record.replicas.items()
+            if volrep is None or replica == volrep
             for key, child in entry.children.items()
             if fh is None or key == fh
         ]
@@ -242,7 +247,7 @@ class VersionVectorCache:
             del entry.children[fh]
         return entry
 
-    def _held(self, volrep: VolumeReplicaId, dir_fh: FicusFileHandle) -> CacheEntry | None:
+    def held(self, volrep: VolumeReplicaId, dir_fh: FicusFileHandle) -> CacheEntry | None:
         """One directory replica's entry while it holds a live batch."""
         record = self._record(volrep.volume, dir_fh)
         entry = None if record is None else record.replicas.get(volrep)
@@ -250,77 +255,32 @@ class VersionVectorCache:
             return None
         return entry
 
-    def write_through(
-        self,
-        volrep: VolumeReplicaId,
-        dir_fh: FicusFileHandle,
-        dir_vnode: Vnode,
-        fh: FicusFileHandle,
-        objkind: str,
-    ) -> None:
-        """This host updated ``fh`` in its local replica ``volrep`` of a
-        directory: rebuild that replica's batch, and only that one.
-
-        The update changed this replica alone, so every other replica's
-        batch still describes its replica as well as it did before.  The
-        local one is rebuilt from what the update changed when a live
-        batch was held: the reply of ``getattrs_batch([fh])``.  A file
-        update (``objkind="file"``) changed that file's record alone, so
-        the record is merged as a session's is (:meth:`merge_record`).  A
-        namespace update changed the directory's record and entries: the
-        reply's directory record and child are merged over the held batch
-        (a child the reply lacks is gone), and a held name view is decoded
-        again from the local replica, so a view that was warm stays warm
-        and the directory's next lookup does not decode it instead.  Both
-        keep the held ``fetched_at``, since the siblings not re-read are
-        no fresher.  With nothing held, the whole batch is fetched.
-        """
-        entry = self._held(volrep, dir_fh)
-        if entry is not None and objkind == "file":
-            self.merge_record(volrep, dir_fh, fh, dir_vnode.getattrs_batch([fh]).child(fh))
-            return
-        if entry is None:
-            reply = dir_vnode.getattrs_batch()
-            self.invalidate_batch(volrep, dir_fh)
-            self.stats.refreshes += 1
-            self.store(volrep, dir_fh, dir_vnode, reply)
-            return
-        held, fetched_at, names = entry.batch, entry.fetched_at, entry.names
-        reply = dir_vnode.getattrs_batch([fh])
-        self.invalidate_batch(volrep, dir_fh)
-        self.stats.refreshes += 1
-        children = dict(held.children)
-        aux = reply.child(fh)
-        if aux is None:
-            children.pop(fh, None)
-        else:
-            children[fh] = aux
-        entry = self.store(volrep, dir_fh, dir_vnode, AttrBatch(reply.dir_aux, children))
-        entry.fetched_at = fetched_at
-        if names is not None:
-            entry.read_names()
-
-    def merge_record(
+    def correct(
         self,
         volrep: VolumeReplicaId,
         dir_fh: FicusFileHandle,
         fh: FicusFileHandle,
         aux: AuxAttributes | None,
+        dir_aux: AuxAttributes | None = None,
     ) -> None:
-        """This host's update of file ``fh`` at replica ``volrep`` of a
-        directory left the file's record ``aux`` (``None``: the file is
-        gone): put it in that replica's held batch, local or remote alike.
-        An update session's close answers the record itself; a local
-        update outside a session re-reads it (:meth:`write_through`).
+        """This host's update of ``fh`` at replica ``volrep`` of a directory
+        left the file's record ``aux`` (``None``: the name is gone) and the
+        directory's record ``dir_aux`` (``None``: the one held): correct
+        that replica's held batch, local or remote, and only that one.
 
-        A file update changes the file's record and nothing else of the
-        directory, neither its record nor its entries, so the held
-        ``dir_aux``, the name view, the other child vnodes and
-        ``fetched_at`` stay; the file leaves ``writing``; every other
-        replica's batch is untouched.  With no live batch held there is
-        nothing to correct, and the next selection fetches one.
+        The update changed this replica alone, so every other replica's
+        batch still describes its replica as well as it did before.  The
+        held ``fetched_at`` stays, since the siblings not re-read are no
+        fresher, and the file leaves ``writing``.  While the directory's
+        record is the held one, its entries are too: the held ``dir_aux``,
+        the name view and the other child vnodes stay, and only the file's
+        selection goes.  A changed record means a namespace update: every
+        selection in the directory goes, child vnodes the batch no longer
+        lists are pruned, and a held name view is decoded again from the
+        replica, so a view that was warm stays warm.  With no live batch
+        held there is nothing to correct, and the next selection fetches one.
         """
-        entry = self._held(volrep, dir_fh)
+        entry = self.held(volrep, dir_fh)
         if entry is None:
             return
         held = entry.batch
@@ -330,10 +290,18 @@ class VersionVectorCache:
             entry.children.pop(fh, None)
         else:
             children[fh] = aux
-        entry.batch = AttrBatch(held.dir_aux, children, held.writing - {fh})
-        # the directory's record and every sibling's are as they were
-        self._dirs[(volrep.volume, dir_fh)].winners.pop(fh, None)
+        winners = self._dirs[(volrep.volume, dir_fh)].winners
         self.stats.refreshes += 1
+        if dir_aux is None or dir_aux == held.dir_aux:
+            entry.batch = AttrBatch(held.dir_aux, children, held.writing - {fh})
+            winners.pop(fh, None)
+            return
+        entry.batch = AttrBatch(dir_aux, children, held.writing - {fh})
+        winners.clear()
+        for gone in entry.children.keys() - children.keys():
+            del entry.children[gone]
+        if entry.names is not None:
+            entry.read_names()
 
     # -- invalidation ----------------------------------------------------------
 

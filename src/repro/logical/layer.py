@@ -486,24 +486,22 @@ class FicusLogicalLayer(FileSystemLayer):
         effort, once: a lost datagram leaves the update to reconciliation.
 
         The same event drives attribute-cache coherence.  Here, for an
-        update, only what the update changed is dropped: the acting
+        update, only what the update changed is corrected: the acting
         replica's batch of the directory (and of a directory the update
         named), plus the batch of each replica whose host the datagram
         could not reach, since a cut-off replica may diverge unheard.
         Updates apply to one replica (Section 2.5), so every other
         replica's batch still describes a state this update did not touch;
         this host's staleness about them is bounded as any reader's is, by
-        the TTL and by the notifications it hears.  An update session's
-        close passes ``record``, the file's record that ``session_close``
-        answered: a file session changed nothing else of the directory, so
-        the record is merged into the acting replica's held batch, local or
-        remote, and nothing is re-read
-        (:meth:`~repro.logical.attr_cache.VersionVectorCache.merge_record`).
-        Any other update is written through when the acting replica is
-        local, so re-reading costs no RPC — only the updated object's
-        record is re-read
-        (:meth:`~repro.logical.attr_cache.VersionVectorCache.write_through`)
-        — and drops the acting replica's batch when it is remote.
+        the TTL and by the notifications it hears.  The acting replica's
+        held batch is corrected by one rule
+        (:meth:`~repro.logical.attr_cache.VersionVectorCache.correct`),
+        fed one of three ways: an update session's close passes ``record``,
+        the file's record that ``session_close`` answered; any other local
+        update re-reads the file's and the directory's records through the
+        held entry's own directory vnode, which costs no RPC; and any other
+        remote update drops the acting replica's batch.  Nothing held,
+        nothing is read.
 
         Two events still drop every replica's batch.  A sync install does,
         here: the installer may hold a batch of the very replica it pulled
@@ -520,25 +518,29 @@ class FicusLogicalLayer(FileSystemLayer):
         layer's new-version cache so the caller's own replicas pull the
         new version).
         """
+        cache = self.attr_cache
         if origin == "sync":
-            # first: a sync install names the directory itself (fh is
-            # parent_fh), and then nothing held may be merged over — nor
-            # served from the NFS client's attributes of its files
-            self.attr_cache.invalidate_dir(volume, fh)
-            for child in self.attr_cache.held_children(volume, fh):
+            # a sync install names the directory itself (fh is parent_fh):
+            # nothing held stays to be corrected, nor served from the NFS
+            # client's attributes of its files
+            cache.invalidate_dir(volume, fh)
+            for child in cache.held_children(volume, fh):
                 child.inactive()
         elif objkind == "dir":
-            self.attr_cache.invalidate_batch(acting.volrep, fh)
+            cache.invalidate_batch(acting.volrep, fh)
         if record is not None:
-            self.attr_cache.merge_record(acting.volrep, parent_fh, fh, record)
+            cache.correct(acting.volrep, parent_fh, fh, record)
         elif self.fabric.is_local(acting.host):
-            try:
-                vnode = self.fabric.dir_by_handle(acting.host, acting.volrep, parent_fh)
-                self.attr_cache.write_through(acting.volrep, parent_fh, vnode, fh, objkind)
-            except (FileNotFound, StaleFileHandle):
-                self.attr_cache.invalidate_batch(acting.volrep, parent_fh)
+            entry = cache.held(acting.volrep, parent_fh)
+            if entry is not None:
+                try:
+                    reply = entry.dir_vnode.getattrs_batch([fh])
+                except (FileNotFound, StaleFileHandle):
+                    cache.invalidate_batch(acting.volrep, parent_fh)
+                else:
+                    cache.correct(acting.volrep, parent_fh, fh, reply.child(fh), reply.dir_aux)
         else:
-            self.attr_cache.invalidate_batch(acting.volrep, parent_fh)
+            cache.invalidate_batch(acting.volrep, parent_fh)
         others = {loc.host for loc in self.locations_for(volume)}
         if self.fabric.is_local(acting.host):
             # this host applied the update itself: its physical layer needs
@@ -581,14 +583,22 @@ class FicusLogicalLayer(FileSystemLayer):
         updates this host never heard of.  The attributes the NFS client
         keeps of the named file's held vnodes go too, or ``stat`` would
         answer from them until their own TTL while a read sees the new
-        version.  The datagram is best-effort; a lost one leaves a stale
-        batch whose staleness the cache TTL bounds.
+        version; for a sync install, which names the directory, those of
+        every file held through the installing replica.  The datagram is
+        best-effort; a lost one leaves a stale batch whose staleness the
+        cache TTL bounds.
         """
         if not isinstance(note, UpdateNotification):
             return
         volume = note.volrep.volume
         self.attr_cache.invalidate_dir(volume, note.parent_fh)
-        for child in self.attr_cache.held_children(volume, note.parent_fh, note.fh):
+        if note.fh == note.parent_fh:
+            # a sync install names the directory: any file held through
+            # the installing replica may have changed there
+            held = self.attr_cache.held_children(volume, note.parent_fh, volrep=note.volrep)
+        else:
+            held = self.attr_cache.held_children(volume, note.parent_fh, note.fh)
+        for child in held:
             child.inactive()
         if note.objkind == "dir":
             self.attr_cache.invalidate_dir(volume, note.fh)

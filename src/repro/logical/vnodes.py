@@ -66,10 +66,13 @@ class LogicalDirVnode(Vnode):
         """Cross into the volume a graft point names (paper Section 4.4).
 
         The graft point's location entries teach the graft table; the
-        fabric grafts a replica when an access first needs one."""
+        fabric grafts a replica when an access first needs one.  They are
+        read through the graft point's held view: the table never forgets
+        a location, and a new one reaches the view through its update
+        notification or the batch's TTL."""
         layer = self.layer
         target_volume = VolumeId.from_hex(entry.data)
-        graft_entries = layer.dir_view(self.volume, entry.fh, ctx, fresh=True)
+        graft_entries = layer.dir_view(self.volume, entry.fh, ctx)
         locations = locations_from_entries(target_volume, graft_entries.values())
         if locations:
             layer.graft_table.learn(target_volume, locations)

@@ -54,6 +54,14 @@ def _payload_bytes(values: Iterable[object]) -> int:
     return sum(len(v) for v in values if isinstance(v, (bytes, bytearray)))
 
 
+def _reply_bytes(reply: object) -> int:
+    """A reply's payload bytes: a bytes reply's length, else the
+    ``payload_bytes`` a reply object declares (a file pull's blocks)."""
+    if isinstance(reply, (bytes, bytearray)):
+        return len(reply)
+    return getattr(reply, "payload_bytes", 0)
+
+
 @dataclass
 class NetworkStats:
     """Traffic accounting for benchmarks.
@@ -486,7 +494,7 @@ class Network:
             dst,
             ok=True,
             bytes_out=bytes_out,
-            bytes_in=len(result) if isinstance(result, (bytes, bytearray)) else 0,
+            bytes_in=_reply_bytes(result),
         )
         return result
 

@@ -146,7 +146,8 @@ def ficus_fsck(store: ReplicaStore, conflict_log=None, resolvers=None) -> FicusC
                 continue
             # FILE / SYMLINK
             key = entry.fh.to_hex()
-            if store.has_file(dir_fh, entry.fh) and store.has_record(entry.fh):
+            stored = store.stored_file(dir_fh, entry.fh) is not None
+            if stored and store.has_record(entry.fh):
                 expected_names.add(key)
                 try:
                     aux = store.read_record(entry.fh)
@@ -161,7 +162,7 @@ def ficus_fsck(store: ReplicaStore, conflict_log=None, resolvers=None) -> FicusC
                     report.complain(
                         f"dir {dir_fh}: {entry.name!r} aux type {aux.etype} != entry {entry.etype}"
                     )
-            elif not store.has_file(dir_fh, entry.fh):
+            elif not stored:
                 # entry-only: contents arrive later by propagation
                 report.entries_awaiting_contents += 1
 
@@ -245,7 +246,7 @@ def _check_conflict_bookkeeping(
         if conflict.volume != store.volume:
             continue
         try:
-            if not store.has_file(conflict.parent_fh, conflict.fh):
+            if store.stored_file(conflict.parent_fh, conflict.fh) is None:
                 continue  # dropped, renamed away, or never propagated here
             aux = store.read_record(conflict.fh)
         except FicusError:

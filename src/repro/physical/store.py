@@ -888,11 +888,6 @@ class ReplicaStore:
         self.dir_unix_vnode(parent).remove(fh.to_hex())
         self._changed(parent)
 
-    def has_file(self, parent: FicusFileHandle, fh: FicusFileHandle) -> bool:
-        """Does ``parent`` store contents of ``fh``?  (For tools and tests:
-        the store's own callers keep what :meth:`stored_file` answers.)"""
-        return self.stored_file(parent, fh) is not None
-
     # -- installing a version (single-file atomic commit, paper Section 3.2) ---
 
     def install(

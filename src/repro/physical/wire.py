@@ -374,6 +374,11 @@ class FileBlocks:
     size: int
     blocks: dict[int, tuple[str, bytes]] = field(default_factory=dict)
 
+    @property
+    def payload_bytes(self) -> int:
+        """The block bytes the reply carries: what the network counts."""
+        return sum(len(data) for _digest, data in self.blocks.values())
+
 
 def split_blocks(data: bytes, block_size: int = DELTA_BLOCK_SIZE) -> list[bytes]:
     """Slice contents into fixed-size blocks (last one may be short)."""

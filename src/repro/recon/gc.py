@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.physical import FicusPhysicalLayer, ReplicaStore
+from repro.physical import ReplicaStore
 from repro.util import FicusFileHandle
 
 
@@ -77,11 +77,7 @@ def collect_directory(
     return seen, purged
 
 
-def collect_volume_replica(
-    physical: FicusPhysicalLayer,
-    store: ReplicaStore,
-    all_replicas: frozenset[int],
-) -> GcResult:
+def collect_volume_replica(store: ReplicaStore, all_replicas: frozenset[int]) -> GcResult:
     """Run tombstone collection over every directory of a volume replica."""
     result = GcResult()
     for dir_fh in store.all_directory_handles():

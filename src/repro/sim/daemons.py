@@ -463,9 +463,7 @@ class ReconciliationDaemon:
             resolvers=self.resolvers,
         )
         # tombstone garbage collection: purge fully-acknowledged deletes
-        gc = collect_volume_replica(
-            self.physical, self.physical.store_for(volrep), all_replicas
-        )
+        gc = collect_volume_replica(self.physical.store_for(volrep), all_replicas)
         self.tombstones_purged += gc.tombstones_purged + result.tombstones_purged_by_inference
         self.stats.runs += 1
         self.stats.results.append(result)

@@ -23,11 +23,14 @@ import pytest
 
 from repro.errors import InvalidArgument
 from repro.logical.attr_cache import DEFAULT_TTL, VersionVectorCache
+from repro.logical.fabric import Fabric
 from repro.net import LinkFaults
 from repro.physical import AuxAttributes, EntryType, decode_directory, effective_entries
+from repro.physical.vnodes import PhysicalDirVnode
 from repro.physical.wire import AttrBatch
 from repro.recon import reconcile_subtree
 from repro.sim import DaemonConfig, FicusSystem
+from repro.sim.daemons import announce_sync_install
 from repro.util import FicusFileHandle, FileId, VirtualClock, VolumeId, VolumeReplicaId
 from repro.vnode.interface import ROOT_CTX, read_whole
 from repro.vv import VersionVector
@@ -156,6 +159,46 @@ class TestCacheUnit:
         assert self.cache._record(VOL, FH) is None
 
 
+    def test_a_correction_is_decided_by_the_directory_record(self):
+        """One rule corrects a held batch: the file's record replaces its
+        child, a directory record equal to the held one keeps the held
+        ``dir_aux``, name view and child vnodes and drops only the file's
+        selection, a changed one drops every selection and prunes the
+        vnodes of files the batch no longer lists.  Nothing held, nothing
+        changes."""
+        stamp = (0, 0, ())
+        sibling, gone = FicusFileHandle(VOL, FileId(1, 8)), FicusFileHandle(VOL, FileId(1, 9))
+        held = batch(VersionVector({1: 1}))
+        held.children.update({fh: AuxAttributes(fh=fh, etype=EntryType.FILE) for fh in (sibling, gone)})
+        entry = self.cache.store(self.vr1, FH, "vnode", held)
+        entry.names = {"sibling": object()}
+        entry.children.update({sibling: "sibling-vnode", gone: "gone-vnode"})
+        self.clock.advance(1.0)
+
+        def remember_all():
+            for key in (None, sibling, gone):
+                self.cache.remember(VOL, FH, key, stamp, [entry], key)
+
+        remember_all()
+        names, fetched_at = entry.names, entry.fetched_at
+        bumped = AuxAttributes(fh=sibling, etype=EntryType.FILE, vv=VersionVector({1: 1}))
+        self.cache.correct(self.vr1, FH, sibling, bumped, held.dir_aux._replace())
+        assert entry.batch.child(sibling) is bumped and entry.batch.dir_aux is held.dir_aux
+        assert entry.names is names and entry.fetched_at == fetched_at
+        assert set(self.cache._record(VOL, FH).winners) == {None, gone}
+        assert len(entry.children) == 2
+        remember_all()
+        entry.names = None  # no view held: none is decoded
+        namespace = held.dir_aux._replace(vv=VersionVector({1: 2}))
+        self.cache.correct(self.vr1, FH, gone, None, namespace)
+        assert entry.batch.dir_aux is namespace and entry.batch.child(gone) is None
+        assert entry.children == {sibling: "sibling-vnode"} and entry.fetched_at == fetched_at
+        assert not self.cache._record(VOL, FH).winners
+        self.clock.advance(10.0)  # past the TTL: nothing is held
+        self.cache.correct(self.vr1, FH, sibling, None, held.dir_aux)
+        assert entry.batch.child(sibling) is bumped and entry.batch.dir_aux is namespace
+
+
 def two_host_world():
     """alpha holds replica 1, beta replica 2, of one converged volume."""
     system = FicusSystem(["alpha", "beta"], daemon_config=QUIET)
@@ -269,6 +312,28 @@ class TestNotificationCoherence:
         assert fs_b.stat("/f").size == 8
         assert fs_b.read_file("/f") == b"12345678"
 
+    def test_a_heard_sync_notification_refreshes_stat_as_well_as_read(self):
+        """y stats x's copy over NFS (the lowest replica id wins the tie)
+        while z, cut off, writes.  x's reconciliation then pulls z's version
+        and announces the install, naming the directory: y must drop the
+        NFS client's attributes of the files it holds through x's replica,
+        or ``stat`` reports the old size while ``read_file`` returns the
+        new bytes."""
+        system = FicusSystem(["x", "y", "z"], daemon_config=QUIET)
+        fs_x, fs_y, fs_z = (system.host(h).fs() for h in ("x", "y", "z"))
+        fs_x.write_file("/f", b"1234")
+        system.reconcile_everything()
+        system.partition([{"x", "y"}, {"z"}])
+        fs_z.write_file("/f", b"12345678")
+        assert fs_y.stat("/f").size == 4
+        system.heal()
+        x = system.host("x")
+        here = next(loc for loc in system.root_locations if loc.host == "x")
+        there = next(loc for loc in system.root_locations if loc.host == "z")
+        x.recon_daemon.reconcile_with(here.volrep, there)
+        assert fs_y.stat("/f").size == 8
+        assert fs_y.read_file("/f") == b"12345678"
+
 
 class TestTheWriterDropsOnlyWhatItChanged:
     """An update applies to one replica (paper Section 2.5): the updating
@@ -301,6 +366,42 @@ class TestTheWriterDropsOnlyWhatItChanged:
             before = system.network.stats.rpcs_sent
             assert fs.stat("/f").size == 2 and fs.listdir("/") == names
             assert system.network.stats.rpcs_sent == before
+
+    def test_a_local_update_reads_through_the_held_directory(self, monkeypatch):
+        """The writer re-reads its local replica's records through the
+        directory vnode its batch came through: no update asks the fabric
+        to resolve the directory again."""
+        system, fs, replicas = self.warm_world()
+        resolved = []
+        real = Fabric.dir_by_handle
+        monkeypatch.setattr(
+            Fabric, "dir_by_handle", lambda self, *a: (resolved.append(a), real(self, *a))[1]
+        )
+        fs.write_file("/f", b"v2")
+        fs.resolve("/f").write(0, b"v3")  # outside a session
+        fs.write_file("/g", b"created")
+        fs.unlink("/g")
+        assert resolved == []
+        assert replicas["alpha"].batch is not None
+
+    def test_a_sync_install_fetches_no_batch(self, monkeypatch):
+        """A sync install drops the installer's own replica's batch with the
+        others and reads none back, locally or remotely: the next selection
+        fetches what it needs."""
+        system, fs, replicas = self.warm_world()
+        alpha = system.host("alpha")
+        here = next(loc for loc in system.root_locations if loc.host == "alpha")
+        asked = []
+        real = PhysicalDirVnode.getattrs_batch
+        monkeypatch.setattr(
+            PhysicalDirVnode,
+            "getattrs_batch",
+            lambda self, *a, **k: (asked.append(self.layer), real(self, *a, **k))[1],
+        )
+        before = system.network.stats.rpcs_sent
+        announce_sync_install(alpha.logical, here.volrep, alpha.logical.root().fh)
+        assert asked == [] and system.network.stats.rpcs_sent == before
+        assert all(entry.batch is None for entry in replicas.values())
 
     def test_a_write_cut_off_from_a_replica_drops_its_batch(self):
         system, fs, replicas = self.warm_world()

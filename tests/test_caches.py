@@ -214,15 +214,15 @@ class TestMissRemembered:
     """A name looked for and not found is scanned for once: the DNLC keeps
     the miss, and the replica store asks the DNLC."""
 
-    def test_a_second_has_file_for_a_missing_file_makes_no_scan(self, monkeypatch):
+    def test_a_second_stored_file_for_a_missing_file_makes_no_scan(self, monkeypatch):
         store = new_store()
         root = store.root_handle()
         missing = FicusFileHandle(VR.volume, store.new_file_id())
         scans = count_scans(monkeypatch)
-        assert not store.has_file(root, missing)
+        assert store.stored_file(root, missing) is None
         assert scans, "the first look scans the directory"
         scans.clear()
-        assert not store.has_file(root, missing)
+        assert store.stored_file(root, missing) is None
         assert scans == []
 
     def test_a_second_lookup_fh_of_an_unstored_directory_over_nfs_makes_no_scan(self, monkeypatch):
@@ -297,9 +297,9 @@ class TestMissNeverHidesAName:
         store = new_store()
         root = store.root_handle()
         fh = FicusFileHandle(VR.volume, store.new_file_id())
-        assert not store.has_file(root, fh)
+        assert store.stored_file(root, fh) is None
         store_it(store, root, fh)
-        assert store.has_file(root, fh)
+        assert store.stored_file(root, fh) is not None
         cold = ReplicaStore.attach(UfsLayer(Ufs.mount(store.lower_root.fs.device)).root(), VR)
         assert store.stored_file(root, fh).ino == cold.stored_file(root, fh).ino
 

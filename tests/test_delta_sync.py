@@ -208,7 +208,7 @@ class TestOneTransfer:
         remote = remote_root_vnode(system, "beta", "alpha")
         reconcile_directory(system.host("beta").physical, beta_store, beta_store.root_handle(), remote)
         store, root_fh, remote, fh, batch = self.decided(system, "f")
-        assert not store.has_file(root_fh, fh)
+        assert store.stored_file(root_fh, fh) is None
         pull, rpcs = rpcs_during(
             system, lambda: pull_file(store, root_fh, fh, remote, batch=batch, live=True)
         )
@@ -621,7 +621,7 @@ class TestDirectoryAtATime:
             policy=system.host("cache").physical.policy_for(volrep_of(system, "cache")),
         )
         names = {e.name: e for e in cache_store.read_entries(cache_store.root_handle()) if e.live}
-        assert not cache_store.has_file(cache_store.root_handle(), names["declined.bin"].fh)
+        assert cache_store.stored_file(cache_store.root_handle(), names["declined.bin"].fh) is None
 
         # "late" learns both names from the cache replica alone
         late_store = store_of(system, "late")
@@ -640,7 +640,7 @@ class TestDirectoryAtATime:
             "kept.txt": PullOutcome.PULLED,
             "declined.bin": PullOutcome.REMOTE_MISSING,
         }
-        assert not late_store.has_file(root_fh, names["declined.bin"].fh)
+        assert late_store.stored_file(root_fh, names["declined.bin"].fh) is None
 
     def test_mid_group_partition_leaves_unsettled_notes_pending(self):
         system = diverged_directory(["alpha", "beta"], files=4, overwritten=3, create=False)

@@ -104,7 +104,7 @@ class TestGcSafety:
         fs.write_file("/f", b"x")
         fs.unlink("/f")
         store = host.physical.store_for(system.root_locations[0].volrep)
-        result = collect_volume_replica(host.physical, store, frozenset())
+        result = collect_volume_replica(store, frozenset())
         assert result.tombstones_purged == 0
 
     def test_single_replica_volume_collects_immediately(self):
@@ -114,6 +114,6 @@ class TestGcSafety:
         fs.write_file("/f", b"x")
         fs.unlink("/f")
         store = host.physical.store_for(system.root_locations[0].volrep)
-        result = collect_volume_replica(host.physical, store, frozenset({1}))
+        result = collect_volume_replica(store, frozenset({1}))
         assert result.tombstones_purged == 1
         assert tombstones_at(system, "a") == []

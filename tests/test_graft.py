@@ -347,3 +347,26 @@ class TestOneHomeForReplicaLocations:
         beta.fs().write_file("/p/f", b"x")
         assert beta.graft_table.locations(volume) == tuple(locations)
         assert grafted(beta)[volume] == {"gamma"}
+
+
+def test_a_warm_read_through_a_graft_point_sends_only_the_files_read(monkeypatch):
+    """A diskless client crossing a graft point reads the graft point's
+    locations through its held view, so a warm read of a file in the
+    grafted volume costs what a warm root-volume read costs: the file's
+    one ``read``."""
+    hosts = ["alpha", "beta", "gamma"]
+    system = FicusSystem(hosts + ["cl"], root_volume_hosts=["alpha", "beta"], daemon_config=QUIET)
+    volume, locations = system.create_volume(["gamma"])
+    alpha = system.host("alpha")
+    alpha.logical.create_graft_point(alpha.root(), "p", volume, locations)
+    alpha.fs().write_file("/p/f", b"grafted")
+    alpha.fs().write_file("/g", b"root volume")
+    system.reconcile_everything()
+    client = system.host("cl").fs()
+    assert client.read_file("/p/f") == b"grafted" and client.read_file("/g") == b"root volume"
+    sent = record_rpcs(system, monkeypatch)
+    assert client.read_file("/g") == b"root volume"
+    assert sent == Counter({"read": 1})
+    sent.clear()
+    assert client.read_file("/p/f") == b"grafted"
+    assert sent == Counter({"read": 1})

@@ -93,6 +93,21 @@ class TestRpc:
         net.register_rpc("b", "fmt", lambda x, suffix="": f"{x}{suffix}")
         assert net.rpc("a", "b", "fmt", "v", suffix="!") == "v!"
 
+    def test_a_pulled_files_blocks_count_once_as_received_bytes(self):
+        """A pull's ``read_blocks`` reply is a ``FileBlocks``, not bytes: the
+        per-peer ledger still counts the block payloads it carries, once."""
+        from repro.sim import DaemonConfig, FicusSystem
+
+        quiet = DaemonConfig(propagation_period=None, recon_period=None, graft_prune_period=None)
+        system = FicusSystem(["a", "b"], daemon_config=quiet)
+        system.host("a").fs().write_file("/f", bytes(range(250)) * 80)  # 20 000 bytes
+        before = system.network.stats.rpc_bytes()["rpc_bytes_received"]
+        daemon = system.host("b").recon_daemon
+        daemon.tick()
+        assert daemon.stats.results[-1].files_pulled == 1
+        received = system.network.stats.rpc_bytes()["rpc_bytes_received"] - before
+        assert 20_000 <= received < 2 * 20_000
+
 
 class TestMulticast:
     def test_delivery_to_all_reachable(self, net):

@@ -534,7 +534,7 @@ class TestOutOfSpace:
         with pytest.raises(NoSpace):
             install_at_root(store, fh, PAYLOAD, VersionVector({2: 1}))
         store, ufs = self.reattached(device)
-        assert not store.has_file(store.root_handle(), fh) and not store.has_record(fh)
+        assert store.stored_file(store.root_handle(), fh) is None and not store.has_record(fh)
         assert fsck(ufs).clean
 
 class TestOperationScope:
@@ -665,8 +665,8 @@ class TestOperationScope:
         (entry,) = store.read_entries(store.root_handle())
         with store.operation():
             root.apply_remove(entry.eid)
-            assert store.has_file(store.root_handle(), fh)  # asked for, not yet done
-        assert not store.has_file(store.root_handle(), fh)
+            assert store.stored_file(store.root_handle(), fh) is not None  # asked for, not yet done
+        assert store.stored_file(store.root_handle(), fh) is None
         assert ficus_fsck(store).clean
 
     def test_serving_a_directory_with_staged_records_is_an_assertion(self, world):
@@ -762,7 +762,7 @@ class TestAttributeTable:
         linked = store.stored_file(dirs["e"], fh).getattr()
         assert (linked.fileid, linked.mtime) == (stored.fileid, stored.mtime)
         assert store.stored_file(dirs["e"], fh).read_all() == PAYLOAD
-        assert not store.has_file(dirs["d"], fh) and store.read_record(fh).refs == 1
+        assert store.stored_file(dirs["d"], fh) is None and store.read_record(fh).refs == 1
         assert ficus_fsck(store).clean
 
     def test_a_new_record_lands_beside_its_parents(self, world):

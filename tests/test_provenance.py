@@ -214,7 +214,7 @@ class TestDagComposition:
                 for dir_fh in store.all_directory_handles():
                     for entry in store.read_entries(dir_fh):
                         fh = entry.fh
-                        if not entry.live or not store.has_file(dir_fh, fh):
+                        if not entry.live or store.stored_file(dir_fh, fh) is None:
                             continue
                         vv = store.read_record(fh).vv
                         if not vv:

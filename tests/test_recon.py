@@ -90,7 +90,7 @@ class TestPullFile:
         system.reconcile_everything()
         beta_store = store_of(system, "beta")
         fh = next(e.fh for e in beta_store.read_entries(beta_store.root_handle()) if e.name == "bare")
-        assert beta_store.has_file(beta_store.root_handle(), fh)
+        assert beta_store.stored_file(beta_store.root_handle(), fh) is not None
         alpha_store = store_of(system, "alpha")
         assert beta_store.subtree_digest(beta_store.root_handle()) == alpha_store.subtree_digest(
             alpha_store.root_handle()

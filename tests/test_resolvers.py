@@ -52,8 +52,11 @@ def store_bytes(system, host_name: str, name: str) -> list[bytes]:
     for store in host.physical.stores.values():
         for dir_fh in store.all_directory_handles():
             for entry in store.read_entries(dir_fh):
-                if entry.live and entry.name == name and store.has_file(dir_fh, entry.fh):
-                    out.append(store.stored_file(dir_fh, entry.fh).read_all())
+                if not entry.live or entry.name != name:
+                    continue
+                stored = store.stored_file(dir_fh, entry.fh)
+                if stored is not None:
+                    out.append(stored.read_all())
     return out
 
 

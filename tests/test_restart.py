@@ -135,7 +135,7 @@ class TestSingleHostRestart:
         host.crash()
         host.restart(system)
         store2 = host.physical.store_for(volrep)
-        assert not store2.has_file(store2.root_handle(), orphan)
+        assert store2.stored_file(store2.root_handle(), orphan) is None
         assert ficus_fsck(store2).clean
 
     def test_a_record_stored_nowhere_cleared_on_restart(self):

@@ -71,8 +71,8 @@ class TestSelectiveReplica:
         store = cache.physical.store_for(volrep)
         entries = {e.name: e for e in store.read_entries(store.root_handle()) if e.live}
         assert set(entries) == {"wanted.txt", "unwanted.bin"}  # names replicate
-        assert store.has_file(store.root_handle(), entries["wanted.txt"].fh)
-        assert not store.has_file(store.root_handle(), entries["unwanted.bin"].fh)
+        assert store.stored_file(store.root_handle(), entries["wanted.txt"].fh) is not None
+        assert store.stored_file(store.root_handle(), entries["unwanted.bin"].fh) is None
 
     def test_declined_file_still_readable_through_full_replica(self, system):
         system.host("full").fs().write_file("/unwanted.bin", b"blob")
@@ -99,8 +99,8 @@ class TestSelectiveReplica:
         volrep = next(l.volrep for l in system.root_locations if l.host == "cache")
         store = cache.physical.store_for(volrep)
         entries = {e.name: e for e in store.read_entries(store.root_handle()) if e.live}
-        assert store.has_file(store.root_handle(), entries["a.txt"].fh)
-        assert not store.has_file(store.root_handle(), entries["b.bin"].fh)
+        assert store.stored_file(store.root_handle(), entries["a.txt"].fh) is not None
+        assert store.stored_file(store.root_handle(), entries["b.bin"].fh) is None
 
     def test_recon_reports_declined_counts(self, system):
         system.host("full").fs().write_file("/x.bin", b"z")

@@ -615,12 +615,13 @@ def test_a_clear_beside_a_fresh_record_waits_for_the_list():
         store.recover()
         root = store.root_handle()
         live = {entry.name: entry.fh for entry in store.read_entries(root) if entry.live}
-        if list(live) == ["f"] and store.has_file(root, fh) and store.stored_file(root, fh).read_all() == b"x":
+        stored = store.stored_file(root, fh)
+        if list(live) == ["f"] and stored is not None and stored.read_all() == b"x":
             outcomes.append("old")
-        elif list(live) == ["g"] and store.has_file(root, live["g"]) and fh not in store.record_handles():
+        elif list(live) == ["g"] and store.stored_file(root, live["g"]) is not None and fh not in store.record_handles():
             outcomes.append("new")
         else:
-            outcomes.append(repr((live, store.has_file(root, fh), fh in store.record_handles())))
+            outcomes.append(repr((live, stored is not None, fh in store.record_handles())))
         assert all("stray object" in problem for problem in ficus_fsck(store).problems), crash_point
         if completed:
             break
@@ -1106,7 +1107,8 @@ def torn_records(store: ReplicaStore) -> list[str]:
             stored = (
                 store.has_directory(entry.fh)
                 if entry.etype in (EntryType.DIRECTORY, EntryType.GRAFT_POINT)
-                else entry.etype in (EntryType.FILE, EntryType.SYMLINK) and store.has_file(dir_fh, entry.fh)
+                else entry.etype in (EntryType.FILE, EntryType.SYMLINK)
+                and store.stored_file(dir_fh, entry.fh) is not None
             )
             if entry.live and stored:
                 try:
@@ -1123,9 +1125,12 @@ def stored_files(store: ReplicaStore) -> dict:
     held = {}
     for dir_fh in store.all_directory_handles():
         for entry in store.read_entries(dir_fh):
-            if entry.live and entry.etype == EntryType.FILE and store.has_file(dir_fh, entry.fh):
+            if not entry.live or entry.etype != EntryType.FILE:
+                continue
+            stored = store.stored_file(dir_fh, entry.fh)
+            if stored is not None:
                 aux = store.read_record(entry.fh)
-                held[entry.fh] = (aux.vv, aux.merge_policy, store.stored_file(dir_fh, entry.fh).read_all())
+                held[entry.fh] = (aux.vv, aux.merge_policy, stored.read_all())
     return held
 
 
